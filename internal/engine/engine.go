@@ -24,6 +24,14 @@
 //     DetachDone is the per-step harvest. Together with the recycling in
 //     Inject they make the steady-state step 0 allocs/op — asserted by
 //     the Test*AllocFree tests and recorded in the BENCH_*.json baselines.
+//   - Layout: a step is memory-bound, so per-flight state is laid out for
+//     the loop that walks it. A Flight holds its message header by value
+//     and comes from a slab; the flight list keeps the live flights as a
+//     dense prefix in injection order (terminated ones behind it, until
+//     harvested), compacted by the commit loop itself; routing scratch is
+//     the engine's (one route.Context for the serial commit, one per
+//     shard), never a flight's; the tie-breaking policy is an engine
+//     setting (SetPolicy) for the same reason.
 package engine
 
 import (
@@ -36,19 +44,17 @@ import (
 	"ndmesh/internal/route"
 )
 
-// Flight is one routing message in flight with its router and context.
+// Flight is one routing message in flight with its router. Flights are
+// carved from slabs and hold their message header by value (Msg points at
+// it), so the step loop walks one contiguous run of memory per flight: the
+// fields it reads every step come first, the Table 1 samples last. Routing
+// scratch is not per flight — the engine owns the route.Context.
 type Flight struct {
+	// Msg is the flight's header; it points into the flight itself.
 	Msg    *route.Message
 	Router route.Router
-	Ctx    route.Context
 	// StartStep is the step the message was injected (the t of Table 1).
 	StartStep int
-	// DistAt[i] is D(i): the distance from the message's current node to
-	// its destination when event i occurred (only events after injection).
-	DistAt []int
-	// EventIdxAt records which global event index each DistAt sample
-	// belongs to.
-	EventIdxAt []int
 
 	// StallAge counts the consecutive contention steps this flight has
 	// spent in place without terminating: it increments every step the
@@ -61,15 +67,18 @@ type Flight struct {
 	// per-node residency (cleared when the count is released).
 	resident bool
 
-	// stepStable caches route.StepStable(Router) at injection: whether this
-	// flight's decisions may be proposed in parallel by the sharded step.
-	stepStable bool
-	// pd is the decision proposed for this flight by the sharded step's
-	// parallel phase; pdOK marks it valid. The serial commit consumes and
-	// clears it every step.
-	pd   route.Decision
-	pdOK bool
+	msg route.Message
+
+	// DistAt[i] is D(i): the distance from the message's current node to
+	// its destination when event i occurred (only events after injection).
+	DistAt []int
+	// EventIdxAt records which global event index each DistAt sample
+	// belongs to.
+	EventIdxAt []int
 }
+
+// flightSlab is how many flights one free-list miss allocates at once.
+const flightSlab = 64
 
 // EventRecord captures one fault occurrence (or recovery) and the
 // convergence of the information constructions it triggered.
@@ -192,8 +201,21 @@ type Engine struct {
 	Schedule *fault.Schedule //meshvet:keep configuration; evIdx rewinds instead
 	evIdx    int
 
-	step    int
+	step int
+	// flights holds the live flights as a dense prefix flights[:live] in
+	// injection order — the age order the contention arbitration depends
+	// on — followed by the terminated ones awaiting DetachDone (or
+	// ClearFlights) in termination order. The commit loop compacts as it
+	// goes, so nothing downstream skip-scans: the population is live, the
+	// harvest is the tail.
 	flights []*Flight
+	live    int
+	retired []*Flight //meshvet:keep scratch of one Step's compaction, emptied before it returns
+
+	// ctx is the routing scratch of the serial commit (each shard has its
+	// own for the propose phase, see shardSet): one context serves every
+	// flight in turn, so no flight carries buffers of its own.
+	ctx route.Context //meshvet:keep configuration (fabric, store, load view, policy) plus call-scoped scratch
 
 	// Events is the per-occurrence log (one record per schedule event).
 	Events []*EventRecord
@@ -203,9 +225,11 @@ type Engine struct {
 
 	// spareFlights and spareEvents are free lists fed by Reset/ClearFlights:
 	// a reused trial re-injects messages and logs events without
-	// reallocating flight, message, or record objects.
+	// reallocating flight, message, or record objects. slab is the unused
+	// remainder of the last flight slab.
 	spareFlights []*Flight
 	spareEvents  []*EventRecord
+	slab         []Flight //meshvet:keep unused allocation, carries no trial state
 
 	// oracle computes EMaxAfter in finalizeLastEvent with reusable buffers
 	// (a fault process applies events all run long; the centralized Extract
@@ -231,7 +255,21 @@ func New(md *core.Model, lambda int, sched *fault.Schedule) *Engine {
 	if sched == nil {
 		sched = &fault.Schedule{}
 	}
-	return &Engine{Model: md, Lambda: lambda, Schedule: sched}
+	e := &Engine{Model: md, Lambda: lambda, Schedule: sched}
+	// The engine is its flights' load view (route.LoadView): outside
+	// contention mode both signals read zero, so load-aware routers
+	// collapse to their load-oblivious baselines.
+	e.ctx = route.Context{M: md.M, Store: md.Store, Load: e, Policy: route.LowestAxis}
+	return e
+}
+
+// SetPolicy selects how every flight's router breaks ties among equally
+// preferred directions (default route.LowestAxis).
+func (e *Engine) SetPolicy(p route.Policy) {
+	e.ctx.Policy = p
+	for i := range e.shards.ctx {
+		e.shards.ctx[i].Policy = p
+	}
 }
 
 // StepCount returns the current step number.
@@ -262,10 +300,10 @@ func (e *Engine) EnableContention(cfg ContentionConfig) {
 		c.gateFn = e.gate
 	}
 	e.resetContention()
-	for _, f := range e.flights {
-		f.resident = !f.Msg.Done()
+	for i, f := range e.flights {
+		f.resident = i < e.live
 		if f.resident {
-			c.resident[f.Msg.Cur]++
+			c.resident[f.msg.Cur]++
 		}
 	}
 }
@@ -428,7 +466,7 @@ func (e *Engine) Reset() {
 // use it to re-route over a standing scenario.
 func (e *Engine) ClearFlights() {
 	e.spareFlights = append(e.spareFlights, e.flights...)
-	e.flights = e.flights[:0]
+	e.flights, e.live = e.flights[:0], 0
 	if e.ctn.enabled {
 		e.resetContention()
 	}
@@ -444,14 +482,9 @@ func (e *Engine) ClearFlights() {
 //
 //meshvet:noalloc
 func (e *Engine) DetachDone(fn func(*Flight)) {
-	kept := e.flights[:0]
-	for _, f := range e.flights {
-		if !f.Msg.Done() {
-			kept = append(kept, f)
-			continue
-		}
+	for _, f := range e.flights[e.live:] {
 		if e.ctn.enabled && f.resident {
-			e.ctn.resident[f.Msg.Cur]--
+			e.ctn.resident[f.msg.Cur]--
 			f.resident = false
 		}
 		if fn != nil {
@@ -459,7 +492,7 @@ func (e *Engine) DetachDone(fn func(*Flight)) {
 		}
 		e.spareFlights = append(e.spareFlights, f)
 	}
-	e.flights = kept
+	e.flights = e.flights[:e.live]
 }
 
 // Inject adds a routing message from src to dst under the given router,
@@ -477,33 +510,22 @@ func (e *Engine) Inject(src, dst grid.NodeID, r route.Router) (*Flight, error) {
 		return nil, fmt.Errorf("engine: injection at node %d exceeds capacity %d (resident %d); check Admit before Inject",
 			src, e.ctn.cfg.NodeCapacity, e.ctn.resident[src])
 	}
-	// The engine is every flight's load view (route.LoadView): outside
-	// contention mode both signals read zero, so load-aware routers
-	// collapse to their load-oblivious baselines.
-	ctx := route.Context{M: e.Model.M, Load: e, Policy: route.LowestAxis}
-	if _, isBlind := r.(route.Blind); !isBlind {
-		ctx.Store = e.Model.Store
-	}
 	var f *Flight
 	if n := len(e.spareFlights); n > 0 {
 		f = e.spareFlights[n-1]
 		e.spareFlights = e.spareFlights[:n-1]
-		f.Msg.Reset(src, dst)
-		f.Router = r
-		// Assign context fields individually: the recycled context keeps
-		// its routing scratch buffers (route.Context.coords).
-		f.Ctx.M, f.Ctx.Store, f.Ctx.Load, f.Ctx.Policy = ctx.M, ctx.Store, ctx.Load, ctx.Policy
-		f.StartStep = e.step
-		f.DistAt = f.DistAt[:0]
-		f.EventIdxAt = f.EventIdxAt[:0]
 	} else {
-		f = &Flight{
-			Msg:       route.NewMessage(src, dst),
-			Router:    r,
-			Ctx:       ctx,
-			StartStep: e.step,
+		if len(e.slab) == 0 {
+			e.slab = make([]Flight, flightSlab)
 		}
+		f, e.slab = &e.slab[0], e.slab[1:]
+		f.Msg = &f.msg
 	}
+	// A recycled flight keeps the capacity of its header's path and
+	// used-direction table and of its sample lists.
+	f.msg.Reset(src, dst)
+	f.Router, f.StartStep, f.StallAge = r, e.step, 0
+	f.DistAt, f.EventIdxAt = f.DistAt[:0], f.EventIdxAt[:0]
 	f.resident = e.ctn.enabled
 	if f.resident {
 		e.ctn.resident[src]++
@@ -511,14 +533,18 @@ func (e *Engine) Inject(src, dst grid.NodeID, r route.Router) (*Flight, error) {
 			e.census.Injected++
 		}
 	}
-	f.StallAge = 0
-	f.stepStable = route.StepStable(r)
-	f.pdOK = false
+	// The newcomer joins the end of the live prefix; a terminated flight
+	// sitting there moves to the end of the tail.
 	e.flights = append(e.flights, f)
+	if n := len(e.flights) - 1; e.live < n {
+		e.flights[e.live], e.flights[n] = f, e.flights[e.live]
+	}
+	e.live++
 	return f, nil
 }
 
-// Flights returns all injected flights.
+// Flights returns every attached flight: the live ones first, in injection
+// order, then the terminated ones DetachDone has not harvested yet.
 func (e *Engine) Flights() []*Flight { return e.flights }
 
 // Step executes one step of Figure 7's model.
@@ -540,15 +566,18 @@ func (e *Engine) Step() {
 	}
 
 	// 3-5. Message reception, routing decision, message sending: one hop
-	// per step for every active flight. Under contention, each step opens
-	// with a fresh link-service budget and flights are polled in injection
-	// order, so links are granted oldest-first; a flight that loses
-	// arbitration waits in place and re-decides next step. With sharding
-	// enabled, the decisions of step-stable flights are proposed in
-	// parallel first; the loop below is the serial commit that consumes
-	// them — same FIFO, byte-identical result (see shard.go).
-	if e.ctn.enabled {
-		c := &e.ctn
+	// per step for every live flight, polled in injection order. Under
+	// contention each step opens with a fresh link-service budget, so links
+	// are granted oldest-first; a flight that loses arbitration waits in
+	// place and re-decides next step. With sharding enabled, the decisions
+	// of step-stable flights are proposed in parallel first; the loop below
+	// is the serial commit that consumes them — same FIFO, byte-identical
+	// result (see shard.go).
+	c := &e.ctn
+	var gate route.Gate
+	var props []proposal
+	timeout := 0
+	if c.enabled {
 		for _, li := range c.dirty {
 			c.served[li] = 0
 		}
@@ -562,101 +591,86 @@ func (e *Engine) Step() {
 		c.lastPending, c.pending = c.pending, c.lastPending
 		c.lastDty, c.pendingDty = c.pendingDty, c.lastDty[:0]
 		if e.shards.n > 1 {
-			e.propose()
+			props = e.propose()
 		}
-		// The serial commit doubles as the progress census: progressed
-		// counts flights that moved or reached a terminal state this step,
-		// active counts flights still live afterwards. Both are computed in
-		// the always-serial commit, so the census — and everything built on
-		// it (gridlock detection, timeouts) — is byte-identical at every
-		// shard count.
-		progressed, active := 0, 0
-		for _, f := range e.flights {
-			if f.Msg.Done() {
-				continue
-			}
-			if c.cfg.FlightTimeout > 0 && f.StallAge >= c.cfg.FlightTimeout {
-				// Stalled in place past the timeout: kill the flight back to
-				// its source. The terminal transition counts as progress (the
-				// population shrank), residency is released by the next
-				// DetachDone harvest, and any sharded proposal is discarded.
-				f.Msg.TimedOut = true
-				f.pdOK = false
-				progressed++
-				if e.probe != nil {
-					e.census.TimedOut++
-				}
-				continue
-			}
-			before := f.Msg.Cur
-			if f.pdOK {
-				f.pdOK = false
-				route.AdvanceDecided(&f.Ctx, f.Msg, f.pd, c.gateFn)
-			} else {
-				route.AdvanceGated(&f.Ctx, f.Router, f.Msg, c.gateFn)
-			}
-			switch cur := f.Msg.Cur; {
-			case cur != before:
-				if f.resident {
-					c.resident[before]--
-					c.resident[cur]++
-				}
-				f.StallAge = 0
-				progressed++
-				if e.probe != nil {
-					e.census.Moves++
-					if m := f.Msg; m.Done() {
-						e.census.observeTerminal(m.Arrived, m.Unreachable, m.Lost, m.TimedOut)
-					}
-				}
-			case f.Msg.Done():
-				// Terminal without a move (unreachable verdict, or lost to a
-				// fault under its feet): still progress.
-				progressed++
-				if e.probe != nil {
-					m := f.Msg
-					e.census.observeTerminal(m.Arrived, m.Unreachable, m.Lost, m.TimedOut)
-				}
-			default:
-				f.StallAge++
-				if e.probe != nil {
-					e.census.Stalls++
-				}
-			}
-			if !f.Msg.Done() {
-				active++
-			}
+		gate, timeout = c.gateFn, c.cfg.FlightTimeout
+	}
+	probed := c.enabled && e.probe != nil
+	// The serial commit doubles as the progress census and as the
+	// compaction of the live prefix: progressed counts flights that moved or
+	// reached a terminal state this step; survivors slide down to
+	// flights[:w] in order and the newly terminated collect in retired, to
+	// be laid out behind them. All of it happens in the always-serial
+	// commit, so the census — and everything built on it (gridlock
+	// detection, timeouts) — is byte-identical at every shard count.
+	progressed, w := 0, 0
+	retired := e.retired[:0]
+	for i, f := range e.flights[:e.live] {
+		msg := &f.msg
+		before := msg.Cur
+		switch {
+		case timeout > 0 && f.StallAge >= timeout:
+			// Stalled in place past the timeout: kill the flight back to
+			// its source (any sharded proposal is discarded). Residency is
+			// released by the next DetachDone harvest.
+			msg.TimedOut = true
+		case i < len(props) && props[i].ok:
+			route.AdvanceDecided(&e.ctx, msg, props[i].d, gate)
+		default:
+			route.AdvanceGated(&e.ctx, f.Router, msg, gate)
 		}
-		if c.cfg.GridlockWindow > 0 {
-			if active > 0 && progressed == 0 {
-				c.zeroStreak++
-				if !c.gridlocked && c.zeroStreak >= c.cfg.GridlockWindow {
-					c.gridlocked = true
-					if c.gridlockAt < 0 {
-						c.gridlockAt = e.step
-					}
+		moved, done := msg.Cur != before, msg.Done()
+		switch {
+		case moved:
+			if c.enabled && f.resident {
+				c.resident[before]--
+				c.resident[msg.Cur]++
+			}
+			f.StallAge = 0
+		case !done:
+			f.StallAge++
+		}
+		// A terminal transition without a move (timeout kill, unreachable
+		// verdict, lost to a fault under its feet) is progress too: the
+		// population shrank.
+		if moved || done {
+			progressed++
+		}
+		if probed {
+			e.census.observe(msg, moved)
+		}
+		if done {
+			retired = append(retired, f)
+		} else {
+			e.flights[w] = f
+			w++
+		}
+	}
+	copy(e.flights[w:], retired)
+	e.live, e.retired = w, retired[:0]
+	if c.enabled && c.cfg.GridlockWindow > 0 {
+		if w > 0 && progressed == 0 {
+			c.zeroStreak++
+			if !c.gridlocked && c.zeroStreak >= c.cfg.GridlockWindow {
+				c.gridlocked = true
+				if c.gridlockAt < 0 {
+					c.gridlockAt = e.step
 				}
-			} else {
-				c.zeroStreak = 0
-				if c.gridlocked {
-					c.gridlocked = false
-					if c.recoverAt < 0 {
-						c.recoverAt = e.step
-					}
+			}
+		} else {
+			c.zeroStreak = 0
+			if c.gridlocked {
+				c.gridlocked = false
+				if c.recoverAt < 0 {
+					c.recoverAt = e.step
 				}
 			}
 		}
-		if e.probe != nil {
-			e.census.Steps++
-			e.census.InFlight = active
-			e.census.Gridlocked = c.gridlocked
-		}
-	} else {
-		for _, f := range e.flights {
-			if !f.Msg.Done() {
-				route.Advance(&f.Ctx, f.Router, f.Msg)
-			}
-		}
+	}
+	if probed {
+		e.census.Steps++
+		e.census.InFlight = w
+		e.census.Gridlocked = c.gridlocked
 	}
 	e.step++
 }
@@ -694,11 +708,8 @@ func (e *Engine) applyEvent(ev fault.Event) {
 		}
 	}
 	// Sample D(i) for every active flight (Theorem 3's measurements).
-	for _, f := range e.flights {
-		if f.Msg.Done() {
-			continue
-		}
-		d := e.Model.M.Shape().Distance(f.Msg.Cur, f.Msg.Dst)
+	for _, f := range e.flights[:e.live] {
+		d := e.Model.M.Shape().Distance(f.msg.Cur, f.msg.Dst)
 		f.DistAt = append(f.DistAt, d)
 		f.EventIdxAt = append(f.EventIdxAt, rec.Index)
 	}
@@ -750,15 +761,7 @@ func ceilDiv(a, b int) int {
 // Done reports whether all scheduled events fired, all flights terminated,
 // and the model is quiescent.
 func (e *Engine) Done() bool {
-	if e.evIdx < len(e.Schedule.Events) {
-		return false
-	}
-	for _, f := range e.flights {
-		if !f.Msg.Done() {
-			return false
-		}
-	}
-	return e.Model.Quiescent()
+	return e.evIdx >= len(e.Schedule.Events) && e.live == 0 && e.Model.Quiescent()
 }
 
 // StopReason says why Run or RunFlights stopped stepping. The distinction
@@ -823,14 +826,7 @@ func (e *Engine) RunFlights(maxSteps int) (int, StopReason) {
 	start := e.step
 	reason := StopMaxSteps
 	for e.step-start < maxSteps {
-		active := false
-		for _, f := range e.flights {
-			if !f.Msg.Done() {
-				active = true
-				break
-			}
-		}
-		if !active {
+		if e.live == 0 {
 			reason = StopDone
 			break
 		}
@@ -840,17 +836,8 @@ func (e *Engine) RunFlights(maxSteps int) (int, StopReason) {
 		}
 		e.Step()
 	}
-	if reason == StopMaxSteps {
-		active := false
-		for _, f := range e.flights {
-			if !f.Msg.Done() {
-				active = true
-				break
-			}
-		}
-		if !active {
-			reason = StopDone
-		}
+	if reason == StopMaxSteps && e.live == 0 {
+		reason = StopDone // finished exactly as the budget ran out
 	}
 	e.finalizeLastEvent()
 	return e.step - start, reason

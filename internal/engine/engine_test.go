@@ -138,20 +138,40 @@ func TestInjectValidation(t *testing.T) {
 	}
 }
 
-// TestBlindGetsNoStore: the blind router's context must not carry the
-// information store.
-func TestBlindGetsNoStore(t *testing.T) {
-	eng := newEngine(t, []int{6, 6}, 1, nil)
-	fl, err := eng.Inject(1, 8, route.Blind{})
+// TestBlindIgnoresStore: every flight routes through the engine's one
+// shared context, store included, so the blind router's isolation from the
+// information model is a property of its Decide, not of a context built
+// without the store. A blind flight through the engine must walk exactly as
+// a blind message advanced with a store-less context on the same fabric.
+func TestBlindIgnoresStore(t *testing.T) {
+	shape := grid.MustShape(12, 12)
+	sched := &fault.Schedule{}
+	for _, c := range []grid.Coord{{5, 5}, {6, 6}, {5, 7}} {
+		sched.Events = append(sched.Events, fault.Event{Step: 0, Node: shape.Index(c), Kind: fault.Fail})
+	}
+	eng := newEngine(t, []int{12, 12}, 1, sched)
+	eng.Run(400)
+	if eng.Model.Store.TotalRecords() == 0 {
+		t.Fatal("no records deposited: the test would prove nothing")
+	}
+	src, dst := shape.Index(grid.Coord{1, 6}), shape.Index(grid.Coord{10, 6})
+	fl, err := eng.Inject(src, dst, route.Blind{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fl.Ctx.Store != nil {
-		t.Fatal("blind flight has an info store")
+	eng.RunFlights(400)
+	ref := route.NewMessage(src, dst)
+	ctx := route.Context{M: eng.Model.M}
+	for route.Advance(&ctx, route.Blind{}, ref) {
 	}
-	fl2, _ := eng.Inject(1, 8, route.Limited{})
-	if fl2.Ctx.Store == nil {
-		t.Fatal("limited flight lacks the info store")
+	got, want := fl.Msg, ref
+	if !got.Arrived || got.Hops != want.Hops || got.Backtracks != want.Backtracks || got.Steps != want.Steps {
+		t.Fatalf("blind flight through the engine: %v, store-less reference: %v", got, want)
+	}
+	if lim, _ := eng.Inject(src, dst, route.Limited{}); lim == nil {
+		t.Fatal("inject failed")
+	} else if eng.RunFlights(400); lim.Msg.Hops >= got.Hops {
+		t.Fatalf("limited (%d hops) should beat blind (%d hops) here, or the records play no part", lim.Msg.Hops, got.Hops)
 	}
 }
 

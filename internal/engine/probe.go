@@ -1,5 +1,7 @@
 package engine
 
+import "ndmesh/internal/route"
+
 // This file is the engine's observability hook: an opt-in Probe that
 // receives the per-step census assembled inside the always-serial commit
 // phase of the contention step. Observation is read-only and lives entirely
@@ -106,18 +108,25 @@ func (e *Engine) FlushCensus() {
 	e.census = StepCensus{}
 }
 
-// observeTerminal classifies one terminal transition into the census.
+// observe folds one flight's commit into the census: whether it moved or
+// stalled in place, and the terminal state it reached, if any.
 //
 //meshvet:noalloc
-func (cs *StepCensus) observeTerminal(arrived, unreachable, lost, timedOut bool) {
+func (cs *StepCensus) observe(msg *route.Message, moved bool) {
 	switch {
-	case arrived:
+	case moved:
+		cs.Moves++
+	case !msg.Done():
+		cs.Stalls++
+	}
+	switch {
+	case msg.Arrived:
 		cs.Delivered++
-	case unreachable:
+	case msg.Unreachable:
 		cs.Unreachable++
-	case lost:
+	case msg.Lost:
 		cs.Lost++
-	case timedOut:
+	case msg.TimedOut:
 		cs.TimedOut++
 	}
 }

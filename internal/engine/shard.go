@@ -1,20 +1,21 @@
 // Intra-step sharding: the contention-mode step partitioned across worker
 // goroutines WITHIN one scenario, complementing internal/par's across-
-// scenario fan-out. The mesh's nodes are split into contiguous ID ranges
+// scenario fan-out. The live flight list is split into contiguous chunks
 // (shards); each step's routing phase runs in two phases:
 //
-//  1. Propose (parallel): every shard walks the flight list, picks the
-//     flights resident in its node range, and precomputes their routing
-//     decisions against the frozen step-start state — the mesh, the record
-//     store and the previous step's LinkPending view do not change during
-//     the routing phase, so for a route.StepStable router the proposed
-//     decision is exactly what a serial Decide at commit time would return.
+//  1. Propose (parallel): every shard walks its chunk of the live prefix
+//     and precomputes the flights' routing decisions against the frozen
+//     step-start state, with its own route.Context, into the flat proposal
+//     array parallel to the flight list — the mesh, the record store and
+//     the previous step's LinkPending view do not change during the routing
+//     phase, so for a route.StepStable router the proposed decision is
+//     exactly what a serial Decide at commit time would return.
 //  2. Commit (serial, flight-age order): the same FIFO loop the serial
 //     gate implements — link-service budgets, node-capacity checks and
 //     residency updates are applied in injection order, consuming the
 //     proposals. Flights whose router is not step-stable (Congested reads
-//     mid-step residency, Oracle caches internal state) skip the propose
-//     phase and are decided here serially.
+//     mid-step residency, Oracle caches internal state) get no proposal
+//     and are decided here serially.
 //
 // Because proposals equal serial decisions and the commit is the serial
 // loop verbatim, the sharded step is byte-identical to the serial engine
@@ -26,20 +27,29 @@
 
 package engine
 
-import "ndmesh/internal/grid"
+import "ndmesh/internal/route"
 
-// shardSet is the engine's intra-step sharding state: the node ranges and
-// the persistent worker goroutines that propose for shards 1..n-1 (shard 0
-// is proposed on the stepping goroutine between kick-off and the barrier).
+// shardSet is the engine's intra-step sharding state: the per-shard routing
+// scratch, this step's proposals, and the persistent worker goroutines that
+// propose for shards 1..n-1 (shard 0 is proposed on the stepping goroutine
+// between kick-off and the barrier).
 type shardSet struct {
-	n      int
-	lo, hi []grid.NodeID   // shard i owns nodes [lo[i], hi[i])
-	start  []chan struct{} // one kick channel per worker (shard i+1)
-	done   chan struct{}   // shared completion channel, capacity n-1
+	n     int
+	ctx   []route.Context // shard i's routing scratch
+	props []proposal      // props[j] belongs to flights[j]; rewritten every step
+	start []chan struct{} // one kick channel per worker (shard i+1)
+	done  chan struct{}   // shared completion channel, capacity n-1
+}
+
+// proposal is the decision the parallel phase precomputed for one live
+// flight; ok is false where the serial commit must decide for itself.
+type proposal struct {
+	d  route.Decision
+	ok bool
 }
 
 // SetShards configures intra-step sharding for the contention-mode step:
-// n > 1 partitions the mesh's nodes into n contiguous shards and spawns
+// n > 1 partitions the live flights into n contiguous chunks and spawns
 // n-1 persistent worker goroutines; n <= 1 restores the serial step and
 // stops the workers. The step result is byte-identical at every shard
 // count — sharding changes wall-clock, never output. Values above the node
@@ -61,11 +71,9 @@ func (e *Engine) SetShards(n int) {
 	if n == 1 {
 		return
 	}
-	nodes := e.Model.M.NumNodes()
-	s.lo, s.hi = s.lo[:0], s.hi[:0]
-	for i := 0; i < n; i++ {
-		s.lo = append(s.lo, grid.NodeID(i*nodes/n))
-		s.hi = append(s.hi, grid.NodeID((i+1)*nodes/n))
+	s.ctx = make([]route.Context, n)
+	for i := range s.ctx {
+		s.ctx[i] = e.ctx
 	}
 	s.done = make(chan struct{}, n-1)
 	s.start = make([]chan struct{}, n-1)
@@ -104,14 +112,19 @@ func (e *Engine) stopShardWorkers() {
 
 // propose runs the parallel phase of a sharded step: workers propose for
 // shards 1..n-1 while the caller proposes shard 0, then the barrier —
-// after which every active step-stable flight carries its decision and
-// the serial commit may consume them. The channel handshakes establish
-// the happens-before edges that make the flight list and the proposal
-// fields race-free.
+// after which the returned array holds one proposal per live flight for
+// the serial commit to consume. The channel handshakes establish the
+// happens-before edges that make the flight list and the proposal array
+// race-free.
 //
 //meshvet:noalloc
-func (e *Engine) propose() {
+func (e *Engine) propose() []proposal {
 	s := &e.shards
+	if cap(s.props) < e.live {
+		//meshvet:allow grows to the peak population; steady state reuses
+		s.props = make([]proposal, e.live+e.live/2)
+	}
+	s.props = s.props[:e.live]
 	for _, ch := range s.start {
 		ch <- struct{}{}
 	}
@@ -119,27 +132,25 @@ func (e *Engine) propose() {
 	for range s.start {
 		<-s.done
 	}
+	return s.props
 }
 
-// proposeShard precomputes decisions for the active step-stable flights
-// resident in shard i's node range. Flights of non-step-stable routers
-// (and the defensive already-at-destination case, which the serial loop
-// terminates before deciding) are left without a proposal, so the commit
-// falls back to deciding them serially — identical either way.
+// proposeShard precomputes decisions for the step-stable flights in shard
+// i's chunk of the live prefix. Flights of non-step-stable routers (and the
+// defensive already-at-destination case, which the serial loop terminates
+// before deciding) are left without a proposal, so the commit falls back to
+// deciding them serially — identical either way.
 //
 //meshvet:noalloc
 func (e *Engine) proposeShard(i int) {
-	lo, hi := e.shards.lo[i], e.shards.hi[i]
-	for _, f := range e.flights {
-		msg := f.Msg
-		if msg.Cur < lo || msg.Cur >= hi || msg.Done() {
-			continue
+	s := &e.shards
+	lo, hi := i*e.live/s.n, (i+1)*e.live/s.n
+	for j, f := range e.flights[lo:hi] {
+		p := &s.props[lo+j]
+		p.ok = route.StepStable(f.Router) && f.msg.Cur != f.msg.Dst
+		if p.ok {
+			p.d = f.Router.Decide(&s.ctx[i], &f.msg)
 		}
-		if !f.stepStable || msg.Cur == msg.Dst {
-			continue
-		}
-		f.pd = f.Router.Decide(&f.Ctx, msg)
-		f.pdOK = true
 	}
 }
 

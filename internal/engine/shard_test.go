@@ -186,3 +186,37 @@ func TestInjectRejectsOverCapacity(t *testing.T) {
 		t.Fatalf("contention-free injection rejected: %v", err)
 	}
 }
+
+// TestSetPolicyReachesEveryShard: the tie-breaking policy is an engine
+// setting, so it must govern the decisions proposed by the shards' own
+// routing scratch exactly as it governs the serial commit's — whether it
+// is set before or after SetShards. A diagonal flight takes its long axis
+// first under LargestOffset and axis 0 first under the default.
+func TestSetPolicyReachesEveryShard(t *testing.T) {
+	first := func(shards int, setFirst bool) grid.NodeID {
+		e, shape := newContentionEngine(t, 8, ContentionConfig{LinkRate: 1})
+		if setFirst {
+			e.SetPolicy(route.LargestOffset)
+		}
+		e.SetShards(shards)
+		defer e.SetShards(1)
+		if !setFirst {
+			e.SetPolicy(route.LargestOffset)
+		}
+		fl, err := e.Inject(shape.Index(grid.Coord{1, 1}), shape.Index(grid.Coord{3, 6}), route.Limited{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Step()
+		return fl.Msg.Cur
+	}
+	_, shape := newContentionEngine(t, 8, ContentionConfig{LinkRate: 1})
+	want := shape.Index(grid.Coord{1, 2}) // the offset along axis 1 is the larger
+	for _, shards := range []int{1, 2, 3} {
+		for _, setFirst := range []bool{false, true} {
+			if got := first(shards, setFirst); got != want {
+				t.Errorf("shards=%d policy-set-first=%v: first hop to node %d, want %d", shards, setFirst, got, want)
+			}
+		}
+	}
+}

@@ -166,11 +166,15 @@ func (s DirSet) Count() int {
 }
 
 // Shape describes a k-ary n-D mesh: the radix of every dimension plus the
-// precomputed strides used to linearize addresses.
+// precomputed strides used to linearize addresses and the coordinate table
+// that decodes them back.
 type Shape struct {
 	dims    []int
 	strides []int
 	n       int // number of nodes
+	// coords[id*Dims : (id+1)*Dims] is the address of node id, built once so
+	// the routing hot path never pays a divmod per dimension (see CoordView).
+	coords []int
 }
 
 // NewShape builds a Shape from per-dimension radices. Every radix must be
@@ -197,6 +201,10 @@ func NewShape(dims ...int) (*Shape, error) {
 			return nil, fmt.Errorf("grid: shape %v exceeds 2^31-1 nodes", dims)
 		}
 		s.n *= k
+	}
+	s.coords = make([]int, s.n*len(dims))
+	for id := 0; id < s.n; id++ {
+		s.Coord(NodeID(id), s.coords[id*len(dims):(id+1)*len(dims)])
 	}
 	return s, nil
 }
@@ -261,15 +269,17 @@ func (s *Shape) Contains(c Coord) bool {
 }
 
 // Index linearizes an address. It panics if c is outside the mesh: callers
-// validate with Contains first when handling untrusted coordinates.
+// validate with Contains first when handling untrusted coordinates. (The
+// messages format c.String(), not c: boxing the slice would make every
+// caller's coordinate escape to the heap.)
 func (s *Shape) Index(c Coord) NodeID {
 	if len(c) != len(s.dims) {
-		panic(fmt.Sprintf("grid: coord %v has %d dims, shape has %d", c, len(c), len(s.dims)))
+		panic(fmt.Sprintf("grid: coord %s has %d dims, shape has %d", c.String(), len(c), len(s.dims)))
 	}
 	id := 0
 	for i, v := range c {
 		if v < 0 || v >= s.dims[i] {
-			panic(fmt.Sprintf("grid: coord %v outside shape %v", c, s.dims))
+			panic(fmt.Sprintf("grid: coord %s outside shape %v", c.String(), s.dims))
 		}
 		id += v * s.strides[i]
 	}
@@ -288,6 +298,13 @@ func (s *Shape) Coord(id NodeID, dst Coord) Coord {
 		rem %= s.strides[i]
 	}
 	return dst
+}
+
+// CoordView returns the address of node id as a read-only view into the
+// shape's coordinate table: no decode, no copy. Callers must not modify it.
+func (s *Shape) CoordView(id NodeID) Coord {
+	d := len(s.dims)
+	return s.coords[int(id)*d : int(id)*d+d : int(id)*d+d]
 }
 
 // CoordOf is Coord with a fresh destination.

@@ -31,14 +31,22 @@ var AllocTestCoverage = map[string][]string{
 		"ndmesh/internal/engine.Engine.DetachDone",
 		"ndmesh/internal/engine.Engine.gate",
 		"ndmesh/internal/engine.contention.deny",
-		"ndmesh/internal/engine.StepCensus.observeTerminal",
+		"ndmesh/internal/engine.StepCensus.observe",
 		"ndmesh/internal/route.Advance",
 		"ndmesh/internal/route.AdvanceGated",
+		"ndmesh/internal/route.Message.beginStep",
 		"ndmesh/internal/route.commitDecision",
-		"ndmesh/internal/route.Message.applyMove",
-		"ndmesh/internal/route.Message.applyBacktrack",
 		"ndmesh/internal/route.Limited.Decide",
 		"ndmesh/internal/route.classifyLimited",
+	},
+	// The header's used-direction table and path stack through growth,
+	// backtracking and re-entry: a recycled message repeats a walk over
+	// hundreds of nodes inside the capacity its first flight left behind.
+	"TestRecycledMessageAllocFree": {
+		"ndmesh/internal/route.Message.applyMove",
+		"ndmesh/internal/route.Message.applyBacktrack",
+		"ndmesh/internal/route.Message.find",
+		"ndmesh/internal/route.Message.enter",
 	},
 	// The load-adaptive decide path.
 	"TestCongestedStepAllocFree": {

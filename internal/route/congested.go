@@ -109,8 +109,8 @@ func (c Congested) Decide(ctx *Context, msg *Message) Decision {
 	if ctx.Load == nil || (!c.Cfg.Eager && !msg.Stalled()) {
 		return Limited{}.Decide(ctx, msg)
 	}
-	cl, bad := classifyLimited(ctx, msg)
-	if bad {
+	cl := classifyLimited(ctx, msg)
+	if cl == nil {
 		return backtrackOrFail(msg)
 	}
 	cfg := c.Cfg.norm()
@@ -119,7 +119,7 @@ func (c Congested) Decide(ctx *Context, msg *Message) Decision {
 		return Decision{Move: true, Dir: lightest(ctx, cfg, msg.Cur, cl.preferred, base)}
 	}
 	if len(cl.spares) > 0 {
-		base := pickSpare(ctx, cl.spares, cl.recs, cl.uc)
+		base := pickSpare(cl.spares, cl.recs, cl.uc)
 		return Decision{Move: true, Dir: lightest(ctx, cfg, msg.Cur, cl.spares, base)}
 	}
 	if len(cl.demoted) > 0 {

@@ -36,6 +36,7 @@ func fuzzRouters() []Router {
 		Congested{Cfg: CongestionConfig{NodeWeight: 3, LinkWeight: 1}},
 		Blind{},
 		DOR{},
+		&Oracle{},
 	}
 }
 
@@ -48,6 +49,10 @@ func fuzzRouters() []Router {
 //     current node (illegal directions and used-direction revisits are the
 //     two corruption modes of Algorithm 3's header discipline);
 //   - a Backtrack decision requires a non-empty path stack;
+//   - after every advance the header's used-direction table must agree, at
+//     every node of the mesh, with a shadow map[NodeID]DirSet maintained
+//     the way the header used to (one Add per forward move), and the set
+//     cached for the current node with the table;
 //   - no decision may panic;
 //   - with static faults a message must never end Lost (Lost is reserved
 //     for dynamic failures under the path).
@@ -56,7 +61,7 @@ func fuzzRouters() []Router {
 // -fuzz=FuzzRouterDecision ./internal/route` explores from there.
 func FuzzRouterDecision(f *testing.F) {
 	for _, seed := range []uint64{1, 7, 42, 1234, 99999} {
-		for routerIdx := uint8(0); routerIdx < 6; routerIdx++ {
+		for routerIdx := uint8(0); routerIdx < 7; routerIdx++ {
 			f.Add(seed, seed*3+11, routerIdx, routerIdx%2 == 0)
 		}
 	}
@@ -101,10 +106,12 @@ func FuzzRouterDecision(f *testing.F) {
 		}
 
 		msg := NewMessage(src, dst)
+		shadow := map[grid.NodeID]grid.DirSet{}
 		budget := 16*shape.Diameter() + 4*shape.NumNodes() + 64
 		for i := 0; i < budget && !msg.Done(); i++ {
+			var d Decision
 			if msg.Cur != msg.Dst {
-				d := rt.Decide(ctx, msg)
+				d = rt.Decide(ctx, msg)
 				switch {
 				case d.Move:
 					if d.Dir < 0 || int(d.Dir) >= shape.NumDirs() {
@@ -122,7 +129,19 @@ func FuzzRouterDecision(f *testing.F) {
 					}
 				}
 			}
+			before, depth := msg.Cur, msg.PathLen()
 			AdvanceGated(ctx, rt, msg, gate)
+			if msg.PathLen() == depth+1 { // a committed forward move
+				shadow[before] = shadow[before].Add(d.Dir)
+			}
+			for id := grid.NodeID(0); int(id) < shape.NumNodes(); id++ {
+				if got := msg.Used(id); got != shadow[id] {
+					t.Fatalf("%s: step %d: Used(%d) = %b, shadow map says %b", rt.Name(), i, id, got, shadow[id])
+				}
+			}
+			if msg.used != shadow[msg.Cur] {
+				t.Fatalf("%s: step %d: cached set at node %d = %b, shadow map says %b", rt.Name(), i, msg.Cur, msg.used, shadow[msg.Cur])
+			}
 		}
 		if msg.Lost {
 			t.Fatalf("%s: message lost under static faults: %v", rt.Name(), msg)

@@ -27,14 +27,23 @@
 // Contracts: Decide never mutates the message — Advance/AdvanceGated/
 // AdvanceDecided commit a Decision to the header, so a stalled message
 // re-decides against fresh state. Routers are stateless per decision; all
-// scratch lives in the caller-owned Context (coordinate buffers, direction
-// lists, and a node-id-keyed decode cache), valid only during the current
-// Decide call, which keeps the steady-state decision 0 allocs/op. The one
-// exception is Oracle's cached distance field, the reason StepStable
-// excludes it: StepStable(r) certifies that a router's decisions depend
-// only on state frozen for the whole routing phase of a step, the property
-// the engine's sharded stepper needs to precompute decisions in parallel
-// with byte-identical results.
+// scratch lives in the caller-owned Context (fixed-size direction lists and
+// the candidate partition that aliases them), valid only during the current
+// Decide call, so a zero Context is ready to use, one Context serves any
+// number of messages in turn (the engine owns one for its serial commit and
+// one per shard), and a decision allocates nothing. Coordinates are views
+// into the shape's table (grid.Shape.CoordView): no path decodes an id.
+// The one exception to statelessness is Oracle's cached distance field, the
+// reason StepStable excludes it: StepStable(r) certifies that a router's
+// decisions depend only on state frozen for the whole routing phase of a
+// step, the property the engine's sharded stepper needs to precompute
+// decisions in parallel with byte-identical results.
+//
+// The header (Message) is laid out for the step loop: the fields a stalled
+// step reads — position, terminal flags, the current node's used-direction
+// set — sit together in the struct's first 32 bytes, and the used-direction
+// lists are one flat node-keyed table beside the path stack instead of a map
+// (see visit).
 package route
 
 import (
@@ -83,48 +92,11 @@ type Context struct {
 	Load   LoadView
 	Policy Policy
 
-	// ucBuf/dcBuf/wcBuf are reusable coordinate buffers and prefBuf/
-	// spareBuf/demBuf reusable direction lists for the per-step routing
-	// decision (lazily sized on first use), so a steady-state decision
-	// performs no allocation. They are scratch for the current Decide call
-	// only.
-	ucBuf, dcBuf, wcBuf       grid.Coord
-	prefBuf, spareBuf, demBuf []grid.Dir
-
-	// coordShape/ucID/dcID memoize the decodes held in ucBuf/dcBuf: a
-	// linear-to-coordinate decode is a divmod per dimension, and profiles
-	// put those divmods at 43% of the serial contention step, so coords
-	// only re-decodes when the queried node actually changed. The
-	// destination is fixed for a flight's lifetime (decoded once, not once
-	// per step) and the current node repeats across stalled steps. The
-	// shape pointer keys the whole cache: a context migrated to a
-	// different mesh re-decodes from scratch.
-	coordShape *grid.Shape
-	ucID, dcID grid.NodeID
-}
-
-// coords resolves the current node and the destination into the context's
-// reusable buffers, reusing the previous decode when the id is unchanged.
-func (ctx *Context) coords(u, d grid.NodeID) (uc, dc grid.Coord) {
-	shape := ctx.M.Shape()
-	if ctx.coordShape != shape {
-		if len(ctx.ucBuf) != shape.Dims() {
-			ctx.ucBuf = make(grid.Coord, shape.Dims())
-			ctx.dcBuf = make(grid.Coord, shape.Dims())
-			ctx.wcBuf = make(grid.Coord, shape.Dims())
-		}
-		ctx.coordShape = shape
-		ctx.ucID, ctx.dcID = grid.InvalidNode, grid.InvalidNode
-	}
-	if ctx.ucID != u {
-		shape.Coord(u, ctx.ucBuf)
-		ctx.ucID = u
-	}
-	if ctx.dcID != d {
-		shape.Coord(d, ctx.dcBuf)
-		ctx.dcID = d
-	}
-	return ctx.ucBuf, ctx.dcBuf
+	// cl is the candidate partition of the current Decide call and dirs the
+	// storage its three direction lists alias (a mesh has at most 32
+	// directions). Scratch only: nothing in it outlives the call.
+	cl   classified
+	dirs [3][32]grid.Dir
 }
 
 // Decision is the outcome of one routing decision.
@@ -158,15 +130,6 @@ type Message struct {
 	// Incoming is the direction of the last move (InvalidDir at start).
 	Incoming grid.Dir
 
-	path []grid.NodeID
-	used map[grid.NodeID]grid.DirSet
-
-	// Hops counts every link traversal (forward and backward); Backtracks
-	// counts the backward ones. Steps counts decision steps including
-	// waits. Waits counts the steps a contention gate stalled the message
-	// (always 0 outside contention mode).
-	Hops, Backtracks, Steps, Waits int
-
 	// stalled records that the most recent step was a gate denial: the
 	// message wanted a link and lost arbitration. Congestion-aware routers
 	// use it as the adaptivity trigger — a message deviates from the
@@ -181,30 +144,60 @@ type Message struct {
 	// its source after stalling in place past the configured timeout — the
 	// deadlock-escape path; routers never set it themselves.
 	Arrived, Unreachable, Lost, TimedOut bool
+
+	// slot is Cur's index in visited (-1 while Cur has no entry yet) and
+	// used a copy of that entry's set, refreshed whenever Cur changes: a
+	// decision reads the used directions from the header's own cache line,
+	// and a stalled message (Cur unchanged) never looks anything up.
+	slot int32
+	used grid.DirSet
+	// strayed records that some hop did not shrink the distance to Dst (a
+	// spare hop or a backtrack). Until then every hop did, so the message
+	// cannot be anywhere it has been and entering a node needs no lookup.
+	strayed bool
+
+	// Hops counts every link traversal (forward and backward); Backtracks
+	// counts the backward ones. Steps counts decision steps including
+	// waits. Waits counts the steps a contention gate stalled the message
+	// (always 0 outside contention mode).
+	Hops, Backtracks, Steps, Waits int
+
+	path    []hop
+	visited []visit
+}
+
+// visit is one entry of the header's used-direction table: a node the
+// message has left by a forward move, and every direction it has tried from
+// there. The table is keyed by node, not by path position — a node re-entered
+// after a backtrack (from any neighbor) finds its earlier entry — and is a
+// flat slice searched linearly: a header visits tens of nodes, where a scan
+// of 8-byte entries beats a map probe, and Reset keeps its capacity.
+type visit struct {
+	node grid.NodeID
+	used grid.DirSet
+}
+
+// hop is one path-stack entry: the table slot of the node a forward move
+// left and the direction it took, so a backtrack pops its target, the link
+// it crosses and the target's used set in O(1).
+type hop struct {
+	slot int32
+	dir  grid.Dir
 }
 
 // NewMessage builds a path-setup message from src to dst.
 func NewMessage(src, dst grid.NodeID) *Message {
-	return &Message{
-		Src:      src,
-		Dst:      dst,
-		Cur:      src,
-		Incoming: grid.InvalidDir,
-		used:     make(map[grid.NodeID]grid.DirSet),
-	}
+	msg := &Message{}
+	msg.Reset(src, dst)
+	return msg
 }
 
 // Reset rewinds the message to a fresh injection from src to dst, keeping
-// the path stack's capacity and the used-direction map's buckets so a
-// recycled message allocates nothing on its next flight.
+// the capacity of the path stack and the used-direction table so a recycled
+// message allocates nothing on its next flight.
 func (msg *Message) Reset(src, dst grid.NodeID) {
-	msg.Src, msg.Dst, msg.Cur = src, dst, src
-	msg.Incoming = grid.InvalidDir
-	msg.path = msg.path[:0]
-	clear(msg.used)
-	msg.Hops, msg.Backtracks, msg.Steps, msg.Waits = 0, 0, 0, 0
-	msg.stalled = false
-	msg.Arrived, msg.Unreachable, msg.Lost, msg.TimedOut = false, false, false, false
+	*msg = Message{Src: src, Dst: dst, Cur: src, Incoming: grid.InvalidDir, slot: -1,
+		path: msg.path[:0], visited: msg.visited[:0]}
 }
 
 // Stalled reports whether the message's most recent step was a contention
@@ -217,7 +210,34 @@ func (msg *Message) Done() bool {
 }
 
 // Used returns the used-direction set recorded at node id.
-func (msg *Message) Used(id grid.NodeID) grid.DirSet { return msg.used[id] }
+func (msg *Message) Used(id grid.NodeID) grid.DirSet {
+	if i := msg.find(id); i >= 0 {
+		return msg.visited[i].used
+	}
+	return 0
+}
+
+// find returns id's slot in the used-direction table, or -1.
+//
+//meshvet:noalloc
+func (msg *Message) find(id grid.NodeID) int32 {
+	for i := range msg.visited {
+		if msg.visited[i].node == id {
+			return int32(i)
+		}
+	}
+	return -1
+}
+
+// enter makes id (at table slot slot, -1 if none) the current node.
+//
+//meshvet:noalloc
+func (msg *Message) enter(id grid.NodeID, slot int32) {
+	msg.Cur, msg.slot, msg.used = id, slot, 0
+	if slot >= 0 {
+		msg.used = msg.visited[slot].used
+	}
+}
 
 // PathLen returns the current path-stack length (hops from source along the
 // currently held path).
@@ -266,15 +286,7 @@ func Advance(ctx *Context, r Router, msg *Message) bool {
 //
 //meshvet:noalloc
 func AdvanceGated(ctx *Context, r Router, msg *Message, gate Gate) bool {
-	if msg.Done() {
-		return false
-	}
-	msg.Steps++
-	if msg.Cur == msg.Dst {
-		msg.Arrived = true
-		return false
-	}
-	return commitDecision(ctx, msg, r.Decide(ctx, msg), gate)
+	return msg.beginStep() && commitDecision(ctx, msg, r.Decide(ctx, msg), gate)
 }
 
 // AdvanceDecided is AdvanceGated with the routing decision already made:
@@ -287,6 +299,15 @@ func AdvanceGated(ctx *Context, r Router, msg *Message, gate Gate) bool {
 //
 //meshvet:noalloc
 func AdvanceDecided(ctx *Context, msg *Message, d Decision, gate Gate) bool {
+	return msg.beginStep() && commitDecision(ctx, msg, d, gate)
+}
+
+// beginStep opens one step of an in-flight message: it counts the step and
+// reports whether there is a decision to commit (false once terminal, or on
+// arrival).
+//
+//meshvet:noalloc
+func (msg *Message) beginStep() bool {
 	if msg.Done() {
 		return false
 	}
@@ -295,7 +316,7 @@ func AdvanceDecided(ctx *Context, msg *Message, d Decision, gate Gate) bool {
 		msg.Arrived = true
 		return false
 	}
-	return commitDecision(ctx, msg, d, gate)
+	return true
 }
 
 // commitDecision executes one decision under link arbitration. Every
@@ -320,13 +341,10 @@ func commitDecision(ctx *Context, msg *Message, d Decision, gate Gate) bool {
 			msg.stalled = false
 			return !msg.Done()
 		}
-		if gate != nil {
-			prev := msg.path[len(msg.path)-1]
-			if !gate(msg.Cur, dirBetween(ctx.M, msg.Cur, prev)) {
-				msg.Waits++
-				msg.stalled = true
-				return true
-			}
+		if gate != nil && !gate(msg.Cur, msg.path[len(msg.path)-1].dir.Opposite()) {
+			msg.Waits++
+			msg.stalled = true
+			return true
 		}
 		msg.applyBacktrack(ctx)
 		msg.stalled = false
@@ -375,9 +393,18 @@ func (msg *Message) applyMove(ctx *Context, dir grid.Dir) {
 		msg.Lost = true
 		return
 	}
-	msg.used[msg.Cur] = msg.used[msg.Cur].Add(dir)
-	msg.path = append(msg.path, msg.Cur)
-	msg.Cur = next
+	if msg.slot < 0 {
+		msg.slot = int32(len(msg.visited))
+		msg.visited = append(msg.visited, visit{node: msg.Cur})
+	}
+	msg.visited[msg.slot].used = msg.used.Add(dir)
+	msg.path = append(msg.path, hop{slot: msg.slot, dir: dir})
+	shape := ctx.M.Shape()
+	slot := int32(-1)
+	if msg.strayed = msg.strayed || !isPreferred(shape.CoordView(msg.Cur), shape.CoordView(msg.Dst), dir); msg.strayed {
+		slot = msg.find(next)
+	}
+	msg.enter(next, slot)
 	msg.Incoming = dir
 	msg.Hops++
 }
@@ -388,7 +415,8 @@ func (msg *Message) applyBacktrack(ctx *Context) {
 		msg.Unreachable = true
 		return
 	}
-	prev := msg.path[len(msg.path)-1]
+	back := msg.path[len(msg.path)-1]
+	prev := msg.visited[back.slot].node
 	msg.path = msg.path[:len(msg.path)-1]
 	if ctx.M.Status(prev) == mesh.Faulty {
 		// The node we set this path segment through has failed under us:
@@ -398,21 +426,12 @@ func (msg *Message) applyBacktrack(ctx *Context) {
 		return
 	}
 	// The physical move back: the new incoming direction is the reverse of
-	// the link we cross.
-	msg.Incoming = dirBetween(ctx.M, msg.Cur, prev)
-	msg.Cur = prev
+	// the forward move that set this path segment up.
+	msg.Incoming = back.dir.Opposite()
+	msg.strayed = true
+	msg.enter(prev, back.slot)
 	msg.Hops++
 	msg.Backtracks++
-}
-
-// dirBetween returns the direction of the single hop from a to b.
-func dirBetween(m *mesh.Mesh, a, b grid.NodeID) grid.Dir {
-	for d := 0; d < m.Shape().NumDirs(); d++ {
-		if m.Neighbor(a, grid.Dir(d)) == b {
-			return grid.Dir(d)
-		}
-	}
-	return grid.InvalidDir
 }
 
 // ---------------------------------------------------------------------------
@@ -433,15 +452,15 @@ func (Limited) Name() string { return "limited" }
 //
 //meshvet:noalloc
 func (Limited) Decide(ctx *Context, msg *Message) Decision {
-	cl, bad := classifyLimited(ctx, msg)
-	if bad {
+	cl := classifyLimited(ctx, msg)
+	if cl == nil {
 		return backtrackOrFail(msg)
 	}
 	if len(cl.preferred) > 0 {
 		return Decision{Move: true, Dir: pickPreferred(ctx, cl.preferred, cl.uc, cl.dc)}
 	}
 	if len(cl.spares) > 0 {
-		return Decision{Move: true, Dir: pickSpare(ctx, cl.spares, cl.recs, cl.uc)}
+		return Decision{Move: true, Dir: pickSpare(cl.spares, cl.recs, cl.uc)}
 	}
 	if len(cl.demoted) > 0 {
 		return Decision{Move: true, Dir: pickPreferred(ctx, cl.demoted, cl.uc, cl.dc)}
@@ -451,8 +470,10 @@ func (Limited) Decide(ctx *Context, msg *Message) Decision {
 
 // classified is the candidate partition of Algorithm 3's step 2: the
 // fault-safe unused outgoing directions split by priority class, plus the
-// coordinate scratch and records the pick functions need. The slices alias
-// the context's reusable buffers and are valid until the next classify call.
+// coordinates and records the pick functions need. It lives in the Context
+// and is handed out by pointer (six slice headers are too much to copy per
+// decision); the direction lists alias Context.dirs, the coordinates the
+// shape's table, all valid until the next classify call.
 type classified struct {
 	preferred, demoted, spares []grid.Dir
 	uc, dc                     grid.Coord
@@ -461,25 +482,24 @@ type classified struct {
 
 // classifyLimited runs the candidate classification shared by Limited and
 // Congested: both routers consider exactly the same fault-safe direction
-// classes; they differ only in how ties inside a class are broken. bad
-// reports that the current node itself is disabled/faulty (backtrack case).
+// classes; they differ only in how ties inside a class are broken. A nil
+// result means the current node itself is disabled/faulty (backtrack case).
 //
 //meshvet:noalloc
-func classifyLimited(ctx *Context, msg *Message) (cl classified, bad bool) {
+func classifyLimited(ctx *Context, msg *Message) *classified {
 	m := ctx.M
 	u := msg.Cur
 	if m.Status(u).Bad() {
-		return classified{}, true
+		return nil
 	}
 	shape := m.Shape()
-	uc, dc := ctx.coords(u, msg.Dst)
-	used := msg.used[u]
+	uc, dc := shape.CoordView(u), shape.CoordView(msg.Dst)
 	recs := recordsAt(ctx, u)
 
-	preferred, demoted, spares := ctx.prefBuf[:0], ctx.demBuf[:0], ctx.spareBuf[:0]
+	preferred, demoted, spares := ctx.dirs[0][:0], ctx.dirs[1][:0], ctx.dirs[2][:0]
 	for dv := 0; dv < shape.NumDirs(); dv++ {
 		dir := grid.Dir(dv)
-		if used.Has(dir) {
+		if msg.used.Has(dir) {
 			continue
 		}
 		next := m.Neighbor(u, dir)
@@ -487,19 +507,7 @@ func classifyLimited(ctx *Context, msg *Message) (cl classified, bad bool) {
 			continue
 		}
 		if isPreferred(uc, dc, dir) {
-			// The neighbor's coordinate differs from uc by ±1 on one axis,
-			// so derive it with a copy instead of a per-dimension divmod
-			// decode (the old shape.Coord(next, ...) here was the hottest
-			// divmod site in the contention step) — and only when there
-			// are records for demotedByRecords to consult at all.
-			demote := false
-			if len(recs) > 0 {
-				wc := ctx.wcBuf
-				copy(wc, uc)
-				wc[dir.Axis()] += dir.Sign()
-				demote = demotedByRecords(recs, wc, dc)
-			}
-			if demote {
+			if demotedByRecords(recs, shape.CoordView(next), dc) {
 				demoted = append(demoted, dir)
 			} else {
 				preferred = append(preferred, dir)
@@ -511,11 +519,10 @@ func classifyLimited(ctx *Context, msg *Message) (cl classified, bad bool) {
 		}
 		spares = append(spares, dir)
 	}
-	// Return the (possibly regrown) buffers to the context for reuse.
-	ctx.prefBuf, ctx.demBuf, ctx.spareBuf = preferred, demoted, spares
-
-	return classified{preferred: preferred, demoted: demoted, spares: spares,
-		uc: uc, dc: dc, recs: recs}, false
+	cl := &ctx.cl
+	cl.preferred, cl.demoted, cl.spares = preferred, demoted, spares
+	cl.uc, cl.dc, cl.recs = uc, dc, recs
+	return cl
 }
 
 func backtrackOrFail(msg *Message) Decision {
@@ -576,7 +583,7 @@ func pickPreferred(ctx *Context, dirs []grid.Dir, uc, dc grid.Coord) grid.Dir {
 // the direction with the shortest run to exit the span (the fastest way
 // around the block); axes outside any span rank last and fall back to the
 // policy order.
-func pickSpare(ctx *Context, dirs []grid.Dir, recs []info.Record, uc grid.Coord) grid.Dir {
+func pickSpare(dirs []grid.Dir, recs []info.Record, uc grid.Coord) grid.Dir {
 	const inf = int(^uint(0) >> 1)
 	best := dirs[0]
 	bestRank := inf
@@ -645,12 +652,11 @@ func (Blind) Decide(ctx *Context, msg *Message) Decision {
 		return backtrackOrFail(msg)
 	}
 	shape := m.Shape()
-	uc, dc := ctx.coords(u, msg.Dst)
-	used := msg.used[u]
-	preferred, spares := ctx.prefBuf[:0], ctx.spareBuf[:0]
+	uc, dc := shape.CoordView(u), shape.CoordView(msg.Dst)
+	preferred, spares := ctx.dirs[0][:0], ctx.dirs[2][:0]
 	for dv := 0; dv < shape.NumDirs(); dv++ {
 		dir := grid.Dir(dv)
-		if used.Has(dir) {
+		if msg.used.Has(dir) {
 			continue
 		}
 		next := m.Neighbor(u, dir)
@@ -666,7 +672,6 @@ func (Blind) Decide(ctx *Context, msg *Message) Decision {
 		}
 		spares = append(spares, dir)
 	}
-	ctx.prefBuf, ctx.spareBuf = preferred, spares
 	if len(preferred) > 0 {
 		return Decision{Move: true, Dir: pickPreferred(ctx, preferred, uc, dc)}
 	}
@@ -735,7 +740,12 @@ func (o *Oracle) refresh(m *mesh.Mesh, dst grid.NodeID) {
 	}
 	n := m.NumNodes()
 	if len(o.dist) != n {
+		// The only allocations of an Oracle's life, both sized for the mesh.
+		// With the router value itself they are the 3 allocs/op a
+		// Simulation.Route("oracle") pays: ByName hands out a fresh Oracle
+		// per call because the distance field is per-destination state.
 		o.dist = make([]int32, n)
+		o.queue = make([]grid.NodeID, 0, n)
 	}
 	for i := range o.dist {
 		o.dist[i] = unreachableDist
@@ -776,7 +786,7 @@ func (DOR) Decide(ctx *Context, msg *Message) Decision {
 		return Decision{Fail: true}
 	}
 	shape := m.Shape()
-	uc, dc := ctx.coords(msg.Cur, msg.Dst)
+	uc, dc := shape.CoordView(msg.Cur), shape.CoordView(msg.Dst)
 	for a := 0; a < shape.Dims(); a++ {
 		if uc[a] == dc[a] {
 			continue

@@ -78,7 +78,6 @@ type Simulation struct {
 	model  *core.Model
 	engine *engine.Engine
 	sched  *fault.Schedule
-	policy route.Policy //meshvet:keep configuration, survives trials
 }
 
 // NewSimulation builds a fault-free simulation of the configured shape.
@@ -102,15 +101,9 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 	m := mesh.New(shape)
 	md := core.New(m)
 	sched := &fault.Schedule{}
-	return &Simulation{
-		cfg:    cfg,
-		shape:  shape,
-		mesh:   m,
-		model:  md,
-		engine: engine.New(md, cfg.Lambda, sched),
-		sched:  sched,
-		policy: pol,
-	}, nil
+	eng := engine.New(md, cfg.Lambda, sched)
+	eng.SetPolicy(pol)
+	return &Simulation{cfg: cfg, shape: shape, mesh: m, model: md, engine: eng, sched: sched}, nil
 }
 
 // MustSimulation is NewSimulation that panics on error (examples, tests).
@@ -146,7 +139,9 @@ func (s *Simulation) Step() int { return s.engine.StepCount() }
 // NodeAt returns the node id at the coordinate.
 func (s *Simulation) NodeAt(c Coord) (NodeID, error) {
 	if !s.shape.Contains(c) {
-		return grid.InvalidNode, fmt.Errorf("ndmesh: coordinate %v outside %v", c, s.shape)
+		// c.String(), not c: boxing the slice would make every caller's
+		// coordinate escape to the heap, on the success path too.
+		return grid.InvalidNode, fmt.Errorf("ndmesh: coordinate %s outside %v", c.String(), s.shape)
 	}
 	return s.shape.Index(c), nil
 }
@@ -340,7 +335,6 @@ func (s *Simulation) Route(src, dst Coord, router string) (RouteResult, error) {
 	if err != nil {
 		return RouteResult{}, err
 	}
-	fl.Ctx.Policy = s.policy
 	budget := 16*s.shape.Diameter() + s.sched.LastStep() + 4*s.shape.NumNodes()
 	s.engine.RunFlights(budget)
 	return s.result(fl), nil
@@ -444,5 +438,4 @@ func (s *Simulation) fabric() *mesh.Mesh            { return s.mesh }
 func (s *Simulation) store() *info.Store            { return s.model.Store }
 func (s *Simulation) schedule() *fault.Schedule     { return s.sched }
 func (s *Simulation) gridShape() *grid.Shape        { return s.shape }
-func (s *Simulation) routePolicy() route.Policy     { return s.policy }
 func (s *Simulation) events() []*engine.EventRecord { return s.engine.Events }

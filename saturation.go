@@ -572,12 +572,10 @@ func (p *simPool) loadPoint(opt SaturationOptions, wl workload, router string, r
 			}
 			return false
 		}
-		fl, err := eng.Inject(src, dst, rtr)
-		if err != nil {
+		if _, err := eng.Inject(src, dst, rtr); err != nil {
 			injectErr = err
 			return false
 		}
-		fl.Ctx.Policy = sim.routePolicy()
 		col.Offer(step, true)
 		return true
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ndmesh/internal/rng"
+	"ndmesh/internal/traffic"
 )
 
 // shardCounts is the intra-step determinism matrix, mirroring
@@ -118,5 +119,32 @@ func TestLoadPointLeavesEngineClean(t *testing.T) {
 				t.Errorf("shard workers still configured after load point (%d)", eng.Shards())
 			}
 		})
+	}
+}
+
+// TestStepSaturatedCellPinned pins, field for field and at every shard
+// count, the LoadRun point of the cell the benchmark's step-saturated
+// workload measures (bench/batch.go: 32x32, limited, uniform, bernoulli
+// 0.12, 128/256/128, seed 1), so a rewrite of the hot step that changes one
+// simulated statistic fails tier-1 rather than waiting for rows_sha256 to
+// differ in a benchmark run.
+func TestStepSaturatedCellPinned(t *testing.T) {
+	want := traffic.LoadPoint{
+		OfferedRate: 0.12, AcceptedRate: 0.12005615234375,
+		Offered: 31472, Injected: 31472, Delivered: 31472,
+		Latency: traffic.LatencySummary{Mean: 36.792100915098764, P50: 37, P95: 61, P99: 70, Max: 89, N: 31472},
+	}
+	for _, s := range []int{1, 2, 7} {
+		got, err := LoadRun(LoadOptions{
+			Dims: []int{32, 32}, Lambda: 1, Router: "limited", Pattern: "uniform",
+			Process: "bernoulli", Rate: 0.12, Warmup: 128, Measure: 256, Drain: 128,
+			LinkRate: 1, Seed: 1, Shards: s,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("shards=%d:\n got %+v\nwant %+v", s, got, want)
+		}
 	}
 }
