@@ -22,7 +22,7 @@ import (
 
 	"ndmesh/internal/engine"
 	"ndmesh/internal/grid"
-	"ndmesh/internal/par"
+	"ndmesh/internal/rng"
 	"ndmesh/internal/route"
 )
 
@@ -62,10 +62,9 @@ type ClosedLoopOptions struct {
 	FaultModel            string
 	FaultShape            float64
 	FaultRepair           float64
-	// Workers is the parallel fan-out width; < 1 means GOMAXPROCS.
-	Workers int
 	// Shards is the intra-step shard-worker count per cell (< 2 means
-	// serial); like Workers, every value yields byte-identical rows.
+	// serial); like the worker count, every value yields byte-identical
+	// rows.
 	Shards int
 	// Probe/ProbeEvery attach a per-step census probe (see the
 	// SaturationOptions fields of the same names); a probed sweep must be
@@ -138,18 +137,13 @@ type ClosedLoopRow struct {
 
 // ClosedLoopSweep runs the E21 window-size grid with all available cores.
 func ClosedLoopSweep(opt ClosedLoopOptions, seed uint64) ([]ClosedLoopRow, error) {
-	opt.Workers = 0
-	return closedLoopSweep(opt, seed)
+	return ClosedLoopSweepWorkers(opt, seed, 0)
 }
 
 // ClosedLoopSweepWorkers is ClosedLoopSweep with an explicit worker count
-// (each (pattern, window, router) cell is one parallel job).
+// (each (pattern, window, router) cell is one parallel job; < 1 means
+// GOMAXPROCS).
 func ClosedLoopSweepWorkers(opt ClosedLoopOptions, seed uint64, workers int) ([]ClosedLoopRow, error) {
-	opt.Workers = workers
-	return closedLoopSweep(opt, seed)
-}
-
-func closedLoopSweep(opt ClosedLoopOptions, seed uint64) ([]ClosedLoopRow, error) {
 	if len(opt.Routers) == 0 || len(opt.Patterns) == 0 || len(opt.Windows) == 0 {
 		return nil, fmt.Errorf("ndmesh: closed-loop sweep needs at least one router, pattern and window")
 	}
@@ -186,53 +180,36 @@ func closedLoopSweep(opt ClosedLoopOptions, seed uint64) ([]ClosedLoopRow, error
 	if opt.Probe != nil && jobs > 1 {
 		return nil, fmt.Errorf("ndmesh: a probed sweep must be a single cell (got %d); probes are stateful accumulators and parallel cells would interleave their censuses", jobs)
 	}
-	rngs := splitN(seed, jobs)
-	rows := make([]ClosedLoopRow, jobs)
-	progress := progressCounter(opt.Progress, jobs)
-	co := opt.Pool.checkout()
-	defer co.release()
-	err = par.ForState(opt.Workers, jobs, co.worker, func(p *simPool, j int) error {
-		if opt.Cancel != nil && opt.Cancel() {
-			return ErrCanceled
-		}
-		pi := j / (len(opt.Windows) * len(opt.Routers))
-		wi := j / len(opt.Routers) % len(opt.Windows)
-		ki := j % len(opt.Routers)
-		window := opt.Windows[wi]
-		pt, err := p.loadPoint(sopt, workload{pattern: opt.Patterns[pi], window: window},
-			opt.Routers[ki], rngs[j])
-		if err != nil {
-			return err
-		}
-		row := ClosedLoopRow{
-			Dims:         shape.String(),
-			Pattern:      opt.Patterns[pi],
-			Router:       opt.Routers[ki],
-			Window:       window,
-			AcceptedRate: pt.AcceptedRate,
-			Injected:     pt.Injected,
-			Delivered:    pt.Delivered,
-			Unreachable:  pt.Unreachable,
-			Lost:         pt.Lost,
-			Unfinished:   pt.Unfinished,
-			LatMean:      pt.Latency.Mean,
-			LatP50:       pt.Latency.P50,
-			LatP95:       pt.Latency.P95,
-			LatP99:       pt.Latency.P99,
-			LatMax:       pt.Latency.Max,
-		}
-		if steps := opt.Measure * shape.NumNodes(); steps > 0 {
-			row.InjectedRate = float64(pt.Injected) / float64(steps)
-		}
-		rows[j] = row
-		if opt.Emit != nil {
-			opt.Emit(j, row)
-		}
-		progress()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
+	return runGrid(fanOut{workers: workers, pool: opt.Pool, cancel: opt.Cancel, progress: opt.Progress}, seed, jobs,
+		func(p *simPool, j int, r *rng.Source) (ClosedLoopRow, error) {
+			pi := j / (len(opt.Windows) * len(opt.Routers))
+			wi := j / len(opt.Routers) % len(opt.Windows)
+			ki := j % len(opt.Routers)
+			window := opt.Windows[wi]
+			pt, err := p.loadPoint(sopt, workload{pattern: opt.Patterns[pi], window: window}, opt.Routers[ki], r)
+			if err != nil {
+				return ClosedLoopRow{}, err
+			}
+			row := ClosedLoopRow{
+				Dims:         shape.String(),
+				Pattern:      opt.Patterns[pi],
+				Router:       opt.Routers[ki],
+				Window:       window,
+				AcceptedRate: pt.AcceptedRate,
+				Injected:     pt.Injected,
+				Delivered:    pt.Delivered,
+				Unreachable:  pt.Unreachable,
+				Lost:         pt.Lost,
+				Unfinished:   pt.Unfinished,
+				LatMean:      pt.Latency.Mean,
+				LatP50:       pt.Latency.P50,
+				LatP95:       pt.Latency.P95,
+				LatP99:       pt.Latency.P99,
+				LatMax:       pt.Latency.Max,
+			}
+			if steps := opt.Measure * shape.NumNodes(); steps > 0 {
+				row.InjectedRate = float64(pt.Injected) / float64(steps)
+			}
+			return row, nil
+		}, emitEach(opt.Emit))
 }

@@ -40,13 +40,16 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
 	"ndmesh"
 	"ndmesh/internal/cliutil"
+	"ndmesh/internal/engine"
 	"ndmesh/internal/route"
 	"ndmesh/internal/stats"
 	"ndmesh/internal/traffic"
@@ -55,53 +58,66 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("loadgen: ")
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole command behind main: it parses args, executes the
+// selected workload and prints its table to stdout (flag errors and usage
+// go to stderr), so main_test.go drives the CLI in-process.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		dimsFlag     = flag.String("dims", "8x8", "mesh dimensions, e.g. 8x8 or 6x6x6")
-		routersFlag  = flag.String("routers", "limited", "comma-separated routers: limited | congested | oracle | blind | dor")
-		patternsFlag = flag.String("patterns", "uniform", "comma-separated patterns: uniform | transpose | complement | bitrev | hotspot | neighbor")
-		ratesFlag    = flag.String("rates", "0.1", "comma-separated injection rates (messages/node/step)")
-		windowsFlag  = flag.String("windows", "", "comma-separated closed-loop windows (outstanding requests/node); selects the closed-loop workload and ignores -rates/-process")
-		process      = flag.String("process", "bernoulli", "arrival process: bernoulli | poisson | bursty")
-		lambda       = flag.Int("lambda", 1, "information rounds per step (λ)")
-		warmup       = flag.Int("warmup", 64, "warmup steps (not measured)")
-		measure      = flag.Int("measure", 256, "measurement-window steps")
-		drain        = flag.Int("drain", 256, "drain steps (no injection)")
-		linkRate     = flag.Int("link-rate", 1, "messages a directed link serves per step")
-		capacity     = flag.Int("capacity", 0, "per-node input-queue depth (0 = unbounded)")
-		margin       = flag.Int("margin", 1, "congested router: load advantage required to leave the baseline pick")
-		nodeWeight   = flag.Int("node-weight", 1, "congested router: weight of downstream node residency (0 disables the signal)")
-		linkWeight   = flag.Int("link-weight", 1, "congested router: weight of directed-link pending depth (0 disables the signal)")
-		congPreset   = flag.String("congestion", "", "congested router preset: off | mild | aggressive (overrides -margin/-node-weight/-link-weight)")
-		timeout      = flag.Int("timeout", 0, "kill any flight stalled in place this many consecutive steps (0 = off); closed-loop sources retry the request")
-		retryBackoff = flag.Int("retry-backoff", 0, "closed-loop retry backoff base delay in steps (doubles per consecutive timeout; with -timeout)")
-		bubble       = flag.Bool("bubble", false, "bubble admission: injection must leave >= 1 free input-buffer slot (needs -capacity >= 2)")
-		gridlockWin  = flag.Int("gridlock-window", 0, "declare gridlock after this many consecutive zero-progress steps (0 = no detection)")
-		faults       = flag.Int("faults", 0, "dynamic faults overlaid on the run (0 = fault-free)")
-		interval     = flag.Int("interval", 40, "steps between fault occurrences")
-		clustered    = flag.Bool("clustered", false, "grow one block instead of scattering faults")
-		faultRate    = flag.Float64("fault-rate", 0, "stochastic fault process: mean failures per step over the whole run (0 = off; mutually exclusive with -faults)")
-		faultModel   = flag.String("fault-model", "", "fault inter-arrival model: bernoulli | weibull (with -fault-rate; empty = bernoulli)")
-		faultShape   = flag.Float64("fault-shape", 0, "weibull shape for -fault-model weibull (0 = library default)")
-		faultStart   = flag.Int("fault-start", 0, "earliest step a fault may occur (0 = library default)")
-		repair       = flag.Float64("repair", 0, "mean repair delay in steps for process faults (0 = faults are permanent)")
-		seed         = flag.Uint64("seed", 1, "random seed")
-		workers      = flag.Int("workers", 0, "parallel cell workers (0 = all CPUs); results are identical for every value")
-		shards       = flag.Int("shards", 1, "intra-step shard workers per cell (big single meshes; results are identical for every value)")
-		traceRecord  = flag.String("trace-record", "", "record the run's offered workload (single cell only) into this file")
-		traceReplay  = flag.String("trace-replay", "", "replay a recorded workload trace from this file (overrides -dims/-rates/-windows/-patterns/-faults and the phase lengths)")
-		csv          = flag.Bool("csv", false, "emit CSV instead of an aligned table")
-		timeseries   = flag.String("timeseries", "", "write the run's per-step census time series to this CSV (single run only; a .manifest.json sidecar is written alongside)")
-		heatmapOut   = flag.String("heatmap", "", "write per-node residency + per-link stall heatmap accumulators to this CSV (single run only; render with faultviz -heatmap)")
-		histOut      = flag.String("hist", "", "write the full delivered-latency distribution (log-bucketed histogram) to this CSV (single run only)")
-		probeEvery   = flag.Int("probe-every", 1, "flush the census every N steps (counters aggregate the interval, gauges sample its last step)")
-		progressFlag = flag.Bool("progress", false, "print per-cell sweep completion to stderr")
-		debugAddr    = flag.String("debug-addr", "", "serve net/http/pprof and a JSON census snapshot (/debug/census) on this address for the life of the process, e.g. :6060 (single run only)")
+		dimsFlag     = fs.String("dims", "8x8", "mesh dimensions, e.g. 8x8 or 6x6x6")
+		routersFlag  = fs.String("routers", "limited", "comma-separated routers: limited | congested | oracle | blind | dor")
+		patternsFlag = fs.String("patterns", "uniform", "comma-separated patterns: uniform | transpose | complement | bitrev | hotspot | neighbor")
+		ratesFlag    = fs.String("rates", "0.1", "comma-separated injection rates (messages/node/step)")
+		windowsFlag  = fs.String("windows", "", "comma-separated closed-loop windows (outstanding requests/node); selects the closed-loop workload and ignores -rates/-process")
+		process      = fs.String("process", "bernoulli", "arrival process: bernoulli | poisson | bursty")
+		lambda       = fs.Int("lambda", 1, "information rounds per step (λ)")
+		warmup       = fs.Int("warmup", 64, "warmup steps (not measured)")
+		measure      = fs.Int("measure", 256, "measurement-window steps")
+		drain        = fs.Int("drain", 256, "drain steps (no injection)")
+		linkRate     = fs.Int("link-rate", 1, "messages a directed link serves per step")
+		capacity     = fs.Int("capacity", 0, "per-node input-queue depth (0 = unbounded)")
+		margin       = fs.Int("margin", 1, "congested router: load advantage required to leave the baseline pick")
+		nodeWeight   = fs.Int("node-weight", 1, "congested router: weight of downstream node residency (0 disables the signal)")
+		linkWeight   = fs.Int("link-weight", 1, "congested router: weight of directed-link pending depth (0 disables the signal)")
+		congPreset   = fs.String("congestion", "", "congested router preset: off | mild | aggressive (overrides -margin/-node-weight/-link-weight)")
+		timeout      = fs.Int("timeout", 0, "kill any flight stalled in place this many consecutive steps (0 = off); closed-loop sources retry the request")
+		retryBackoff = fs.Int("retry-backoff", 0, "closed-loop retry backoff base delay in steps (doubles per consecutive timeout; with -timeout)")
+		bubble       = fs.Bool("bubble", false, "bubble admission: injection must leave >= 1 free input-buffer slot (needs -capacity >= 2)")
+		gridlockWin  = fs.Int("gridlock-window", 0, "declare gridlock after this many consecutive zero-progress steps (0 = no detection)")
+		faults       = fs.Int("faults", 0, "dynamic faults overlaid on the run (0 = fault-free)")
+		interval     = fs.Int("interval", 40, "steps between fault occurrences")
+		clustered    = fs.Bool("clustered", false, "grow one block instead of scattering faults")
+		faultRate    = fs.Float64("fault-rate", 0, "stochastic fault process: mean failures per step over the whole run (0 = off; mutually exclusive with -faults)")
+		faultModel   = fs.String("fault-model", "", "fault inter-arrival model: bernoulli | weibull (with -fault-rate; empty = bernoulli)")
+		faultShape   = fs.Float64("fault-shape", 0, "weibull shape for -fault-model weibull (0 = library default)")
+		faultStart   = fs.Int("fault-start", 0, "earliest step a fault may occur (0 = library default)")
+		repair       = fs.Float64("repair", 0, "mean repair delay in steps for process faults (0 = faults are permanent)")
+		seed         = fs.Uint64("seed", 1, "random seed")
+		workers      = fs.Int("workers", 0, "parallel cell workers (0 = all CPUs); results are identical for every value")
+		shards       = fs.Int("shards", 1, "intra-step shard workers per cell (big single meshes; results are identical for every value)")
+		traceRecord  = fs.String("trace-record", "", "record the run's offered workload (single cell only) into this file")
+		traceReplay  = fs.String("trace-replay", "", "replay a recorded workload trace from this file (overrides -dims/-rates/-windows/-patterns/-faults and the phase lengths)")
+		csv          = fs.Bool("csv", false, "emit CSV instead of an aligned table")
+		timeseries   = fs.String("timeseries", "", "write the run's per-step census time series to this CSV (single run only; a .manifest.json sidecar is written alongside)")
+		heatmapOut   = fs.String("heatmap", "", "write per-node residency + per-link stall heatmap accumulators to this CSV (single run only; render with faultviz -heatmap)")
+		histOut      = fs.String("hist", "", "write the full delivered-latency distribution (log-bucketed histogram) to this CSV (single run only)")
+		probeEvery   = fs.Int("probe-every", 1, "flush the census every N steps (counters aggregate the interval, gauges sample its last step)")
+		progressFlag = fs.Bool("progress", false, "print per-cell sweep completion to stderr")
+		debugAddr    = fs.String("debug-addr", "", "serve net/http/pprof and a JSON census snapshot (/debug/census) on this address for the life of the process, e.g. :6060 (single run only)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	dims, err := cliutil.ParseDims(*dimsFlag)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	routers := cliutil.SplitList(*routersFlag)
 	patterns := cliutil.SplitList(*patternsFlag)
@@ -114,7 +130,7 @@ func main() {
 	if *congPreset != "" {
 		congestion, err = route.CongestionPresetByName(*congPreset)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
@@ -132,9 +148,9 @@ func main() {
 
 	emitTable := func(tab *stats.Table) {
 		if *csv {
-			fmt.Print(tab.CSV())
+			fmt.Fprint(stdout, tab.CSV())
 		} else {
-			fmt.Print(tab.String())
+			fmt.Fprint(stdout, tab.String())
 		}
 	}
 	newPointTable := func(title string) *stats.Table {
@@ -164,18 +180,18 @@ func main() {
 	if *traceReplay != "" {
 		data, err := os.ReadFile(*traceReplay)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		tr, err := traffic.UnmarshalTrace(data)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		// Engine-side flags override the trace only when given explicitly
 		// on the command line: the flag *defaults* must not silently
 		// replace the recorded configuration (that was exactly the footgun
 		// the trace records them to close).
 		set := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 		capacityOverride := 0
 		if set["capacity"] {
 			capacityOverride = *capacity
@@ -209,9 +225,11 @@ func main() {
 		// identical offer stream and fault schedule, one row per router.
 		if len(routers) > 1 {
 			if *traceRecord != "" {
-				log.Fatal("-trace-record with -trace-replay needs exactly one -routers entry")
+				return errors.New("-trace-record with -trace-replay needs exactly one -routers entry")
 			}
-			requireSingleRun(pf, "replay router arms", len(routers))
+			if err := requireSingleRun(pf, "replay router arms", len(routers)); err != nil {
+				return err
+			}
 			ropt := ndmesh.ReplayCompareOptions{
 				Trace: tr, Routers: routers,
 				Lambda: lambdaOverride, LinkRate: linkRateOverride, NodeCapacity: capacityOverride,
@@ -223,7 +241,7 @@ func main() {
 			}
 			rows, err := ndmesh.ReplayCompareSweepWorkers(ropt, *seed, *workers)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			title := fmt.Sprintf("trace replay comparison: %s (%v, %s, %d offers over %d steps), link-rate=%d, capacity=%d",
 				*traceReplay, tr.Dims, mode, tr.Offers(), tr.Steps(), linkRateEff, capacityEff)
@@ -232,7 +250,7 @@ func main() {
 				addPointRow(tab, "trace", row.Router, row.Point)
 			}
 			emitTable(tab)
-			return
+			return nil
 		}
 
 		opt := ndmesh.LoadOptions{
@@ -249,42 +267,35 @@ func main() {
 			// of the input (useful for normalizing or re-homing traces).
 			opt.Record = &traffic.Trace{}
 		}
-		tel, err := newTelemetry(pf, tr.Dims, tr.Warmup+tr.Measure+tr.Drain, *seed)
+		var pt traffic.LoadPoint
+		err = probed(pf, tr.Dims, tr.Warmup+tr.Measure+tr.Drain, *seed, func(p engine.Probe, every int) (cfg any, err error) {
+			opt.Probe, opt.ProbeEvery = p, every
+			pt, err = ndmesh.LoadRun(opt)
+			return opt, err
+		})
 		if err != nil {
-			log.Fatal(err)
-		}
-		if tel != nil {
-			opt.Probe, opt.ProbeEvery = tel.set, pf.every
-		}
-		pt, err := ndmesh.LoadRun(opt)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if tel != nil {
-			if err := tel.writeOutputs(manifestConfig(opt)); err != nil {
-				log.Fatal(err)
-			}
+			return err
 		}
 		if *traceRecord != "" {
 			if err := os.WriteFile(*traceRecord, opt.Record.Marshal(), 0o644); err != nil {
-				log.Fatal(err)
+				return err
 			}
 		}
 		title := fmt.Sprintf("trace replay: %s (%v, %s, %d offers over %d steps), link-rate=%d, capacity=%d",
 			*traceReplay, tr.Dims, mode, tr.Offers(), tr.Steps(), linkRateEff, capacityEff)
 		emitTable(pointTable(title, routers[0], "trace", pt))
-		return
+		return nil
 	}
 
 	windows, err := cliutil.ParseInts(*windowsFlag)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Trace recording: one live cell, its offered workload captured.
 	if *traceRecord != "" {
 		if len(routers) != 1 || len(patterns) != 1 {
-			log.Fatal("-trace-record needs exactly one router and one pattern")
+			return errors.New("-trace-record needs exactly one router and one pattern")
 		}
 		opt := ndmesh.LoadOptions{
 			Dims: dims, Lambda: *lambda, Router: routers[0], Pattern: patterns[0],
@@ -306,49 +317,40 @@ func main() {
 			opt.Window = windows[0]
 			workload = fmt.Sprintf("%s w=%d", patterns[0], windows[0])
 		case len(windows) > 1:
-			log.Fatal("-trace-record needs exactly one -windows entry")
+			return errors.New("-trace-record needs exactly one -windows entry")
 		default:
 			rates, err := cliutil.ParseRates(*ratesFlag)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			if len(rates) != 1 {
-				log.Fatal("-trace-record needs exactly one -rates entry")
+				return errors.New("-trace-record needs exactly one -rates entry")
 			}
 			opt.Rate = rates[0]
 			workload = fmt.Sprintf("%s @%.3f", patterns[0], rates[0])
 		}
-		tel, err := newTelemetry(pf, dims, *warmup+*measure+*drain, *seed)
+		var pt traffic.LoadPoint
+		err = probed(pf, dims, *warmup+*measure+*drain, *seed, func(p engine.Probe, every int) (cfg any, err error) {
+			opt.Probe, opt.ProbeEvery = p, every
+			pt, err = ndmesh.LoadRun(opt)
+			return opt, err
+		})
 		if err != nil {
-			log.Fatal(err)
-		}
-		if tel != nil {
-			opt.Probe, opt.ProbeEvery = tel.set, pf.every
-		}
-		pt, err := ndmesh.LoadRun(opt)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if tel != nil {
-			if err := tel.writeOutputs(manifestConfig(opt)); err != nil {
-				log.Fatal(err)
-			}
+			return err
 		}
 		if err := os.WriteFile(*traceRecord, opt.Record.Marshal(), 0o644); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		title := fmt.Sprintf("trace record: %s (%s, %d offers over %d steps), link-rate=%d, capacity=%d, %s",
 			*traceRecord, *dimsFlag, opt.Record.Offers(), opt.Record.Steps(), *linkRate, *capacity, faultDesc)
 		emitTable(pointTable(title, routers[0], workload, pt))
-		return
+		return nil
 	}
 
 	// Closed-loop sweep (E21): windows replace rates as the load knob.
 	if len(windows) > 0 {
-		requireSingleRun(pf, "closed-loop cells", len(routers)*len(patterns)*len(windows))
-		tel, err := newTelemetry(pf, dims, *warmup+*measure+*drain, *seed)
-		if err != nil {
-			log.Fatal(err)
+		if err := requireSingleRun(pf, "closed-loop cells", len(routers)*len(patterns)*len(windows)); err != nil {
+			return err
 		}
 		opt := ndmesh.ClosedLoopOptions{
 			Dims: dims, Lambda: *lambda,
@@ -364,19 +366,14 @@ func main() {
 			Shards:   *shards,
 			Progress: progress,
 		}
-		if tel != nil {
-			opt.Probe, opt.ProbeEvery = tel.set, pf.every
-		}
-		rows, err := ndmesh.ClosedLoopSweepWorkers(opt, *seed, *workers)
+		var rows []ndmesh.ClosedLoopRow
+		err = probed(pf, dims, *warmup+*measure+*drain, *seed, func(p engine.Probe, every int) (cfg any, err error) {
+			opt.Probe, opt.ProbeEvery = p, every
+			rows, err = ndmesh.ClosedLoopSweepWorkers(opt, *seed, *workers)
+			return opt, err
+		})
 		if err != nil {
-			log.Fatal(err)
-		}
-		if tel != nil {
-			cfg := opt
-			cfg.Probe, cfg.Progress = nil, nil
-			if err := tel.writeOutputs(cfg); err != nil {
-				log.Fatal(err)
-			}
+			return err
 		}
 		title := fmt.Sprintf("closed loop: %s, link-rate=%d, capacity=%d, %s, warmup/measure/drain=%d/%d/%d",
 			*dimsFlag, *linkRate, *capacity, faultDesc, *warmup, *measure, *drain)
@@ -389,17 +386,15 @@ func main() {
 				r.LatMean, r.LatP50, r.LatP95, r.LatP99, r.LatMax)
 		}
 		emitTable(tab)
-		return
+		return nil
 	}
 
 	rates, err := cliutil.ParseRates(*ratesFlag)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	requireSingleRun(pf, "open-loop cells", len(routers)*len(patterns)*len(rates))
-	tel, err := newTelemetry(pf, dims, *warmup+*measure+*drain, *seed)
-	if err != nil {
-		log.Fatal(err)
+	if err := requireSingleRun(pf, "open-loop cells", len(routers)*len(patterns)*len(rates)); err != nil {
+		return err
 	}
 	opt := ndmesh.SaturationOptions{
 		Dims:           dims,
@@ -429,19 +424,14 @@ func main() {
 		Shards:         *shards,
 		Progress:       progress,
 	}
-	if tel != nil {
-		opt.Probe, opt.ProbeEvery = tel.set, pf.every
-	}
-	rows, err := ndmesh.SaturationSweepWorkers(opt, *seed, *workers)
+	var rows []ndmesh.SaturationRow
+	err = probed(pf, dims, *warmup+*measure+*drain, *seed, func(p engine.Probe, every int) (cfg any, err error) {
+		opt.Probe, opt.ProbeEvery = p, every
+		rows, err = ndmesh.SaturationSweepWorkers(opt, *seed, *workers)
+		return opt, err
+	})
 	if err != nil {
-		log.Fatal(err)
-	}
-	if tel != nil {
-		cfg := opt
-		cfg.Probe, cfg.Progress = nil, nil
-		if err := tel.writeOutputs(cfg); err != nil {
-			log.Fatal(err)
-		}
+		return err
 	}
 
 	title := fmt.Sprintf("saturation: %s, process=%s, link-rate=%d, capacity=%d, %s, warmup/measure/drain=%d/%d/%d",
@@ -449,4 +439,5 @@ func main() {
 	// The column set and formatting live in cliutil so meshd's streamed CSV
 	// is byte-identical to -csv output here (the CI smoke job diffs them).
 	emitTable(cliutil.OpenLoopTable(title, rows))
+	return nil
 }

@@ -1,0 +1,147 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"ndmesh"
+	"ndmesh/internal/cliutil"
+)
+
+// loadgen runs the CLI in-process and returns its stdout.
+func loadgen(t *testing.T, args ...string) string {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	if err := run(args, &stdout, &stderr); err != nil {
+		t.Fatalf("loadgen %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
+	}
+	return stdout.String()
+}
+
+// csvRows splits -csv output into its data rows (header dropped).
+func csvRows(t *testing.T, out string) []string {
+	t.Helper()
+	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
+	if len(lines) < 2 {
+		t.Fatalf("no data rows in %q", out)
+	}
+	return lines[1:]
+}
+
+// afterFirstCell drops a point-table row's workload label, which names the
+// live pattern on a recording and "trace" on a replay.
+func afterFirstCell(row string) string {
+	_, rest, _ := strings.Cut(row, ",")
+	return rest
+}
+
+// TestTraceRecordReplayIdentical is the trace subsystem's contract end to
+// end through the CLI and the file format: record one live cell (fault
+// overlay included), replay it with NO engine flag repeated — the trace
+// carries the engine configuration — and the two reported rows are
+// byte-identical.
+func TestTraceRecordReplayIdentical(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "trace.ndwt")
+	live := csvRows(t, loadgen(t, "-dims", "6x6", "-rates", "0.2", "-patterns", "uniform", "-capacity", "4",
+		"-faults", "3", "-interval", "10", "-warmup", "16", "-measure", "48", "-drain", "48",
+		"-trace-record", trace, "-csv"))
+	replay := csvRows(t, loadgen(t, "-trace-replay", trace, "-csv"))
+	if len(live) != 1 || len(replay) != 1 {
+		t.Fatalf("want one row each, got live %q replay %q", live, replay)
+	}
+	if afterFirstCell(live[0]) != afterFirstCell(replay[0]) {
+		t.Errorf("replay differs from the recorded run:\n live   %s\n replay %s", live[0], replay[0])
+	}
+}
+
+// TestReplayComparisonRows fans one trace across several routers in a
+// single invocation: one row per router, in order, the limited row equal
+// to a plain single-router replay of the same trace.
+func TestReplayComparisonRows(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "cmp.ndwt")
+	loadgen(t, "-dims", "6x6", "-rates", "0.2", "-patterns", "transpose", "-capacity", "4",
+		"-warmup", "16", "-measure", "48", "-drain", "48", "-trace-record", trace)
+	routers := []string{"limited", "congested", "blind"}
+	rows := csvRows(t, loadgen(t, "-trace-replay", trace, "-routers", strings.Join(routers, ","), "-workers", "2", "-csv"))
+	if len(rows) != len(routers) {
+		t.Fatalf("got %d rows for %d routers: %q", len(rows), len(routers), rows)
+	}
+	for i, router := range routers {
+		if !strings.HasPrefix(rows[i], "trace,"+router+",") {
+			t.Errorf("row %d is not the %s arm: %s", i, router, rows[i])
+		}
+	}
+	single := csvRows(t, loadgen(t, "-trace-replay", trace, "-csv"))
+	if rows[0] != single[0] {
+		t.Errorf("limited arm differs from the single-router replay:\n arm    %s\n single %s", rows[0], single[0])
+	}
+}
+
+// TestOpenLoopCSVMatchesLibrary pins -csv output to the library: the same
+// grid through SaturationSweepWorkers, rendered by the shared cliutil
+// table, is the same bytes (meshd's streamed CSV goes through the same
+// renderer, which is what the CI serve smoke diffs).
+func TestOpenLoopCSVMatchesLibrary(t *testing.T) {
+	got := loadgen(t, "-dims", "6x6", "-rates", "0.05,0.25", "-patterns", "uniform,transpose",
+		"-routers", "limited,congested", "-warmup", "16", "-measure", "48", "-drain", "48",
+		"-capacity", "4", "-workers", "2", "-seed", "1", "-csv")
+	opt := ndmesh.DefaultSaturation()
+	opt.Dims = []int{6, 6}
+	opt.Rates = []float64{0.05, 0.25}
+	opt.Routers = []string{"limited", "congested"}
+	opt.Warmup, opt.Measure, opt.Drain = 16, 48, 48
+	opt.NodeCapacity = 4
+	// The CLI's -margin/-node-weight/-link-weight defaults.
+	opt.Congestion.Margin, opt.Congestion.NodeWeight, opt.Congestion.LinkWeight = 1, 1, 1
+	rows, err := ndmesh.SaturationSweepWorkers(opt, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := cliutil.OpenLoopTable("", rows).CSV(); got != want {
+		t.Errorf("-csv output differs from the library rows:\n got\n%s want\n%s", got, want)
+	}
+}
+
+// TestClosedLoopWindows runs a small E21 window sweep through the CLI.
+func TestClosedLoopWindows(t *testing.T) {
+	rows := csvRows(t, loadgen(t, "-dims", "6x6", "-windows", "1,4", "-patterns", "uniform,transpose",
+		"-warmup", "16", "-measure", "48", "-drain", "48", "-workers", "2", "-csv"))
+	if len(rows) != 4 {
+		t.Fatalf("got %d rows for a 2x2 grid: %q", len(rows), rows)
+	}
+}
+
+// TestManifestRecordsNoWorkers pins the telemetry sidecar's configuration:
+// the fan-out width is the -workers flag and reaches no option field, so a
+// manifest cannot claim a worker count (it used to record "Workers": 0
+// whatever -workers was).
+func TestManifestRecordsNoWorkers(t *testing.T) {
+	for name, load := range map[string][]string{
+		"saturation":  {"-rates", "0.2"},
+		"closed-loop": {"-windows", "2"},
+	} {
+		ts := filepath.Join(t.TempDir(), "ts.csv")
+		loadgen(t, append(load, "-dims", "4x4", "-warmup", "8", "-measure", "24", "-drain", "24",
+			"-workers", "3", "-timeseries", ts)...)
+		data, err := os.ReadFile(ts + ".manifest.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m struct {
+			Config map[string]json.RawMessage `json:"config"`
+		}
+		if err := json.Unmarshal(data, &m); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := m.Config["Dims"]; !ok {
+			t.Errorf("%s: manifest config carries no Dims — not the run's options? %s", name, data)
+		}
+		if _, ok := m.Config["Workers"]; ok {
+			t.Errorf("%s: manifest config records a Workers value", name)
+		}
+	}
+}

@@ -9,11 +9,12 @@ package main
 // exact configuration (plus seed) that produced it.
 
 import (
+	"fmt"
 	"io"
 	"log"
 	"os"
 
-	"ndmesh"
+	"ndmesh/internal/engine"
 	"ndmesh/internal/probe"
 )
 
@@ -127,17 +128,34 @@ func (t *telemetry) writeOutputs(config any) error {
 	return nil
 }
 
-// manifestConfig strips a LoadOptions to its manifest-embeddable core:
-// the trace pointers and the probe itself do not belong in the sidecar.
-func manifestConfig(opt ndmesh.LoadOptions) ndmesh.LoadOptions {
-	opt.Record, opt.Replay, opt.Probe = nil, nil, nil
-	return opt
+// probed runs one telemetry-capable load: it builds the recorders the
+// flags ask for, hands run the probe to attach (nil and 0 when telemetry
+// is off) and, once run succeeds, writes every requested output with the
+// configuration run returns embedded in its manifest (the options
+// structs' hook, probe and trace fields carry json:"-", so they embed
+// as they are).
+func probed(pf probeFlags, dims []int, totalSteps int, seed uint64, run func(p engine.Probe, every int) (config any, err error)) error {
+	tel, err := newTelemetry(pf, dims, totalSteps, seed)
+	if err != nil {
+		return err
+	}
+	var p engine.Probe
+	every := 0
+	if tel != nil {
+		p, every = tel.set, pf.every
+	}
+	config, err := run(p, every)
+	if err != nil || tel == nil {
+		return err
+	}
+	return tel.writeOutputs(config)
 }
 
-// requireSingleRun fails the invocation when telemetry flags are set but
-// the flag combination fans out to more than one run.
-func requireSingleRun(pf probeFlags, what string, n int) {
+// requireSingleRun refuses an invocation whose telemetry flags are set but
+// whose flag combination fans out to more than one run.
+func requireSingleRun(pf probeFlags, what string, n int) error {
 	if pf.active() && n > 1 {
-		log.Fatalf("telemetry (-timeseries/-heatmap/-hist/-debug-addr) needs a single run: got %d %s", n, what)
+		return fmt.Errorf("telemetry (-timeseries/-heatmap/-hist/-debug-addr) needs a single run: got %d %s", n, what)
 	}
+	return nil
 }

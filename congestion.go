@@ -17,7 +17,7 @@ package ndmesh
 
 import (
 	"ndmesh/internal/grid"
-	"ndmesh/internal/par"
+	"ndmesh/internal/rng"
 	"ndmesh/internal/route"
 )
 
@@ -42,11 +42,9 @@ type CongestionShiftOptions struct {
 	// routers see the same schedule).
 	Faults, FaultInterval int
 	Clustered             bool
-	// Workers is the parallel fan-out width; < 1 means GOMAXPROCS. The
-	// results are identical for every value.
-	Workers int
 	// Shards is the intra-step shard-worker count per cell run (< 2 means
-	// serial); like Workers, every value yields byte-identical rows.
+	// serial); like the worker count, every value yields byte-identical
+	// rows.
 	Shards int
 	// Progress, when non-nil, is called after every completed cell with
 	// (done, total); must be safe for concurrent use.
@@ -111,18 +109,13 @@ type CongestionShiftSummary struct {
 
 // CongestionShiftSweep runs the E20 grid with all available cores.
 func CongestionShiftSweep(opt CongestionShiftOptions, seed uint64) ([]CongestionShiftRow, []CongestionShiftSummary, error) {
-	opt.Workers = 0
-	return congestionShiftSweep(opt, seed)
+	return CongestionShiftSweepWorkers(opt, seed, 0)
 }
 
 // CongestionShiftSweepWorkers is CongestionShiftSweep with an explicit
-// worker count (each (pattern, rate) cell is one parallel job).
+// worker count (each (pattern, rate) cell is one parallel job; < 1 means
+// GOMAXPROCS, and the results are identical for every value).
 func CongestionShiftSweepWorkers(opt CongestionShiftOptions, seed uint64, workers int) ([]CongestionShiftRow, []CongestionShiftSummary, error) {
-	opt.Workers = workers
-	return congestionShiftSweep(opt, seed)
-}
-
-func congestionShiftSweep(opt CongestionShiftOptions, seed uint64) ([]CongestionShiftRow, []CongestionShiftSummary, error) {
 	sopt := SaturationOptions{
 		Dims: opt.Dims, Lambda: opt.Lambda,
 		Routers:  []string{"limited", "congested"},
@@ -145,37 +138,33 @@ func congestionShiftSweep(opt CongestionShiftOptions, seed uint64) ([]Congestion
 	// the cell's scenario from value copies of the same stream state, so
 	// the fault schedule and the offered traffic are byte-identical.
 	jobs := len(opt.Patterns) * len(opt.Rates)
-	rngs := splitN(seed, jobs)
-	rows := make([]CongestionShiftRow, jobs)
-	progress := progressCounter(opt.Progress, jobs)
-	err = par.ForState(opt.Workers, jobs, newSimPool, func(p *simPool, j int) error {
-		pattern := opt.Patterns[j/len(opt.Rates)]
-		rate := opt.Rates[j%len(opt.Rates)]
-		row := CongestionShiftRow{Dims: shape.String(), Pattern: pattern, OfferedRate: rate}
-		for _, router := range sopt.Routers {
-			stream := *rngs[j] // identical replay for both routers
-			pt, err := p.loadPoint(sopt, workload{pattern: pattern, rate: rate}, router, &stream)
-			if err != nil {
-				return err
+	rows, err := runGrid(fanOut{workers: workers, progress: opt.Progress}, seed, jobs,
+		func(p *simPool, j int, r *rng.Source) (CongestionShiftRow, error) {
+			pattern := opt.Patterns[j/len(opt.Rates)]
+			rate := opt.Rates[j%len(opt.Rates)]
+			row := CongestionShiftRow{Dims: shape.String(), Pattern: pattern, OfferedRate: rate}
+			for _, router := range sopt.Routers {
+				stream := *r // identical replay for both routers
+				pt, err := p.loadPoint(sopt, workload{pattern: pattern, rate: rate}, router, &stream)
+				if err != nil {
+					return CongestionShiftRow{}, err
+				}
+				if router == "limited" {
+					row.LimitedAccepted = pt.AcceptedRate
+					row.LimitedDropped = pt.Dropped
+					row.LimitedUnfinished = pt.Unfinished
+					row.LimitedLatMean = pt.Latency.Mean
+					row.LimitedLatP99 = pt.Latency.P99
+				} else {
+					row.CongestedAccepted = pt.AcceptedRate
+					row.CongestedDropped = pt.Dropped
+					row.CongestedUnfinished = pt.Unfinished
+					row.CongestedLatMean = pt.Latency.Mean
+					row.CongestedLatP99 = pt.Latency.P99
+				}
 			}
-			if router == "limited" {
-				row.LimitedAccepted = pt.AcceptedRate
-				row.LimitedDropped = pt.Dropped
-				row.LimitedUnfinished = pt.Unfinished
-				row.LimitedLatMean = pt.Latency.Mean
-				row.LimitedLatP99 = pt.Latency.P99
-			} else {
-				row.CongestedAccepted = pt.AcceptedRate
-				row.CongestedDropped = pt.Dropped
-				row.CongestedUnfinished = pt.Unfinished
-				row.CongestedLatMean = pt.Latency.Mean
-				row.CongestedLatP99 = pt.Latency.P99
-			}
-		}
-		rows[j] = row
-		progress()
-		return nil
-	})
+			return row, nil
+		}, nil)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -48,9 +48,9 @@ import (
 // simPool is the per-worker state of a sweep: one reusable Simulation per
 // (shape, λ) pair. A pool is confined to a single worker goroutine, so no
 // locking is needed; pools never share simulations. When shared is
-// non-nil (a sweep run against an EnginePool — see pool.go), checkouts
-// first try the shared reservoir's warm simulations before constructing,
-// and the checkout's release hands every held simulation back.
+// non-nil (a load sweep run against an EnginePool — see pool.go), get
+// first tries the shared reservoir's warm simulations before constructing,
+// and runGrid hands every held simulation back when its fan-out ends.
 type simPool struct {
 	sims   map[simKey]*Simulation
 	shared *EnginePool

@@ -35,7 +35,7 @@ import (
 	"fmt"
 
 	"ndmesh/internal/grid"
-	"ndmesh/internal/par"
+	"ndmesh/internal/rng"
 	"ndmesh/internal/route"
 )
 
@@ -76,10 +76,9 @@ type GridlockOptions struct {
 	FlightTimeout, RetryBackoff, GridlockWindow int
 	// Congestion tunes the "congested" router when Router selects it.
 	Congestion route.CongestionConfig
-	// Workers is the parallel fan-out width; < 1 means GOMAXPROCS. Shards
-	// is the intra-step shard-worker count per run. Both leave the rows
-	// byte-identical at every value.
-	Workers, Shards int
+	// Shards is the intra-step shard-worker count per run; like the worker
+	// count, it leaves the rows byte-identical at every value.
+	Shards int
 	// Progress, when non-nil, is called after every completed scenario
 	// cell (all its mechanism arms) with (done, total); must be safe for
 	// concurrent use.
@@ -144,19 +143,6 @@ type GridlockRow struct {
 	LatP50, LatP99                int
 }
 
-// GridlockSweep runs the E22 phase diagram with all available cores.
-func GridlockSweep(opt GridlockOptions, seed uint64) ([]GridlockRow, error) {
-	opt.Workers = 0
-	return gridlockSweep(opt, seed)
-}
-
-// GridlockSweepWorkers is GridlockSweep with an explicit worker count (each
-// scenario cell — all its mechanism arms — is one parallel job).
-func GridlockSweepWorkers(opt GridlockOptions, seed uint64, workers int) ([]GridlockRow, error) {
-	opt.Workers = workers
-	return gridlockSweep(opt, seed)
-}
-
 // gridlockMechanism resolves a mechanism name to its (timeout, bubble)
 // switches.
 func gridlockMechanism(name string) (timeout, bubble bool, err error) {
@@ -173,7 +159,15 @@ func gridlockMechanism(name string) (timeout, bubble bool, err error) {
 	return false, false, fmt.Errorf("ndmesh: unknown escape mechanism %q (want none|retry|bubble|retry+bubble)", name)
 }
 
-func gridlockSweep(opt GridlockOptions, seed uint64) ([]GridlockRow, error) {
+// GridlockSweep runs the E22 phase diagram with all available cores.
+func GridlockSweep(opt GridlockOptions, seed uint64) ([]GridlockRow, error) {
+	return GridlockSweepWorkers(opt, seed, 0)
+}
+
+// GridlockSweepWorkers is GridlockSweep with an explicit worker count (each
+// scenario cell — all its mechanism arms — is one parallel job; < 1 means
+// GOMAXPROCS).
+func GridlockSweepWorkers(opt GridlockOptions, seed uint64, workers int) ([]GridlockRow, error) {
 	if opt.Router == "" {
 		opt.Router = "limited"
 	}
@@ -211,84 +205,80 @@ func gridlockSweep(opt GridlockOptions, seed uint64) ([]GridlockRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Validate the shared run shape once against a representative arm.
-	probe := SaturationOptions{
+	// The configuration every arm shares, validated (and defaulted) in
+	// place; an arm overrides only the axes it varies.
+	base := SaturationOptions{
 		Dims: opt.Dims, Lambda: opt.Lambda,
 		Warmup: opt.Warmup, Measure: opt.Measure, Drain: opt.Drain,
 		LinkRate: opt.LinkRate, NodeCapacity: opt.Capacities[0],
+		Congestion:    opt.Congestion,
+		FlightTimeout: opt.FlightTimeout, RetryBackoff: opt.RetryBackoff,
+		GridlockWindow: opt.GridlockWindow,
+		FaultInterval:  opt.FaultInterval, Clustered: opt.Clustered,
 		Shards: opt.Shards,
 	}
-	if err := validateLoadShape(&probe); err != nil {
+	if err := validateLoadShape(&base); err != nil {
 		return nil, err
 	}
-	opt.Lambda, opt.LinkRate, opt.Shards = probe.Lambda, probe.LinkRate, probe.Shards
 
 	// One job per scenario cell (pattern-major, then window, capacity,
 	// faults); the mechanism arms run inside the job from value copies of
 	// the cell's stream state, so all arms face the identical scenario.
 	nw, nc, nf, nm := len(opt.Windows), len(opt.Capacities), len(opt.FaultCounts), len(opt.Mechanisms)
 	jobs := len(opt.Patterns) * nw * nc * nf
-	rngs := splitN(seed, jobs)
-	rows := make([]GridlockRow, jobs*nm)
-	progress := progressCounter(opt.Progress, jobs)
-	err = par.ForState(opt.Workers, jobs, newSimPool, func(p *simPool, j int) error {
-		pattern := opt.Patterns[j/(nw*nc*nf)]
-		window := opt.Windows[j/(nc*nf)%nw]
-		capacity := opt.Capacities[j/nf%nc]
-		faults := opt.FaultCounts[j%nf]
-		for mi, mech := range opt.Mechanisms {
-			timeout, bubble, err := gridlockMechanism(mech)
-			if err != nil {
-				return err
+	cells, err := runGrid(fanOut{workers: workers, progress: opt.Progress}, seed, jobs,
+		func(p *simPool, j int, r *rng.Source) ([]GridlockRow, error) {
+			pattern := opt.Patterns[j/(nw*nc*nf)]
+			window := opt.Windows[j/(nc*nf)%nw]
+			arms := make([]GridlockRow, nm)
+			for mi, mech := range opt.Mechanisms {
+				timeout, bubble, err := gridlockMechanism(mech)
+				if err != nil {
+					return nil, err
+				}
+				sopt := base
+				sopt.NodeCapacity = opt.Capacities[j/nf%nc]
+				sopt.Faults = opt.FaultCounts[j%nf]
+				sopt.Bubble = bubble
+				if !timeout {
+					sopt.FlightTimeout, sopt.RetryBackoff = 0, 0
+				}
+				stream := *r // identical scenario for every arm
+				pt, err := p.loadPoint(sopt, workload{pattern: pattern, window: window}, opt.Router, &stream)
+				if err != nil {
+					return nil, err
+				}
+				arms[mi] = GridlockRow{
+					Dims:          shape.String(),
+					Pattern:       pattern,
+					Router:        opt.Router,
+					Window:        window,
+					Capacity:      sopt.NodeCapacity,
+					Faults:        sopt.Faults,
+					Mechanism:     mech,
+					Gridlocked:    pt.Gridlocked,
+					GridlockStep:  pt.GridlockStep,
+					RecoverySteps: pt.RecoverySteps,
+					AcceptedRate:  pt.AcceptedRate,
+					Delivered:     pt.Delivered,
+					TimedOut:      pt.TimedOut,
+					Retried:       pt.Retried,
+					Unreachable:   pt.Unreachable,
+					Lost:          pt.Lost,
+					Unfinished:    pt.Unfinished,
+					LatMean:       pt.Latency.Mean,
+					LatP50:        pt.Latency.P50,
+					LatP99:        pt.Latency.P99,
+				}
 			}
-			sopt := SaturationOptions{
-				Dims: opt.Dims, Lambda: opt.Lambda,
-				Warmup: opt.Warmup, Measure: opt.Measure, Drain: opt.Drain,
-				LinkRate: opt.LinkRate, NodeCapacity: capacity,
-				Congestion:     opt.Congestion,
-				GridlockWindow: opt.GridlockWindow,
-				Bubble:         bubble,
-				Faults:         faults, FaultInterval: opt.FaultInterval,
-				Clustered: opt.Clustered,
-				Shards:    opt.Shards,
-			}
-			if timeout {
-				sopt.FlightTimeout = opt.FlightTimeout
-				sopt.RetryBackoff = opt.RetryBackoff
-			}
-			stream := *rngs[j] // identical scenario for every arm
-			pt, err := p.loadPoint(sopt, workload{pattern: pattern, window: window}, opt.Router, &stream)
-			if err != nil {
-				return err
-			}
-			rows[j*nm+mi] = GridlockRow{
-				Dims:          shape.String(),
-				Pattern:       pattern,
-				Router:        opt.Router,
-				Window:        window,
-				Capacity:      capacity,
-				Faults:        faults,
-				Mechanism:     mech,
-				Gridlocked:    pt.Gridlocked,
-				GridlockStep:  pt.GridlockStep,
-				RecoverySteps: pt.RecoverySteps,
-				AcceptedRate:  pt.AcceptedRate,
-				Delivered:     pt.Delivered,
-				TimedOut:      pt.TimedOut,
-				Retried:       pt.Retried,
-				Unreachable:   pt.Unreachable,
-				Lost:          pt.Lost,
-				Unfinished:    pt.Unfinished,
-				LatMean:       pt.Latency.Mean,
-				LatP50:        pt.Latency.P50,
-				LatP99:        pt.Latency.P99,
-			}
-		}
-		progress()
-		return nil
-	})
+			return arms, nil
+		}, nil)
 	if err != nil {
 		return nil, err
+	}
+	rows := make([]GridlockRow, 0, jobs*nm)
+	for _, arms := range cells {
+		rows = append(rows, arms...)
 	}
 	return rows, nil
 }

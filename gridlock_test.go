@@ -284,7 +284,7 @@ func TestGridlockSweepValidation(t *testing.T) {
 	} {
 		opt := base
 		mutate(&opt)
-		if _, err := gridlockSweep(opt, 1); err == nil {
+		if _, err := GridlockSweepWorkers(opt, 1, 1); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}

@@ -29,7 +29,7 @@ type ReplayRow struct {
 // json.Marshal on the row structs cannot fail (no non-finite floats
 // survive a run, no unmarshalable field types), so errors are programmer
 // errors and panic.
-func encodeNDJSON(row any) []byte {
+func encodeNDJSON[R any](row R) []byte {
 	data, err := json.Marshal(row)
 	if err != nil {
 		panic(fmt.Sprintf("server: encoding row: %v", err))

@@ -379,15 +379,22 @@ func (s *Server) admitDone() {
 	s.mu.Unlock()
 }
 
+// streamRows adapts a sweep's Emit hook to the job's row stream: encode
+// the row, hand it to the sequencer under its cell index, count it on the
+// job record.
+func streamRows[R any](seq *sequencer, j *job, encode func(row R) []byte) func(int, R) {
+	return func(i int, row R) {
+		seq.push(i, encode(row))
+		j.update(func(st *JobStatus) { st.Rows++ })
+	}
+}
+
 // run executes the spec's workload with the server's pool, streaming
 // each row through the sequencer and counting it on the job record.
 func (s *Server) run(spec *Spec, format string, seq *sequencer, j *job, canceled func() bool) error {
 	workers := spec.Workers
 	if workers == 0 || workers > s.cfg.MaxWorkers {
 		workers = s.cfg.MaxWorkers
-	}
-	countRow := func() {
-		j.update(func(st *JobStatus) { st.Rows++ })
 	}
 	var snap *probe.Snapshot
 	if spec.Probe {
@@ -406,17 +413,13 @@ func (s *Server) run(spec *Spec, format string, seq *sequencer, j *job, canceled
 		if snap != nil {
 			opt.Probe = snap
 		}
+		encode := encodeNDJSON[ndmesh.SaturationRow]
 		if format == "csv" {
-			opt.Emit = func(i int, row ndmesh.SaturationRow) {
-				seq.push(i, []byte(cliutil.CSVLine(cliutil.OpenLoopCells(row))))
-				countRow()
-			}
-		} else {
-			opt.Emit = func(i int, row ndmesh.SaturationRow) {
-				seq.push(i, encodeNDJSON(row))
-				countRow()
+			encode = func(row ndmesh.SaturationRow) []byte {
+				return []byte(cliutil.CSVLine(cliutil.OpenLoopCells(row)))
 			}
 		}
+		opt.Emit = streamRows(seq, j, encode)
 		_, err := ndmesh.SaturationSweepWorkers(opt, spec.Seed, workers)
 		return err
 	case KindClosedLoop:
@@ -426,20 +429,14 @@ func (s *Server) run(spec *Spec, format string, seq *sequencer, j *job, canceled
 		if snap != nil {
 			opt.Probe = snap
 		}
-		opt.Emit = func(i int, row ndmesh.ClosedLoopRow) {
-			seq.push(i, encodeNDJSON(row))
-			countRow()
-		}
+		opt.Emit = streamRows(seq, j, encodeNDJSON[ndmesh.ClosedLoopRow])
 		_, err := ndmesh.ClosedLoopSweepWorkers(opt, spec.Seed, workers)
 		return err
 	case KindReliability:
 		opt := spec.reliabilityOptions()
 		opt.Pool = s.pool
 		opt.Cancel = canceled
-		opt.Emit = func(i int, row ndmesh.ReliabilityRow) {
-			seq.push(i, encodeNDJSON(row))
-			countRow()
-		}
+		opt.Emit = streamRows(seq, j, encodeNDJSON[ndmesh.ReliabilityRow])
 		_, err := ndmesh.ReliabilitySweepWorkers(opt, spec.Seed, workers)
 		return err
 	case KindReplay:
@@ -454,8 +451,7 @@ func (s *Server) run(spec *Spec, format string, seq *sequencer, j *job, canceled
 		if err != nil {
 			return err
 		}
-		seq.push(0, encodeNDJSON(ReplayRow{Router: opt.Router, Point: pt}))
-		countRow()
+		streamRows(seq, j, encodeNDJSON[ReplayRow])(0, ReplayRow{Router: opt.Router, Point: pt})
 		return nil
 	default:
 		return fmt.Errorf("unreachable kind %q", spec.Kind)

@@ -1,7 +1,7 @@
 // This file is the meshd job-spec layer: the JSON shape clients POST to
 // /v1/jobs, its strict decoder, the normalization pass that folds in the
-// same defaults the library's Default* configurations use, and the
-// canonical cache key. The key contract is the determinism dividend: the
+// served defaults (the library's Default* configurations, narrowed where
+// normalize says so), and the canonical cache key. The key contract is the determinism dividend: the
 // sweeps produce byte-identical rows at every worker count and every
 // shard count, so Workers and Shards are zeroed out of the key — two
 // submissions that differ only in fan-out width are the same result and
@@ -230,7 +230,12 @@ func (s *Spec) normalize() error {
 		return fmt.Errorf("only replay specs carry a trace")
 	}
 
-	// Shared defaults, mirroring the library's Default* configurations.
+	// Shared defaults: the library's Default{Saturation,ClosedLoop,
+	// Reliability} values, except that patterns is uniform alone (the
+	// library's open- and closed-loop defaults add transpose) and a
+	// reliability job leaves fault_repair, flight_timeout and retry_backoff
+	// off. Defaults are cache-key material: TestSpecDefaultsVsLibrary pins
+	// both lists.
 	if len(s.Dims) == 0 {
 		s.Dims = []int{8, 8}
 	}
@@ -370,7 +375,7 @@ func (s *Spec) saturationOptions() ndmesh.SaturationOptions {
 		Clustered: s.Clustered, FaultStart: s.FaultStart,
 		FaultRate: s.FaultRate, FaultModel: s.FaultModel,
 		FaultShape: s.FaultShape, FaultRepair: s.FaultRepair,
-		Workers: s.Workers, Shards: s.Shards,
+		Shards: s.Shards,
 	}
 }
 
@@ -387,7 +392,7 @@ func (s *Spec) closedLoopOptions() ndmesh.ClosedLoopOptions {
 		Clustered: s.Clustered, FaultStart: s.FaultStart,
 		FaultRate: s.FaultRate, FaultModel: s.FaultModel,
 		FaultShape: s.FaultShape, FaultRepair: s.FaultRepair,
-		Workers: s.Workers, Shards: s.Shards,
+		Shards: s.Shards,
 	}
 }
 
@@ -403,7 +408,7 @@ func (s *Spec) reliabilityOptions() ndmesh.ReliabilityOptions {
 		LinkRate: s.LinkRate, NodeCapacity: s.NodeCapacity,
 		FlightTimeout: s.FlightTimeout, RetryBackoff: s.RetryBackoff,
 		Bubble: s.Bubble, GridlockWindow: s.GridlockWindow,
-		Workers: s.Workers, Shards: s.Shards,
+		Shards: s.Shards,
 	}
 }
 

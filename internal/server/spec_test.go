@@ -212,3 +212,50 @@ func FuzzSpecDecode(f *testing.F) {
 		}
 	})
 }
+
+// TestSpecDefaultsVsLibrary pins which served defaults are the library's
+// and which differ on purpose, so the next drift between Spec.normalize
+// and ndmesh.Default{Saturation,ClosedLoop,Reliability} is a test failure
+// rather than a surprise cache-key change: a bare {"kind": K} spec must
+// map onto the library default with exactly the listed fields narrowed.
+func TestSpecDefaultsVsLibrary(t *testing.T) {
+	bare := func(kind string) *Spec {
+		t.Helper()
+		s, err := ParseSpec([]byte(`{"kind":"` + kind + `"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	uniform := []string{"uniform"}
+	t.Run(KindOpenLoop, func(t *testing.T) {
+		want := ndmesh.DefaultSaturation()
+		if reflect.DeepEqual(want.Patterns, uniform) {
+			t.Error("library default patterns became uniform alone; drop it from the differs-on-purpose list")
+		}
+		want.Patterns = uniform
+		if got := bare(KindOpenLoop).saturationOptions(); !reflect.DeepEqual(got, want) {
+			t.Errorf("served open-loop defaults drifted from DefaultSaturation (patterns aside):\n got %+v\nwant %+v", got, want)
+		}
+	})
+	t.Run(KindClosedLoop, func(t *testing.T) {
+		want := ndmesh.DefaultClosedLoop()
+		if reflect.DeepEqual(want.Patterns, uniform) {
+			t.Error("library default patterns became uniform alone; drop it from the differs-on-purpose list")
+		}
+		want.Patterns = uniform
+		if got := bare(KindClosedLoop).closedLoopOptions(); !reflect.DeepEqual(got, want) {
+			t.Errorf("served closed-loop defaults drifted from DefaultClosedLoop (patterns aside):\n got %+v\nwant %+v", got, want)
+		}
+	})
+	t.Run(KindReliability, func(t *testing.T) {
+		want := ndmesh.DefaultReliability()
+		if want.FaultRepair == 0 || want.FlightTimeout == 0 || want.RetryBackoff == 0 {
+			t.Error("library default repair/timeout/backoff became zero; drop it from the differs-on-purpose list")
+		}
+		want.FaultRepair, want.FlightTimeout, want.RetryBackoff = 0, 0, 0
+		if got := bare(KindReliability).reliabilityOptions(); !reflect.DeepEqual(got, want) {
+			t.Errorf("served reliability defaults drifted from DefaultReliability (repair/timeout/backoff aside):\n got %+v\nwant %+v", got, want)
+		}
+	})
+}

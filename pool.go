@@ -14,9 +14,10 @@ package ndmesh
 //
 // The pool threads into the sweeps through the Pool field of
 // SaturationOptions / ClosedLoopOptions / ReliabilityOptions / LoadOptions:
-// each sweep checks out per-worker simPools bound to the shared reservoir
-// and releases every drawn simulation back when the fan-out finishes
-// (success, error or cancellation alike).
+// runGrid (rungrid.go) binds each worker's simPool to the shared reservoir
+// (simPool.get tries take before constructing and reports a construction
+// through noteBuilt) and puts every drawn simulation back once the fan-out
+// has drained — success, error or cancellation alike.
 
 import (
 	"errors"
@@ -155,59 +156,4 @@ func (p *EnginePool) VerifyClean() error {
 	}
 	return fmt.Errorf("ndmesh: engine pool dirty across %d idle simulations: %d attached flights, %d nonzero residency counters, %d with contention enabled, %d with shard workers configured",
 		total, flights, residency, contention, sharded)
-}
-
-// checkout opens a sweep-scoped view of the pool: each sweep worker gets
-// its own simPool bound to the shared reservoir, and release returns every
-// drawn simulation when the sweep's fan-out finishes. A nil receiver
-// yields a no-op checkout whose workers build private simulations — the
-// sweeps call this unconditionally, so the pooled and unpooled paths share
-// one code shape.
-func (p *EnginePool) checkout() *poolCheckout {
-	return &poolCheckout{shared: p}
-}
-
-// poolCheckout tracks the worker simPools one sweep created so their
-// simulations can be returned to the shared reservoir afterwards.
-type poolCheckout struct {
-	shared  *EnginePool
-	mu      sync.Mutex
-	workers []*simPool
-}
-
-// worker is the par.ForState state factory: a fresh per-worker simPool,
-// registered for release when the checkout is backed by a shared pool.
-func (c *poolCheckout) worker() *simPool {
-	sp := newSimPool()
-	if c.shared == nil {
-		return sp
-	}
-	sp.shared = c.shared
-	c.mu.Lock()
-	c.workers = append(c.workers, sp)
-	c.mu.Unlock()
-	return sp
-}
-
-// release returns every simulation the checkout's workers hold to the
-// shared reservoir. Called after the sweep's fan-out has fully drained
-// (par.ForState has returned), so no worker is still stepping a
-// simulation it hands back. A no-op without a shared pool.
-func (c *poolCheckout) release() {
-	if c.shared == nil {
-		return
-	}
-	c.mu.Lock()
-	workers := c.workers
-	c.workers = nil
-	c.mu.Unlock()
-	for _, sp := range workers {
-		// Any simulation is equivalent after Reset, so the reservoir's
-		// stacking order cannot reach results.
-		//meshvet:ordered Reset equivalence makes stacking order irrelevant
-		for key, sim := range sp.sims {
-			c.shared.put(key, sim)
-			delete(sp.sims, key)
-		}
-	}
 }

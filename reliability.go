@@ -23,7 +23,7 @@ import (
 	"sync/atomic"
 
 	"ndmesh/internal/grid"
-	"ndmesh/internal/par"
+	"ndmesh/internal/rng"
 	"ndmesh/internal/route"
 	"ndmesh/internal/traffic"
 )
@@ -64,10 +64,9 @@ type ReliabilityOptions struct {
 	FlightTimeout, RetryBackoff int
 	Bubble                      bool
 	GridlockWindow              int
-	// Workers is the parallel fan-out width (< 1 means GOMAXPROCS); Shards
-	// the intra-step shard-worker count per trial. Both leave the rows
-	// byte-identical at every value.
-	Workers, Shards int
+	// Shards is the intra-step shard-worker count per trial; like the
+	// worker count, it leaves the rows byte-identical at every value.
+	Shards int
 	// Progress, when non-nil, is called after every completed trial with
 	// (done, total); must be safe for concurrent use.
 	Progress func(done, total int)
@@ -145,33 +144,17 @@ type ReliabilityRow struct {
 
 // ReliabilitySweep runs the E23 reliability grid with all available cores.
 func ReliabilitySweep(opt ReliabilityOptions, seed uint64) ([]ReliabilityRow, error) {
-	opt.Workers = 0
-	return reliabilitySweep(opt, seed)
+	return ReliabilitySweepWorkers(opt, seed, 0)
 }
 
 // ReliabilitySweepWorkers is ReliabilitySweep with an explicit worker
-// count (each Monte-Carlo trial is one parallel job).
+// count (each Monte-Carlo trial is one parallel job; < 1 means GOMAXPROCS).
 func ReliabilitySweepWorkers(opt ReliabilityOptions, seed uint64, workers int) ([]ReliabilityRow, error) {
-	opt.Workers = workers
-	return reliabilitySweep(opt, seed)
-}
-
-func reliabilitySweep(opt ReliabilityOptions, seed uint64) ([]ReliabilityRow, error) {
 	if len(opt.Routers) == 0 || len(opt.Patterns) == 0 || len(opt.FaultRates) == 0 {
 		return nil, fmt.Errorf("ndmesh: reliability sweep needs at least one router, pattern and fault rate")
 	}
 	if opt.Trials < 1 {
 		return nil, fmt.Errorf("ndmesh: reliability sweep needs Trials >= 1 (got %d)", opt.Trials)
-	}
-	if opt.Rate <= 0 {
-		return nil, fmt.Errorf("ndmesh: reliability sweep needs an open-loop rate > 0")
-	}
-	proc, err := traffic.ProcessByName(opt.Process)
-	if err != nil {
-		return nil, err
-	}
-	if max := proc.MaxRate(); opt.Rate > max {
-		return nil, fmt.Errorf("ndmesh: rate %v exceeds what the %s process can offer (max %v msgs/node/step)", opt.Rate, proc.Name(), max)
 	}
 	maxRate := 0.0
 	for _, fr := range opt.FaultRates {
@@ -182,25 +165,29 @@ func reliabilitySweep(opt ReliabilityOptions, seed uint64) ([]ReliabilityRow, er
 			maxRate = fr
 		}
 	}
-	// Validate (and default) the shared run shape and the fault-process
-	// parameters once against a representative cell, then copy the
-	// defaulted values back so every cell runs the identical configuration.
-	probe := SaturationOptions{
+	// The configuration every trial shares, validated (and defaulted) in
+	// place — the open-loop rate against its arrival process included — at
+	// the grid's highest fault rate, so the fault-process parameters are
+	// checked whenever any cell uses them; a trial overrides only its
+	// cell's fault rate.
+	base := SaturationOptions{
 		Dims: opt.Dims, Lambda: opt.Lambda,
+		Routers: opt.Routers, Patterns: opt.Patterns,
+		Rates: []float64{opt.Rate}, Process: opt.Process,
 		Warmup: opt.Warmup, Measure: opt.Measure, Drain: opt.Drain,
 		LinkRate: opt.LinkRate, NodeCapacity: opt.NodeCapacity,
+		Congestion:    opt.Congestion,
 		FlightTimeout: opt.FlightTimeout, RetryBackoff: opt.RetryBackoff,
 		Bubble: opt.Bubble, GridlockWindow: opt.GridlockWindow,
 		FaultRate: maxRate, FaultModel: opt.FaultModel,
 		FaultShape: opt.FaultShape, FaultRepair: opt.FaultRepair,
 		Clustered: opt.Clustered,
 		Shards:    opt.Shards,
+		Cancel:    opt.Cancel,
 	}
-	if err := validateLoadShape(&probe); err != nil {
+	if err := validateSaturation(&base); err != nil {
 		return nil, err
 	}
-	opt.Lambda, opt.LinkRate, opt.Shards = probe.Lambda, probe.LinkRate, probe.Shards
-	opt.FaultModel, opt.FaultShape = probe.FaultModel, probe.FaultShape
 	shape, err := grid.NewShape(opt.Dims...)
 	if err != nil {
 		return nil, err
@@ -210,56 +197,30 @@ func reliabilitySweep(opt ReliabilityOptions, seed uint64) ([]ReliabilityRow, er
 	// then router, trials innermost — the order the streams are split in.
 	nf, nk, nt := len(opt.FaultRates), len(opt.Routers), opt.Trials
 	cells := len(opt.Patterns) * nf * nk
-	jobs := cells * nt
-	rngs := splitN(seed, jobs)
-	pts := make([]traffic.LoadPoint, jobs)
-	progress := progressCounter(opt.Progress, jobs)
 	// With a streaming hook, each cell's fold runs as soon as its last
 	// trial lands: the countdown's atomic decrement orders every trial's
-	// pts write before the fold that reads them, and the fold itself is
-	// the same deterministic serial pass over pts that builds the
-	// returned slice — which worker triggers it cannot reach the row.
-	var remaining []int32
+	// slot write before the fold that reads them, and the fold itself is
+	// the same deterministic serial pass that builds the returned slice —
+	// which worker triggers it cannot reach the row.
+	var emitCell func(pts []traffic.LoadPoint, j int)
 	if opt.Emit != nil {
-		remaining = make([]int32, cells)
+		remaining := make([]atomic.Int32, cells)
 		for c := range remaining {
-			remaining[c] = int32(nt)
+			remaining[c].Store(int32(nt))
+		}
+		emitCell = func(pts []traffic.LoadPoint, j int) {
+			if cell := j / nt; remaining[cell].Add(-1) == 0 {
+				opt.Emit(cell, foldReliabilityCell(&opt, shape, pts, cell, nf, nk, nt))
+			}
 		}
 	}
-	co := opt.Pool.checkout()
-	defer co.release()
-	err = par.ForState(opt.Workers, jobs, co.worker, func(p *simPool, j int) error {
-		if opt.Cancel != nil && opt.Cancel() {
-			return ErrCanceled
-		}
-		cell := j / nt
-		pattern := opt.Patterns[cell/(nf*nk)]
-		faultRate := opt.FaultRates[cell/nk%nf]
-		sopt := SaturationOptions{
-			Dims: opt.Dims, Lambda: opt.Lambda,
-			Process: opt.Process,
-			Warmup:  opt.Warmup, Measure: opt.Measure, Drain: opt.Drain,
-			LinkRate: opt.LinkRate, NodeCapacity: opt.NodeCapacity,
-			Congestion:    opt.Congestion,
-			FlightTimeout: opt.FlightTimeout, RetryBackoff: opt.RetryBackoff,
-			Bubble: opt.Bubble, GridlockWindow: opt.GridlockWindow,
-			FaultRate: faultRate, FaultModel: opt.FaultModel,
-			FaultShape: opt.FaultShape, FaultRepair: opt.FaultRepair,
-			Clustered: opt.Clustered,
-			Shards:    opt.Shards,
-			Cancel:    opt.Cancel,
-		}
-		pt, err := p.loadPoint(sopt, workload{pattern: pattern, rate: opt.Rate}, opt.Routers[cell%nk], rngs[j])
-		if err != nil {
-			return err
-		}
-		pts[j] = pt
-		if opt.Emit != nil && atomic.AddInt32(&remaining[cell], -1) == 0 {
-			opt.Emit(cell, foldReliabilityCell(&opt, shape, pts, cell, nf, nk, nt))
-		}
-		progress()
-		return nil
-	})
+	pts, err := runGrid(fanOut{workers: workers, pool: opt.Pool, cancel: opt.Cancel, progress: opt.Progress}, seed, cells*nt,
+		func(p *simPool, j int, r *rng.Source) (traffic.LoadPoint, error) {
+			cell := j / nt
+			sopt := base
+			sopt.FaultRate = opt.FaultRates[cell/nk%nf]
+			return p.loadPoint(sopt, workload{pattern: opt.Patterns[cell/(nf*nk)], rate: opt.Rate}, opt.Routers[cell%nk], r)
+		}, emitCell)
 	if err != nil {
 		return nil, err
 	}

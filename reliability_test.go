@@ -193,7 +193,7 @@ func TestReliabilitySweepValidation(t *testing.T) {
 	} {
 		opt := base
 		mutate(&opt)
-		if _, err := reliabilitySweep(opt, 1); err == nil {
+		if _, err := ReliabilitySweepWorkers(opt, 1, 1); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}

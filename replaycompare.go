@@ -8,9 +8,10 @@ package ndmesh
 // trace-driven analogue of E20's controlled congestion comparison, without
 // having to re-draw the workload per arm.
 //
-// The engine-side inheritance rules are exactly LoadRun's (applyReplay is
-// shared): every override field left zero is taken from the trace, so a
-// single-router comparison reproduces the origin run byte-for-byte.
+// The engine-side inheritance rules are exactly LoadRun's (both resolve
+// their options through LoadOptions.cell): every override field left zero
+// is taken from the trace, so a single-router comparison reproduces the
+// origin run byte-for-byte.
 //
 // Determinism follows the repository contract: one rng stream is split per
 // router job in row order (replay consumes no randomness, but the split
@@ -21,7 +22,7 @@ package ndmesh
 import (
 	"fmt"
 
-	"ndmesh/internal/par"
+	"ndmesh/internal/rng"
 	"ndmesh/internal/route"
 	"ndmesh/internal/traffic"
 )
@@ -46,10 +47,9 @@ type ReplayCompareOptions struct {
 	FlightTimeout, RetryBackoff int
 	Bubble                      bool
 	GridlockWindow              int
-	// Workers is the parallel fan-out width; < 1 means GOMAXPROCS. Shards
-	// is the intra-step shard-worker count per arm. Both leave the rows
-	// byte-identical at every value.
-	Workers, Shards int
+	// Shards is the intra-step shard-worker count per arm; like the worker
+	// count, it leaves the rows byte-identical at every value.
+	Shards int
 	// Progress, when non-nil, is called after every completed router arm
 	// with (done, total); must be safe for concurrent use.
 	Progress func(done, total int)
@@ -64,18 +64,12 @@ type ReplayCompareRow struct {
 // ReplayCompareSweep replays one trace across every router with all
 // available cores.
 func ReplayCompareSweep(opt ReplayCompareOptions, seed uint64) ([]ReplayCompareRow, error) {
-	opt.Workers = 0
-	return replayCompareSweep(opt, seed)
+	return ReplayCompareSweepWorkers(opt, seed, 0)
 }
 
 // ReplayCompareSweepWorkers is ReplayCompareSweep with an explicit worker
-// count (each router arm is one parallel job).
+// count (each router arm is one parallel job; < 1 means GOMAXPROCS).
 func ReplayCompareSweepWorkers(opt ReplayCompareOptions, seed uint64, workers int) ([]ReplayCompareRow, error) {
-	opt.Workers = workers
-	return replayCompareSweep(opt, seed)
-}
-
-func replayCompareSweep(opt ReplayCompareOptions, seed uint64) ([]ReplayCompareRow, error) {
 	if opt.Trace == nil {
 		return nil, fmt.Errorf("ndmesh: replay comparison needs a trace")
 	}
@@ -84,43 +78,23 @@ func replayCompareSweep(opt ReplayCompareOptions, seed uint64) ([]ReplayCompareR
 	}
 	// Resolve the trace inheritance once, through the same rules LoadRun
 	// applies, so every arm replays the identical effective configuration.
-	base := LoadOptions{
+	sopt, wl := LoadOptions{
 		Lambda: opt.Lambda, LinkRate: opt.LinkRate, NodeCapacity: opt.NodeCapacity,
 		Congestion:    opt.Congestion,
 		FlightTimeout: opt.FlightTimeout, RetryBackoff: opt.RetryBackoff,
 		Bubble: opt.Bubble, GridlockWindow: opt.GridlockWindow,
 		Shards: opt.Shards,
 		Replay: opt.Trace,
-	}
-	base.applyReplay()
-	sopt := SaturationOptions{
-		Dims: base.Dims, Lambda: base.Lambda,
-		Warmup: base.Warmup, Measure: base.Measure, Drain: base.Drain,
-		LinkRate: base.LinkRate, NodeCapacity: base.NodeCapacity,
-		Congestion:    base.Congestion,
-		FlightTimeout: base.FlightTimeout, RetryBackoff: base.RetryBackoff,
-		Bubble: base.Bubble, GridlockWindow: base.GridlockWindow,
-		Shards: base.Shards,
-	}
+	}.cell()
 	if err := validateLoadShape(&sopt); err != nil {
 		return nil, err
 	}
-	jobs := len(opt.Routers)
-	rngs := splitN(seed, jobs)
-	rows := make([]ReplayCompareRow, jobs)
-	progress := progressCounter(opt.Progress, jobs)
-	err := par.ForState(opt.Workers, jobs, newSimPool, func(p *simPool, j int) error {
-		wl := workload{rate: base.Rate, window: base.Window, replay: opt.Trace}
-		pt, err := p.loadPoint(sopt, wl, opt.Routers[j], rngs[j])
-		if err != nil {
-			return err
-		}
-		rows[j] = ReplayCompareRow{Router: opt.Routers[j], Point: pt}
-		progress()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
+	return runGrid(fanOut{workers: workers, progress: opt.Progress}, seed, len(opt.Routers),
+		func(p *simPool, j int, r *rng.Source) (ReplayCompareRow, error) {
+			pt, err := p.loadPoint(sopt, wl, opt.Routers[j], r)
+			if err != nil {
+				return ReplayCompareRow{}, err
+			}
+			return ReplayCompareRow{Router: opt.Routers[j], Point: pt}, nil
+		}, nil)
 }

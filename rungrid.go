@@ -1,0 +1,83 @@
+package ndmesh
+
+// This file is the one fan-out every load sweep (E19-E23, replay-compare)
+// and LoadRun goes through. runGrid owns what the determinism contract
+// needs done in one order — per-job rng streams split serially before the
+// fan-out, each job writing only its own result slot, any fold over the
+// slots left to the caller's serial pass afterwards — and the engine-pool
+// lifecycle (pool.go): worker simPools bound to the shared reservoir, every
+// drawn simulation handed back once the fan-out has drained.
+
+import (
+	"sync"
+	"sync/atomic"
+
+	"ndmesh/internal/par"
+	"ndmesh/internal/rng"
+)
+
+// fanOut is the run control a sweep's options hand to runGrid; the zero
+// value is a GOMAXPROCS-wide run on worker-local simulations with no
+// cancellation and no progress reporting.
+type fanOut struct {
+	workers  int
+	pool     *EnginePool
+	cancel   func() bool
+	progress func(done, total int)
+}
+
+// runGrid runs job(p, j, r) for every j in [0, jobs) on the j-th stream
+// split off seed and returns the results in job order. cancel is polled
+// before each job (ErrCanceled); of several failing jobs the lowest index's
+// error is returned. done, when non-nil, is the sweeps' Emit seam: the
+// worker that completed job j calls it after writing out[j] and before the
+// progress tick, and it may read out[j] and any slot whose completion it
+// has itself ordered (reliability's per-cell countdown).
+func runGrid[R any](f fanOut, seed uint64, jobs int,
+	job func(p *simPool, j int, r *rng.Source) (R, error), done func(out []R, j int)) ([]R, error) {
+	rngs := splitN(seed, jobs)
+	out := make([]R, jobs)
+	var finished atomic.Int64
+	var mu sync.Mutex
+	var drawn []*simPool
+	worker := func() *simPool {
+		p := newSimPool()
+		if f.pool != nil {
+			p.shared = f.pool
+			mu.Lock()
+			drawn = append(drawn, p)
+			mu.Unlock()
+		}
+		return p
+	}
+	err := par.ForState(f.workers, jobs, worker, func(p *simPool, j int) error {
+		if f.cancel != nil && f.cancel() {
+			return ErrCanceled
+		}
+		v, err := job(p, j, rngs[j])
+		if err != nil {
+			return err
+		}
+		out[j] = v
+		if done != nil {
+			done(out, j)
+		}
+		if f.progress != nil {
+			f.progress(int(finished.Add(1)), jobs)
+		}
+		return nil
+	})
+	// ForState has returned, so no worker is still stepping a simulation
+	// handed back here; any simulation is equivalent after Reset, so the
+	// reservoir's stacking order cannot reach results.
+	for _, p := range drawn {
+		//meshvet:ordered Reset equivalence makes stacking order irrelevant
+		for key, sim := range p.sims {
+			f.pool.put(key, sim)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}

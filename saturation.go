@@ -5,7 +5,7 @@ package ndmesh
 // injection (E19), closed-loop bounded-window sources (E21, closedloop.go)
 // and recorded-trace replays — through the warmup/measure/drain methodology
 // and emits latency-throughput curves. SaturationSweep fans the (pattern,
-// rate, router) grid across the parallel experiment engine under the same
+// rate, router) grid out through runGrid (rungrid.go) under the same
 // determinism contract as every other sweep: per-job rng streams are split
 // serially in job order, each job writes only its own result slot, and
 // aggregation is a serial pass — so the output is byte-identical for every
@@ -13,13 +13,11 @@ package ndmesh
 
 import (
 	"fmt"
-	"sync"
 
 	"ndmesh/internal/engine"
 	"ndmesh/internal/fault"
 	"ndmesh/internal/grid"
 	"ndmesh/internal/mesh"
-	"ndmesh/internal/par"
 	"ndmesh/internal/rng"
 	"ndmesh/internal/route"
 	"ndmesh/internal/traffic"
@@ -85,14 +83,12 @@ type SaturationOptions struct {
 	FaultModel  string
 	FaultShape  float64
 	FaultRepair float64
-	// Workers is the parallel fan-out width; < 1 means GOMAXPROCS. The
-	// results are identical for every value.
-	Workers int
 	// Shards splits each cell's flight population across this many
 	// intra-step shard workers (contention-mode stepping; < 2 means
-	// serial). Orthogonal to Workers — Workers parallelizes across cells,
-	// Shards inside one — and under the same contract: the rows are
-	// byte-identical for every shard count (engine.SetShards).
+	// serial). Orthogonal to SaturationSweepWorkers' worker count — that
+	// parallelizes across cells, Shards inside one — and under the same
+	// contract: the rows are byte-identical for every shard count
+	// (engine.SetShards).
 	Shards int
 	// Probe, when non-nil, receives the per-step census of the run (see
 	// internal/probe). Because probes are stateful accumulators, a probed
@@ -173,18 +169,13 @@ type SaturationRow struct {
 // SaturationSweep runs the latency-throughput grid with all available
 // cores.
 func SaturationSweep(opt SaturationOptions, seed uint64) ([]SaturationRow, error) {
-	opt.Workers = 0
-	return saturationSweep(opt, seed)
+	return SaturationSweepWorkers(opt, seed, 0)
 }
 
 // SaturationSweepWorkers is SaturationSweep with an explicit worker count
-// (each (pattern, rate, router) cell is one parallel job).
+// (each (pattern, rate, router) cell is one parallel job; < 1 means
+// GOMAXPROCS, and the rows are identical for every value).
 func SaturationSweepWorkers(opt SaturationOptions, seed uint64, workers int) ([]SaturationRow, error) {
-	opt.Workers = workers
-	return saturationSweep(opt, seed)
-}
-
-func saturationSweep(opt SaturationOptions, seed uint64) ([]SaturationRow, error) {
 	if err := validateSaturation(&opt); err != nil {
 		return nil, err
 	}
@@ -198,68 +189,43 @@ func saturationSweep(opt SaturationOptions, seed uint64) ([]SaturationRow, error
 	if opt.Probe != nil && jobs > 1 {
 		return nil, fmt.Errorf("ndmesh: a probed sweep must be a single cell (got %d); probes are stateful accumulators and parallel cells would interleave their censuses", jobs)
 	}
-	rngs := splitN(seed, jobs)
-	rows := make([]SaturationRow, jobs)
-	progress := progressCounter(opt.Progress, jobs)
-	co := opt.Pool.checkout()
-	defer co.release()
-	err = par.ForState(opt.Workers, jobs, co.worker, func(p *simPool, j int) error {
-		if opt.Cancel != nil && opt.Cancel() {
-			return ErrCanceled
-		}
-		pi := j / (len(opt.Rates) * len(opt.Routers))
-		ri := j / len(opt.Routers) % len(opt.Rates)
-		ki := j % len(opt.Routers)
-		pt, err := p.loadPoint(opt, workload{pattern: opt.Patterns[pi], rate: opt.Rates[ri]}, opt.Routers[ki], rngs[j])
-		if err != nil {
-			return err
-		}
-		rows[j] = SaturationRow{
-			Dims:         shape.String(),
-			Pattern:      opt.Patterns[pi],
-			Router:       opt.Routers[ki],
-			OfferedRate:  pt.OfferedRate,
-			AcceptedRate: pt.AcceptedRate,
-			Offered:      pt.Offered,
-			Injected:     pt.Injected,
-			Dropped:      pt.Dropped,
-			Delivered:    pt.Delivered,
-			Unreachable:  pt.Unreachable,
-			Lost:         pt.Lost,
-			Unfinished:   pt.Unfinished,
-			LatMean:      pt.Latency.Mean,
-			LatP50:       pt.Latency.P50,
-			LatP95:       pt.Latency.P95,
-			LatP99:       pt.Latency.P99,
-			LatMax:       pt.Latency.Max,
-		}
-		if opt.Emit != nil {
-			opt.Emit(j, rows[j])
-		}
-		progress()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
+	return runGrid(fanOut{workers: workers, pool: opt.Pool, cancel: opt.Cancel, progress: opt.Progress}, seed, jobs,
+		func(p *simPool, j int, r *rng.Source) (SaturationRow, error) {
+			pi := j / (len(opt.Rates) * len(opt.Routers))
+			ri := j / len(opt.Routers) % len(opt.Rates)
+			ki := j % len(opt.Routers)
+			pt, err := p.loadPoint(opt, workload{pattern: opt.Patterns[pi], rate: opt.Rates[ri]}, opt.Routers[ki], r)
+			if err != nil {
+				return SaturationRow{}, err
+			}
+			return SaturationRow{
+				Dims:         shape.String(),
+				Pattern:      opt.Patterns[pi],
+				Router:       opt.Routers[ki],
+				OfferedRate:  pt.OfferedRate,
+				AcceptedRate: pt.AcceptedRate,
+				Offered:      pt.Offered,
+				Injected:     pt.Injected,
+				Dropped:      pt.Dropped,
+				Delivered:    pt.Delivered,
+				Unreachable:  pt.Unreachable,
+				Lost:         pt.Lost,
+				Unfinished:   pt.Unfinished,
+				LatMean:      pt.Latency.Mean,
+				LatP50:       pt.Latency.P50,
+				LatP95:       pt.Latency.P95,
+				LatP99:       pt.Latency.P99,
+				LatMax:       pt.Latency.Max,
+			}, nil
+		}, emitEach(opt.Emit))
 }
 
-// progressCounter wraps a Progress callback into a no-arg tick that is
-// safe to call from parallel job workers; a nil callback costs nothing.
-func progressCounter(fn func(done, total int), total int) func() {
-	if fn == nil {
-		return func() {}
+// emitEach adapts a sweep's per-row Emit hook to runGrid's done hook.
+func emitEach[R any](emit func(index int, row R)) func(out []R, j int) {
+	if emit == nil {
+		return nil
 	}
-	var mu sync.Mutex
-	done := 0
-	return func() {
-		mu.Lock()
-		done++
-		d := done
-		mu.Unlock()
-		fn(d, total)
-	}
+	return func(out []R, j int) { emit(j, out[j]) }
 }
 
 func validateSaturation(opt *SaturationOptions) error {
@@ -761,9 +727,7 @@ type LoadOptions struct {
 // authoritative for the workload side (dims, rate/window, phase lengths,
 // fault schedule), and the engine-side configuration is inherited for every
 // field the caller left zero, so a plain replay reproduces the origin run
-// byte-identically. Factored out of LoadRun so ReplayCompareSweep applies
-// the identical rules — a replay behaves the same whichever entry point
-// runs it. opt.Replay must be non-nil.
+// byte-identically. opt.Replay must be non-nil.
 func (opt *LoadOptions) applyReplay() {
 	tr := opt.Replay
 	opt.Dims = append([]int(nil), tr.Dims...)
@@ -797,19 +761,13 @@ func (opt *LoadOptions) applyReplay() {
 	}
 }
 
-// LoadRun executes one contention-mode load run and returns its
-// latency-throughput point — the single-cell convenience entry for
-// library callers who want one point, not a sweep (cmd/loadgen goes
-// through SaturationSweepWorkers for open-loop grids; the two paths
-// produce identical points, pinned by TestLoadRunMatchesSweepCell).
-func LoadRun(opt LoadOptions) (traffic.LoadPoint, error) {
+// cell resolves a one-shot run into what loadPoint takes: the engine-side
+// configuration (with the trace inheritance applied when opt.Replay is set)
+// and the workload. It is the one place LoadOptions becomes
+// SaturationOptions, shared by LoadRun and ReplayCompareSweep, so a replay
+// behaves the same whichever entry point runs it.
+func (opt LoadOptions) cell() (SaturationOptions, workload) {
 	if opt.Replay != nil {
-		if opt.Record == opt.Replay {
-			// Aliasing the two would have the recorder truncate the very
-			// offer stream the player is reading — refuse instead of
-			// silently replaying (and re-recording) an empty workload.
-			return traffic.LoadPoint{}, fmt.Errorf("ndmesh: Record and Replay must be distinct traces")
-		}
 		opt.applyReplay()
 	}
 	sopt := SaturationOptions{
@@ -829,7 +787,29 @@ func LoadRun(opt LoadOptions) (traffic.LoadPoint, error) {
 		Probe:  opt.Probe, ProbeEvery: opt.ProbeEvery,
 		Cancel: opt.Cancel,
 	}
-	if opt.Window > 0 || opt.Replay != nil {
+	wl := workload{pattern: opt.Pattern, rate: opt.Rate, window: opt.Window,
+		replay: opt.Replay, record: opt.Record}
+	if wl.window > 0 {
+		wl.rate = 0
+	}
+	return sopt, wl
+}
+
+// LoadRun executes one contention-mode load run and returns its
+// latency-throughput point — the single-cell convenience entry for
+// library callers who want one point, not a sweep (cmd/loadgen goes
+// through SaturationSweepWorkers for open-loop grids; the two paths
+// produce identical points, pinned by TestLoadRunMatchesSweepCell: a
+// 1-job grid splits the seed exactly as a sweep splits its first cell).
+func LoadRun(opt LoadOptions) (traffic.LoadPoint, error) {
+	if opt.Replay != nil && opt.Record == opt.Replay {
+		// Aliasing the two would have the recorder truncate the very
+		// offer stream the player is reading — refuse instead of
+		// silently replaying (and re-recording) an empty workload.
+		return traffic.LoadPoint{}, fmt.Errorf("ndmesh: Record and Replay must be distinct traces")
+	}
+	sopt, wl := opt.cell()
+	if wl.window > 0 || wl.replay != nil {
 		// Closed-loop and replay runs have no live arrival process to
 		// validate rates against (a closed loop has no nominal rate at
 		// all); only the run shape is checked.
@@ -842,14 +822,12 @@ func LoadRun(opt LoadOptions) (traffic.LoadPoint, error) {
 	} else if err := validateSaturation(&sopt); err != nil {
 		return traffic.LoadPoint{}, err
 	}
-	co := opt.Pool.checkout()
-	defer co.release()
-	pool := co.worker()
-	r := rng.New(opt.Seed).Split() // match the sweep's per-job stream derivation
-	wl := workload{pattern: opt.Pattern, rate: opt.Rate, window: opt.Window,
-		replay: opt.Replay, record: opt.Record}
-	if wl.window > 0 {
-		wl.rate = 0
+	pts, err := runGrid(fanOut{workers: 1, pool: opt.Pool, cancel: opt.Cancel}, opt.Seed, 1,
+		func(p *simPool, _ int, r *rng.Source) (traffic.LoadPoint, error) {
+			return p.loadPoint(sopt, wl, opt.Router, r)
+		}, nil)
+	if err != nil {
+		return traffic.LoadPoint{}, err
 	}
-	return pool.loadPoint(sopt, wl, opt.Router, r)
+	return pts[0], nil
 }

@@ -51,7 +51,6 @@ func TestShardedCongestionShiftDeterministic(t *testing.T) {
 	opt.Rates = []float64{0.15, 0.4}
 	opt.Warmup, opt.Measure, opt.Drain = 16, 48, 48
 	opt.NodeCapacity = 4
-	opt.Workers = 1
 	serialRows, serialSums, err := CongestionShiftSweepWorkers(opt, 9, 1)
 	if err != nil {
 		t.Fatal(err)
