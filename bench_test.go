@@ -248,7 +248,7 @@ func benchTheorems(b *testing.B, dims []int, trials int) {
 	b.Helper()
 	var viol int
 	for i := 0; i < b.N; i++ {
-		rep, err := TheoremSweep(dims, trials, uint64(i+1))
+		rep, err := TheoremSweepWorkers(dims, trials, uint64(i+1), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -264,7 +264,7 @@ func benchTheorems(b *testing.B, dims []int, trials int) {
 func BenchmarkConvergenceSweep(b *testing.B) {
 	var maxB int
 	for i := 0; i < b.N; i++ {
-		rows, err := ConvergenceSweep([][]int{{16, 16}, {8, 8, 8}}, 3, 11)
+		rows, err := ConvergenceSweepWorkers([][]int{{16, 16}, {8, 8, 8}}, 3, 11, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -286,7 +286,7 @@ func BenchmarkDegradationSweep(b *testing.B) {
 	opt.Intervals = []int{4, 32}
 	var blindExtra float64
 	for i := 0; i < b.N; i++ {
-		rows, err := DegradationSweep(opt, uint64(i+1))
+		rows, err := DegradationSweepWorkers(opt, uint64(i+1), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -303,7 +303,7 @@ func BenchmarkDegradationSweep(b *testing.B) {
 func BenchmarkLambdaSweep(b *testing.B) {
 	var limExtra float64
 	for i := 0; i < b.N; i++ {
-		rows, err := LambdaSweep([]int{16, 16}, []int{1, 8}, 5, uint64(i+1))
+		rows, err := LambdaSweepWorkers([]int{16, 16}, []int{1, 8}, 5, uint64(i+1), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -320,7 +320,7 @@ func BenchmarkLambdaSweep(b *testing.B) {
 func BenchmarkMemorySweep(b *testing.B) {
 	var records int
 	for i := 0; i < b.N; i++ {
-		rows, err := MemorySweep([][]int{{16, 16}}, []int{4}, 3)
+		rows, err := MemorySweepWorkers([][]int{{16, 16}}, []int{4}, 3, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -334,7 +334,7 @@ func BenchmarkMemorySweep(b *testing.B) {
 func BenchmarkOscillationSweep(b *testing.B) {
 	var affected float64
 	for i := 0; i < b.N; i++ {
-		rows, err := OscillationSweep([]int{16, 16}, 4, []int{4}, 3, uint64(i+1))
+		rows, err := OscillationSweepWorkers([]int{16, 16}, 4, []int{4}, 3, uint64(i+1), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -356,7 +356,7 @@ func BenchmarkRouterStep(b *testing.B) {
 			sim.Stabilize()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sim.eng().ClearFlights()
+				sim.engine.ClearFlights()
 				res, err := sim.Route(C(1, 1), C(14, 14), name)
 				if err != nil {
 					b.Fatal(err)
@@ -423,9 +423,8 @@ func BenchmarkDegradationSweepWorkers(b *testing.B) {
 			opt := DefaultDegradation()
 			opt.Trials = 8
 			opt.Intervals = []int{4, 32}
-			opt.Workers = w
 			for i := 0; i < b.N; i++ {
-				if _, err := DegradationSweep(opt, uint64(i+1)); err != nil {
+				if _, err := DegradationSweepWorkers(opt, uint64(i+1), w); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -455,13 +454,13 @@ func BenchmarkLabelingScale(b *testing.B) {
 // BenchmarkContentionStep (E19a) measures one step of the contention-mode
 // engine with a standing population of limited-router flights arbitrating
 // for links — the inner loop of every load run. The steady-state path must
-// stay at 0 allocs/op (asserted by TestContentionStepAllocFree and pinned
-// in BENCH_02.json): flights, messages and arbitration state all recycle.
+// stay at 0 allocs/op (asserted by TestContentionStepAllocFree): flights,
+// messages and arbitration state all recycle.
 func BenchmarkContentionStep(b *testing.B) {
 	sim := MustSimulation(Config{Dims: []int{16, 16}})
-	eng := sim.eng()
+	eng := sim.engine
 	eng.EnableContention(engine.ContentionConfig{LinkRate: 1, NodeCapacity: 4})
-	shape := sim.gridShape()
+	shape := sim.shape
 	r := rng.New(1)
 	type pair struct{ src, dst grid.NodeID }
 	pairs := make([]pair, 24)
@@ -502,12 +501,12 @@ func BenchmarkContentionStep(b *testing.B) {
 // run at steady state: the bounded-window source's draws and top-ups, the
 // contention step, and the harvest pass that releases window slots. Like
 // every other load hot path it must stay at 0 allocs/op
-// (TestClosedLoopStepAllocFree; recorded in BENCH_05.json).
+// (TestClosedLoopStepAllocFree).
 func BenchmarkClosedLoopStep(b *testing.B) {
 	sim := MustSimulation(Config{Dims: []int{16, 16}})
-	eng := sim.eng()
+	eng := sim.engine
 	eng.EnableContention(engine.ContentionConfig{LinkRate: 1})
-	shape := sim.gridShape()
+	shape := sim.shape
 	pat, err := traffic.ByName(shape, "uniform")
 	if err != nil {
 		b.Fatal(err)
@@ -549,15 +548,15 @@ func BenchmarkClosedLoopStep(b *testing.B) {
 // zero-progress detector latching and unlatching as kills restore
 // progress. The delta against BenchmarkClosedLoopStep is the price of the
 // escape machinery; the path must stay at 0 allocs/op (asserted by
-// TestEscapeClosedLoopStepAllocFree and pinned in BENCH_06.json).
+// TestEscapeClosedLoopStepAllocFree).
 func BenchmarkGridlockEscapeStep(b *testing.B) {
 	sim := MustSimulation(Config{Dims: []int{16, 16}})
-	eng := sim.eng()
+	eng := sim.engine
 	eng.EnableContention(engine.ContentionConfig{
 		LinkRate: 1, NodeCapacity: 3,
 		FlightTimeout: 4, GridlockWindow: 4, Bubble: true,
 	})
-	shape := sim.gridShape()
+	shape := sim.shape
 	pat, err := traffic.ByName(shape, "transpose")
 	if err != nil {
 		b.Fatal(err)
@@ -612,17 +611,16 @@ func BenchmarkGridlockEscapeStep(b *testing.B) {
 // exactly as a Monte-Carlo reliability trial does. The wrap cost is
 // amortized into the per-step figure, so this is the per-step price of an
 // E23 trial. The path must stay at 0 allocs/op once the pools are warm
-// (asserted by TestFaultProcessStepAllocFree in internal/engine and pinned
-// in BENCH_08.json).
+// (asserted by TestFaultProcessStepAllocFree in internal/engine).
 func BenchmarkFaultProcessStep(b *testing.B) {
 	sim := MustSimulation(Config{Dims: []int{16, 16}})
-	eng := sim.eng()
+	eng := sim.engine
 	eng.EnableContention(engine.ContentionConfig{
 		LinkRate: 1, NodeCapacity: 4,
 		FlightTimeout: 16, GridlockWindow: 8,
 	})
-	shape := sim.gridShape()
-	fab := sim.fabric()
+	shape := sim.shape
+	fab := sim.mesh
 	const horizon = 64
 	const trialSteps = horizon + 16
 	sched, err := fault.GenerateProcess(shape, fault.ProcessOptions{
@@ -681,13 +679,12 @@ func BenchmarkFaultProcessStep(b *testing.B) {
 // for links, but every stalled flight consulting the LoadView (residency +
 // link pending) before re-deciding. The delta against
 // BenchmarkContentionStep is the price of load awareness; the path must
-// stay at 0 allocs/op (asserted by TestCongestedStepAllocFree and pinned
-// in BENCH_03.json).
+// stay at 0 allocs/op (asserted by TestCongestedStepAllocFree).
 func BenchmarkCongestedContentionStep(b *testing.B) {
 	sim := MustSimulation(Config{Dims: []int{16, 16}})
-	eng := sim.eng()
+	eng := sim.engine
 	eng.EnableContention(engine.ContentionConfig{LinkRate: 1, NodeCapacity: 4})
-	shape := sim.gridShape()
+	shape := sim.shape
 	r := rng.New(1)
 	type pair struct{ src, dst grid.NodeID }
 	pairs := make([]pair, 24)
@@ -727,19 +724,19 @@ func BenchmarkCongestedContentionStep(b *testing.B) {
 // 32x32 mesh with a near-saturation standing flight population, across
 // intra-step shard counts. shards=1 is the serial baseline; the ratio at
 // higher counts is the sharded stepper's per-step speedup on this host
-// (recorded in BENCH_04.json — on a single-core runner it only shows the
-// barrier overhead; the parallel phase needs GOMAXPROCS > 1 to pay off).
+// (on a single-core runner it only shows the barrier overhead; the
+// parallel phase needs GOMAXPROCS > 1 to pay off).
 // Results are byte-identical at every shard count; the step must stay
 // 0 allocs/op (TestShardedStepAllocFree).
 func BenchmarkShardedContentionStep(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			sim := MustSimulation(Config{Dims: []int{32, 32}})
-			eng := sim.eng()
+			eng := sim.engine
 			eng.EnableContention(engine.ContentionConfig{LinkRate: 1, NodeCapacity: 4})
 			eng.SetShards(shards)
 			defer eng.SetShards(1)
-			shape := sim.gridShape()
+			shape := sim.shape
 			pat, err := traffic.ByName(shape, "uniform")
 			if err != nil {
 				b.Fatal(err)
@@ -831,7 +828,7 @@ func BenchmarkSaturationPoint(b *testing.B) {
 	b.ReportMetric(float64(last.LatP99), "lat_p99")
 }
 
-// BenchmarkProbedContentionStep (BENCH_07) measures the tentpole overhead
+// BenchmarkProbedContentionStep measures the tentpole overhead
 // claim of the telemetry layer: the same near-saturation 32x32 step, bare
 // vs observed by the FULL recorder set (time series, heatmap, latency
 // histogram, live snapshot) with a census flush every step. The probed
@@ -846,9 +843,9 @@ func BenchmarkSaturationPoint(b *testing.B) {
 func BenchmarkProbedContentionStep(b *testing.B) {
 	run := func(b *testing.B, probed bool) {
 		sim := MustSimulation(Config{Dims: []int{32, 32}})
-		eng := sim.eng()
+		eng := sim.engine
 		eng.EnableContention(engine.ContentionConfig{LinkRate: 1, NodeCapacity: 4})
-		shape := sim.gridShape()
+		shape := sim.shape
 		set := &probe.Set{}
 		set.AddProbe(probe.NewTimeSeries(256))
 		set.AddProbe(probe.NewHeatmap(shape.NumNodes(), shape.NumDirs()))

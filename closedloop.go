@@ -135,14 +135,8 @@ type ClosedLoopRow struct {
 	LatP50, LatP95, LatP99, LatMax int
 }
 
-// ClosedLoopSweep runs the E21 window-size grid with all available cores.
-func ClosedLoopSweep(opt ClosedLoopOptions, seed uint64) ([]ClosedLoopRow, error) {
-	return ClosedLoopSweepWorkers(opt, seed, 0)
-}
-
-// ClosedLoopSweepWorkers is ClosedLoopSweep with an explicit worker count
-// (each (pattern, window, router) cell is one parallel job; < 1 means
-// GOMAXPROCS).
+// ClosedLoopSweepWorkers runs the E21 window-size grid (each (pattern,
+// window, router) cell is one parallel job; workers < 1 means GOMAXPROCS).
 func ClosedLoopSweepWorkers(opt ClosedLoopOptions, seed uint64, workers int) ([]ClosedLoopRow, error) {
 	if len(opt.Routers) == 0 || len(opt.Patterns) == 0 || len(opt.Windows) == 0 {
 		return nil, fmt.Errorf("ndmesh: closed-loop sweep needs at least one router, pattern and window")

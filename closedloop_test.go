@@ -99,7 +99,7 @@ func TestClosedLoopCurveShape(t *testing.T) {
 	}
 	opt := DefaultClosedLoop()
 	opt.Patterns = []string{"uniform"}
-	rows, err := ClosedLoopSweep(opt, 1)
+	rows, err := ClosedLoopSweepWorkers(opt, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,21 +137,21 @@ func TestClosedLoopConservation(t *testing.T) {
 	if err := sim.GenerateFaults(FaultPlan{Faults: 3, Interval: 12, Start: 4, Seed: 9}); err != nil {
 		t.Fatal(err)
 	}
-	eng := sim.eng()
+	eng := sim.engine
 	// Finite buffers so admission refusals exercise the defer-and-retry
 	// path (capacity must exceed the window, or the initial burst fills
 	// every buffer and the mesh gridlocks from step 0); faults so terminal
 	// outcomes other than Delivered release too.
 	eng.EnableContention(engine.ContentionConfig{LinkRate: 1, NodeCapacity: 5})
 	defer eng.DisableContention()
-	shape := sim.gridShape()
+	shape := sim.shape
 	pat, err := traffic.ByName(shape, "uniform")
 	if err != nil {
 		t.Fatal(err)
 	}
 	const window = 3
 	cl := traffic.NewClosedLoop(shape, pat, window, rng.New(5))
-	fab := sim.fabric()
+	fab := sim.mesh
 
 	injected, delivered, unreachable, lost := 0, 0, 0, 0
 	emit := func(src, dst grid.NodeID) bool {
@@ -207,10 +207,10 @@ func TestClosedLoopConservation(t *testing.T) {
 // contention step, harvest with slot release — allocates nothing.
 func TestClosedLoopStepAllocFree(t *testing.T) {
 	sim := MustSimulation(Config{Dims: []int{8, 8}})
-	eng := sim.eng()
+	eng := sim.engine
 	eng.EnableContention(engine.ContentionConfig{LinkRate: 1})
 	defer eng.DisableContention()
-	shape := sim.gridShape()
+	shape := sim.shape
 	pat, err := traffic.ByName(shape, "uniform")
 	if err != nil {
 		t.Fatal(err)
@@ -247,13 +247,13 @@ func TestClosedLoopStepAllocFree(t *testing.T) {
 // the free lists are warm.
 func TestEscapeClosedLoopStepAllocFree(t *testing.T) {
 	sim := MustSimulation(Config{Dims: []int{8, 8}})
-	eng := sim.eng()
+	eng := sim.engine
 	eng.EnableContention(engine.ContentionConfig{
 		LinkRate: 1, NodeCapacity: 3,
 		FlightTimeout: 4, GridlockWindow: 4, Bubble: true,
 	})
 	defer eng.DisableContention()
-	shape := sim.gridShape()
+	shape := sim.shape
 	pat, err := traffic.ByName(shape, "transpose")
 	if err != nil {
 		t.Fatal(err)

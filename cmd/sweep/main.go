@@ -1,8 +1,8 @@
 // sweep regenerates the experiment tables of EXPERIMENTS.md: the
-// convergence, degradation, λ-ablation, memory and oscillation studies
-// (E14-E17 of DESIGN.md) and the randomized validation of Theorems 3-5
-// (E11-E13). Each experiment prints one aligned table; -csv switches to
-// comma-separated output.
+// convergence, degradation, λ-ablation, memory, oscillation and traffic
+// studies (E14-E18 of DESIGN.md), the randomized validation of Theorems 3-5
+// (E11-E13) and the load studies (E19-E23). Each experiment prints one
+// aligned table; -csv switches to comma-separated output.
 //
 // Examples:
 //
@@ -12,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -24,89 +26,107 @@ import (
 	"ndmesh/internal/stats"
 )
 
+// config is what the flags hand every experiment.
+type config struct {
+	seed                    uint64
+	trials, workers, shards int
+	congestion              route.CongestionConfig
+	progress                func(done, total int)
+}
+
+// experiments is the one ordered list behind -exp: its names are the
+// flag's help text and the valid values, and its order is the order
+// "-exp all" prints the tables in.
+var experiments = []struct {
+	name  string
+	table func(config) (*stats.Table, error)
+}{
+	{"convergence", convergenceTable},
+	{"degradation", degradationTable},
+	{"lambda", lambdaTable},
+	{"memory", memoryTable},
+	{"oscillation", oscillationTable},
+	{"theorems", theoremsTable},
+	{"traffic", trafficTable},
+	{"saturation", saturationTable},
+	{"congestion", congestionTable},
+	{"closedloop", closedLoopTable},
+	{"gridlock", gridlockTable},
+	{"reliability", reliabilityTable},
+}
+
+// expNames renders the valid -exp values for the help text and the
+// unknown-name error.
+func expNames() string {
+	names := make([]string, 0, len(experiments)+1)
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	return strings.Join(append(names, "all"), " | ")
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("sweep: ")
-	var (
-		exp      = flag.String("exp", "all", "experiment: convergence | degradation | lambda | memory | oscillation | theorems | traffic | saturation | congestion | closedloop | gridlock | reliability | all")
-		seed     = flag.Uint64("seed", 1, "random seed")
-		trials   = flag.Int("trials", 0, "trials per cell (0 = experiment default)")
-		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		workers  = flag.Int("workers", 0, "parallel trial workers (0 = all CPUs); results are identical for every value")
-		shards   = flag.Int("shards", 1, "intra-step shard workers per load cell (saturation/congestion); results are identical for every value")
-		preset   = flag.String("congestion", "", "congested-router tuning preset for the load experiments: off | mild | aggressive (empty = library defaults)")
-		progress = flag.Bool("progress", false, "print per-cell completion of the load experiments (saturation/congestion/closedloop/gridlock) to stderr")
-	)
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
 
-	var congestion route.CongestionConfig
+// run is the whole command behind main: it parses args and prints the
+// selected experiments' tables to stdout (flag errors and usage go to
+// stderr), so main_test.go drives the CLI in-process.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		exp      = fs.String("exp", "all", "experiment: "+expNames())
+		seed     = fs.Uint64("seed", 1, "random seed")
+		trials   = fs.Int("trials", 0, "trials per cell (0 = experiment default)")
+		csv      = fs.Bool("csv", false, "emit CSV instead of aligned tables")
+		workers  = fs.Int("workers", 0, "parallel trial workers (0 = all CPUs); results are identical for every value")
+		shards   = fs.Int("shards", 1, "intra-step shard workers per load cell (saturation/congestion); results are identical for every value")
+		preset   = fs.String("congestion", "", "congested-router tuning preset for the load experiments: off | mild | aggressive (empty = library defaults)")
+		progress = fs.Bool("progress", false, "print per-cell completion of the load experiments (saturation/congestion/closedloop/gridlock) to stderr")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	cfg := config{seed: *seed, trials: *trials, workers: *workers, shards: *shards}
 	if *preset != "" {
 		var err error
-		if congestion, err = route.CongestionPresetByName(*preset); err != nil {
-			log.Fatal(err)
+		if cfg.congestion, err = route.CongestionPresetByName(*preset); err != nil {
+			return err
 		}
 	}
-
-	run := func(name string, fn func() (*stats.Table, error)) {
-		if *exp != "all" && *exp != name {
-			return
+	ran := false
+	for _, e := range experiments {
+		if *exp != "all" && *exp != e.name {
+			continue
 		}
-		tab, err := fn()
+		ran = true
+		cfg.progress = cliutil.Progress(*progress, "sweep "+e.name)
+		tab, err := e.table(cfg)
 		if err != nil {
-			log.Fatalf("%s: %v", name, err)
+			return fmt.Errorf("%s: %w", e.name, err)
 		}
 		if *csv {
-			fmt.Print(tab.CSV())
+			fmt.Fprint(stdout, tab.CSV())
 		} else {
-			fmt.Println(tab.String())
+			fmt.Fprintln(stdout, tab.String())
 		}
 	}
-
-	run("convergence", func() (*stats.Table, error) { return convergenceTable(*seed, *workers) })
-	run("degradation", func() (*stats.Table, error) { return degradationTable(*seed, *trials, *workers) })
-	run("lambda", func() (*stats.Table, error) { return lambdaTable(*seed, *trials, *workers) })
-	run("memory", func() (*stats.Table, error) { return memoryTable(*seed, *workers) })
-	run("oscillation", func() (*stats.Table, error) { return oscillationTable(*seed, *trials, *workers) })
-	run("theorems", func() (*stats.Table, error) { return theoremsTable(*seed, *trials, *workers) })
-	run("traffic", func() (*stats.Table, error) { return trafficTable(*seed, *workers) })
-	run("saturation", func() (*stats.Table, error) {
-		return saturationTable(*seed, *workers, *shards, congestion, loadProgress(*progress, "saturation"))
-	})
-	run("congestion", func() (*stats.Table, error) {
-		return congestionTable(*seed, *workers, *shards, congestion, loadProgress(*progress, "congestion"))
-	})
-	run("closedloop", func() (*stats.Table, error) {
-		return closedLoopTable(*seed, *workers, *shards, congestion, loadProgress(*progress, "closedLoop"))
-	})
-	run("gridlock", func() (*stats.Table, error) {
-		return gridlockTable(*seed, *workers, *shards, congestion, loadProgress(*progress, "gridlock"))
-	})
-	run("reliability", func() (*stats.Table, error) {
-		return reliabilityTable(*seed, *trials, *workers, *shards, congestion, loadProgress(*progress, "reliability"))
-	})
-
-	if *exp != "all" {
-		switch *exp {
-		case "convergence", "degradation", "lambda", "memory", "oscillation", "theorems", "traffic", "saturation", "congestion", "closedloop", "gridlock", "reliability":
-		default:
-			log.Printf("unknown experiment %q", *exp)
-			flag.Usage()
-			os.Exit(2)
-		}
+	if !ran {
+		return fmt.Errorf("unknown experiment %q (want %s)", *exp, expNames())
 	}
+	return nil
 }
 
-// loadProgress builds the per-cell stderr progress callback for the load
-// experiments (nil when -progress is off).
-func loadProgress(enabled bool, exp string) func(done, total int) {
-	return cliutil.Progress(enabled, "sweep "+exp)
-}
-
-func trafficTable(seed uint64, workers int) (*stats.Table, error) {
+func trafficTable(cfg config) (*stats.Table, error) {
 	tab := stats.NewTable("E18 traffic: 24 concurrent messages, 16x16, 8 dynamic faults",
 		"interval", "router", "arrived%", "extra (mean)", "backtracks", "max steps")
 	for _, interval := range []int{4, 16} {
-		rows, err := ndmesh.TrafficSweepWorkers([]int{16, 16}, 24, 8, interval, seed, workers)
+		rows, err := ndmesh.TrafficSweepWorkers([]int{16, 16}, 24, 8, interval, cfg.seed, cfg.workers)
 		if err != nil {
 			return nil, err
 		}
@@ -117,12 +137,19 @@ func trafficTable(seed uint64, workers int) (*stats.Table, error) {
 	return tab, nil
 }
 
-func congestionTable(seed uint64, workers, shards int, congestion route.CongestionConfig, progress func(done, total int)) (*stats.Table, error) {
+// The xxxOptions functions are the load experiments' configurations, apart
+// from the tables so main_test.go can run the library on the same ones.
+
+func congestionOptions(cfg config) ndmesh.CongestionShiftOptions {
 	opt := ndmesh.DefaultCongestionShift()
-	opt.Shards = shards
-	opt.Congestion = congestion
-	opt.Progress = progress
-	rows, summaries, err := ndmesh.CongestionShiftSweepWorkers(opt, seed, workers)
+	opt.Shards = cfg.shards
+	opt.Congestion = cfg.congestion
+	opt.Progress = cfg.progress
+	return opt
+}
+
+func congestionTable(cfg config) (*stats.Table, error) {
+	rows, summaries, err := ndmesh.CongestionShiftSweepWorkers(congestionOptions(cfg), cfg.seed, cfg.workers)
 	if err != nil {
 		return nil, err
 	}
@@ -141,12 +168,16 @@ func congestionTable(seed uint64, workers, shards int, congestion route.Congesti
 	return tab, nil
 }
 
-func closedLoopTable(seed uint64, workers, shards int, congestion route.CongestionConfig, progress func(done, total int)) (*stats.Table, error) {
+func closedLoopOptions(cfg config) ndmesh.ClosedLoopOptions {
 	opt := ndmesh.DefaultClosedLoop()
-	opt.Shards = shards
-	opt.Congestion = congestion
-	opt.Progress = progress
-	rows, err := ndmesh.ClosedLoopSweepWorkers(opt, seed, workers)
+	opt.Shards = cfg.shards
+	opt.Congestion = cfg.congestion
+	opt.Progress = cfg.progress
+	return opt
+}
+
+func closedLoopTable(cfg config) (*stats.Table, error) {
+	rows, err := ndmesh.ClosedLoopSweepWorkers(closedLoopOptions(cfg), cfg.seed, cfg.workers)
 	if err != nil {
 		return nil, err
 	}
@@ -159,12 +190,16 @@ func closedLoopTable(seed uint64, workers, shards int, congestion route.Congesti
 	return tab, nil
 }
 
-func gridlockTable(seed uint64, workers, shards int, congestion route.CongestionConfig, progress func(done, total int)) (*stats.Table, error) {
+func gridlockOptions(cfg config) ndmesh.GridlockOptions {
 	opt := ndmesh.DefaultGridlock()
-	opt.Shards = shards
-	opt.Congestion = congestion
-	opt.Progress = progress
-	rows, err := ndmesh.GridlockSweepWorkers(opt, seed, workers)
+	opt.Shards = cfg.shards
+	opt.Congestion = cfg.congestion
+	opt.Progress = cfg.progress
+	return opt
+}
+
+func gridlockTable(cfg config) (*stats.Table, error) {
+	rows, err := ndmesh.GridlockSweepWorkers(gridlockOptions(cfg), cfg.seed, cfg.workers)
 	if err != nil {
 		return nil, err
 	}
@@ -182,16 +217,20 @@ func gridlockTable(seed uint64, workers, shards int, congestion route.Congestion
 	return tab, nil
 }
 
-func reliabilityTable(seed uint64, trials, workers, shards int, congestion route.CongestionConfig, progress func(done, total int)) (*stats.Table, error) {
+func reliabilityOptions(cfg config) ndmesh.ReliabilityOptions {
 	opt := ndmesh.DefaultReliability()
 	opt.Routers = []string{"limited", "congested"}
-	if trials > 0 {
-		opt.Trials = trials
+	if cfg.trials > 0 {
+		opt.Trials = cfg.trials
 	}
-	opt.Shards = shards
-	opt.Congestion = congestion
-	opt.Progress = progress
-	rows, err := ndmesh.ReliabilitySweepWorkers(opt, seed, workers)
+	opt.Shards = cfg.shards
+	opt.Congestion = cfg.congestion
+	opt.Progress = cfg.progress
+	return opt
+}
+
+func reliabilityTable(cfg config) (*stats.Table, error) {
+	rows, err := ndmesh.ReliabilitySweepWorkers(reliabilityOptions(cfg), cfg.seed, cfg.workers)
 	if err != nil {
 		return nil, err
 	}
@@ -207,15 +246,19 @@ func reliabilityTable(seed uint64, trials, workers, shards int, congestion route
 	return tab, nil
 }
 
-func saturationTable(seed uint64, workers, shards int, congestion route.CongestionConfig, progress func(done, total int)) (*stats.Table, error) {
+func saturationOptions(cfg config) ndmesh.SaturationOptions {
 	opt := ndmesh.DefaultSaturation()
 	opt.Routers = []string{"limited", "congested", "blind"}
 	opt.Rates = []float64{0.05, 0.15, 0.3}
 	opt.Warmup, opt.Measure, opt.Drain = 32, 128, 128
-	opt.Shards = shards
-	opt.Congestion = congestion
-	opt.Progress = progress
-	rows, err := ndmesh.SaturationSweepWorkers(opt, seed, workers)
+	opt.Shards = cfg.shards
+	opt.Congestion = cfg.congestion
+	opt.Progress = cfg.progress
+	return opt
+}
+
+func saturationTable(cfg config) (*stats.Table, error) {
+	rows, err := ndmesh.SaturationSweepWorkers(saturationOptions(cfg), cfg.seed, cfg.workers)
 	if err != nil {
 		return nil, err
 	}
@@ -228,10 +271,10 @@ func saturationTable(seed uint64, workers, shards int, congestion route.Congesti
 	return tab, nil
 }
 
-func convergenceTable(seed uint64, workers int) (*stats.Table, error) {
+func convergenceTable(cfg config) (*stats.Table, error) {
 	rows, err := ndmesh.ConvergenceSweepWorkers([][]int{
 		{16, 16}, {24, 24}, {10, 10, 10}, {6, 6, 6, 6}, {5, 5, 5, 5, 5},
-	}, 4, seed, workers)
+	}, 4, cfg.seed, cfg.workers)
 	if err != nil {
 		return nil, err
 	}
@@ -243,13 +286,12 @@ func convergenceTable(seed uint64, workers int) (*stats.Table, error) {
 	return tab, nil
 }
 
-func degradationTable(seed uint64, trials, workers int) (*stats.Table, error) {
+func degradationTable(cfg config) (*stats.Table, error) {
 	opt := ndmesh.DefaultDegradation()
-	opt.Workers = workers
-	if trials > 0 {
-		opt.Trials = trials
+	if cfg.trials > 0 {
+		opt.Trials = cfg.trials
 	}
-	rows, err := ndmesh.DegradationSweep(opt, seed)
+	rows, err := ndmesh.DegradationSweepWorkers(opt, cfg.seed, cfg.workers)
 	if err != nil {
 		return nil, err
 	}
@@ -263,11 +305,12 @@ func degradationTable(seed uint64, trials, workers int) (*stats.Table, error) {
 	return tab, nil
 }
 
-func lambdaTable(seed uint64, trials, workers int) (*stats.Table, error) {
+func lambdaTable(cfg config) (*stats.Table, error) {
+	trials := cfg.trials
 	if trials == 0 {
 		trials = 30
 	}
-	rows, err := ndmesh.LambdaSweepWorkers([]int{16, 16}, []int{1, 2, 4, 8}, trials, seed, workers)
+	rows, err := ndmesh.LambdaSweepWorkers([]int{16, 16}, []int{1, 2, 4, 8}, trials, cfg.seed, cfg.workers)
 	if err != nil {
 		return nil, err
 	}
@@ -280,10 +323,10 @@ func lambdaTable(seed uint64, trials, workers int) (*stats.Table, error) {
 	return tab, nil
 }
 
-func memoryTable(seed uint64, workers int) (*stats.Table, error) {
+func memoryTable(cfg config) (*stats.Table, error) {
 	rows, err := ndmesh.MemorySweepWorkers([][]int{
 		{16, 16}, {32, 32}, {10, 10, 10}, {6, 6, 6, 6},
-	}, []int{2, 4, 8}, seed, workers)
+	}, []int{2, 4, 8}, cfg.seed, cfg.workers)
 	if err != nil {
 		return nil, err
 	}
@@ -295,11 +338,12 @@ func memoryTable(seed uint64, workers int) (*stats.Table, error) {
 	return tab, nil
 }
 
-func oscillationTable(seed uint64, trials, workers int) (*stats.Table, error) {
+func oscillationTable(cfg config) (*stats.Table, error) {
+	trials := cfg.trials
 	if trials == 0 {
 		trials = 20
 	}
-	rows, err := ndmesh.OscillationSweepWorkers([]int{16, 16}, 6, []int{2, 4, 8, 16, 32}, trials, seed, workers)
+	rows, err := ndmesh.OscillationSweepWorkers([]int{16, 16}, 6, []int{2, 4, 8, 16, 32}, trials, cfg.seed, cfg.workers)
 	if err != nil {
 		return nil, err
 	}
@@ -312,7 +356,8 @@ func oscillationTable(seed uint64, trials, workers int) (*stats.Table, error) {
 	return tab, nil
 }
 
-func theoremsTable(seed uint64, trials, workers int) (*stats.Table, error) {
+func theoremsTable(cfg config) (*stats.Table, error) {
+	trials := cfg.trials
 	if trials == 0 {
 		trials = 60
 	}
@@ -320,7 +365,7 @@ func theoremsTable(seed uint64, trials, workers int) (*stats.Table, error) {
 		fmt.Sprintf("E11-E13 theorem validation: randomized conforming schedules, %d trials/mesh", trials),
 		"mesh", "trials", "safe", "unsafe", "skipped", "arrived", "viol T3", "viol T4", "viol T5", "extra (mean)", "bound (mean)")
 	for _, dims := range [][]int{{16, 16}, {10, 10, 10}} {
-		rep, err := ndmesh.TheoremSweepWorkers(dims, trials, seed, workers)
+		rep, err := ndmesh.TheoremSweepWorkers(dims, trials, cfg.seed, cfg.workers)
 		if err != nil {
 			return nil, err
 		}

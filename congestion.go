@@ -107,14 +107,9 @@ type CongestionShiftSummary struct {
 	ShiftPct float64
 }
 
-// CongestionShiftSweep runs the E20 grid with all available cores.
-func CongestionShiftSweep(opt CongestionShiftOptions, seed uint64) ([]CongestionShiftRow, []CongestionShiftSummary, error) {
-	return CongestionShiftSweepWorkers(opt, seed, 0)
-}
-
-// CongestionShiftSweepWorkers is CongestionShiftSweep with an explicit
-// worker count (each (pattern, rate) cell is one parallel job; < 1 means
-// GOMAXPROCS, and the results are identical for every value).
+// CongestionShiftSweepWorkers runs the E20 grid (each (pattern, rate) cell
+// is one parallel job; workers < 1 means GOMAXPROCS, and the results are
+// identical for every value).
 func CongestionShiftSweepWorkers(opt CongestionShiftOptions, seed uint64, workers int) ([]CongestionShiftRow, []CongestionShiftSummary, error) {
 	sopt := SaturationOptions{
 		Dims: opt.Dims, Lambda: opt.Lambda,

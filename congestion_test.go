@@ -92,7 +92,7 @@ func TestCongestionShiftAtSaturation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full E20 grid is a few million flight-steps")
 	}
-	_, sums, err := CongestionShiftSweep(DefaultCongestionShift(), 1)
+	_, sums, err := CongestionShiftSweepWorkers(DefaultCongestionShift(), 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,8 +19,7 @@ func TestGoldenDegradationSweep(t *testing.T) {
 	opt.Dims = []int{12, 12}
 	opt.Trials = 6
 	opt.Intervals = []int{4, 32}
-	opt.Workers = 1
-	rows, err := DegradationSweep(opt, 77)
+	rows, err := DegradationSweepWorkers(opt, 77, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

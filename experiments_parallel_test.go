@@ -2,6 +2,7 @@ package ndmesh
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -12,122 +13,62 @@ import (
 
 var parWorkerCounts = []int{2, 3, 8}
 
-func TestParallelTheoremSweepDeterministic(t *testing.T) {
-	serial, err := TheoremSweepWorkers([]int{12, 12}, 10, 42, 1)
-	if err != nil {
-		t.Fatal(err)
+func TestProtocolSweepsDeterministicAcrossWorkers(t *testing.T) {
+	degradation := DefaultDegradation()
+	degradation.Dims = []int{12, 12}
+	degradation.Trials = 4
+	degradation.Intervals = []int{4, 32}
+	sweeps := []struct {
+		name string
+		run  func(workers int) (any, error)
+	}{
+		{"theorems", func(w int) (any, error) { return TheoremSweepWorkers([]int{12, 12}, 10, 42, w) }},
+		{"degradation", func(w int) (any, error) { return DegradationSweepWorkers(degradation, 7, w) }},
+		{"convergence", func(w int) (any, error) {
+			return ConvergenceSweepWorkers([][]int{{12, 12}, {8, 8, 8}, {14, 14}}, 3, 11, w)
+		}},
+		{"lambda", func(w int) (any, error) { return LambdaSweepWorkers([]int{12, 12}, []int{1, 4}, 4, 5, w) }},
+		{"memory", func(w int) (any, error) {
+			return MemorySweepWorkers([][]int{{12, 12}, {8, 8, 8}}, []int{2, 4}, 3, w)
+		}},
+		{"oscillation", func(w int) (any, error) {
+			return OscillationSweepWorkers([]int{12, 12}, 4, []int{4, 12}, 3, 9, w)
+		}},
+		{"traffic", func(w int) (any, error) { return TrafficSweepWorkers([]int{14, 14}, 8, 4, 10, 21, w) }},
 	}
-	for _, w := range parWorkerCounts {
-		got, err := TheoremSweepWorkers([]int{12, 12}, 10, 42, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != serial {
-			t.Errorf("workers=%d: %+v != serial %+v", w, got, serial)
-		}
-	}
-}
-
-func TestParallelDegradationSweepDeterministic(t *testing.T) {
-	opt := DefaultDegradation()
-	opt.Dims = []int{12, 12}
-	opt.Trials = 4
-	opt.Intervals = []int{4, 32}
-	opt.Workers = 1
-	serial, err := DegradationSweep(opt, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range parWorkerCounts {
-		opt.Workers = w
-		got, err := DegradationSweep(opt, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, serial) {
-			t.Errorf("workers=%d:\n got %+v\nwant %+v", w, got, serial)
-		}
-	}
-}
-
-func TestParallelConvergenceSweepDeterministic(t *testing.T) {
-	shapes := [][]int{{12, 12}, {8, 8, 8}, {14, 14}}
-	serial, err := ConvergenceSweepWorkers(shapes, 3, 11, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range parWorkerCounts {
-		got, err := ConvergenceSweepWorkers(shapes, 3, 11, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, serial) {
-			t.Errorf("workers=%d:\n got %+v\nwant %+v", w, got, serial)
-		}
+	for _, sw := range sweeps {
+		t.Run(sw.name, func(t *testing.T) {
+			serial, err := sw.run(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range parWorkerCounts {
+				got, err := sw.run(w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, serial) {
+					t.Errorf("workers=%d:\n got %+v\nwant %+v", w, got, serial)
+				}
+			}
+		})
 	}
 }
 
-func TestParallelLambdaSweepDeterministic(t *testing.T) {
-	serial, err := LambdaSweepWorkers([]int{12, 12}, []int{1, 4}, 4, 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range parWorkerCounts {
-		got, err := LambdaSweepWorkers([]int{12, 12}, []int{1, 4}, 4, 5, w)
-		if err != nil {
-			t.Fatal(err)
+// TestProtocolSweepFailingJob pins what a protocol sweep inherits from
+// runGrid when jobs fail: the lowest failing index's error, whatever the
+// scheduling, and no partial rows. A 3x3 mesh has a one-node interior, so
+// fault.Generate cannot grow a block there (job 1); a zero radix is refused
+// by the shape itself (job 2).
+func TestProtocolSweepFailingJob(t *testing.T) {
+	shapes := [][]int{{12, 12}, {3, 3}, {0}}
+	for _, w := range []int{1, 2} {
+		rows, err := ConvergenceSweepWorkers(shapes, 3, 11, w)
+		if err == nil || !strings.HasPrefix(err.Error(), "fault:") {
+			t.Errorf("workers=%d: error %v, want job 1's fault.Generate error", w, err)
 		}
-		if !reflect.DeepEqual(got, serial) {
-			t.Errorf("workers=%d:\n got %+v\nwant %+v", w, got, serial)
-		}
-	}
-}
-
-func TestParallelMemorySweepDeterministic(t *testing.T) {
-	shapes := [][]int{{12, 12}, {8, 8, 8}}
-	serial, err := MemorySweepWorkers(shapes, []int{2, 4}, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range parWorkerCounts {
-		got, err := MemorySweepWorkers(shapes, []int{2, 4}, 3, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, serial) {
-			t.Errorf("workers=%d:\n got %+v\nwant %+v", w, got, serial)
-		}
-	}
-}
-
-func TestParallelOscillationSweepDeterministic(t *testing.T) {
-	serial, err := OscillationSweepWorkers([]int{12, 12}, 4, []int{4, 12}, 3, 9, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range parWorkerCounts {
-		got, err := OscillationSweepWorkers([]int{12, 12}, 4, []int{4, 12}, 3, 9, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, serial) {
-			t.Errorf("workers=%d:\n got %+v\nwant %+v", w, got, serial)
-		}
-	}
-}
-
-func TestParallelTrafficSweepDeterministic(t *testing.T) {
-	serial, err := TrafficSweepWorkers([]int{14, 14}, 8, 4, 10, 21, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range parWorkerCounts {
-		got, err := TrafficSweepWorkers([]int{14, 14}, 8, 4, 10, 21, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, serial) {
-			t.Errorf("workers=%d:\n got %+v\nwant %+v", w, got, serial)
+		if rows != nil {
+			t.Errorf("workers=%d: rows %+v alongside an error, want nil", w, rows)
 		}
 	}
 }

@@ -3,7 +3,7 @@ package ndmesh
 import "testing"
 
 func TestSmokeTheoremSweep(t *testing.T) {
-	rep, err := TheoremSweep([]int{12, 12}, 5, 42)
+	rep, err := TheoremSweepWorkers([]int{12, 12}, 5, 42, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +21,7 @@ func TestSmokeDegradation(t *testing.T) {
 	opt.Dims = []int{12, 12}
 	opt.Trials = 3
 	opt.Intervals = []int{4, 32}
-	rows, err := DegradationSweep(opt, 7)
+	rows, err := DegradationSweepWorkers(opt, 7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestSmokeDegradation(t *testing.T) {
 }
 
 func TestSmokeConvergence(t *testing.T) {
-	rows, err := ConvergenceSweep([][]int{{12, 12}, {8, 8, 8}}, 3, 11)
+	rows, err := ConvergenceSweepWorkers([][]int{{12, 12}, {8, 8, 8}}, 3, 11, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestSmokeConvergence(t *testing.T) {
 }
 
 func TestSmokeTraffic(t *testing.T) {
-	rows, err := TrafficSweep([]int{14, 14}, 8, 4, 10, 21)
+	rows, err := TrafficSweepWorkers([]int{14, 14}, 8, 4, 10, 21, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func TestFigure2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := sim.store().At(id)
+	recs := sim.model.Store.At(id)
 	if len(recs) == 0 {
 		t.Fatal("3-level corner holds no block record")
 	}
@@ -64,17 +64,17 @@ func TestFigure3(t *testing.T) {
 	sim := fig1Sim(t)
 	// (4,2,3): inside the -Y shadow (x,z within span, y below): no record.
 	inShadow, _ := sim.NodeAt(C(4, 2, 3))
-	if len(sim.store().At(inShadow)) != 0 {
+	if len(sim.model.Store.At(inShadow)) != 0 {
 		t.Error("shadow interior should hold no record")
 	}
 	// (2,2,3): on the x=lo-1 wall below the block: record present.
 	onWall, _ := sim.NodeAt(C(2, 2, 3))
-	if len(sim.store().At(onWall)) == 0 {
+	if len(sim.model.Store.At(onWall)) == 0 {
 		t.Error("wall node should hold the record")
 	}
 	// (2,9,4): the wall continues on the +Y side up to the border.
 	above, _ := sim.NodeAt(C(2, 9, 4))
-	if len(sim.store().At(above)) == 0 {
+	if len(sim.model.Store.At(above)) == 0 {
 		t.Error("+Y wall node should hold the record")
 	}
 }
@@ -94,7 +94,7 @@ func TestFigure4(t *testing.T) {
 	// The old block's boundary on the x=6 side must be gone: (6,2,3) was
 	// a wall node of [3:5,...] but is not on [3:4,...]'s placement.
 	stale, _ := sim.NodeAt(C(6, 2, 3))
-	if len(sim.store().At(stale)) != 0 {
+	if len(sim.model.Store.At(stale)) != 0 {
 		t.Error("stale boundary record survived the recovery")
 	}
 }
@@ -112,7 +112,7 @@ func TestFigure5And6(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(sim.store().At(id)) == 0 {
+		if len(sim.model.Store.At(id)) == 0 {
 			t.Errorf("corner %v lacks the identified record", c)
 		}
 	}

@@ -159,14 +159,8 @@ func gridlockMechanism(name string) (timeout, bubble bool, err error) {
 	return false, false, fmt.Errorf("ndmesh: unknown escape mechanism %q (want none|retry|bubble|retry+bubble)", name)
 }
 
-// GridlockSweep runs the E22 phase diagram with all available cores.
-func GridlockSweep(opt GridlockOptions, seed uint64) ([]GridlockRow, error) {
-	return GridlockSweepWorkers(opt, seed, 0)
-}
-
-// GridlockSweepWorkers is GridlockSweep with an explicit worker count (each
-// scenario cell — all its mechanism arms — is one parallel job; < 1 means
-// GOMAXPROCS).
+// GridlockSweepWorkers runs the E22 phase diagram (each scenario cell — all
+// its mechanism arms — is one parallel job; workers < 1 means GOMAXPROCS).
 func GridlockSweepWorkers(opt GridlockOptions, seed uint64, workers int) ([]GridlockRow, error) {
 	if opt.Router == "" {
 		opt.Router = "limited"

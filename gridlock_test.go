@@ -117,7 +117,7 @@ func TestGoldenGridlockSweep(t *testing.T) {
 // every escape mechanism turns the wedge into a completing run with more
 // delivered throughput.
 func TestGridlockEscapeAcceptance(t *testing.T) {
-	rows, err := GridlockSweep(gridlockBoundaryCell(GridlockMechanisms...), 5)
+	rows, err := GridlockSweepWorkers(gridlockBoundaryCell(GridlockMechanisms...), 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestGridlockDetectionCutsRunShort(t *testing.T) {
 	var rows []GridlockRow
 	go func() {
 		var err error
-		rows, err = GridlockSweep(opt, 1)
+		rows, err = GridlockSweepWorkers(opt, 1, 0)
 		done <- err
 	}()
 	select {

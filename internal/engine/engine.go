@@ -23,7 +23,7 @@
 //     consumed first); ClearFlights retires the flight population only;
 //     DetachDone is the per-step harvest. Together with the recycling in
 //     Inject they make the steady-state step 0 allocs/op — asserted by
-//     the Test*AllocFree tests and recorded in the BENCH_*.json baselines.
+//     the Test*AllocFree tests.
 //   - Layout: a step is memory-bound, so per-flight state is laid out for
 //     the loop that walks it. A Flight holds its message header by value
 //     and comes from a slab; the flight list keeps the live flights as a

@@ -17,8 +17,8 @@
 //     count — including floating-point means, whose value depends on
 //     addition order.
 //
-// Under this contract, For(1, ...) and For(runtime.GOMAXPROCS(0), ...)
-// produce indistinguishable output, which experiments_parallel_test.go
+// Under this contract, ForState(1, ...) and ForState(runtime.GOMAXPROCS(0),
+// ...) produce indistinguishable output, which experiments_parallel_test.go
 // asserts for every sweep in the repository.
 package par
 
@@ -37,25 +37,20 @@ func Workers(n int) int {
 	return n
 }
 
-// For runs job(i) for every i in [0, n) across at most workers goroutines.
+// ForState runs job(s, i) for every i in [0, n) across at most workers
+// goroutines. Each worker calls newState once and passes the value to every
+// job it claims; sweeps use it to reuse one simulation (mesh, info store,
+// detector, router scratch) across all the trials a worker executes, so a
+// trial restart is a cheap Reset instead of a reallocation.
+//
 // Jobs are claimed from an atomic counter, so scheduling order is
 // nondeterministic — the caller must follow the package's determinism
 // contract (pre-seeded jobs, per-index result slots, in-order aggregation).
 //
-// If any jobs return errors, For waits for all workers to drain and returns
-// the error of the lowest job index, so the reported error does not depend
-// on goroutine scheduling. With workers <= 1 the jobs run inline on the
-// calling goroutine in index order.
-func For(workers, n int, job func(i int) error) error {
-	return ForState(workers, n, func() struct{} { return struct{}{} },
-		func(_ struct{}, i int) error { return job(i) })
-}
-
-// ForState is For with per-worker state: each worker calls newState once and
-// passes the value to every job it claims. Sweeps use it to reuse one
-// simulation (mesh, info store, detector, router scratch) across all the
-// trials a worker executes, so a trial restart is a cheap Reset instead of a
-// reallocation.
+// If any jobs return errors, ForState waits for all workers to drain and
+// returns the error of the lowest job index, so the reported error does not
+// depend on goroutine scheduling. With workers <= 1 the jobs run inline on
+// the calling goroutine in index order.
 func ForState[S any](workers, n int, newState func() S, job func(s S, i int) error) error {
 	if n <= 0 {
 		return nil

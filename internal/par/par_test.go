@@ -7,11 +7,14 @@ import (
 	"testing"
 )
 
+// noState is the newState of the tests that exercise only the index fan-out.
+func noState() struct{} { return struct{}{} }
+
 func TestForCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 64} {
 		const n = 500
 		counts := make([]int32, n)
-		err := For(workers, n, func(i int) error {
+		err := ForState(workers, n, noState, func(_ struct{}, i int) error {
 			atomic.AddInt32(&counts[i], 1)
 			return nil
 		})
@@ -27,14 +30,14 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 }
 
 func TestForEmpty(t *testing.T) {
-	if err := For(4, 0, func(int) error { return errors.New("must not run") }); err != nil {
+	if err := ForState(4, 0, noState, func(struct{}, int) error { return errors.New("must not run") }); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestForReturnsLowestIndexError(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
-		err := For(workers, 100, func(i int) error {
+		err := ForState(workers, 100, noState, func(_ struct{}, i int) error {
 			if i%30 == 7 { // fails at 7, 37, 67, 97
 				return fmt.Errorf("job %d", i)
 			}
@@ -86,7 +89,7 @@ func TestForDeterministicResultOrder(t *testing.T) {
 	sum := func(workers int) float64 {
 		const n = 1000
 		res := make([]float64, n)
-		if err := For(workers, n, func(i int) error {
+		if err := ForState(workers, n, noState, func(_ struct{}, i int) error {
 			res[i] = 1.0 / float64(i+1)
 			return nil
 		}); err != nil {

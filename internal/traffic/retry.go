@@ -100,9 +100,6 @@ func (q *RetrySource) Settle(src grid.NodeID) { q.attempts[src] = 0 }
 // retry.
 func (q *RetrySource) Retried() int { return q.retried }
 
-// Pending returns the retries scheduled but not yet re-offered.
-func (q *RetrySource) Pending() int { return len(q.pending) }
-
 // PendingMeasured returns the pending retries whose killed flight was
 // attributed to the measurement window — the requests that will be
 // dropped if injection closes before their backoff expires.

@@ -36,7 +36,6 @@ import (
 	"ndmesh/internal/engine"
 	"ndmesh/internal/fault"
 	"ndmesh/internal/grid"
-	"ndmesh/internal/info"
 	"ndmesh/internal/mesh"
 	"ndmesh/internal/rng"
 	"ndmesh/internal/route"
@@ -327,17 +326,27 @@ func (s *Simulation) Route(src, dst Coord, router string) (RouteResult, error) {
 	if err != nil {
 		return RouteResult{}, err
 	}
+	return s.routeIDs(srcID, dstID, router)
+}
+
+// routeIDs is Route on node ids (the sweeps draw ids, not coordinates).
+func (s *Simulation) routeIDs(src, dst NodeID, router string) (RouteResult, error) {
 	r, err := route.ByName(router)
 	if err != nil {
 		return RouteResult{}, err
 	}
-	fl, err := s.engine.Inject(srcID, dstID, r)
+	fl, err := s.engine.Inject(src, dst, r)
 	if err != nil {
 		return RouteResult{}, err
 	}
-	budget := 16*s.shape.Diameter() + s.sched.LastStep() + 4*s.shape.NumNodes()
-	s.engine.RunFlights(budget)
+	s.engine.RunFlights(s.flightBudget())
 	return s.result(fl), nil
+}
+
+// flightBudget is the step budget of a run-until-terminated: the schedule
+// horizon plus room for any detour the routers can take.
+func (s *Simulation) flightBudget() int {
+	return 16*s.shape.Diameter() + s.sched.LastStep() + 4*s.shape.NumNodes()
 }
 
 func (s *Simulation) result(fl *engine.Flight) RouteResult {
@@ -429,13 +438,3 @@ func (s *Simulation) Render(fixed Coord) string {
 	return viz.Render(s.mesh, viz.Options{Fixed: fixed, Store: s.model.Store,
 		Source: grid.InvalidNode, Dest: grid.InvalidNode})
 }
-
-// internal accessors for experiments.go, cmd and root tests.
-
-func (s *Simulation) coreModel() *core.Model        { return s.model }
-func (s *Simulation) eng() *engine.Engine           { return s.engine }
-func (s *Simulation) fabric() *mesh.Mesh            { return s.mesh }
-func (s *Simulation) store() *info.Store            { return s.model.Store }
-func (s *Simulation) schedule() *fault.Schedule     { return s.sched }
-func (s *Simulation) gridShape() *grid.Shape        { return s.shape }
-func (s *Simulation) events() []*engine.EventRecord { return s.engine.Events }

@@ -1,28 +1,34 @@
 package ndmesh
 
-// This file is the engine-pool lifecycle behind the meshd daemon
-// (internal/server): a shared, concurrency-safe reservoir of warm
-// Simulations that sweep workers draw from instead of constructing their
-// own, and return to when the sweep ends. The Reset contract (every layer
-// rewinds without reallocating, pinned by reset_test.go) is what makes the
-// reservoir sound: a returned simulation is indistinguishable from a fresh
-// one after Reset, so which warm simulation a job receives can never reach
-// its results. loadPoint's deferred cleanup (flights detached, contention
-// off, shards released — TestLoadPointLeavesEngineClean) is what makes it
-// safe: simulations come back clean on every exit path, cancellation
-// included, which EnginePool.VerifyClean audits.
+// This file is the simulation-reuse lifecycle under every sweep. A worker
+// of runGrid (rungrid.go) holds a simPool — one reusable Simulation per
+// (mesh shape, λ), confined to that worker — so a trial restart is a Reset
+// instead of a construction. Behind the meshd daemon (internal/server) the
+// simPools are in turn bound to an EnginePool: a shared, concurrency-safe
+// reservoir of warm Simulations that sweep workers draw from instead of
+// constructing their own, and return to when the sweep ends. The Reset
+// contract (every layer rewinds without reallocating, pinned by
+// reset_test.go) is what makes reuse sound: a reused simulation is
+// indistinguishable from a fresh one after Reset, so which warm simulation
+// a job receives can never reach its results. loadPoint's deferred cleanup
+// (flights detached, contention off, shards released —
+// TestLoadPointLeavesEngineClean) is what makes it safe: simulations come
+// back clean on every exit path, cancellation included, which
+// EnginePool.VerifyClean audits.
 //
-// The pool threads into the sweeps through the Pool field of
+// The EnginePool threads into the sweeps through the Pool field of
 // SaturationOptions / ClosedLoopOptions / ReliabilityOptions / LoadOptions:
-// runGrid (rungrid.go) binds each worker's simPool to the shared reservoir
-// (simPool.get tries take before constructing and reports a construction
-// through noteBuilt) and puts every drawn simulation back once the fan-out
-// has drained — success, error or cancellation alike.
+// runGrid binds each worker's simPool to the shared reservoir (simPool.get
+// tries take before constructing and reports a construction through
+// noteBuilt) and puts every drawn simulation back once the fan-out has
+// drained — success, error or cancellation alike.
 
 import (
 	"errors"
 	"fmt"
 	"sync"
+
+	"ndmesh/internal/fault"
 )
 
 // ErrCanceled is returned by the sweeps and LoadRun when the caller's
@@ -35,6 +41,57 @@ var ErrCanceled = errors.New("ndmesh: run canceled")
 // of its Cancel hook: frequent enough that a wedged multi-thousand-step
 // cell aborts promptly, rare enough to stay invisible on the hot path.
 const cancelCheckInterval = 64
+
+// simPool is the per-worker state of a sweep: one reusable Simulation per
+// (shape, λ) pair. A pool is confined to a single worker goroutine, so no
+// locking is needed; pools never share simulations. When shared is
+// non-nil (a load sweep run against an EnginePool), get first tries the
+// shared reservoir's warm simulations before constructing, and runGrid
+// hands every held simulation back when its fan-out ends.
+type simPool struct {
+	sims   map[simKey]*Simulation
+	shared *EnginePool
+}
+
+type simKey struct {
+	dims   string
+	lambda int
+}
+
+func newSimPool() *simPool { return &simPool{sims: make(map[simKey]*Simulation)} }
+
+// get returns a fault-free simulation of the given shape and λ, resetting
+// and reusing a previously built one when possible — the worker's own
+// first, then the shared reservoir's, then a fresh construction.
+func (p *simPool) get(dims []int, lambda int) (*Simulation, error) {
+	key := simKey{fmt.Sprint(dims), lambda}
+	if sim, ok := p.sims[key]; ok {
+		sim.Reset()
+		return sim, nil
+	}
+	if p.shared != nil {
+		if sim := p.shared.take(key); sim != nil {
+			sim.Reset()
+			p.sims[key] = sim
+			return sim, nil
+		}
+	}
+	sim, err := NewSimulation(Config{Dims: dims, Lambda: lambda})
+	if err != nil {
+		return nil, err
+	}
+	if p.shared != nil {
+		p.shared.noteBuilt()
+	}
+	p.sims[key] = sim
+	return sim, nil
+}
+
+// setSchedule copies a generated schedule into the simulation. The copy (not
+// an alias) keeps the sim's schedule buffer self-owned across resets.
+func setSchedule(sim *Simulation, sched *fault.Schedule) {
+	sim.sched.Events = append(sim.sched.Events[:0], sched.Events...)
+}
 
 // PoolStats counts an EnginePool's checkout traffic. The daemon's result
 // cache is validated against it: a cache-hit submission must leave
@@ -136,7 +193,7 @@ func (p *EnginePool) VerifyClean() error {
 	for _, sims := range p.idle {
 		for _, sim := range sims {
 			total++
-			eng := sim.eng()
+			eng := sim.engine
 			flights += len(eng.Flights())
 			for _, r := range eng.ResidencyCensus() {
 				if r != 0 {

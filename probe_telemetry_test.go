@@ -145,7 +145,7 @@ func TestProbedSweepWorkerDeterministic(t *testing.T) {
 
 	multi := DefaultClosedLoop()
 	multi.Probe = probe.NewTimeSeries(8)
-	if _, err := ClosedLoopSweep(multi, 1); err == nil {
+	if _, err := ClosedLoopSweepWorkers(multi, 1, 0); err == nil {
 		t.Error("probed multi-cell sweep was not refused")
 	}
 }

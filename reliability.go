@@ -142,13 +142,8 @@ type ReliabilityRow struct {
 	LatMax                 int
 }
 
-// ReliabilitySweep runs the E23 reliability grid with all available cores.
-func ReliabilitySweep(opt ReliabilityOptions, seed uint64) ([]ReliabilityRow, error) {
-	return ReliabilitySweepWorkers(opt, seed, 0)
-}
-
-// ReliabilitySweepWorkers is ReliabilitySweep with an explicit worker
-// count (each Monte-Carlo trial is one parallel job; < 1 means GOMAXPROCS).
+// ReliabilitySweepWorkers runs the E23 reliability grid (each Monte-Carlo
+// trial is one parallel job; workers < 1 means GOMAXPROCS).
 func ReliabilitySweepWorkers(opt ReliabilityOptions, seed uint64, workers int) ([]ReliabilityRow, error) {
 	if len(opt.Routers) == 0 || len(opt.Patterns) == 0 || len(opt.FaultRates) == 0 {
 		return nil, fmt.Errorf("ndmesh: reliability sweep needs at least one router, pattern and fault rate")

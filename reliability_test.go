@@ -103,7 +103,7 @@ func TestGoldenReliabilitySweep(t *testing.T) {
 // cannot improve the delivered fraction.
 func TestReliabilityCurveDegradesWithRate(t *testing.T) {
 	opt := smallReliability()
-	rows, err := ReliabilitySweep(opt, 11)
+	rows, err := ReliabilitySweepWorkers(opt, 11, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

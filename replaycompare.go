@@ -61,14 +61,8 @@ type ReplayCompareRow struct {
 	Point  traffic.LoadPoint
 }
 
-// ReplayCompareSweep replays one trace across every router with all
-// available cores.
-func ReplayCompareSweep(opt ReplayCompareOptions, seed uint64) ([]ReplayCompareRow, error) {
-	return ReplayCompareSweepWorkers(opt, seed, 0)
-}
-
-// ReplayCompareSweepWorkers is ReplayCompareSweep with an explicit worker
-// count (each router arm is one parallel job; < 1 means GOMAXPROCS).
+// ReplayCompareSweepWorkers replays one trace across every router (each
+// router arm is one parallel job; workers < 1 means GOMAXPROCS).
 func ReplayCompareSweepWorkers(opt ReplayCompareOptions, seed uint64, workers int) ([]ReplayCompareRow, error) {
 	if opt.Trace == nil {
 		return nil, fmt.Errorf("ndmesh: replay comparison needs a trace")

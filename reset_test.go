@@ -72,7 +72,7 @@ func TestResetAfterPartialRun(t *testing.T) {
 	if err := reused.GenerateFaults(FaultPlan{Faults: 6, Interval: 5, Start: 1, Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reused.eng().Inject(reused.shape.Index(C(1, 1)), reused.shape.Index(C(12, 12)), route.Limited{}); err != nil {
+	if _, err := reused.engine.Inject(reused.shape.Index(C(1, 1)), reused.shape.Index(C(12, 12)), route.Limited{}); err != nil {
 		t.Fatal(err)
 	}
 	reused.RunSteps(11) // mid-schedule, mid-flight, mid-construction

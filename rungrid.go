@@ -1,12 +1,13 @@
 package ndmesh
 
-// This file is the one fan-out every load sweep (E19-E23, replay-compare)
-// and LoadRun goes through. runGrid owns what the determinism contract
-// needs done in one order — per-job rng streams split serially before the
-// fan-out, each job writing only its own result slot, any fold over the
-// slots left to the caller's serial pass afterwards — and the engine-pool
-// lifecycle (pool.go): worker simPools bound to the shared reservoir, every
-// drawn simulation handed back once the fan-out has drained.
+// This file is the one fan-out every sweep (the protocol studies E11-E18,
+// the load studies E19-E23, replay-compare) and LoadRun goes through.
+// runGrid owns what the determinism contract needs done in one order —
+// per-job rng streams split serially before the fan-out, each job writing
+// only its own result slot, any fold over the slots left to the caller's
+// serial pass afterwards — and the simulation-reuse lifecycle (pool.go):
+// one simPool per worker, bound to the shared reservoir when there is one,
+// every drawn simulation handed back once the fan-out has drained.
 
 import (
 	"sync"
@@ -24,6 +25,17 @@ type fanOut struct {
 	pool     *EnginePool
 	cancel   func() bool
 	progress func(done, total int)
+}
+
+// splitN pre-draws n child rng streams from the sweep seed, in job-index
+// order — the serial prelude that makes the parallel fan-out deterministic.
+func splitN(seed uint64, n int) []*rng.Source {
+	r := rng.New(seed)
+	out := make([]*rng.Source, n)
+	for i := range out {
+		out[i] = r.Split()
+	}
+	return out
 }
 
 // runGrid runs job(p, j, r) for every j in [0, jobs) on the j-th stream

@@ -249,9 +249,8 @@ func TestNegativeEscapeParametersAreOff(t *testing.T) {
 }
 
 // TestOneFanOut is the structural half of "one sweep runner": par.ForState
-// is called from exactly two non-test files of the root package — the load
-// sweeps' runner and experiments.go's protocol sweeps — so a seventh
-// hand-rolled fan-out skeleton fails here instead of drifting.
+// is called from exactly one non-test file of the root package — runGrid's
+// — so a hand-rolled fan-out skeleton fails here instead of drifting.
 func TestOneFanOut(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, ".", func(fi os.FileInfo) bool {
@@ -276,7 +275,7 @@ func TestOneFanOut(t *testing.T) {
 		}
 	}
 	sort.Strings(callers)
-	if want := []string{"experiments.go", "rungrid.go"}; !reflect.DeepEqual(callers, want) {
-		t.Errorf("par.ForState is called from %v, want exactly %v: route a load sweep through runGrid instead of a new fan-out", callers, want)
+	if want := []string{"rungrid.go"}; !reflect.DeepEqual(callers, want) {
+		t.Errorf("par.ForState is called from %v, want exactly %v: route a sweep through runGrid instead of a new fan-out", callers, want)
 	}
 }

@@ -4,9 +4,9 @@ package ndmesh
 // contention-mode engine with internal/traffic's workloads — open-loop
 // injection (E19), closed-loop bounded-window sources (E21, closedloop.go)
 // and recorded-trace replays — through the warmup/measure/drain methodology
-// and emits latency-throughput curves. SaturationSweep fans the (pattern,
-// rate, router) grid out through runGrid (rungrid.go) under the same
-// determinism contract as every other sweep: per-job rng streams are split
+// and emits latency-throughput curves. SaturationSweepWorkers fans the
+// (pattern, rate, router) grid out through runGrid (rungrid.go) under the
+// same determinism contract as every other sweep: per-job rng streams are split
 // serially in job order, each job writes only its own result slot, and
 // aggregation is a serial pass — so the output is byte-identical for every
 // worker count.
@@ -166,15 +166,9 @@ type SaturationRow struct {
 	LatMax                 int
 }
 
-// SaturationSweep runs the latency-throughput grid with all available
-// cores.
-func SaturationSweep(opt SaturationOptions, seed uint64) ([]SaturationRow, error) {
-	return SaturationSweepWorkers(opt, seed, 0)
-}
-
-// SaturationSweepWorkers is SaturationSweep with an explicit worker count
-// (each (pattern, rate, router) cell is one parallel job; < 1 means
-// GOMAXPROCS, and the rows are identical for every value).
+// SaturationSweepWorkers runs the latency-throughput grid (each (pattern,
+// rate, router) cell is one parallel job; workers < 1 means GOMAXPROCS, and
+// the rows are identical for every value).
 func SaturationSweepWorkers(opt SaturationOptions, seed uint64, workers int) ([]SaturationRow, error) {
 	if err := validateSaturation(&opt); err != nil {
 		return nil, err
@@ -352,7 +346,7 @@ func (p *simPool) loadPoint(opt SaturationOptions, wl workload, router string, r
 	if err != nil {
 		return traffic.LoadPoint{}, err
 	}
-	shape := sim.gridShape()
+	shape := sim.shape
 	// recFaults is the fault schedule a recording must carry. It is only
 	// copied into wl.record after the recorder attaches, because attaching
 	// resets the trace (including any stale fault schedule).
@@ -482,7 +476,7 @@ func (p *simPool) loadPoint(opt SaturationOptions, wl workload, router string, r
 	}
 	closed := wl.closedLoop()
 
-	eng := sim.eng()
+	eng := sim.engine
 	eng.EnableContention(engine.ContentionConfig{
 		LinkRate:       opt.LinkRate,
 		NodeCapacity:   opt.NodeCapacity,
@@ -521,7 +515,7 @@ func (p *simPool) loadPoint(opt SaturationOptions, wl workload, router string, r
 	var col traffic.Collector
 	col.Reset(ph)
 
-	fab := sim.fabric()
+	fab := sim.mesh
 	var injectErr error
 	step := 0
 	emit := func(src, dst grid.NodeID) bool {
@@ -764,8 +758,8 @@ func (opt *LoadOptions) applyReplay() {
 // cell resolves a one-shot run into what loadPoint takes: the engine-side
 // configuration (with the trace inheritance applied when opt.Replay is set)
 // and the workload. It is the one place LoadOptions becomes
-// SaturationOptions, shared by LoadRun and ReplayCompareSweep, so a replay
-// behaves the same whichever entry point runs it.
+// SaturationOptions, shared by LoadRun and ReplayCompareSweepWorkers, so a
+// replay behaves the same whichever entry point runs it.
 func (opt LoadOptions) cell() (SaturationOptions, workload) {
 	if opt.Replay != nil {
 		opt.applyReplay()

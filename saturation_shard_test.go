@@ -102,7 +102,7 @@ func TestLoadPointLeavesEngineClean(t *testing.T) {
 			if !ok {
 				t.Fatal("pooled simulation missing")
 			}
-			eng := sim.eng()
+			eng := sim.engine
 			if n := len(eng.Flights()); n != 0 {
 				t.Errorf("%d flights still attached after load point", n)
 			}

@@ -49,7 +49,7 @@ func TestSaturationCurveMonotone(t *testing.T) {
 	opt := DefaultSaturation()
 	opt.Patterns = []string{"uniform"}
 	opt.Rates = []float64{0.05, 0.2, 0.5, 0.9}
-	rows, err := SaturationSweep(opt, 1)
+	rows, err := SaturationSweepWorkers(opt, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestSaturationTransposePlateau(t *testing.T) {
 	opt := DefaultSaturation()
 	opt.Patterns = []string{"transpose"}
 	opt.Rates = []float64{0.35, 0.9}
-	rows, err := SaturationSweep(opt, 1)
+	rows, err := SaturationSweepWorkers(opt, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestSaturationWithFaults(t *testing.T) {
 	opt.Rates = []float64{0.1}
 	opt.Faults = 3
 	opt.FaultInterval = 10
-	rows, err := SaturationSweep(opt, 3)
+	rows, err := SaturationSweepWorkers(opt, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestSaturationPatternsRun(t *testing.T) {
 			Warmup:   8, Measure: 24, Drain: 32,
 			LinkRate: 1, NodeCapacity: 2,
 		}
-		rows, err := SaturationSweep(opt, 9)
+		rows, err := SaturationSweepWorkers(opt, 9, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", proc, err)
 		}
@@ -175,22 +175,22 @@ func TestSaturationPatternsRun(t *testing.T) {
 func TestSaturationRejectsUnofferableRates(t *testing.T) {
 	opt := smallSaturation()
 	opt.Rates = []float64{1.5} // a Bernoulli source caps at 1
-	if _, err := SaturationSweep(opt, 1); err == nil {
+	if _, err := SaturationSweepWorkers(opt, 1, 0); err == nil {
 		t.Error("bernoulli at rate 1.5 should be rejected")
 	}
 	opt.Rates = []float64{0.5} // the default bursty duty cycle is 0.25
 	opt.Process = "bursty"
-	if _, err := SaturationSweep(opt, 1); err == nil {
+	if _, err := SaturationSweepWorkers(opt, 1, 0); err == nil {
 		t.Error("bursty at rate 0.5 should be rejected")
 	}
 	opt.Rates = []float64{1.5} // poisson batches arrivals: any rate is fine
 	opt.Process = "poisson"
 	opt.Patterns = []string{"uniform"}
-	if _, err := SaturationSweep(opt, 1); err != nil {
+	if _, err := SaturationSweepWorkers(opt, 1, 0); err != nil {
 		t.Errorf("poisson at rate 1.5 should run: %v", err)
 	}
 	opt.Warmup = -8 // negative phases would widen the measurement window
-	if _, err := SaturationSweep(opt, 1); err == nil {
+	if _, err := SaturationSweepWorkers(opt, 1, 0); err == nil {
 		t.Error("negative warmup should be rejected")
 	}
 }

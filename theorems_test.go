@@ -59,11 +59,11 @@ func TestTheorem2(t *testing.T) {
 		src, dst := C(1, 1), C(12, 12)
 		srcID, _ := sim.NodeAt(src)
 		dstID, _ := sim.NodeAt(dst)
-		if sim.fabric().Status(srcID) != 0 || sim.fabric().Status(dstID) != 0 {
+		if sim.mesh.Status(srcID) != 0 || sim.mesh.Status(dstID) != 0 {
 			continue // endpoint swallowed by a block: outside the premise
 		}
 		safe := sim.SourceSafe(src, dst)
-		minimal := safety.MinimalPathExists(sim.fabric(), srcID, dstID)
+		minimal := safety.MinimalPathExists(sim.mesh, srcID, dstID)
 		if safe && !minimal {
 			t.Fatalf("seed %d: safe source without minimal path", seed)
 		}
@@ -83,7 +83,7 @@ func TestTheorem2(t *testing.T) {
 // produce no violations of the progress recurrence or the k-interval /
 // max-detour bounds.
 func TestTheorem3And4(t *testing.T) {
-	rep, err := TheoremSweep([]int{16, 16}, 40, 2024)
+	rep, err := TheoremSweepWorkers([]int{16, 16}, 40, 2024, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestTheorem3And4(t *testing.T) {
 
 // TestTheorem5 (E13): unsafe-source runs respect the path-length bound.
 func TestTheorem5(t *testing.T) {
-	rep, err := TheoremSweep([]int{12, 12}, 80, 99)
+	rep, err := TheoremSweepWorkers([]int{12, 12}, 80, 99, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestTheorem5(t *testing.T) {
 		t.Fatalf("Theorem 5 violations: %+v", rep)
 	}
 	// 3-D as well.
-	rep3, err := TheoremSweep([]int{8, 8, 8}, 30, 7)
+	rep3, err := TheoremSweepWorkers([]int{8, 8, 8}, 30, 7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestBlocksPublicView(t *testing.T) {
 	sim.FailNow(C(4, 4))
 	sim.FailNow(C(5, 5))
 	sim.Stabilize()
-	want := block.Extract(sim.fabric())
+	want := block.Extract(sim.mesh)
 	got := sim.Blocks()
 	if len(got) != len(want) {
 		t.Fatalf("Blocks() = %v", got)
