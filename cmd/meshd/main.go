@@ -32,7 +32,9 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"io"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -45,53 +47,61 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("meshd: ")
-	var (
-		addr         = flag.String("addr", ":8080", "listen address")
-		concurrency  = flag.Int("concurrency", 0, "jobs running engines at once (0 = default 2)")
-		queue        = flag.Int("queue", 0, "admitted jobs waiting for a run slot before 503 (0 = default 8)")
-		cacheEntries = flag.Int("cache-entries", 0, "result-cache body bound (0 = default 256, negative disables)")
-		cacheBytes   = flag.Int("cache-bytes", 0, "result-cache byte bound (0 = default 64 MiB, negative disables)")
-		poolIdle     = flag.Int("pool-idle", 0, "warm simulations retained per mesh shape (0 = default 8)")
-		maxWorkers   = flag.Int("max-workers", 0, "per-job sweep fan-out cap (0 = GOMAXPROCS)")
-		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight jobs before canceling them")
-	)
-	flag.Parse()
-
-	srv := server.New(server.Config{
-		MaxConcurrent: *concurrency,
-		MaxQueue:      *queue,
-		CacheEntries:  *cacheEntries,
-		CacheBytes:    *cacheBytes,
-		PoolIdle:      *poolIdle,
-		MaxWorkers:    *maxWorkers,
-	})
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		<-sig
-		log.Printf("draining (timeout %v)", *drainTimeout)
-		srv.BeginShutdown()
-		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		defer cancel()
-		if err := httpSrv.Shutdown(ctx); err != nil {
-			// Drain deadline passed: force-cancel the stragglers, then
-			// wait for their handlers to unwind (cancellation is polled,
-			// so this is prompt).
-			log.Printf("drain timeout; canceling in-flight jobs")
-			srv.CancelAll()
-			srv.Wait()
-			_ = httpSrv.Close()
-		}
-	}()
-
-	log.Printf("listening on %s", *addr)
-	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
 		log.Fatal(err)
 	}
-	<-done
-	log.Printf("drained cleanly")
+}
+
+// run is the whole daemon behind main: it parses args, serves until ctx is
+// canceled (the SIGTERM path) and returns once the drain is over, logging
+// to stderr, so main_test.go drives the daemon in-process.
+func run(ctx context.Context, args []string, stderr io.Writer) error {
+	fs := flag.NewFlagSet("meshd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var cfg server.Config
+	addr := fs.String("addr", ":8080", "listen address")
+	fs.IntVar(&cfg.MaxConcurrent, "concurrency", 0, "jobs running engines at once (0 = default 2)")
+	fs.IntVar(&cfg.MaxQueue, "queue", 0, "admitted jobs waiting for a run slot before 503 (0 = default 8)")
+	fs.IntVar(&cfg.CacheEntries, "cache-entries", 0, "result-cache body bound (0 = default 256, negative disables)")
+	fs.IntVar(&cfg.CacheBytes, "cache-bytes", 0, "result-cache byte bound (0 = default 64 MiB, negative disables)")
+	fs.IntVar(&cfg.PoolIdle, "pool-idle", 0, "warm simulations retained per mesh shape (0 = default 8)")
+	fs.IntVar(&cfg.MaxWorkers, "max-workers", 0, "per-job sweep fan-out cap (0 = GOMAXPROCS)")
+	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight jobs before canceling them")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	logger := log.New(stderr, "meshd: ", 0)
+
+	srv := server.New(cfg)
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+	httpSrv := &http.Server{Handler: srv.Handler()}
+	served := make(chan error, 1)
+	go func() { served <- httpSrv.Serve(ln) }()
+	logger.Printf("listening on %s", ln.Addr())
+
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	logger.Printf("draining (timeout %v)", *drainTimeout)
+	srv.BeginShutdown()
+	drain, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	defer cancel()
+	if err := httpSrv.Shutdown(drain); err != nil {
+		// Drain deadline passed: force-cancel the stragglers, then wait
+		// for their handlers to unwind (cancellation is polled, so this
+		// is prompt).
+		logger.Printf("drain timeout; canceling in-flight jobs")
+		srv.CancelAll()
+		srv.Wait()
+		_ = httpSrv.Close()
+	}
+	logger.Printf("drained cleanly")
+	return nil
 }

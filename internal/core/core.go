@@ -18,7 +18,8 @@
 package core
 
 import (
-	"sort"
+	"bytes"
+	"slices"
 	"strconv"
 
 	"ndmesh/internal/block"
@@ -36,8 +37,10 @@ import (
 const watchStrikes = 2
 
 // watched tracks one constructed block: its box, construction epoch, corner
-// nodes, and the per-corner inconsistency strike counter.
+// nodes, and the per-corner inconsistency strike counter. key is the box
+// formatted as grid.Box.String does; the watch list is sorted by it.
 type watched struct {
+	key     []byte
 	box     grid.Box
 	epoch   uint32
 	corners []grid.NodeID
@@ -53,24 +56,19 @@ type Model struct {
 	Boundary *boundary.Protocol
 	Store    *info.Store
 
-	epoch   uint32
-	round   int
-	watches map[string]*watched
-	// watchKeys is the reusable sort buffer of watchCorners and scratch the
-	// coordinate buffer of cornersConsistent; with them, a quiescent round
-	// over standing watches allocates nothing.
-	watchKeys []string   //meshvet:keep sort scratch, re-sliced per use
-	scratch   grid.Coord //meshvet:keep scratch buffer, overwritten before every use
+	epoch uint32
+	round int
+	// watches holds the constructed blocks in key order — the order the
+	// deletion trigger visits them, and so the order cancellation epochs
+	// are assigned. scratch is the coordinate buffer of cornersConsistent.
+	watches []*watched
+	scratch grid.Coord //meshvet:keep scratch buffer, overwritten before every use
 
-	// keyBuf, keyIntern, seedBuf and spareWatches make the identification
-	// path allocation-free once warm: watch keys are formatted into keyBuf
-	// and interned (keyIntern survives Reset — it is bounded by the number
-	// of distinct boxes the mesh can hold), flood seeds are staged in
-	// seedBuf (boundary.Start copies them), and retired watch objects are
-	// recycled through spareWatches with their box and corner storage.
-	keyBuf       []byte            //meshvet:keep format scratch, overwritten per key
-	keyIntern    map[string]string //meshvet:keep intern table, bounded by distinct boxes; survives Reset by design
-	seedBuf      []grid.NodeID     //meshvet:keep staging buffer, copied out by boundary.Start
+	// seedBuf and spareWatches make the identification path allocation-free
+	// once warm: flood seeds are staged in seedBuf (boundary.Start copies
+	// them), and retired watch objects are recycled through spareWatches
+	// with their key, box and corner storage.
+	seedBuf      []grid.NodeID //meshvet:keep staging buffer, copied out by boundary.Start
 	spareWatches []*watched
 
 	// Debug, when non-nil, receives internal decision traces (tests only).
@@ -88,15 +86,13 @@ func New(m *mesh.Mesh) *Model {
 	store := info.NewStore(m.NumNodes())
 	det := frame.NewDetector(m)
 	md := &Model{
-		M:         m,
-		Labeling:  block.NewStepper(m),
-		Detector:  det,
-		Ident:     ident.NewProtocol(m, det, store),
-		Boundary:  boundary.NewProtocol(m, store),
-		Store:     store,
-		watches:   make(map[string]*watched),
-		scratch:   make(grid.Coord, m.Shape().Dims()),
-		keyIntern: make(map[string]string),
+		M:        m,
+		Labeling: block.NewStepper(m),
+		Detector: det,
+		Ident:    ident.NewProtocol(m, det, store),
+		Boundary: boundary.NewProtocol(m, store),
+		Store:    store,
+		scratch:  make(grid.Coord, m.Shape().Dims()),
 	}
 	md.Ident.OnIdentified = md.onIdentified
 	return md
@@ -119,11 +115,8 @@ func (md *Model) Reset() {
 	md.Store.Clear()
 	md.epoch = 0
 	md.round = 0
-	//meshvet:ordered pool refill: recycled watches are fully reinitialized on reuse, so free-list order is invisible
-	for _, w := range md.watches {
-		md.spareWatches = append(md.spareWatches, w)
-	}
-	clear(md.watches)
+	md.spareWatches = append(md.spareWatches, md.watches...)
+	md.watches = md.watches[:0]
 	md.LastLabelRound, md.LastFrameRound, md.LastIdentRound, md.LastBoundaryRound = 0, 0, 0, 0
 	md.CancelsStarted = 0
 }
@@ -201,14 +194,18 @@ func (md *Model) Stabilize() int {
 // corner over the block's frame shell and down its boundary walls, merging
 // into other blocks' placements where they intersect (Fig. 3(d)).
 func (md *Model) onIdentified(box grid.Box, corner grid.NodeID) {
-	md.keyBuf = appendBoxKey(md.keyBuf[:0], box)
-	if w, dup := md.watches[string(md.keyBuf)]; dup && w != nil {
+	w := md.getWatched(box)
+	at, dup := slices.BinarySearchFunc(md.watches, w.key, func(o *watched, key []byte) int {
+		return bytes.Compare(o.key, key)
+	})
+	if dup {
+		md.spareWatches = append(md.spareWatches, w)
 		return // already constructed (another corner's run finished first)
 	}
 	md.epoch++
+	w.epoch = md.epoch
 	md.seedBuf = append(md.seedBuf[:0], corner)
 	md.Boundary.Start(box, md.epoch, boundary.Deposit, md.seedBuf)
-	w := md.getWatched(box, md.epoch)
 	// Enumerate the frame corners (frame.Corners order: mask bit i selects
 	// Hi[i]+1 over Lo[i]-1) into the scratch coordinate — the corner list
 	// feeds cancellation seeds, so the order must stay exactly this.
@@ -227,37 +224,28 @@ func (md *Model) onIdentified(box grid.Box, corner grid.NodeID) {
 			w.corners = append(w.corners, shape.Index(c))
 		}
 	}
-	md.watches[md.internKey(md.keyBuf)] = w
+	md.watches = slices.Insert(md.watches, at, w)
 	md.LastBoundaryRound = md.round
 }
 
-// getWatched returns a watch object for the box, recycling a retired one
-// (keeping its box and corner storage) when available.
-func (md *Model) getWatched(box grid.Box, epoch uint32) *watched {
+// getWatched returns a keyed watch object for the box, recycling a retired
+// one (keeping its key, box and corner storage) when available.
+func (md *Model) getWatched(box grid.Box) *watched {
+	var w *watched
 	if n := len(md.spareWatches); n > 0 {
-		w := md.spareWatches[n-1]
+		w = md.spareWatches[n-1]
 		md.spareWatches = md.spareWatches[:n-1]
-		w.box.Set(box)
-		w.epoch = epoch
-		w.corners = w.corners[:0]
-		w.strikes = 0
-		return w
+	} else {
+		w = &watched{}
 	}
-	return &watched{box: box.Clone(), epoch: epoch}
+	w.key = appendBoxKey(w.key[:0], box)
+	w.box.Set(box)
+	w.corners = w.corners[:0]
+	w.strikes = 0
+	return w
 }
 
-// internKey returns the canonical string for a formatted key, allocating
-// only the first time a given box is ever watched on this model.
-func (md *Model) internKey(buf []byte) string {
-	if s, ok := md.keyIntern[string(buf)]; ok {
-		return s
-	}
-	s := string(buf)
-	md.keyIntern[s] = s
-	return s
-}
-
-// appendBoxKey formats box exactly as grid.Box.String does — the watch map
+// appendBoxKey formats box exactly as grid.Box.String does — the watch list
 // is sorted by key, so the format is part of the deletion-trigger visit
 // order.
 func appendBoxKey(buf []byte, box grid.Box) []byte {
@@ -277,27 +265,19 @@ func appendBoxKey(buf []byte, box grid.Box) []byte {
 // constructed block reports an inconsistent frame announcement for
 // watchStrikes consecutive rounds (with no clean wave in flight), the
 // block's old information is cancelled along its old placement. Watches are
-// visited in sorted key order for determinism.
+// visited in key order for determinism; retired ones are compacted away in
+// place.
 func (md *Model) watchCorners() int {
-	if len(md.watches) == 0 {
-		return 0
-	}
-	keys := md.watchKeys[:0]
-	//meshvet:ordered keys are sorted before any use below
-	for key := range md.watches {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	md.watchKeys = keys
 	activity := 0
-	for _, key := range keys {
-		w := md.watches[key]
+	kept := md.watches[:0]
+	for _, w := range md.watches {
 		if md.cornersConsistent(w) {
 			w.strikes = 0
-			continue
+		} else {
+			w.strikes++
 		}
-		w.strikes++
 		if w.strikes < watchStrikes {
+			kept = append(kept, w)
 			continue
 		}
 		// Launch the cancellation flood from the enabled corners; epoch
@@ -311,8 +291,8 @@ func (md *Model) watchCorners() int {
 			activity++
 		}
 		md.spareWatches = append(md.spareWatches, w)
-		delete(md.watches, key)
 	}
+	md.watches = kept
 	return activity
 }
 

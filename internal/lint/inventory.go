@@ -37,7 +37,8 @@ var AllocTestCoverage = map[string][]string{
 		"ndmesh/internal/route.Message.beginStep",
 		"ndmesh/internal/route.commitDecision",
 		"ndmesh/internal/route.Limited.Decide",
-		"ndmesh/internal/route.classifyLimited",
+		"ndmesh/internal/route.algorithm3",
+		"ndmesh/internal/route.classify",
 	},
 	// The header's used-direction table and path stack through growth,
 	// backtracking and re-entry: a recycled message repeats a walk over

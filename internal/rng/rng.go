@@ -91,24 +91,6 @@ func (r *Source) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
-// Perm returns a random permutation of [0, n).
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle permutes the first n elements using the provided swap function.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		swap(i, r.Intn(i+1))
-	}
-}
-
 // Geometric returns a sample from the geometric distribution with success
 // probability p (number of trials until first success, >= 1). Used to draw
 // fault inter-arrival intervals. Panics unless 0 < p <= 1.

@@ -154,35 +154,6 @@ func TestBool(t *testing.T) {
 	}
 }
 
-func TestPerm(t *testing.T) {
-	r := New(11)
-	p := r.Perm(20)
-	seen := make([]bool, 20)
-	for _, v := range p {
-		if v < 0 || v >= 20 || seen[v] {
-			t.Fatalf("Perm invalid: %v", p)
-		}
-		seen[v] = true
-	}
-	if len(r.Perm(0)) != 0 {
-		t.Fatal("Perm(0) not empty")
-	}
-}
-
-func TestShuffle(t *testing.T) {
-	r := New(13)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	orig := append([]int(nil), xs...)
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	sum := 0
-	for _, v := range xs {
-		sum += v
-	}
-	if sum != 28 {
-		t.Fatalf("Shuffle lost elements: %v (orig %v)", xs, orig)
-	}
-}
-
 func TestGeometric(t *testing.T) {
 	r := New(17)
 	var sum float64

@@ -109,7 +109,7 @@ func (c Congested) Decide(ctx *Context, msg *Message) Decision {
 	if ctx.Load == nil || (!c.Cfg.Eager && !msg.Stalled()) {
 		return Limited{}.Decide(ctx, msg)
 	}
-	cl := classifyLimited(ctx, msg)
+	cl := classify(ctx, msg, recordsAt(ctx, msg.Cur))
 	if cl == nil {
 		return backtrackOrFail(msg)
 	}
@@ -145,7 +145,7 @@ func loadScore(ctx *Context, cfg CongestionConfig, u grid.NodeID, d grid.Dir) in
 
 // lightest breaks the tie among one priority class: it keeps the baseline
 // (Limited's) pick unless some alternative's load score undercuts it by at
-// least cfg.Margin. dirs is in ascending direction order (classifyLimited
+// least cfg.Margin. dirs is in ascending direction order (classify
 // builds it that way), so strict improvement suffices for the
 // lowest-index-wins determinism among equally light alternatives.
 func lightest(ctx *Context, cfg CongestionConfig, u grid.NodeID, dirs []grid.Dir, base grid.Dir) grid.Dir {

@@ -443,7 +443,15 @@ type Limited struct{}
 // Name implements Router.
 func (Limited) Name() string { return "limited" }
 
-// Decide implements Algorithm 3:
+// Decide implements Algorithm 3 over the block records stored at the
+// current node.
+//
+//meshvet:noalloc
+func (Limited) Decide(ctx *Context, msg *Message) Decision {
+	return algorithm3(ctx, msg, recordsAt(ctx, msg.Cur))
+}
+
+// algorithm3 is Algorithm 3 given the records the current node knows:
 //  1. If the current node is disabled (or faulty under us), backtrack.
 //  2. Pick the unused outgoing direction with the highest priority:
 //     preferred, spare (along the block), preferred-but-detour, incoming.
@@ -451,8 +459,8 @@ func (Limited) Name() string { return "limited" }
 //  4. Backtracked to the source with nothing left: unreachable.
 //
 //meshvet:noalloc
-func (Limited) Decide(ctx *Context, msg *Message) Decision {
-	cl := classifyLimited(ctx, msg)
+func algorithm3(ctx *Context, msg *Message, recs []info.Record) Decision {
+	cl := classify(ctx, msg, recs)
 	if cl == nil {
 		return backtrackOrFail(msg)
 	}
@@ -480,13 +488,15 @@ type classified struct {
 	recs                       []info.Record
 }
 
-// classifyLimited runs the candidate classification shared by Limited and
-// Congested: both routers consider exactly the same fault-safe direction
-// classes; they differ only in how ties inside a class are broken. A nil
-// result means the current node itself is disabled/faulty (backtrack case).
+// classify runs the candidate classification shared by Limited, Congested
+// and Blind: all three consider exactly the same fault-safe direction
+// classes under the records they are given (Blind has none, so nothing is
+// ever demoted and every spare ranks equal); Congested differs only in how
+// ties inside a class are broken. A nil result means the current node
+// itself is disabled/faulty (backtrack case).
 //
 //meshvet:noalloc
-func classifyLimited(ctx *Context, msg *Message) *classified {
+func classify(ctx *Context, msg *Message, recs []info.Record) *classified {
 	m := ctx.M
 	u := msg.Cur
 	if m.Status(u).Bad() {
@@ -494,7 +504,6 @@ func classifyLimited(ctx *Context, msg *Message) *classified {
 	}
 	shape := m.Shape()
 	uc, dc := shape.CoordView(u), shape.CoordView(msg.Dst)
-	recs := recordsAt(ctx, u)
 
 	preferred, demoted, spares := ctx.dirs[0][:0], ctx.dirs[1][:0], ctx.dirs[2][:0]
 	for dv := 0; dv < shape.NumDirs(); dv++ {
@@ -642,43 +651,11 @@ type Blind struct{}
 // Name implements Router.
 func (Blind) Name() string { return "blind" }
 
-// Decide implements Router.
+// Decide implements Router: Algorithm 3 with no records.
 //
 //meshvet:noalloc
 func (Blind) Decide(ctx *Context, msg *Message) Decision {
-	m := ctx.M
-	u := msg.Cur
-	if m.Status(u).Bad() {
-		return backtrackOrFail(msg)
-	}
-	shape := m.Shape()
-	uc, dc := shape.CoordView(u), shape.CoordView(msg.Dst)
-	preferred, spares := ctx.dirs[0][:0], ctx.dirs[2][:0]
-	for dv := 0; dv < shape.NumDirs(); dv++ {
-		dir := grid.Dir(dv)
-		if msg.used.Has(dir) {
-			continue
-		}
-		next := m.Neighbor(u, dir)
-		if next == grid.InvalidNode || m.Status(next) != mesh.Enabled {
-			continue
-		}
-		if isPreferred(uc, dc, dir) {
-			preferred = append(preferred, dir)
-			continue
-		}
-		if msg.Incoming != grid.InvalidDir && dir == msg.Incoming.Opposite() {
-			continue
-		}
-		spares = append(spares, dir)
-	}
-	if len(preferred) > 0 {
-		return Decision{Move: true, Dir: pickPreferred(ctx, preferred, uc, dc)}
-	}
-	if len(spares) > 0 {
-		return Decision{Move: true, Dir: lowest(spares)}
-	}
-	return backtrackOrFail(msg)
+	return algorithm3(ctx, msg, nil)
 }
 
 // ---------------------------------------------------------------------------

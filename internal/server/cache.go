@@ -1,13 +1,8 @@
 // This file is the meshd result cache: completed response bodies keyed by
-// the canonical spec key plus the response format. It exists because the
-// determinism contract makes whole responses cacheable at all — a job's
-// bytes depend only on its canonical spec and seed, never on fan-out
-// width, pool temperature or scheduling, so a stored body IS the result,
-// not a stale approximation of it. A hit serves the bytes without
-// touching an engine (the cache tests pin that via pool counters).
-//
-// Only complete, successful bodies are stored: a canceled or failed
-// stream never enters the cache, so a hit can never replay a truncation.
+// the canonical spec key plus the response format (the cacheability
+// contract of the package comment; the cache tests pin through the pool
+// counters that a hit touches no engine). Only complete, successful bodies
+// are stored, so a hit can never replay a truncation.
 
 package server
 

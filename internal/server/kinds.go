@@ -1,0 +1,316 @@
+// This file is the job-kind table: one row per workload family. The
+// decoder, its unknown-kind error, Spec.cells, the format check and the
+// runner all read the table; nothing else switches on the kind. Adding a
+// kind is adding a row (and an e2e byte-identity test).
+
+package server
+
+import (
+	"cmp"
+	"fmt"
+	"strings"
+
+	"ndmesh"
+	"ndmesh/internal/cliutil"
+	"ndmesh/internal/engine"
+	"ndmesh/internal/traffic"
+)
+
+// Job kinds, one per workload family the library runs.
+const (
+	KindOpenLoop    = "open-loop"
+	KindClosedLoop  = "closed-loop"
+	KindReplay      = "replay"
+	KindReliability = "reliability"
+)
+
+// kind is one row of the table. axes applies the kind's axis rules to a
+// bounds-checked spec and folds in its served defaults; cells is the
+// normalized spec's grid size (reliability counts cells, not trials); run
+// makes the kind's one library call, wired to the job's env.
+type kind struct {
+	name  string
+	csv   bool // format=csv is defined for the kind
+	probe bool // the kind's library call has a probe seam
+	axes  func(*Spec) error
+	cells func(*Spec) int
+	run   func(*Spec, env) error
+}
+
+// kinds is in the order the error messages list the names.
+var kinds = []kind{
+	{KindOpenLoop, true, true, openLoopAxes, func(s *Spec) int { return len(s.Patterns) * len(s.Rates) * len(s.Routers) }, runOpenLoop},
+	{KindClosedLoop, false, true, closedLoopAxes, func(s *Spec) int { return len(s.Patterns) * len(s.Windows) * len(s.Routers) }, runClosedLoop},
+	{KindReplay, false, false, replayAxes, func(*Spec) int { return 1 }, runReplay},
+	{KindReliability, false, false, reliabilityAxes, func(s *Spec) int { return len(s.Patterns) * len(s.FaultRates) * len(s.Routers) }, runReliability},
+}
+
+// The library defaults the rows serve, read once: specs share these slices,
+// which nothing downstream writes.
+var (
+	openLoopDefaults    = ndmesh.DefaultSaturation()
+	closedLoopDefaults  = ndmesh.DefaultClosedLoop()
+	reliabilityDefaults = ndmesh.DefaultReliability()
+	uniform             = []string{"uniform"}
+	limited             = []string{"limited"}
+)
+
+// kindOf returns the named kind's row; the error lists the table's names.
+func kindOf(name string) (*kind, error) {
+	for i := range kinds {
+		if kinds[i].name == name {
+			return &kinds[i], nil
+		}
+	}
+	names := make([]string, len(kinds))
+	for i := range kinds {
+		names[i] = kinds[i].name
+	}
+	if name == "" {
+		return nil, fmt.Errorf("spec needs a kind (%s)", strings.Join(names, " | "))
+	}
+	return nil, fmt.Errorf("unknown kind %q (want %s)", name, strings.Join(names, " | "))
+}
+
+// env is what the pipeline hands a kind's run: the job and its row stream,
+// its cancel poll and clamped fan-out width, the census probe (nil unless
+// the spec asked for one) and the response format.
+type env struct {
+	srv     *Server
+	job     *JobStatus
+	seq     *sequencer
+	cancel  func() bool
+	workers int
+	probe   engine.Probe
+	csv     bool
+}
+
+// emit sequences an encoded row under its cell index and counts it on the
+// job record.
+func (e env) emit(index int, line []byte) {
+	e.seq.push(index, line)
+	e.srv.mu.Lock()
+	e.job.Rows++
+	e.srv.mu.Unlock()
+}
+
+// defList folds a served default into an omitted list (cmp.Or does the same
+// for scalars).
+func defList[T any](v *[]T, d []T) {
+	if len(*v) == 0 {
+		*v = d
+	}
+}
+
+// sweepDefaults validates the mesh shape and folds in what the three sweep
+// kinds share, from the calling kind's library defaults — except patterns,
+// served as uniform alone (the library's open- and closed-loop defaults add
+// transpose). Defaults are cache-key material: TestSpecDefaultsVsLibrary.
+func (s *Spec) sweepDefaults(dims []int, lambda int, routers []string, warmup, measure, drain, linkRate int) error {
+	if len(s.Trace) > 0 {
+		return fmt.Errorf("only replay specs carry a trace")
+	}
+	defList(&s.Dims, dims)
+	if len(s.Dims) > maxDims {
+		return fmt.Errorf("mesh has %d dimensions (max %d)", len(s.Dims), maxDims)
+	}
+	nodes := 1
+	for _, d := range s.Dims {
+		// The per-radix bound keeps the running product from overflowing
+		// before the node cap can catch it.
+		if d < 2 || d > maxNodes {
+			return fmt.Errorf("mesh dimension %d out of range [2, %d]", d, maxNodes)
+		}
+		if nodes *= d; nodes > maxNodes {
+			return fmt.Errorf("mesh exceeds %d nodes", maxNodes)
+		}
+	}
+	s.Lambda = cmp.Or(s.Lambda, lambda)
+	if s.Lambda < 1 || s.Lambda > 64 {
+		return fmt.Errorf("lambda %d out of range [1, 64]", s.Lambda)
+	}
+	defList(&s.Routers, routers)
+	defList(&s.Patterns, uniform)
+	if s.Measure == 0 {
+		s.Warmup, s.Measure, s.Drain = warmup, measure, drain
+	}
+	s.LinkRate = cmp.Or(s.LinkRate, linkRate)
+	return nil
+}
+
+func openLoopAxes(s *Spec) error {
+	d := &openLoopDefaults
+	if err := s.sweepDefaults(d.Dims, d.Lambda, d.Routers, d.Warmup, d.Measure, d.Drain, d.LinkRate); err != nil {
+		return err
+	}
+	if len(s.Windows) > 0 || len(s.FaultRates) > 0 || s.Trials != 0 {
+		return fmt.Errorf("open-loop specs take rates, not windows/fault_rates/trials")
+	}
+	defList(&s.Rates, d.Rates)
+	s.Process = cmp.Or(s.Process, d.Process)
+	return nil
+}
+
+// saturationOptions is the open-loop option literal; run wires the hooks.
+func (s *Spec) saturationOptions() ndmesh.SaturationOptions {
+	return ndmesh.SaturationOptions{
+		Dims: s.Dims, Lambda: s.Lambda,
+		Routers: s.Routers, Patterns: s.Patterns, Rates: s.Rates,
+		Process: s.Process,
+		Warmup:  s.Warmup, Measure: s.Measure, Drain: s.Drain,
+		LinkRate: s.LinkRate, NodeCapacity: s.NodeCapacity,
+		FlightTimeout: s.FlightTimeout, RetryBackoff: s.RetryBackoff,
+		Bubble: s.Bubble, GridlockWindow: s.GridlockWindow,
+		Faults: s.Faults, FaultInterval: s.FaultInterval,
+		Clustered: s.Clustered, FaultStart: s.FaultStart,
+		FaultRate: s.FaultRate, FaultModel: s.FaultModel,
+		FaultShape: s.FaultShape, FaultRepair: s.FaultRepair,
+		Shards: s.Shards,
+	}
+}
+
+func runOpenLoop(s *Spec, e env) error {
+	encode := encodeNDJSON[ndmesh.SaturationRow]
+	if e.csv {
+		encode = func(row ndmesh.SaturationRow) []byte {
+			return []byte(cliutil.CSVLine(cliutil.OpenLoopCells(row)))
+		}
+	}
+	opt := s.saturationOptions()
+	opt.Pool, opt.Cancel, opt.Probe = e.srv.pool, e.cancel, e.probe
+	opt.Emit = func(i int, row ndmesh.SaturationRow) { e.emit(i, encode(row)) }
+	_, err := ndmesh.SaturationSweepWorkers(opt, s.Seed, e.workers)
+	return err
+}
+
+func closedLoopAxes(s *Spec) error {
+	d := &closedLoopDefaults
+	if err := s.sweepDefaults(d.Dims, d.Lambda, d.Routers, d.Warmup, d.Measure, d.Drain, d.LinkRate); err != nil {
+		return err
+	}
+	if len(s.Rates) > 0 || len(s.FaultRates) > 0 || s.Trials != 0 || s.Process != "" {
+		return fmt.Errorf("closed-loop specs take windows, not rates/fault_rates/trials/process")
+	}
+	defList(&s.Windows, d.Windows)
+	for _, w := range s.Windows {
+		if w < 1 || w > 1<<16 {
+			return fmt.Errorf("window %d out of range [1, %d]", w, 1<<16)
+		}
+	}
+	return nil
+}
+
+// closedLoopOptions is the closed-loop option literal.
+func (s *Spec) closedLoopOptions() ndmesh.ClosedLoopOptions {
+	return ndmesh.ClosedLoopOptions{
+		Dims: s.Dims, Lambda: s.Lambda,
+		Routers: s.Routers, Patterns: s.Patterns, Windows: s.Windows,
+		Warmup: s.Warmup, Measure: s.Measure, Drain: s.Drain,
+		LinkRate: s.LinkRate, NodeCapacity: s.NodeCapacity,
+		FlightTimeout: s.FlightTimeout, RetryBackoff: s.RetryBackoff,
+		Bubble: s.Bubble, GridlockWindow: s.GridlockWindow,
+		Faults: s.Faults, FaultInterval: s.FaultInterval,
+		Clustered: s.Clustered, FaultStart: s.FaultStart,
+		FaultRate: s.FaultRate, FaultModel: s.FaultModel,
+		FaultShape: s.FaultShape, FaultRepair: s.FaultRepair,
+		Shards: s.Shards,
+	}
+}
+
+func runClosedLoop(s *Spec, e env) error {
+	opt := s.closedLoopOptions()
+	opt.Pool, opt.Cancel, opt.Probe = e.srv.pool, e.cancel, e.probe
+	opt.Emit = func(i int, row ndmesh.ClosedLoopRow) { e.emit(i, encodeNDJSON(row)) }
+	_, err := ndmesh.ClosedLoopSweepWorkers(opt, s.Seed, e.workers)
+	return err
+}
+
+// replayAxes: the trace is the workload — the mesh shape, the phases and
+// the grid axes come from it, and spec fields that would fight it are
+// rejected rather than silently ignored.
+func replayAxes(s *Spec) error {
+	if len(s.Trace) == 0 {
+		return fmt.Errorf("replay spec needs a trace")
+	}
+	if len(s.Dims) > 0 || len(s.Rates) > 0 || len(s.Windows) > 0 || len(s.FaultRates) > 0 ||
+		len(s.Patterns) > 0 || s.Warmup != 0 || s.Measure != 0 || s.Drain != 0 ||
+		s.Rate != 0 || s.Trials != 0 || s.Process != "" ||
+		s.Faults != 0 || s.FaultRate != 0 {
+		return fmt.Errorf("replay specs take dims, phases, workload axes and the fault schedule from the trace; remove them")
+	}
+	if _, err := traffic.UnmarshalTrace(s.Trace); err != nil {
+		return fmt.Errorf("decoding trace: %w", err)
+	}
+	defList(&s.Routers, limited)
+	if len(s.Routers) != 1 {
+		return fmt.Errorf("replay runs one router (got %d)", len(s.Routers))
+	}
+	return nil
+}
+
+// runReplay streams the replayed load point as the job's single row;
+// engine-side fields follow the library's replay-inheritance rules.
+func runReplay(s *Spec, e env) error {
+	tr, err := traffic.UnmarshalTrace(s.Trace) // validated by replayAxes
+	if err != nil {
+		return err
+	}
+	pt, err := ndmesh.LoadRun(ndmesh.LoadOptions{
+		Router:   s.Routers[0],
+		Lambda:   s.Lambda,
+		LinkRate: s.LinkRate, NodeCapacity: s.NodeCapacity,
+		FlightTimeout: s.FlightTimeout, RetryBackoff: s.RetryBackoff,
+		Bubble: s.Bubble, GridlockWindow: s.GridlockWindow,
+		Shards: s.Shards,
+		Seed:   s.Seed,
+		Replay: tr,
+		Pool:   e.srv.pool, Cancel: e.cancel,
+	})
+	if err != nil {
+		return err
+	}
+	e.emit(0, encodeNDJSON(ReplayRow{Router: s.Routers[0], Point: pt}))
+	return nil
+}
+
+// reliabilityAxes leaves fault_repair, flight_timeout and retry_backoff off
+// where the library default turns them on.
+func reliabilityAxes(s *Spec) error {
+	d := &reliabilityDefaults
+	if err := s.sweepDefaults(d.Dims, d.Lambda, d.Routers, d.Warmup, d.Measure, d.Drain, d.LinkRate); err != nil {
+		return err
+	}
+	if len(s.Rates) > 0 || len(s.Windows) > 0 {
+		return fmt.Errorf("reliability specs take fault_rates, not rates/windows")
+	}
+	defList(&s.FaultRates, d.FaultRates)
+	s.Trials = cmp.Or(s.Trials, d.Trials)
+	s.Rate = cmp.Or(s.Rate, d.Rate)
+	s.Process = cmp.Or(s.Process, d.Process)
+	s.FaultModel = cmp.Or(s.FaultModel, d.FaultModel)
+	return nil
+}
+
+// reliabilityOptions is the reliability option literal.
+func (s *Spec) reliabilityOptions() ndmesh.ReliabilityOptions {
+	return ndmesh.ReliabilityOptions{
+		Dims: s.Dims, Lambda: s.Lambda,
+		Routers: s.Routers, Patterns: s.Patterns, FaultRates: s.FaultRates,
+		FaultModel: s.FaultModel, FaultShape: s.FaultShape,
+		FaultRepair: s.FaultRepair, Clustered: s.Clustered,
+		Trials: s.Trials, Rate: s.Rate, Process: s.Process,
+		Warmup: s.Warmup, Measure: s.Measure, Drain: s.Drain,
+		LinkRate: s.LinkRate, NodeCapacity: s.NodeCapacity,
+		FlightTimeout: s.FlightTimeout, RetryBackoff: s.RetryBackoff,
+		Bubble: s.Bubble, GridlockWindow: s.GridlockWindow,
+		Shards: s.Shards,
+	}
+}
+
+func runReliability(s *Spec, e env) error {
+	opt := s.reliabilityOptions()
+	opt.Pool, opt.Cancel = e.srv.pool, e.cancel
+	opt.Emit = func(i int, row ndmesh.ReliabilityRow) { e.emit(i, encodeNDJSON(row)) }
+	_, err := ndmesh.ReliabilitySweepWorkers(opt, s.Seed, e.workers)
+	return err
+}

@@ -1,11 +1,7 @@
-// This file is the meshd streaming layer: the per-kind row encodings and
-// the sequencer that turns completion-order Emit callbacks back into
-// index order. The sweeps call Emit from worker goroutines as cells
-// finish — cell 7 may land before cell 2 — but each call carries its cell
-// index, and re-sequencing by index reproduces the batch output byte for
-// byte. That identity is the whole point: a streamed response, its cached
-// replica and a batch run are the same bytes, which the e2e tests diff
-// whole.
+// This file is the meshd streaming layer: the row encodings and the
+// sequencer that turns the sweeps' completion-order Emit callbacks (cell 7
+// may land before cell 2) back into index order — the byte-identity
+// contract of the package comment.
 
 package server
 

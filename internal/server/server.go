@@ -1,10 +1,11 @@
 // Package server is the meshd daemon's service layer: a long-running HTTP
 // front over the ndmesh experiment library. It owns a shared EnginePool of
-// warm, Reset-recycled simulations, accepts JSON job specs (one per
-// workload family: open-loop, closed-loop, trace replay, reliability),
-// runs them through the library's parallel sweep machinery under a bounded
-// admission queue, and streams result rows incrementally as cells complete
-// — NDJSON by default, the canonical open-loop CSV on request.
+// warm, Reset-recycled simulations and serves every job through one
+// pipeline (handleSubmit): decode → key → cache lookup → admit → stream →
+// settle. What differs per workload family (open-loop, closed-loop, trace
+// replay, reliability) is one row of the kinds table (kinds.go); rows
+// stream as cells complete — NDJSON by default, the canonical open-loop
+// CSV on request; settle is the one writer of job state.
 //
 // Three contracts, inherited from the library and pinned by this package's
 // tests, make the service shape work:
@@ -21,23 +22,27 @@
 //     shutdown mid-job cannot poison a later job's engine.
 //
 // Jobs are synchronous: the POST that submits a job streams its rows.
-// GET /v1/jobs and /v1/jobs/{id} expose the registry; /debug/census the
-// pool, cache and live-probe state.
+// GET /v1/jobs and /v1/jobs/{id} expose the registry (live jobs plus the
+// last retainedJobs finished ones); /debug/census the pool, cache and
+// live-probe state.
 package server
 
 import (
 	"bytes"
+	"cmp"
+	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"ndmesh"
 	"ndmesh/internal/cliutil"
 	"ndmesh/internal/probe"
-	"ndmesh/internal/traffic"
 )
 
 // Config sizes the daemon's bounded resources. Zero values take the
@@ -63,21 +68,11 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.MaxConcurrent == 0 {
-		c.MaxConcurrent = 2
-	}
-	if c.MaxQueue == 0 {
-		c.MaxQueue = 8
-	}
-	if c.CacheEntries == 0 {
-		c.CacheEntries = 256
-	}
-	if c.CacheBytes == 0 {
-		c.CacheBytes = 64 << 20
-	}
-	if c.PoolIdle == 0 {
-		c.PoolIdle = 8
-	}
+	c.MaxConcurrent = cmp.Or(c.MaxConcurrent, 2)
+	c.MaxQueue = cmp.Or(c.MaxQueue, 8)
+	c.CacheEntries = cmp.Or(c.CacheEntries, 256)
+	c.CacheBytes = cmp.Or(c.CacheBytes, 64<<20)
+	c.PoolIdle = cmp.Or(c.PoolIdle, 8)
 	if c.MaxWorkers <= 0 {
 		c.MaxWorkers = runtime.GOMAXPROCS(0)
 	}
@@ -105,24 +100,14 @@ type JobStatus struct {
 	// without touching an engine, else "miss".
 	Cache string `json:"cache"`
 	Error string `json:"error,omitempty"`
+
+	seq int // submission number, the N of ID "job-N"
 }
 
-type job struct {
-	mu     sync.Mutex
-	status JobStatus
-}
-
-func (j *job) update(fn func(*JobStatus)) {
-	j.mu.Lock()
-	fn(&j.status)
-	j.mu.Unlock()
-}
-
-func (j *job) snapshot() JobStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.status
-}
+// retainedJobs is how many finished jobs the registry remembers. Live
+// (queued or running) jobs are always retained, and admission caps them at
+// MaxConcurrent + MaxQueue: the registry is bounded by construction.
+const retainedJobs = 1024
 
 // Server is the meshd daemon core: engine pool, result cache, job
 // registry and admission control, independent of any net.Listener so
@@ -132,34 +117,35 @@ type Server struct {
 	pool  *ndmesh.EnginePool
 	cache *resultCache
 
-	mu       sync.Mutex
-	jobs     map[string]*job
-	order    []string // job IDs in admission order (the list endpoint's order)
-	nextID   int
-	queued   int
-	draining bool
-
-	sem       chan struct{}
-	force     chan struct{}
-	forceOnce sync.Once
-	wg        sync.WaitGroup
-
-	censusMu  sync.Mutex
+	// mu guards the registry and the census. Job records are written under
+	// it and copied out by snapshot.
+	mu        sync.Mutex
+	nextID    int
+	live      []*JobStatus             // queued or running
+	finished  [retainedJobs]*JobStatus // ring; slot nfinished%retainedJobs is next
+	nfinished int
 	censusJob string
 	census    *probe.Snapshot
+
+	draining   atomic.Bool
+	queue, sem chan struct{}   // admission: jobs waiting for a run slot, jobs holding one
+	stop       context.Context // canceled by CancelAll; every admitted job polls it
+	cancelAll  context.CancelFunc
+	wg         sync.WaitGroup
 }
 
 // New builds a server with cfg's bounds (zero fields defaulted).
 func New(cfg Config) *Server {
 	cfg.fill()
-	return &Server{
+	s := &Server{
 		cfg:   cfg,
 		pool:  ndmesh.NewEnginePool(cfg.PoolIdle),
 		cache: newResultCache(cfg.CacheEntries, cfg.CacheBytes),
-		jobs:  make(map[string]*job),
+		queue: make(chan struct{}, max(cfg.MaxQueue, 0)),
 		sem:   make(chan struct{}, cfg.MaxConcurrent),
-		force: make(chan struct{}),
 	}
+	s.stop, s.cancelAll = context.WithCancel(context.Background())
+	return s
 }
 
 // Pool exposes the engine pool for tests and the census endpoint.
@@ -171,18 +157,12 @@ func (s *Server) CacheStats() CacheStats { return s.cache.Stats() }
 // BeginShutdown stops admitting jobs: subsequent submissions get 503.
 // In-flight jobs keep running — pair with http.Server.Shutdown, which
 // waits for their streaming handlers to return (the graceful drain).
-func (s *Server) BeginShutdown() {
-	s.mu.Lock()
-	s.draining = true
-	s.mu.Unlock()
-}
+func (s *Server) BeginShutdown() { s.draining.Store(true) }
 
 // CancelAll force-cancels every running and queued job: their sweeps
 // abort with ErrCanceled at the next poll and their engines return to
 // the pool clean. The escalation path when a drain deadline passes.
-func (s *Server) CancelAll() {
-	s.forceOnce.Do(func() { close(s.force) })
-}
+func (s *Server) CancelAll() { s.cancelAll() }
 
 // Wait blocks until every admitted job's handler has finished.
 func (s *Server) Wait() { s.wg.Wait() }
@@ -198,26 +178,54 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// register creates a job record and returns it with its ID.
-func (s *Server) register(spec *Spec) (*job, string) {
+// register records a submission as queued under the next ID; a cache hit's
+// rows are already counted.
+func (s *Server) register(spec *Spec, hit bool) *JobStatus {
+	j := &JobStatus{Kind: spec.Kind, State: StateQueued, Cells: spec.cells(), Cache: "miss"}
+	if hit {
+		j.Cache, j.Rows = "hit", j.Cells
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.nextID++
-	id := fmt.Sprintf("job-%d", s.nextID)
-	j := &job{status: JobStatus{
-		ID: id, Kind: spec.Kind, State: StateQueued,
-		Cells: spec.cells(), Cache: "miss",
-	}}
-	s.jobs[id] = j
-	s.order = append(s.order, id)
-	return j, id
+	j.seq, j.ID = s.nextID, fmt.Sprintf("job-%d", s.nextID)
+	s.live = append(s.live, j)
+	return j
+}
+
+// settle is the one writer of a job's state. Any state but running is
+// final: the job moves from the live list into the ring, over the oldest.
+func (s *Server) settle(j *JobStatus, state, errText string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j.State, j.Error = state, errText
+	if state == StateRunning {
+		return
+	}
+	i := slices.Index(s.live, j)
+	s.live = slices.Delete(s.live, i, i+1)
+	s.finished[s.nfinished%retainedJobs] = j
+	s.nfinished++
+}
+
+// snapshot copies out every retained job's status, in submission order.
+func (s *Server) snapshot() []JobStatus {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	jobs := make([]JobStatus, 0, min(s.nfinished, retainedJobs)+len(s.live))
+	for _, j := range s.finished[:min(s.nfinished, retainedJobs)] {
+		jobs = append(jobs, *j)
+	}
+	for _, j := range s.live {
+		jobs = append(jobs, *j)
+	}
+	slices.SortFunc(jobs, func(a, b JobStatus) int { return a.seq - b.seq })
+	return jobs
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
+	// Decode.
+	if s.draining.Load() {
 		http.Error(w, "server is draining", http.StatusServiceUnavailable)
 		return
 	}
@@ -231,100 +239,71 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	format := r.URL.Query().Get("format")
-	switch format {
+	format, contentType := "ndjson", "application/x-ndjson"
+	switch q := r.URL.Query().Get("format"); q {
 	case "", "ndjson":
-		format = "ndjson"
 	case "csv":
-		if spec.Kind != KindOpenLoop {
+		if !spec.kind.csv {
 			http.Error(w, "format=csv is defined for open-loop jobs only", http.StatusBadRequest)
 			return
 		}
+		format, contentType = "csv", "text/csv"
 	default:
-		http.Error(w, fmt.Sprintf("unknown format %q (want ndjson | csv)", format), http.StatusBadRequest)
+		http.Error(w, fmt.Sprintf("unknown format %q (want ndjson | csv)", q), http.StatusBadRequest)
 		return
 	}
 
-	j, id := s.register(spec)
+	// Key, cache lookup: a hit serves the stored bytes without acquiring
+	// an engine (or even a run slot) — the determinism dividend.
 	key := spec.Key() + ":" + format
-	contentType := "application/x-ndjson"
-	if format == "csv" {
-		contentType = "text/csv"
-	}
-
-	// Cache first: a hit serves the stored bytes without acquiring an
-	// engine (or even a run slot) — the determinism dividend.
-	if cached := s.cache.get(key); cached != nil {
+	cached := s.cache.get(key)
+	j := s.register(spec, cached != nil)
+	respond := func(cache string) {
 		w.Header().Set("Content-Type", contentType)
-		w.Header().Set("X-Meshd-Job", id)
-		w.Header().Set("X-Meshd-Cache", "hit")
-		j.update(func(st *JobStatus) {
-			st.State = StateDone
-			st.Cache = "hit"
-			st.Rows = st.Cells
-		})
+		w.Header().Set("X-Meshd-Job", j.ID)
+		w.Header().Set("X-Meshd-Cache", cache)
+	}
+	if cached != nil {
+		respond("hit")
+		s.settle(j, StateDone, "")
 		_, _ = w.Write(cached)
 		return
 	}
 
-	// Admission: bounded queue in front of the run slots. Refusal is a
-	// 503 before any streaming starts, so clients can retry elsewhere.
-	s.mu.Lock()
-	if s.queued >= s.cfg.MaxQueue {
-		s.mu.Unlock()
-		j.update(func(st *JobStatus) {
-			st.State = StateRefused
-			st.Error = "admission queue full"
-		})
+	// Admit: bounded queue in front of the run slots. Refusal is a 503
+	// before any streaming starts, so clients can retry elsewhere.
+	select {
+	case s.queue <- struct{}{}:
+	default:
+		s.settle(j, StateRefused, "admission queue full")
 		http.Error(w, "admission queue full", http.StatusServiceUnavailable)
 		return
 	}
-	s.queued++
-	s.mu.Unlock()
 	s.wg.Add(1)
 	defer s.wg.Done()
 	ctx := r.Context()
 	select {
 	case s.sem <- struct{}{}:
 	case <-ctx.Done():
-		s.admitDone()
-		j.update(func(st *JobStatus) {
-			st.State = StateCanceled
-			st.Error = "canceled while queued"
-		})
+		<-s.queue
+		s.settle(j, StateCanceled, "canceled while queued")
 		return
-	case <-s.force:
-		s.admitDone()
-		j.update(func(st *JobStatus) {
-			st.State = StateCanceled
-			st.Error = "server canceled all jobs"
-		})
+	case <-s.stop.Done():
+		<-s.queue
+		s.settle(j, StateCanceled, "server canceled all jobs")
 		http.Error(w, "server shutting down", http.StatusServiceUnavailable)
 		return
 	}
-	s.admitDone()
+	<-s.queue
 	defer func() { <-s.sem }()
-
-	canceled := func() bool {
-		select {
-		case <-s.force:
-			return true
-		default:
-		}
-		return ctx.Err() != nil
-	}
-
-	j.update(func(st *JobStatus) { st.State = StateRunning })
-	w.Header().Set("Content-Type", contentType)
-	w.Header().Set("X-Meshd-Job", id)
-	w.Header().Set("X-Meshd-Cache", "miss")
 
 	// Stream to the client and into a replica buffer at once; only a
 	// complete, successful replica enters the cache.
+	s.settle(j, StateRunning, "")
+	respond("miss")
 	var replica bytes.Buffer
-	flusher, _ := w.(http.Flusher)
 	flush := func() {}
-	if flusher != nil {
+	if flusher, ok := w.(http.Flusher); ok {
 		flush = flusher.Flush
 	}
 	sink := io.MultiWriter(w, &replica)
@@ -332,39 +311,41 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if format == "csv" {
 		// The header goes out before any cell can emit, so writing it
 		// around the sequencer is race-free.
-		header := cliutil.CSVHeader(cliutil.OpenLoopHeader())
-		if _, err := sink.Write([]byte(header)); err != nil {
-			j.update(func(st *JobStatus) { st.State = StateFailed; st.Error = err.Error() })
+		if _, err := io.WriteString(sink, cliutil.CSVHeader(cliutil.OpenLoopHeader())); err != nil {
+			s.settle(j, StateFailed, err.Error())
 			return
 		}
 	}
+	e := env{
+		srv: s, job: j, seq: seq,
+		cancel:  func() bool { return ctx.Err() != nil || s.stop.Err() != nil },
+		workers: min(cmp.Or(spec.Workers, s.cfg.MaxWorkers), s.cfg.MaxWorkers),
+		csv:     format == "csv",
+	}
+	if spec.Probe {
+		snap := &probe.Snapshot{}
+		e.probe = snap
+		s.mu.Lock()
+		s.censusJob, s.census = j.ID, snap
+		s.mu.Unlock()
+	}
+	runErr := spec.kind.run(spec, e)
 
-	runErr := s.run(spec, format, seq, j, canceled)
-
+	// Settle.
 	switch {
+	case runErr == nil && seq.flushErr() == nil:
+		// An exact-size copy: the buffer's spare capacity (up to 2x) would
+		// otherwise live as long as the entry, outside the cache's byte bound.
+		s.cache.put(key, bytes.Clone(replica.Bytes()))
+		s.settle(j, StateDone, "")
 	case runErr == nil:
-		if seq.flushErr() == nil {
-			s.cache.put(key, append([]byte(nil), replica.Bytes()...))
-			j.update(func(st *JobStatus) { st.State = StateDone })
-		} else {
-			j.update(func(st *JobStatus) {
-				st.State = StateFailed
-				st.Error = "client went away mid-stream"
-			})
-		}
-	case errors.Is(runErr, ndmesh.ErrCanceled):
-		j.update(func(st *JobStatus) {
-			st.State = StateCanceled
-			st.Error = runErr.Error()
-		})
-		if format == "ndjson" && seq.flushErr() == nil {
-			_, _ = sink.Write(encodeNDJSON(map[string]string{"error": runErr.Error()}))
-		}
+		s.settle(j, StateFailed, "client went away mid-stream")
 	default:
-		j.update(func(st *JobStatus) {
-			st.State = StateFailed
-			st.Error = runErr.Error()
-		})
+		state := StateFailed
+		if errors.Is(runErr, ndmesh.ErrCanceled) {
+			state = StateCanceled
+		}
+		s.settle(j, state, runErr.Error())
 		if format == "ndjson" && seq.flushErr() == nil {
 			_, _ = sink.Write(encodeNDJSON(map[string]string{"error": runErr.Error()}))
 		}
@@ -372,116 +353,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	flush()
 }
 
-// admitDone releases the admission-queue slot taken in handleSubmit.
-func (s *Server) admitDone() {
-	s.mu.Lock()
-	s.queued--
-	s.mu.Unlock()
-}
-
-// streamRows adapts a sweep's Emit hook to the job's row stream: encode
-// the row, hand it to the sequencer under its cell index, count it on the
-// job record.
-func streamRows[R any](seq *sequencer, j *job, encode func(row R) []byte) func(int, R) {
-	return func(i int, row R) {
-		seq.push(i, encode(row))
-		j.update(func(st *JobStatus) { st.Rows++ })
-	}
-}
-
-// run executes the spec's workload with the server's pool, streaming
-// each row through the sequencer and counting it on the job record.
-func (s *Server) run(spec *Spec, format string, seq *sequencer, j *job, canceled func() bool) error {
-	workers := spec.Workers
-	if workers == 0 || workers > s.cfg.MaxWorkers {
-		workers = s.cfg.MaxWorkers
-	}
-	var snap *probe.Snapshot
-	if spec.Probe {
-		snap = &probe.Snapshot{}
-		s.censusMu.Lock()
-		s.censusJob = j.snapshot().ID
-		s.census = snap
-		s.censusMu.Unlock()
-	}
-
-	switch spec.Kind {
-	case KindOpenLoop:
-		opt := spec.saturationOptions()
-		opt.Pool = s.pool
-		opt.Cancel = canceled
-		if snap != nil {
-			opt.Probe = snap
-		}
-		encode := encodeNDJSON[ndmesh.SaturationRow]
-		if format == "csv" {
-			encode = func(row ndmesh.SaturationRow) []byte {
-				return []byte(cliutil.CSVLine(cliutil.OpenLoopCells(row)))
-			}
-		}
-		opt.Emit = streamRows(seq, j, encode)
-		_, err := ndmesh.SaturationSweepWorkers(opt, spec.Seed, workers)
-		return err
-	case KindClosedLoop:
-		opt := spec.closedLoopOptions()
-		opt.Pool = s.pool
-		opt.Cancel = canceled
-		if snap != nil {
-			opt.Probe = snap
-		}
-		opt.Emit = streamRows(seq, j, encodeNDJSON[ndmesh.ClosedLoopRow])
-		_, err := ndmesh.ClosedLoopSweepWorkers(opt, spec.Seed, workers)
-		return err
-	case KindReliability:
-		opt := spec.reliabilityOptions()
-		opt.Pool = s.pool
-		opt.Cancel = canceled
-		opt.Emit = streamRows(seq, j, encodeNDJSON[ndmesh.ReliabilityRow])
-		_, err := ndmesh.ReliabilitySweepWorkers(opt, spec.Seed, workers)
-		return err
-	case KindReplay:
-		tr, err := traffic.UnmarshalTrace(spec.Trace)
-		if err != nil {
-			return err
-		}
-		opt := spec.loadOptions(tr)
-		opt.Pool = s.pool
-		opt.Cancel = canceled
-		pt, err := ndmesh.LoadRun(opt)
-		if err != nil {
-			return err
-		}
-		streamRows(seq, j, encodeNDJSON[ReplayRow])(0, ReplayRow{Router: opt.Router, Point: pt})
-		return nil
-	default:
-		return fmt.Errorf("unreachable kind %q", spec.Kind)
-	}
-}
-
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
-	s.mu.Unlock()
-	statuses := make([]JobStatus, 0, len(ids))
-	for _, id := range ids {
-		s.mu.Lock()
-		j := s.jobs[id]
-		s.mu.Unlock()
-		statuses = append(statuses, j.snapshot())
-	}
-	writeJSON(w, map[string]any{"jobs": statuses})
+	writeJSON(w, map[string]any{"jobs": s.snapshot()})
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
-		http.Error(w, "no such job", http.StatusNotFound)
-		return
+	for _, st := range s.snapshot() {
+		if st.ID == id {
+			writeJSON(w, st)
+			return
+		}
 	}
-	writeJSON(w, j.snapshot())
+	http.Error(w, "no such job", http.StatusNotFound)
 }
 
 // censusView is the /debug/census payload: pool and cache counters plus
@@ -499,19 +383,16 @@ type probeView struct {
 
 func (s *Server) handleCensus(w http.ResponseWriter, r *http.Request) {
 	view := censusView{Pool: s.pool.Stats(), Cache: s.cache.Stats()}
-	s.censusMu.Lock()
+	s.mu.Lock()
 	if s.census != nil {
 		view.Probe = &probeView{Job: s.censusJob, Census: s.census.State()}
 	}
-	s.censusMu.Unlock()
+	s.mu.Unlock()
 	writeJSON(w, view)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
+	if s.draining.Load() {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
 	}

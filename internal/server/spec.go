@@ -1,15 +1,7 @@
 // This file is the meshd job-spec layer: the JSON shape clients POST to
-// /v1/jobs, its strict decoder, the normalization pass that folds in the
-// served defaults (the library's Default* configurations, narrowed where
-// normalize says so), and the canonical cache key. The key contract is the determinism dividend: the
-// sweeps produce byte-identical rows at every worker count and every
-// shard count, so Workers and Shards are zeroed out of the key — two
-// submissions that differ only in fan-out width are the same result and
-// hit the same cache entry. Everything else that can reach the rows
-// (workload, engine configuration, seed) is in the key; canonicalization
-// goes through the Spec struct itself (decode, default, re-marshal), so
-// JSON key order, whitespace and omitted-vs-defaulted fields cannot split
-// equivalent specs across entries.
+// /v1/jobs, its strict decoder, the bounds every kind shares, and the
+// canonical cache key (see Key). What differs per kind — axis rules, served
+// defaults — is the kind's row in kinds.go.
 
 package server
 
@@ -20,9 +12,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-
-	"ndmesh"
-	"ndmesh/internal/traffic"
 )
 
 // Spec bounds: a daemon accepts arbitrary network input, so every
@@ -39,21 +28,13 @@ const (
 	maxTraceSize = 16 << 20
 )
 
-// Job kinds, one per workload family the library runs.
-const (
-	KindOpenLoop    = "open-loop"
-	KindClosedLoop  = "closed-loop"
-	KindReplay      = "replay"
-	KindReliability = "reliability"
-)
-
 // Spec is one job submission: a workload kind plus the option fields of
 // the corresponding sweep, under the library's defaults where omitted.
 // Field semantics match the ndmesh option structs of the same names.
 type Spec struct {
-	// Kind selects the workload family: open-loop | closed-loop | replay
-	// | reliability.
+	// Kind selects the workload family: one of the Kind* names.
 	Kind string `json:"kind"`
+	kind *kind  // Kind's table row, set by normalize
 
 	// Dims/Lambda shape the mesh (defaults: 8x8, λ=1). Replay jobs take
 	// the shape from the trace and must leave Dims empty.
@@ -102,10 +83,8 @@ type Spec struct {
 	// seed is a different result).
 	Seed uint64 `json:"seed,omitempty"`
 
-	// Workers/Shards size the fan-out. They are explicitly NOT part of
-	// the cache key: every width produces byte-identical rows, so the
-	// daemon is free to serve a 1-worker submission from an 8-worker
-	// run's cache entry (and does).
+	// Workers/Shards size the fan-out. They are NOT part of the cache key:
+	// every width produces byte-identical rows (see Key).
 	Workers int `json:"workers,omitempty"`
 	Shards  int `json:"shards,omitempty"`
 
@@ -146,12 +125,9 @@ func ParseSpec(data []byte) (*Spec, error) {
 // normalize validates bounds and folds in defaults, making the spec
 // canonical: after it returns, equivalent submissions are equal structs.
 func (s *Spec) normalize() error {
-	switch s.Kind {
-	case KindOpenLoop, KindClosedLoop, KindReplay, KindReliability:
-	case "":
-		return fmt.Errorf("spec needs a kind (open-loop | closed-loop | replay | reliability)")
-	default:
-		return fmt.Errorf("unknown kind %q (want open-loop | closed-loop | replay | reliability)", s.Kind)
+	var err error
+	if s.kind, err = kindOf(s.Kind); err != nil {
+		return err
 	}
 	for _, f := range []float64{s.Rate, s.FaultRate, s.FaultShape, s.FaultRepair} {
 		if math.IsNaN(f) || math.IsInf(f, 0) {
@@ -199,124 +175,11 @@ func (s *Spec) normalize() error {
 		return fmt.Errorf("shards %d out of range [0, %d]", s.Shards, maxList)
 	}
 
-	// Replay: the trace is the workload — the mesh shape, the phases and
-	// the grid axes come from it, and spec fields that would fight it are
-	// rejected rather than silently ignored.
-	if s.Kind == KindReplay {
-		if len(s.Trace) == 0 {
-			return fmt.Errorf("replay spec needs a trace")
-		}
-		if len(s.Dims) > 0 || len(s.Rates) > 0 || len(s.Windows) > 0 || len(s.FaultRates) > 0 ||
-			len(s.Patterns) > 0 || s.Warmup != 0 || s.Measure != 0 || s.Drain != 0 ||
-			s.Rate != 0 || s.Trials != 0 || s.Process != "" ||
-			s.Faults != 0 || s.FaultRate != 0 {
-			return fmt.Errorf("replay specs take dims, phases, workload axes and the fault schedule from the trace; remove them")
-		}
-		if _, err := traffic.UnmarshalTrace(s.Trace); err != nil {
-			return fmt.Errorf("decoding trace: %w", err)
-		}
-		if len(s.Routers) == 0 {
-			s.Routers = []string{"limited"}
-		}
-		if len(s.Routers) != 1 {
-			return fmt.Errorf("replay runs one router (got %d)", len(s.Routers))
-		}
-		if s.Probe {
-			return fmt.Errorf("probe is not supported on replay jobs")
-		}
-		return nil
+	if err = s.kind.axes(s); err != nil {
+		return err
 	}
-	if len(s.Trace) > 0 {
-		return fmt.Errorf("only replay specs carry a trace")
-	}
-
-	// Shared defaults: the library's Default{Saturation,ClosedLoop,
-	// Reliability} values, except that patterns is uniform alone (the
-	// library's open- and closed-loop defaults add transpose) and a
-	// reliability job leaves fault_repair, flight_timeout and retry_backoff
-	// off. Defaults are cache-key material: TestSpecDefaultsVsLibrary pins
-	// both lists.
-	if len(s.Dims) == 0 {
-		s.Dims = []int{8, 8}
-	}
-	if len(s.Dims) > maxDims {
-		return fmt.Errorf("mesh has %d dimensions (max %d)", len(s.Dims), maxDims)
-	}
-	nodes := 1
-	for _, d := range s.Dims {
-		// The per-radix bound keeps the running product from overflowing
-		// before the node cap can catch it.
-		if d < 2 || d > maxNodes {
-			return fmt.Errorf("mesh dimension %d out of range [2, %d]", d, maxNodes)
-		}
-		if nodes *= d; nodes > maxNodes {
-			return fmt.Errorf("mesh exceeds %d nodes", maxNodes)
-		}
-	}
-	if s.Lambda == 0 {
-		s.Lambda = 1
-	}
-	if s.Lambda < 1 || s.Lambda > 64 {
-		return fmt.Errorf("lambda %d out of range [1, 64]", s.Lambda)
-	}
-	if len(s.Routers) == 0 {
-		s.Routers = []string{"limited"}
-	}
-	if len(s.Patterns) == 0 {
-		s.Patterns = []string{"uniform"}
-	}
-	if s.Measure == 0 {
-		s.Warmup, s.Measure, s.Drain = 64, 256, 256
-	}
-	if s.LinkRate == 0 {
-		s.LinkRate = 1
-	}
-
-	switch s.Kind {
-	case KindOpenLoop:
-		if len(s.Windows) > 0 || len(s.FaultRates) > 0 || s.Trials != 0 {
-			return fmt.Errorf("open-loop specs take rates, not windows/fault_rates/trials")
-		}
-		if len(s.Rates) == 0 {
-			s.Rates = []float64{0.02, 0.05, 0.1, 0.2, 0.35, 0.5}
-		}
-		if s.Process == "" {
-			s.Process = "bernoulli"
-		}
-	case KindClosedLoop:
-		if len(s.Rates) > 0 || len(s.FaultRates) > 0 || s.Trials != 0 || s.Process != "" {
-			return fmt.Errorf("closed-loop specs take windows, not rates/fault_rates/trials/process")
-		}
-		if len(s.Windows) == 0 {
-			s.Windows = []int{1, 2, 4, 8, 16, 32}
-		}
-		for _, w := range s.Windows {
-			if w < 1 || w > 1<<16 {
-				return fmt.Errorf("window %d out of range [1, %d]", w, 1<<16)
-			}
-		}
-	case KindReliability:
-		if len(s.Rates) > 0 || len(s.Windows) > 0 {
-			return fmt.Errorf("reliability specs take fault_rates, not rates/windows")
-		}
-		if s.Probe {
-			return fmt.Errorf("probe is not supported on reliability jobs")
-		}
-		if len(s.FaultRates) == 0 {
-			s.FaultRates = []float64{0, 0.005, 0.01, 0.02, 0.04}
-		}
-		if s.Trials == 0 {
-			s.Trials = 16
-		}
-		if s.Rate == 0 {
-			s.Rate = 0.1
-		}
-		if s.Process == "" {
-			s.Process = "bernoulli"
-		}
-		if s.FaultModel == "" {
-			s.FaultModel = "bernoulli"
-		}
+	if s.Probe && !s.kind.probe {
+		return fmt.Errorf("probe is not supported on %s jobs", s.Kind)
 	}
 	if s.Probe && s.cells() != 1 {
 		return fmt.Errorf("a probed job must be a single cell (got %d); probes are stateful accumulators", s.cells())
@@ -324,27 +187,16 @@ func (s *Spec) normalize() error {
 	return nil
 }
 
-// cells returns the job's grid size: one per sweep cell (reliability
-// counts cells, not trials), one for a replay.
-func (s *Spec) cells() int {
-	switch s.Kind {
-	case KindOpenLoop:
-		return len(s.Patterns) * len(s.Rates) * len(s.Routers)
-	case KindClosedLoop:
-		return len(s.Patterns) * len(s.Windows) * len(s.Routers)
-	case KindReliability:
-		return len(s.Patterns) * len(s.FaultRates) * len(s.Routers)
-	default:
-		return 1
-	}
-}
+// cells returns the normalized spec's grid size.
+func (s *Spec) cells() int { return s.kind.cells(s) }
 
 // Key returns the spec's canonical cache key. Workers and Shards are
-// zeroed first — the determinism contract makes every fan-out width the
-// same bytes — then the normalized struct is marshaled in declaration
-// order and hashed. Two submissions with reordered JSON keys, different
-// whitespace, or omitted-vs-explicit defaults share a key; any change
-// that can reach the rows (including the seed) splits it.
+// zeroed first — the sweeps produce byte-identical rows at every worker and
+// shard count, so submissions that differ only in fan-out width are the same
+// result and hit the same cache entry — then the normalized struct is
+// marshaled in declaration order and hashed. Reordered JSON keys, whitespace
+// and omitted-vs-explicit defaults share a key; any change that can reach
+// the rows (workload, engine configuration, seed) splits it.
 func (s *Spec) Key() string {
 	c := *s
 	c.Workers = 0
@@ -358,72 +210,4 @@ func (s *Spec) Key() string {
 	}
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])
-}
-
-// saturationOptions converts an open-loop spec into the library's sweep
-// options (hooks left nil; the runner wires Pool/Emit/Cancel/Probe).
-func (s *Spec) saturationOptions() ndmesh.SaturationOptions {
-	return ndmesh.SaturationOptions{
-		Dims: s.Dims, Lambda: s.Lambda,
-		Routers: s.Routers, Patterns: s.Patterns, Rates: s.Rates,
-		Process: s.Process,
-		Warmup:  s.Warmup, Measure: s.Measure, Drain: s.Drain,
-		LinkRate: s.LinkRate, NodeCapacity: s.NodeCapacity,
-		FlightTimeout: s.FlightTimeout, RetryBackoff: s.RetryBackoff,
-		Bubble: s.Bubble, GridlockWindow: s.GridlockWindow,
-		Faults: s.Faults, FaultInterval: s.FaultInterval,
-		Clustered: s.Clustered, FaultStart: s.FaultStart,
-		FaultRate: s.FaultRate, FaultModel: s.FaultModel,
-		FaultShape: s.FaultShape, FaultRepair: s.FaultRepair,
-		Shards: s.Shards,
-	}
-}
-
-// closedLoopOptions converts a closed-loop spec into sweep options.
-func (s *Spec) closedLoopOptions() ndmesh.ClosedLoopOptions {
-	return ndmesh.ClosedLoopOptions{
-		Dims: s.Dims, Lambda: s.Lambda,
-		Routers: s.Routers, Patterns: s.Patterns, Windows: s.Windows,
-		Warmup: s.Warmup, Measure: s.Measure, Drain: s.Drain,
-		LinkRate: s.LinkRate, NodeCapacity: s.NodeCapacity,
-		FlightTimeout: s.FlightTimeout, RetryBackoff: s.RetryBackoff,
-		Bubble: s.Bubble, GridlockWindow: s.GridlockWindow,
-		Faults: s.Faults, FaultInterval: s.FaultInterval,
-		Clustered: s.Clustered, FaultStart: s.FaultStart,
-		FaultRate: s.FaultRate, FaultModel: s.FaultModel,
-		FaultShape: s.FaultShape, FaultRepair: s.FaultRepair,
-		Shards: s.Shards,
-	}
-}
-
-// reliabilityOptions converts a reliability spec into sweep options.
-func (s *Spec) reliabilityOptions() ndmesh.ReliabilityOptions {
-	return ndmesh.ReliabilityOptions{
-		Dims: s.Dims, Lambda: s.Lambda,
-		Routers: s.Routers, Patterns: s.Patterns, FaultRates: s.FaultRates,
-		FaultModel: s.FaultModel, FaultShape: s.FaultShape,
-		FaultRepair: s.FaultRepair, Clustered: s.Clustered,
-		Trials: s.Trials, Rate: s.Rate, Process: s.Process,
-		Warmup: s.Warmup, Measure: s.Measure, Drain: s.Drain,
-		LinkRate: s.LinkRate, NodeCapacity: s.NodeCapacity,
-		FlightTimeout: s.FlightTimeout, RetryBackoff: s.RetryBackoff,
-		Bubble: s.Bubble, GridlockWindow: s.GridlockWindow,
-		Shards: s.Shards,
-	}
-}
-
-// loadOptions converts a replay spec into the single-run options. The
-// trace was validated at parse time; engine-side fields follow the
-// library's replay-inheritance rules.
-func (s *Spec) loadOptions(tr *traffic.Trace) ndmesh.LoadOptions {
-	return ndmesh.LoadOptions{
-		Router:   s.Routers[0],
-		Lambda:   s.Lambda,
-		LinkRate: s.LinkRate, NodeCapacity: s.NodeCapacity,
-		FlightTimeout: s.FlightTimeout, RetryBackoff: s.RetryBackoff,
-		Bubble: s.Bubble, GridlockWindow: s.GridlockWindow,
-		Shards: s.Shards,
-		Seed:   s.Seed,
-		Replay: tr,
-	}
 }

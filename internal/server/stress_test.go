@@ -147,19 +147,14 @@ func TestStressMidStreamCancel(t *testing.T) {
 	// for the registry to settle before auditing.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		srv.mu.Lock()
-		ids := append([]string(nil), srv.order...)
-		srv.mu.Unlock()
+		jobs := srv.snapshot()
 		settled := true
-		for _, id := range ids {
-			srv.mu.Lock()
-			st := srv.jobs[id].snapshot()
-			srv.mu.Unlock()
+		for _, st := range jobs {
 			if st.State == StateQueued || st.State == StateRunning {
 				settled = false
 			}
 		}
-		if settled && len(ids) == 3 {
+		if settled && len(jobs) == 3 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -221,14 +216,12 @@ func TestStressShutdownMidJob(t *testing.T) {
 
 	// Wait for the job to be running, then pull the plug.
 	for {
-		srv.mu.Lock()
 		running := false
-		for _, id := range srv.order {
-			if srv.jobs[id].snapshot().State == StateRunning {
+		for _, st := range srv.snapshot() {
+			if st.State == StateRunning {
 				running = true
 			}
 		}
-		srv.mu.Unlock()
 		if running {
 			break
 		}
@@ -245,9 +238,7 @@ func TestStressShutdownMidJob(t *testing.T) {
 	if !bytes.Contains(r.body, []byte(`"error"`)) {
 		t.Fatalf("canceled stream carries no error line: %q", r.body)
 	}
-	srv.mu.Lock()
-	st := srv.jobs[srv.order[0]].snapshot()
-	srv.mu.Unlock()
+	st := srv.snapshot()[0]
 	if st.State != StateCanceled {
 		t.Fatalf("job state = %s, want canceled", st.State)
 	}

@@ -101,80 +101,6 @@ func (s *Summary) String() string {
 	return fmt.Sprintf("%.2f ± %.2f [%.0f,%.0f] (n=%d)", s.Mean(), s.Std(), s.Min(), s.Max(), s.n)
 }
 
-// Histogram is a fixed-width integer histogram with overflow bucket,
-// used for detour and convergence-round distributions.
-type Histogram struct {
-	width    int
-	buckets  []int64
-	overflow int64
-	total    int64
-	sum      int64
-}
-
-// NewHistogram builds a histogram with nbuckets buckets of the given width;
-// observation v lands in bucket v/width, values beyond the last bucket in
-// the overflow bucket. Negative observations clamp to bucket 0.
-func NewHistogram(width, nbuckets int) *Histogram {
-	if width < 1 {
-		width = 1
-	}
-	if nbuckets < 1 {
-		nbuckets = 1
-	}
-	return &Histogram{width: width, buckets: make([]int64, nbuckets)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(v int) {
-	h.total++
-	h.sum += int64(v)
-	if v < 0 {
-		v = 0
-	}
-	b := v / h.width
-	if b >= len(h.buckets) {
-		h.overflow++
-		return
-	}
-	h.buckets[b]++
-}
-
-// Total returns the observation count.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Mean returns the mean of observations.
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.total)
-}
-
-// Quantile returns an approximate q-quantile (bucket upper edge); q in [0,1].
-func (h *Histogram) Quantile(q float64) int {
-	if h.total == 0 {
-		return 0
-	}
-	target := int64(q * float64(h.total))
-	if target >= h.total {
-		target = h.total - 1
-	}
-	var seen int64
-	for i, c := range h.buckets {
-		seen += c
-		if seen > target {
-			return (i + 1) * h.width
-		}
-	}
-	return len(h.buckets) * h.width
-}
-
-// Bucket returns the count of bucket i.
-func (h *Histogram) Bucket(i int) int64 { return h.buckets[i] }
-
-// Overflow returns the overflow count.
-func (h *Histogram) Overflow() int64 { return h.overflow }
-
 // Percentiles computes exact percentiles from a full sample slice. Used
 // where the sample set is small enough to keep (per-trial metrics).
 func Percentiles(samples []int, ps ...float64) []int {

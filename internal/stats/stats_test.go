@@ -84,42 +84,6 @@ func TestSummaryMergeEmpty(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(5, 4) // buckets [0,5) [5,10) [10,15) [15,20), overflow beyond
-	for _, v := range []int{0, 3, 7, 12, 19, 25, -2} {
-		h.Add(v)
-	}
-	if h.Total() != 7 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	if h.Bucket(0) != 3 { // 0, 3, -2 (clamped)
-		t.Fatalf("bucket 0 = %d", h.Bucket(0))
-	}
-	if h.Bucket(1) != 1 || h.Bucket(2) != 1 || h.Bucket(3) != 1 {
-		t.Fatalf("buckets = %d %d %d", h.Bucket(1), h.Bucket(2), h.Bucket(3))
-	}
-	if h.Overflow() != 1 {
-		t.Fatalf("overflow = %d", h.Overflow())
-	}
-	if math.Abs(h.Mean()-64.0/7.0) > 1e-9 {
-		t.Fatalf("Mean = %f", h.Mean())
-	}
-	if q := h.Quantile(0.5); q < 5 || q > 15 {
-		t.Fatalf("median quantile = %d", q)
-	}
-}
-
-func TestHistogramDefensiveConstruction(t *testing.T) {
-	h := NewHistogram(0, 0)
-	h.Add(3)
-	if h.Total() != 1 {
-		t.Fatal("degenerate histogram broken")
-	}
-	if NewHistogram(1, 1).Quantile(0.5) != 0 {
-		t.Fatal("empty quantile should be 0")
-	}
-}
-
 func TestPercentiles(t *testing.T) {
 	samples := []int{9, 1, 5, 3, 7}
 	ps := Percentiles(samples, 0, 0.5, 1.0)
