@@ -25,11 +25,11 @@ import (
 	"ndmesh/internal/viz"
 )
 
-// renderHeatmap loads path (+ manifest) and prints the selected field.
+// renderHeatmap loads path (+ manifest) and prints the selected field to w.
 // metric is "resident" or "stalls" (per-node stall totals sum the node's
 // directed links); value is "total" or "peak"; sliceStr pins the
 // non-rendered axes of an n-D mesh.
-func renderHeatmap(path, metric, value, sliceStr string) error {
+func renderHeatmap(w io.Writer, path, metric, value, sliceStr string) error {
 	var m probe.Manifest
 	mb, err := os.ReadFile(path + ".manifest.json")
 	if err != nil {
@@ -108,8 +108,8 @@ func renderHeatmap(path, metric, value, sliceStr string) error {
 			return err
 		}
 	}
-	fmt.Printf("heatmap %s: %v %s (%s), ramp %q dim->hot\n", path, m.Dims, metric, value, viz.HeatRamp)
-	fmt.Print(viz.RenderHeat(shape, field, viz.Options{Fixed: fixed}))
+	fmt.Fprintf(w, "heatmap %s: %v %s (%s), ramp %q dim->hot\n", path, m.Dims, metric, value, viz.HeatRamp)
+	fmt.Fprint(w, viz.RenderHeat(shape, field, viz.Options{Fixed: fixed}))
 	return nil
 }
 

@@ -3,6 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +13,7 @@ import (
 
 	"ndmesh"
 	"ndmesh/internal/cliutil"
+	"ndmesh/internal/probe"
 )
 
 // loadgen runs the CLI in-process and returns its stdout.
@@ -144,4 +148,74 @@ func TestManifestRecordsNoWorkers(t *testing.T) {
 			t.Errorf("%s: manifest config records a Workers value", name)
 		}
 	}
+}
+
+// TestTelemetryFiles is the probe layer end to end through the CLI: one
+// probed run (decimated flush cadence) writes all three telemetry files,
+// each with data rows under exactly its published header and a
+// format-version-1 manifest beside it.
+func TestTelemetryFiles(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"ts.csv":  "step,steps,injected,delivered,unreachable,lost,timed_out,retried,failed,recovered,moves,stalls,in_flight,gridlocked",
+		"hm.csv":  "kind,node,dir,peak,total,mean",
+		"lat.csv": "lo,hi,count,cum",
+	}
+	loadgen(t, "-dims", "8x8", "-rates", "0.2", "-patterns", "uniform", "-capacity", "4",
+		"-warmup", "16", "-measure", "96", "-drain", "96", "-progress", "-probe-every", "2",
+		"-timeseries", filepath.Join(dir, "ts.csv"), "-heatmap", filepath.Join(dir, "hm.csv"), "-hist", filepath.Join(dir, "lat.csv"))
+	for name, header := range files {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
+		if len(lines) < 2 || lines[0] != header {
+			t.Errorf("%s: %d lines under header %q, want data rows under %q", name, len(lines), lines[0], header)
+		}
+		manifest, err := os.ReadFile(filepath.Join(dir, name+".manifest.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(manifest), `"format_version": 1`) {
+			t.Errorf("%s manifest carries no format_version 1: %s", name, manifest)
+		}
+	}
+}
+
+// TestDebugEndpoints serves the -debug-addr mux over a snapshot a short
+// probed run has fed: the census rollup is the run's, the pprof index
+// answers.
+func TestDebugEndpoints(t *testing.T) {
+	snap := &probe.Snapshot{}
+	if _, err := ndmesh.LoadRun(ndmesh.LoadOptions{
+		Dims: []int{6, 6}, Lambda: 1, Router: "limited", Pattern: "uniform", Rate: 0.2,
+		Warmup: 8, Measure: 32, Drain: 32, LinkRate: 1, NodeCapacity: 4,
+		Probe: snap, ProbeEvery: 1, Seed: 1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(newDebugMux(snap))
+	defer srv.Close()
+	get := func(path string) string {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d, read error %v", path, resp.StatusCode, err)
+		}
+		return string(body)
+	}
+	census := get("/debug/census")
+	var state probe.SnapshotState
+	if err := json.Unmarshal([]byte(census), &state); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(census, `"in_flight"`) || state.Steps == 0 || state.Injected == 0 {
+		t.Errorf("census is not the probed run's rollup: %s", census)
+	}
+	get("/debug/pprof/")
 }

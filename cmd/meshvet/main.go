@@ -1,174 +1,23 @@
 // Command meshvet runs the repo's static contract suite (internal/lint):
-// determinism, resetcomplete, noalloc, and probereadonly. It speaks two
-// protocols:
-//
-//   - standalone: `meshvet ./...` loads, type-checks, and analyzes the
-//     named packages directly (exit 1 on findings);
-//   - vettool: when invoked by `go vet -vettool=$(which meshvet) ./...`
-//     it implements the cmd/go unitchecker contract (-V=full version
-//     probe, -flags probe, then one <pkg>.cfg JSON per package), which
-//     gets meshvet go vet's caching and per-package fan-out for free.
-//
-// The vettool mode analyzes only packages of the ndmesh module — the
-// standard library is handed to it too (for export data) and is skipped.
+// determinism, resetcomplete, noalloc, and probereadonly. `meshvet ./...`
+// (or `go run ./cmd/meshvet ./...`) loads, type-checks and analyzes the
+// named packages and exits 1 on findings. It is a thin wrapper: the same
+// loader and analyzers run over the whole module inside tier-1, as
+// TestRepoMeshvetClean of `go test ./internal/lint`.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"io"
 	"os"
-	"runtime"
 	"strings"
 
 	"ndmesh/internal/lint"
 )
 
-func main() {
-	args := os.Args[1:]
-	switch {
-	case len(args) == 1 && (args[0] == "-V=full" || args[0] == "-V"):
-		printVersion()
-	case len(args) == 1 && args[0] == "-flags":
-		fmt.Println("[]")
-	case len(args) == 1 && strings.HasSuffix(args[0], ".cfg"):
-		os.Exit(runUnit(args[0]))
-	default:
-		os.Exit(runStandalone(args))
-	}
-}
+func main() { os.Exit(run(os.Args[1:])) }
 
-// printVersion implements the `-V=full` probe: cmd/go derives the
-// vettool's cache key from this line, expecting
-// "<progname> version devel ... buildID=<hex>" and re-running analyses
-// whenever the binary's hash changes.
-func printVersion() {
-	h := sha256.New()
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			_, _ = io.Copy(h, f)
-			f.Close()
-		}
-	}
-	fmt.Printf("%s version devel comments-go-here buildID=%x\n", os.Args[0], h.Sum(nil))
-}
-
-// vetConfig is the subset of cmd/go's per-package vet configuration JSON
-// that meshvet consumes.
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	ModulePath                string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// runUnit handles one unitchecker invocation: analyze the package the
-// .cfg describes, print findings to stderr, and return the exit status
-// (0 clean, 2 findings — mirroring x/tools' unitchecker).
-func runUnit(cfgFile string) int {
-	data, err := os.ReadFile(cfgFile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "meshvet: %v\n", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "meshvet: parsing %s: %v\n", cfgFile, err)
-		return 1
-	}
-	// cmd/go expects facts ("vetx") for every package; meshvet's analyzers
-	// are package-local, so an empty placeholder satisfies the cache.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte("meshvet: no facts\n"), 0o666); err != nil {
-			fmt.Fprintf(os.Stderr, "meshvet: %v\n", err)
-			return 1
-		}
-	}
-	// Dependencies (VetxOnly), non-module packages, and the synthesized
-	// test variants (the base package was already analyzed; _test.go files
-	// are out of contract anyway) are skipped.
-	if cfg.VetxOnly || cfg.Standard[cfg.ImportPath] || cfg.ModulePath != "ndmesh" ||
-		strings.Contains(cfg.ID, ".test") || strings.Contains(cfg.ID, " [") {
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "meshvet: %v\n", err)
-			return 1
-		}
-		files = append(files, f)
-	}
-	compilerName := cfg.Compiler
-	if compilerName == "" {
-		compilerName = "gc"
-	}
-	imp := importer.ForCompiler(fset, compilerName, func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-	}
-	conf := types.Config{Importer: imp, Sizes: types.SizesFor("gc", runtime.GOARCH)}
-	pkg, err := conf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintf(os.Stderr, "meshvet: type-checking %s: %v\n", cfg.ImportPath, err)
-		return 1
-	}
-
-	diags, err := lint.RunAnalyzers([]*lint.LoadedPackage{{
-		ImportPath: cfg.ImportPath,
-		Fset:       fset,
-		Files:      files,
-		Pkg:        pkg,
-		Info:       info,
-	}}, lint.All())
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "meshvet: %v\n", err)
-		return 1
-	}
-	for _, d := range diags {
-		fmt.Fprintln(os.Stderr, d)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
-}
-
-// runStandalone loads and analyzes the named package patterns (default
-// ./...) without the go vet driver.
-func runStandalone(patterns []string) int {
+// run loads and analyzes the named package patterns (default ./...).
+func run(patterns []string) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}

@@ -43,19 +43,16 @@ type Result struct {
 // rounds (λ rounds per step, Figure 7).
 type Stepper struct {
 	m *mesh.Mesh //meshvet:keep fabric dependency, not per-trial state
-	// candidate tracking with generation stamps: cand holds the nodes to
-	// evaluate next round; inCand[id] == gen marks membership.
-	cand   []grid.NodeID
-	inCand []uint32 //meshvet:keep generation stamps; Reset's gen++ invalidates them
-	gen    uint32
+	// cand holds the nodes to evaluate next round.
+	cand grid.NodeSet
 	// clean nodes need re-evaluation every round until they resolve
 	// (their clean age drives rule 4).
-	cleanSet map[grid.NodeID]struct{}
+	cleanSet grid.NodeSet
 	// pending status commits for the synchronous update.
 	changedIDs []grid.NodeID
 	changedTo  []mesh.Status
 	// affected tracks distinct nodes that ever changed in this epoch.
-	affected map[grid.NodeID]struct{}
+	affected grid.NodeSet
 	// eval and agedCleans are Round's reusable work lists (candidates plus
 	// clean nodes, and clean nodes whose age must advance).
 	eval       []grid.NodeID //meshvet:keep scratch, re-sliced at each Round
@@ -67,10 +64,9 @@ type Stepper struct {
 func NewStepper(m *mesh.Mesh) *Stepper {
 	return &Stepper{
 		m:        m,
-		inCand:   make([]uint32, m.NumNodes()),
-		gen:      1,
-		cleanSet: make(map[grid.NodeID]struct{}),
-		affected: make(map[grid.NodeID]struct{}),
+		cand:     grid.NewNodeSet(m.NumNodes()),
+		cleanSet: grid.NewNodeSet(m.NumNodes()),
+		affected: grid.NewNodeSet(m.NumNodes()),
 	}
 }
 
@@ -78,14 +74,13 @@ func NewStepper(m *mesh.Mesh) *Stepper {
 func (st *Stepper) Mesh() *mesh.Mesh { return st.m }
 
 // Reset discards all protocol state so the stepper can be reused for a new
-// trial on the same (reset) mesh. Buffers and map buckets are retained.
+// trial on the same (reset) mesh. Buffers are retained.
 func (st *Stepper) Reset() {
-	st.cand = st.cand[:0]
-	st.gen++ // stale inCand stamps are < gen, so membership self-clears
-	clear(st.cleanSet)
+	st.cand.Clear()
+	st.cleanSet.Clear()
 	st.changedIDs = st.changedIDs[:0]
 	st.changedTo = st.changedTo[:0]
-	clear(st.affected)
+	st.affected.Clear()
 }
 
 // Seed registers externally-changed nodes (new faults, recoveries): the node
@@ -93,32 +88,25 @@ func (st *Stepper) Reset() {
 // node (now Clean) joins the clean set.
 func (st *Stepper) Seed(ids ...grid.NodeID) {
 	for _, id := range ids {
-		st.addCandidate(id)
-		st.m.EachNeighbor(id, func(nb grid.NodeID, _ grid.Dir) { st.addCandidate(nb) })
+		st.cand.Add(id)
+		st.m.EachNeighbor(id, func(nb grid.NodeID, _ grid.Dir) { st.cand.Add(nb) })
 		if st.m.Status(id) == mesh.Clean {
-			st.cleanSet[id] = struct{}{}
+			st.cleanSet.Add(id)
 		}
-	}
-}
-
-func (st *Stepper) addCandidate(id grid.NodeID) {
-	if st.inCand[id] != st.gen {
-		st.inCand[id] = st.gen
-		st.cand = append(st.cand, id)
 	}
 }
 
 // Quiescent reports whether the protocol has no pending work: no candidates
 // and no transient clean nodes.
-func (st *Stepper) Quiescent() bool { return len(st.cand) == 0 && len(st.cleanSet) == 0 }
+func (st *Stepper) Quiescent() bool { return st.cand.Len() == 0 && st.cleanSet.Len() == 0 }
 
 // ResetAffected clears the affected-node accounting (typically at each new
 // fault occurrence so Affected counts per-event locality).
-func (st *Stepper) ResetAffected() { clear(st.affected) }
+func (st *Stepper) ResetAffected() { st.affected.Clear() }
 
 // Affected returns the number of distinct nodes that changed status since
 // the last ResetAffected.
-func (st *Stepper) Affected() int { return len(st.affected) }
+func (st *Stepper) Affected() int { return st.affected.Len() }
 
 // Round performs one synchronous round: every candidate node observes its
 // neighbors' current statuses and applies rules 1-4 of Algorithm 1 (rule 5,
@@ -127,10 +115,9 @@ func (st *Stepper) Affected() int { return len(st.affected) }
 func (st *Stepper) Round() int {
 	m := st.m
 	// Evaluate: candidates plus all clean nodes (whose age must advance).
-	eval := append(st.eval[:0], st.cand...)
-	//meshvet:ordered synchronous round: evaluations read only pre-round statuses and commits are per-node, so order cannot reach results
-	for id := range st.cleanSet {
-		if st.inCand[id] != st.gen {
+	eval := append(st.eval[:0], st.cand.IDs()...)
+	for _, id := range st.cleanSet.IDs() {
+		if !st.cand.Has(id) {
 			eval = append(eval, id)
 		}
 	}
@@ -150,21 +137,20 @@ func (st *Stepper) Round() int {
 		}
 	}
 	// Commit phase: all updates appear simultaneously (synchronous model).
-	st.gen++
-	st.cand = st.cand[:0]
+	st.cand.Clear()
 	for i, id := range st.changedIDs {
 		to := st.changedTo[i]
 		m.SetStatus(id, to)
-		st.affected[id] = struct{}{}
+		st.affected.Add(id)
 		if to == mesh.Clean {
-			st.cleanSet[id] = struct{}{}
+			st.cleanSet.Add(id)
 		} else {
-			delete(st.cleanSet, id)
+			st.cleanSet.Remove(id)
 		}
 		// The change is visible to neighbors next round; both the node and
 		// its neighbors are candidates again.
-		st.addCandidate(id)
-		m.EachNeighbor(id, func(nb grid.NodeID, _ grid.Dir) { st.addCandidate(nb) })
+		st.cand.Add(id)
+		m.EachNeighbor(id, func(nb grid.NodeID, _ grid.Dir) { st.cand.Add(nb) })
 	}
 	for _, id := range agedCleans {
 		if m.Status(id) == mesh.Clean { // not overwritten by a commit
@@ -280,43 +266,24 @@ type Block struct {
 // against, and the information source for the global-information baseline
 // router. Blocks are returned sorted by box origin for determinism.
 func Extract(m *mesh.Mesh) []Block {
-	n := m.NumNodes()
-	visited := make([]bool, n)
 	var blocks []Block
-	var queue []grid.NodeID
-	for start := 0; start < n; start++ {
-		id := grid.NodeID(start)
-		if visited[start] || !m.Status(id).Bad() {
-			continue
-		}
-		// BFS one component.
-		visited[start] = true
-		queue = append(queue[:0], id)
-		c := m.Shape().CoordOf(id)
-		box := grid.BoxAt(c)
-		count, faults := 0, 0
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			count++
-			if m.Status(cur) == mesh.Faulty {
+	var o Oracle
+	o.components(m, func(nodes []grid.NodeID) {
+		box := grid.BoxAt(m.Shape().CoordView(nodes[0]))
+		faults := 0
+		for _, id := range nodes {
+			if m.Status(id) == mesh.Faulty {
 				faults++
 			}
-			box.Include(m.Shape().Coord(cur, c))
-			m.EachNeighbor(cur, func(nb grid.NodeID, _ grid.Dir) {
-				if !visited[nb] && m.Status(nb).Bad() {
-					visited[nb] = true
-					queue = append(queue, nb)
-				}
-			})
+			box.Include(m.Shape().CoordView(id))
 		}
 		blocks = append(blocks, Block{
-			Box:    box.Clone(),
-			Nodes:  count,
+			Box:    box,
+			Nodes:  len(nodes),
 			Faults: faults,
-			Solid:  count == box.Volume(),
+			Solid:  len(nodes) == box.Volume(),
 		})
-	}
+	})
 	sort.Slice(blocks, func(i, j int) bool {
 		a, b := blocks[i].Box.Lo, blocks[j].Box.Lo
 		for k := range a {
@@ -341,22 +308,37 @@ func MaxEdge(blocks []Block) int {
 	return e
 }
 
-// Oracle is the reusable-buffer variant of the centralized block oracle for
-// hot paths that query it repeatedly (the engine computes e_max after every
-// applied fault event). The zero value is ready to use; all scratch storage
-// is grown on first use and reused afterwards, so steady-state queries
-// allocate nothing.
+// Oracle is the centralized block oracle's component search with reusable
+// buffers, for hot paths that query it repeatedly (the engine computes e_max
+// after every applied fault event). The zero value is ready to use; all
+// scratch storage is grown on first use and reused afterwards, so
+// steady-state queries allocate nothing.
 type Oracle struct {
+	// visited is a plain flag per node, not a grid.NodeSet: the search scans
+	// every node anyway, so an O(N) clear costs nothing extra.
 	visited []bool
 	queue   []grid.NodeID
-	lo, hi  grid.Coord
-	scratch grid.Coord
+	box     grid.Box
 }
 
-// MaxEdge returns MaxEdge(Extract(m)) without materializing the blocks:
-// the same connected-component search over disabled∪faulty nodes, tracking
-// only each component's bounding-box extents.
+// MaxEdge returns MaxEdge(Extract(m)) without materializing the blocks,
+// tracking only each component's bounding-box extents.
 func (o *Oracle) MaxEdge(m *mesh.Mesh) int {
+	e := 0
+	o.components(m, func(nodes []grid.NodeID) {
+		o.box.SetAt(m.Shape().CoordView(nodes[0]))
+		for _, id := range nodes {
+			o.box.Include(m.Shape().CoordView(id))
+		}
+		e = max(e, o.box.MaxExtent())
+	})
+	return e
+}
+
+// components calls fn with the nodes of every maximal connected component
+// of disabled∪faulty nodes, in order of each component's lowest node id. The
+// slice is the oracle's queue, valid only during the call.
+func (o *Oracle) components(m *mesh.Mesh, fn func(nodes []grid.NodeID)) {
 	n := m.NumNodes()
 	if cap(o.visited) < n {
 		o.visited = make([]bool, n)
@@ -364,15 +346,7 @@ func (o *Oracle) MaxEdge(m *mesh.Mesh) int {
 		o.visited = o.visited[:n]
 		clear(o.visited)
 	}
-	shape := m.Shape()
-	dims := shape.Dims()
-	if len(o.lo) != dims {
-		o.lo = make(grid.Coord, dims)
-		o.hi = make(grid.Coord, dims)
-		o.scratch = make(grid.Coord, dims)
-	}
-	numDirs := shape.NumDirs()
-	e := 0
+	numDirs := m.Shape().NumDirs()
 	for start := 0; start < n; start++ {
 		id := grid.NodeID(start)
 		if o.visited[start] || !m.Status(id).Bad() {
@@ -380,32 +354,15 @@ func (o *Oracle) MaxEdge(m *mesh.Mesh) int {
 		}
 		o.visited[start] = true
 		o.queue = append(o.queue[:0], id)
-		shape.Coord(id, o.lo)
-		copy(o.hi, o.lo)
 		for qi := 0; qi < len(o.queue); qi++ {
-			cur := o.queue[qi]
-			c := shape.Coord(cur, o.scratch)
-			for i, v := range c {
-				if v < o.lo[i] {
-					o.lo[i] = v
-				}
-				if v > o.hi[i] {
-					o.hi[i] = v
-				}
-			}
 			for d := 0; d < numDirs; d++ {
-				nb := m.Neighbor(cur, grid.Dir(d))
+				nb := m.Neighbor(o.queue[qi], grid.Dir(d))
 				if nb != grid.InvalidNode && !o.visited[nb] && m.Status(nb).Bad() {
 					o.visited[nb] = true
 					o.queue = append(o.queue, nb)
 				}
 			}
 		}
-		for i := range o.lo {
-			if ext := o.hi[i] - o.lo[i] + 1; ext > e {
-				e = ext
-			}
-		}
+		fn(o.queue)
 	}
-	return e
 }

@@ -73,17 +73,11 @@ func OnPlacement(b grid.Box, c grid.Coord) bool {
 // verified against and the direct-deposit path used by the global-epoch
 // test harness.
 func Placement(shape *grid.Shape, b grid.Box) []grid.NodeID {
-	seen := make(map[grid.NodeID]struct{})
-	var out []grid.NodeID
-	add := func(id grid.NodeID) {
-		if _, dup := seen[id]; !dup {
-			seen[id] = struct{}{}
-			out = append(out, id)
-		}
-	}
+	seen := grid.NewNodeSet(shape.NumNodes())
+	add := func(id grid.NodeID) { seen.Add(id) }
 	// Frame shell.
 	b.Expand(1).EachID(shape, func(id grid.NodeID) {
-		if _, ok := frame.Level(b, shape.CoordOf(id)); ok {
+		if _, ok := frame.Level(b, shape.CoordView(id)); ok {
 			add(id)
 		}
 	})
@@ -107,7 +101,7 @@ func Placement(shape *grid.Shape, b grid.Box) []grid.NodeID {
 			}
 		}
 	}
-	return out
+	return seen.IDs()
 }
 
 // wallBox returns the clipped wall box for shadow axis j (side − if
@@ -209,22 +203,15 @@ type Construction struct {
 	// them so a long-lived construction allocates no per-round slice.
 	frontier []grid.NodeID
 	next     []grid.NodeID
-	visited  map[grid.NodeID]struct{}
+	visited  grid.NodeSet
 	// Rounds counts propagation rounds so far (contributes to c_i).
 	Rounds int
 }
 
-// NewConstruction starts a flood for box over the given seed nodes (which
-// are processed in round 1).
-func NewConstruction(box grid.Box, epoch uint32, op Op, seeds []grid.NodeID) *Construction {
-	c := &Construction{visited: make(map[grid.NodeID]struct{})}
-	c.reuse(box, epoch, op, seeds)
-	return c
-}
-
-// reuse re-initializes a (possibly recycled) construction in place, keeping
-// every buffer's capacity: the box copies, the region bases, the frontier
-// and the visited map's buckets all reuse prior storage.
+// reuse (re-)initializes a fresh or recycled construction in place for a
+// flood for box over the given seed nodes (which are processed in round 1),
+// keeping every buffer's capacity: the box copies, the region bases, the
+// frontier and the visited set all reuse prior storage.
 func (c *Construction) reuse(box grid.Box, epoch uint32, op Op, seeds []grid.NodeID) {
 	c.Box.Set(box)
 	c.Epoch = epoch
@@ -233,7 +220,7 @@ func (c *Construction) reuse(box grid.Box, epoch uint32, op Op, seeds []grid.Nod
 	c.addRegion(box)
 	c.frontier = append(c.frontier[:0], seeds...)
 	c.next = c.next[:0]
-	clear(c.visited)
+	c.visited.Clear()
 	c.Rounds = 0
 }
 
@@ -281,21 +268,13 @@ type Protocol struct {
 	// a fault process cycling blocks through the protocol allocates nothing
 	// once warm.
 	spare []*Construction
-	// scratch/scratchNb are reusable coordinate buffers for roundOne (the
-	// visited node and its neighbor under inspection).
-	scratch   grid.Coord //meshvet:keep scratch buffer, overwritten before every use
-	scratchNb grid.Coord //meshvet:keep scratch buffer, overwritten before every use
 	// Hops counts total node visits across constructions (message cost).
 	Hops int
 }
 
 // NewProtocol builds an empty boundary protocol over m and store.
 func NewProtocol(m *mesh.Mesh, store *info.Store) *Protocol {
-	return &Protocol{
-		m: m, store: store,
-		scratch:   make(grid.Coord, m.Shape().Dims()),
-		scratchNb: make(grid.Coord, m.Shape().Dims()),
-	}
+	return &Protocol{m: m, store: store}
 }
 
 // Reset abandons every in-flight construction so the protocol can be reused
@@ -316,10 +295,10 @@ func (p *Protocol) Start(box grid.Box, epoch uint32, op Op, seeds []grid.NodeID)
 	if n := len(p.spare); n > 0 {
 		c = p.spare[n-1]
 		p.spare = p.spare[:n-1]
-		c.reuse(box, epoch, op, seeds)
 	} else {
-		c = NewConstruction(box, epoch, op, seeds)
+		c = &Construction{visited: grid.NewNodeSet(p.m.NumNodes())}
 	}
+	c.reuse(box, epoch, op, seeds)
 	p.cons = append(p.cons, c)
 	return c
 }
@@ -352,14 +331,12 @@ func (p *Protocol) Round() int {
 func (p *Protocol) roundOne(c *Construction) int {
 	next := c.next[:0]
 	visits := 0
-	scratch := p.scratch
 	shape := p.m.Shape()
 	numDirs := shape.NumDirs()
 	for _, id := range c.frontier {
-		if _, dup := c.visited[id]; dup {
+		if !c.visited.Add(id) {
 			continue
 		}
-		c.visited[id] = struct{}{}
 		// Only enabled nodes carry and forward boundary information; a
 		// flood reaching a disabled/faulty node stops there (the block in
 		// the way is handled by the merge rule below at its adjacent
@@ -380,7 +357,7 @@ func (p *Protocol) roundOne(c *Construction) int {
 		// placement, merging into its surfaces and boundary. Merely
 		// crossing another block's distant wall is not an intersection
 		// with the block and must not merge.
-		cd := shape.Coord(id, scratch)
+		cd := shape.CoordView(id)
 		for _, r := range p.store.At(id) {
 			if r.Box.Equal(c.Box) {
 				continue
@@ -394,7 +371,7 @@ func (p *Protocol) roundOne(c *Construction) int {
 			if nb == grid.InvalidNode {
 				continue
 			}
-			if _, dup := c.visited[nb]; dup {
+			if c.visited.Has(nb) {
 				continue
 			}
 			// A cancellation also follows the trail of nodes actually
@@ -405,8 +382,7 @@ func (p *Protocol) roundOne(c *Construction) int {
 				next = append(next, nb)
 				continue
 			}
-			nbc := shape.Coord(nb, p.scratchNb)
-			if c.inRegion(nbc) {
+			if c.inRegion(shape.CoordView(nb)) {
 				next = append(next, nb)
 			}
 		}

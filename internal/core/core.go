@@ -60,7 +60,7 @@ type Model struct {
 	round int
 	// watches holds the constructed blocks in key order — the order the
 	// deletion trigger visits them, and so the order cancellation epochs
-	// are assigned. scratch is the coordinate buffer of cornersConsistent.
+	// are assigned. scratch is where onIdentified builds each frame corner.
 	watches []*watched
 	scratch grid.Coord //meshvet:keep scratch buffer, overwritten before every use
 
@@ -313,7 +313,7 @@ func (md *Model) cornersConsistent(w *watched) bool {
 		if md.M.Status(id) != mesh.Enabled {
 			continue
 		}
-		want := frame.SurfaceDirs(w.box, shape.Coord(id, md.scratch))
+		want := frame.SurfaceDirs(w.box, shape.CoordView(id))
 		if !md.Detector.HasRecord(id, n, want) {
 			if md.Debug != nil {
 				md.Debug("watch %v: corner %v lost its role (want level %d dirs=%b, has %v)",

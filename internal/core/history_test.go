@@ -1,0 +1,285 @@
+package core
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"ndmesh/internal/fault"
+	"ndmesh/internal/grid"
+	"ndmesh/internal/mesh"
+	"ndmesh/internal/rng"
+)
+
+var updateFixtures = flag.Bool("update-fixtures", false, "rewrite testdata/model_history_digests.json from this tree")
+
+// history is one fail/repair history: the primitive knobs FuzzModelHistory
+// mutates, decoded by the methods below into a shape and a
+// fault.GenerateProcess schedule. No MinSpacing and arrival rates far above repair rates keep
+// several faults alive at once on a small interior, so faults land adjacent
+// to each other and blocks merge, split and dissolve — the regime
+// placeSeparated(…, sep=5) never draws.
+type history struct {
+	seed      uint64
+	shape     uint8 // index into historyShapes (mod len)
+	lambda    uint8 // information rounds per step, folded into {1, 2}
+	weibull   bool  // weibull(0.7) arrivals and repairs instead of bernoulli
+	clustered bool  // arrivals placed adjacent to a live fault
+	arrival   uint8 // arrival rate in percent, folded into [10, 60]
+	repair    uint8 // repair rate in percent, folded into [2, 12]
+}
+
+var historyShapes = []struct {
+	name string
+	dims []int
+}{{"8x8", []int{8, 8}}, {"12x12", []int{12, 12}}, {"5x6x4", []int{5, 6, 4}}}
+
+const (
+	historyHorizon = 48 // last step an arrival may land on
+	historyTail    = 24 // further steps: late repairs, dissolving blocks
+)
+
+func (h history) String() string {
+	model, place := "bernoulli", "scattered"
+	if h.weibull {
+		model = "weibull"
+	}
+	if h.clustered {
+		place = "clustered"
+	}
+	return fmt.Sprintf("%s/%s/%s/arr%d/rep%d/lambda%d/seed%d",
+		historyShapes[int(h.shape)%len(historyShapes)].name, model, place, h.arrivalPct(), h.repairPct(), h.rounds(), h.seed)
+}
+
+func (h history) dims() []int     { return historyShapes[int(h.shape)%len(historyShapes)].dims }
+func (h history) rounds() int     { return 1 + int(h.lambda)%2 }
+func (h history) arrivalPct() int { return 10 + int(h.arrival)%51 }
+func (h history) repairPct() int  { return 2 + int(h.repair)%11 }
+
+// other is a different history on the same shape: what the recycled model
+// ran before its Reset.
+func (h history) other() history {
+	h.seed = h.seed*0x9e3779b97f4a7c15 + 1
+	h.clustered = !h.clustered
+	h.arrival += 17
+	return h
+}
+
+func (h history) schedule(t testing.TB, shape *grid.Shape) *fault.Schedule {
+	delay := func(pct int) fault.Delay {
+		if h.weibull {
+			return fault.Delay{Model: fault.DelayWeibull, Rate: float64(pct) / 100, Shape: 0.7}
+		}
+		return fault.Delay{Model: fault.DelayBernoulli, Rate: float64(pct) / 100}
+	}
+	sched, err := fault.GenerateProcess(shape, fault.ProcessOptions{
+		Arrival:   delay(h.arrivalPct()),
+		Repair:    delay(h.repairPct()),
+		Start:     1,
+		Horizon:   historyHorizon,
+		MaxActive: 8,
+		Clustered: h.clustered,
+	}, rng.New(h.seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sched
+}
+
+// historyCorpus is the fixed set of histories: every shape x lambda x delay
+// model x placement, two seeds and two rate pairs each (48 histories).
+func historyCorpus() []history {
+	var out []history
+	for shape := range historyShapes {
+		for lambda := uint8(0); lambda < 2; lambda++ {
+			for _, weibull := range []bool{false, true} {
+				for _, clustered := range []bool{false, true} {
+					for k := uint8(0); k < 2; k++ {
+						out = append(out, history{
+							seed:  uint64(7 + 13*len(out)),
+							shape: uint8(shape), lambda: lambda,
+							weibull: weibull, clustered: clustered,
+							arrival: 15 + 25*k, // 25% and 50% per step
+							repair:  2 + 5*k,   // 4% and 9% per step
+						})
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// observe appends everything the rest of the stack can see of the model:
+// node statuses, frame announcements and stored records per node in order,
+// the epoch, and the counters the engine's event accounting reads.
+func observe(buf []byte, md *Model) []byte {
+	u32 := func(v int) { buf = binary.LittleEndian.AppendUint32(buf, uint32(v)) }
+	for id := 0; id < md.M.NumNodes(); id++ {
+		node := grid.NodeID(id)
+		buf = append(buf, byte(md.M.Status(node)), byte(md.M.CleanAge(node)))
+		anns := md.Detector.Records(node)
+		u32(len(anns))
+		for _, a := range anns {
+			buf = append(buf, a.Level)
+			u32(int(a.Dirs))
+		}
+		recs := md.Store.At(node)
+		u32(len(recs))
+		for _, r := range recs {
+			for i := range r.Box.Lo {
+				u32(r.Box.Lo[i])
+				u32(r.Box.Hi[i])
+			}
+			u32(int(r.Epoch))
+		}
+	}
+	u32(int(md.Epoch()))
+	for _, v := range []int{
+		md.RoundCount(), md.Store.TotalRecords(), md.Labeling.Affected(), md.CancelsStarted,
+		md.LastLabelRound, md.LastFrameRound, md.LastIdentRound, md.LastBoundaryRound,
+		md.Ident.Hops, md.Ident.Started, md.Ident.Completed, md.Ident.Failed, md.Ident.Active(),
+		md.Boundary.Hops, md.Boundary.Active(),
+	} {
+		u32(v)
+	}
+	return buf
+}
+
+// drive replays the history on md the way engine.Step does — the step's
+// events, then lambda information rounds — calling after with the round's
+// activity once per round.
+func (h history) drive(t testing.TB, md *Model, after func(step, activity int)) {
+	sched := h.schedule(t, md.M.Shape())
+	next := 0
+	for step := 1; step <= historyHorizon+historyTail; step++ {
+		for ; next < len(sched.Events) && sched.Events[next].Step <= step; next++ {
+			md.Labeling.ResetAffected()
+			switch ev := sched.Events[next]; ev.Kind {
+			case fault.Fail:
+				md.ApplyFault(ev.Node)
+			case fault.Recover:
+				md.ApplyRecovery(ev.Node)
+			}
+		}
+		for i := 0; i < h.rounds(); i++ {
+			after(step, md.Round())
+		}
+	}
+}
+
+// checkHistory runs h on a fresh model and, in lockstep, on a model that ran
+// a different history first and was Reset; the two must be observationally
+// identical after every round. It returns the digest of the fresh model's
+// whole trajectory (per-round activity and observation) and the most
+// disabled nodes it ever held — nonzero only when faults stood close enough
+// for a block to outgrow them.
+func checkHistory(t testing.TB, h history) (digest string, peakDisabled int) {
+	shape := grid.MustShape(h.dims()...)
+	recycled := New(mesh.New(shape))
+	h.other().drive(t, recycled, func(int, int) {})
+	recycled.Reset()
+
+	// The fresh model's per-round observations are recorded, then the
+	// recycled run is held to them round by round.
+	type roundObs struct {
+		activity int
+		state    []byte
+	}
+	var trace []roundObs
+	sum := sha256.New()
+	fresh := New(mesh.New(shape))
+	h.drive(t, fresh, func(_, activity int) {
+		o := roundObs{activity: activity, state: observe(nil, fresh)}
+		trace = append(trace, o)
+		peakDisabled = max(peakDisabled, fresh.M.NumDisabled())
+		sum.Write(binary.LittleEndian.AppendUint32(nil, uint32(activity)))
+		sum.Write(o.state)
+	})
+	k := 0
+	h.drive(t, recycled, func(step, activity int) {
+		want := trace[k]
+		k++
+		if activity != want.activity {
+			t.Fatalf("%v: step %d round %d: recycled model activity %d, fresh %d", h, step, k, activity, want.activity)
+		}
+		if got := observe(nil, recycled); !bytes.Equal(got, want.state) {
+			t.Fatalf("%v: step %d round %d: recycled model diverges from a fresh one", h, step, k)
+		}
+	})
+	return hex.EncodeToString(sum.Sum(nil)), peakDisabled
+}
+
+type historyDigest struct {
+	History string `json:"history"`
+	Digest  string `json:"digest"`
+}
+
+// TestModelHistoryDifferential certifies "same behaviour" of the
+// information plane on histories neither the goldens nor the bench
+// workloads reach: (a) Reset equivalence after every round, (b) the
+// trajectory digest of every corpus history equals the committed fixture,
+// which was generated before the NodeSet/CoordView rewrite of
+// block/frame/ident/boundary and must never be regenerated alongside a
+// change to them.
+func TestModelHistoryDifferential(t *testing.T) {
+	var got []historyDigest
+	grown := 0
+	for _, h := range historyCorpus() {
+		digest, peakDisabled := checkHistory(t, h)
+		got = append(got, historyDigest{History: h.String(), Digest: digest})
+		if peakDisabled > 0 {
+			grown++
+		}
+	}
+	if len(got) < 40 || grown < len(got)/2 {
+		t.Fatalf("corpus has %d histories, %d with blocks larger than their faults: want >= 40, at least half of them merging", len(got), grown)
+	}
+	fixture := filepath.Join("testdata", "model_history_digests.json")
+	if *updateFixtures {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(fixture, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []historyDigest
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(got) {
+		t.Fatalf("%s holds %d digests, corpus has %d", fixture, len(want), len(got))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("history %d: got %+v, fixture %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// FuzzModelHistory is oracle (a) of TestModelHistoryDifferential over
+// arbitrary histories, seeded with the corpus.
+func FuzzModelHistory(f *testing.F) {
+	for _, h := range historyCorpus() {
+		f.Add(h.seed, h.shape, h.lambda, h.weibull, h.clustered, h.arrival, h.repair)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, shape, lambda uint8, weibull, clustered bool, arrival, repair uint8) {
+		checkHistory(t, history{seed, shape, lambda, weibull, clustered, arrival, repair})
+	})
+}

@@ -184,10 +184,8 @@ type Detector struct {
 	// ann[id] holds the node's current announcements, sorted by
 	// (Level, Dirs) with no duplicates.
 	ann [][]Announcement
-	// candidate tracking, as in block.Stepper.
-	cand   []grid.NodeID
-	inCand []uint32 //meshvet:keep generation stamps; Reset's gen++ invalidates them
-	gen    uint32
+	// cand holds the nodes to re-evaluate next round.
+	cand grid.NodeSet
 	// changed lists the nodes whose announcements changed in the last
 	// Round; consumers (identification initiation) read it after each
 	// round.
@@ -205,10 +203,9 @@ type Detector struct {
 // NewDetector builds a detector over m with empty announcements.
 func NewDetector(m *mesh.Mesh) *Detector {
 	return &Detector{
-		m:      m,
-		ann:    make([][]Announcement, m.NumNodes()),
-		inCand: make([]uint32, m.NumNodes()),
-		gen:    1,
+		m:    m,
+		ann:  make([][]Announcement, m.NumNodes()),
+		cand: grid.NewNodeSet(m.NumNodes()),
 	}
 }
 
@@ -241,20 +238,13 @@ func (d *Detector) HasRecord(id grid.NodeID, level int, dirs grid.DirSet) bool {
 // changes.
 func (d *Detector) Seed(ids ...grid.NodeID) {
 	for _, id := range ids {
-		d.add(id)
-		d.m.EachNeighbor(id, func(nb grid.NodeID, _ grid.Dir) { d.add(nb) })
-	}
-}
-
-func (d *Detector) add(id grid.NodeID) {
-	if d.inCand[id] != d.gen {
-		d.inCand[id] = d.gen
-		d.cand = append(d.cand, id)
+		d.cand.Add(id)
+		d.m.EachNeighbor(id, func(nb grid.NodeID, _ grid.Dir) { d.cand.Add(nb) })
 	}
 }
 
 // Quiescent reports whether no candidates remain.
-func (d *Detector) Quiescent() bool { return len(d.cand) == 0 }
+func (d *Detector) Quiescent() bool { return d.cand.Len() == 0 }
 
 // Reset discards all announcements and candidates so the detector can be
 // reused for a new trial on the same (reset) mesh, retaining every buffer.
@@ -264,8 +254,7 @@ func (d *Detector) Reset() {
 			d.ann[i] = d.ann[i][:0]
 		}
 	}
-	d.cand = d.cand[:0]
-	d.gen++
+	d.cand.Clear()
 	d.changed = d.changed[:0]
 }
 
@@ -278,7 +267,7 @@ func (d *Detector) Round() int {
 	d.pending = d.pending[:0]
 	d.pendingIDs = d.pendingIDs[:0]
 	d.pendingOff = d.pendingOff[:0]
-	for _, id := range d.cand {
+	for _, id := range d.cand.IDs() {
 		start := len(d.pending)
 		d.pending = d.compute(id, d.pending)
 		if annsEqual(d.pending[start:], d.ann[id]) {
@@ -289,14 +278,13 @@ func (d *Detector) Round() int {
 		d.pendingOff = append(d.pendingOff, start)
 	}
 	d.pendingOff = append(d.pendingOff, len(d.pending))
-	d.gen++
-	d.cand = d.cand[:0]
+	d.cand.Clear()
 	d.changed = d.changed[:0]
 	for k, id := range d.pendingIDs {
 		d.ann[id] = append(d.ann[id][:0], d.pending[d.pendingOff[k]:d.pendingOff[k+1]]...)
 		d.changed = append(d.changed, id)
-		d.add(id)
-		m.EachNeighbor(id, func(nb grid.NodeID, _ grid.Dir) { d.add(nb) })
+		d.cand.Add(id)
+		m.EachNeighbor(id, func(nb grid.NodeID, _ grid.Dir) { d.cand.Add(nb) })
 	}
 	return len(d.pendingIDs)
 }

@@ -204,7 +204,7 @@ func NewShape(dims ...int) (*Shape, error) {
 	}
 	s.coords = make([]int, s.n*len(dims))
 	for id := 0; id < s.n; id++ {
-		s.Coord(NodeID(id), s.coords[id*len(dims):(id+1)*len(dims)])
+		s.decode(NodeID(id), s.coords[id*len(dims):(id+1)*len(dims)])
 	}
 	return s, nil
 }
@@ -286,29 +286,27 @@ func (s *Shape) Index(c Coord) NodeID {
 	return NodeID(id)
 }
 
-// Coord recovers the address of a node id, writing into dst if it has the
-// right length (avoiding an allocation) and allocating otherwise.
-func (s *Shape) Coord(id NodeID, dst Coord) Coord {
-	if len(dst) != len(s.dims) {
-		dst = make(Coord, len(s.dims))
-	}
+// decode recovers the address of node id by divmod into dst. It is the
+// builder of NewShape's coordinate table; everything else reads CoordView.
+func (s *Shape) decode(id NodeID, dst Coord) {
 	rem := int(id)
 	for i := len(s.dims) - 1; i >= 0; i-- {
 		dst[i] = rem / s.strides[i]
 		rem %= s.strides[i]
 	}
-	return dst
 }
 
 // CoordView returns the address of node id as a read-only view into the
 // shape's coordinate table: no decode, no copy. Callers must not modify it.
+// It is the one read accessor for a node's address; code that *builds* a
+// coordinate (a mapped destination, a block's corners) owns its own buffer.
 func (s *Shape) CoordView(id NodeID) Coord {
 	d := len(s.dims)
 	return s.coords[int(id)*d : int(id)*d+d : int(id)*d+d]
 }
 
-// CoordOf is Coord with a fresh destination.
-func (s *Shape) CoordOf(id NodeID) Coord { return s.Coord(id, nil) }
+// CoordOf is a fresh copy of CoordView, for callers that keep or modify it.
+func (s *Shape) CoordOf(id NodeID) Coord { return s.CoordView(id).Clone() }
 
 // Component returns coordinate `axis` of node id without materializing the
 // whole address.

@@ -322,16 +322,28 @@ func TestDistanceMatchesManhattan(t *testing.T) {
 	}
 }
 
-func TestCoordReuseBuffer(t *testing.T) {
-	s := MustShape(4, 4)
-	buf := make(Coord, 2)
-	got := s.Coord(5, buf)
-	if &got[0] != &buf[0] {
-		t.Error("Coord did not reuse the provided buffer")
-	}
-	short := make(Coord, 1)
-	got2 := s.Coord(5, short)
-	if len(got2) != 2 {
-		t.Error("Coord did not allocate for a short buffer")
+// TestCoordViewMatchesDecode: the coordinate table NewShape builds is the
+// divmod decode of every id (Component is the independent per-axis divmod),
+// and linearizes back to the id.
+func TestCoordViewMatchesDecode(t *testing.T) {
+	for _, dims := range [][]int{{7}, {4, 6, 3}, {2, 2, 2, 2, 2}} {
+		s := MustShape(dims...)
+		for id := NodeID(0); int(id) < s.NumNodes(); id++ {
+			c := s.CoordView(id)
+			if len(c) != len(dims) || cap(c) != len(dims) {
+				t.Fatalf("%v: CoordView(%d) has len %d cap %d, want %d", dims, id, len(c), cap(c), len(dims))
+			}
+			for axis := range dims {
+				if c[axis] != s.Component(id, axis) {
+					t.Fatalf("%v: CoordView(%d)[%d] = %d, decode %d", dims, id, axis, c[axis], s.Component(id, axis))
+				}
+			}
+			if s.Index(c) != id {
+				t.Fatalf("%v: Index(CoordView(%d)) = %d", dims, id, s.Index(c))
+			}
+			if cp := s.CoordOf(id); !cp.Equal(c) || &cp[0] == &c[0] {
+				t.Fatalf("%v: CoordOf(%d) = %v is not a fresh copy of the view %v", dims, id, cp, c)
+			}
+		}
 	}
 }

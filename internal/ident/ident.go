@@ -74,22 +74,14 @@ type Protocol struct {
 	deadReady    []*run
 	retryAt      map[grid.NodeID]int
 	// pending holds nodes to consider for initiation (fed by announcement
-	// changes and by retry wakeups); inPending dedups. pendingSpare is the
-	// drained buffer of the previous round, recycled to avoid a per-round
-	// allocation (initiate swaps the two).
-	pending      []grid.NodeID
-	pendingSpare []grid.NodeID //meshvet:keep recycled buffer; initiate swaps it with pending
-	inPending    map[grid.NodeID]struct{}
+	// changes and by retry wakeups); initiate drains it every round.
+	pending grid.NodeSet
 	// retryQueue holds scheduled re-initiations of corners whose runs
 	// failed or were discarded.
 	retryQueue []retryEntry
 	round      int
 	seq        int
 	wseq       int
-	// scratchA/scratchB are reusable coordinate buffers for initiate, and
-	// scratchC for launch/advanceRing, so no round performs a coordinate
-	// allocation.
-	scratchA, scratchB, scratchC grid.Coord //meshvet:keep scratch buffers, overwritten before every use
 
 	// Hops counts walker moves (identification message cost).
 	Hops int
@@ -110,10 +102,7 @@ func NewProtocol(m *mesh.Mesh, det *frame.Detector, store *info.Store) *Protocol
 		MaxRetries: 4,
 		retryAt:    make(map[grid.NodeID]int),
 		retryCount: make(map[grid.NodeID]int),
-		inPending:  make(map[grid.NodeID]struct{}),
-		scratchA:   make(grid.Coord, m.Shape().Dims()),
-		scratchB:   make(grid.Coord, m.Shape().Dims()),
-		scratchC:   make(grid.Coord, m.Shape().Dims()),
+		pending:    grid.NewNodeSet(m.NumNodes()),
 	}
 }
 
@@ -123,7 +112,6 @@ func NewProtocol(m *mesh.Mesh, det *frame.Detector, store *info.Store) *Protocol
 func (p *Protocol) Reset() {
 	clear(p.retryCount)
 	clear(p.retryAt)
-	clear(p.inPending)
 	p.spareWalkers = append(p.spareWalkers, p.walkers...)
 	for _, r := range p.runs {
 		p.recycleRun(r)
@@ -138,7 +126,7 @@ func (p *Protocol) Reset() {
 	p.deadReady = p.deadReady[:0]
 	p.runs = p.runs[:0]
 	p.walkers = p.walkers[:0]
-	p.pending = p.pending[:0]
+	p.pending.Clear()
 	p.retryQueue = p.retryQueue[:0]
 	p.round, p.seq, p.wseq = 0, 0, 0
 	p.Hops, p.Started, p.Completed, p.Failed = 0, 0, 0, 0
@@ -178,9 +166,7 @@ func (p *Protocol) getSub() *subRun {
 		s.isFirst = false
 		s.freeAxes = s.freeAxes[:0]
 		s.travelAxes = nil
-		clear(s.edgeDir)
-		clear(s.collectorUp)
-		clear(s.collected)
+		s.collectorUp, s.delivered = 0, 0
 		s.start, s.dirs = grid.InvalidNode, 0
 		s.ringNode, s.ringBox = grid.InvalidNode, nil
 		s.deliverNode = grid.InvalidNode
@@ -220,14 +206,7 @@ type retryEntry struct {
 func (p *Protocol) Notify(ids ...grid.NodeID) {
 	for _, id := range ids {
 		delete(p.retryCount, id)
-		p.pend(id)
-	}
-}
-
-func (p *Protocol) pend(id grid.NodeID) {
-	if _, dup := p.inPending[id]; !dup {
-		p.inPending[id] = struct{}{}
-		p.pending = append(p.pending, id)
+		p.pending.Add(id)
 	}
 }
 
@@ -282,8 +261,9 @@ type subRun struct {
 	// nearby.
 	dirs grid.DirSet
 
+	// travelAxes are the phase-1 axes; the direction travelled along axis a
+	// is axisDir(dirs, a), for the edge walker and its collector alike.
 	travelAxes []int
-	edgeDir    map[int]grid.Dir // per travel axis, the phase-1 direction
 
 	// ring rendezvous (level 2 only). ringVal is the sub-owned storage
 	// behind ringBox so the first walker's result survives its recycling.
@@ -291,10 +271,14 @@ type subRun struct {
 	ringBox  *grid.Box
 	ringVal  grid.Box
 
-	// phase 3 (level >= 3 only).
-	collectorUp map[int]bool     // travel axis -> collector spawned
-	collected   map[int]grid.Box // travel axis -> delivered hull
-	deliverNode grid.NodeID      // where collectors delivered (must agree)
+	// phase 3 (level >= 3 only): collectorUp and delivered hold the travel
+	// directions of the collectors spawned and arrived; collected[axis] is
+	// an arrived collector's hull (sized to the mesh dimension at first
+	// launch, reused afterwards).
+	collectorUp grid.DirSet
+	delivered   grid.DirSet
+	collected   []grid.Box
+	deliverNode grid.NodeID // where collectors delivered (must agree)
 }
 
 type walkerKind uint8
@@ -386,7 +370,7 @@ func (p *Protocol) Round() int {
 // Quiescent reports whether nothing is in flight or scheduled.
 func (p *Protocol) Quiescent() bool {
 	return len(p.runs) == 0 && len(p.walkers) == 0 &&
-		len(p.pending) == 0 && len(p.retryQueue) == 0
+		p.pending.Len() == 0 && len(p.retryQueue) == 0
 }
 
 // Active returns the number of in-flight runs.
@@ -398,31 +382,29 @@ func (p *Protocol) initiate() int {
 	// Wake scheduled retries that are due (without resetting retry
 	// budgets) and drop retries whose corner has meanwhile received its
 	// block record from another initiator's construction.
-	n := p.m.Shape().Dims()
-	scratchRetry := p.scratchA
+	shape := p.m.Shape()
+	n := shape.Dims()
 	due := p.retryQueue[:0]
 	for _, e := range p.retryQueue {
 		// Drop retries that became moot: the node stopped being an
 		// n-level corner (its announcement was transient), or it received
 		// its block record from another initiator's construction.
 		if int(p.det.Announcement(e.node).Level) != n ||
-			p.hasCornerRecord(e.node, p.m.Shape().Coord(e.node, scratchRetry)) {
+			p.hasCornerRecord(e.node, shape.CoordView(e.node)) {
 			continue
 		}
 		if e.at <= p.round {
-			p.pend(e.node)
+			p.pending.Add(e.node)
 		} else {
 			due = append(due, e)
 		}
 	}
 	p.retryQueue = due
 
+	// Nothing below pends a node (a backed-off corner goes to retryQueue),
+	// so the queue is drained by one walk and one Clear.
 	started := 0
-	scratch := p.scratchB
-	todo := p.pending
-	p.pending = p.pendingSpare[:0]
-	for _, id := range todo {
-		delete(p.inPending, id)
+	for _, id := range p.pending.IDs() {
 		if p.m.Status(id) != mesh.Enabled {
 			continue
 		}
@@ -430,8 +412,7 @@ func (p *Protocol) initiate() int {
 			if int(ann.Level) != n {
 				continue
 			}
-			c := p.m.Shape().Coord(id, scratch)
-			if p.hasCornerRecordFor(id, c, ann.Dirs) {
+			if p.hasCornerRecordFor(id, shape.CoordView(id), ann.Dirs) {
 				continue
 			}
 			// The retry budget bounds total initiations from this corner
@@ -450,7 +431,7 @@ func (p *Protocol) initiate() int {
 			started++
 		}
 	}
-	p.pendingSpare = todo[:0]
+	p.pending.Clear()
 	return started
 }
 
@@ -512,22 +493,19 @@ func (p *Protocol) launch(s *subRun) {
 			s.r.failed = true
 			return
 		}
-		startCoord := p.m.Shape().Coord(s.start, p.scratchC)
 		for _, pair := range [2][2]grid.Dir{{di, dj}, {dj, di}} {
 			w := p.getWalker()
 			w.s, w.kind, w.pos = s, ringWalker, s.start
 			w.dir, w.inward = pair[0], pair[1]
-			w.seen.SetAt(startCoord)
+			w.seen.SetAt(p.m.Shape().CoordView(s.start))
 			p.addWalker(w)
 		}
 		return
 	}
 	// Phase 1: k-1 edge walkers; the excluded free axis is the highest.
 	s.travelAxes = s.freeAxes[:len(s.freeAxes)-1]
-	if s.edgeDir == nil {
-		s.edgeDir = make(map[int]grid.Dir, len(s.travelAxes))
-		s.collectorUp = make(map[int]bool, len(s.travelAxes))
-		s.collected = make(map[int]grid.Box, len(s.travelAxes))
+	if s.collected == nil {
+		s.collected = make([]grid.Box, p.m.Shape().Dims())
 	}
 	s.deliverNode = grid.InvalidNode
 	for _, a := range s.travelAxes {
@@ -536,7 +514,6 @@ func (p *Protocol) launch(s *subRun) {
 			s.r.failed = true
 			return
 		}
-		s.edgeDir[a] = d
 		w := p.getWalker()
 		w.s, w.kind, w.pos = s, edgeWalker, s.start
 		w.dir, w.axis = d, a
@@ -655,8 +632,7 @@ func (p *Protocol) advanceRing(w *walker) int {
 	if alongside {
 		return 1
 	}
-	cd := p.m.Shape().Coord(next, p.scratchC)
-	w.seen.Include(cd)
+	w.seen.Include(p.m.Shape().CoordView(next))
 	w.legs++
 	if w.legs < 2 {
 		// Turn: the new move direction is the old inward direction; the
@@ -739,7 +715,7 @@ func (p *Protocol) advanceCollect(w *walker) int {
 	}
 	// The opposite edge's roles are the initiator-side roles with every
 	// direction reversed.
-	expectNode := flipAll(s.dirs.Remove(s.edgeDir[w.axis]))
+	expectNode := flipAll(s.dirs.Remove(w.dir))
 	expectCorner := flipAll(s.dirs)
 	switch {
 	case p.det.HasRecord(next, s.level-1, expectNode):
@@ -752,30 +728,32 @@ func (p *Protocol) advanceCollect(w *walker) int {
 		w.pos = next
 		w.done = true
 		p.Hops++
-		p.deliver(s, w.axis, next, w.hullVal)
+		p.deliver(w, next)
 		return 1
 	default:
 		return 0
 	}
 }
 
-// deliver records a collector's hull at the opposite corner and completes
+// deliver records collector w's hull at the opposite corner and completes
 // the sub when every travel axis has delivered consistently.
-func (p *Protocol) deliver(s *subRun, axis int, corner grid.NodeID, hull grid.Box) {
+func (p *Protocol) deliver(w *walker, corner grid.NodeID) {
+	s := w.s
 	if s.deliverNode == grid.InvalidNode {
 		s.deliverNode = corner
 	} else if s.deliverNode != corner {
 		s.r.failed = true
 		return
 	}
-	if prev, dup := s.collected[axis]; dup && !prev.Equal(hull) {
+	if s.delivered.Has(w.dir) && !s.collected[w.axis].Equal(w.hullVal) {
 		s.r.failed = true
 		return
 	}
 	// Stash the hull in the run arena: the collector walker that owns the
 	// hull buffer is recycled before the sub completes.
-	s.collected[axis] = s.r.stash(hull)
-	if len(s.collected) < len(s.travelAxes) {
+	s.collected[w.axis] = s.r.stash(w.hullVal)
+	s.delivered = s.delivered.Add(w.dir)
+	if s.delivered.Count() < len(s.travelAxes) {
 		return
 	}
 	var final grid.Box
@@ -808,11 +786,12 @@ func (p *Protocol) completeSub(s *subRun, node grid.NodeID, box grid.Box) {
 	}
 	s.r.results[node] = s.r.stash(box)
 	parent := s.parent
-	if s.isFirst && !parent.collectorUp[s.parentAxis] {
-		parent.collectorUp[s.parentAxis] = true
+	dir, _ := axisDir(parent.dirs, s.parentAxis) // launch(parent) checked it
+	if s.isFirst && !parent.collectorUp.Has(dir) {
+		parent.collectorUp = parent.collectorUp.Add(dir)
 		w := p.getWalker()
 		w.s, w.kind, w.pos = parent, collectWalker, node
-		w.dir, w.axis = parent.edgeDir[s.parentAxis], s.parentAxis
+		w.dir, w.axis = dir, s.parentAxis
 		p.addWalker(w)
 	}
 }

@@ -97,6 +97,11 @@ var AllocTestCoverage = map[string][]string{
 	"TestLogHistAddAllocFree": {
 		"ndmesh/internal/stats.LogHistogram.Add",
 	},
+	// The information plane's per-round refill/Clear of a node set.
+	"TestNodeSetAllocFree": {
+		"ndmesh/internal/grid.NodeSet.Add",
+		"ndmesh/internal/grid.NodeSet.Clear",
+	},
 }
 
 // NoAllocDirectives scans the module rooted at dir and returns the sorted

@@ -33,8 +33,8 @@
 // The framework deliberately mirrors the shape of
 // golang.org/x/tools/go/analysis (Analyzer/Pass/Diagnostic) but is built
 // on the standard library only, so the module keeps its zero-dependency
-// property; cmd/meshvet runs the suite standalone or as a `go vet
-// -vettool`.
+// property; cmd/meshvet runs the suite from the command line and
+// TestRepoMeshvetClean inside `go test`.
 package lint
 
 import (
@@ -187,7 +187,7 @@ func All() []*Analyzer {
 }
 
 // SortDiagnostics orders findings by file, line, column, analyzer — the
-// stable order every front end (CLI, vettool, tests) prints in.
+// stable order every front end (CLI, tests) prints in.
 func SortDiagnostics(ds []Diagnostic) {
 	sort.Slice(ds, func(i, j int) bool {
 		a, b := ds[i], ds[j]

@@ -34,9 +34,9 @@ func TestProbeReadOnlyFixtures(t *testing.T) {
 		"probereadonly/engine", "probereadonly/probe", "probereadonly/impl")
 }
 
-// TestRepoMeshvetClean runs the whole suite over the module — the same
-// gate CI applies through `go vet -vettool` — so `go test ./...` alone
-// enforces the contracts.
+// TestRepoMeshvetClean runs the whole suite over the module — what
+// `go run ./cmd/meshvet ./...` runs — so `go test ./...` alone enforces
+// the contracts.
 func TestRepoMeshvetClean(t *testing.T) {
 	pkgs, err := lint.LoadPackages("../..", "./...")
 	if err != nil {

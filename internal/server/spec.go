@@ -134,14 +134,16 @@ func (s *Spec) normalize() error {
 			return fmt.Errorf("non-finite numeric field in spec")
 		}
 	}
-	for _, f := range append(append([]float64{}, s.Rates...), s.FaultRates...) {
-		if math.IsNaN(f) || math.IsInf(f, 0) || f < 0 {
-			return fmt.Errorf("rate %v out of range", f)
-		}
-	}
 	if len(s.Routers) > maxList || len(s.Patterns) > maxList || len(s.Rates) > maxList ||
 		len(s.Windows) > maxList || len(s.FaultRates) > maxList {
 		return fmt.Errorf("a spec list exceeds %d entries", maxList)
+	}
+	for _, rates := range [][]float64{s.Rates, s.FaultRates} {
+		for _, f := range rates {
+			if math.IsNaN(f) || math.IsInf(f, 0) || f < 0 {
+				return fmt.Errorf("rate %v out of range", f)
+			}
+		}
 	}
 	// Each phase is bounded individually before summing, so the total
 	// cannot overflow into a negative that would slip past the cap.

@@ -73,6 +73,24 @@ func TestParseSpecRejections(t *testing.T) {
 	}
 }
 
+// TestParseSpecOverlongList: a list longer than maxList is refused by its
+// length before anything walks (or copies) it — so an over-long list that
+// also holds a bad rate reports the length.
+func TestParseSpecOverlongList(t *testing.T) {
+	long := "[-1" + strings.Repeat(",0.1", maxList) + "]"
+	for name, body := range map[string]string{
+		"rates":       `{"kind":"open-loop","rates":` + long + `}`,
+		"fault-rates": `{"kind":"reliability","fault_rates":` + long + `}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			_, err := ParseSpec([]byte(body))
+			if err == nil || !strings.Contains(err.Error(), "exceeds 64 entries") {
+				t.Fatalf("ParseSpec error = %v, want the list-length refusal", err)
+			}
+		})
+	}
+}
+
 func TestParseSpecReplay(t *testing.T) {
 	trace := recordedTrace(t)
 	body, err := json.Marshal(map[string]any{"kind": "replay", "trace": trace, "seed": 5})

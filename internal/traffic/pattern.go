@@ -99,24 +99,20 @@ func (p *Uniform) Dest(src grid.NodeID, r *rng.Source) grid.NodeID {
 }
 
 // mapped is the shared core of the deterministic address-permutation
-// patterns: it decodes src into a scratch coordinate, applies fn, and falls
-// back to a uniform redraw when the permutation fixes src.
+// patterns: it applies fn to src's address (a read-only view), building the
+// destination in its one scratch coordinate, and falls back to a uniform
+// redraw when the permutation fixes src.
 type mapped struct {
-	shape    *grid.Shape
-	src, dst grid.Coord
+	shape *grid.Shape
+	dst   grid.Coord
 }
 
 func newMapped(shape *grid.Shape) mapped {
-	return mapped{
-		shape: shape,
-		src:   make(grid.Coord, shape.Dims()),
-		dst:   make(grid.Coord, shape.Dims()),
-	}
+	return mapped{shape: shape, dst: make(grid.Coord, shape.Dims())}
 }
 
 func (m *mapped) dest(src grid.NodeID, r *rng.Source, fn func(sc, dc grid.Coord)) grid.NodeID {
-	m.shape.Coord(src, m.src)
-	fn(m.src, m.dst)
+	fn(m.shape.CoordView(src), m.dst)
 	d := m.shape.Index(m.dst)
 	if d == src {
 		return uniformDest(m.shape, src, r)
