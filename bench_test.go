@@ -720,92 +720,6 @@ func BenchmarkCongestedContentionStep(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedContentionStep (E19c) measures one contention step on a
-// 32x32 mesh with a near-saturation standing flight population, across
-// intra-step shard counts. shards=1 is the serial baseline; the ratio at
-// higher counts is the sharded stepper's per-step speedup on this host
-// (on a single-core runner it only shows the barrier overhead; the
-// parallel phase needs GOMAXPROCS > 1 to pay off).
-// Results are byte-identical at every shard count; the step must stay
-// 0 allocs/op (TestShardedStepAllocFree).
-func BenchmarkShardedContentionStep(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			sim := MustSimulation(Config{Dims: []int{32, 32}})
-			eng := sim.engine
-			eng.EnableContention(engine.ContentionConfig{LinkRate: 1, NodeCapacity: 4})
-			eng.SetShards(shards)
-			defer eng.SetShards(1)
-			shape := sim.shape
-			pat, err := traffic.ByName(shape, "uniform")
-			if err != nil {
-				b.Fatal(err)
-			}
-			proc, err := traffic.ProcessByName("bernoulli")
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Build the standing population the way a near-saturation cell
-			// does: open-loop injection past the 32x32 uniform saturation
-			// point, with finite router buffers so the population (and the
-			// flight free list) reaches a true steady state instead of
-			// growing without bound.
-			gen := traffic.NewGenerator(shape, pat, proc, 0.22, rng.New(1))
-			step := func() {
-				gen.Step(func(src, dst grid.NodeID) bool {
-					if !eng.Admit(src) {
-						return false
-					}
-					if _, err := eng.Inject(src, dst, route.Limited{}); err != nil {
-						b.Fatal(err)
-					}
-					return true
-				})
-				eng.Step()
-				eng.DetachDone(nil)
-			}
-			for i := 0; i < 512; i++ {
-				step()
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				step()
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(len(eng.Flights())), "flights")
-		})
-	}
-}
-
-// BenchmarkShardedSaturationCell (E19d) times one full 32x32
-// near-saturation load cell — warmup, measurement, drain, collection —
-// end to end at each shard count: the wall-clock number ROADMAP item (b)
-// asks for (one big mesh no longer bound to one core). The rows are
-// byte-identical at every shard count (TestShardedSaturationSweepDeterministic).
-func BenchmarkShardedSaturationCell(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			opt := DefaultSaturation()
-			opt.Dims = []int{32, 32}
-			opt.Patterns = []string{"uniform"}
-			opt.Rates = []float64{0.22}
-			opt.Warmup, opt.Measure, opt.Drain = 32, 96, 96
-			opt.Shards = shards
-			var last SaturationRow
-			for i := 0; i < b.N; i++ {
-				rows, err := SaturationSweepWorkers(opt, 1, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = rows[0]
-			}
-			b.ReportMetric(float64(last.Delivered), "delivered")
-			b.ReportMetric(float64(last.Unfinished), "unfin")
-		})
-	}
-}
-
 // BenchmarkSaturationPoint (E19b) times one full latency-throughput point
 // — warmup, measurement and drain of an 8x8 uniform-random Bernoulli run
 // near saturation — and reports its headline quantities.
@@ -837,9 +751,10 @@ func BenchmarkSaturationPoint(b *testing.B) {
 // flights) increments inside loops the commit already runs, and the flush
 // folds O(nodes + dirty links) counters against a step that is itself
 // O(nodes + flights). The deep steady-state population (open-loop
-// injection past the saturation point, as in BenchmarkShardedContentionStep)
-// is the honest denominator: on a near-empty mesh the flush would dominate
-// and the ratio would mean nothing.
+// injection past the 32x32 uniform saturation point, with finite router
+// buffers so it reaches a true steady state) is the honest denominator: on
+// a near-empty mesh the flush would dominate and the ratio would mean
+// nothing.
 func BenchmarkProbedContentionStep(b *testing.B) {
 	run := func(b *testing.B, probed bool) {
 		sim := MustSimulation(Config{Dims: []int{32, 32}})

@@ -14,8 +14,8 @@ package ndmesh
 // Determinism follows the repository contract: one rng stream is split per
 // (pattern, window, router) cell in row order, each job writes only its own
 // result slot, and aggregation is serial — byte-identical for every worker
-// count and every shard count (the closed loop releases window slots from
-// the engine's harvest pass, which runs in flight-injection order).
+// count (the closed loop releases window slots from the engine's harvest
+// pass, which runs in flight-injection order).
 
 import (
 	"fmt"
@@ -62,9 +62,7 @@ type ClosedLoopOptions struct {
 	FaultModel            string
 	FaultShape            float64
 	FaultRepair           float64
-	// Shards is the intra-step shard-worker count per cell (< 2 means
-	// serial); like the worker count, every value yields byte-identical
-	// rows.
+	// Shards is ignored; kept only because bench/batch.go assigns it.
 	Shards int
 	// Probe/ProbeEvery attach a per-step census probe (see the
 	// SaturationOptions fields of the same names); a probed sweep must be
@@ -157,8 +155,7 @@ func ClosedLoopSweepWorkers(opt ClosedLoopOptions, seed uint64, workers int) ([]
 		Clustered: opt.Clustered, FaultStart: opt.FaultStart,
 		FaultRate: opt.FaultRate, FaultModel: opt.FaultModel,
 		FaultShape: opt.FaultShape, FaultRepair: opt.FaultRepair,
-		Shards: opt.Shards,
-		Probe:  opt.Probe, ProbeEvery: opt.ProbeEvery,
+		Probe: opt.Probe, ProbeEvery: opt.ProbeEvery,
 		Cancel: opt.Cancel,
 	}
 	if err := validateLoadShape(&sopt); err != nil {

@@ -44,30 +44,6 @@ func TestParallelClosedLoopSweepDeterministic(t *testing.T) {
 	}
 }
 
-// TestShardedClosedLoopSweepDeterministic is the E21 row of the shard
-// matrix: the closed loop's delivery-releases-slot feedback runs through
-// the engine's harvest pass, so the rows must stay byte-identical at every
-// intra-step shard count too.
-func TestShardedClosedLoopSweepDeterministic(t *testing.T) {
-	opt := smallClosedLoop()
-	serial, err := ClosedLoopSweepWorkers(opt, 42, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range shardCounts {
-		opt.Shards = s
-		for _, w := range []int{1, 3} {
-			got, err := ClosedLoopSweepWorkers(opt, 42, w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, serial) {
-				t.Errorf("shards=%d workers=%d:\n got %+v\nwant %+v", s, w, got, serial)
-			}
-		}
-	}
-}
-
 // TestGoldenClosedLoopSweep pins one E21 run byte-for-byte at a fixed
 // seed: the rng split discipline, the closed loop's draw/retry/release
 // accounting, the contention arbitration and the router's decisions all

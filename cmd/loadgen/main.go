@@ -100,7 +100,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		repair       = fs.Float64("repair", 0, "mean repair delay in steps for process faults (0 = faults are permanent)")
 		seed         = fs.Uint64("seed", 1, "random seed")
 		workers      = fs.Int("workers", 0, "parallel cell workers (0 = all CPUs); results are identical for every value")
-		shards       = fs.Int("shards", 1, "intra-step shard workers per cell (big single meshes; results are identical for every value)")
 		traceRecord  = fs.String("trace-record", "", "record the run's offered workload (single cell only) into this file")
 		traceReplay  = fs.String("trace-replay", "", "replay a recorded workload trace from this file (overrides -dims/-rates/-windows/-patterns/-faults and the phase lengths)")
 		csv          = fs.Bool("csv", false, "emit CSV instead of an aligned table")
@@ -121,6 +120,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	routers := cliutil.SplitList(*routersFlag)
 	patterns := cliutil.SplitList(*patternsFlag)
+	if len(routers) == 0 {
+		return errors.New("-routers needs at least one router")
+	}
+	if len(patterns) == 0 {
+		return errors.New("-patterns needs at least one pattern")
+	}
 	pf := probeFlags{
 		timeseries: *timeseries, heatmap: *heatmapOut, hist: *histOut,
 		every: *probeEvery, debugAddr: *debugAddr,
@@ -236,7 +241,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 				Congestion:    congestion,
 				FlightTimeout: *timeout, RetryBackoff: *retryBackoff,
 				Bubble: *bubble, GridlockWindow: *gridlockWin,
-				Shards:   *shards,
 				Progress: progress,
 			}
 			rows, err := ndmesh.ReplayCompareSweepWorkers(ropt, *seed, *workers)
@@ -255,7 +259,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 		opt := ndmesh.LoadOptions{
 			Router:     routers[0],
-			Congestion: congestion, Shards: *shards, Seed: *seed,
+			Congestion: congestion, Seed: *seed,
 			Lambda: lambdaOverride, LinkRate: linkRateOverride, NodeCapacity: capacityOverride,
 			FlightTimeout: *timeout, RetryBackoff: *retryBackoff,
 			Bubble: *bubble, GridlockWindow: *gridlockWin,
@@ -308,7 +312,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			Faults: *faults, FaultInterval: *interval, Clustered: *clustered,
 			FaultStart: *faultStart, FaultRate: *faultRate, FaultModel: *faultModel,
 			FaultShape: *faultShape, FaultRepair: *repair,
-			Shards: *shards, Seed: *seed,
+			Seed:   *seed,
 			Record: &traffic.Trace{},
 		}
 		var workload string
@@ -363,7 +367,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			Faults: *faults, FaultInterval: *interval, Clustered: *clustered,
 			FaultStart: *faultStart, FaultRate: *faultRate, FaultModel: *faultModel,
 			FaultShape: *faultShape, FaultRepair: *repair,
-			Shards:   *shards,
 			Progress: progress,
 		}
 		var rows []ndmesh.ClosedLoopRow
@@ -421,7 +424,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		FaultModel:     *faultModel,
 		FaultShape:     *faultShape,
 		FaultRepair:    *repair,
-		Shards:         *shards,
 		Progress:       progress,
 	}
 	var rows []ndmesh.SaturationRow

@@ -36,6 +36,25 @@ func csvRows(t *testing.T, out string) []string {
 	return lines[1:]
 }
 
+// csvColumn returns the named column of -csv output, one value per data
+// row.
+func csvColumn(t *testing.T, out, name string) []string {
+	t.Helper()
+	header, _, _ := strings.Cut(out, "\n")
+	for i, h := range strings.Split(header, ",") {
+		if h != name {
+			continue
+		}
+		var col []string
+		for _, row := range csvRows(t, out) {
+			col = append(col, strings.Split(row, ",")[i])
+		}
+		return col
+	}
+	t.Fatalf("no %q column in %q", name, header)
+	return nil
+}
+
 // afterFirstCell drops a point-table row's workload label, which names the
 // live pattern on a recording and "trace" on a replay.
 func afterFirstCell(row string) string {
@@ -107,6 +126,63 @@ func TestOpenLoopCSVMatchesLibrary(t *testing.T) {
 	}
 	if want := cliutil.OpenLoopTable("", rows).CSV(); got != want {
 		t.Errorf("-csv output differs from the library rows:\n got\n%s want\n%s", got, want)
+	}
+	if len(rows) != 8 {
+		t.Fatalf("got %d rows for a 2x2x2 grid", len(rows))
+	}
+	for _, r := range rows {
+		if r.Delivered == 0 {
+			t.Errorf("cell %s/%s@%g delivered nothing", r.Pattern, r.Router, r.OfferedRate)
+		}
+	}
+}
+
+// TestGridlockEscapeCell is E22 end to end: one cell in the gridlock regime
+// (tight buffers, window past the buffer budget — without the escape flags
+// it delivers nothing) with every escape mechanism on completes with
+// delivered traffic and no backlog instead of wedging.
+func TestGridlockEscapeCell(t *testing.T) {
+	out := loadgen(t, "-dims", "6x6", "-windows", "4", "-patterns", "transpose",
+		"-warmup", "16", "-measure", "96", "-drain", "96", "-capacity", "4",
+		"-gridlock-window", "8", "-timeout", "12", "-retry-backoff", "4", "-bubble", "-workers", "2", "-csv")
+	delivered, unfin := csvColumn(t, out, "delivered"), csvColumn(t, out, "unfin")
+	if len(delivered) != 1 {
+		t.Fatalf("want one row, got %q", out)
+	}
+	if delivered[0] == "0" || unfin[0] != "0" {
+		t.Errorf("escape cell wedged: delivered %s, unfinished %s", delivered[0], unfin[0])
+	}
+}
+
+// TestReliabilityCell is E23 end to end: one run under a live weibull
+// fault process with repair and flight timeouts still delivers.
+func TestReliabilityCell(t *testing.T) {
+	out := loadgen(t, "-dims", "8x8", "-rates", "0.1", "-fault-rate", "0.02", "-fault-model", "weibull",
+		"-repair", "60", "-timeout", "24", "-warmup", "16", "-measure", "96", "-drain", "96", "-csv")
+	if delivered := csvColumn(t, out, "delivered"); len(delivered) != 1 || delivered[0] == "0" {
+		t.Errorf("want one row with delivered traffic, got %q", out)
+	}
+}
+
+// TestEmptyListFlagsRejected: an empty -routers or -patterns list is an
+// error naming the flag in every mode (a replay used to index routers[0]
+// and panic).
+func TestEmptyListFlagsRejected(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "w.ndwt")
+	loadgen(t, "-dims", "4x4", "-rates", "0.2", "-warmup", "8", "-measure", "24", "-drain", "24", "-trace-record", trace)
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-routers", []string{"-trace-replay", trace, "-routers", ""}},
+		{"-routers", []string{"-rates", "0.1", "-routers", ","}},
+		{"-patterns", []string{"-windows", "2", "-patterns", ""}},
+		{"-patterns", []string{"-trace-record", trace, "-patterns", " "}},
+	} {
+		err := run(tc.args, io.Discard, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("loadgen %q: err = %v, want an error naming %s", tc.args, err, tc.flag)
+		}
 	}
 }
 

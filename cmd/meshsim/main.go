@@ -18,8 +18,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -33,38 +35,51 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("meshsim: ")
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole command behind main: it parses args and prints the
+// single run's report (or the -trials aggregate) to stdout (flag errors and
+// usage go to stderr), so main_test.go drives the CLI in-process.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("meshsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		dimsFlag     = flag.String("dims", "16x16", "mesh dimensions, e.g. 16x16 or 10x10x10")
-		faults       = flag.Int("faults", 4, "number of dynamic faults F")
-		interval     = flag.Int("interval", 20, "steps between fault occurrences d_i")
-		start        = flag.Int("start", 2, "step of the first fault t_1")
-		recoverAfter = flag.Int("recover-after", 0, "recover each fault after this many steps (0 = never)")
-		router       = flag.String("router", "limited", "router: limited | congested | oracle | blind | dor")
-		lambda       = flag.Int("lambda", 2, "information rounds per step (λ)")
-		seed         = flag.Uint64("seed", 1, "random seed")
-		srcFlag      = flag.String("src", "", "source coordinate, e.g. 1,1 (default: low corner + 1)")
-		dstFlag      = flag.String("dst", "", "destination coordinate (default: high corner - 1)")
-		render       = flag.Bool("render", false, "print an ASCII picture of the final 2-D slice")
-		clustered    = flag.Bool("clustered", false, "grow one block instead of scattering faults")
-		trials       = flag.Int("trials", 1, "replicate the scenario under this many consecutive seeds and aggregate")
-		workers      = flag.Int("workers", 0, "parallel trial workers for -trials (0 = all CPUs)")
+		dimsFlag     = fs.String("dims", "16x16", "mesh dimensions, e.g. 16x16 or 10x10x10")
+		faults       = fs.Int("faults", 4, "number of dynamic faults F")
+		interval     = fs.Int("interval", 20, "steps between fault occurrences d_i")
+		start        = fs.Int("start", 2, "step of the first fault t_1")
+		recoverAfter = fs.Int("recover-after", 0, "recover each fault after this many steps (0 = never)")
+		router       = fs.String("router", "limited", "router: limited | congested | oracle | blind | dor")
+		lambda       = fs.Int("lambda", 2, "information rounds per step (λ)")
+		seed         = fs.Uint64("seed", 1, "random seed")
+		srcFlag      = fs.String("src", "", "source coordinate, e.g. 1,1 (default: low corner + 1)")
+		dstFlag      = fs.String("dst", "", "destination coordinate (default: high corner - 1)")
+		render       = fs.Bool("render", false, "print an ASCII picture of the final 2-D slice")
+		clustered    = fs.Bool("clustered", false, "grow one block instead of scattering faults")
+		trials       = fs.Int("trials", 1, "replicate the scenario under this many consecutive seeds and aggregate")
+		workers      = fs.Int("workers", 0, "parallel trial workers for -trials (0 = all CPUs)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	dims, err := cliutil.ParseDims(*dimsFlag)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	src, dst := defaultEndpoints(dims)
 	if *srcFlag != "" {
 		if src, err = cliutil.ParseCoord(*srcFlag, len(dims)); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	if *dstFlag != "" {
 		if dst, err = cliutil.ParseCoord(*dstFlag, len(dims)); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
@@ -81,29 +96,26 @@ func main() {
 	}
 
 	if *trials > 1 {
-		if err := runBatch(dims, *lambda, *router, src, dst, *seed, *trials, *workers, plan); err != nil {
-			log.Fatal(err)
-		}
-		return
+		return runBatch(stdout, dims, *lambda, *router, src, dst, *seed, *trials, *workers, plan)
 	}
 
 	sim, err := ndmesh.NewSimulation(ndmesh.Config{Dims: dims, Lambda: *lambda})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	if err := sim.GenerateFaults(plan(*seed)); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	res, err := sim.Route(src, dst, *router)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("mesh %v, %d nodes, router %s, λ=%d, seed %d\n",
+	fmt.Fprintf(stdout, "mesh %v, %d nodes, router %s, λ=%d, seed %d\n",
 		dims, sim.NumNodes(), *router, *lambda, *seed)
-	fmt.Printf("route %v -> %v (distance %d)\n", src, dst, res.D0)
+	fmt.Fprintf(stdout, "route %v -> %v (distance %d)\n", src, dst, res.D0)
 	status := "arrived"
 	switch {
 	case res.Unreachable:
@@ -111,31 +123,31 @@ func main() {
 	case res.Lost:
 		status = "lost"
 	}
-	fmt.Printf("  %s in %d steps: %d hops, %d extra, %d backtracks\n",
+	fmt.Fprintf(stdout, "  %s in %d steps: %d hops, %d extra, %d backtracks\n",
 		status, res.Steps, res.Hops, res.ExtraHops, res.Backtracks)
 
 	sim.Drain() // fire any remaining scheduled events and settle
-	fmt.Printf("\nfaulty blocks: %v\n", sim.Blocks())
-	fmt.Printf("info records: %d on %d of %d nodes\n",
+	fmt.Fprintf(stdout, "\nfaulty blocks: %v\n", sim.Blocks())
+	fmt.Fprintf(stdout, "info records: %d on %d of %d nodes\n",
 		sim.InfoRecords(), sim.NodesWithInfo(), sim.NumNodes())
-	fmt.Println("\nper-occurrence convergence (rounds):")
-	fmt.Printf("  %-3s %-6s %-8s %5s %5s %5s %9s %6s\n", "i", "step", "kind", "a_i", "b_i", "c_i", "affected", "e_max")
+	fmt.Fprintln(stdout, "\nper-occurrence convergence (rounds):")
+	fmt.Fprintf(stdout, "  %-3s %-6s %-8s %5s %5s %5s %9s %6s\n", "i", "step", "kind", "a_i", "b_i", "c_i", "affected", "e_max")
 	for _, ev := range sim.Events() {
-		fmt.Printf("  %-3d %-6d %-8s %5d %5d %5d %9d %6d\n",
+		fmt.Fprintf(stdout, "  %-3d %-6d %-8s %5d %5d %5d %9d %6d\n",
 			ev.Index, ev.Step, ev.Kind, ev.ARounds, ev.BRounds, ev.CRounds, ev.Affected, ev.EMaxAfter)
 	}
 
 	if *render && len(dims) >= 2 {
-		fmt.Println("\nfinal state ('X' faulty, '#' disabled, 'o' holds block info):")
-		fmt.Print(sim.Render(nil))
+		fmt.Fprintln(stdout, "\nfinal state ('X' faulty, '#' disabled, 'o' holds block info):")
+		fmt.Fprint(stdout, sim.Render(nil))
 	}
-	os.Exit(0)
+	return nil
 }
 
 // runBatch replicates one scenario under consecutive seeds across the
 // worker pool, reusing one simulation per worker, and prints aggregate
 // routing metrics. The output is identical for every -workers value.
-func runBatch(dims []int, lambda int, router string, src, dst ndmesh.Coord,
+func runBatch(stdout io.Writer, dims []int, lambda int, router string, src, dst ndmesh.Coord,
 	seed uint64, trials, workers int, plan func(seed uint64) ndmesh.FaultPlan) error {
 	type simBox struct{ sim *ndmesh.Simulation }
 	results := make([]ndmesh.RouteResult, trials)
@@ -184,17 +196,17 @@ func runBatch(dims []int, lambda int, router string, src, dst ndmesh.Coord,
 			lost++
 		}
 	}
-	fmt.Printf("mesh %v, router %s, λ=%d, %d trials (seeds %d..%d), %d workers\n",
+	fmt.Fprintf(stdout, "mesh %v, router %s, λ=%d, %d trials (seeds %d..%d), %d workers\n",
 		dims, router, lambda, trials, seed, seed+uint64(trials)-1, par.Workers(workers))
-	fmt.Printf("route %v -> %v\n", src, dst)
-	fmt.Printf("  arrived     %5d (%.1f%%)\n", arrived, 100*float64(arrived)/float64(trials))
-	fmt.Printf("  unreachable %5d\n", unreachable)
-	fmt.Printf("  lost        %5d\n", lost)
+	fmt.Fprintf(stdout, "route %v -> %v\n", src, dst)
+	fmt.Fprintf(stdout, "  arrived     %5d (%.1f%%)\n", arrived, 100*float64(arrived)/float64(trials))
+	fmt.Fprintf(stdout, "  unreachable %5d\n", unreachable)
+	fmt.Fprintf(stdout, "  lost        %5d\n", lost)
 	if arrived > 0 {
-		fmt.Printf("  hops        mean %.2f   extra mean %.2f   backtracks mean %.2f\n",
+		fmt.Fprintf(stdout, "  hops        mean %.2f   extra mean %.2f   backtracks mean %.2f\n",
 			hops.Mean(), extra.Mean(), back.Mean())
 		lat := traffic.Summarize(latencies)
-		fmt.Printf("  latency     mean %.2f steps   p50 %d   p95 %d   p99 %d   max %d\n",
+		fmt.Fprintf(stdout, "  latency     mean %.2f steps   p50 %d   p95 %d   p99 %d   max %d\n",
 			lat.Mean, lat.P50, lat.P95, lat.P99, lat.Max)
 	}
 	return nil

@@ -28,10 +28,10 @@ import (
 
 // config is what the flags hand every experiment.
 type config struct {
-	seed                    uint64
-	trials, workers, shards int
-	congestion              route.CongestionConfig
-	progress                func(done, total int)
+	seed            uint64
+	trials, workers int
+	congestion      route.CongestionConfig
+	progress        func(done, total int)
 }
 
 // experiments is the one ordered list behind -exp: its names are the
@@ -85,14 +85,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		trials   = fs.Int("trials", 0, "trials per cell (0 = experiment default)")
 		csv      = fs.Bool("csv", false, "emit CSV instead of aligned tables")
 		workers  = fs.Int("workers", 0, "parallel trial workers (0 = all CPUs); results are identical for every value")
-		shards   = fs.Int("shards", 1, "intra-step shard workers per load cell (saturation/congestion); results are identical for every value")
 		preset   = fs.String("congestion", "", "congested-router tuning preset for the load experiments: off | mild | aggressive (empty = library defaults)")
 		progress = fs.Bool("progress", false, "print per-cell completion of the load experiments (saturation/congestion/closedloop/gridlock) to stderr")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	cfg := config{seed: *seed, trials: *trials, workers: *workers, shards: *shards}
+	cfg := config{seed: *seed, trials: *trials, workers: *workers}
 	if *preset != "" {
 		var err error
 		if cfg.congestion, err = route.CongestionPresetByName(*preset); err != nil {
@@ -142,7 +141,6 @@ func trafficTable(cfg config) (*stats.Table, error) {
 
 func congestionOptions(cfg config) ndmesh.CongestionShiftOptions {
 	opt := ndmesh.DefaultCongestionShift()
-	opt.Shards = cfg.shards
 	opt.Congestion = cfg.congestion
 	opt.Progress = cfg.progress
 	return opt
@@ -170,7 +168,6 @@ func congestionTable(cfg config) (*stats.Table, error) {
 
 func closedLoopOptions(cfg config) ndmesh.ClosedLoopOptions {
 	opt := ndmesh.DefaultClosedLoop()
-	opt.Shards = cfg.shards
 	opt.Congestion = cfg.congestion
 	opt.Progress = cfg.progress
 	return opt
@@ -192,7 +189,6 @@ func closedLoopTable(cfg config) (*stats.Table, error) {
 
 func gridlockOptions(cfg config) ndmesh.GridlockOptions {
 	opt := ndmesh.DefaultGridlock()
-	opt.Shards = cfg.shards
 	opt.Congestion = cfg.congestion
 	opt.Progress = cfg.progress
 	return opt
@@ -223,7 +219,6 @@ func reliabilityOptions(cfg config) ndmesh.ReliabilityOptions {
 	if cfg.trials > 0 {
 		opt.Trials = cfg.trials
 	}
-	opt.Shards = cfg.shards
 	opt.Congestion = cfg.congestion
 	opt.Progress = cfg.progress
 	return opt
@@ -251,7 +246,6 @@ func saturationOptions(cfg config) ndmesh.SaturationOptions {
 	opt.Routers = []string{"limited", "congested", "blind"}
 	opt.Rates = []float64{0.05, 0.15, 0.3}
 	opt.Warmup, opt.Measure, opt.Drain = 32, 128, 128
-	opt.Shards = cfg.shards
 	opt.Congestion = cfg.congestion
 	opt.Progress = cfg.progress
 	return opt

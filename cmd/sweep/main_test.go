@@ -24,7 +24,7 @@ func sweep(t *testing.T, args ...string) string {
 // to the library at the same seed: one line per library row (E20's summary
 // rows included), in row order, with the same key and delivery columns.
 func TestLoadExperimentsMatchLibrary(t *testing.T) {
-	cfg := config{seed: 3, trials: 2, shards: 1}
+	cfg := config{seed: 3, trials: 2}
 	cases := []struct {
 		exp  string
 		cols []string

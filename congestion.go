@@ -42,10 +42,6 @@ type CongestionShiftOptions struct {
 	// routers see the same schedule).
 	Faults, FaultInterval int
 	Clustered             bool
-	// Shards is the intra-step shard-worker count per cell run (< 2 means
-	// serial); like the worker count, every value yields byte-identical
-	// rows.
-	Shards int
 	// Progress, when non-nil, is called after every completed cell with
 	// (done, total); must be safe for concurrent use.
 	Progress func(done, total int)
@@ -120,7 +116,6 @@ func CongestionShiftSweepWorkers(opt CongestionShiftOptions, seed uint64, worker
 		Congestion: opt.Congestion,
 		Faults:     opt.Faults, FaultInterval: opt.FaultInterval,
 		Clustered: opt.Clustered,
-		Shards:    opt.Shards,
 	}
 	if err := validateSaturation(&sopt); err != nil {
 		return nil, nil, err

@@ -29,7 +29,7 @@ package ndmesh
 // Determinism follows the repository contract: one rng stream is split per
 // scenario cell in row order, each mechanism arm starts from a value copy
 // of that stream's state, each job writes only its own result slots, and
-// aggregation is serial — byte-identical for every worker and shard count.
+// aggregation is serial — byte-identical for every worker count.
 
 import (
 	"fmt"
@@ -76,9 +76,6 @@ type GridlockOptions struct {
 	FlightTimeout, RetryBackoff, GridlockWindow int
 	// Congestion tunes the "congested" router when Router selects it.
 	Congestion route.CongestionConfig
-	// Shards is the intra-step shard-worker count per run; like the worker
-	// count, it leaves the rows byte-identical at every value.
-	Shards int
 	// Progress, when non-nil, is called after every completed scenario
 	// cell (all its mechanism arms) with (done, total); must be safe for
 	// concurrent use.
@@ -209,7 +206,6 @@ func GridlockSweepWorkers(opt GridlockOptions, seed uint64, workers int) ([]Grid
 		FlightTimeout: opt.FlightTimeout, RetryBackoff: opt.RetryBackoff,
 		GridlockWindow: opt.GridlockWindow,
 		FaultInterval:  opt.FaultInterval, Clustered: opt.Clustered,
-		Shards: opt.Shards,
 	}
 	if err := validateLoadShape(&base); err != nil {
 		return nil, err

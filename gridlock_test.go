@@ -63,31 +63,6 @@ func TestParallelGridlockSweepDeterministic(t *testing.T) {
 	}
 }
 
-// TestShardedGridlockSweepDeterministic is the E22 row of the shard matrix.
-// It carries the tentpole's determinism claim: the progress census and the
-// timeout kills live in the engine's always-serial commit, so the rows —
-// gridlock verdicts, recovery times, retry counts — must be byte-identical
-// at every intra-step shard count.
-func TestShardedGridlockSweepDeterministic(t *testing.T) {
-	opt := smallGridlock()
-	serial, err := GridlockSweepWorkers(opt, 42, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range shardCounts {
-		opt.Shards = s
-		for _, w := range []int{1, 3} {
-			got, err := GridlockSweepWorkers(opt, 42, w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, serial) {
-				t.Errorf("shards=%d workers=%d:\n got %+v\nwant %+v", s, w, got, serial)
-			}
-		}
-	}
-}
-
 // TestGoldenGridlockSweep pins one E22 run byte-for-byte at a fixed seed:
 // the per-cell stream split, the value-copy arm discipline, the detector,
 // the timeout kills and the backoff jitter draws all feed these strings. If

@@ -24,11 +24,9 @@ import (
 //
 // A third of the trials enable the deadlock-escape configuration (flight
 // timeouts, gridlock detection, bubble admission) so timed-out kills are
-// exercised against the same invariants, and the trials cycle through
-// intra-step shard counts 1/2/3 — the census and the timeout path live in
-// the serial commit, and this is where that claim is audited. CI runs the
-// package under -race, so the test also certifies the counter bookkeeping
-// involves no hidden shared state.
+// exercised against the same invariants. CI runs the package under -race,
+// so the test also certifies the counter bookkeeping involves no hidden
+// shared state.
 func TestContentionConservation(t *testing.T) {
 	for trial := 0; trial < 24; trial++ {
 		trial := trial
@@ -67,10 +65,6 @@ func TestContentionConservation(t *testing.T) {
 			}
 			e := New(md, 1, sched)
 			e.EnableContention(cfg)
-			if shards := 1 + trial%3; shards > 1 {
-				e.SetShards(shards)
-				defer e.SetShards(1)
-			}
 
 			routers := []route.Router{route.Limited{}, route.Congested{}, route.Blind{}}
 			var injected, delivered, unreachable, lost, timedOut int

@@ -221,9 +221,11 @@ func TestContentionStepAllocFree(t *testing.T) {
 	e, shape := newContentionEngine(t, 16, ContentionConfig{LinkRate: 1, NodeCapacity: 4})
 	srcs := []grid.Coord{{1, 1}, {14, 1}, {1, 14}, {14, 14}, {7, 2}, {2, 7}}
 	dsts := []grid.Coord{{14, 14}, {1, 14}, {14, 1}, {1, 1}, {7, 13}, {13, 7}}
+	// A mixed fleet, so Blind's decide path is held to zero too.
+	routers := []route.Router{route.Limited{}, route.Blind{}}
 	inject := func() {
 		for i := range srcs {
-			if _, err := e.Inject(shape.Index(srcs[i]), shape.Index(dsts[i]), route.Limited{}); err != nil {
+			if _, err := e.Inject(shape.Index(srcs[i]), shape.Index(dsts[i]), routers[i%2]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -246,5 +248,60 @@ func TestContentionStepAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("contention step allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestInjectRejectsOverCapacity pins the latent-state fix on the
+// injection path: under contention with a finite NodeCapacity, an Inject
+// that skips Admit cannot silently overfill a router buffer — it is
+// rejected, and the residency counter stays at capacity.
+func TestInjectRejectsOverCapacity(t *testing.T) {
+	e, shape := newContentionEngine(t, 6, ContentionConfig{LinkRate: 1, NodeCapacity: 2})
+	src := shape.Index(grid.Coord{2, 2})
+	dst := shape.Index(grid.Coord{5, 5})
+	for i := 0; i < 2; i++ {
+		if !e.Admit(src) {
+			t.Fatalf("injection %d: source unexpectedly full", i)
+		}
+		if _, err := e.Inject(src, dst, route.Limited{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if e.Admit(src) {
+		t.Fatal("Admit true at a full source")
+	}
+	if _, err := e.Inject(src, dst, route.Limited{}); err == nil {
+		t.Fatal("Inject at a full source succeeded; want capacity error")
+	}
+	if got := e.Resident(src); got != 2 {
+		t.Fatalf("residency after rejected injection = %d, want 2", got)
+	}
+	// Unbounded capacity (0) and contention-free mode keep accepting.
+	e2, shape2 := newContentionEngine(t, 6, ContentionConfig{LinkRate: 1})
+	s2, d2 := shape2.Index(grid.Coord{1, 1}), shape2.Index(grid.Coord{4, 4})
+	for i := 0; i < 8; i++ {
+		if _, err := e2.Inject(s2, d2, route.Limited{}); err != nil {
+			t.Fatalf("unbounded injection %d rejected: %v", i, err)
+		}
+	}
+	e2.DisableContention()
+	if _, err := e2.Inject(s2, d2, route.Limited{}); err != nil {
+		t.Fatalf("contention-free injection rejected: %v", err)
+	}
+}
+
+// TestSetPolicyGovernsDecisions: the tie-breaking policy is an engine
+// setting. A diagonal flight takes its long axis first under LargestOffset
+// (axis 0 first under the default).
+func TestSetPolicyGovernsDecisions(t *testing.T) {
+	e, shape := newContentionEngine(t, 8, ContentionConfig{LinkRate: 1})
+	e.SetPolicy(route.LargestOffset)
+	fl, err := e.Inject(shape.Index(grid.Coord{1, 1}), shape.Index(grid.Coord{3, 6}), route.Limited{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Step()
+	if got, want := fl.Msg.Cur, shape.Index(grid.Coord{1, 2}); got != want {
+		t.Errorf("first hop to node %d, want %d (the offset along axis 1 is the larger)", got, want)
 	}
 }

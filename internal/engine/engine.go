@@ -14,10 +14,8 @@
 // Contracts the rest of the stack builds on:
 //
 //   - Determinism: flights are polled in injection order, so the opt-in
-//     contention model's link arbitration is an age-ordered FIFO with no
-//     goroutine-scheduling dependence, and the intra-step sharded stepper
-//     (SetShards, shard.go) is byte-identical to the serial step at every
-//     shard count — sharding changes wall-clock, never output.
+//     contention model's link arbitration is an age-ordered FIFO and the
+//     step is one serial loop with no goroutine-scheduling dependence.
 //   - Reset: Reset rewinds the engine to step 0 recycling flights and
 //     event records into free lists (results handed out earlier must be
 //     consumed first); ClearFlights retires the flight population only;
@@ -29,9 +27,8 @@
 //     and comes from a slab; the flight list keeps the live flights as a
 //     dense prefix in injection order (terminated ones behind it, until
 //     harvested), compacted by the commit loop itself; routing scratch is
-//     the engine's (one route.Context for the serial commit, one per
-//     shard), never a flight's; the tie-breaking policy is an engine
-//     setting (SetPolicy) for the same reason.
+//     the engine's (one route.Context), never a flight's; the tie-breaking
+//     policy is an engine setting (SetPolicy) for the same reason.
 package engine
 
 import (
@@ -212,9 +209,8 @@ type Engine struct {
 	live    int
 	retired []*Flight //meshvet:keep scratch of one Step's compaction, emptied before it returns
 
-	// ctx is the routing scratch of the serial commit (each shard has its
-	// own for the propose phase, see shardSet): one context serves every
-	// flight in turn, so no flight carries buffers of its own.
+	// ctx is the routing scratch: one context serves every flight in turn,
+	// so no flight carries buffers of its own.
 	ctx route.Context //meshvet:keep configuration (fabric, store, load view, policy) plus call-scoped scratch
 
 	// Events is the per-occurrence log (one record per schedule event).
@@ -236,11 +232,10 @@ type Engine struct {
 	// would allocate per event).
 	oracle block.Oracle //meshvet:keep reusable compute buffers, overwritten per event
 
-	ctn    contention
-	shards shardSet //meshvet:keep worker-pool configuration, reconfigured via SetShards
+	ctn contention
 
 	// probe, when non-nil, receives the per-step census assembled in the
-	// serial commit (see probe.go); census is the accumulator between
+	// commit loop (see probe.go); census is the accumulator between
 	// flushes. Observation is read-only: no decision consults either.
 	probe  Probe //meshvet:keep observer registration survives trials (SetProbe detaches)
 	census StepCensus
@@ -265,12 +260,7 @@ func New(md *core.Model, lambda int, sched *fault.Schedule) *Engine {
 
 // SetPolicy selects how every flight's router breaks ties among equally
 // preferred directions (default route.LowestAxis).
-func (e *Engine) SetPolicy(p route.Policy) {
-	e.ctx.Policy = p
-	for i := range e.shards.ctx {
-		e.shards.ctx[i].Policy = p
-	}
-}
+func (e *Engine) SetPolicy(p route.Policy) { e.ctx.Policy = p }
 
 // StepCount returns the current step number.
 func (e *Engine) StepCount() int { return e.step }
@@ -543,6 +533,19 @@ func (e *Engine) Inject(src, dst grid.NodeID, r route.Router) (*Flight, error) {
 	return f, nil
 }
 
+// ResidencyCensus returns a copy of the per-node residency counters,
+// regardless of whether contention is currently enabled — a testing and
+// debugging aid for asserting that a finished load run released every
+// counter (Resident reads zero once contention is disabled, which would
+// mask stale state).
+func (e *Engine) ResidencyCensus() []int {
+	out := make([]int, len(e.ctn.resident))
+	for i, r := range e.ctn.resident {
+		out[i] = int(r)
+	}
+	return out
+}
+
 // Flights returns every attached flight: the live ones first, in injection
 // order, then the terminated ones DetachDone has not harvested yet.
 func (e *Engine) Flights() []*Flight { return e.flights }
@@ -569,13 +572,9 @@ func (e *Engine) Step() {
 	// per step for every live flight, polled in injection order. Under
 	// contention each step opens with a fresh link-service budget, so links
 	// are granted oldest-first; a flight that loses arbitration waits in
-	// place and re-decides next step. With sharding enabled, the decisions
-	// of step-stable flights are proposed in parallel first; the loop below
-	// is the serial commit that consumes them — same FIFO, byte-identical
-	// result (see shard.go).
+	// place and re-decides next step.
 	c := &e.ctn
 	var gate route.Gate
-	var props []proposal
 	timeout := 0
 	if c.enabled {
 		for _, li := range c.dirty {
@@ -590,33 +589,25 @@ func (e *Engine) Step() {
 		}
 		c.lastPending, c.pending = c.pending, c.lastPending
 		c.lastDty, c.pendingDty = c.pendingDty, c.lastDty[:0]
-		if e.shards.n > 1 {
-			props = e.propose()
-		}
 		gate, timeout = c.gateFn, c.cfg.FlightTimeout
 	}
 	probed := c.enabled && e.probe != nil
-	// The serial commit doubles as the progress census and as the
-	// compaction of the live prefix: progressed counts flights that moved or
-	// reached a terminal state this step; survivors slide down to
-	// flights[:w] in order and the newly terminated collect in retired, to
-	// be laid out behind them. All of it happens in the always-serial
-	// commit, so the census — and everything built on it (gridlock
-	// detection, timeouts) — is byte-identical at every shard count.
+	// The commit loop doubles as the progress census and as the compaction
+	// of the live prefix: progressed counts flights that moved or reached a
+	// terminal state this step; survivors slide down to flights[:w] in
+	// order and the newly terminated collect in retired, to be laid out
+	// behind them.
 	progressed, w := 0, 0
 	retired := e.retired[:0]
-	for i, f := range e.flights[:e.live] {
+	for _, f := range e.flights[:e.live] {
 		msg := &f.msg
 		before := msg.Cur
-		switch {
-		case timeout > 0 && f.StallAge >= timeout:
+		if timeout > 0 && f.StallAge >= timeout {
 			// Stalled in place past the timeout: kill the flight back to
-			// its source (any sharded proposal is discarded). Residency is
-			// released by the next DetachDone harvest.
+			// its source. Residency is released by the next DetachDone
+			// harvest.
 			msg.TimedOut = true
-		case i < len(props) && props[i].ok:
-			route.AdvanceDecided(&e.ctx, msg, props[i].d, gate)
-		default:
+		} else {
 			route.AdvanceGated(&e.ctx, f.Router, msg, gate)
 		}
 		moved, done := msg.Cur != before, msg.Done()

@@ -3,14 +3,13 @@ package engine
 import "ndmesh/internal/route"
 
 // This file is the engine's observability hook: an opt-in Probe that
-// receives the per-step census assembled inside the always-serial commit
-// phase of the contention step. Observation is read-only and lives entirely
-// off the decision path, so attaching a probe cannot change a single
-// routing or arbitration outcome — a probed run's LoadPoint (and therefore
-// every golden) is byte-identical to the unprobed run, at every worker and
-// shard count, because the census is computed where the sharded stepper is
-// already serial (see shard.go). With no probe attached the accumulation is
-// skipped entirely; with one attached the step stays 0 allocs/op.
+// receives the per-step census assembled inside the commit loop of the
+// contention step. Observation is read-only and lives entirely off the
+// decision path, so attaching a probe cannot change a single routing or
+// arbitration outcome — a probed run's LoadPoint (and therefore every
+// golden) is byte-identical to the unprobed run, at every worker count.
+// With no probe attached the accumulation is skipped entirely; with one
+// attached the step stays 0 allocs/op.
 
 // StepCensus is what the engine reports per flush: the aggregate of every
 // contention step since the previous flush (counters sum; gauges hold the

@@ -23,9 +23,9 @@ import (
 // annotation without a runtime assertion (or the reverse) fails the
 // build, not a review.
 var AllocTestCoverage = map[string][]string{
-	// The serial contention step: arbitration, gating, the Limited decide
-	// path, commit/traversal, harvest, and the census fold-in. Advance is
-	// a pure delegate to AdvanceGated and is covered through it.
+	// The contention step: arbitration, gating, the Limited and Blind
+	// decide paths, commit/traversal, harvest, and the census fold-in.
+	// Advance is a pure delegate to AdvanceGated and is covered through it.
 	"TestContentionStepAllocFree": {
 		"ndmesh/internal/engine.Engine.Step",
 		"ndmesh/internal/engine.Engine.DetachDone",
@@ -37,6 +37,7 @@ var AllocTestCoverage = map[string][]string{
 		"ndmesh/internal/route.Message.beginStep",
 		"ndmesh/internal/route.commitDecision",
 		"ndmesh/internal/route.Limited.Decide",
+		"ndmesh/internal/route.Blind.Decide",
 		"ndmesh/internal/route.algorithm3",
 		"ndmesh/internal/route.classify",
 	},
@@ -52,14 +53,6 @@ var AllocTestCoverage = map[string][]string{
 	// The load-adaptive decide path.
 	"TestCongestedStepAllocFree": {
 		"ndmesh/internal/route.Congested.Decide",
-	},
-	// The sharded step's parallel propose phase, the pre-decided commit,
-	// and the Blind decide path (its router fleet mixes Limited and Blind).
-	"TestShardedStepAllocFree": {
-		"ndmesh/internal/engine.Engine.propose",
-		"ndmesh/internal/engine.Engine.proposeShard",
-		"ndmesh/internal/route.AdvanceDecided",
-		"ndmesh/internal/route.Blind.Decide",
 	},
 	// Flight timeouts ride on DOR head-on collisions.
 	"TestTimeoutStepAllocFree": {

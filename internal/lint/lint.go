@@ -1,9 +1,9 @@
 // Package lint is meshvet: a suite of static analyzers that enforce, at
 // `go vet` time, the three contracts the repo's results rest on — the
-// determinism contract (byte-identical results at every worker/shard
-// count), the 0 allocs/op hot-path contract, and the Reset-based pooling
-// contract — plus the probe layer's "observation is off the decision
-// path" rule. The runtime tests (alloc assertions, determinism matrices,
+// determinism contract (byte-identical results at every worker count),
+// the 0 allocs/op hot-path contract, and the Reset-based pooling contract
+// — plus the probe layer's "observation is off the decision path" rule.
+// The runtime tests (alloc assertions, determinism matrices,
 // reset-equivalence) catch violations late and only on exercised paths;
 // these analyzers catch the obvious violation classes on every path at
 // compile time.

@@ -23,8 +23,8 @@ var ProbeReadOnly = &Analyzer{
 }
 
 // engineReadOnly is the allowlist of Engine methods that observe without
-// mutating. Everything else (Step, Inject, Reset, ClearFlights, SetShards,
-// SetProbe, DetachDone, FinalizeEvents, Run, ...) is denied in probe scope.
+// mutating. Everything else (Step, Inject, Reset, ClearFlights, SetProbe,
+// DetachDone, FinalizeEvents, Run, ...) is denied in probe scope.
 var engineReadOnly = map[string]bool{
 	"StepCount":         true,
 	"ContentionEnabled": true,
@@ -36,7 +36,6 @@ var engineReadOnly = map[string]bool{
 	"GridlockRecovery":  true,
 	"Flights":           true,
 	"Done":              true,
-	"Shards":            true,
 	"ResidencyCensus":   true,
 }
 

@@ -1,6 +1,6 @@
 // Package probe is the run-telemetry layer: concrete implementations of
 // the engine's Probe interface that turn the per-step census emitted by
-// the always-serial commit phase into time-resolved artifacts — a
+// the engine's commit loop into time-resolved artifacts — a
 // step-level time series (TimeSeries), per-node residency and per-link
 // stall heatmaps (Heatmap), a log-bucketed full latency distribution
 // (LatencyHist), and a mutex-guarded live snapshot for introspection
@@ -10,10 +10,10 @@
 //
 // Contracts: observation is read-only and off the decision path, so a
 // probed run's results are byte-identical to the unprobed run at every
-// worker and shard count; every recorder is 0 allocs/op in steady state
-// (pre-sized at construction, asserted by TestProbedStepAllocFree); and
-// recorders fold the census's slice views immediately, never retaining
-// them past the ObserveStep call.
+// worker count; every recorder is 0 allocs/op in steady state (pre-sized
+// at construction, asserted by TestProbedStepAllocFree); and recorders
+// fold the census's slice views immediately, never retaining them past
+// the ObserveStep call.
 package probe
 
 import "ndmesh/internal/engine"

@@ -90,85 +90,3 @@ func TestSourceDeadEndUnderContention(t *testing.T) {
 		t.Fatalf("gate consulted at a dead end: %v", g.calls)
 	}
 }
-
-// TestAdvanceDecidedMatchesGated drives two identical messages across a
-// faulty mesh under a deny-then-grant gate, one through AdvanceGated and
-// one through Decide + AdvanceDecided each step, and requires identical
-// observable state throughout — the equivalence the sharded stepper's
-// commit phase rests on.
-func TestAdvanceDecidedMatchesGated(t *testing.T) {
-	m, err := mesh.NewUniform(2, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shape := m.Shape()
-	m.FailAt(grid.Coord{4, 4})
-	m.FailAt(grid.Coord{5, 4})
-	m.FailAt(grid.Coord{4, 5})
-	for _, name := range []string{"limited", "blind", "dor"} {
-		r, err := ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctxA, ctxB := &Context{M: m}, &Context{M: m}
-		msgA := NewMessage(shape.Index(grid.Coord{1, 1}), shape.Index(grid.Coord{8, 8}))
-		msgB := NewMessage(shape.Index(grid.Coord{1, 1}), shape.Index(grid.Coord{8, 8}))
-		// Deterministically deny every third arbitration to exercise the
-		// stall paths on both sides.
-		mkGate := func() Gate {
-			n := 0
-			return func(grid.NodeID, grid.Dir) bool {
-				n++
-				return n%3 != 0
-			}
-		}
-		gateA, gateB := mkGate(), mkGate()
-		for step := 0; step < 200; step++ {
-			stillA := AdvanceGated(ctxA, r, msgA, gateA)
-			var stillB bool
-			if msgB.Done() {
-				stillB = AdvanceDecided(ctxB, msgB, Decision{}, gateB)
-			} else if msgB.Cur == msgB.Dst {
-				// AdvanceGated arrives before deciding; AdvanceDecided
-				// replicates that, so the precomputed decision is unused.
-				stillB = AdvanceDecided(ctxB, msgB, Decision{}, gateB)
-			} else {
-				stillB = AdvanceDecided(ctxB, msgB, r.Decide(ctxB, msgB), gateB)
-			}
-			if stillA != stillB {
-				t.Fatalf("%s step %d: in-flight diverged %v vs %v", name, step, stillA, stillB)
-			}
-			a := fmt.Sprintf("%v waits=%d stalled=%v", msgA, msgA.Waits, msgA.Stalled())
-			b := fmt.Sprintf("%v waits=%d stalled=%v", msgB, msgB.Waits, msgB.Stalled())
-			if a != b {
-				t.Fatalf("%s step %d diverged:\n gated   %s\n decided %s", name, step, a, b)
-			}
-			if !stillA {
-				break
-			}
-		}
-		if !msgA.Done() {
-			t.Fatalf("%s: message never terminated: %v", name, msgA)
-		}
-	}
-}
-
-// TestStepStableRouters pins the parallel-propose whitelist: the routers
-// whose Decide is a pure function of step-frozen state. Congested (reads
-// mid-step residency) and Oracle (internal distance cache) must stay out.
-func TestStepStableRouters(t *testing.T) {
-	for _, tc := range []struct {
-		r    Router
-		want bool
-	}{
-		{Limited{}, true},
-		{Blind{}, true},
-		{DOR{}, true},
-		{Congested{}, false},
-		{&Oracle{}, false},
-	} {
-		if got := StepStable(tc.r); got != tc.want {
-			t.Errorf("StepStable(%s) = %v, want %v", tc.r.Name(), got, tc.want)
-		}
-	}
-}

@@ -24,20 +24,16 @@
 // Decide/Apply split lets the engine interleave decisions with the λ
 // information rounds exactly as Figure 7 prescribes.
 //
-// Contracts: Decide never mutates the message — Advance/AdvanceGated/
-// AdvanceDecided commit a Decision to the header, so a stalled message
-// re-decides against fresh state. Routers are stateless per decision; all
-// scratch lives in the caller-owned Context (fixed-size direction lists and
-// the candidate partition that aliases them), valid only during the current
-// Decide call, so a zero Context is ready to use, one Context serves any
-// number of messages in turn (the engine owns one for its serial commit and
-// one per shard), and a decision allocates nothing. Coordinates are views
-// into the shape's table (grid.Shape.CoordView): no path decodes an id.
-// The one exception to statelessness is Oracle's cached distance field, the
-// reason StepStable excludes it: StepStable(r) certifies that a router's
-// decisions depend only on state frozen for the whole routing phase of a
-// step, the property the engine's sharded stepper needs to precompute
-// decisions in parallel with byte-identical results.
+// Contracts: Decide never mutates the message — Advance/AdvanceGated
+// commit a Decision to the header, so a stalled message re-decides against
+// fresh state. Routers are stateless per decision; all scratch lives in the
+// caller-owned Context (fixed-size direction lists and the candidate
+// partition that aliases them), valid only during the current Decide call,
+// so a zero Context is ready to use, one Context serves any number of
+// messages in turn (the engine owns one), and a decision allocates nothing.
+// Coordinates are views into the shape's table (grid.Shape.CoordView): no
+// path decodes an id. The one exception to statelessness is Oracle's cached
+// distance field.
 //
 // The header (Message) is laid out for the step loop: the fields a stalled
 // step reads — position, terminal flags, the current node's used-direction
@@ -289,19 +285,6 @@ func AdvanceGated(ctx *Context, r Router, msg *Message, gate Gate) bool {
 	return msg.beginStep() && commitDecision(ctx, msg, r.Decide(ctx, msg), gate)
 }
 
-// AdvanceDecided is AdvanceGated with the routing decision already made:
-// the sharded stepper's parallel phase precomputes step-stable routers'
-// decisions against the frozen step-start state, and the serial commit
-// replays them here in flight-age order. The gate check, the header
-// commit and the terminal transitions are exactly AdvanceGated's, so for
-// a StepStable router AdvanceDecided(ctx, msg, r.Decide(ctx, msg), gate)
-// and AdvanceGated(ctx, r, msg, gate) are byte-identical.
-//
-//meshvet:noalloc
-func AdvanceDecided(ctx *Context, msg *Message, d Decision, gate Gate) bool {
-	return msg.beginStep() && commitDecision(ctx, msg, d, gate)
-}
-
 // beginStep opens one step of an in-flight message: it counts the step and
 // reports whether there is a decision to commit (false once terminal, or on
 // arrival).
@@ -362,26 +345,6 @@ func commitDecision(ctx *Context, msg *Message, d Decision, gate Gate) bool {
 		return false
 	}
 	return !msg.Done()
-}
-
-// StepStable reports whether r's Decide is a pure function of state frozen
-// for the whole routing phase of a step: the fabric statuses (fault events
-// apply before routing), the record store (information rounds run before
-// routing), the previous step's LinkPending view, and the message's own
-// header. The sharded stepper may precompute such routers' decisions in
-// parallel from the step-start state and commit them serially in flight-age
-// order with results byte-identical to deciding at commit time.
-//
-// Excluded by construction: Congested reads LoadView.Resident, which
-// earlier commits in the same step mutate, and Oracle caches a distance
-// field inside the (shared) router value. Both are decided serially at
-// commit instead — correct at any shard count, just not sped up.
-func StepStable(r Router) bool {
-	switch r.(type) {
-	case Limited, Blind, DOR:
-		return true
-	}
-	return false
 }
 
 //meshvet:noalloc

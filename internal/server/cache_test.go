@@ -58,7 +58,6 @@ func TestCacheCanonicalization(t *testing.T) {
 		"whitespace":       "{ \"kind\" : \"open-loop\",\n \"dims\": [4,4], \"rates\": [0.2], \"warmup\": 8, \"measure\": 24, \"drain\": 32, \"seed\": 9 }",
 		"explicit-default": `{"kind":"open-loop","dims":[4,4],"rates":[0.2],"warmup":8,"measure":24,"drain":32,"seed":9,"lambda":1,"link_rate":1}`,
 		"workers-change":   `{"kind":"open-loop","dims":[4,4],"rates":[0.2],"warmup":8,"measure":24,"drain":32,"seed":9,"workers":2}`,
-		"shards-change":    `{"kind":"open-loop","dims":[4,4],"rates":[0.2],"warmup":8,"measure":24,"drain":32,"seed":9,"shards":2}`,
 	}
 	for name, body := range hits {
 		t.Run("hit/"+name, func(t *testing.T) {

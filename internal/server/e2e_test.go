@@ -31,13 +31,33 @@ func submit(t testing.TB, ts *httptest.Server, query, body string) (*http.Respon
 	return resp, data
 }
 
-// e2eWidths is the fan-out matrix every workload kind is streamed at:
-// serial, a fixed parallel width, and whatever the host offers. The
-// expected bytes are computed ONCE (serial, unsharded) — the test's
-// teeth are that every width streams those same bytes.
-func e2eWidths() [][2]int {
-	g := runtime.GOMAXPROCS(0)
-	return [][2]int{{1, 1}, {2, 2}, {g, g}}
+// streamAtEveryWidth is the worker matrix every sweep kind is streamed at:
+// base (a spec missing its closing brace) is submitted serial, at a fixed
+// parallel width and at whatever the host offers, and every width must
+// stream the batch bytes, computed ONCE by the caller. A fresh server per
+// width: the cache would otherwise serve later widths from the first run
+// and never touch an engine.
+func streamAtEveryWidth(t *testing.T, base string, want []byte) {
+	for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
+			srv := New(Config{MaxConcurrent: 2})
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			resp, got := submit(t, ts, "", fmt.Sprintf(`%s,"workers":%d}`, base, w))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d: %s", resp.StatusCode, got)
+			}
+			if h := resp.Header.Get("X-Meshd-Cache"); h != "miss" {
+				t.Fatalf("X-Meshd-Cache = %q, want miss", h)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("streamed body differs from batch rows\n got: %s\nwant: %s", got, want)
+			}
+			if err := srv.Pool().VerifyClean(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }
 
 // TestE2EOpenLoop streams an E19 grid over HTTP at every width and diffs
@@ -57,30 +77,7 @@ func TestE2EOpenLoop(t *testing.T) {
 	for _, r := range rows {
 		want.Write(encodeNDJSON(r))
 	}
-
-	for _, wd := range e2eWidths() {
-		t.Run(fmt.Sprintf("workers=%d,shards=%d", wd[0], wd[1]), func(t *testing.T) {
-			// A fresh server per width: the cache would otherwise serve
-			// later widths from the first run and never touch an engine.
-			srv := New(Config{MaxConcurrent: 2})
-			ts := httptest.NewServer(srv.Handler())
-			defer ts.Close()
-			body := fmt.Sprintf(`%s,"workers":%d,"shards":%d}`, base, wd[0], wd[1])
-			resp, got := submit(t, ts, "", body)
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("status %d: %s", resp.StatusCode, got)
-			}
-			if h := resp.Header.Get("X-Meshd-Cache"); h != "miss" {
-				t.Fatalf("X-Meshd-Cache = %q, want miss", h)
-			}
-			if !bytes.Equal(got, want.Bytes()) {
-				t.Fatalf("streamed body differs from batch rows\n got: %s\nwant: %s", got, want.Bytes())
-			}
-			if err := srv.Pool().VerifyClean(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+	streamAtEveryWidth(t, base, want.Bytes())
 }
 
 // TestE2EOpenLoopCSV diffs the daemon's CSV stream against the exact
@@ -131,23 +128,7 @@ func TestE2EClosedLoop(t *testing.T) {
 	for _, r := range rows {
 		want.Write(encodeNDJSON(r))
 	}
-	for _, wd := range e2eWidths() {
-		t.Run(fmt.Sprintf("workers=%d,shards=%d", wd[0], wd[1]), func(t *testing.T) {
-			srv := New(Config{MaxConcurrent: 2})
-			ts := httptest.NewServer(srv.Handler())
-			defer ts.Close()
-			resp, got := submit(t, ts, "", fmt.Sprintf(`%s,"workers":%d,"shards":%d}`, base, wd[0], wd[1]))
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("status %d: %s", resp.StatusCode, got)
-			}
-			if !bytes.Equal(got, want.Bytes()) {
-				t.Fatal("streamed closed-loop body differs from batch rows")
-			}
-			if err := srv.Pool().VerifyClean(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+	streamAtEveryWidth(t, base, want.Bytes())
 }
 
 // TestE2EReliability covers the E23 workload kind: per-cell rows stream
@@ -167,27 +148,11 @@ func TestE2EReliability(t *testing.T) {
 	for _, r := range rows {
 		want.Write(encodeNDJSON(r))
 	}
-	for _, wd := range e2eWidths() {
-		t.Run(fmt.Sprintf("workers=%d,shards=%d", wd[0], wd[1]), func(t *testing.T) {
-			srv := New(Config{MaxConcurrent: 2})
-			ts := httptest.NewServer(srv.Handler())
-			defer ts.Close()
-			resp, got := submit(t, ts, "", fmt.Sprintf(`%s,"workers":%d,"shards":%d}`, base, wd[0], wd[1]))
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("status %d: %s", resp.StatusCode, got)
-			}
-			if !bytes.Equal(got, want.Bytes()) {
-				t.Fatal("streamed reliability body differs from batch rows")
-			}
-			if err := srv.Pool().VerifyClean(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+	streamAtEveryWidth(t, base, want.Bytes())
 }
 
-// TestE2EReplay records a trace, replays it through the daemon at every
-// shard width, and diffs against the library's replayed LoadPoint.
+// TestE2EReplay records a trace, replays it through the daemon, and diffs
+// against the library's replayed LoadPoint.
 func TestE2EReplay(t *testing.T) {
 	trace := recordedTrace(t)
 	tr, err := traffic.UnmarshalTrace(trace)
@@ -200,26 +165,22 @@ func TestE2EReplay(t *testing.T) {
 	}
 	want := encodeNDJSON(ReplayRow{Router: "limited", Point: pt})
 
-	for _, wd := range e2eWidths() {
-		t.Run(fmt.Sprintf("shards=%d", wd[1]), func(t *testing.T) {
-			srv := New(Config{})
-			ts := httptest.NewServer(srv.Handler())
-			defer ts.Close()
-			body, err := json.Marshal(map[string]any{"kind": "replay", "trace": trace, "shards": wd[1]})
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp, got := submit(t, ts, "", string(body))
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("status %d: %s", resp.StatusCode, got)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("replayed body differs:\n got: %s\nwant: %s", got, want)
-			}
-			if err := srv.Pool().VerifyClean(); err != nil {
-				t.Fatal(err)
-			}
-		})
+	srv := New(Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	body, err := json.Marshal(map[string]any{"kind": "replay", "trace": trace})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, got := submit(t, ts, "", string(body))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, got)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("replayed body differs:\n got: %s\nwant: %s", got, want)
+	}
+	if err := srv.Pool().VerifyClean(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -165,7 +165,6 @@ func (s *Spec) saturationOptions() ndmesh.SaturationOptions {
 		Clustered: s.Clustered, FaultStart: s.FaultStart,
 		FaultRate: s.FaultRate, FaultModel: s.FaultModel,
 		FaultShape: s.FaultShape, FaultRepair: s.FaultRepair,
-		Shards: s.Shards,
 	}
 }
 
@@ -213,7 +212,6 @@ func (s *Spec) closedLoopOptions() ndmesh.ClosedLoopOptions {
 		Clustered: s.Clustered, FaultStart: s.FaultStart,
 		FaultRate: s.FaultRate, FaultModel: s.FaultModel,
 		FaultShape: s.FaultShape, FaultRepair: s.FaultRepair,
-		Shards: s.Shards,
 	}
 }
 
@@ -261,7 +259,6 @@ func runReplay(s *Spec, e env) error {
 		LinkRate: s.LinkRate, NodeCapacity: s.NodeCapacity,
 		FlightTimeout: s.FlightTimeout, RetryBackoff: s.RetryBackoff,
 		Bubble: s.Bubble, GridlockWindow: s.GridlockWindow,
-		Shards: s.Shards,
 		Seed:   s.Seed,
 		Replay: tr,
 		Pool:   e.srv.pool, Cancel: e.cancel,
@@ -303,7 +300,6 @@ func (s *Spec) reliabilityOptions() ndmesh.ReliabilityOptions {
 		LinkRate: s.LinkRate, NodeCapacity: s.NodeCapacity,
 		FlightTimeout: s.FlightTimeout, RetryBackoff: s.RetryBackoff,
 		Bubble: s.Bubble, GridlockWindow: s.GridlockWindow,
-		Shards: s.Shards,
 	}
 }
 

@@ -11,8 +11,8 @@
 // tests, make the service shape work:
 //
 //   - Byte identity: a streamed response is byte-identical to the batch
-//     sweep's rows at every worker and shard count. The sweeps emit rows
-//     in completion order tagged with cell indices; the sequencer restores
+//     sweep's rows at every worker count. The sweeps emit rows in
+//     completion order tagged with cell indices; the sequencer restores
 //     index order, so streaming costs nothing in reproducibility.
 //   - Cacheability: because the bytes depend only on the canonical spec
 //     and seed, completed bodies are cached whole (spec key + format). A

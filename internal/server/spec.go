@@ -83,10 +83,9 @@ type Spec struct {
 	// seed is a different result).
 	Seed uint64 `json:"seed,omitempty"`
 
-	// Workers/Shards size the fan-out. They are NOT part of the cache key:
-	// every width produces byte-identical rows (see Key).
+	// Workers sizes the fan-out. It is NOT part of the cache key: every
+	// width produces byte-identical rows (see Key).
 	Workers int `json:"workers,omitempty"`
-	Shards  int `json:"shards,omitempty"`
 
 	// Trace is the recorded NDWT workload a replay job reproduces
 	// (base64 in JSON, per encoding/json []byte convention). Replay only.
@@ -173,9 +172,6 @@ func (s *Spec) normalize() error {
 	if s.Workers < 0 || s.Workers > maxList {
 		return fmt.Errorf("workers %d out of range [0, %d]", s.Workers, maxList)
 	}
-	if s.Shards < 0 || s.Shards > maxList {
-		return fmt.Errorf("shards %d out of range [0, %d]", s.Shards, maxList)
-	}
 
 	if err = s.kind.axes(s); err != nil {
 		return err
@@ -192,17 +188,16 @@ func (s *Spec) normalize() error {
 // cells returns the normalized spec's grid size.
 func (s *Spec) cells() int { return s.kind.cells(s) }
 
-// Key returns the spec's canonical cache key. Workers and Shards are
-// zeroed first — the sweeps produce byte-identical rows at every worker and
-// shard count, so submissions that differ only in fan-out width are the same
-// result and hit the same cache entry — then the normalized struct is
-// marshaled in declaration order and hashed. Reordered JSON keys, whitespace
+// Key returns the spec's canonical cache key. Workers is zeroed first —
+// the sweeps produce byte-identical rows at every worker count, so
+// submissions that differ only in fan-out width are the same result and hit
+// the same cache entry — then the normalized struct is marshaled in
+// declaration order and hashed. Reordered JSON keys, whitespace
 // and omitted-vs-explicit defaults share a key; any change that can reach
 // the rows (workload, engine configuration, seed) splits it.
 func (s *Spec) Key() string {
 	c := *s
 	c.Workers = 0
-	c.Shards = 0
 	data, err := json.Marshal(&c)
 	if err != nil {
 		// A normalized spec is always marshalable (non-finite floats were

@@ -114,8 +114,8 @@ func TestParseSpecReplay(t *testing.T) {
 
 // TestSpecKeyContract pins the cache-key semantics the daemon's cache
 // tests then observe over HTTP: key-order/whitespace insensitivity,
-// omitted-vs-explicit defaults merging, Workers/Shards exclusion, and
-// splits on anything that can reach the rows.
+// omitted-vs-explicit defaults merging, Workers exclusion, and splits on
+// anything that can reach the rows.
 func TestSpecKeyContract(t *testing.T) {
 	key := func(body string) string {
 		s, err := ParseSpec([]byte(body))
@@ -130,7 +130,6 @@ func TestSpecKeyContract(t *testing.T) {
 		"{\n  \"kind\": \"open-loop\", \"dims\": [4, 4],\n  \"rates\": [0.1], \"seed\": 9\n}", // whitespace
 		`{"kind":"open-loop","dims":[4,4],"rates":[0.1],"seed":9,"lambda":1}`,                 // explicit default
 		`{"kind":"open-loop","dims":[4,4],"rates":[0.1],"seed":9,"workers":7}`,                // fan-out width
-		`{"kind":"open-loop","dims":[4,4],"rates":[0.1],"seed":9,"shards":3}`,                 // shard width
 	}
 	for i, body := range same {
 		if key(body) != base {
@@ -188,7 +187,7 @@ func FuzzSpecDecode(f *testing.F) {
 	seeds := []string{
 		`{}`,
 		`{"kind":"open-loop"}`,
-		`{"kind":"open-loop","dims":[4,4],"rates":[0.05,0.2],"seed":42,"workers":2,"shards":2}`,
+		`{"kind":"open-loop","dims":[4,4],"rates":[0.05,0.2],"seed":42,"workers":2}`,
 		`{"kind":"closed-loop","windows":[1,2,4],"node_capacity":4,"flight_timeout":32}`,
 		`{"kind":"reliability","fault_rates":[0,0.01,0.04],"trials":8,"fault_model":"weibull","fault_shape":1.5}`,
 		`{"kind":"replay","trace":"TkRXVA=="}`,

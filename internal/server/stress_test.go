@@ -34,7 +34,7 @@ func TestStressConcurrentClients(t *testing.T) {
 	}
 	specs := []string{
 		`{"kind":"open-loop","dims":[4,4],"rates":[0.05,0.2],"warmup":8,"measure":24,"drain":32,"seed":42,"workers":2}`,
-		`{"kind":"closed-loop","dims":[4,4],"windows":[1,2],"warmup":8,"measure":24,"drain":32,"seed":7,"shards":2}`,
+		`{"kind":"closed-loop","dims":[4,4],"windows":[1,2],"warmup":8,"measure":24,"drain":32,"seed":7}`,
 		`{"kind":"reliability","dims":[4,4],"fault_rates":[0,0.02],"trials":2,"rate":0.1,"warmup":8,"measure":24,"drain":32,"flight_timeout":16,"seed":3}`,
 		string(replaySpec),
 	}

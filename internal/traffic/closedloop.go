@@ -30,8 +30,8 @@ type Injector interface {
 // within a step, and slots are released by the engine's harvest pass,
 // which runs in flight-injection order. A closed-loop run is therefore a
 // deterministic function of (shape, pattern, window, stream, engine
-// behavior) — the property the E21 sweep's serial/parallel/sharded
-// equality rests on.
+// behavior) — the property the E21 sweep's serial/parallel equality
+// rests on.
 //
 // The steady state allocates nothing: the per-node outstanding counters
 // are a flat array sized once, and Step draws destinations into the same

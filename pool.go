@@ -11,10 +11,9 @@ package ndmesh
 // reset_test.go) is what makes reuse sound: a reused simulation is
 // indistinguishable from a fresh one after Reset, so which warm simulation
 // a job receives can never reach its results. loadPoint's deferred cleanup
-// (flights detached, contention off, shards released —
-// TestLoadPointLeavesEngineClean) is what makes it safe: simulations come
-// back clean on every exit path, cancellation included, which
-// EnginePool.VerifyClean audits.
+// (flights detached, contention off — TestLoadPointLeavesEngineClean) is
+// what makes it safe: simulations come back clean on every exit path,
+// cancellation included, which EnginePool.VerifyClean audits.
 //
 // The EnginePool threads into the sweeps through the Pool field of
 // SaturationOptions / ClosedLoopOptions / ReliabilityOptions / LoadOptions:
@@ -181,14 +180,14 @@ func (p *EnginePool) put(key simKey, sim *Simulation) {
 // VerifyClean audits every idle simulation against the clean-engine
 // contract the sweeps' deferred cleanup guarantees (the residency-census
 // assertions of TestLoadPointLeavesEngineClean): no attached flights, an
-// all-zero residency census, contention disabled and shard workers
-// released. It reports aggregate violation counts, so the result does not
-// depend on map iteration order. The daemon's stress tests call it after
-// mixed-workload runs, mid-stream cancellations and shutdown.
+// all-zero residency census and contention disabled. It reports aggregate
+// violation counts, so the result does not depend on map iteration order.
+// The daemon's stress tests call it after mixed-workload runs, mid-stream
+// cancellations and shutdown.
 func (p *EnginePool) VerifyClean() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var flights, residency, contention, sharded, total int
+	var flights, residency, contention, total int
 	//meshvet:ordered aggregate violation counts are order-insensitive
 	for _, sims := range p.idle {
 		for _, sim := range sims {
@@ -203,14 +202,11 @@ func (p *EnginePool) VerifyClean() error {
 			if eng.ContentionEnabled() {
 				contention++
 			}
-			if eng.Shards() != 1 {
-				sharded++
-			}
 		}
 	}
-	if flights == 0 && residency == 0 && contention == 0 && sharded == 0 {
+	if flights == 0 && residency == 0 && contention == 0 {
 		return nil
 	}
-	return fmt.Errorf("ndmesh: engine pool dirty across %d idle simulations: %d attached flights, %d nonzero residency counters, %d with contention enabled, %d with shard workers configured",
-		total, flights, residency, contention, sharded)
+	return fmt.Errorf("ndmesh: engine pool dirty across %d idle simulations: %d attached flights, %d nonzero residency counters, %d with contention enabled",
+		total, flights, residency, contention)
 }

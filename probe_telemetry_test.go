@@ -3,8 +3,8 @@ package ndmesh
 // Telemetry tests at the repository root: the probe layer's two headline
 // contracts driven through the real load runner. (1) Attaching a probe
 // changes nothing — the LoadPoint is byte-identical to the unprobed run —
-// and the telemetry itself is byte-identical at every worker and shard
-// count, because the census lives in the engine's always-serial commit.
+// and the telemetry itself is byte-identical at every worker count,
+// because the census lives in the engine's serial step.
 // (2) The time series resolves the E22 gridlock story in time: the
 // in-flight population plateaus and the stall census ramps to the full
 // population before the detector fires.
@@ -41,35 +41,20 @@ func probedLoadCell() LoadOptions {
 }
 
 // runProbed executes the cell with the full recorder set attached and
-// returns the LoadPoint plus the three telemetry files as byte slices.
-func runProbed(t *testing.T, opt LoadOptions) (string, [3][]byte) {
+// returns the LoadPoint.
+func runProbed(t *testing.T, opt LoadOptions) string {
 	t.Helper()
 	set := &probe.Set{}
-	ts := probe.NewTimeSeries(opt.Warmup + opt.Measure + opt.Drain + 2)
-	hm := probe.NewHeatmap(36, 4)
-	lh := probe.NewLatencyHist()
-	set.AddProbe(ts)
-	set.AddProbe(hm)
+	set.AddProbe(probe.NewTimeSeries(opt.Warmup + opt.Measure + opt.Drain + 2))
+	set.AddProbe(probe.NewHeatmap(36, 4))
 	set.AddProbe(&probe.Snapshot{})
-	set.AddLatency(lh)
+	set.AddLatency(probe.NewLatencyHist())
 	opt.Probe = set
 	pt, err := LoadRun(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out [3][]byte
-	var b1, b2, b3 bytes.Buffer
-	if err := ts.WriteCSV(&b1); err != nil {
-		t.Fatal(err)
-	}
-	if err := hm.WriteCSV(&b2); err != nil {
-		t.Fatal(err)
-	}
-	if err := lh.WriteCSV(&b3); err != nil {
-		t.Fatal(err)
-	}
-	out[0], out[1], out[2] = b1.Bytes(), b2.Bytes(), b3.Bytes()
-	return fmt.Sprintf("%+v", pt), out
+	return fmt.Sprintf("%+v", pt)
 }
 
 // TestProbedLoadPointUnchanged pins the read-only contract end to end: the
@@ -80,32 +65,9 @@ func TestProbedLoadPointUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probed, _ := runProbed(t, probedLoadCell())
+	probed := runProbed(t, probedLoadCell())
 	if got, want := probed, fmt.Sprintf("%+v", bare); got != want {
 		t.Errorf("probed LoadPoint diverged:\n got %s\nwant %s", got, want)
-	}
-}
-
-// TestProbedTelemetryShardDeterministic extends the byte-identical
-// contract to the telemetry itself: the time series, heatmap and latency
-// histogram written by a probed run are identical at every intra-step
-// shard count (run under -race in CI), because every census field is
-// assembled in the always-serial commit phase.
-func TestProbedTelemetryShardDeterministic(t *testing.T) {
-	basePt, base := runProbed(t, probedLoadCell())
-	names := []string{"timeseries", "heatmap", "hist"}
-	for _, s := range shardCounts {
-		opt := probedLoadCell()
-		opt.Shards = s
-		pt, got := runProbed(t, opt)
-		if pt != basePt {
-			t.Errorf("shards=%d: LoadPoint diverged:\n got %s\nwant %s", s, pt, basePt)
-		}
-		for i := range got {
-			if !bytes.Equal(got[i], base[i]) {
-				t.Errorf("shards=%d: %s telemetry not byte-identical to serial run", s, names[i])
-			}
-		}
 	}
 }
 

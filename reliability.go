@@ -16,7 +16,7 @@ package ndmesh
 // per trial in job order (cells outer, trials inner), each trial writes
 // only its own LoadPoint slot, and the fold from trial points into rows
 // is a serial pass over that slice — so the rows are byte-identical for
-// every worker count and every shard count.
+// every worker count.
 
 import (
 	"fmt"
@@ -64,8 +64,7 @@ type ReliabilityOptions struct {
 	FlightTimeout, RetryBackoff int
 	Bubble                      bool
 	GridlockWindow              int
-	// Shards is the intra-step shard-worker count per trial; like the
-	// worker count, it leaves the rows byte-identical at every value.
+	// Shards is ignored; kept only because bench/batch.go assigns it.
 	Shards int
 	// Progress, when non-nil, is called after every completed trial with
 	// (done, total); must be safe for concurrent use.
@@ -177,7 +176,6 @@ func ReliabilitySweepWorkers(opt ReliabilityOptions, seed uint64, workers int) (
 		FaultRate: maxRate, FaultModel: opt.FaultModel,
 		FaultShape: opt.FaultShape, FaultRepair: opt.FaultRepair,
 		Clustered: opt.Clustered,
-		Shards:    opt.Shards,
 		Cancel:    opt.Cancel,
 	}
 	if err := validateSaturation(&base); err != nil {

@@ -49,30 +49,6 @@ func TestParallelReliabilitySweepDeterministic(t *testing.T) {
 	}
 }
 
-// TestShardedReliabilitySweepDeterministic is the E23 row of the shard
-// matrix: trials whose runs apply fail AND recover events to meshes with
-// resident flights must stay byte-identical at every intra-step shard
-// count {1, 2, 7, GOMAXPROCS} (run under -race in CI).
-func TestShardedReliabilitySweepDeterministic(t *testing.T) {
-	opt := smallReliability()
-	serial, err := ReliabilitySweepWorkers(opt, 42, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range shardCounts {
-		opt.Shards = s
-		for _, w := range []int{1, 3} {
-			got, err := ReliabilitySweepWorkers(opt, 42, w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, serial) {
-				t.Errorf("shards=%d workers=%d:\n got %+v\nwant %+v", s, w, got, serial)
-			}
-		}
-	}
-}
-
 // TestGoldenReliabilitySweep pins one E23 run byte-for-byte at a fixed
 // seed: the per-trial stream split, the fault-process draws (arrival,
 // placement, repair), the open-loop retry jitter and the serial fold all

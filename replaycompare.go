@@ -17,7 +17,7 @@ package ndmesh
 // router job in row order (replay consumes no randomness, but the split
 // keeps the derivation uniform with every other sweep), each job writes
 // only its own result slot, and aggregation is serial — byte-identical for
-// every worker and shard count.
+// every worker count.
 
 import (
 	"fmt"
@@ -47,9 +47,6 @@ type ReplayCompareOptions struct {
 	FlightTimeout, RetryBackoff int
 	Bubble                      bool
 	GridlockWindow              int
-	// Shards is the intra-step shard-worker count per arm; like the worker
-	// count, it leaves the rows byte-identical at every value.
-	Shards int
 	// Progress, when non-nil, is called after every completed router arm
 	// with (done, total); must be safe for concurrent use.
 	Progress func(done, total int)
@@ -77,7 +74,6 @@ func ReplayCompareSweepWorkers(opt ReplayCompareOptions, seed uint64, workers in
 		Congestion:    opt.Congestion,
 		FlightTimeout: opt.FlightTimeout, RetryBackoff: opt.RetryBackoff,
 		Bubble: opt.Bubble, GridlockWindow: opt.GridlockWindow,
-		Shards: opt.Shards,
 		Replay: opt.Trace,
 	}.cell()
 	if err := validateLoadShape(&sopt); err != nil {

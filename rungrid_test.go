@@ -6,7 +6,9 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"sort"
@@ -277,5 +279,68 @@ func TestOneFanOut(t *testing.T) {
 	sort.Strings(callers)
 	if want := []string{"rungrid.go"}; !reflect.DeepEqual(callers, want) {
 		t.Errorf("par.ForState is called from %v, want exactly %v: route a sweep through runGrid instead of a new fan-out", callers, want)
+	}
+}
+
+// TestShardResidue keeps the remains of intra-step sharding from growing
+// back before the benchmark PR removes them: outside bench/ the identifier
+// Shards is the four ignored option fields bench/batch.go assigns and
+// nothing else — no read or write of them, no SetShards, no "shards" flag.
+func TestShardResidue(t *testing.T) {
+	fset := token.NewFileSet()
+	var kept, stray []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "bench" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		decl := map[*ast.Ident]bool{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				if st, ok := n.Type.(*ast.StructType); ok {
+					for _, field := range st.Fields.List {
+						for _, name := range field.Names {
+							if name.Name == "Shards" {
+								decl[name] = true
+								kept = append(kept, n.Name.Name)
+							}
+						}
+					}
+				}
+			case *ast.Ident:
+				if (n.Name == "Shards" || n.Name == "SetShards") && !decl[n] {
+					stray = append(stray, fset.Position(n.Pos()).String())
+				}
+			case *ast.BasicLit:
+				if n.Value == `"shards"` {
+					stray = append(stray, fset.Position(n.Pos()).String())
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(kept)
+	if want := []string{"ClosedLoopOptions", "LoadOptions", "ReliabilityOptions", "SaturationOptions"}; !reflect.DeepEqual(kept, want) {
+		t.Errorf("Shards is a field of %v, want exactly %v", kept, want)
+	}
+	if len(stray) > 0 {
+		t.Errorf("sharding is gone; Shards/SetShards/\"shards\" used outside bench/ at %v", stray)
 	}
 }

@@ -83,12 +83,7 @@ type SaturationOptions struct {
 	FaultModel  string
 	FaultShape  float64
 	FaultRepair float64
-	// Shards splits each cell's flight population across this many
-	// intra-step shard workers (contention-mode stepping; < 2 means
-	// serial). Orthogonal to SaturationSweepWorkers' worker count — that
-	// parallelizes across cells, Shards inside one — and under the same
-	// contract: the rows are byte-identical for every shard count
-	// (engine.SetShards).
+	// Shards is ignored; kept only because bench/batch.go assigns it.
 	Shards int
 	// Probe, when non-nil, receives the per-step census of the run (see
 	// internal/probe). Because probes are stateful accumulators, a probed
@@ -248,7 +243,7 @@ func validateSaturation(opt *SaturationOptions) error {
 
 // validateLoadShape checks (and defaults) the workload-independent run
 // configuration shared by the open-loop sweeps, the closed-loop sweep and
-// trace replays: the phase lengths and the contention/sharding parameters.
+// trace replays: the phase lengths and the contention parameters.
 func validateLoadShape(opt *SaturationOptions) error {
 	if opt.Measure < 1 {
 		return fmt.Errorf("ndmesh: load run needs a measurement window (Measure >= 1)")
@@ -261,9 +256,6 @@ func validateLoadShape(opt *SaturationOptions) error {
 	}
 	if opt.LinkRate < 1 {
 		opt.LinkRate = 1
-	}
-	if opt.Shards < 1 {
-		opt.Shards = 1
 	}
 	if opt.FlightTimeout < 0 {
 		opt.FlightTimeout = 0
@@ -484,7 +476,6 @@ func (p *simPool) loadPoint(opt SaturationOptions, wl workload, router string, r
 		FlightTimeout:  opt.FlightTimeout,
 		Bubble:         opt.Bubble,
 	})
-	eng.SetShards(opt.Shards)
 	if cl != nil && opt.FlightTimeout > 0 {
 		cl.ConfigureRetry(opt.RetryBackoff)
 	}
@@ -499,16 +490,14 @@ func (p *simPool) loadPoint(opt SaturationOptions, wl workload, router string, r
 	}
 	// Every exit path must hand the pooled engine back clean: past-saturation
 	// cells end the drain with backlog flights still attached and counted in
-	// the residency census, and a persistent or sharded reuse of the engine
-	// would inherit that corrupt state (previously only simPool.get's Reset
-	// rescued the next cell). ClearFlights detaches and recycles the backlog
-	// while contention is still enabled, so resetContention releases every
-	// residency counter; then the shard workers stop and contention turns
-	// off. TestLoadPointLeavesEngineClean pins all three.
+	// the residency census, and a persistent reuse of the engine would
+	// inherit that corrupt state. ClearFlights detaches and recycles the
+	// backlog while contention is still enabled, so resetContention releases
+	// every residency counter; then contention turns off
+	// (TestLoadPointLeavesEngineClean).
 	defer func() {
 		eng.SetProbe(nil)
 		eng.ClearFlights()
-		eng.SetShards(1)
 		eng.DisableContention()
 	}()
 	ph := traffic.Phases{Warmup: opt.Warmup, Measure: opt.Measure, Drain: opt.Drain}
@@ -678,8 +667,7 @@ type LoadOptions struct {
 	FaultModel  string
 	FaultShape  float64
 	FaultRepair float64
-	// Shards is the intra-step shard-worker count (< 2 means serial); the
-	// point is byte-identical for every value.
+	// Shards is ignored; kept only because bench/batch.go assigns it.
 	Shards int
 	// Probe, when non-nil, receives the run's per-step census (see
 	// internal/probe and the SaturationOptions field of the same name);
@@ -777,8 +765,7 @@ func (opt LoadOptions) cell() (SaturationOptions, workload) {
 		Clustered: opt.Clustered, FaultStart: opt.FaultStart,
 		FaultRate: opt.FaultRate, FaultModel: opt.FaultModel,
 		FaultShape: opt.FaultShape, FaultRepair: opt.FaultRepair,
-		Shards: opt.Shards,
-		Probe:  opt.Probe, ProbeEvery: opt.ProbeEvery,
+		Probe: opt.Probe, ProbeEvery: opt.ProbeEvery,
 		Cancel: opt.Cancel,
 	}
 	wl := workload{pattern: opt.Pattern, rate: opt.Rate, window: opt.Window,

@@ -1,8 +1,12 @@
 package ndmesh
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
+
+	"ndmesh/internal/rng"
+	"ndmesh/internal/traffic"
 )
 
 // smallSaturation is a quick grid used by the determinism and behavior
@@ -240,5 +244,77 @@ func TestSimulationRouteUnaffectedByContention(t *testing.T) {
 	}
 	if res.Hops < res.D0 {
 		t.Fatalf("hops %d below distance %d", res.Hops, res.D0)
+	}
+}
+
+// TestLoadPointLeavesEngineClean pins the backlog-cleanup fix: after every
+// load point — deep underload and past saturation (standing backlog
+// survives the drain) — the pooled engine must come back with no attached
+// flights and an all-zero residency census. Before the fix the backlog
+// stayed attached with its residency counted, and only simPool.get's Reset
+// rescued the next cell.
+func TestLoadPointLeavesEngineClean(t *testing.T) {
+	opt := smallSaturation()
+	pool := newSimPool()
+	for _, tc := range []struct {
+		name  string
+		rate  float64
+		drain int
+	}{
+		{"underload", 0.05, opt.Drain},
+		{"past-saturation", 0.5, 8}, // short drain: backlog guaranteed
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := opt
+			o.Drain = tc.drain
+			pt, err := pool.loadPoint(o, workload{pattern: "uniform", rate: tc.rate}, "limited", rng.New(3).Split())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.name != "underload" && pt.Unfinished == 0 {
+				t.Fatal("past-saturation cell left no backlog; the test lost its teeth")
+			}
+			sim, ok := pool.sims[simKey{fmt.Sprint(o.Dims), o.Lambda}]
+			if !ok {
+				t.Fatal("pooled simulation missing")
+			}
+			eng := sim.engine
+			if n := len(eng.Flights()); n != 0 {
+				t.Errorf("%d flights still attached after load point", n)
+			}
+			for id, r := range eng.ResidencyCensus() {
+				if r != 0 {
+					t.Errorf("node %d residency %d after load point, want 0", id, r)
+				}
+			}
+			if eng.ContentionEnabled() {
+				t.Error("contention still enabled after load point")
+			}
+		})
+	}
+}
+
+// TestStepSaturatedCellPinned pins, field for field, the LoadRun point of
+// the cell the benchmark's step-saturated workload measures
+// (bench/batch.go: 32x32, limited, uniform, bernoulli 0.12, 128/256/128,
+// seed 1), so a rewrite of the hot step that changes one simulated
+// statistic fails tier-1 rather than waiting for rows_sha256 to differ in a
+// benchmark run.
+func TestStepSaturatedCellPinned(t *testing.T) {
+	want := traffic.LoadPoint{
+		OfferedRate: 0.12, AcceptedRate: 0.12005615234375,
+		Offered: 31472, Injected: 31472, Delivered: 31472,
+		Latency: traffic.LatencySummary{Mean: 36.792100915098764, P50: 37, P95: 61, P99: 70, Max: 89, N: 31472},
+	}
+	got, err := LoadRun(LoadOptions{
+		Dims: []int{32, 32}, Lambda: 1, Router: "limited", Pattern: "uniform",
+		Process: "bernoulli", Rate: 0.12, Warmup: 128, Measure: 256, Drain: 128,
+		LinkRate: 1, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("got %+v\nwant %+v", got, want)
 	}
 }
