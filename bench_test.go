@@ -84,7 +84,7 @@ func BenchmarkFig3BoundaryConstruction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		store := info.NewStore(m.NumNodes())
 		p := boundary.NewProtocol(m, store)
-		c := p.Start(box, 1, boundary.Deposit, []grid.NodeID{corner})
+		c := p.Start(store.Intern(box), 1, boundary.Deposit, []grid.NodeID{corner})
 		for !p.Quiescent() {
 			p.Round()
 		}
@@ -814,4 +814,31 @@ func BenchmarkProbedContentionStep(b *testing.B) {
 	}
 	b.Run("bare", func(b *testing.B) { run(b, false) })
 	b.Run("probed", func(b *testing.B) { run(b, true) })
+}
+
+// BenchmarkFaultStormBody is one body of the standing benchmark's
+// `fault-storm` workload — the options of bench/batch.go's newFaultStorm
+// (full size), run as ReliabilitySweepWorkers(opt, 1, 1) — so the per-layer
+// profile of the paper's own machinery under fail/repair storms is
+// `go test -run '^$' -bench FaultStormBody -cpu 1 -cpuprofile cpu.prof .`
+// (recipe and reference tables in docs/BENCHMARKS.md).
+func BenchmarkFaultStormBody(b *testing.B) {
+	opt := ReliabilityOptions{
+		Dims: []int{16, 16}, Lambda: 2,
+		Routers: []string{"limited"}, Patterns: []string{"uniform"},
+		FaultRates: []float64{0.05, 0.1, 0.2}, FaultModel: "bernoulli", FaultRepair: 24,
+		Trials: 8, Rate: 0.02, Process: "bernoulli",
+		Warmup: 64, Measure: 512, Drain: 128,
+		LinkRate: 1, FlightTimeout: 48, RetryBackoff: 4, GridlockWindow: 16,
+	}
+	b.ReportAllocs()
+	var delivered int
+	for i := 0; i < b.N; i++ {
+		rows, err := ReliabilitySweepWorkers(opt, 1, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		delivered = rows[len(rows)-1].Delivered
+	}
+	b.ReportMetric(float64(delivered), "delivered")
 }

@@ -53,7 +53,7 @@ func TestFigure2(t *testing.T) {
 	if len(recs) == 0 {
 		t.Fatal("3-level corner holds no block record")
 	}
-	if got := recs[0].Box.String(); got != "[3:5, 5:6, 3:4]" {
+	if got := sim.model.Store.Box(recs[0].Block).String(); got != "[3:5, 5:6, 3:4]" {
 		t.Fatalf("corner record = %s", got)
 	}
 }

@@ -27,9 +27,16 @@
 // identification protocol's phase 4) hold the block record that Algorithm 3
 // consults to demote a preferred direction into a preferred-but-detour
 // direction.
+//
+// A flood names blocks by info.BlockID (the store's box table) and keeps its
+// region as one bit per node, built by markPlacement when it starts or merges:
+// a hop is a neighbor lookup and a bit test. OnWall/OnPlacement and InShadow/
+// Trapped are the oracles markPlacement and the one-pass Demotes are held to.
 package boundary
 
 import (
+	"slices"
+
 	"ndmesh/internal/frame"
 	"ndmesh/internal/grid"
 	"ndmesh/internal/info"
@@ -69,65 +76,69 @@ func OnPlacement(b grid.Box, c grid.Coord) bool {
 }
 
 // Placement enumerates every mesh node of block b's information placement,
-// clipped to the mesh. This is the oracle the distributed protocol is
-// verified against and the direct-deposit path used by the global-epoch
-// test harness.
-func Placement(shape *grid.Shape, b grid.Box) []grid.NodeID {
-	seen := grid.NewNodeSet(shape.NumNodes())
-	add := func(id grid.NodeID) { seen.Add(id) }
-	// Frame shell.
-	b.Expand(1).EachID(shape, func(id grid.NodeID) {
-		if _, ok := frame.Level(b, shape.CoordView(id)); ok {
-			add(id)
+// clipped to the mesh, in id order. This is the oracle the distributed
+// protocol is verified against and the direct-deposit path used by the
+// global-epoch test harness.
+func Placement(shape *grid.Shape, b grid.Box) (ids []grid.NodeID) {
+	bits := make([]uint64, (shape.NumNodes()+63)/64)
+	markPlacement(shape, b, bits)
+	for id := 0; id < shape.NumNodes(); id++ {
+		if bits[id>>6]&(1<<(id&63)) != 0 {
+			ids = append(ids, grid.NodeID(id))
 		}
-	})
-	// Walls: for each shadow axis j and side, for each lateral axis i and
-	// side, the wall box extends from just beyond the shell to the mesh
-	// border.
+	}
+	return ids
+}
+
+// markPlacement is the one placement enumerator: it sets, in the N-bit set
+// bits, every mesh node of b's placement, as a union of clipped boxes — per
+// axis i and extreme e (lo−1 or hi+1), the frame-shell slab x_i = e and, per
+// shadow axis j ≠ i and side, the wall x_i = e from just beyond the shell to
+// the mesh border. It allocates nothing.
+//
+//meshvet:noalloc
+func markPlacement(shape *grid.Shape, b grid.Box, bits []uint64) {
+	var lo, hi [grid.MaxDims]int
 	n := b.Dims()
-	for j := 0; j < n; j++ {
-		for _, sigmaNeg := range []bool{true, false} {
-			for i := 0; i < n; i++ {
-				if i == j {
+	for i := 0; i < n; i++ {
+		for _, e := range [2]int{b.Lo[i] - 1, b.Hi[i] + 1} {
+			if e < 0 || e >= shape.Radix(i) {
+				continue
+			}
+			for l := 0; l < n; l++ {
+				lo[l], hi[l] = b.Lo[l]-1, b.Hi[l]+1
+			}
+			lo[i], hi[i] = e, e
+			markBox(shape, lo[:n], hi[:n], bits, n-1, 0)
+			copy(lo[:n], b.Lo)
+			copy(hi[:n], b.Hi)
+			lo[i], hi[i] = e, e
+			for j := 0; j < n; j++ {
+				if j == i {
 					continue
 				}
-				for _, tauLow := range []bool{true, false} {
-					wall := wallBox(shape, b, j, sigmaNeg, i, tauLow)
-					if wall == nil {
-						continue
-					}
-					wall.EachID(shape, add)
-				}
+				lo[j], hi[j] = 0, b.Lo[j]-2
+				markBox(shape, lo[:n], hi[:n], bits, n-1, 0)
+				lo[j], hi[j] = b.Hi[j]+2, shape.Radix(j)-1
+				markBox(shape, lo[:n], hi[:n], bits, n-1, 0)
+				lo[j], hi[j] = b.Lo[j], b.Hi[j]
 			}
 		}
 	}
-	return seen.IDs()
 }
 
-// wallBox returns the clipped wall box for shadow axis j (side − if
-// sigmaNeg) and lateral axis i (side lo−1 if tauLow), or nil if empty.
-func wallBox(shape *grid.Shape, b grid.Box, j int, sigmaNeg bool, i int, tauLow bool) *grid.Box {
-	lo := b.Lo.Clone()
-	hi := b.Hi.Clone()
-	if tauLow {
-		lo[i], hi[i] = b.Lo[i]-1, b.Lo[i]-1
-	} else {
-		lo[i], hi[i] = b.Hi[i]+1, b.Hi[i]+1
+// markBox sets the bit of every mesh node inside [lo, hi] clipped to the
+// mesh, axis by axis from a down; id is the offset of the axes above a.
+//
+//meshvet:noalloc
+func markBox(shape *grid.Shape, lo, hi []int, bits []uint64, a, id int) {
+	for x := max(lo[a], 0); x <= min(hi[a], shape.Radix(a)-1); x++ {
+		if at := id + x*shape.Stride(a); a > 0 {
+			markBox(shape, lo, hi, bits, a-1, at)
+		} else {
+			bits[at>>6] |= 1 << (at & 63)
+		}
 	}
-	if sigmaNeg {
-		lo[j], hi[j] = 0, b.Lo[j]-2
-	} else {
-		lo[j], hi[j] = b.Hi[j]+2, shape.Radix(j)-1
-	}
-	if lo[j] > hi[j] || lo[i] < 0 || hi[i] >= shape.Radix(i) {
-		return nil
-	}
-	box := grid.Box{Lo: lo, Hi: hi}
-	clipped, ok := box.Clip(shape)
-	if !ok {
-		return nil
-	}
-	return &clipped
 }
 
 // InShadow reports whether coordinate c lies in block b's dangerous area
@@ -173,6 +184,21 @@ func Trapped(b grid.Box, d grid.Coord, axis int, negSide bool) bool {
 	return d[axis] < b.Lo[axis]
 }
 
+// Demotes is InShadow(b, w) && Trapped(b, d, axis, negSide) in one pass:
+// w lies in b's shadow and d beyond the opposite surface (Algorithm 3).
+func Demotes(b grid.Box, w, d grid.Coord) bool {
+	across := 0 // axes on which w and d face each other across the span
+	for i, lo := range b.Lo {
+		switch hi := b.Hi[i]; {
+		case w[i] < lo && d[i] > hi, w[i] > hi && d[i] < lo:
+			across++
+		case w[i] < lo || w[i] > hi || d[i] < lo || d[i] > hi:
+			return false
+		}
+	}
+	return across == 1
+}
+
 // Op selects what a construction does at each visited node.
 type Op uint8
 
@@ -191,14 +217,18 @@ const (
 // reaches a node holding a *different* block's record, the region is
 // extended with that block's placement — the boundary merge of Fig. 3(d).
 type Construction struct {
-	// Box is the subject block (the record deposited or cancelled).
-	Box grid.Box
+	// Block is the subject block (the record deposited or cancelled).
+	Block info.BlockID
 	// Epoch orders this construction against others for the same region.
 	Epoch uint32
 	// Op is Deposit or Cancel.
 	Op Op
 
-	regions []grid.Box // placement bases: Box plus merge extensions
+	// bases are the blocks whose placements make up the region — Block,
+	// then the merge extensions — each held in the store's table until the
+	// flood retires; region is their union, one bit per node.
+	bases  []info.BlockID
+	region []uint64
 	// frontier/next are the double-buffered flood fronts; roundOne swaps
 	// them so a long-lived construction allocates no per-round slice.
 	frontier []grid.NodeID
@@ -208,56 +238,8 @@ type Construction struct {
 	Rounds int
 }
 
-// reuse (re-)initializes a fresh or recycled construction in place for a
-// flood for box over the given seed nodes (which are processed in round 1),
-// keeping every buffer's capacity: the box copies, the region bases, the
-// frontier and the visited set all reuse prior storage.
-func (c *Construction) reuse(box grid.Box, epoch uint32, op Op, seeds []grid.NodeID) {
-	c.Box.Set(box)
-	c.Epoch = epoch
-	c.Op = op
-	c.regions = c.regions[:0]
-	c.addRegion(box)
-	c.frontier = append(c.frontier[:0], seeds...)
-	c.next = c.next[:0]
-	c.visited.Clear()
-	c.Rounds = 0
-}
-
-// addRegion appends a copy of b to the placement bases, reusing the box
-// storage parked in the slice's spare capacity by earlier reuse cycles.
-func (c *Construction) addRegion(b grid.Box) {
-	if n := len(c.regions); n < cap(c.regions) {
-		c.regions = c.regions[:n+1]
-		c.regions[n].Set(b)
-		return
-	}
-	c.regions = append(c.regions, b.Clone())
-}
-
 // Done reports whether the flood has exhausted its frontier.
 func (c *Construction) Done() bool { return len(c.frontier) == 0 }
-
-// inRegion reports whether coordinate cd belongs to any placement base.
-func (c *Construction) inRegion(cd grid.Coord) bool {
-	for _, b := range c.regions {
-		if OnPlacement(b, cd) {
-			return true
-		}
-	}
-	return false
-}
-
-// extendRegion merges another block's placement into the flood region,
-// deduplicating bases.
-func (c *Construction) extendRegion(b grid.Box) {
-	for _, r := range c.regions {
-		if r.Equal(b) {
-			return
-		}
-	}
-	c.addRegion(b)
-}
 
 // Protocol runs all in-flight boundary constructions, one hop per round.
 type Protocol struct {
@@ -280,27 +262,50 @@ func NewProtocol(m *mesh.Mesh, store *info.Store) *Protocol {
 // Reset abandons every in-flight construction so the protocol can be reused
 // for a new trial; the constructions land on the free list.
 func (p *Protocol) Reset() {
-	p.spare = append(p.spare, p.cons...)
+	for _, c := range p.cons {
+		p.retire(c)
+	}
 	p.cons = p.cons[:0]
 	p.Hops = 0
 }
 
-// Start registers a construction for box seeded at the given nodes.
+// Start registers a construction for block b (held in the store's table
+// until the flood retires) seeded at the given nodes, processed in round 1.
 // Deposits seed from the block's frame (typically its corners and edge
 // nodes, which received the record in identification phase 4); cancels
 // seed from the node that detected the stale record. The seeds slice is
-// copied, not retained.
-func (p *Protocol) Start(box grid.Box, epoch uint32, op Op, seeds []grid.NodeID) *Construction {
+// copied, not retained; a recycled construction keeps every buffer.
+func (p *Protocol) Start(b info.BlockID, epoch uint32, op Op, seeds []grid.NodeID) *Construction {
 	var c *Construction
 	if n := len(p.spare); n > 0 {
-		c = p.spare[n-1]
-		p.spare = p.spare[:n-1]
+		c, p.spare = p.spare[n-1], p.spare[:n-1]
+		clear(c.region)
+		c.visited.Clear()
 	} else {
-		c = &Construction{visited: grid.NewNodeSet(p.m.NumNodes())}
+		n := p.m.NumNodes()
+		c = &Construction{visited: grid.NewNodeSet(n), region: make([]uint64, (n+63)/64)}
 	}
-	c.reuse(box, epoch, op, seeds)
+	c.Block, c.Epoch, c.Op, c.Rounds = b, epoch, op, 0
+	c.frontier = append(c.frontier[:0], seeds...)
+	p.addBase(c, b)
 	p.cons = append(p.cons, c)
 	return c
+}
+
+// addBase extends c's region with block b's placement.
+func (p *Protocol) addBase(c *Construction, b info.BlockID) {
+	p.store.Retain(b)
+	c.bases = append(c.bases, b)
+	markPlacement(p.m.Shape(), p.store.Box(b), c.region)
+}
+
+// retire lets go of a finished construction's blocks and parks it for reuse.
+func (p *Protocol) retire(c *Construction) {
+	for _, b := range c.bases {
+		p.store.Release(b)
+	}
+	c.bases = c.bases[:0]
+	p.spare = append(p.spare, c)
 }
 
 // Quiescent reports whether no construction is in flight.
@@ -309,9 +314,19 @@ func (p *Protocol) Quiescent() bool { return len(p.cons) == 0 }
 // Active returns the number of in-flight constructions.
 func (p *Protocol) Active() int { return len(p.cons) }
 
+// Held appends to dst the blocks in-flight constructions hold (with repeats).
+func (p *Protocol) Held(dst []info.BlockID) []info.BlockID {
+	for _, c := range p.cons {
+		dst = append(dst, c.bases...)
+	}
+	return dst
+}
+
 // Round advances every construction one hop and retires the finished ones
 // onto the free list. It returns the number of node visits performed (0 at
 // quiescence).
+//
+//meshvet:noalloc
 func (p *Protocol) Round() int {
 	visits := 0
 	kept := p.cons[:0]
@@ -320,7 +335,7 @@ func (p *Protocol) Round() int {
 		if !c.Done() {
 			kept = append(kept, c)
 		} else {
-			p.spare = append(p.spare, c)
+			p.retire(c)
 		}
 	}
 	p.cons = kept
@@ -328,6 +343,7 @@ func (p *Protocol) Round() int {
 	return visits
 }
 
+//meshvet:noalloc
 func (p *Protocol) roundOne(c *Construction) int {
 	next := c.next[:0]
 	visits := 0
@@ -347,42 +363,32 @@ func (p *Protocol) roundOne(c *Construction) int {
 		visits++
 		switch c.Op {
 		case Deposit:
-			p.store.Add(id, info.Record{Box: c.Box, Epoch: c.Epoch})
+			p.store.Add(id, info.Record{Block: c.Block, Epoch: c.Epoch})
 		case Cancel:
-			p.store.Remove(id, c.Box, c.Epoch)
+			p.store.Remove(id, c.Block, c.Epoch)
 		}
 		// Merge (Fig. 3(d)): when the propagation reaches a node of
 		// another block's *frame* — "the first adjacent node of the second
 		// block it reaches" — the flood extends across that block's
 		// placement, merging into its surfaces and boundary. Merely
 		// crossing another block's distant wall is not an intersection
-		// with the block and must not merge.
-		cd := shape.CoordView(id)
+		// with the block and must not merge. (bases[0] is the flood's own
+		// block, so one scan skips it and the blocks already merged.)
 		for _, r := range p.store.At(id) {
-			if r.Box.Equal(c.Box) {
-				continue
-			}
-			if _, onFrame := frame.Level(r.Box, cd); onFrame {
-				c.extendRegion(r.Box)
+			if _, onFrame := frame.Level(p.store.Box(r.Block), shape.CoordView(id)); onFrame && !slices.Contains(c.bases, r.Block) {
+				p.addBase(c, r.Block)
 			}
 		}
 		for d := 0; d < numDirs; d++ {
 			nb := p.m.Neighbor(id, grid.Dir(d))
-			if nb == grid.InvalidNode {
-				continue
-			}
-			if c.visited.Has(nb) {
+			if nb == grid.InvalidNode || c.visited.Has(nb) {
 				continue
 			}
 			// A cancellation also follows the trail of nodes actually
 			// holding the record: merged boundaries parked the record on
 			// other blocks' placements, and those blocks may be gone by
 			// deletion time, so geometry alone cannot retrace the deposit.
-			if c.Op == Cancel && p.store.Has(nb, c.Box) {
-				next = append(next, nb)
-				continue
-			}
-			if c.inRegion(shape.CoordView(nb)) {
+			if c.region[nb>>6]&(1<<(nb&63)) != 0 || (c.Op == Cancel && p.store.Has(nb, c.Block)) {
 				next = append(next, nb)
 			}
 		}

@@ -120,6 +120,12 @@ func TestTrapped(t *testing.T) {
 	}
 }
 
+// hasBox reports whether node id holds a record of exactly this box.
+func hasBox(s *info.Store, id grid.NodeID, box grid.Box) bool {
+	b, ok := s.Find(box)
+	return ok && s.Has(id, b)
+}
+
 // stabilized builds a mesh with the Figure 1 faults and full labeling.
 func stabilized(t *testing.T) *mesh.Mesh {
 	t.Helper()
@@ -141,7 +147,7 @@ func TestDepositFloodCoversPlacement(t *testing.T) {
 	store := info.NewStore(m.NumNodes())
 	p := NewProtocol(m, store)
 	corner := m.Shape().Index(grid.Coord{6, 4, 5})
-	p.Start(fig1Box, 1, Deposit, []grid.NodeID{corner})
+	p.Start(store.Intern(fig1Box), 1, Deposit, []grid.NodeID{corner})
 	rounds := 0
 	for !p.Quiescent() {
 		p.Round()
@@ -154,14 +160,14 @@ func TestDepositFloodCoversPlacement(t *testing.T) {
 		if m.Status(id) != mesh.Enabled {
 			continue
 		}
-		if !store.Has(id, fig1Box) {
+		if !hasBox(store, id, fig1Box) {
 			t.Fatalf("placement node %v lacks record", m.Shape().CoordOf(id))
 		}
 	}
 	// And nothing outside the placement holds it.
 	for id := 0; id < m.NumNodes(); id++ {
 		c := m.Shape().CoordOf(grid.NodeID(id))
-		if !OnPlacement(fig1Box, c) && store.Has(grid.NodeID(id), fig1Box) {
+		if !OnPlacement(fig1Box, c) && hasBox(store, grid.NodeID(id), fig1Box) {
 			t.Fatalf("non-placement node %v holds record", c)
 		}
 	}
@@ -175,14 +181,14 @@ func TestCancelRemovesRecords(t *testing.T) {
 	store := info.NewStore(m.NumNodes())
 	p := NewProtocol(m, store)
 	corner := m.Shape().Index(grid.Coord{6, 4, 5})
-	p.Start(fig1Box, 1, Deposit, []grid.NodeID{corner})
+	p.Start(store.Intern(fig1Box), 1, Deposit, []grid.NodeID{corner})
 	for !p.Quiescent() {
 		p.Round()
 	}
 	if store.TotalRecords() == 0 {
 		t.Fatal("deposit empty")
 	}
-	p.Start(fig1Box, 2, Cancel, []grid.NodeID{corner})
+	p.Start(store.Intern(fig1Box), 2, Cancel, []grid.NodeID{corner})
 	for !p.Quiescent() {
 		p.Round()
 	}
@@ -198,12 +204,12 @@ func TestCancelEpochGuard(t *testing.T) {
 	store := info.NewStore(m.NumNodes())
 	p := NewProtocol(m, store)
 	corner := m.Shape().Index(grid.Coord{6, 4, 5})
-	p.Start(fig1Box, 5, Deposit, []grid.NodeID{corner})
+	p.Start(store.Intern(fig1Box), 5, Deposit, []grid.NodeID{corner})
 	for !p.Quiescent() {
 		p.Round()
 	}
 	total := store.TotalRecords()
-	p.Start(fig1Box, 3, Cancel, []grid.NodeID{corner})
+	p.Start(store.Intern(fig1Box), 3, Cancel, []grid.NodeID{corner})
 	for !p.Quiescent() {
 		p.Round()
 	}
@@ -238,13 +244,13 @@ func TestMergeFigure3d(t *testing.T) {
 	p := NewProtocol(m, store)
 	// B's construction runs first (it exists; its records are in place).
 	cornerB := m.Shape().Index(grid.Coord{4, 3})
-	p.Start(boxB, 1, Deposit, []grid.NodeID{cornerB})
+	p.Start(store.Intern(boxB), 1, Deposit, []grid.NodeID{cornerB})
 	for !p.Quiescent() {
 		p.Round()
 	}
 	// Now A's construction: its x=5 wall descends into B's placement.
 	cornerA := m.Shape().Index(grid.Coord{5, 7})
-	p.Start(boxA, 2, Deposit, []grid.NodeID{cornerA})
+	p.Start(store.Intern(boxA), 2, Deposit, []grid.NodeID{cornerA})
 	for !p.Quiescent() {
 		p.Round()
 	}
@@ -256,13 +262,13 @@ func TestMergeFigure3d(t *testing.T) {
 		{5, 3}, // B-adjacent below B
 	}
 	for _, c := range mergedNodes {
-		if !store.Has(m.Shape().Index(c), boxA) {
+		if !hasBox(store, m.Shape().Index(c), boxA) {
 			t.Errorf("merge did not carry A's record to %v", c)
 		}
 	}
 	// And B's boundary below continues to carry A's record (merged into
 	// the boundary for the same surface of the second block).
-	if !store.Has(m.Shape().Index(grid.Coord{4, 2}), boxA) {
+	if !hasBox(store, m.Shape().Index(grid.Coord{4, 2}), boxA) {
 		t.Errorf("A's record did not descend B's boundary")
 	}
 }
@@ -277,7 +283,7 @@ func TestWallStopsAtMeshBorder(t *testing.T) {
 	store := info.NewStore(m.NumNodes())
 	p := NewProtocol(m, store)
 	corner := m.Shape().Index(grid.Coord{3, 3})
-	p.Start(box, 1, Deposit, []grid.NodeID{corner})
+	p.Start(store.Intern(box), 1, Deposit, []grid.NodeID{corner})
 	rounds := 0
 	for !p.Quiescent() {
 		p.Round()
@@ -288,7 +294,7 @@ func TestWallStopsAtMeshBorder(t *testing.T) {
 	}
 	// Wall x=3 must reach y=0 and y=7 (the borders) and hold records.
 	for _, c := range []grid.Coord{{3, 0}, {3, 7}, {5, 0}, {5, 7}, {0, 3}, {7, 5}} {
-		if !store.Has(m.Shape().Index(c), box) {
+		if !hasBox(store, m.Shape().Index(c), box) {
 			t.Errorf("border wall node %v lacks record", c)
 		}
 	}
@@ -304,7 +310,7 @@ func TestConstructionRoundsTrackDepth(t *testing.T) {
 	store := info.NewStore(m.NumNodes())
 	p := NewProtocol(m, store)
 	corner := m.Shape().Index(grid.Coord{9, 9})
-	c := p.Start(box, 1, Deposit, []grid.NodeID{corner})
+	c := p.Start(store.Intern(box), 1, Deposit, []grid.NodeID{corner})
 	for !p.Quiescent() {
 		p.Round()
 	}
@@ -363,7 +369,7 @@ func TestFloodCoversPlacement4D(t *testing.T) {
 	store := info.NewStore(m.NumNodes())
 	p := NewProtocol(m, store)
 	corner := shape.Index(grid.Coord{2, 2, 2, 2})
-	p.Start(box, 1, Deposit, []grid.NodeID{corner})
+	p.Start(store.Intern(box), 1, Deposit, []grid.NodeID{corner})
 	rounds := 0
 	for !p.Quiescent() {
 		p.Round()
@@ -373,7 +379,7 @@ func TestFloodCoversPlacement4D(t *testing.T) {
 		}
 	}
 	for _, id := range Placement(shape, box) {
-		if m.Status(id) == mesh.Enabled && !store.Has(id, box) {
+		if m.Status(id) == mesh.Enabled && !hasBox(store, id, box) {
 			t.Fatalf("4-D placement node %v lacks record", shape.CoordOf(id))
 		}
 	}

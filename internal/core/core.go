@@ -36,12 +36,13 @@ import (
 // of the labeling wave.
 const watchStrikes = 2
 
-// watched tracks one constructed block: its box, construction epoch, corner
-// nodes, and the per-corner inconsistency strike counter. key is the box
-// formatted as grid.Box.String does; the watch list is sorted by it.
+// watched tracks one constructed block: its id in the store's box table
+// (held until the watch retires), construction epoch, corner nodes, and the
+// per-corner inconsistency strike counter. key is the box formatted as
+// grid.Box.String does; the watch list is sorted by it.
 type watched struct {
 	key     []byte
-	box     grid.Box
+	block   info.BlockID
 	epoch   uint32
 	corners []grid.NodeID
 	strikes int
@@ -67,7 +68,7 @@ type Model struct {
 	// seedBuf and spareWatches make the identification path allocation-free
 	// once warm: flood seeds are staged in seedBuf (boundary.Start copies
 	// them), and retired watch objects are recycled through spareWatches
-	// with their key, box and corner storage.
+	// with their key and corner storage.
 	seedBuf      []grid.NodeID //meshvet:keep staging buffer, copied out by boundary.Start
 	spareWatches []*watched
 
@@ -204,8 +205,9 @@ func (md *Model) onIdentified(box grid.Box, corner grid.NodeID) {
 	}
 	md.epoch++
 	w.epoch = md.epoch
+	w.block = md.Store.Intern(box)
 	md.seedBuf = append(md.seedBuf[:0], corner)
-	md.Boundary.Start(box, md.epoch, boundary.Deposit, md.seedBuf)
+	md.Boundary.Start(w.block, md.epoch, boundary.Deposit, md.seedBuf)
 	// Enumerate the frame corners (frame.Corners order: mask bit i selects
 	// Hi[i]+1 over Lo[i]-1) into the scratch coordinate — the corner list
 	// feeds cancellation seeds, so the order must stay exactly this.
@@ -229,7 +231,7 @@ func (md *Model) onIdentified(box grid.Box, corner grid.NodeID) {
 }
 
 // getWatched returns a keyed watch object for the box, recycling a retired
-// one (keeping its key, box and corner storage) when available.
+// one (keeping its key and corner storage) when available.
 func (md *Model) getWatched(box grid.Box) *watched {
 	var w *watched
 	if n := len(md.spareWatches); n > 0 {
@@ -239,7 +241,6 @@ func (md *Model) getWatched(box grid.Box) *watched {
 		w = &watched{}
 	}
 	w.key = appendBoxKey(w.key[:0], box)
-	w.box.Set(box)
 	w.corners = w.corners[:0]
 	w.strikes = 0
 	return w
@@ -285,11 +286,12 @@ func (md *Model) watchCorners() int {
 		md.epoch++
 		seeds := md.enabledPlacementSeeds(w)
 		if len(seeds) > 0 {
-			md.Boundary.Start(w.box, md.epoch, boundary.Cancel, seeds)
+			md.Boundary.Start(w.block, md.epoch, boundary.Cancel, seeds)
 			md.CancelsStarted++
 			md.LastBoundaryRound = md.round
 			activity++
 		}
+		md.Store.Release(w.block)
 		md.spareWatches = append(md.spareWatches, w)
 	}
 	md.watches = kept
@@ -309,15 +311,16 @@ func (md *Model) cornersConsistent(w *watched) bool {
 	}
 	shape := md.M.Shape()
 	n := shape.Dims()
+	box := md.Store.Box(w.block)
 	for _, id := range w.corners {
 		if md.M.Status(id) != mesh.Enabled {
 			continue
 		}
-		want := frame.SurfaceDirs(w.box, shape.CoordView(id))
+		want := frame.SurfaceDirs(box, shape.CoordView(id))
 		if !md.Detector.HasRecord(id, n, want) {
 			if md.Debug != nil {
 				md.Debug("watch %v: corner %v lost its role (want level %d dirs=%b, has %v)",
-					w.box, shape.CoordOf(id), n, want, md.Detector.Records(id))
+					box, shape.CoordOf(id), n, want, md.Detector.Records(id))
 			}
 			return false
 		}

@@ -6,6 +6,7 @@ import (
 	"ndmesh/internal/block"
 	"ndmesh/internal/boundary"
 	"ndmesh/internal/grid"
+	"ndmesh/internal/info"
 	"ndmesh/internal/mesh"
 )
 
@@ -25,6 +26,12 @@ func newModel2D(t *testing.T, k int) *Model {
 		t.Fatal(err)
 	}
 	return New(m)
+}
+
+// hasBox reports whether node id holds a record of exactly this box.
+func hasBox(s *info.Store, id grid.NodeID, box grid.Box) bool {
+	b, ok := s.Find(box)
+	return ok && s.Has(id, b)
 }
 
 // applyAndStabilize injects faults and runs to quiescence.
@@ -54,7 +61,7 @@ func TestFullPlacementAfterConstruction(t *testing.T) {
 			if md.M.Status(id) != mesh.Enabled {
 				continue
 			}
-			if !md.Store.Has(id, b.Box) {
+			if !hasBox(md.Store, id, b.Box) {
 				t.Errorf("node %v lacks record for %v", shape.CoordOf(id), b.Box)
 			}
 		}
@@ -66,8 +73,8 @@ func TestFullPlacementAfterConstruction(t *testing.T) {
 	}
 	for id := 0; id < md.M.NumNodes(); id++ {
 		for _, r := range md.Store.At(grid.NodeID(id)) {
-			if !valid[r.Box.String()] {
-				t.Errorf("stale record %v at %v", r.Box, shape.CoordOf(grid.NodeID(id)))
+			if box := md.Store.Box(r.Block); !valid[box.String()] {
+				t.Errorf("stale record %v at %v", box, shape.CoordOf(grid.NodeID(id)))
 			}
 		}
 	}
@@ -92,7 +99,7 @@ func TestRecoveryCancelsOldInformation(t *testing.T) {
 		t.Fatal("no cancellation launched")
 	}
 	for id := 0; id < md.M.NumNodes(); id++ {
-		if md.Store.Has(grid.NodeID(id), box) {
+		if hasBox(md.Store, grid.NodeID(id), box) {
 			t.Fatalf("stale record at %v after dissolution", md.M.Shape().CoordOf(grid.NodeID(id)))
 		}
 	}
@@ -121,13 +128,13 @@ func TestShrinkReplacesInformation(t *testing.T) {
 	shape := md.M.Shape()
 	// New records in place over the new placement.
 	for _, id := range boundary.Placement(shape, newBox) {
-		if md.M.Status(id) == mesh.Enabled && !md.Store.Has(id, newBox) {
+		if md.M.Status(id) == mesh.Enabled && !hasBox(md.Store, id, newBox) {
 			t.Errorf("missing new record at %v", shape.CoordOf(id))
 		}
 	}
 	// Old records gone everywhere.
 	for id := 0; id < md.M.NumNodes(); id++ {
-		if md.Store.Has(grid.NodeID(id), oldBox) {
+		if hasBox(md.Store, grid.NodeID(id), oldBox) {
 			t.Errorf("stale record for old box at %v", shape.CoordOf(grid.NodeID(id)))
 		}
 	}
@@ -158,10 +165,10 @@ func TestGrowthReplacesDominatedRecords(t *testing.T) {
 		if md.M.Status(id) != mesh.Enabled {
 			continue
 		}
-		if !md.Store.Has(id, bigBox) {
+		if !hasBox(md.Store, id, bigBox) {
 			t.Errorf("missing grown record at %v", shape.CoordOf(id))
 		}
-		if md.Store.Has(id, small) {
+		if hasBox(md.Store, id, small) {
 			t.Errorf("stale dominated record at %v", shape.CoordOf(id))
 		}
 	}
@@ -304,7 +311,8 @@ func advanceLimited(md *Model, msg *limitedMsg) bool {
 		wc := shape.CoordOf(nb)
 		demoted := false
 		for _, r := range md.Store.At(msg.Cur) {
-			if axis, neg, ok := boundary.InShadow(r.Box, wc); ok && boundary.Trapped(r.Box, dc, axis, neg) {
+			box := md.Store.Box(r.Block)
+			if axis, neg, ok := boundary.InShadow(box, wc); ok && boundary.Trapped(box, dc, axis, neg) {
 				demoted = true
 				break
 			}

@@ -134,9 +134,10 @@ func observe(buf []byte, md *Model) []byte {
 		recs := md.Store.At(node)
 		u32(len(recs))
 		for _, r := range recs {
-			for i := range r.Box.Lo {
-				u32(r.Box.Lo[i])
-				u32(r.Box.Hi[i])
+			box := md.Store.Box(r.Block)
+			for i := range box.Lo {
+				u32(box.Lo[i])
+				u32(box.Hi[i])
 			}
 			u32(int(r.Epoch))
 		}
@@ -153,13 +154,17 @@ func observe(buf []byte, md *Model) []byte {
 	return buf
 }
 
-// drive replays the history on md the way engine.Step does — the step's
-// events, then lambda information rounds — calling after with the round's
-// activity once per round.
+// drive replays the history on md, calling after with the round's activity
+// once per round.
 func (h history) drive(t testing.TB, md *Model, after func(step, activity int)) {
-	sched := h.schedule(t, md.M.Shape())
+	replay(md, h.schedule(t, md.M.Shape()), historyHorizon+historyTail, h.rounds(), after)
+}
+
+// replay applies sched to md the way engine.Step does — the step's events,
+// then lambda information rounds — for the given number of steps.
+func replay(md *Model, sched *fault.Schedule, steps, lambda int, after func(step, activity int)) {
 	next := 0
-	for step := 1; step <= historyHorizon+historyTail; step++ {
+	for step := 1; step <= steps; step++ {
 		for ; next < len(sched.Events) && sched.Events[next].Step <= step; next++ {
 			md.Labeling.ResetAffected()
 			switch ev := sched.Events[next]; ev.Kind {
@@ -169,7 +174,7 @@ func (h history) drive(t testing.TB, md *Model, after func(step, activity int)) 
 				md.ApplyRecovery(ev.Node)
 			}
 		}
-		for i := 0; i < h.rounds(); i++ {
+		for i := 0; i < lambda; i++ {
 			after(step, md.Round())
 		}
 	}

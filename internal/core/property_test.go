@@ -78,7 +78,7 @@ func TestPropertyInformationMatchesOracle(t *testing.T) {
 					if m.Status(id) != mesh.Enabled {
 						continue
 					}
-					if !md.Store.Has(id, b.Box) {
+					if !hasBox(md.Store, id, b.Box) {
 						t.Fatalf("%v trial %d: %v lacks record for %v",
 							dims, trial, shape.CoordOf(id), b.Box)
 					}
@@ -90,20 +90,21 @@ func TestPropertyInformationMatchesOracle(t *testing.T) {
 			// open space.
 			for id := 0; id < m.NumNodes(); id++ {
 				c := shape.CoordOf(grid.NodeID(id))
-				for _, rec := range md.Store.At(grid.NodeID(id)) {
-					if boundary.OnPlacement(rec.Box, c) {
+				for _, r := range md.Store.At(grid.NodeID(id)) {
+					rec := md.Store.Box(r.Block)
+					if boundary.OnPlacement(rec, c) {
 						continue
 					}
 					justified := false
 					for _, b := range blocks {
-						if !b.Box.Equal(rec.Box) && boundary.OnPlacement(b.Box, c) {
+						if !b.Box.Equal(rec) && boundary.OnPlacement(b.Box, c) {
 							justified = true
 							break
 						}
 					}
 					if !justified {
 						t.Fatalf("%v trial %d: stray record %v at %v",
-							dims, trial, rec.Box, c)
+							dims, trial, rec, c)
 					}
 				}
 			}
@@ -178,7 +179,7 @@ func TestPropertyGrowShrinkCycle(t *testing.T) {
 				ref.M.Shape().CoordOf(grid.NodeID(id)), len(refRecs), len(cycRecs))
 		}
 		for i := range refRecs {
-			if !refRecs[i].Box.Equal(cycRecs[i].Box) {
+			if !ref.Store.Box(refRecs[i].Block).Equal(cyc.Store.Box(cycRecs[i].Block)) {
 				t.Fatalf("node %v: boxes diverge", ref.M.Shape().CoordOf(grid.NodeID(id)))
 			}
 		}
@@ -199,7 +200,7 @@ func TestPropertyEventualIdentification4D(t *testing.T) {
 	}
 	for _, b := range block.Extract(m) {
 		for _, id := range boundary.Placement(shape, b.Box) {
-			if m.Status(id) == mesh.Enabled && !md.Store.Has(id, b.Box) {
+			if m.Status(id) == mesh.Enabled && !hasBox(md.Store, id, b.Box) {
 				t.Fatalf("4-D placement node %v lacks record for %v",
 					shape.CoordOf(id), b.Box)
 			}

@@ -54,7 +54,7 @@ func TestSmokeFigure1Pipeline(t *testing.T) {
 		if m.Status(id) != mesh.Enabled {
 			continue
 		}
-		if !md.Store.Has(id, want) {
+		if !hasBox(md.Store, id, want) {
 			missing++
 			if missing <= 5 {
 				t.Errorf("placement node %v lacks the block record", m.Shape().CoordOf(id))

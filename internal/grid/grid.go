@@ -177,6 +177,10 @@ type Shape struct {
 	coords []int
 }
 
+// MaxDims is the largest dimensionality a Shape may have (a DirSet holds 2n
+// directions); per-axis scratch can be a [MaxDims]int on the stack.
+const MaxDims = 16
+
 // NewShape builds a Shape from per-dimension radices. Every radix must be
 // at least 1; at least one dimension is required. The paper's k-ary n-D mesh
 // is NewShape(k, k, ..., k) with n entries.
@@ -184,8 +188,8 @@ func NewShape(dims ...int) (*Shape, error) {
 	if len(dims) == 0 {
 		return nil, fmt.Errorf("grid: shape needs at least one dimension")
 	}
-	if len(dims) > 16 {
-		return nil, fmt.Errorf("grid: at most 16 dimensions supported, got %d", len(dims))
+	if len(dims) > MaxDims {
+		return nil, fmt.Errorf("grid: at most %d dimensions supported, got %d", MaxDims, len(dims))
 	}
 	s := &Shape{
 		dims:    append([]int(nil), dims...),
@@ -235,6 +239,10 @@ func (s *Shape) Dims() int { return len(s.dims) }
 
 // Radix returns k_axis, the extent of the given dimension.
 func (s *Shape) Radix(axis int) int { return s.dims[axis] }
+
+// Stride returns the id distance between neighbors along the given axis
+// (axis 0 has stride 1: a row along it is a run of adjacent ids).
+func (s *Shape) Stride(axis int) int { return s.strides[axis] }
 
 // Radices returns a copy of the per-dimension extents.
 func (s *Shape) Radices() []int { return append([]int(nil), s.dims...) }

@@ -439,7 +439,7 @@ func (p *Protocol) initiate() int {
 // is an n-level corner of (any role).
 func (p *Protocol) hasCornerRecord(id grid.NodeID, c grid.Coord) bool {
 	for _, r := range p.store.At(id) {
-		if frame.IsCorner(r.Box, c) {
+		if frame.IsCorner(p.store.Box(r.Block), c) {
 			return true
 		}
 	}
@@ -450,7 +450,7 @@ func (p *Protocol) hasCornerRecord(id grid.NodeID, c grid.Coord) bool {
 // the specific corner role (surface directions).
 func (p *Protocol) hasCornerRecordFor(id grid.NodeID, c grid.Coord, dirs grid.DirSet) bool {
 	for _, r := range p.store.At(id) {
-		if frame.IsCorner(r.Box, c) && frame.SurfaceDirs(r.Box, c) == dirs {
+		if box := p.store.Box(r.Block); frame.IsCorner(box, c) && frame.SurfaceDirs(box, c) == dirs {
 			return true
 		}
 	}

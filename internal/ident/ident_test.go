@@ -78,7 +78,7 @@ func (h *harness) depositAll(epoch uint32) {
 		_ = i
 		frame.EachShellNode(b, func(c grid.Coord, _ int) {
 			if h.m.Shape().Contains(c) {
-				h.store.Add(h.m.Shape().Index(c), info.Record{Box: b.Clone(), Epoch: epoch})
+				h.store.Add(h.m.Shape().Index(c), info.Record{Block: h.store.Intern(b), Epoch: epoch})
 			}
 		})
 	}

@@ -7,26 +7,38 @@
 // information), only the nodes on a block's frame and boundary walls hold a
 // record of that block. TotalRecords is therefore the memory-footprint
 // metric of experiment E16.
+//
+// A block is named by a BlockID: its box is interned once in the store's box
+// table, and every record, watch and in-flight construction holds the id, so
+// "same block" is an integer compare and no record owns coordinate storage.
+// Holders are counted (Intern/Retain/Release; Add and Remove count records)
+// and an id is recycled when the last lets go: the table stays bounded.
 package info
 
-import (
-	"ndmesh/internal/grid"
-)
+import "ndmesh/internal/grid"
 
-// Record is one block's information as stored at a node: the block's
-// interior box plus the epoch of the construction that deposited it.
-// Epochs order constructions so that a stale record (from before a block
-// grew or shrank) can never overwrite a fresher one.
+// BlockID names one interned box of a Store's table. Two live ids of one
+// store are equal exactly when their boxes are.
+type BlockID int32
+
+// Record is one block's information as stored at a node: the block plus the
+// epoch of the construction that deposited it. Epochs order constructions so
+// that a stale record (from before a block grew or shrank) can never
+// overwrite a fresher one.
 type Record struct {
-	Box   grid.Box
+	Block BlockID
 	Epoch uint32
 }
 
-// Store holds the records of every node. The zero value is not usable; use
-// NewStore.
+// Store holds every node's records and the box table; build with NewStore.
 type Store struct {
 	recs  [][]Record
 	total int
+	// Box table: boxes[b] is block b's box, in storage the slot keeps for
+	// good; refs[b] counts b's holders (0: a free slot, listed in free).
+	boxes []grid.Box
+	refs  []int32
+	free  []BlockID
 }
 
 // NewStore builds an empty store for a mesh with n nodes.
@@ -34,83 +46,118 @@ func NewStore(n int) *Store {
 	return &Store{recs: make([][]Record, n)}
 }
 
+// Box returns b's box: the table's own, read-only and valid while b is held.
+func (s *Store) Box(b BlockID) grid.Box { return s.boxes[b] }
+
+// Find returns the id of box if some holder names it.
+func (s *Store) Find(box grid.Box) (BlockID, bool) {
+	for b := range s.refs {
+		if s.refs[b] > 0 && s.boxes[b].Equal(box) {
+			return BlockID(b), true
+		}
+	}
+	return 0, false
+}
+
+// Intern returns the id of box, entering a copy into the table if no holder
+// names it yet, and counts the caller as a holder (see Release).
+//
+//meshvet:noalloc
+func (s *Store) Intern(box grid.Box) BlockID {
+	b, ok := s.Find(box)
+	switch {
+	case ok:
+	case len(s.free) > 0:
+		b, s.free = s.free[len(s.free)-1], s.free[:len(s.free)-1]
+		copy(s.boxes[b].Lo, box.Lo)
+		copy(s.boxes[b].Hi, box.Hi)
+	default:
+		b = BlockID(len(s.refs))
+		s.refs = append(s.refs, 0)
+		//meshvet:allow the table grows to the most blocks ever named at once and keeps the slots across Clear
+		s.boxes = append(s.boxes, box.Clone())
+	}
+	s.refs[b]++
+	return b
+}
+
+// Retain counts one more holder of b.
+func (s *Store) Retain(b BlockID) { s.refs[b]++ }
+
+// Release drops one holder of b; the last one frees the id for reuse.
+func (s *Store) Release(b BlockID) {
+	if s.refs[b]--; s.refs[b] == 0 {
+		s.free = append(s.free, b)
+	}
+}
+
+// Blocks returns how many ids are held.
+func (s *Store) Blocks() int { return len(s.refs) - len(s.free) }
+
 // At returns the records held by node id. The returned slice is owned by
 // the store; callers must not mutate it.
 func (s *Store) At(id grid.NodeID) []Record { return s.recs[id] }
 
-// Has reports whether node id holds a record with exactly this box.
-func (s *Store) Has(id grid.NodeID, box grid.Box) bool {
+// Has reports whether node id holds a record of block b.
+//
+//meshvet:noalloc
+func (s *Store) Has(id grid.NodeID, b BlockID) bool {
 	for _, r := range s.recs[id] {
-		if r.Box.Equal(box) {
+		if r.Block == b {
 			return true
 		}
 	}
 	return false
 }
 
-// Add deposits a record at node id, copying the box (the store owns its
-// record storage; callers keep ownership of the box they pass). If the node
-// already holds a record with the same box, the epoch is refreshed to the
-// larger value and Add returns false (nothing new). If the node holds
-// records whose boxes are strictly contained in the new box with an older
-// epoch — information from before the block grew — those records are
-// replaced (the paper's "propagation may also incur a deletion of out of
-// date boundaries"). Returns true if the node's information actually
-// changed.
+// Add deposits a record at node id. If the node already holds a record of
+// the same block, the epoch is refreshed to the larger value and Add returns
+// false (nothing new). If the node holds records whose boxes are contained
+// in the new box with an older epoch — information from before the block
+// grew — those records are replaced (the paper's "propagation may also incur
+// a deletion of out of date boundaries"). Returns true if the node's
+// information actually changed. Survivors keep their order and the new record
+// goes last: the order is observable (routing ties, the history digests).
 //
-// Record slots freed by Clear, Remove or dominated-record replacement keep
-// their box arrays in the slice's spare capacity and are reused by later
-// deposits, so a store cycling through trials allocates nothing once warm.
+//meshvet:noalloc
 func (s *Store) Add(id grid.NodeID, rec Record) bool {
 	rs := s.recs[id]
 	for i := range rs {
-		if rs[i].Box.Equal(rec.Box) {
-			if rec.Epoch > rs[i].Epoch {
-				rs[i].Epoch = rec.Epoch
-			}
+		if rs[i].Block == rec.Block {
+			rs[i].Epoch = max(rs[i].Epoch, rec.Epoch)
 			return false
 		}
 	}
-	// Drop dominated stale records: an older record whose box lies inside
-	// the new one describes the same obstacle before it grew. Compaction
-	// swaps (rather than overwrites) so every dropped slot keeps a unique
-	// box header in the spare capacity for reuse.
-	kept := 0
-	for i := 0; i < len(rs); i++ {
-		if rs[i].Epoch < rec.Epoch && contained(rs[i].Box, rec.Box) {
+	kept := rs[:0]
+	for _, r := range rs {
+		if r.Epoch < rec.Epoch && contained(s.boxes[r.Block], s.boxes[rec.Block]) {
 			s.total--
+			s.Release(r.Block)
 			continue
 		}
-		if kept != i {
-			rs[kept], rs[i] = rs[i], rs[kept]
-		}
-		kept++
+		kept = append(kept, r)
 	}
-	rs = rs[:kept]
-	if kept < cap(rs) {
-		rs = rs[:kept+1]
-		rs[kept].Box.Set(rec.Box)
-		rs[kept].Epoch = rec.Epoch
-	} else {
-		rs = append(rs, Record{Box: rec.Box.Clone(), Epoch: rec.Epoch})
-	}
-	s.recs[id] = rs
+	//meshvet:allow a node's list grows to its peak record count and keeps it across Clear
+	s.recs[id] = append(kept, rec)
+	s.Retain(rec.Block)
 	s.total++
 	return true
 }
 
-// Remove deletes the record with the given box from node id, returning
-// whether a record was removed. Removal is epoch-guarded: records deposited
-// at or after minEpoch survive (a cancellation launched for an old
-// construction must not erase newer information). The freed slot's box
-// arrays stay in the slice's spare capacity for Add to reuse.
-func (s *Store) Remove(id grid.NodeID, box grid.Box, minEpoch uint32) bool {
+// Remove deletes block b's record from node id, returning whether a record
+// was removed. Removal is epoch-guarded: records deposited at or after
+// minEpoch survive (a cancellation launched for an old construction must not
+// erase newer information). The node's last record takes the freed place.
+//
+//meshvet:noalloc
+func (s *Store) Remove(id grid.NodeID, b BlockID, minEpoch uint32) bool {
 	rs := s.recs[id]
 	for i := range rs {
-		if rs[i].Box.Equal(box) && rs[i].Epoch < minEpoch {
-			rs[i], rs[len(rs)-1] = rs[len(rs)-1], rs[i]
+		if rs[i].Block == b && rs[i].Epoch < minEpoch {
+			rs[i] = rs[len(rs)-1]
 			s.recs[id] = rs[:len(rs)-1]
 			s.total--
+			s.Release(b)
 			return true
 		}
 	}
@@ -132,15 +179,20 @@ func (s *Store) NodesWithInfo() int {
 	return n
 }
 
-// Clear removes all records. Per-node slice capacity is retained so a
-// cleared store can be refilled without reallocating (trial reuse).
+// Clear removes all records and frees every slot of the box table, voiding
+// every id (the other holders — watches, constructions — are dropped with
+// it). Capacity is retained so a cleared store refills without reallocating
+// (trial reuse).
 func (s *Store) Clear() {
 	for i := range s.recs {
-		if s.recs[i] != nil {
-			s.recs[i] = s.recs[i][:0]
-		}
+		s.recs[i] = s.recs[i][:0]
 	}
 	s.total = 0
+	clear(s.refs)
+	s.free = s.free[:0]
+	for b := len(s.refs) - 1; b >= 0; b-- {
+		s.free = append(s.free, BlockID(b))
+	}
 }
 
 // contained reports whether inner lies entirely within outer.

@@ -8,27 +8,39 @@ import (
 
 func mkBox(lo, hi grid.Coord) grid.Box { return grid.NewBox(lo, hi) }
 
+// rec interns box (the test stays a holder, as a watch would) and returns its
+// record at the given epoch.
+func rec(s *Store, box grid.Box, epoch uint32) Record {
+	return Record{Block: s.Intern(box), Epoch: epoch}
+}
+
+// hasBox reports whether node id holds a record of exactly this box.
+func hasBox(s *Store, id grid.NodeID, box grid.Box) bool {
+	b, ok := s.Find(box)
+	return ok && s.Has(id, b)
+}
+
 func TestAddAndHas(t *testing.T) {
 	s := NewStore(10)
 	b := mkBox(grid.Coord{2, 2}, grid.Coord{3, 3})
-	if s.Has(1, b) {
+	if hasBox(s, 1, b) {
 		t.Fatal("empty store has record")
 	}
-	if !s.Add(1, Record{Box: b, Epoch: 1}) {
+	if !s.Add(1, rec(s, b, 1)) {
 		t.Fatal("first Add returned false")
 	}
-	if !s.Has(1, b) || s.TotalRecords() != 1 || s.NodesWithInfo() != 1 {
+	if !hasBox(s, 1, b) || s.TotalRecords() != 1 || s.NodesWithInfo() != 1 {
 		t.Fatal("record not stored")
 	}
 	// Duplicate add refreshes the epoch but reports no change.
-	if s.Add(1, Record{Box: b, Epoch: 3}) {
+	if s.Add(1, rec(s, b, 3)) {
 		t.Fatal("duplicate Add returned true")
 	}
 	if got := s.At(1)[0].Epoch; got != 3 {
 		t.Fatalf("epoch not refreshed: %d", got)
 	}
 	// An older duplicate does not downgrade.
-	s.Add(1, Record{Box: b, Epoch: 2})
+	s.Add(1, rec(s, b, 2))
 	if got := s.At(1)[0].Epoch; got != 3 {
 		t.Fatalf("epoch downgraded: %d", got)
 	}
@@ -38,23 +50,23 @@ func TestAddDominatedReplacement(t *testing.T) {
 	s := NewStore(10)
 	small := mkBox(grid.Coord{2, 2}, grid.Coord{3, 3})
 	big := mkBox(grid.Coord{1, 1}, grid.Coord{4, 4})
-	s.Add(5, Record{Box: small, Epoch: 1})
+	s.Add(5, rec(s, small, 1))
 	// A newer record whose box contains the old one replaces it: the block
 	// grew and the stale pre-growth record must not linger.
-	s.Add(5, Record{Box: big, Epoch: 2})
-	if s.Has(5, small) {
+	s.Add(5, rec(s, big, 2))
+	if hasBox(s, 5, small) {
 		t.Fatal("dominated stale record survived")
 	}
-	if !s.Has(5, big) || s.TotalRecords() != 1 {
+	if !hasBox(s, 5, big) || s.TotalRecords() != 1 {
 		t.Fatal("new record missing")
 	}
 
 	// A newer record does NOT replace a contained record with a newer or
 	// equal epoch (two genuinely distinct blocks).
 	s2 := NewStore(10)
-	s2.Add(5, Record{Box: small, Epoch: 7})
-	s2.Add(5, Record{Box: big, Epoch: 7})
-	if !s2.Has(5, small) || !s2.Has(5, big) {
+	s2.Add(5, rec(s2, small, 7))
+	s2.Add(5, rec(s2, big, 7))
+	if !hasBox(s2, 5, small) || !hasBox(s2, 5, big) {
 		t.Fatal("same-epoch contained record must survive")
 	}
 }
@@ -63,9 +75,9 @@ func TestAddDistinctBlocks(t *testing.T) {
 	s := NewStore(10)
 	a := mkBox(grid.Coord{1, 1}, grid.Coord{2, 2})
 	b := mkBox(grid.Coord{5, 5}, grid.Coord{6, 6})
-	s.Add(0, Record{Box: a, Epoch: 1})
-	s.Add(0, Record{Box: b, Epoch: 2})
-	if !s.Has(0, a) || !s.Has(0, b) || s.TotalRecords() != 2 {
+	s.Add(0, rec(s, a, 1))
+	s.Add(0, rec(s, b, 2))
+	if !hasBox(s, 0, a) || !hasBox(s, 0, b) || s.TotalRecords() != 2 {
 		t.Fatal("distinct records must coexist")
 	}
 }
@@ -73,24 +85,25 @@ func TestAddDistinctBlocks(t *testing.T) {
 func TestRemoveEpochGuard(t *testing.T) {
 	s := NewStore(10)
 	b := mkBox(grid.Coord{2, 2}, grid.Coord{3, 3})
-	s.Add(1, Record{Box: b, Epoch: 5})
+	id := s.Intern(b)
+	s.Add(1, Record{Block: id, Epoch: 5})
 	// A cancellation with minEpoch <= record epoch must not remove it
 	// (the record is newer than the construction being cancelled).
-	if s.Remove(1, b, 5) {
+	if s.Remove(1, id, 5) {
 		t.Fatal("Remove deleted a same-epoch record")
 	}
-	if !s.Has(1, b) {
+	if !hasBox(s, 1, b) {
 		t.Fatal("record vanished")
 	}
 	// A cancellation strictly newer removes it.
-	if !s.Remove(1, b, 6) {
+	if !s.Remove(1, id, 6) {
 		t.Fatal("Remove failed")
 	}
-	if s.Has(1, b) || s.TotalRecords() != 0 {
+	if hasBox(s, 1, b) || s.TotalRecords() != 0 {
 		t.Fatal("record not removed")
 	}
 	// Removing again reports false.
-	if s.Remove(1, b, 6) {
+	if s.Remove(1, id, 6) {
 		t.Fatal("double remove returned true")
 	}
 }
@@ -98,10 +111,10 @@ func TestRemoveEpochGuard(t *testing.T) {
 func TestClear(t *testing.T) {
 	s := NewStore(4)
 	b := mkBox(grid.Coord{0, 0}, grid.Coord{1, 1})
-	s.Add(0, Record{Box: b, Epoch: 1})
-	s.Add(1, Record{Box: b, Epoch: 1})
+	s.Add(0, rec(s, b, 1))
+	s.Add(1, rec(s, b, 1))
 	s.Clear()
-	if s.TotalRecords() != 0 || s.NodesWithInfo() != 0 || len(s.At(0)) != 0 {
+	if s.TotalRecords() != 0 || s.NodesWithInfo() != 0 || len(s.At(0)) != 0 || s.Blocks() != 0 {
 		t.Fatal("Clear incomplete")
 	}
 }
@@ -110,9 +123,43 @@ func TestTotalAcrossNodes(t *testing.T) {
 	s := NewStore(8)
 	b := mkBox(grid.Coord{0, 0}, grid.Coord{1, 1})
 	for id := 0; id < 5; id++ {
-		s.Add(grid.NodeID(id), Record{Box: b, Epoch: 1})
+		s.Add(grid.NodeID(id), rec(s, b, 1))
 	}
 	if s.TotalRecords() != 5 || s.NodesWithInfo() != 5 {
 		t.Fatalf("totals wrong: %d records, %d nodes", s.TotalRecords(), s.NodesWithInfo())
+	}
+}
+
+// TestBoxTableRecyclesIDs pins the table's lifetime rule: an id lives while
+// anyone holds it (the interner, each record), equal boxes share it, and the
+// slot of a fully released id is reused by the next new box.
+func TestBoxTableRecyclesIDs(t *testing.T) {
+	s := NewStore(4)
+	a, b := mkBox(grid.Coord{1, 1}, grid.Coord{2, 2}), mkBox(grid.Coord{5, 5}, grid.Coord{6, 7})
+	ia, ib := s.Intern(a), s.Intern(b)
+	if again := s.Intern(a); again != ia || ia == ib || s.Blocks() != 2 {
+		t.Fatalf("Intern(a) twice = %d, %d; Intern(b) = %d; %d blocks", ia, again, ib, s.Blocks())
+	}
+	s.Release(ia)
+	s.Add(0, Record{Block: ia, Epoch: 1})
+	s.Release(ia) // the record is now a's only holder
+	if !s.Box(ia).Equal(a) || !s.Box(ib).Equal(b) || s.Blocks() != 2 {
+		t.Fatalf("table = %v, %v (%d blocks)", s.Box(ia), s.Box(ib), s.Blocks())
+	}
+	s.Remove(0, ia, 2)
+	if _, ok := s.Find(a); ok || s.Blocks() != 1 {
+		t.Fatalf("a still named after its last holder let go (%d blocks)", s.Blocks())
+	}
+	c := mkBox(grid.Coord{0, 3}, grid.Coord{0, 3})
+	if ic := s.Intern(c); ic != ia || !s.Box(ic).Equal(c) || !s.Box(ib).Equal(b) {
+		t.Fatalf("Intern(c) = %d showing %v, want recycled slot %d; b shows %v", ic, s.Box(ic), ia, s.Box(ib))
+	}
+	// A dominated record lets go of its block too.
+	s.Add(1, Record{Block: ib, Epoch: 1})
+	s.Release(ib)
+	big := s.Intern(mkBox(grid.Coord{4, 4}, grid.Coord{7, 7}))
+	s.Add(1, Record{Block: big, Epoch: 2})
+	if _, ok := s.Find(b); ok || s.Blocks() != 2 {
+		t.Fatalf("dominated block still named (%d blocks)", s.Blocks())
 	}
 }

@@ -59,8 +59,16 @@ var AllocTestCoverage = map[string][]string{
 		"ndmesh/internal/route.DOR.Decide",
 	},
 	// A full fault/recovery schedule applied through reused trials.
+	// plus the information plane's floods and record store riding every
+	// step of it: deposits, cancellations, merges, interned block ids.
 	"TestFaultProcessStepAllocFree": {
 		"ndmesh/internal/engine.Engine.applyEvent",
+		"ndmesh/internal/boundary.Protocol.Round",
+		"ndmesh/internal/boundary.Protocol.roundOne",
+		"ndmesh/internal/info.Store.Intern",
+		"ndmesh/internal/info.Store.Add",
+		"ndmesh/internal/info.Store.Remove",
+		"ndmesh/internal/info.Store.Has",
 	},
 	// The closed-loop emit/release cycle.
 	"TestClosedLoopStepAllocFree": {
@@ -89,6 +97,11 @@ var AllocTestCoverage = map[string][]string{
 	// The latency histogram's hot Add.
 	"TestLogHistAddAllocFree": {
 		"ndmesh/internal/stats.LogHistogram.Add",
+	},
+	// Extending a flood's region: the one placement enumerator.
+	"TestPlacementEnumeratorAllocFree": {
+		"ndmesh/internal/boundary.markPlacement",
+		"ndmesh/internal/boundary.markBox",
 	},
 	// The information plane's per-round refill/Clear of a node set.
 	"TestNodeSetAllocFree": {

@@ -119,7 +119,7 @@ func (c Congested) Decide(ctx *Context, msg *Message) Decision {
 		return Decision{Move: true, Dir: lightest(ctx, cfg, msg.Cur, cl.preferred, base)}
 	}
 	if len(cl.spares) > 0 {
-		base := pickSpare(cl.spares, cl.recs, cl.uc)
+		base := pickSpare(cl.spares, ctx.Store, cl.recs, cl.uc)
 		return Decision{Move: true, Dir: lightest(ctx, cfg, msg.Cur, cl.spares, base)}
 	}
 	if len(cl.demoted) > 0 {

@@ -126,7 +126,7 @@ func TestPartialInformationStillCorrect(t *testing.T) {
 	for id := 0; id < m.NumNodes(); id += 2 {
 		recs := ctx.Store.At(grid.NodeID(id))
 		for len(recs) > 0 {
-			ctx.Store.Remove(grid.NodeID(id), recs[0].Box, ^uint32(0))
+			ctx.Store.Remove(grid.NodeID(id), recs[0].Block, ^uint32(0))
 			recs = ctx.Store.At(grid.NodeID(id))
 		}
 	}
@@ -152,7 +152,7 @@ func TestStaleInformationStillCorrect(t *testing.T) {
 	for id := 0; id < m.NumNodes(); id++ {
 		c := m.Shape().CoordOf(grid.NodeID(id))
 		if phantomOn(phantom, c) {
-			ctx.Store.Add(grid.NodeID(id), info.Record{Box: phantom.Clone(), Epoch: 1})
+			ctx.Store.Add(grid.NodeID(id), info.Record{Block: ctx.Store.Intern(phantom), Epoch: 1})
 		}
 	}
 	src := m.Shape().Index(grid.Coord{7, 1})

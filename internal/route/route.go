@@ -431,7 +431,7 @@ func algorithm3(ctx *Context, msg *Message, recs []info.Record) Decision {
 		return Decision{Move: true, Dir: pickPreferred(ctx, cl.preferred, cl.uc, cl.dc)}
 	}
 	if len(cl.spares) > 0 {
-		return Decision{Move: true, Dir: pickSpare(cl.spares, cl.recs, cl.uc)}
+		return Decision{Move: true, Dir: pickSpare(cl.spares, ctx.Store, cl.recs, cl.uc)}
 	}
 	if len(cl.demoted) > 0 {
 		return Decision{Move: true, Dir: pickPreferred(ctx, cl.demoted, cl.uc, cl.dc)}
@@ -479,7 +479,7 @@ func classify(ctx *Context, msg *Message, recs []info.Record) *classified {
 			continue
 		}
 		if isPreferred(uc, dc, dir) {
-			if demotedByRecords(recs, shape.CoordView(next), dc) {
+			if demotedByRecords(ctx.Store, recs, shape.CoordView(next), dc) {
 				demoted = append(demoted, dir)
 			} else {
 				preferred = append(preferred, dir)
@@ -525,9 +525,9 @@ func isPreferred(uc, dc grid.Coord, dir grid.Dir) bool {
 // w is demoted to preferred-but-detour when, per some stored block record,
 // w lies in the block's dangerous shadow while the destination is trapped
 // beyond the opposite surface (Section 2.2).
-func demotedByRecords(recs []info.Record, wc, dc grid.Coord) bool {
+func demotedByRecords(store *info.Store, recs []info.Record, wc, dc grid.Coord) bool {
 	for _, r := range recs {
-		if axis, neg, ok := boundary.InShadow(r.Box, wc); ok && boundary.Trapped(r.Box, dc, axis, neg) {
+		if boundary.Demotes(store.Box(r.Block), wc, dc) {
 			return true
 		}
 	}
@@ -555,7 +555,7 @@ func pickPreferred(ctx *Context, dirs []grid.Dir, uc, dc grid.Coord) grid.Dir {
 // the direction with the shortest run to exit the span (the fastest way
 // around the block); axes outside any span rank last and fall back to the
 // policy order.
-func pickSpare(dirs []grid.Dir, recs []info.Record, uc grid.Coord) grid.Dir {
+func pickSpare(dirs []grid.Dir, store *info.Store, recs []info.Record, uc grid.Coord) grid.Dir {
 	const inf = int(^uint(0) >> 1)
 	best := dirs[0]
 	bestRank := inf
@@ -563,14 +563,15 @@ func pickSpare(dirs []grid.Dir, recs []info.Record, uc grid.Coord) grid.Dir {
 		rank := inf
 		a := d.Axis()
 		for _, r := range recs {
-			if !r.Box.ContainsOn(a, uc[a]) {
+			box := store.Box(r.Block)
+			if !box.ContainsOn(a, uc[a]) {
 				continue
 			}
 			var run int
 			if d.Positive() {
-				run = r.Box.Hi[a] + 1 - uc[a]
+				run = box.Hi[a] + 1 - uc[a]
 			} else {
-				run = uc[a] - (r.Box.Lo[a] - 1)
+				run = uc[a] - (box.Lo[a] - 1)
 			}
 			if run < rank {
 				rank = run

@@ -27,7 +27,7 @@ func env(t *testing.T, dims []int, faults []grid.Coord) (*Context, *mesh.Mesh) {
 	for i, b := range block.Extract(m) {
 		for _, id := range boundary.Placement(shape, b.Box) {
 			if m.Status(id) == mesh.Enabled {
-				store.Add(id, info.Record{Box: b.Box.Clone(), Epoch: uint32(i + 1)})
+				store.Add(id, info.Record{Block: store.Intern(b.Box), Epoch: uint32(i + 1)})
 			}
 		}
 	}
