@@ -18,7 +18,7 @@ import (
 	"ndmesh/internal/rng"
 )
 
-var updateFixtures = flag.Bool("update-fixtures", false, "rewrite testdata/model_history_digests.json from this tree")
+var updateFixtures = flag.Bool("update-fixtures", false, "rewrite the testdata/ fixtures from this tree")
 
 // history is one fail/repair history: the primitive knobs FuzzModelHistory
 // mutates, decoded by the methods below into a shape and a
@@ -34,12 +34,22 @@ type history struct {
 	clustered bool  // arrivals placed adjacent to a live fault
 	arrival   uint8 // arrival rate in percent, folded into [10, 60]
 	repair    uint8 // repair rate in percent, folded into [2, 12]
+	deep      bool  // on historyDeepShape instead of historyShapes[shape]
 }
 
-var historyShapes = []struct {
+type historyShape struct {
 	name string
 	dims []int
-}{{"8x8", []int{8, 8}}, {"12x12", []int{12, 12}}, {"5x6x4", []int{5, 6, 4}}}
+}
+
+var historyShapes = []historyShape{{"8x8", []int{8, 8}}, {"12x12", []int{12, 12}}, {"5x6x4", []int{5, 6, 4}}}
+
+// historyDeepShape is the shape of historyDeepCorpus: 4-D, so every
+// identification is a level-4 run whose edge positions activate level-3
+// sub-identifications and whose collectors gather what collectors gathered.
+// It stays out of historyShapes, whose mod-len indexing names the first
+// corpus's histories and decodes every fuzz input.
+var historyDeepShape = historyShape{"6x6x6x6", []int{6, 6, 6, 6}}
 
 const (
 	historyHorizon = 48 // last step an arrival may land on
@@ -55,10 +65,17 @@ func (h history) String() string {
 		place = "clustered"
 	}
 	return fmt.Sprintf("%s/%s/%s/arr%d/rep%d/lambda%d/seed%d",
-		historyShapes[int(h.shape)%len(historyShapes)].name, model, place, h.arrivalPct(), h.repairPct(), h.rounds(), h.seed)
+		h.on().name, model, place, h.arrivalPct(), h.repairPct(), h.rounds(), h.seed)
 }
 
-func (h history) dims() []int     { return historyShapes[int(h.shape)%len(historyShapes)].dims }
+func (h history) on() historyShape {
+	if h.deep {
+		return historyDeepShape
+	}
+	return historyShapes[int(h.shape)%len(historyShapes)]
+}
+
+func (h history) dims() []int     { return h.on().dims }
 func (h history) rounds() int     { return 1 + int(h.lambda)%2 }
 func (h history) arrivalPct() int { return 10 + int(h.arrival)%51 }
 func (h history) repairPct() int  { return 2 + int(h.repair)%11 }
@@ -111,6 +128,26 @@ func historyCorpus() []history {
 						})
 					}
 				}
+			}
+		}
+	}
+	return out
+}
+
+// historyDeepCorpus is the second, separately listed set: lambda x delay
+// model x placement on historyDeepShape, alternating the two rate pairs
+// (8 histories). Its digests follow the first corpus's in the fixture.
+func historyDeepCorpus() []history {
+	var out []history
+	for lambda := uint8(0); lambda < 2; lambda++ {
+		for _, weibull := range []bool{false, true} {
+			for _, clustered := range []bool{false, true} {
+				k := uint8(len(out) % 2)
+				out = append(out, history{
+					seed: uint64(1009 + 13*len(out)), deep: true, lambda: lambda,
+					weibull: weibull, clustered: clustered,
+					arrival: 15 + 25*k, repair: 2 + 5*k,
+				})
 			}
 		}
 	}
@@ -183,10 +220,10 @@ func replay(md *Model, sched *fault.Schedule, steps, lambda int, after func(step
 // checkHistory runs h on a fresh model and, in lockstep, on a model that ran
 // a different history first and was Reset; the two must be observationally
 // identical after every round. It returns the digest of the fresh model's
-// whole trajectory (per-round activity and observation) and the most
-// disabled nodes it ever held — nonzero only when faults stood close enough
-// for a block to outgrow them.
-func checkHistory(t testing.TB, h history) (digest string, peakDisabled int) {
+// whole trajectory (per-round activity and observation), the most disabled
+// nodes it ever held — nonzero only when faults stood close enough for a
+// block to outgrow them — and how many identification runs it completed.
+func checkHistory(t testing.TB, h history) (digest string, peakDisabled, identified int) {
 	shape := grid.MustShape(h.dims()...)
 	recycled := New(mesh.New(shape))
 	h.other().drive(t, recycled, func(int, int) {})
@@ -219,7 +256,7 @@ func checkHistory(t testing.TB, h history) (digest string, peakDisabled int) {
 			t.Fatalf("%v: step %d round %d: recycled model diverges from a fresh one", h, step, k)
 		}
 	})
-	return hex.EncodeToString(sum.Sum(nil)), peakDisabled
+	return hex.EncodeToString(sum.Sum(nil)), peakDisabled, fresh.Ident.Completed
 }
 
 type historyDigest struct {
@@ -233,12 +270,14 @@ type historyDigest struct {
 // trajectory digest of every corpus history equals the committed fixture,
 // which was generated before the NodeSet/CoordView rewrite of
 // block/frame/ident/boundary and must never be regenerated alongside a
-// change to them.
+// change to them. The deep corpus's digests (n = 4: nested subs, collectors
+// gathering collectors) follow under their own keys; they were generated
+// before the one-owner rewrite of ident's box storage, under the same rule.
 func TestModelHistoryDifferential(t *testing.T) {
 	var got []historyDigest
 	grown := 0
 	for _, h := range historyCorpus() {
-		digest, peakDisabled := checkHistory(t, h)
+		digest, peakDisabled, _ := checkHistory(t, h)
 		got = append(got, historyDigest{History: h.String(), Digest: digest})
 		if peakDisabled > 0 {
 			grown++
@@ -246,6 +285,18 @@ func TestModelHistoryDifferential(t *testing.T) {
 	}
 	if len(got) < 40 || grown < len(got)/2 {
 		t.Fatalf("corpus has %d histories, %d with blocks larger than their faults: want >= 40, at least half of them merging", len(got), grown)
+	}
+	deep, completing := historyDeepCorpus(), 0
+	for _, h := range deep {
+		digest, _, identified := checkHistory(t, h)
+		got = append(got, historyDigest{History: h.String(), Digest: digest})
+		t.Logf("%v: %d level-4 runs completed", h, identified)
+		if identified > 0 {
+			completing++
+		}
+	}
+	if completing < len(deep)/2 {
+		t.Fatalf("%d of %d deep histories complete a level-4 identification: want at least half", completing, len(deep))
 	}
 	fixture := filepath.Join("testdata", "model_history_digests.json")
 	if *updateFixtures {
@@ -285,6 +336,6 @@ func FuzzModelHistory(f *testing.F) {
 		f.Add(h.seed, h.shape, h.lambda, h.weibull, h.clustered, h.arrival, h.repair)
 	}
 	f.Fuzz(func(t *testing.T, seed uint64, shape, lambda uint8, weibull, clustered bool, arrival, repair uint8) {
-		checkHistory(t, history{seed, shape, lambda, weibull, clustered, arrival, repair})
+		checkHistory(t, history{seed: seed, shape: shape, lambda: lambda, weibull: weibull, clustered: clustered, arrival: arrival, repair: repair})
 	})
 }
