@@ -1,10 +1,10 @@
 package ndmesh
 
-// One benchmark per experiment of DESIGN.md's index. Each benchmark both
-// times the underlying machinery and reports the experiment's headline
-// quantities via b.ReportMetric, so `go test -bench=. -benchmem` regenerates
-// the per-experiment numbers recorded in EXPERIMENTS.md alongside the
-// throughput of the implementation.
+// One benchmark per experiment of the index in experiments.go's header. Each
+// benchmark both times the underlying machinery and reports the experiment's
+// headline quantities via b.ReportMetric, so `go test -bench=. -benchmem`
+// regenerates the per-experiment numbers (docs/BENCHMARKS.md has the
+// method) alongside the throughput of the implementation.
 
 import (
 	"fmt"

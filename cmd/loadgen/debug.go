@@ -1,8 +1,8 @@
 package main
 
 // The -debug-addr introspection server: the standard net/http/pprof
-// pages for live profiling of long runs (the multi-core profiling hook
-// ROADMAP item 2 asks for) plus /debug/census, an expvar-style JSON
+// pages for live profiling of long runs (how a parallelism claim is
+// checked on real cores) plus /debug/census, an expvar-style JSON
 // rollup of the run's census so far — the seed of meshd's streaming API.
 // The server lives for the rest of the process; profile a run by
 // starting it with a long measurement window and pointing `go tool

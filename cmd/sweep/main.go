@@ -1,7 +1,7 @@
-// sweep regenerates the experiment tables of EXPERIMENTS.md: the
-// convergence, degradation, λ-ablation, memory, oscillation and traffic
-// studies (E14-E18 of DESIGN.md), the randomized validation of Theorems 3-5
-// (E11-E13) and the load studies (E19-E23). Each experiment prints one
+// sweep regenerates the experiment tables (README.md "Command-line tools"):
+// the convergence, degradation, λ-ablation, memory, oscillation and traffic
+// studies (E14-E18), the randomized validation of Theorems 3-5 (E11-E13)
+// and the load studies (E19-E23). Each experiment prints one
 // aligned table; -csv switches to comma-separated output.
 //
 // Examples:

@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -45,6 +46,66 @@ func TestEveryPackageHasDocComment(t *testing.T) {
 			if !documented {
 				t.Errorf("package %s (%s) has no package doc comment on any of %v",
 					name, dir, files)
+			}
+		}
+	}
+}
+
+// TestDocReferencesResolve keeps prose pointers alive: every *.md path a Go
+// comment names (outside bench/, which only a benchmark PR edits) and every
+// relative link of README.md, ARCHITECTURE.md and docs/*.md must exist. A
+// comment's path is read from the repository root or from the file's own
+// directory; a link from the document's directory.
+func TestDocReferencesResolve(t *testing.T) {
+	exists := func(dirs []string, ref string) bool {
+		for _, dir := range dirs {
+			if _, err := os.Stat(filepath.Join(dir, ref)); err == nil {
+				return true
+			}
+		}
+		return false
+	}
+	mdPath := regexp.MustCompile(`[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b`)
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && (path == "bench" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, group := range f.Comments {
+			for _, ref := range mdPath.FindAllString(group.Text(), -1) {
+				if !exists([]string{".", filepath.Dir(path)}, ref) {
+					t.Errorf("%s: a comment names %s, which does not exist", path, ref)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	docs, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	link := regexp.MustCompile(`\]\(([^)#\s]+)[^)]*\)`)
+	for _, doc := range append([]string{"README.md", "ARCHITECTURE.md"}, docs...) {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range link.FindAllStringSubmatch(string(text), -1) {
+			if ref := m[1]; !strings.Contains(ref, "://") && !exists([]string{filepath.Dir(doc)}, ref) {
+				t.Errorf("%s links to %s, which does not exist", doc, ref)
 			}
 		}
 	}

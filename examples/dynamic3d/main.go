@@ -10,12 +10,21 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"ndmesh"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run prints the example's report to w.
+func run(w io.Writer) error {
 	scenario := func() (*ndmesh.Simulation, error) {
 		sim, err := ndmesh.NewSimulation(ndmesh.Config{Dims: []int{10, 10, 10}, Lambda: 2})
 		if err != nil {
@@ -40,34 +49,35 @@ func main() {
 	}
 
 	src, dst := ndmesh.C(1, 1, 1), ndmesh.C(8, 8, 8)
-	fmt.Println("dynamic faults in a 10x10x10 mesh, routing", src, "->", dst)
-	fmt.Println()
+	fmt.Fprintln(w, "dynamic faults in a 10x10x10 mesh, routing", src, "->", dst)
+	fmt.Fprintln(w)
 	for _, router := range []string{"limited", "oracle", "blind"} {
 		sim, err := scenario()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		res, err := sim.Route(src, dst, router)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%-8s arrived=%-5v hops=%-3d detour=%-2d backtracks=%d\n",
+		fmt.Fprintf(w, "%-8s arrived=%-5v hops=%-3d detour=%-2d backtracks=%d\n",
 			router, res.Arrived, res.Hops, res.ExtraHops, res.Backtracks)
 	}
 
 	// Convergence bookkeeping from a fresh run of the same scenario.
 	sim, err := scenario()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	sim.RunSteps(200)
 	sim.Stabilize()
-	fmt.Println()
-	fmt.Println("per-occurrence convergence (rounds): a=labeling b=identification c=boundary")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "per-occurrence convergence (rounds): a=labeling b=identification c=boundary")
 	for _, ev := range sim.Events() {
-		fmt.Printf("  event %d at step %-3d  a=%-3d b=%-3d c=%-3d affected=%d e_max=%d\n",
+		fmt.Fprintf(w, "  event %d at step %-3d  a=%-3d b=%-3d c=%-3d affected=%d e_max=%d\n",
 			ev.Index, ev.Step, ev.ARounds, ev.BRounds, ev.CRounds, ev.Affected, ev.EMaxAfter)
 	}
-	fmt.Printf("\ninfo records: %d on %d of %d nodes\n",
+	fmt.Fprintf(w, "\ninfo records: %d on %d of %d nodes\n",
 		sim.InfoRecords(), sim.NodesWithInfo(), sim.NumNodes())
+	return nil
 }

@@ -13,15 +13,24 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"ndmesh"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run prints the example's report to w.
+func run(w io.Writer) error {
 	sim, err := ndmesh.NewSimulation(ndmesh.Config{Dims: []int{10, 10, 10}, Lambda: 1})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Figure 1's faults: block [3:5, 5:6, 3:4].
@@ -29,53 +38,54 @@ func main() {
 		ndmesh.C(3, 5, 4), ndmesh.C(4, 5, 4), ndmesh.C(5, 5, 3), ndmesh.C(3, 6, 3),
 	} {
 		if err := sim.FailNow(c); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	rounds := sim.Stabilize()
-	fmt.Printf("block constructed in %d rounds: %v\n", rounds, sim.Blocks())
-	fmt.Printf("records before recovery: %d on %d nodes\n\n", sim.InfoRecords(), sim.NodesWithInfo())
+	fmt.Fprintf(w, "block constructed in %d rounds: %v\n", rounds, sim.Blocks())
+	fmt.Fprintf(w, "records before recovery: %d on %d nodes\n\n", sim.InfoRecords(), sim.NodesWithInfo())
 
 	// Figure 4: (5,5,3) recovers.
-	fmt.Println("recovering (5,5,3)...")
+	fmt.Fprintln(w, "recovering (5,5,3)...")
 	if err := sim.RecoverNow(ndmesh.C(5, 5, 3)); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	rounds = sim.Stabilize()
-	fmt.Printf("reconstruction settled in %d rounds: %v\n", rounds, sim.Blocks())
-	fmt.Printf("records after recovery: %d on %d nodes\n\n", sim.InfoRecords(), sim.NodesWithInfo())
+	fmt.Fprintf(w, "reconstruction settled in %d rounds: %v\n", rounds, sim.Blocks())
+	fmt.Fprintf(w, "records after recovery: %d on %d nodes\n\n", sim.InfoRecords(), sim.NodesWithInfo())
 
 	// The z=3 slice before/after tells the story visually.
-	fmt.Println("slice z=3 after recovery ('X' faulty, '#' disabled, 'o' holds info):")
-	fmt.Print(sim.Render(ndmesh.C(0, 0, 3)))
+	fmt.Fprintln(w, "slice z=3 after recovery ('X' faulty, '#' disabled, 'o' holds info):")
+	fmt.Fprint(w, sim.Render(ndmesh.C(0, 0, 3)))
 
 	// Theorem 1: a routing crossing the region during a recovery stays
 	// minimal. Fresh simulation: block + in-flight recovery + routing.
 	sim2, err := ndmesh.NewSimulation(ndmesh.Config{Dims: []int{10, 10, 10}, Lambda: 2})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for _, c := range []ndmesh.Coord{
 		ndmesh.C(3, 5, 4), ndmesh.C(4, 5, 4), ndmesh.C(5, 5, 3), ndmesh.C(3, 6, 3),
 	} {
 		if err := sim2.FailNow(c); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	sim2.Stabilize()
 	if err := sim2.ScheduleRecovery(3, ndmesh.C(5, 5, 3)); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	src, dst := ndmesh.C(1, 2, 1), ndmesh.C(8, 8, 8)
 	res, err := sim2.Route(src, dst, "limited")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println()
-	fmt.Printf("Theorem 1 check: routing %v -> %v during recovery:\n", src, dst)
-	fmt.Printf("  arrived=%v hops=%d distance=%d detour=%d backtracks=%d\n",
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "Theorem 1 check: routing %v -> %v during recovery:\n", src, dst)
+	fmt.Fprintf(w, "  arrived=%v hops=%d distance=%d detour=%d backtracks=%d\n",
 		res.Arrived, res.Hops, res.D0, res.ExtraHops, res.Backtracks)
 	if res.ExtraHops == 0 {
-		fmt.Println("  optimal: the recovery constructions did not disturb the routing")
+		fmt.Fprintln(w, "  optimal: the recovery constructions did not disturb the routing")
 	}
+	return nil
 }

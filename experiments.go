@@ -1,14 +1,15 @@
 package ndmesh
 
-// This file implements the experiment harness of DESIGN.md's index: the
-// simulation studies the paper carries over from its 2-D/3-D predecessors
+// This file implements the protocol half of the experiment index (E1-E8
+// the paper's figures, E9-E13 its theorems, E14-E18 protocol studies,
+// E19-E23 the load studies of README.md): the simulation studies the paper carries over from its 2-D/3-D predecessors
 // ([9], [10]) — convergence speed of the information constructions (E14),
 // graceful degradation of routing under dynamic faults (E15), the memory
 // footprint of limited-global information (E16), oscillation/locality of
 // updates (E17), whole-population traffic (E18) — and the randomized
 // validation of Theorems 3, 4 and 5 (E11-E13). cmd/sweep prints these as
-// tables; bench_test.go wraps them as benchmarks; EXPERIMENTS.md records
-// representative output.
+// tables; bench_test.go wraps them as benchmarks; experiments_golden_test.go
+// pins representative output.
 //
 // Every sweep is a grid of jobs handed to runGrid (rungrid.go) plus a
 // serial fold over the job-ordered results, which is what makes the rows
@@ -590,7 +591,7 @@ type TheoremReport struct {
 	// routing from a safe source is minimal w.r.t. fully-constructed
 	// blocks; Algorithm 3's greedy priority guarantees that for one block
 	// but not for every multi-block geometry, so such trials fall outside
-	// the theorems' premise (see EXPERIMENTS.md).
+	// the theorems' premise, and the E11-E13 tables report them apart.
 	PremiseSkipped int
 	// Violations per theorem (0 expected on conforming schedules).
 	Violations3, Violations4, Violations5 int

@@ -9,8 +9,8 @@ import (
 // endpoint drawing was refactored onto internal/traffic (PR 2). They pin
 // the refactor's byte-identical contract: the sweeps' rng consumption —
 // including the long-haul pair generator now living in
-// traffic.DrawLongHaulPair — must not drift, or every number in
-// EXPERIMENTS.md silently changes. If a deliberate change to the
+// traffic.DrawLongHaulPair — must not drift, or every number the sweeps
+// print silently changes. If a deliberate change to the
 // randomness discipline is ever made, recapture these values in the same
 // commit and say so.
 

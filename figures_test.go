@@ -1,7 +1,8 @@
 package ndmesh
 
 // This file pins every figure and the notation table of the paper to an
-// executable check through the public API (experiments E1-E8 of DESIGN.md).
+// executable check through the public API (experiments E1-E8 of the index
+// in experiments.go's header).
 // The internal packages carry finer-grained versions; these tests are the
 // top-level index entries.
 

@@ -263,7 +263,7 @@ func TestReactiveEqualsFull(t *testing.T) {
 }
 
 // TestBlocksAreSolidDisjointBoxes is the paper's structural invariant
-// (property 1 of DESIGN.md): random interior faults always stabilize into
+// (Definition 1's faulty blocks): random interior faults always stabilize into
 // solid, pairwise-disjoint boxes.
 func TestBlocksAreSolidDisjointBoxes(t *testing.T) {
 	r := rng.New(7)

@@ -259,6 +259,29 @@ func checkHistory(t testing.TB, h history) (digest string, peakDisabled, identif
 	return hex.EncodeToString(sum.Sum(nil)), peakDisabled, fresh.Ident.Completed
 }
 
+// loadFixture decodes testdata/name into want — after rewriting it from got
+// when -update-fixtures is set.
+func loadFixture(t *testing.T, name string, got, want any) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *updateFixtures {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, want); err != nil {
+		t.Fatal(err)
+	}
+}
+
 type historyDigest struct {
 	History string `json:"history"`
 	Digest  string `json:"digest"`
@@ -298,27 +321,9 @@ func TestModelHistoryDifferential(t *testing.T) {
 	if completing < len(deep)/2 {
 		t.Fatalf("%d of %d deep histories complete a level-4 identification: want at least half", completing, len(deep))
 	}
-	fixture := filepath.Join("testdata", "model_history_digests.json")
-	if *updateFixtures {
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(fixture, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	data, err := os.ReadFile(fixture)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const fixture = "model_history_digests.json"
 	var want []historyDigest
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
+	loadFixture(t, fixture, got, &want)
 	if len(want) != len(got) {
 		t.Fatalf("%s holds %d digests, corpus has %d", fixture, len(want), len(got))
 	}

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"ndmesh/internal/grid"
@@ -12,8 +9,8 @@ import (
 
 // leakCount is what one case leaves behind on a fault-free mesh: the paper
 // withdraws a block's information when the block goes (Section 3), so every
-// count should be zero. They are not (ROADMAP item 1); the fixture holds
-// what the reference tree left, and only more than that fails.
+// count should be zero. They are not yet; the fixture holds what the
+// reference tree left, and only more than that fails.
 type leakCount struct {
 	Case          string `json:"case"`
 	Records       int    `json:"records"`
@@ -60,24 +57,9 @@ func TestFullRecoveryLeakRatchet(t *testing.T) {
 		got = append(got, recoverAll(t, s.name, md))
 	}
 
-	fixture := filepath.Join("testdata", "full_recovery_leak.json")
-	if *updateFixtures {
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(fixture, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	data, err := os.ReadFile(fixture)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const fixture = "full_recovery_leak.json"
 	var want []leakCount
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
+	loadFixture(t, fixture, got, &want)
 	if len(want) != len(got) {
 		t.Fatalf("%s holds %d cases, the test runs %d", fixture, len(want), len(got))
 	}

@@ -29,6 +29,14 @@
 // OnIdentified callback; the orchestrator (internal/core) then launches the
 // combined phase-4/boundary flood (internal/boundary) that distributes the
 // record over the block's frame and boundary walls.
+//
+// What a run remembers is kept one way each. A box has one owner that
+// outlives its readers: a message carries one box; what must survive the
+// message (the ring rendezvous, the collectors' hulls, a sub's result)
+// belongs to the sub-identification, which lives until its run is recycled;
+// run.results only views those boxes. A corner's retry state is one entry
+// of a node-indexed array. Runs, subs and messages recycle through free
+// lists, each rewound by one assignment that names the storage it keeps.
 package ident
 
 import (
@@ -46,47 +54,52 @@ type Protocol struct {
 
 	// OnIdentified is invoked when a run completes with the identified
 	// block box and the opposite corner at which the information formed.
+	// The box is the run's storage: a callee that keeps it copies it.
 	OnIdentified func(box grid.Box, oppositeCorner grid.NodeID) //meshvet:keep orchestrator wiring, not trial state
 
-	// TTL is the round budget of a run before it is discarded.
-	TTL int //meshvet:keep tuning knob, survives trials
-	// Backoff is the delay before a corner may re-initiate.
-	Backoff int //meshvet:keep tuning knob, survives trials
-	// MaxRetries bounds re-initiations per corner between Notify events,
-	// guaranteeing quiescence even around permanently unidentifiable
-	// configurations (e.g. interfering blocks closer than two hops).
-	MaxRetries int //meshvet:keep tuning knob, survives trials
-
-	retryCount map[grid.NodeID]int
+	// TTL is the round budget of a run before it is discarded; backoff is
+	// the further delay before its corner may re-initiate; maxRetries bounds
+	// initiations per corner between Notify events, guaranteeing quiescence
+	// even around permanently unidentifiable configurations (e.g.
+	// interfering blocks closer than two hops). NewProtocol derives all
+	// three from the shape.
+	TTL        int //meshvet:keep derived from the shape, survives trials
+	backoff    int //meshvet:keep derived from the shape, survives trials
+	maxRetries int //meshvet:keep constant, survives trials
 
 	runs    []*run
 	walkers []*walker
 	// spareRuns/spareSubs/spareWalkers are free lists of retired protocol
-	// objects; with them (plus the per-run box arena) a fault process that
-	// cycles identifications through the protocol allocates nothing once
-	// warm. deadFresh/deadReady stage retired runs for recycling: a
-	// deadline-expired run's walkers are only dropped by the NEXT round's
-	// walker filter, so its subRuns must survive one more round.
+	// objects; with them a fault process that cycles identifications
+	// through the protocol allocates nothing once warm. deadFresh/deadReady
+	// stage retired runs for recycling: a deadline-expired run's walkers
+	// are only dropped by the NEXT round's walker filter, so its subRuns
+	// must survive one more round.
 	spareRuns    []*run
 	spareSubs    []*subRun
 	spareWalkers []*walker
 	deadFresh    []*run
 	deadReady    []*run
-	retryAt      map[grid.NodeID]int
 	// pending holds nodes to consider for initiation (fed by announcement
-	// changes and by retry wakeups); initiate drains it every round.
-	pending grid.NodeSet
-	// retryQueue holds scheduled re-initiations of corners whose runs
-	// failed or were discarded.
-	retryQueue []retryEntry
+	// changes and by retry wakeups); initiate drains it every round. retry
+	// is every node's retry state, indexed by node id; retryQueue lists the
+	// corners waiting for retry[node].at, the one schedule of
+	// re-initiations after a failed, discarded or backed-off attempt.
+	pending    grid.NodeSet
+	retry      []retryEntry
+	retryQueue []grid.NodeID
 	round      int
-	seq        int
-	wseq       int
 
 	// Hops counts walker moves (identification message cost).
 	Hops int
 	// Started, Completed, Failed count runs for the harness.
 	Started, Completed, Failed int
+}
+
+// retryEntry is one node's retry state as an initiating corner.
+type retryEntry struct {
+	attempts int // runs started since the node's last Notify
+	at       int // earliest round the node may start another
 }
 
 // NewProtocol builds an identification protocol over the mesh, frame
@@ -98,105 +111,78 @@ func NewProtocol(m *mesh.Mesh, det *frame.Detector, store *info.Store) *Protocol
 		det:        det,
 		store:      store,
 		TTL:        6*diam + 24,
-		Backoff:    2*diam + 8,
-		MaxRetries: 4,
-		retryAt:    make(map[grid.NodeID]int),
-		retryCount: make(map[grid.NodeID]int),
+		backoff:    2*diam + 8,
+		maxRetries: 4,
 		pending:    grid.NewNodeSet(m.NumNodes()),
+		retry:      make([]retryEntry, m.NumNodes()),
 	}
 }
 
 // Reset abandons every in-flight run and all retry state so the protocol
-// can be reused for a new trial; tuning knobs (TTL, Backoff, MaxRetries)
-// and map buckets are retained.
+// can be reused for a new trial; every buffer keeps its capacity.
 func (p *Protocol) Reset() {
-	clear(p.retryCount)
-	clear(p.retryAt)
 	p.spareWalkers = append(p.spareWalkers, p.walkers...)
-	for _, r := range p.runs {
-		p.recycleRun(r)
-	}
-	for _, r := range p.deadFresh {
-		p.recycleRun(r)
-	}
-	for _, r := range p.deadReady {
-		p.recycleRun(r)
-	}
-	p.deadFresh = p.deadFresh[:0]
-	p.deadReady = p.deadReady[:0]
-	p.runs = p.runs[:0]
 	p.walkers = p.walkers[:0]
+	p.runs = p.recycle(p.runs)
+	p.deadFresh = p.recycle(p.deadFresh)
+	p.deadReady = p.recycle(p.deadReady)
 	p.pending.Clear()
+	clear(p.retry)
 	p.retryQueue = p.retryQueue[:0]
-	p.round, p.seq, p.wseq = 0, 0, 0
+	p.round = 0
 	p.Hops, p.Started, p.Completed, p.Failed = 0, 0, 0, 0
 }
 
-// recycleRun parks a retired run and its subRuns on the free lists. Callers
-// must guarantee no live walker still references the run.
-func (p *Protocol) recycleRun(r *run) {
-	p.spareSubs = append(p.spareSubs, r.subs...)
-	p.spareRuns = append(p.spareRuns, r)
+// recycle parks retired runs and their subRuns on the free lists and
+// returns the emptied list. Callers guarantee no live walker still
+// references them.
+func (p *Protocol) recycle(rs []*run) []*run {
+	for _, r := range rs {
+		p.spareSubs = append(p.spareSubs, r.subs...)
+		p.spareRuns = append(p.spareRuns, r)
+	}
+	return rs[:0]
 }
 
-// getRun acquires a run from the free list (or allocates one) with all
-// per-run state cleared; map buckets and the box arena keep their storage.
+// getRun, getSub and getWalker take an object off its free list (or
+// allocate one) and rewind it by one assignment that names only the storage
+// it keeps; the caller sets every field it needs.
+//
+//meshvet:noalloc
 func (p *Protocol) getRun() *run {
-	if n := len(p.spareRuns); n > 0 {
-		r := p.spareRuns[n-1]
-		p.spareRuns = p.spareRuns[:n-1]
-		clear(r.results)
-		r.failed, r.done = false, false
-		r.top = nil
-		r.subs = r.subs[:0]
-		r.arenaUsed = 0
-		return r
+	n := len(p.spareRuns)
+	if n == 0 {
+		return &run{results: make(map[grid.NodeID]grid.Box)} //meshvet:allow free-list miss: the lists grow to the most objects ever in flight
 	}
-	return &run{results: make(map[grid.NodeID]grid.Box)}
+	r := p.spareRuns[n-1]
+	p.spareRuns = p.spareRuns[:n-1]
+	clear(r.results)
+	*r = run{results: r.results, subs: r.subs[:0]}
+	return r
 }
 
-// getSub acquires a subRun with containers emptied (capacity retained);
-// the caller sets every scalar field it needs.
+//meshvet:noalloc
 func (p *Protocol) getSub() *subRun {
-	if n := len(p.spareSubs); n > 0 {
-		s := p.spareSubs[n-1]
-		p.spareSubs = p.spareSubs[:n-1]
-		s.r, s.parent = nil, nil
-		s.parentAxis, s.level = 0, 0
-		s.isFirst = false
-		s.freeAxes = s.freeAxes[:0]
-		s.travelAxes = nil
-		s.collectorUp, s.delivered = 0, 0
-		s.start, s.dirs = grid.InvalidNode, 0
-		s.ringNode, s.ringBox = grid.InvalidNode, nil
-		s.deliverNode = grid.InvalidNode
-		return s
+	n := len(p.spareSubs)
+	if n == 0 {
+		return &subRun{} //meshvet:allow free-list miss
 	}
-	return &subRun{}
+	s := p.spareSubs[n-1]
+	p.spareSubs = p.spareSubs[:n-1]
+	*s = subRun{freeAxes: s.freeAxes[:0], box: s.box, collected: s.collected}
+	return s
 }
 
-// getWalker acquires a walker with every scalar field zeroed; the seen/res
-// and collect hull boxes keep their backing arrays for reuse.
+//meshvet:noalloc
 func (p *Protocol) getWalker() *walker {
-	var w *walker
-	if n := len(p.spareWalkers); n > 0 {
-		w = p.spareWalkers[n-1]
-		p.spareWalkers = p.spareWalkers[:n-1]
-	} else {
-		w = &walker{}
+	n := len(p.spareWalkers)
+	if n == 0 {
+		return &walker{} //meshvet:allow free-list miss
 	}
-	w.s = nil
-	w.kind = edgeWalker
-	w.pos, w.dir, w.axis = grid.InvalidNode, 0, 0
-	w.inward, w.legs = 0, 0
-	w.hasFirst, w.folded, w.done, w.spawned = false, false, false, false
+	w := p.spareWalkers[n-1]
+	p.spareWalkers = p.spareWalkers[:n-1]
+	*w = walker{box: w.box}
 	return w
-}
-
-// retryEntry schedules a node for re-consideration at a future round.
-type retryEntry struct {
-	at   int
-	node grid.NodeID
 }
 
 // Notify feeds nodes whose frame announcement changed (or that otherwise
@@ -205,44 +191,26 @@ type retryEntry struct {
 // with the frame detector's per-round change list.
 func (p *Protocol) Notify(ids ...grid.NodeID) {
 	for _, id := range ids {
-		delete(p.retryCount, id)
+		p.retry[id].attempts = 0
 		p.pending.Add(id)
 	}
 }
 
 // run is one identification process, initiated at one n-level corner.
 type run struct {
-	id        int
 	initiator grid.NodeID
 	deadline  int
 	failed    bool
 	done      bool
 	// results holds completed sub-identifications, keyed by the node where
-	// the identified section information rests (the sub's opposite corner).
-	// Every stored box is stashed in the arena first, so map values stay
-	// valid however the walkers that produced them are recycled.
+	// the identified section information rests (the sub's opposite corner)
+	// and not by sub: from 4-D up, subs of different parents complete at
+	// the same node and a collector reads whichever section rests there.
+	// The values alias the completing sub's boxes.
 	results map[grid.NodeID]grid.Box
-	top     *subRun
-	// subs tracks every subRun of the run for free-list recycling.
+	// subs is every subRun of the run. They are recycled with the run and
+	// not before, so a box a sub owns outlives every walker of the run.
 	subs []*subRun
-	// arena is the run-owned box storage behind results/collected values;
-	// arenaUsed is the bump cursor, rewound when the run is reused.
-	arena     []grid.Box
-	arenaUsed int
-}
-
-// stash copies b into the run's arena and returns the arena-owned copy,
-// reusing storage left by earlier trials.
-func (r *run) stash(b grid.Box) grid.Box {
-	if r.arenaUsed < len(r.arena) {
-		s := &r.arena[r.arenaUsed]
-		s.Set(b)
-		r.arenaUsed++
-		return *s
-	}
-	r.arena = append(r.arena, b.Clone())
-	r.arenaUsed++
-	return r.arena[len(r.arena)-1]
 }
 
 // subRun is one (possibly nested) k-level identification: the top-level one
@@ -265,20 +233,20 @@ type subRun struct {
 	// is axisDir(dirs, a), for the edge walker and its collector alike.
 	travelAxes []int
 
-	// ring rendezvous (level 2 only). ringVal is the sub-owned storage
-	// behind ringBox so the first walker's result survives its recycling.
+	// ring rendezvous (level 2 only): the first walker to reach the
+	// opposite corner leaves its section in box, at ringNode.
+	ringMet  bool
 	ringNode grid.NodeID
-	ringBox  *grid.Box
-	ringVal  grid.Box
+	box      grid.Box
 
-	// phase 3 (level >= 3 only): collectorUp and delivered hold the travel
-	// directions of the collectors spawned and arrived; collected[axis] is
-	// an arrived collector's hull (sized to the mesh dimension at first
-	// launch, reused afterwards).
-	collectorUp grid.DirSet
-	delivered   grid.DirSet
+	// phase 3 (level >= 3 only): one collector per travel axis, launched
+	// when the first position of that edge completes. delivered counts the
+	// arrived ones, collected[axis] is an arrived collector's hull (sized
+	// to the mesh dimension at first launch, reused afterwards),
+	// deliverNode is where they arrived.
+	delivered   int
 	collected   []grid.Box
-	deliverNode grid.NodeID // where collectors delivered (must agree)
+	deliverNode grid.NodeID
 }
 
 type walkerKind uint8
@@ -291,7 +259,6 @@ const (
 
 // walker is one identification message.
 type walker struct {
-	id   int
 	s    *subRun
 	kind walkerKind
 	pos  grid.NodeID
@@ -300,31 +267,39 @@ type walker struct {
 
 	inward grid.Dir // ring: direction toward the block section
 	legs   int      // ring: corners passed
-	seen   grid.Box // ring: extremes of visited corner coordinates
-	res    grid.Box // ring: reusable storage for ringResult
-
-	hullVal  grid.Box // collect: accumulated block information
-	firstVal grid.Box // collect: first section, for the consistency check
-	hasFirst bool     // collect: firstVal/hullVal hold a section
-	folded   bool     // collect: current node's section already folded
-	done     bool
-	spawned  bool // edge: whether this position's sub was spawned
+	// box is the information the message carries. ring: the extremes of
+	// the corner coordinates visited, shrunk to the section on arrival;
+	// collect: the hull of the sections gathered, once hasBox.
+	box     grid.Box
+	hasBox  bool
+	folded  bool // collect: current node's section already folded
+	done    bool
+	spawned bool // edge: whether this position's sub was spawned
 }
 
 // Round advances the protocol one round: initiates runs at eligible
 // corners, moves every walker one hop, and retires finished or failed runs.
 // It returns the number of elementary actions (moves + initiations), which
 // is zero at quiescence.
+//
+//meshvet:noalloc
 func (p *Protocol) Round() int {
 	p.round++
 	actions := p.initiate()
 
-	// Advance walkers in id order for determinism.
+	// Advance walkers in creation order for determinism.
 	for _, w := range p.walkers {
 		if w.done || w.s.r.failed || w.s.r.done {
 			continue
 		}
-		actions += p.advance(w)
+		switch w.kind {
+		case edgeWalker:
+			actions += p.advanceEdge(w)
+		case ringWalker:
+			actions += p.advanceRing(w)
+		case collectWalker:
+			actions += p.advanceCollect(w)
+		}
 	}
 
 	// Retire walkers and runs. Dropped walkers go straight to the free
@@ -342,28 +317,24 @@ func (p *Protocol) Round() int {
 	p.walkers = liveW
 	liveR := p.runs[:0]
 	for _, r := range p.runs {
-		if r.done {
+		switch {
+		case r.done:
 			p.Completed++
-			p.deadFresh = append(p.deadFresh, r)
-			continue
-		}
-		if r.failed || p.round > r.deadline {
+		case r.failed || p.round > r.deadline:
 			p.Failed++
 			r.failed = true
 			// Schedule a retry from the initiator if budget remains.
-			if p.retryCount[r.initiator] < p.MaxRetries {
-				p.retryQueue = append(p.retryQueue, retryEntry{at: p.retryAt[r.initiator], node: r.initiator})
+			if p.retry[r.initiator].attempts < p.maxRetries {
+				p.retryQueue = append(p.retryQueue, r.initiator)
 			}
-			p.deadFresh = append(p.deadFresh, r)
+		default:
+			liveR = append(liveR, r)
 			continue
 		}
-		liveR = append(liveR, r)
+		p.deadFresh = append(p.deadFresh, r)
 	}
 	p.runs = liveR
-	for _, r := range p.deadReady {
-		p.recycleRun(r)
-	}
-	p.deadReady, p.deadFresh = p.deadFresh, p.deadReady[:0]
+	p.deadReady, p.deadFresh = p.deadFresh, p.recycle(p.deadReady)
 	return actions
 }
 
@@ -378,28 +349,27 @@ func (p *Protocol) Active() int { return len(p.runs) }
 
 // initiate starts a run at every pending enabled n-level corner that lacks
 // a record of the block it is a corner of and whose backoff has expired.
+//
+//meshvet:noalloc
 func (p *Protocol) initiate() int {
 	// Wake scheduled retries that are due (without resetting retry
-	// budgets) and drop retries whose corner has meanwhile received its
-	// block record from another initiator's construction.
-	shape := p.m.Shape()
-	n := shape.Dims()
-	due := p.retryQueue[:0]
-	for _, e := range p.retryQueue {
+	// budgets).
+	n := p.m.Shape().Dims()
+	waiting := p.retryQueue[:0]
+	for _, id := range p.retryQueue {
 		// Drop retries that became moot: the node stopped being an
 		// n-level corner (its announcement was transient), or it received
 		// its block record from another initiator's construction.
-		if int(p.det.Announcement(e.node).Level) != n ||
-			p.hasCornerRecord(e.node, shape.CoordView(e.node)) {
+		if int(p.det.Announcement(id).Level) != n || p.hasCornerRecord(id, 0) {
 			continue
 		}
-		if e.at <= p.round {
-			p.pending.Add(e.node)
+		if p.retry[id].at <= p.round {
+			p.pending.Add(id)
 		} else {
-			due = append(due, e)
+			waiting = append(waiting, id)
 		}
 	}
-	p.retryQueue = due
+	p.retryQueue = waiting
 
 	// Nothing below pends a node (a backed-off corner goes to retryQueue),
 	// so the queue is drained by one walk and one Clear.
@@ -409,22 +379,17 @@ func (p *Protocol) initiate() int {
 			continue
 		}
 		for _, ann := range p.det.Records(id) {
-			if int(ann.Level) != n {
-				continue
-			}
-			if p.hasCornerRecordFor(id, shape.CoordView(id), ann.Dirs) {
-				continue
-			}
 			// The retry budget bounds total initiations from this corner
 			// between Notify events, whatever the outcome of earlier runs;
 			// without it, a corner serving two blocks would re-identify
 			// forever when one block's record cannot reach it.
-			if p.retryCount[id] >= p.MaxRetries {
+			if int(ann.Level) != n || p.hasCornerRecord(id, ann.Dirs) ||
+				p.retry[id].attempts >= p.maxRetries {
 				continue
 			}
-			if at, ok := p.retryAt[id]; ok && p.round < at {
+			if p.round < p.retry[id].at {
 				// Back off: re-examine when the backoff expires.
-				p.retryQueue = append(p.retryQueue, retryEntry{at: at, node: id})
+				p.retryQueue = append(p.retryQueue, id)
 				continue
 			}
 			p.startRun(id, ann)
@@ -435,22 +400,15 @@ func (p *Protocol) initiate() int {
 	return started
 }
 
-// hasCornerRecord reports whether node id already holds a block record it
-// is an n-level corner of (any role).
-func (p *Protocol) hasCornerRecord(id grid.NodeID, c grid.Coord) bool {
+// hasCornerRecord reports whether node id already holds a record of a block
+// it is an n-level corner of, in the corner role (surface directions) dirs —
+// in any role when dirs is 0.
+func (p *Protocol) hasCornerRecord(id grid.NodeID, dirs grid.DirSet) bool {
+	shape := p.m.Shape()
+	c := shape.CoordView(id)
 	for _, r := range p.store.At(id) {
-		if frame.IsCorner(p.store.Box(r.Block), c) {
-			return true
-		}
-	}
-	return false
-}
-
-// hasCornerRecordFor reports whether node id holds a block record matching
-// the specific corner role (surface directions).
-func (p *Protocol) hasCornerRecordFor(id grid.NodeID, c grid.Coord, dirs grid.DirSet) bool {
-	for _, r := range p.store.At(id) {
-		if box := p.store.Box(r.Block); frame.IsCorner(box, c) && frame.SurfaceDirs(box, c) == dirs {
+		role := frame.SurfaceDirs(p.store.Box(r.Block), c)
+		if role.Count() == shape.Dims() && (dirs == 0 || role == dirs) {
 			return true
 		}
 	}
@@ -458,27 +416,18 @@ func (p *Protocol) hasCornerRecordFor(id grid.NodeID, c grid.Coord, dirs grid.Di
 }
 
 func (p *Protocol) startRun(corner grid.NodeID, ann frame.Announcement) {
-	p.seq++
 	p.Started++
-	p.retryCount[corner]++
-	n := p.m.Shape().Dims()
-	r := p.getRun()
-	r.id = p.seq
-	r.initiator = corner
-	r.deadline = p.round + p.TTL
-	top := p.getSub()
-	top.r = r
-	top.level = n
-	for i := 0; i < n; i++ {
+	p.retry[corner].attempts++
+	p.retry[corner].at = p.round + p.TTL + p.backoff
+	r, top := p.getRun(), p.getSub()
+	r.initiator, r.deadline = corner, p.round+p.TTL
+	top.r, top.level, top.start, top.dirs = r, p.m.Shape().Dims(), corner, ann.Dirs
+	for i := 0; i < top.level; i++ {
 		top.freeAxes = append(top.freeAxes, i)
 	}
-	top.start = corner
-	top.dirs = ann.Dirs
-	r.top = top
 	r.subs = append(r.subs, top)
 	p.runs = append(p.runs, r)
-	p.retryAt[corner] = p.round + p.TTL + p.Backoff
-	p.launch(r.top)
+	p.launch(top)
 }
 
 // launch starts the walkers of a sub-identification from its start corner,
@@ -494,11 +443,9 @@ func (p *Protocol) launch(s *subRun) {
 			return
 		}
 		for _, pair := range [2][2]grid.Dir{{di, dj}, {dj, di}} {
-			w := p.getWalker()
-			w.s, w.kind, w.pos = s, ringWalker, s.start
-			w.dir, w.inward = pair[0], pair[1]
-			w.seen.SetAt(p.m.Shape().CoordView(s.start))
-			p.addWalker(w)
+			w := p.addWalker(s, ringWalker, s.start, pair[0])
+			w.inward = pair[1]
+			w.box.SetAt(p.m.Shape().CoordView(s.start))
 		}
 		return
 	}
@@ -507,36 +454,30 @@ func (p *Protocol) launch(s *subRun) {
 	if s.collected == nil {
 		s.collected = make([]grid.Box, p.m.Shape().Dims())
 	}
-	s.deliverNode = grid.InvalidNode
 	for _, a := range s.travelAxes {
 		d, ok := axisDir(s.dirs, a)
 		if !ok {
 			s.r.failed = true
 			return
 		}
-		w := p.getWalker()
-		w.s, w.kind, w.pos = s, edgeWalker, s.start
-		w.dir, w.axis = d, a
-		p.addWalker(w)
+		p.addWalker(s, edgeWalker, s.start, d).axis = a
 	}
 }
 
-// flipAll reverses every direction in a set: the role of the node opposite
-// along every announced axis.
-func flipAll(dirs grid.DirSet) grid.DirSet {
-	var out grid.DirSet
-	for dv := 0; dv < 32; dv++ {
-		if dirs.Has(grid.Dir(dv)) {
-			out = out.Add(grid.Dir(dv).Opposite())
-		}
-	}
-	return out
-}
-
-func (p *Protocol) addWalker(w *walker) {
-	p.wseq++
-	w.id = p.wseq
+// addWalker puts a new message of sub s at pos, heading in direction dir.
+func (p *Protocol) addWalker(s *subRun, kind walkerKind, pos grid.NodeID, dir grid.Dir) *walker {
+	w := p.getWalker()
+	w.s, w.kind, w.pos, w.dir = s, kind, pos, dir
 	p.walkers = append(p.walkers, w)
+	return w
+}
+
+// flipAll reverses every direction in a set — the role of the node opposite
+// along every announced axis — by swapping each axis's bit pair
+// (grid.DirPlus(a) is bit 2a, grid.DirMinus(a) bit 2a+1).
+func flipAll(dirs grid.DirSet) grid.DirSet {
+	const plus = 0x55555555
+	return (dirs&plus)<<1 | (dirs>>1)&plus
 }
 
 // axisDir extracts the direction along the given axis from a direction set.
@@ -550,20 +491,10 @@ func axisDir(dirs grid.DirSet, axis int) (grid.Dir, bool) {
 	return grid.InvalidDir, false
 }
 
-// advance moves one walker one hop (or lets a collector wait) and returns
-// the number of moves performed (0 or 1).
-func (p *Protocol) advance(w *walker) int {
-	switch w.kind {
-	case edgeWalker:
-		return p.advanceEdge(w)
-	case ringWalker:
-		return p.advanceRing(w)
-	case collectWalker:
-		return p.advanceCollect(w)
-	}
-	return 0
-}
-
+// advanceEdge, advanceRing and advanceCollect move one walker one hop (or
+// let it wait) and return the number of moves performed (0 or 1).
+//
+//meshvet:noalloc
 func (p *Protocol) advanceEdge(w *walker) int {
 	next := p.m.Neighbor(w.pos, w.dir)
 	if next == grid.InvalidNode || p.m.Status(next) != mesh.Enabled {
@@ -600,27 +531,24 @@ func (p *Protocol) advanceEdge(w *walker) int {
 func (p *Protocol) spawnSub(w *walker, node grid.NodeID, dirs grid.DirSet) {
 	parent := w.s
 	sub := p.getSub()
-	sub.r = parent.r
-	sub.parent = parent
-	sub.parentAxis = w.axis
-	sub.isFirst = !w.spawned
-	sub.level = parent.level - 1
+	sub.r, sub.parent, sub.parentAxis, sub.isFirst = parent.r, parent, w.axis, !w.spawned
+	sub.level, sub.start, sub.dirs = parent.level-1, node, dirs
 	for _, a := range parent.freeAxes {
 		if a != w.axis {
 			sub.freeAxes = append(sub.freeAxes, a)
 		}
 	}
-	sub.start = node
-	sub.dirs = dirs
 	parent.r.subs = append(parent.r.subs, sub)
 	w.spawned = true
 	p.launch(sub)
 }
 
+//meshvet:noalloc
 func (p *Protocol) advanceRing(w *walker) int {
+	s := w.s
 	next := p.m.Neighbor(w.pos, w.dir)
 	if next == grid.InvalidNode || p.m.Status(next) != mesh.Enabled {
-		w.s.r.failed = true
+		s.r.failed = true
 		return 0
 	}
 	w.pos = next
@@ -628,11 +556,10 @@ func (p *Protocol) advanceRing(w *walker) int {
 	// Corner test: a ring node that is no longer alongside the section (no
 	// bad neighbor toward the block) is a ring corner.
 	inwardNb := p.m.Neighbor(next, w.inward)
-	alongside := inwardNb != grid.InvalidNode && p.m.Status(inwardNb).Bad()
-	if alongside {
+	if inwardNb != grid.InvalidNode && p.m.Status(inwardNb).Bad() {
 		return 1
 	}
-	w.seen.Include(p.m.Shape().CoordView(next))
+	w.box.Include(p.m.Shape().CoordView(next))
 	w.legs++
 	if w.legs < 2 {
 		// Turn: the new move direction is the old inward direction; the
@@ -640,47 +567,32 @@ func (p *Protocol) advanceRing(w *walker) int {
 		w.dir, w.inward = w.inward, w.dir.Opposite()
 		return 1
 	}
-	// Second corner: the opposite 2-level corner. Assemble the section.
-	box, ok := w.ringResult()
-	if !ok {
-		w.s.r.failed = true
-		return 1
-	}
+	// Second corner: the opposite 2-level corner. The extremes seen become
+	// the identified section: the ring axes shrink by one on each side
+	// (from the shell to the interior), all other axes stay pinned at the
+	// walker's fixed coordinates.
 	w.done = true
-	s := w.s
-	if s.ringBox == nil {
-		// Copy into sub-owned storage: the walker (and its res buffer) is
-		// recycled at the end of this round, the rendezvous box is not.
-		s.ringNode = next
-		s.ringVal.Set(box)
-		s.ringBox = &s.ringVal
-		return 1
+	for _, a := range s.freeAxes {
+		w.box.Lo[a]++
+		w.box.Hi[a]--
+		if w.box.Lo[a] > w.box.Hi[a] {
+			s.r.failed = true
+			return 1
+		}
 	}
-	if s.ringNode != next || !s.ringBox.Equal(box) {
+	switch {
+	case !s.ringMet:
+		s.ringMet, s.ringNode = true, next
+		s.box.Set(w.box)
+	case s.ringNode != next || !s.box.Equal(w.box):
 		s.r.failed = true // the two orientations disagree: unstable
-		return 1
+	default:
+		p.completeSub(s, next, s.box)
 	}
-	p.completeSub(s, next, box)
 	return 1
 }
 
-// ringResult turns the extremes the walker has seen into the identified
-// section: the ring axes shrink by one on each side (from the shell to the
-// interior), all other axes stay pinned at the walker's fixed coordinates.
-// The returned box lives in the walker's reusable res buffer; callers that
-// outlive the walker must copy it.
-func (w *walker) ringResult() (grid.Box, bool) {
-	w.res.Set(w.seen)
-	for _, a := range w.s.freeAxes {
-		w.res.Lo[a]++
-		w.res.Hi[a]--
-		if w.res.Lo[a] > w.res.Hi[a] {
-			return grid.Box{}, false
-		}
-	}
-	return w.res, true
-}
-
+//meshvet:noalloc
 func (p *Protocol) advanceCollect(w *walker) int {
 	s := w.s
 	if !w.folded {
@@ -688,23 +600,20 @@ func (p *Protocol) advanceCollect(w *walker) int {
 		if !ok {
 			return 0 // the section here has not been identified yet: wait
 		}
-		if !w.hasFirst {
-			w.firstVal.Set(box)
-			w.hullVal.Set(box)
-			w.hasFirst = true
+		if !w.hasBox {
+			w.box.Set(box)
+			w.hasBox = true
 		} else {
 			// Consistency check of phase 3: every section must have the
-			// same extents on all axes other than the travel axis.
+			// same extents on all axes other than the travel axis — the
+			// hull's, which on those axes are still the first section's.
 			for l := range box.Lo {
-				if l == w.axis {
-					continue
-				}
-				if box.Lo[l] != w.firstVal.Lo[l] || box.Hi[l] != w.firstVal.Hi[l] {
+				if l != w.axis && (box.Lo[l] != w.box.Lo[l] || box.Hi[l] != w.box.Hi[l]) {
 					s.r.failed = true
 					return 0
 				}
 			}
-			w.hullVal.Extend(box)
+			w.box.Extend(box)
 		}
 		w.folded = true
 	}
@@ -715,15 +624,13 @@ func (p *Protocol) advanceCollect(w *walker) int {
 	}
 	// The opposite edge's roles are the initiator-side roles with every
 	// direction reversed.
-	expectNode := flipAll(s.dirs.Remove(w.dir))
-	expectCorner := flipAll(s.dirs)
 	switch {
-	case p.det.HasRecord(next, s.level-1, expectNode):
+	case p.det.HasRecord(next, s.level-1, flipAll(s.dirs.Remove(w.dir))):
 		w.pos = next
 		w.folded = false
 		p.Hops++
 		return 1
-	case p.det.HasRecord(next, s.level, expectCorner):
+	case p.det.HasRecord(next, s.level, flipAll(s.dirs)):
 		// The opposite corner: deliver the assembled information.
 		w.pos = next
 		w.done = true
@@ -739,31 +646,20 @@ func (p *Protocol) advanceCollect(w *walker) int {
 // the sub when every travel axis has delivered consistently.
 func (p *Protocol) deliver(w *walker, corner grid.NodeID) {
 	s := w.s
-	if s.deliverNode == grid.InvalidNode {
+	if s.delivered == 0 {
 		s.deliverNode = corner
 	} else if s.deliverNode != corner {
 		s.r.failed = true
 		return
 	}
-	if s.delivered.Has(w.dir) && !s.collected[w.axis].Equal(w.hullVal) {
-		s.r.failed = true
+	s.collected[w.axis].Set(w.box)
+	s.delivered++
+	if s.delivered < len(s.travelAxes) {
 		return
 	}
-	// Stash the hull in the run arena: the collector walker that owns the
-	// hull buffer is recycled before the sub completes.
-	s.collected[w.axis] = s.r.stash(w.hullVal)
-	s.delivered = s.delivered.Add(w.dir)
-	if s.delivered.Count() < len(s.travelAxes) {
-		return
-	}
-	var final grid.Box
-	haveFinal := false
-	for _, a := range s.travelAxes {
-		b := s.collected[a]
-		if !haveFinal {
-			final = b // arena-owned: stable until the run is recycled
-			haveFinal = true
-		} else if !final.Equal(b) {
+	final := s.collected[s.travelAxes[0]]
+	for _, a := range s.travelAxes[1:] {
+		if !final.Equal(s.collected[a]) {
 			s.r.failed = true
 			return
 		}
@@ -771,27 +667,23 @@ func (p *Protocol) deliver(w *walker, corner grid.NodeID) {
 	p.completeSub(s, corner, final)
 }
 
-// completeSub finishes a sub-identification: the identified box is now
-// available at the opposite corner node. A top-level completion finishes
-// the run; a nested completion publishes the result for the parent's
-// collector and, for the first position of an edge, triggers that
-// collector.
+// completeSub finishes a sub-identification: the identified box, which the
+// sub owns, is now available at the opposite corner node. A top-level
+// completion finishes the run; a nested completion publishes the result for
+// the parent's collector and, for the first position of an edge, triggers
+// that collector.
 func (p *Protocol) completeSub(s *subRun, node grid.NodeID, box grid.Box) {
-	if s.parent == nil {
+	parent := s.parent
+	if parent == nil {
 		s.r.done = true
 		if p.OnIdentified != nil {
 			p.OnIdentified(box, node)
 		}
 		return
 	}
-	s.r.results[node] = s.r.stash(box)
-	parent := s.parent
-	dir, _ := axisDir(parent.dirs, s.parentAxis) // launch(parent) checked it
-	if s.isFirst && !parent.collectorUp.Has(dir) {
-		parent.collectorUp = parent.collectorUp.Add(dir)
-		w := p.getWalker()
-		w.s, w.kind, w.pos = parent, collectWalker, node
-		w.dir, w.axis = dir, s.parentAxis
-		p.addWalker(w)
+	s.r.results[node] = box
+	if s.isFirst {
+		dir, _ := axisDir(parent.dirs, s.parentAxis) // launch(parent) checked it
+		p.addWalker(parent, collectWalker, node, dir).axis = s.parentAxis
 	}
 }

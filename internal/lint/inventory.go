@@ -58,11 +58,20 @@ var AllocTestCoverage = map[string][]string{
 	"TestTimeoutStepAllocFree": {
 		"ndmesh/internal/route.DOR.Decide",
 	},
-	// A full fault/recovery schedule applied through reused trials.
-	// plus the information plane's floods and record store riding every
-	// step of it: deposits, cancellations, merges, interned block ids.
+	// A full fault/recovery schedule applied through reused trials,
+	// plus the information plane riding every step of it: identification
+	// runs cycling through their free lists, the floods' deposits,
+	// cancellations and merges, the record store's interned block ids.
 	"TestFaultProcessStepAllocFree": {
 		"ndmesh/internal/engine.Engine.applyEvent",
+		"ndmesh/internal/ident.Protocol.Round",
+		"ndmesh/internal/ident.Protocol.initiate",
+		"ndmesh/internal/ident.Protocol.advanceEdge",
+		"ndmesh/internal/ident.Protocol.advanceRing",
+		"ndmesh/internal/ident.Protocol.advanceCollect",
+		"ndmesh/internal/ident.Protocol.getRun",
+		"ndmesh/internal/ident.Protocol.getSub",
+		"ndmesh/internal/ident.Protocol.getWalker",
 		"ndmesh/internal/boundary.Protocol.Round",
 		"ndmesh/internal/boundary.Protocol.roundOne",
 		"ndmesh/internal/info.Store.Intern",

@@ -2,7 +2,7 @@
 // for the simulation harness.
 //
 // Experiments in this repository must be bit-reproducible across runs and
-// across machines so that EXPERIMENTS.md numbers can be regenerated exactly.
+// across machines so that every experiment table can be regenerated exactly.
 // The generator is xoshiro256** seeded through SplitMix64, the combination
 // recommended by its authors for general-purpose simulation; it has a 2^256-1
 // period and passes BigCrush. Streams can be split so that independent

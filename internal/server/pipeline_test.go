@@ -101,7 +101,8 @@ func listJobs(t *testing.T, ts *httptest.Server) []JobStatus {
 	return list.Jobs
 }
 
-// TestRegistryBounded is ROADMAP item 4(a): the registry holds the live
+// TestRegistryBounded is the registry's bound (ARCHITECTURE.md "The service
+// layer (meshd)"): the registry holds the live
 // jobs plus the last retainedJobs finished ones, however many submissions
 // — cache hits and refusals included — pass through. A job that runs
 // throughout stays listed and addressable; finished jobs fall off the ring

@@ -5,16 +5,17 @@ import (
 	"ndmesh/internal/rng"
 )
 
-// RetrySource closes ROADMAP item 3's leftover: the open-loop generator
-// ignores what the network does with its traffic, so a flight killed by
-// the engine's flight timeout used to vanish — the run silently delivered
-// less than it offered. RetrySource wraps an open-loop Injector and
-// re-offers timed-out requests under the same jittered exponential
-// backoff the closed loop uses (ClosedLoop.Timeout), with two deliberate
-// differences: the retried request keeps its original destination (an
-// open loop has no per-node request identity to redraw), and the backoff
-// delays only the retried request — fresh open-loop arrivals keep
-// flowing, because an open loop is not self-throttling.
+// RetrySource closes the open loop's escape gap (ARCHITECTURE.md "Deadlock
+// escape & graceful degradation"): the open-loop generator ignores what the
+// network does with its traffic, so a flight killed by the engine's flight
+// timeout used to vanish — the run silently delivered less than it offered.
+// RetrySource wraps an open-loop Injector and re-offers timed-out requests
+// under the same jittered exponential backoff the closed loop uses
+// (ClosedLoop.Timeout), with two deliberate differences: the retried
+// request keeps its original destination (an open loop has no per-node
+// request identity to redraw), and the backoff delays only the retried
+// request — fresh open-loop arrivals keep flowing, because an open loop is
+// not self-throttling.
 //
 // Retries are emitted through Step *before* the inner source's fresh
 // arrivals (older traffic first), so a TraceRecorder wrapping the

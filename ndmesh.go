@@ -23,9 +23,10 @@
 //
 // Packages under internal/ hold the substrates: grid geometry, the mesh
 // fabric, the labeling/identification/boundary protocols, the execution
-// engine, the routers, and the detour-bound theory. The experiments of
-// EXPERIMENTS.md are regenerated by the functions in experiments.go, the
-// benchmarks in bench_test.go, and cmd/sweep.
+// engine, the routers, and the detour-bound theory. The experiment tables
+// (E11-E23; README.md "Command-line tools" lists them) are regenerated by
+// the functions in experiments.go, the benchmarks in bench_test.go, and
+// cmd/sweep.
 package ndmesh
 
 import (

@@ -8,8 +8,8 @@ import (
 )
 
 // openLoopRetryCell is a 6x6 open-loop run pushed hard enough into
-// contention that flight timeouts fire: the retry source (ROADMAP item 3's
-// leftover) must re-offer the kills instead of letting offered load vanish.
+// contention that flight timeouts fire: the retry source
+// (traffic.RetrySource) must re-offer the kills instead of letting offered load vanish.
 func openLoopRetryCell() LoadOptions {
 	return LoadOptions{
 		Dims: []int{6, 6}, Router: "limited", Pattern: "uniform",

@@ -416,9 +416,9 @@ func (p *simPool) loadPoint(opt SaturationOptions, wl workload, router string, r
 	// non-nil only for a live closed loop: its outstanding windows are
 	// released from the harvest callback below. rq is non-nil only for a
 	// live open loop with flight timeouts: it re-offers timed-out requests
-	// under the same backoff discipline (ROADMAP item 3's last leftover —
-	// without it, open-loop escape runs silently under-delivered their
-	// offered load).
+	// under the same backoff discipline (without it, open-loop escape runs
+	// silently under-delivered their offered load; ARCHITECTURE.md "Deadlock
+	// escape & graceful degradation").
 	var src traffic.Injector
 	var cl *traffic.ClosedLoop
 	var rq *traffic.RetrySource

@@ -1,7 +1,7 @@
 package ndmesh
 
-// Experiments E9-E13 of DESIGN.md: the theorems of the paper validated
-// through the public API on randomized scenarios.
+// Experiments E9-E13 of the index in experiments.go's header: the theorems
+// of the paper validated through the public API on randomized scenarios.
 
 import (
 	"testing"
