@@ -816,6 +816,31 @@ func BenchmarkProbedContentionStep(b *testing.B) {
 	b.Run("probed", func(b *testing.B) { run(b, true) })
 }
 
+// BenchmarkStepSaturatedBody is one body of the standing benchmark's
+// `step-saturated` workload — the LoadRun cell of bench/batch.go's
+// newStepSaturated at full size and seed 1, the one
+// TestStepSaturatedCellPinned pins — so the profile of the hot step
+// (engine.Step -> route.AdvanceGated -> classify) is
+// `go test -run '^$' -bench StepSaturatedBody -cpu 1 -cpuprofile cpu.prof .`
+// (recipe and reference tables in docs/BENCHMARKS.md).
+func BenchmarkStepSaturatedBody(b *testing.B) {
+	opt := LoadOptions{
+		Dims: []int{32, 32}, Lambda: 1, Router: "limited", Pattern: "uniform",
+		Process: "bernoulli", Rate: 0.12, Warmup: 128, Measure: 256, Drain: 128,
+		LinkRate: 1, Seed: 1,
+	}
+	b.ReportAllocs()
+	var delivered int
+	for i := 0; i < b.N; i++ {
+		pt, err := LoadRun(opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		delivered = pt.Delivered
+	}
+	b.ReportMetric(float64(delivered), "delivered")
+}
+
 // BenchmarkFaultStormBody is one body of the standing benchmark's
 // `fault-storm` workload — the options of bench/batch.go's newFaultStorm
 // (full size), run as ReliabilitySweepWorkers(opt, 1, 1) — so the per-layer

@@ -191,6 +191,24 @@ func observe(buf []byte, md *Model) []byte {
 	return buf
 }
 
+// checkOpenSets holds the mesh's open sets — derived state the routers read in
+// place of one-hop sensing — to their definition, recomputed from the neighbor
+// table and the statuses. The labeling protocol's own relabels (enabled ->
+// disabled -> clean -> enabled) are the traffic that must keep them true.
+func checkOpenSets(t testing.TB, h history, m *mesh.Mesh, step int) {
+	for id := grid.NodeID(0); int(id) < m.NumNodes(); id++ {
+		var want grid.DirSet
+		for d := grid.Dir(0); int(d) < m.Shape().NumDirs(); d++ {
+			if nb := m.Neighbor(id, d); nb != grid.InvalidNode && m.Status(nb) == mesh.Enabled {
+				want = want.Add(d)
+			}
+		}
+		if got := m.Open(id); got != want {
+			t.Fatalf("%v: step %d: Open(%d) = %b, statuses say %b", h, step, id, got, want)
+		}
+	}
+}
+
 // drive replays the history on md, calling after with the round's activity
 // once per round.
 func (h history) drive(t testing.TB, md *Model, after func(step, activity int)) {
@@ -219,7 +237,8 @@ func replay(md *Model, sched *fault.Schedule, steps, lambda int, after func(step
 
 // checkHistory runs h on a fresh model and, in lockstep, on a model that ran
 // a different history first and was Reset; the two must be observationally
-// identical after every round. It returns the digest of the fresh model's
+// identical after every round, and each mesh's open sets must equal their
+// recomputation from the statuses. It returns the digest of the fresh model's
 // whole trajectory (per-round activity and observation), the most disabled
 // nodes it ever held — nonzero only when faults stood close enough for a
 // block to outgrow them — and how many identification runs it completed.
@@ -238,7 +257,8 @@ func checkHistory(t testing.TB, h history) (digest string, peakDisabled, identif
 	var trace []roundObs
 	sum := sha256.New()
 	fresh := New(mesh.New(shape))
-	h.drive(t, fresh, func(_, activity int) {
+	h.drive(t, fresh, func(step, activity int) {
+		checkOpenSets(t, h, fresh.M, step)
 		o := roundObs{activity: activity, state: observe(nil, fresh)}
 		trace = append(trace, o)
 		peakDisabled = max(peakDisabled, fresh.M.NumDisabled())
@@ -249,6 +269,7 @@ func checkHistory(t testing.TB, h history) (digest string, peakDisabled, identif
 	h.drive(t, recycled, func(step, activity int) {
 		want := trace[k]
 		k++
+		checkOpenSets(t, h, recycled.M, step)
 		if activity != want.activity {
 			t.Fatalf("%v: step %d round %d: recycled model activity %d, fresh %d", h, step, k, activity, want.activity)
 		}

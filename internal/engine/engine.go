@@ -510,6 +510,7 @@ func (e *Engine) Inject(src, dst grid.NodeID, r route.Router) (*Flight, error) {
 		}
 		f, e.slab = &e.slab[0], e.slab[1:]
 		f.Msg = &f.msg
+		f.msg.Reserve(e.Model.M.Shape())
 	}
 	// A recycled flight keeps the capacity of its header's path and
 	// used-direction table and of its sample lists.

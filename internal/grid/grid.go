@@ -17,6 +17,7 @@ package grid
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 )
 
@@ -156,14 +157,13 @@ func (s DirSet) Has(d Dir) bool { return d >= 0 && s&(1<<uint(d)) != 0 }
 func (s DirSet) Remove(d Dir) DirSet { return s &^ (1 << uint(d)) }
 
 // Count returns the number of directions in the set.
-func (s DirSet) Count() int {
-	n := 0
-	for s != 0 {
-		s &= s - 1
-		n++
-	}
-	return n
-}
+func (s DirSet) Count() int { return bits.OnesCount32(uint32(s)) }
+
+// First returns the lowest direction in the set (NumDirs of a 16-D mesh, 32,
+// for the empty set). Sets are walked in ascending direction order with
+//
+//	for r := s; r != 0; r &= r - 1 { d := r.First(); ... }
+func (s DirSet) First() Dir { return Dir(bits.TrailingZeros32(uint32(s))) }
 
 // Shape describes a k-ary n-D mesh: the radix of every dimension plus the
 // precomputed strides used to linearize addresses and the coordinate table
@@ -340,13 +340,7 @@ func (s *Shape) Neighbor(id NodeID, d Dir) NodeID {
 }
 
 // Distance returns the Manhattan distance between two node ids.
-func (s *Shape) Distance(a, b NodeID) int {
-	sum := 0
-	for i := range s.dims {
-		sum += abs(s.Component(a, i) - s.Component(b, i))
-	}
-	return sum
-}
+func (s *Shape) Distance(a, b NodeID) int { return Manhattan(s.CoordView(a), s.CoordView(b)) }
 
 // OnBorder reports whether the node lies on the outermost surface of the
 // mesh (some coordinate is 0 or k_i-1). The paper's model assumes no fault

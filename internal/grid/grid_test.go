@@ -106,6 +106,36 @@ func TestDirSet(t *testing.T) {
 	}
 }
 
+// TestDirSetWalk: the r.First() / r &= r-1 walk visits exactly the members,
+// in ascending order, Count of them — for every subset of a 3-D mesh's six
+// directions and for the two extreme directions of a 16-D one.
+func TestDirSetWalk(t *testing.T) {
+	sets := []DirSet{1 << 31, 1<<31 | 1, ^DirSet(0)}
+	for s := DirSet(0); s < 1<<6; s++ {
+		sets = append(sets, s)
+	}
+	for _, s := range sets {
+		var want []Dir
+		for d := Dir(0); d < 32; d++ {
+			if s.Has(d) {
+				want = append(want, d)
+			}
+		}
+		var got []Dir
+		for r := s; r != 0; r &= r - 1 {
+			got = append(got, r.First())
+		}
+		if len(got) != len(want) || s.Count() != len(want) {
+			t.Fatalf("%b: walk visits %v, Count %d, members %v", s, got, s.Count(), want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%b: walk visits %v, members %v", s, got, want)
+			}
+		}
+	}
+}
+
 func TestNewShapeValidation(t *testing.T) {
 	if _, err := NewShape(); err == nil {
 		t.Error("empty shape accepted")
@@ -319,6 +349,26 @@ func TestDistanceMatchesManhattan(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDistanceMatchesComponents: Distance reads the coordinate table; the
+// per-axis divmod of Component is the independent reference, over every pair
+// of nodes of mixed-radix 1-D to 5-D shapes.
+func TestDistanceMatchesComponents(t *testing.T) {
+	for _, dims := range [][]int{{9}, {5, 3}, {4, 6, 3}, {5, 4, 3, 2}, {2, 3, 2, 4, 3}} {
+		s := MustShape(dims...)
+		for u := NodeID(0); int(u) < s.NumNodes(); u++ {
+			for v := NodeID(0); int(v) < s.NumNodes(); v++ {
+				want := 0
+				for axis := range dims {
+					want += abs(s.Component(u, axis) - s.Component(v, axis))
+				}
+				if got := s.Distance(u, v); got != want {
+					t.Fatalf("%v: Distance(%d, %d) = %d, components say %d", dims, u, v, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -24,8 +24,9 @@ import (
 // build, not a review.
 var AllocTestCoverage = map[string][]string{
 	// The contention step: arbitration, gating, the Limited and Blind
-	// decide paths, commit/traversal, harvest, and the census fold-in.
-	// Advance is a pure delegate to AdvanceGated and is covered through it.
+	// decide paths (classify: three masks over the mesh's open set),
+	// commit/traversal, harvest, and the census fold-in. Advance is a pure
+	// delegate to AdvanceGated and is covered through it.
 	"TestContentionStepAllocFree": {
 		"ndmesh/internal/engine.Engine.Step",
 		"ndmesh/internal/engine.Engine.DetachDone",
@@ -61,9 +62,11 @@ var AllocTestCoverage = map[string][]string{
 	// A full fault/recovery schedule applied through reused trials,
 	// plus the information plane riding every step of it: identification
 	// runs cycling through their free lists, the floods' deposits,
-	// cancellations and merges, the record store's interned block ids.
+	// cancellations and merges, the record store's interned block ids, and
+	// every relabel flipping its neighbors' open-set bits.
 	"TestFaultProcessStepAllocFree": {
 		"ndmesh/internal/engine.Engine.applyEvent",
+		"ndmesh/internal/mesh.Mesh.SetStatus",
 		"ndmesh/internal/ident.Protocol.Round",
 		"ndmesh/internal/ident.Protocol.initiate",
 		"ndmesh/internal/ident.Protocol.advanceEdge",

@@ -7,6 +7,12 @@
 //
 // Per the paper, link faults are treated as node faults (Section 2.2), so
 // the fabric tracks node status only.
+//
+// Status is the truth. Beside it the mesh keeps one derived word per node,
+// the open set (Open): the directions whose neighbor exists and is Enabled —
+// what a router's one-hop sensing amounts to. New fills it in for the
+// all-enabled mesh and SetStatus — which Reset and Restore go through too —
+// is the only other writer, as it is the only writer of a status.
 package mesh
 
 import (
@@ -68,6 +74,9 @@ type Mesh struct {
 	// rule 4 fires only after neighbors have seen the clean status
 	// (cleanAge >= 1). Maintained by internal/block.
 	cleanAge []uint8
+	// open[id] has bit d set iff id's neighbor along d exists and is Enabled.
+	// Derived from status; written only by New and SetStatus.
+	open     []grid.DirSet
 	faulty   int
 	disabled int
 	clean    int
@@ -83,10 +92,15 @@ func New(shape *grid.Shape) *Mesh {
 		status:    make([]Status, n),
 		neighbors: make([]grid.NodeID, n*nd),
 		cleanAge:  make([]uint8, n),
+		open:      make([]grid.DirSet, n),
 	}
 	for id := 0; id < n; id++ {
 		for d := 0; d < nd; d++ {
-			m.neighbors[id*nd+d] = shape.Neighbor(grid.NodeID(id), grid.Dir(d))
+			nb := shape.Neighbor(grid.NodeID(id), grid.Dir(d))
+			m.neighbors[id*nd+d] = nb
+			if nb != grid.InvalidNode {
+				m.open[id] = m.open[id].Add(grid.Dir(d))
+			}
 		}
 	}
 	return m
@@ -118,6 +132,9 @@ func (m *Mesh) Neighbor(id grid.NodeID, d grid.Dir) grid.NodeID {
 	return m.neighbors[int(id)*m.shape.NumDirs()+int(d)]
 }
 
+// Open returns the directions along which id has an Enabled neighbor.
+func (m *Mesh) Open(id grid.NodeID) grid.DirSet { return m.open[id] }
+
 // EachNeighbor calls fn for every existing neighbor of id with its
 // direction.
 func (m *Mesh) EachNeighbor(id grid.NodeID, fn func(nb grid.NodeID, d grid.Dir)) {
@@ -129,9 +146,12 @@ func (m *Mesh) EachNeighbor(id grid.NodeID, fn func(nb grid.NodeID, d grid.Dir))
 	}
 }
 
-// SetStatus relabels a node, maintaining the aggregate counters. It is the
+// SetStatus relabels a node, maintaining the aggregate counters and, when the
+// node crosses the Enabled boundary, its neighbors' open sets. It is the
 // single mutation point used by both the fault schedule and the labeling
 // protocol.
+//
+//meshvet:noalloc
 func (m *Mesh) SetStatus(id grid.NodeID, s Status) {
 	old := m.status[id]
 	if old == s {
@@ -141,6 +161,14 @@ func (m *Mesh) SetStatus(id grid.NodeID, s Status) {
 	m.incr(s)
 	m.status[id] = s
 	m.version++
+	if (old == Enabled) != (s == Enabled) {
+		nd := m.shape.NumDirs()
+		for d, nb := range m.neighbors[int(id)*nd : (int(id)+1)*nd] {
+			if nb != grid.InvalidNode {
+				m.open[nb] ^= 1 << uint(grid.Dir(d).Opposite()) // how nb reaches id
+			}
+		}
+	}
 	if s == Clean {
 		m.cleanAge[id] = 0
 	}
@@ -270,26 +298,26 @@ func (m *Mesh) HasCleanNeighbor(id grid.NodeID) bool {
 // protocol evolution against a reference.
 func (m *Mesh) Snapshot() []Status { return append([]Status(nil), m.status...) }
 
-// Restore resets statuses from a snapshot taken on the same mesh.
+// Restore resets statuses from a snapshot taken on the same mesh. Every
+// change goes through SetStatus, so the counters, the open sets and the
+// version follow.
 func (m *Mesh) Restore(snap []Status) {
 	if len(snap) != len(m.status) {
 		panic("mesh: snapshot from a different mesh")
 	}
-	m.faulty, m.disabled, m.clean = 0, 0, 0
-	copy(m.status, snap)
-	for _, s := range m.status {
-		m.incr(s)
+	for id, s := range snap {
+		m.SetStatus(grid.NodeID(id), s)
 	}
 }
 
-// Reset returns every node to Enabled. The version counter advances (it
-// never rewinds) so caches keyed on it — e.g. the oracle router's distance
-// field — cannot survive a reset and serve stale topology.
+// Reset returns every node to Enabled, through SetStatus like any other
+// relabel. The version counter advances (it never rewinds) even when nothing
+// changed, so caches keyed on it — e.g. the oracle router's distance field —
+// cannot survive a reset and serve stale topology.
 func (m *Mesh) Reset() {
-	for i := range m.status {
-		m.status[i] = Enabled
-		m.cleanAge[i] = 0
+	for id := range m.status {
+		m.SetStatus(grid.NodeID(id), Enabled)
+		m.cleanAge[id] = 0
 	}
-	m.faulty, m.disabled, m.clean = 0, 0, 0
 	m.version++
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ndmesh/internal/grid"
+	"ndmesh/internal/rng"
 )
 
 func TestStatusStringsAndBad(t *testing.T) {
@@ -226,5 +227,61 @@ func TestVersionBumps(t *testing.T) {
 	m.FailAt(grid.Coord{1, 1})
 	if m.Version() == v0 {
 		t.Fatal("version not bumped on change")
+	}
+}
+
+// checkOpen holds every node's open set to its definition, recomputed from
+// the neighbor table and the statuses (the truth the sets are derived from).
+func checkOpen(t *testing.T, m *Mesh, when string) {
+	t.Helper()
+	for id := grid.NodeID(0); int(id) < m.NumNodes(); id++ {
+		var want grid.DirSet
+		for d := grid.Dir(0); int(d) < m.Shape().NumDirs(); d++ {
+			if nb := m.Neighbor(id, d); nb != grid.InvalidNode && m.Status(nb) == Enabled {
+				want = want.Add(d)
+			}
+		}
+		if got := m.Open(id); got != want {
+			t.Fatalf("%v %s: Open(%d) = %b, statuses say %b", m.Shape(), when, id, got, want)
+		}
+	}
+}
+
+// TestOpenSetsFollowStatus: the open sets are derived state. After every
+// operation of a random Fail / Recover / SetStatus / Restore / Reset sequence
+// on mixed-radix 2-D to 4-D meshes — border nodes included, and a radix-1
+// axis whose nodes have no neighbor along it — they equal the recomputation.
+func TestOpenSetsFollowStatus(t *testing.T) {
+	for i, dims := range [][]int{{5, 4}, {3, 4, 5}, {4, 1, 3}, {3, 2, 4, 3}} {
+		m := New(grid.MustShape(dims...))
+		checkOpen(t, m, "new")
+		r := rng.New(uint64(i) + 1)
+		snap := m.Snapshot()
+		for op := 0; op < 600; op++ {
+			id := grid.NodeID(r.Intn(m.NumNodes()))
+			var when string
+			switch k := r.Intn(40); {
+			case k < 10:
+				when = "Fail"
+				m.Fail(id)
+			case k < 18:
+				when = "Recover"
+				m.Recover(id)
+			case k < 36:
+				s := Status(r.Intn(4))
+				when = "SetStatus " + s.String()
+				m.SetStatus(id, s)
+			case k < 37:
+				when = "Snapshot"
+				snap = m.Snapshot()
+			case k < 39:
+				when = "Restore"
+				m.Restore(snap)
+			default:
+				when = "Reset"
+				m.Reset()
+			}
+			checkOpen(t, m, when)
+		}
 	}
 }

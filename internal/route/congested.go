@@ -109,22 +109,16 @@ func (c Congested) Decide(ctx *Context, msg *Message) Decision {
 	if ctx.Load == nil || (!c.Cfg.Eager && !msg.Stalled()) {
 		return Limited{}.Decide(ctx, msg)
 	}
-	cl := classify(ctx, msg, recordsAt(ctx, msg.Cur))
-	if cl == nil {
-		return backtrackOrFail(msg)
-	}
+	recs := recordsAt(ctx, msg.Cur)
+	preferred, demoted, spares := classify(ctx, msg, recs)
 	cfg := c.Cfg.norm()
-	if len(cl.preferred) > 0 {
-		base := pickPreferred(ctx, cl.preferred, cl.uc, cl.dc)
-		return Decision{Move: true, Dir: lightest(ctx, cfg, msg.Cur, cl.preferred, base)}
-	}
-	if len(cl.spares) > 0 {
-		base := pickSpare(cl.spares, ctx.Store, cl.recs, cl.uc)
-		return Decision{Move: true, Dir: lightest(ctx, cfg, msg.Cur, cl.spares, base)}
-	}
-	if len(cl.demoted) > 0 {
-		base := pickPreferred(ctx, cl.demoted, cl.uc, cl.dc)
-		return Decision{Move: true, Dir: lightest(ctx, cfg, msg.Cur, cl.demoted, base)}
+	switch {
+	case preferred != 0:
+		return Decision{Move: true, Dir: lightest(ctx, cfg, msg.Cur, preferred, pickPreferred(ctx, msg, preferred))}
+	case spares != 0:
+		return Decision{Move: true, Dir: lightest(ctx, cfg, msg.Cur, spares, pickSpare(ctx, msg.Cur, spares, recs))}
+	case demoted != 0:
+		return Decision{Move: true, Dir: lightest(ctx, cfg, msg.Cur, demoted, pickPreferred(ctx, msg, demoted))}
 	}
 	return backtrackOrFail(msg)
 }
@@ -145,19 +139,18 @@ func loadScore(ctx *Context, cfg CongestionConfig, u grid.NodeID, d grid.Dir) in
 
 // lightest breaks the tie among one priority class: it keeps the baseline
 // (Limited's) pick unless some alternative's load score undercuts it by at
-// least cfg.Margin. dirs is in ascending direction order (classify
-// builds it that way), so strict improvement suffices for the
-// lowest-index-wins determinism among equally light alternatives.
-func lightest(ctx *Context, cfg CongestionConfig, u grid.NodeID, dirs []grid.Dir, base grid.Dir) grid.Dir {
-	if len(dirs) == 1 {
+// least cfg.Margin. The set is walked in ascending direction order, so
+// strict improvement suffices for the lowest-index-wins determinism among
+// equally light alternatives.
+func lightest(ctx *Context, cfg CongestionConfig, u grid.NodeID, dirs grid.DirSet, base grid.Dir) grid.Dir {
+	others := dirs.Remove(base)
+	if others == 0 {
 		return base
 	}
 	baseScore := loadScore(ctx, cfg, u, base)
 	best, bestScore := base, baseScore
-	for _, d := range dirs {
-		if d == base {
-			continue
-		}
+	for r := others; r != 0; r &= r - 1 {
+		d := r.First()
 		if s := loadScore(ctx, cfg, u, d); s < bestScore {
 			best, bestScore = d, s
 		}

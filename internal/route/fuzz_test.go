@@ -45,6 +45,8 @@ func fuzzRouters() []Router {
 // gated) a pseudo-random contention gate, validating every decision before
 // it is applied:
 //
+//   - the decision must equal the reference per-direction Algorithm 3
+//     (reference_test.go): same class, same tie-break, same direction;
 //   - a Move decision must name an on-mesh direction not yet used at the
 //     current node (illegal directions and used-direction revisits are the
 //     two corruption modes of Algorithm 3's header discipline);
@@ -112,6 +114,9 @@ func FuzzRouterDecision(f *testing.F) {
 			var d Decision
 			if msg.Cur != msg.Dst {
 				d = rt.Decide(ctx, msg)
+				if want := referenceDecision(rt, ctx, msg); d != want {
+					t.Fatalf("%s: at node %d (used %b, incoming %v): decided %+v, reference %+v", rt.Name(), msg.Cur, msg.used, msg.Incoming, d, want)
+				}
 				switch {
 				case d.Move:
 					if d.Dir < 0 || int(d.Dir) >= shape.NumDirs() {

@@ -26,14 +26,14 @@
 //
 // Contracts: Decide never mutates the message — Advance/AdvanceGated
 // commit a Decision to the header, so a stalled message re-decides against
-// fresh state. Routers are stateless per decision; all scratch lives in the
-// caller-owned Context (fixed-size direction lists and the candidate
-// partition that aliases them), valid only during the current Decide call,
-// so a zero Context is ready to use, one Context serves any number of
-// messages in turn (the engine owns one), and a decision allocates nothing.
-// Coordinates are views into the shape's table (grid.Shape.CoordView): no
-// path decodes an id. The one exception to statelessness is Oracle's cached
-// distance field.
+// fresh state. Routers are stateless per decision and a Context holds no
+// scratch: one-hop sensing is one word, the mesh's open set (mesh.Mesh.Open:
+// the directions with an Enabled neighbor), so Algorithm 3's candidate
+// classes are three DirSets computed by mask arithmetic and passed by value
+// (see classify), and a decision allocates nothing. Coordinates are views
+// into the shape's table (grid.Shape.CoordView): no path decodes an id. The
+// one exception to statelessness is Oracle's distance field, cached against
+// the mesh version.
 //
 // The header (Message) is laid out for the step loop: the fields a stalled
 // step reads — position, terminal flags, the current node's used-direction
@@ -44,6 +44,7 @@ package route
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ndmesh/internal/boundary"
 	"ndmesh/internal/grid"
@@ -87,12 +88,6 @@ type Context struct {
 	Store  *info.Store
 	Load   LoadView
 	Policy Policy
-
-	// cl is the candidate partition of the current Decide call and dirs the
-	// storage its three direction lists alias (a mesh has at most 32
-	// directions). Scratch only: nothing in it outlives the call.
-	cl   classified
-	dirs [3][32]grid.Dir
 }
 
 // Decision is the outcome of one routing decision.
@@ -194,6 +189,20 @@ func NewMessage(src, dst grid.NodeID) *Message {
 func (msg *Message) Reset(src, dst grid.NodeID) {
 	*msg = Message{Src: src, Dst: dst, Cur: src, Incoming: grid.InvalidDir, slot: -1,
 		path: msg.path[:0], visited: msg.visited[:0]}
+}
+
+// maxReserve bounds Reserve, so a flight on a very large mesh does not pin
+// kilobytes it will rarely use.
+const maxReserve = 64
+
+// Reserve sizes the path stack and the used-direction table for a flight on
+// the given shape — the power of two at or above its diameter, where growth
+// by doubling would leave them anyway — so a fresh header does not regrow
+// hop by hop inside the step. A walk that outlasts the reserve still grows
+// by append and keeps the capacity.
+func (msg *Message) Reserve(shape *grid.Shape) {
+	n := min(maxReserve, 1<<bits.Len(uint(shape.Diameter()-1)))
+	msg.path, msg.visited = make([]hop, 0, n), make([]visit, 0, n)
 }
 
 // Stalled reports whether the message's most recent step was a contention
@@ -423,78 +432,62 @@ func (Limited) Decide(ctx *Context, msg *Message) Decision {
 //
 //meshvet:noalloc
 func algorithm3(ctx *Context, msg *Message, recs []info.Record) Decision {
-	cl := classify(ctx, msg, recs)
-	if cl == nil {
-		return backtrackOrFail(msg)
-	}
-	if len(cl.preferred) > 0 {
-		return Decision{Move: true, Dir: pickPreferred(ctx, cl.preferred, cl.uc, cl.dc)}
-	}
-	if len(cl.spares) > 0 {
-		return Decision{Move: true, Dir: pickSpare(cl.spares, ctx.Store, cl.recs, cl.uc)}
-	}
-	if len(cl.demoted) > 0 {
-		return Decision{Move: true, Dir: pickPreferred(ctx, cl.demoted, cl.uc, cl.dc)}
+	preferred, demoted, spares := classify(ctx, msg, recs)
+	switch {
+	case preferred != 0:
+		return Decision{Move: true, Dir: pickPreferred(ctx, msg, preferred)}
+	case spares != 0:
+		return Decision{Move: true, Dir: pickSpare(ctx, msg.Cur, spares, recs)}
+	case demoted != 0:
+		return Decision{Move: true, Dir: pickPreferred(ctx, msg, demoted)}
 	}
 	return backtrackOrFail(msg)
 }
 
-// classified is the candidate partition of Algorithm 3's step 2: the
-// fault-safe unused outgoing directions split by priority class, plus the
-// coordinates and records the pick functions need. It lives in the Context
-// and is handed out by pointer (six slice headers are too much to copy per
-// decision); the direction lists alias Context.dirs, the coordinates the
-// shape's table, all valid until the next classify call.
-type classified struct {
-	preferred, demoted, spares []grid.Dir
-	uc, dc                     grid.Coord
-	recs                       []info.Record
-}
-
-// classify runs the candidate classification shared by Limited, Congested
-// and Blind: all three consider exactly the same fault-safe direction
-// classes under the records they are given (Blind has none, so nothing is
-// ever demoted and every spare ranks equal); Congested differs only in how
-// ties inside a class are broken. A nil result means the current node
-// itself is disabled/faulty (backtrack case).
+// classify runs the candidate classification of Algorithm 3's step 2, shared
+// by Limited, Congested and Blind: the fault-safe unused outgoing directions
+// split by priority class, under the records they are given (Blind has none,
+// so nothing is ever demoted and every spare ranks equal); Congested differs
+// only in how ties inside a class are broken. One-hop sensing is one word —
+// the mesh's open set — so the partition is mask arithmetic, and only a node
+// that holds records looks at its neighbors at all. A disabled/faulty current
+// node has no candidates (the backtrack case).
 //
 //meshvet:noalloc
-func classify(ctx *Context, msg *Message, recs []info.Record) *classified {
+func classify(ctx *Context, msg *Message, recs []info.Record) (preferred, demoted, spares grid.DirSet) {
 	m := ctx.M
 	u := msg.Cur
 	if m.Status(u).Bad() {
-		return nil
+		return 0, 0, 0
 	}
 	shape := m.Shape()
-	uc, dc := shape.CoordView(u), shape.CoordView(msg.Dst)
-
-	preferred, demoted, spares := ctx.dirs[0][:0], ctx.dirs[1][:0], ctx.dirs[2][:0]
-	for dv := 0; dv < shape.NumDirs(); dv++ {
-		dir := grid.Dir(dv)
-		if msg.used.Has(dir) {
-			continue
+	dc := shape.CoordView(msg.Dst)
+	var toward grid.DirSet // the directions that reduce the distance to dc
+	for a, v := range shape.CoordView(u) {
+		switch {
+		case v < dc[a]:
+			toward = toward.Add(grid.DirPlus(a))
+		case v > dc[a]:
+			toward = toward.Add(grid.DirMinus(a))
 		}
-		next := m.Neighbor(u, dir)
-		if next == grid.InvalidNode || m.Status(next) != mesh.Enabled {
-			continue
-		}
-		if isPreferred(uc, dc, dir) {
-			if demotedByRecords(ctx.Store, recs, shape.CoordView(next), dc) {
-				demoted = append(demoted, dir)
-			} else {
-				preferred = append(preferred, dir)
-			}
-			continue
-		}
-		if msg.Incoming != grid.InvalidDir && dir == msg.Incoming.Opposite() {
-			continue // going back is the lowest priority: the backtrack case
-		}
-		spares = append(spares, dir)
 	}
-	cl := &ctx.cl
-	cl.preferred, cl.demoted, cl.spares = preferred, demoted, spares
-	cl.uc, cl.dc, cl.recs = uc, dc, recs
-	return cl
+	cand := m.Open(u) &^ msg.used
+	preferred = cand & toward
+	spares = cand &^ toward
+	if msg.Incoming != grid.InvalidDir {
+		// Going back is the lowest priority: the backtrack case.
+		spares = spares.Remove(msg.Incoming.Opposite())
+	}
+	if len(recs) > 0 {
+		for r := preferred; r != 0; r &= r - 1 {
+			d := r.First()
+			if demotedByRecords(ctx.Store, recs, shape.CoordView(m.Neighbor(u, d)), dc) {
+				demoted = demoted.Add(d)
+			}
+		}
+		preferred &^= demoted
+	}
+	return preferred, demoted, spares
 }
 
 func backtrackOrFail(msg *Message) Decision {
@@ -534,64 +527,51 @@ func demotedByRecords(store *info.Store, recs []info.Record, wc, dc grid.Coord) 
 	return false
 }
 
-// pickPreferred selects among preferred directions by policy.
-func pickPreferred(ctx *Context, dirs []grid.Dir, uc, dc grid.Coord) grid.Dir {
+// pickPreferred selects among preferred directions by policy; ties go to
+// the lowest direction.
+func pickPreferred(ctx *Context, msg *Message, dirs grid.DirSet) grid.Dir {
+	best := dirs.First()
 	if ctx.Policy == LargestOffset {
-		best := dirs[0]
+		shape := ctx.M.Shape()
+		uc, dc := shape.CoordView(msg.Cur), shape.CoordView(msg.Dst)
 		bestOff := -1
-		for _, d := range dirs {
-			off := abs(dc[d.Axis()] - uc[d.Axis()])
-			if off > bestOff {
+		for r := dirs; r != 0; r &= r - 1 {
+			d := r.First()
+			if off := abs(dc[d.Axis()] - uc[d.Axis()]); off > bestOff {
 				best, bestOff = d, off
 			}
 		}
-		return best
 	}
-	return lowest(dirs)
+	return best
 }
 
 // pickSpare selects a spare direction "along with the block": among the
 // axes where the current node sits inside a recorded block's span, prefer
 // the direction with the shortest run to exit the span (the fastest way
-// around the block); axes outside any span rank last and fall back to the
-// policy order.
-func pickSpare(dirs []grid.Dir, store *info.Store, recs []info.Record, uc grid.Coord) grid.Dir {
+// around the block); axes outside any span rank last, and ties go to the
+// lowest direction.
+func pickSpare(ctx *Context, u grid.NodeID, dirs grid.DirSet, recs []info.Record) grid.Dir {
 	const inf = int(^uint(0) >> 1)
-	best := dirs[0]
-	bestRank := inf
-	for _, d := range dirs {
-		rank := inf
+	best, bestRank := dirs.First(), inf
+	if len(recs) == 0 {
+		return best
+	}
+	uc := ctx.M.Shape().CoordView(u)
+	for r := dirs; r != 0; r &= r - 1 {
+		d := r.First()
 		a := d.Axis()
-		for _, r := range recs {
-			box := store.Box(r.Block)
+		for _, rec := range recs {
+			box := ctx.Store.Box(rec.Block)
 			if !box.ContainsOn(a, uc[a]) {
 				continue
 			}
-			var run int
+			run := uc[a] - (box.Lo[a] - 1)
 			if d.Positive() {
 				run = box.Hi[a] + 1 - uc[a]
-			} else {
-				run = uc[a] - (box.Lo[a] - 1)
 			}
-			if run < rank {
-				rank = run
+			if run < bestRank {
+				best, bestRank = d, run
 			}
-		}
-		if rank < bestRank || (rank == bestRank && d < best) {
-			best, bestRank = d, rank
-		}
-	}
-	if bestRank < inf {
-		return best
-	}
-	return lowest(dirs)
-}
-
-func lowest(dirs []grid.Dir) grid.Dir {
-	best := dirs[0]
-	for _, d := range dirs[1:] {
-		if d < best {
-			best = d
 		}
 	}
 	return best
@@ -657,13 +637,9 @@ func (o *Oracle) Decide(ctx *Context, msg *Message) Decision {
 	}
 	bestDir := grid.InvalidDir
 	var bestDist int32 = du
-	for dv := 0; dv < m.Shape().NumDirs(); dv++ {
-		dir := grid.Dir(dv)
-		nb := m.Neighbor(msg.Cur, dir)
-		if nb == grid.InvalidNode || m.Status(nb) != mesh.Enabled {
-			continue
-		}
-		if dn := o.dist[nb]; dn != unreachableDist && dn < bestDist {
+	for r := m.Open(msg.Cur); r != 0; r &= r - 1 {
+		dir := r.First()
+		if dn := o.dist[m.Neighbor(msg.Cur, dir)]; dn != unreachableDist && dn < bestDist {
 			bestDist, bestDir = dn, dir
 		}
 	}
@@ -736,8 +712,7 @@ func (DOR) Decide(ctx *Context, msg *Message) Decision {
 		if uc[a] > dc[a] {
 			dir = grid.DirMinus(a)
 		}
-		next := m.Neighbor(msg.Cur, dir)
-		if next == grid.InvalidNode || m.Status(next) != mesh.Enabled {
+		if !m.Open(msg.Cur).Has(dir) {
 			return Decision{Fail: true}
 		}
 		return Decision{Move: true, Dir: dir}

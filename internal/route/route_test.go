@@ -265,6 +265,31 @@ func TestOracleOptimal(t *testing.T) {
 	}
 }
 
+// TestRestoreInvalidatesOracle: the oracle's distance field is cached against
+// the mesh version, so a Restore — which rewrites every status — must advance
+// it: one Oracle routes around a wall, the wall is restored away, and the
+// next message to the same destination must take the straight path.
+func TestRestoreInvalidatesOracle(t *testing.T) {
+	ctx, m := env(t, []int{7, 7}, nil)
+	faultFree := m.Snapshot()
+	for x := 0; x < 6; x++ {
+		m.FailAt(grid.Coord{x, 3})
+	}
+	src, dst := m.Shape().Index(grid.Coord{0, 0}), m.Shape().Index(grid.Coord{0, 6})
+	o := &Oracle{}
+	msg := NewMessage(src, dst)
+	runToEnd(t, ctx, o, msg)
+	if !msg.Arrived || msg.Hops != 18 {
+		t.Fatalf("around the wall: %v, want arrival in 18 hops", msg)
+	}
+	m.Restore(faultFree)
+	msg = NewMessage(src, dst)
+	runToEnd(t, ctx, o, msg)
+	if !msg.Arrived || msg.Hops != 6 {
+		t.Fatalf("after Restore: %v, want arrival in 6 hops (a stale distance field still walks around the wall)", msg)
+	}
+}
+
 // TestDORFailsOnBlock: dimension-order gives up at the first bad hop.
 func TestDORFailsOnBlock(t *testing.T) {
 	ctx, m := env(t, []int{10, 10}, []grid.Coord{{5, 2}})
