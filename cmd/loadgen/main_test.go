@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,8 @@ import (
 	"ndmesh/internal/cliutil"
 	"ndmesh/internal/probe"
 )
+
+var updateFixtures = flag.Bool("update-fixtures", false, "rewrite testdata/ from this tree")
 
 // loadgen runs the CLI in-process and returns its stdout.
 func loadgen(t *testing.T, args ...string) string {
@@ -222,6 +225,48 @@ func TestManifestRecordsNoWorkers(t *testing.T) {
 		}
 		if _, ok := m.Config["Workers"]; ok {
 			t.Errorf("%s: manifest config records a Workers value", name)
+		}
+	}
+}
+
+// TestManifestConfigGolden pins, byte for byte, the config object a probed
+// sweep embeds in its manifest: the options value the run took, hooks
+// omitted. One open-loop and one closed-loop invocation, each exercising
+// every flag that reaches an option field.
+func TestManifestConfigGolden(t *testing.T) {
+	for name, load := range map[string][]string{
+		"open_loop":   {"-rates", "0.2", "-process", "poisson"},
+		"closed_loop": {"-windows", "2"},
+	} {
+		ts := filepath.Join(t.TempDir(), "ts.csv")
+		loadgen(t, append(load, "-dims", "4x4", "-routers", "congested", "-patterns", "transpose", "-lambda", "2",
+			"-warmup", "8", "-measure", "24", "-drain", "24", "-link-rate", "2", "-capacity", "4",
+			"-margin", "2", "-node-weight", "3", "-link-weight", "4",
+			"-timeout", "12", "-retry-backoff", "3", "-bubble", "-gridlock-window", "6",
+			"-fault-rate", "0.01", "-fault-model", "weibull", "-fault-shape", "1.25", "-fault-start", "5",
+			"-repair", "40", "-clustered", "-probe-every", "2", "-workers", "3", "-timeseries", ts)...)
+		data, err := os.ReadFile(ts + ".manifest.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m struct {
+			Config json.RawMessage `json:"config"`
+		}
+		if err := json.Unmarshal(data, &m); err != nil {
+			t.Fatal(err)
+		}
+		golden := filepath.Join("testdata", "manifest_config_"+name+".json")
+		if *updateFixtures {
+			if err := os.WriteFile(golden, append(m.Config, '\n'), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := append(m.Config, '\n'); !bytes.Equal(got, want) {
+			t.Errorf("%s: manifest config moved\n got: %s\nwant: %s", name, got, want)
 		}
 	}
 }
