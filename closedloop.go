@@ -20,68 +20,13 @@ package ndmesh
 import (
 	"fmt"
 
-	"ndmesh/internal/engine"
-	"ndmesh/internal/grid"
 	"ndmesh/internal/rng"
-	"ndmesh/internal/route"
 )
 
-// ClosedLoopOptions configures the E21 grid: the cross product of
-// Patterns x Windows x Routers, each cell one closed-loop load run.
-type ClosedLoopOptions struct {
-	// Dims is the mesh shape; Lambda the information rounds per step.
-	Dims   []int
-	Lambda int
-	// Routers, Patterns and Windows span the sweep grid; Windows is the
-	// per-node outstanding-request bound (the closed loop's load knob).
-	Routers  []string
-	Patterns []string
-	Windows  []int
-	// Warmup/Measure/Drain are the phase lengths in steps.
-	Warmup, Measure, Drain int
-	// LinkRate is the per-directed-link service rate; NodeCapacity the
-	// per-node input-queue depth (0 = unbounded). A finite capacity
-	// exercises the closed loop's defer-and-retry path.
-	LinkRate, NodeCapacity int
-	// Congestion tunes the "congested" router's tie-breaking.
-	Congestion route.CongestionConfig
-	// FlightTimeout/RetryBackoff/Bubble/GridlockWindow configure the
-	// deadlock-escape mechanisms (see SaturationOptions): with a finite
-	// NodeCapacity and windows past the buffer budget they are what keeps
-	// the closed loop from gridlocking permanently.
-	FlightTimeout, RetryBackoff int
-	Bubble                      bool
-	GridlockWindow              int
-	// Faults > 0 overlays a fixed-count fault schedule on every run;
-	// FaultRate > 0 a stochastic fault process instead. See the
-	// SaturationOptions fields of the same names.
-	Faults, FaultInterval int
-	Clustered             bool
-	FaultStart            int
-	FaultRate             float64
-	FaultModel            string
-	FaultShape            float64
-	FaultRepair           float64
-	// Shards is ignored; kept only because bench/batch.go assigns it.
-	Shards int
-	// Probe/ProbeEvery attach a per-step census probe (see the
-	// SaturationOptions fields of the same names); a probed sweep must be
-	// a single cell.
-	// Probe and Progress carry json:"-" like the SaturationOptions fields
-	// of the same names (manifest embedding).
-	Probe      engine.Probe `json:"-"`
-	ProbeEvery int
-	// Progress, when non-nil, is called after every completed cell with
-	// (done, total); must be safe for concurrent use.
-	Progress func(done, total int) `json:"-"`
-	// Pool/Emit/Cancel mirror the SaturationOptions fields of the same
-	// names: a shared warm-engine reservoir, the per-completed-cell
-	// streaming hook (called with the cell index from worker goroutines),
-	// and the cooperative cancellation poll (aborts with ErrCanceled).
-	Pool   *EnginePool                        `json:"-"`
-	Emit   func(index int, row ClosedLoopRow) `json:"-"`
-	Cancel func() bool                        `json:"-"`
-}
+// ClosedLoopOptions configures the E21 grid, Patterns x Windows x Routers,
+// one closed-loop load run per cell: it takes Windows and rejects Rates,
+// FaultRates, Trials, Rate and Process (a closed loop has no arrival process).
+type ClosedLoopOptions = LoadSweepOptions[ClosedLoopRow]
 
 // DefaultClosedLoop returns the standard E21 configuration: an 8x8 mesh,
 // uniform + transpose request patterns, the limited router, windows from
@@ -136,40 +81,19 @@ type ClosedLoopRow struct {
 // ClosedLoopSweepWorkers runs the E21 window-size grid (each (pattern,
 // window, router) cell is one parallel job; workers < 1 means GOMAXPROCS).
 func ClosedLoopSweepWorkers(opt ClosedLoopOptions, seed uint64, workers int) ([]ClosedLoopRow, error) {
-	if len(opt.Routers) == 0 || len(opt.Patterns) == 0 || len(opt.Windows) == 0 {
-		return nil, fmt.Errorf("ndmesh: closed-loop sweep needs at least one router, pattern and window")
+	// One job per (pattern, window, router) cell, pattern-major — the order
+	// the rows are reported in and the order the job streams are split in.
+	jobs, shape, err := opt.sweepGrid("closed-loop", "window", len(opt.Windows), "Rates", "FaultRates", "Trials", "Rate", "Process")
+	if err != nil {
+		return nil, err
 	}
 	for _, w := range opt.Windows {
 		if w < 1 {
 			return nil, fmt.Errorf("ndmesh: closed-loop window %d must be >= 1", w)
 		}
 	}
-	sopt := SaturationOptions{
-		Dims: opt.Dims, Lambda: opt.Lambda,
-		Warmup: opt.Warmup, Measure: opt.Measure, Drain: opt.Drain,
-		LinkRate: opt.LinkRate, NodeCapacity: opt.NodeCapacity,
-		Congestion:    opt.Congestion,
-		FlightTimeout: opt.FlightTimeout, RetryBackoff: opt.RetryBackoff,
-		Bubble: opt.Bubble, GridlockWindow: opt.GridlockWindow,
-		Faults: opt.Faults, FaultInterval: opt.FaultInterval,
-		Clustered: opt.Clustered, FaultStart: opt.FaultStart,
-		FaultRate: opt.FaultRate, FaultModel: opt.FaultModel,
-		FaultShape: opt.FaultShape, FaultRepair: opt.FaultRepair,
-		Probe: opt.Probe, ProbeEvery: opt.ProbeEvery,
-		Cancel: opt.Cancel,
-	}
-	if err := validateLoadShape(&sopt); err != nil {
+	if err := opt.validateLoadShape(); err != nil {
 		return nil, err
-	}
-	shape, err := grid.NewShape(opt.Dims...)
-	if err != nil {
-		return nil, err
-	}
-	// One job per (pattern, window, router) cell, pattern-major — the order
-	// the rows are reported in and the order the job streams are split in.
-	jobs := len(opt.Patterns) * len(opt.Windows) * len(opt.Routers)
-	if opt.Probe != nil && jobs > 1 {
-		return nil, fmt.Errorf("ndmesh: a probed sweep must be a single cell (got %d); probes are stateful accumulators and parallel cells would interleave their censuses", jobs)
 	}
 	return runGrid(fanOut{workers: workers, pool: opt.Pool, cancel: opt.Cancel, progress: opt.Progress}, seed, jobs,
 		func(p *simPool, j int, r *rng.Source) (ClosedLoopRow, error) {
@@ -177,7 +101,7 @@ func ClosedLoopSweepWorkers(opt ClosedLoopOptions, seed uint64, workers int) ([]
 			wi := j / len(opt.Routers) % len(opt.Windows)
 			ki := j % len(opt.Routers)
 			window := opt.Windows[wi]
-			pt, err := p.loadPoint(sopt, workload{pattern: opt.Patterns[pi], window: window}, opt.Routers[ki], r)
+			pt, err := opt.loadPoint(p, workload{pattern: opt.Patterns[pi], window: window}, opt.Routers[ki], r)
 			if err != nil {
 				return ClosedLoopRow{}, err
 			}

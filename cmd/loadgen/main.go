@@ -63,96 +63,143 @@ func main() {
 	}
 }
 
+// flags is the parsed command line, plus what run resolves from it before
+// it picks a workload.
+type flags struct {
+	dimsFlag, routersFlag, patternsFlag, ratesFlag, windowsFlag string
+	process, congPreset, faultModel, traceRecord, traceReplay   string
+	lambda, warmup, measure, drain, linkRate, capacity          int
+	margin, nodeWeight, linkWeight                              int
+	timeout, retryBackoff, gridlockWin                          int
+	faults, interval, faultStart, workers                       int
+	bubble, clustered, csv, progressFlag                        bool
+	faultRate, faultShape, repair                               float64
+	seed                                                        uint64
+	probe                                                       probeFlags
+
+	dims              []int
+	routers, patterns []string
+	congestion        route.CongestionConfig
+	progress          func(done, total int)
+}
+
+// sweep runs one load sweep under the telemetry flags. It is the one place
+// the flags become sweep options: everything the open- and closed-loop
+// sweeps share is set here, axis sets the sweep's own axis (n entries long)
+// and run is its library entry point.
+func sweep[Row any](f *flags, what string, n int, axis func(*ndmesh.LoadSweepOptions[Row]),
+	run func(ndmesh.LoadSweepOptions[Row], uint64, int) ([]Row, error)) ([]Row, error) {
+	if err := requireSingleRun(f.probe, what, len(f.routers)*len(f.patterns)*n); err != nil {
+		return nil, err
+	}
+	opt := ndmesh.LoadSweepOptions[Row]{
+		Dims: f.dims, Lambda: f.lambda,
+		Routers: f.routers, Patterns: f.patterns,
+		Warmup: f.warmup, Measure: f.measure, Drain: f.drain,
+		LinkRate: f.linkRate, NodeCapacity: f.capacity,
+		Congestion:    f.congestion,
+		FlightTimeout: f.timeout, RetryBackoff: f.retryBackoff,
+		Bubble: f.bubble, GridlockWindow: f.gridlockWin,
+		Faults: f.faults, FaultInterval: f.interval, Clustered: f.clustered,
+		FaultStart: f.faultStart, FaultRate: f.faultRate, FaultModel: f.faultModel,
+		FaultShape: f.faultShape, FaultRepair: f.repair,
+		Progress: f.progress,
+	}
+	axis(&opt)
+	var rows []Row
+	err := probed(f.probe, f.dims, f.warmup+f.measure+f.drain, f.seed, func(p engine.Probe, every int) (cfg any, err error) {
+		opt.Probe, opt.ProbeEvery = p, every
+		rows, err = run(opt, f.seed, f.workers)
+		return opt, err
+	})
+	return rows, err
+}
+
 // run is the whole command behind main: it parses args, executes the
 // selected workload and prints its table to stdout (flag errors and usage
 // go to stderr), so main_test.go drives the CLI in-process.
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		dimsFlag     = fs.String("dims", "8x8", "mesh dimensions, e.g. 8x8 or 6x6x6")
-		routersFlag  = fs.String("routers", "limited", "comma-separated routers: limited | congested | oracle | blind | dor")
-		patternsFlag = fs.String("patterns", "uniform", "comma-separated patterns: uniform | transpose | complement | bitrev | hotspot | neighbor")
-		ratesFlag    = fs.String("rates", "0.1", "comma-separated injection rates (messages/node/step)")
-		windowsFlag  = fs.String("windows", "", "comma-separated closed-loop windows (outstanding requests/node); selects the closed-loop workload and ignores -rates/-process")
-		process      = fs.String("process", "bernoulli", "arrival process: bernoulli | poisson | bursty")
-		lambda       = fs.Int("lambda", 1, "information rounds per step (λ)")
-		warmup       = fs.Int("warmup", 64, "warmup steps (not measured)")
-		measure      = fs.Int("measure", 256, "measurement-window steps")
-		drain        = fs.Int("drain", 256, "drain steps (no injection)")
-		linkRate     = fs.Int("link-rate", 1, "messages a directed link serves per step")
-		capacity     = fs.Int("capacity", 0, "per-node input-queue depth (0 = unbounded)")
-		margin       = fs.Int("margin", 1, "congested router: load advantage required to leave the baseline pick")
-		nodeWeight   = fs.Int("node-weight", 1, "congested router: weight of downstream node residency (0 disables the signal)")
-		linkWeight   = fs.Int("link-weight", 1, "congested router: weight of directed-link pending depth (0 disables the signal)")
-		congPreset   = fs.String("congestion", "", "congested router preset: off | mild | aggressive (overrides -margin/-node-weight/-link-weight)")
-		timeout      = fs.Int("timeout", 0, "kill any flight stalled in place this many consecutive steps (0 = off); closed-loop sources retry the request")
-		retryBackoff = fs.Int("retry-backoff", 0, "closed-loop retry backoff base delay in steps (doubles per consecutive timeout; with -timeout)")
-		bubble       = fs.Bool("bubble", false, "bubble admission: injection must leave >= 1 free input-buffer slot (needs -capacity >= 2)")
-		gridlockWin  = fs.Int("gridlock-window", 0, "declare gridlock after this many consecutive zero-progress steps (0 = no detection)")
-		faults       = fs.Int("faults", 0, "dynamic faults overlaid on the run (0 = fault-free)")
-		interval     = fs.Int("interval", 40, "steps between fault occurrences")
-		clustered    = fs.Bool("clustered", false, "grow one block instead of scattering faults")
-		faultRate    = fs.Float64("fault-rate", 0, "stochastic fault process: mean failures per step over the whole run (0 = off; mutually exclusive with -faults)")
-		faultModel   = fs.String("fault-model", "", "fault inter-arrival model: bernoulli | weibull (with -fault-rate; empty = bernoulli)")
-		faultShape   = fs.Float64("fault-shape", 0, "weibull shape for -fault-model weibull (0 = library default)")
-		faultStart   = fs.Int("fault-start", 0, "earliest step a fault may occur (0 = library default)")
-		repair       = fs.Float64("repair", 0, "mean repair delay in steps for process faults (0 = faults are permanent)")
-		seed         = fs.Uint64("seed", 1, "random seed")
-		workers      = fs.Int("workers", 0, "parallel cell workers (0 = all CPUs); results are identical for every value")
-		traceRecord  = fs.String("trace-record", "", "record the run's offered workload (single cell only) into this file")
-		traceReplay  = fs.String("trace-replay", "", "replay a recorded workload trace from this file (overrides -dims/-rates/-windows/-patterns/-faults and the phase lengths)")
-		csv          = fs.Bool("csv", false, "emit CSV instead of an aligned table")
-		timeseries   = fs.String("timeseries", "", "write the run's per-step census time series to this CSV (single run only; a .manifest.json sidecar is written alongside)")
-		heatmapOut   = fs.String("heatmap", "", "write per-node residency + per-link stall heatmap accumulators to this CSV (single run only; render with faultviz -heatmap)")
-		histOut      = fs.String("hist", "", "write the full delivered-latency distribution (log-bucketed histogram) to this CSV (single run only)")
-		probeEvery   = fs.Int("probe-every", 1, "flush the census every N steps (counters aggregate the interval, gauges sample its last step)")
-		progressFlag = fs.Bool("progress", false, "print per-cell sweep completion to stderr")
-		debugAddr    = fs.String("debug-addr", "", "serve net/http/pprof and a JSON census snapshot (/debug/census) on this address for the life of the process, e.g. :6060 (single run only)")
-	)
+	var f flags
+	fs.StringVar(&f.dimsFlag, "dims", "8x8", "mesh dimensions, e.g. 8x8 or 6x6x6")
+	fs.StringVar(&f.routersFlag, "routers", "limited", "comma-separated routers: limited | congested | oracle | blind | dor")
+	fs.StringVar(&f.patternsFlag, "patterns", "uniform", "comma-separated patterns: uniform | transpose | complement | bitrev | hotspot | neighbor")
+	fs.StringVar(&f.ratesFlag, "rates", "0.1", "comma-separated injection rates (messages/node/step)")
+	fs.StringVar(&f.windowsFlag, "windows", "", "comma-separated closed-loop windows (outstanding requests/node); selects the closed-loop workload and ignores -rates/-process")
+	fs.StringVar(&f.process, "process", "bernoulli", "arrival process: bernoulli | poisson | bursty")
+	fs.IntVar(&f.lambda, "lambda", 1, "information rounds per step (λ)")
+	fs.IntVar(&f.warmup, "warmup", 64, "warmup steps (not measured)")
+	fs.IntVar(&f.measure, "measure", 256, "measurement-window steps")
+	fs.IntVar(&f.drain, "drain", 256, "drain steps (no injection)")
+	fs.IntVar(&f.linkRate, "link-rate", 1, "messages a directed link serves per step")
+	fs.IntVar(&f.capacity, "capacity", 0, "per-node input-queue depth (0 = unbounded)")
+	fs.IntVar(&f.margin, "margin", 1, "congested router: load advantage required to leave the baseline pick")
+	fs.IntVar(&f.nodeWeight, "node-weight", 1, "congested router: weight of downstream node residency (0 disables the signal)")
+	fs.IntVar(&f.linkWeight, "link-weight", 1, "congested router: weight of directed-link pending depth (0 disables the signal)")
+	fs.StringVar(&f.congPreset, "congestion", "", "congested router preset: off | mild | aggressive (overrides -margin/-node-weight/-link-weight)")
+	fs.IntVar(&f.timeout, "timeout", 0, "kill any flight stalled in place this many consecutive steps (0 = off); closed-loop sources retry the request")
+	fs.IntVar(&f.retryBackoff, "retry-backoff", 0, "closed-loop retry backoff base delay in steps (doubles per consecutive timeout; with -timeout)")
+	fs.BoolVar(&f.bubble, "bubble", false, "bubble admission: injection must leave >= 1 free input-buffer slot (needs -capacity >= 2)")
+	fs.IntVar(&f.gridlockWin, "gridlock-window", 0, "declare gridlock after this many consecutive zero-progress steps (0 = no detection)")
+	fs.IntVar(&f.faults, "faults", 0, "dynamic faults overlaid on the run (0 = fault-free)")
+	fs.IntVar(&f.interval, "interval", 40, "steps between fault occurrences")
+	fs.BoolVar(&f.clustered, "clustered", false, "grow one block instead of scattering faults")
+	fs.Float64Var(&f.faultRate, "fault-rate", 0, "stochastic fault process: mean failures per step over the whole run (0 = off; mutually exclusive with -faults)")
+	fs.StringVar(&f.faultModel, "fault-model", "", "fault inter-arrival model: bernoulli | weibull (with -fault-rate; empty = bernoulli)")
+	fs.Float64Var(&f.faultShape, "fault-shape", 0, "weibull shape for -fault-model weibull (0 = library default)")
+	fs.IntVar(&f.faultStart, "fault-start", 0, "earliest step a fault may occur (0 = library default)")
+	fs.Float64Var(&f.repair, "repair", 0, "mean repair delay in steps for process faults (0 = faults are permanent)")
+	fs.Uint64Var(&f.seed, "seed", 1, "random seed")
+	fs.IntVar(&f.workers, "workers", 0, "parallel cell workers (0 = all CPUs); results are identical for every value")
+	fs.StringVar(&f.traceRecord, "trace-record", "", "record the run's offered workload (single cell only) into this file")
+	fs.StringVar(&f.traceReplay, "trace-replay", "", "replay a recorded workload trace from this file (overrides -dims/-rates/-windows/-patterns/-faults and the phase lengths)")
+	fs.BoolVar(&f.csv, "csv", false, "emit CSV instead of an aligned table")
+	fs.StringVar(&f.probe.timeseries, "timeseries", "", "write the run's per-step census time series to this CSV (single run only; a .manifest.json sidecar is written alongside)")
+	fs.StringVar(&f.probe.heatmap, "heatmap", "", "write per-node residency + per-link stall heatmap accumulators to this CSV (single run only; render with faultviz -heatmap)")
+	fs.StringVar(&f.probe.hist, "hist", "", "write the full delivered-latency distribution (log-bucketed histogram) to this CSV (single run only)")
+	fs.IntVar(&f.probe.every, "probe-every", 1, "flush the census every N steps (counters aggregate the interval, gauges sample its last step)")
+	fs.BoolVar(&f.progressFlag, "progress", false, "print per-cell sweep completion to stderr")
+	fs.StringVar(&f.probe.debugAddr, "debug-addr", "", "serve net/http/pprof and a JSON census snapshot (/debug/census) on this address for the life of the process, e.g. :6060 (single run only)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	dims, err := cliutil.ParseDims(*dimsFlag)
-	if err != nil {
+	var err error
+	if f.dims, err = cliutil.ParseDims(f.dimsFlag); err != nil {
 		return err
 	}
-	routers := cliutil.SplitList(*routersFlag)
-	patterns := cliutil.SplitList(*patternsFlag)
-	if len(routers) == 0 {
+	f.routers = cliutil.SplitList(f.routersFlag)
+	f.patterns = cliutil.SplitList(f.patternsFlag)
+	if len(f.routers) == 0 {
 		return errors.New("-routers needs at least one router")
 	}
-	if len(patterns) == 0 {
+	if len(f.patterns) == 0 {
 		return errors.New("-patterns needs at least one pattern")
 	}
-	pf := probeFlags{
-		timeseries: *timeseries, heatmap: *heatmapOut, hist: *histOut,
-		every: *probeEvery, debugAddr: *debugAddr,
-	}
-	progress := cliutil.Progress(*progressFlag, "loadgen")
-	congestion := route.CongestionConfig{Margin: *margin, NodeWeight: *nodeWeight, LinkWeight: *linkWeight}
-	if *congPreset != "" {
-		congestion, err = route.CongestionPresetByName(*congPreset)
-		if err != nil {
+	f.progress = cliutil.Progress(f.progressFlag, "loadgen")
+	f.congestion = route.CongestionConfig{Margin: f.margin, NodeWeight: f.nodeWeight, LinkWeight: f.linkWeight}
+	if f.congPreset != "" {
+		if f.congestion, err = route.CongestionPresetByName(f.congPreset); err != nil {
 			return err
 		}
 	}
+	dims, routers, patterns, pf := f.dims, f.routers, f.patterns, f.probe
 
 	// faultDesc summarizes the fault overlay for table titles: the fixed
 	// count, or the stochastic process when -fault-rate is set.
-	faultDesc := fmt.Sprintf("F=%d", *faults)
-	if *faultRate > 0 {
-		faultDesc = fmt.Sprintf("frate=%g(%s) repair=%g", *faultRate, func() string {
-			if *faultModel != "" {
-				return *faultModel
+	faultDesc := fmt.Sprintf("F=%d", f.faults)
+	if f.faultRate > 0 {
+		faultDesc = fmt.Sprintf("frate=%g(%s) repair=%g", f.faultRate, func() string {
+			if f.faultModel != "" {
+				return f.faultModel
 			}
 			return "bernoulli"
-		}(), *repair)
+		}(), f.repair)
 	}
 
 	emitTable := func(tab *stats.Table) {
-		if *csv {
+		if f.csv {
 			fmt.Fprint(stdout, tab.CSV())
 		} else {
 			fmt.Fprint(stdout, tab.String())
@@ -182,8 +229,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	// Trace replay: the trace is the workload; only the engine-side
 	// configuration (router, contention, λ) is taken from the flags.
-	if *traceReplay != "" {
-		data, err := os.ReadFile(*traceReplay)
+	if f.traceReplay != "" {
+		data, err := os.ReadFile(f.traceReplay)
 		if err != nil {
 			return err
 		}
@@ -199,8 +246,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 		capacityOverride := 0
 		if set["capacity"] {
-			capacityOverride = *capacity
-			if *capacity == 0 {
+			capacityOverride = f.capacity
+			if f.capacity == 0 {
 				// 0 is the flag's "unbounded" value; the library reserves
 				// zero for trace inheritance, so an explicit 0 becomes the
 				// explicit-unbounded sentinel.
@@ -209,10 +256,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		lambdaOverride, linkRateOverride := 0, 0
 		if set["lambda"] {
-			lambdaOverride = *lambda
+			lambdaOverride = f.lambda
 		}
 		if set["link-rate"] {
-			linkRateOverride = *linkRate
+			linkRateOverride = f.linkRate
 		}
 		mode := "open-loop"
 		if tr.ClosedLoop {
@@ -220,16 +267,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		linkRateEff, capacityEff := tr.LinkRate, tr.NodeCapacity
 		if set["link-rate"] {
-			linkRateEff = *linkRate
+			linkRateEff = f.linkRate
 		}
 		if set["capacity"] {
-			capacityEff = *capacity
+			capacityEff = f.capacity
 		}
 
 		// Several routers: the comparison sweep — every arm replays the
 		// identical offer stream and fault schedule, one row per router.
 		if len(routers) > 1 {
-			if *traceRecord != "" {
+			if f.traceRecord != "" {
 				return errors.New("-trace-record with -trace-replay needs exactly one -routers entry")
 			}
 			if err := requireSingleRun(pf, "replay router arms", len(routers)); err != nil {
@@ -238,17 +285,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 			ropt := ndmesh.ReplayCompareOptions{
 				Trace: tr, Routers: routers,
 				Lambda: lambdaOverride, LinkRate: linkRateOverride, NodeCapacity: capacityOverride,
-				Congestion:    congestion,
-				FlightTimeout: *timeout, RetryBackoff: *retryBackoff,
-				Bubble: *bubble, GridlockWindow: *gridlockWin,
-				Progress: progress,
+				Congestion:    f.congestion,
+				FlightTimeout: f.timeout, RetryBackoff: f.retryBackoff,
+				Bubble: f.bubble, GridlockWindow: f.gridlockWin,
+				Progress: f.progress,
 			}
-			rows, err := ndmesh.ReplayCompareSweepWorkers(ropt, *seed, *workers)
+			rows, err := ndmesh.ReplayCompareSweepWorkers(ropt, f.seed, f.workers)
 			if err != nil {
 				return err
 			}
 			title := fmt.Sprintf("trace replay comparison: %s (%v, %s, %d offers over %d steps), link-rate=%d, capacity=%d",
-				*traceReplay, tr.Dims, mode, tr.Offers(), tr.Steps(), linkRateEff, capacityEff)
+				f.traceReplay, tr.Dims, mode, tr.Offers(), tr.Steps(), linkRateEff, capacityEff)
 			tab := newPointTable(title)
 			for _, row := range rows {
 				addPointRow(tab, "trace", row.Router, row.Point)
@@ -259,20 +306,20 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 		opt := ndmesh.LoadOptions{
 			Router:     routers[0],
-			Congestion: congestion, Seed: *seed,
+			Congestion: f.congestion, Seed: f.seed,
 			Lambda: lambdaOverride, LinkRate: linkRateOverride, NodeCapacity: capacityOverride,
-			FlightTimeout: *timeout, RetryBackoff: *retryBackoff,
-			Bubble: *bubble, GridlockWindow: *gridlockWin,
+			FlightTimeout: f.timeout, RetryBackoff: f.retryBackoff,
+			Bubble: f.bubble, GridlockWindow: f.gridlockWin,
 			Replay: tr,
 		}
-		if *traceRecord != "" {
+		if f.traceRecord != "" {
 			// Re-record the replay: the offered stream and fault schedule
 			// carry over, so the written trace is a standalone equivalent
 			// of the input (useful for normalizing or re-homing traces).
 			opt.Record = &traffic.Trace{}
 		}
 		var pt traffic.LoadPoint
-		err = probed(pf, tr.Dims, tr.Warmup+tr.Measure+tr.Drain, *seed, func(p engine.Probe, every int) (cfg any, err error) {
+		err = probed(pf, tr.Dims, tr.Warmup+tr.Measure+tr.Drain, f.seed, func(p engine.Probe, every int) (cfg any, err error) {
 			opt.Probe, opt.ProbeEvery = p, every
 			pt, err = ndmesh.LoadRun(opt)
 			return opt, err
@@ -280,39 +327,39 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if *traceRecord != "" {
-			if err := os.WriteFile(*traceRecord, opt.Record.Marshal(), 0o644); err != nil {
+		if f.traceRecord != "" {
+			if err := os.WriteFile(f.traceRecord, opt.Record.Marshal(), 0o644); err != nil {
 				return err
 			}
 		}
 		title := fmt.Sprintf("trace replay: %s (%v, %s, %d offers over %d steps), link-rate=%d, capacity=%d",
-			*traceReplay, tr.Dims, mode, tr.Offers(), tr.Steps(), linkRateEff, capacityEff)
+			f.traceReplay, tr.Dims, mode, tr.Offers(), tr.Steps(), linkRateEff, capacityEff)
 		emitTable(pointTable(title, routers[0], "trace", pt))
 		return nil
 	}
 
-	windows, err := cliutil.ParseInts(*windowsFlag)
+	windows, err := cliutil.ParseInts(f.windowsFlag)
 	if err != nil {
 		return err
 	}
 
 	// Trace recording: one live cell, its offered workload captured.
-	if *traceRecord != "" {
+	if f.traceRecord != "" {
 		if len(routers) != 1 || len(patterns) != 1 {
 			return errors.New("-trace-record needs exactly one router and one pattern")
 		}
 		opt := ndmesh.LoadOptions{
-			Dims: dims, Lambda: *lambda, Router: routers[0], Pattern: patterns[0],
-			Process: *process,
-			Warmup:  *warmup, Measure: *measure, Drain: *drain,
-			LinkRate: *linkRate, NodeCapacity: *capacity,
-			Congestion:    congestion,
-			FlightTimeout: *timeout, RetryBackoff: *retryBackoff,
-			Bubble: *bubble, GridlockWindow: *gridlockWin,
-			Faults: *faults, FaultInterval: *interval, Clustered: *clustered,
-			FaultStart: *faultStart, FaultRate: *faultRate, FaultModel: *faultModel,
-			FaultShape: *faultShape, FaultRepair: *repair,
-			Seed:   *seed,
+			Dims: dims, Lambda: f.lambda, Router: routers[0], Pattern: patterns[0],
+			Process: f.process,
+			Warmup:  f.warmup, Measure: f.measure, Drain: f.drain,
+			LinkRate: f.linkRate, NodeCapacity: f.capacity,
+			Congestion:    f.congestion,
+			FlightTimeout: f.timeout, RetryBackoff: f.retryBackoff,
+			Bubble: f.bubble, GridlockWindow: f.gridlockWin,
+			Faults: f.faults, FaultInterval: f.interval, Clustered: f.clustered,
+			FaultStart: f.faultStart, FaultRate: f.faultRate, FaultModel: f.faultModel,
+			FaultShape: f.faultShape, FaultRepair: f.repair,
+			Seed:   f.seed,
 			Record: &traffic.Trace{},
 		}
 		var workload string
@@ -323,7 +370,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		case len(windows) > 1:
 			return errors.New("-trace-record needs exactly one -windows entry")
 		default:
-			rates, err := cliutil.ParseRates(*ratesFlag)
+			rates, err := cliutil.ParseRates(f.ratesFlag)
 			if err != nil {
 				return err
 			}
@@ -334,7 +381,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			workload = fmt.Sprintf("%s @%.3f", patterns[0], rates[0])
 		}
 		var pt traffic.LoadPoint
-		err = probed(pf, dims, *warmup+*measure+*drain, *seed, func(p engine.Probe, every int) (cfg any, err error) {
+		err = probed(pf, dims, f.warmup+f.measure+f.drain, f.seed, func(p engine.Probe, every int) (cfg any, err error) {
 			opt.Probe, opt.ProbeEvery = p, every
 			pt, err = ndmesh.LoadRun(opt)
 			return opt, err
@@ -342,44 +389,24 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(*traceRecord, opt.Record.Marshal(), 0o644); err != nil {
+		if err := os.WriteFile(f.traceRecord, opt.Record.Marshal(), 0o644); err != nil {
 			return err
 		}
 		title := fmt.Sprintf("trace record: %s (%s, %d offers over %d steps), link-rate=%d, capacity=%d, %s",
-			*traceRecord, *dimsFlag, opt.Record.Offers(), opt.Record.Steps(), *linkRate, *capacity, faultDesc)
+			f.traceRecord, f.dimsFlag, opt.Record.Offers(), opt.Record.Steps(), f.linkRate, f.capacity, faultDesc)
 		emitTable(pointTable(title, routers[0], workload, pt))
 		return nil
 	}
 
 	// Closed-loop sweep (E21): windows replace rates as the load knob.
 	if len(windows) > 0 {
-		if err := requireSingleRun(pf, "closed-loop cells", len(routers)*len(patterns)*len(windows)); err != nil {
-			return err
-		}
-		opt := ndmesh.ClosedLoopOptions{
-			Dims: dims, Lambda: *lambda,
-			Routers: routers, Patterns: patterns, Windows: windows,
-			Warmup: *warmup, Measure: *measure, Drain: *drain,
-			LinkRate: *linkRate, NodeCapacity: *capacity,
-			Congestion:    congestion,
-			FlightTimeout: *timeout, RetryBackoff: *retryBackoff,
-			Bubble: *bubble, GridlockWindow: *gridlockWin,
-			Faults: *faults, FaultInterval: *interval, Clustered: *clustered,
-			FaultStart: *faultStart, FaultRate: *faultRate, FaultModel: *faultModel,
-			FaultShape: *faultShape, FaultRepair: *repair,
-			Progress: progress,
-		}
-		var rows []ndmesh.ClosedLoopRow
-		err = probed(pf, dims, *warmup+*measure+*drain, *seed, func(p engine.Probe, every int) (cfg any, err error) {
-			opt.Probe, opt.ProbeEvery = p, every
-			rows, err = ndmesh.ClosedLoopSweepWorkers(opt, *seed, *workers)
-			return opt, err
-		})
+		rows, err := sweep(&f, "closed-loop cells", len(windows),
+			func(o *ndmesh.ClosedLoopOptions) { o.Windows = windows }, ndmesh.ClosedLoopSweepWorkers)
 		if err != nil {
 			return err
 		}
 		title := fmt.Sprintf("closed loop: %s, link-rate=%d, capacity=%d, %s, warmup/measure/drain=%d/%d/%d",
-			*dimsFlag, *linkRate, *capacity, faultDesc, *warmup, *measure, *drain)
+			f.dimsFlag, f.linkRate, f.capacity, faultDesc, f.warmup, f.measure, f.drain)
 		tab := stats.NewTable(title,
 			"pattern", "router", "window", "inj rate", "accepted", "delivered", "unreach", "lost", "unfin",
 			"lat mean", "p50", "p95", "p99", "max")
@@ -392,52 +419,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	rates, err := cliutil.ParseRates(*ratesFlag)
+	rates, err := cliutil.ParseRates(f.ratesFlag)
 	if err != nil {
 		return err
 	}
-	if err := requireSingleRun(pf, "open-loop cells", len(routers)*len(patterns)*len(rates)); err != nil {
-		return err
-	}
-	opt := ndmesh.SaturationOptions{
-		Dims:           dims,
-		Lambda:         *lambda,
-		Routers:        routers,
-		Patterns:       patterns,
-		Rates:          rates,
-		Process:        *process,
-		Warmup:         *warmup,
-		Measure:        *measure,
-		Drain:          *drain,
-		LinkRate:       *linkRate,
-		NodeCapacity:   *capacity,
-		Congestion:     congestion,
-		FlightTimeout:  *timeout,
-		RetryBackoff:   *retryBackoff,
-		Bubble:         *bubble,
-		GridlockWindow: *gridlockWin,
-		Faults:         *faults,
-		FaultInterval:  *interval,
-		Clustered:      *clustered,
-		FaultStart:     *faultStart,
-		FaultRate:      *faultRate,
-		FaultModel:     *faultModel,
-		FaultShape:     *faultShape,
-		FaultRepair:    *repair,
-		Progress:       progress,
-	}
-	var rows []ndmesh.SaturationRow
-	err = probed(pf, dims, *warmup+*measure+*drain, *seed, func(p engine.Probe, every int) (cfg any, err error) {
-		opt.Probe, opt.ProbeEvery = p, every
-		rows, err = ndmesh.SaturationSweepWorkers(opt, *seed, *workers)
-		return opt, err
-	})
+	rows, err := sweep(&f, "open-loop cells", len(rates),
+		func(o *ndmesh.SaturationOptions) { o.Rates, o.Process = rates, f.process }, ndmesh.SaturationSweepWorkers)
 	if err != nil {
 		return err
 	}
 
 	title := fmt.Sprintf("saturation: %s, process=%s, link-rate=%d, capacity=%d, %s, warmup/measure/drain=%d/%d/%d",
-		*dimsFlag, *process, *linkRate, *capacity, faultDesc, *warmup, *measure, *drain)
+		f.dimsFlag, f.process, f.linkRate, f.capacity, faultDesc, f.warmup, f.measure, f.drain)
 	// The column set and formatting live in cliutil so meshd's streamed CSV
 	// is byte-identical to -csv output here (the CI smoke job diffs them).
 	emitTable(cliutil.OpenLoopTable(title, rows))

@@ -131,9 +131,9 @@ func (t *telemetry) writeOutputs(config any) error {
 // probed runs one telemetry-capable load: it builds the recorders the
 // flags ask for, hands run the probe to attach (nil and 0 when telemetry
 // is off) and, once run succeeds, writes every requested output with the
-// configuration run returns embedded in its manifest (the options
-// structs' hook, probe and trace fields carry json:"-", so they embed
-// as they are).
+// configuration run returns embedded in its manifest: the options value
+// minus its hook, probe, pool and trace fields (json:"-") and minus the
+// axis fields of another sweep (omitempty).
 func probed(pf probeFlags, dims []int, totalSteps int, seed uint64, run func(p engine.Probe, every int) (config any, err error)) error {
 	tel, err := newTelemetry(pf, dims, totalSteps, seed)
 	if err != nil {

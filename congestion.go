@@ -44,7 +44,7 @@ type CongestionShiftOptions struct {
 	Clustered             bool
 	// Progress, when non-nil, is called after every completed cell with
 	// (done, total); must be safe for concurrent use.
-	Progress func(done, total int)
+	Progress func(done, total int) `json:"-"`
 }
 
 // DefaultCongestionShift returns the standard E20 configuration: an 8x8
@@ -117,7 +117,7 @@ func CongestionShiftSweepWorkers(opt CongestionShiftOptions, seed uint64, worker
 		Faults:     opt.Faults, FaultInterval: opt.FaultInterval,
 		Clustered: opt.Clustered,
 	}
-	if err := validateSaturation(&sopt); err != nil {
+	if err := sopt.validateSaturation(); err != nil {
 		return nil, nil, err
 	}
 	shape, err := grid.NewShape(opt.Dims...)
@@ -135,7 +135,7 @@ func CongestionShiftSweepWorkers(opt CongestionShiftOptions, seed uint64, worker
 			row := CongestionShiftRow{Dims: shape.String(), Pattern: pattern, OfferedRate: rate}
 			for _, router := range sopt.Routers {
 				stream := *r // identical replay for both routers
-				pt, err := p.loadPoint(sopt, workload{pattern: pattern, rate: rate}, router, &stream)
+				pt, err := sopt.loadPoint(p, workload{pattern: pattern, rate: rate}, router, &stream)
 				if err != nil {
 					return CongestionShiftRow{}, err
 				}

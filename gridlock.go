@@ -79,7 +79,7 @@ type GridlockOptions struct {
 	// Progress, when non-nil, is called after every completed scenario
 	// cell (all its mechanism arms) with (done, total); must be safe for
 	// concurrent use.
-	Progress func(done, total int)
+	Progress func(done, total int) `json:"-"`
 }
 
 // DefaultGridlock returns the standard E22 configuration: an 8x8 mesh,
@@ -207,7 +207,7 @@ func GridlockSweepWorkers(opt GridlockOptions, seed uint64, workers int) ([]Grid
 		GridlockWindow: opt.GridlockWindow,
 		FaultInterval:  opt.FaultInterval, Clustered: opt.Clustered,
 	}
-	if err := validateLoadShape(&base); err != nil {
+	if err := base.validateLoadShape(); err != nil {
 		return nil, err
 	}
 
@@ -234,7 +234,7 @@ func GridlockSweepWorkers(opt GridlockOptions, seed uint64, workers int) ([]Grid
 					sopt.FlightTimeout, sopt.RetryBackoff = 0, 0
 				}
 				stream := *r // identical scenario for every arm
-				pt, err := p.loadPoint(sopt, workload{pattern: pattern, window: window}, opt.Router, &stream)
+				pt, err := sopt.loadPoint(p, workload{pattern: pattern, window: window}, opt.Router, &stream)
 				if err != nil {
 					return nil, err
 				}

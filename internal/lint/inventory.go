@@ -90,6 +90,7 @@ var AllocTestCoverage = map[string][]string{
 	// The timeout-retry escape cycle and its census note.
 	"TestEscapeClosedLoopStepAllocFree": {
 		"ndmesh/internal/traffic.ClosedLoop.Timeout",
+		"ndmesh/internal/traffic.backoffDelay",
 		"ndmesh/internal/engine.Engine.NoteRetried",
 	},
 	// The probe fan-out: census flush plus every observer's fold.

@@ -68,7 +68,7 @@ func TestE2EOpenLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := spec.saturationOptions()
+	opt := sweepOptions[ndmesh.SaturationRow](spec)
 	rows, err := ndmesh.SaturationSweepWorkers(opt, spec.Seed, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestE2EOpenLoopCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := ndmesh.SaturationSweepWorkers(spec.saturationOptions(), spec.Seed, 1)
+	rows, err := ndmesh.SaturationSweepWorkers(sweepOptions[ndmesh.SaturationRow](spec), spec.Seed, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestE2EClosedLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := ndmesh.ClosedLoopSweepWorkers(spec.closedLoopOptions(), spec.Seed, 1)
+	rows, err := ndmesh.ClosedLoopSweepWorkers(sweepOptions[ndmesh.ClosedLoopRow](spec), spec.Seed, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestE2EReliability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := ndmesh.ReliabilitySweepWorkers(spec.reliabilityOptions(), spec.Seed, 1)
+	rows, err := ndmesh.ReliabilitySweepWorkers(sweepOptions[ndmesh.ReliabilityRow](spec), spec.Seed, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

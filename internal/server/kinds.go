@@ -39,10 +39,10 @@ type kind struct {
 
 // kinds is in the order the error messages list the names.
 var kinds = []kind{
-	{KindOpenLoop, true, true, openLoopAxes, func(s *Spec) int { return len(s.Patterns) * len(s.Rates) * len(s.Routers) }, runOpenLoop},
-	{KindClosedLoop, false, true, closedLoopAxes, func(s *Spec) int { return len(s.Patterns) * len(s.Windows) * len(s.Routers) }, runClosedLoop},
+	{KindOpenLoop, true, true, openLoopAxes, func(s *Spec) int { return len(s.Patterns) * len(s.Rates) * len(s.Routers) }, runSweep(ndmesh.SaturationSweepWorkers, cliutil.OpenLoopCells)},
+	{KindClosedLoop, false, true, closedLoopAxes, func(s *Spec) int { return len(s.Patterns) * len(s.Windows) * len(s.Routers) }, runSweep(ndmesh.ClosedLoopSweepWorkers, nil)},
 	{KindReplay, false, false, replayAxes, func(*Spec) int { return 1 }, runReplay},
-	{KindReliability, false, false, reliabilityAxes, func(s *Spec) int { return len(s.Patterns) * len(s.FaultRates) * len(s.Routers) }, runReliability},
+	{KindReliability, false, false, reliabilityAxes, func(s *Spec) int { return len(s.Patterns) * len(s.FaultRates) * len(s.Routers) }, runSweep(ndmesh.ReliabilitySweepWorkers, nil)},
 }
 
 // The library defaults the rows serve, read once: specs share these slices,
@@ -103,14 +103,14 @@ func defList[T any](v *[]T, d []T) {
 }
 
 // sweepDefaults validates the mesh shape and folds in what the three sweep
-// kinds share, from the calling kind's library defaults — except patterns,
+// kinds share, from the calling kind's library defaults d — except patterns,
 // served as uniform alone (the library's open- and closed-loop defaults add
 // transpose). Defaults are cache-key material: TestSpecDefaultsVsLibrary.
-func (s *Spec) sweepDefaults(dims []int, lambda int, routers []string, warmup, measure, drain, linkRate int) error {
+func sweepDefaults[Row any](s *Spec, d *ndmesh.LoadSweepOptions[Row]) error {
 	if len(s.Trace) > 0 {
 		return fmt.Errorf("only replay specs carry a trace")
 	}
-	defList(&s.Dims, dims)
+	defList(&s.Dims, d.Dims)
 	if len(s.Dims) > maxDims {
 		return fmt.Errorf("mesh has %d dimensions (max %d)", len(s.Dims), maxDims)
 	}
@@ -125,85 +125,29 @@ func (s *Spec) sweepDefaults(dims []int, lambda int, routers []string, warmup, m
 			return fmt.Errorf("mesh exceeds %d nodes", maxNodes)
 		}
 	}
-	s.Lambda = cmp.Or(s.Lambda, lambda)
+	s.Lambda = cmp.Or(s.Lambda, d.Lambda)
 	if s.Lambda < 1 || s.Lambda > 64 {
 		return fmt.Errorf("lambda %d out of range [1, 64]", s.Lambda)
 	}
-	defList(&s.Routers, routers)
+	defList(&s.Routers, d.Routers)
 	defList(&s.Patterns, uniform)
 	if s.Measure == 0 {
-		s.Warmup, s.Measure, s.Drain = warmup, measure, drain
+		s.Warmup, s.Measure, s.Drain = d.Warmup, d.Measure, d.Drain
 	}
-	s.LinkRate = cmp.Or(s.LinkRate, linkRate)
+	s.LinkRate = cmp.Or(s.LinkRate, d.LinkRate)
 	return nil
 }
 
-func openLoopAxes(s *Spec) error {
-	d := &openLoopDefaults
-	if err := s.sweepDefaults(d.Dims, d.Lambda, d.Routers, d.Warmup, d.Measure, d.Drain, d.LinkRate); err != nil {
-		return err
-	}
-	if len(s.Windows) > 0 || len(s.FaultRates) > 0 || s.Trials != 0 {
-		return fmt.Errorf("open-loop specs take rates, not windows/fault_rates/trials")
-	}
-	defList(&s.Rates, d.Rates)
-	s.Process = cmp.Or(s.Process, d.Process)
-	return nil
-}
-
-// saturationOptions is the open-loop option literal; run wires the hooks.
-func (s *Spec) saturationOptions() ndmesh.SaturationOptions {
-	return ndmesh.SaturationOptions{
+// sweepOptions is the one Spec -> options conversion, shared by the three
+// sweep kinds: every Spec field with an options field of the same name is
+// carried over. The kind's axes left what is foreign to it zero, which is
+// what the library's entry point demands.
+func sweepOptions[Row any](s *Spec) ndmesh.LoadSweepOptions[Row] {
+	return ndmesh.LoadSweepOptions[Row]{
 		Dims: s.Dims, Lambda: s.Lambda,
-		Routers: s.Routers, Patterns: s.Patterns, Rates: s.Rates,
-		Process: s.Process,
-		Warmup:  s.Warmup, Measure: s.Measure, Drain: s.Drain,
-		LinkRate: s.LinkRate, NodeCapacity: s.NodeCapacity,
-		FlightTimeout: s.FlightTimeout, RetryBackoff: s.RetryBackoff,
-		Bubble: s.Bubble, GridlockWindow: s.GridlockWindow,
-		Faults: s.Faults, FaultInterval: s.FaultInterval,
-		Clustered: s.Clustered, FaultStart: s.FaultStart,
-		FaultRate: s.FaultRate, FaultModel: s.FaultModel,
-		FaultShape: s.FaultShape, FaultRepair: s.FaultRepair,
-	}
-}
-
-func runOpenLoop(s *Spec, e env) error {
-	encode := encodeNDJSON[ndmesh.SaturationRow]
-	if e.csv {
-		encode = func(row ndmesh.SaturationRow) []byte {
-			return []byte(cliutil.CSVLine(cliutil.OpenLoopCells(row)))
-		}
-	}
-	opt := s.saturationOptions()
-	opt.Pool, opt.Cancel, opt.Probe = e.srv.pool, e.cancel, e.probe
-	opt.Emit = func(i int, row ndmesh.SaturationRow) { e.emit(i, encode(row)) }
-	_, err := ndmesh.SaturationSweepWorkers(opt, s.Seed, e.workers)
-	return err
-}
-
-func closedLoopAxes(s *Spec) error {
-	d := &closedLoopDefaults
-	if err := s.sweepDefaults(d.Dims, d.Lambda, d.Routers, d.Warmup, d.Measure, d.Drain, d.LinkRate); err != nil {
-		return err
-	}
-	if len(s.Rates) > 0 || len(s.FaultRates) > 0 || s.Trials != 0 || s.Process != "" {
-		return fmt.Errorf("closed-loop specs take windows, not rates/fault_rates/trials/process")
-	}
-	defList(&s.Windows, d.Windows)
-	for _, w := range s.Windows {
-		if w < 1 || w > 1<<16 {
-			return fmt.Errorf("window %d out of range [1, %d]", w, 1<<16)
-		}
-	}
-	return nil
-}
-
-// closedLoopOptions is the closed-loop option literal.
-func (s *Spec) closedLoopOptions() ndmesh.ClosedLoopOptions {
-	return ndmesh.ClosedLoopOptions{
-		Dims: s.Dims, Lambda: s.Lambda,
-		Routers: s.Routers, Patterns: s.Patterns, Windows: s.Windows,
+		Routers: s.Routers, Patterns: s.Patterns,
+		Rates: s.Rates, Windows: s.Windows, FaultRates: s.FaultRates,
+		Process: s.Process, Trials: s.Trials, Rate: s.Rate,
 		Warmup: s.Warmup, Measure: s.Measure, Drain: s.Drain,
 		LinkRate: s.LinkRate, NodeCapacity: s.NodeCapacity,
 		FlightTimeout: s.FlightTimeout, RetryBackoff: s.RetryBackoff,
@@ -215,12 +159,51 @@ func (s *Spec) closedLoopOptions() ndmesh.ClosedLoopOptions {
 	}
 }
 
-func runClosedLoop(s *Spec, e env) error {
-	opt := s.closedLoopOptions()
-	opt.Pool, opt.Cancel, opt.Probe = e.srv.pool, e.cancel, e.probe
-	opt.Emit = func(i int, row ndmesh.ClosedLoopRow) { e.emit(i, encodeNDJSON(row)) }
-	_, err := ndmesh.ClosedLoopSweepWorkers(opt, s.Seed, e.workers)
-	return err
+// runSweep is a sweep kind's run: the spec's options wired to the job's
+// env, handed to the kind's library entry point. Rows stream as NDJSON, or
+// as CSV lines of csvCells for a kind that defines the format.
+func runSweep[Row any](sweep func(ndmesh.LoadSweepOptions[Row], uint64, int) ([]Row, error), csvCells func(Row) []any) func(*Spec, env) error {
+	return func(s *Spec, e env) error {
+		encode := encodeNDJSON[Row]
+		if e.csv {
+			encode = func(row Row) []byte { return []byte(cliutil.CSVLine(csvCells(row))) }
+		}
+		opt := sweepOptions[Row](s)
+		opt.Pool, opt.Cancel, opt.Probe = e.srv.pool, e.cancel, e.probe
+		opt.Emit = func(i int, row Row) { e.emit(i, encode(row)) }
+		_, err := sweep(opt, s.Seed, e.workers)
+		return err
+	}
+}
+
+func openLoopAxes(s *Spec) error {
+	d := &openLoopDefaults
+	if err := sweepDefaults(s, d); err != nil {
+		return err
+	}
+	if len(s.Windows) > 0 || len(s.FaultRates) > 0 || s.Trials != 0 || s.Rate != 0 {
+		return fmt.Errorf("open-loop specs take rates, not windows/fault_rates/trials/rate")
+	}
+	defList(&s.Rates, d.Rates)
+	s.Process = cmp.Or(s.Process, d.Process)
+	return nil
+}
+
+func closedLoopAxes(s *Spec) error {
+	d := &closedLoopDefaults
+	if err := sweepDefaults(s, d); err != nil {
+		return err
+	}
+	if len(s.Rates) > 0 || len(s.FaultRates) > 0 || s.Trials != 0 || s.Rate != 0 || s.Process != "" {
+		return fmt.Errorf("closed-loop specs take windows, not rates/fault_rates/trials/rate/process")
+	}
+	defList(&s.Windows, d.Windows)
+	for _, w := range s.Windows {
+		if w < 1 || w > 1<<16 {
+			return fmt.Errorf("window %d out of range [1, %d]", w, 1<<16)
+		}
+	}
+	return nil
 }
 
 // replayAxes: the trace is the workload — the mesh shape, the phases and
@@ -274,11 +257,11 @@ func runReplay(s *Spec, e env) error {
 // where the library default turns them on.
 func reliabilityAxes(s *Spec) error {
 	d := &reliabilityDefaults
-	if err := s.sweepDefaults(d.Dims, d.Lambda, d.Routers, d.Warmup, d.Measure, d.Drain, d.LinkRate); err != nil {
+	if err := sweepDefaults(s, d); err != nil {
 		return err
 	}
-	if len(s.Rates) > 0 || len(s.Windows) > 0 {
-		return fmt.Errorf("reliability specs take fault_rates, not rates/windows")
+	if len(s.Rates) > 0 || len(s.Windows) > 0 || s.Faults != 0 || s.FaultRate != 0 || s.FaultInterval != 0 || s.FaultStart != 0 {
+		return fmt.Errorf("reliability specs take fault_rates, not rates/windows/faults/fault_rate/fault_interval/fault_start")
 	}
 	defList(&s.FaultRates, d.FaultRates)
 	s.Trials = cmp.Or(s.Trials, d.Trials)
@@ -286,27 +269,4 @@ func reliabilityAxes(s *Spec) error {
 	s.Process = cmp.Or(s.Process, d.Process)
 	s.FaultModel = cmp.Or(s.FaultModel, d.FaultModel)
 	return nil
-}
-
-// reliabilityOptions is the reliability option literal.
-func (s *Spec) reliabilityOptions() ndmesh.ReliabilityOptions {
-	return ndmesh.ReliabilityOptions{
-		Dims: s.Dims, Lambda: s.Lambda,
-		Routers: s.Routers, Patterns: s.Patterns, FaultRates: s.FaultRates,
-		FaultModel: s.FaultModel, FaultShape: s.FaultShape,
-		FaultRepair: s.FaultRepair, Clustered: s.Clustered,
-		Trials: s.Trials, Rate: s.Rate, Process: s.Process,
-		Warmup: s.Warmup, Measure: s.Measure, Drain: s.Drain,
-		LinkRate: s.LinkRate, NodeCapacity: s.NodeCapacity,
-		FlightTimeout: s.FlightTimeout, RetryBackoff: s.RetryBackoff,
-		Bubble: s.Bubble, GridlockWindow: s.GridlockWindow,
-	}
-}
-
-func runReliability(s *Spec, e env) error {
-	opt := s.reliabilityOptions()
-	opt.Pool, opt.Cancel = e.srv.pool, e.cancel
-	opt.Emit = func(i int, row ndmesh.ReliabilityRow) { e.emit(i, encodeNDJSON(row)) }
-	_, err := ndmesh.ReliabilitySweepWorkers(opt, s.Seed, e.workers)
-	return err
 }

@@ -240,7 +240,7 @@ func TestJobStateTransitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, runErr := ndmesh.SaturationSweepWorkers(failSpec.saturationOptions(), failSpec.Seed, 1)
+	_, runErr := ndmesh.SaturationSweepWorkers(sweepOptions[ndmesh.SaturationRow](failSpec), failSpec.Seed, 1)
 	if runErr == nil {
 		t.Fatal("the failing spec runs")
 	}

@@ -63,7 +63,7 @@ type Spec struct {
 	Measure int `json:"measure,omitempty"`
 	Drain   int `json:"drain,omitempty"`
 
-	// Engine-side configuration; see ndmesh.SaturationOptions.
+	// Engine-side configuration; see ndmesh.LoadSweepOptions.
 	LinkRate       int     `json:"link_rate,omitempty"`
 	NodeCapacity   int     `json:"node_capacity,omitempty"`
 	FlightTimeout  int     `json:"flight_timeout,omitempty"`

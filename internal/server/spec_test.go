@@ -64,6 +64,21 @@ func TestParseSpecRejections(t *testing.T) {
 		"probe-reliability": `{"kind":"reliability","probe":true}`,
 		"bad-lambda":        `{"kind":"open-loop","lambda":1000}`,
 		"workers-over":      `{"kind":"open-loop","workers":1000}`,
+		// The rest of what the library's entry points call foreign (the
+		// ndmesh.*Options alias docs) is refused here first.
+		"fault-rates-open-loop":      `{"kind":"open-loop","fault_rates":[0.01]}`,
+		"trials-open-loop":           `{"kind":"open-loop","trials":2}`,
+		"rate-open-loop":             `{"kind":"open-loop","rate":0.1}`,
+		"fault-rates-closed-loop":    `{"kind":"closed-loop","fault_rates":[0.01]}`,
+		"trials-closed-loop":         `{"kind":"closed-loop","trials":2}`,
+		"rate-closed-loop":           `{"kind":"closed-loop","rate":0.1}`,
+		"process-closed-loop":        `{"kind":"closed-loop","process":"poisson"}`,
+		"rates-reliability":          `{"kind":"reliability","rates":[0.1]}`,
+		"windows-reliability":        `{"kind":"reliability","windows":[4]}`,
+		"faults-reliability":         `{"kind":"reliability","faults":2}`,
+		"fault-rate-reliability":     `{"kind":"reliability","fault_rate":0.01}`,
+		"fault-interval-reliability": `{"kind":"reliability","fault_interval":20}`,
+		"fault-start-reliability":    `{"kind":"reliability","fault_start":5}`,
 	} {
 		t.Run(name, func(t *testing.T) {
 			if _, err := ParseSpec([]byte(body)); err == nil {
@@ -251,7 +266,7 @@ func TestSpecDefaultsVsLibrary(t *testing.T) {
 			t.Error("library default patterns became uniform alone; drop it from the differs-on-purpose list")
 		}
 		want.Patterns = uniform
-		if got := bare(KindOpenLoop).saturationOptions(); !reflect.DeepEqual(got, want) {
+		if got := sweepOptions[ndmesh.SaturationRow](bare(KindOpenLoop)); !reflect.DeepEqual(got, want) {
 			t.Errorf("served open-loop defaults drifted from DefaultSaturation (patterns aside):\n got %+v\nwant %+v", got, want)
 		}
 	})
@@ -261,7 +276,7 @@ func TestSpecDefaultsVsLibrary(t *testing.T) {
 			t.Error("library default patterns became uniform alone; drop it from the differs-on-purpose list")
 		}
 		want.Patterns = uniform
-		if got := bare(KindClosedLoop).closedLoopOptions(); !reflect.DeepEqual(got, want) {
+		if got := sweepOptions[ndmesh.ClosedLoopRow](bare(KindClosedLoop)); !reflect.DeepEqual(got, want) {
 			t.Errorf("served closed-loop defaults drifted from DefaultClosedLoop (patterns aside):\n got %+v\nwant %+v", got, want)
 		}
 	})
@@ -271,8 +286,61 @@ func TestSpecDefaultsVsLibrary(t *testing.T) {
 			t.Error("library default repair/timeout/backoff became zero; drop it from the differs-on-purpose list")
 		}
 		want.FaultRepair, want.FlightTimeout, want.RetryBackoff = 0, 0, 0
-		if got := bare(KindReliability).reliabilityOptions(); !reflect.DeepEqual(got, want) {
+		if got := sweepOptions[ndmesh.ReliabilityRow](bare(KindReliability)); !reflect.DeepEqual(got, want) {
 			t.Errorf("served reliability defaults drifted from DefaultReliability (repair/timeout/backoff aside):\n got %+v\nwant %+v", got, want)
 		}
 	})
+}
+
+// TestSweepOptionsCarriesEverySpecField holds the one Spec -> options
+// conversion to the Spec: every Spec field that has an options field of the
+// same name and type, set to a value no other field has, must arrive under
+// each of the three sweep kinds' row types. A field added to both structs
+// later cannot be dropped on the way (Probe is a bool here and an
+// engine.Probe there; run wires it from the env).
+func TestSweepOptionsCarriesEverySpecField(t *testing.T) {
+	var s Spec
+	sv := reflect.ValueOf(&s).Elem()
+	ot := reflect.TypeOf(ndmesh.SaturationOptions{})
+	var shared []string
+	for i := 0; i < sv.NumField(); i++ {
+		f := sv.Type().Field(i)
+		if of, ok := ot.FieldByName(f.Name); !ok || of.Type != f.Type {
+			continue
+		}
+		shared = append(shared, f.Name)
+		switch v := sv.Field(i); v.Interface().(type) {
+		case int:
+			v.SetInt(int64(i + 1))
+		case float64:
+			v.SetFloat(float64(i) + 0.5)
+		case string:
+			v.SetString(f.Name)
+		case bool:
+			v.SetBool(true)
+		case []int:
+			v.Set(reflect.ValueOf([]int{i + 1}))
+		case []float64:
+			v.Set(reflect.ValueOf([]float64{float64(i) + 0.5}))
+		case []string:
+			v.Set(reflect.ValueOf([]string{f.Name}))
+		default:
+			t.Fatalf("Spec.%s has a type this test cannot fill: %s", f.Name, f.Type)
+		}
+	}
+	if len(shared) < 27 {
+		t.Fatalf("only %d Spec fields match an options field by name and type (%v); the test lost its subject", len(shared), shared)
+	}
+	for kind, opt := range map[string]any{
+		KindOpenLoop:    sweepOptions[ndmesh.SaturationRow](&s),
+		KindClosedLoop:  sweepOptions[ndmesh.ClosedLoopRow](&s),
+		KindReliability: sweepOptions[ndmesh.ReliabilityRow](&s),
+	} {
+		for _, name := range shared {
+			got, want := reflect.ValueOf(opt).FieldByName(name).Interface(), sv.FieldByName(name).Interface()
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: Spec.%s = %v reached the options as %v", kind, name, want, got)
+			}
+		}
+	}
 }

@@ -101,7 +101,7 @@ func TestStressConcurrentClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := ndmesh.SaturationSweepWorkers(spec.saturationOptions(), spec.Seed, 1)
+	rows, err := ndmesh.SaturationSweepWorkers(sweepOptions[ndmesh.SaturationRow](spec), spec.Seed, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestStressMidStreamCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := ndmesh.SaturationSweepWorkers(spec.saturationOptions(), spec.Seed, 1)
+	rows, err := ndmesh.SaturationSweepWorkers(sweepOptions[ndmesh.SaturationRow](spec), spec.Seed, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,6 +92,20 @@ func (c *ClosedLoop) ConfigureRetry(base int) {
 // runs.
 const backoffMaxShift = 8
 
+// backoffDelay is the retry discipline ClosedLoop and RetrySource share: the
+// streak-th consecutive timeout waits base<<min(streak-1, backoffMaxShift)
+// steps plus a uniform jitter of up to the same magnitude, drawn from r.
+// base <= 0 is no delay and draws nothing.
+//
+//meshvet:noalloc
+func backoffDelay(base, streak int, r *rng.Source) int {
+	if base <= 0 {
+		return 0
+	}
+	delay := base << min(streak-1, backoffMaxShift)
+	return delay + r.Intn(delay) // jitter: [0, delay)
+}
+
 // Retried returns how many timed-out requests have been re-armed for retry.
 func (c *ClosedLoop) Retried() int { return c.retried }
 
@@ -167,15 +181,7 @@ func (c *ClosedLoop) Timeout(src grid.NodeID) {
 	c.inFlight--
 	c.attempts[src]++
 	c.retried++
-	if c.backoff > 0 {
-		shift := c.attempts[src] - 1
-		if shift > backoffMaxShift {
-			shift = backoffMaxShift
-		}
-		delay := c.backoff << shift
-		delay += c.r.Intn(delay) // jitter: [0, delay)
-		if until := c.step + delay; until > c.blockedUntil[src] {
-			c.blockedUntil[src] = until
-		}
+	if delay := backoffDelay(c.backoff, c.attempts[src], c.r); delay > 0 {
+		c.blockedUntil[src] = max(c.blockedUntil[src], c.step+delay)
 	}
 }

@@ -79,16 +79,8 @@ func (q *RetrySource) Step(emit func(src, dst grid.NodeID) bool) {
 func (q *RetrySource) Timeout(src, dst grid.NodeID, measured bool) {
 	q.attempts[src]++
 	q.retried++
-	delay := 0
-	if q.backoff > 0 {
-		shift := q.attempts[src] - 1
-		if shift > backoffMaxShift {
-			shift = backoffMaxShift
-		}
-		delay = q.backoff << shift
-		delay += q.r.Intn(delay) // jitter: [0, delay)
-	}
-	q.pending = append(q.pending, retryItem{src: src, dst: dst, due: q.step + delay, measured: measured})
+	due := q.step + backoffDelay(q.backoff, q.attempts[src], q.r)
+	q.pending = append(q.pending, retryItem{src: src, dst: dst, due: due, measured: measured})
 }
 
 // Settle ends src's consecutive-timeout streak: one of its requests

@@ -24,62 +24,15 @@ import (
 
 	"ndmesh/internal/grid"
 	"ndmesh/internal/rng"
-	"ndmesh/internal/route"
 	"ndmesh/internal/traffic"
 )
 
-// ReliabilityOptions configures the E23 grid: the cross product of
-// Patterns x FaultRates x Routers, each cell Trials Monte-Carlo load runs.
-type ReliabilityOptions struct {
-	Dims   []int
-	Lambda int
-	// Routers, Patterns and FaultRates span the grid. A fault rate of 0 is
-	// the fault-free baseline column; nonzero rates are mean failures per
-	// step under FaultModel (bernoulli | weibull, FaultShape the weibull
-	// shape). FaultRepair > 0 repairs failed nodes after a mean delay of
-	// that many steps; Clustered grows each failure adjacent to the live
-	// faulty set.
-	Routers     []string
-	Patterns    []string
-	FaultRates  []float64
-	FaultModel  string
-	FaultShape  float64
-	FaultRepair float64
-	Clustered   bool
-	// Trials is the Monte-Carlo sample size per cell: every trial re-draws
-	// the fault schedule AND the traffic from its own stream.
-	Trials int
-	// Rate/Process drive the open-loop workload of every trial.
-	Rate    float64
-	Process string
-	// Warmup/Measure/Drain are the phase lengths in steps.
-	Warmup, Measure, Drain int
-	// LinkRate/NodeCapacity/Congestion configure contention; FlightTimeout,
-	// RetryBackoff, Bubble and GridlockWindow the escape mechanisms (see
-	// SaturationOptions). A flight timeout matters more here than anywhere:
-	// flights wedged behind a fresh fault are killed back to their source
-	// and re-offered instead of pinning buffers forever.
-	LinkRate, NodeCapacity      int
-	Congestion                  route.CongestionConfig
-	FlightTimeout, RetryBackoff int
-	Bubble                      bool
-	GridlockWindow              int
-	// Shards is ignored; kept only because bench/batch.go assigns it.
-	Shards int
-	// Progress, when non-nil, is called after every completed trial with
-	// (done, total); must be safe for concurrent use.
-	Progress func(done, total int)
-	// Pool/Cancel mirror the SaturationOptions fields of the same names:
-	// a shared warm-engine reservoir and the cooperative cancellation
-	// poll (aborts with ErrCanceled). Emit streams each row as soon as
-	// the LAST of its Monte-Carlo trials lands (the per-cell fold is the
-	// same serial pass the returned slice is built from, so an emitted
-	// row is byte-identical to its batch counterpart); calls arrive from
-	// worker goroutines in completion order, identified by cell index.
-	Pool   *EnginePool                         `json:"-"`
-	Emit   func(index int, row ReliabilityRow) `json:"-"`
-	Cancel func() bool                         `json:"-"`
-}
+// ReliabilityOptions configures the E23 grid, Patterns x FaultRates x
+// Routers, Trials Monte-Carlo load runs at the open-loop Rate per cell: it
+// takes FaultRates, Trials and Rate and rejects Rates, Windows, the
+// fixed-count overlay (Faults, FaultInterval, FaultStart), a scalar
+// FaultRate and a Probe.
+type ReliabilityOptions = LoadSweepOptions[ReliabilityRow]
 
 // DefaultReliability returns the standard E23 configuration: an 8x8 mesh
 // under moderate uniform open-loop load, fault rates from fault-free to
@@ -144,52 +97,35 @@ type ReliabilityRow struct {
 // ReliabilitySweepWorkers runs the E23 reliability grid (each Monte-Carlo
 // trial is one parallel job; workers < 1 means GOMAXPROCS).
 func ReliabilitySweepWorkers(opt ReliabilityOptions, seed uint64, workers int) ([]ReliabilityRow, error) {
-	if len(opt.Routers) == 0 || len(opt.Patterns) == 0 || len(opt.FaultRates) == 0 {
-		return nil, fmt.Errorf("ndmesh: reliability sweep needs at least one router, pattern and fault rate")
+	cells, shape, err := opt.sweepGrid("reliability", "fault rate", len(opt.FaultRates),
+		"Rates", "Windows", "Faults", "FaultRate", "FaultInterval", "FaultStart", "Probe")
+	if err != nil {
+		return nil, err
 	}
 	if opt.Trials < 1 {
 		return nil, fmt.Errorf("ndmesh: reliability sweep needs Trials >= 1 (got %d)", opt.Trials)
 	}
-	maxRate := 0.0
-	for _, fr := range opt.FaultRates {
-		if fr < 0 || fr > 1 {
-			return nil, fmt.Errorf("ndmesh: fault rate %v out of range [0, 1]", fr)
-		}
-		if fr > maxRate {
-			maxRate = fr
-		}
-	}
-	// The configuration every trial shares, validated (and defaulted) in
+	// The configuration every trial shares is validated (and defaulted) in
 	// place — the open-loop rate against its arrival process included — at
 	// the grid's highest fault rate, so the fault-process parameters are
 	// checked whenever any cell uses them; a trial overrides only its
 	// cell's fault rate.
-	base := SaturationOptions{
-		Dims: opt.Dims, Lambda: opt.Lambda,
-		Routers: opt.Routers, Patterns: opt.Patterns,
-		Rates: []float64{opt.Rate}, Process: opt.Process,
-		Warmup: opt.Warmup, Measure: opt.Measure, Drain: opt.Drain,
-		LinkRate: opt.LinkRate, NodeCapacity: opt.NodeCapacity,
-		Congestion:    opt.Congestion,
-		FlightTimeout: opt.FlightTimeout, RetryBackoff: opt.RetryBackoff,
-		Bubble: opt.Bubble, GridlockWindow: opt.GridlockWindow,
-		FaultRate: maxRate, FaultModel: opt.FaultModel,
-		FaultShape: opt.FaultShape, FaultRepair: opt.FaultRepair,
-		Clustered: opt.Clustered,
-		Cancel:    opt.Cancel,
+	for _, fr := range opt.FaultRates {
+		if fr < 0 || fr > 1 {
+			return nil, fmt.Errorf("ndmesh: fault rate %v out of range [0, 1]", fr)
+		}
+		opt.FaultRate = max(opt.FaultRate, fr)
 	}
-	if err := validateSaturation(&base); err != nil {
+	if err := opt.validateRates(opt.Rate); err != nil {
 		return nil, err
 	}
-	shape, err := grid.NewShape(opt.Dims...)
-	if err != nil {
+	if err := opt.validateLoadShape(); err != nil {
 		return nil, err
 	}
 
 	// One job per Monte-Carlo trial; cells pattern-major, then fault rate,
 	// then router, trials innermost — the order the streams are split in.
 	nf, nk, nt := len(opt.FaultRates), len(opt.Routers), opt.Trials
-	cells := len(opt.Patterns) * nf * nk
 	// With a streaming hook, each cell's fold runs as soon as its last
 	// trial lands: the countdown's atomic decrement orders every trial's
 	// slot write before the fold that reads them, and the fold itself is
@@ -210,9 +146,9 @@ func ReliabilitySweepWorkers(opt ReliabilityOptions, seed uint64, workers int) (
 	pts, err := runGrid(fanOut{workers: workers, pool: opt.Pool, cancel: opt.Cancel, progress: opt.Progress}, seed, cells*nt,
 		func(p *simPool, j int, r *rng.Source) (traffic.LoadPoint, error) {
 			cell := j / nt
-			sopt := base
-			sopt.FaultRate = opt.FaultRates[cell/nk%nf]
-			return p.loadPoint(sopt, workload{pattern: opt.Patterns[cell/(nf*nk)], rate: opt.Rate}, opt.Routers[cell%nk], r)
+			trial := opt
+			trial.FaultRate = opt.FaultRates[cell/nk%nf]
+			return trial.loadPoint(p, workload{pattern: opt.Patterns[cell/(nf*nk)], rate: opt.Rate}, opt.Routers[cell%nk], r)
 		}, emitCell)
 	if err != nil {
 		return nil, err

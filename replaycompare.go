@@ -49,7 +49,7 @@ type ReplayCompareOptions struct {
 	GridlockWindow              int
 	// Progress, when non-nil, is called after every completed router arm
 	// with (done, total); must be safe for concurrent use.
-	Progress func(done, total int)
+	Progress func(done, total int) `json:"-"`
 }
 
 // ReplayCompareRow is one router arm's replay of the shared trace.
@@ -76,12 +76,12 @@ func ReplayCompareSweepWorkers(opt ReplayCompareOptions, seed uint64, workers in
 		Bubble: opt.Bubble, GridlockWindow: opt.GridlockWindow,
 		Replay: opt.Trace,
 	}.cell()
-	if err := validateLoadShape(&sopt); err != nil {
+	if err := sopt.validateLoadShape(); err != nil {
 		return nil, err
 	}
 	return runGrid(fanOut{workers: workers, progress: opt.Progress}, seed, len(opt.Routers),
 		func(p *simPool, j int, r *rng.Source) (ReplayCompareRow, error) {
-			pt, err := p.loadPoint(sopt, wl, opt.Routers[j], r)
+			pt, err := sopt.loadPoint(p, wl, opt.Routers[j], r)
 			if err != nil {
 				return ReplayCompareRow{}, err
 			}

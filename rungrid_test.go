@@ -128,10 +128,10 @@ func TestRunGridLowestIndexError(t *testing.T) {
 func TestRunGridPoolBalanced(t *testing.T) {
 	loadCell := func(p *simPool, j int, r *rng.Source) (int, error) {
 		opt := smallSaturation()
-		if err := validateSaturation(&opt); err != nil {
+		if err := opt.validateSaturation(); err != nil {
 			return 0, err
 		}
-		pt, err := p.loadPoint(opt, workload{pattern: "uniform", rate: 0.5}, "limited", r)
+		pt, err := opt.loadPoint(p, workload{pattern: "uniform", rate: 0.5}, "limited", r)
 		return pt.Delivered, err
 	}
 	boom := errors.New("boom")
@@ -284,8 +284,9 @@ func TestOneFanOut(t *testing.T) {
 
 // TestShardResidue keeps the remains of intra-step sharding from growing
 // back before the benchmark PR removes them: outside bench/ the identifier
-// Shards is the four ignored option fields bench/batch.go assigns and
-// nothing else — no read or write of them, no SetShards, no "shards" flag.
+// Shards is the two ignored option fields bench/batch.go assigns (the load
+// sweeps' one options struct and LoadOptions) and nothing else — no read or
+// write of them, no SetShards, no "shards" flag.
 func TestShardResidue(t *testing.T) {
 	fset := token.NewFileSet()
 	var kept, stray []string
@@ -337,7 +338,7 @@ func TestShardResidue(t *testing.T) {
 		t.Fatal(err)
 	}
 	sort.Strings(kept)
-	if want := []string{"ClosedLoopOptions", "LoadOptions", "ReliabilityOptions", "SaturationOptions"}; !reflect.DeepEqual(kept, want) {
+	if want := []string{"LoadOptions", "LoadSweepOptions"}; !reflect.DeepEqual(kept, want) {
 		t.Errorf("Shards is a field of %v, want exactly %v", kept, want)
 	}
 	if len(stray) > 0 {

@@ -23,20 +23,41 @@ import (
 	"ndmesh/internal/traffic"
 )
 
-// SaturationOptions configures a saturation sweep: the cross product of
-// Patterns x Rates x Routers, each cell one contention-mode load run.
-type SaturationOptions struct {
+// LoadSweepOptions is the one configuration of the load sweeps E19, E21 and
+// E23: a grid of Patterns x (one load axis) x Routers, each cell a
+// contention-mode load run of the Figure 7 step model under the same
+// Section 5 parameters. The three entry points take it under the alias
+// names SaturationOptions, ClosedLoopOptions and ReliabilityOptions, which
+// differ only in the row type Emit streams; each requires its own axis and
+// rejects, by name, the fields that belong to another's (the aliases say
+// which). Every other field means the same thing to all three.
+type LoadSweepOptions[Row any] struct {
 	// Dims is the mesh shape; Lambda the information rounds per step.
 	Dims   []int
 	Lambda int
-	// Routers, Patterns and Rates span the sweep grid. Pattern names:
-	// uniform | transpose | complement | bitrev | hotspot | neighbor.
+	// Routers and Patterns span the sweep grid together with the entry
+	// point's own axis. Pattern names: uniform | transpose | complement |
+	// bitrev | hotspot | neighbor.
 	Routers  []string
 	Patterns []string
-	Rates    []float64
+	// Rates is the open-loop axis, nominal injection rates in
+	// messages/node/step. Windows is the closed-loop axis, the per-node
+	// outstanding-request bound (with a finite NodeCapacity the closed loop
+	// defers and retries a refused offer instead of dropping it).
+	// FaultRates is the reliability axis, mean failures per step under
+	// FaultModel; 0 is the fault-free baseline column. The axis fields a
+	// sweep does not take stay out of its manifest.
+	Rates      []float64 `json:",omitempty"`
+	Windows    []int     `json:",omitempty"`
+	FaultRates []float64 `json:",omitempty"`
 	// Process is the arrival process: bernoulli (default) | poisson |
-	// bursty.
-	Process string
+	// bursty. A closed loop has none.
+	Process string `json:",omitempty"`
+	// Trials is the reliability sweep's Monte-Carlo sample size per cell
+	// (every trial re-draws the fault schedule AND the traffic from its own
+	// stream); Rate the open-loop rate every one of its trials offers.
+	Trials int     `json:",omitempty"`
+	Rate   float64 `json:",omitempty"`
 	// Warmup/Measure/Drain are the phase lengths in steps.
 	Warmup, Measure, Drain int
 	// LinkRate is the per-directed-link service rate (messages/step,
@@ -93,14 +114,15 @@ type SaturationOptions struct {
 	// without a probe attached. ProbeEvery > 1 decimates the flush
 	// cadence: counters aggregate the interval, gauges and the heatmap
 	// views sample its last step.
-	// Probe and Progress carry json:"-" so an options struct can embed
-	// directly into a telemetry manifest (func-typed fields are
-	// unmarshalable even when nil).
+	// Probe and the hooks below carry json:"-": a manifest embeds the
+	// options value a run took minus those (encoding/json refuses a
+	// func-typed field even when nil).
 	Probe      engine.Probe `json:"-"`
 	ProbeEvery int
-	// Progress, when non-nil, is called after every completed cell with
-	// (done, total) — the sweep CLIs wire it to a stderr printer. Called
-	// from worker goroutines; must be safe for concurrent use.
+	// Progress, when non-nil, is called after every completed cell (every
+	// trial, in a reliability sweep) with (done, total) — the sweep CLIs
+	// wire it to a stderr printer. Called from worker goroutines; must be
+	// safe for concurrent use.
 	Progress func(done, total int) `json:"-"`
 	// Pool, when non-nil, is a shared reservoir of warm simulations the
 	// sweep's workers draw from and return to when the sweep ends (the
@@ -114,14 +136,20 @@ type SaturationOptions struct {
 	// arrive from worker goroutines in completion order (NOT index
 	// order), carrying exactly the row the returned slice holds at that
 	// index; a caller re-sequencing by index therefore reproduces the
-	// batch output byte-for-byte. Must be safe for concurrent use.
-	Emit func(index int, row SaturationRow) `json:"-"`
+	// batch output byte-for-byte. A reliability row is emitted when the
+	// last of its cell's trials lands. Must be safe for concurrent use.
+	Emit func(index int, row Row) `json:"-"`
 	// Cancel, when non-nil, is polled before every cell and every
 	// cancelCheckInterval steps inside one; returning true aborts the
 	// sweep with ErrCanceled. The abort path runs the same engine cleanup
 	// as a completed cell, so pooled simulations come back clean.
 	Cancel func() bool `json:"-"`
 }
+
+// SaturationOptions configures the E19 grid, Patterns x Rates x Routers, one
+// open-loop load run per cell: it takes Rates and Process and rejects
+// Windows, FaultRates, Trials and Rate.
+type SaturationOptions = LoadSweepOptions[SaturationRow]
 
 // DefaultSaturation returns the standard configuration: an 8x8 mesh,
 // Bernoulli arrivals, uniform + transpose patterns, the limited router,
@@ -165,25 +193,21 @@ type SaturationRow struct {
 // rate, router) cell is one parallel job; workers < 1 means GOMAXPROCS, and
 // the rows are identical for every value).
 func SaturationSweepWorkers(opt SaturationOptions, seed uint64, workers int) ([]SaturationRow, error) {
-	if err := validateSaturation(&opt); err != nil {
-		return nil, err
-	}
-	shape, err := grid.NewShape(opt.Dims...)
+	// One job per (pattern, rate, router) cell, pattern-major — the order
+	// the rows are reported in and the order the job streams are split in.
+	jobs, shape, err := opt.sweepGrid("saturation", "rate", len(opt.Rates), "Windows", "FaultRates", "Trials", "Rate")
 	if err != nil {
 		return nil, err
 	}
-	// One job per (pattern, rate, router) cell, pattern-major — the order
-	// the rows are reported in and the order the job streams are split in.
-	jobs := len(opt.Patterns) * len(opt.Rates) * len(opt.Routers)
-	if opt.Probe != nil && jobs > 1 {
-		return nil, fmt.Errorf("ndmesh: a probed sweep must be a single cell (got %d); probes are stateful accumulators and parallel cells would interleave their censuses", jobs)
+	if err := opt.validateSaturation(); err != nil {
+		return nil, err
 	}
 	return runGrid(fanOut{workers: workers, pool: opt.Pool, cancel: opt.Cancel, progress: opt.Progress}, seed, jobs,
 		func(p *simPool, j int, r *rng.Source) (SaturationRow, error) {
 			pi := j / (len(opt.Rates) * len(opt.Routers))
 			ri := j / len(opt.Routers) % len(opt.Rates)
 			ki := j % len(opt.Routers)
-			pt, err := p.loadPoint(opt, workload{pattern: opt.Patterns[pi], rate: opt.Rates[ri]}, opt.Routers[ki], r)
+			pt, err := opt.loadPoint(p, workload{pattern: opt.Patterns[pi], rate: opt.Rates[ri]}, opt.Routers[ki], r)
 			if err != nil {
 				return SaturationRow{}, err
 			}
@@ -217,19 +241,54 @@ func emitEach[R any](emit func(index int, row R)) func(out []R, j int) {
 	return func(out []R, j int) { emit(j, out[j]) }
 }
 
-func validateSaturation(opt *SaturationOptions) error {
+// sweepGrid is the preamble of the three entry points: it applies the
+// caller's axis rules and returns its grid size and mesh shape. The entry
+// point's own axis, n entries long, must be set; the first field foreign to
+// it that is set is an error naming it; a probe limits the grid to one cell.
+func (opt *LoadSweepOptions[Row]) sweepGrid(entry, axis string, n int, foreign ...string) (int, *grid.Shape, error) {
+	if len(opt.Routers) == 0 || len(opt.Patterns) == 0 || n == 0 {
+		return 0, nil, fmt.Errorf("ndmesh: %s sweep needs at least one router, pattern and %s", entry, axis)
+	}
+	set := map[string]bool{
+		"Rates": len(opt.Rates) > 0, "Windows": len(opt.Windows) > 0, "FaultRates": len(opt.FaultRates) > 0,
+		"Trials": opt.Trials != 0, "Rate": opt.Rate != 0, "Process": opt.Process != "",
+		"Faults": opt.Faults != 0, "FaultRate": opt.FaultRate != 0,
+		"FaultInterval": opt.FaultInterval != 0, "FaultStart": opt.FaultStart != 0,
+		"Probe": opt.Probe != nil,
+	}
+	for _, f := range foreign {
+		if set[f] {
+			return 0, nil, fmt.Errorf("ndmesh: a %s sweep does not take %s", entry, f)
+		}
+	}
+	cells := len(opt.Patterns) * n * len(opt.Routers)
+	if opt.Probe != nil && cells > 1 {
+		return 0, nil, fmt.Errorf("ndmesh: a probed sweep must be a single cell (got %d); probes are stateful accumulators and parallel cells would interleave their censuses", cells)
+	}
+	shape, err := grid.NewShape(opt.Dims...)
+	return cells, shape, err
+}
+
+func (opt *LoadSweepOptions[Row]) validateSaturation() error {
 	if len(opt.Routers) == 0 || len(opt.Patterns) == 0 || len(opt.Rates) == 0 {
 		return fmt.Errorf("ndmesh: saturation sweep needs at least one router, pattern and rate")
 	}
-	// Reject rates the arrival process cannot offer faithfully: past its
-	// MaxRate the realized load silently clips and the curve's offered-rate
-	// axis would lie (a Bernoulli source caps at 1 msg/node/step, a bursty
-	// one at its duty cycle).
+	if err := opt.validateRates(opt.Rates...); err != nil {
+		return err
+	}
+	return opt.validateLoadShape()
+}
+
+// validateRates rejects rates the arrival process cannot offer faithfully:
+// past its MaxRate the realized load silently clips and the curve's
+// offered-rate axis would lie (a Bernoulli source caps at 1 msg/node/step, a
+// bursty one at its duty cycle).
+func (opt *LoadSweepOptions[Row]) validateRates(rates ...float64) error {
 	proc, err := traffic.ProcessByName(opt.Process)
 	if err != nil {
 		return err
 	}
-	for _, rate := range opt.Rates {
+	for _, rate := range rates {
 		if rate <= 0 {
 			return fmt.Errorf("ndmesh: injection rate %v must be positive", rate)
 		}
@@ -238,13 +297,13 @@ func validateSaturation(opt *SaturationOptions) error {
 				rate, proc.Name(), max)
 		}
 	}
-	return validateLoadShape(opt)
+	return nil
 }
 
 // validateLoadShape checks (and defaults) the workload-independent run
 // configuration shared by the open-loop sweeps, the closed-loop sweep and
 // trace replays: the phase lengths and the contention parameters.
-func validateLoadShape(opt *SaturationOptions) error {
+func (opt *LoadSweepOptions[Row]) validateLoadShape() error {
 	if opt.Measure < 1 {
 		return fmt.Errorf("ndmesh: load run needs a measurement window (Measure >= 1)")
 	}
@@ -333,7 +392,7 @@ func (wl *workload) closedLoop() bool {
 // workload injection (open-loop, closed-loop or trace replay) for
 // warmup+measure steps, then a drain window, with terminated flights
 // harvested (and recycled) every step.
-func (p *simPool) loadPoint(opt SaturationOptions, wl workload, router string, r *rng.Source) (traffic.LoadPoint, error) {
+func (opt *LoadSweepOptions[Row]) loadPoint(p *simPool, wl workload, router string, r *rng.Source) (traffic.LoadPoint, error) {
 	sim, err := p.get(opt.Dims, opt.Lambda)
 	if err != nil {
 		return traffic.LoadPoint{}, err
@@ -745,8 +804,8 @@ func (opt *LoadOptions) applyReplay() {
 
 // cell resolves a one-shot run into what loadPoint takes: the engine-side
 // configuration (with the trace inheritance applied when opt.Replay is set)
-// and the workload. It is the one place LoadOptions becomes
-// SaturationOptions, shared by LoadRun and ReplayCompareSweepWorkers, so a
+// and the workload. It is the one place LoadOptions becomes the sweeps'
+// LoadSweepOptions, shared by LoadRun and ReplayCompareSweepWorkers, so a
 // replay behaves the same whichever entry point runs it.
 func (opt LoadOptions) cell() (SaturationOptions, workload) {
 	if opt.Replay != nil {
@@ -797,15 +856,15 @@ func LoadRun(opt LoadOptions) (traffic.LoadPoint, error) {
 		if opt.Router == "" {
 			return traffic.LoadPoint{}, fmt.Errorf("ndmesh: load run needs a router")
 		}
-		if err := validateLoadShape(&sopt); err != nil {
+		if err := sopt.validateLoadShape(); err != nil {
 			return traffic.LoadPoint{}, err
 		}
-	} else if err := validateSaturation(&sopt); err != nil {
+	} else if err := sopt.validateSaturation(); err != nil {
 		return traffic.LoadPoint{}, err
 	}
 	pts, err := runGrid(fanOut{workers: 1, pool: opt.Pool, cancel: opt.Cancel}, opt.Seed, 1,
 		func(p *simPool, _ int, r *rng.Source) (traffic.LoadPoint, error) {
-			return p.loadPoint(sopt, wl, opt.Router, r)
+			return sopt.loadPoint(p, wl, opt.Router, r)
 		}, nil)
 	if err != nil {
 		return traffic.LoadPoint{}, err

@@ -267,7 +267,7 @@ func TestLoadPointLeavesEngineClean(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			o := opt
 			o.Drain = tc.drain
-			pt, err := pool.loadPoint(o, workload{pattern: "uniform", rate: tc.rate}, "limited", rng.New(3).Split())
+			pt, err := o.loadPoint(pool, workload{pattern: "uniform", rate: tc.rate}, "limited", rng.New(3).Split())
 			if err != nil {
 				t.Fatal(err)
 			}
