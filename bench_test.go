@@ -867,3 +867,42 @@ func BenchmarkFaultStormBody(b *testing.B) {
 	}
 	b.ReportMetric(float64(delivered), "delivered")
 }
+
+// BenchmarkRouterGridBody is one body of the standing benchmark's
+// `router-grid` workload — the options of bench/batch.go's newRouterGrid
+// (full size, seed 1), run as SaturationSweepWorkers(sat, 1, 1) then
+// ClosedLoopSweepWorkers(cl, 2, 1) — so the profile of every router under
+// finite buffers, the oracle's table included, is
+// `go test -run '^$' -bench RouterGridBody -cpu 1 -cpuprofile cpu.prof .`
+// (recipe and reference tables in docs/BENCHMARKS.md).
+func BenchmarkRouterGridBody(b *testing.B) {
+	sat := SaturationOptions{
+		Dims: []int{8, 8}, Lambda: 1,
+		Routers:  []string{"limited", "congested", "dor", "blind", "oracle"},
+		Patterns: []string{"uniform", "transpose", "complement", "bitrev", "hotspot", "neighbor"},
+		Rates:    []float64{0.5, 0.35, 0.2, 0.1, 0.05, 0.02},
+		Process:  "bernoulli", LinkRate: 1, NodeCapacity: 8,
+		Warmup: 16, Measure: 64, Drain: 32,
+	}
+	cl := ClosedLoopOptions{
+		Dims: []int{6, 6, 6}, Lambda: 1,
+		Routers: []string{"limited", "congested"}, Patterns: []string{"uniform", "hotspot"},
+		Windows:  []int{1, 2, 4, 8},
+		LinkRate: 1, NodeCapacity: 4, FlightTimeout: 32, RetryBackoff: 4, Bubble: true,
+		Warmup: 16, Measure: 64, Drain: 32,
+	}
+	b.ReportAllocs()
+	var delivered int
+	for i := 0; i < b.N; i++ {
+		open, err := SaturationSweepWorkers(sat, 1, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		closed, err := ClosedLoopSweepWorkers(cl, 2, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		delivered = open[len(open)-1].Delivered + closed[len(closed)-1].Delivered
+	}
+	b.ReportMetric(float64(delivered), "delivered")
+}

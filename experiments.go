@@ -551,13 +551,12 @@ func TrafficSweepWorkers(dims []int, messages int, faults int, interval int, see
 				return row, err
 			}
 			setSchedule(sim, sched)
+			rt, err := route.ByName(routers[j])
+			if err != nil {
+				return row, err
+			}
 			flights := make([]*engine.Flight, len(pairs))
 			for i, pr := range pairs {
-				// One router value per flight: the oracle carries state.
-				rt, err := route.ByName(routers[j])
-				if err != nil {
-					return row, err
-				}
 				if flights[i], err = sim.engine.Inject(pr.src, pr.dst, rt); err != nil {
 					return row, err
 				}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ndmesh/internal/grid"
+	"ndmesh/internal/mesh"
 	"ndmesh/internal/rng"
 )
 
@@ -59,6 +60,9 @@ func fuzzRouters() []Router {
 //   - with static faults a message must never end Lost (Lost is reserved
 //     for dynamic failures under the path).
 //
+// The same router value then routes a second message to a new destination,
+// held to the same checks: Oracle's table must serve it as a fresh one would.
+//
 // `go test` runs the seeded corpus below on every CI run; `go test
 // -fuzz=FuzzRouterDecision ./internal/route` explores from there.
 func FuzzRouterDecision(f *testing.F) {
@@ -107,49 +111,60 @@ func FuzzRouterDecision(f *testing.F) {
 			}
 		}
 
-		msg := NewMessage(src, dst)
-		shadow := map[grid.NodeID]grid.DirSet{}
-		budget := 16*shape.Diameter() + 4*shape.NumNodes() + 64
-		for i := 0; i < budget && !msg.Done(); i++ {
-			var d Decision
-			if msg.Cur != msg.Dst {
-				d = rt.Decide(ctx, msg)
-				if want := referenceDecision(rt, ctx, msg); d != want {
-					t.Fatalf("%s: at node %d (used %b, incoming %v): decided %+v, reference %+v", rt.Name(), msg.Cur, msg.used, msg.Incoming, d, want)
-				}
-				switch {
-				case d.Move:
-					if d.Dir < 0 || int(d.Dir) >= shape.NumDirs() {
-						t.Fatalf("%s: direction %d out of range at node %d", rt.Name(), d.Dir, msg.Cur)
-					}
-					if m.Neighbor(msg.Cur, d.Dir) == grid.InvalidNode {
-						t.Fatalf("%s: off-mesh direction %v at node %d", rt.Name(), d.Dir, msg.Cur)
-					}
-					if msg.Used(msg.Cur).Has(d.Dir) {
-						t.Fatalf("%s: revisited used direction %v at node %d", rt.Name(), d.Dir, msg.Cur)
-					}
-				case d.Backtrack:
-					if msg.PathLen() == 0 {
-						t.Fatalf("%s: backtrack with empty path at node %d", rt.Name(), msg.Cur)
-					}
-				}
-			}
-			before, depth := msg.Cur, msg.PathLen()
-			AdvanceGated(ctx, rt, msg, gate)
-			if msg.PathLen() == depth+1 { // a committed forward move
-				shadow[before] = shadow[before].Add(d.Dir)
-			}
-			for id := grid.NodeID(0); int(id) < shape.NumNodes(); id++ {
-				if got := msg.Used(id); got != shadow[id] {
-					t.Fatalf("%s: step %d: Used(%d) = %b, shadow map says %b", rt.Name(), i, id, got, shadow[id])
-				}
-			}
-			if msg.used != shadow[msg.Cur] {
-				t.Fatalf("%s: step %d: cached set at node %d = %b, shadow map says %b", rt.Name(), i, msg.Cur, msg.used, shadow[msg.Cur])
-			}
-		}
-		if msg.Lost {
-			t.Fatalf("%s: message lost under static faults: %v", rt.Name(), msg)
+		episode(t, ctx, rt, gate, NewMessage(src, dst))
+		if dst2 := grid.NodeID(r.Intn(shape.NumNodes())); dst2 != dst && m.Status(dst2) == mesh.Enabled {
+			episode(t, ctx, rt, gate, NewMessage(src, dst2))
 		}
 	})
+}
+
+// episode routes msg to termination, validating every decision as
+// FuzzRouterDecision lists.
+func episode(t *testing.T, ctx *Context, rt Router, gate Gate, msg *Message) {
+	t.Helper()
+	m := ctx.M
+	shape := m.Shape()
+	shadow := map[grid.NodeID]grid.DirSet{}
+	budget := 16*shape.Diameter() + 4*shape.NumNodes() + 64
+	for i := 0; i < budget && !msg.Done(); i++ {
+		var d Decision
+		if msg.Cur != msg.Dst {
+			d = rt.Decide(ctx, msg)
+			if want := referenceDecision(rt, ctx, msg); d != want {
+				t.Fatalf("%s: at node %d (used %b, incoming %v): decided %+v, reference %+v", rt.Name(), msg.Cur, msg.used, msg.Incoming, d, want)
+			}
+			switch {
+			case d.Move:
+				if d.Dir < 0 || int(d.Dir) >= shape.NumDirs() {
+					t.Fatalf("%s: direction %d out of range at node %d", rt.Name(), d.Dir, msg.Cur)
+				}
+				if m.Neighbor(msg.Cur, d.Dir) == grid.InvalidNode {
+					t.Fatalf("%s: off-mesh direction %v at node %d", rt.Name(), d.Dir, msg.Cur)
+				}
+				if msg.Used(msg.Cur).Has(d.Dir) {
+					t.Fatalf("%s: revisited used direction %v at node %d", rt.Name(), d.Dir, msg.Cur)
+				}
+			case d.Backtrack:
+				if msg.PathLen() == 0 {
+					t.Fatalf("%s: backtrack with empty path at node %d", rt.Name(), msg.Cur)
+				}
+			}
+		}
+		before, depth := msg.Cur, msg.PathLen()
+		AdvanceGated(ctx, rt, msg, gate)
+		if msg.PathLen() == depth+1 { // a committed forward move
+			shadow[before] = shadow[before].Add(d.Dir)
+		}
+		for id := grid.NodeID(0); int(id) < shape.NumNodes(); id++ {
+			if got := msg.Used(id); got != shadow[id] {
+				t.Fatalf("%s: step %d: Used(%d) = %b, shadow map says %b", rt.Name(), i, id, got, shadow[id])
+			}
+		}
+		if msg.used != shadow[msg.Cur] {
+			t.Fatalf("%s: step %d: cached set at node %d = %b, shadow map says %b", rt.Name(), i, msg.Cur, msg.used, shadow[msg.Cur])
+		}
+	}
+	if msg.Lost {
+		t.Fatalf("%s: message lost under static faults: %v", rt.Name(), msg)
+	}
 }

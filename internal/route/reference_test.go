@@ -149,9 +149,34 @@ func refAlgorithm3(ctx *Context, msg *Message, recs []info.Record, adaptive bool
 	return Decision{Move: true, Dir: base}
 }
 
+// refDistances is the oracle's distance field the long way, rebuilt per
+// decision: a BFS from dst over every existing neighbor, filtered by Status.
+// It shares nothing with Oracle's table, so a wrong or stale field fails the
+// comparison.
+func refDistances(m *mesh.Mesh, dst grid.NodeID) []int32 {
+	dist := make([]int32, m.NumNodes())
+	for i := range dist {
+		dist[i] = unreachableDist
+	}
+	var queue []grid.NodeID
+	if m.Status(dst) == mesh.Enabled {
+		dist[dst] = 0
+		queue = append(queue, dst)
+	}
+	for head := 0; head < len(queue); head++ {
+		cur := queue[head]
+		m.EachNeighbor(cur, func(nb grid.NodeID, _ grid.Dir) {
+			if dist[nb] == unreachableDist && m.Status(nb) == mesh.Enabled {
+				dist[nb] = dist[cur] + 1
+				queue = append(queue, nb)
+			}
+		})
+	}
+	return dist
+}
+
 // referenceDecision is what router r must decide for msg, computed by the
-// per-direction probe loop. Call it after r.Decide: Oracle's reference reads
-// the distance field that call refreshed.
+// per-direction probe loop.
 func referenceDecision(r Router, ctx *Context, msg *Message) Decision {
 	m := ctx.M
 	probe := func(dir grid.Dir) grid.NodeID { // one-hop sensing, the long way
@@ -183,10 +208,11 @@ func referenceDecision(r Router, ctx *Context, msg *Message) Decision {
 		if m.Status(msg.Cur).Bad() {
 			return backtrackOrFail(msg)
 		}
-		best, bestDist := grid.InvalidDir, r.dist[msg.Cur]
+		dist := refDistances(m, msg.Dst)
+		best, bestDist := grid.InvalidDir, dist[msg.Cur]
 		for dv := 0; dv < m.Shape().NumDirs(); dv++ {
-			if nb := probe(grid.Dir(dv)); nb != grid.InvalidNode && r.dist[nb] != unreachableDist && r.dist[nb] < bestDist {
-				best, bestDist = grid.Dir(dv), r.dist[nb]
+			if nb := probe(grid.Dir(dv)); nb != grid.InvalidNode && dist[nb] != unreachableDist && dist[nb] < bestDist {
+				best, bestDist = grid.Dir(dv), dist[nb]
 			}
 		}
 		if best == grid.InvalidDir {

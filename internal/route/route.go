@@ -32,8 +32,9 @@
 // classes are three DirSets computed by mask arithmetic and passed by value
 // (see classify), and a decision allocates nothing. Coordinates are views
 // into the shape's table (grid.Shape.CoordView): no path decodes an id. The
-// one exception to statelessness is Oracle's distance field, cached against
-// the mesh version.
+// one exception to statelessness is Oracle, the routing table it models: one
+// distance field per destination, all dropped when the mesh asked about or
+// its version moves.
 //
 // The header (Message) is laid out for the step loop: the fields a stalled
 // step reads — position, terminal flags, the current node's used-direction
@@ -605,17 +606,28 @@ func (Blind) Decide(ctx *Context, msg *Message) Decision {
 // ---------------------------------------------------------------------------
 // Oracle: global information.
 
-// Oracle is the traditional global-information model: it always knows the
-// exact enabled topology and follows a globally shortest path, recomputing
-// the distance field whenever the mesh changes. Its information cost is
-// charged as a full-network update per change (see the experiment harness).
+// Oracle is the traditional global-information model — a routing table over
+// the exact enabled topology, rebuilt when it changes — and follows a
+// globally shortest path. It is that table: the BFS distance field of every
+// destination asked for since the mesh last changed, each computed on first
+// use. A field is a pure function of (enabled set, destination), so one
+// Oracle serves any flights on any meshes: every field is dropped at once
+// when the mesh asked about or its version moves, or past fieldBudget. Its
+// information cost is charged as a full-network update per change (see the
+// experiment harness).
 type Oracle struct {
-	dst     grid.NodeID
+	m       *mesh.Mesh
 	version uint64
-	valid   bool
-	dist    []int32
-	queue   []grid.NodeID
+	// row[dst] is 1 + the index of dst's field in dist, 0 while not computed.
+	row []int32
+	// dist holds the fields back to back, NumNodes entries each.
+	dist  []int32
+	queue []grid.NodeID
 }
+
+// fieldBudget caps the distance entries an Oracle holds (4 MiB of int32). A
+// full table is dropped and refills: never more BFS than one per decision.
+const fieldBudget = 1 << 20
 
 // Name implements Router.
 func (o *Oracle) Name() string { return "oracle" }
@@ -630,8 +642,8 @@ func (o *Oracle) Decide(ctx *Context, msg *Message) Decision {
 	if m.Status(msg.Cur).Bad() {
 		return backtrackOrFail(msg)
 	}
-	o.refresh(m, msg.Dst)
-	du := o.dist[msg.Cur]
+	dist := o.field(m, msg.Dst)
+	du := dist[msg.Cur]
 	if du == unreachableDist {
 		return Decision{Fail: true}
 	}
@@ -639,7 +651,7 @@ func (o *Oracle) Decide(ctx *Context, msg *Message) Decision {
 	var bestDist int32 = du
 	for r := m.Open(msg.Cur); r != 0; r &= r - 1 {
 		dir := r.First()
-		if dn := o.dist[m.Neighbor(msg.Cur, dir)]; dn != unreachableDist && dn < bestDist {
+		if dn := dist[m.Neighbor(msg.Cur, dir)]; dn != unreachableDist && dn < bestDist {
 			bestDist, bestDir = dn, dir
 		}
 	}
@@ -649,39 +661,56 @@ func (o *Oracle) Decide(ctx *Context, msg *Message) Decision {
 	return Decision{Move: true, Dir: bestDir}
 }
 
-// refresh rebuilds the BFS distance field from dst if the topology or the
-// destination changed.
-func (o *Oracle) refresh(m *mesh.Mesh, dst grid.NodeID) {
-	if o.valid && o.version == m.Version() && o.dst == dst {
-		return
-	}
+// field returns dst's BFS distance field over m's enabled nodes, computing
+// it on the first ask since m last changed. The arena is allocated twice at
+// most: one field for the first destination — with row and queue, and the
+// router value itself, the 4 allocs a Simulation.Route("oracle") pays — and
+// the budget's capacity for the second.
+func (o *Oracle) field(m *mesh.Mesh, dst grid.NodeID) []int32 {
 	n := m.NumNodes()
-	if len(o.dist) != n {
-		// The only allocations of an Oracle's life, both sized for the mesh.
-		// With the router value itself they are the 3 allocs/op a
-		// Simulation.Route("oracle") pays: ByName hands out a fresh Oracle
-		// per call because the distance field is per-destination state.
-		o.dist = make([]int32, n)
-		o.queue = make([]grid.NodeID, 0, n)
+	if o.m != m || o.version != m.Version() {
+		if len(o.row) != n {
+			o.row, o.dist, o.queue = make([]int32, n), nil, make([]grid.NodeID, 0, n)
+		}
+		clear(o.row)
+		o.m, o.version, o.dist = m, m.Version(), o.dist[:0]
 	}
-	for i := range o.dist {
-		o.dist[i] = unreachableDist
+	if f := int(o.row[dst]); f > 0 {
+		return o.dist[(f-1)*n : f*n]
+	}
+	if len(o.dist) == cap(o.dist) { // no room for dst's field
+		switch size := min(n, fieldBudget/n) * n; {
+		case len(o.dist) == 0:
+			o.dist = make([]int32, 0, n)
+		case len(o.dist) < size:
+			o.dist = append(make([]int32, 0, size), o.dist...)
+		default:
+			clear(o.row)
+			o.dist = o.dist[:0]
+		}
+	}
+	f := len(o.dist)
+	o.dist = o.dist[:f+n]
+	o.row[dst] = int32(f/n + 1)
+	dist := o.dist[f:]
+	for i := range dist {
+		dist[i] = unreachableDist
 	}
 	o.queue = o.queue[:0]
 	if m.Status(dst) == mesh.Enabled {
-		o.dist[dst] = 0
+		dist[dst] = 0
 		o.queue = append(o.queue, dst)
 	}
 	for head := 0; head < len(o.queue); head++ {
 		cur := o.queue[head]
-		m.EachNeighbor(cur, func(nb grid.NodeID, _ grid.Dir) {
-			if o.dist[nb] == unreachableDist && m.Status(nb) == mesh.Enabled {
-				o.dist[nb] = o.dist[cur] + 1
+		for r := m.Open(cur); r != 0; r &= r - 1 { // Open's members are Enabled
+			if nb := m.Neighbor(cur, r.First()); dist[nb] == unreachableDist {
+				dist[nb] = dist[cur] + 1
 				o.queue = append(o.queue, nb)
 			}
-		})
+		}
 	}
-	o.version, o.dst, o.valid = m.Version(), dst, true
+	return dist
 }
 
 // ---------------------------------------------------------------------------

@@ -265,7 +265,7 @@ func TestOracleOptimal(t *testing.T) {
 	}
 }
 
-// TestRestoreInvalidatesOracle: the oracle's distance field is cached against
+// TestRestoreInvalidatesOracle: the oracle's distance fields are cached against
 // the mesh version, so a Restore — which rewrites every status — must advance
 // it: one Oracle routes around a wall, the wall is restored away, and the
 // next message to the same destination must take the straight path.
@@ -288,6 +288,122 @@ func TestRestoreInvalidatesOracle(t *testing.T) {
 	if !msg.Arrived || msg.Hops != 6 {
 		t.Fatalf("after Restore: %v, want arrival in 6 hops (a stale distance field still walks around the wall)", msg)
 	}
+}
+
+// TestOracleFollowsMesh: versions of different meshes collide, so the
+// oracle's table is keyed by the mesh too. A (a wall at y = 3, x 0-5) and B
+// (the column x = 6, y 0-5) are both at version 6; one Oracle routes across
+// A, then must route across B as a fresh one does, not from A's fields.
+func TestOracleFollowsMesh(t *testing.T) {
+	shape := grid.MustShape(7, 7)
+	a, b := mesh.New(shape), mesh.New(shape)
+	for i := 0; i < 6; i++ {
+		a.FailAt(grid.Coord{i, 3})
+		b.FailAt(grid.Coord{6, i})
+	}
+	if a.Version() != b.Version() {
+		t.Fatalf("versions %d and %d: the scenario needs them equal", a.Version(), b.Version())
+	}
+	src, dst := shape.Index(grid.Coord{0, 0}), shape.Index(grid.Coord{0, 6})
+	o := &Oracle{}
+	for _, step := range []struct {
+		m    *mesh.Mesh
+		hops int
+	}{{a, 18}, {b, 6}, {a, 18}} {
+		msg := NewMessage(src, dst)
+		runToEnd(t, &Context{M: step.m}, o, msg)
+		if !msg.Arrived || msg.Hops != step.hops {
+			t.Fatalf("%v, want arrival in %d hops (a table keyed by version alone serves the other mesh's fields)", msg, step.hops)
+		}
+	}
+}
+
+// TestOracleFieldCache holds one Oracle's table to the per-decision reference
+// BFS (refDistances) while consecutive decisions change destination: across
+// every way a mesh changes — Fail, Recover, SetStatus both ways between
+// Disabled and Clean, Restore, Reset — across two meshes at one version, and
+// on 128x128, where the budget holds 64 fields, across full tables: 65
+// destinations, three times over.
+func TestOracleFieldCache(t *testing.T) {
+	o := &Oracle{}
+	decisions := 0
+	// check decides from every cur to every dst on every mesh, the mesh
+	// changing fastest and the destination next.
+	check := func(stage string, curs, dsts []grid.NodeID, ms ...*mesh.Mesh) {
+		t.Helper()
+		for _, cur := range curs {
+			for _, dst := range dsts {
+				for i, m := range ms {
+					ctx := &Context{M: m}
+					msg := NewMessage(cur, dst)
+					if got, want := o.Decide(ctx, msg), referenceDecision(o, ctx, msg); got != want {
+						t.Fatalf("%s, mesh %d: %d -> %d: decided %+v, reference %+v", stage, i, cur, dst, got, want)
+					}
+					decisions++
+				}
+			}
+		}
+	}
+	shape := grid.MustShape(10, 10)
+	ids := func(cs ...grid.Coord) []grid.NodeID {
+		out := make([]grid.NodeID, len(cs))
+		for i, c := range cs {
+			out[i] = shape.Index(c)
+		}
+		return out
+	}
+	curs := ids(grid.Coord{1, 1}, grid.Coord{4, 2}, grid.Coord{8, 1}, grid.Coord{2, 8}, grid.Coord{3, 5})
+	dsts := ids(grid.Coord{1, 8}, grid.Coord{5, 9}, grid.Coord{8, 7}, grid.Coord{0, 0}, grid.Coord{9, 5}, grid.Coord{4, 5})
+	wall := func(m *mesh.Mesh) { // y = 5, x 0-8: the gap is x = 9
+		for x := 0; x < 9; x++ {
+			m.FailAt(grid.Coord{x, 5})
+		}
+	}
+	m := mesh.New(shape)
+	check("fault-free", curs, dsts, m)
+	wall(m)
+	check("Fail", curs, dsts, m)
+	snap := m.Snapshot()
+	m.RecoverAt(grid.Coord{3, 5})
+	m.RecoverAt(grid.Coord{4, 5})
+	check("Recover", curs, dsts, m)
+	m.SetStatus(shape.Index(grid.Coord{3, 5}), mesh.Disabled)
+	check("Clean -> Disabled", curs, dsts, m)
+	m.SetStatus(shape.Index(grid.Coord{3, 5}), mesh.Clean)
+	check("Disabled -> Clean", curs, dsts, m)
+	m.SetStatus(shape.Index(grid.Coord{3, 5}), mesh.Enabled)
+	m.SetStatus(shape.Index(grid.Coord{4, 5}), mesh.Enabled)
+	check("Clean -> Enabled", curs, dsts, m)
+	m.Restore(snap)
+	check("Restore", curs, dsts, m)
+	m.Reset()
+	check("Reset", curs, dsts, m)
+	a, b := mesh.New(shape), mesh.New(shape)
+	wall(a)
+	for y := 1; y < 10; y++ { // the column x = 5, y 1-9
+		b.FailAt(grid.Coord{5, y})
+	}
+	if a.Version() != b.Version() {
+		t.Fatalf("versions %d and %d: the two-mesh stage needs them equal", a.Version(), b.Version())
+	}
+	check("two meshes", curs, dsts, a, b)
+
+	shape = grid.MustShape(128, 128)
+	big := mesh.New(shape)
+	for x := 1; x < 127; x++ { // y = 64: the gaps are x = 0 and x = 127
+		big.FailAt(grid.Coord{x, 64})
+	}
+	curs = ids(grid.Coord{64, 10}, grid.Coord{20, 30}, grid.Coord{100, 50})
+	n := shape.NumNodes()
+	dsts = dsts[:0]
+	for i := 0; i <= fieldBudget/n; i++ {
+		dsts = append(dsts, shape.Index(grid.Coord{i * 127 / (fieldBudget / n), 100 + i%20}))
+	}
+	check("128x128", curs, dsts, big)
+	if cap(o.dist) != fieldBudget || len(o.dist) == fieldBudget {
+		t.Fatalf("table holds %d of %d entries, want capacity %d and a drop past it", len(o.dist), cap(o.dist), fieldBudget)
+	}
+	t.Logf("%d decisions", decisions)
 }
 
 // TestDORFailsOnBlock: dimension-order gives up at the first bad hop.

@@ -317,7 +317,7 @@ type RouteResult struct {
 
 // Route injects a message and runs the simulation until it terminates (or
 // maxSteps = 16 * diameter + schedule horizon). Router names: "limited",
-// "blind", "oracle", "dor".
+// "congested", "blind", "oracle", "dor".
 func (s *Simulation) Route(src, dst Coord, router string) (RouteResult, error) {
 	srcID, err := s.NodeAt(src)
 	if err != nil {
