@@ -24,11 +24,13 @@
 //     the Test*AllocFree tests.
 //   - Layout: a step is memory-bound, so per-flight state is laid out for
 //     the loop that walks it. A Flight holds its message header by value
-//     and comes from a slab; the flight list keeps the live flights as a
-//     dense prefix in injection order (terminated ones behind it, until
-//     harvested), compacted by the commit loop itself; routing scratch is
-//     the engine's (one route.Context), never a flight's; the tie-breaking
-//     policy is an engine setting (SetPolicy) for the same reason.
+//     and comes from a slab, whose route.Arena holds the headers' path
+//     stacks and used-direction tables; the flight list keeps the live
+//     flights as a dense prefix in injection order (terminated ones behind
+//     it, until harvested), compacted by the commit loop itself; routing
+//     scratch is the engine's (one route.Context), never a flight's; the
+//     tie-breaking policy is an engine setting (SetPolicy) for the same
+//     reason.
 package engine
 
 import (
@@ -222,10 +224,12 @@ type Engine struct {
 	// spareFlights and spareEvents are free lists fed by Reset/ClearFlights:
 	// a reused trial re-injects messages and logs events without
 	// reallocating flight, message, or record objects. slab is the unused
-	// remainder of the last flight slab.
+	// remainder of the last flight slab and stacks that of its header arena:
+	// a slab miss is three allocations for 64 flights, headers included.
 	spareFlights []*Flight
 	spareEvents  []*EventRecord
-	slab         []Flight //meshvet:keep unused allocation, carries no trial state
+	slab         []Flight    //meshvet:keep unused allocation, carries no trial state
+	stacks       route.Arena //meshvet:keep the slab's unused header storage, carries no trial state
 
 	// oracle computes EMaxAfter in finalizeLastEvent with reusable buffers
 	// (a fault process applies events all run long; the centralized Extract
@@ -507,10 +511,11 @@ func (e *Engine) Inject(src, dst grid.NodeID, r route.Router) (*Flight, error) {
 	} else {
 		if len(e.slab) == 0 {
 			e.slab = make([]Flight, flightSlab)
+			e.stacks = route.NewArena(e.Model.M.Shape(), flightSlab)
 		}
 		f, e.slab = &e.slab[0], e.slab[1:]
 		f.Msg = &f.msg
-		f.msg.Reserve(e.Model.M.Shape())
+		e.stacks.Carve(&f.msg)
 	}
 	// A recycled flight keeps the capacity of its header's path and
 	// used-direction table and of its sample lists.

@@ -239,3 +239,29 @@ func TestRecoveryEventKind(t *testing.T) {
 		t.Fatalf("events = %+v", eng.Events)
 	}
 }
+
+// TestInjectAllocsPerSlab pins the allocation contract of Inject: a slab
+// miss cuts 64 flights and one path-stack and one used-direction arena for
+// their headers — three allocations for 64 injections, headers included —
+// and re-injecting recycled flights allocates nothing.
+func TestInjectAllocsPerSlab(t *testing.T) {
+	e := newEngine(t, []int{32, 32}, 1, nil)
+	inject := func() {
+		for i := 0; i < flightSlab; i++ {
+			if _, err := e.Inject(grid.NodeID(i), grid.NodeID(1000-i), route.Limited{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fresh := func() {
+		e.ClearFlights()
+		e.spareFlights, e.slab = e.spareFlights[:0], nil // forget the flights: the next Inject misses
+		inject()
+	}
+	if allocs := testing.AllocsPerRun(10, fresh); allocs != 3 {
+		t.Errorf("64 injections into a fresh slab: %.1f allocs, want 3 (slab + two header arenas)", allocs)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { e.ClearFlights(); inject() }); allocs != 0 {
+		t.Errorf("64 recycled injections: %.1f allocs, want 0", allocs)
+	}
+}

@@ -39,12 +39,22 @@ type Store struct {
 	boxes []grid.Box
 	refs  []int32
 	free  []BlockID
+	// version counts the changes to any node's records (see Version).
+	version uint64
 }
 
 // NewStore builds an empty store for a mesh with n nodes.
 func NewStore(n int) *Store {
 	return &Store{recs: make([][]Record, n)}
 }
+
+// Version advances whenever some node's records change — an Add or Remove
+// that returns true, and every Clear — and never rewinds, so a reader that
+// saw the same version twice saw the same records (an Add that only
+// refreshes an epoch changes no record a router reads, and no version).
+//
+//meshvet:noalloc
+func (s *Store) Version() uint64 { return s.version }
 
 // Box returns b's box: the table's own, read-only and valid while b is held.
 func (s *Store) Box(b BlockID) grid.Box { return s.boxes[b] }
@@ -141,6 +151,7 @@ func (s *Store) Add(id grid.NodeID, rec Record) bool {
 	s.recs[id] = append(kept, rec)
 	s.Retain(rec.Block)
 	s.total++
+	s.version++
 	return true
 }
 
@@ -158,6 +169,7 @@ func (s *Store) Remove(id grid.NodeID, b BlockID, minEpoch uint32) bool {
 			s.recs[id] = rs[:len(rs)-1]
 			s.total--
 			s.Release(b)
+			s.version++
 			return true
 		}
 	}
@@ -188,6 +200,7 @@ func (s *Store) Clear() {
 		s.recs[i] = s.recs[i][:0]
 	}
 	s.total = 0
+	s.version++
 	clear(s.refs)
 	s.free = s.free[:0]
 	for b := len(s.refs) - 1; b >= 0; b-- {

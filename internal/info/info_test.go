@@ -163,3 +163,40 @@ func TestBoxTableRecyclesIDs(t *testing.T) {
 		t.Fatalf("dominated block still named (%d blocks)", s.Blocks())
 	}
 }
+
+// TestStoreVersion pins when the store's version advances: on every Add and
+// Remove that changes a node's records and on every Clear — and not on an
+// Add that only refreshes an epoch or a Remove that finds nothing to remove.
+func TestStoreVersion(t *testing.T) {
+	s := NewStore(4)
+	small := mkBox(grid.Coord{2, 2}, grid.Coord{2, 2})
+	big := mkBox(grid.Coord{1, 1}, grid.Coord{3, 3})
+	sb := rec(s, small, 1)
+	steps := []struct {
+		name    string
+		change  func() bool
+		changed bool
+	}{
+		{"add", func() bool { return s.Add(0, sb) }, true},
+		{"epoch-only add", func() bool { return s.Add(0, Record{Block: sb.Block, Epoch: 2}) }, false},
+		{"add elsewhere", func() bool { return s.Add(1, sb) }, true},
+		{"add replacing a contained record", func() bool { return s.Add(0, rec(s, big, 5)) }, true},
+		{"remove guarded by epoch", func() bool { return s.Remove(1, sb.Block, 1) }, false},
+		{"remove", func() bool { return s.Remove(1, sb.Block, 2) }, true},
+		{"remove of nothing", func() bool { return s.Remove(2, sb.Block, 9) }, false},
+		{"clear", func() bool { s.Clear(); return true }, true},
+		{"clear of nothing", func() bool { s.Clear(); return true }, true},
+	}
+	for _, st := range steps {
+		before := s.Version()
+		if got := st.change(); got != st.changed {
+			t.Fatalf("%s: reported %v, want %v", st.name, got, st.changed)
+		}
+		if moved := s.Version() != before; moved != st.changed {
+			t.Errorf("%s: version %d -> %d, want moved=%v", st.name, before, s.Version(), st.changed)
+		}
+		if s.Version() < before {
+			t.Errorf("%s: version rewound %d -> %d", st.name, before, s.Version())
+		}
+	}
+}

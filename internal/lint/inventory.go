@@ -24,7 +24,8 @@ import (
 // build, not a review.
 var AllocTestCoverage = map[string][]string{
 	// The contention step: arbitration, gating, the Limited and Blind
-	// decide paths (classify: three masks over the mesh's open set),
+	// decide paths (classify: three masks over the mesh's open set), the
+	// kept decision of a stalled flight and its (mesh, store, policy) key,
 	// commit/traversal, harvest, and the census fold-in. Advance is a pure
 	// delegate to AdvanceGated and is covered through it.
 	"TestContentionStepAllocFree": {
@@ -36,18 +37,24 @@ var AllocTestCoverage = map[string][]string{
 		"ndmesh/internal/route.Advance",
 		"ndmesh/internal/route.AdvanceGated",
 		"ndmesh/internal/route.Message.beginStep",
+		"ndmesh/internal/route.Message.keeps",
+		"ndmesh/internal/route.stateKey",
+		"ndmesh/internal/route.loadOblivious",
+		"ndmesh/internal/info.Store.Version",
 		"ndmesh/internal/route.commitDecision",
 		"ndmesh/internal/route.Limited.Decide",
 		"ndmesh/internal/route.Blind.Decide",
 		"ndmesh/internal/route.algorithm3",
 		"ndmesh/internal/route.classify",
 	},
-	// The header's used-direction table and path stack through growth,
-	// backtracking and re-entry: a recycled message repeats a walk over
-	// hundreds of nodes inside the capacity its first flight left behind.
+	// The header's used-direction table, path stack and toward set through
+	// growth, backtracking and re-entry: a recycled message repeats a walk
+	// over hundreds of nodes inside the capacity its first flight left
+	// behind.
 	"TestRecycledMessageAllocFree": {
 		"ndmesh/internal/route.Message.applyMove",
 		"ndmesh/internal/route.Message.applyBacktrack",
+		"ndmesh/internal/route.Message.retoward",
 		"ndmesh/internal/route.Message.find",
 		"ndmesh/internal/route.Message.enter",
 	},

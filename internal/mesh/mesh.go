@@ -310,14 +310,20 @@ func (m *Mesh) Restore(snap []Status) {
 	}
 }
 
-// Reset returns every node to Enabled, through SetStatus like any other
-// relabel. The version counter advances (it never rewinds) even when nothing
-// changed, so caches keyed on it — e.g. the oracle router's distance field —
-// cannot survive a reset and serve stale topology.
+// Reset returns every node to Enabled, relabeling the ones that are not
+// through SetStatus like any other relabel (for an Enabled node SetStatus is
+// a no-op, and a mesh whose counters are all zero has none to relabel). The
+// version counter advances (it never rewinds) even when nothing changed, so
+// caches keyed on it — e.g. the oracle router's distance field — cannot
+// survive a reset and serve stale topology.
 func (m *Mesh) Reset() {
-	for id := range m.status {
-		m.SetStatus(grid.NodeID(id), Enabled)
-		m.cleanAge[id] = 0
+	if m.faulty+m.disabled+m.clean > 0 {
+		for id, s := range m.status {
+			if s != Enabled {
+				m.SetStatus(grid.NodeID(id), Enabled)
+			}
+		}
 	}
+	clear(m.cleanAge)
 	m.version++
 }

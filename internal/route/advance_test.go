@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ndmesh/internal/grid"
+	"ndmesh/internal/info"
 	"ndmesh/internal/mesh"
 )
 
@@ -88,5 +89,73 @@ func TestSourceDeadEndUnderContention(t *testing.T) {
 	}
 	if len(g.calls) != 0 {
 		t.Fatalf("gate consulted at a dead end: %v", g.calls)
+	}
+}
+
+// TestStallKeepsDecision pins when a stalled message reuses the decision it
+// stalled on. Every router routes (1,1) -> (5,5) on a fault-free 8x8 with
+// a record at the source, is denied its first traversal, and then meets
+// one change: the load-oblivious routers keep their decision exactly when
+// the mesh version, the store version and the policy are all unchanged and
+// the message did not move; congested never keeps one. Whatever the header
+// keeps, the decision the next step commits must equal a fresh Decide.
+func TestStallKeepsDecision(t *testing.T) {
+	cases := []struct {
+		name   string
+		change func(ctx *Context, msg *Message, block info.BlockID, grant func())
+		keeps  bool
+	}{
+		{"nothing", func(*Context, *Message, info.BlockID, func()) {}, true},
+		{"record at Cur refreshed", func(ctx *Context, msg *Message, b info.BlockID, _ func()) {
+			ctx.Store.Add(msg.Cur, info.Record{Block: b, Epoch: 9}) // a newer epoch, no new record
+		}, true},
+		{"neighbour fails", func(ctx *Context, msg *Message, _ info.BlockID, _ func()) {
+			ctx.M.Fail(ctx.M.Neighbor(msg.Cur, grid.DirPlus(0)))
+		}, false},
+		{"record added at Cur", func(ctx *Context, msg *Message, _ info.BlockID, _ func()) {
+			box := grid.Box{Lo: grid.Coord{3, 2}, Hi: grid.Coord{3, 3}}
+			ctx.Store.Add(msg.Cur, info.Record{Block: ctx.Store.Intern(box), Epoch: 1})
+		}, false},
+		{"record removed from Cur", func(ctx *Context, msg *Message, b info.BlockID, _ func()) {
+			ctx.Store.Remove(msg.Cur, b, 100)
+		}, false},
+		{"policy changes", func(ctx *Context, _ *Message, _ info.BlockID, _ func()) {
+			ctx.Policy = LargestOffset
+		}, false},
+		{"message moves", func(_ *Context, _ *Message, _ info.BlockID, grant func()) {
+			grant()
+		}, false},
+	}
+	routers := []Router{Limited{}, Blind{}, DOR{}, &Oracle{}, Congested{}, Congested{Cfg: CongestionConfig{Eager: true}}}
+	for _, tc := range cases {
+		for _, rt := range routers {
+			ctx, m := env(t, []int{8, 8}, nil)
+			ctx.Load = flatLoad{}
+			shape := m.Shape()
+			src := shape.Index(grid.Coord{1, 1})
+			b := ctx.Store.Intern(grid.Box{Lo: grid.Coord{6, 3}, Hi: grid.Coord{6, 4}})
+			ctx.Store.Add(src, info.Record{Block: b, Epoch: 1})
+			msg := NewMessage(src, shape.Index(grid.Coord{5, 5}))
+			deny := true
+			gate := func(grid.NodeID, grid.Dir) bool { return !deny }
+			AdvanceGated(ctx, rt, msg, gate)
+			if !msg.Stalled() {
+				t.Fatalf("%s/%s: first step not denied", tc.name, rt.Name())
+			}
+			tc.change(ctx, msg, b, func() {
+				deny = false
+				AdvanceGated(ctx, rt, msg, gate)
+				deny = true
+			})
+			want := tc.keeps && rt.Name() != "congested"
+			if got := msg.keeps(ctx, rt, stateKey(ctx)); got != want {
+				t.Errorf("%s/%s: keeps = %v, want %v", tc.name, rt.Name(), got, want)
+			}
+			fresh := rt.Decide(ctx, msg)
+			AdvanceGated(ctx, rt, msg, gate)
+			if msg.kept != fresh {
+				t.Errorf("%s/%s: committed %+v, a fresh decision is %+v", tc.name, rt.Name(), msg.kept, fresh)
+			}
+		}
 	}
 }

@@ -56,9 +56,13 @@ func fuzzRouters() []Router {
 //     every node of the mesh, with a shadow map[NodeID]DirSet maintained
 //     the way the header used to (one Add per forward move), and the set
 //     cached for the current node with the table;
+//   - the decision a step commits must equal the fresh decision, also when
+//     a stalled message keeps the one it stalled on; after a gate denial
+//     the episode sometimes fails a neighbor of the current node, or adds
+//     or removes a record there, before the next step;
 //   - no decision may panic;
-//   - with static faults a message must never end Lost (Lost is reserved
-//     for dynamic failures under the path).
+//   - unless the episode failed a node, a message must never end Lost
+//     (Lost is reserved for dynamic failures under the path).
 //
 // The same router value then routes a second message to a new destination,
 // held to the same checks: Oracle's table must serve it as a fresh one would.
@@ -71,6 +75,15 @@ func FuzzRouterDecision(f *testing.F) {
 			f.Add(seed, seed*3+11, routerIdx, routerIdx%2 == 0)
 		}
 	}
+	// Gated runs of the default congested router, whose stall-triggered
+	// adaptivity a stalled message must not skip, and of Limited, whose
+	// stalls the episode follows with record and status changes.
+	for seed := uint64(100); seed < 130; seed++ {
+		f.Add(seed, seed*5+3, uint8(seed%2), true)
+	}
+	// A Limited stall after which a copied record changes the decision: a
+	// stalled message that ignored the store's version would keep it.
+	f.Add(uint64(1182), uint64(3713), uint8(0), true)
 	f.Fuzz(func(t *testing.T, seed, loadSalt uint64, routerIdx uint8, gated bool) {
 		r := rng.New(seed)
 		// Random mixed-radix shape: 1-3 dimensions, radices 3-6 (interior
@@ -111,20 +124,21 @@ func FuzzRouterDecision(f *testing.F) {
 			}
 		}
 
-		episode(t, ctx, rt, gate, NewMessage(src, dst))
+		episode(t, ctx, rt, gate, NewMessage(src, dst), r)
 		if dst2 := grid.NodeID(r.Intn(shape.NumNodes())); dst2 != dst && m.Status(dst2) == mesh.Enabled {
-			episode(t, ctx, rt, gate, NewMessage(src, dst2))
+			episode(t, ctx, rt, gate, NewMessage(src, dst2), r)
 		}
 	})
 }
 
 // episode routes msg to termination, validating every decision as
-// FuzzRouterDecision lists.
-func episode(t *testing.T, ctx *Context, rt Router, gate Gate, msg *Message) {
+// FuzzRouterDecision lists; r draws the changes made after a stall.
+func episode(t *testing.T, ctx *Context, rt Router, gate Gate, msg *Message, r *rng.Source) {
 	t.Helper()
 	m := ctx.M
 	shape := m.Shape()
 	shadow := map[grid.NodeID]grid.DirSet{}
+	failed := false
 	budget := 16*shape.Diameter() + 4*shape.NumNodes() + 64
 	for i := 0; i < budget && !msg.Done(); i++ {
 		var d Decision
@@ -152,8 +166,14 @@ func episode(t *testing.T, ctx *Context, rt Router, gate Gate, msg *Message) {
 		}
 		before, depth := msg.Cur, msg.PathLen()
 		AdvanceGated(ctx, rt, msg, gate)
+		if before != msg.Dst && msg.kept != d {
+			t.Fatalf("%s: step %d at node %d: committed %+v, a fresh decision is %+v", rt.Name(), i, before, msg.kept, d)
+		}
 		if msg.PathLen() == depth+1 { // a committed forward move
 			shadow[before] = shadow[before].Add(d.Dir)
+		}
+		if msg.Stalled() && r.Bool(0.5) {
+			failed = stallChange(ctx, msg, r) || failed
 		}
 		for id := grid.NodeID(0); int(id) < shape.NumNodes(); id++ {
 			if got := msg.Used(id); got != shadow[id] {
@@ -164,7 +184,31 @@ func episode(t *testing.T, ctx *Context, rt Router, gate Gate, msg *Message) {
 			t.Fatalf("%s: step %d: cached set at node %d = %b, shadow map says %b", rt.Name(), i, msg.Cur, msg.used, shadow[msg.Cur])
 		}
 	}
-	if msg.Lost {
+	if msg.Lost && !failed {
 		t.Fatalf("%s: message lost under static faults: %v", rt.Name(), msg)
 	}
+}
+
+// stallChange makes one random change a stalled message's next decision
+// may depend on — a neighbor of the current node fails, a record held by a
+// random node is copied there, or its first record is removed — and
+// reports whether a node failed.
+func stallChange(ctx *Context, msg *Message, r *rng.Source) bool {
+	m, u := ctx.M, msg.Cur
+	switch r.Intn(3) {
+	case 0:
+		if nb := m.Neighbor(u, grid.Dir(r.Intn(m.Shape().NumDirs()))); nb != grid.InvalidNode && nb != msg.Dst {
+			m.Fail(nb)
+			return true
+		}
+	case 1:
+		if recs := ctx.Store.At(grid.NodeID(r.Intn(m.NumNodes()))); len(recs) > 0 {
+			ctx.Store.Add(u, recs[0])
+		}
+	case 2:
+		if recs := ctx.Store.At(u); len(recs) > 0 {
+			ctx.Store.Remove(u, recs[0].Block, ^uint32(0))
+		}
+	}
+	return false
 }

@@ -19,6 +19,15 @@ type refLists struct {
 	uc, dc                     grid.Coord
 }
 
+// isPreferred reports whether dir reduces the Manhattan distance to dc.
+func isPreferred(uc, dc grid.Coord, dir grid.Dir) bool {
+	a := dir.Axis()
+	if dir.Positive() {
+		return uc[a] < dc[a]
+	}
+	return uc[a] > dc[a]
+}
+
 // refClassify is the per-direction candidate scan; ok is false when the
 // current node is disabled or faulty.
 func refClassify(ctx *Context, msg *Message, recs []info.Record) (cl refLists, ok bool) {

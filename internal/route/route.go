@@ -25,22 +25,29 @@
 // information rounds exactly as Figure 7 prescribes.
 //
 // Contracts: Decide never mutates the message — Advance/AdvanceGated
-// commit a Decision to the header, so a stalled message re-decides against
-// fresh state. Routers are stateless per decision and a Context holds no
-// scratch: one-hop sensing is one word, the mesh's open set (mesh.Mesh.Open:
-// the directions with an Enabled neighbor), so Algorithm 3's candidate
-// classes are three DirSets computed by mask arithmetic and passed by value
-// (see classify), and a decision allocates nothing. Coordinates are views
-// into the shape's table (grid.Shape.CoordView): no path decodes an id. The
-// one exception to statelessness is Oracle, the routing table it models: one
-// distance field per destination, all dropped when the mesh asked about or
-// its version moves.
+// commit a Decision to the header. Routers are stateless per decision and a
+// Context holds no scratch: one-hop sensing is one word, the mesh's open set
+// (mesh.Mesh.Open: the directions with an Enabled neighbor), so Algorithm
+// 3's candidate classes are three DirSets computed by mask arithmetic and
+// passed by value (see classify), and a decision allocates nothing.
+// Coordinates are views into the shape's table (grid.Shape.CoordView): no
+// path decodes an id. The one exception to statelessness is Oracle, the
+// routing table it models: one distance field per destination, all dropped
+// when the mesh asked about or its version moves.
+//
+// A decision is therefore a pure function of the mesh, the record store, the
+// policy and the header — and, for Congested alone, of the load view and the
+// stall flag. A stall writes none of those header fields, so a message that
+// lost arbitration keeps the decision it stalled on for as long as the mesh
+// version, the store version and the policy hold (see AdvanceGated), and
+// re-decides the step any of them moves.
 //
 // The header (Message) is laid out for the step loop: the fields a stalled
 // step reads — position, terminal flags, the current node's used-direction
-// set — sit together in the struct's first 32 bytes, and the used-direction
-// lists are one flat node-keyed table beside the path stack instead of a map
-// (see visit).
+// set, the kept decision and its key — sit together in the struct's first
+// 48 bytes, and the used-direction lists are one flat node-keyed table beside
+// the path stack instead of a map (see visit). Its path stack and table come
+// from an Arena carved per batch of headers (see Arena).
 package route
 
 import (
@@ -137,16 +144,29 @@ type Message struct {
 	// deadlock-escape path; routers never set it themselves.
 	Arrived, Unreachable, Lost, TimedOut bool
 
+	// strayed records that some hop did not shrink the distance to Dst (a
+	// spare hop or a backtrack). Until then every hop did, so the message
+	// cannot be anywhere it has been and entering a node needs no lookup.
+	strayed bool
+	// policy is the Context policy kept was decided under.
+	policy Policy
+
 	// slot is Cur's index in visited (-1 while Cur has no entry yet) and
 	// used a copy of that entry's set, refreshed whenever Cur changes: a
 	// decision reads the used directions from the header's own cache line,
 	// and a stalled message (Cur unchanged) never looks anything up.
 	slot int32
 	used grid.DirSet
-	// strayed records that some hop did not shrink the distance to Dst (a
-	// spare hop or a backtrack). Until then every hop did, so the message
-	// cannot be anywhere it has been and entering a node needs no lookup.
-	strayed bool
+	// toward is the set of directions that shrink the distance from Cur to
+	// Dst, set on the first step and kept up by every hop on the axis it
+	// crossed (see retoward); 0 until then, and at Dst.
+	toward grid.DirSet
+
+	// kept is the decision of the message's last step and key the versions
+	// of the mesh and the store it was made against (see stateKey). After a
+	// stall they let the next step skip the decision (see keeps).
+	kept Decision
+	key  uint64
 
 	// Hops counts every link traversal (forward and backward); Backtracks
 	// counts the backward ones. Steps counts decision steps including
@@ -192,18 +212,35 @@ func (msg *Message) Reset(src, dst grid.NodeID) {
 		path: msg.path[:0], visited: msg.visited[:0]}
 }
 
-// maxReserve bounds Reserve, so a flight on a very large mesh does not pin
-// kilobytes it will rarely use.
+// maxReserve bounds a header's share of an Arena, so a flight on a very
+// large mesh does not pin kilobytes it will rarely use.
 const maxReserve = 64
 
-// Reserve sizes the path stack and the used-direction table for a flight on
-// the given shape — the power of two at or above its diameter, where growth
-// by doubling would leave them anyway — so a fresh header does not regrow
-// hop by hop inside the step. A walk that outlasts the reserve still grows
-// by append and keeps the capacity.
-func (msg *Message) Reserve(shape *grid.Shape) {
-	n := min(maxReserve, 1<<bits.Len(uint(shape.Diameter()-1)))
-	msg.path, msg.visited = make([]hop, 0, n), make([]visit, 0, n)
+// Arena is the path-stack and used-direction-table storage of a batch of
+// headers: two slices allocated once and carved into equal shares, so a
+// fresh header costs no allocation of its own.
+type Arena struct {
+	path    []hop
+	visited []visit
+	share   int
+}
+
+// NewArena allocates storage for n headers of flights on the given shape.
+// A header's share is the power of two at or above the shape's diameter
+// (where growth by doubling would leave it anyway), at most maxReserve
+// entries, so a fresh header does not regrow hop by hop inside the step.
+func NewArena(shape *grid.Shape, n int) Arena {
+	share := min(maxReserve, 1<<bits.Len(uint(shape.Diameter()-1)))
+	return Arena{path: make([]hop, n*share), visited: make([]visit, n*share), share: share}
+}
+
+// Carve hands msg the arena's next share as its empty path stack and
+// used-direction table. A share is capped at its end, so a header never
+// grows into its neighbour's: a walk that outlasts it grows by append, and
+// Reset keeps whatever capacity the header ends up with.
+func (a *Arena) Carve(msg *Message) {
+	msg.path, msg.visited = a.path[:0:a.share], a.visited[:0:a.share]
+	a.path, a.visited = a.path[a.share:], a.visited[a.share:]
 }
 
 // Stalled reports whether the message's most recent step was a contention
@@ -269,8 +306,9 @@ func (msg *Message) String() string {
 // Gate arbitrates one link traversal under the contention model: it is
 // asked whether the message at `from` may cross the directed link along
 // `dir` this step. Returning false stalls the message for the step (its
-// header is untouched; it makes a fresh decision next step). A nil Gate
-// grants every traversal — the contention-free model.
+// position and used-direction lists are untouched; see AdvanceGated for
+// what it decides next step). A nil Gate grants every traversal — the
+// contention-free model.
 type Gate func(from grid.NodeID, dir grid.Dir) bool
 
 // Advance performs one step of the routing process: one decision and one
@@ -284,23 +322,57 @@ func Advance(ctx *Context, r Router, msg *Message) bool {
 
 // AdvanceGated is Advance under link arbitration: the decision is made
 // normally, but the chosen traversal (forward or backward) only executes
-// if the gate grants the link; otherwise the message waits in place. The
-// decision itself is not committed to the header on a stall, so a waiting
-// message re-decides next step against fresh status and information — a
-// stalled preferred direction can be abandoned for a spare if the fault
-// picture changes while queued.
+// if the gate grants the link; otherwise the message waits in place. A
+// waiting message re-decides whenever status or information changed — the
+// mesh version, the store version or the policy moved since it stalled —
+// so a stalled preferred direction can be abandoned for a spare if the
+// fault picture changes while queued. While none of them moved, a fresh
+// decision would equal the one it stalled on, and a load-oblivious router
+// (see loadOblivious) is not asked again: the message re-asks the gate for
+// the decision it kept. A header is advanced under one Context throughout.
 //
 //meshvet:noalloc
 func AdvanceGated(ctx *Context, r Router, msg *Message, gate Gate) bool {
-	return msg.beginStep() && commitDecision(ctx, msg, r.Decide(ctx, msg), gate)
+	if !msg.beginStep(ctx.M.Shape()) {
+		return false
+	}
+	key := stateKey(ctx)
+	d := msg.kept
+	if !msg.keeps(ctx, r, key) {
+		d = r.Decide(ctx, msg)
+	}
+	msg.kept, msg.key, msg.policy = d, key, ctx.Policy
+	return commitDecision(ctx, msg, d, gate)
+}
+
+// stateKey sums the versions of the context's mesh and record store. Both
+// only ever advance, so the sum is unchanged exactly when neither moved.
+//
+//meshvet:noalloc
+func stateKey(ctx *Context) uint64 {
+	k := ctx.M.Version()
+	if ctx.Store != nil {
+		k += ctx.Store.Version()
+	}
+	return k
+}
+
+// keeps reports whether msg's kept decision is the one r would make now:
+// the last step was a gate denial (so the header fields a decision reads
+// are as they were), the mesh, the store and the policy are as they were,
+// and r decides from nothing else.
+//
+//meshvet:noalloc
+func (msg *Message) keeps(ctx *Context, r Router, key uint64) bool {
+	return msg.stalled && msg.key == key && msg.policy == ctx.Policy && loadOblivious(r)
 }
 
 // beginStep opens one step of an in-flight message: it counts the step and
 // reports whether there is a decision to commit (false once terminal, or on
-// arrival).
+// arrival). The first step fills in the header's toward set.
 //
 //meshvet:noalloc
-func (msg *Message) beginStep() bool {
+func (msg *Message) beginStep(shape *grid.Shape) bool {
 	if msg.Done() {
 		return false
 	}
@@ -308,6 +380,9 @@ func (msg *Message) beginStep() bool {
 	if msg.Cur == msg.Dst {
 		msg.Arrived = true
 		return false
+	}
+	if msg.toward == 0 {
+		msg.toward = towardOf(shape, msg.Cur, msg.Dst)
 	}
 	return true
 }
@@ -372,11 +447,11 @@ func (msg *Message) applyMove(ctx *Context, dir grid.Dir) {
 	}
 	msg.visited[msg.slot].used = msg.used.Add(dir)
 	msg.path = append(msg.path, hop{slot: msg.slot, dir: dir})
-	shape := ctx.M.Shape()
 	slot := int32(-1)
-	if msg.strayed = msg.strayed || !isPreferred(shape.CoordView(msg.Cur), shape.CoordView(msg.Dst), dir); msg.strayed {
+	if msg.strayed = msg.strayed || !msg.toward.Has(dir); msg.strayed {
 		slot = msg.find(next)
 	}
+	msg.retoward(ctx.M.Shape(), dir, next)
 	msg.enter(next, slot)
 	msg.Incoming = dir
 	msg.Hops++
@@ -402,9 +477,40 @@ func (msg *Message) applyBacktrack(ctx *Context) {
 	// the forward move that set this path segment up.
 	msg.Incoming = back.dir.Opposite()
 	msg.strayed = true
+	msg.retoward(ctx.M.Shape(), msg.Incoming, prev)
 	msg.enter(prev, back.slot)
 	msg.Hops++
 	msg.Backtracks++
+}
+
+// retoward updates the toward set for a hop along dir onto next, which
+// changes Cur's coordinate on dir's axis alone. A hop that shrank the
+// distance keeps dir unless it closed the axis; any other hop opened the
+// axis (or widened it) on dir's side, so the way back shrinks it.
+//
+//meshvet:noalloc
+func (msg *Message) retoward(shape *grid.Shape, dir grid.Dir, next grid.NodeID) {
+	switch a := dir.Axis(); {
+	case !msg.toward.Has(dir):
+		msg.toward = msg.toward.Add(dir.Opposite())
+	case shape.CoordView(next)[a] == shape.CoordView(msg.Dst)[a]:
+		msg.toward = msg.toward.Remove(dir)
+	}
+}
+
+// towardOf returns the directions that shrink the distance from u to dst.
+func towardOf(shape *grid.Shape, u, dst grid.NodeID) grid.DirSet {
+	dc := shape.CoordView(dst)
+	var toward grid.DirSet
+	for a, v := range shape.CoordView(u) {
+		switch {
+		case v < dc[a]:
+			toward = toward.Add(grid.DirPlus(a))
+		case v > dc[a]:
+			toward = toward.Add(grid.DirMinus(a))
+		}
+	}
+	return toward
 }
 
 // ---------------------------------------------------------------------------
@@ -462,15 +568,9 @@ func classify(ctx *Context, msg *Message, recs []info.Record) (preferred, demote
 		return 0, 0, 0
 	}
 	shape := m.Shape()
-	dc := shape.CoordView(msg.Dst)
-	var toward grid.DirSet // the directions that reduce the distance to dc
-	for a, v := range shape.CoordView(u) {
-		switch {
-		case v < dc[a]:
-			toward = toward.Add(grid.DirPlus(a))
-		case v > dc[a]:
-			toward = toward.Add(grid.DirMinus(a))
-		}
+	toward := msg.toward
+	if toward == 0 { // a header asked before its first step
+		toward = towardOf(shape, u, msg.Dst)
 	}
 	cand := m.Open(u) &^ msg.used
 	preferred = cand & toward
@@ -480,6 +580,7 @@ func classify(ctx *Context, msg *Message, recs []info.Record) (preferred, demote
 		spares = spares.Remove(msg.Incoming.Opposite())
 	}
 	if len(recs) > 0 {
+		dc := shape.CoordView(msg.Dst)
 		for r := preferred; r != 0; r &= r - 1 {
 			d := r.First()
 			if demotedByRecords(ctx.Store, recs, shape.CoordView(m.Neighbor(u, d)), dc) {
@@ -504,15 +605,6 @@ func recordsAt(ctx *Context, u grid.NodeID) []info.Record {
 		return nil
 	}
 	return ctx.Store.At(u)
-}
-
-// isPreferred reports whether dir reduces the Manhattan distance to dc.
-func isPreferred(uc, dc grid.Coord, dir grid.Dir) bool {
-	a := dir.Axis()
-	if dir.Positive() {
-		return uc[a] < dc[a]
-	}
-	return uc[a] > dc[a]
 }
 
 // demotedByRecords applies the critical-routing rule: a preferred step onto
@@ -747,6 +839,22 @@ func (DOR) Decide(ctx *Context, msg *Message) Decision {
 		return Decision{Move: true, Dir: dir}
 	}
 	return Decision{Fail: true} // already at destination: Advance handles it
+}
+
+// loadOblivious reports whether r decides from the mesh, the record store,
+// the policy and the header fields a stall leaves alone, and from nothing
+// else — so a decision it made before a stall is the one it would make
+// after, while the mesh and store versions and the policy hold. That is
+// every ByName router but congested, which reads Context.Load and
+// Message.Stalled. Oracle's table is a pure function of the mesh.
+//
+//meshvet:noalloc
+func loadOblivious(r Router) bool {
+	switch r.(type) {
+	case Limited, Blind, DOR, *Oracle:
+		return true
+	}
+	return false
 }
 
 // ByName returns a fresh router by experiment name.

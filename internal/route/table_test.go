@@ -152,3 +152,34 @@ func TestRecycledMessageAllocFree(t *testing.T) {
 			msg.Hops, tc.hops, pathCap, cap(msg.path), tableCap, cap(msg.visited))
 	}
 }
+
+// TestArenaShares pins the carve: every header gets an empty share of the
+// shape's reserve (the power of two at or above the diameter, at most 64),
+// capped at its end, so a walk that outgrows its share reallocates instead
+// of writing into the next header's.
+func TestArenaShares(t *testing.T) {
+	for _, tc := range []struct {
+		dims  []int
+		share int
+	}{{[]int{8, 8}, 16}, {[]int{32, 32}, 64}, {[]int{4, 4, 4}, 16}, {[]int{128, 128}, 64}} {
+		a := NewArena(grid.MustShape(tc.dims...), 2)
+		var first, second Message
+		a.Carve(&first)
+		a.Carve(&second)
+		for _, msg := range []*Message{&first, &second} {
+			if len(msg.path) != 0 || cap(msg.path) != tc.share || len(msg.visited) != 0 || cap(msg.visited) != tc.share {
+				t.Fatalf("%v: share path %d/%d table %d/%d, want 0/%d", tc.dims,
+					len(msg.path), cap(msg.path), len(msg.visited), cap(msg.visited), tc.share)
+			}
+		}
+		second.path = append(second.path, hop{slot: 7})
+		second.visited = append(second.visited, visit{node: 7})
+		for i := 0; i <= tc.share; i++ {
+			first.path = append(first.path, hop{slot: -1})
+			first.visited = append(first.visited, visit{node: -1})
+		}
+		if second.path[0].slot != 7 || second.visited[0].node != 7 {
+			t.Fatalf("%v: the first header's growth overwrote the second's share", tc.dims)
+		}
+	}
+}
