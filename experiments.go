@@ -612,6 +612,10 @@ type theoremTrial struct {
 	extra          int
 	v3, v4, v5     int
 	bound          int
+	// tr and ivs are the measured trace and the intervals from occurrence
+	// p onward that the checks read (zero for trials outside the premise).
+	tr  detour.Trace
+	ivs []detour.Interval
 }
 
 // TheoremSweepWorkers runs randomized conforming dynamic-fault scenarios and
@@ -619,69 +623,7 @@ type theoremTrial struct {
 // one parallel job).
 func TheoremSweepWorkers(dims []int, trials int, seed uint64, workers int) (TheoremReport, error) {
 	results, err := runGrid(fanOut{workers: workers}, seed, trials,
-		func(p *simPool, _ int, rr *rng.Source) (theoremTrial, error) {
-			var res theoremTrial
-			sim, err := p.get(dims, 2)
-			if err != nil {
-				return res, err
-			}
-			shape := sim.shape
-			src, dst := traffic.DrawLongHaulPair(shape, rr)
-			// Conforming schedule: isolated single-node blocks, intervals far
-			// beyond stabilization; p = 2 occurrences before injection.
-			interval := 6*shape.Diameter() + 40
-			const preFaults = 2
-			faults := preFaults + 4
-			sched, err := fault.Generate(shape, faults, fault.Options{
-				Interval:      interval,
-				Start:         2,
-				Exclude:       []grid.NodeID{src, dst},
-				ExcludeRadius: 1,
-				MinSpacing:    4,
-			}, rr)
-			if err != nil {
-				return res, err
-			}
-			setSchedule(sim, sched)
-			// Run until just after occurrence p, then inject.
-			sim.RunSteps(2 + preFaults*interval - interval/2)
-			res.unsafeSrc = !sim.SourceSafe(sim.CoordOf(src), sim.CoordOf(dst))
-			unsafePath, hasPath := 0, true
-			if res.unsafeSrc {
-				if unsafePath, hasPath = safety.PathExists(sim.mesh, src, dst); !hasPath {
-					res.noPath = true
-					return res, nil // outside every theorem's premise
-				}
-			} else if !p.staticallyMinimal(dims, sched, preFaults, src, dst) {
-				// Premise check: the theorems charge detours only to new
-				// blocks, assuming the routing is minimal against the blocks
-				// that already exist. Verify on a static replay with the
-				// pre-injection faults only; skip the bounds otherwise.
-				res.premiseSkipped = true
-				return res, nil
-			}
-			fl, err := sim.engine.Inject(src, dst, route.Limited{})
-			if err != nil {
-				return res, err
-			}
-			sim.engine.RunFlights(40*shape.Diameter() + faults*interval)
-
-			tr, ivs, pIv := buildTrace(sim, fl, preFaults)
-			if fl.Msg.Arrived {
-				res.arrived = true
-				res.extra = tr.ExtraSteps()
-			}
-			d := tr.D0
-			if res.unsafeSrc {
-				d = unsafePath
-				res.v5 = len(detour.CheckTheorem5(tr, unsafePath, ivs))
-			} else {
-				res.v3 = len(detour.CheckTheorem3(tr, pIv, ivs[1:]))
-				res.v4 = len(detour.CheckTheorem4(tr, ivs))
-			}
-			res.bound = detour.MaxDetourBound(detour.KBound(d, tr.Start, ivs), ivs)
-			return res, nil
-		}, nil)
+		func(p *simPool, _ int, rr *rng.Source) (theoremTrial, error) { return p.theoremTrial(dims, rr) }, nil)
 	if err != nil {
 		return TheoremReport{}, err
 	}
@@ -714,6 +656,74 @@ func TheoremSweepWorkers(dims []int, trials int, seed uint64, workers int) (Theo
 	return rep, nil
 }
 
+// theoremTrial runs one E11-E13 trial: a conforming schedule, one long-haul
+// flight injected after occurrence p, its trace checked against the theorem
+// its source's classification selects.
+func (p *simPool) theoremTrial(dims []int, rr *rng.Source) (theoremTrial, error) {
+	var res theoremTrial
+	sim, err := p.get(dims, 2)
+	if err != nil {
+		return res, err
+	}
+	shape := sim.shape
+	src, dst := traffic.DrawLongHaulPair(shape, rr)
+	// Conforming schedule: isolated single-node blocks, intervals far
+	// beyond stabilization; p = 2 occurrences before injection.
+	interval := 6*shape.Diameter() + 40
+	const preFaults = 2
+	faults := preFaults + 4
+	sched, err := fault.Generate(shape, faults, fault.Options{
+		Interval:      interval,
+		Start:         2,
+		Exclude:       []grid.NodeID{src, dst},
+		ExcludeRadius: 1,
+		MinSpacing:    4,
+	}, rr)
+	if err != nil {
+		return res, err
+	}
+	setSchedule(sim, sched)
+	// Run until just after occurrence p, then inject.
+	sim.RunSteps(2 + preFaults*interval - interval/2)
+	res.unsafeSrc = !sim.SourceSafe(sim.CoordOf(src), sim.CoordOf(dst))
+	unsafePath, hasPath := 0, true
+	if res.unsafeSrc {
+		if unsafePath, hasPath = safety.PathExists(sim.mesh, src, dst); !hasPath {
+			res.noPath = true
+			return res, nil // outside every theorem's premise
+		}
+	} else if !p.staticallyMinimal(dims, sched, preFaults, src, dst) {
+		// Premise check: the theorems charge detours only to new
+		// blocks, assuming the routing is minimal against the blocks
+		// that already exist. Verify on a static replay with the
+		// pre-injection faults only; skip the bounds otherwise.
+		res.premiseSkipped = true
+		return res, nil
+	}
+	fl, err := sim.engine.Inject(src, dst, route.Limited{})
+	if err != nil {
+		return res, err
+	}
+	dAt := sampleDistances(sim.engine, fl, 40*shape.Diameter()+faults*interval)
+
+	tr, ivs, pIv := buildTrace(sim, fl, dAt, preFaults)
+	res.tr, res.ivs = tr, ivs
+	if fl.Msg.Arrived {
+		res.arrived = true
+		res.extra = tr.ExtraSteps()
+	}
+	d := tr.D0
+	if res.unsafeSrc {
+		d = unsafePath
+		res.v5 = len(detour.CheckTheorem5(tr, unsafePath, ivs))
+	} else {
+		res.v3 = len(detour.CheckTheorem3(tr, pIv, ivs[1:]))
+		res.v4 = len(detour.CheckTheorem4(tr, ivs))
+	}
+	res.bound = detour.MaxDetourBound(detour.KBound(d, tr.Start, ivs), ivs)
+	return res, nil
+}
+
 // staticallyMinimal replays src->dst on a mesh holding only the first p
 // faults (stabilized, no dynamics) and reports whether the limited router
 // achieves the minimal distance — the implicit premise of Theorems 3/4.
@@ -739,17 +749,25 @@ func (pl *simPool) staticallyMinimal(dims []int, sched *fault.Schedule, p int, s
 	return fl.Msg.Arrived && fl.Msg.Hops == sim.shape.Distance(src, dst)
 }
 
-// buildTrace converts an engine flight + event log into the detour
-// package's inputs: the trace, the intervals from occurrence p onward, and
-// interval p itself.
-func buildTrace(sim *Simulation, fl *engine.Flight, p int) (detour.Trace, []detour.Interval, detour.Interval) {
+// sampleDistances steps eng until fl terminates or maxSteps have run, as
+// RunFlights does for a lone flight, and returns D(i) — fl's distance to go
+// — for every event applied while fl was in flight, in event order.
+func sampleDistances(eng *engine.Engine, fl *engine.Flight, maxSteps int) []int {
+	eng.RunFlights(maxSteps)
+	return append([]int(nil), fl.DistAt...)
+}
+
+// buildTrace converts an engine flight, its D(i) samples and the event log
+// into the detour package's inputs: the trace, the intervals from
+// occurrence p onward, and interval p itself.
+func buildTrace(sim *Simulation, fl *engine.Flight, dAt []int, p int) (detour.Trace, []detour.Interval, detour.Interval) {
 	shape := sim.shape
 	msg := fl.Msg
 	tr := detour.Trace{
 		D0:      shape.Distance(msg.Src, msg.Dst),
 		Start:   fl.StartStep,
 		P:       p,
-		DAt:     append([]int(nil), fl.DistAt...),
+		DAt:     dAt,
 		EndStep: fl.StartStep + msg.Steps,
 		Arrived: msg.Arrived,
 		Hops:    msg.Hops,
