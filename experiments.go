@@ -751,10 +751,21 @@ func (pl *simPool) staticallyMinimal(dims []int, sched *fault.Schedule, p int, s
 
 // sampleDistances steps eng until fl terminates or maxSteps have run, as
 // RunFlights does for a lone flight, and returns D(i) — fl's distance to go
-// — for every event applied while fl was in flight, in event order.
+// — for every event applied while fl was in flight, in event order. The
+// events a Step applies are the schedule's unapplied ones (one log record
+// per applied event) due by its step; they are detected before any flight
+// moves, so each is sampled just before that Step.
 func sampleDistances(eng *engine.Engine, fl *engine.Flight, maxSteps int) []int {
-	eng.RunFlights(maxSteps)
-	return append([]int(nil), fl.DistAt...)
+	var dAt []int
+	shape, sched := eng.Model.M.Shape(), eng.Schedule.Events
+	for n := 0; n < maxSteps && !fl.Msg.Done(); n++ {
+		for i := len(eng.Events); i < len(sched) && sched[i].Step <= eng.StepCount(); i++ {
+			dAt = append(dAt, shape.Distance(fl.Msg.Cur, fl.Msg.Dst))
+		}
+		eng.Step()
+	}
+	eng.FinalizeEvents()
+	return dAt
 }
 
 // buildTrace converts an engine flight, its D(i) samples and the event log

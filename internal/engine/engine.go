@@ -8,20 +8,21 @@
 // The engine also keeps the per-occurrence bookkeeping of Table 1: for each
 // fault/recovery event i it measures a_i (labeling stabilization rounds),
 // b_i (identification rounds), c_i (boundary rounds), the number of
-// affected nodes, and samples every in-flight message's distance-to-go D(i)
-// at the occurrence — the inputs of Theorems 3-5.
+// affected nodes, e_max and the information-store size. D(i), a message's
+// distance-to-go at the occurrence, is not the engine's: the E11-E13 sweep
+// samples it for its one flight from the step loop it drives.
 //
 // Contracts the rest of the stack builds on:
 //
 //   - Determinism: flights are polled in injection order, so the opt-in
 //     contention model's link arbitration is an age-ordered FIFO and the
 //     step is one serial loop with no goroutine-scheduling dependence.
-//   - Reset: Reset rewinds the engine to step 0 recycling flights and
-//     event records into free lists (results handed out earlier must be
-//     consumed first); ClearFlights retires the flight population only;
-//     DetachDone is the per-step harvest. Together with the recycling in
-//     Inject they make the steady-state step 0 allocs/op — asserted by
-//     the Test*AllocFree tests.
+//   - Reset: Reset rewinds the engine to step 0 recycling flights into a
+//     free list and truncating the event log in place (results handed out
+//     earlier must be consumed first); ClearFlights retires the flight
+//     population only; DetachDone is the per-step harvest. Together with
+//     the recycling in Inject they make the steady-state step 0 allocs/op
+//     — asserted by the Test*AllocFree tests.
 //   - Layout: a step is memory-bound, so per-flight state is laid out for
 //     the loop that walks it. A Flight holds its message header by value
 //     and comes from a slab, whose route.Arena holds the headers' path
@@ -45,9 +46,8 @@ import (
 
 // Flight is one routing message in flight with its router. Flights are
 // carved from slabs and hold their message header by value (Msg points at
-// it), so the step loop walks one contiguous run of memory per flight: the
-// fields it reads every step come first, the Table 1 samples last. Routing
-// scratch is not per flight — the engine owns the route.Context.
+// it), so the step loop walks one contiguous run of memory per flight.
+// Routing scratch is not per flight — the engine owns the route.Context.
 type Flight struct {
 	// Msg is the flight's header; it points into the flight itself.
 	Msg    *route.Message
@@ -67,13 +67,6 @@ type Flight struct {
 	resident bool
 
 	msg route.Message
-
-	// DistAt[i] is D(i): the distance from the message's current node to
-	// its destination when event i occurred (only events after injection).
-	DistAt []int
-	// EventIdxAt records which global event index each DistAt sample
-	// belongs to.
-	EventIdxAt []int
 }
 
 // flightSlab is how many flights one free-list miss allocates at once.
@@ -215,19 +208,20 @@ type Engine struct {
 	// so no flight carries buffers of its own.
 	ctx route.Context //meshvet:keep configuration (fabric, store, load view, policy) plus call-scoped scratch
 
-	// Events is the per-occurrence log (one record per schedule event).
-	Events []*EventRecord
+	// Events is the per-occurrence log (one record per applied schedule
+	// event), held by value: Reset truncates it and a reused trial logs
+	// into the capacity the last one left.
+	Events []EventRecord
 
 	// RoundsRun counts total information rounds executed.
 	RoundsRun int
 
-	// spareFlights and spareEvents are free lists fed by Reset/ClearFlights:
-	// a reused trial re-injects messages and logs events without
-	// reallocating flight, message, or record objects. slab is the unused
-	// remainder of the last flight slab and stacks that of its header arena:
-	// a slab miss is three allocations for 64 flights, headers included.
+	// spareFlights is the free list fed by Reset/ClearFlights/DetachDone: a
+	// reused trial re-injects messages without reallocating flight or
+	// message objects. slab is the unused remainder of the last flight slab
+	// and stacks that of its header arena: a slab miss is three allocations
+	// for 64 flights, headers included.
 	spareFlights []*Flight
-	spareEvents  []*EventRecord
 	slab         []Flight    //meshvet:keep unused allocation, carries no trial state
 	stacks       route.Arena //meshvet:keep the slab's unused header storage, carries no trial state
 
@@ -439,15 +433,15 @@ func (c *contention) deny(li int32) bool {
 }
 
 // Reset rewinds the engine to step 0 for a new trial on the same model: the
-// schedule cursor returns to the first event, flights and event records are
-// recycled into the free lists. The model itself is reset separately
-// (core.Model.Reset); the Schedule is shared state the caller repopulates.
+// schedule cursor returns to the first event, flights are recycled into the
+// free list and the event log is truncated. The model itself is reset
+// separately (core.Model.Reset); the Schedule is shared state the caller
+// repopulates.
 //
-// Flights and event records handed out before Reset are recycled and MUST
+// Flights and the event log handed out before Reset are reused and MUST
 // NOT be read afterwards — consume results before resetting.
 func (e *Engine) Reset() {
 	e.ClearFlights() // also clears contention residency/service counters
-	e.spareEvents = append(e.spareEvents, e.Events...)
 	e.Events = e.Events[:0]
 	e.evIdx = 0
 	e.step = 0
@@ -518,10 +512,9 @@ func (e *Engine) Inject(src, dst grid.NodeID, r route.Router) (*Flight, error) {
 		e.stacks.Carve(&f.msg)
 	}
 	// A recycled flight keeps the capacity of its header's path and
-	// used-direction table and of its sample lists.
+	// used-direction table.
 	f.msg.Reset(src, dst)
 	f.Router, f.StartStep, f.StallAge = r, e.step, 0
-	f.DistAt, f.EventIdxAt = f.DistAt[:0], f.EventIdxAt[:0]
 	f.resident = e.ctn.enabled
 	if f.resident {
 		e.ctn.resident[src]++
@@ -675,22 +668,13 @@ func (e *Engine) Step() {
 //meshvet:noalloc
 func (e *Engine) applyEvent(ev fault.Event) {
 	e.finalizeLastEvent()
-	var rec *EventRecord
-	if n := len(e.spareEvents); n > 0 {
-		rec = e.spareEvents[n-1]
-		e.spareEvents = e.spareEvents[:n-1]
-	} else {
-		//meshvet:allow free-list miss: first trial warms the pool; steady state reuses
-		rec = &EventRecord{}
-	}
-	*rec = EventRecord{
+	e.Events = append(e.Events, EventRecord{
 		Index: len(e.Events) + 1,
 		Step:  e.step,
 		Round: e.Model.RoundCount(),
 		Kind:  ev.Kind,
 		Node:  ev.Node,
-	}
-	e.Events = append(e.Events, rec)
+	})
 	e.Model.Labeling.ResetAffected()
 	switch ev.Kind {
 	case fault.Fail:
@@ -703,12 +687,6 @@ func (e *Engine) applyEvent(ev fault.Event) {
 		if e.probe != nil {
 			e.census.Recovered++
 		}
-	}
-	// Sample D(i) for every active flight (Theorem 3's measurements).
-	for _, f := range e.flights[:e.live] {
-		d := e.Model.M.Shape().Distance(f.msg.Cur, f.msg.Dst)
-		f.DistAt = append(f.DistAt, d)
-		f.EventIdxAt = append(f.EventIdxAt, rec.Index)
 	}
 }
 
@@ -726,7 +704,7 @@ func (e *Engine) finalizeLastEvent() {
 	if len(e.Events) == 0 {
 		return
 	}
-	rec := e.Events[len(e.Events)-1]
+	rec := &e.Events[len(e.Events)-1]
 	md := e.Model
 	rec.ARounds = clampNonNeg(md.LastLabelRound - rec.Round)
 	rec.FrameRounds = clampNonNeg(md.LastFrameRound - rec.Round)

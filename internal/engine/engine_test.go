@@ -101,35 +101,6 @@ func TestEventRecordsConvergence(t *testing.T) {
 	}
 }
 
-// TestDistanceSamplesAtEvents: D(i) is sampled for in-flight messages at
-// each occurrence.
-func TestDistanceSamplesAtEvents(t *testing.T) {
-	shape := grid.MustShape(12, 12)
-	sched := &fault.Schedule{Events: []fault.Event{
-		{Step: 5, Node: shape.Index(grid.Coord{9, 9}), Kind: fault.Fail},
-		{Step: 10, Node: shape.Index(grid.Coord{2, 9}), Kind: fault.Fail},
-	}}
-	eng := newEngine(t, []int{12, 12}, 1, sched)
-	src := shape.Index(grid.Coord{1, 1})
-	dst := shape.Index(grid.Coord{7, 1})
-	fl, err := eng.Inject(src, dst, route.Limited{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Run(200)
-	if !fl.Msg.Arrived {
-		t.Fatalf("not arrived: %v", fl.Msg)
-	}
-	// Message needs 6 steps; the occurrence at step 5 catches it 5 hops
-	// in: D(1) = 1. The occurrence at step 10 is after arrival: no sample.
-	if len(fl.DistAt) != 1 || fl.DistAt[0] != 1 {
-		t.Fatalf("DistAt = %v, want [1]", fl.DistAt)
-	}
-	if fl.EventIdxAt[0] != 1 {
-		t.Fatalf("EventIdxAt = %v", fl.EventIdxAt)
-	}
-}
-
 // TestInjectValidation: source == destination is rejected.
 func TestInjectValidation(t *testing.T) {
 	eng := newEngine(t, []int{6, 6}, 1, nil)

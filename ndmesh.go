@@ -41,6 +41,7 @@ import (
 	"ndmesh/internal/rng"
 	"ndmesh/internal/route"
 	"ndmesh/internal/safety"
+	"ndmesh/internal/traffic"
 	"ndmesh/internal/viz"
 )
 
@@ -78,6 +79,9 @@ type Simulation struct {
 	model  *core.Model
 	engine *engine.Engine
 	sched  *fault.Schedule
+	// col is the load cells' collector: each cell rewinds it (loadPoint),
+	// so the latency sample keeps its capacity across the cells of a pool.
+	col traffic.Collector //meshvet:keep rewound by each load cell (Collector.Reset), carries no trial state across it
 }
 
 // NewSimulation builds a fault-free simulation of the configured shape.
@@ -120,7 +124,7 @@ func MustSimulation(cfg Config) *Simulation {
 // store, the engine clock, flights and the fault schedule — while keeping
 // every internal buffer, so a sweep can restart a trial without
 // reallocating. Results (RouteResult, Events) must be consumed before the
-// reset: flight and event objects are recycled.
+// reset: flights are recycled and the event log is overwritten.
 func (s *Simulation) Reset() {
 	s.model.Reset()
 	s.engine.Reset()

@@ -567,7 +567,7 @@ func (opt *LoadSweepOptions[Row]) loadPoint(p *simPool, wl workload, router stri
 		eng.DisableContention()
 	}()
 	ph := traffic.Phases{Warmup: opt.Warmup, Measure: opt.Measure, Drain: opt.Drain}
-	var col traffic.Collector
+	col := &sim.col
 	col.Reset(ph)
 
 	fab := sim.mesh

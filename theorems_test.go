@@ -4,9 +4,11 @@ package ndmesh
 // of the paper validated through the public API on randomized scenarios.
 
 import (
+	"slices"
 	"testing"
 
 	"ndmesh/internal/block"
+	"ndmesh/internal/route"
 	"ndmesh/internal/safety"
 )
 
@@ -114,6 +116,52 @@ func TestTheorem5(t *testing.T) {
 	}
 	if rep3.Violations3+rep3.Violations4+rep3.Violations5 != 0 {
 		t.Fatalf("3-D violations: %+v", rep3)
+	}
+}
+
+// TestDistanceSamplesAtEvents holds the E11-E13 sampler to D(i)'s
+// definition: a message's distance to go when occurrence i is applied,
+// sampled only while the message is in flight. A 12x12 λ=1 run, one flight
+// (1,1)->(7,1) that needs 6 steps.
+func TestDistanceSamplesAtEvents(t *testing.T) {
+	type event struct {
+		step int
+		at   Coord
+	}
+	for _, tc := range []struct {
+		name     string
+		events   []event
+		injectAt int // steps run before the injection
+		want     []int
+	}{
+		// The occurrence at step 5 catches the message 5 hops in: D(1) = 1.
+		// The one at step 10 is after arrival: no sample.
+		{"after-arrival", []event{{5, C(9, 9)}, {10, C(2, 9)}}, 0, []int{1}},
+		// Two occurrences applied in one step are sampled at one position.
+		{"same-step", []event{{3, C(9, 9)}, {3, C(2, 9)}}, 0, []int{3, 3}},
+		// An occurrence before the injection has no message to sample.
+		{"before-injection", []event{{1, C(9, 9)}, {5, C(2, 9)}}, 3, []int{4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sim := MustSimulation(Config{Dims: []int{12, 12}})
+			for _, ev := range tc.events {
+				if err := sim.ScheduleFault(ev.step, ev.at); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sim.RunSteps(tc.injectAt)
+			fl, err := sim.engine.Inject(sim.shape.Index(C(1, 1)), sim.shape.Index(C(7, 1)), route.Limited{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := sampleDistances(sim.engine, fl, 200)
+			if !fl.Msg.Arrived {
+				t.Fatalf("not arrived: %v", fl.Msg)
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("D(i) samples = %v, want %v", got, tc.want)
+			}
+		})
 	}
 }
 
