@@ -750,11 +750,10 @@ func (pl *simPool) staticallyMinimal(dims []int, sched *fault.Schedule, p int, s
 }
 
 // sampleDistances steps eng until fl terminates or maxSteps have run, as
-// RunFlights does for a lone flight, and returns D(i) — fl's distance to go
-// — for every event applied while fl was in flight, in event order. The
-// events a Step applies are the schedule's unapplied ones (one log record
-// per applied event) due by its step; they are detected before any flight
-// moves, so each is sampled just before that Step.
+// RunFlights does for a lone flight, and returns D(i), fl's distance to go,
+// at each event applied while fl is in flight. A Step applies the
+// schedule's unapplied events (the log has one record per applied event)
+// due by its step before any flight moves, so each is sampled just before.
 func sampleDistances(eng *engine.Engine, fl *engine.Flight, maxSteps int) []int {
 	var dAt []int
 	shape, sched := eng.Model.M.Shape(), eng.Schedule.Events

@@ -297,12 +297,12 @@ func TestCongestedStepAllocFree(t *testing.T) {
 // TestFaultProcessStepAllocFree extends the steady-state allocation
 // guarantee to the fault-process-enabled contention step — the regime every
 // E23 Monte-Carlo trial runs in. One op is a full trial cycle on a pooled
-// engine: model reset, engine reset (the schedule cursor rewinds and event
-// records recycle through the free list), then the whole stochastic
-// fail/repair schedule replayed against crossing traffic with timeouts
-// live. After the warm cycles, nothing on that path may allocate: labeling
-// recompute buffers, event records, flight distance samples and the
-// contention counters must all reuse their capacity.
+// engine: model reset, engine reset (the schedule cursor rewinds and the
+// event log is truncated in place), then the whole stochastic fail/repair
+// schedule replayed against crossing traffic with timeouts live. After the
+// warm cycles, nothing on that path may allocate: labeling recompute
+// buffers, the event log and the contention counters must all reuse their
+// capacity.
 func TestFaultProcessStepAllocFree(t *testing.T) {
 	shape, err := grid.NewShape(12, 12)
 	if err != nil {
@@ -362,8 +362,10 @@ func TestFaultProcessStepAllocFree(t *testing.T) {
 	// Warm until every pooled object (flights, walkers, constructions,
 	// watches) has hit its personal high-water mark: recycled flights come
 	// off the free list LIFO, so rarely-used ones warm their routing
-	// scratch late.
-	for i := 0; i < 20; i++ {
+	// scratch late. Counted exactly, the second cycle allocates twice and
+	// every later one nothing; the two below and AllocsPerRun's own warm-up
+	// run leave a margin of two.
+	for i := 0; i < 2; i++ {
 		cycle()
 	}
 	allocs := testing.AllocsPerRun(10, cycle)

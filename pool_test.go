@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"ndmesh/internal/rng"
 	"ndmesh/internal/traffic"
 )
 
@@ -298,5 +299,53 @@ func TestLoadRunCancel(t *testing.T) {
 	}
 	if err := pool.VerifyClean(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// cellAllocs is one case of testdata/warm_load_cell_allocs.json.
+type cellAllocs struct {
+	Case   string `json:"case"`
+	Allocs int    `json:"allocs"`
+}
+
+// TestWarmLoadCellAllocs runs a fault-storm cell (the workload's 16x16 λ=2
+// options at fault rate 0.2) twice on one simPool and holds what the second
+// run allocates to at most the count committed in
+// testdata/warm_load_cell_allocs.json. The warm cell reuses the
+// simulation, its flights and headers, the event log and the latency
+// sample; what it still allocates is its fault schedule, its traffic
+// source, and whatever the information plane and the headers grow past
+// their warm capacity. The fixture may only be regenerated, with
+// -update-fixtures, from a tree that allocates less.
+func TestWarmLoadCellAllocs(t *testing.T) {
+	opt := ReliabilityOptions{
+		Dims: []int{16, 16}, Lambda: 2, FaultRate: 0.2, FaultModel: "bernoulli", FaultRepair: 24,
+		Process: "bernoulli", Warmup: 64, Measure: 512, Drain: 128,
+		LinkRate: 1, FlightTimeout: 48, RetryBackoff: 4, GridlockWindow: 16,
+	}
+	pool := newSimPool()
+	cell := func() {
+		pt, err := opt.loadPoint(pool, workload{pattern: "uniform", rate: 0.02}, "limited", rng.New(11).Split())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pt.Failed == 0 || pt.Delivered == 0 {
+			t.Fatalf("cell applied %d faults and delivered %d: not a storm cell", pt.Failed, pt.Delivered)
+		}
+	}
+	// AllocsPerRun's first call is its warm-up: the cold cell that builds
+	// the simulation. The one it measures is the second, identical cell.
+	got := []cellAllocs{{"storm/16x16/lambda2/fault0.2", int(testing.AllocsPerRun(1, cell))}}
+
+	const fixture = "warm_load_cell_allocs.json"
+	var want []cellAllocs
+	loadJSONFixture(t, fixture, got, &want)
+	if len(want) != len(got) {
+		t.Fatalf("%s holds %d cases, the test runs %d", fixture, len(want), len(got))
+	}
+	for i, g := range got {
+		if g.Case != want[i].Case || g.Allocs > want[i].Allocs {
+			t.Errorf("case %d allocates %+v, the fixture allows %+v", i, g, want[i])
+		}
 	}
 }
