@@ -373,9 +373,14 @@ func (p *Protocol) roundOne(c *Construction) int {
 		// placement, merging into its surfaces and boundary. Merely
 		// crossing another block's distant wall is not an intersection
 		// with the block and must not merge. (bases[0] is the flood's own
-		// block, so one scan skips it and the blocks already merged.)
+		// block, so one membership test skips it and the blocks already
+		// merged, before any geometry is read.)
+		at := shape.CoordView(id)
 		for _, r := range p.store.At(id) {
-			if _, onFrame := frame.Level(p.store.Box(r.Block), shape.CoordView(id)); onFrame && !slices.Contains(c.bases, r.Block) {
+			if slices.Contains(c.bases, r.Block) {
+				continue
+			}
+			if _, onFrame := frame.Level(p.store.Box(r.Block), at); onFrame {
 				p.addBase(c, r.Block)
 			}
 		}
