@@ -19,6 +19,14 @@ type leakCount struct {
 	Constructions int    `json:"constructions"`
 }
 
+// leakStorms are the two 300-step, lambda=2 storms (see storm) that the
+// leak and oracle ratchets run beside the history corpus.
+var leakStorms = []struct {
+	name string
+	dims []int
+	seed uint64
+}{{"storm/16x16/seed19", []int{16, 16}, 19}, {"storm/8x8x8/seed23", []int{8, 8, 8}, 23}}
+
 // recoverAll cuts whatever schedule drove md: every faulty node recovers at
 // once, then the model runs to quiescence.
 func recoverAll(t *testing.T, name string, md *Model) leakCount {
@@ -47,11 +55,7 @@ func TestFullRecoveryLeakRatchet(t *testing.T) {
 		h.drive(t, md, func(int, int) {})
 		got = append(got, recoverAll(t, h.String(), md))
 	}
-	for _, s := range []struct {
-		name string
-		dims []int
-		seed uint64
-	}{{"storm/16x16/seed19", []int{16, 16}, 19}, {"storm/8x8x8/seed23", []int{8, 8, 8}, 23}} {
+	for _, s := range leakStorms {
 		md := New(mesh.New(grid.MustShape(s.dims...)))
 		storm(t, md, s.seed, 300, 2, func(int) {})
 		got = append(got, recoverAll(t, s.name, md))

@@ -1,0 +1,173 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"ndmesh/internal/block"
+	"ndmesh/internal/boundary"
+	"ndmesh/internal/frame"
+	"ndmesh/internal/grid"
+	"ndmesh/internal/mesh"
+)
+
+// oracleGap is how far the records of a quiescent model are from the
+// placement oracle of its live blocks (block.Extract):
+//
+//   - Holes, clause (i): enabled nodes in the scope of a constructed live
+//     block b's placement that lack b's record. Constructed means the model
+//     watches b: it identified b and has not withdrawn it. The scope is what
+//     b's deposit flood reaches whatever the order blocks were identified
+//     in: the enabled nodes of boundary.Placement(b) connected to b's
+//     enabled frame through enabled nodes of that placement. A placement
+//     node that another block cuts off from b's frame is out of scope: the
+//     merge rule of Fig. 3(d) may carry b's record around the other block,
+//     but only when that block's record was already there as b's flood
+//     passed.
+//   - Stale, clause (ii): records, at any node, that name a box that is not a
+//     live block, or that name a live block and sit off every live block's
+//     placement.
+//   - Unbuilt: live blocks the model does not watch — never identified
+//     (Algorithm 2), or withdrawn while still standing (the deletion
+//     trigger). Their placements are the identification's and the
+//     trigger's gap, not the floods', and clause (i) leaves them out.
+type oracleGap struct {
+	Case    string `json:"case"`
+	Holes   int    `json:"holes"`
+	Stale   int    `json:"stale"`
+	Unbuilt int    `json:"unbuilt"`
+}
+
+// oracleGaps measures md, which must be quiescent, against the oracle.
+func oracleGaps(md *Model) (holes, stale, unbuilt int) {
+	m := md.M
+	blocks := block.Extract(m)
+	placements := make([][]bool, len(blocks))
+	for i, b := range blocks {
+		placements[i] = make([]bool, m.NumNodes())
+		for _, id := range boundary.Placement(m.Shape(), b.Box) {
+			placements[i][id] = true
+		}
+	}
+	for i, b := range blocks {
+		if !md.watching(b.Box) {
+			unbuilt++
+			continue
+		}
+		for _, id := range scope(m, b.Box, placements[i]) {
+			if !hasBox(md.Store, id, b.Box) {
+				holes++
+			}
+		}
+	}
+	for id := grid.NodeID(0); int(id) < m.NumNodes(); id++ {
+		for _, r := range md.Store.At(id) {
+			box, live, placed := md.Store.Box(r.Block), false, false
+			for i, b := range blocks {
+				live = live || b.Box.Equal(box)
+				placed = placed || placements[i][id]
+			}
+			if !live || !placed {
+				stale++
+			}
+		}
+	}
+	return holes, stale, unbuilt
+}
+
+// watching reports whether md holds a watch on box.
+func (md *Model) watching(box grid.Box) bool {
+	for _, w := range md.watches {
+		if md.Store.Box(w.block).Equal(box) {
+			return true
+		}
+	}
+	return false
+}
+
+// scope returns the nodes of box's placement (the bit set placed) that
+// clause (i) holds to a record: a breadth-first walk over enabled placement
+// nodes from the box's enabled frame.
+func scope(m *mesh.Mesh, box grid.Box, placed []bool) []grid.NodeID {
+	shape := m.Shape()
+	seen := make([]bool, m.NumNodes())
+	var queue []grid.NodeID
+	for id := grid.NodeID(0); int(id) < m.NumNodes(); id++ {
+		if _, ok := frame.Level(box, shape.CoordView(id)); ok && m.Status(id) == mesh.Enabled {
+			seen[id] = true
+			queue = append(queue, id)
+		}
+	}
+	for next := 0; next < len(queue); next++ {
+		for d := 0; d < shape.NumDirs(); d++ {
+			nb := m.Neighbor(queue[next], grid.Dir(d))
+			if nb != grid.InvalidNode && !seen[nb] && placed[nb] && m.Status(nb) == mesh.Enabled {
+				seen[nb] = true
+				queue = append(queue, nb)
+			}
+		}
+	}
+	return queue
+}
+
+// historyCuts are the steps at which TestOracleGapsRatchet cuts a history:
+// mid-arrivals, the last arrival step and the end of the tail.
+var historyCuts = []int{historyHorizon / 2, historyHorizon, historyHorizon + historyTail}
+
+// cutAndStabilize replays the first cut steps of h on a fresh model, drops
+// the rest of the schedule and runs Stabilize. It reports false when the
+// model is still not quiescent: the labeling of some fault sets cycles
+// (Algorithm 1's clean and disabled rules undo each other), and such a cut
+// has no quiescence to measure.
+func (h history) cutAndStabilize(t testing.TB, cut int) (*Model, bool) {
+	md := New(mesh.New(grid.MustShape(h.dims()...)))
+	replay(md, h.schedule(t, md.M.Shape()), cut, h.rounds(), func(int, int) {})
+	md.Stabilize()
+	return md, md.Quiescent()
+}
+
+// TestOracleGapsRatchet cuts every corpus history at historyCuts, and the
+// two 300-step storms of TestFullRecoveryLeakRatchet at their end, runs each
+// to quiescence and holds its oracle gaps to at most the counts committed in
+// testdata/oracle_gaps.json (a cut whose labeling cycles is left out, by
+// name). The fixture may only be regenerated from a tree that leaves less.
+func TestOracleGapsRatchet(t *testing.T) {
+	var got []oracleGap
+	measure := func(name string, md *Model) {
+		holes, stale, unbuilt := oracleGaps(md)
+		got = append(got, oracleGap{name, holes, stale, unbuilt})
+	}
+	for _, h := range append(historyCorpus(), historyDeepCorpus()...) {
+		for _, cut := range historyCuts {
+			if md, ok := h.cutAndStabilize(t, cut); ok {
+				measure(fmt.Sprintf("%v/cut%d", h, cut), md)
+			}
+		}
+	}
+	for _, s := range leakStorms {
+		md := New(mesh.New(grid.MustShape(s.dims...)))
+		storm(t, md, s.seed, 300, 2, func(int) {})
+		md.Stabilize()
+		if !md.Quiescent() {
+			t.Fatalf("%s: not quiescent inside Stabilize's cap", s.name)
+		}
+		measure(s.name, md)
+	}
+
+	const fixture = "oracle_gaps.json"
+	var want []oracleGap
+	loadFixture(t, fixture, got, &want)
+	if len(want) != len(got) {
+		t.Fatalf("%s holds %d cases, the test runs %d", fixture, len(want), len(got))
+	}
+	holes, stale, unbuilt := 0, 0, 0
+	for i, g := range got {
+		holes += g.Holes
+		stale += g.Stale
+		unbuilt += g.Unbuilt
+		if w := want[i]; g.Case != w.Case || g.Holes > w.Holes || g.Stale > w.Stale || g.Unbuilt > w.Unbuilt {
+			t.Errorf("case %d leaves %+v, the fixture allows %+v", i, g, w)
+		}
+	}
+	t.Logf("%d quiescent cuts: %d holes, %d stale records, %d unbuilt blocks", len(got), holes, stale, unbuilt)
+}

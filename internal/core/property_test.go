@@ -48,7 +48,8 @@ func placeSeparated(m *mesh.Mesh, nf, sep int, r *rng.Source) []grid.NodeID {
 // TestPropertyInformationMatchesOracle: for random well-separated fault
 // sets, after stabilization the distributed information equals the oracle
 // placement exactly — every enabled placement node of every block holds
-// exactly that block's record and nothing else, in 2-D and 3-D.
+// that block's record, and no record is stale (oracleGaps, which
+// TestOracleGapsRatchet applies to fail/repair histories), in 2-D and 3-D.
 func TestPropertyInformationMatchesOracle(t *testing.T) {
 	r := rng.New(77)
 	for _, dims := range [][]int{{16, 16}, {9, 9, 9}} {
@@ -84,29 +85,13 @@ func TestPropertyInformationMatchesOracle(t *testing.T) {
 					}
 				}
 			}
-			// Reverse direction: every stored record must be justified —
-			// on its own block's placement, or (merged information, Fig.
-			// 3(d)) on some other block's placement. Nothing may float in
-			// open space.
-			for id := 0; id < m.NumNodes(); id++ {
-				c := shape.CoordOf(grid.NodeID(id))
-				for _, r := range md.Store.At(grid.NodeID(id)) {
-					rec := md.Store.Box(r.Block)
-					if boundary.OnPlacement(rec, c) {
-						continue
-					}
-					justified := false
-					for _, b := range blocks {
-						if !b.Box.Equal(rec) && boundary.OnPlacement(b.Box, c) {
-							justified = true
-							break
-						}
-					}
-					if !justified {
-						t.Fatalf("%v trial %d: stray record %v at %v",
-							dims, trial, rec, c)
-					}
-				}
+			// Both clauses of the oracle the fail/repair histories are held
+			// to (oracleGaps): no hole in any block's scope, and every
+			// record names a live block and sits on some live block's
+			// placement — its own, or (merged information, Fig. 3(d))
+			// another's. Nothing may float in open space.
+			if holes, stale, unbuilt := oracleGaps(md); holes != 0 || stale != 0 || unbuilt != 0 {
+				t.Fatalf("%v trial %d: %d holes, %d stale records, %d unbuilt blocks", dims, trial, holes, stale, unbuilt)
 			}
 		}
 	}
