@@ -241,6 +241,22 @@ type Construction struct {
 // Done reports whether the flood has exhausted its frontier.
 func (c *Construction) Done() bool { return len(c.frontier) == 0 }
 
+// tomb is a cancellation's mark at a node it visited: a deposit of block
+// older than epoch that arrives later stops there. round is when the mark
+// was left or last refreshed.
+type tomb struct {
+	block info.BlockID
+	epoch uint32
+	round int
+}
+
+// tombAt is one entry of the expiry queue: the mark left at node in round.
+type tombAt struct {
+	node  grid.NodeID
+	block info.BlockID
+	round int
+}
+
 // Protocol runs all in-flight boundary constructions, one hop per round.
 type Protocol struct {
 	m     *mesh.Mesh  //meshvet:keep dependency, not per-trial state
@@ -250,24 +266,43 @@ type Protocol struct {
 	// a fault process cycling blocks through the protocol allocates nothing
 	// once warm.
 	spare []*Construction
+	// tombs[id] are node id's cancel tombstones, made by the first cancel
+	// so a protocol that never cancels holds none; expiry lists every mark
+	// in the order it was left, from its head index expired on, and a mark
+	// lives ttl rounds unless a newer deposit of its block drops it first.
+	tombs   [][]tomb
+	expiry  []tombAt
+	expired int
+	ttl     int //meshvet:keep derived from the mesh shape
+	// round counts Round calls; tombs counts live tombstones.
+	round, live int
 	// Hops counts total node visits across constructions (message cost).
 	Hops int
 }
 
 // NewProtocol builds an empty boundary protocol over m and store.
 func NewProtocol(m *mesh.Mesh, store *info.Store) *Protocol {
-	return &Protocol{m: m, store: store}
+	return &Protocol{m: m, store: store, ttl: m.Shape().Diameter()}
 }
 
-// Reset abandons every in-flight construction so the protocol can be reused
-// for a new trial; the constructions land on the free list.
+// Reset abandons every in-flight construction and every tombstone so the
+// protocol can be reused for a new trial; the constructions land on the
+// free list and the tombstone storage keeps its capacity.
 func (p *Protocol) Reset() {
 	for _, c := range p.cons {
 		p.retire(c)
 	}
 	p.cons = p.cons[:0]
+	for _, e := range p.expiry[p.expired:] {
+		p.tombs[e.node] = p.tombs[e.node][:0]
+	}
+	p.expiry, p.expired = p.expiry[:0], 0
+	p.round, p.live = 0, 0
 	p.Hops = 0
 }
+
+// Tombstones returns how many cancel tombstones the nodes hold.
+func (p *Protocol) Tombstones() int { return p.live }
 
 // Start registers a construction for block b (held in the store's table
 // until the flood retires) seeded at the given nodes, processed in round 1.
@@ -284,6 +319,9 @@ func (p *Protocol) Start(b info.BlockID, epoch uint32, op Op, seeds []grid.NodeI
 	} else {
 		n := p.m.NumNodes()
 		c = &Construction{visited: grid.NewNodeSet(n), region: make([]uint64, (n+63)/64)}
+	}
+	if op == Cancel && p.tombs == nil {
+		p.tombs = make([][]tomb, p.m.NumNodes())
 	}
 	c.Block, c.Epoch, c.Op, c.Rounds = b, epoch, op, 0
 	c.frontier = append(c.frontier[:0], seeds...)
@@ -328,6 +366,8 @@ func (p *Protocol) Held(dst []info.BlockID) []info.BlockID {
 //
 //meshvet:noalloc
 func (p *Protocol) Round() int {
+	p.round++
+	p.expire()
 	visits := 0
 	kept := p.cons[:0]
 	for _, c := range p.cons {
@@ -360,13 +400,19 @@ func (p *Protocol) roundOne(c *Construction) int {
 		if p.m.Status(id) != mesh.Enabled {
 			continue
 		}
-		visits++
 		switch c.Op {
 		case Deposit:
+			// A deposit that a newer cancellation of its block has
+			// outrun stops here: it neither deposits nor forwards.
+			if p.outrun(id, c) {
+				continue
+			}
 			p.store.Add(id, info.Record{Block: c.Block, Epoch: c.Epoch})
 		case Cancel:
 			p.store.Remove(id, c.Block, c.Epoch)
+			p.entomb(id, c)
 		}
+		visits++
 		// Merge (Fig. 3(d)): when the propagation reaches a node of
 		// another block's *frame* — "the first adjacent node of the second
 		// block it reaches" — the flood extends across that block's
@@ -402,4 +448,75 @@ func (p *Protocol) roundOne(c *Construction) int {
 	c.frontier = next
 	c.Rounds++
 	return visits
+}
+
+// entomb leaves cancellation c's mark at node id, or refreshes the mark its
+// block already has there.
+//
+//meshvet:noalloc
+func (p *Protocol) entomb(id grid.NodeID, c *Construction) {
+	//meshvet:allow the queue grows to the marks left within one ttl and keeps its capacity
+	p.expiry = append(p.expiry, tombAt{id, c.Block, p.round})
+	ts := p.tombs[id]
+	for i := range ts {
+		if ts[i].block == c.Block {
+			ts[i].epoch, ts[i].round = max(ts[i].epoch, c.Epoch), p.round
+			return
+		}
+	}
+	//meshvet:allow a node's list grows to its peak tombstone count and keeps it across Reset
+	p.tombs[id] = append(ts, tomb{c.Block, c.Epoch, p.round})
+	p.live++
+}
+
+// outrun reports whether a cancellation newer than deposit c has left its
+// mark at node id. A mark older than c is dropped: c supersedes it.
+//
+//meshvet:noalloc
+func (p *Protocol) outrun(id grid.NodeID, c *Construction) bool {
+	if p.live == 0 {
+		return false
+	}
+	ts := p.tombs[id]
+	for i := range ts {
+		if ts[i].block == c.Block {
+			if ts[i].epoch > c.Epoch {
+				return true
+			}
+			p.drop(id, i)
+			return false
+		}
+	}
+	return false
+}
+
+// drop removes node id's i-th tombstone; the node's last takes its place.
+func (p *Protocol) drop(id grid.NodeID, i int) {
+	ts := p.tombs[id]
+	ts[i] = ts[len(ts)-1]
+	p.tombs[id] = ts[:len(ts)-1]
+	p.live--
+}
+
+// expire drops the marks left ttl rounds ago that no cancellation has
+// refreshed since, and compacts the queue once its expired half dominates.
+//
+//meshvet:noalloc
+func (p *Protocol) expire() {
+	for ; p.expired < len(p.expiry); p.expired++ {
+		e := p.expiry[p.expired]
+		if p.round-e.round < p.ttl {
+			break
+		}
+		for i, t := range p.tombs[e.node] {
+			if t.block == e.block && t.round == e.round {
+				p.drop(e.node, i)
+				break
+			}
+		}
+	}
+	if p.expired > len(p.expiry)/2 {
+		n := copy(p.expiry, p.expiry[p.expired:])
+		p.expiry, p.expired = p.expiry[:n], 0
+	}
 }

@@ -184,7 +184,7 @@ func observe(buf []byte, md *Model) []byte {
 		md.RoundCount(), md.Store.TotalRecords(), md.Labeling.Affected(), md.CancelsStarted,
 		md.LastLabelRound, md.LastFrameRound, md.LastIdentRound, md.LastBoundaryRound,
 		md.Ident.Hops, md.Ident.Started, md.Ident.Completed, md.Ident.Failed, md.Ident.Active(),
-		md.Boundary.Hops, md.Boundary.Active(),
+		md.Boundary.Hops, md.Boundary.Active(), md.Boundary.Tombstones(),
 	} {
 		u32(v)
 	}
