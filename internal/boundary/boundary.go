@@ -397,20 +397,25 @@ func (p *Protocol) roundOne(c *Construction) int {
 		// flood reaching a disabled/faulty node stops there (the block in
 		// the way is handled by the merge rule below at its adjacent
 		// nodes).
-		if p.m.Status(id) != mesh.Enabled {
-			continue
-		}
+		enabled := p.m.Status(id) == mesh.Enabled
 		switch c.Op {
 		case Deposit:
 			// A deposit that a newer cancellation of its block has
 			// outrun stops here: it neither deposits nor forwards.
-			if p.outrun(id, c) {
+			if !enabled || p.outrun(id, c) {
 				continue
 			}
 			p.store.Add(id, info.Record{Block: c.Block, Epoch: c.Epoch})
 		case Cancel:
+			// A cancellation clears the record whatever the node's
+			// status: a node a block swallowed would otherwise get the
+			// record back when it is enabled again.
 			p.store.Remove(id, c.Block, c.Epoch)
 			p.entomb(id, c)
+			if !enabled {
+				visits++
+				continue
+			}
 		}
 		visits++
 		// Merge (Fig. 3(d)): when the propagation reaches a node of
