@@ -393,31 +393,31 @@ func (p *Protocol) roundOne(c *Construction) int {
 		if !c.visited.Add(id) {
 			continue
 		}
-		// Only enabled nodes carry and forward boundary information; a
-		// flood reaching a disabled/faulty node stops there (the block in
-		// the way is handled by the merge rule below at its adjacent
-		// nodes).
-		enabled := p.m.Status(id) == mesh.Enabled
+		// Only enabled nodes carry and forward a deposit; a deposit
+		// reaching a disabled/faulty node stops there (the block in the
+		// way is handled by the merge rule below at its adjacent nodes).
+		status := p.m.Status(id)
 		switch c.Op {
 		case Deposit:
 			// A deposit that a newer cancellation of its block has
 			// outrun stops here: it neither deposits nor forwards.
-			if !enabled || p.outrun(id, c) {
+			if status != mesh.Enabled || p.outrun(id, c) {
 				continue
 			}
 			p.store.Add(id, info.Record{Block: c.Block, Epoch: c.Epoch})
 		case Cancel:
 			// A cancellation clears the record whatever the node's
 			// status: a node a block swallowed would otherwise get the
-			// record back when it is enabled again.
+			// record back when it is enabled again. It crosses disabled
+			// and clean nodes, which still relay messages; only a faulty
+			// node stops it.
 			p.store.Remove(id, c.Block, c.Epoch)
 			p.entomb(id, c)
-			if !enabled {
-				visits++
-				continue
-			}
 		}
 		visits++
+		if status == mesh.Faulty {
+			continue
+		}
 		// Merge (Fig. 3(d)): when the propagation reaches a node of
 		// another block's *frame* — "the first adjacent node of the second
 		// block it reaches" — the flood extends across that block's
@@ -426,13 +426,17 @@ func (p *Protocol) roundOne(c *Construction) int {
 		// with the block and must not merge. (bases[0] is the flood's own
 		// block, so one membership test skips it and the blocks already
 		// merged, before any geometry is read.)
-		at := shape.CoordView(id)
-		for _, r := range p.store.At(id) {
-			if slices.Contains(c.bases, r.Block) {
-				continue
-			}
-			if _, onFrame := frame.Level(p.store.Box(r.Block), at); onFrame {
-				p.addBase(c, r.Block)
+		// A cancellation crossing a disabled or clean node merges nothing
+		// there: that node carries no information.
+		if status == mesh.Enabled {
+			at := shape.CoordView(id)
+			for _, r := range p.store.At(id) {
+				if slices.Contains(c.bases, r.Block) {
+					continue
+				}
+				if _, onFrame := frame.Level(p.store.Box(r.Block), at); onFrame {
+					p.addBase(c, r.Block)
+				}
 			}
 		}
 		for d := 0; d < numDirs; d++ {
