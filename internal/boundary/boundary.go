@@ -241,19 +241,21 @@ type Construction struct {
 // Done reports whether the flood has exhausted its frontier.
 func (c *Construction) Done() bool { return len(c.frontier) == 0 }
 
-// tomb is a cancellation's mark at a node it visited: a deposit of block
-// older than epoch that arrives later stops there. round is when the mark
-// was left or last refreshed.
+// tomb is a cancellation's mark at node: a deposit of block older than
+// epoch that arrives later stops there. round is when the mark was left or
+// last refreshed (-1 on a free slot); next links the node's marks, and the
+// free slots, as 1 + slot index (0 ends the list).
 type tomb struct {
+	node  grid.NodeID
 	block info.BlockID
 	epoch uint32
+	next  int32
 	round int
 }
 
-// tombAt is one entry of the expiry queue: the mark left at node in round.
+// tombAt is one entry of the expiry queue: slot's mark as left in round.
 type tombAt struct {
-	node  grid.NodeID
-	block info.BlockID
+	slot  int32
 	round int
 }
 
@@ -266,15 +268,18 @@ type Protocol struct {
 	// a fault process cycling blocks through the protocol allocates nothing
 	// once warm.
 	spare []*Construction
-	// tombs[id] are node id's cancel tombstones, made by the first cancel
-	// so a protocol that never cancels holds none; expiry lists every mark
-	// in the order it was left, from its head index expired on, and a mark
-	// lives ttl rounds unless a newer deposit of its block drops it first.
-	tombs   [][]tomb
-	expiry  []tombAt
-	expired int
-	ttl     int //meshvet:keep derived from the mesh shape
-	// round counts Round calls; tombs counts live tombstones.
+	// Cancel tombstones: tombs is the slot arena, firstTomb[id] links node
+	// id's marks (made by the first cancel, so a protocol that never
+	// cancels holds none) and freeTomb the free slots. expiry lists every
+	// mark in the order it was left or refreshed, from index expired on; a
+	// mark lives ttl rounds unless a newer deposit of its block drops it.
+	tombs     []tomb
+	firstTomb []int32
+	freeTomb  int32
+	expiry    []tombAt
+	expired   int
+	ttl       int //meshvet:keep derived from the mesh shape
+	// round counts Round calls; live counts the marks held.
 	round, live int
 	// Hops counts total node visits across constructions (message cost).
 	Hops int
@@ -294,8 +299,9 @@ func (p *Protocol) Reset() {
 	}
 	p.cons = p.cons[:0]
 	for _, e := range p.expiry[p.expired:] {
-		p.tombs[e.node] = p.tombs[e.node][:0]
+		p.firstTomb[p.tombs[e.slot].node] = 0
 	}
+	p.tombs, p.freeTomb = p.tombs[:0], 0
 	p.expiry, p.expired = p.expiry[:0], 0
 	p.round, p.live = 0, 0
 	p.Hops = 0
@@ -320,8 +326,8 @@ func (p *Protocol) Start(b info.BlockID, epoch uint32, op Op, seeds []grid.NodeI
 		n := p.m.NumNodes()
 		c = &Construction{visited: grid.NewNodeSet(n), region: make([]uint64, (n+63)/64)}
 	}
-	if op == Cancel && p.tombs == nil {
-		p.tombs = make([][]tomb, p.m.NumNodes())
+	if op == Cancel && p.firstTomb == nil {
+		p.firstTomb = make([]int32, p.m.NumNodes())
 	}
 	c.Block, c.Epoch, c.Op, c.Rounds = b, epoch, op, 0
 	c.frontier = append(c.frontier[:0], seeds...)
@@ -464,18 +470,36 @@ func (p *Protocol) roundOne(c *Construction) int {
 //
 //meshvet:noalloc
 func (p *Protocol) entomb(id grid.NodeID, c *Construction) {
+	slot := p.findTomb(id, c.Block)
+	switch {
+	case slot >= 0:
+		t := &p.tombs[slot]
+		t.epoch, t.round = max(t.epoch, c.Epoch), p.round
+	case p.freeTomb > 0:
+		slot = p.freeTomb - 1
+		p.freeTomb = p.tombs[slot].next
+		p.tombs[slot] = tomb{id, c.Block, c.Epoch, p.firstTomb[id], p.round}
+		p.firstTomb[id], p.live = slot+1, p.live+1
+	default:
+		slot = int32(len(p.tombs))
+		//meshvet:allow the arena grows to the most marks held at once and keeps its slots across Reset
+		p.tombs = append(p.tombs, tomb{id, c.Block, c.Epoch, p.firstTomb[id], p.round})
+		p.firstTomb[id], p.live = slot+1, p.live+1
+	}
 	//meshvet:allow the queue grows to the marks left within one ttl and keeps its capacity
-	p.expiry = append(p.expiry, tombAt{id, c.Block, p.round})
-	ts := p.tombs[id]
-	for i := range ts {
-		if ts[i].block == c.Block {
-			ts[i].epoch, ts[i].round = max(ts[i].epoch, c.Epoch), p.round
-			return
+	p.expiry = append(p.expiry, tombAt{slot, p.round})
+}
+
+// findTomb returns the slot of block b's mark at node id, or -1.
+//
+//meshvet:noalloc
+func (p *Protocol) findTomb(id grid.NodeID, b info.BlockID) int32 {
+	for s := p.firstTomb[id]; s != 0; s = p.tombs[s-1].next {
+		if p.tombs[s-1].block == b {
+			return s - 1
 		}
 	}
-	//meshvet:allow a node's list grows to its peak tombstone count and keeps it across Reset
-	p.tombs[id] = append(ts, tomb{c.Block, c.Epoch, p.round})
-	p.live++
+	return -1
 }
 
 // outrun reports whether a cancellation newer than deposit c has left its
@@ -486,29 +510,35 @@ func (p *Protocol) outrun(id grid.NodeID, c *Construction) bool {
 	if p.live == 0 {
 		return false
 	}
-	ts := p.tombs[id]
-	for i := range ts {
-		if ts[i].block == c.Block {
-			if ts[i].epoch > c.Epoch {
-				return true
-			}
-			p.drop(id, i)
-			return false
-		}
+	slot := p.findTomb(id, c.Block)
+	if slot < 0 {
+		return false
 	}
+	if p.tombs[slot].epoch > c.Epoch {
+		return true
+	}
+	p.drop(slot)
 	return false
 }
 
-// drop removes node id's i-th tombstone; the node's last takes its place.
-func (p *Protocol) drop(id grid.NodeID, i int) {
-	ts := p.tombs[id]
-	ts[i] = ts[len(ts)-1]
-	p.tombs[id] = ts[:len(ts)-1]
+// drop unlinks the mark in slot from its node and frees the slot.
+//
+//meshvet:noalloc
+func (p *Protocol) drop(slot int32) {
+	at := &p.firstTomb[p.tombs[slot].node]
+	for *at != slot+1 {
+		at = &p.tombs[*at-1].next
+	}
+	*at = p.tombs[slot].next
+	p.tombs[slot] = tomb{next: p.freeTomb, round: -1}
+	p.freeTomb = slot + 1
 	p.live--
 }
 
-// expire drops the marks left ttl rounds ago that no cancellation has
-// refreshed since, and compacts the queue once its expired half dominates.
+// expire drops the marks left or refreshed ttl rounds ago, and compacts the
+// queue once its expired part dominates. An entry whose slot has since
+// been refreshed, dropped or reused shows another round and is skipped (a
+// slot reused in the same round expires with it either way).
 //
 //meshvet:noalloc
 func (p *Protocol) expire() {
@@ -517,11 +547,8 @@ func (p *Protocol) expire() {
 		if p.round-e.round < p.ttl {
 			break
 		}
-		for i, t := range p.tombs[e.node] {
-			if t.block == e.block && t.round == e.round {
-				p.drop(e.node, i)
-				break
-			}
+		if p.tombs[e.slot].round == e.round {
+			p.drop(e.slot)
 		}
 	}
 	if p.expired > len(p.expiry)/2 {

@@ -85,7 +85,9 @@ var AllocTestCoverage = map[string][]string{
 		"ndmesh/internal/boundary.Protocol.Round",
 		"ndmesh/internal/boundary.Protocol.roundOne",
 		"ndmesh/internal/boundary.Protocol.entomb",
+		"ndmesh/internal/boundary.Protocol.findTomb",
 		"ndmesh/internal/boundary.Protocol.outrun",
+		"ndmesh/internal/boundary.Protocol.drop",
 		"ndmesh/internal/boundary.Protocol.expire",
 		"ndmesh/internal/info.Store.Intern",
 		"ndmesh/internal/info.Store.Add",
