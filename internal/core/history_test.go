@@ -356,12 +356,48 @@ func TestModelHistoryDifferential(t *testing.T) {
 }
 
 // FuzzModelHistory is oracle (a) of TestModelHistoryDifferential over
-// arbitrary histories, seeded with the corpus.
+// arbitrary histories, seeded with the corpus. Each history is then run to
+// its end and to quiescence: one tombstone lifetime of idle rounds must
+// leave no cancel tombstone, and a corpus history's oracle gaps (holes,
+// stale records, unbuilt blocks) must stay within its end cut's entry in
+// testdata/oracle_gaps.json.
 func FuzzModelHistory(f *testing.F) {
+	data, err := os.ReadFile(filepath.Join("testdata", "oracle_gaps.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var gaps []oracleGap
+	if err := json.Unmarshal(data, &gaps); err != nil {
+		f.Fatal(err)
+	}
+	bound := map[string]oracleGap{}
+	for _, g := range gaps {
+		bound[g.Case] = g
+	}
 	for _, h := range historyCorpus() {
 		f.Add(h.seed, h.shape, h.lambda, h.weibull, h.clustered, h.arrival, h.repair)
 	}
 	f.Fuzz(func(t *testing.T, seed uint64, shape, lambda uint8, weibull, clustered bool, arrival, repair uint8) {
-		checkHistory(t, history{seed: seed, shape: shape, lambda: lambda, weibull: weibull, clustered: clustered, arrival: arrival, repair: repair})
+		h := history{seed: seed, shape: shape, lambda: lambda, weibull: weibull, clustered: clustered, arrival: arrival, repair: repair}
+		checkHistory(t, h)
+		const end = historyHorizon + historyTail
+		md, ok := h.cutAndStabilize(t, end)
+		if !ok {
+			return // the labeling cycles: no quiescence to measure
+		}
+		name := fmt.Sprintf("%v/cut%d", h, end)
+		if want, ok := bound[name]; ok {
+			holes, stale, unbuilt := oracleGaps(md)
+			if holes > want.Holes || stale > want.Stale || unbuilt > want.Unbuilt {
+				t.Errorf("%s leaves %d holes, %d stale records, %d unbuilt blocks; the fixture allows %+v", name, holes, stale, unbuilt, want)
+			}
+		}
+		diameter := md.M.Shape().Diameter()
+		for range diameter {
+			md.Round()
+		}
+		if n := md.Boundary.Tombstones(); n != 0 {
+			t.Errorf("%v: %d tombstones left %d idle rounds after quiescence", h, n, diameter)
+		}
 	})
 }

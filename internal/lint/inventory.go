@@ -84,15 +84,19 @@ var AllocTestCoverage = map[string][]string{
 		"ndmesh/internal/ident.Protocol.getWalker",
 		"ndmesh/internal/boundary.Protocol.Round",
 		"ndmesh/internal/boundary.Protocol.roundOne",
+		"ndmesh/internal/info.Store.Intern",
+		"ndmesh/internal/info.Store.Add",
+		"ndmesh/internal/info.Store.Remove",
+		"ndmesh/internal/info.Store.Has",
+	},
+	// A cancel-heavy storm replayed on a warm model: the cancellations'
+	// tombstones, the deposits they stop and the expiry of both.
+	"TestCancelHeavyRoundsAllocFree": {
 		"ndmesh/internal/boundary.Protocol.entomb",
 		"ndmesh/internal/boundary.Protocol.findTomb",
 		"ndmesh/internal/boundary.Protocol.outrun",
 		"ndmesh/internal/boundary.Protocol.drop",
 		"ndmesh/internal/boundary.Protocol.expire",
-		"ndmesh/internal/info.Store.Intern",
-		"ndmesh/internal/info.Store.Add",
-		"ndmesh/internal/info.Store.Remove",
-		"ndmesh/internal/info.Store.Has",
 	},
 	// The closed-loop emit/release cycle.
 	"TestClosedLoopStepAllocFree": {
