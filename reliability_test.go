@@ -182,5 +182,5 @@ func TestReliabilitySweepValidation(t *testing.T) {
 // stays the identical byte sequence.
 var goldenReliabilityRows = []string{
 	"{Dims:6x6 mesh Pattern:uniform Router:limited FaultRate:0 Trials:2 Injected:1041 Delivered:1041 Unreachable:0 Lost:0 TimedOut:0 Unfinished:0 RetryDropped:0 DeliveredFrac:1 UnreachableFrac:0 LostFrac:0 TimedOutFrac:0 AcceptedRate:0.1506076388888889 MeanFailed:0 MeanRecovered:0 GridlockedTrials:0 LatMean:4.334293948126799 LatP50Mean:4 LatP99Mean:9 LatMax:11}",
-	"{Dims:6x6 mesh Pattern:uniform Router:limited FaultRate:0.04 Trials:2 Injected:932 Delivered:894 Unreachable:0 Lost:7 TimedOut:18 Unfinished:13 RetryDropped:18 DeliveredFrac:0.9592274678111588 UnreachableFrac:0 LostFrac:0.0075107296137339056 TimedOutFrac:0.019313304721030045 AcceptedRate:0.1293402777777778 MeanFailed:6.5 MeanRecovered:4 GridlockedTrials:0 LatMean:6.664429530201342 LatP50Mean:5 LatP99Mean:44.5 LatMax:129}",
+	"{Dims:6x6 mesh Pattern:uniform Router:limited FaultRate:0.04 Trials:2 Injected:932 Delivered:897 Unreachable:0 Lost:6 TimedOut:16 Unfinished:13 RetryDropped:16 DeliveredFrac:0.9624463519313304 UnreachableFrac:0 LostFrac:0.006437768240343348 TimedOutFrac:0.017167381974248927 AcceptedRate:0.12977430555555558 MeanFailed:6.5 MeanRecovered:4 GridlockedTrials:0 LatMean:6.982162764771459 LatP50Mean:5 LatP99Mean:55 LatMax:130}",
 }
