@@ -298,6 +298,8 @@ func (p *Protocol) Reset() {
 		p.retire(c)
 	}
 	p.cons = p.cons[:0]
+	// Every mark held has an unexpired queue entry, so this clears every
+	// node that holds one.
 	for _, e := range p.expiry[p.expired:] {
 		p.firstTomb[p.tombs[e.slot].node] = 0
 	}
@@ -431,9 +433,9 @@ func (p *Protocol) roundOne(c *Construction) int {
 		// crossing another block's distant wall is not an intersection
 		// with the block and must not merge. (bases[0] is the flood's own
 		// block, so one membership test skips it and the blocks already
-		// merged, before any geometry is read.)
-		// A cancellation crossing a disabled or clean node merges nothing
-		// there: that node carries no information.
+		// merged, before any geometry is read.) A cancellation crossing a
+		// disabled or clean node merges nothing there: that node carries
+		// no information.
 		if status == mesh.Enabled {
 			at := shape.CoordView(id)
 			for _, r := range p.store.At(id) {
