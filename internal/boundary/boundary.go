@@ -473,19 +473,19 @@ func (p *Protocol) roundOne(c *Construction) int {
 //meshvet:noalloc
 func (p *Protocol) entomb(id grid.NodeID, c *Construction) {
 	slot := p.findTomb(id, c.Block)
-	switch {
-	case slot >= 0:
+	if slot >= 0 {
 		t := &p.tombs[slot]
 		t.epoch, t.round = max(t.epoch, c.Epoch), p.round
-	case p.freeTomb > 0:
-		slot = p.freeTomb - 1
-		p.freeTomb = p.tombs[slot].next
+	} else {
+		if p.freeTomb > 0 {
+			slot = p.freeTomb - 1
+			p.freeTomb = p.tombs[slot].next
+		} else {
+			slot = int32(len(p.tombs))
+			//meshvet:allow the arena grows to the most marks held at once and keeps its slots across Reset
+			p.tombs = append(p.tombs, tomb{})
+		}
 		p.tombs[slot] = tomb{id, c.Block, c.Epoch, p.firstTomb[id], p.round}
-		p.firstTomb[id], p.live = slot+1, p.live+1
-	default:
-		slot = int32(len(p.tombs))
-		//meshvet:allow the arena grows to the most marks held at once and keeps its slots across Reset
-		p.tombs = append(p.tombs, tomb{id, c.Block, c.Epoch, p.firstTomb[id], p.round})
 		p.firstTomb[id], p.live = slot+1, p.live+1
 	}
 	//meshvet:allow the queue grows to the marks left within one ttl and keeps its capacity
@@ -510,7 +510,7 @@ func (p *Protocol) findTomb(id grid.NodeID, b info.BlockID) int32 {
 //meshvet:noalloc
 func (p *Protocol) outrun(id grid.NodeID, c *Construction) bool {
 	if p.live == 0 {
-		return false
+		return false // also: no cancellation yet, so no per-node heads
 	}
 	slot := p.findTomb(id, c.Block)
 	if slot < 0 {
