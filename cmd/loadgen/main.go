@@ -50,7 +50,6 @@ import (
 	"ndmesh"
 	"ndmesh/internal/cliutil"
 	"ndmesh/internal/engine"
-	"ndmesh/internal/route"
 	"ndmesh/internal/stats"
 	"ndmesh/internal/traffic"
 )
@@ -67,9 +66,8 @@ func main() {
 // it picks a workload.
 type flags struct {
 	dimsFlag, routersFlag, patternsFlag, ratesFlag, windowsFlag string
-	process, congPreset, faultModel, traceRecord, traceReplay   string
+	process, faultModel, traceRecord, traceReplay               string
 	lambda, warmup, measure, drain, linkRate, capacity          int
-	margin, nodeWeight, linkWeight                              int
 	timeout, retryBackoff, gridlockWin                          int
 	faults, interval, faultStart, workers                       int
 	bubble, clustered, csv, progressFlag                        bool
@@ -79,7 +77,6 @@ type flags struct {
 
 	dims              []int
 	routers, patterns []string
-	congestion        route.CongestionConfig
 	progress          func(done, total int)
 }
 
@@ -97,7 +94,6 @@ func sweep[Row any](f *flags, what string, n int, axis func(*ndmesh.LoadSweepOpt
 		Routers: f.routers, Patterns: f.patterns,
 		Warmup: f.warmup, Measure: f.measure, Drain: f.drain,
 		LinkRate: f.linkRate, NodeCapacity: f.capacity,
-		Congestion:    f.congestion,
 		FlightTimeout: f.timeout, RetryBackoff: f.retryBackoff,
 		Bubble: f.bubble, GridlockWindow: f.gridlockWin,
 		Faults: f.faults, FaultInterval: f.interval, Clustered: f.clustered,
@@ -134,10 +130,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.IntVar(&f.drain, "drain", 256, "drain steps (no injection)")
 	fs.IntVar(&f.linkRate, "link-rate", 1, "messages a directed link serves per step")
 	fs.IntVar(&f.capacity, "capacity", 0, "per-node input-queue depth (0 = unbounded)")
-	fs.IntVar(&f.margin, "margin", 1, "congested router: load advantage required to leave the baseline pick")
-	fs.IntVar(&f.nodeWeight, "node-weight", 1, "congested router: weight of downstream node residency (0 disables the signal)")
-	fs.IntVar(&f.linkWeight, "link-weight", 1, "congested router: weight of directed-link pending depth (0 disables the signal)")
-	fs.StringVar(&f.congPreset, "congestion", "", "congested router preset: off | mild | aggressive (overrides -margin/-node-weight/-link-weight)")
 	fs.IntVar(&f.timeout, "timeout", 0, "kill any flight stalled in place this many consecutive steps (0 = off); closed-loop sources retry the request")
 	fs.IntVar(&f.retryBackoff, "retry-backoff", 0, "closed-loop retry backoff base delay in steps (doubles per consecutive timeout; with -timeout)")
 	fs.BoolVar(&f.bubble, "bubble", false, "bubble admission: injection must leave >= 1 free input-buffer slot (needs -capacity >= 2)")
@@ -178,12 +170,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return errors.New("-patterns needs at least one pattern")
 	}
 	f.progress = cliutil.Progress(f.progressFlag, "loadgen")
-	f.congestion = route.CongestionConfig{Margin: f.margin, NodeWeight: f.nodeWeight, LinkWeight: f.linkWeight}
-	if f.congPreset != "" {
-		if f.congestion, err = route.CongestionPresetByName(f.congPreset); err != nil {
-			return err
-		}
-	}
 	dims, routers, patterns, pf := f.dims, f.routers, f.patterns, f.probe
 
 	// faultDesc summarizes the fault overlay for table titles: the fixed
@@ -274,7 +260,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 
 		opt := ndmesh.LoadOptions{
-			Congestion: f.congestion, Seed: f.seed,
+			Seed:   f.seed,
 			Lambda: lambdaOverride, LinkRate: linkRateOverride, NodeCapacity: capacityOverride,
 			FlightTimeout: f.timeout, RetryBackoff: f.retryBackoff,
 			Bubble: f.bubble, GridlockWindow: f.gridlockWin,
@@ -346,7 +332,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			Process: f.process,
 			Warmup:  f.warmup, Measure: f.measure, Drain: f.drain,
 			LinkRate: f.linkRate, NodeCapacity: f.capacity,
-			Congestion:    f.congestion,
 			FlightTimeout: f.timeout, RetryBackoff: f.retryBackoff,
 			Bubble: f.bubble, GridlockWindow: f.gridlockWin,
 			Faults: f.faults, FaultInterval: f.interval, Clustered: f.clustered,

@@ -121,8 +121,6 @@ func TestOpenLoopCSVMatchesLibrary(t *testing.T) {
 	opt.Routers = []string{"limited", "congested"}
 	opt.Warmup, opt.Measure, opt.Drain = 16, 48, 48
 	opt.NodeCapacity = 4
-	// The CLI's -margin/-node-weight/-link-weight defaults.
-	opt.Congestion.Margin, opt.Congestion.NodeWeight, opt.Congestion.LinkWeight = 1, 1, 1
 	rows, err := ndmesh.SaturationSweepWorkers(opt, 1, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -241,7 +239,6 @@ func TestManifestConfigGolden(t *testing.T) {
 		ts := filepath.Join(t.TempDir(), "ts.csv")
 		loadgen(t, append(load, "-dims", "4x4", "-routers", "congested", "-patterns", "transpose", "-lambda", "2",
 			"-warmup", "8", "-measure", "24", "-drain", "24", "-link-rate", "2", "-capacity", "4",
-			"-margin", "2", "-node-weight", "3", "-link-weight", "4",
 			"-timeout", "12", "-retry-backoff", "3", "-bubble", "-gridlock-window", "6",
 			"-fault-rate", "0.01", "-fault-model", "weibull", "-fault-shape", "1.25", "-fault-start", "5",
 			"-repair", "40", "-clustered", "-probe-every", "2", "-workers", "3", "-timeseries", ts)...)

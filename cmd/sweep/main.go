@@ -22,7 +22,6 @@ import (
 
 	"ndmesh"
 	"ndmesh/internal/cliutil"
-	"ndmesh/internal/route"
 	"ndmesh/internal/stats"
 )
 
@@ -30,7 +29,6 @@ import (
 type config struct {
 	seed            uint64
 	trials, workers int
-	congestion      route.CongestionConfig
 	progress        func(done, total int)
 }
 
@@ -85,19 +83,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		trials   = fs.Int("trials", 0, "trials per cell (0 = experiment default)")
 		csv      = fs.Bool("csv", false, "emit CSV instead of aligned tables")
 		workers  = fs.Int("workers", 0, "parallel trial workers (0 = all CPUs); results are identical for every value")
-		preset   = fs.String("congestion", "", "congested-router tuning preset for the load experiments: off | mild | aggressive (empty = library defaults)")
 		progress = fs.Bool("progress", false, "print per-cell completion of the load experiments (saturation/congestion/closedloop/gridlock) to stderr")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	cfg := config{seed: *seed, trials: *trials, workers: *workers}
-	if *preset != "" {
-		var err error
-		if cfg.congestion, err = route.CongestionPresetByName(*preset); err != nil {
-			return err
-		}
-	}
 	ran := false
 	for _, e := range experiments {
 		if *exp != "all" && *exp != e.name {
@@ -141,7 +132,6 @@ func trafficTable(cfg config) (*stats.Table, error) {
 
 func congestionOptions(cfg config) ndmesh.CongestionShiftOptions {
 	opt := ndmesh.DefaultCongestionShift()
-	opt.Congestion = cfg.congestion
 	opt.Progress = cfg.progress
 	return opt
 }
@@ -168,7 +158,6 @@ func congestionTable(cfg config) (*stats.Table, error) {
 
 func closedLoopOptions(cfg config) ndmesh.ClosedLoopOptions {
 	opt := ndmesh.DefaultClosedLoop()
-	opt.Congestion = cfg.congestion
 	opt.Progress = cfg.progress
 	return opt
 }
@@ -189,7 +178,6 @@ func closedLoopTable(cfg config) (*stats.Table, error) {
 
 func gridlockOptions(cfg config) ndmesh.GridlockOptions {
 	opt := ndmesh.DefaultGridlock()
-	opt.Congestion = cfg.congestion
 	opt.Progress = cfg.progress
 	return opt
 }
@@ -219,7 +207,6 @@ func reliabilityOptions(cfg config) ndmesh.ReliabilityOptions {
 	if cfg.trials > 0 {
 		opt.Trials = cfg.trials
 	}
-	opt.Congestion = cfg.congestion
 	opt.Progress = cfg.progress
 	return opt
 }
@@ -246,7 +233,6 @@ func saturationOptions(cfg config) ndmesh.SaturationOptions {
 	opt.Routers = []string{"limited", "congested", "blind"}
 	opt.Rates = []float64{0.05, 0.15, 0.3}
 	opt.Warmup, opt.Measure, opt.Drain = 32, 128, 128
-	opt.Congestion = cfg.congestion
 	opt.Progress = cfg.progress
 	return opt
 }

@@ -265,7 +265,7 @@ func midpoint(shape *grid.Shape, src, dst grid.NodeID) grid.NodeID {
 }
 
 // pathPoint returns the node at the given fraction of the lowest-axis
-// (dimension-order) path from src to dst — where a LowestAxis-policy
+// (dimension-order) path from src to dst — where a fault-free Limited
 // message will actually travel.
 func pathPoint(shape *grid.Shape, src, dst grid.NodeID, frac float64) grid.NodeID {
 	total := shape.Distance(src, dst)

@@ -12,14 +12,6 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewSimulation(Config{Dims: []int{4, 0}}); err == nil {
 		t.Error("zero radix accepted")
 	}
-	if _, err := NewSimulation(Config{Dims: []int{8, 8}, Policy: "bogus"}); err == nil {
-		t.Error("unknown policy accepted")
-	}
-	for _, pol := range []string{"", "lowest-axis", "largest-offset"} {
-		if _, err := NewSimulation(Config{Dims: []int{8, 8}, Policy: pol}); err != nil {
-			t.Errorf("policy %q rejected: %v", pol, err)
-		}
-	}
 }
 
 func TestMustSimulationPanics(t *testing.T) {
@@ -65,14 +57,6 @@ func TestRouteValidation(t *testing.T) {
 	res, err := sim.Route(C(1, 1), C(5, 6), "limited")
 	if err != nil || !res.Arrived || res.Hops != 9 {
 		t.Errorf("fault-free route wrong: %+v, %v", res, err)
-	}
-}
-
-func TestPolicyLargestOffset(t *testing.T) {
-	sim := MustSimulation(Config{Dims: []int{12, 12}, Policy: "largest-offset"})
-	res, err := sim.Route(C(1, 1), C(3, 9), "limited")
-	if err != nil || !res.Arrived || res.ExtraHops != 0 {
-		t.Fatalf("largest-offset route wrong: %+v, %v", res, err)
 	}
 }
 

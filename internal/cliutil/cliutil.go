@@ -6,6 +6,7 @@ package cliutil
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -75,8 +76,8 @@ func ParseRates(s string) ([]float64, error) {
 	var rates []float64
 	for _, p := range SplitList(s) {
 		v, err := strconv.ParseFloat(p, 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad rate %q (need a positive number)", p)
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
+			return nil, fmt.Errorf("bad rate %q (need a positive finite number)", p)
 		}
 		rates = append(rates, v)
 	}

@@ -289,19 +289,3 @@ func TestInjectRejectsOverCapacity(t *testing.T) {
 		t.Fatalf("contention-free injection rejected: %v", err)
 	}
 }
-
-// TestSetPolicyGovernsDecisions: the tie-breaking policy is an engine
-// setting. A diagonal flight takes its long axis first under LargestOffset
-// (axis 0 first under the default).
-func TestSetPolicyGovernsDecisions(t *testing.T) {
-	e, shape := newContentionEngine(t, 8, ContentionConfig{LinkRate: 1})
-	e.SetPolicy(route.LargestOffset)
-	fl, err := e.Inject(shape.Index(grid.Coord{1, 1}), shape.Index(grid.Coord{3, 6}), route.Limited{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Step()
-	if got, want := fl.Msg.Cur, shape.Index(grid.Coord{1, 2}); got != want {
-		t.Errorf("first hop to node %d, want %d (the offset along axis 1 is the larger)", got, want)
-	}
-}

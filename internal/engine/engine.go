@@ -29,9 +29,7 @@
 //     stacks and used-direction tables; the flight list keeps the live
 //     flights as a dense prefix in injection order (terminated ones behind
 //     it, until harvested), compacted by the commit loop itself; routing
-//     scratch is the engine's (one route.Context), never a flight's; the
-//     tie-breaking policy is an engine setting (SetPolicy) for the same
-//     reason.
+//     scratch is the engine's (one route.Context), never a flight's.
 package engine
 
 import (
@@ -206,7 +204,7 @@ type Engine struct {
 
 	// ctx is the routing scratch: one context serves every flight in turn,
 	// so no flight carries buffers of its own.
-	ctx route.Context //meshvet:keep configuration (fabric, store, load view, policy) plus call-scoped scratch
+	ctx route.Context //meshvet:keep configuration (fabric, store, load view) plus call-scoped scratch
 
 	// Events is the per-occurrence log (one record per applied schedule
 	// event), held by value: Reset truncates it and a reused trial logs
@@ -252,13 +250,9 @@ func New(md *core.Model, lambda int, sched *fault.Schedule) *Engine {
 	// The engine is its flights' load view (route.LoadView): outside
 	// contention mode both signals read zero, so load-aware routers
 	// collapse to their load-oblivious baselines.
-	e.ctx = route.Context{M: md.M, Store: md.Store, Load: e, Policy: route.LowestAxis}
+	e.ctx = route.Context{M: md.M, Store: md.Store, Load: e}
 	return e
 }
-
-// SetPolicy selects how every flight's router breaks ties among equally
-// preferred directions (default route.LowestAxis).
-func (e *Engine) SetPolicy(p route.Policy) { e.ctx.Policy = p }
 
 // StepCount returns the current step number.
 func (e *Engine) StepCount() int { return e.step }

@@ -133,7 +133,7 @@ func TestBlindIgnoresStore(t *testing.T) {
 	eng.RunFlights(400)
 	ref := route.NewMessage(src, dst)
 	ctx := route.Context{M: eng.Model.M}
-	for route.Advance(&ctx, route.Blind{}, ref) {
+	for route.AdvanceGated(&ctx, route.Blind{}, ref, nil) {
 	}
 	got, want := fl.Msg, ref
 	if !got.Arrived || got.Hops != want.Hops || got.Backtracks != want.Backtracks || got.Steps != want.Steps {

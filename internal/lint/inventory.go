@@ -25,16 +25,14 @@ import (
 var AllocTestCoverage = map[string][]string{
 	// The contention step: arbitration, gating, the Limited and Blind
 	// decide paths (classify: three masks over the mesh's open set), the
-	// kept decision of a stalled flight and its (mesh, store, policy) key,
-	// commit/traversal, harvest, and the census fold-in. Advance is a pure
-	// delegate to AdvanceGated and is covered through it.
+	// kept decision of a stalled flight and its (mesh, store) key,
+	// commit/traversal, harvest, and the census fold-in.
 	"TestContentionStepAllocFree": {
 		"ndmesh/internal/engine.Engine.Step",
 		"ndmesh/internal/engine.Engine.DetachDone",
 		"ndmesh/internal/engine.Engine.gate",
 		"ndmesh/internal/engine.contention.deny",
 		"ndmesh/internal/engine.StepCensus.observe",
-		"ndmesh/internal/route.Advance",
 		"ndmesh/internal/route.AdvanceGated",
 		"ndmesh/internal/route.Message.beginStep",
 		"ndmesh/internal/route.Message.keeps",

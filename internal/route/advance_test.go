@@ -96,8 +96,8 @@ func TestSourceDeadEndUnderContention(t *testing.T) {
 // stalled on. Every router routes (1,1) -> (5,5) on a fault-free 8x8 with
 // a record at the source, is denied its first traversal, and then meets
 // one change: the load-oblivious routers keep their decision exactly when
-// the mesh version, the store version and the policy are all unchanged and
-// the message did not move; congested never keeps one. Whatever the header
+// the mesh version and the store version are both unchanged and the message
+// did not move; congested never keeps one. Whatever the header
 // keeps, the decision the next step commits must equal a fresh Decide.
 func TestStallKeepsDecision(t *testing.T) {
 	cases := []struct {
@@ -119,14 +119,11 @@ func TestStallKeepsDecision(t *testing.T) {
 		{"record removed from Cur", func(ctx *Context, msg *Message, b info.BlockID, _ func()) {
 			ctx.Store.Remove(msg.Cur, b, 100)
 		}, false},
-		{"policy changes", func(ctx *Context, _ *Message, _ info.BlockID, _ func()) {
-			ctx.Policy = LargestOffset
-		}, false},
 		{"message moves", func(_ *Context, _ *Message, _ info.BlockID, grant func()) {
 			grant()
 		}, false},
 	}
-	routers := []Router{Limited{}, Blind{}, DOR{}, &Oracle{}, Congested{}, Congested{Cfg: CongestionConfig{Eager: true}}}
+	routers := []Router{Limited{}, Blind{}, DOR{}, &Oracle{}, Congested{}}
 	for _, tc := range cases {
 		for _, rt := range routers {
 			ctx, m := env(t, []int{8, 8}, nil)
@@ -148,7 +145,7 @@ func TestStallKeepsDecision(t *testing.T) {
 				deny = true
 			})
 			want := tc.keeps && rt.Name() != "congested"
-			if got := msg.keeps(ctx, rt, stateKey(ctx)); got != want {
+			if got := msg.keeps(rt, stateKey(ctx)); got != want {
 				t.Errorf("%s/%s: keeps = %v, want %v", tc.name, rt.Name(), got, want)
 			}
 			fresh := rt.Decide(ctx, msg)

@@ -49,8 +49,8 @@ func TestCongestedEqualsLimitedNoLoadView(t *testing.T) {
 				t.Fatalf("trial %d step %d: limited %+v, congested %+v at node %d",
 					trial, i, dl, dc, lim.Cur)
 			}
-			la := Advance(ctx, Limited{}, lim)
-			Advance(ctx, Congested{}, cong)
+			la := AdvanceGated(ctx, Limited{}, lim, nil)
+			AdvanceGated(ctx, Congested{}, cong, nil)
 			if !la {
 				break
 			}
@@ -64,7 +64,8 @@ func TestCongestedEqualsLimitedNoLoadView(t *testing.T) {
 // TestCongestedEqualsLimitedFlatLoad pins the hysteresis floor: when every
 // load signal is equal (contention disabled reads all zeros; any uniform
 // landscape behaves the same) no alternative can show the required strict
-// advantage, so eager and stall-gated congested both reproduce Limited.
+// advantage, so congested reproduces Limited even with the stall flag forced
+// on before every step, which sends each decision down the load-aware path.
 func TestCongestedEqualsLimitedFlatLoad(t *testing.T) {
 	r := rng.New(777)
 	for _, load := range []LoadView{flatLoad{0}, flatLoad{3}} {
@@ -75,16 +76,17 @@ func TestCongestedEqualsLimitedFlatLoad(t *testing.T) {
 			if src == grid.InvalidNode {
 				continue
 			}
-			rt := Congested{Cfg: CongestionConfig{Eager: true}}
+			rt := Congested{}
 			lim, cong := NewMessage(src, dst), NewMessage(src, dst)
 			for i := 0; i < 4000; i++ {
+				cong.stalled = true
 				dl := Limited{}.Decide(ctx, lim)
 				dc := rt.Decide(ctx, cong)
 				if dl != dc {
 					t.Fatalf("trial %d step %d: limited %+v, congested %+v", trial, i, dl, dc)
 				}
-				la := Advance(ctx, Limited{}, lim)
-				Advance(ctx, rt, cong)
+				la := AdvanceGated(ctx, Limited{}, lim, nil)
+				AdvanceGated(ctx, rt, cong, nil)
 				if !la {
 					break
 				}
@@ -94,9 +96,8 @@ func TestCongestedEqualsLimitedFlatLoad(t *testing.T) {
 }
 
 // TestCongestedDeviatesToLighterPreferred pins the tie-break: with two
-// preferred directions and the baseline one congested, the eager router
-// takes the lighter; the stall-gated default keeps the baseline until the
-// message has stalled.
+// preferred directions and the baseline one congested, the router keeps the
+// baseline until the message has stalled, then takes the lighter.
 func TestCongestedDeviatesToLighterPreferred(t *testing.T) {
 	ctx, m := env(t, []int{8, 8}, nil)
 	src := m.Shape().Index(grid.Coord{2, 2})
@@ -112,14 +113,10 @@ func TestCongestedDeviatesToLighterPreferred(t *testing.T) {
 	if d := (Congested{}).Decide(ctx, msg); d.Dir != grid.DirPlus(1) {
 		t.Fatalf("stalled router kept the congested link: %+v", d)
 	}
-	msg2 := NewMessage(src, dst)
-	if d := (Congested{Cfg: CongestionConfig{Eager: true}}).Decide(ctx, msg2); d.Dir != grid.DirPlus(1) {
-		t.Fatalf("eager router kept the congested link: %+v", d)
-	}
 }
 
 // TestCongestedMarginHysteresis pins that deviation requires a strict
-// advantage of at least Margin.
+// advantage of at least the margin of 1: equal loads keep the baseline.
 func TestCongestedMarginHysteresis(t *testing.T) {
 	ctx, m := env(t, []int{8, 8}, nil)
 	src := m.Shape().Index(grid.Coord{2, 2})
@@ -127,17 +124,17 @@ func TestCongestedMarginHysteresis(t *testing.T) {
 	msg := NewMessage(src, dst)
 	msg.stalled = true
 	for _, tc := range []struct {
-		load, margin int
-		want         grid.Dir
+		load int
+		want grid.Dir
 	}{
-		{1, 1, grid.DirPlus(1)}, // advantage 1 >= margin 1: deviate
-		{1, 2, grid.DirPlus(0)}, // advantage 1 < margin 2: keep baseline
-		{2, 2, grid.DirPlus(1)}, // advantage 2 >= margin 2: deviate
+		{0, grid.DirPlus(0)}, // no advantage: keep baseline
+		{1, grid.DirPlus(1)}, // advantage 1 >= margin 1: deviate
+		{2, grid.DirPlus(1)},
 	} {
 		ctx.Load = dirLoad{from: src, dir: grid.DirPlus(0), v: tc.load}
-		d := Congested{Cfg: CongestionConfig{Margin: tc.margin}}.Decide(ctx, msg)
+		d := Congested{}.Decide(ctx, msg)
 		if d.Dir != tc.want {
-			t.Fatalf("load %d margin %d: picked %v, want %v", tc.load, tc.margin, d.Dir, tc.want)
+			t.Fatalf("load %d: picked %v, want %v", tc.load, d.Dir, tc.want)
 		}
 	}
 }

@@ -25,7 +25,7 @@ func TestPropertyNeverEntersFaultyNode(t *testing.T) {
 		for _, rt := range routers {
 			msg := NewMessage(src, dst)
 			for i := 0; i < 5000 && !msg.Done(); i++ {
-				Advance(ctx, rt, msg)
+				AdvanceGated(ctx, rt, msg, nil)
 				if m.Status(msg.Cur) == mesh.Faulty {
 					t.Fatalf("trial %d: %s stepped onto faulty node %v",
 						trial, rt.Name(), m.Shape().CoordOf(msg.Cur))
@@ -52,7 +52,7 @@ func TestPropertySearchersAgreeOnReachability(t *testing.T) {
 		for _, rt := range []Router{Limited{}, Blind{}, &Oracle{}} {
 			msg := NewMessage(src, dst)
 			for i := 0; i < 20000 && !msg.Done(); i++ {
-				Advance(ctx, rt, msg)
+				AdvanceGated(ctx, rt, msg, nil)
 			}
 			if !msg.Done() {
 				t.Fatalf("trial %d: %s did not terminate", trial, rt.Name())
@@ -77,7 +77,7 @@ func TestPropertyOracleNeverBeaten(t *testing.T) {
 		}
 		oracle := NewMessage(src, dst)
 		for i := 0; i < 20000 && !oracle.Done(); i++ {
-			Advance(ctx, &Oracle{}, oracle)
+			AdvanceGated(ctx, &Oracle{}, oracle, nil)
 		}
 		if !oracle.Arrived {
 			continue
@@ -85,7 +85,7 @@ func TestPropertyOracleNeverBeaten(t *testing.T) {
 		for _, rt := range []Router{Limited{}, Blind{}} {
 			msg := NewMessage(src, dst)
 			for i := 0; i < 20000 && !msg.Done(); i++ {
-				Advance(ctx, rt, msg)
+				AdvanceGated(ctx, rt, msg, nil)
 			}
 			if msg.Arrived && msg.Hops < oracle.Hops {
 				t.Fatalf("trial %d: %s (%d hops) beat the oracle (%d hops)",
@@ -134,7 +134,7 @@ func TestPartialInformationStillCorrect(t *testing.T) {
 	dst := m.Shape().Index(grid.Coord{12, 12})
 	msg := NewMessage(src, dst)
 	for i := 0; i < 5000 && !msg.Done(); i++ {
-		Advance(ctx, Limited{}, msg)
+		AdvanceGated(ctx, Limited{}, msg, nil)
 	}
 	if !msg.Arrived {
 		t.Fatalf("partial information broke routing: %v", msg)
@@ -159,7 +159,7 @@ func TestStaleInformationStillCorrect(t *testing.T) {
 	dst := m.Shape().Index(grid.Coord{7, 12})
 	msg := NewMessage(src, dst)
 	for i := 0; i < 5000 && !msg.Done(); i++ {
-		Advance(ctx, Limited{}, msg)
+		AdvanceGated(ctx, Limited{}, msg, nil)
 	}
 	if !msg.Arrived {
 		t.Fatalf("stale information broke routing: %v", msg)

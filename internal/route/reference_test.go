@@ -77,19 +77,6 @@ func refLowest(dirs []grid.Dir) grid.Dir {
 	return best
 }
 
-func refPickPreferred(ctx *Context, dirs []grid.Dir, uc, dc grid.Coord) grid.Dir {
-	if ctx.Policy == LargestOffset {
-		best, bestOff := dirs[0], -1
-		for _, d := range dirs {
-			if off := abs(dc[d.Axis()] - uc[d.Axis()]); off > bestOff {
-				best, bestOff = d, off
-			}
-		}
-		return best
-	}
-	return refLowest(dirs)
-}
-
 func refPickSpare(dirs []grid.Dir, store *info.Store, recs []info.Record, uc grid.Coord) grid.Dir {
 	const inf = int(^uint(0) >> 1)
 	best, bestRank := dirs[0], inf
@@ -117,18 +104,18 @@ func refPickSpare(dirs []grid.Dir, store *info.Store, recs []info.Record, uc gri
 	return refLowest(dirs)
 }
 
-func refLightest(ctx *Context, cfg CongestionConfig, u grid.NodeID, dirs []grid.Dir, base grid.Dir) grid.Dir {
-	baseScore := loadScore(ctx, cfg, u, base)
+func refLightest(ctx *Context, u grid.NodeID, dirs []grid.Dir, base grid.Dir) grid.Dir {
+	baseScore := loadScore(ctx, u, base)
 	best, bestScore := base, baseScore
 	for _, d := range dirs {
 		if d == base {
 			continue
 		}
-		if s := loadScore(ctx, cfg, u, d); s < bestScore {
+		if s := loadScore(ctx, u, d); s < bestScore {
 			best, bestScore = d, s
 		}
 	}
-	if best != base && baseScore-bestScore >= cfg.Margin {
+	if best != base && baseScore-bestScore >= margin {
 		return best
 	}
 	return base
@@ -136,24 +123,24 @@ func refLightest(ctx *Context, cfg CongestionConfig, u grid.NodeID, dirs []grid.
 
 // refAlgorithm3 decides from the lists; adaptive selects Congested's
 // load-aware tie-break inside the winning class.
-func refAlgorithm3(ctx *Context, msg *Message, recs []info.Record, adaptive bool, cfg CongestionConfig) Decision {
+func refAlgorithm3(ctx *Context, msg *Message, recs []info.Record, adaptive bool) Decision {
 	cl, ok := refClassify(ctx, msg, recs)
 	var class []grid.Dir
 	var base grid.Dir
 	switch {
 	case !ok:
 	case len(cl.preferred) > 0:
-		class, base = cl.preferred, refPickPreferred(ctx, cl.preferred, cl.uc, cl.dc)
+		class, base = cl.preferred, refLowest(cl.preferred)
 	case len(cl.spares) > 0:
 		class, base = cl.spares, refPickSpare(cl.spares, ctx.Store, recs, cl.uc)
 	case len(cl.demoted) > 0:
-		class, base = cl.demoted, refPickPreferred(ctx, cl.demoted, cl.uc, cl.dc)
+		class, base = cl.demoted, refLowest(cl.demoted)
 	}
 	if class == nil {
 		return backtrackOrFail(msg)
 	}
 	if adaptive {
-		base = refLightest(ctx, cfg, msg.Cur, class, base)
+		base = refLightest(ctx, msg.Cur, class, base)
 	}
 	return Decision{Move: true, Dir: base}
 }
@@ -194,14 +181,14 @@ func referenceDecision(r Router, ctx *Context, msg *Message) Decision {
 		}
 		return grid.InvalidNode
 	}
-	switch r := r.(type) {
+	switch r.(type) {
 	case Limited:
-		return refAlgorithm3(ctx, msg, recordsAt(ctx, msg.Cur), false, CongestionConfig{})
+		return refAlgorithm3(ctx, msg, recordsAt(ctx, msg.Cur), false)
 	case Blind:
-		return refAlgorithm3(ctx, msg, nil, false, CongestionConfig{})
+		return refAlgorithm3(ctx, msg, nil, false)
 	case Congested:
-		adaptive := ctx.Load != nil && (r.Cfg.Eager || msg.Stalled())
-		return refAlgorithm3(ctx, msg, recordsAt(ctx, msg.Cur), adaptive, r.Cfg.norm())
+		adaptive := ctx.Load != nil && msg.Stalled()
+		return refAlgorithm3(ctx, msg, recordsAt(ctx, msg.Cur), adaptive)
 	case DOR:
 		if m.Status(msg.Cur).Bad() {
 			return Decision{Fail: true}
@@ -235,8 +222,8 @@ func referenceDecision(r Router, ctx *Context, msg *Message) Decision {
 // TestDecisionsEqualReference holds the bit-parallel classification to the
 // per-direction one exhaustively: every (current node, destination, used set,
 // incoming direction) on faulted 4x4 and 3x3x3 meshes with their records
-// deposited, under both policies, for every router — the adaptive ones both
-// following Limited and breaking ties on a synthetic load landscape.
+// deposited, for every router — the adaptive one both following Limited and
+// breaking ties on a synthetic load landscape.
 func TestDecisionsEqualReference(t *testing.T) {
 	scenarios := []struct {
 		dims   []int
@@ -252,36 +239,34 @@ func TestDecisionsEqualReference(t *testing.T) {
 		ctx, m := env(t, sc.dims, sc.faults)
 		ctx.Load = fuzzLoad{salt: uint64(len(sc.faults))}
 		nd := m.Shape().NumDirs()
-		for _, ctx.Policy = range []Policy{LowestAxis, LargestOffset} {
-			for cur := grid.NodeID(0); int(cur) < m.NumNodes(); cur++ {
-				for dst := grid.NodeID(0); int(dst) < m.NumNodes(); dst++ {
-					if cur == dst {
-						continue
-					}
-					for used := grid.DirSet(0); used < 1<<uint(nd); used++ {
-						for in := grid.InvalidDir; int(in) < nd; in++ {
-							msg := Message{Src: cur, Dst: dst, Cur: cur, Incoming: in, slot: -1, used: used}
-							if in != grid.InvalidDir {
-								msg.path = []hop{{}} // it has moved: a dead end backtracks, not fails
+		for cur := grid.NodeID(0); int(cur) < m.NumNodes(); cur++ {
+			for dst := grid.NodeID(0); int(dst) < m.NumNodes(); dst++ {
+				if cur == dst {
+					continue
+				}
+				for used := grid.DirSet(0); used < 1<<uint(nd); used++ {
+					for in := grid.InvalidDir; int(in) < nd; in++ {
+						msg := Message{Src: cur, Dst: dst, Cur: cur, Incoming: in, slot: -1, used: used}
+						if in != grid.InvalidDir {
+							msg.path = []hop{{}} // it has moved: a dead end backtracks, not fails
+						}
+						if cl, ok := refClassify(ctx, &msg, recordsAt(ctx, cur)); ok {
+							if len(cl.demoted) > 0 {
+								withDemoted++
 							}
-							if cl, ok := refClassify(ctx, &msg, recordsAt(ctx, cur)); ok {
-								if len(cl.demoted) > 0 {
-									withDemoted++
-								}
-								if len(cl.preferred) == 0 && len(cl.spares) > 0 {
-									withSpareOnly++
-								}
+							if len(cl.preferred) == 0 && len(cl.spares) > 0 {
+								withSpareOnly++
 							}
-							for _, stalled := range []bool{false, true} {
-								msg.stalled = stalled
-								for _, r := range routers {
-									got := r.Decide(ctx, &msg)
-									if want := referenceDecision(r, ctx, &msg); got != want {
-										t.Fatalf("%v policy %d %s: cur %d dst %d used %b incoming %v stalled %v: decided %+v, reference %+v",
-											m.Shape(), ctx.Policy, r.Name(), cur, dst, used, in, stalled, got, want)
-									}
-									decisions++
+						}
+						for _, stalled := range []bool{false, true} {
+							msg.stalled = stalled
+							for _, r := range routers {
+								got := r.Decide(ctx, &msg)
+								if want := referenceDecision(r, ctx, &msg); got != want {
+									t.Fatalf("%v %s: cur %d dst %d used %b incoming %v stalled %v: decided %+v, reference %+v",
+										m.Shape(), r.Name(), cur, dst, used, in, stalled, got, want)
 								}
+								decisions++
 							}
 						}
 					}

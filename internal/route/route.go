@@ -24,8 +24,8 @@
 // Decide/Apply split lets the engine interleave decisions with the λ
 // information rounds exactly as Figure 7 prescribes.
 //
-// Contracts: Decide never mutates the message — Advance/AdvanceGated
-// commit a Decision to the header. Routers are stateless per decision and a
+// Contracts: Decide never mutates the message — AdvanceGated commits a
+// Decision to the header. Routers are stateless per decision and a
 // Context holds no scratch: one-hop sensing is one word, the mesh's open set
 // (mesh.Mesh.Open: the directions with an Enabled neighbor), so Algorithm
 // 3's candidate classes are three DirSets computed by mask arithmetic and
@@ -35,12 +35,13 @@
 // routing table it models: one distance field per destination, all dropped
 // when the mesh asked about or its version moves.
 //
-// A decision is therefore a pure function of the mesh, the record store, the
-// policy and the header — and, for Congested alone, of the load view and the
-// stall flag. A stall writes none of those header fields, so a message that
-// lost arbitration keeps the decision it stalled on for as long as the mesh
-// version, the store version and the policy hold (see AdvanceGated), and
-// re-decides the step any of them moves.
+// A decision is therefore a pure function of the mesh, the record store and
+// the header — and, for Congested alone, of the load view and the stall
+// flag. Ties among equally preferred directions always go to the lowest
+// direction index. A stall writes none of those header fields, so a message
+// that lost arbitration keeps the decision it stalled on for as long as the
+// mesh version and the store version hold (see AdvanceGated), and re-decides
+// the step either of them moves.
 //
 // The header (Message) is laid out for the step loop: the fields a stalled
 // step reads — position, terminal flags, the current node's used-direction
@@ -60,16 +61,13 @@ import (
 	"ndmesh/internal/mesh"
 )
 
-// Policy breaks ties among directions of equal priority.
+// Policy is ignored: ties among directions of equal priority always go to
+// the smallest direction index. It and LowestAxis are kept only because
+// bench/layers.go names them in a Context literal.
 type Policy uint8
 
-const (
-	// LowestAxis deterministically prefers the smallest direction index.
-	LowestAxis Policy = iota
-	// LargestOffset prefers the axis with the largest remaining distance
-	// to the destination (the classic adaptive-routing heuristic).
-	LargestOffset
-)
+// LowestAxis is the only Policy value.
+const LowestAxis Policy = 0
 
 // LoadView exposes the traffic state a congestion-aware router may consult
 // next to the fault records: per-node residency (how many messages occupy a
@@ -89,12 +87,13 @@ type LoadView interface {
 
 // Context is the information a router may consult: the fabric (one-hop
 // status sensing is always allowed), the node-local record store (nil for
-// the blind router), the load view (nil or zero outside contention mode),
-// and the policy.
+// the blind router) and the load view (nil or zero outside contention
+// mode).
 type Context struct {
-	M      *mesh.Mesh
-	Store  *info.Store
-	Load   LoadView
+	M     *mesh.Mesh
+	Store *info.Store
+	Load  LoadView
+	// Policy is ignored; kept only because bench/layers.go assigns it.
 	Policy Policy
 }
 
@@ -148,8 +147,6 @@ type Message struct {
 	// spare hop or a backtrack). Until then every hop did, so the message
 	// cannot be anywhere it has been and entering a node needs no lookup.
 	strayed bool
-	// policy is the Context policy kept was decided under.
-	policy Policy
 
 	// slot is Cur's index in visited (-1 while Cur has no entry yet) and
 	// used a copy of that entry's set, refreshed whenever Cur changes: a
@@ -311,25 +308,19 @@ func (msg *Message) String() string {
 // contention-free model.
 type Gate func(from grid.NodeID, dir grid.Dir) bool
 
-// Advance performs one step of the routing process: one decision and one
-// hop (Figure 7's routing decision + message sending). It returns true if
-// the message is still in flight afterwards.
-//
-//meshvet:noalloc
-func Advance(ctx *Context, r Router, msg *Message) bool {
-	return AdvanceGated(ctx, r, msg, nil)
-}
-
-// AdvanceGated is Advance under link arbitration: the decision is made
-// normally, but the chosen traversal (forward or backward) only executes
-// if the gate grants the link; otherwise the message waits in place. A
-// waiting message re-decides whenever status or information changed — the
-// mesh version, the store version or the policy moved since it stalled —
-// so a stalled preferred direction can be abandoned for a spare if the
-// fault picture changes while queued. While none of them moved, a fresh
-// decision would equal the one it stalled on, and a load-oblivious router
-// (see loadOblivious) is not asked again: the message re-asks the gate for
-// the decision it kept. A header is advanced under one Context throughout.
+// AdvanceGated performs one step of the routing process: one decision and
+// one hop (Figure 7's routing decision + message sending) under link
+// arbitration. It returns true if the message is still in flight
+// afterwards. The chosen traversal (forward or backward) only executes if
+// the gate grants the link (a nil gate grants every one); otherwise the
+// message waits in place. A waiting message re-decides whenever status or
+// information changed — the mesh version or the store version moved since
+// it stalled — so a stalled preferred direction can be abandoned for a
+// spare if the fault picture changes while queued. While neither moved, a
+// fresh decision would equal the one it stalled on, and a load-oblivious
+// router (see loadOblivious) is not asked again: the message re-asks the
+// gate for the decision it kept. A header is advanced under one Context
+// throughout.
 //
 //meshvet:noalloc
 func AdvanceGated(ctx *Context, r Router, msg *Message, gate Gate) bool {
@@ -338,10 +329,10 @@ func AdvanceGated(ctx *Context, r Router, msg *Message, gate Gate) bool {
 	}
 	key := stateKey(ctx)
 	d := msg.kept
-	if !msg.keeps(ctx, r, key) {
+	if !msg.keeps(r, key) {
 		d = r.Decide(ctx, msg)
 	}
-	msg.kept, msg.key, msg.policy = d, key, ctx.Policy
+	msg.kept, msg.key = d, key
 	return commitDecision(ctx, msg, d, gate)
 }
 
@@ -359,12 +350,12 @@ func stateKey(ctx *Context) uint64 {
 
 // keeps reports whether msg's kept decision is the one r would make now:
 // the last step was a gate denial (so the header fields a decision reads
-// are as they were), the mesh, the store and the policy are as they were,
-// and r decides from nothing else.
+// are as they were), the mesh and the store are as they were, and r decides
+// from nothing else.
 //
 //meshvet:noalloc
-func (msg *Message) keeps(ctx *Context, r Router, key uint64) bool {
-	return msg.stalled && msg.key == key && msg.policy == ctx.Policy && loadOblivious(r)
+func (msg *Message) keeps(r Router, key uint64) bool {
+	return msg.stalled && msg.key == key && loadOblivious(r)
 }
 
 // beginStep opens one step of an in-flight message: it counts the step and
@@ -542,11 +533,11 @@ func algorithm3(ctx *Context, msg *Message, recs []info.Record) Decision {
 	preferred, demoted, spares := classify(ctx, msg, recs)
 	switch {
 	case preferred != 0:
-		return Decision{Move: true, Dir: pickPreferred(ctx, msg, preferred)}
+		return Decision{Move: true, Dir: preferred.First()}
 	case spares != 0:
 		return Decision{Move: true, Dir: pickSpare(ctx, msg.Cur, spares, recs)}
 	case demoted != 0:
-		return Decision{Move: true, Dir: pickPreferred(ctx, msg, demoted)}
+		return Decision{Move: true, Dir: demoted.First()}
 	}
 	return backtrackOrFail(msg)
 }
@@ -620,24 +611,6 @@ func demotedByRecords(store *info.Store, recs []info.Record, wc, dc grid.Coord) 
 	return false
 }
 
-// pickPreferred selects among preferred directions by policy; ties go to
-// the lowest direction.
-func pickPreferred(ctx *Context, msg *Message, dirs grid.DirSet) grid.Dir {
-	best := dirs.First()
-	if ctx.Policy == LargestOffset {
-		shape := ctx.M.Shape()
-		uc, dc := shape.CoordView(msg.Cur), shape.CoordView(msg.Dst)
-		bestOff := -1
-		for r := dirs; r != 0; r &= r - 1 {
-			d := r.First()
-			if off := abs(dc[d.Axis()] - uc[d.Axis()]); off > bestOff {
-				best, bestOff = d, off
-			}
-		}
-	}
-	return best
-}
-
 // pickSpare selects a spare direction "along with the block": among the
 // axes where the current node sits inside a recorded block's span, prefer
 // the direction with the shortest run to exit the span (the fastest way
@@ -668,13 +641,6 @@ func pickSpare(ctx *Context, u grid.NodeID, dirs grid.DirSet, recs []info.Record
 		}
 	}
 	return best
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // ---------------------------------------------------------------------------
@@ -838,15 +804,15 @@ func (DOR) Decide(ctx *Context, msg *Message) Decision {
 		}
 		return Decision{Move: true, Dir: dir}
 	}
-	return Decision{Fail: true} // already at destination: Advance handles it
+	return Decision{Fail: true} // already at destination: AdvanceGated handles it
 }
 
-// loadOblivious reports whether r decides from the mesh, the record store,
-// the policy and the header fields a stall leaves alone, and from nothing
-// else — so a decision it made before a stall is the one it would make
-// after, while the mesh and store versions and the policy hold. That is
-// every ByName router but congested, which reads Context.Load and
-// Message.Stalled. Oracle's table is a pure function of the mesh.
+// loadOblivious reports whether r decides from the mesh, the record store
+// and the header fields a stall leaves alone, and from nothing else — so a
+// decision it made before a stall is the one it would make after, while the
+// mesh and store versions hold. That is every ByName router but congested,
+// which reads Context.Load and Message.Stalled. Oracle's table is a pure
+// function of the mesh.
 //
 //meshvet:noalloc
 func loadOblivious(r Router) bool {

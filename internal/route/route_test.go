@@ -31,14 +31,14 @@ func env(t *testing.T, dims []int, faults []grid.Coord) (*Context, *mesh.Mesh) {
 			}
 		}
 	}
-	return &Context{M: m, Store: store, Policy: LowestAxis}, m
+	return &Context{M: m, Store: store}, m
 }
 
 // runToEnd drives a message to termination with a step cap.
 func runToEnd(t *testing.T, ctx *Context, r Router, msg *Message) {
 	t.Helper()
 	for i := 0; i < 10000; i++ {
-		if !Advance(ctx, r, msg) {
+		if !AdvanceGated(ctx, r, msg, nil) {
 			return
 		}
 	}
@@ -65,7 +65,7 @@ func TestArrivalAtSelfIsImmediate(t *testing.T) {
 	ctx, m := env(t, []int{4, 4}, nil)
 	id := m.Shape().Index(grid.Coord{2, 2})
 	msg := NewMessage(id, id)
-	Advance(ctx, Limited{}, msg)
+	AdvanceGated(ctx, Limited{}, msg, nil)
 	if !msg.Arrived || msg.Hops != 0 {
 		t.Fatalf("self route wrong: %v", msg)
 	}
@@ -82,13 +82,8 @@ func TestPriorityPreferredFirst(t *testing.T) {
 	if !d.Move {
 		t.Fatalf("no move: %+v", d)
 	}
-	if d.Dir != grid.DirPlus(0) { // LowestAxis picks +X among {+X, +Y}
+	if d.Dir != grid.DirPlus(0) { // the lowest direction wins among {+X, +Y}
 		t.Fatalf("picked %v, want +X", d.Dir)
-	}
-	ctx.Policy = LargestOffset
-	d = Limited{}.Decide(ctx, msg)
-	if d.Dir != grid.DirPlus(1) { // offset y=3 > x=2
-		t.Fatalf("LargestOffset picked %v, want +Y", d.Dir)
 	}
 }
 
@@ -162,7 +157,7 @@ func TestUsedDirectionsNeverRepeat(t *testing.T) {
 		cur := msg.Cur
 		before := msg.Hops
 		backs := msg.Backtracks
-		Advance(ctx, Blind{}, msg)
+		AdvanceGated(ctx, Blind{}, msg, nil)
 		if msg.Hops > before && msg.Backtracks == backs && msg.Incoming != grid.InvalidDir {
 			mv := move{cur, msg.Incoming}
 			seen[mv]++
@@ -217,14 +212,14 @@ func TestDisabledCurrentNodeBacktracks(t *testing.T) {
 	src := m.Shape().Index(grid.Coord{2, 2})
 	dst := m.Shape().Index(grid.Coord{6, 6})
 	msg := NewMessage(src, dst)
-	Advance(ctx, Limited{}, msg) // moves to (3,2)
+	AdvanceGated(ctx, Limited{}, msg, nil) // moves to (3,2)
 	if msg.Cur == src {
 		t.Fatal("message did not move")
 	}
 	// The node under the message becomes disabled (dynamic fault wave).
 	m.SetStatus(msg.Cur, mesh.Disabled)
 	backs := msg.Backtracks
-	Advance(ctx, Limited{}, msg)
+	AdvanceGated(ctx, Limited{}, msg, nil)
 	if msg.Backtracks != backs+1 || msg.Cur != src {
 		t.Fatalf("message did not backtrack off the disabled node: %v", msg)
 	}
@@ -237,11 +232,11 @@ func TestLostWhenPathNodeFails(t *testing.T) {
 	src := m.Shape().Index(grid.Coord{2, 2})
 	dst := m.Shape().Index(grid.Coord{6, 6})
 	msg := NewMessage(src, dst)
-	Advance(ctx, Limited{}, msg)
+	AdvanceGated(ctx, Limited{}, msg, nil)
 	// Fail both the current node's location and the path back.
 	m.SetStatus(msg.Cur, mesh.Disabled)
 	m.Fail(src)
-	Advance(ctx, Limited{}, msg)
+	AdvanceGated(ctx, Limited{}, msg, nil)
 	if !msg.Lost {
 		t.Fatalf("message should be lost: %v", msg)
 	}

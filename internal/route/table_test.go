@@ -37,7 +37,7 @@ func TestUsedTableSurvivesReentry(t *testing.T) {
 		move(py), move(px), move(my), // s -> (1,2) -> (2,2) -> v: re-entry from above
 	}}
 	for len(r.next) > 0 {
-		if !Advance(ctx, r, msg) {
+		if !AdvanceGated(ctx, r, msg, nil) {
 			t.Fatalf("terminated mid-script: %v", msg)
 		}
 	}
@@ -63,13 +63,13 @@ func TestUsedTableSurvivesReentry(t *testing.T) {
 	// the backtrack out of v returns to (2,2), the neighbor it was last
 	// entered from, not to s.
 	r.next = []Decision{move(my), back}
-	Advance(ctx, r, msg)
-	Advance(ctx, r, msg)
+	AdvanceGated(ctx, r, msg, nil)
+	AdvanceGated(ctx, r, msg, nil)
 	if want = want.Add(my); msg.Cur != v || msg.used != want || msg.Used(v) != want {
 		t.Fatalf("after the second departure: cur %d cached %b table %b, want %d %b", msg.Cur, msg.used, msg.Used(v), v, want)
 	}
 	r.next = []Decision{back}
-	Advance(ctx, r, msg)
+	AdvanceGated(ctx, r, msg, nil)
 	if msg.Cur != at(2, 2) || msg.Incoming != py || msg.Backtracks != 4 {
 		t.Fatalf("backtrack out of v: cur %d incoming %v backtracks %d, want %d %v 4", msg.Cur, msg.Incoming, msg.Backtracks, at(2, 2), py)
 	}
@@ -115,7 +115,7 @@ func TestBlindLongWalkPinned(t *testing.T) {
 		seen := map[grid.NodeID]bool{}
 		for i := 0; i < 20000 && !msg.Done(); i++ {
 			seen[msg.Cur] = true
-			Advance(ctx, Blind{}, msg)
+			AdvanceGated(ctx, Blind{}, msg, nil)
 		}
 		if msg.Arrived != tc.arrived || msg.Unreachable == tc.arrived ||
 			msg.Hops != tc.hops || msg.Backtracks != tc.backtracks || len(seen) != tc.distinct {
@@ -139,7 +139,7 @@ func TestRecycledMessageAllocFree(t *testing.T) {
 	msg := NewMessage(src, dst)
 	walk := func() {
 		msg.Reset(src, dst)
-		for Advance(ctx, Blind{}, msg) {
+		for AdvanceGated(ctx, Blind{}, msg, nil) {
 		}
 	}
 	walk()

@@ -49,9 +49,7 @@ type Trace struct {
 	// would break the byte-identical-replay contract for anyone who
 	// forgot to repeat a flag), but a caller may still override them
 	// deliberately to run the same offered workload under a different
-	// engine configuration. The congested router's tie-break tuning
-	// (CongestionConfig) is router-side state, not workload, and is not
-	// recorded.
+	// engine configuration.
 	Lambda, LinkRate, NodeCapacity int //meshvet:keep recording metadata, the caller's to manage
 	// FlightTimeout, GridlockWindow and Bubble record the origin run's
 	// deadlock-escape configuration (format v2; v1 traces read as all

@@ -65,9 +65,6 @@ type Config struct {
 	// Lambda is the number of information rounds per step (λ of Table 1);
 	// default 1.
 	Lambda int
-	// Policy breaks ties among equally preferred directions: "lowest-axis"
-	// (default, deterministic) or "largest-offset".
-	Policy string
 }
 
 // Simulation is a dynamic n-D mesh with the limited-global information
@@ -93,20 +90,10 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 	if cfg.Lambda < 1 {
 		cfg.Lambda = 1
 	}
-	var pol route.Policy
-	switch cfg.Policy {
-	case "", "lowest-axis":
-		pol = route.LowestAxis
-	case "largest-offset":
-		pol = route.LargestOffset
-	default:
-		return nil, fmt.Errorf("ndmesh: unknown policy %q", cfg.Policy)
-	}
 	m := mesh.New(shape)
 	md := core.New(m)
 	sched := &fault.Schedule{}
 	eng := engine.New(md, cfg.Lambda, sched)
-	eng.SetPolicy(pol)
 	return &Simulation{cfg: cfg, shape: shape, mesh: m, model: md, engine: eng, sched: sched}, nil
 }
 

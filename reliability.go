@@ -113,7 +113,7 @@ func ReliabilitySweepWorkers(opt ReliabilityOptions, seed uint64, workers int) (
 	// checked whenever any cell uses them; a trial overrides only its
 	// cell's fault rate.
 	for _, fr := range opt.FaultRates {
-		if fr < 0 || fr > 1 {
+		if !finite(fr) || fr < 0 || fr > 1 {
 			return nil, fmt.Errorf("ndmesh: fault rate %v out of range [0, 1]", fr)
 		}
 		opt.FaultRate = max(opt.FaultRate, fr)

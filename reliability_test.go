@@ -3,6 +3,7 @@ package ndmesh
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -166,6 +167,10 @@ func TestReliabilitySweepValidation(t *testing.T) {
 		"repair below 1":   func(o *ReliabilityOptions) { o.FaultRepair = 0.5 },
 		"unknown process":  func(o *ReliabilityOptions) { o.Process = "warp" },
 		"rate beyond proc": func(o *ReliabilityOptions) { o.Rate = 1.5 },
+		"NaN rate":         func(o *ReliabilityOptions) { o.Rate = math.NaN() },
+		"NaN fault rate":   func(o *ReliabilityOptions) { o.FaultRates = []float64{0, math.NaN()} },
+		"infinite shape":   func(o *ReliabilityOptions) { o.FaultModel, o.FaultShape = "weibull", math.Inf(1) },
+		"NaN repair":       func(o *ReliabilityOptions) { o.FaultRepair = math.NaN() },
 	} {
 		opt := base
 		mutate(&opt)

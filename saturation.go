@@ -13,6 +13,7 @@ package ndmesh
 
 import (
 	"fmt"
+	"math"
 
 	"ndmesh/internal/engine"
 	"ndmesh/internal/fault"
@@ -73,9 +74,6 @@ type LoadSweepOptions[Row any] struct {
 	// default 1); NodeCapacity the per-node input-queue depth (0 =
 	// unbounded).
 	LinkRate, NodeCapacity int
-	// Congestion tunes the "congested" router's load tie-breaking (zero
-	// value = route.CongestionConfig defaults); other routers ignore it.
-	Congestion route.CongestionConfig
 	// FlightTimeout > 0 kills any flight stalled in place that many
 	// consecutive steps (engine.ContentionConfig.FlightTimeout); in
 	// closed-loop runs the source retries it under exponential backoff
@@ -296,8 +294,8 @@ func (opt *LoadSweepOptions[Row]) validateRates(rates ...float64) error {
 		return err
 	}
 	for _, rate := range rates {
-		if rate <= 0 {
-			return fmt.Errorf("ndmesh: injection rate %v must be positive", rate)
+		if !finite(rate) || rate <= 0 {
+			return fmt.Errorf("ndmesh: injection rate %v must be positive and finite", rate)
 		}
 		if max := proc.MaxRate(); rate > max {
 			return fmt.Errorf("ndmesh: rate %v exceeds what the %s process can offer (max %v msgs/node/step); use a lower rate or the poisson process",
@@ -341,6 +339,10 @@ func (opt *LoadSweepOptions[Row]) validateLoadShape() error {
 	if opt.FaultStart < 0 {
 		return fmt.Errorf("ndmesh: FaultStart %d must be >= 0", opt.FaultStart)
 	}
+	if !finite(opt.FaultRate) || !finite(opt.FaultShape) || !finite(opt.FaultRepair) {
+		return fmt.Errorf("ndmesh: fault process parameters must be finite (rate %v, shape %v, repair %v)",
+			opt.FaultRate, opt.FaultShape, opt.FaultRepair)
+	}
 	if opt.FaultRate < 0 || opt.FaultRate > 1 {
 		return fmt.Errorf("ndmesh: fault rate %v out of range [0, 1]", opt.FaultRate)
 	}
@@ -366,6 +368,9 @@ func (opt *LoadSweepOptions[Row]) validateLoadShape() error {
 	}
 	return nil
 }
+
+// finite reports whether x is neither NaN nor infinite.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // workload selects what one load run offers the network: a live open-loop
 // generator (pattern + rate), a live closed-loop source (pattern + window),
@@ -472,10 +477,6 @@ func (opt *LoadSweepOptions[Row]) loadPoint(p *simPool, wl workload, router stri
 	rtr, err := route.ByName(router)
 	if err != nil {
 		return traffic.LoadPoint{}, err
-	}
-	if cg, ok := rtr.(route.Congested); ok {
-		cg.Cfg = opt.Congestion
-		rtr = cg
 	}
 
 	// Build the injection source for the selected workload mode. cl is
@@ -714,7 +715,6 @@ type LoadOptions struct {
 	Rate                   float64
 	Warmup, Measure, Drain int
 	LinkRate, NodeCapacity int
-	Congestion             route.CongestionConfig
 	// FlightTimeout/RetryBackoff/Bubble/GridlockWindow configure the
 	// deadlock-escape mechanisms; see the SaturationOptions fields of the
 	// same names. On replay, FlightTimeout and GridlockWindow are inherited
@@ -757,7 +757,7 @@ type LoadOptions struct {
 	// configuration (Lambda, LinkRate, NodeCapacity) is inherited from
 	// the trace wherever the caller leaves the field zero, so a plain
 	// replay is byte-identical to the origin run's LoadPoint; set a field
-	// (or Router/Congestion, which are never recorded) to deliberately
+	// (or Router, which is never recorded) to deliberately
 	// run the same offered workload under a different configuration.
 	// Because 0 is NodeCapacity's meaningful "unbounded" value, forcing
 	// unbounded buffers on the replay of a finite-capacity trace takes a
@@ -828,7 +828,6 @@ func (opt LoadOptions) cell() (SaturationOptions, workload) {
 		Rates: []float64{opt.Rate}, Process: opt.Process,
 		Warmup: opt.Warmup, Measure: opt.Measure, Drain: opt.Drain,
 		LinkRate: opt.LinkRate, NodeCapacity: opt.NodeCapacity,
-		Congestion:    opt.Congestion,
 		FlightTimeout: opt.FlightTimeout, RetryBackoff: opt.RetryBackoff,
 		Bubble: opt.Bubble, GridlockWindow: opt.GridlockWindow,
 		Faults: opt.Faults, FaultInterval: opt.FaultInterval,

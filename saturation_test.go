@@ -2,6 +2,7 @@ package ndmesh
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -193,6 +194,20 @@ func TestSaturationRejectsUnofferableRates(t *testing.T) {
 	if _, err := SaturationSweepWorkers(opt, 1, 0); err != nil {
 		t.Errorf("poisson at rate 1.5 should run: %v", err)
 	}
+	for _, rate := range []float64{math.NaN(), math.Inf(1)} { // no cap, but still a number
+		opt.Rates = []float64{rate}
+		if _, err := SaturationSweepWorkers(opt, 1, 0); err == nil {
+			t.Errorf("poisson at rate %v should be rejected", rate)
+		}
+	}
+	opt.Rates = []float64{1.5}
+	for _, fr := range []float64{math.NaN(), math.Inf(1)} {
+		opt.FaultRate = fr
+		if _, err := SaturationSweepWorkers(opt, 1, 0); err == nil {
+			t.Errorf("fault rate %v should be rejected", fr)
+		}
+	}
+	opt.FaultRate = 0
 	opt.Warmup = -8 // negative phases would widen the measurement window
 	if _, err := SaturationSweepWorkers(opt, 1, 0); err == nil {
 		t.Error("negative warmup should be rejected")
