@@ -26,10 +26,11 @@
 //   - Layout: a step is memory-bound, so per-flight state is laid out for
 //     the loop that walks it. A Flight holds its message header by value
 //     and comes from a slab, whose route.Arena holds the headers' path
-//     stacks and used-direction tables; the flight list keeps the live
-//     flights as a dense prefix in injection order (terminated ones behind
-//     it, until harvested), compacted by the commit loop itself; routing
-//     scratch is the engine's (one route.Context), never a flight's.
+//     stacks; a header that strays borrows a used-direction table from the
+//     engine's route.Tables until it is recycled. The flight list keeps the
+//     live flights as a dense prefix in injection order (terminated ones
+//     behind it, until harvested), compacted by the commit loop itself;
+//     routing scratch is the engine's (one route.Context), never a flight's.
 package engine
 
 import (
@@ -217,11 +218,14 @@ type Engine struct {
 	// spareFlights is the free list fed by Reset/ClearFlights/DetachDone: a
 	// reused trial re-injects messages without reallocating flight or
 	// message objects. slab is the unused remainder of the last flight slab
-	// and stacks that of its header arena: a slab miss is three allocations
-	// for 64 flights, headers included.
+	// and stacks that of its header arena: a slab miss is two allocations
+	// for 64 flights, path stacks included. tables is the free list of
+	// used-direction tables every slab's headers share: a flight borrows one
+	// when it first strays and gives it back when it is recycled.
 	spareFlights []*Flight
-	slab         []Flight    //meshvet:keep unused allocation, carries no trial state
-	stacks       route.Arena //meshvet:keep the slab's unused header storage, carries no trial state
+	slab         []Flight     //meshvet:keep unused allocation, carries no trial state
+	stacks       route.Arena  //meshvet:keep the slab's unused header storage, carries no trial state
+	tables       route.Tables //meshvet:keep emptied tables, carry no trial state
 
 	// oracle computes EMaxAfter in finalizeLastEvent with reusable buffers
 	// (a fault process applies events all run long; the centralized Extract
@@ -447,6 +451,9 @@ func (e *Engine) Reset() {
 // without touching the schedule, the step counter, or the model. Benchmarks
 // use it to re-route over a standing scenario.
 func (e *Engine) ClearFlights() {
+	for _, f := range e.flights {
+		f.msg.Release()
+	}
 	e.spareFlights = append(e.spareFlights, e.flights...)
 	e.flights, e.live = e.flights[:0], 0
 	if e.ctn.enabled {
@@ -472,6 +479,7 @@ func (e *Engine) DetachDone(fn func(*Flight)) {
 		if fn != nil {
 			fn(f)
 		}
+		f.msg.Release()
 		e.spareFlights = append(e.spareFlights, f)
 	}
 	e.flights = e.flights[:e.live]
@@ -499,14 +507,13 @@ func (e *Engine) Inject(src, dst grid.NodeID, r route.Router) (*Flight, error) {
 	} else {
 		if len(e.slab) == 0 {
 			e.slab = make([]Flight, flightSlab)
-			e.stacks = route.NewArena(e.Model.M.Shape(), flightSlab)
+			e.stacks = route.NewArena(e.Model.M.Shape(), flightSlab, &e.tables)
 		}
 		f, e.slab = &e.slab[0], e.slab[1:]
 		f.Msg = &f.msg
 		e.stacks.Carve(&f.msg)
 	}
-	// A recycled flight keeps the capacity of its header's path and
-	// used-direction table.
+	// A recycled flight keeps the capacity of its header's path stack.
 	f.msg.Reset(src, dst)
 	f.Router, f.StartStep, f.StallAge = r, e.step, 0
 	f.resident = e.ctn.enabled

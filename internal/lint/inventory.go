@@ -46,10 +46,11 @@ var AllocTestCoverage = map[string][]string{
 		"ndmesh/internal/route.classify",
 	},
 	// The header's used-direction table, path stack and toward set through
-	// growth, backtracking and re-entry: a recycled message repeats a walk
-	// over hundreds of nodes inside the capacity its first flight left
-	// behind.
+	// the switch from stack to table, growth, backtracking and re-entry: a
+	// recycled message repeats a walk over hundreds of nodes inside the
+	// capacity its first flight left behind.
 	"TestRecycledMessageAllocFree": {
+		"ndmesh/internal/route.Message.materialize",
 		"ndmesh/internal/route.Message.applyMove",
 		"ndmesh/internal/route.Message.applyBacktrack",
 		"ndmesh/internal/route.Message.retoward",
@@ -67,9 +68,13 @@ var AllocTestCoverage = map[string][]string{
 	// A full fault/recovery schedule applied through reused trials,
 	// plus the information plane riding every step of it: identification
 	// runs cycling through their free lists, the floods' deposits,
-	// cancellations and merges, the record store's interned block ids, and
-	// every relabel flipping its neighbors' open-set bits.
+	// cancellations and merges, the record store's interned block ids,
+	// every relabel flipping its neighbors' open-set bits, and the flights
+	// the storm makes stray, borrowing used-direction tables from the
+	// engine's free list and returning them as they are harvested.
 	"TestFaultProcessStepAllocFree": {
+		"ndmesh/internal/route.Tables.borrow",
+		"ndmesh/internal/route.Message.Release",
 		"ndmesh/internal/engine.Engine.applyEvent",
 		"ndmesh/internal/mesh.Mesh.SetStatus",
 		"ndmesh/internal/ident.Protocol.Round",

@@ -85,6 +85,15 @@ func FuzzRouterDecision(f *testing.F) {
 	// A Limited stall after which a copied record changes the decision: a
 	// stalled message that ignored the store's version would keep it.
 	f.Add(uint64(1182), uint64(3713), uint8(0), true)
+	// Episodes whose header strays, by a spare move or a backtrack, so the
+	// switch from a bare path stack to a used-direction table meets the
+	// shadow map: 13 of the seeds above and below cross it.
+	for _, s := range []struct {
+		seed   uint64
+		router uint8
+	}{{225, 0}, {285, 0}, {266, 1}, {351, 1}, {391, 1}, {237, 2}, {322, 2}, {362, 2}} {
+		f.Add(s.seed, s.seed*3+1, s.router, s.seed%3 == 0)
+	}
 	f.Fuzz(func(t *testing.T, seed, loadSalt uint64, routerIdx uint8, gated bool) {
 		r := rng.New(seed)
 		// Random mixed-radix shape: 1-3 dimensions, radices 3-6 (interior
@@ -154,7 +163,7 @@ func episode(t *testing.T, ctx *Context, rt Router, gate Gate, msg *Message, r *
 				if m.Neighbor(msg.Cur, d.Dir) == grid.InvalidNode {
 					t.Fatalf("%s: off-mesh direction %v at node %d", rt.Name(), d.Dir, msg.Cur)
 				}
-				if msg.Used(msg.Cur).Has(d.Dir) {
+				if msg.Used(shape, msg.Cur).Has(d.Dir) {
 					t.Fatalf("%s: revisited used direction %v at node %d", rt.Name(), d.Dir, msg.Cur)
 				}
 			case d.Backtrack:
@@ -175,7 +184,7 @@ func episode(t *testing.T, ctx *Context, rt Router, gate Gate, msg *Message, r *
 			failed = stallChange(ctx, msg, r) || failed
 		}
 		for id := grid.NodeID(0); int(id) < shape.NumNodes(); id++ {
-			if got := msg.Used(id); got != shadow[id] {
+			if got := msg.Used(shape, id); got != shadow[id] {
 				t.Fatalf("%s: step %d: Used(%d) = %b, shadow map says %b", rt.Name(), i, id, got, shadow[id])
 			}
 		}

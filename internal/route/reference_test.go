@@ -248,7 +248,7 @@ func TestDecisionsEqualReference(t *testing.T) {
 					for in := grid.InvalidDir; int(in) < nd; in++ {
 						msg := Message{Src: cur, Dst: dst, Cur: cur, Incoming: in, slot: -1, used: used}
 						if in != grid.InvalidDir {
-							msg.path = []hop{{}} // it has moved: a dead end backtracks, not fails
+							msg.path = []grid.Dir{0} // it has moved: a dead end backtracks, not fails
 						}
 						if cl, ok := refClassify(ctx, &msg, recordsAt(ctx, cur)); ok {
 							if len(cl.demoted) > 0 {

@@ -46,14 +46,21 @@
 // The header (Message) is laid out for the step loop: the fields a stalled
 // step reads — position, terminal flags, the current node's used-direction
 // set, the kept decision and its key — sit together in the struct's first
-// 48 bytes, and the used-direction lists are one flat node-keyed table beside
-// the path stack instead of a map (see visit). Its path stack and table come
-// from an Arena carved per batch of headers (see Arena).
+// 48 bytes. The path stack is one direction, one byte, per hop. While every
+// hop has shrunk the distance to the destination that is the whole header:
+// each node on the path was tried along its path hop and nothing else. The
+// first spare move or backtrack strays the message and materializes the
+// used-direction lists as one flat node-keyed table (see visit and
+// materialize), in the order a table written hop by hop would hold, so the
+// form a header takes changes no decision. Path stacks come from an Arena
+// carved per batch of headers, and tables from a free list (see Arena and
+// Tables).
 package route
 
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"ndmesh/internal/boundary"
 	"ndmesh/internal/grid"
@@ -121,7 +128,8 @@ type Router interface {
 
 // Message is a PCS path-setup message: destination plus the header state
 // Algorithm 3 requires — the path stack for backtracking and the list of
-// used directions for each forwarding node along the path.
+// used directions for each forwarding node along the path, held by the
+// stack alone until the message strays.
 type Message struct {
 	Src, Dst grid.NodeID
 	Cur      grid.NodeID
@@ -145,13 +153,16 @@ type Message struct {
 
 	// strayed records that some hop did not shrink the distance to Dst (a
 	// spare hop or a backtrack). Until then every hop did, so the message
-	// cannot be anywhere it has been and entering a node needs no lookup.
+	// cannot be anywhere it has been: entering a node needs no lookup, and
+	// the header is its path stack alone (see materialize).
 	strayed bool
 
 	// slot is Cur's index in visited (-1 while Cur has no entry yet) and
 	// used a copy of that entry's set, refreshed whenever Cur changes: a
 	// decision reads the used directions from the header's own cache line,
-	// and a stalled message (Cur unchanged) never looks anything up.
+	// and a stalled message (Cur unchanged) never looks anything up. Before
+	// the message strays both stay at their fresh values: Cur has never been
+	// left, so nothing was tried there.
 	slot int32
 	used grid.DirSet
 	// toward is the set of directions that shrink the distance from Cur to
@@ -171,27 +182,27 @@ type Message struct {
 	// (always 0 outside contention mode).
 	Hops, Backtracks, Steps, Waits int
 
-	path    []hop
+	// path is the path stack: the direction of each forward move on the
+	// path held from Src, one byte a hop. The top hop always ends at Cur, so
+	// a backtrack's target is Cur's neighbor against it.
+	path []grid.Dir
+	// visited is the used-direction table, empty until the message strays
+	// (see materialize), and tables the free list it is borrowed from and
+	// returned to (nil: the header keeps its own).
 	visited []visit
+	tables  *Tables
 }
 
 // visit is one entry of the header's used-direction table: a node the
 // message has left by a forward move, and every direction it has tried from
 // there. The table is keyed by node, not by path position — a node re-entered
 // after a backtrack (from any neighbor) finds its earlier entry — and is a
-// flat slice searched linearly: a header visits tens of nodes, where a scan
-// of 8-byte entries beats a map probe, and Reset keeps its capacity.
+// flat slice searched linearly, which Reset empties keeping its capacity.
+// Only a message that has strayed has one: before that each node on the path
+// was tried along exactly its path hop, which the stack already says.
 type visit struct {
 	node grid.NodeID
 	used grid.DirSet
-}
-
-// hop is one path-stack entry: the table slot of the node a forward move
-// left and the direction it took, so a backtrack pops its target, the link
-// it crosses and the target's used set in O(1).
-type hop struct {
-	slot int32
-	dir  grid.Dir
 }
 
 // NewMessage builds a path-setup message from src to dst.
@@ -206,38 +217,70 @@ func NewMessage(src, dst grid.NodeID) *Message {
 // message allocates nothing on its next flight.
 func (msg *Message) Reset(src, dst grid.NodeID) {
 	*msg = Message{Src: src, Dst: dst, Cur: src, Incoming: grid.InvalidDir, slot: -1,
-		path: msg.path[:0], visited: msg.visited[:0]}
+		path: msg.path[:0], visited: msg.visited[:0], tables: msg.tables}
 }
 
-// maxReserve bounds a header's share of an Arena, so a flight on a very
-// large mesh does not pin kilobytes it will rarely use.
-const maxReserve = 64
+// Release hands the message's used-direction table back to the free list it
+// was borrowed from, so a recycled header holds its path stack alone. A
+// message with no free list keeps its table.
+//
+//meshvet:noalloc
+func (msg *Message) Release() {
+	if msg.tables != nil && msg.visited != nil {
+		msg.tables.free = append(msg.tables.free, msg.visited[:0])
+		msg.visited = nil
+	}
+}
 
-// Arena is the path-stack and used-direction-table storage of a batch of
-// headers: two slices allocated once and carved into equal shares, so a
-// fresh header costs no allocation of its own.
+// Tables is a free list of used-direction tables for the headers one Arena
+// (or a run of them) carves: a header borrows a table when it first strays
+// and its owner returns it with Release when the flight is recycled, so the
+// tables alive are as many as the flights that have strayed at once.
+type Tables struct {
+	free [][]visit
+}
+
+// borrow pops a table off the free list, or returns nil when it is empty.
+//
+//meshvet:noalloc
+func (t *Tables) borrow() []visit {
+	n := len(t.free)
+	if n == 0 {
+		return nil
+	}
+	v := t.free[n-1]
+	t.free = t.free[:n-1]
+	return v
+}
+
+// Arena is the path-stack storage of a batch of headers: one slice of
+// directions allocated once and carved into equal shares, so a fresh header
+// costs no allocation of its own.
 type Arena struct {
-	path    []hop
-	visited []visit
-	share   int
+	dirs   []grid.Dir
+	share  int
+	tables *Tables
 }
 
-// NewArena allocates storage for n headers of flights on the given shape.
-// A header's share is the power of two at or above the shape's diameter
-// (where growth by doubling would leave it anyway), at most maxReserve
-// entries, so a fresh header does not regrow hop by hop inside the step.
-func NewArena(shape *grid.Shape, n int) Arena {
-	share := min(maxReserve, 1<<bits.Len(uint(shape.Diameter()-1)))
-	return Arena{path: make([]hop, n*share), visited: make([]visit, n*share), share: share}
+// NewArena allocates stacks for n headers of flights on the given shape,
+// whose tables come from tables (nil: each header allocates its own). A
+// header's share is the power of two at or above the shape's diameter: a
+// message that has not strayed holds at most Distance(Src, Dst) hops, so
+// its stack never outgrows the share, and a strayed one has the rounding
+// to spare before it does.
+func NewArena(shape *grid.Shape, n int, tables *Tables) Arena {
+	share := 1 << bits.Len(uint(shape.Diameter()-1))
+	return Arena{dirs: make([]grid.Dir, n*share), share: share, tables: tables}
 }
 
-// Carve hands msg the arena's next share as its empty path stack and
-// used-direction table. A share is capped at its end, so a header never
-// grows into its neighbour's: a walk that outlasts it grows by append, and
-// Reset keeps whatever capacity the header ends up with.
+// Carve hands msg the arena's next share as its empty path stack, and the
+// arena's free list as the one its table comes from. A share is capped at
+// its end, so a header never grows into its neighbour's: a walk that
+// outlasts it grows by append, and Reset keeps whatever capacity the header
+// ends up with.
 func (a *Arena) Carve(msg *Message) {
-	msg.path, msg.visited = a.path[:0:a.share], a.visited[:0:a.share]
-	a.path, a.visited = a.path[a.share:], a.visited[a.share:]
+	msg.path, msg.tables = a.dirs[:0:a.share], a.tables
+	a.dirs = a.dirs[a.share:]
 }
 
 // Stalled reports whether the message's most recent step was a contention
@@ -249,10 +292,21 @@ func (msg *Message) Done() bool {
 	return msg.Arrived || msg.Unreachable || msg.Lost || msg.TimedOut
 }
 
-// Used returns the used-direction set recorded at node id.
-func (msg *Message) Used(id grid.NodeID) grid.DirSet {
-	if i := msg.find(id); i >= 0 {
-		return msg.visited[i].used
+// Used returns the used-direction set recorded at node id of a message on
+// the given shape.
+func (msg *Message) Used(shape *grid.Shape, id grid.NodeID) grid.DirSet {
+	if msg.strayed {
+		if i := msg.find(id); i >= 0 {
+			return msg.visited[i].used
+		}
+		return 0
+	}
+	u := msg.Src
+	for _, d := range msg.path {
+		if u == id {
+			return grid.DirSet(0).Add(d)
+		}
+		u = shape.Neighbor(u, d)
 	}
 	return 0
 }
@@ -267,6 +321,32 @@ func (msg *Message) find(id grid.NodeID) int32 {
 		}
 	}
 	return -1
+}
+
+// materialize builds the used-direction table of a message that has not
+// strayed, as it strays: one entry per hop on the stack, for the node the
+// hop left (walked from Src) and the one direction tried there, in path
+// order — the order a table written hop by hop would hold them in, so every
+// later lookup and decision is the same. Cur has been left by no hop and
+// gets no entry. The table comes from the header's free list, if it has
+// one and holds no table of its own.
+//
+//meshvet:noalloc
+func (msg *Message) materialize(m *mesh.Mesh) {
+	if msg.strayed {
+		return
+	}
+	msg.strayed = true
+	if msg.visited == nil && msg.tables != nil {
+		msg.visited = msg.tables.borrow()
+	}
+	// A fresh table is sized once for the path and as much again.
+	msg.visited = slices.Grow(msg.visited, 2*len(msg.path)+2)
+	u := msg.Src
+	for _, d := range msg.path {
+		msg.visited = append(msg.visited, visit{node: u, used: grid.DirSet(0).Add(d)})
+		u = m.Neighbor(u, d)
+	}
 }
 
 // enter makes id (at table slot slot, -1 if none) the current node.
@@ -400,7 +480,7 @@ func commitDecision(ctx *Context, msg *Message, d Decision, gate Gate) bool {
 			msg.stalled = false
 			return !msg.Done()
 		}
-		if gate != nil && !gate(msg.Cur, msg.path[len(msg.path)-1].dir.Opposite()) {
+		if gate != nil && !gate(msg.Cur, msg.path[len(msg.path)-1].Opposite()) {
 			msg.Waits++
 			msg.stalled = true
 			return true
@@ -423,6 +503,10 @@ func commitDecision(ctx *Context, msg *Message, d Decision, gate Gate) bool {
 	return !msg.Done()
 }
 
+// applyMove makes the forward hop along dir. While the message has not
+// strayed and the hop shrinks the distance, it pushes dir and nothing else;
+// the first hop that does not materializes the table and records it there.
+//
 //meshvet:noalloc
 func (msg *Message) applyMove(ctx *Context, dir grid.Dir) {
 	next := ctx.M.Neighbor(msg.Cur, dir)
@@ -432,30 +516,36 @@ func (msg *Message) applyMove(ctx *Context, dir grid.Dir) {
 		msg.Lost = true
 		return
 	}
-	if msg.slot < 0 {
-		msg.slot = int32(len(msg.visited))
-		msg.visited = append(msg.visited, visit{node: msg.Cur})
-	}
-	msg.visited[msg.slot].used = msg.used.Add(dir)
-	msg.path = append(msg.path, hop{slot: msg.slot, dir: dir})
 	slot := int32(-1)
-	if msg.strayed = msg.strayed || !msg.toward.Has(dir); msg.strayed {
+	if msg.strayed || !msg.toward.Has(dir) {
+		msg.materialize(ctx.M)
+		if msg.slot < 0 {
+			msg.slot = int32(len(msg.visited))
+			msg.visited = append(msg.visited, visit{node: msg.Cur})
+		}
+		msg.visited[msg.slot].used = msg.used.Add(dir)
 		slot = msg.find(next)
 	}
+	msg.path = append(msg.path, dir)
 	msg.retoward(ctx.M.Shape(), dir, next)
 	msg.enter(next, slot)
 	msg.Incoming = dir
 	msg.Hops++
 }
 
+// applyBacktrack pops the top hop and returns along it to the node it
+// left, materializing the table first if this is the message's first
+// stray.
+//
 //meshvet:noalloc
 func (msg *Message) applyBacktrack(ctx *Context) {
 	if len(msg.path) == 0 {
 		msg.Unreachable = true
 		return
 	}
-	back := msg.path[len(msg.path)-1]
-	prev := msg.visited[back.slot].node
+	msg.materialize(ctx.M)
+	back := msg.path[len(msg.path)-1].Opposite()
+	prev := ctx.M.Neighbor(msg.Cur, back)
 	msg.path = msg.path[:len(msg.path)-1]
 	if ctx.M.Status(prev) == mesh.Faulty {
 		// The node we set this path segment through has failed under us:
@@ -466,10 +556,9 @@ func (msg *Message) applyBacktrack(ctx *Context) {
 	}
 	// The physical move back: the new incoming direction is the reverse of
 	// the forward move that set this path segment up.
-	msg.Incoming = back.dir.Opposite()
-	msg.strayed = true
-	msg.retoward(ctx.M.Shape(), msg.Incoming, prev)
-	msg.enter(prev, back.slot)
+	msg.Incoming = back
+	msg.retoward(ctx.M.Shape(), back, prev)
+	msg.enter(prev, msg.find(prev))
 	msg.Hops++
 	msg.Backtracks++
 }

@@ -26,9 +26,6 @@ func TestUsedTableSurvivesReentry(t *testing.T) {
 	ctx, m := env(t, []int{5, 5}, nil)
 	shape := m.Shape()
 	at := func(x, y int) grid.NodeID { return shape.Index(grid.Coord{x, y}) }
-	px, py, my := grid.DirPlus(0), grid.DirPlus(1), grid.DirMinus(1)
-	move := func(d grid.Dir) Decision { return Decision{Move: true, Dir: d} }
-	back := Decision{Backtrack: true}
 	s, v := at(1, 1), at(2, 1)
 
 	msg := NewMessage(s, at(4, 1))
@@ -45,13 +42,13 @@ func TestUsedTableSurvivesReentry(t *testing.T) {
 		t.Fatalf("after re-entry: cur %d incoming %v pathlen %d, want %d %v 3", msg.Cur, msg.Incoming, msg.PathLen(), v, my)
 	}
 	want := grid.DirSet(0).Add(px)
-	if got := msg.Used(v); got != want {
+	if got := msg.Used(shape, v); got != want {
 		t.Fatalf("Used(v) after re-entry = %b, want %b (the +X tried before the backtrack)", got, want)
 	}
 	if msg.used != want {
 		t.Fatalf("header's cached set = %b, want %b", msg.used, want)
 	}
-	if got, want := msg.Used(s), grid.DirSet(0).Add(px).Add(py); got != want {
+	if got, want := msg.Used(shape, s), grid.DirSet(0).Add(px).Add(py); got != want {
 		t.Fatalf("Used(s) = %b, want %b", got, want)
 	}
 	// The destination is straight along +X, the one direction v has used:
@@ -65,8 +62,8 @@ func TestUsedTableSurvivesReentry(t *testing.T) {
 	r.next = []Decision{move(my), back}
 	AdvanceGated(ctx, r, msg, nil)
 	AdvanceGated(ctx, r, msg, nil)
-	if want = want.Add(my); msg.Cur != v || msg.used != want || msg.Used(v) != want {
-		t.Fatalf("after the second departure: cur %d cached %b table %b, want %d %b", msg.Cur, msg.used, msg.Used(v), v, want)
+	if want = want.Add(my); msg.Cur != v || msg.used != want || msg.Used(shape, v) != want {
+		t.Fatalf("after the second departure: cur %d cached %b table %b, want %d %b", msg.Cur, msg.used, msg.Used(shape, v), v, want)
 	}
 	r.next = []Decision{back}
 	AdvanceGated(ctx, r, msg, nil)
@@ -154,32 +151,147 @@ func TestRecycledMessageAllocFree(t *testing.T) {
 }
 
 // TestArenaShares pins the carve: every header gets an empty share of the
-// shape's reserve (the power of two at or above the diameter, at most 64),
-// capped at its end, so a walk that outgrows its share reallocates instead
-// of writing into the next header's.
+// shape's reserve (the power of two at or above the diameter), capped at its
+// end, so a walk that outgrows its share reallocates instead of writing
+// into the next header's, and no table: a header borrows one from the
+// arena's free list when it first strays.
 func TestArenaShares(t *testing.T) {
 	for _, tc := range []struct {
 		dims  []int
 		share int
-	}{{[]int{8, 8}, 16}, {[]int{32, 32}, 64}, {[]int{4, 4, 4}, 16}, {[]int{128, 128}, 64}} {
-		a := NewArena(grid.MustShape(tc.dims...), 2)
+	}{{[]int{8, 8}, 16}, {[]int{32, 32}, 64}, {[]int{4, 4, 4}, 16}, {[]int{128, 128}, 256}, {[]int{256, 256}, 512}} {
+		var tables Tables
+		a := NewArena(grid.MustShape(tc.dims...), 2, &tables)
 		var first, second Message
 		a.Carve(&first)
 		a.Carve(&second)
 		for _, msg := range []*Message{&first, &second} {
-			if len(msg.path) != 0 || cap(msg.path) != tc.share || len(msg.visited) != 0 || cap(msg.visited) != tc.share {
-				t.Fatalf("%v: share path %d/%d table %d/%d, want 0/%d", tc.dims,
+			if len(msg.path) != 0 || cap(msg.path) != tc.share || msg.visited != nil || msg.tables != &tables {
+				t.Fatalf("%v: share path %d/%d table %d/%d, want 0/%d and no table", tc.dims,
 					len(msg.path), cap(msg.path), len(msg.visited), cap(msg.visited), tc.share)
 			}
 		}
-		second.path = append(second.path, hop{slot: 7})
-		second.visited = append(second.visited, visit{node: 7})
-		for i := 0; i <= tc.share; i++ {
-			first.path = append(first.path, hop{slot: -1})
-			first.visited = append(first.visited, visit{node: -1})
+		if len(a.dirs) != 0 {
+			t.Fatalf("%v: two carves left %d directions of a two-header arena", tc.dims, len(a.dirs))
 		}
-		if second.path[0].slot != 7 || second.visited[0].node != 7 {
+		second.path = append(second.path, 7)
+		for i := 0; i <= tc.share; i++ {
+			first.path = append(first.path, 1)
+		}
+		if second.path[0] != 7 {
 			t.Fatalf("%v: the first header's growth overwrote the second's share", tc.dims)
 		}
+	}
+}
+
+// strayWalks script the switch from a header that is only its path stack to
+// one with a used-direction table, on a fault-free 6x6 from (1,2) towards
+// (5,2): the first stray is a backtrack out of a dead end after three
+// compact hops, a spare move, or a backtrack after which the strayed header
+// re-enters a node it left while compact.
+var strayWalks = []struct {
+	name    string
+	compact int // forward hops before the first stray
+	script  []Decision
+}{
+	{"backtrack after three hops", 3, []Decision{
+		move(px), move(px), move(px), back, move(py), move(px), back, back, back, move(my), back, back}},
+	{"spare move", 2, []Decision{
+		move(px), move(px), move(py), move(px), back, move(py), back, back, back, move(px)}},
+	{"re-entry of a compact node", 2, []Decision{
+		move(px), move(px), back, back, move(py), move(px), move(my), move(my), back, back, back, move(mx)}},
+}
+
+var (
+	px, mx, py, my = grid.DirPlus(0), grid.DirMinus(0), grid.DirPlus(1), grid.DirMinus(1)
+	back           = Decision{Backtrack: true}
+)
+
+func move(d grid.Dir) Decision { return Decision{Move: true, Dir: d} }
+
+// TestTableMaterializes holds Used, at every node after every step, to the
+// map the header used to keep (one Add per committed forward move), and
+// the table to that map's first-departure order once it exists: the order
+// a table written hop by hop holds, so every later lookup finds the same
+// slot. Before the first stray the header must hold no table at all.
+func TestTableMaterializes(t *testing.T) {
+	for _, tc := range strayWalks {
+		ctx, m := env(t, []int{6, 6}, nil)
+		shape := m.Shape()
+		msg := NewMessage(shape.Index(grid.Coord{1, 2}), shape.Index(grid.Coord{5, 2}))
+		shadow := map[grid.NodeID]grid.DirSet{}
+		var order []grid.NodeID
+		for i, d := range tc.script {
+			before, depth := msg.Cur, msg.PathLen()
+			if !AdvanceGated(ctx, &scripted{next: []Decision{d}}, msg, nil) {
+				t.Fatalf("%s: step %d terminated: %v", tc.name, i, msg)
+			}
+			if msg.PathLen() == depth+1 {
+				if shadow[before] == 0 {
+					order = append(order, before)
+				}
+				shadow[before] = shadow[before].Add(d.Dir)
+			}
+			if compact := i < tc.compact; compact == msg.strayed || compact && msg.visited != nil {
+				t.Fatalf("%s: step %d: strayed %v with a %d-entry table, want strayed %v", tc.name, i, msg.strayed, len(msg.visited), !compact)
+			}
+			for id := grid.NodeID(0); int(id) < m.NumNodes(); id++ {
+				if got := msg.Used(shape, id); got != shadow[id] {
+					t.Fatalf("%s: step %d: Used(%v) = %b, the map says %b", tc.name, i, shape.CoordOf(id), got, shadow[id])
+				}
+			}
+			if msg.used != shadow[msg.Cur] {
+				t.Fatalf("%s: step %d: cached set %b, the map says %b", tc.name, i, msg.used, shadow[msg.Cur])
+			}
+			if !msg.strayed {
+				continue
+			}
+			if len(msg.visited) != len(order) {
+				t.Fatalf("%s: step %d: table holds %d entries, %d nodes were left", tc.name, i, len(msg.visited), len(order))
+			}
+			for j, v := range msg.visited {
+				if v.node != order[j] {
+					t.Fatalf("%s: step %d: slot %d holds %v, the %d-th node left is %v", tc.name, i, j, shape.CoordOf(v.node), j, shape.CoordOf(order[j]))
+				}
+			}
+		}
+	}
+}
+
+// TestTablesRecycle pins the free list: a header borrows its table when it
+// first strays, Release hands it back emptied, and the next header to stray
+// takes that same table, with its capacity, instead of allocating one.
+func TestTablesRecycle(t *testing.T) {
+	ctx, m := env(t, []int{6, 6}, nil)
+	shape := m.Shape()
+	var tables Tables
+	a := NewArena(shape, 2, &tables)
+	var first, second Message
+	a.Carve(&first)
+	a.Carve(&second)
+	src, dst := shape.Index(grid.Coord{1, 2}), shape.Index(grid.Coord{5, 2})
+	walk := func(msg *Message) {
+		msg.Reset(src, dst)
+		for _, d := range strayWalks[1].script {
+			AdvanceGated(ctx, &scripted{next: []Decision{d}}, msg, nil)
+		}
+	}
+	walk(&first)
+	if first.visited == nil || len(tables.free) != 0 {
+		t.Fatalf("a strayed header holds table %v with %d on the free list, want its own and none", first.visited, len(tables.free))
+	}
+	table := &first.visited[:1][0]
+	first.Release()
+	first.Release()
+	if first.visited != nil || len(tables.free) != 1 || len(tables.free[0]) != 0 {
+		t.Fatalf("released header holds %v, free list %v: want none, and one empty table", first.visited, tables.free)
+	}
+	walk(&second)
+	if &second.visited[:1][0] != table || len(tables.free) != 0 {
+		t.Fatal("the next header to stray did not take the released table")
+	}
+	second.Reset(src, dst)
+	if second.visited == nil || &second.visited[:1][0] != table {
+		t.Fatal("Reset dropped the table a header holds")
 	}
 }
