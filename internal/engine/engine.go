@@ -31,6 +31,13 @@
 //     live flights as a dense prefix in injection order (terminated ones
 //     behind it, until harvested), compacted by the commit loop itself;
 //     routing scratch is the engine's (one route.Context), never a flight's.
+//   - One advance path: a flight's step is route.AdvanceGated's parts (Plan,
+//     Message.Link, Message.Wait or route.Commit), run by the commit loop
+//     with what is fixed for the step taken once — the (mesh, store) key
+//     after the λ rounds, each flight's load-obliviousness at Inject — and
+//     the gate called directly. A stalled flight whose kept decision holds
+//     asks the gate again without entering its router.
+//     TestStepMatchesAdvanceGated holds the loop to AdvanceGated calls.
 package engine
 
 import (
@@ -64,6 +71,10 @@ type Flight struct {
 	// resident marks that the flight is counted in the contention model's
 	// per-node residency (cleared when the count is released).
 	resident bool
+	// oblivious caches route.LoadOblivious(Router), taken at Inject (which
+	// sets Router): whether a stalled header may keep its decision while the
+	// step's key holds.
+	oblivious bool
 
 	msg route.Message
 }
@@ -167,7 +178,6 @@ type contention struct {
 	lastDty     []int32 // link indexes with lastPending != 0
 	resident    []int32 // active flights currently at each node
 	numDirs     int32
-	gateFn      route.Gate // bound method value, built once at enable
 
 	// Gridlock-detector state (GridlockWindow > 0). zeroStreak counts
 	// consecutive zero-progress steps with nonzero population; gridlocked
@@ -282,9 +292,6 @@ func (e *Engine) EnableContention(cfg ContentionConfig) {
 	if len(c.resident) != n {
 		c.resident = make([]int32, n)
 	}
-	if c.gateFn == nil {
-		c.gateFn = e.gate
-	}
 	e.resetContention()
 	for i, f := range e.flights {
 		f.resident = i < e.live
@@ -392,11 +399,12 @@ func (e *Engine) resetContention() {
 	c.recoverAt = -1
 }
 
-// gate implements route.Gate: a traversal is granted while the link has
-// service budget left this step and the destination router has buffer
-// space. Flights are polled in injection order (the order e.flights
-// preserves), so each directed link behaves as an age-ordered FIFO: the
-// oldest waiting flight wins the next grant — deterministically.
+// gate is the contention model's route.Gate, called directly by the commit
+// loop: a traversal is granted while the link has service budget left this
+// step and the destination router has buffer space. Flights are polled in
+// injection order (the order e.flights preserves), so each directed link
+// behaves as an age-ordered FIFO: the oldest waiting flight wins the next
+// grant — deterministically.
 //
 //meshvet:noalloc
 func (e *Engine) gate(from grid.NodeID, dir grid.Dir) bool {
@@ -516,6 +524,7 @@ func (e *Engine) Inject(src, dst grid.NodeID, r route.Router) (*Flight, error) {
 	// A recycled flight keeps the capacity of its header's path stack.
 	f.msg.Reset(src, dst)
 	f.Router, f.StartStep, f.StallAge = r, e.step, 0
+	f.oblivious = route.LoadOblivious(r)
 	f.resident = e.ctn.enabled
 	if f.resident {
 		e.ctn.resident[src]++
@@ -572,9 +581,10 @@ func (e *Engine) Step() {
 	// per step for every live flight, polled in injection order. Under
 	// contention each step opens with a fresh link-service budget, so links
 	// are granted oldest-first; a flight that loses arbitration waits in
-	// place and re-decides next step.
+	// place and re-decides next step — or, while the (mesh, store) key taken
+	// here holds and its router is load-oblivious, asks the gate again for
+	// the decision it kept, without entering the router.
 	c := &e.ctn
-	var gate route.Gate
 	timeout := 0
 	if c.enabled {
 		for _, li := range c.dirty {
@@ -589,26 +599,47 @@ func (e *Engine) Step() {
 		}
 		c.lastPending, c.pending = c.pending, c.lastPending
 		c.lastDty, c.pendingDty = c.pendingDty, c.lastDty[:0]
-		gate, timeout = c.gateFn, c.cfg.FlightTimeout
+		timeout = c.cfg.FlightTimeout
 	}
+	key := route.StateKey(&e.ctx)
 	probed := c.enabled && e.probe != nil
 	// The commit loop doubles as the progress census and as the compaction
 	// of the live prefix: progressed counts flights that moved or reached a
 	// terminal state this step; survivors slide down to flights[:w] in
 	// order and the newly terminated collect in retired, to be laid out
-	// behind them.
+	// behind them. Each flight's step is route.AdvanceGated's parts, with
+	// the engine's gate called directly.
 	progressed, w := 0, 0
 	retired := e.retired[:0]
-	for _, f := range e.flights[:e.live] {
+	// Flights are recycled from a free list, so the live ones are not in
+	// memory order and the hardware cannot prefetch them. The loop reads
+	// each flight's position lookahead flights before its turn, ahead of
+	// the branches in between, so the flight's cache miss overlaps their
+	// work. The position is still current at its turn: a flight's step
+	// moves that flight alone.
+	const lookahead = 4
+	live := e.flights[:e.live]
+	var pos [lookahead]grid.NodeID
+	for j := range min(lookahead, len(live)) {
+		pos[j] = live[j].msg.Cur
+	}
+	for i, f := range live {
 		msg := &f.msg
-		before := msg.Cur
+		before := pos[i%lookahead]
+		if j := i + lookahead; j < len(live) {
+			pos[i%lookahead] = live[j].msg.Cur
+		}
 		if timeout > 0 && f.StallAge >= timeout {
 			// Stalled in place past the timeout: kill the flight back to
 			// its source. Residency is released by the next DetachDone
 			// harvest.
 			msg.TimedOut = true
-		} else {
-			route.AdvanceGated(&e.ctx, f.Router, msg, gate)
+		} else if d, ok := route.Plan(&e.ctx, f.Router, msg, key, f.oblivious); ok {
+			if dir, crosses := msg.Link(d); crosses && c.enabled && !e.gate(before, dir) {
+				msg.Wait()
+			} else {
+				route.Commit(&e.ctx, msg, d)
+			}
 		}
 		moved, done := msg.Cur != before, msg.Done()
 		switch {

@@ -25,21 +25,22 @@ import (
 var AllocTestCoverage = map[string][]string{
 	// The contention step: arbitration, gating, the Limited and Blind
 	// decide paths (classify: three masks over the mesh's open set), the
-	// kept decision of a stalled flight and its (mesh, store) key,
-	// commit/traversal, harvest, and the census fold-in.
+	// step's parts (plan, the link a decision crosses, wait or commit),
+	// the kept decision of a stalled flight and its (mesh, store) key,
+	// harvest, and the census fold-in.
 	"TestContentionStepAllocFree": {
 		"ndmesh/internal/engine.Engine.Step",
 		"ndmesh/internal/engine.Engine.DetachDone",
 		"ndmesh/internal/engine.Engine.gate",
 		"ndmesh/internal/engine.contention.deny",
 		"ndmesh/internal/engine.StepCensus.observe",
-		"ndmesh/internal/route.AdvanceGated",
-		"ndmesh/internal/route.Message.beginStep",
-		"ndmesh/internal/route.Message.keeps",
-		"ndmesh/internal/route.stateKey",
-		"ndmesh/internal/route.loadOblivious",
+		"ndmesh/internal/route.Plan",
+		"ndmesh/internal/route.Message.Link",
+		"ndmesh/internal/route.Message.Wait",
+		"ndmesh/internal/route.Commit",
+		"ndmesh/internal/route.StateKey",
+		"ndmesh/internal/route.LoadOblivious",
 		"ndmesh/internal/info.Store.Version",
-		"ndmesh/internal/route.commitDecision",
 		"ndmesh/internal/route.Limited.Decide",
 		"ndmesh/internal/route.Blind.Decide",
 		"ndmesh/internal/route.algorithm3",
@@ -48,8 +49,9 @@ var AllocTestCoverage = map[string][]string{
 	// The header's used-direction table, path stack and toward set through
 	// the switch from stack to table, growth, backtracking and re-entry: a
 	// recycled message repeats a walk over hundreds of nodes inside the
-	// capacity its first flight left behind.
+	// capacity its first flight left behind, stepped by AdvanceGated.
 	"TestRecycledMessageAllocFree": {
+		"ndmesh/internal/route.AdvanceGated",
 		"ndmesh/internal/route.Message.materialize",
 		"ndmesh/internal/route.Message.applyMove",
 		"ndmesh/internal/route.Message.applyBacktrack",
@@ -122,9 +124,10 @@ var AllocTestCoverage = map[string][]string{
 		"ndmesh/internal/probe.LatencyHist.ObserveLatency",
 		"ndmesh/internal/probe.Snapshot.ObserveStep",
 	},
-	// The open-loop emit path.
+	// The open-loop emit path and the Bernoulli trials' one-pass draw.
 	"TestGeneratorStepAllocFree": {
 		"ndmesh/internal/traffic.Generator.Step",
+		"ndmesh/internal/rng.Source.Failures",
 	},
 	// The latency histogram's hot Add.
 	"TestLogHistAddAllocFree": {

@@ -133,7 +133,7 @@ func (p *Pass) checkNoAlloc(fn *ast.FuncDecl) {
 				return true
 			}
 			if sel := p.TypesInfo.Selections[n]; sel != nil && sel.Kind() == types.MethodVal {
-				report(n, "bound method value allocates a closure in a //meshvet:noalloc function; bind it once outside the hot path (the engine's cached gateFn pattern)")
+				report(n, "bound method value allocates a closure in a //meshvet:noalloc function; call the method directly, or bind it once outside the hot path")
 			}
 		case *ast.AssignStmt:
 			p.checkAssignInterfaces(n, report)

@@ -10,7 +10,10 @@
 // draw from decorrelated sequences.
 package rng
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // Source is a deterministic xoshiro256** stream.
 type Source struct {
@@ -89,6 +92,42 @@ func (r *Source) Float64() float64 {
 // Bool returns true with probability p.
 func (r *Source) Bool(p float64) bool {
 	return r.Float64() < p
+}
+
+// Failures runs up to n trials of Bool(p) in one pass and returns how many
+// failed before the first success: n when none did, and otherwise the index
+// of the trial that succeeded, whose draw is the last one taken. It consumes
+// exactly the draws of those Bool calls, with their outcomes: Bool(p) is
+// u>>11 < p·2^53 for the next output u, and u>>11 is an integer, so the
+// test is u>>11 < ceil(p·2^53), one integer compare a draw with the state
+// in registers.
+//
+//meshvet:noalloc
+func (r *Source) Failures(p float64, n int) int {
+	var t uint64 // ceil(p·2^53), clamped to [0, 2^53]; NaN never succeeds
+	switch {
+	case p >= 1:
+		t = 1 << 53
+	case p > 0:
+		t = uint64(math.Ceil(p * (1 << 53)))
+	}
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	i := 0
+	for ; i < n; i++ {
+		u := bits.RotateLeft64(s1*5, 7) * 9
+		x := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= x
+		s3 = bits.RotateLeft64(s3, 45)
+		if u>>11 < t {
+			break
+		}
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return i
 }
 
 // Geometric returns a sample from the geometric distribution with success

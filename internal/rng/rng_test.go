@@ -2,6 +2,8 @@ package rng
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -186,4 +188,92 @@ func TestIntnPropertyInRange(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// boolRuns draws n trials of probability p from two copies of the seed's
+// stream, once by n Bool calls and once by Failures calls, each resuming
+// after the success the last one reported, and returns the successful
+// trials each way and the output each stream gives next.
+func boolRuns(seed uint64, p float64, n int) (want, got []int, wantNext, gotNext uint64) {
+	a, b := New(seed), New(seed)
+	for i := 0; i < n; i++ {
+		if a.Bool(p) {
+			want = append(want, i)
+		}
+	}
+	for i := b.Failures(p, n); i < n; i += 1 + b.Failures(p, n-i-1) {
+		got = append(got, i)
+	}
+	return want, got, a.Uint64(), b.Uint64()
+}
+
+// TestFailuresMatchesBool pins the one-pass draw to the per-trial one: it
+// consumes exactly the draws of n Bool(p) calls and reports the same
+// successes, at the edges of p's range (0, the smallest threshold, 1 minus
+// the largest, 1 and past it) and at the rates load runs use.
+func TestFailuresMatchesBool(t *testing.T) {
+	for _, p := range []float64{0, 0x1p-53, 0.02, 0.12, 1.0 / 3, 1 - 0x1p-53, 1, 1.5} {
+		for seed := uint64(1); seed <= 6; seed++ {
+			for _, n := range []int{0, 1, 1024} {
+				want, got, wantNext, gotNext := boolRuns(seed, p, n)
+				if !slices.Equal(got, want) || gotNext != wantNext {
+					t.Fatalf("p=%v seed=%d n=%d: successes %v, Bool gives %v; next output %x, Bool's stream %x",
+						p, seed, n, got, want, gotNext, wantNext)
+				}
+			}
+		}
+	}
+}
+
+// TestFailuresThreshold aims single draws at the threshold itself: the
+// stream is set so the next output's top 53 bits are x for every x around
+// ceil(p·2^53) and at both ends, and one trial must succeed exactly when
+// Bool(p) does.
+func TestFailuresThreshold(t *testing.T) {
+	// Inverses of the output scramble's odd multipliers, mod 2^64.
+	inv := func(a uint64) uint64 {
+		x := a // Newton's iteration doubles the correct low bits each step
+		for i := 0; i < 6; i++ {
+			x *= 2 - a*x
+		}
+		return x
+	}
+	inv5, inv9 := inv(5), inv(9)
+	for _, p := range []float64{0, 0x1p-53, 0.02, 0.12, 1.0 / 3, 0.5, 1 - 0x1p-53, 1, 1.5} {
+		t0 := uint64(math.Ceil(p * (1 << 53)))
+		for _, x := range []uint64{0, 1, t0 - 1, t0, t0 + 1, 1<<53 - 1} {
+			if x >= 1<<53 {
+				continue
+			}
+			u := x<<11 | 0x5a5
+			var a Source
+			a.s = [4]uint64{0x9E3779B97F4A7C15, bits.RotateLeft64(u*inv9, -7) * inv5, 3, 5}
+			if out := bits.RotateLeft64(a.s[1]*5, 7) * 9; out != u {
+				t.Fatalf("state aims at %x, gives %x", u, out)
+			}
+			b := a
+			if got, want := a.Failures(p, 1) == 0, b.Bool(p); got != want {
+				t.Errorf("p=%v draw x=%d: Failures says success=%v, Bool says %v", p, x, got, want)
+			}
+			if a.s != b.s {
+				t.Errorf("p=%v draw x=%d: states diverge after one trial", p, x)
+			}
+		}
+	}
+}
+
+// FuzzFailuresMatchesBool holds the one-pass draw to Bool calls for any p,
+// NaN and infinities included, and any seed and trial count; the seeds are
+// TestFailuresMatchesBool's edges.
+func FuzzFailuresMatchesBool(f *testing.F) {
+	for _, p := range []float64{0, 0x1p-53, 0.02, 0.12, 1.0 / 3, 1 - 0x1p-53, 1, 1.5} {
+		f.Add(uint64(7), p, uint16(1024))
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, p float64, n uint16) {
+		want, got, wantNext, gotNext := boolRuns(seed, p, int(n%4096))
+		if !slices.Equal(got, want) || gotNext != wantNext {
+			t.Fatalf("p=%v seed=%d n=%d: successes %v, Bool gives %v; next output %x, Bool's stream %x",
+				p, seed, n%4096, got, want, gotNext, wantNext)
+		}
+	})
 }

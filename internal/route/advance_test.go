@@ -11,7 +11,7 @@ import (
 
 // alwaysBacktrack is the adversarial router for the empty-path gating
 // regression: it demands a backtrack regardless of header state, which is
-// the only way to reach commitDecision's Backtrack case with PathLen()==0
+// the only way to reach Link's and Commit's Backtrack case with PathLen()==0
 // (Limited/Blind funnel that state through backtrackOrFail into Fail, and
 // the fuzz harness never observed the branch either).
 type alwaysBacktrack struct{}
@@ -145,7 +145,7 @@ func TestStallKeepsDecision(t *testing.T) {
 				deny = true
 			})
 			want := tc.keeps && rt.Name() != "congested"
-			if got := msg.keeps(rt, stateKey(ctx)); got != want {
+			if got := msg.stalled && msg.key == StateKey(ctx) && LoadOblivious(rt); got != want {
 				t.Errorf("%s/%s: keeps = %v, want %v", tc.name, rt.Name(), got, want)
 			}
 			fresh := rt.Decide(ctx, msg)

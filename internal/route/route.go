@@ -20,16 +20,20 @@
 //     router whose decisions are dynamic in traffic, not just in faults
 //     (see congested.go).
 //
-// Routing messages advance one hop per step of the execution model; the
-// Decide/Apply split lets the engine interleave decisions with the λ
-// information rounds exactly as Figure 7 prescribes.
+// Routing messages advance one hop per step of the execution model. A step
+// is AdvanceGated, which is the composition of its parts: Plan opens the
+// step and decides (or takes the kept decision, below), Message.Link names
+// the link the decision crosses, and the gate's verdict on that link ends
+// the step in Message.Wait or Commit. The engine runs the parts itself, so
+// it takes the step's state key once, after Figure 7's λ information rounds,
+// and calls its gate directly.
 //
-// Contracts: Decide never mutates the message — AdvanceGated commits a
-// Decision to the header. Routers are stateless per decision and a
-// Context holds no scratch: one-hop sensing is one word, the mesh's open set
-// (mesh.Mesh.Open: the directions with an Enabled neighbor), so Algorithm
-// 3's candidate classes are three DirSets computed by mask arithmetic and
-// passed by value (see classify), and a decision allocates nothing.
+// Contracts: Decide never mutates the message — Commit writes a Decision to
+// the header. Routers are stateless per decision and a Context holds no
+// scratch: one-hop sensing is one word, the mesh's open set (mesh.Mesh.Open:
+// the directions with an Enabled neighbor), so Algorithm 3's candidate
+// classes are three DirSets computed by mask arithmetic and passed by value
+// (see classify), and a decision allocates nothing.
 // Coordinates are views into the shape's table (grid.Shape.CoordView): no
 // path decodes an id. The one exception to statelessness is Oracle, the
 // routing table it models: one distance field per destination, all dropped
@@ -40,8 +44,10 @@
 // flag. Ties among equally preferred directions always go to the lowest
 // direction index. A stall writes none of those header fields, so a message
 // that lost arbitration keeps the decision it stalled on for as long as the
-// mesh version and the store version hold (see AdvanceGated), and re-decides
-// the step either of them moves.
+// mesh version and the store version hold, and re-decides the step either of
+// them moves (see Plan). Algorithm 3's common case — an enabled node holding
+// no record, with an unused open direction toward the destination — is the
+// first case of algorithm3, decided before any classification.
 //
 // The header (Message) is laid out for the step loop: the fields a stalled
 // step reads — position, terminal flags, the current node's used-direction
@@ -171,8 +177,8 @@ type Message struct {
 	toward grid.DirSet
 
 	// kept is the decision of the message's last step and key the versions
-	// of the mesh and the store it was made against (see stateKey). After a
-	// stall they let the next step skip the decision (see keeps).
+	// of the mesh and the store it was made against (see StateKey). After a
+	// stall they let the next step skip the decision (see Plan).
 	kept Decision
 	key  uint64
 
@@ -398,29 +404,32 @@ type Gate func(from grid.NodeID, dir grid.Dir) bool
 // it stalled — so a stalled preferred direction can be abandoned for a
 // spare if the fault picture changes while queued. While neither moved, a
 // fresh decision would equal the one it stalled on, and a load-oblivious
-// router (see loadOblivious) is not asked again: the message re-asks the
+// router (see LoadOblivious) is not asked again: the message re-asks the
 // gate for the decision it kept. A header is advanced under one Context
 // throughout.
 //
+// AdvanceGated is the composition of the step's parts — Plan, Link, then
+// Wait or Commit — which a caller stepping many messages under one state
+// (the engine) uses directly, taking StateKey and LoadOblivious once.
+//
 //meshvet:noalloc
 func AdvanceGated(ctx *Context, r Router, msg *Message, gate Gate) bool {
-	if !msg.beginStep(ctx.M.Shape()) {
+	d, ok := Plan(ctx, r, msg, StateKey(ctx), LoadOblivious(r))
+	if !ok {
 		return false
 	}
-	key := stateKey(ctx)
-	d := msg.kept
-	if !msg.keeps(r, key) {
-		d = r.Decide(ctx, msg)
+	if dir, crosses := msg.Link(d); crosses && gate != nil && !gate(msg.Cur, dir) {
+		msg.Wait()
+		return true
 	}
-	msg.kept, msg.key = d, key
-	return commitDecision(ctx, msg, d, gate)
+	return Commit(ctx, msg, d)
 }
 
-// stateKey sums the versions of the context's mesh and record store. Both
+// StateKey sums the versions of the context's mesh and record store. Both
 // only ever advance, so the sum is unchanged exactly when neither moved.
 //
 //meshvet:noalloc
-func stateKey(ctx *Context) uint64 {
+func StateKey(ctx *Context) uint64 {
 	k := ctx.M.Version()
 	if ctx.Store != nil {
 		k += ctx.Store.Version()
@@ -428,74 +437,90 @@ func stateKey(ctx *Context) uint64 {
 	return k
 }
 
-// keeps reports whether msg's kept decision is the one r would make now:
-// the last step was a gate denial (so the header fields a decision reads
-// are as they were), the mesh and the store are as they were, and r decides
-// from nothing else.
+// Plan opens one step of an in-flight message: it counts the step and
+// returns the decision the step commits, or false when there is none (the
+// message is terminal, or arrives now). key is StateKey of ctx and
+// oblivious is LoadOblivious(r): a message whose last step was a gate
+// denial, under a load-oblivious router and an unchanged key, takes the
+// decision it kept without asking r — the header fields a decision reads
+// are as they were, and so are the mesh and the store. The first step
+// fills in the header's toward set.
 //
 //meshvet:noalloc
-func (msg *Message) keeps(r Router, key uint64) bool {
-	return msg.stalled && msg.key == key && loadOblivious(r)
-}
-
-// beginStep opens one step of an in-flight message: it counts the step and
-// reports whether there is a decision to commit (false once terminal, or on
-// arrival). The first step fills in the header's toward set.
-//
-//meshvet:noalloc
-func (msg *Message) beginStep(shape *grid.Shape) bool {
+func Plan(ctx *Context, r Router, msg *Message, key uint64, oblivious bool) (Decision, bool) {
 	if msg.Done() {
-		return false
+		return Decision{}, false
 	}
 	msg.Steps++
+	// A stalled message is not at its destination: it would have arrived.
+	if msg.stalled && oblivious && msg.key == key {
+		return msg.kept, true
+	}
 	if msg.Cur == msg.Dst {
 		msg.Arrived = true
-		return false
+		return Decision{}, false
 	}
 	if msg.toward == 0 {
-		msg.toward = towardOf(shape, msg.Cur, msg.Dst)
+		msg.toward = towardOf(ctx.M.Shape(), msg.Cur, msg.Dst)
 	}
-	return true
+	// Limited, the router of every load workload, is called by its concrete
+	// type: its Decide inlines, so Algorithm 3 is one call away.
+	var d Decision
+	if l, isLimited := r.(Limited); isLimited {
+		d = l.Decide(ctx, msg)
+	} else {
+		d = r.Decide(ctx, msg)
+	}
+	msg.kept, msg.key = d, key
+	return d, true
 }
 
-// commitDecision executes one decision under link arbitration. Every
-// physical link traversal — forward moves and backward moves alike — asks
-// the gate; the one Backtrack shape that crosses no link (an empty path
-// stack, the terminal unreachable transition of applyBacktrack) has
-// nothing to arbitrate and deliberately consults no gate, which
-// TestBacktrackEmptyPathConsultsNoGate pins.
+// Link returns the direction of the link d crosses from Cur, and false when
+// it crosses none: a Fail, or the one Backtrack that crosses no link (an
+// empty path stack, the terminal unreachable transition of applyBacktrack),
+// which therefore has nothing to arbitrate and consults no gate —
+// TestBacktrackEmptyPathConsultsNoGate pins it. Every other traversal,
+// forward or backward, asks the gate for this link.
 //
 //meshvet:noalloc
-func commitDecision(ctx *Context, msg *Message, d Decision, gate Gate) bool {
+func (msg *Message) Link(d Decision) (grid.Dir, bool) {
+	switch {
+	case d.Fail:
+	case d.Backtrack:
+		if n := len(msg.path); n > 0 {
+			return msg.path[n-1].Opposite(), true
+		}
+	case d.Move:
+		return d.Dir, true
+	}
+	return grid.InvalidDir, false
+}
+
+// Wait ends the step of a message whose link the gate denied: it stays
+// where it is, stalled, with the decision Plan returned kept for the next
+// step.
+//
+//meshvet:noalloc
+func (msg *Message) Wait() {
+	msg.Waits++
+	msg.stalled = true
+}
+
+// Commit ends the step by executing d, whose link (if any) was granted. It
+// returns true if the message is still in flight afterwards.
+//
+//meshvet:noalloc
+func Commit(ctx *Context, msg *Message, d Decision) bool {
 	switch {
 	case d.Fail:
 		msg.Unreachable = true
 		return false
 	case d.Backtrack:
-		if msg.PathLen() == 0 {
-			// Not a traversal: applyBacktrack on an empty stack only marks
-			// the message unreachable, so no link budget may be consumed
-			// and no stall may be recorded.
-			msg.applyBacktrack(ctx)
-			msg.stalled = false
-			return !msg.Done()
-		}
-		if gate != nil && !gate(msg.Cur, msg.path[len(msg.path)-1].Opposite()) {
-			msg.Waits++
-			msg.stalled = true
-			return true
-		}
 		msg.applyBacktrack(ctx)
-		msg.stalled = false
 	case d.Move:
-		if gate != nil && !gate(msg.Cur, d.Dir) {
-			msg.Waits++
-			msg.stalled = true
-			return true
-		}
 		msg.applyMove(ctx, d.Dir)
-		msg.stalled = false
 	}
+	msg.stalled = false
 	if msg.Cur == msg.Dst {
 		msg.Arrived = true
 		return false
@@ -527,7 +552,7 @@ func (msg *Message) applyMove(ctx *Context, dir grid.Dir) {
 		slot = msg.find(next)
 	}
 	msg.path = append(msg.path, dir)
-	msg.retoward(ctx.M.Shape(), dir, next)
+	msg.retoward(ctx.M.Shape(), dir)
 	msg.enter(next, slot)
 	msg.Incoming = dir
 	msg.Hops++
@@ -557,23 +582,25 @@ func (msg *Message) applyBacktrack(ctx *Context) {
 	// The physical move back: the new incoming direction is the reverse of
 	// the forward move that set this path segment up.
 	msg.Incoming = back
-	msg.retoward(ctx.M.Shape(), back, prev)
+	msg.retoward(ctx.M.Shape(), back)
 	msg.enter(prev, msg.find(prev))
 	msg.Hops++
 	msg.Backtracks++
 }
 
-// retoward updates the toward set for a hop along dir onto next, which
-// changes Cur's coordinate on dir's axis alone. A hop that shrank the
-// distance keeps dir unless it closed the axis; any other hop opened the
-// axis (or widened it) on dir's side, so the way back shrinks it.
+// retoward updates the toward set for a hop from Cur along dir, which
+// changes Cur's coordinate on dir's axis alone; it is called before the
+// hop, so it reads the coordinates of nodes known before the neighbor
+// lookup. A hop that shrinks the distance keeps dir unless it closes the
+// axis (Cur is one hop short of Dst on it); any other hop opens the axis
+// (or widens it) on dir's side, so the way back shrinks it.
 //
 //meshvet:noalloc
-func (msg *Message) retoward(shape *grid.Shape, dir grid.Dir, next grid.NodeID) {
+func (msg *Message) retoward(shape *grid.Shape, dir grid.Dir) {
 	switch a := dir.Axis(); {
 	case !msg.toward.Has(dir):
 		msg.toward = msg.toward.Add(dir.Opposite())
-	case shape.CoordView(next)[a] == shape.CoordView(msg.Dst)[a]:
+	case shape.CoordView(msg.Cur)[a]+dir.Sign() == shape.CoordView(msg.Dst)[a]:
 		msg.toward = msg.toward.Remove(dir)
 	}
 }
@@ -607,18 +634,33 @@ func (Limited) Name() string { return "limited" }
 //
 //meshvet:noalloc
 func (Limited) Decide(ctx *Context, msg *Message) Decision {
-	return algorithm3(ctx, msg, recordsAt(ctx, msg.Cur))
+	return algorithm3(ctx, msg, ctx.Store)
 }
 
-// algorithm3 is Algorithm 3 given the records the current node knows:
+// algorithm3 is Algorithm 3 given the records the current node knows in
+// store (nil: none, the blind router):
 //  1. If the current node is disabled (or faulty under us), backtrack.
 //  2. Pick the unused outgoing direction with the highest priority:
 //     preferred, spare (along the block), preferred-but-detour, incoming.
 //  3. With no unused outgoing direction, backtrack.
 //  4. Backtracked to the source with nothing left: unreachable.
 //
+// Its first case is the common one, taken before any classification: at an
+// enabled node that holds no record nothing is demoted, so an unused open
+// direction toward the destination is the decision.
+//
 //meshvet:noalloc
-func algorithm3(ctx *Context, msg *Message, recs []info.Record) Decision {
+func algorithm3(ctx *Context, msg *Message, store *info.Store) Decision {
+	var recs []info.Record
+	if store != nil {
+		recs = store.At(msg.Cur)
+	}
+	if len(recs) == 0 {
+		m := ctx.M
+		if p := m.Open(msg.Cur) &^ msg.used & msg.toward; p != 0 && !m.Status(msg.Cur).Bad() {
+			return Decision{Move: true, Dir: p.First()}
+		}
+	}
 	preferred, demoted, spares := classify(ctx, msg, recs)
 	switch {
 	case preferred != 0:
@@ -893,10 +935,10 @@ func (DOR) Decide(ctx *Context, msg *Message) Decision {
 		}
 		return Decision{Move: true, Dir: dir}
 	}
-	return Decision{Fail: true} // already at destination: AdvanceGated handles it
+	return Decision{Fail: true} // already at destination: Plan handles it
 }
 
-// loadOblivious reports whether r decides from the mesh, the record store
+// LoadOblivious reports whether r decides from the mesh, the record store
 // and the header fields a stall leaves alone, and from nothing else — so a
 // decision it made before a stall is the one it would make after, while the
 // mesh and store versions hold. That is every ByName router but congested,
@@ -904,7 +946,7 @@ func (DOR) Decide(ctx *Context, msg *Message) Decision {
 // function of the mesh.
 //
 //meshvet:noalloc
-func loadOblivious(r Router) bool {
+func LoadOblivious(r Router) bool {
 	switch r.(type) {
 	case Limited, Blind, DOR, *Oracle:
 		return true

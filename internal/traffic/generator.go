@@ -29,11 +29,21 @@ func NewGenerator(shape *grid.Shape, pat Pattern, proc Process, rate float64, r 
 // Step implements Injector: it emits this step's injections in node order.
 // The emit callback owns admission (inject, drop, count); the generator
 // only offers traffic, and — being open-loop — ignores the admission
-// verdict: a refusal is a drop, never a retry.
+// verdict: a refusal is a drop, never a retry. A Bernoulli process's node
+// trials are drawn in one pass (rng.Source.Failures), stopping at each
+// arrival for its destination: the same draws, in the same order, as one
+// Arrivals call per node.
 //
 //meshvet:noalloc
 func (g *Generator) Step(emit func(src, dst grid.NodeID) bool) {
 	n := g.shape.NumNodes()
+	if _, ok := g.proc.(*Bernoulli); ok {
+		for node := g.r.Failures(g.rate, n); node < n; node += 1 + g.r.Failures(g.rate, n-node-1) {
+			src := grid.NodeID(node)
+			emit(src, g.pat.Dest(src, g.r))
+		}
+		return
+	}
 	for node := 0; node < n; node++ {
 		k := g.proc.Arrivals(node, g.rate, g.r)
 		for j := 0; j < k; j++ {
