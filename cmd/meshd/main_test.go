@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -66,9 +67,10 @@ func post(t *testing.T, url, spec string) (*http.Response, string) {
 // TestServeSmoke is the daemon end to end, in-process: the served CSV is
 // the batch sweep's table byte for byte (the bytes cmd/loadgen's tests pin
 // equal to loadgen -csv), a repeat NDJSON submission comes from the result
-// cache with the identical body, /debug/census carries the pool and cache
-// counters, and a drain begun with a job in flight lets its stream finish
-// whole before run returns nil.
+// cache with the identical body (as does a third, under an exact
+// Content-Length), /debug/census carries the pool and cache counters, and
+// a drain begun with a job in flight lets its stream finish whole before
+// run returns nil.
 func TestServeSmoke(t *testing.T) {
 	ctx, sigterm := context.WithCancel(context.Background())
 	defer sigterm()
@@ -105,6 +107,13 @@ func TestServeSmoke(t *testing.T) {
 	}
 	if body1 != body2 {
 		t.Error("the cache hit's body differs from the miss it repeats")
+	}
+	third, body3 := post(t, base+"/v1/jobs", spec)
+	if third.Header.Get("X-Meshd-Cache") != "hit" || body3 != body1 {
+		t.Errorf("third identical request: X-Meshd-Cache = %q, body equal %v; want a hit with the miss's body", third.Header.Get("X-Meshd-Cache"), body3 == body1)
+	}
+	if cl := third.Header.Get("Content-Length"); cl != strconv.Itoa(len(body3)) {
+		t.Errorf("third identical request: Content-Length = %q for a %d-byte body", cl, len(body3))
 	}
 
 	resp, err := http.Get(base + "/debug/census")

@@ -2,12 +2,16 @@
 // the canonical spec key plus the response format (the cacheability
 // contract of the package comment; the cache tests pin through the pool
 // counters that a hit touches no engine). Only complete, successful bodies
-// are stored, so a hit can never replay a truncation.
+// are stored, so a hit can never replay a truncation. Each entry also
+// remembers the digest of the last exact request that resolved to it, so a
+// repeat of those bytes finds the body without being decoded.
 
 package server
 
 import (
 	"container/list"
+	"crypto/sha256"
+	"encoding/binary"
 	"sync"
 )
 
@@ -20,8 +24,44 @@ type CacheStats struct {
 	Bytes     int    `json:"bytes"`
 }
 
+// requestDigest is the SHA-256 of one exact request: its raw query and
+// body (see digestRequest).
+type requestDigest [sha256.Size]byte
+
+// digestRequest digests the query, length-prefixed so that no query/body
+// split of the same bytes collides, then the body.
+func digestRequest(query string, body []byte) requestDigest {
+	h := sha256.New()
+	var n [8]byte
+	binary.LittleEndian.PutUint64(n[:], uint64(len(query)))
+	h.Write(n[:])
+	h.Write([]byte(query))
+	h.Write(body)
+	var d requestDigest
+	h.Sum(d[:0])
+	return d
+}
+
+// short is the first 8 bytes of d, the requests map's key.
+func (d requestDigest) short() uint64 { return binary.LittleEndian.Uint64(d[:]) }
+
+// hit is what a cache hit serves: the stored body plus the spec's kind,
+// cell count and format, which a digest hit has no spec to read them from.
+// Lookups return it by value, copied under the cache mutex.
+type hit struct {
+	body  []byte
+	kind  *kind
+	cells int
+	csv   bool
+}
+
 // resultCache is a mutex-guarded LRU over response bodies, bounded by
-// entry count and total byte size.
+// entry count and total byte size. requests maps each entry's remembered
+// request digest to it; a record leaves with its entry or when the entry
+// names a newer digest, so len(requests) <= len(entries). It is keyed by
+// the digest's first 8 bytes (half the memory of whole-digest keys) and
+// lookup compares the whole digest on the entry, so two digests sharing
+// those bytes cost a digest miss, never another request's body.
 type resultCache struct {
 	mu         sync.Mutex
 	maxEntries int
@@ -29,12 +69,17 @@ type resultCache struct {
 	bytes      int
 	order      *list.List // front = most recent; values are *cacheEntry
 	entries    map[string]*list.Element
+	requests   map[uint64]*list.Element
 	stats      CacheStats
 }
 
+// cacheEntry is one stored body. req is the digest of the last exact
+// request named on it (see name); it is live only while requests maps it
+// back to this entry.
 type cacheEntry struct {
-	key  string
-	body []byte
+	key string
+	req requestDigest
+	hit
 }
 
 // newResultCache builds an LRU bounded to maxEntries bodies and maxBytes
@@ -46,6 +91,7 @@ func newResultCache(maxEntries, maxBytes int) *resultCache {
 		maxBytes:   maxBytes,
 		order:      list.New(),
 		entries:    make(map[string]*list.Element),
+		requests:   make(map[uint64]*list.Element),
 	}
 }
 
@@ -66,6 +112,46 @@ func (c *resultCache) get(key string) []byte {
 	return el.Value.(*cacheEntry).body
 }
 
+// lookup returns the hit of the entry whose remembered request digest is
+// req. A digest miss counts nothing: the request goes on to get, which
+// counts it.
+func (c *resultCache) lookup(req requestDigest) (hit, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.requests[req.short()]
+	if !ok || el.Value.(*cacheEntry).req != req {
+		return hit{}, false
+	}
+	c.order.MoveToFront(el)
+	c.stats.Hits++
+	return el.Value.(*cacheEntry).hit, true
+}
+
+// name records that the exact request req resolved to key's entry, with
+// h's kind, cell count and format; the entry's earlier digest, if any, is
+// forgotten. A key with no entry (evicted meanwhile, or never stored) names
+// nothing.
+func (c *resultCache) name(key string, req requestDigest, h hit) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[key]
+	if !ok {
+		return
+	}
+	ent := el.Value.(*cacheEntry)
+	c.forget(el)
+	ent.req, ent.kind, ent.cells, ent.csv = req, h.kind, h.cells, h.csv
+	c.requests[req.short()] = el
+}
+
+// forget drops the request record naming el, if it still does.
+func (c *resultCache) forget(el *list.Element) {
+	short := el.Value.(*cacheEntry).req.short()
+	if c.requests[short] == el {
+		delete(c.requests, short)
+	}
+}
+
 // put stores a complete body under key, evicting least-recently-used
 // entries to fit. Bodies larger than the byte bound are not stored.
 func (c *resultCache) put(key string, body []byte) {
@@ -80,13 +166,14 @@ func (c *resultCache) put(key string, body []byte) {
 		c.order.MoveToFront(el)
 		return
 	}
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, body: body})
+	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, hit: hit{body: body}})
 	c.bytes += len(body)
 	for c.order.Len() > c.maxEntries || c.bytes > c.maxBytes {
 		el := c.order.Back()
 		ent := el.Value.(*cacheEntry)
 		c.order.Remove(el)
 		delete(c.entries, ent.key)
+		c.forget(el)
 		c.bytes -= len(ent.body)
 		c.stats.Evictions++
 	}

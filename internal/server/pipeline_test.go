@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"runtime"
 	"strings"
 	"testing"
@@ -374,6 +375,47 @@ func TestKindsTableComplete(t *testing.T) {
 	for _, body := range []string{`{}`, `{"kind":"sideways"}`} {
 		if _, err := ParseSpec([]byte(body)); err == nil || !strings.Contains(err.Error(), strings.Join(names, " | ")) {
 			t.Errorf("ParseSpec(%s) = %v, want an error listing %q", body, err, names)
+		}
+	}
+}
+
+// TestJobLookup: GET /v1/jobs/{id} answers from the live list and the ring
+// in place, byte for byte what finding the id in the sorted snapshot gives
+// — for a live job, a finished one, one the ring has pushed out (the 1025th
+// finished job before the newest) and a malformed id.
+func TestJobLookup(t *testing.T) {
+	srv := New(Config{})
+	finish := func() *JobStatus {
+		j := srv.register(KindOpenLoop, 1, true)
+		srv.settle(j, StateDone, "")
+		return j
+	}
+	pushed := finish()
+	var newest *JobStatus
+	for range retainedJobs {
+		newest = finish()
+	}
+	live := srv.register(KindClosedLoop, 3, false)
+	srv.settle(live, StateRunning, "")
+
+	h := srv.Handler()
+	for _, tc := range []struct {
+		id    string
+		found bool
+	}{{live.ID, true}, {newest.ID, true}, {pushed.ID, false}, {"job-x/../1", false}} {
+		wantCode, wantBody := http.StatusNotFound, "no such job\n"
+		for _, st := range srv.snapshot() {
+			if st.ID == tc.id {
+				wantCode, wantBody = http.StatusOK, string(encodeNDJSON(st))
+			}
+		}
+		if (wantCode == http.StatusOK) != tc.found {
+			t.Fatalf("the snapshot has %s: %v, want %v", tc.id, !tc.found, tc.found)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+url.PathEscape(tc.id), nil))
+		if rec.Code != wantCode || rec.Body.String() != wantBody || rec.Header().Get("Content-Type") == "" {
+			t.Errorf("GET %s = %d %q, want %d %q", tc.id, rec.Code, rec.Body, wantCode, wantBody)
 		}
 	}
 }

@@ -1,11 +1,12 @@
 // Package server is the meshd daemon's service layer: a long-running HTTP
 // front over the ndmesh experiment library. It owns a shared EnginePool of
 // warm, Reset-recycled simulations and serves every job through one
-// pipeline (handleSubmit): decode → key → cache lookup → admit → stream →
-// settle. What differs per workload family (open-loop, closed-loop, trace
-// replay, reliability) is one row of the kinds table (kinds.go); rows
-// stream as cells complete — NDJSON by default, the canonical open-loop
-// CSV on request; settle is the one writer of job state.
+// pipeline (handleSubmit): digest → decode → key → cache lookup → admit →
+// stream → settle. What differs per workload family (open-loop,
+// closed-loop, trace replay, reliability) is one row of the kinds table
+// (kinds.go); rows stream as cells complete — NDJSON by default, the
+// canonical open-loop CSV on request; settle is the one writer of job
+// state.
 //
 // Three contracts, inherited from the library and pinned by this package's
 // tests, make the service shape work:
@@ -17,6 +18,12 @@
 //   - Cacheability: because the bytes depend only on the canonical spec
 //     and seed, completed bodies are cached whole (spec key + format). A
 //     repeat submission is served from memory without acquiring an engine.
+//     Each entry also remembers the SHA-256 digest of the last exact
+//     request (raw query + body) that resolved to it, recorded only after
+//     those bytes decoded and keyed successfully; ParseSpec is a pure
+//     function of the bytes, so a repeat of them is served from the digest
+//     alone, skipping no check. The digest dies with its entry or when a
+//     different spelling of the same spec names the entry.
 //   - Clean recycling: every run returns its simulations to the pool
 //     clean (the deferred-cleanup contract), so cancellation mid-stream or
 //     shutdown mid-job cannot poison a later job's engine.
@@ -37,6 +44,7 @@ import (
 	"net/http"
 	"runtime"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -118,7 +126,7 @@ type Server struct {
 	cache *resultCache
 
 	// mu guards the registry and the census. Job records are written under
-	// it and copied out by snapshot.
+	// it and copied out by snapshot and job.
 	mu        sync.Mutex
 	nextID    int
 	live      []*JobStatus             // queued or running
@@ -180,15 +188,15 @@ func (s *Server) Handler() http.Handler {
 
 // register records a submission as queued under the next ID; a cache hit's
 // rows are already counted.
-func (s *Server) register(spec *Spec, hit bool) *JobStatus {
-	j := &JobStatus{Kind: spec.Kind, State: StateQueued, Cells: spec.cells(), Cache: "miss"}
-	if hit {
+func (s *Server) register(kind string, cells int, cached bool) *JobStatus {
+	j := &JobStatus{Kind: kind, State: StateQueued, Cells: cells, Cache: "miss"}
+	if cached {
 		j.Cache, j.Rows = "hit", j.Cells
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.nextID++
-	j.seq, j.ID = s.nextID, fmt.Sprintf("job-%d", s.nextID)
+	j.seq, j.ID = s.nextID, "job-"+strconv.Itoa(s.nextID)
 	s.live = append(s.live, j)
 	return j
 }
@@ -223,8 +231,50 @@ func (s *Server) snapshot() []JobStatus {
 	return jobs
 }
 
+// job copies out the retained job with the given ID, scanning the live
+// list and the ring in place.
+func (s *Server) job(id string) (JobStatus, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, j := range s.live {
+		if j.ID == id {
+			return *j, true
+		}
+	}
+	for _, j := range s.finished[:min(s.nfinished, retainedJobs)] {
+		if j.ID == id {
+			return *j, true
+		}
+	}
+	return JobStatus{}, false
+}
+
+// setHeaders writes the headers every submission's response carries.
+func setHeaders(w http.ResponseWriter, csv bool, job, cache string) {
+	contentType := "application/x-ndjson"
+	if csv {
+		contentType = "text/csv"
+	}
+	h := w.Header()
+	h.Set("Content-Type", contentType)
+	h.Set("X-Meshd-Job", job)
+	h.Set("X-Meshd-Cache", cache)
+}
+
+// serveHit is the one way a cache hit is answered, whether the digest or
+// the parsed key found it: the job is registered with its rows counted and
+// settled done, and the stored body goes out whole under an exact
+// Content-Length.
+func (s *Server) serveHit(w http.ResponseWriter, h hit) {
+	j := s.register(h.kind.name, h.cells, true)
+	setHeaders(w, h.csv, j.ID, "hit")
+	w.Header().Set("Content-Length", strconv.Itoa(len(h.body)))
+	s.settle(j, StateDone, "")
+	_, _ = w.Write(h.body)
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	// Decode.
+	// Read.
 	if s.draining.Load() {
 		http.Error(w, "server is draining", http.StatusServiceUnavailable)
 		return
@@ -234,12 +284,22 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
+
+	// Digest: bytes that already decoded, keyed and resolved to a stored
+	// body are served that body without being decoded again.
+	req := digestRequest(r.URL.RawQuery, body)
+	if h, ok := s.cache.lookup(req); ok {
+		s.serveHit(w, h)
+		return
+	}
+
+	// Decode.
 	spec, err := ParseSpec(body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	format, contentType := "ndjson", "application/x-ndjson"
+	format := "ndjson"
 	switch q := r.URL.Query().Get("format"); q {
 	case "", "ndjson":
 	case "csv":
@@ -247,28 +307,23 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "format=csv is defined for open-loop jobs only", http.StatusBadRequest)
 			return
 		}
-		format, contentType = "csv", "text/csv"
+		format = "csv"
 	default:
 		http.Error(w, fmt.Sprintf("unknown format %q (want ndjson | csv)", q), http.StatusBadRequest)
 		return
 	}
 
 	// Key, cache lookup: a hit serves the stored bytes without acquiring
-	// an engine (or even a run slot) — the determinism dividend.
+	// an engine (or even a run slot) — the determinism dividend — and
+	// names this request's digest on the entry.
 	key := spec.Key() + ":" + format
-	cached := s.cache.get(key)
-	j := s.register(spec, cached != nil)
-	respond := func(cache string) {
-		w.Header().Set("Content-Type", contentType)
-		w.Header().Set("X-Meshd-Job", j.ID)
-		w.Header().Set("X-Meshd-Cache", cache)
-	}
-	if cached != nil {
-		respond("hit")
-		s.settle(j, StateDone, "")
-		_, _ = w.Write(cached)
+	served := hit{kind: spec.kind, cells: spec.cells(), csv: format == "csv"}
+	if served.body = s.cache.get(key); served.body != nil {
+		s.cache.name(key, req, served)
+		s.serveHit(w, served)
 		return
 	}
+	j := s.register(spec.Kind, served.cells, false)
 
 	// Admit: bounded queue in front of the run slots. Refusal is a 503
 	// before any streaming starts, so clients can retry elsewhere.
@@ -300,7 +355,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Stream to the client and into a replica buffer at once; only a
 	// complete, successful replica enters the cache.
 	s.settle(j, StateRunning, "")
-	respond("miss")
+	setHeaders(w, served.csv, j.ID, "miss")
 	var replica bytes.Buffer
 	flush := func() {}
 	if flusher, ok := w.(http.Flusher); ok {
@@ -308,7 +363,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	sink := io.MultiWriter(w, &replica)
 	seq := newSequencer(sink, flush)
-	if format == "csv" {
+	if served.csv {
 		// The header goes out before any cell can emit, so writing it
 		// around the sequencer is race-free.
 		if _, err := io.WriteString(sink, cliutil.CSVHeader(cliutil.OpenLoopHeader())); err != nil {
@@ -320,7 +375,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		srv: s, job: j, seq: seq,
 		cancel:  func() bool { return ctx.Err() != nil || s.stop.Err() != nil },
 		workers: min(cmp.Or(spec.Workers, s.cfg.MaxWorkers), s.cfg.MaxWorkers),
-		csv:     format == "csv",
+		csv:     served.csv,
 	}
 	if spec.Probe {
 		snap := &probe.Snapshot{}
@@ -337,6 +392,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// An exact-size copy: the buffer's spare capacity (up to 2x) would
 		// otherwise live as long as the entry, outside the cache's byte bound.
 		s.cache.put(key, bytes.Clone(replica.Bytes()))
+		s.cache.name(key, req, served)
 		s.settle(j, StateDone, "")
 	case runErr == nil:
 		s.settle(j, StateFailed, "client went away mid-stream")
@@ -346,7 +402,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			state = StateCanceled
 		}
 		s.settle(j, state, runErr.Error())
-		if format == "ndjson" && seq.flushErr() == nil {
+		if !served.csv && seq.flushErr() == nil {
 			_, _ = sink.Write(encodeNDJSON(map[string]string{"error": runErr.Error()}))
 		}
 	}
@@ -358,12 +414,9 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	for _, st := range s.snapshot() {
-		if st.ID == id {
-			writeJSON(w, st)
-			return
-		}
+	if st, ok := s.job(r.PathValue("id")); ok {
+		writeJSON(w, st)
+		return
 	}
 	http.Error(w, "no such job", http.StatusNotFound)
 }
