@@ -114,6 +114,24 @@ func TestEventSummaries(t *testing.T) {
 	}
 }
 
+// TestRefailWhileCleanDrains: a node recovers and fails again in one later
+// step, before the labeling releases it. The information plane must still
+// reach quiescence, so Drain stops (Engine.Run's StopDone) well inside its
+// budget with the node's singleton block in place.
+func TestRefailWhileCleanDrains(t *testing.T) {
+	sim := MustSimulation(Config{Dims: []int{10, 10}})
+	sim.ScheduleFault(2, C(5, 5))
+	sim.ScheduleRecovery(40, C(5, 5))
+	sim.ScheduleFault(40, C(5, 5))
+	budget := 40 + 32*sim.shape.Diameter() + 64
+	if steps := sim.Drain(); steps >= budget/4 {
+		t.Fatalf("Drain ran %d steps of its %d budget", steps, budget)
+	}
+	if blocks := sim.Blocks(); len(blocks) != 1 || blocks[0].String() != "[5:5, 5:5]" {
+		t.Fatalf("blocks = %v, want the singleton [5:5, 5:5]", blocks)
+	}
+}
+
 func TestMultipleFlights(t *testing.T) {
 	// Several messages simultaneously, all arriving despite a block.
 	sim := MustSimulation(Config{Dims: []int{14, 14}, Lambda: 4})

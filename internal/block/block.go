@@ -5,10 +5,11 @@
 //
 // The protocol is reactive: after a fault or recovery event only the nodes
 // whose neighborhood changed are re-evaluated, exactly as the paper's model
-// requires ("only those affected nodes need to update fault information").
-// One call to Stepper.Round is one synchronous round of status exchange and
-// update; the number of rounds until quiescence after fault occurrence i is
-// the paper's a_i.
+// requires ("only those affected nodes need to update fault information"),
+// plus the transient Clean nodes, whose set the mesh keeps. One call to
+// Stepper.Round is one synchronous round of status exchange and update; the
+// number of rounds until quiescence (no candidate and no Clean node) after
+// fault occurrence i is the paper's a_i.
 package block
 
 import (
@@ -40,14 +41,13 @@ type Result struct {
 
 // Stepper advances the labeling protocol one synchronous round at a time so
 // the execution engine can interleave it with identification and boundary
-// rounds (λ rounds per step, Figure 7).
+// rounds (λ rounds per step, Figure 7). Its only protocol state is the
+// candidate set; which nodes are Clean it reads from the mesh.
 type Stepper struct {
 	m *mesh.Mesh //meshvet:keep fabric dependency, not per-trial state
-	// cand holds the nodes to evaluate next round.
+	// cand holds the nodes to evaluate next round, besides the mesh's clean
+	// nodes, which are evaluated every round (their clean age drives rule 4).
 	cand grid.NodeSet
-	// clean nodes need re-evaluation every round until they resolve
-	// (their clean age drives rule 4).
-	cleanSet grid.NodeSet
 	// pending status commits for the synchronous update.
 	changedIDs []grid.NodeID
 	changedTo  []mesh.Status
@@ -65,7 +65,6 @@ func NewStepper(m *mesh.Mesh) *Stepper {
 	return &Stepper{
 		m:        m,
 		cand:     grid.NewNodeSet(m.NumNodes()),
-		cleanSet: grid.NewNodeSet(m.NumNodes()),
 		affected: grid.NewNodeSet(m.NumNodes()),
 	}
 }
@@ -77,28 +76,23 @@ func (st *Stepper) Mesh() *mesh.Mesh { return st.m }
 // trial on the same (reset) mesh. Buffers are retained.
 func (st *Stepper) Reset() {
 	st.cand.Clear()
-	st.cleanSet.Clear()
 	st.changedIDs = st.changedIDs[:0]
 	st.changedTo = st.changedTo[:0]
 	st.affected.Clear()
 }
 
 // Seed registers externally-changed nodes (new faults, recoveries): the node
-// itself and its neighbors become candidates for the next round. A recovered
-// node (now Clean) joins the clean set.
+// itself and its neighbors become candidates for the next round.
 func (st *Stepper) Seed(ids ...grid.NodeID) {
 	for _, id := range ids {
 		st.cand.Add(id)
 		st.m.EachNeighbor(id, func(nb grid.NodeID, _ grid.Dir) { st.cand.Add(nb) })
-		if st.m.Status(id) == mesh.Clean {
-			st.cleanSet.Add(id)
-		}
 	}
 }
 
 // Quiescent reports whether the protocol has no pending work: no candidates
-// and no transient clean nodes.
-func (st *Stepper) Quiescent() bool { return st.cand.Len() == 0 && st.cleanSet.Len() == 0 }
+// and no transient clean nodes on the mesh.
+func (st *Stepper) Quiescent() bool { return st.cand.Len() == 0 && st.m.NumClean() == 0 }
 
 // ResetAffected clears the affected-node accounting (typically at each new
 // fault occurrence so Affected counts per-event locality).
@@ -116,7 +110,7 @@ func (st *Stepper) Round() int {
 	m := st.m
 	// Evaluate: candidates plus all clean nodes (whose age must advance).
 	eval := append(st.eval[:0], st.cand.IDs()...)
-	for _, id := range st.cleanSet.IDs() {
+	for _, id := range m.CleanIDs() {
 		if !st.cand.Has(id) {
 			eval = append(eval, id)
 		}
@@ -142,11 +136,6 @@ func (st *Stepper) Round() int {
 		to := st.changedTo[i]
 		m.SetStatus(id, to)
 		st.affected.Add(id)
-		if to == mesh.Clean {
-			st.cleanSet.Add(id)
-		} else {
-			st.cleanSet.Remove(id)
-		}
 		// The change is visible to neighbors next round; both the node and
 		// its neighbors are candidates again.
 		st.cand.Add(id)

@@ -206,6 +206,33 @@ func TestRecoveryDissolvesSingletonBlock(t *testing.T) {
 	}
 }
 
+// TestRefailWhileCleanQuiesces: a node that recovers and fails again before
+// rule 4 releases it leaves Clean for Faulty, and the stepper reads the clean
+// set from the mesh, so the labeling reaches quiescence with one singleton
+// block and no clean node left behind.
+func TestRefailWhileCleanQuiesces(t *testing.T) {
+	m := mk2D(t, 8)
+	id := m.Shape().Index(grid.Coord{3, 3})
+	st := NewStepper(m)
+	m.Fail(id)
+	st.Seed(id)
+	st.Run()
+	m.Recover(id)
+	st.Seed(id)
+	m.Fail(id)
+	st.Seed(id)
+	res := st.Run()
+	if !res.Converged || !st.Quiescent() {
+		t.Fatalf("re-failed node: %+v, quiescent %v", res, st.Quiescent())
+	}
+	if m.NumClean() != 0 || m.NumFaulty() != 1 {
+		t.Fatalf("clean=%d faulty=%d, want 0 and 1", m.NumClean(), m.NumFaulty())
+	}
+	if bs := Extract(m); len(bs) != 1 || bs[0].Box.Volume() != 1 {
+		t.Fatalf("want one singleton block, got %+v", bs)
+	}
+}
+
 // TestRecoverySplitsBlock: recovering the middle fault of a 1-wide block of
 // three faults splits it into two singleton blocks.
 func TestRecoverySplitsBlock(t *testing.T) {

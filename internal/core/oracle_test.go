@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"ndmesh/internal/block"
@@ -114,11 +115,21 @@ func scope(m *mesh.Mesh, box grid.Box, placed []bool) []grid.NodeID {
 // mid-arrivals, the last arrival step and the end of the tail.
 var historyCuts = []int{historyHorizon / 2, historyHorizon, historyHorizon + historyTail}
 
+// labelingCycles names the corpus cuts whose labeling never reaches
+// quiescence: Algorithm 1's clean and disabled rules undo each other with
+// period 4 (Disabled → Clean → Clean → Enabled → Disabled), so the cut has
+// no quiescence to measure. TestOracleGapsRatchet leaves exactly these out;
+// a change that makes one of them quiesce must take it off this list (and
+// regenerate the fixture) on purpose.
+var labelingCycles = []string{
+	"6x6x6x6/bernoulli/clustered/arr50/rep9/lambda1/seed1022/cut48",
+	"6x6x6x6/weibull/clustered/arr50/rep9/lambda1/seed1048/cut24",
+	"6x6x6x6/bernoulli/clustered/arr50/rep9/lambda2/seed1074/cut48",
+}
+
 // cutAndStabilize replays the first cut steps of h on a fresh model, drops
-// the rest of the schedule and runs Stabilize. It reports false when the
-// model is still not quiescent: the labeling of some fault sets cycles
-// (Algorithm 1's clean and disabled rules undo each other), and such a cut
-// has no quiescence to measure.
+// the rest of the schedule and runs Stabilize. It reports whether the model
+// is quiescent after it; only the cuts in labelingCycles are not.
 func (h history) cutAndStabilize(t testing.TB, cut int) (*Model, bool) {
 	md := New(mesh.New(grid.MustShape(h.dims()...)))
 	replay(md, h.schedule(t, md.M.Shape()), cut, h.rounds(), func(int, int) {})
@@ -139,8 +150,15 @@ func TestOracleGapsRatchet(t *testing.T) {
 	}
 	for _, h := range append(historyCorpus(), historyDeepCorpus()...) {
 		for _, cut := range historyCuts {
-			if md, ok := h.cutAndStabilize(t, cut); ok {
-				measure(fmt.Sprintf("%v/cut%d", h, cut), md)
+			name := fmt.Sprintf("%v/cut%d", h, cut)
+			md, ok := h.cutAndStabilize(t, cut)
+			switch listed := slices.Contains(labelingCycles, name); {
+			case ok && !listed:
+				measure(name, md)
+			case ok:
+				t.Errorf("%s reaches quiescence: take it off labelingCycles", name)
+			case !listed:
+				t.Errorf("%s does not reach quiescence and labelingCycles does not name it", name)
 			}
 		}
 	}

@@ -1,7 +1,7 @@
-// Package frame implements Definition 2 and Definition 3 of the paper: the
-// classification of the enabled nodes around a faulty block into adjacent
-// nodes, q-level edge nodes and q-level corners, and the adjacent surfaces
-// S_i of the block.
+// Package frame implements Definition 2 of the paper: the classification of
+// the enabled nodes around a faulty block into adjacent nodes, q-level edge
+// nodes and q-level corners, each with its surface directions (the faces of
+// the block it looks onto).
 //
 // A block with interior box [lo_1:hi_1, ..., lo_n:hi_n] is surrounded by a
 // one-node-thick shell (the expanded box minus the interior). A shell node
@@ -115,51 +115,6 @@ func EachShellNode(b grid.Box, fn func(c grid.Coord, level int)) {
 			fn(c, l)
 		}
 	})
-}
-
-// EachLevelNode enumerates the frame nodes of exactly the given level.
-func EachLevelNode(b grid.Box, level int, fn func(c grid.Coord)) {
-	EachShellNode(b, func(c grid.Coord, l int) {
-		if l == level {
-			fn(c)
-		}
-	})
-}
-
-// SurfaceIndex maps (axis, positive side) to the paper's surface numbering:
-// in 3-D, S0/S1/S2 are the low-side surfaces of axes X/Y/Z and S3/S4/S5 the
-// high-side surfaces, with S_i opposite S_{(i+n) mod 2n} (the paper's
-// (i+3) mod 6 for n=3).
-func SurfaceIndex(n int, axis int, positive bool) int {
-	if positive {
-		return axis + n
-	}
-	return axis
-}
-
-// SurfaceAxisSide decodes a surface index back to (axis, positive).
-func SurfaceAxisSide(n int, surface int) (axis int, positive bool) {
-	if surface >= n {
-		return surface - n, true
-	}
-	return surface, false
-}
-
-// AdjacentSurface returns the box of adjacent-surface S_i of block b: the
-// nodes one unit away from the block face, spanning the block's interior
-// extent on all other axes (Definition 3 generalized to n-D).
-func AdjacentSurface(b grid.Box, surface int) grid.Box {
-	axis, positive := SurfaceAxisSide(b.Dims(), surface)
-	lo := b.Lo.Clone()
-	hi := b.Hi.Clone()
-	if positive {
-		lo[axis] = b.Hi[axis] + 1
-		hi[axis] = b.Hi[axis] + 1
-	} else {
-		lo[axis] = b.Lo[axis] - 1
-		hi[axis] = b.Lo[axis] - 1
-	}
-	return grid.Box{Lo: lo, Hi: hi}
 }
 
 // Announcement is one frame role a node announces: a believed level and the

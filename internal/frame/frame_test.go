@@ -121,60 +121,37 @@ func TestEachShellNode(t *testing.T) {
 	}
 }
 
-func TestEachLevelNode(t *testing.T) {
-	count := 0
-	EachLevelNode(fig1Box, 3, func(grid.Coord) { count++ })
-	if count != 8 {
-		t.Fatalf("EachLevelNode(3) visited %d", count)
-	}
-}
-
-func TestSurfaceIndexRoundtrip(t *testing.T) {
-	n := 3
-	seen := map[int]bool{}
-	for axis := 0; axis < n; axis++ {
-		for _, pos := range []bool{false, true} {
-			idx := SurfaceIndex(n, axis, pos)
-			if idx < 0 || idx >= 2*n || seen[idx] {
-				t.Fatalf("surface index collision or range: %d", idx)
-			}
-			seen[idx] = true
-			a, p := SurfaceAxisSide(n, idx)
-			if a != axis || p != pos {
-				t.Fatalf("roundtrip (%d,%v) -> %d -> (%d,%v)", axis, pos, idx, a, p)
-			}
-		}
-	}
-	// The paper's 3-D numbering: S_i opposite S_{(i+3) mod 6}.
-	for i := 0; i < 6; i++ {
-		a1, p1 := SurfaceAxisSide(3, i)
-		a2, p2 := SurfaceAxisSide(3, (i+3)%6)
-		if a1 != a2 || p1 == p2 {
-			t.Fatalf("S%d and S%d are not opposite", i, (i+3)%6)
-		}
-	}
-}
-
-// TestAdjacentSurfaces checks Definition 3: the six adjacent surfaces of
-// Figure 1(b).
+// TestAdjacentSurfaces checks Definition 3 through the surface directions:
+// the adjacent nodes that look onto the block along +Y form the adjacent
+// surface y = 4 of Figure 1(b), those along -Y the surface y = 7, and every
+// adjacent node looks onto exactly one face.
 func TestAdjacentSurfaces(t *testing.T) {
-	// S1 (south, -Y side): y = 4, x in [3:5], z in [3:4].
-	s1 := AdjacentSurface(fig1Box, SurfaceIndex(3, 1, false))
-	if !s1.Equal(grid.NewBox(grid.Coord{3, 4, 3}, grid.Coord{5, 4, 4})) {
-		t.Fatalf("S1 = %v", s1)
-	}
-	// S4 (north, +Y side): y = 7.
-	s4 := AdjacentSurface(fig1Box, SurfaceIndex(3, 1, true))
-	if !s4.Equal(grid.NewBox(grid.Coord{3, 7, 3}, grid.Coord{5, 7, 4})) {
-		t.Fatalf("S4 = %v", s4)
-	}
-	// Every surface node is an adjacent node (level 1).
-	for surf := 0; surf < 6; surf++ {
-		AdjacentSurface(fig1Box, surf).Each(func(c grid.Coord) {
-			if !IsAdjacent(fig1Box, c) {
-				t.Fatalf("surface %d node %v not adjacent", surf, c)
+	south := grid.NewBox(grid.Coord{3, 4, 3}, grid.Coord{5, 4, 4})
+	north := grid.NewBox(grid.Coord{3, 7, 3}, grid.Coord{5, 7, 4})
+	var nSouth, nNorth int
+	EachShellNode(fig1Box, func(c grid.Coord, level int) {
+		if level != 1 {
+			return
+		}
+		dirs := SurfaceDirs(fig1Box, c)
+		if dirs.Count() != 1 || !IsAdjacent(fig1Box, c) {
+			t.Fatalf("adjacent node %v has surface directions %v", c, dirs)
+		}
+		switch dirs.First() {
+		case grid.DirPlus(1):
+			nSouth++
+			if !south.Contains(c) {
+				t.Fatalf("+Y node %v off the surface %v", c, south)
 			}
-		})
+		case grid.DirMinus(1):
+			nNorth++
+			if !north.Contains(c) {
+				t.Fatalf("-Y node %v off the surface %v", c, north)
+			}
+		}
+	})
+	if nSouth != south.Volume() || nNorth != north.Volume() {
+		t.Fatalf("surfaces hold %d and %d nodes, want %d and %d", nSouth, nNorth, south.Volume(), north.Volume())
 	}
 }
 

@@ -53,7 +53,7 @@ func (b *Box) SetAt(c Coord) {
 	b.Hi = append(b.Hi[:0], c...)
 }
 
-// Extend grows b in place to the hull of b and o (the in-place Hull).
+// Extend grows b in place to the smallest box containing both b and o.
 func (b *Box) Extend(o Box) {
 	for i := range b.Lo {
 		if o.Lo[i] < b.Lo[i] {
@@ -89,31 +89,6 @@ func (b Box) Intersects(o Box) bool {
 		}
 	}
 	return true
-}
-
-// Intersection returns the common sub-box and whether it is non-empty.
-func (b Box) Intersection(o Box) (Box, bool) {
-	lo := make(Coord, len(b.Lo))
-	hi := make(Coord, len(b.Lo))
-	for i := range b.Lo {
-		lo[i] = max(b.Lo[i], o.Lo[i])
-		hi[i] = min(b.Hi[i], o.Hi[i])
-		if lo[i] > hi[i] {
-			return Box{}, false
-		}
-	}
-	return Box{Lo: lo, Hi: hi}, true
-}
-
-// Hull returns the smallest box containing both b and o.
-func (b Box) Hull(o Box) Box {
-	lo := make(Coord, len(b.Lo))
-	hi := make(Coord, len(b.Lo))
-	for i := range b.Lo {
-		lo[i] = min(b.Lo[i], o.Lo[i])
-		hi[i] = max(b.Hi[i], o.Hi[i])
-	}
-	return Box{Lo: lo, Hi: hi}
 }
 
 // Include grows the box in place so it contains c.
@@ -199,15 +174,6 @@ func (b Box) Each(fn func(Coord)) {
 			return
 		}
 	}
-}
-
-// EachID invokes fn for every node of the box that lies inside the shape.
-func (b Box) EachID(s *Shape, fn func(NodeID)) {
-	clipped, ok := b.Clip(s)
-	if !ok {
-		return
-	}
-	clipped.Each(func(c Coord) { fn(s.Index(c)) })
 }
 
 // String renders the paper's block notation "[lo1:hi1, lo2:hi2, ...]".

@@ -50,21 +50,15 @@ func TestBoxIntersect(t *testing.T) {
 	if a.Intersects(c) {
 		t.Error("disjoint boxes intersect")
 	}
-	got, ok := a.Intersection(b)
-	if !ok || !got.Equal(mkBox(Coord{4, 4}, Coord{4, 4})) {
-		t.Errorf("Intersection = %v, %v", got, ok)
-	}
-	if _, ok := a.Intersection(c); ok {
-		t.Error("disjoint intersection non-empty")
-	}
 }
 
 func TestBoxHullInclude(t *testing.T) {
 	a := mkBox(Coord{2, 3}, Coord{4, 5})
 	b := mkBox(Coord{0, 4}, Coord{3, 8})
-	h := a.Hull(b)
+	h := a.Clone()
+	h.Extend(b)
 	if !h.Equal(mkBox(Coord{0, 3}, Coord{4, 8})) {
-		t.Errorf("Hull = %v", h)
+		t.Errorf("Extend = %v", h)
 	}
 	in := a.Clone()
 	in.Include(Coord{7, 1})
@@ -122,23 +116,6 @@ func TestBoxEach(t *testing.T) {
 	}
 }
 
-func TestBoxEachID(t *testing.T) {
-	s := MustShape(5, 5)
-	// Box partially off-mesh: only the clipped nodes are visited.
-	b := Box{Lo: Coord{-1, 3}, Hi: Coord{1, 6}}
-	count := 0
-	b.EachID(s, func(id NodeID) {
-		c := s.CoordOf(id)
-		if c[0] > 1 || c[1] < 3 {
-			t.Fatalf("EachID visited %v", c)
-		}
-		count++
-	})
-	if count != 2*2 { // x in {0,1}, y in {3,4}
-		t.Fatalf("EachID visited %d, want 4", count)
-	}
-}
-
 func TestBoxString(t *testing.T) {
 	b := mkBox(Coord{3, 5, 3}, Coord{5, 6, 4})
 	if got := b.String(); got != "[3:5, 5:6, 3:4]" {
@@ -164,16 +141,9 @@ func TestBoxPropertyIntersectionSymmetric(t *testing.T) {
 		if x.Intersects(y) != y.Intersects(x) {
 			return false
 		}
-		ix, ok1 := x.Intersection(y)
-		iy, ok2 := y.Intersection(x)
-		if ok1 != ok2 || ok1 != x.Intersects(y) {
-			return false
-		}
-		if ok1 && !ix.Equal(iy) {
-			return false
-		}
-		// Hull contains both.
-		hu := x.Hull(y)
+		// The extended box contains both.
+		hu := x.Clone()
+		hu.Extend(y)
 		return hu.Contains(x.Lo) && hu.Contains(x.Hi) && hu.Contains(y.Lo) && hu.Contains(y.Hi)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {

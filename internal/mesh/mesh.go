@@ -8,11 +8,13 @@
 // Per the paper, link faults are treated as node faults (Section 2.2), so
 // the fabric tracks node status only.
 //
-// Status is the truth. Beside it the mesh keeps one derived word per node,
-// the open set (Open): the directions whose neighbor exists and is Enabled —
-// what a router's one-hop sensing amounts to. New fills it in for the
-// all-enabled mesh and SetStatus — which Reset and Restore go through too —
-// is the only other writer, as it is the only writer of a status.
+// Status is the truth. Beside it the mesh keeps two derived structures: one
+// word per node, the open set (Open), holding the directions whose neighbor
+// exists and is Enabled — what a router's one-hop sensing amounts to; and
+// the set of Clean nodes (CleanIDs), the labeling protocol's pending work.
+// New fills them in for the all-enabled mesh and SetStatus — which Reset and
+// Restore go through too — is the only other writer, as it is the only
+// writer of a status.
 package mesh
 
 import (
@@ -72,14 +74,17 @@ type Mesh struct {
 	neighbors []grid.NodeID //meshvet:keep topology, immutable after New
 	// cleanAge[id] counts synchronous rounds a node has held Clean status;
 	// rule 4 fires only after neighbors have seen the clean status
-	// (cleanAge >= 1). Maintained by internal/block.
+	// (cleanAge >= 1). SetStatus zeroes it on entry to Clean and
+	// internal/block advances it once per round.
 	cleanAge []uint8
 	// open[id] has bit d set iff id's neighbor along d exists and is Enabled.
 	// Derived from status; written only by New and SetStatus.
-	open     []grid.DirSet
+	open []grid.DirSet
+	// clean holds the Clean nodes in the order they became Clean. Derived
+	// from status; written only by New and SetStatus.
+	clean    grid.NodeSet
 	faulty   int
 	disabled int
-	clean    int
 	version  uint64
 }
 
@@ -93,6 +98,7 @@ func New(shape *grid.Shape) *Mesh {
 		neighbors: make([]grid.NodeID, n*nd),
 		cleanAge:  make([]uint8, n),
 		open:      make([]grid.DirSet, n),
+		clean:     grid.NewNodeSet(n),
 	}
 	for id := 0; id < n; id++ {
 		for d := 0; d < nd; d++ {
@@ -146,10 +152,10 @@ func (m *Mesh) EachNeighbor(id grid.NodeID, fn func(nb grid.NodeID, d grid.Dir))
 	}
 }
 
-// SetStatus relabels a node, maintaining the aggregate counters and, when the
-// node crosses the Enabled boundary, its neighbors' open sets. It is the
-// single mutation point used by both the fault schedule and the labeling
-// protocol.
+// SetStatus relabels a node, maintaining the aggregate counters, the clean
+// set and, when the node crosses the Enabled boundary, its neighbors' open
+// sets. It is the single mutation point used by both the fault schedule and
+// the labeling protocol.
 //
 //meshvet:noalloc
 func (m *Mesh) SetStatus(id grid.NodeID, s Status) {
@@ -157,8 +163,8 @@ func (m *Mesh) SetStatus(id grid.NodeID, s Status) {
 	if old == s {
 		return
 	}
-	m.decr(old)
-	m.incr(s)
+	m.decr(id, old)
+	m.incr(id, s)
 	m.status[id] = s
 	m.version++
 	if (old == Enabled) != (s == Enabled) {
@@ -178,25 +184,25 @@ func (m *Mesh) SetStatus(id grid.NodeID, s Status) {
 // (e.g. the oracle router's distance field) key off it.
 func (m *Mesh) Version() uint64 { return m.version }
 
-func (m *Mesh) decr(s Status) {
+func (m *Mesh) decr(id grid.NodeID, s Status) {
 	switch s {
 	case Faulty:
 		m.faulty--
 	case Disabled:
 		m.disabled--
 	case Clean:
-		m.clean--
+		m.clean.Remove(id)
 	}
 }
 
-func (m *Mesh) incr(s Status) {
+func (m *Mesh) incr(id grid.NodeID, s Status) {
 	switch s {
 	case Faulty:
 		m.faulty++
 	case Disabled:
 		m.disabled++
 	case Clean:
-		m.clean++
+		m.clean.Add(id)
 	}
 }
 
@@ -235,8 +241,13 @@ func (m *Mesh) NumFaulty() int { return m.faulty }
 // NumDisabled returns the count of disabled nodes.
 func (m *Mesh) NumDisabled() int { return m.disabled }
 
-// NumClean returns the count of clean (transient) nodes.
-func (m *Mesh) NumClean() int { return m.clean }
+// NumClean returns the count of clean (transient) nodes; zero once the
+// labeling is quiescent.
+func (m *Mesh) NumClean() int { return m.clean.Len() }
+
+// CleanIDs returns the clean nodes in the order they became Clean. The slice
+// is the mesh's own: read-only, and valid until the next status change.
+func (m *Mesh) CleanIDs() []grid.NodeID { return m.clean.IDs() }
 
 // BadNeighborDims reports, for node id, whether it has disabled-or-faulty
 // neighbors along at least two different dimensions (the trigger of rule 1)
@@ -317,7 +328,7 @@ func (m *Mesh) Restore(snap []Status) {
 // caches keyed on it — e.g. the oracle router's distance field — cannot
 // survive a reset and serve stale topology.
 func (m *Mesh) Reset() {
-	if m.faulty+m.disabled+m.clean > 0 {
+	if m.faulty+m.disabled+m.clean.Len() > 0 {
 		for id, s := range m.status {
 			if s != Enabled {
 				m.SetStatus(grid.NodeID(id), Enabled)

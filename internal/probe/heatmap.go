@@ -82,12 +82,6 @@ func (h *Heatmap) Resident(n int) (peak int32, total int64) {
 	return h.residentPeak[n], h.residentSum[n]
 }
 
-// Stall returns (peak, total) gate denials for directed link
-// node*NumDirs+dir.
-func (h *Heatmap) Stall(link int) (peak int32, total int64) {
-	return h.stallPeak[link], h.stallSum[link]
-}
-
 // WriteCSV emits one "node" row per node (dir=-1) and one "link" row per
 // directed link that ever stalled, with per-sample means.
 func (h *Heatmap) WriteCSV(w io.Writer) error {

@@ -32,10 +32,6 @@ func NewLatencyHist() *LatencyHist {
 //meshvet:noalloc
 func (l *LatencyHist) ObserveLatency(steps int) { l.h.Add(steps) }
 
-// Hist exposes the underlying histogram for queries (Total, Mean,
-// Quantile, Max).
-func (l *LatencyHist) Hist() *stats.LogHistogram { return l.h }
-
 // WriteCSV emits one row per non-empty bucket in increasing value order.
 func (l *LatencyHist) WriteCSV(w io.Writer) error {
 	if err := writeHeader(w, HistSchema); err != nil {

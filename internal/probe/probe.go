@@ -47,9 +47,6 @@ func (s *Set) AddLatency(l LatencyObserver) {
 	s.lats = append(s.lats, l)
 }
 
-// Empty reports whether the set has no recorders at all.
-func (s *Set) Empty() bool { return len(s.probes) == 0 && len(s.lats) == 0 }
-
 // ObserveStep implements engine.Probe: every registered census recorder
 // sees the same census, in registration order.
 //

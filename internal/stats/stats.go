@@ -41,28 +41,6 @@ func (s *Summary) Add(x float64) {
 // AddInt records one integer observation.
 func (s *Summary) AddInt(x int) { s.Add(float64(x)) }
 
-// Merge folds another summary into s (parallel reduction).
-func (s *Summary) Merge(o Summary) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = o
-		return
-	}
-	n := s.n + o.n
-	delta := o.mean - s.mean
-	s.mean += delta * float64(o.n) / float64(n)
-	s.m2 += o.m2 + delta*delta*float64(s.n)*float64(o.n)/float64(n)
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	s.n = n
-}
-
 // N returns the observation count.
 func (s *Summary) N() int64 { return s.n }
 
@@ -155,9 +133,6 @@ func (t *Table) AddRow(cells ...any) {
 	}
 	t.rows = append(t.rows, row)
 }
-
-// NumRows returns the number of data rows added so far.
-func (t *Table) NumRows() int { return len(t.rows) }
 
 // WriteTo renders the table. It always returns a nil error from the
 // underlying fmt calls being ignored deliberately; the io.WriterTo signature
