@@ -82,7 +82,7 @@ func BenchmarkFig3BoundaryConstruction(b *testing.B) {
 	b.ResetTimer()
 	var rounds, visits int
 	for i := 0; i < b.N; i++ {
-		store := info.NewStore(m.NumNodes())
+		store := info.NewStore(m.Shape())
 		p := boundary.NewProtocol(m, store)
 		c := p.Start(store.Intern(box), 1, boundary.Deposit, []grid.NodeID{corner})
 		for !p.Quiescent() {
@@ -134,7 +134,7 @@ func BenchmarkFig5Identification(b *testing.B) {
 	b.ResetTimer()
 	var rounds, hops int
 	for i := 0; i < b.N; i++ {
-		store := info.NewStore(m.NumNodes())
+		store := info.NewStore(m.Shape())
 		p := ident.NewProtocol(m, det, store)
 		p.OnIdentified = func(grid.Box, grid.NodeID) {}
 		for id := 0; id < m.NumNodes(); id++ {

@@ -129,16 +129,39 @@ func markPlacement(shape *grid.Shape, b grid.Box, bits []uint64) {
 
 // markBox sets the bit of every mesh node inside [lo, hi] clipped to the
 // mesh, axis by axis from a down; id is the offset of the axes above a.
+// Axis 0 has stride 1, so each of its rows is one run of ids.
 //
 //meshvet:noalloc
 func markBox(shape *grid.Shape, lo, hi []int, bits []uint64, a, id int) {
-	for x := max(lo[a], 0); x <= min(hi[a], shape.Radix(a)-1); x++ {
-		if at := id + x*shape.Stride(a); a > 0 {
-			markBox(shape, lo, hi, bits, a-1, at)
-		} else {
-			bits[at>>6] |= 1 << (at & 63)
-		}
+	from, to := max(lo[a], 0), min(hi[a], shape.Radix(a)-1)
+	if a == 0 {
+		markRun(bits, id+from, id+to)
+		return
 	}
+	for x := from; x <= to; x++ {
+		markBox(shape, lo, hi, bits, a-1, id+x*shape.Stride(a))
+	}
+}
+
+// markRun sets bits from through to of the set (none when to < from), a
+// word at a time.
+//
+//meshvet:noalloc
+func markRun(bits []uint64, from, to int) {
+	if to < from {
+		return
+	}
+	first, last := from>>6, to>>6
+	head, tail := ^uint64(0)<<(from&63), ^uint64(0)>>(63-to&63)
+	if first == last {
+		bits[first] |= head & tail
+		return
+	}
+	bits[first] |= head
+	for w := first + 1; w < last; w++ {
+		bits[w] = ^uint64(0)
+	}
+	bits[last] |= tail
 }
 
 // InShadow reports whether coordinate c lies in block b's dangerous area
@@ -395,8 +418,7 @@ func (p *Protocol) Round() int {
 func (p *Protocol) roundOne(c *Construction) int {
 	next := c.next[:0]
 	visits := 0
-	shape := p.m.Shape()
-	numDirs := shape.NumDirs()
+	numDirs := p.m.Shape().NumDirs()
 	for _, id := range c.frontier {
 		if !c.visited.Add(id) {
 			continue
@@ -431,18 +453,15 @@ func (p *Protocol) roundOne(c *Construction) int {
 		// block it reaches" — the flood extends across that block's
 		// placement, merging into its surfaces and boundary. Merely
 		// crossing another block's distant wall is not an intersection
-		// with the block and must not merge. (bases[0] is the flood's own
-		// block, so one membership test skips it and the blocks already
-		// merged, before any geometry is read.) A cancellation crossing a
+		// with the block and must not merge: a record's role, fixed when it
+		// was deposited, says whether its node is on the block's frame.
+		// (bases[0] is the flood's own block, so one membership test skips
+		// it and the blocks already merged.) A cancellation crossing a
 		// disabled or clean node merges nothing there: that node carries
 		// no information.
 		if status == mesh.Enabled {
-			at := shape.CoordView(id)
 			for _, r := range p.store.At(id) {
-				if slices.Contains(c.bases, r.Block) {
-					continue
-				}
-				if _, onFrame := frame.Level(p.store.Box(r.Block), at); onFrame {
+				if r.Role() != 0 && !slices.Contains(c.bases, r.Block) {
 					p.addBase(c, r.Block)
 				}
 			}

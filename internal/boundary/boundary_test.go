@@ -144,7 +144,7 @@ func stabilized(t *testing.T) *mesh.Mesh {
 // corner must reach exactly the enabled placement nodes.
 func TestDepositFloodCoversPlacement(t *testing.T) {
 	m := stabilized(t)
-	store := info.NewStore(m.NumNodes())
+	store := info.NewStore(m.Shape())
 	p := NewProtocol(m, store)
 	corner := m.Shape().Index(grid.Coord{6, 4, 5})
 	p.Start(store.Intern(fig1Box), 1, Deposit, []grid.NodeID{corner})
@@ -178,7 +178,7 @@ func TestDepositFloodCoversPlacement(t *testing.T) {
 // the deposit.
 func TestCancelRemovesRecords(t *testing.T) {
 	m := stabilized(t)
-	store := info.NewStore(m.NumNodes())
+	store := info.NewStore(m.Shape())
 	p := NewProtocol(m, store)
 	corner := m.Shape().Index(grid.Coord{6, 4, 5})
 	p.Start(store.Intern(fig1Box), 1, Deposit, []grid.NodeID{corner})
@@ -201,7 +201,7 @@ func TestCancelRemovesRecords(t *testing.T) {
 // not erase newer information.
 func TestCancelEpochGuard(t *testing.T) {
 	m := stabilized(t)
-	store := info.NewStore(m.NumNodes())
+	store := info.NewStore(m.Shape())
 	p := NewProtocol(m, store)
 	corner := m.Shape().Index(grid.Coord{6, 4, 5})
 	p.Start(store.Intern(fig1Box), 5, Deposit, []grid.NodeID{corner})
@@ -240,7 +240,7 @@ func TestMergeFigure3d(t *testing.T) {
 	boxA := grid.NewBox(grid.Coord{6, 8}, grid.Coord{7, 9})
 	boxB := grid.NewBox(grid.Coord{5, 4}, grid.Coord{5, 4})
 
-	store := info.NewStore(m.NumNodes())
+	store := info.NewStore(m.Shape())
 	p := NewProtocol(m, store)
 	// B's construction runs first (it exists; its records are in place).
 	cornerB := m.Shape().Index(grid.Coord{4, 3})
@@ -280,7 +280,7 @@ func TestWallStopsAtMeshBorder(t *testing.T) {
 	m.FailAt(grid.Coord{4, 4})
 	block.StabilizeFull(m)
 	box := grid.BoxAt(grid.Coord{4, 4})
-	store := info.NewStore(m.NumNodes())
+	store := info.NewStore(m.Shape())
 	p := NewProtocol(m, store)
 	corner := m.Shape().Index(grid.Coord{3, 3})
 	p.Start(store.Intern(box), 1, Deposit, []grid.NodeID{corner})
@@ -307,7 +307,7 @@ func TestConstructionRoundsTrackDepth(t *testing.T) {
 	m.FailAt(grid.Coord{10, 10})
 	block.StabilizeFull(m)
 	box := grid.BoxAt(grid.Coord{10, 10})
-	store := info.NewStore(m.NumNodes())
+	store := info.NewStore(m.Shape())
 	p := NewProtocol(m, store)
 	corner := m.Shape().Index(grid.Coord{9, 9})
 	c := p.Start(store.Intern(box), 1, Deposit, []grid.NodeID{corner})
@@ -366,7 +366,7 @@ func TestFloodCoversPlacement4D(t *testing.T) {
 	m.FailAt(grid.Coord{4, 4, 3, 3})
 	block.StabilizeFull(m)
 	box := grid.NewBox(grid.Coord{3, 3, 3, 3}, grid.Coord{4, 4, 3, 3})
-	store := info.NewStore(m.NumNodes())
+	store := info.NewStore(m.Shape())
 	p := NewProtocol(m, store)
 	corner := shape.Index(grid.Coord{2, 2, 2, 2})
 	p.Start(store.Intern(box), 1, Deposit, []grid.NodeID{corner})

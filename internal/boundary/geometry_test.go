@@ -4,7 +4,9 @@ import (
 	"slices"
 	"testing"
 
+	"ndmesh/internal/frame"
 	"ndmesh/internal/grid"
+	"ndmesh/internal/info"
 	"ndmesh/internal/rng"
 )
 
@@ -98,6 +100,34 @@ func TestPlacementEnumeratorAllocFree(t *testing.T) {
 	}
 }
 
+// TestMarkRun holds the word-at-a-time run to setting its bits one by one,
+// over a set that already holds bits on both sides of the run.
+func TestMarkRun(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		from, to int
+	}{
+		{"inside one word", 3, 9},
+		{"one bit", 70, 70},
+		{"across words", 60, 130},
+		{"ending on bit 63", 10, 63},
+		{"starting on bit 64", 64, 66},
+		{"a whole word", 64, 127},
+		{"whole words", 0, 191},
+		{"empty", 9, 8},
+	} {
+		got := []uint64{1 << 40, 1 << 2, 1 << 63}
+		want := slices.Clone(got)
+		markRun(got, tc.from, tc.to)
+		for at := tc.from; at <= tc.to; at++ {
+			want[at>>6] |= 1 << (at & 63)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: markRun(%d, %d) = %x, want %x", tc.name, tc.from, tc.to, got, want)
+		}
+	}
+}
+
 // TestDemotesMatchesPredicates: the fused demotion test is
 // InShadow && Trapped for every (w, d) pair of small shapes.
 func TestDemotesMatchesPredicates(t *testing.T) {
@@ -127,5 +157,99 @@ func TestDemotesMatchesPredicates(t *testing.T) {
 	}
 	if demoted == 0 {
 		t.Fatal("no (w, d) pair was ever demoted: the draws do not exercise the test")
+	}
+}
+
+// eachBox calls fn with every box inside the shape, in one reused Box.
+func eachBox(shape *grid.Shape, fn func(grid.Box)) {
+	n := shape.Dims()
+	b := grid.Box{Lo: make(grid.Coord, n), Hi: make(grid.Coord, n)}
+	var axis func(i int)
+	axis = func(i int) {
+		if i == n {
+			fn(b)
+			return
+		}
+		for lo := 0; lo < shape.Radix(i); lo++ {
+			for hi := lo; hi < shape.Radix(i); hi++ {
+				b.Lo[i], b.Hi[i] = lo, hi
+				axis(i + 1)
+			}
+		}
+	}
+	axis(0)
+}
+
+// checkRecordGeometry deposits box's record at every node of the shape and
+// holds each stored record to its definitions: Role is frame.SurfaceDirs,
+// Shadow is the steps d whose node+d lies outside the box on exactly one
+// axis, and no step outside Shadow is ever demoted, whatever the
+// destination. It returns how many (node, step) pairs had a demoted
+// destination.
+func checkRecordGeometry(t *testing.T, store *info.Store, shape *grid.Shape, box grid.Box) (demoting int) {
+	t.Helper()
+	store.Clear()
+	b := store.Intern(box)
+	w := make(grid.Coord, shape.Dims())
+	for id := grid.NodeID(0); int(id) < shape.NumNodes(); id++ {
+		store.Add(id, info.Record{Block: b, Epoch: 1})
+		rec, c := store.At(id)[0], shape.CoordView(id)
+		if want := frame.SurfaceDirs(box, c); rec.Role() != want {
+			t.Fatalf("%v box %v node %v: Role = %b, SurfaceDirs = %b", shape, box, c, rec.Role(), want)
+		}
+		for d := grid.Dir(0); int(d) < shape.NumDirs(); d++ {
+			copy(w, c)
+			w[d.Axis()] += d.Sign()
+			outside := 0
+			for i := range w {
+				if !box.ContainsOn(i, w[i]) {
+					outside++
+				}
+			}
+			if has := rec.Shadow().Has(d); has != (outside == 1) {
+				t.Fatalf("%v box %v node %v: Shadow().Has(%v) = %v, but node%v lies outside on %d axes",
+					shape, box, c, d, has, d, outside)
+			}
+			for dst := grid.NodeID(0); int(dst) < shape.NumNodes(); dst++ {
+				if !Demotes(box, w, shape.CoordView(dst)) {
+					continue
+				}
+				if !rec.Shadow().Has(d) {
+					t.Fatalf("%v box %v node %v: step %v onto %v is demoted for destination %v, but the shadow %b lacks it",
+						shape, box, c, d, w, shape.CoordView(dst), rec.Shadow())
+				}
+				demoting++
+				break
+			}
+		}
+	}
+	return demoting
+}
+
+// TestRecordGeometry holds the geometry a record is given at deposit — its
+// Definition 2 role and its Section 2.2 shadow — to their definitions, for
+// every node and every box (border boxes included) of 1-D to 3-D shapes of
+// radix at most 4, and for 32 seeded boxes on 4x4x4x4; and it holds
+// the shadow to being all a router needs: a step outside it is never
+// demoted.
+func TestRecordGeometry(t *testing.T) {
+	demoting := 0
+	for _, dims := range [][]int{
+		{1}, {2}, {3}, {4},
+		{2, 2}, {3, 3}, {4, 4}, {2, 4}, {4, 3}, {1, 4},
+		{2, 2, 2}, {3, 3, 3}, {4, 4, 4}, {2, 3, 4},
+	} {
+		shape := grid.MustShape(dims...)
+		store := info.NewStore(shape)
+		eachBox(shape, func(box grid.Box) { demoting += checkRecordGeometry(t, store, shape, box) })
+	}
+	shape := grid.MustShape(4, 4, 4, 4)
+	store := info.NewStore(shape)
+	src := rng.New(38)
+	for range 32 {
+		demoting += checkRecordGeometry(t, store, shape, randomBox(src, shape))
+	}
+	if demoting == 0 {
+		t.Fatal("no step was ever demoted: the shapes do not exercise the shadow")
 	}
 }

@@ -37,15 +37,22 @@ import (
 const watchStrikes = 2
 
 // watched tracks one constructed block: its id in the store's box table
-// (held until the watch retires), construction epoch, corner nodes, and the
+// (held until the watch retires), construction epoch, frame corners, and the
 // per-corner inconsistency strike counter. key is the box formatted as
 // grid.Box.String does; the watch list is sorted by it.
 type watched struct {
 	key     []byte
 	block   info.BlockID
 	epoch   uint32
-	corners []grid.NodeID
+	corners []cornerRole
 	strikes int
+}
+
+// cornerRole is one n-level corner of a watched block and its role there: the
+// surface directions (frame.SurfaceDirs) it must keep announcing.
+type cornerRole struct {
+	node grid.NodeID
+	role grid.DirSet
 }
 
 // Model is the limited-global fault-information model over one mesh.
@@ -84,7 +91,7 @@ type Model struct {
 // New builds the model over an existing mesh. If the mesh already has
 // faults, call Stabilize once before running steps.
 func New(m *mesh.Mesh) *Model {
-	store := info.NewStore(m.NumNodes())
+	store := info.NewStore(m.Shape())
 	det := frame.NewDetector(m)
 	md := &Model{
 		M:        m,
@@ -209,21 +216,23 @@ func (md *Model) onIdentified(box grid.Box, corner grid.NodeID) {
 	md.seedBuf = append(md.seedBuf[:0], corner)
 	md.Boundary.Start(w.block, md.epoch, boundary.Deposit, md.seedBuf)
 	// Enumerate the frame corners (frame.Corners order: mask bit i selects
-	// Hi[i]+1 over Lo[i]-1) into the scratch coordinate — the corner list
-	// feeds cancellation seeds, so the order must stay exactly this.
+	// Hi[i]+1, surface direction -i, over Lo[i]-1, surface direction +i)
+	// into the scratch coordinate — the corner list feeds cancellation
+	// seeds, so the order must stay exactly this.
 	shape := md.M.Shape()
 	n := shape.Dims()
 	for mask := 0; mask < 1<<uint(n); mask++ {
 		c := md.scratch
+		var role grid.DirSet
 		for i := 0; i < n; i++ {
 			if mask&(1<<uint(i)) != 0 {
-				c[i] = box.Hi[i] + 1
+				c[i], role = box.Hi[i]+1, role.Add(grid.DirMinus(i))
 			} else {
-				c[i] = box.Lo[i] - 1
+				c[i], role = box.Lo[i]-1, role.Add(grid.DirPlus(i))
 			}
 		}
 		if shape.Contains(c) {
-			w.corners = append(w.corners, shape.Index(c))
+			w.corners = append(w.corners, cornerRole{shape.Index(c), role})
 		}
 	}
 	md.watches = slices.Insert(md.watches, at, w)
@@ -238,7 +247,7 @@ func (md *Model) getWatched(box grid.Box) *watched {
 		w = md.spareWatches[n-1]
 		md.spareWatches = md.spareWatches[:n-1]
 	} else {
-		w = &watched{}
+		w = &watched{corners: make([]cornerRole, 0, 1<<box.Dims())}
 	}
 	w.key = appendBoxKey(w.key[:0], box)
 	w.corners = w.corners[:0]
@@ -311,16 +320,14 @@ func (md *Model) cornersConsistent(w *watched) bool {
 	}
 	shape := md.M.Shape()
 	n := shape.Dims()
-	box := md.Store.Box(w.block)
-	for _, id := range w.corners {
-		if md.M.Status(id) != mesh.Enabled {
+	for _, c := range w.corners {
+		if md.M.Status(c.node) != mesh.Enabled {
 			continue
 		}
-		want := frame.SurfaceDirs(box, shape.CoordView(id))
-		if !md.Detector.HasRecord(id, n, want) {
+		if !md.Detector.HasRecord(c.node, n, c.role) {
 			if md.Debug != nil {
 				md.Debug("watch %v: corner %v lost its role (want level %d dirs=%b, has %v)",
-					box, shape.CoordOf(id), n, want, md.Detector.Records(id))
+					md.Store.Box(w.block), shape.CoordOf(c.node), n, c.role, md.Detector.Records(c.node))
 			}
 			return false
 		}
@@ -334,9 +341,9 @@ func (md *Model) cornersConsistent(w *watched) bool {
 // next identification or cancellation (boundary.Start copies it).
 func (md *Model) enabledPlacementSeeds(w *watched) []grid.NodeID {
 	seeds := md.seedBuf[:0]
-	for _, id := range w.corners {
-		if md.M.Status(id) == mesh.Enabled {
-			seeds = append(seeds, id)
+	for _, c := range w.corners {
+		if md.M.Status(c.node) == mesh.Enabled {
+			seeds = append(seeds, c.node)
 		}
 	}
 	md.seedBuf = seeds

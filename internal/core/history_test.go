@@ -401,3 +401,31 @@ func FuzzModelHistory(f *testing.F) {
 		}
 	})
 }
+
+// BenchmarkModelStorm is the information plane of the standing benchmark's
+// `fault-storm` workload alone: its fault process (16x16, lambda=2, bernoulli
+// arrivals at 0.2 per step, mean repair 24 steps, 704 steps) replayed through
+// a reused Model with no flights, so
+// `go test ./internal/core -run '^$' -bench ModelStorm -cpu 1 -cpuprofile cpu.prof`
+// profiles labeling, frames, identification and the boundary floods without
+// the router.
+func BenchmarkModelStorm(b *testing.B) {
+	const steps, lambda = 704, 2
+	md := New(mesh.New(grid.MustShape(16, 16)))
+	sched, err := fault.GenerateProcess(md.M.Shape(), fault.ProcessOptions{
+		Arrival: fault.Delay{Model: fault.DelayBernoulli, Rate: 0.2},
+		Repair:  fault.Delay{Model: fault.DelayBernoulli, Rate: 1.0 / 24},
+		Start:   1, Horizon: steps - 1,
+	}, rng.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	peak := 0
+	for i := 0; i < b.N; i++ {
+		md.Reset()
+		replay(md, sched, steps, lambda, func(int, int) { peak = max(peak, md.Store.TotalRecords()) })
+	}
+	b.ReportMetric(float64(peak), "records_peak")
+}

@@ -404,11 +404,9 @@ func (p *Protocol) initiate() int {
 // it is an n-level corner of, in the corner role (surface directions) dirs —
 // in any role when dirs is 0.
 func (p *Protocol) hasCornerRecord(id grid.NodeID, dirs grid.DirSet) bool {
-	shape := p.m.Shape()
-	c := shape.CoordView(id)
+	n := p.m.Shape().Dims()
 	for _, r := range p.store.At(id) {
-		role := frame.SurfaceDirs(p.store.Box(r.Block), c)
-		if role.Count() == shape.Dims() && (dirs == 0 || role == dirs) {
+		if role := r.Role(); role.Count() == n && (dirs == 0 || role == dirs) {
 			return true
 		}
 	}

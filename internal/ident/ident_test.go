@@ -41,7 +41,7 @@ func newHarness(t *testing.T, dims []int, faults []grid.Coord) *harness {
 	det := frame.NewDetector(m)
 	det.Seed(seeds...)
 	det.Run()
-	store := info.NewStore(m.NumNodes())
+	store := info.NewStore(m.Shape())
 	h := &harness{m: m, det: det, store: store}
 	h.p = NewProtocol(m, det, store)
 	h.p.OnIdentified = func(b grid.Box, corner grid.NodeID) {

@@ -13,6 +13,13 @@
 // "same block" is an integer compare and no record owns coordinate storage.
 // Holders are counted (Intern/Retain/Release; Add and Remove count records)
 // and an id is recycled when the last lets go: the table stays bounded.
+//
+// A record also carries where its node stands against the block, fixed at
+// Add since neither the box nor the node can move while the record lives:
+// its Definition 2 role (Role, the frame surface directions) and its
+// Section 2.2 shadow steps (Shadow, the moves Algorithm 3 may demote). The
+// readers — route's critical-routing rule, boundary's merge scan, ident's
+// corner test — read those two words instead of re-deriving the geometry.
 package info
 
 import "ndmesh/internal/grid"
@@ -24,14 +31,30 @@ type BlockID int32
 // Record is one block's information as stored at a node: the block plus the
 // epoch of the construction that deposited it. Epochs order constructions so
 // that a stale record (from before a block grew or shrank) can never
-// overwrite a fresher one.
+// overwrite a fresher one. Add fills in the node's role and shadow; a
+// caller sets Block and Epoch only.
 type Record struct {
 	Block BlockID
 	Epoch uint32
+	// role and shadow are where the node stands against the block (see
+	// Role and Shadow), computed by Add.
+	role, shadow grid.DirSet
 }
+
+// Role returns the node's surface directions against the record's block,
+// frame.SurfaceDirs(box, node): non-zero exactly when the node is on the
+// block's frame shell, with one direction per extreme coordinate.
+func (r Record) Role() grid.DirSet { return r.role }
+
+// Shadow returns the steps d for which node+d lies outside the block's box
+// on exactly one axis. boundary.Demotes(box, node+d, dst) can hold only for
+// such a step, whatever dst, so a router tests no other step against this
+// record.
+func (r Record) Shadow() grid.DirSet { return r.shadow }
 
 // Store holds every node's records and the box table; build with NewStore.
 type Store struct {
+	shape *grid.Shape //meshvet:keep the mesh shape, not per-trial state
 	recs  [][]Record
 	total int
 	// Box table: boxes[b] is block b's box, in storage the slot keeps for
@@ -43,9 +66,9 @@ type Store struct {
 	version uint64
 }
 
-// NewStore builds an empty store for a mesh with n nodes.
-func NewStore(n int) *Store {
-	return &Store{recs: make([][]Record, n)}
+// NewStore builds an empty store for a mesh of the given shape.
+func NewStore(shape *grid.Shape) *Store {
+	return &Store{shape: shape, recs: make([][]Record, shape.NumNodes())}
 }
 
 // Version advances whenever some node's records change — an Add or Remove
@@ -128,6 +151,7 @@ func (s *Store) Has(id grid.NodeID, b BlockID) bool {
 // a deletion of out of date boundaries"). Returns true if the node's
 // information actually changed. Survivors keep their order and the new record
 // goes last: the order is observable (routing ties, the history digests).
+// The stored record's role and shadow are computed here, once.
 //
 //meshvet:noalloc
 func (s *Store) Add(id grid.NodeID, rec Record) bool {
@@ -138,6 +162,7 @@ func (s *Store) Add(id grid.NodeID, rec Record) bool {
 			return false
 		}
 	}
+	rec.role, rec.shadow = geometry(s.boxes[rec.Block], s.shape.CoordView(id))
 	kept := rs[:0]
 	for _, r := range rs {
 		if r.Epoch < rec.Epoch && contained(s.boxes[r.Block], s.boxes[rec.Block]) {
@@ -206,6 +231,51 @@ func (s *Store) Clear() {
 	for b := len(s.refs) - 1; b >= 0; b-- {
 		s.free = append(s.free, BlockID(b))
 	}
+}
+
+// geometry returns node c's role and shadow against box b (see Record) in
+// one pass over the axes, since every new record pays for it. Each step d either moves c+d outside b on one
+// more axis than c (leave), on one fewer (enter) or on as many (stay). The
+// shadow is then the steps that end outside on exactly one axis, and the
+// role — frame.SurfaceDirs(b, c) — is the entering steps of a node that
+// lies within one of the span on every axis.
+func geometry(b grid.Box, c grid.Coord) (role, shadow grid.DirSet) {
+	var leave, enter, stay grid.DirSet
+	out, far := 0, false // axes on which c lies outside b; whether one is beyond lo−1 or hi+1
+	for i, v := range c {
+		up, down := grid.DirPlus(i), grid.DirMinus(i)
+		switch lo, hi := b.Lo[i], b.Hi[i]; {
+		case v == lo-1:
+			out, enter, stay = out+1, enter.Add(up), stay.Add(down)
+		case v == hi+1:
+			out, enter, stay = out+1, enter.Add(down), stay.Add(up)
+		case v < lo || v > hi:
+			out, far, stay = out+1, true, stay.Add(up).Add(down)
+		default:
+			if v == hi {
+				leave = leave.Add(up)
+			} else {
+				stay = stay.Add(up)
+			}
+			if v == lo {
+				leave = leave.Add(down)
+			} else {
+				stay = stay.Add(down)
+			}
+		}
+	}
+	switch out {
+	case 0:
+		shadow = leave
+	case 1:
+		shadow = stay
+	case 2:
+		shadow = enter
+	}
+	if !far {
+		role = enter
+	}
+	return role, shadow
 }
 
 // contained reports whether inner lies entirely within outer.

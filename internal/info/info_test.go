@@ -21,7 +21,7 @@ func hasBox(s *Store, id grid.NodeID, box grid.Box) bool {
 }
 
 func TestAddAndHas(t *testing.T) {
-	s := NewStore(10)
+	s := NewStore(grid.MustShape(10, 10))
 	b := mkBox(grid.Coord{2, 2}, grid.Coord{3, 3})
 	if hasBox(s, 1, b) {
 		t.Fatal("empty store has record")
@@ -47,7 +47,7 @@ func TestAddAndHas(t *testing.T) {
 }
 
 func TestAddDominatedReplacement(t *testing.T) {
-	s := NewStore(10)
+	s := NewStore(grid.MustShape(10, 10))
 	small := mkBox(grid.Coord{2, 2}, grid.Coord{3, 3})
 	big := mkBox(grid.Coord{1, 1}, grid.Coord{4, 4})
 	s.Add(5, rec(s, small, 1))
@@ -63,7 +63,7 @@ func TestAddDominatedReplacement(t *testing.T) {
 
 	// A newer record does NOT replace a contained record with a newer or
 	// equal epoch (two genuinely distinct blocks).
-	s2 := NewStore(10)
+	s2 := NewStore(grid.MustShape(10, 10))
 	s2.Add(5, rec(s2, small, 7))
 	s2.Add(5, rec(s2, big, 7))
 	if !hasBox(s2, 5, small) || !hasBox(s2, 5, big) {
@@ -72,7 +72,7 @@ func TestAddDominatedReplacement(t *testing.T) {
 }
 
 func TestAddDistinctBlocks(t *testing.T) {
-	s := NewStore(10)
+	s := NewStore(grid.MustShape(10, 10))
 	a := mkBox(grid.Coord{1, 1}, grid.Coord{2, 2})
 	b := mkBox(grid.Coord{5, 5}, grid.Coord{6, 6})
 	s.Add(0, rec(s, a, 1))
@@ -83,7 +83,7 @@ func TestAddDistinctBlocks(t *testing.T) {
 }
 
 func TestRemoveEpochGuard(t *testing.T) {
-	s := NewStore(10)
+	s := NewStore(grid.MustShape(10, 10))
 	b := mkBox(grid.Coord{2, 2}, grid.Coord{3, 3})
 	id := s.Intern(b)
 	s.Add(1, Record{Block: id, Epoch: 5})
@@ -109,7 +109,7 @@ func TestRemoveEpochGuard(t *testing.T) {
 }
 
 func TestClear(t *testing.T) {
-	s := NewStore(4)
+	s := NewStore(grid.MustShape(4, 4))
 	b := mkBox(grid.Coord{0, 0}, grid.Coord{1, 1})
 	s.Add(0, rec(s, b, 1))
 	s.Add(1, rec(s, b, 1))
@@ -120,7 +120,7 @@ func TestClear(t *testing.T) {
 }
 
 func TestTotalAcrossNodes(t *testing.T) {
-	s := NewStore(8)
+	s := NewStore(grid.MustShape(8, 8))
 	b := mkBox(grid.Coord{0, 0}, grid.Coord{1, 1})
 	for id := 0; id < 5; id++ {
 		s.Add(grid.NodeID(id), rec(s, b, 1))
@@ -134,7 +134,7 @@ func TestTotalAcrossNodes(t *testing.T) {
 // anyone holds it (the interner, each record), equal boxes share it, and the
 // slot of a fully released id is reused by the next new box.
 func TestBoxTableRecyclesIDs(t *testing.T) {
-	s := NewStore(4)
+	s := NewStore(grid.MustShape(4, 4))
 	a, b := mkBox(grid.Coord{1, 1}, grid.Coord{2, 2}), mkBox(grid.Coord{5, 5}, grid.Coord{6, 7})
 	ia, ib := s.Intern(a), s.Intern(b)
 	if again := s.Intern(a); again != ia || ia == ib || s.Blocks() != 2 {
@@ -168,7 +168,7 @@ func TestBoxTableRecyclesIDs(t *testing.T) {
 // Remove that changes a node's records and on every Clear — and not on an
 // Add that only refreshes an epoch or a Remove that finds nothing to remove.
 func TestStoreVersion(t *testing.T) {
-	s := NewStore(4)
+	s := NewStore(grid.MustShape(4, 4))
 	small := mkBox(grid.Coord{2, 2}, grid.Coord{2, 2})
 	big := mkBox(grid.Coord{1, 1}, grid.Coord{3, 3})
 	sb := rec(s, small, 1)

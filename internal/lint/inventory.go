@@ -137,6 +137,7 @@ var AllocTestCoverage = map[string][]string{
 	"TestPlacementEnumeratorAllocFree": {
 		"ndmesh/internal/boundary.markPlacement",
 		"ndmesh/internal/boundary.markBox",
+		"ndmesh/internal/boundary.markRun",
 	},
 	// The information plane's per-round refill/Clear of a node set.
 	"TestNodeSetAllocFree": {

@@ -678,9 +678,11 @@ func algorithm3(ctx *Context, msg *Message, store *info.Store) Decision {
 // split by priority class, under the records they are given (Blind has none,
 // so nothing is ever demoted and every spare ranks equal); Congested differs
 // only in how ties inside a class are broken. One-hop sensing is one word —
-// the mesh's open set — so the partition is mask arithmetic, and only a node
-// that holds records looks at its neighbors at all. A disabled/faulty current
-// node has no candidates (the backtrack case).
+// the mesh's open set — so the partition is mask arithmetic. Only a preferred
+// step in some record's shadow (info.Record.Shadow, fixed when the record
+// was deposited) can be demoted, so only those steps look at a neighbor, and
+// each is tested against only the records whose shadow holds it. A
+// disabled/faulty current node has no candidates (the backtrack case).
 //
 //meshvet:noalloc
 func classify(ctx *Context, msg *Message, recs []info.Record) (preferred, demoted, spares grid.DirSet) {
@@ -701,11 +703,15 @@ func classify(ctx *Context, msg *Message, recs []info.Record) (preferred, demote
 		// Going back is the lowest priority: the backtrack case.
 		spares = spares.Remove(msg.Incoming.Opposite())
 	}
-	if len(recs) > 0 {
+	var shadows grid.DirSet
+	for _, r := range recs {
+		shadows |= r.Shadow()
+	}
+	if at := preferred & shadows; at != 0 {
 		dc := shape.CoordView(msg.Dst)
-		for r := preferred; r != 0; r &= r - 1 {
+		for r := at; r != 0; r &= r - 1 {
 			d := r.First()
-			if demotedByRecords(ctx.Store, recs, shape.CoordView(m.Neighbor(u, d)), dc) {
+			if demotedByRecords(ctx.Store, recs, d, shape.CoordView(m.Neighbor(u, d)), dc) {
 				demoted = demoted.Add(d)
 			}
 		}
@@ -729,13 +735,14 @@ func recordsAt(ctx *Context, u grid.NodeID) []info.Record {
 	return ctx.Store.At(u)
 }
 
-// demotedByRecords applies the critical-routing rule: a preferred step onto
-// w is demoted to preferred-but-detour when, per some stored block record,
-// w lies in the block's dangerous shadow while the destination is trapped
-// beyond the opposite surface (Section 2.2).
-func demotedByRecords(store *info.Store, recs []info.Record, wc, dc grid.Coord) bool {
+// demotedByRecords applies the critical-routing rule: a preferred step d
+// onto w is demoted to preferred-but-detour when, per some stored block
+// record, w lies in the block's dangerous shadow while the destination is
+// trapped beyond the opposite surface (Section 2.2). Only a record whose
+// shadow has d can say so.
+func demotedByRecords(store *info.Store, recs []info.Record, d grid.Dir, wc, dc grid.Coord) bool {
 	for _, r := range recs {
-		if boundary.Demotes(store.Box(r.Block), wc, dc) {
+		if r.Shadow().Has(d) && boundary.Demotes(store.Box(r.Block), wc, dc) {
 			return true
 		}
 	}

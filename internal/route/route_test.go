@@ -23,7 +23,7 @@ func env(t *testing.T, dims []int, faults []grid.Coord) (*Context, *mesh.Mesh) {
 		m.FailAt(c)
 	}
 	block.StabilizeFull(m)
-	store := info.NewStore(m.NumNodes())
+	store := info.NewStore(m.Shape())
 	for i, b := range block.Extract(m) {
 		for _, id := range boundary.Placement(shape, b.Box) {
 			if m.Status(id) == mesh.Enabled {

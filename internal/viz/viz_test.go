@@ -29,7 +29,7 @@ func TestRenderStatuses(t *testing.T) {
 
 func TestRenderInfoGlyph(t *testing.T) {
 	m, _ := mesh.NewUniform(2, 5)
-	store := info.NewStore(m.NumNodes())
+	store := info.NewStore(m.Shape())
 	store.Add(m.Shape().Index(grid.Coord{1, 1}), info.Record{Block: store.Intern(grid.BoxAt(grid.Coord{3, 3}))})
 	out := Render(m, Options{Store: store, Source: grid.InvalidNode, Dest: grid.InvalidNode})
 	lines := strings.Split(strings.TrimSpace(out), "\n")
