@@ -77,7 +77,7 @@ func ConvergenceSweepWorkers(shapes [][]int, faultsPerShape int, seed uint64, wo
 				return nil, err
 			}
 			setSchedule(sim, sched)
-			sim.engine.Run((faultsPerShape + 2) * interval)
+			sim.engine.Run((faultsPerShape+2)*interval, sim.engine.Done)
 			var rows []ConvergenceRow
 			for _, ev := range sim.engine.Events {
 				rows = append(rows, ConvergenceRow{
@@ -461,7 +461,7 @@ func OscillationSweepWorkers(dims []int, faults int, intervals []int, trials int
 				return nil, err
 			}
 			setSchedule(sim, sched)
-			sim.engine.Run(faults*interval + 10*sim.shape.Diameter() + 100)
+			sim.engine.Run(faults*interval+10*sim.shape.Diameter()+100, sim.engine.Done)
 			var evs []evStat
 			for _, ev := range sim.engine.Events {
 				evs = append(evs, evStat{ev.Affected, ev.ARounds})
@@ -561,7 +561,7 @@ func TrafficSweepWorkers(dims []int, messages int, faults int, interval int, see
 					return row, err
 				}
 			}
-			sim.engine.RunFlights(sim.flightBudget())
+			sim.engine.Run(sim.flightBudget(), sim.engine.Idle)
 			var c routeFold
 			for _, fl := range flights {
 				res := sim.result(fl)
@@ -745,25 +745,27 @@ func (pl *simPool) staticallyMinimal(dims []int, sched *fault.Schedule, p int, s
 	if err != nil {
 		return false
 	}
-	sim.engine.RunFlights(8 * sim.shape.Diameter())
+	sim.engine.Run(8*sim.shape.Diameter(), sim.engine.Idle)
 	return fl.Msg.Arrived && fl.Msg.Hops == sim.shape.Distance(src, dst)
 }
 
-// sampleDistances steps eng until fl terminates or maxSteps have run, as
-// RunFlights does for a lone flight, and returns D(i), fl's distance to go,
-// at each event applied while fl is in flight. A Step applies the
-// schedule's unapplied events (the log has one record per applied event)
-// due by its step before any flight moves, so each is sampled just before.
+// sampleDistances runs eng until fl terminates or maxSteps have run and
+// returns D(i), fl's distance to go, at each event applied while fl is in
+// flight. A Step applies the schedule's unapplied events (the log has one
+// record per applied event) due by its step before any flight moves, and
+// Run calls its stop rule just before every step, so the rule samples each.
 func sampleDistances(eng *engine.Engine, fl *engine.Flight, maxSteps int) []int {
 	var dAt []int
 	shape, sched := eng.Model.M.Shape(), eng.Schedule.Events
-	for n := 0; n < maxSteps && !fl.Msg.Done(); n++ {
+	eng.Run(maxSteps, func() bool {
+		if fl.Msg.Done() {
+			return true
+		}
 		for i := len(eng.Events); i < len(sched) && sched[i].Step <= eng.StepCount(); i++ {
 			dAt = append(dAt, shape.Distance(fl.Msg.Cur, fl.Msg.Dst))
 		}
-		eng.Step()
-	}
-	eng.FinalizeEvents()
+		return false
+	})
 	return dAt
 }
 

@@ -116,8 +116,8 @@ func TestEventSummaries(t *testing.T) {
 
 // TestRefailWhileCleanDrains: a node recovers and fails again in one later
 // step, before the labeling releases it. The information plane must still
-// reach quiescence, so Drain stops (Engine.Run's StopDone) well inside its
-// budget with the node's singleton block in place.
+// reach quiescence, so Drain stops (its Engine.Run stop rule, Done) well
+// inside its budget with the node's singleton block in place.
 func TestRefailWhileCleanDrains(t *testing.T) {
 	sim := MustSimulation(Config{Dims: []int{10, 10}})
 	sim.ScheduleFault(2, C(5, 5))

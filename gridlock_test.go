@@ -141,9 +141,8 @@ func stripMech(r GridlockRow) GridlockRow {
 }
 
 // TestGridlockDetectionCutsRunShort is the watchdog: a wedged cell must stop
-// via detection, not spin its full step budget (before StopReason/detection,
-// this hung until maxSteps — indistinguishable from needing a bigger
-// budget). The goroutine + timeout keeps the failure mode a loud test
+// via detection, not spin its full step budget (before detection, this hung
+// until maxSteps — indistinguishable from needing a bigger budget). The goroutine + timeout keeps the failure mode a loud test
 // failure rather than a suite-level hang.
 func TestGridlockDetectionCutsRunShort(t *testing.T) {
 	opt := gridlockBoundaryCell("none")

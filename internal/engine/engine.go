@@ -10,7 +10,7 @@
 // b_i (identification rounds), c_i (boundary rounds), the number of
 // affected nodes, e_max and the information-store size. D(i), a message's
 // distance-to-go at the occurrence, is not the engine's: the E11-E13 sweep
-// samples it for its one flight from the step loop it drives.
+// samples it for its one flight in the stop rule it hands to Run.
 //
 // Contracts the rest of the stack builds on:
 //
@@ -723,9 +723,9 @@ func (e *Engine) applyEvent(ev fault.Event) {
 }
 
 // FinalizeEvents closes the accounting of the most recent event record
-// against the model's current convergence state. Run and RunFlights call it
-// automatically; callers that step the engine manually call it before
-// reading Events.
+// against the model's current convergence state. Run calls it after its
+// last step; a caller that reads Events while the run is still converging
+// calls it first.
 func (e *Engine) FinalizeEvents() { e.finalizeLastEvent() }
 
 // finalizeLastEvent attributes the convergence observed since the previous
@@ -768,84 +768,27 @@ func ceilDiv(a, b int) int {
 // Done reports whether all scheduled events fired, all flights terminated,
 // and the model is quiescent.
 func (e *Engine) Done() bool {
-	return e.evIdx >= len(e.Schedule.Events) && e.live == 0 && e.Model.Quiescent()
+	return e.evIdx >= len(e.Schedule.Events) && e.Idle() && e.Model.Quiescent()
 }
 
-// StopReason says why Run or RunFlights stopped stepping. The distinction
-// matters most for StopGridlocked: before gridlock detection, a deadlocked
-// run spun to StopMaxSteps and was indistinguishable from one that merely
-// needed a bigger budget.
-type StopReason uint8
+// Idle reports whether no flight is live.
+func (e *Engine) Idle() bool { return e.live == 0 }
 
-const (
-	// StopDone: the run completed (Done for Run; all flights terminal for
-	// RunFlights).
-	StopDone StopReason = iota
-	// StopMaxSteps: the step budget ran out with work still pending.
-	StopMaxSteps
-	// StopGridlocked: the contention engine's zero-progress detector
-	// latched (GridlockWindow consecutive dead steps), so further stepping
-	// cannot make progress without an escape mechanism.
-	StopGridlocked
-)
+// Wedged reports whether the run can make no further progress: the
+// zero-progress detector has latched and no FlightTimeout can break the
+// buffer cycle. With a timeout the latch is transient (the next kill is
+// progress), so such a run is never wedged.
+func (e *Engine) Wedged() bool { return e.Gridlocked() && e.ctn.cfg.FlightTimeout == 0 }
 
-// String implements fmt.Stringer for StopReason.
-func (s StopReason) String() string {
-	switch s {
-	case StopDone:
-		return "done"
-	case StopMaxSteps:
-		return "max-steps"
-	case StopGridlocked:
-		return "gridlocked"
-	}
-	return fmt.Sprintf("StopReason(%d)", uint8(s))
-}
-
-// Run steps the engine until Done, gridlock detection, or maxSteps,
-// finalizing the last event record. It returns the number of steps executed
-// and why stepping stopped.
-func (e *Engine) Run(maxSteps int) (int, StopReason) {
-	start := e.step
-	reason := StopMaxSteps
-	for e.step-start < maxSteps {
-		if e.Done() {
-			reason = StopDone
-			break
-		}
-		if e.Gridlocked() {
-			reason = StopGridlocked
-			break
-		}
+// Run steps the engine at most maxSteps times, ending early when the run
+// is Wedged or stop returns true. stop, when non-nil, is called exactly
+// once before every step. Run finalizes the last event record and returns
+// the number of steps executed.
+func (e *Engine) Run(maxSteps int, stop func() bool) int {
+	n := 0
+	for ; n < maxSteps && !e.Wedged() && (stop == nil || !stop()); n++ {
 		e.Step()
 	}
-	if reason == StopMaxSteps && e.Done() {
-		reason = StopDone // finished exactly as the budget ran out
-	}
 	e.finalizeLastEvent()
-	return e.step - start, reason
-}
-
-// RunFlights steps the engine until every flight terminates, gridlock
-// detection, or maxSteps, without waiting for model quiescence. It returns
-// the steps executed and why stepping stopped.
-func (e *Engine) RunFlights(maxSteps int) (int, StopReason) {
-	start := e.step
-	reason := StopMaxSteps
-	for e.step-start < maxSteps {
-		if e.live == 0 {
-			reason = StopDone
-			break
-		}
-		if e.Gridlocked() {
-			reason = StopGridlocked
-			break
-		}
-		e.Step()
-	}
-	if reason == StopMaxSteps && e.live == 0 {
-		reason = StopDone // finished exactly as the budget ran out
-	}
-	e.finalizeLastEvent()
-	return e.step - start, reason
+	return n
 }

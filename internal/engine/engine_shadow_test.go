@@ -48,7 +48,7 @@ func TestShadowAvoidance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.RunFlights(500)
+	eng.Run(500, eng.Idle)
 	if !fl.Msg.Arrived {
 		t.Fatalf("limited did not arrive: %v", fl.Msg)
 	}
@@ -70,7 +70,7 @@ func TestShadowAvoidance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng2.RunFlights(500)
+	eng2.Run(500, eng2.Idle)
 	if !fl2.Msg.Arrived {
 		t.Fatalf("blind did not arrive: %v", fl2.Msg)
 	}
@@ -93,7 +93,7 @@ func TestShadowNotTrapped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.RunFlights(500)
+	eng.Run(500, eng.Idle)
 	if !fl.Msg.Arrived {
 		t.Fatalf("did not arrive: %v", fl.Msg)
 	}

@@ -35,7 +35,7 @@ func TestSmokeDynamicRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	steps, _ := eng.RunFlights(1000)
+	steps := eng.Run(1000, eng.Idle)
 	t.Logf("finished in %d steps: %v", steps, fl.Msg)
 	if !fl.Msg.Arrived {
 		t.Fatalf("message did not arrive: %v", fl.Msg)
@@ -58,7 +58,7 @@ func TestSmokeDynamicRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng2.RunFlights(1000)
+	eng2.Run(1000, eng2.Idle)
 	if !fl2.Msg.Arrived {
 		t.Fatalf("blind message did not arrive: %v", fl2.Msg)
 	}
@@ -76,7 +76,7 @@ func TestSmokeDynamicRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng3.RunFlights(1000)
+	eng3.Run(1000, eng3.Idle)
 	if !fl3.Msg.Arrived {
 		t.Fatalf("oracle message did not arrive: %v", fl3.Msg)
 	}

@@ -71,7 +71,7 @@ func TestEventRecordsConvergence(t *testing.T) {
 	}
 	sched.Events = append(sched.Events, fault.Event{Step: 60, Node: shape.Index(grid.Coord{2, 9}), Kind: fault.Fail})
 	eng := newEngine(t, []int{12, 12}, 1, sched)
-	eng.Run(400)
+	eng.Run(400, eng.Done)
 	if len(eng.Events) != 3 {
 		t.Fatalf("event records = %d, want 3", len(eng.Events))
 	}
@@ -96,7 +96,7 @@ func TestEventRecordsConvergence(t *testing.T) {
 	// λ scaling: the same scenario with λ=4 needs roughly a quarter of
 	// the steps for the same rounds.
 	eng4 := newEngine(t, []int{12, 12}, 4, &fault.Schedule{Events: sched.Events})
-	eng4.Run(400)
+	eng4.Run(400, eng4.Done)
 	rec4 := eng4.Events[1]
 	if rec4.BSteps > (rec4.BRounds+3)/4 {
 		t.Errorf("λ=4 steps not scaled: %+v", rec4)
@@ -123,7 +123,7 @@ func TestBlindIgnoresStore(t *testing.T) {
 		sched.Events = append(sched.Events, fault.Event{Step: 0, Node: shape.Index(c), Kind: fault.Fail})
 	}
 	eng := newEngine(t, []int{12, 12}, 1, sched)
-	eng.Run(400)
+	eng.Run(400, eng.Done)
 	if eng.Model.Store.TotalRecords() == 0 {
 		t.Fatal("no records deposited: the test would prove nothing")
 	}
@@ -132,7 +132,7 @@ func TestBlindIgnoresStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.RunFlights(400)
+	eng.Run(400, eng.Idle)
 	ref := route.NewMessage(src, dst)
 	ctx := route.Context{M: eng.Model.M}
 	for route.AdvanceGated(&ctx, route.Blind{}, ref, nil) {
@@ -143,7 +143,7 @@ func TestBlindIgnoresStore(t *testing.T) {
 	}
 	if lim, _ := eng.Inject(src, dst, route.Limited{}); lim == nil {
 		t.Fatal("inject failed")
-	} else if eng.RunFlights(400); lim.Msg.Hops >= got.Hops {
+	} else if eng.Run(400, eng.Idle); lim.Msg.Hops >= got.Hops {
 		t.Fatalf("limited (%d hops) should beat blind (%d hops) here, or the records play no part", lim.Msg.Hops, got.Hops)
 	}
 }
@@ -159,7 +159,7 @@ func TestDoneAndRun(t *testing.T) {
 	if eng.Done() {
 		t.Fatal("engine done before running")
 	}
-	steps, _ := eng.Run(1000)
+	steps := eng.Run(1000, eng.Done)
 	if !eng.Done() {
 		t.Fatalf("engine not done after %d steps", steps)
 	}
@@ -169,8 +169,8 @@ func TestDoneAndRun(t *testing.T) {
 	}
 }
 
-// TestRunFlightsStopsEarly: RunFlights ends as soon as messages are done,
-// even if the model still has work.
+// TestRunFlightsStopsEarly: a Run stopped on Idle ends as soon as messages
+// are done, even if the model still has work.
 func TestRunFlightsStopsEarly(t *testing.T) {
 	shape := grid.MustShape(8, 8)
 	sched := &fault.Schedule{Events: []fault.Event{
@@ -178,12 +178,12 @@ func TestRunFlightsStopsEarly(t *testing.T) {
 	}}
 	eng := newEngine(t, []int{8, 8}, 1, sched)
 	fl, _ := eng.Inject(shape.Index(grid.Coord{1, 1}), shape.Index(grid.Coord{2, 1}), route.Limited{})
-	eng.RunFlights(100)
+	eng.Run(100, eng.Idle)
 	if !fl.Msg.Arrived {
 		t.Fatal("short flight did not arrive")
 	}
 	if eng.StepCount() > 5 {
-		t.Fatalf("RunFlights overran: %d steps", eng.StepCount())
+		t.Fatalf("Run(Idle) overran: %d steps", eng.StepCount())
 	}
 }
 
@@ -204,7 +204,7 @@ func TestRecoveryEventKind(t *testing.T) {
 		{Step: 30, Node: node, Kind: fault.Recover},
 	}}
 	eng := newEngine(t, []int{8, 8}, 1, sched)
-	eng.Run(400)
+	eng.Run(400, eng.Done)
 	if eng.Model.M.Status(node) != mesh.Enabled {
 		t.Fatalf("recovered node = %v, want enabled", eng.Model.M.Status(node))
 	}

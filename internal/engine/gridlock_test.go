@@ -190,19 +190,11 @@ func TestStallAgeAndDetectorResetAcrossClearAndReset(t *testing.T) {
 	gridlockIt() // detector fully functional after Reset
 }
 
-// TestRunStopReasons pins the Run/RunFlights sentinels: a completing run
-// reports StopDone, an exhausted budget StopMaxSteps, a latched detector
-// StopGridlocked — and the String forms the CLI prints for each.
-func TestRunStopReasons(t *testing.T) {
-	for reason, want := range map[StopReason]string{
-		StopDone: "done", StopMaxSteps: "max-steps", StopGridlocked: "gridlocked",
-		StopReason(99): "StopReason(99)",
-	} {
-		if got := reason.String(); got != want {
-			t.Errorf("StopReason(%d).String() = %q, want %q", uint8(reason), got, want)
-		}
-	}
-
+// TestRunStops pins Run's two ends besides the budget: its stop rule,
+// called once before every step, and a wedged run — a latched detector with
+// no flight timeout. A latch that a timeout will break is not terminal: the
+// run keeps stepping until the kills end it.
+func TestRunStops(t *testing.T) {
 	const window = 4
 	e, shape := newContentionEngine(t, 4, ContentionConfig{
 		LinkRate: 1, NodeCapacity: 1, GridlockWindow: window,
@@ -212,32 +204,36 @@ func TestRunStopReasons(t *testing.T) {
 	if _, err := e.Inject(free, dst, route.DOR{}); err != nil {
 		t.Fatal(err)
 	}
-	if steps, reason := e.RunFlights(100); reason != StopDone || steps != 3 {
-		t.Errorf("free flight: RunFlights = (%d, %v), want (3, done)", steps, reason)
+	calls := 0
+	idle := func() bool { calls++; return e.Idle() }
+	if steps := e.Run(100, idle); steps != 3 || !e.Idle() || calls != 4 {
+		t.Errorf("free flight: Run = %d steps, idle %v, %d stop calls; want 3, true, 4", steps, e.Idle(), calls)
 	}
 	e.ClearFlights()
 
 	if _, err := e.Inject(free, dst, route.DOR{}); err != nil {
 		t.Fatal(err)
 	}
-	if steps, reason := e.RunFlights(1); reason != StopMaxSteps || steps != 1 {
-		t.Errorf("tight budget: RunFlights = (%d, %v), want (1, max-steps)", steps, reason)
+	if steps := e.Run(1, e.Idle); steps != 1 || e.Idle() {
+		t.Errorf("tight budget: Run = %d steps, idle %v; want 1, false", steps, e.Idle())
 	}
 	e.ClearFlights()
 
 	headOnPair(t, e, shape)
-	steps, reason := e.RunFlights(100)
-	if reason != StopGridlocked {
-		t.Errorf("deadlock: RunFlights reason = %v, want gridlocked", reason)
+	if steps := e.Run(100, e.Idle); steps != window || !e.Wedged() {
+		t.Errorf("deadlock: Run = %d steps, wedged %v; want %d, true", steps, e.Wedged(), window)
 	}
-	if steps >= 100 {
-		t.Errorf("deadlock: gridlocked run spun %d steps; detection should cut it short", steps)
-	}
-	e.ClearFlights()
 
-	headOnPair(t, e, shape)
-	if _, reason := e.Run(100); reason != StopGridlocked {
-		t.Errorf("deadlock: Run reason = %v, want gridlocked", reason)
+	e, shape = newContentionEngine(t, 4, ContentionConfig{
+		LinkRate: 1, NodeCapacity: 1, GridlockWindow: window, FlightTimeout: 2 * window,
+	})
+	a, b := headOnPair(t, e, shape)
+	steps := e.Run(100, e.Idle)
+	if !a.Msg.TimedOut || !b.Msg.TimedOut {
+		t.Errorf("escapable deadlock: Run stopped after %d steps with timed-out %v/%v, want both", steps, a.Msg.TimedOut, b.Msg.TimedOut)
+	}
+	if steps <= window || e.Wedged() {
+		t.Errorf("escapable deadlock: Run = %d steps, wedged %v; want past the %d-step latch, not wedged", steps, e.Wedged(), window)
 	}
 }
 

@@ -279,20 +279,14 @@ func (s *Simulation) StabilizeRounds(n int) int {
 	return n
 }
 
-// RunSteps executes exactly n steps of the Figure 7 model.
-func (s *Simulation) RunSteps(n int) {
-	for i := 0; i < n; i++ {
-		s.engine.Step()
-	}
-}
+// RunSteps executes n steps of the Figure 7 model.
+func (s *Simulation) RunSteps(n int) { s.engine.Run(n, nil) }
 
 // Drain runs the engine until the whole fault schedule has fired, all
 // in-flight messages have terminated and every information construction is
 // quiescent. It returns the number of steps executed.
 func (s *Simulation) Drain() int {
-	budget := s.sched.LastStep() + 32*s.shape.Diameter() + 64
-	steps, _ := s.engine.Run(budget)
-	return steps
+	return s.engine.Run(s.sched.LastStep()+32*s.shape.Diameter()+64, s.engine.Done)
 }
 
 // RouteResult summarizes a completed routing.
@@ -331,7 +325,7 @@ func (s *Simulation) routeIDs(src, dst NodeID, router string) (RouteResult, erro
 	if err != nil {
 		return RouteResult{}, err
 	}
-	s.engine.RunFlights(s.flightBudget())
+	s.engine.Run(s.flightBudget(), s.engine.Idle)
 	return s.result(fl), nil
 }
 

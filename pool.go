@@ -12,8 +12,9 @@ package ndmesh
 // indistinguishable from a fresh one after Reset, so which warm simulation
 // a job receives can never reach its results. loadPoint's deferred cleanup
 // (flights detached, contention off — TestLoadPointLeavesEngineClean) is
-// what makes it safe: simulations come back clean on every exit path,
-// cancellation included, which EnginePool.VerifyClean audits.
+// what makes it safe: simulations come back clean on every exit path of
+// its load loop (saturation.go), the Cancel poll included, which
+// EnginePool.VerifyClean audits.
 //
 // The EnginePool threads into the sweeps through the Pool field of
 // SaturationOptions / ClosedLoopOptions / ReliabilityOptions / LoadOptions:
@@ -35,11 +36,6 @@ import (
 // same engine cleanup as a completed one, so pooled simulations come back
 // clean.
 var ErrCanceled = errors.New("ndmesh: run canceled")
-
-// cancelCheckInterval is how many steps a load run advances between polls
-// of its Cancel hook: frequent enough that a wedged multi-thousand-step
-// cell aborts promptly, rare enough to stay invisible on the hot path.
-const cancelCheckInterval = 64
 
 // simPool is the per-worker state of a sweep: one reusable Simulation per
 // (shape, λ) pair. A pool is confined to a single worker goroutine, so no

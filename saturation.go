@@ -400,14 +400,118 @@ func (wl *workload) closedLoop() bool {
 	return wl.window > 0 || (wl.replay != nil && wl.replay.ClosedLoop)
 }
 
+// cancelCheckInterval is how many steps a load run advances between polls
+// of its Cancel hook: frequent enough that a wedged multi-thousand-step
+// cell aborts promptly, rare enough to stay invisible on the hot path.
+const cancelCheckInterval = 64
+
 // loadPoint executes one contention-mode load run on a pooled simulation:
 // workload injection (open-loop, closed-loop or trace replay) for
 // warmup+measure steps, then a drain window, with terminated flights
-// harvested (and recycled) every step.
+// harvested (and recycled) every step. newLoadRun builds the workload,
+// loadPoint runs the load loop, and fold reads the LoadPoint. The loop is
+// not Engine.Run's: it injects before each step and harvests after it.
 func (opt *LoadSweepOptions[Row]) loadPoint(p *simPool, wl workload, router string, r *rng.Source) (traffic.LoadPoint, error) {
-	sim, err := p.get(opt.Dims, opt.Lambda)
+	lr, err := opt.newLoadRun(p, wl, router, r)
 	if err != nil {
 		return traffic.LoadPoint{}, err
+	}
+	eng := lr.eng
+	eng.EnableContention(engine.ContentionConfig{
+		LinkRate:       opt.LinkRate,
+		NodeCapacity:   opt.NodeCapacity,
+		GridlockWindow: opt.GridlockWindow,
+		FlightTimeout:  opt.FlightTimeout,
+		Bubble:         opt.Bubble,
+	})
+	// Attach the census probe before the first injection so the census
+	// covers the whole run. Observation is read-only, so the LoadPoint
+	// below is byte-identical with or without it.
+	if opt.Probe != nil {
+		eng.SetProbe(opt.Probe)
+	}
+	// Every exit path must hand the pooled engine back clean: past-saturation
+	// cells end the drain with backlog flights still attached and counted in
+	// the residency census, and a persistent reuse of the engine would
+	// inherit that corrupt state. ClearFlights detaches and recycles the
+	// backlog while contention is still enabled, so resetContention releases
+	// every residency counter; then contention turns off
+	// (TestLoadPointLeavesEngineClean).
+	defer func() {
+		eng.SetProbe(nil)
+		eng.ClearFlights()
+		eng.DisableContention()
+	}()
+	for total := lr.ph.Total(); lr.step < total; lr.step++ {
+		// Poll the caller's cancellation hook on a coarse cadence: the
+		// deferred cleanup above runs on this exit path too, so an aborted
+		// cell hands its engine back exactly as clean as a finished one.
+		if opt.Cancel != nil && lr.step%cancelCheckInterval == 0 && opt.Cancel() {
+			return traffic.LoadPoint{}, ErrCanceled
+		}
+		if lr.step < lr.ph.InjectUntil() {
+			lr.src.Step(lr.emit)
+			if lr.injectErr != nil {
+				return traffic.LoadPoint{}, lr.injectErr
+			}
+		}
+		eng.Step()
+		eng.DetachDone(lr.harvest)
+		if opt.Probe != nil && (lr.step+1)%opt.ProbeEvery == 0 {
+			// Flush after the harvest pass so retries land in the same
+			// census as the timeouts that caused them.
+			eng.FlushCensus()
+		}
+		if eng.Wedged() {
+			// Nothing can break the buffer cycle: cut the run short. fold
+			// counts the backlog unfinished and reports it Gridlocked.
+			break
+		}
+	}
+	// Flush whatever partial census the decimation cadence (or a gridlock
+	// cut) left behind; a no-op when the last step flushed already.
+	if opt.Probe != nil {
+		eng.FlushCensus()
+	}
+	return lr.fold(), nil
+}
+
+// loadRun is one load cell from its build to its fold: the engine and what
+// feeds and reads it. emit and harvest are its offer and finish methods,
+// bound once per cell: a method value handed to Injector.Step or
+// DetachDone allocates each time it is evaluated, so once per step.
+type loadRun struct {
+	eng *engine.Engine
+	fab *mesh.Mesh
+	rtr route.Router
+	src traffic.Injector
+	// cl is non-nil only for a live closed loop: its outstanding windows
+	// are released from the harvest. rq is non-nil only for a live open
+	// loop with flight timeouts: it re-offers timed-out requests under the
+	// same backoff discipline (without it, open-loop escape runs silently
+	// under-delivered their offered load; ARCHITECTURE.md "Deadlock escape
+	// & graceful degradation").
+	cl        *traffic.ClosedLoop
+	rq        *traffic.RetrySource
+	col       *traffic.Collector
+	ph        traffic.Phases
+	latObs    interface{ ObserveLatency(steps int) }
+	rate      float64
+	closed    bool
+	step      int
+	injectErr error
+	emit      func(src, dst grid.NodeID) bool
+	harvest   func(fl *engine.Flight)
+}
+
+// newLoadRun builds a cell's workload on a pooled simulation: the fault
+// schedule (the replay's, or an overlay drawn from the cell's stream), the
+// router, the injection source for the selected mode and, when asked, the
+// recorder around it. It leaves the engine's contention state alone.
+func (opt *LoadSweepOptions[Row]) newLoadRun(p *simPool, wl workload, router string, r *rng.Source) (*loadRun, error) {
+	sim, err := p.get(opt.Dims, opt.Lambda)
+	if err != nil {
+		return nil, err
 	}
 	shape := sim.shape
 	// recFaults is the fault schedule a recording must carry. It is only
@@ -419,7 +523,7 @@ func (opt *LoadSweepOptions[Row]) loadPoint(p *simPool, wl workload, router stri
 		// The trace carries the origin run's fault schedule; a live fault
 		// overlay would double-fault the replay.
 		if err := wl.replay.Validate(shape); err != nil {
-			return traffic.LoadPoint{}, err
+			return nil, err
 		}
 		if len(wl.replay.Faults) > 0 {
 			setSchedule(sim, wl.replay.Schedule())
@@ -435,7 +539,6 @@ func (opt *LoadSweepOptions[Row]) loadPoint(p *simPool, wl workload, router stri
 		fr := r.Split()
 		total := opt.Warmup + opt.Measure + opt.Drain
 		var sched *fault.Schedule
-		var err error
 		if opt.FaultRate > 0 {
 			popt := fault.ProcessOptions{
 				Arrival:   fault.Delay{Model: opt.FaultModel, Rate: opt.FaultRate, Shape: opt.FaultShape},
@@ -453,10 +556,7 @@ func (opt *LoadSweepOptions[Row]) loadPoint(p *simPool, wl workload, router stri
 			// before the warmup ends), and start one interval in.
 			interval := opt.FaultInterval
 			if interval < 1 {
-				interval = total / (opt.Faults + 1)
-				if interval < 1 {
-					interval = 1
-				}
+				interval = max(total/(opt.Faults+1), 1)
 			}
 			start := opt.FaultStart
 			if start < 1 {
@@ -469,228 +569,159 @@ func (opt *LoadSweepOptions[Row]) loadPoint(p *simPool, wl workload, router stri
 			}, fr)
 		}
 		if err != nil {
-			return traffic.LoadPoint{}, err
+			return nil, err
 		}
 		setSchedule(sim, sched)
 		recFaults = sched.Events
 	}
-	rtr, err := route.ByName(router)
-	if err != nil {
-		return traffic.LoadPoint{}, err
+	lr := &loadRun{
+		eng:    sim.engine,
+		fab:    sim.mesh,
+		col:    &sim.col,
+		ph:     traffic.Phases{Warmup: opt.Warmup, Measure: opt.Measure, Drain: opt.Drain},
+		rate:   wl.rate,
+		closed: wl.closedLoop(),
 	}
-
-	// Build the injection source for the selected workload mode. cl is
-	// non-nil only for a live closed loop: its outstanding windows are
-	// released from the harvest callback below. rq is non-nil only for a
-	// live open loop with flight timeouts: it re-offers timed-out requests
-	// under the same backoff discipline (without it, open-loop escape runs
-	// silently under-delivered their offered load; ARCHITECTURE.md "Deadlock
-	// escape & graceful degradation").
-	var src traffic.Injector
-	var cl *traffic.ClosedLoop
-	var rq *traffic.RetrySource
-	rate := wl.rate
+	if lr.rtr, err = route.ByName(router); err != nil {
+		return nil, err
+	}
+	var pat traffic.Pattern
+	if wl.replay == nil {
+		if pat, err = traffic.ByName(shape, wl.pattern); err != nil {
+			return nil, err
+		}
+	}
 	switch {
 	case wl.replay != nil:
 		// No retry machinery on replay: the recorded stream already carries
 		// the origin run's retried offers.
-		src = traffic.NewTracePlayer(wl.replay)
-		rate = wl.replay.Rate
+		lr.src = traffic.NewTracePlayer(wl.replay)
+		lr.rate = wl.replay.Rate
 	case wl.window > 0:
-		pat, err := traffic.ByName(shape, wl.pattern)
-		if err != nil {
-			return traffic.LoadPoint{}, err
+		lr.cl = traffic.NewClosedLoop(shape, pat, wl.window, r)
+		if opt.FlightTimeout > 0 {
+			lr.cl.ConfigureRetry(opt.RetryBackoff)
 		}
-		cl = traffic.NewClosedLoop(shape, pat, wl.window, r)
-		src = cl
+		lr.src = lr.cl
 	default:
-		pat, err := traffic.ByName(shape, wl.pattern)
-		if err != nil {
-			return traffic.LoadPoint{}, err
-		}
 		proc, err := traffic.ProcessByName(opt.Process)
 		if err != nil {
-			return traffic.LoadPoint{}, err
+			return nil, err
 		}
-		src = traffic.NewGenerator(shape, pat, proc, wl.rate, r)
+		lr.src = traffic.NewGenerator(shape, pat, proc, wl.rate, r)
 		if opt.FlightTimeout > 0 {
-			rq = traffic.NewRetrySource(src, shape.NumNodes(), opt.RetryBackoff, r)
-			src = rq
+			lr.rq = traffic.NewRetrySource(lr.src, shape.NumNodes(), opt.RetryBackoff, r)
+			lr.src = lr.rq
 		}
 	}
 	if wl.record != nil {
 		wl.record.Dims = shape.Radices()
-		wl.record.Rate = rate
+		wl.record.Rate = lr.rate
 		wl.record.Window = wl.window
-		wl.record.ClosedLoop = wl.closedLoop()
+		wl.record.ClosedLoop = lr.closed
 		wl.record.Warmup, wl.record.Measure, wl.record.Drain = opt.Warmup, opt.Measure, opt.Drain
 		// The engine-side configuration shapes every admission verdict, so
 		// the trace carries it: a replay inherits these unless the caller
 		// overrides deliberately.
 		wl.record.Lambda, wl.record.LinkRate, wl.record.NodeCapacity = opt.Lambda, opt.LinkRate, opt.NodeCapacity
 		wl.record.FlightTimeout, wl.record.GridlockWindow, wl.record.Bubble = opt.FlightTimeout, opt.GridlockWindow, opt.Bubble
-		src = traffic.NewTraceRecorder(src, wl.record) // resets the trace...
+		lr.src = traffic.NewTraceRecorder(lr.src, wl.record) // resets the trace...
 		wl.record.Faults = append(wl.record.Faults, recFaults...)
 		// ... so the fault schedule is attached afterwards.
 	}
-	closed := wl.closedLoop()
+	// The probe's latency sink, if it has one, sees every measured delivery.
+	lr.latObs, _ = opt.Probe.(interface{ ObserveLatency(steps int) })
+	lr.col.Reset(lr.ph)
+	lr.emit, lr.harvest = lr.offer, lr.finish
+	return lr, nil
+}
 
-	eng := sim.engine
-	eng.EnableContention(engine.ContentionConfig{
-		LinkRate:       opt.LinkRate,
-		NodeCapacity:   opt.NodeCapacity,
-		GridlockWindow: opt.GridlockWindow,
-		FlightTimeout:  opt.FlightTimeout,
-		Bubble:         opt.Bubble,
-	})
-	if cl != nil && opt.FlightTimeout > 0 {
-		cl.ConfigureRetry(opt.RetryBackoff)
+// offer admits one offered message at the cell's current step. Source-queue
+// admission: a faulty/disabled source cannot inject, and a full input queue
+// refuses the message. An open loop counts the refusal as a drop; a closed
+// loop (and the replay of one) leaves it unaccounted — the source keeps the
+// slot and retries.
+func (lr *loadRun) offer(src, dst grid.NodeID) bool {
+	if lr.injectErr != nil {
+		return false
 	}
-	// Attach the census probe (and pick out its latency sink, if it has
-	// one) before the first injection so the census covers the whole run.
-	// Observation is read-only, so the LoadPoint below is byte-identical
-	// with or without it.
-	var latObs interface{ ObserveLatency(steps int) }
-	if opt.Probe != nil {
-		eng.SetProbe(opt.Probe)
-		latObs, _ = opt.Probe.(interface{ ObserveLatency(steps int) })
+	if lr.fab.Status(src) != mesh.Enabled || !lr.eng.Admit(src) {
+		if !lr.closed {
+			lr.col.Offer(lr.step, false)
+		}
+		return false
 	}
-	// Every exit path must hand the pooled engine back clean: past-saturation
-	// cells end the drain with backlog flights still attached and counted in
-	// the residency census, and a persistent reuse of the engine would
-	// inherit that corrupt state. ClearFlights detaches and recycles the
-	// backlog while contention is still enabled, so resetContention releases
-	// every residency counter; then contention turns off
-	// (TestLoadPointLeavesEngineClean).
-	defer func() {
-		eng.SetProbe(nil)
-		eng.ClearFlights()
-		eng.DisableContention()
-	}()
-	ph := traffic.Phases{Warmup: opt.Warmup, Measure: opt.Measure, Drain: opt.Drain}
-	col := &sim.col
-	col.Reset(ph)
+	if _, err := lr.eng.Inject(src, dst, lr.rtr); err != nil {
+		lr.injectErr = err
+		return false
+	}
+	lr.col.Offer(lr.step, true)
+	return true
+}
 
-	fab := sim.mesh
-	var injectErr error
-	step := 0
-	emit := func(src, dst grid.NodeID) bool {
-		if injectErr != nil {
-			return false
-		}
-		// Source-queue admission: a faulty/disabled source cannot inject,
-		// and a full input queue refuses the message. An open loop counts
-		// the refusal as a drop; a closed loop (and the replay of one)
-		// leaves it unaccounted — the source keeps the slot and retries.
-		if fab.Status(src) != mesh.Enabled || !eng.Admit(src) {
-			if !closed {
-				col.Offer(step, false)
-			}
-			return false
-		}
-		if _, err := eng.Inject(src, dst, rtr); err != nil {
-			injectErr = err
-			return false
-		}
-		col.Offer(step, true)
-		return true
+// finish accounts one terminated flight and settles its source.
+func (lr *loadRun) finish(fl *engine.Flight) {
+	oc := traffic.Unfinished
+	switch {
+	case fl.Msg.Arrived:
+		oc = traffic.Delivered
+	case fl.Msg.Unreachable:
+		oc = traffic.Unreachable
+	case fl.Msg.Lost:
+		oc = traffic.Lost
+	case fl.Msg.TimedOut:
+		oc = traffic.TimedOut
 	}
-	harvest := func(fl *engine.Flight) {
-		oc := traffic.Unfinished
-		switch {
-		case fl.Msg.Arrived:
-			oc = traffic.Delivered
-		case fl.Msg.Unreachable:
-			oc = traffic.Unreachable
-		case fl.Msg.Lost:
-			oc = traffic.Lost
-		case fl.Msg.TimedOut:
-			oc = traffic.TimedOut
+	if lr.cl != nil {
+		if oc == traffic.TimedOut {
+			// A timeout kill re-arms the slot for a retry under backoff
+			// instead of plainly releasing it.
+			lr.cl.Timeout(fl.Msg.Src)
+			lr.col.Retry(fl.StartStep)
+			lr.eng.NoteRetried()
+		} else {
+			// Every other terminal outcome frees the source's window
+			// slot — delivered or not — or faults would wedge the loop
+			// shut.
+			lr.cl.Release(fl.Msg.Src)
 		}
-		if cl != nil {
-			if oc == traffic.TimedOut {
-				// A timeout kill re-arms the slot for a retry under backoff
-				// instead of plainly releasing it.
-				cl.Timeout(fl.Msg.Src)
-				col.Retry(fl.StartStep)
-				eng.NoteRetried()
-			} else {
-				// Every other terminal outcome frees the source's window
-				// slot — delivered or not — or faults would wedge the loop
-				// shut.
-				cl.Release(fl.Msg.Src)
-			}
-		} else if rq != nil {
-			if oc == traffic.TimedOut {
-				// The open loop re-offers the killed request (same src, same
-				// dst — there is no window slot to redraw from) after its
-				// backoff; the retried offer is emitted through src.Step, so
-				// a recording trace captures it like any other.
-				rq.Timeout(fl.Msg.Src, fl.Msg.Dst, ph.Measured(fl.StartStep))
-				col.Retry(fl.StartStep)
-				eng.NoteRetried()
-			} else {
-				rq.Settle(fl.Msg.Src)
-			}
-		}
-		col.Finish(fl.StartStep, fl.Msg.Steps, oc)
-		if latObs != nil && oc == traffic.Delivered && ph.Measured(fl.StartStep) {
-			// Feed the full-distribution histogram the same latencies the
-			// summary's exact-sample path sees (measured delivered flights).
-			latObs.ObserveLatency(fl.Msg.Steps)
+	} else if lr.rq != nil {
+		if oc == traffic.TimedOut {
+			// The open loop re-offers the killed request (same src, same
+			// dst — there is no window slot to redraw from) after its
+			// backoff; the retried offer is emitted through src.Step, so
+			// a recording trace captures it like any other.
+			lr.rq.Timeout(fl.Msg.Src, fl.Msg.Dst, lr.ph.Measured(fl.StartStep))
+			lr.col.Retry(fl.StartStep)
+			lr.eng.NoteRetried()
+		} else {
+			lr.rq.Settle(fl.Msg.Src)
 		}
 	}
+	lr.col.Finish(fl.StartStep, fl.Msg.Steps, oc)
+	if lr.latObs != nil && oc == traffic.Delivered && lr.ph.Measured(fl.StartStep) {
+		// Feed the full-distribution histogram the same latencies the
+		// summary's exact-sample path sees (measured delivered flights).
+		lr.latObs.ObserveLatency(fl.Msg.Steps)
+	}
+}
 
-	total := ph.Total()
-	for ; step < total; step++ {
-		// Poll the caller's cancellation hook on a coarse cadence: the
-		// deferred cleanup above runs on this exit path too, so an aborted
-		// cell hands its engine back exactly as clean as a finished one.
-		if opt.Cancel != nil && step%cancelCheckInterval == 0 && opt.Cancel() {
-			return traffic.LoadPoint{}, ErrCanceled
-		}
-		if step < ph.InjectUntil() {
-			src.Step(emit)
-			if injectErr != nil {
-				return traffic.LoadPoint{}, injectErr
-			}
-		}
-		eng.Step()
-		eng.DetachDone(harvest)
-		if opt.Probe != nil && (step+1)%opt.ProbeEvery == 0 {
-			// Flush after the harvest pass so retries land in the same
-			// census as the timeouts that caused them.
-			eng.FlushCensus()
-		}
-		if eng.Gridlocked() && opt.FlightTimeout == 0 {
-			// Terminal gridlock: without flight timeouts nothing can break
-			// the buffer cycle, so the remaining steps would spin without a
-			// single commit. Cut the run short; the backlog is counted
-			// unfinished below and the point is reported Gridlocked. With
-			// timeouts enabled the detector latches only transiently (the
-			// next kill is progress), so the run keeps stepping.
-			break
-		}
-	}
-	// Flush whatever partial census the decimation cadence (or a gridlock
-	// cut) left behind; a no-op when the last step flushed already.
-	if opt.Probe != nil {
-		eng.FlushCensus()
-	}
-	// Whatever survived the drain is unfinished backlog (the deferred
-	// cleanup detaches it afterwards).
+// fold reads the cell's LoadPoint. It must run before loadPoint's deferred
+// cleanup, which detaches the backlog and resets the detector.
+func (lr *loadRun) fold() traffic.LoadPoint {
+	eng := lr.eng
+	// Whatever survived the drain is unfinished backlog.
 	for _, fl := range eng.Flights() {
 		if !fl.Msg.Done() {
-			col.Finish(fl.StartStep, fl.Msg.Steps, traffic.Unfinished)
+			lr.col.Finish(fl.StartStep, fl.Msg.Steps, traffic.Unfinished)
 		}
 	}
-	pt := col.Result(rate, shape.NumNodes())
-	// Read the detector before the deferred cleanup resets it.
+	pt := lr.col.Result(lr.rate, lr.fab.NumNodes())
 	pt.Gridlocked = eng.Gridlocked()
 	pt.GridlockStep = eng.GridlockStep()
 	pt.RecoverySteps = eng.GridlockRecovery()
-	if rq != nil {
-		pt.RetryDropped = rq.PendingMeasured()
+	if lr.rq != nil {
+		pt.RetryDropped = lr.rq.PendingMeasured()
 	}
 	// Count the fault/recovery events the run actually applied (whole-run
 	// totals; a replay reproduces the origin's schedule and so these too).
@@ -702,7 +733,7 @@ func (opt *LoadSweepOptions[Row]) loadPoint(p *simPool, wl workload, router stri
 			pt.Recovered++
 		}
 	}
-	return pt, nil
+	return pt
 }
 
 // LoadOptions configures a single one-shot load run.
