@@ -8,40 +8,43 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"ndmesh/internal/lint"
 )
 
-func main() { os.Exit(run(os.Args[1:])) }
+func main() { os.Exit(run(os.Args[1:], os.Stderr)) }
 
-// run loads and analyzes the named package patterns (default ./...).
-func run(patterns []string) int {
+// run loads and analyzes the named package patterns (default ./...) and
+// returns the exit code: 0 clean, 1 on findings or a load error, 2 on a
+// flag (printing the usage).
+func run(patterns []string, stderr io.Writer) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	for _, p := range patterns {
 		if strings.HasPrefix(p, "-") {
-			fmt.Fprintf(os.Stderr, "usage: meshvet [packages]\n\nanalyzers:\n")
+			fmt.Fprintf(stderr, "usage: meshvet [packages]\n\nanalyzers:\n")
 			for _, a := range lint.All() {
-				fmt.Fprintf(os.Stderr, "  %-14s %s\n", a.Name, a.Doc)
+				fmt.Fprintf(stderr, "  %-14s %s\n", a.Name, a.Doc)
 			}
 			return 2
 		}
 	}
 	pkgs, err := lint.LoadPackages(".", patterns...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "meshvet: %v\n", err)
+		fmt.Fprintf(stderr, "meshvet: %v\n", err)
 		return 1
 	}
 	diags, err := lint.RunAnalyzers(pkgs, lint.All())
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "meshvet: %v\n", err)
+		fmt.Fprintf(stderr, "meshvet: %v\n", err)
 		return 1
 	}
 	for _, d := range diags {
-		fmt.Fprintln(os.Stderr, d)
+		fmt.Fprintln(stderr, d)
 	}
 	if len(diags) > 0 {
 		return 1

@@ -96,7 +96,7 @@ func Placement(shape *grid.Shape, b grid.Box) (ids []grid.NodeID) {
 // shadow axis j ≠ i and side, the wall x_i = e from just beyond the shell to
 // the mesh border. It allocates nothing.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestPlacementEnumeratorAllocFree
 func markPlacement(shape *grid.Shape, b grid.Box, bits []uint64) {
 	var lo, hi [grid.MaxDims]int
 	n := b.Dims()
@@ -131,7 +131,7 @@ func markPlacement(shape *grid.Shape, b grid.Box, bits []uint64) {
 // mesh, axis by axis from a down; id is the offset of the axes above a.
 // Axis 0 has stride 1, so each of its rows is one run of ids.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestPlacementEnumeratorAllocFree
 func markBox(shape *grid.Shape, lo, hi []int, bits []uint64, a, id int) {
 	from, to := max(lo[a], 0), min(hi[a], shape.Radix(a)-1)
 	if a == 0 {
@@ -146,7 +146,7 @@ func markBox(shape *grid.Shape, lo, hi []int, bits []uint64, a, id int) {
 // markRun sets bits from through to of the set (none when to < from), a
 // word at a time.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestPlacementEnumeratorAllocFree
 func markRun(bits []uint64, from, to int) {
 	if to < from {
 		return
@@ -395,7 +395,7 @@ func (p *Protocol) Held(dst []info.BlockID) []info.BlockID {
 // onto the free list. It returns the number of node visits performed (0 at
 // quiescence).
 //
-//meshvet:noalloc
+//meshvet:noalloc TestFaultProcessStepAllocFree
 func (p *Protocol) Round() int {
 	p.round++
 	p.expire()
@@ -414,7 +414,7 @@ func (p *Protocol) Round() int {
 	return visits
 }
 
-//meshvet:noalloc
+//meshvet:noalloc TestFaultProcessStepAllocFree
 func (p *Protocol) roundOne(c *Construction) int {
 	next := c.next[:0]
 	visits := 0
@@ -489,7 +489,7 @@ func (p *Protocol) roundOne(c *Construction) int {
 // entomb leaves cancellation c's mark at node id, or refreshes the mark its
 // block already has there.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestCancelHeavyRoundsAllocFree
 func (p *Protocol) entomb(id grid.NodeID, c *Construction) {
 	slot := p.findTomb(id, c.Block)
 	if slot >= 0 {
@@ -513,7 +513,7 @@ func (p *Protocol) entomb(id grid.NodeID, c *Construction) {
 
 // findTomb returns the slot of block b's mark at node id, or -1.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestCancelHeavyRoundsAllocFree
 func (p *Protocol) findTomb(id grid.NodeID, b info.BlockID) int32 {
 	for s := p.firstTomb[id]; s != 0; s = p.tombs[s-1].next {
 		if p.tombs[s-1].block == b {
@@ -526,7 +526,7 @@ func (p *Protocol) findTomb(id grid.NodeID, b info.BlockID) int32 {
 // outrun reports whether a cancellation newer than deposit c has left its
 // mark at node id. A mark older than c is dropped: c supersedes it.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestCancelHeavyRoundsAllocFree
 func (p *Protocol) outrun(id grid.NodeID, c *Construction) bool {
 	if p.live == 0 {
 		return false // also: no cancellation yet, so no per-node heads
@@ -544,7 +544,7 @@ func (p *Protocol) outrun(id grid.NodeID, c *Construction) bool {
 
 // drop unlinks the mark in slot from its node and frees the slot.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestCancelHeavyRoundsAllocFree
 func (p *Protocol) drop(slot int32) {
 	at := &p.firstTomb[p.tombs[slot].node]
 	for *at != slot+1 {
@@ -561,7 +561,7 @@ func (p *Protocol) drop(slot int32) {
 // been refreshed, dropped or reused shows another round and is skipped (a
 // slot reused in the same round expires with it either way).
 //
-//meshvet:noalloc
+//meshvet:noalloc TestCancelHeavyRoundsAllocFree
 func (p *Protocol) expire() {
 	for ; p.expired < len(p.expiry); p.expired++ {
 		e := p.expiry[p.expired]

@@ -406,7 +406,7 @@ func (e *Engine) resetContention() {
 // behaves as an age-ordered FIFO: the oldest waiting flight wins the next
 // grant — deterministically.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestContentionStepAllocFree
 func (e *Engine) gate(from grid.NodeID, dir grid.Dir) bool {
 	c := &e.ctn
 	li := int32(from)*c.numDirs + int32(dir)
@@ -429,7 +429,7 @@ func (e *Engine) gate(from grid.NodeID, dir grid.Dir) bool {
 // deny records one stalled traversal on the directed link for next step's
 // LinkPending view and returns false (the gate's denial value).
 //
-//meshvet:noalloc
+//meshvet:noalloc TestContentionStepAllocFree
 func (c *contention) deny(li int32) bool {
 	if c.pending[li] == 0 {
 		c.pendingDty = append(c.pendingDty, li)
@@ -477,7 +477,7 @@ func (e *Engine) ClearFlights() {
 // delivered flights release their router buffer slot; the detached Flight
 // must not be retained after fn returns.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestContentionStepAllocFree
 func (e *Engine) DetachDone(fn func(*Flight)) {
 	for _, f := range e.flights[e.live:] {
 		if e.ctn.enabled && f.resident {
@@ -561,7 +561,7 @@ func (e *Engine) Flights() []*Flight { return e.flights }
 
 // Step executes one step of Figure 7's model.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestContentionStepAllocFree
 func (e *Engine) Step() {
 	// 1. Fault detection: apply the events scheduled for this step. The
 	// change is observed by neighbors during the following rounds.
@@ -697,7 +697,7 @@ func (e *Engine) Step() {
 	e.step++
 }
 
-//meshvet:noalloc
+//meshvet:noalloc TestFaultProcessStepAllocFree
 func (e *Engine) applyEvent(ev fault.Event) {
 	e.finalizeLastEvent()
 	e.Events = append(e.Events, EventRecord{

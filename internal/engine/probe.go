@@ -78,7 +78,7 @@ func (e *Engine) SetProbe(p Probe) {
 // reports them here, between Step and FlushCensus, and the retry lands in
 // the same step's census as the timeout that caused it.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestEscapeClosedLoopStepAllocFree
 func (e *Engine) NoteRetried() {
 	if e.probe != nil {
 		e.census.Retried++
@@ -91,7 +91,7 @@ func (e *Engine) NoteRetried() {
 // aggregate, the gauges and the link-stall view are the last step's); a
 // flush with no probe attached or no steps covered is a no-op.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestProbedStepAllocFree
 func (e *Engine) FlushCensus() {
 	if e.probe == nil || e.census.Steps == 0 {
 		return
@@ -110,7 +110,7 @@ func (e *Engine) FlushCensus() {
 // observe folds one flight's commit into the census: whether it moved or
 // stalled in place, and the terminal state it reached, if any.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestContentionStepAllocFree
 func (cs *StepCensus) observe(msg *route.Message, moved bool) {
 	switch {
 	case moved:

@@ -18,7 +18,7 @@ func NewNodeSet(n int) NodeSet { return NodeSet{bits: make([]uint64, (n+63)/64)}
 
 // Add inserts id and reports whether it was absent.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestNodeSetAllocFree
 func (s *NodeSet) Add(id NodeID) bool {
 	w, b := id>>6, uint64(1)<<(id&63)
 	if s.bits[w]&b != 0 {
@@ -53,7 +53,7 @@ func (s *NodeSet) IDs() []NodeID { return s.ids }
 
 // Clear empties the set in O(members), keeping the list's capacity.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestNodeSetAllocFree
 func (s *NodeSet) Clear() {
 	for _, id := range s.ids {
 		s.bits[id>>6] = 0

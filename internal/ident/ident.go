@@ -148,7 +148,7 @@ func (p *Protocol) recycle(rs []*run) []*run {
 // allocate one) and rewind it by one assignment that names only the storage
 // it keeps; the caller sets every field it needs.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestFaultProcessStepAllocFree
 func (p *Protocol) getRun() *run {
 	n := len(p.spareRuns)
 	if n == 0 {
@@ -161,7 +161,7 @@ func (p *Protocol) getRun() *run {
 	return r
 }
 
-//meshvet:noalloc
+//meshvet:noalloc TestFaultProcessStepAllocFree
 func (p *Protocol) getSub() *subRun {
 	n := len(p.spareSubs)
 	if n == 0 {
@@ -173,7 +173,7 @@ func (p *Protocol) getSub() *subRun {
 	return s
 }
 
-//meshvet:noalloc
+//meshvet:noalloc TestFaultProcessStepAllocFree
 func (p *Protocol) getWalker() *walker {
 	n := len(p.spareWalkers)
 	if n == 0 {
@@ -282,7 +282,7 @@ type walker struct {
 // It returns the number of elementary actions (moves + initiations), which
 // is zero at quiescence.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestFaultProcessStepAllocFree
 func (p *Protocol) Round() int {
 	p.round++
 	actions := p.initiate()
@@ -350,7 +350,7 @@ func (p *Protocol) Active() int { return len(p.runs) }
 // initiate starts a run at every pending enabled n-level corner that lacks
 // a record of the block it is a corner of and whose backoff has expired.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestFaultProcessStepAllocFree
 func (p *Protocol) initiate() int {
 	// Wake scheduled retries that are due (without resetting retry
 	// budgets).
@@ -492,7 +492,7 @@ func axisDir(dirs grid.DirSet, axis int) (grid.Dir, bool) {
 // advanceEdge, advanceRing and advanceCollect move one walker one hop (or
 // let it wait) and return the number of moves performed (0 or 1).
 //
-//meshvet:noalloc
+//meshvet:noalloc TestFaultProcessStepAllocFree
 func (p *Protocol) advanceEdge(w *walker) int {
 	next := p.m.Neighbor(w.pos, w.dir)
 	if next == grid.InvalidNode || p.m.Status(next) != mesh.Enabled {
@@ -541,7 +541,7 @@ func (p *Protocol) spawnSub(w *walker, node grid.NodeID, dirs grid.DirSet) {
 	p.launch(sub)
 }
 
-//meshvet:noalloc
+//meshvet:noalloc TestFaultProcessStepAllocFree
 func (p *Protocol) advanceRing(w *walker) int {
 	s := w.s
 	next := p.m.Neighbor(w.pos, w.dir)
@@ -590,7 +590,7 @@ func (p *Protocol) advanceRing(w *walker) int {
 	return 1
 }
 
-//meshvet:noalloc
+//meshvet:noalloc TestFaultProcessStepAllocFree
 func (p *Protocol) advanceCollect(w *walker) int {
 	s := w.s
 	if !w.folded {

@@ -76,7 +76,7 @@ func NewStore(shape *grid.Shape) *Store {
 // saw the same version twice saw the same records (an Add that only
 // refreshes an epoch changes no record a router reads, and no version).
 //
-//meshvet:noalloc
+//meshvet:noalloc TestContentionStepAllocFree
 func (s *Store) Version() uint64 { return s.version }
 
 // Box returns b's box: the table's own, read-only and valid while b is held.
@@ -95,7 +95,7 @@ func (s *Store) Find(box grid.Box) (BlockID, bool) {
 // Intern returns the id of box, entering a copy into the table if no holder
 // names it yet, and counts the caller as a holder (see Release).
 //
-//meshvet:noalloc
+//meshvet:noalloc TestFaultProcessStepAllocFree
 func (s *Store) Intern(box grid.Box) BlockID {
 	b, ok := s.Find(box)
 	switch {
@@ -133,7 +133,7 @@ func (s *Store) At(id grid.NodeID) []Record { return s.recs[id] }
 
 // Has reports whether node id holds a record of block b.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestFaultProcessStepAllocFree
 func (s *Store) Has(id grid.NodeID, b BlockID) bool {
 	for _, r := range s.recs[id] {
 		if r.Block == b {
@@ -153,7 +153,7 @@ func (s *Store) Has(id grid.NodeID, b BlockID) bool {
 // goes last: the order is observable (routing ties, the history digests).
 // The stored record's role and shadow are computed here, once.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestFaultProcessStepAllocFree
 func (s *Store) Add(id grid.NodeID, rec Record) bool {
 	rs := s.recs[id]
 	for i := range rs {
@@ -185,7 +185,7 @@ func (s *Store) Add(id grid.NodeID, rec Record) bool {
 // minEpoch survive (a cancellation launched for an old construction must not
 // erase newer information). The node's last record takes the freed place.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestFaultProcessStepAllocFree
 func (s *Store) Remove(id grid.NodeID, b BlockID, minEpoch uint32) bool {
 	rs := s.recs[id]
 	for i := range rs {

@@ -22,12 +22,13 @@
 //
 // Escape hatches are explicit annotations, one per rule, each carrying a
 // justification in the rest of the comment line (docs/LINTING.md is the
-// directive reference):
+// directive reference); noalloc's first word names its runtime test:
 //
 //	//meshvet:ordered    — this map range is sorted or order-insensitive
 //	//meshvet:wallclock  — this time.Now/Since is off the result path
 //	//meshvet:keep       — this field deliberately survives Reset
-//	//meshvet:noalloc    — this function joins the hot-path contract
+//	//meshvet:noalloc T  — this function joins the hot-path contract,
+//	                       asserted at run time by Test*AllocFree T
 //	//meshvet:allow      — suppress any finding on the next line
 //
 // The framework deliberately mirrors the shape of
@@ -42,6 +43,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -77,7 +79,7 @@ type Pass struct {
 	// Report receives each finding.
 	Report func(Diagnostic)
 
-	directives map[string]map[int][]Directive // filename -> line -> directives
+	directives map[string]map[int][]string // filename -> line -> directive verbs
 }
 
 // Reportf reports a finding at pos.
@@ -89,53 +91,42 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Directive is one //meshvet:<verb> comment; Args is the rest of the
-// comment line (the human justification).
-type Directive struct {
-	Verb string
-	Args string
-	Pos  token.Position
-}
-
 // directivePrefix introduces every meshvet annotation.
 const directivePrefix = "//meshvet:"
 
-// ParseDirectives extracts the //meshvet: directives of a file, keyed by
-// line. Exposed for the directive-inventory cross-check test.
-func ParseDirectives(fset *token.FileSet, f *ast.File) map[int][]Directive {
-	out := make(map[int][]Directive)
+// parseDirectives indexes the verbs of a file's //meshvet: directives by
+// line.
+func parseDirectives(fset *token.FileSet, f *ast.File) map[int][]string {
+	out := make(map[int][]string)
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
-			text := c.Text
-			if !strings.HasPrefix(text, directivePrefix) {
+			verb, ok := strings.CutPrefix(c.Text, directivePrefix)
+			if !ok {
 				continue
 			}
-			rest := text[len(directivePrefix):]
-			verb := rest
-			args := ""
-			if i := strings.IndexAny(rest, " \t"); i >= 0 {
-				verb, args = rest[:i], strings.TrimSpace(rest[i+1:])
+			if i := strings.IndexAny(verb, " \t"); i >= 0 {
+				verb = verb[:i]
 			}
-			pos := fset.Position(c.Pos())
-			out[pos.Line] = append(out[pos.Line], Directive{Verb: verb, Args: args, Pos: pos})
+			line := fset.Position(c.Pos()).Line
+			out[line] = append(out[line], verb)
 		}
 	}
 	return out
 }
 
-// directivesFor returns the line-indexed directives of the file holding
-// pos, building the per-file index lazily.
-func (p *Pass) directivesFor(pos token.Pos) map[int][]Directive {
+// directivesFor returns the line-indexed directive verbs of the file
+// holding pos, building the per-file index lazily.
+func (p *Pass) directivesFor(pos token.Pos) map[int][]string {
 	filename := p.Fset.Position(pos).Filename
 	if p.directives == nil {
-		p.directives = make(map[string]map[int][]Directive)
+		p.directives = make(map[string]map[int][]string)
 	}
 	if d, ok := p.directives[filename]; ok {
 		return d
 	}
 	for _, f := range p.Files {
 		if p.Fset.Position(f.Pos()).Filename == filename {
-			d := ParseDirectives(p.Fset, f)
+			d := parseDirectives(p.Fset, f)
 			p.directives[filename] = d
 			return d
 		}
@@ -149,36 +140,25 @@ func (p *Pass) directivesFor(pos token.Pos) map[int][]Directive {
 // conventional spot for an annotation comment).
 func (p *Pass) Allowed(verb string, node ast.Node) bool {
 	dirs := p.directivesFor(node.Pos())
-	if len(dirs) == 0 {
-		return false
-	}
 	line := p.Fset.Position(node.Pos()).Line
-	for _, d := range dirs[line] {
-		if d.Verb == verb {
-			return true
-		}
-	}
-	for _, d := range dirs[line-1] {
-		if d.Verb == verb {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(dirs[line], verb) || slices.Contains(dirs[line-1], verb)
 }
 
 // FuncDirective reports whether fn's doc comment carries the directive
-// verb. (A directive on the line above the func keyword is part of the
-// doc comment group, so this covers undocumented functions too.)
-func FuncDirective(fn *ast.FuncDecl, verb string) bool {
+// verb and returns the rest of its line. (A directive on the line above
+// the func keyword is part of the doc comment group, so this covers
+// undocumented functions too.)
+func FuncDirective(fn *ast.FuncDecl, verb string) (args string, ok bool) {
+	if fn.Doc == nil {
+		return "", false
+	}
 	want := directivePrefix + verb
-	if fn.Doc != nil {
-		for _, c := range fn.Doc.List {
-			if c.Text == want || strings.HasPrefix(c.Text, want+" ") {
-				return true
-			}
+	for _, c := range fn.Doc.List {
+		if rest, ok := strings.CutPrefix(c.Text, want); ok && (rest == "" || rest[0] == ' ') {
+			return strings.TrimSpace(rest), true
 		}
 	}
-	return false
+	return "", false
 }
 
 // All returns the full meshvet analyzer suite in reporting order.
@@ -186,9 +166,9 @@ func All() []*Analyzer {
 	return []*Analyzer{Determinism, ResetComplete, NoAlloc, ProbeReadOnly}
 }
 
-// SortDiagnostics orders findings by file, line, column, analyzer — the
+// sortDiagnostics orders findings by file, line, column, analyzer — the
 // stable order every front end (CLI, tests) prints in.
-func SortDiagnostics(ds []Diagnostic) {
+func sortDiagnostics(ds []Diagnostic) {
 	sort.Slice(ds, func(i, j int) bool {
 		a, b := ds[i], ds[j]
 		if a.Pos.Filename != b.Pos.Filename {

@@ -1,11 +1,14 @@
 package lint_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"ndmesh/internal/lint"
@@ -34,15 +37,28 @@ func TestProbeReadOnlyFixtures(t *testing.T) {
 		"probereadonly/engine", "probereadonly/probe", "probereadonly/impl")
 }
 
+// module is the repo's packages, loaded and type-checked once for every
+// test that reads them.
+var module struct {
+	once sync.Once
+	pkgs []*lint.LoadedPackage
+	err  error
+}
+
+func loadModule(t *testing.T) []*lint.LoadedPackage {
+	t.Helper()
+	module.once.Do(func() { module.pkgs, module.err = lint.LoadPackages("../..", "./...") })
+	if module.err != nil {
+		t.Fatalf("loading module: %v", module.err)
+	}
+	return module.pkgs
+}
+
 // TestRepoMeshvetClean runs the whole suite over the module — what
 // `go run ./cmd/meshvet ./...` runs — so `go test ./...` alone enforces
 // the contracts.
 func TestRepoMeshvetClean(t *testing.T) {
-	pkgs, err := lint.LoadPackages("../..", "./...")
-	if err != nil {
-		t.Fatalf("loading module: %v", err)
-	}
-	diags, err := lint.RunAnalyzers(pkgs, lint.All())
+	diags, err := lint.RunAnalyzers(loadModule(t), lint.All())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,65 +68,71 @@ func TestRepoMeshvetClean(t *testing.T) {
 }
 
 // TestNoAllocInventoryMatchesRuntimeTests pins the two halves of the
-// hot-path contract to each other: the set of //meshvet:noalloc
-// directives in the source must equal the union of lint.AllocTestCoverage,
-// every test named there must exist, and every Test*AllocFree test in the
-// repo must appear as a key.
+// hot-path contract to each other: every //meshvet:noalloc directive in
+// the source names a Test*AllocFree declared once in the module that
+// calls testing.AllocsPerRun, and every such test is named by a directive.
 func TestNoAllocInventoryMatchesRuntimeTests(t *testing.T) {
-	directives, err := lint.NoAllocDirectives("../..")
-	if err != nil {
-		t.Fatal(err)
+	funcs := lint.NoAllocDirectives(loadModule(t))
+	if len(funcs) == 0 {
+		t.Fatal("no //meshvet:noalloc directive found in the module")
 	}
-	directiveSet := map[string]bool{}
-	for _, d := range directives {
-		directiveSet[d] = true
-	}
-
-	covered := map[string]string{} // function -> covering test
-	for test, fns := range lint.AllocTestCoverage {
-		for _, fn := range fns {
-			if prev, dup := covered[fn]; dup {
-				t.Errorf("%s is claimed by both %s and %s; attribute it once", fn, prev, test)
-			}
-			covered[fn] = test
-		}
-	}
-
-	for _, d := range directives {
-		if _, ok := covered[d]; !ok {
-			t.Errorf("//meshvet:noalloc on %s has no runtime alloc assertion in lint.AllocTestCoverage", d)
-		}
-	}
-	for fn, test := range covered {
-		if !directiveSet[fn] {
-			t.Errorf("lint.AllocTestCoverage[%s] lists %s, which carries no //meshvet:noalloc directive", test, fn)
-		}
-	}
-
-	allocTests := scanAllocFreeTests(t, "../..")
-	for test := range lint.AllocTestCoverage {
-		if !allocTests[test] {
-			t.Errorf("lint.AllocTestCoverage names %s, but no _test.go declares it", test)
-		}
-	}
-	sorted := make([]string, 0, len(allocTests))
-	for test := range allocTests {
-		sorted = append(sorted, test)
-	}
-	sort.Strings(sorted)
-	for _, test := range sorted {
-		if _, ok := lint.AllocTestCoverage[test]; !ok {
-			t.Errorf("runtime alloc assertion %s is missing from lint.AllocTestCoverage", test)
-		}
+	for _, p := range lint.CheckNoAllocInventory(funcs, scanAllocFreeTests(t, "../..")) {
+		t.Error(p)
 	}
 }
 
-var allocTestRe = regexp.MustCompile(`func (Test\w*AllocFree)\(`)
+// TestCheckNoAllocInventory feeds the inventory checker in-memory
+// inventories, one per mismatch it must report.
+func TestCheckNoAllocInventory(t *testing.T) {
+	fn := func(test string) lint.NoAllocFunc { return lint.NoAllocFunc{Name: "p.F", Test: test} }
+	test := func(name string, calls bool) lint.AllocTest {
+		return lint.AllocTest{Name: name, Pos: "p_test.go:1", CallsAllocsPerRun: calls}
+	}
+	cases := []struct {
+		name  string
+		funcs []lint.NoAllocFunc
+		tests []lint.AllocTest
+		want  []string // one pattern per reported problem
+	}{
+		{"consistent", []lint.NoAllocFunc{fn("TestAAllocFree"), fn("TestAAllocFree")},
+			[]lint.AllocTest{test("TestAAllocFree", true)}, nil},
+		{"named test missing", []lint.NoAllocFunc{fn("TestAAllocFree"), fn("TestBAllocFree")},
+			[]lint.AllocTest{test("TestAAllocFree", true)},
+			[]string{`p\.F names TestBAllocFree, which no _test\.go declares`}},
+		{"named test declared twice", []lint.NoAllocFunc{fn("TestAAllocFree")},
+			[]lint.AllocTest{test("TestAAllocFree", true), test("TestAAllocFree", true)},
+			[]string{`TestAAllocFree is declared 2 times`, `TestAAllocFree is declared 2 times`}},
+		{"named test without AllocsPerRun", []lint.NoAllocFunc{fn("TestAAllocFree")},
+			[]lint.AllocTest{test("TestAAllocFree", false)},
+			[]string{`TestAAllocFree does not call testing\.AllocsPerRun`}},
+		{"test named by no directive", []lint.NoAllocFunc{fn("TestAAllocFree")},
+			[]lint.AllocTest{test("TestAAllocFree", true), test("TestBAllocFree", true)},
+			[]string{`TestBAllocFree is named by no //meshvet:noalloc directive`}},
+		{"directive without a test", []lint.NoAllocFunc{fn("TestAAllocFree"), fn("")},
+			[]lint.AllocTest{test("TestAAllocFree", true)},
+			[]string{`p\.F names no runtime test`}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got := lint.CheckNoAllocInventory(c.funcs, c.tests)
+			if len(got) != len(c.want) {
+				t.Fatalf("got %d problems %q, want %d", len(got), got, len(c.want))
+			}
+			for i, pat := range c.want {
+				if !regexp.MustCompile(pat).MatchString(got[i]) {
+					t.Errorf("problem %d = %q, want a match for %q", i, got[i], pat)
+				}
+			}
+		})
+	}
+}
 
-// scanAllocFreeTests walks the module for Test*AllocFree declarations.
-func scanAllocFreeTests(t *testing.T, root string) map[string]bool {
+// scanAllocFreeTests parses the module's _test.go files for Test*AllocFree
+// declarations and whether each calls testing.AllocsPerRun.
+func scanAllocFreeTests(t *testing.T, root string) []lint.AllocTest {
 	t.Helper()
-	out := map[string]bool{}
+	var out []lint.AllocTest
+	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -125,12 +147,25 @@ func scanAllocFreeTests(t *testing.T, root string) map[string]bool {
 		if !strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
-		data, err := os.ReadFile(path)
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		for _, m := range allocTestRe.FindAllSubmatch(data, -1) {
-			out[string(m[1])] = true
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Recv != nil || !allocTestRe.MatchString(fn.Name.Name) {
+				continue
+			}
+			at := lint.AllocTest{Name: fn.Name.Name, Pos: fset.Position(fn.Pos()).String()}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "AllocsPerRun" {
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == "testing" {
+						at.CallsAllocsPerRun = true
+					}
+				}
+				return !at.CallsAllocsPerRun
+			})
+			out = append(out, at)
 		}
 		return nil
 	})
@@ -139,3 +174,5 @@ func scanAllocFreeTests(t *testing.T, root string) map[string]bool {
 	}
 	return out
 }
+
+var allocTestRe = regexp.MustCompile(`^Test\w*AllocFree$`)

@@ -18,13 +18,11 @@
 package linttest
 
 import (
-	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
-	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -93,18 +91,12 @@ func Run(t *testing.T, a *lint.Analyzer, srcRoot string, pkgPaths ...string) {
 		fixtures = append(fixtures, fp)
 	}
 
-	exportFiles, err := stdExports(stdSet)
+	lookup, err := stdExports(stdSet)
 	if err != nil {
 		t.Fatalf("resolving standard-library imports: %v", err)
 	}
 	checked := map[string]*types.Package{}
-	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		file, ok := exportFiles[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
+	std := importer.ForCompiler(fset, "gc", lookup)
 	imp := importerFunc(func(path string) (*types.Package, error) {
 		if pkg, ok := checked[path]; ok {
 			return pkg, nil
@@ -196,28 +188,16 @@ func parseWants(t *testing.T, fset *token.FileSet, f *ast.File) []*expectation {
 	return out
 }
 
-// stdExports maps the needed standard-library import paths (and their
-// dependencies) to export-data files via one `go list -export` run.
-func stdExports(paths map[string]bool) (map[string]string, error) {
-	out := map[string]string{}
-	if len(paths) == 0 {
-		return out, nil
-	}
+// stdExports returns the export-data lookup of the needed standard-library
+// import paths and their dependencies.
+func stdExports(paths map[string]bool) (importer.Lookup, error) {
 	sorted := make([]string, 0, len(paths))
 	//meshvet:ordered keys are sorted before use
 	for p := range paths {
 		sorted = append(sorted, p)
 	}
 	sort.Strings(sorted)
-	pkgs, err := lint.ListExports(sorted)
-	if err != nil {
-		return nil, err
-	}
-	//meshvet:ordered map-to-map copy, order-insensitive
-	for path, file := range pkgs {
-		out[path] = file
-	}
-	return out, nil
+	return lint.ListExports(sorted)
 }
 
 // importerFunc adapts a function to types.Importer.

@@ -34,18 +34,16 @@ type listPackage struct {
 	DepOnly    bool
 	Export     string
 	GoFiles    []string
-	Module     *struct{ Path string }
 	Error      *struct{ Err string }
 }
 
-// LoadPackages type-checks the packages matching patterns (relative to
-// dir), resolving every import — standard library and intra-module alike —
-// from compiler export data via `go list -export -deps`. That keeps the
-// loader dependency-free and network-free: the go command compiles what
-// it must into the build cache and hands back the file paths.
-func LoadPackages(dir string, patterns ...string) ([]*LoadedPackage, error) {
+// goList runs `go list -export -deps` over patterns in dir (the current
+// directory when dir is "") — the package's one go list call. The go
+// command compiles what it must into the build cache and reports each
+// package with its export-data file, dependencies before importers.
+func goList(dir string, patterns []string) ([]listPackage, error) {
 	args := append([]string{"list", "-export", "-deps",
-		"-json=Dir,ImportPath,Standard,DepOnly,Export,GoFiles,Module,Error"}, patterns...)
+		"-json=Dir,ImportPath,Standard,DepOnly,Export,GoFiles,Error"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer
@@ -54,39 +52,41 @@ func LoadPackages(dir string, patterns ...string) ([]*LoadedPackage, error) {
 	if err := cmd.Run(); err != nil {
 		return nil, fmt.Errorf("go list %v: %v\n%s", patterns, err, stderr.String())
 	}
-
-	exportFiles := map[string]string{}
-	var targets []*listPackage
+	var pkgs []listPackage
 	dec := json.NewDecoder(&stdout)
 	for {
 		var p listPackage
 		if err := dec.Decode(&p); err == io.EOF {
-			break
+			return pkgs, nil
 		} else if err != nil {
 			return nil, fmt.Errorf("decoding go list output: %v", err)
 		}
 		if p.Error != nil {
 			return nil, fmt.Errorf("go list: package %s: %s", p.ImportPath, p.Error.Err)
 		}
-		if p.Export != "" {
-			exportFiles[p.ImportPath] = p.Export
-		}
-		if !p.Standard && !p.DepOnly {
-			tp := p
-			targets = append(targets, &tp)
+		pkgs = append(pkgs, p)
+	}
+}
+
+// LoadPackages type-checks the packages matching patterns (relative to
+// dir), resolving every import — standard library and intra-module alike —
+// from compiler export data. That keeps the loader dependency-free and
+// network-free.
+func LoadPackages(dir string, patterns ...string) ([]*LoadedPackage, error) {
+	listed, err := goList(dir, patterns)
+	if err != nil {
+		return nil, err
+	}
+	var targets []*listPackage
+	for i := range listed {
+		if p := &listed[i]; !p.Standard && !p.DepOnly {
+			targets = append(targets, p)
 		}
 	}
 	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
 
 	fset := token.NewFileSet()
-	lookup := func(path string) (io.ReadCloser, error) {
-		file, ok := exportFiles[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	imp := importer.ForCompiler(fset, "gc", lookup)
+	imp := importer.ForCompiler(fset, "gc", exportLookup(listed))
 
 	var out []*LoadedPackage
 	for _, tp := range targets {
@@ -99,32 +99,35 @@ func LoadPackages(dir string, patterns ...string) ([]*LoadedPackage, error) {
 	return out, nil
 }
 
-// ListExports maps the named packages and all their dependencies to
-// compiler export-data files via one `go list -export -deps` run — the
-// import resolution primitive shared with the linttest fixture loader.
-func ListExports(patterns []string) (map[string]string, error) {
-	args := append([]string{"list", "-export", "-deps", "-json=ImportPath,Export"}, patterns...)
-	cmd := exec.Command("go", args...)
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout = &stdout
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("go list %v: %v\n%s", patterns, err, stderr.String())
+// ListExports returns the import lookup of the linttest fixture loader:
+// it opens the compiler export data of the named packages and all their
+// dependencies.
+func ListExports(patterns []string) (importer.Lookup, error) {
+	if len(patterns) == 0 {
+		return exportLookup(nil), nil
 	}
-	out := map[string]string{}
-	dec := json.NewDecoder(&stdout)
-	for {
-		var p struct{ ImportPath, Export string }
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("decoding go list output: %v", err)
-		}
+	listed, err := goList("", patterns)
+	if err != nil {
+		return nil, err
+	}
+	return exportLookup(listed), nil
+}
+
+// exportLookup opens the export-data file of each listed package.
+func exportLookup(listed []listPackage) importer.Lookup {
+	files := map[string]string{}
+	for _, p := range listed {
 		if p.Export != "" {
-			out[p.ImportPath] = p.Export
+			files[p.ImportPath] = p.Export
 		}
 	}
-	return out, nil
+	return func(path string) (io.ReadCloser, error) {
+		file, ok := files[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(file)
+	}
 }
 
 // typecheckPackage parses one target package's sources and type-checks
@@ -180,6 +183,6 @@ func RunAnalyzers(pkgs []*LoadedPackage, analyzers []*Analyzer) ([]Diagnostic, e
 			}
 		}
 	}
-	SortDiagnostics(diags)
+	sortDiagnostics(diags)
 	return diags, nil
 }

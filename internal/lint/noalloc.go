@@ -43,10 +43,12 @@ func runNoAlloc(pass *Pass) error {
 		}
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil || !FuncDirective(fn, "noalloc") {
+			if !ok || fn.Body == nil {
 				continue
 			}
-			pass.checkNoAlloc(fn)
+			if _, ok := FuncDirective(fn, "noalloc"); ok {
+				pass.checkNoAlloc(fn)
+			}
 		}
 	}
 	return nil

@@ -157,7 +157,7 @@ func (m *Mesh) EachNeighbor(id grid.NodeID, fn func(nb grid.NodeID, d grid.Dir))
 // sets. It is the single mutation point used by both the fault schedule and
 // the labeling protocol.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestFaultProcessStepAllocFree
 func (m *Mesh) SetStatus(id grid.NodeID, s Status) {
 	old := m.status[id]
 	if old == s {

@@ -44,7 +44,7 @@ func NewHeatmap(numNodes, numDirs int) *Heatmap {
 // the last covered step, so the integrated fields are decimated sums —
 // means stay comparable because samples counts flushes, not steps.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestProbedStepAllocFree
 func (h *Heatmap) ObserveStep(c engine.StepCensus) {
 	for n, r := range c.Resident {
 		if r == 0 {

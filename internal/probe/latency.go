@@ -29,7 +29,7 @@ func NewLatencyHist() *LatencyHist {
 
 // ObserveLatency implements LatencyObserver.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestProbedStepAllocFree
 func (l *LatencyHist) ObserveLatency(steps int) { l.h.Add(steps) }
 
 // WriteCSV emits one row per non-empty bucket in increasing value order.

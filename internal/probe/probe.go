@@ -50,7 +50,7 @@ func (s *Set) AddLatency(l LatencyObserver) {
 // ObserveStep implements engine.Probe: every registered census recorder
 // sees the same census, in registration order.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestProbedStepAllocFree
 func (s *Set) ObserveStep(c engine.StepCensus) {
 	for _, p := range s.probes {
 		p.ObserveStep(c)
@@ -59,7 +59,7 @@ func (s *Set) ObserveStep(c engine.StepCensus) {
 
 // ObserveLatency implements LatencyObserver by fan-out.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestProbedStepAllocFree
 func (s *Set) ObserveLatency(steps int) {
 	for _, l := range s.lats {
 		l.ObserveLatency(steps)

@@ -37,7 +37,7 @@ type Snapshot struct {
 // ObserveStep implements engine.Probe: counters accumulate, gauges take
 // the latest value.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestProbedStepAllocFree
 func (sn *Snapshot) ObserveStep(c engine.StepCensus) {
 	sn.mu.Lock()
 	sn.s.Step = c.Step

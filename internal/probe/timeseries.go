@@ -51,7 +51,7 @@ func NewTimeSeries(capacity int) *TimeSeries {
 
 // ObserveStep implements engine.Probe.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestProbedStepAllocFree
 func (t *TimeSeries) ObserveStep(c engine.StepCensus) {
 	i := t.start + t.n
 	if i >= len(t.rows) {

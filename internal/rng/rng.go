@@ -102,7 +102,7 @@ func (r *Source) Bool(p float64) bool {
 // test is u>>11 < ceil(p·2^53), one integer compare a draw with the state
 // in registers.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestGeneratorStepAllocFree
 func (r *Source) Failures(p float64, n int) int {
 	var t uint64 // ceil(p·2^53), clamped to [0, 2^53]; NaN never succeeds
 	switch {

@@ -42,7 +42,7 @@ func (Congested) Name() string { return "congested" }
 // avoids the classic minimal-adaptive pathology of noise-driven deviation
 // concentrating uniform traffic.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestCongestedStepAllocFree
 func (Congested) Decide(ctx *Context, msg *Message) Decision {
 	if ctx.Load == nil || !msg.Stalled() {
 		return Limited{}.Decide(ctx, msg)

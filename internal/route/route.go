@@ -230,7 +230,7 @@ func (msg *Message) Reset(src, dst grid.NodeID) {
 // was borrowed from, so a recycled header holds its path stack alone. A
 // message with no free list keeps its table.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestFaultProcessStepAllocFree
 func (msg *Message) Release() {
 	if msg.tables != nil && msg.visited != nil {
 		msg.tables.free = append(msg.tables.free, msg.visited[:0])
@@ -248,7 +248,7 @@ type Tables struct {
 
 // borrow pops a table off the free list, or returns nil when it is empty.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestFaultProcessStepAllocFree
 func (t *Tables) borrow() []visit {
 	n := len(t.free)
 	if n == 0 {
@@ -319,7 +319,7 @@ func (msg *Message) Used(shape *grid.Shape, id grid.NodeID) grid.DirSet {
 
 // find returns id's slot in the used-direction table, or -1.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestRecycledMessageAllocFree
 func (msg *Message) find(id grid.NodeID) int32 {
 	for i := range msg.visited {
 		if msg.visited[i].node == id {
@@ -337,7 +337,7 @@ func (msg *Message) find(id grid.NodeID) int32 {
 // gets no entry. The table comes from the header's free list, if it has
 // one and holds no table of its own.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestRecycledMessageAllocFree
 func (msg *Message) materialize(m *mesh.Mesh) {
 	if msg.strayed {
 		return
@@ -357,7 +357,7 @@ func (msg *Message) materialize(m *mesh.Mesh) {
 
 // enter makes id (at table slot slot, -1 if none) the current node.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestRecycledMessageAllocFree
 func (msg *Message) enter(id grid.NodeID, slot int32) {
 	msg.Cur, msg.slot, msg.used = id, slot, 0
 	if slot >= 0 {
@@ -412,7 +412,7 @@ type Gate func(from grid.NodeID, dir grid.Dir) bool
 // Wait or Commit — which a caller stepping many messages under one state
 // (the engine) uses directly, taking StateKey and LoadOblivious once.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestRecycledMessageAllocFree
 func AdvanceGated(ctx *Context, r Router, msg *Message, gate Gate) bool {
 	d, ok := Plan(ctx, r, msg, StateKey(ctx), LoadOblivious(r))
 	if !ok {
@@ -428,7 +428,7 @@ func AdvanceGated(ctx *Context, r Router, msg *Message, gate Gate) bool {
 // StateKey sums the versions of the context's mesh and record store. Both
 // only ever advance, so the sum is unchanged exactly when neither moved.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestContentionStepAllocFree
 func StateKey(ctx *Context) uint64 {
 	k := ctx.M.Version()
 	if ctx.Store != nil {
@@ -446,7 +446,7 @@ func StateKey(ctx *Context) uint64 {
 // are as they were, and so are the mesh and the store. The first step
 // fills in the header's toward set.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestContentionStepAllocFree
 func Plan(ctx *Context, r Router, msg *Message, key uint64, oblivious bool) (Decision, bool) {
 	if msg.Done() {
 		return Decision{}, false
@@ -482,7 +482,7 @@ func Plan(ctx *Context, r Router, msg *Message, key uint64, oblivious bool) (Dec
 // TestBacktrackEmptyPathConsultsNoGate pins it. Every other traversal,
 // forward or backward, asks the gate for this link.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestContentionStepAllocFree
 func (msg *Message) Link(d Decision) (grid.Dir, bool) {
 	switch {
 	case d.Fail:
@@ -500,7 +500,7 @@ func (msg *Message) Link(d Decision) (grid.Dir, bool) {
 // where it is, stalled, with the decision Plan returned kept for the next
 // step.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestContentionStepAllocFree
 func (msg *Message) Wait() {
 	msg.Waits++
 	msg.stalled = true
@@ -509,7 +509,7 @@ func (msg *Message) Wait() {
 // Commit ends the step by executing d, whose link (if any) was granted. It
 // returns true if the message is still in flight afterwards.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestContentionStepAllocFree
 func Commit(ctx *Context, msg *Message, d Decision) bool {
 	switch {
 	case d.Fail:
@@ -532,7 +532,7 @@ func Commit(ctx *Context, msg *Message, d Decision) bool {
 // strayed and the hop shrinks the distance, it pushes dir and nothing else;
 // the first hop that does not materializes the table and records it there.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestRecycledMessageAllocFree
 func (msg *Message) applyMove(ctx *Context, dir grid.Dir) {
 	next := ctx.M.Neighbor(msg.Cur, dir)
 	if next == grid.InvalidNode {
@@ -562,7 +562,7 @@ func (msg *Message) applyMove(ctx *Context, dir grid.Dir) {
 // left, materializing the table first if this is the message's first
 // stray.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestRecycledMessageAllocFree
 func (msg *Message) applyBacktrack(ctx *Context) {
 	if len(msg.path) == 0 {
 		msg.Unreachable = true
@@ -595,7 +595,7 @@ func (msg *Message) applyBacktrack(ctx *Context) {
 // axis (Cur is one hop short of Dst on it); any other hop opens the axis
 // (or widens it) on dir's side, so the way back shrinks it.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestRecycledMessageAllocFree
 func (msg *Message) retoward(shape *grid.Shape, dir grid.Dir) {
 	switch a := dir.Axis(); {
 	case !msg.toward.Has(dir):
@@ -632,7 +632,7 @@ func (Limited) Name() string { return "limited" }
 // Decide implements Algorithm 3 over the block records stored at the
 // current node.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestContentionStepAllocFree
 func (Limited) Decide(ctx *Context, msg *Message) Decision {
 	return algorithm3(ctx, msg, ctx.Store)
 }
@@ -649,7 +649,7 @@ func (Limited) Decide(ctx *Context, msg *Message) Decision {
 // enabled node that holds no record nothing is demoted, so an unused open
 // direction toward the destination is the decision.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestContentionStepAllocFree
 func algorithm3(ctx *Context, msg *Message, store *info.Store) Decision {
 	var recs []info.Record
 	if store != nil {
@@ -684,7 +684,7 @@ func algorithm3(ctx *Context, msg *Message, store *info.Store) Decision {
 // each is tested against only the records whose shadow holds it. A
 // disabled/faulty current node has no candidates (the backtrack case).
 //
-//meshvet:noalloc
+//meshvet:noalloc TestContentionStepAllocFree
 func classify(ctx *Context, msg *Message, recs []info.Record) (preferred, demoted, spares grid.DirSet) {
 	m := ctx.M
 	u := msg.Cur
@@ -794,7 +794,7 @@ func (Blind) Name() string { return "blind" }
 
 // Decide implements Router: Algorithm 3 with no records.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestContentionStepAllocFree
 func (Blind) Decide(ctx *Context, msg *Message) Decision {
 	return algorithm3(ctx, msg, nil)
 }
@@ -921,7 +921,7 @@ func (DOR) Name() string { return "dor" }
 
 // Decide implements Router.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestTimeoutStepAllocFree
 func (DOR) Decide(ctx *Context, msg *Message) Decision {
 	m := ctx.M
 	if m.Status(msg.Cur).Bad() {
@@ -952,7 +952,7 @@ func (DOR) Decide(ctx *Context, msg *Message) Decision {
 // which reads Context.Load and Message.Stalled. Oracle's table is a pure
 // function of the mesh.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestContentionStepAllocFree
 func LoadOblivious(r Router) bool {
 	switch r.(type) {
 	case Limited, Blind, DOR, *Oracle:

@@ -62,7 +62,7 @@ func (h *LogHistogram) BucketBounds(i int) (lo, hi int) {
 
 // Add records one observation. Negative values clamp to 0.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestLogHistAddAllocFree
 func (h *LogHistogram) Add(v int) {
 	if v < 0 {
 		v = 0

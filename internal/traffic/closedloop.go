@@ -97,7 +97,7 @@ const backoffMaxShift = 8
 // steps plus a uniform jitter of up to the same magnitude, drawn from r.
 // base <= 0 is no delay and draws nothing.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestEscapeClosedLoopStepAllocFree
 func backoffDelay(base, streak int, r *rng.Source) int {
 	if base <= 0 {
 		return 0
@@ -125,7 +125,7 @@ func (c *ClosedLoop) InFlight() int { return c.inFlight }
 // a fresh draw next step, so a closed loop never drops requests, it defers
 // them.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestClosedLoopStepAllocFree
 func (c *ClosedLoop) Step(emit func(src, dst grid.NodeID) bool) {
 	n := c.shape.NumNodes()
 	for node := 0; node < n; node++ {
@@ -152,7 +152,7 @@ func (c *ClosedLoop) Step(emit func(src, dst grid.NodeID) bool) {
 // consecutive-timeout streak: the network is moving traffic out of this
 // node again, so the next timeout backs off from the base delay.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestClosedLoopStepAllocFree
 func (c *ClosedLoop) Release(src grid.NodeID) {
 	if c.outstanding[src] <= 0 {
 		panic("traffic: ClosedLoop.Release without an outstanding request")
@@ -172,7 +172,7 @@ func (c *ClosedLoop) Release(src grid.NodeID) {
 // window and will be re-offered (with a fresh destination draw) when the
 // backoff expires.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestEscapeClosedLoopStepAllocFree
 func (c *ClosedLoop) Timeout(src grid.NodeID) {
 	if c.outstanding[src] <= 0 {
 		panic("traffic: ClosedLoop.Timeout without an outstanding request")

@@ -34,7 +34,7 @@ func NewGenerator(shape *grid.Shape, pat Pattern, proc Process, rate float64, r 
 // arrival for its destination: the same draws, in the same order, as one
 // Arrivals call per node.
 //
-//meshvet:noalloc
+//meshvet:noalloc TestGeneratorStepAllocFree
 func (g *Generator) Step(emit func(src, dst grid.NodeID) bool) {
 	n := g.shape.NumNodes()
 	if _, ok := g.proc.(*Bernoulli); ok {
