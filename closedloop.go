@@ -107,7 +107,7 @@ func ClosedLoopSweepWorkers(opt ClosedLoopOptions, seed uint64, workers int) ([]
 			if err != nil {
 				return ClosedLoopRow{}, err
 			}
-			row := ClosedLoopRow{
+			return ClosedLoopRow{
 				Dims:         shape.String(),
 				Pattern:      opt.Patterns[pi],
 				Router:       opt.Routers[ki],
@@ -123,10 +123,8 @@ func ClosedLoopSweepWorkers(opt ClosedLoopOptions, seed uint64, workers int) ([]
 				LatP95:       pt.Latency.P95,
 				LatP99:       pt.Latency.P99,
 				LatMax:       pt.Latency.Max,
-			}
-			if steps := opt.Measure * shape.NumNodes(); steps > 0 {
-				row.InjectedRate = float64(pt.Injected) / float64(steps)
-			}
-			return row, nil
+				// validateLoadShape holds Measure >= 1.
+				InjectedRate: float64(pt.Injected) / float64(opt.Measure*shape.NumNodes()),
+			}, nil
 		}, emitEach(opt.Emit))
 }

@@ -53,6 +53,46 @@ func TestEveryPackageHasDocComment(t *testing.T) {
 	}
 }
 
+// TestExportedFuncDocsNameTheFunc holds every exported function's and
+// method's doc comment, outside bench/, testdata and _test.go files, to the
+// Go convention that it begins with the name it documents, optionally after
+// "A", "An" or "The": a comment left naming a renamed function fails here.
+func TestExportedFuncDocsNameTheFunc(t *testing.T) {
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || path == "bench") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || !fn.Name.IsExported() || fn.Doc == nil {
+				continue
+			}
+			words := strings.Fields(fn.Doc.Text())
+			if len(words) > 1 && slices.Contains([]string{"A", "An", "The"}, words[0]) {
+				words = words[1:]
+			}
+			if len(words) == 0 || strings.TrimRight(words[0], ",.:;") != fn.Name.Name {
+				t.Errorf("%s: the doc comment of %s begins %q, not with its name", fset.Position(fn.Pos()), fn.Name.Name, strings.Join(words[:min(len(words), 2)], " "))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestDocReferencesResolve keeps prose pointers alive: every *.md path a Go
 // comment names (outside bench/, which only a benchmark PR edits) and every
 // relative link of README.md, ARCHITECTURE.md and docs/*.md must exist, and

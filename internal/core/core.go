@@ -106,7 +106,7 @@ func New(m *mesh.Mesh) *Model {
 	return md
 }
 
-// Round returns the current global round counter.
+// RoundCount returns the current global round counter.
 func (md *Model) RoundCount() int { return md.round }
 
 // Reset rewinds the model to the fault-free state over the same mesh so it

@@ -14,9 +14,14 @@
 //
 // Contracts the rest of the stack builds on:
 //
-//   - Determinism: flights are polled in injection order, so the opt-in
-//     contention model's link arbitration is an age-ordered FIFO and the
-//     step is one serial loop with no goroutine-scheduling dependence.
+//   - One step model: every step arbitrates links and buffers, counts
+//     residency and stalls and runs the gridlock detector under the
+//     engine's ContentionConfig. The paper's free model is one setting of
+//     it (unlimited link rate, unbounded buffers, no detector, timeout or
+//     bubble), under which no link is ever denied.
+//   - Determinism: flights are polled in injection order, so link
+//     arbitration is an age-ordered FIFO and the step is one serial loop
+//     with no goroutine-scheduling dependence.
 //   - Reset: Reset rewinds the engine to step 0 recycling flights into a
 //     free list and truncating the event log in place (results handed out
 //     earlier must be consumed first); ClearFlights retires the flight
@@ -42,6 +47,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 
 	"ndmesh/internal/block"
 	"ndmesh/internal/core"
@@ -61,16 +67,12 @@ type Flight struct {
 	// StartStep is the step the message was injected (the t of Table 1).
 	StartStep int
 
-	// StallAge counts the consecutive contention steps this flight has
-	// spent in place without terminating: it increments every step the
-	// flight neither moves nor reaches a terminal state, and resets to 0 on
-	// any move. FlightTimeout kills a flight whose StallAge reaches the
+	// StallAge counts the consecutive steps this flight has spent in place
+	// without terminating: it increments every step the flight neither
+	// moves nor reaches a terminal state, and resets to 0 on any move. FlightTimeout kills a flight whose StallAge reaches the
 	// threshold; the gridlock detector uses the same census in aggregate.
 	StallAge int
 
-	// resident marks that the flight is counted in the contention model's
-	// per-node residency (cleared when the count is released).
-	resident bool
 	// oblivious caches route.LoadOblivious(Router), taken at Inject (which
 	// sets Router): whether a stalled header may keep its decision while the
 	// step's key holds.
@@ -109,15 +111,15 @@ type EventRecord struct {
 	// RecordsAfter is the information-store size after this event's
 	// constructions (memory metric snapshot).
 	RecordsAfter int
-
-	finalized bool
 }
 
-// ContentionConfig configures the opt-in link/channel contention model:
-// instead of every flight teleporting one hop per step, concurrent flights
-// arbitrate for directed links (and downstream router buffers) and wait in
-// place when they lose, which is what turns the engine into a
-// load-measurement instrument (latency-throughput curves, saturation).
+// ContentionConfig configures the link/channel arbitration of the engine's
+// step: concurrent flights arbitrate for directed links (and downstream
+// router buffers) and wait in place when they lose, which is what turns the
+// engine into a load-measurement instrument (latency-throughput curves,
+// saturation). A new engine, and one after DisableContention, runs the free
+// configuration: every link unlimited, every buffer unbounded, no detector,
+// timeout or bubble, so every flight advances one hop per step.
 type ContentionConfig struct {
 	// LinkRate is the service rate of every directed link: how many
 	// messages may cross it per step. Values < 1 mean 1.
@@ -154,6 +156,11 @@ type ContentionConfig struct {
 	Bubble bool
 }
 
+// free is the configuration of the paper's contention-free model: no link
+// ever runs out of service budget (served counts stay far below it) and no
+// buffer fills, so the gate grants every traversal.
+var free = ContentionConfig{LinkRate: math.MaxInt32}
+
 // contention is the engine's per-step arbitration state. served/dirty
 // implement an O(active links) per-step reset: served is indexed by
 // directed link (node*2n + dir) and only the entries touched this step —
@@ -166,9 +173,12 @@ type ContentionConfig struct {
 // step's stall counts — a stable, step-consistent queueing-pressure signal
 // the Congested router reads through route.LoadView while the current
 // step's denials accumulate separately.
+//
+// resident[n] counts the attached flights (live, or terminated and not yet
+// harvested) whose current node is n: Inject adds a flight at its source,
+// a move shifts it, DetachDone and ClearFlights release it.
 type contention struct {
-	enabled bool
-	cfg     ContentionConfig
+	cfg ContentionConfig
 
 	served      []int32 // crossings granted per directed link this step
 	dirty       []int32 // link indexes with served != 0
@@ -176,7 +186,7 @@ type contention struct {
 	pendingDty  []int32 // link indexes with pending != 0
 	lastPending []int32 // previous step's stalls (the LinkPending view)
 	lastDty     []int32 // link indexes with lastPending != 0
-	resident    []int32 // active flights currently at each node
+	resident    []int32 // attached flights currently at each node
 	numDirs     int32
 
 	// Gridlock-detector state (GridlockWindow > 0). zeroStreak counts
@@ -190,8 +200,8 @@ type contention struct {
 	recoverAt  int
 }
 
-// The engine is the contention model's load view: routers reach Resident
-// and LinkPending through route.Context.Load.
+// The engine is its flights' load view: routers reach Resident and
+// LinkPending through route.Context.Load.
 var _ route.LoadView = (*Engine)(nil)
 
 // Engine drives one simulation.
@@ -260,10 +270,20 @@ func New(md *core.Model, lambda int, sched *fault.Schedule) *Engine {
 	if sched == nil {
 		sched = &fault.Schedule{}
 	}
-	e := &Engine{Model: md, Lambda: lambda, Schedule: sched}
-	// The engine is its flights' load view (route.LoadView): outside
-	// contention mode both signals read zero, so load-aware routers
-	// collapse to their load-oblivious baselines.
+	n, dirs := md.M.NumNodes(), md.M.Shape().NumDirs()
+	e := &Engine{Model: md, Lambda: lambda, Schedule: sched, ctn: contention{
+		cfg:         free,
+		served:      make([]int32, n*dirs),
+		pending:     make([]int32, n*dirs),
+		lastPending: make([]int32, n*dirs),
+		resident:    make([]int32, n),
+		numDirs:     int32(dirs),
+		gridlockAt:  -1,
+		recoverAt:   -1,
+	}}
+	// The engine is its flights' load view (route.LoadView). Load-aware
+	// routing is stall-gated, so under the free configuration, which denies
+	// no link, it decides as its load-oblivious baseline does.
 	e.ctx = route.Context{M: md.M, Store: md.Store, Load: e}
 	return e
 }
@@ -271,73 +291,47 @@ func New(md *core.Model, lambda int, sched *fault.Schedule) *Engine {
 // StepCount returns the current step number.
 func (e *Engine) StepCount() int { return e.step }
 
-// EnableContention switches the engine into contention mode with the given
-// configuration. Buffers are sized for the model's mesh on first enable
-// and reused afterwards; enabling mid-run restarts the arbitration state
-// with the current flights' positions.
+// EnableContention installs the arbitration configuration of the engine's
+// step (LinkRate < 1 means 1) and clears the link and detector state; the
+// residency of attached flights carries over.
 func (e *Engine) EnableContention(cfg ContentionConfig) {
 	if cfg.LinkRate < 1 {
 		cfg.LinkRate = 1
 	}
-	c := &e.ctn
-	c.cfg = cfg
-	c.enabled = true
-	n := e.Model.M.NumNodes()
-	c.numDirs = int32(e.Model.M.Shape().NumDirs())
-	if len(c.served) != n*int(c.numDirs) {
-		c.served = make([]int32, n*int(c.numDirs))
-		c.pending = make([]int32, n*int(c.numDirs))
-		c.lastPending = make([]int32, n*int(c.numDirs))
-	}
-	if len(c.resident) != n {
-		c.resident = make([]int32, n)
-	}
-	e.resetContention()
-	for i, f := range e.flights {
-		f.resident = i < e.live
-		if f.resident {
-			c.resident[f.msg.Cur]++
-		}
-	}
+	e.ctn.cfg = cfg
+	e.ctn.clearLinks()
 }
 
-// DisableContention returns the engine to the contention-free model,
-// keeping the buffers for a later re-enable.
-func (e *Engine) DisableContention() { e.ctn.enabled = false }
-
-// ContentionEnabled reports whether the contention model is active.
-func (e *Engine) ContentionEnabled() bool { return e.ctn.enabled }
-
-// Resident returns the number of active flights currently at the node
-// (contention mode only; 0 otherwise). Together with LinkPending it
-// implements route.LoadView, the load signal congestion-aware routers
-// consult.
-func (e *Engine) Resident(id grid.NodeID) int {
-	if !e.ctn.enabled {
-		return 0
-	}
-	return int(e.ctn.resident[id])
+// DisableContention installs the free configuration and clears the link and
+// detector state.
+func (e *Engine) DisableContention() {
+	e.ctn.cfg = free
+	e.ctn.clearLinks()
 }
+
+// ContentionEnabled reports whether the configuration is not the free one.
+func (e *Engine) ContentionEnabled() bool { return e.ctn.cfg != free }
+
+// Resident returns the number of attached flights currently at the node.
+// Together with LinkPending it implements route.LoadView, the load signal
+// congestion-aware routers consult.
+func (e *Engine) Resident(id grid.NodeID) int { return int(e.ctn.resident[id]) }
 
 // LinkPending returns how many traversals stalled on the directed link
-// (from, dir) during the previous step — the link's queueing pressure
-// (contention mode only; 0 otherwise). The one-step lag keeps the view
-// consistent for every flight deciding within a step.
+// (from, dir) during the previous step — the link's queueing pressure. The
+// one-step lag keeps the view consistent for every flight deciding within a
+// step.
 func (e *Engine) LinkPending(from grid.NodeID, dir grid.Dir) int {
-	if !e.ctn.enabled {
-		return 0
-	}
 	return int(e.ctn.lastPending[int32(from)*e.ctn.numDirs+int32(dir)])
 }
 
 // Admit reports whether a new flight may be injected at src under the
-// configured node capacity. Without contention (or with unbounded
-// capacity) every injection is admitted. With Bubble admission the source
-// must keep one slot free after the injection, so the effective injection
-// limit is NodeCapacity-1.
+// configured node capacity. With unbounded capacity every injection is
+// admitted. With Bubble admission the source must keep one slot free after
+// the injection, so the effective injection limit is NodeCapacity-1.
 func (e *Engine) Admit(src grid.NodeID) bool {
 	c := &e.ctn
-	if !c.enabled || c.cfg.NodeCapacity <= 0 {
+	if c.cfg.NodeCapacity <= 0 {
 		return true
 	}
 	limit := c.cfg.NodeCapacity
@@ -352,32 +346,27 @@ func (e *Engine) Admit(src grid.NodeID) bool {
 // make no progress at all. The latch clears as soon as any flight moves or
 // terminates (e.g. a FlightTimeout kill), so under an escape mechanism a
 // gridlock is a transient, not a verdict.
-func (e *Engine) Gridlocked() bool { return e.ctn.enabled && e.ctn.gridlocked }
+func (e *Engine) Gridlocked() bool { return e.ctn.gridlocked }
 
 // GridlockStep returns the 1-based step at which the detector first fired
 // in this run, or 0 if it never has. The first episode is latched across
 // recoveries so time-to-recovery stays measurable after the fact.
-func (e *Engine) GridlockStep() int {
-	if !e.ctn.enabled || e.ctn.gridlockAt < 0 {
-		return 0
-	}
-	return e.ctn.gridlockAt + 1
-}
+func (e *Engine) GridlockStep() int { return e.ctn.gridlockAt + 1 }
 
 // GridlockRecovery returns the number of steps between the detector first
 // firing and the first subsequent step with progress (time-to-recovery), or
 // 0 if the detector never fired or the run never recovered.
 func (e *Engine) GridlockRecovery() int {
 	c := &e.ctn
-	if !c.enabled || c.gridlockAt < 0 || c.recoverAt < 0 {
+	if c.recoverAt < 0 {
 		return 0
 	}
 	return c.recoverAt - c.gridlockAt
 }
 
-// resetContention clears the arbitration counters without resizing.
-func (e *Engine) resetContention() {
-	c := &e.ctn
+// clearLinks clears the link service and stall counters and the detector,
+// touching only the entries the dirty lists name.
+func (c *contention) clearLinks() {
 	for _, li := range c.dirty {
 		c.served[li] = 0
 	}
@@ -390,18 +379,15 @@ func (e *Engine) resetContention() {
 		c.lastPending[li] = 0
 	}
 	c.lastDty = c.lastDty[:0]
-	for i := range c.resident {
-		c.resident[i] = 0
-	}
 	c.zeroStreak = 0
 	c.gridlocked = false
 	c.gridlockAt = -1
 	c.recoverAt = -1
 }
 
-// gate is the contention model's route.Gate, called directly by the commit
-// loop: a traversal is granted while the link has service budget left this
-// step and the destination router has buffer space. Flights are polled in
+// gate is the engine's route.Gate, called directly by the commit loop: a
+// traversal is granted while the link has service budget left this step and
+// the destination router has buffer space. Flights are polled in
 // injection order (the order e.flights preserves), so each directed link
 // behaves as an age-ordered FIFO: the oldest waiting flight wins the next
 // grant — deterministically.
@@ -447,7 +433,7 @@ func (c *contention) deny(li int32) bool {
 // Flights and the event log handed out before Reset are reused and MUST
 // NOT be read afterwards — consume results before resetting.
 func (e *Engine) Reset() {
-	e.ClearFlights() // also clears contention residency/service counters
+	e.ClearFlights() // also releases residency and clears the link state
 	e.Events = e.Events[:0]
 	e.evIdx = 0
 	e.step = 0
@@ -455,18 +441,18 @@ func (e *Engine) Reset() {
 	e.census = StepCensus{}
 }
 
-// ClearFlights retires every flight (recycling it for future Inject calls)
+// ClearFlights retires every flight (recycling it for future Inject calls),
+// releasing each one's residency, and clears the link and detector state,
 // without touching the schedule, the step counter, or the model. Benchmarks
 // use it to re-route over a standing scenario.
 func (e *Engine) ClearFlights() {
 	for _, f := range e.flights {
+		e.ctn.resident[f.msg.Cur]--
 		f.msg.Release()
 	}
 	e.spareFlights = append(e.spareFlights, e.flights...)
 	e.flights, e.live = e.flights[:0], 0
-	if e.ctn.enabled {
-		e.resetContention()
-	}
+	e.ctn.clearLinks()
 }
 
 // DetachDone removes every terminated flight from the active list —
@@ -480,10 +466,7 @@ func (e *Engine) ClearFlights() {
 //meshvet:noalloc TestContentionStepAllocFree
 func (e *Engine) DetachDone(fn func(*Flight)) {
 	for _, f := range e.flights[e.live:] {
-		if e.ctn.enabled && f.resident {
-			e.ctn.resident[f.msg.Cur]--
-			f.resident = false
-		}
+		e.ctn.resident[f.msg.Cur]--
 		if fn != nil {
 			fn(f)
 		}
@@ -495,11 +478,10 @@ func (e *Engine) DetachDone(fn func(*Flight)) {
 
 // Inject adds a routing message from src to dst under the given router,
 // returning its flight. The message takes its first hop at the next Step.
-// Under contention with a finite NodeCapacity, injection at a full source
-// is an error: admitting it would overfill the router's input buffer and
-// break the conservation invariant every gate decision relies on, so
-// callers must check Admit first (the open-loop generators count a refusal
-// as a drop).
+// With a finite NodeCapacity, injection at a full source is an error:
+// admitting it would overfill the router's input buffer and break the
+// conservation invariant every gate decision relies on, so callers must
+// check Admit first (the open-loop generators count a refusal as a drop).
 func (e *Engine) Inject(src, dst grid.NodeID, r route.Router) (*Flight, error) {
 	if src == dst {
 		return nil, fmt.Errorf("engine: source equals destination")
@@ -525,12 +507,9 @@ func (e *Engine) Inject(src, dst grid.NodeID, r route.Router) (*Flight, error) {
 	f.msg.Reset(src, dst)
 	f.Router, f.StartStep, f.StallAge = r, e.step, 0
 	f.oblivious = route.LoadOblivious(r)
-	f.resident = e.ctn.enabled
-	if f.resident {
-		e.ctn.resident[src]++
-		if e.probe != nil {
-			e.census.Injected++
-		}
+	e.ctn.resident[src]++
+	if e.probe != nil {
+		e.census.Injected++
 	}
 	// The newcomer joins the end of the live prefix; a terminated flight
 	// sitting there moves to the end of the tail.
@@ -542,11 +521,9 @@ func (e *Engine) Inject(src, dst grid.NodeID, r route.Router) (*Flight, error) {
 	return f, nil
 }
 
-// ResidencyCensus returns a copy of the per-node residency counters,
-// regardless of whether contention is currently enabled — a testing and
-// debugging aid for asserting that a finished load run released every
-// counter (Resident reads zero once contention is disabled, which would
-// mask stale state).
+// ResidencyCensus returns a copy of the per-node residency counters — a
+// testing and debugging aid for asserting that a finished load run released
+// every counter.
 func (e *Engine) ResidencyCensus() []int {
 	out := make([]int, len(e.ctn.resident))
 	for i, r := range e.ctn.resident {
@@ -578,31 +555,28 @@ func (e *Engine) Step() {
 	}
 
 	// 3-5. Message reception, routing decision, message sending: one hop
-	// per step for every live flight, polled in injection order. Under
-	// contention each step opens with a fresh link-service budget, so links
-	// are granted oldest-first; a flight that loses arbitration waits in
-	// place and re-decides next step — or, while the (mesh, store) key taken
-	// here holds and its router is load-oblivious, asks the gate again for
-	// the decision it kept, without entering the router.
+	// per step for every live flight, polled in injection order. Each step
+	// opens with a fresh link-service budget, so links are granted
+	// oldest-first; a flight that loses arbitration waits in place and
+	// re-decides next step — or, while the (mesh, store) key taken here
+	// holds and its router is load-oblivious, asks the gate again for the
+	// decision it kept, without entering the router.
 	c := &e.ctn
-	timeout := 0
-	if c.enabled {
-		for _, li := range c.dirty {
-			c.served[li] = 0
-		}
-		c.dirty = c.dirty[:0]
-		// Rotate the stall counters: last step's denials become the
-		// LinkPending view for this step's decisions, and the cleared array
-		// starts accumulating this step's denials.
-		for _, li := range c.lastDty {
-			c.lastPending[li] = 0
-		}
-		c.lastPending, c.pending = c.pending, c.lastPending
-		c.lastDty, c.pendingDty = c.pendingDty, c.lastDty[:0]
-		timeout = c.cfg.FlightTimeout
+	for _, li := range c.dirty {
+		c.served[li] = 0
 	}
+	c.dirty = c.dirty[:0]
+	// Rotate the stall counters: last step's denials become the LinkPending
+	// view for this step's decisions, and the cleared array starts
+	// accumulating this step's denials.
+	for _, li := range c.lastDty {
+		c.lastPending[li] = 0
+	}
+	c.lastPending, c.pending = c.pending, c.lastPending
+	c.lastDty, c.pendingDty = c.pendingDty, c.lastDty[:0]
+	timeout := c.cfg.FlightTimeout
 	key := route.StateKey(&e.ctx)
-	probed := c.enabled && e.probe != nil
+	probed := e.probe != nil
 	// The commit loop doubles as the progress census and as the compaction
 	// of the live prefix: progressed counts flights that moved or reached a
 	// terminal state this step; survivors slide down to flights[:w] in
@@ -635,7 +609,7 @@ func (e *Engine) Step() {
 			// harvest.
 			msg.TimedOut = true
 		} else if d, ok := route.Plan(&e.ctx, f.Router, msg, key, f.oblivious); ok {
-			if dir, crosses := msg.Link(d); crosses && c.enabled && !e.gate(before, dir) {
+			if dir, crosses := msg.Link(d); crosses && !e.gate(before, dir) {
 				msg.Wait()
 			} else {
 				route.Commit(&e.ctx, msg, d)
@@ -644,10 +618,8 @@ func (e *Engine) Step() {
 		moved, done := msg.Cur != before, msg.Done()
 		switch {
 		case moved:
-			if c.enabled && f.resident {
-				c.resident[before]--
-				c.resident[msg.Cur]++
-			}
+			c.resident[before]--
+			c.resident[msg.Cur]++
 			f.StallAge = 0
 		case !done:
 			f.StallAge++
@@ -670,7 +642,7 @@ func (e *Engine) Step() {
 	}
 	copy(e.flights[w:], retired)
 	e.live, e.retired = w, retired[:0]
-	if c.enabled && c.cfg.GridlockWindow > 0 {
+	if c.cfg.GridlockWindow > 0 {
 		if w > 0 && progressed == 0 {
 			c.zeroStreak++
 			if !c.gridlocked && c.zeroStreak >= c.cfg.GridlockWindow {
@@ -748,7 +720,6 @@ func (e *Engine) finalizeLastEvent() {
 	rec.Affected = md.Labeling.Affected()
 	rec.EMaxAfter = e.oracle.MaxEdge(md.M)
 	rec.RecordsAfter = md.Store.TotalRecords()
-	rec.finalized = true
 }
 
 func clampNonNeg(x int) int {

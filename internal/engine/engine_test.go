@@ -163,9 +163,20 @@ func TestDoneAndRun(t *testing.T) {
 	if !eng.Done() {
 		t.Fatalf("engine not done after %d steps", steps)
 	}
-	// The last event must be finalized by Run.
-	if len(eng.Events) != 1 || !eng.Events[0].finalized {
-		t.Fatal("event not finalized")
+	// The last event must be finalized by Run: applying it logged only its
+	// step, round, kind and node, and finalization fills in the rest.
+	if len(eng.Events) != 1 {
+		t.Fatalf("event records = %d, want 1", len(eng.Events))
+	}
+	rec := eng.Events[0]
+	if rec.RecordsAfter == 0 || rec.RecordsAfter != eng.Model.Store.TotalRecords() {
+		t.Errorf("RecordsAfter = %d, store holds %d: event not finalized", rec.RecordsAfter, eng.Model.Store.TotalRecords())
+	}
+	if rec.EMaxAfter != 1 {
+		t.Errorf("EMaxAfter = %d, want 1 (one faulty node): event not finalized", rec.EMaxAfter)
+	}
+	if rec.BRounds == 0 || rec.CRounds == 0 || rec.BSteps != rec.BRounds || rec.CSteps != rec.CRounds {
+		t.Errorf("identification/boundary rounds not finalized: %+v", rec)
 	}
 }
 

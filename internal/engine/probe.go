@@ -2,9 +2,8 @@ package engine
 
 import "ndmesh/internal/route"
 
-// This file is the engine's observability hook: an opt-in Probe that
-// receives the per-step census assembled inside the commit loop of the
-// contention step. Observation is read-only and lives entirely off the
+// This file is the engine's observability hook: an optional Probe that
+// receives the per-step census assembled inside the step's commit loop. Observation is read-only and lives entirely off the
 // decision path, so attaching a probe cannot change a single routing or
 // arbitration outcome — a probed run's LoadPoint (and therefore every
 // golden) is byte-identical to the unprobed run, at every worker count.
@@ -12,7 +11,7 @@ import "ndmesh/internal/route"
 // attached the step stays 0 allocs/op.
 
 // StepCensus is what the engine reports per flush: the aggregate of every
-// contention step since the previous flush (counters sum; gauges hold the
+// step since the previous flush (counters sum; gauges hold the
 // value at the last covered step). The Resident/LinkStalls views alias the
 // engine's live arrays and are valid only for the duration of the
 // ObserveStep call — probes must fold them immediately, never retain them.
@@ -64,9 +63,8 @@ type Probe interface {
 }
 
 // SetProbe attaches (or, with nil, detaches) the engine's census probe and
-// clears any partially accumulated census. Probing observes the contention
-// model only: contention-free steps have no arbitration, residency or
-// stall state to report, so they are not counted.
+// clears any partially accumulated census. Every step is counted, under the
+// free configuration too, where no link stalls.
 func (e *Engine) SetProbe(p Probe) {
 	e.probe = p
 	e.census = StepCensus{}

@@ -27,22 +27,17 @@ func (e *Engine) referenceStep(gate route.Gate) {
 		e.RoundsRun++
 	}
 	c := &e.ctn
-	timeout := 0
-	if c.enabled {
-		for _, li := range c.dirty {
-			c.served[li] = 0
-		}
-		c.dirty = c.dirty[:0]
-		for _, li := range c.lastDty {
-			c.lastPending[li] = 0
-		}
-		c.lastPending, c.pending = c.pending, c.lastPending
-		c.lastDty, c.pendingDty = c.pendingDty, c.lastDty[:0]
-		timeout = c.cfg.FlightTimeout
-	} else {
-		gate = nil
+	for _, li := range c.dirty {
+		c.served[li] = 0
 	}
-	probed := c.enabled && e.probe != nil
+	c.dirty = c.dirty[:0]
+	for _, li := range c.lastDty {
+		c.lastPending[li] = 0
+	}
+	c.lastPending, c.pending = c.pending, c.lastPending
+	c.lastDty, c.pendingDty = c.pendingDty, c.lastDty[:0]
+	timeout := c.cfg.FlightTimeout
+	probed := e.probe != nil
 	progressed, w := 0, 0
 	var retired []*Flight
 	for _, f := range e.flights[:e.live] {
@@ -56,10 +51,8 @@ func (e *Engine) referenceStep(gate route.Gate) {
 		moved, done := msg.Cur != before, msg.Done()
 		switch {
 		case moved:
-			if c.enabled && f.resident {
-				c.resident[before]--
-				c.resident[msg.Cur]++
-			}
+			c.resident[before]--
+			c.resident[msg.Cur]++
 			f.StallAge = 0
 		case !done:
 			f.StallAge++
@@ -79,7 +72,7 @@ func (e *Engine) referenceStep(gate route.Gate) {
 	}
 	copy(e.flights[w:], retired)
 	e.live = w
-	if c.enabled && c.cfg.GridlockWindow > 0 {
+	if c.cfg.GridlockWindow > 0 {
 		if w > 0 && progressed == 0 {
 			c.zeroStreak++
 			if !c.gridlocked && c.zeroStreak >= c.cfg.GridlockWindow {
@@ -109,8 +102,7 @@ func (e *Engine) referenceStep(gate route.Gate) {
 // TestStepMatchesAdvanceGated runs Step beside referenceStep on identical
 // engines fed identical traffic and holds them equal after every step:
 // every header (path stack, table, kept decision and its key included),
-// each flight's stall age and residency mark, the residency census and the
-// probe census. The runs cover the commit loop's cases:
+// each flight's stall age, the residency census and the probe census. The runs cover the commit loop's cases:
 //
 //   - a saturated fault-free 32x32 under limited, where two flight-steps in
 //     five stall and a stalled flight keeps its decision;
@@ -220,7 +212,7 @@ func sameEngines(t *testing.T, step int, a, b *Engine) {
 	for i, fa := range a.flights {
 		fb := b.flights[i]
 		if fa.Router.Name() != fb.Router.Name() || fa.StartStep != fb.StartStep || fa.StallAge != fb.StallAge ||
-			fa.resident != fb.resident || !reflect.DeepEqual(fa.msg, fb.msg) {
+			!reflect.DeepEqual(fa.msg, fb.msg) {
 			t.Fatalf("step %d: flight %d (%s) is %v stall age %d, reference %v stall age %d",
 				step, i, fa.Router.Name(), fa.Msg, fa.StallAge, fb.Msg, fb.StallAge)
 		}

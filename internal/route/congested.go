@@ -15,8 +15,9 @@ package route
 //
 //   - With Context.Load == nil the router delegates to Limited verbatim —
 //     decision-for-decision identical (pinned by TestCongestedEqualsLimited*).
-//   - With contention disabled every load reads zero, every candidate ties,
-//     and the hysteresis keeps the baseline pick — again identical.
+//   - Under the engine's free configuration no link is denied, so no
+//     message is ever stalled and every decision is Limited's — again
+//     identical.
 //   - Deviating from the baseline requires a strict load advantage of at
 //     least margin, so equal-load oscillation is impossible and the
 //     decision is a pure function of (mesh, records, header, load view).

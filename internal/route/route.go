@@ -87,9 +87,9 @@ const LowestAxis Policy = 0
 // router's input queue) and per-directed-link pending depth (how many
 // traversals stalled on the link last step). Both are node-local signals —
 // a router only ever queries its own node and its immediate neighbors, so
-// the information model stays limited. The engine's contention mode
-// implements it; outside contention mode both signals are zero, which makes
-// every load-aware tie-break collapse to its load-oblivious baseline.
+// the information model stays limited. The engine implements it. Under the
+// engine's free configuration no link is denied, so no message stalls and a
+// stall-gated load-aware router decides as its load-oblivious baseline does.
 type LoadView interface {
 	// Resident returns the number of active messages at the node.
 	Resident(id grid.NodeID) int
@@ -147,7 +147,7 @@ type Message struct {
 	// use it as the adaptivity trigger — a message deviates from the
 	// load-oblivious choice only after personally experiencing blocking,
 	// which keeps underloaded routing byte-identical to Limited and stops
-	// noise-driven herding. Always false outside contention mode.
+	// noise-driven herding. Always false under a gate that denies nothing.
 	stalled bool
 
 	// Arrived, Unreachable, Lost, TimedOut are the terminal states. Lost
@@ -185,7 +185,7 @@ type Message struct {
 	// Hops counts every link traversal (forward and backward); Backtracks
 	// counts the backward ones. Steps counts decision steps including
 	// waits. Waits counts the steps a contention gate stalled the message
-	// (always 0 outside contention mode).
+	// (always 0 under a gate that denies nothing).
 	Hops, Backtracks, Steps, Waits int
 
 	// path is the path stack: the direction of each forward move on the

@@ -118,7 +118,7 @@ func (s *Simulation) Reset() {
 	s.sched.Events = s.sched.Events[:0]
 }
 
-// Shape returns the mesh dimensions.
+// Dims returns the mesh dimensions.
 func (s *Simulation) Dims() []int { return s.shape.Radices() }
 
 // NumNodes returns the node count N.
@@ -338,10 +338,6 @@ func (s *Simulation) flightBudget() int {
 func (s *Simulation) result(fl *engine.Flight) RouteResult {
 	msg := fl.Msg
 	d0 := s.shape.Distance(msg.Src, msg.Dst)
-	extra := msg.Hops - d0
-	if extra < 0 {
-		extra = 0
-	}
 	return RouteResult{
 		Arrived:     msg.Arrived,
 		Unreachable: msg.Unreachable,
@@ -350,7 +346,7 @@ func (s *Simulation) result(fl *engine.Flight) RouteResult {
 		Backtracks:  msg.Backtracks,
 		Steps:       msg.Steps,
 		D0:          d0,
-		ExtraHops:   extra,
+		ExtraHops:   max(msg.Hops-d0, 0),
 	}
 }
 

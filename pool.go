@@ -11,10 +11,10 @@ package ndmesh
 // reset_test.go) is what makes reuse sound: a reused simulation is
 // indistinguishable from a fresh one after Reset, so which warm simulation
 // a job receives can never reach its results. loadPoint's deferred cleanup
-// (flights detached, contention off — TestLoadPointLeavesEngineClean) is
-// what makes it safe: simulations come back clean on every exit path of
-// its load loop (saturation.go), the Cancel poll included, which
-// EnginePool.VerifyClean audits.
+// (flights detached, the free configuration back —
+// TestLoadPointLeavesEngineClean) is what makes it safe: simulations come
+// back clean on every exit of its Engine.Run (saturation.go), the Cancel
+// poll included, which EnginePool.VerifyClean audits.
 //
 // The EnginePool threads into the sweeps through the Pool field of
 // SaturationOptions / ClosedLoopOptions / ReliabilityOptions / LoadOptions:
@@ -29,6 +29,7 @@ import (
 	"sync"
 
 	"ndmesh/internal/fault"
+	"ndmesh/internal/grid"
 )
 
 // ErrCanceled is returned by the sweeps and LoadRun when the caller's
@@ -48,9 +49,25 @@ type simPool struct {
 	shared *EnginePool
 }
 
+// simKey names a (shape, λ) pair by value: building and looking one up
+// allocates nothing.
 type simKey struct {
-	dims   string
-	lambda int
+	dims         [grid.MaxDims]int32
+	rank, lambda int
+}
+
+// newSimKey keys (dims, λ). Dims no shape can have (more than
+// grid.MaxDims of them, or a radix past int32) get a key of rank -1, which
+// no simulation is stored under, not the key of a shape they truncate to.
+func newSimKey(dims []int, lambda int) simKey {
+	key := simKey{rank: len(dims), lambda: lambda}
+	for i, k := range dims {
+		if i >= grid.MaxDims || k != int(int32(k)) {
+			return simKey{rank: -1}
+		}
+		key.dims[i] = int32(k)
+	}
+	return key
 }
 
 func newSimPool() *simPool { return &simPool{sims: make(map[simKey]*Simulation)} }
@@ -59,17 +76,16 @@ func newSimPool() *simPool { return &simPool{sims: make(map[simKey]*Simulation)}
 // and reusing a previously built one when possible — the worker's own
 // first, then the shared reservoir's, then a fresh construction.
 func (p *simPool) get(dims []int, lambda int) (*Simulation, error) {
-	key := simKey{fmt.Sprint(dims), lambda}
-	if sim, ok := p.sims[key]; ok {
+	key := newSimKey(dims, lambda)
+	sim, ok := p.sims[key]
+	if !ok && p.shared != nil {
+		if sim = p.shared.take(key); sim != nil {
+			p.sims[key] = sim
+		}
+	}
+	if sim != nil {
 		sim.Reset()
 		return sim, nil
-	}
-	if p.shared != nil {
-		if sim := p.shared.take(key); sim != nil {
-			sim.Reset()
-			p.sims[key] = sim
-			return sim, nil
-		}
 	}
 	sim, err := NewSimulation(Config{Dims: dims, Lambda: lambda})
 	if err != nil {
@@ -176,7 +192,7 @@ func (p *EnginePool) put(key simKey, sim *Simulation) {
 // VerifyClean audits every idle simulation against the clean-engine
 // contract the sweeps' deferred cleanup guarantees (the residency-census
 // assertions of TestLoadPointLeavesEngineClean): no attached flights, an
-// all-zero residency census and contention disabled. It reports aggregate
+// all-zero residency census and the free configuration. It reports aggregate
 // violation counts, so the result does not depend on map iteration order.
 // The daemon's stress tests call it after mixed-workload runs, mid-stream
 // cancellations and shutdown.

@@ -99,7 +99,7 @@ func TestEnginePoolLoadRun(t *testing.T) {
 // per-key cap are dropped, not stacked.
 func TestEnginePoolMaxIdleCap(t *testing.T) {
 	pool := NewEnginePool(1)
-	key := simKey{"[4 4]", 1}
+	key := newSimKey([]int{4, 4}, 1)
 	a, err := NewSimulation(Config{Dims: []int{4, 4}, Lambda: 1})
 	if err != nil {
 		t.Fatal(err)

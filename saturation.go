@@ -1,7 +1,7 @@
 package ndmesh
 
 // This file is the load-generation face of the simulator: it drives the
-// contention-mode engine with internal/traffic's workloads — open-loop
+// engine under contention with internal/traffic's workloads — open-loop
 // injection (E19), closed-loop bounded-window sources (E21, closedloop.go)
 // and recorded-trace replays — through the warmup/measure/drain methodology
 // and emits latency-throughput curves. SaturationSweepWorkers fans the
@@ -26,9 +26,9 @@ import (
 
 // LoadSweepOptions is the one configuration of the load sweeps E19-E23: a
 // grid of Patterns x (the entry point's load axes) x Routers, each cell a
-// contention-mode load run of the Figure 7 step model under the same
-// Section 5 parameters. The five entry points take it under the alias
-// names SaturationOptions, CongestionShiftOptions, ClosedLoopOptions,
+// load run of the Figure 7 step model under contention and the same Section
+// 5 parameters. The five entry points take it under the alias names
+// SaturationOptions, CongestionShiftOptions, ClosedLoopOptions,
 // GridlockOptions and ReliabilityOptions, which differ only in the row type
 // Emit streams; each requires its own axes and rejects, by name, the fields
 // that belong to another's (the aliases say which). Every other field means
@@ -330,9 +330,6 @@ func (opt *LoadSweepOptions[Row]) validateLoadShape() error {
 	if opt.GridlockWindow < 0 {
 		opt.GridlockWindow = 0
 	}
-	if opt.ProbeEvery < 1 {
-		opt.ProbeEvery = 1
-	}
 	if opt.Bubble && opt.NodeCapacity == 1 {
 		return fmt.Errorf("ndmesh: bubble admission with capacity 1 can never admit a flight (NodeCapacity must be >= 2)")
 	}
@@ -405,12 +402,11 @@ func (wl *workload) closedLoop() bool {
 // cell aborts promptly, rare enough to stay invisible on the hot path.
 const cancelCheckInterval = 64
 
-// loadPoint executes one contention-mode load run on a pooled simulation:
-// workload injection (open-loop, closed-loop or trace replay) for
-// warmup+measure steps, then a drain window, with terminated flights
-// harvested (and recycled) every step. newLoadRun builds the workload,
-// loadPoint runs the load loop, and fold reads the LoadPoint. The loop is
-// not Engine.Run's: it injects before each step and harvests after it.
+// loadPoint executes one load run on a pooled simulation: workload
+// injection (open-loop, closed-loop or trace replay) for warmup+measure
+// steps, then a drain window, with terminated flights harvested (and
+// recycled) every step. newLoadRun builds the workload, Engine.Run steps it
+// with loadRun.tick as its stop rule, and fold reads the LoadPoint.
 func (opt *LoadSweepOptions[Row]) loadPoint(p *simPool, wl workload, router string, r *rng.Source) (traffic.LoadPoint, error) {
 	lr, err := opt.newLoadRun(p, wl, router, r)
 	if err != nil {
@@ -424,62 +420,35 @@ func (opt *LoadSweepOptions[Row]) loadPoint(p *simPool, wl workload, router stri
 		FlightTimeout:  opt.FlightTimeout,
 		Bubble:         opt.Bubble,
 	})
-	// Attach the census probe before the first injection so the census
-	// covers the whole run. Observation is read-only, so the LoadPoint
-	// below is byte-identical with or without it.
-	if opt.Probe != nil {
-		eng.SetProbe(opt.Probe)
-	}
-	// Every exit path must hand the pooled engine back clean: past-saturation
-	// cells end the drain with backlog flights still attached and counted in
-	// the residency census, and a persistent reuse of the engine would
-	// inherit that corrupt state. ClearFlights detaches and recycles the
-	// backlog while contention is still enabled, so resetContention releases
-	// every residency counter; then contention turns off
+	// The probe attaches before the first injection, so its census covers
+	// the whole run; observation is read-only, so the LoadPoint is
+	// byte-identical with or without it.
+	eng.SetProbe(opt.Probe)
+	// Every exit, a cancel included, hands the pooled engine back clean: a
+	// past-saturation cell ends its drain with backlog flights attached,
+	// which ClearFlights recycles, releasing their residency
 	// (TestLoadPointLeavesEngineClean).
 	defer func() {
 		eng.SetProbe(nil)
 		eng.ClearFlights()
 		eng.DisableContention()
 	}()
-	for total := lr.ph.Total(); lr.step < total; lr.step++ {
-		// Poll the caller's cancellation hook on a coarse cadence: the
-		// deferred cleanup above runs on this exit path too, so an aborted
-		// cell hands its engine back exactly as clean as a finished one.
-		if opt.Cancel != nil && lr.step%cancelCheckInterval == 0 && opt.Cancel() {
-			return traffic.LoadPoint{}, ErrCanceled
-		}
-		if lr.step < lr.ph.InjectUntil() {
-			lr.src.Step(lr.emit)
-			if lr.injectErr != nil {
-				return traffic.LoadPoint{}, lr.injectErr
-			}
-		}
-		eng.Step()
-		eng.DetachDone(lr.harvest)
-		if opt.Probe != nil && (lr.step+1)%opt.ProbeEvery == 0 {
-			// Flush after the harvest pass so retries land in the same
-			// census as the timeouts that caused them.
-			eng.FlushCensus()
-		}
-		if eng.Wedged() {
-			// Nothing can break the buffer cycle: cut the run short. fold
-			// counts the backlog unfinished and reports it Gridlocked.
-			break
-		}
+	// Run also ends on a wedged engine; fold then counts the backlog
+	// unfinished and reports the run Gridlocked.
+	eng.Run(lr.ph.Total(), lr.next)
+	if lr.err != nil {
+		return traffic.LoadPoint{}, lr.err
 	}
-	// Flush whatever partial census the decimation cadence (or a gridlock
-	// cut) left behind; a no-op when the last step flushed already.
-	if opt.Probe != nil {
-		eng.FlushCensus()
-	}
+	// Harvest the last step; flush what is left of the census.
+	eng.DetachDone(lr.harvest)
+	eng.FlushCensus()
 	return lr.fold(), nil
 }
 
 // loadRun is one load cell from its build to its fold: the engine and what
-// feeds and reads it. emit and harvest are its offer and finish methods,
-// bound once per cell: a method value handed to Injector.Step or
-// DetachDone allocates each time it is evaluated, so once per step.
+// feeds and reads it. emit, harvest and next are its offer, finish and tick
+// methods, bound once per cell: a method value handed to Injector.Step,
+// DetachDone or Engine.Run allocates each time it is evaluated.
 type loadRun struct {
 	eng *engine.Engine
 	fab *mesh.Mesh
@@ -491,23 +460,27 @@ type loadRun struct {
 	// same backoff discipline (without it, open-loop escape runs silently
 	// under-delivered their offered load; ARCHITECTURE.md "Deadlock escape
 	// & graceful degradation").
-	cl        *traffic.ClosedLoop
-	rq        *traffic.RetrySource
-	col       *traffic.Collector
-	ph        traffic.Phases
-	latObs    interface{ ObserveLatency(steps int) }
-	rate      float64
-	closed    bool
-	step      int
-	injectErr error
-	emit      func(src, dst grid.NodeID) bool
-	harvest   func(fl *engine.Flight)
+	cl     *traffic.ClosedLoop
+	rq     *traffic.RetrySource
+	col    *traffic.Collector
+	ph     traffic.Phases
+	latObs interface{ ObserveLatency(steps int) }
+	rate   float64
+	closed bool
+	// cancel is the caller's Cancel hook and probeEvery the census flush
+	// cadence; err is the cancel or inject error that stopped the run.
+	cancel     func() bool
+	probeEvery int
+	err        error
+	emit       func(src, dst grid.NodeID) bool
+	harvest    func(fl *engine.Flight)
+	next       func() bool
 }
 
 // newLoadRun builds a cell's workload on a pooled simulation: the fault
 // schedule (the replay's, or an overlay drawn from the cell's stream), the
 // router, the injection source for the selected mode and, when asked, the
-// recorder around it. It leaves the engine's contention state alone.
+// recorder around it. It leaves the engine's configuration alone.
 func (opt *LoadSweepOptions[Row]) newLoadRun(p *simPool, wl workload, router string, r *rng.Source) (*loadRun, error) {
 	sim, err := p.get(opt.Dims, opt.Lambda)
 	if err != nil {
@@ -575,12 +548,14 @@ func (opt *LoadSweepOptions[Row]) newLoadRun(p *simPool, wl workload, router str
 		recFaults = sched.Events
 	}
 	lr := &loadRun{
-		eng:    sim.engine,
-		fab:    sim.mesh,
-		col:    &sim.col,
-		ph:     traffic.Phases{Warmup: opt.Warmup, Measure: opt.Measure, Drain: opt.Drain},
-		rate:   wl.rate,
-		closed: wl.closedLoop(),
+		eng:        sim.engine,
+		fab:        sim.mesh,
+		col:        &sim.col,
+		ph:         traffic.Phases{Warmup: opt.Warmup, Measure: opt.Measure, Drain: opt.Drain},
+		rate:       wl.rate,
+		closed:     wl.closedLoop(),
+		cancel:     opt.Cancel,
+		probeEvery: max(opt.ProbeEvery, 1),
 	}
 	if lr.rtr, err = route.ByName(router); err != nil {
 		return nil, err
@@ -632,8 +607,27 @@ func (opt *LoadSweepOptions[Row]) newLoadRun(p *simPool, wl workload, router str
 	// The probe's latency sink, if it has one, sees every measured delivery.
 	lr.latObs, _ = opt.Probe.(interface{ ObserveLatency(steps int) })
 	lr.col.Reset(lr.ph)
-	lr.emit, lr.harvest = lr.offer, lr.finish
+	lr.emit, lr.harvest, lr.next = lr.offer, lr.finish, lr.tick
 	return lr, nil
+}
+
+// tick is the load run's stop rule, called by Engine.Run before every step.
+// It harvests the previous step, then flushes its census when due (so a
+// retry lands in the census of the timeout that caused it), then polls
+// Cancel and injects this step's offers. A cancel or an inject error stops
+// the run and is kept in lr.err.
+func (lr *loadRun) tick() bool {
+	step := lr.eng.StepCount()
+	lr.eng.DetachDone(lr.harvest)
+	if step%lr.probeEvery == 0 {
+		lr.eng.FlushCensus()
+	}
+	if lr.cancel != nil && step%cancelCheckInterval == 0 && lr.cancel() {
+		lr.err = ErrCanceled
+	} else if step < lr.ph.InjectUntil() {
+		lr.src.Step(lr.emit)
+	}
+	return lr.err != nil
 }
 
 // offer admits one offered message at the cell's current step. Source-queue
@@ -642,20 +636,20 @@ func (opt *LoadSweepOptions[Row]) newLoadRun(p *simPool, wl workload, router str
 // loop (and the replay of one) leaves it unaccounted — the source keeps the
 // slot and retries.
 func (lr *loadRun) offer(src, dst grid.NodeID) bool {
-	if lr.injectErr != nil {
+	if lr.err != nil {
 		return false
 	}
 	if lr.fab.Status(src) != mesh.Enabled || !lr.eng.Admit(src) {
 		if !lr.closed {
-			lr.col.Offer(lr.step, false)
+			lr.col.Offer(lr.eng.StepCount(), false)
 		}
 		return false
 	}
 	if _, err := lr.eng.Inject(src, dst, lr.rtr); err != nil {
-		lr.injectErr = err
+		lr.err = err
 		return false
 	}
-	lr.col.Offer(lr.step, true)
+	lr.col.Offer(lr.eng.StepCount(), true)
 	return true
 }
 
@@ -672,31 +666,28 @@ func (lr *loadRun) finish(fl *engine.Flight) {
 	case fl.Msg.TimedOut:
 		oc = traffic.TimedOut
 	}
-	if lr.cl != nil {
-		if oc == traffic.TimedOut {
-			// A timeout kill re-arms the slot for a retry under backoff
-			// instead of plainly releasing it.
-			lr.cl.Timeout(fl.Msg.Src)
-			lr.col.Retry(fl.StartStep)
-			lr.eng.NoteRetried()
-		} else {
-			// Every other terminal outcome frees the source's window
-			// slot — delivered or not — or faults would wedge the loop
-			// shut.
-			lr.cl.Release(fl.Msg.Src)
-		}
-	} else if lr.rq != nil {
-		if oc == traffic.TimedOut {
-			// The open loop re-offers the killed request (same src, same
-			// dst — there is no window slot to redraw from) after its
-			// backoff; the retried offer is emitted through src.Step, so
-			// a recording trace captures it like any other.
-			lr.rq.Timeout(fl.Msg.Src, fl.Msg.Dst, lr.ph.Measured(fl.StartStep))
-			lr.col.Retry(fl.StartStep)
-			lr.eng.NoteRetried()
-		} else {
-			lr.rq.Settle(fl.Msg.Src)
-		}
+	retry := oc == traffic.TimedOut && (lr.cl != nil || lr.rq != nil)
+	switch {
+	case lr.cl != nil && retry:
+		// A timeout kill re-arms the slot for a retry under backoff
+		// instead of plainly releasing it.
+		lr.cl.Timeout(fl.Msg.Src)
+	case lr.cl != nil:
+		// Every other terminal outcome frees the source's window slot —
+		// delivered or not — or faults would wedge the loop shut.
+		lr.cl.Release(fl.Msg.Src)
+	case retry:
+		// The open loop re-offers the killed request (same src, same dst —
+		// there is no window slot to redraw from) after its backoff; the
+		// retried offer is emitted through src.Step, so a recording trace
+		// captures it like any other.
+		lr.rq.Timeout(fl.Msg.Src, fl.Msg.Dst, lr.ph.Measured(fl.StartStep))
+	case lr.rq != nil:
+		lr.rq.Settle(fl.Msg.Src)
+	}
+	if retry {
+		lr.col.Retry(fl.StartStep)
+		lr.eng.NoteRetried()
 	}
 	lr.col.Finish(fl.StartStep, fl.Msg.Steps, oc)
 	if lr.latObs != nil && oc == traffic.Delivered && lr.ph.Measured(fl.StartStep) {
@@ -710,11 +701,9 @@ func (lr *loadRun) finish(fl *engine.Flight) {
 // cleanup, which detaches the backlog and resets the detector.
 func (lr *loadRun) fold() traffic.LoadPoint {
 	eng := lr.eng
-	// Whatever survived the drain is unfinished backlog.
+	// Whatever survived the drain and its last harvest is unfinished backlog.
 	for _, fl := range eng.Flights() {
-		if !fl.Msg.Done() {
-			lr.col.Finish(fl.StartStep, fl.Msg.Steps, traffic.Unfinished)
-		}
+		lr.col.Finish(fl.StartStep, fl.Msg.Steps, traffic.Unfinished)
 	}
 	pt := lr.col.Result(lr.rate, lr.fab.NumNodes())
 	pt.Gridlocked = eng.Gridlocked()
@@ -876,7 +865,7 @@ func (opt LoadOptions) cell() (SaturationOptions, workload) {
 	return sopt, wl
 }
 
-// LoadRun executes one contention-mode load run and returns its
+// LoadRun executes one load run under contention and returns its
 // latency-throughput point — the single-cell convenience entry for
 // library callers who want one point, not a sweep (cmd/loadgen goes
 // through SaturationSweepWorkers for open-loop grids; the two paths

@@ -1,7 +1,6 @@
 package ndmesh
 
 import (
-	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -289,7 +288,7 @@ func TestLoadPointLeavesEngineClean(t *testing.T) {
 			if tc.name != "underload" && pt.Unfinished == 0 {
 				t.Fatal("past-saturation cell left no backlog; the test lost its teeth")
 			}
-			sim, ok := pool.sims[simKey{fmt.Sprint(o.Dims), o.Lambda}]
+			sim, ok := pool.sims[newSimKey(o.Dims, o.Lambda)]
 			if !ok {
 				t.Fatal("pooled simulation missing")
 			}
