@@ -85,8 +85,17 @@ func (st *Stepper) Reset() {
 // itself and its neighbors become candidates for the next round.
 func (st *Stepper) Seed(ids ...grid.NodeID) {
 	for _, id := range ids {
-		st.cand.Add(id)
-		st.m.EachNeighbor(id, func(nb grid.NodeID, _ grid.Dir) { st.cand.Add(nb) })
+		st.addWithNeighbors(id)
+	}
+}
+
+// addWithNeighbors makes id and its neighbors candidates for the next round.
+func (st *Stepper) addWithNeighbors(id grid.NodeID) {
+	st.cand.Add(id)
+	for _, nb := range st.m.Neighbors(id) {
+		if nb != grid.InvalidNode {
+			st.cand.Add(nb)
+		}
 	}
 }
 
@@ -138,8 +147,7 @@ func (st *Stepper) Round() int {
 		st.affected.Add(id)
 		// The change is visible to neighbors next round; both the node and
 		// its neighbors are candidates again.
-		st.cand.Add(id)
-		m.EachNeighbor(id, func(nb grid.NodeID, _ grid.Dir) { st.cand.Add(nb) })
+		st.addWithNeighbors(id)
 	}
 	for _, id := range agedCleans {
 		if m.Status(id) == mesh.Clean { // not overwritten by a commit

@@ -29,9 +29,22 @@
 // direction.
 //
 // A flood names blocks by info.BlockID (the store's box table) and keeps its
-// region as one bit per node, built by markPlacement when it starts or merges:
-// a hop is a neighbor lookup and a bit test. OnWall/OnPlacement and InShadow/
-// Trapped are the oracles markPlacement and the one-pass Demotes are held to.
+// region, the nodes it has visited and the nodes queued for its next front
+// as one bit per node each. The region is OR-ed together from its blocks'
+// placements when the flood starts or merges; markPlacement marks each once
+// per box an id names. A hop walks the mesh's neighbor-table row and tests
+// bits. OnWall/OnPlacement and InShadow/Trapped are the oracles
+// markPlacement and the one-pass Demotes are held to.
+//
+// Deletion. A cancellation removes its block's older records along the old
+// placement. While a deposit of the same block with an older epoch is still
+// in flight, it also leaves a tombstone at each node it visits, and that
+// deposit stops where it meets one instead of re-covering swept nodes. No
+// other deposit can meet a tombstone it must stop at — epochs only grow, so
+// a deposit started later is newer than every tombstone — so a cancellation
+// with no older deposit in flight leaves none; it only refreshes the ones it
+// finds while a newer deposit of its block is in flight, and every deposit
+// stops exactly where it would if every visit left a tombstone.
 package boundary
 
 import (
@@ -233,6 +246,22 @@ const (
 	Cancel
 )
 
+// markRule is what a cancellation's hops in one round do to its block's
+// tombstones (see Protocol.markRule).
+type markRule uint8
+
+const (
+	// noMarks: no deposit of the block is in flight; the hops leave and
+	// refresh nothing.
+	noMarks markRule = iota
+	// refreshMarks: only deposits newer than the cancellation are in
+	// flight; a hop refreshes the mark it finds but leaves none.
+	refreshMarks
+	// leaveMarks: a deposit older than the cancellation is in flight; a hop
+	// leaves its mark or refreshes the one there.
+	leaveMarks
+)
+
 // Construction is one in-flight boundary flood: a deposit of a freshly
 // identified block's record over its placement, or a cancellation of a
 // stale record over the old placement. Floods advance one hop per round
@@ -246,17 +275,22 @@ type Construction struct {
 	Epoch uint32
 	// Op is Deposit or Cancel.
 	Op Op
+	// marks is a cancellation's markRule for the round in progress.
+	marks markRule
 
 	// bases are the blocks whose placements make up the region — Block,
 	// then the merge extensions — each held in the store's table until the
-	// flood retires; region is their union, one bit per node.
-	bases  []info.BlockID
-	region []uint64
+	// flood retires; region is their union, visited the nodes the flood
+	// has been to and queued the nodes of the front being built, one bit
+	// per node each.
+	bases   []info.BlockID
+	region  []uint64
+	visited []uint64
+	queued  []uint64
 	// frontier/next are the double-buffered flood fronts; roundOne swaps
 	// them so a long-lived construction allocates no per-round slice.
 	frontier []grid.NodeID
 	next     []grid.NodeID
-	visited  grid.NodeSet
 	// Rounds counts propagation rounds so far (contributes to c_i).
 	Rounds int
 }
@@ -274,6 +308,12 @@ type tomb struct {
 	epoch uint32
 	next  int32
 	round int
+}
+
+// placement is a block's placement bits, marked for box.
+type placement struct {
+	box  grid.Box
+	bits []uint64
 }
 
 // tombAt is one entry of the expiry queue: slot's mark as left in round.
@@ -304,6 +344,9 @@ type Protocol struct {
 	ttl       int //meshvet:keep derived from the mesh shape
 	// round counts Round calls; live counts the marks held.
 	round, live int
+	// placed[b] is the placement of the box block id b last named; an id
+	// keeps its entry when the store recycles it, remarked on first use.
+	placed []placement //meshvet:keep a cache checked against the box it was marked for
 	// Hops counts total node visits across constructions (message cost).
 	Hops int
 }
@@ -346,10 +389,11 @@ func (p *Protocol) Start(b info.BlockID, epoch uint32, op Op, seeds []grid.NodeI
 	if n := len(p.spare); n > 0 {
 		c, p.spare = p.spare[n-1], p.spare[:n-1]
 		clear(c.region)
-		c.visited.Clear()
+		clear(c.visited)
+		clear(c.queued)
 	} else {
-		n := p.m.NumNodes()
-		c = &Construction{visited: grid.NewNodeSet(n), region: make([]uint64, (n+63)/64)}
+		words := (p.m.NumNodes() + 63) / 64
+		c = &Construction{region: make([]uint64, words), visited: make([]uint64, words), queued: make([]uint64, words)}
 	}
 	if op == Cancel && p.firstTomb == nil {
 		p.firstTomb = make([]int32, p.m.NumNodes())
@@ -361,11 +405,28 @@ func (p *Protocol) Start(b info.BlockID, epoch uint32, op Op, seeds []grid.NodeI
 	return c
 }
 
-// addBase extends c's region with block b's placement.
+// addBase extends c's region with block b's placement, marked once per box
+// an id names.
 func (p *Protocol) addBase(c *Construction, b info.BlockID) {
 	p.store.Retain(b)
 	c.bases = append(c.bases, b)
-	markPlacement(p.m.Shape(), p.store.Box(b), c.region)
+	for int(b) >= len(p.placed) {
+		//meshvet:allow one entry per box-table slot, kept across Reset
+		p.placed = append(p.placed, placement{})
+	}
+	pl, box := &p.placed[b], p.store.Box(b)
+	if pl.bits == nil {
+		//meshvet:allow one set per box-table slot, kept across Reset
+		pl.bits = make([]uint64, len(c.region))
+	}
+	if !pl.box.Equal(box) { // a new entry's empty box equals none
+		clear(pl.bits)
+		pl.box.Set(box)
+		markPlacement(p.m.Shape(), box, pl.bits)
+	}
+	for i, w := range pl.bits {
+		c.region[i] |= w
+	}
 }
 
 // retire lets go of a finished construction's blocks and parks it for reuse.
@@ -399,6 +460,11 @@ func (p *Protocol) Held(dst []info.BlockID) []info.BlockID {
 func (p *Protocol) Round() int {
 	p.round++
 	p.expire()
+	for _, c := range p.cons {
+		if c.Op == Cancel {
+			c.marks = p.markRule(c)
+		}
+	}
 	visits := 0
 	kept := p.cons[:0]
 	for _, c := range p.cons {
@@ -414,15 +480,46 @@ func (p *Protocol) Round() int {
 	return visits
 }
 
-//meshvet:noalloc TestFaultProcessStepAllocFree
-func (p *Protocol) roundOne(c *Construction) int {
-	next := c.next[:0]
-	visits := 0
-	numDirs := p.m.Shape().NumDirs()
-	for _, id := range c.frontier {
-		if !c.visited.Add(id) {
+// markRule decides, once per round, what cancellation c's hops do to its
+// block's marks. A mark stops only a deposit of its block older than the
+// mark, and epochs only grow: a deposit started later is newer than c and
+// every mark so far, and a retired one visits nothing. So c leaves marks only
+// while a deposit older than c is in flight. While only newer deposits are,
+// a mark a newer cancellation left may still stop one of them, so c
+// refreshes the marks it finds, as marking every hop would; with none in
+// flight it touches nothing.
+//
+//meshvet:noalloc TestCancelHeavyRoundsAllocFree
+func (p *Protocol) markRule(c *Construction) markRule {
+	rule := noMarks
+	for _, d := range p.cons {
+		if d.Op != Deposit || d.Block != c.Block {
 			continue
 		}
+		if d.Epoch < c.Epoch {
+			return leaveMarks
+		}
+		rule = refreshMarks
+	}
+	return rule
+}
+
+//meshvet:noalloc TestFaultProcessStepAllocFree
+func (p *Protocol) roundOne(c *Construction) int {
+	// queued marks the nodes of the front being built, so each joins it
+	// once; a node of the current front not yet reached this round may
+	// still join the next one, as it always has (the flood then spends one
+	// more round, visiting nothing).
+	for _, id := range c.frontier {
+		c.queued[id>>6] &^= 1 << (id & 63)
+	}
+	next := c.next[:0]
+	visits := 0
+	for _, id := range c.frontier {
+		if c.visited[id>>6]&(1<<(id&63)) != 0 {
+			continue
+		}
+		c.visited[id>>6] |= 1 << (id & 63)
 		// Only enabled nodes carry and forward a deposit; a deposit
 		// reaching a disabled/faulty node stops there (the block in the
 		// way is handled by the merge rule below at its adjacent nodes).
@@ -442,7 +539,9 @@ func (p *Protocol) roundOne(c *Construction) int {
 			// and clean nodes, which still relay messages; only a faulty
 			// node stops it.
 			p.store.Remove(id, c.Block, c.Epoch)
-			p.entomb(id, c)
+			if c.marks != noMarks {
+				p.entomb(id, c)
+			}
 		}
 		visits++
 		if status == mesh.Faulty {
@@ -466,18 +565,28 @@ func (p *Protocol) roundOne(c *Construction) int {
 				}
 			}
 		}
-		for d := 0; d < numDirs; d++ {
-			nb := p.m.Neighbor(id, grid.Dir(d))
-			if nb == grid.InvalidNode || c.visited.Has(nb) {
+		// A neighbor neither visited nor queued joins the next front when it
+		// lies in the region. Which neighbors join is unpredictable hop to
+		// hop, so the test is arithmetic, and every neighbor is appended and
+		// then kept or cut off again.
+		cancel := c.Op == Cancel
+		for _, nb := range p.m.Neighbors(id) {
+			if nb == grid.InvalidNode {
 				continue
 			}
+			w, b := nb>>6, uint(nb&63)
+			fresh := ^(c.visited[w] | c.queued[w]) >> b & 1
+			take := c.region[w] >> b & fresh
 			// A cancellation also follows the trail of nodes actually
 			// holding the record: merged boundaries parked the record on
 			// other blocks' placements, and those blocks may be gone by
 			// deletion time, so geometry alone cannot retrace the deposit.
-			if c.region[nb>>6]&(1<<(nb&63)) != 0 || (c.Op == Cancel && p.store.Has(nb, c.Block)) {
-				next = append(next, nb)
+			if cancel && take < fresh && p.store.Has(nb, c.Block) {
+				take = 1
 			}
+			c.queued[w] |= take << b
+			next = append(next, nb)
+			next = next[:len(next)-1+int(take)]
 		}
 	}
 	c.next = c.frontier[:0]
@@ -486,16 +595,19 @@ func (p *Protocol) roundOne(c *Construction) int {
 	return visits
 }
 
-// entomb leaves cancellation c's mark at node id, or refreshes the mark its
-// block already has there.
+// entomb refreshes the mark cancellation c's block has at node id, or leaves
+// c's mark there when c's rule for this round says so.
 //
 //meshvet:noalloc TestCancelHeavyRoundsAllocFree
 func (p *Protocol) entomb(id grid.NodeID, c *Construction) {
 	slot := p.findTomb(id, c.Block)
-	if slot >= 0 {
+	switch {
+	case slot >= 0:
 		t := &p.tombs[slot]
 		t.epoch, t.round = max(t.epoch, c.Epoch), p.round
-	} else {
+	case c.marks != leaveMarks:
+		return
+	default:
 		if p.freeTomb > 0 {
 			slot = p.freeTomb - 1
 			p.freeTomb = p.tombs[slot].next

@@ -393,3 +393,47 @@ func TestShellIsSubsetOfPlacement(t *testing.T) {
 		}
 	})
 }
+
+// TestRegionFollowsRecycledBlockID: a flood's region is marked from its
+// blocks' cached placements, so an id the store recycles for another box
+// must flood that box's placement, not the one it named before.
+func TestRegionFollowsRecycledBlockID(t *testing.T) {
+	m, _ := mesh.NewUniform(2, 12)
+	for _, c := range []grid.Coord{{3, 3}, {8, 8}} {
+		m.FailAt(c)
+	}
+	block.StabilizeFull(m)
+	shape := m.Shape()
+	store := info.NewStore(shape)
+	p := NewProtocol(m, store)
+	run := func() {
+		for rounds := 0; !p.Quiescent(); rounds++ {
+			if rounds > 200 {
+				t.Fatal("flood did not terminate")
+			}
+			p.Round()
+		}
+	}
+	boxA, boxB := grid.BoxAt(grid.Coord{3, 3}), grid.BoxAt(grid.Coord{8, 8})
+	a := store.Intern(boxA)
+	p.Start(a, 1, Deposit, []grid.NodeID{shape.Index(grid.Coord{2, 2})})
+	run()
+	p.Start(a, 2, Cancel, []grid.NodeID{shape.Index(grid.Coord{2, 2})})
+	run()
+	store.Release(a)
+	if store.Blocks() != 0 {
+		t.Fatalf("%d blocks still held after the cancel", store.Blocks())
+	}
+	b := store.Intern(boxB)
+	if b != a {
+		t.Fatalf("the store named %v by a fresh id %d, not the recycled %d", boxB, b, a)
+	}
+	p.Start(b, 3, Deposit, []grid.NodeID{shape.Index(grid.Coord{7, 7})})
+	run()
+	for id := grid.NodeID(0); int(id) < shape.NumNodes(); id++ {
+		want := m.Status(id) == mesh.Enabled && OnPlacement(boxB, shape.CoordView(id))
+		if got := store.Has(id, b); got != want {
+			t.Fatalf("node %v holds the recycled id's record: %v, want %v", shape.CoordView(id), got, want)
+		}
+	}
+}

@@ -408,7 +408,9 @@ func FuzzModelHistory(f *testing.F) {
 // a reused Model with no flights, so
 // `go test ./internal/core -run '^$' -bench ModelStorm -cpu 1 -cpuprofile cpu.prof`
 // profiles labeling, frames, identification and the boundary floods without
-// the router.
+// the router. Beside the peak of stored records it reports the work the
+// boundary floods leave behind: the most cancel tombstones held at once and
+// the floods' node visits per op.
 func BenchmarkModelStorm(b *testing.B) {
 	const steps, lambda = 704, 2
 	md := New(mesh.New(grid.MustShape(16, 16)))
@@ -422,10 +424,15 @@ func BenchmarkModelStorm(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	peak := 0
+	peak, tombs := 0, 0
 	for i := 0; i < b.N; i++ {
 		md.Reset()
-		replay(md, sched, steps, lambda, func(int, int) { peak = max(peak, md.Store.TotalRecords()) })
+		replay(md, sched, steps, lambda, func(int, int) {
+			peak = max(peak, md.Store.TotalRecords())
+			tombs = max(tombs, md.Boundary.Tombstones())
+		})
 	}
 	b.ReportMetric(float64(peak), "records_peak")
+	b.ReportMetric(float64(tombs), "tombstones_peak")
+	b.ReportMetric(float64(md.Boundary.Hops), "hops/op")
 }

@@ -193,8 +193,17 @@ func (d *Detector) HasRecord(id grid.NodeID, level int, dirs grid.DirSet) bool {
 // changes.
 func (d *Detector) Seed(ids ...grid.NodeID) {
 	for _, id := range ids {
-		d.cand.Add(id)
-		d.m.EachNeighbor(id, func(nb grid.NodeID, _ grid.Dir) { d.cand.Add(nb) })
+		d.addWithNeighbors(id)
+	}
+}
+
+// addWithNeighbors makes id and its neighbors candidates for the next round.
+func (d *Detector) addWithNeighbors(id grid.NodeID) {
+	d.cand.Add(id)
+	for _, nb := range d.m.Neighbors(id) {
+		if nb != grid.InvalidNode {
+			d.cand.Add(nb)
+		}
 	}
 }
 
@@ -218,7 +227,6 @@ func (d *Detector) Reset() {
 // staged in the reusable arena and committed together, preserving the
 // synchronous model (every compute sees only last round's announcements).
 func (d *Detector) Round() int {
-	m := d.m
 	d.pending = d.pending[:0]
 	d.pendingIDs = d.pendingIDs[:0]
 	d.pendingOff = d.pendingOff[:0]
@@ -238,8 +246,7 @@ func (d *Detector) Round() int {
 	for k, id := range d.pendingIDs {
 		d.ann[id] = append(d.ann[id][:0], d.pending[d.pendingOff[k]:d.pendingOff[k+1]]...)
 		d.changed = append(d.changed, id)
-		d.cand.Add(id)
-		m.EachNeighbor(id, func(nb grid.NodeID, _ grid.Dir) { d.cand.Add(nb) })
+		d.addWithNeighbors(id)
 	}
 	return len(d.pendingIDs)
 }
@@ -299,23 +306,22 @@ func (d *Detector) compute(id grid.NodeID, buf []Announcement) []Announcement {
 	// Level 1: adjacent node — one record per bad-neighbor direction
 	// (each direction is evidence of a distinct block face; a convex block
 	// never presents two faces to one enabled node).
-	m.EachNeighbor(id, func(nb grid.NodeID, dir grid.Dir) {
-		if m.Status(nb).Bad() {
-			add(Announcement{Level: 1, Dirs: grid.DirSet(0).Add(dir)})
+	nbs := m.Neighbors(id)
+	for dir, nb := range nbs {
+		if nb != grid.InvalidNode && m.Status(nb).Bad() {
+			add(Announcement{Level: 1, Dirs: grid.DirSet(0).Add(grid.Dir(dir))})
 		}
-	})
+	}
 	// Level k > 1: candidate sets are derived from each level-(k-1) record
 	// of a neighbor v in direction dir as S = v.Dirs + dir, then verified
 	// against every direction of S. Records from other blocks' frames
 	// simply fail verification without masking genuine roles.
-	nd := m.Shape().NumDirs()
 	for level := 2; level <= m.Shape().Dims(); level++ {
-		for dv := 0; dv < nd; dv++ {
-			dir := grid.Dir(dv)
-			nb := m.Neighbor(id, dir)
+		for dv, nb := range nbs {
 			if nb == grid.InvalidNode {
 				continue
 			}
+			dir := grid.Dir(dv)
 			for _, a := range d.ann[nb] {
 				if int(a.Level) != level-1 || a.Dirs.Has(dir) || a.Dirs.Has(dir.Opposite()) {
 					continue

@@ -107,8 +107,13 @@ func (s *Store) Intern(box grid.Box) BlockID {
 	default:
 		b = BlockID(len(s.refs))
 		s.refs = append(s.refs, 0)
+		n := len(box.Lo)
+		//meshvet:allow a new slot's box, Lo and Hi in one array that the slot keeps for good
+		c := make(grid.Coord, 2*n)
+		copy(c, box.Lo)
+		copy(c[n:], box.Hi)
 		//meshvet:allow the table grows to the most blocks ever named at once and keeps the slots across Clear
-		s.boxes = append(s.boxes, box.Clone())
+		s.boxes = append(s.boxes, grid.Box{Lo: c[:n:n], Hi: c[n:]})
 	}
 	s.refs[b]++
 	return b
@@ -162,10 +167,11 @@ func (s *Store) Add(id grid.NodeID, rec Record) bool {
 			return false
 		}
 	}
-	rec.role, rec.shadow = geometry(s.boxes[rec.Block], s.shape.CoordView(id))
+	box := s.boxes[rec.Block]
+	rec.role, rec.shadow = geometry(box, s.shape.CoordView(id))
 	kept := rs[:0]
 	for _, r := range rs {
-		if r.Epoch < rec.Epoch && contained(s.boxes[r.Block], s.boxes[rec.Block]) {
+		if r.Epoch < rec.Epoch && contained(s.boxes[r.Block], box) {
 			s.total--
 			s.Release(r.Block)
 			continue

@@ -141,15 +141,12 @@ func (m *Mesh) Neighbor(id grid.NodeID, d grid.Dir) grid.NodeID {
 // Open returns the directions along which id has an Enabled neighbor.
 func (m *Mesh) Open(id grid.NodeID) grid.DirSet { return m.open[id] }
 
-// EachNeighbor calls fn for every existing neighbor of id with its
-// direction.
-func (m *Mesh) EachNeighbor(id grid.NodeID, fn func(nb grid.NodeID, d grid.Dir)) {
-	base := int(id) * m.shape.NumDirs()
-	for d := 0; d < m.shape.NumDirs(); d++ {
-		if nb := m.neighbors[base+d]; nb != grid.InvalidNode {
-			fn(nb, grid.Dir(d))
-		}
-	}
+// Neighbors returns id's row of the neighbor table: entry d is
+// Neighbor(id, d), grid.InvalidNode where the hop leaves the mesh. The slice
+// is the mesh's own and read-only.
+func (m *Mesh) Neighbors(id grid.NodeID) []grid.NodeID {
+	nd := m.shape.NumDirs()
+	return m.neighbors[int(id)*nd : (int(id)+1)*nd : (int(id)+1)*nd]
 }
 
 // SetStatus relabels a node, maintaining the aggregate counters, the clean
@@ -168,8 +165,7 @@ func (m *Mesh) SetStatus(id grid.NodeID, s Status) {
 	m.status[id] = s
 	m.version++
 	if (old == Enabled) != (s == Enabled) {
-		nd := m.shape.NumDirs()
-		for d, nb := range m.neighbors[int(id)*nd : (int(id)+1)*nd] {
+		for d, nb := range m.Neighbors(id) {
 			if nb != grid.InvalidNode {
 				m.open[nb] ^= 1 << uint(grid.Dir(d).Opposite()) // how nb reaches id
 			}
@@ -296,9 +292,8 @@ func (m *Mesh) BadNeighborDims(id grid.NodeID) (badTwoDims, faultyTwoDims bool) 
 
 // HasCleanNeighbor reports whether some neighbor of id is Clean (rule 2).
 func (m *Mesh) HasCleanNeighbor(id grid.NodeID) bool {
-	base := int(id) * m.shape.NumDirs()
-	for d := 0; d < m.shape.NumDirs(); d++ {
-		if nb := m.neighbors[base+d]; nb != grid.InvalidNode && m.status[nb] == Clean {
+	for _, nb := range m.Neighbors(id) {
+		if nb != grid.InvalidNode && m.status[nb] == Clean {
 			return true
 		}
 	}

@@ -58,18 +58,33 @@ func TestNeighborTableMatchesShape(t *testing.T) {
 	}
 }
 
-func TestEachNeighborSkipsOffMesh(t *testing.T) {
-	m, _ := NewUniform(2, 3)
-	corner := m.Shape().Index(grid.Coord{0, 0})
-	count := 0
-	m.EachNeighbor(corner, func(nb grid.NodeID, d grid.Dir) {
-		count++
-		if nb == grid.InvalidNode {
-			t.Fatal("EachNeighbor yielded InvalidNode")
+// TestNeighborsMatchesNeighbor holds each node's neighbor-table row to
+// Neighbor in every direction, off-mesh hops included, on a 2-D and a 3-D
+// mesh.
+func TestNeighborsMatchesNeighbor(t *testing.T) {
+	for _, shape := range []*grid.Shape{grid.MustShape(3, 3), grid.MustShape(4, 2, 3)} {
+		m := New(shape)
+		for id := grid.NodeID(0); int(id) < m.NumNodes(); id++ {
+			row := m.Neighbors(id)
+			if len(row) != shape.NumDirs() {
+				t.Fatalf("%v: Neighbors(%d) has %d entries, want %d", shape, id, len(row), shape.NumDirs())
+			}
+			for d, nb := range row {
+				if want := m.Neighbor(id, grid.Dir(d)); nb != want {
+					t.Fatalf("%v: Neighbors(%d)[%v] = %d, Neighbor = %d", shape, id, grid.Dir(d), nb, want)
+				}
+			}
 		}
-	})
-	if count != 2 {
-		t.Fatalf("corner neighbor count = %d, want 2", count)
+	}
+	m, _ := NewUniform(2, 3)
+	off := 0
+	for _, nb := range m.Neighbors(m.Shape().Index(grid.Coord{0, 0})) {
+		if nb == grid.InvalidNode {
+			off++
+		}
+	}
+	if off != 2 {
+		t.Fatalf("corner has %d off-mesh hops, want 2", off)
 	}
 }
 

@@ -161,12 +161,12 @@ func refDistances(m *mesh.Mesh, dst grid.NodeID) []int32 {
 	}
 	for head := 0; head < len(queue); head++ {
 		cur := queue[head]
-		m.EachNeighbor(cur, func(nb grid.NodeID, _ grid.Dir) {
-			if dist[nb] == unreachableDist && m.Status(nb) == mesh.Enabled {
+		for _, nb := range m.Neighbors(cur) {
+			if nb != grid.InvalidNode && dist[nb] == unreachableDist && m.Status(nb) == mesh.Enabled {
 				dist[nb] = dist[cur] + 1
 				queue = append(queue, nb)
 			}
-		})
+		}
 	}
 	return dist
 }

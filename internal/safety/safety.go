@@ -101,23 +101,18 @@ func PathExists(m *mesh.Mesh, s, d grid.NodeID) (length int, ok bool) {
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		found := false
-		m.EachNeighbor(cur, func(nb grid.NodeID, _ grid.Dir) {
-			if found {
-				return
+		for _, nb := range m.Neighbors(cur) {
+			if nb == grid.InvalidNode || m.Status(nb) != mesh.Enabled {
+				continue
 			}
-			if _, dup := dist[nb]; dup || m.Status(nb) != mesh.Enabled {
-				return
+			if _, dup := dist[nb]; dup {
+				continue
 			}
 			dist[nb] = dist[cur] + 1
 			if nb == d {
-				found = true
-				return
+				return dist[d], true
 			}
 			queue = append(queue, nb)
-		})
-		if found {
-			return dist[d], true
 		}
 	}
 	return 0, false

@@ -46,8 +46,10 @@ func TestTheorem1(t *testing.T) {
 	}
 }
 
-// TestTheorem2 (E10): safe sources always have a minimal path; the limited
-// router achieves it on static faults.
+// TestTheorem2 (E10): safe sources always have a minimal path. The limited
+// router is guaranteed to take one for a single interior block; these
+// separated four-fault sets happen to be routed minimally too, but two
+// blocks can defeat it (TestTheorem2PremiseGap).
 func TestTheorem2(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		sim, err := NewSimulation(Config{Dims: []int{14, 14}, Lambda: 1})
@@ -78,6 +80,40 @@ func TestTheorem2(t *testing.T) {
 				t.Fatalf("seed %d: safe source routed non-minimally: %+v", seed, res)
 			}
 		}
+	}
+}
+
+// TestTheorem2PremiseGap pins a multi-block case where the limited router's
+// minimality is not guaranteed: on 8x8 with stabilized faults (1,1) and
+// (2,6), the pair (0,0)->(2,7) is safe and has a minimal path, yet limited
+// takes +x twice (a minimal route goes up column 0 first), lands straight
+// below (2,6) and sidesteps around it: 11 hops for a distance of 9.
+func TestTheorem2PremiseGap(t *testing.T) {
+	sim, err := NewSimulation(Config{Dims: []int{8, 8}, Lambda: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []Coord{C(1, 1), C(2, 6)} {
+		if err := sim.FailNow(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sim.Stabilize()
+	src, dst := C(0, 0), C(2, 7)
+	srcID, _ := sim.NodeAt(src)
+	dstID, _ := sim.NodeAt(dst)
+	if !sim.SourceSafe(src, dst) {
+		t.Fatal("(0,0) is not safe for (2,7)")
+	}
+	if !safety.MinimalPathExists(sim.mesh, srcID, dstID) {
+		t.Fatal("no minimal path from (0,0) to (2,7)")
+	}
+	res, err := sim.Route(src, dst, "limited")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Arrived || res.D0 != 9 || res.ExtraHops != 2 || res.Hops != 11 {
+		t.Fatalf("limited from (0,0) to (2,7): %+v, want arrival in 11 hops (D0 9, ExtraHops 2)", res)
 	}
 }
 
