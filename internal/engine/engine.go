@@ -43,6 +43,29 @@
 //     the gate called directly. A stalled flight whose kept decision holds
 //     asks the gate again without entering its router.
 //     TestStepMatchesAdvanceGated holds the loop to AdvanceGated calls.
+//   - A wedged population is replayed, not polled: after a step that moved
+//     and terminated none of its flights, the next step gives those flights
+//     what polling them would (one more step, wait and stall age each, and
+//     the last step's denials again, in order) and polls only the newcomers
+//     behind them. It is exact because a zero-progress step denied every
+//     flight at the gate (a grant is a move), so it served no link and each
+//     denial was a full next node, which empties only through a move out of
+//     it or a harvest. A load-oblivious flight is therefore denied again
+//     while the (mesh, store) key holds, no harvest has detached a flight,
+//     neither the flights nor the configuration were reset and its stall
+//     age is below FlightTimeout; newcomers only add residency. A fault
+//     event reaches routing only through the key. A load-aware (Congested)
+//     flight decides afresh from the residency around it and the last
+//     step's denials, so a prefix holding one also needs the frozen step's
+//     denials to equal the step before's, link by link. Every flight that
+//     stays in place is denied once, so equal counts mean the step before
+//     moved none and no newcomer joined since: every flight entered the
+//     frozen step stalled and now decides from the view it decided from
+//     then. A newcomer since lands on a node that is not full, and no
+//     frozen load-aware flight weighs such a node against its pick: were it
+//     lighter it would have been the pick, and a grant; were it heavier its
+//     link would carry denials, and equal denials put one of the frozen
+//     step there, which only a full node gives.
 package engine
 
 import (
@@ -189,6 +212,10 @@ type contention struct {
 	resident    []int32 // attached flights currently at each node
 	numDirs     int32
 
+	// fz is what the last step leaves for the next to replay: its flights
+	// when it moved and terminated none of them (see Step).
+	fz frozen
+
 	// Gridlock-detector state (GridlockWindow > 0). zeroStreak counts
 	// consecutive zero-progress steps with nonzero population; gridlocked
 	// is the current latch. gridlockAt/recoverAt log the first episode:
@@ -198,6 +225,18 @@ type contention struct {
 	gridlocked bool
 	gridlockAt int
 	recoverAt  int
+}
+
+// frozen describes the flights a zero-progress step left live, flights[:n]
+// (n == 0: none), for the next step to replay (see the package comment).
+type frozen struct {
+	n        int
+	key      uint64 // the step's route.StateKey
+	maxStall int    // the largest StallAge among them
+	aware    bool   // one of them routes load-aware
+	// same reports, for an aware prefix, that the step's denials equal the
+	// step before's, link by link.
+	same bool
 }
 
 // The engine is its flights' load view: routers reach Resident and
@@ -216,9 +255,12 @@ type Engine struct {
 	// flights holds the live flights as a dense prefix flights[:live] in
 	// injection order — the age order the contention arbitration depends
 	// on — followed by the terminated ones awaiting DetachDone (or
-	// ClearFlights) in termination order. The commit loop compacts as it
-	// goes, so nothing downstream skip-scans: the population is live, the
-	// harvest is the tail.
+	// ClearFlights). Each step lays its retirees, in poll order, right
+	// behind the live prefix, in front of those of earlier steps, and Inject
+	// moves the tail's first flight to its end; a harvester that skips steps
+	// sees that order. The commit loop compacts as it goes, so nothing
+	// downstream skip-scans: the population is live, the harvest is the
+	// tail.
 	flights []*Flight
 	live    int
 	retired []*Flight //meshvet:keep scratch of one Step's compaction, emptied before it returns
@@ -234,6 +276,10 @@ type Engine struct {
 
 	// RoundsRun counts total information rounds executed.
 	RoundsRun int
+
+	// polled and replayed count the flight-steps the commit loop polled and
+	// the ones Step replayed for a frozen prefix instead.
+	polled, replayed int
 
 	// spareFlights is the free list fed by Reset/ClearFlights/DetachDone: a
 	// reused trial re-injects messages without reallocating flight or
@@ -364,9 +410,10 @@ func (e *Engine) GridlockRecovery() int {
 	return c.recoverAt - c.gridlockAt
 }
 
-// clearLinks clears the link service and stall counters and the detector,
-// touching only the entries the dirty lists name.
+// clearLinks clears the link service and stall counters, the replay state
+// and the detector, touching only the entries the dirty lists name.
 func (c *contention) clearLinks() {
+	c.fz = frozen{}
 	for _, li := range c.dirty {
 		c.served[li] = 0
 	}
@@ -424,6 +471,22 @@ func (c *contention) deny(li int32) bool {
 	return false
 }
 
+// sameDenials reports whether this step's denials equal the previous
+// step's, link by link.
+//
+//meshvet:noalloc TestWedgedStepAllocFree
+func (c *contention) sameDenials() bool {
+	if len(c.pendingDty) != len(c.lastDty) {
+		return false
+	}
+	for _, li := range c.pendingDty {
+		if c.pending[li] != c.lastPending[li] {
+			return false
+		}
+	}
+	return true
+}
+
 // Reset rewinds the engine to step 0 for a new trial on the same model: the
 // schedule cursor returns to the first event, flights are recycled into the
 // free list and the event log is truncated. The model itself is reset
@@ -438,11 +501,13 @@ func (e *Engine) Reset() {
 	e.evIdx = 0
 	e.step = 0
 	e.RoundsRun = 0
+	e.polled, e.replayed = 0, 0
 	e.census = StepCensus{}
 }
 
 // ClearFlights retires every flight (recycling it for future Inject calls),
-// releasing each one's residency, and clears the link and detector state,
+// releasing each one's residency, and clears the link, replay and detector
+// state,
 // without touching the schedule, the step counter, or the model. Benchmarks
 // use it to re-route over a standing scenario.
 func (e *Engine) ClearFlights() {
@@ -472,6 +537,10 @@ func (e *Engine) DetachDone(fn func(*Flight)) {
 		}
 		f.msg.Release()
 		e.spareFlights = append(e.spareFlights, f)
+	}
+	if len(e.flights) > e.live {
+		// A released slot may be the one a frozen flight waits for.
+		e.ctn.fz.n = 0
 	}
 	e.flights = e.flights[:e.live]
 }
@@ -577,13 +646,19 @@ func (e *Engine) Step() {
 	timeout := c.cfg.FlightTimeout
 	key := route.StateKey(&e.ctx)
 	probed := e.probe != nil
+	// A prefix the last step froze is replayed when nothing it reads has
+	// changed; the commit loop polls the flights behind it.
+	n := 0
+	if c.fz.n > 0 {
+		n = e.replay(key)
+	}
 	// The commit loop doubles as the progress census and as the compaction
 	// of the live prefix: progressed counts flights that moved or reached a
 	// terminal state this step; survivors slide down to flights[:w] in
 	// order and the newly terminated collect in retired, to be laid out
 	// behind them. Each flight's step is route.AdvanceGated's parts, with
 	// the engine's gate called directly.
-	progressed, w := 0, 0
+	progressed, w := 0, n
 	retired := e.retired[:0]
 	// Flights are recycled from a free list, so the live ones are not in
 	// memory order and the hardware cannot prefetch them. The loop reads
@@ -592,7 +667,7 @@ func (e *Engine) Step() {
 	// work. The position is still current at its turn: a flight's step
 	// moves that flight alone.
 	const lookahead = 4
-	live := e.flights[:e.live]
+	live := e.flights[n:e.live]
 	var pos [lookahead]grid.NodeID
 	for j := range min(lookahead, len(live)) {
 		pos[j] = live[j].msg.Cur
@@ -642,6 +717,12 @@ func (e *Engine) Step() {
 	}
 	copy(e.flights[w:], retired)
 	e.live, e.retired = w, retired[:0]
+	e.polled += len(live)
+	if w > 0 && progressed == 0 {
+		e.freeze(n, key)
+	} else {
+		c.fz.n = 0
+	}
 	if c.cfg.GridlockWindow > 0 {
 		if w > 0 && progressed == 0 {
 			c.zeroStreak++
@@ -667,6 +748,58 @@ func (e *Engine) Step() {
 		e.census.Gridlocked = c.gridlocked
 	}
 	e.step++
+}
+
+// replay steps the prefix the last step froze, flights[:fz.n], without
+// polling it, when nothing it reads has changed (see the package comment),
+// and returns its length; it returns 0, touching nothing, otherwise. Each
+// flight gets what its poll would give it: route.Plan's step count,
+// Message.Wait's wait and a stall age, and its denial, which replays the
+// last step's denials in their order.
+//
+//meshvet:noalloc TestWedgedStepAllocFree
+func (e *Engine) replay(key uint64) int {
+	c := &e.ctn
+	z := &c.fz
+	if key != z.key || (c.cfg.FlightTimeout > 0 && z.maxStall >= c.cfg.FlightTimeout) ||
+		(z.aware && !z.same) {
+		return 0
+	}
+	for _, f := range e.flights[:z.n] {
+		f.msg.Steps++
+		f.msg.Waits++
+		f.StallAge++
+	}
+	for _, li := range c.lastDty {
+		c.pending[li] = c.lastPending[li]
+	}
+	c.pendingDty = append(c.pendingDty, c.lastDty...)
+	if e.probe != nil {
+		e.census.Stalls += z.n
+	}
+	e.replayed += z.n
+	return z.n
+}
+
+// freeze records the flights a step that moved and terminated none of them
+// left live, flights[:live], for the next step to replay; n of them were
+// replayed.
+//
+//meshvet:noalloc TestWedgedStepAllocFree
+func (e *Engine) freeze(n int, key uint64) {
+	c := &e.ctn
+	z := &c.fz
+	maxStall, aware := 0, false
+	if n > 0 {
+		// A replay added one to every stall age it kept.
+		maxStall, aware = z.maxStall+1, z.aware
+	}
+	for _, f := range e.flights[n:e.live] {
+		maxStall = max(maxStall, f.StallAge)
+		aware = aware || !f.oblivious
+	}
+	z.n, z.key, z.maxStall, z.aware = e.live, key, maxStall, aware
+	z.same = aware && c.sameDenials()
 }
 
 //meshvet:noalloc TestFaultProcessStepAllocFree

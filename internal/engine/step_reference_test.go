@@ -102,7 +102,8 @@ func (e *Engine) referenceStep(gate route.Gate) {
 // TestStepMatchesAdvanceGated runs Step beside referenceStep on identical
 // engines fed identical traffic and holds them equal after every step:
 // every header (path stack, table, kept decision and its key included),
-// each flight's stall age, the residency census and the probe census. The runs cover the commit loop's cases:
+// each flight's stall age, the residency census, the stall counters and
+// the probe census. The runs cover the commit loop's cases:
 //
 //   - a saturated fault-free 32x32 under limited, where two flight-steps in
 //     five stall and a stalled flight keeps its decision;
@@ -113,24 +114,80 @@ func (e *Engine) referenceStep(gate route.Gate) {
 //     window and a probe, where faults and record changes land during the
 //     λ rounds while flights are stalled — the key must be taken after
 //     them, and a kept decision must still ask the gate.
+//
+// The rest wedge an 8x8, so that Step replays frozen prefixes (each of
+// these runs must), one case per replay condition. The unscripted ones run
+// capacity-4 buffers at rate 0.5; where they mix routers, a congested
+// flight runs between nodes on one axis, so a frozen one has one choice
+// and its prefix can replay.
+//
+//   - limited alone: an oblivious prefix with newcomers polled behind it;
+//   - all five routers with a probe: the load-aware rule, ClearFlights at
+//     step 150 and deeper buffers from step 225;
+//   - a flight timeout and a gridlock window with a probe: a timeout inside
+//     a frozen streak;
+//   - a harvest every third step (see harvestScript): a deferred harvest
+//     empties a full node between frozen steps;
+//   - a fault applied to the model between steps, no schedule event: only
+//     the key changes;
+//   - a scripted wedge (see newcomerScript): a congested newcomer beside a
+//     frozen congested flight, whose lightest choice flips once it stalls.
 func TestStepMatchesAdvanceGated(t *testing.T) {
-	routers := func() []route.Router {
-		return []route.Router{route.Limited{}, route.Congested{}, route.DOR{}, route.Blind{}, &route.Oracle{}}
-	}
+	all := []string{"limited", "congested", "dor", "blind", "oracle"}
+	wedge := ContentionConfig{LinkRate: 1, NodeCapacity: 4}
 	for _, tc := range []struct {
 		name    string
 		dims    []int
 		lambda  int
 		cfg     ContentionConfig
 		rate    float64
-		routers int // how many of routers() the flights cycle through
+		routers []string // the flights cycle through these
 		storm   bool
 		probe   bool
 		steps   int
+		// harvest is the DetachDone period in steps (0: every step);
+		// between, when set, runs on both engines before each step's
+		// injections; axial keeps congested flights on one axis; script,
+		// when set, replaces the random traffic.
+		harvest int
+		between func(step int, e *Engine)
+		axial   bool
+		script  func(step int, inject func(src, dst grid.Coord, router int))
+		wedged  bool // Step must replay
 	}{
-		{"32x32 saturated limited", []int{32, 32}, 1, ContentionConfig{LinkRate: 1}, 0.12, 1, false, false, 160},
-		{"8x8 capacity 8 all routers", []int{8, 8}, 1, ContentionConfig{LinkRate: 1, NodeCapacity: 8}, 0.3, 5, false, false, 200},
-		{"16x16 lambda 2 storm", []int{16, 16}, 2, ContentionConfig{LinkRate: 1, NodeCapacity: 4, FlightTimeout: 24, GridlockWindow: 8}, 0.05, 1, true, true, 400},
+		{name: "32x32 saturated limited", dims: []int{32, 32}, lambda: 1, cfg: ContentionConfig{LinkRate: 1},
+			rate: 0.12, routers: all[:1], steps: 160},
+		{name: "8x8 capacity 8 all routers", dims: []int{8, 8}, lambda: 1, cfg: ContentionConfig{LinkRate: 1, NodeCapacity: 8},
+			rate: 0.3, routers: all, steps: 200},
+		{name: "16x16 lambda 2 storm", dims: []int{16, 16}, lambda: 2,
+			cfg:  ContentionConfig{LinkRate: 1, NodeCapacity: 4, FlightTimeout: 24, GridlockWindow: 8},
+			rate: 0.05, routers: all[:1], storm: true, probe: true, steps: 400},
+		{name: "wedge limited", dims: []int{8, 8}, lambda: 1, cfg: wedge,
+			rate: 0.5, routers: all[:1], steps: 200, wedged: true},
+		{name: "wedge all routers", dims: []int{8, 8}, lambda: 1, cfg: wedge,
+			rate: 0.5, routers: all, axial: true, probe: true, steps: 300, wedged: true,
+			between: func(step int, e *Engine) {
+				switch step {
+				case 150:
+					e.ClearFlights()
+				case 225:
+					e.EnableContention(ContentionConfig{LinkRate: 1, NodeCapacity: 6})
+				}
+			}},
+		{name: "wedge timeout", dims: []int{8, 8}, lambda: 1,
+			cfg:  ContentionConfig{LinkRate: 1, NodeCapacity: 4, FlightTimeout: 40, GridlockWindow: 4},
+			rate: 0.5, routers: all, axial: true, probe: true, steps: 300, wedged: true},
+		{name: "wedge late harvest", dims: []int{8, 8}, lambda: 1, cfg: ContentionConfig{LinkRate: 1, NodeCapacity: 1},
+			routers: all[:1], steps: 12, harvest: 3, wedged: true, script: harvestScript},
+		{name: "wedge test-side faults", dims: []int{8, 8}, lambda: 1, cfg: wedge,
+			rate: 0.5, routers: all, axial: true, steps: 300, wedged: true,
+			between: func(step int, e *Engine) {
+				if step%20 == 10 {
+					e.Model.ApplyFault(grid.NodeID(step % 64))
+				}
+			}},
+		{name: "wedge congested newcomer", dims: []int{8, 8}, lambda: 1, cfg: ContentionConfig{LinkRate: 1, NodeCapacity: 2},
+			routers: all[:2], steps: 30, wedged: true, script: newcomerScript},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			shape, err := grid.NewShape(tc.dims...)
@@ -155,7 +212,13 @@ func TestStepMatchesAdvanceGated(t *testing.T) {
 				if tc.probe {
 					e.SetProbe(&log)
 				}
-				return e, &log, routers()[:tc.routers]
+				routers := make([]route.Router, len(tc.routers))
+				for i, name := range tc.routers {
+					if routers[i], err = route.ByName(name); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return e, &log, routers
 			}
 			a, alog, arouters := build()
 			b, blog, brouters := build()
@@ -163,12 +226,29 @@ func TestStepMatchesAdvanceGated(t *testing.T) {
 			r := rng.New(29)
 			n := shape.NumNodes()
 			for step := 0; step < tc.steps; step++ {
-				for src := grid.NodeID(0); int(src) < n; src++ {
+				if tc.between != nil {
+					tc.between(step, a)
+					tc.between(step, b)
+				}
+				if tc.script != nil {
+					tc.script(step, func(src, dst grid.Coord, k int) {
+						if _, err := a.Inject(shape.Index(src), shape.Index(dst), arouters[k]); err != nil {
+							t.Fatal(err)
+						}
+						if _, err := b.Inject(shape.Index(src), shape.Index(dst), brouters[k]); err != nil {
+							t.Fatal(err)
+						}
+					})
+				}
+				for src := grid.NodeID(0); int(src) < n && tc.script == nil; src++ {
 					if !r.Bool(tc.rate) {
 						continue
 					}
-					dst, k := grid.NodeID(r.Intn(n)), r.Intn(tc.routers)
+					dst, k := grid.NodeID(r.Intn(n)), r.Intn(len(tc.routers))
 					if dst == src || a.Model.M.Status(src) != mesh.Enabled {
+						continue
+					}
+					if tc.axial && tc.routers[k] == "congested" && !oneAxis(shape, src, dst) {
 						continue
 					}
 					if a.Admit(src) != b.Admit(src) {
@@ -187,8 +267,10 @@ func TestStepMatchesAdvanceGated(t *testing.T) {
 				a.Step()
 				b.referenceStep(gate)
 				sameEngines(t, step, a, b)
-				a.DetachDone(nil)
-				b.DetachDone(nil)
+				if tc.harvest == 0 || step%tc.harvest == 0 {
+					a.DetachDone(nil)
+					b.DetachDone(nil)
+				}
 				a.FlushCensus()
 				b.FlushCensus()
 				if !reflect.DeepEqual(alog, blog) {
@@ -198,12 +280,67 @@ func TestStepMatchesAdvanceGated(t *testing.T) {
 			if tc.storm && len(a.Events) == 0 {
 				t.Fatal("the storm applied no event")
 			}
+			if tc.wedged && a.replayed == 0 {
+				t.Fatalf("no flight-step replayed (%d polled)", a.polled)
+			}
+			t.Logf("%d flight-steps polled, %d replayed", a.polled, a.replayed)
 		})
 	}
 }
 
+// oneAxis reports whether u and v differ in one coordinate only.
+func oneAxis(shape *grid.Shape, u, v grid.NodeID) bool {
+	differ := 0
+	for axis := range shape.Dims() {
+		if shape.Component(u, axis) != shape.Component(v, axis) {
+			differ++
+		}
+	}
+	return differ == 1
+}
+
+// harvestScript injects, on a mesh with capacity-1 buffers, two flights at
+// step 1 bound for (2,1): one from (1,1), which arrives there at once, and
+// one from (3,1), denied while the arrived flight holds the slot. Steps 2
+// and 3 freeze; the harvest after step 3 empties (2,1), so step 4 must
+// poll the waiting flight, which arrives.
+func harvestScript(step int, inject func(src, dst grid.Coord, router int)) {
+	if step == 1 {
+		inject(grid.Coord{1, 1}, grid.Coord{2, 1}, 0)
+		inject(grid.Coord{3, 1}, grid.Coord{2, 1}, 0)
+	}
+}
+
+// newcomerScript builds, on an 8x8 with capacity-2 buffers, a wedge that
+// freezes at its first step: a cycle of full nodes (1,1) -> (2,1) -> (2,2)
+// -> (1,2) -> (1,1), nodes (3,2) and (4,1) full of flights waiting on it,
+// and at (3,1) a limited flight waiting on (3,2) beside a congested one
+// bound for (1,2). The congested flight weighs (2,1) against (3,2): both
+// full, both links denied once a step, so it keeps its first pick and the
+// prefix replays from step 3. At step 10 a congested newcomer at (4,2)
+// bound for (2,1) weighs (3,2) against (4,1): its first, fresh decision
+// takes (3,2); stalled, its own denial makes (4,1) the lighter, and it
+// flips every step after.
+func newcomerScript(step int, inject func(src, dst grid.Coord, router int)) {
+	const limited, congested = 0, 1
+	switch step {
+	case 0:
+		for _, hop := range [][2]grid.Coord{
+			{{1, 1}, {2, 1}}, {{2, 1}, {2, 2}}, {{2, 2}, {1, 2}}, {{1, 2}, {1, 1}},
+			{{3, 2}, {2, 2}}, {{4, 1}, {3, 1}},
+		} {
+			inject(hop[0], hop[1], limited)
+			inject(hop[0], hop[1], limited)
+		}
+		inject(grid.Coord{3, 1}, grid.Coord{3, 2}, limited)
+		inject(grid.Coord{3, 1}, grid.Coord{1, 2}, congested)
+	case 10:
+		inject(grid.Coord{4, 2}, grid.Coord{2, 1}, congested)
+	}
+}
+
 // sameEngines fails unless a and b hold equal flights in equal order and
-// equal residency and gridlock state.
+// equal residency, stall counters and gridlock state.
 func sameEngines(t *testing.T, step int, a, b *Engine) {
 	t.Helper()
 	if a.live != b.live || len(a.flights) != len(b.flights) {
@@ -220,7 +357,23 @@ func sameEngines(t *testing.T, step int, a, b *Engine) {
 	if !slices.Equal(a.ResidencyCensus(), b.ResidencyCensus()) {
 		t.Fatalf("step %d: residency census differs", step)
 	}
+	// LinkPending (lastPending) is what congested reads next step.
+	ac, bc := &a.ctn, &b.ctn
+	if !slices.Equal(ac.pending, bc.pending) || !slices.Equal(ac.lastPending, bc.lastPending) {
+		t.Fatalf("step %d: stall counters differ", step)
+	}
+	if !sameSet(ac.pendingDty, bc.pendingDty) {
+		t.Fatalf("step %d: stalled links %v, reference %v", step, ac.pendingDty, bc.pendingDty)
+	}
 	if a.Gridlocked() != b.Gridlocked() || a.GridlockStep() != b.GridlockStep() || a.GridlockRecovery() != b.GridlockRecovery() {
 		t.Fatalf("step %d: gridlock state differs", step)
 	}
+}
+
+// sameSet reports whether a and b hold the same elements, each once.
+func sameSet(a, b []int32) bool {
+	a, b = slices.Clone(a), slices.Clone(b)
+	slices.Sort(a)
+	slices.Sort(b)
+	return slices.Equal(a, b) && len(slices.Compact(a)) == len(b)
 }
