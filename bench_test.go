@@ -372,7 +372,7 @@ func BenchmarkRouterStep(b *testing.B) {
 // BenchmarkTrialRestart compares the two ways to get a fault-free
 // simulation for the next trial: a fresh NewSimulation against
 // Simulation.Reset of a used one. The ratio is the per-trial saving the
-// sweeps collect via the worker-local simPool.
+// sweeps collect by checking their simulations out of an EnginePool.
 func BenchmarkTrialRestart(b *testing.B) {
 	cfg := Config{Dims: []int{16, 16}, Lambda: 2}
 	dirty := func(sim *Simulation) {

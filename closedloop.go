@@ -98,7 +98,7 @@ func ClosedLoopSweepWorkers(opt ClosedLoopOptions, seed uint64, workers int) ([]
 		return nil, err
 	}
 	return runGrid(fanOut{workers: workers, pool: opt.Pool, cancel: opt.Cancel, progress: opt.Progress}, seed, jobs,
-		func(p *simPool, j int, r *rng.Source) (ClosedLoopRow, error) {
+		func(p *EnginePool, j int, r *rng.Source) (ClosedLoopRow, error) {
 			pi := j / (len(opt.Windows) * len(opt.Routers))
 			wi := j / len(opt.Routers) % len(opt.Windows)
 			ki := j % len(opt.Routers)

@@ -111,7 +111,7 @@ func CongestionShiftSweepWorkers(opt CongestionShiftOptions, seed uint64, worker
 	// the fault schedule and the offered traffic are byte-identical.
 	jobs := len(opt.Patterns) * len(opt.Rates)
 	rows, err := runGrid(fanOut{workers: workers, pool: opt.Pool, cancel: opt.Cancel, progress: opt.Progress}, seed, jobs,
-		func(p *simPool, j int, r *rng.Source) (CongestionShiftRow, error) {
+		func(p *EnginePool, j int, r *rng.Source) (CongestionShiftRow, error) {
 			pattern := opt.Patterns[j/len(opt.Rates)]
 			rate := opt.Rates[j%len(opt.Rates)]
 			row := CongestionShiftRow{Dims: shape.String(), Pattern: pattern, OfferedRate: rate}

@@ -17,9 +17,9 @@ package ndmesh
 // each job draws only from its own pre-split stream and returns only its
 // own result, and order-sensitive floating-point accumulation happens in
 // the fold. experiments_parallel_test.go asserts the guarantee for every
-// sweep. Each worker reuses one Simulation per (mesh shape, λ) across the
-// jobs it claims (simPool, pool.go), so a trial restart is a Reset, not an
-// allocation.
+// sweep. Each job checks its Simulation out of the run's EnginePool
+// (pool.go) and puts it back once it has read its result, so a trial
+// restart is a Reset, not an allocation.
 
 import (
 	"slices"
@@ -60,11 +60,12 @@ type ConvergenceRow struct {
 // mesh size.
 func ConvergenceSweepWorkers(shapes [][]int, faultsPerShape int, seed uint64, workers int) ([]ConvergenceRow, error) {
 	perShape, err := runGrid(fanOut{workers: workers}, seed, len(shapes),
-		func(p *simPool, i int, r *rng.Source) ([]ConvergenceRow, error) {
+		func(p *EnginePool, i int, r *rng.Source) ([]ConvergenceRow, error) {
 			sim, err := p.get(shapes[i], 1)
 			if err != nil {
 				return nil, err
 			}
+			defer p.put(sim)
 			shape := sim.shape
 			// Long, conforming intervals: each occurrence stabilizes fully.
 			interval := 10*shape.Diameter() + 60
@@ -154,7 +155,7 @@ func DegradationSweepWorkers(opt DegradationOptions, seed uint64, workers int) (
 	// Interval-major job order: the order the rows fold the trials in and
 	// the order the trial streams are split in.
 	results, err := runGrid(fanOut{workers: workers}, seed, len(opt.Intervals)*opt.Trials,
-		func(p *simPool, j int, r *rng.Source) ([]RouteResult, error) {
+		func(p *EnginePool, j int, r *rng.Source) ([]RouteResult, error) {
 			src, dst := traffic.DrawLongHaulPair(shape, r)
 			genOpt := fault.Options{
 				Interval:      opt.Intervals[j/opt.Trials],
@@ -243,13 +244,14 @@ func (c *routeFold) add(res RouteResult) {
 
 func (c *routeFold) successPct() float64 { return 100 * float64(c.success) / float64(c.trials) }
 
-// replay runs one (schedule, pair, router) scenario on a reused simulation
-// from the worker's pool.
-func (p *simPool) replay(dims []int, lambda int, sched *fault.Schedule, src, dst grid.NodeID, router string) (RouteResult, error) {
+// replay runs one (schedule, pair, router) scenario on a simulation checked
+// out of the pool.
+func (p *EnginePool) replay(dims []int, lambda int, sched *fault.Schedule, src, dst grid.NodeID, router string) (RouteResult, error) {
 	sim, err := p.get(dims, lambda)
 	if err != nil {
 		return RouteResult{}, err
 	}
+	defer p.put(sim)
 	setSchedule(sim, sched)
 	return sim.routeIDs(src, dst, router)
 }
@@ -343,7 +345,7 @@ func LambdaSweepWorkers(dims []int, lambdas []int, trials int, seed uint64, work
 
 	// Replays carry no randomness of their own: the job streams go unused.
 	results, err := runGrid(fanOut{workers: workers}, seed, len(lambdas)*len(routers)*trials,
-		func(p *simPool, j int, _ *rng.Source) (RouteResult, error) {
+		func(p *EnginePool, j int, _ *rng.Source) (RouteResult, error) {
 			tc := cases[j%trials]
 			return p.replay(dims, lambdas[j/(len(routers)*trials)], tc.sched, tc.src, tc.dst, routers[j/trials%len(routers)])
 		}, nil)
@@ -389,13 +391,14 @@ type MemoryRow struct {
 // parallel job).
 func MemorySweepWorkers(shapes [][]int, faults []int, seed uint64, workers int) ([]MemoryRow, error) {
 	return runGrid(fanOut{workers: workers}, seed, len(shapes)*len(faults),
-		func(p *simPool, j int, r *rng.Source) (MemoryRow, error) {
+		func(p *EnginePool, j int, r *rng.Source) (MemoryRow, error) {
 			dims := shapes[j/len(faults)]
 			f := faults[j%len(faults)]
 			sim, err := p.get(dims, 1)
 			if err != nil {
 				return MemoryRow{}, err
 			}
+			defer p.put(sim)
 			shape := sim.shape
 			// Spacing adapts to the interior width so the constraint stays
 			// satisfiable on small-radix meshes (6^4 has only a 4-wide
@@ -446,12 +449,13 @@ type OscillationRow struct {
 func OscillationSweepWorkers(dims []int, faults int, intervals []int, trials int, seed uint64, workers int) ([]OscillationRow, error) {
 	type evStat struct{ affected, arounds int }
 	results, err := runGrid(fanOut{workers: workers}, seed, len(intervals)*trials,
-		func(p *simPool, j int, r *rng.Source) ([]evStat, error) {
+		func(p *EnginePool, j int, r *rng.Source) ([]evStat, error) {
 			interval := intervals[j/trials]
 			sim, err := p.get(dims, 1)
 			if err != nil {
 				return nil, err
 			}
+			defer p.put(sim)
 			sched, err := fault.Generate(sim.shape, faults, fault.Options{
 				Interval:  interval,
 				Start:     2,
@@ -544,12 +548,13 @@ func TrafficSweepWorkers(dims []int, messages int, faults int, interval int, see
 	}
 	routers := []string{"limited", "oracle", "blind"}
 	return runGrid(fanOut{workers: workers}, seed, len(routers),
-		func(p *simPool, j int, _ *rng.Source) (TrafficRow, error) {
+		func(p *EnginePool, j int, _ *rng.Source) (TrafficRow, error) {
 			row := TrafficRow{Router: routers[j], Messages: messages}
 			sim, err := p.get(dims, 2)
 			if err != nil {
 				return row, err
 			}
+			defer p.put(sim)
 			setSchedule(sim, sched)
 			rt, err := route.ByName(routers[j])
 			if err != nil {
@@ -623,7 +628,7 @@ type theoremTrial struct {
 // one parallel job).
 func TheoremSweepWorkers(dims []int, trials int, seed uint64, workers int) (TheoremReport, error) {
 	results, err := runGrid(fanOut{workers: workers}, seed, trials,
-		func(p *simPool, _ int, rr *rng.Source) (theoremTrial, error) { return p.theoremTrial(dims, rr) }, nil)
+		func(p *EnginePool, _ int, rr *rng.Source) (theoremTrial, error) { return p.theoremTrial(dims, rr) }, nil)
 	if err != nil {
 		return TheoremReport{}, err
 	}
@@ -659,12 +664,13 @@ func TheoremSweepWorkers(dims []int, trials int, seed uint64, workers int) (Theo
 // theoremTrial runs one E11-E13 trial: a conforming schedule, one long-haul
 // flight injected after occurrence p, its trace checked against the theorem
 // its source's classification selects.
-func (p *simPool) theoremTrial(dims []int, rr *rng.Source) (theoremTrial, error) {
+func (p *EnginePool) theoremTrial(dims []int, rr *rng.Source) (theoremTrial, error) {
 	var res theoremTrial
 	sim, err := p.get(dims, 2)
 	if err != nil {
 		return res, err
 	}
+	defer p.put(sim)
 	shape := sim.shape
 	src, dst := traffic.DrawLongHaulPair(shape, rr)
 	// Conforming schedule: isolated single-node blocks, intervals far
@@ -727,11 +733,12 @@ func (p *simPool) theoremTrial(dims []int, rr *rng.Source) (theoremTrial, error)
 // staticallyMinimal replays src->dst on a mesh holding only the first p
 // faults (stabilized, no dynamics) and reports whether the limited router
 // achieves the minimal distance — the implicit premise of Theorems 3/4.
-func (pl *simPool) staticallyMinimal(dims []int, sched *fault.Schedule, p int, src, dst grid.NodeID) bool {
+func (pl *EnginePool) staticallyMinimal(dims []int, sched *fault.Schedule, p int, src, dst grid.NodeID) bool {
 	sim, err := pl.get(dims, 1)
 	if err != nil {
 		return false
 	}
+	defer pl.put(sim)
 	applied := 0
 	for _, ev := range sched.Events {
 		if ev.Kind != fault.Fail || applied >= p {

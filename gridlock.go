@@ -187,7 +187,7 @@ func GridlockSweepWorkers(opt GridlockOptions, seed uint64, workers int) ([]Grid
 		}
 	}
 	cells, err := runGrid(fanOut{workers: workers, pool: opt.Pool, cancel: opt.Cancel, progress: opt.Progress}, seed, jobs,
-		func(p *simPool, j int, r *rng.Source) ([]GridlockRow, error) {
+		func(p *EnginePool, j int, r *rng.Source) ([]GridlockRow, error) {
 			pattern := opt.Patterns[j/(nw*nc*nf)]
 			window := opt.Windows[j/(nc*nf)%nw]
 			arms := make([]GridlockRow, nm)

@@ -44,28 +44,20 @@
 //     asks the gate again without entering its router.
 //     TestStepMatchesAdvanceGated holds the loop to AdvanceGated calls.
 //   - A wedged population is replayed, not polled: after a step that moved
-//     and terminated none of its flights, the next step gives those flights
-//     what polling them would (one more step, wait and stall age each, and
-//     the last step's denials again, in order) and polls only the newcomers
-//     behind them. It is exact because a zero-progress step denied every
-//     flight at the gate (a grant is a move), so it served no link and each
-//     denial was a full next node, which empties only through a move out of
-//     it or a harvest. A load-oblivious flight is therefore denied again
-//     while the (mesh, store) key holds, no harvest has detached a flight,
-//     neither the flights nor the configuration were reset and its stall
-//     age is below FlightTimeout; newcomers only add residency. A fault
-//     event reaches routing only through the key. A load-aware (Congested)
-//     flight decides afresh from the residency around it and the last
-//     step's denials, so a prefix holding one also needs the frozen step's
-//     denials to equal the step before's, link by link. Every flight that
-//     stays in place is denied once, so equal counts mean the step before
-//     moved none and no newcomer joined since: every flight entered the
-//     frozen step stalled and now decides from the view it decided from
-//     then. A newcomer since lands on a node that is not full, and no
-//     frozen load-aware flight weighs such a node against its pick: were it
-//     lighter it would have been the pick, and a grant; were it heavier its
-//     link would carry denials, and equal denials put one of the frozen
-//     step there, which only a full node gives.
+//     and terminated none of its flights, all of them load-oblivious, the
+//     next step gives those flights what polling them would (one more step,
+//     wait and stall age each, and the last step's denials again, in order)
+//     and polls only the newcomers behind them. It is exact because a
+//     zero-progress step denied every flight at the gate (a grant is a
+//     move), so it served no link and each denial was a full next node,
+//     which empties only through a move out of it or a harvest. A
+//     load-oblivious flight is therefore denied again while the (mesh,
+//     store) key holds, no harvest has detached a flight, neither the
+//     flights nor the configuration were reset and its stall age is below
+//     FlightTimeout; newcomers only add residency. A fault event reaches
+//     routing only through the key. A load-aware (Congested) flight decides
+//     afresh from the residency around it and the last step's denials, so a
+//     population holding one is polled.
 package engine
 
 import (
@@ -92,8 +84,9 @@ type Flight struct {
 
 	// StallAge counts the consecutive steps this flight has spent in place
 	// without terminating: it increments every step the flight neither
-	// moves nor reaches a terminal state, and resets to 0 on any move. FlightTimeout kills a flight whose StallAge reaches the
-	// threshold; the gridlock detector uses the same census in aggregate.
+	// moves nor reaches a terminal state, and resets to 0 on any move.
+	// FlightTimeout kills a flight whose StallAge reaches the threshold; the
+	// gridlock detector uses the same census in aggregate.
 	StallAge int
 
 	// oblivious caches route.LoadOblivious(Router), taken at Inject (which
@@ -213,7 +206,8 @@ type contention struct {
 	numDirs     int32
 
 	// fz is what the last step leaves for the next to replay: its flights
-	// when it moved and terminated none of them (see Step).
+	// when it moved and terminated none of them and all are load-oblivious
+	// (see Step).
 	fz frozen
 
 	// Gridlock-detector state (GridlockWindow > 0). zeroStreak counts
@@ -233,10 +227,6 @@ type frozen struct {
 	n        int
 	key      uint64 // the step's route.StateKey
 	maxStall int    // the largest StallAge among them
-	aware    bool   // one of them routes load-aware
-	// same reports, for an aware prefix, that the step's denials equal the
-	// step before's, link by link.
-	same bool
 }
 
 // The engine is its flights' load view: routers reach Resident and
@@ -469,22 +459,6 @@ func (c *contention) deny(li int32) bool {
 	}
 	c.pending[li]++
 	return false
-}
-
-// sameDenials reports whether this step's denials equal the previous
-// step's, link by link.
-//
-//meshvet:noalloc TestWedgedStepAllocFree
-func (c *contention) sameDenials() bool {
-	if len(c.pendingDty) != len(c.lastDty) {
-		return false
-	}
-	for _, li := range c.pendingDty {
-		if c.pending[li] != c.lastPending[li] {
-			return false
-		}
-	}
-	return true
 }
 
 // Reset rewinds the engine to step 0 for a new trial on the same model: the
@@ -761,8 +735,7 @@ func (e *Engine) Step() {
 func (e *Engine) replay(key uint64) int {
 	c := &e.ctn
 	z := &c.fz
-	if key != z.key || (c.cfg.FlightTimeout > 0 && z.maxStall >= c.cfg.FlightTimeout) ||
-		(z.aware && !z.same) {
+	if key != z.key || (c.cfg.FlightTimeout > 0 && z.maxStall >= c.cfg.FlightTimeout) {
 		return 0
 	}
 	for _, f := range e.flights[:z.n] {
@@ -783,23 +756,24 @@ func (e *Engine) replay(key uint64) int {
 
 // freeze records the flights a step that moved and terminated none of them
 // left live, flights[:live], for the next step to replay; n of them were
-// replayed.
+// replayed. It records none when one of them routes load-aware.
 //
 //meshvet:noalloc TestWedgedStepAllocFree
 func (e *Engine) freeze(n int, key uint64) {
-	c := &e.ctn
-	z := &c.fz
-	maxStall, aware := 0, false
+	z := &e.ctn.fz
+	maxStall := 0
 	if n > 0 {
 		// A replay added one to every stall age it kept.
-		maxStall, aware = z.maxStall+1, z.aware
+		maxStall = z.maxStall + 1
 	}
 	for _, f := range e.flights[n:e.live] {
+		if !f.oblivious {
+			z.n = 0
+			return
+		}
 		maxStall = max(maxStall, f.StallAge)
-		aware = aware || !f.oblivious
 	}
-	z.n, z.key, z.maxStall, z.aware = e.live, key, maxStall, aware
-	z.same = aware && c.sameDenials()
+	z.n, z.key, z.maxStall = e.live, key, maxStall
 }
 
 //meshvet:noalloc TestFaultProcessStepAllocFree

@@ -8,12 +8,13 @@ import (
 )
 
 // scriptedWedge returns an engine run through the first steps of
-// newcomerScript (its 14 flights freeze at step 0) and the function that
-// runs one step of the script on it, harvest included.
+// newcomerScript with every flight limited (its 14 flights freeze at step 0)
+// and the function that runs one step of the script on it, harvest
+// included.
 func scriptedWedge(t *testing.T, steps int) (*Engine, func(step int)) {
 	t.Helper()
 	e, shape := newContentionEngine(t, 8, ContentionConfig{LinkRate: 1, NodeCapacity: 2})
-	routers := []route.Router{route.Limited{}, route.Congested{}}
+	routers := []route.Router{route.Limited{}, route.Limited{}}
 	step := func(step int) {
 		newcomerScript(step, func(src, dst grid.Coord, k int) {
 			if _, err := e.Inject(shape.Index(src), shape.Index(dst), routers[k]); err != nil {
@@ -29,16 +30,16 @@ func scriptedWedge(t *testing.T, steps int) (*Engine, func(step int)) {
 	return e, step
 }
 
-// TestReplayCounts pins the work counts of newcomerScript's 16 steps. Its
-// 14 flights freeze at step 0. The prefix holds a congested flight, so it
-// replays from step 2, once two steps' denials agree, through step 10,
-// where the newcomer is polled behind it: 9 replays of 14. The newcomer
-// changes its link every step after, so steps 11-15 poll all 15:
-// 14 + 14 + 1 + 5*15 = 104 polled.
+// TestReplayCounts pins the work counts of scriptedWedge's 16 steps. Its
+// 14 load-oblivious flights are polled at step 0, which freezes them, and
+// replayed at steps 1-10: 10*14 = 140. The newcomer injected at step 10 is
+// polled behind the prefix and denied, so step 10 freezes all 15, which
+// steps 11-15 replay: 5*15 = 75. That is 14 + 1 = 15 polled and
+// 140 + 75 = 215 replayed.
 func TestReplayCounts(t *testing.T) {
 	e, _ := scriptedWedge(t, 16)
-	if e.polled != 104 || e.replayed != 126 {
-		t.Fatalf("%d flight-steps polled and %d replayed, want 104 and 126", e.polled, e.replayed)
+	if e.polled != 15 || e.replayed != 215 {
+		t.Fatalf("%d flight-steps polled and %d replayed, want 15 and 215", e.polled, e.replayed)
 	}
 	e.Reset()
 	if e.polled != 0 || e.replayed != 0 {
@@ -47,8 +48,8 @@ func TestReplayCounts(t *testing.T) {
 }
 
 // TestWedgedStepAllocFree holds the replay path to zero allocations: a
-// frozen prefix holding a congested flight, replayed step after step, with
-// the freeze and the denial comparison after each.
+// frozen load-oblivious prefix, replayed step after step, with the freeze
+// after each.
 func TestWedgedStepAllocFree(t *testing.T) {
 	e, step := scriptedWedge(t, 4)
 	polled, replayed := e.polled, e.replayed

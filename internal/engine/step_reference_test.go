@@ -117,13 +117,12 @@ func (e *Engine) referenceStep(gate route.Gate) {
 //
 // The rest wedge an 8x8, so that Step replays frozen prefixes (each of
 // these runs must), one case per replay condition. The unscripted ones run
-// capacity-4 buffers at rate 0.5; where they mix routers, a congested
-// flight runs between nodes on one axis, so a frozen one has one choice
-// and its prefix can replay.
+// capacity-4 buffers at rate 0.5; where they mix routers, they run the
+// four load-oblivious ones, so a frozen population can replay.
 //
 //   - limited alone: an oblivious prefix with newcomers polled behind it;
-//   - all five routers with a probe: the load-aware rule, ClearFlights at
-//     step 150 and deeper buffers from step 225;
+//   - the four oblivious routers with a probe: ClearFlights at step 150
+//     and deeper buffers from step 225;
 //   - a flight timeout and a gridlock window with a probe: a timeout inside
 //     a frozen streak;
 //   - a harvest every third step (see harvestScript): a deferred harvest
@@ -131,9 +130,11 @@ func (e *Engine) referenceStep(gate route.Gate) {
 //   - a fault applied to the model between steps, no schedule event: only
 //     the key changes;
 //   - a scripted wedge (see newcomerScript): a congested newcomer beside a
-//     frozen congested flight, whose lightest choice flips once it stalls.
+//     frozen congested flight, whose lightest choice flips once it stalls;
+//     a population holding a congested flight is polled every step.
 func TestStepMatchesAdvanceGated(t *testing.T) {
 	all := []string{"limited", "congested", "dor", "blind", "oracle"}
+	oblivious := []string{"limited", "dor", "blind", "oracle"}
 	wedge := ContentionConfig{LinkRate: 1, NodeCapacity: 4}
 	for _, tc := range []struct {
 		name    string
@@ -147,13 +148,12 @@ func TestStepMatchesAdvanceGated(t *testing.T) {
 		steps   int
 		// harvest is the DetachDone period in steps (0: every step);
 		// between, when set, runs on both engines before each step's
-		// injections; axial keeps congested flights on one axis; script,
-		// when set, replaces the random traffic.
+		// injections; script, when set, replaces the random traffic.
 		harvest int
 		between func(step int, e *Engine)
-		axial   bool
 		script  func(step int, inject func(src, dst grid.Coord, router int))
 		wedged  bool // Step must replay
+		polls   bool // Step must replay nothing
 	}{
 		{name: "32x32 saturated limited", dims: []int{32, 32}, lambda: 1, cfg: ContentionConfig{LinkRate: 1},
 			rate: 0.12, routers: all[:1], steps: 160},
@@ -164,8 +164,8 @@ func TestStepMatchesAdvanceGated(t *testing.T) {
 			rate: 0.05, routers: all[:1], storm: true, probe: true, steps: 400},
 		{name: "wedge limited", dims: []int{8, 8}, lambda: 1, cfg: wedge,
 			rate: 0.5, routers: all[:1], steps: 200, wedged: true},
-		{name: "wedge all routers", dims: []int{8, 8}, lambda: 1, cfg: wedge,
-			rate: 0.5, routers: all, axial: true, probe: true, steps: 300, wedged: true,
+		{name: "wedge oblivious routers", dims: []int{8, 8}, lambda: 1, cfg: wedge,
+			rate: 0.5, routers: oblivious, probe: true, steps: 300, wedged: true,
 			between: func(step int, e *Engine) {
 				switch step {
 				case 150:
@@ -176,18 +176,18 @@ func TestStepMatchesAdvanceGated(t *testing.T) {
 			}},
 		{name: "wedge timeout", dims: []int{8, 8}, lambda: 1,
 			cfg:  ContentionConfig{LinkRate: 1, NodeCapacity: 4, FlightTimeout: 40, GridlockWindow: 4},
-			rate: 0.5, routers: all, axial: true, probe: true, steps: 300, wedged: true},
+			rate: 0.5, routers: oblivious, probe: true, steps: 300, wedged: true},
 		{name: "wedge late harvest", dims: []int{8, 8}, lambda: 1, cfg: ContentionConfig{LinkRate: 1, NodeCapacity: 1},
 			routers: all[:1], steps: 12, harvest: 3, wedged: true, script: harvestScript},
 		{name: "wedge test-side faults", dims: []int{8, 8}, lambda: 1, cfg: wedge,
-			rate: 0.5, routers: all, axial: true, steps: 300, wedged: true,
+			rate: 0.5, routers: oblivious, steps: 300, wedged: true,
 			between: func(step int, e *Engine) {
 				if step%20 == 10 {
 					e.Model.ApplyFault(grid.NodeID(step % 64))
 				}
 			}},
 		{name: "wedge congested newcomer", dims: []int{8, 8}, lambda: 1, cfg: ContentionConfig{LinkRate: 1, NodeCapacity: 2},
-			routers: all[:2], steps: 30, wedged: true, script: newcomerScript},
+			routers: all[:2], steps: 30, polls: true, script: newcomerScript},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			shape, err := grid.NewShape(tc.dims...)
@@ -248,9 +248,6 @@ func TestStepMatchesAdvanceGated(t *testing.T) {
 					if dst == src || a.Model.M.Status(src) != mesh.Enabled {
 						continue
 					}
-					if tc.axial && tc.routers[k] == "congested" && !oneAxis(shape, src, dst) {
-						continue
-					}
 					if a.Admit(src) != b.Admit(src) {
 						t.Fatalf("step %d: Admit(%d) differs", step, src)
 					}
@@ -283,20 +280,12 @@ func TestStepMatchesAdvanceGated(t *testing.T) {
 			if tc.wedged && a.replayed == 0 {
 				t.Fatalf("no flight-step replayed (%d polled)", a.polled)
 			}
+			if tc.polls && a.replayed != 0 {
+				t.Fatalf("%d flight-steps replayed with a congested flight in every frozen step", a.replayed)
+			}
 			t.Logf("%d flight-steps polled, %d replayed", a.polled, a.replayed)
 		})
 	}
-}
-
-// oneAxis reports whether u and v differ in one coordinate only.
-func oneAxis(shape *grid.Shape, u, v grid.NodeID) bool {
-	differ := 0
-	for axis := range shape.Dims() {
-		if shape.Component(u, axis) != shape.Component(v, axis) {
-			differ++
-		}
-	}
-	return differ == 1
 }
 
 // harvestScript injects, on a mesh with capacity-1 buffers, two flights at
@@ -316,11 +305,12 @@ func harvestScript(step int, inject func(src, dst grid.Coord, router int)) {
 // -> (1,2) -> (1,1), nodes (3,2) and (4,1) full of flights waiting on it,
 // and at (3,1) a limited flight waiting on (3,2) beside a congested one
 // bound for (1,2). The congested flight weighs (2,1) against (3,2): both
-// full, both links denied once a step, so it keeps its first pick and the
-// prefix replays from step 3. At step 10 a congested newcomer at (4,2)
-// bound for (2,1) weighs (3,2) against (4,1): its first, fresh decision
-// takes (3,2); stalled, its own denial makes (4,1) the lighter, and it
-// flips every step after.
+// full, both links denied once a step, so it keeps its first pick. At step
+// 10 a congested newcomer at (4,2) bound for (2,1) weighs (3,2) against
+// (4,1): its first, fresh decision takes (3,2); stalled, its own denial
+// makes (4,1) the lighter, and it flips every step after. With every
+// flight limited, the same script is a load-oblivious wedge
+// (scriptedWedge).
 func newcomerScript(step int, inject func(src, dst grid.Coord, router int)) {
 	const limited, congested = 0, 1
 	switch step {

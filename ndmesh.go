@@ -70,7 +70,7 @@ type Config struct {
 // Simulation is a dynamic n-D mesh with the limited-global information
 // model running on it.
 type Simulation struct {
-	cfg    Config      //meshvet:keep configuration, survives trials
+	key    simKey      //meshvet:keep the (shape, λ) an EnginePool files it under, immutable
 	shape  *grid.Shape //meshvet:keep topology, immutable after NewSimulation
 	mesh   *mesh.Mesh  //meshvet:keep mesh statuses reset through model.Reset
 	model  *core.Model
@@ -94,7 +94,7 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 	md := core.New(m)
 	sched := &fault.Schedule{}
 	eng := engine.New(md, cfg.Lambda, sched)
-	return &Simulation{cfg: cfg, shape: shape, mesh: m, model: md, engine: eng, sched: sched}, nil
+	return &Simulation{key: newSimKey(cfg.Dims, cfg.Lambda), shape: shape, mesh: m, model: md, engine: eng, sched: sched}, nil
 }
 
 // MustSimulation is NewSimulation that panics on error (examples, tests).

@@ -1,27 +1,21 @@
 package ndmesh
 
-// This file is the simulation-reuse lifecycle under every sweep. A worker
-// of runGrid (rungrid.go) holds a simPool — one reusable Simulation per
-// (mesh shape, λ), confined to that worker — so a trial restart is a Reset
-// instead of a construction. Behind the meshd daemon (internal/server) the
-// simPools are in turn bound to an EnginePool: a shared, concurrency-safe
-// reservoir of warm Simulations that sweep workers draw from instead of
-// constructing their own, and return to when the sweep ends. The Reset
-// contract (every layer rewinds without reallocating, pinned by
-// reset_test.go) is what makes reuse sound: a reused simulation is
-// indistinguishable from a fresh one after Reset, so which warm simulation
-// a job receives can never reach its results. loadPoint's deferred cleanup
-// (flights detached, the free configuration back —
-// TestLoadPointLeavesEngineClean) is what makes it safe: simulations come
-// back clean on every exit of its Engine.Run (saturation.go), the Cancel
-// poll included, which EnginePool.VerifyClean audits.
-//
-// The EnginePool threads into the sweeps through the Pool field of
-// SaturationOptions / ClosedLoopOptions / ReliabilityOptions / LoadOptions:
-// runGrid binds each worker's simPool to the shared reservoir (simPool.get
-// tries take before constructing and reports a construction through
-// noteBuilt) and puts every drawn simulation back once the fan-out has
-// drained — success, error or cancellation alike.
+// This file is the simulation-reuse lifecycle under every sweep: one
+// EnginePool, a concurrency-safe reservoir of warm Simulations keyed by
+// (mesh shape, λ), that every job of runGrid (rungrid.go) checks its
+// simulations out of (get) and returns them to (put) once it has read its
+// result, so a trial restart is a Reset instead of a construction. A sweep
+// runs against the caller's pool (the Pool field of LoadSweepOptions /
+// LoadOptions; the meshd daemon's shared one) or against a private one of
+// its own. The Reset contract (every layer rewinds without reallocating,
+// pinned by reset_test.go) is what makes reuse sound: a reused simulation
+// is indistinguishable from a fresh one after Reset, so which warm
+// simulation a job receives can never reach its results. loadPoint's
+// deferred cleanup (flights detached, the free configuration back —
+// TestLoadPointLeavesEngineClean) is what makes sharing safe: load cells
+// put their simulations back clean on every exit of its Engine.Run
+// (saturation.go), the Cancel poll included, which EnginePool.VerifyClean
+// audits.
 
 import (
 	"errors"
@@ -37,17 +31,6 @@ import (
 // same engine cleanup as a completed one, so pooled simulations come back
 // clean.
 var ErrCanceled = errors.New("ndmesh: run canceled")
-
-// simPool is the per-worker state of a sweep: one reusable Simulation per
-// (shape, λ) pair. A pool is confined to a single worker goroutine, so no
-// locking is needed; pools never share simulations. When shared is
-// non-nil (a load sweep run against an EnginePool), get first tries the
-// shared reservoir's warm simulations before constructing, and runGrid
-// hands every held simulation back when its fan-out ends.
-type simPool struct {
-	sims   map[simKey]*Simulation
-	shared *EnginePool
-}
 
 // simKey names a (shape, λ) pair by value: building and looking one up
 // allocates nothing.
@@ -70,43 +53,16 @@ func newSimKey(dims []int, lambda int) simKey {
 	return key
 }
 
-func newSimPool() *simPool { return &simPool{sims: make(map[simKey]*Simulation)} }
-
-// get returns a fault-free simulation of the given shape and λ, resetting
-// and reusing a previously built one when possible — the worker's own
-// first, then the shared reservoir's, then a fresh construction.
-func (p *simPool) get(dims []int, lambda int) (*Simulation, error) {
-	key := newSimKey(dims, lambda)
-	sim, ok := p.sims[key]
-	if !ok && p.shared != nil {
-		if sim = p.shared.take(key); sim != nil {
-			p.sims[key] = sim
-		}
-	}
-	if sim != nil {
-		sim.Reset()
-		return sim, nil
-	}
-	sim, err := NewSimulation(Config{Dims: dims, Lambda: lambda})
-	if err != nil {
-		return nil, err
-	}
-	if p.shared != nil {
-		p.shared.noteBuilt()
-	}
-	p.sims[key] = sim
-	return sim, nil
-}
-
 // setSchedule copies a generated schedule into the simulation. The copy (not
 // an alias) keeps the sim's schedule buffer self-owned across resets.
 func setSchedule(sim *Simulation, sched *fault.Schedule) {
 	sim.sched.Events = append(sim.sched.Events[:0], sched.Events...)
 }
 
-// PoolStats counts an EnginePool's checkout traffic. The daemon's result
-// cache is validated against it: a cache-hit submission must leave
-// Acquired and Built unchanged (no engine was touched).
+// PoolStats counts an EnginePool's checkout traffic, one checkout per
+// simulation a sweep cell uses. The daemon's result cache is validated
+// against it: a cache-hit submission must leave Acquired and Built
+// unchanged (no engine was touched).
 type PoolStats struct {
 	// Acquired counts checkouts served by resetting a warm idle
 	// simulation; Built counts checkouts that had to construct one.
@@ -121,12 +77,12 @@ type PoolStats struct {
 	Idle int `json:"idle"`
 }
 
-// EnginePool is a shared reservoir of warm, Reset-recycled Simulations
-// keyed by (mesh shape, λ). It is safe for concurrent use: many sweeps
-// (the daemon's concurrent jobs) may check simulations out and return
-// them at once. A nil *EnginePool is valid everywhere one is accepted and
-// means "no sharing" — each sweep builds worker-local simulations exactly
-// as before.
+// EnginePool is a reservoir of warm, Reset-recycled Simulations keyed by
+// (mesh shape, λ). It is safe for concurrent use: the jobs of one sweep,
+// and many sweeps at once (the daemon's concurrent jobs), check
+// simulations out and return them. A nil *EnginePool is valid everywhere
+// one is accepted and means "no sharing": the sweep runs on a private pool
+// of its own.
 type EnginePool struct {
 	mu      sync.Mutex
 	idle    map[simKey][]*Simulation
@@ -154,43 +110,47 @@ func (p *EnginePool) Stats() PoolStats {
 	return s
 }
 
-// take pops an idle simulation for the key, or returns nil when none is
-// warm (the caller constructs one and reports it via noteBuilt).
-func (p *EnginePool) take(key simKey) *Simulation {
+// get returns a fault-free simulation of the given shape and λ (λ < 1
+// meaning 1, as in NewSimulation): a warm idle one, Reset, or else a new
+// one. The caller puts it back once it has read its results.
+func (p *EnginePool) get(dims []int, lambda int) (*Simulation, error) {
+	key := newSimKey(dims, max(lambda, 1))
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	sims := p.idle[key]
-	if len(sims) == 0 {
-		return nil
+	if n := len(sims); n > 0 {
+		sim := sims[n-1]
+		p.idle[key] = sims[:n-1]
+		p.stats.Acquired++
+		p.mu.Unlock()
+		sim.Reset()
+		return sim, nil
 	}
-	sim := sims[len(sims)-1]
-	p.idle[key] = sims[:len(sims)-1]
-	p.stats.Acquired++
-	return sim
-}
-
-// noteBuilt records a checkout that constructed a fresh simulation.
-func (p *EnginePool) noteBuilt() {
+	p.mu.Unlock()
+	sim, err := NewSimulation(Config{Dims: dims, Lambda: lambda})
+	if err != nil {
+		return nil, err
+	}
 	p.mu.Lock()
 	p.stats.Built++
 	p.mu.Unlock()
+	return sim, nil
 }
 
-// put returns a simulation to the idle reservoir, dropping it when the
-// per-key cap is full.
-func (p *EnginePool) put(key simKey, sim *Simulation) {
+// put returns a simulation to the idle reservoir under its own key,
+// dropping it when the key's cap is full.
+func (p *EnginePool) put(sim *Simulation) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.maxIdle > 0 && len(p.idle[key]) >= p.maxIdle {
+	if p.maxIdle > 0 && len(p.idle[sim.key]) >= p.maxIdle {
 		p.stats.Dropped++
 		return
 	}
-	p.idle[key] = append(p.idle[key], sim)
+	p.idle[sim.key] = append(p.idle[sim.key], sim)
 	p.stats.Released++
 }
 
 // VerifyClean audits every idle simulation against the clean-engine
-// contract the sweeps' deferred cleanup guarantees (the residency-census
+// contract the load cells' deferred cleanup guarantees (the residency-census
 // assertions of TestLoadPointLeavesEngineClean): no attached flights, an
 // all-zero residency census and the free configuration. It reports aggregate
 // violation counts, so the result does not depend on map iteration order.

@@ -13,9 +13,10 @@ import (
 
 // TestEnginePoolReuseByteIdentical is the pooling half of the determinism
 // contract: a sweep served from warm, Reset-recycled simulations must
-// produce byte-identical rows to the classic worker-local path, and the
-// pool's counters must show the reuse actually happened (second sweep
-// acquires instead of building).
+// produce byte-identical rows to a sweep on a private pool, and the pool's
+// counters must show the reuse actually happened: every cell is one
+// checkout, so a one-worker sweep builds one simulation and acquires it for
+// every later cell, and a second sweep only acquires.
 func TestEnginePoolReuseByteIdentical(t *testing.T) {
 	opt := smallSaturation()
 	plain, err := SaturationSweepWorkers(opt, 42, 1)
@@ -32,15 +33,13 @@ func TestEnginePoolReuseByteIdentical(t *testing.T) {
 	if !reflect.DeepEqual(plain, first) {
 		t.Fatal("pooled sweep rows differ from unpooled rows")
 	}
+	cells := uint64(len(opt.Patterns) * len(opt.Rates) * len(opt.Routers))
 	s := pool.Stats()
-	if s.Built == 0 {
-		t.Fatal("first pooled sweep built no simulations")
+	if s.Built != 1 || s.Acquired != cells-1 {
+		t.Fatalf("first pooled sweep built %d and acquired %d simulations, want 1 and %d", s.Built, s.Acquired, cells-1)
 	}
-	if s.Acquired != 0 {
-		t.Fatalf("first pooled sweep acquired %d warm simulations from an empty pool", s.Acquired)
-	}
-	if s.Idle == 0 {
-		t.Fatal("no simulations returned to the reservoir after the sweep")
+	if s.Idle != 1 {
+		t.Fatalf("%d simulations idle after the sweep, want 1", s.Idle)
 	}
 
 	second, err := SaturationSweepWorkers(opt, 42, 1)
@@ -51,8 +50,8 @@ func TestEnginePoolReuseByteIdentical(t *testing.T) {
 		t.Fatal("warm-engine sweep rows differ from unpooled rows")
 	}
 	s2 := pool.Stats()
-	if s2.Acquired == 0 {
-		t.Fatal("second pooled sweep acquired no warm simulations")
+	if s2.Acquired-s.Acquired != cells {
+		t.Fatalf("second pooled sweep acquired %d warm simulations, want %d", s2.Acquired-s.Acquired, cells)
 	}
 	if s2.Built != s.Built {
 		t.Fatalf("second pooled sweep built %d fresh simulations, want 0 (all warm)", s2.Built-s.Built)
@@ -96,29 +95,36 @@ func TestEnginePoolLoadRun(t *testing.T) {
 }
 
 // TestEnginePoolMaxIdleCap pins the retention bound: returns past the
-// per-key cap are dropped, not stacked.
+// per-key cap are dropped, not stacked, and a checkout pops what was
+// retained before it builds.
 func TestEnginePoolMaxIdleCap(t *testing.T) {
 	pool := NewEnginePool(1)
-	key := newSimKey([]int{4, 4}, 1)
-	a, err := NewSimulation(Config{Dims: []int{4, 4}, Lambda: 1})
-	if err != nil {
-		t.Fatal(err)
+	get := func() *Simulation {
+		t.Helper()
+		sim, err := pool.get([]int{4, 4}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sim
 	}
-	b, err := NewSimulation(Config{Dims: []int{4, 4}, Lambda: 1})
-	if err != nil {
-		t.Fatal(err)
+	a, b := get(), get()
+	if a == b {
+		t.Fatal("two checkouts returned one simulation")
 	}
-	pool.put(key, a)
-	pool.put(key, b)
+	pool.put(a)
+	pool.put(b)
 	s := pool.Stats()
-	if s.Released != 1 || s.Dropped != 1 || s.Idle != 1 {
-		t.Fatalf("stats = %+v, want one release, one drop, one idle", s)
+	if s.Built != 2 || s.Released != 1 || s.Dropped != 1 || s.Idle != 1 {
+		t.Fatalf("stats = %+v, want two builds, one release, one drop, one idle", s)
 	}
-	if got := pool.take(key); got != a {
-		t.Fatal("take returned a simulation that was never retained")
+	if got := get(); got != a {
+		t.Fatal("get returned a simulation that was never retained")
 	}
-	if got := pool.take(key); got != nil {
-		t.Fatal("take from a drained key returned a simulation")
+	if got := get(); got == a || got == b {
+		t.Fatal("get from a drained key returned a simulation it had handed out")
+	}
+	if s := pool.Stats(); s.Acquired != 1 || s.Built != 3 {
+		t.Fatalf("stats = %+v, want one warm checkout, then a build", s)
 	}
 }
 
@@ -309,7 +315,7 @@ type cellAllocs struct {
 }
 
 // TestWarmLoadCellAllocs runs a fault-storm cell (the workload's 16x16 λ=2
-// options at fault rate 0.2) twice on one simPool and holds what the second
+// options at fault rate 0.2) twice on one EnginePool and holds what the second
 // run allocates to at most the count committed in
 // testdata/warm_load_cell_allocs.json. The warm cell reuses the
 // simulation, its flights and headers, the event log and the latency
@@ -323,7 +329,7 @@ func TestWarmLoadCellAllocs(t *testing.T) {
 		Process: "bernoulli", Warmup: 64, Measure: 512, Drain: 128,
 		LinkRate: 1, FlightTimeout: 48, RetryBackoff: 4, GridlockWindow: 16,
 	}
-	pool := newSimPool()
+	pool := NewEnginePool(0)
 	cell := func() {
 		pt, err := opt.loadPoint(pool, workload{pattern: "uniform", rate: 0.02}, "limited", rng.New(11).Split())
 		if err != nil {

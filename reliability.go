@@ -146,7 +146,7 @@ func ReliabilitySweepWorkers(opt ReliabilityOptions, seed uint64, workers int) (
 		}
 	}
 	pts, err := runGrid(fanOut{workers: workers, pool: opt.Pool, cancel: opt.Cancel, progress: opt.Progress}, seed, cells*nt,
-		func(p *simPool, j int, r *rng.Source) (traffic.LoadPoint, error) {
+		func(p *EnginePool, j int, r *rng.Source) (traffic.LoadPoint, error) {
 			cell := j / nt
 			trial := opt
 			trial.FaultRate = opt.FaultRates[cell/nk%nf]

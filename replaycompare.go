@@ -62,7 +62,7 @@ func ReplayCompareSweepWorkers(opt LoadOptions, routers []string, workers int) (
 		return nil, err
 	}
 	return runGrid(fanOut{workers: workers, pool: opt.Pool, cancel: opt.Cancel, progress: opt.Progress}, opt.Seed, len(routers),
-		func(p *simPool, j int, r *rng.Source) (ReplayCompareRow, error) {
+		func(p *EnginePool, j int, r *rng.Source) (ReplayCompareRow, error) {
 			pt, err := sopt.loadPoint(p, wl, routers[j], r)
 			if err != nil {
 				return ReplayCompareRow{}, err

@@ -5,12 +5,10 @@ package ndmesh
 // runGrid owns what the determinism contract needs done in one order —
 // per-job rng streams split serially before the fan-out, each job writing
 // only its own result slot, any fold over the slots left to the caller's
-// serial pass afterwards — and the simulation-reuse lifecycle (pool.go):
-// one simPool per worker, bound to the shared reservoir when there is one,
-// every drawn simulation handed back once the fan-out has drained.
+// serial pass afterwards — and hands every job the pool (pool.go) its
+// simulations come from: the caller's, or a private one for the run.
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"ndmesh/internal/par"
@@ -18,8 +16,8 @@ import (
 )
 
 // fanOut is the run control a sweep's options hand to runGrid; the zero
-// value is a GOMAXPROCS-wide run on worker-local simulations with no
-// cancellation and no progress reporting.
+// value is a GOMAXPROCS-wide run on a private pool with no cancellation and
+// no progress reporting.
 type fanOut struct {
 	workers  int
 	pool     *EnginePool
@@ -39,34 +37,27 @@ func splitN(seed uint64, n int) []*rng.Source {
 }
 
 // runGrid runs job(p, j, r) for every j in [0, jobs) on the j-th stream
-// split off seed and returns the results in job order. cancel is polled
-// before each job (ErrCanceled); of several failing jobs the lowest index's
-// error is returned. done, when non-nil, is the sweeps' Emit seam: the
-// worker that completed job j calls it after writing out[j] and before the
-// progress tick, and it may read out[j] and any slot whose completion it
-// has itself ordered (reliability's per-cell countdown).
+// split off seed, with p the caller's pool or else a private one, and
+// returns the results in job order. cancel is polled before each job
+// (ErrCanceled); of several failing jobs the lowest index's error is
+// returned. done, when non-nil, is the sweeps' Emit seam: the worker that
+// completed job j calls it after writing out[j] and before the progress
+// tick, and it may read out[j] and any slot whose completion it has itself
+// ordered (reliability's per-cell countdown).
 func runGrid[R any](f fanOut, seed uint64, jobs int,
-	job func(p *simPool, j int, r *rng.Source) (R, error), done func(out []R, j int)) ([]R, error) {
+	job func(p *EnginePool, j int, r *rng.Source) (R, error), done func(out []R, j int)) ([]R, error) {
 	rngs := splitN(seed, jobs)
 	out := make([]R, jobs)
-	var finished atomic.Int64
-	var mu sync.Mutex
-	var drawn []*simPool
-	worker := func() *simPool {
-		p := newSimPool()
-		if f.pool != nil {
-			p.shared = f.pool
-			mu.Lock()
-			drawn = append(drawn, p)
-			mu.Unlock()
-		}
-		return p
+	pool := f.pool
+	if pool == nil {
+		pool = NewEnginePool(0)
 	}
-	err := par.ForState(f.workers, jobs, worker, func(p *simPool, j int) error {
+	var finished atomic.Int64
+	err := par.ForState(f.workers, jobs, func() struct{} { return struct{}{} }, func(_ struct{}, j int) error {
 		if f.cancel != nil && f.cancel() {
 			return ErrCanceled
 		}
-		v, err := job(p, j, rngs[j])
+		v, err := job(pool, j, rngs[j])
 		if err != nil {
 			return err
 		}
@@ -79,15 +70,6 @@ func runGrid[R any](f fanOut, seed uint64, jobs int,
 		}
 		return nil
 	})
-	// ForState has returned, so no worker is still stepping a simulation
-	// handed back here; any simulation is equivalent after Reset, so the
-	// reservoir's stacking order cannot reach results.
-	for _, p := range drawn {
-		//meshvet:ordered Reset equivalence makes stacking order irrelevant
-		for key, sim := range p.sims {
-			f.pool.put(key, sim)
-		}
-	}
 	if err != nil {
 		return nil, err
 	}

@@ -22,12 +22,14 @@ import (
 )
 
 // gridDraw is a runGrid job that touches everything a real sweep cell
-// does: it checks a simulation out of its worker's simPool and consumes
-// its pre-split stream.
-func gridDraw(p *simPool, j int, r *rng.Source) (uint64, error) {
-	if _, err := p.get([]int{4, 4}, 1); err != nil {
+// does: it checks a simulation out of the run's pool, consumes its
+// pre-split stream and puts the simulation back.
+func gridDraw(p *EnginePool, j int, r *rng.Source) (uint64, error) {
+	sim, err := p.get([]int{4, 4}, 1)
+	if err != nil {
 		return 0, err
 	}
+	p.put(sim)
 	return r.Uint64() ^ uint64(j), nil
 }
 
@@ -105,7 +107,7 @@ func TestRunGridHooks(t *testing.T) {
 func TestRunGridLowestIndexError(t *testing.T) {
 	const k = 5
 	for _, w := range []int{1, 2, 8} {
-		out, err := runGrid(fanOut{workers: w}, 1, 40, func(p *simPool, j int, r *rng.Source) (int, error) {
+		out, err := runGrid(fanOut{workers: w}, 1, 40, func(p *EnginePool, j int, r *rng.Source) (int, error) {
 			if j >= k && j%2 == 1 {
 				return 0, fmt.Errorf("job %d failed", j)
 			}
@@ -126,7 +128,7 @@ func TestRunGridLowestIndexError(t *testing.T) {
 // built) is handed back — Released + Dropped == Acquired + Built — and
 // what is idle afterwards is clean.
 func TestRunGridPoolBalanced(t *testing.T) {
-	loadCell := func(p *simPool, j int, r *rng.Source) (int, error) {
+	loadCell := func(p *EnginePool, j int, r *rng.Source) (int, error) {
 		opt := smallSaturation()
 		if err := opt.validateLoadShape(); err != nil {
 			return 0, err
@@ -137,12 +139,12 @@ func TestRunGridPoolBalanced(t *testing.T) {
 	boom := errors.New("boom")
 	for _, tc := range []struct {
 		name   string
-		job    func(p *simPool, j int, r *rng.Source) (int, error)
+		job    func(p *EnginePool, j int, r *rng.Source) (int, error)
 		cancel func() func() bool
 		want   error
 	}{
 		{name: "success", job: loadCell},
-		{name: "error", want: boom, job: func(p *simPool, j int, r *rng.Source) (int, error) {
+		{name: "error", want: boom, job: func(p *EnginePool, j int, r *rng.Source) (int, error) {
 			if j == 3 {
 				return 0, boom
 			}
@@ -154,7 +156,7 @@ func TestRunGridPoolBalanced(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			pool := NewEnginePool(1) // a cap below the worker count exercises Dropped
+			pool := NewEnginePool(1) // a cap below the worker count drops the returns of overlapping jobs
 			for round := 0; round < 2; round++ {
 				f := fanOut{workers: 3, pool: pool}
 				if tc.cancel != nil {

@@ -131,12 +131,12 @@ type LoadSweepOptions[Row any] struct {
 	// wire it to a stderr printer. Called from worker goroutines; must be
 	// safe for concurrent use.
 	Progress func(done, total int) `json:"-"`
-	// Pool, when non-nil, is a shared reservoir of warm simulations the
-	// sweep's workers draw from and return to when the sweep ends (the
-	// meshd daemon's engine-pool lifecycle — see pool.go). Nil keeps the
-	// classic behavior: worker-local simulations built per sweep. Pooling
-	// is invisible in the rows: a reused simulation is Reset first, so
-	// results are byte-identical with or without a pool.
+	// Pool, when non-nil, is the reservoir of warm simulations each cell
+	// checks its simulation out of and puts it back to once the cell is
+	// done (the meshd daemon shares one across its jobs — see pool.go).
+	// Nil runs the sweep on a private pool built for it. Pooling is
+	// invisible in the rows: a reused simulation is Reset first, so results
+	// are byte-identical with or without a pool.
 	Pool *EnginePool `json:"-"`
 	// Emit, when non-nil, is called once per completed cell with (index,
 	// row) — the streaming hook meshd serves NDJSON rows from. Calls
@@ -215,7 +215,7 @@ func SaturationSweepWorkers(opt SaturationOptions, seed uint64, workers int) ([]
 		return nil, err
 	}
 	return runGrid(fanOut{workers: workers, pool: opt.Pool, cancel: opt.Cancel, progress: opt.Progress}, seed, jobs,
-		func(p *simPool, j int, r *rng.Source) (SaturationRow, error) {
+		func(p *EnginePool, j int, r *rng.Source) (SaturationRow, error) {
 			pi := j / (len(opt.Rates) * len(opt.Routers))
 			ri := j / len(opt.Routers) % len(opt.Rates)
 			ki := j % len(opt.Routers)
@@ -407,8 +407,13 @@ const cancelCheckInterval = 64
 // steps, then a drain window, with terminated flights harvested (and
 // recycled) every step. newLoadRun builds the workload, Engine.Run steps it
 // with loadRun.tick as its stop rule, and fold reads the LoadPoint.
-func (opt *LoadSweepOptions[Row]) loadPoint(p *simPool, wl workload, router string, r *rng.Source) (traffic.LoadPoint, error) {
-	lr, err := opt.newLoadRun(p, wl, router, r)
+func (opt *LoadSweepOptions[Row]) loadPoint(p *EnginePool, wl workload, router string, r *rng.Source) (traffic.LoadPoint, error) {
+	sim, err := p.get(opt.Dims, opt.Lambda)
+	if err != nil {
+		return traffic.LoadPoint{}, err
+	}
+	defer p.put(sim)
+	lr, err := opt.newLoadRun(sim, wl, router, r)
 	if err != nil {
 		return traffic.LoadPoint{}, err
 	}
@@ -424,10 +429,10 @@ func (opt *LoadSweepOptions[Row]) loadPoint(p *simPool, wl workload, router stri
 	// the whole run; observation is read-only, so the LoadPoint is
 	// byte-identical with or without it.
 	eng.SetProbe(opt.Probe)
-	// Every exit, a cancel included, hands the pooled engine back clean: a
-	// past-saturation cell ends its drain with backlog flights attached,
-	// which ClearFlights recycles, releasing their residency
-	// (TestLoadPointLeavesEngineClean).
+	// Every exit, a cancel included, cleans the engine before the put above
+	// hands it back: a past-saturation cell ends its drain with backlog
+	// flights attached, which ClearFlights recycles, releasing their
+	// residency (TestLoadPointLeavesEngineClean).
 	defer func() {
 		eng.SetProbe(nil)
 		eng.ClearFlights()
@@ -481,12 +486,9 @@ type loadRun struct {
 // schedule (the replay's, or an overlay drawn from the cell's stream), the
 // router, the injection source for the selected mode and, when asked, the
 // recorder around it. It leaves the engine's configuration alone.
-func (opt *LoadSweepOptions[Row]) newLoadRun(p *simPool, wl workload, router string, r *rng.Source) (*loadRun, error) {
-	sim, err := p.get(opt.Dims, opt.Lambda)
-	if err != nil {
-		return nil, err
-	}
+func (opt *LoadSweepOptions[Row]) newLoadRun(sim *Simulation, wl workload, router string, r *rng.Source) (*loadRun, error) {
 	shape := sim.shape
+	var err error
 	// recFaults is the fault schedule a recording must carry. It is only
 	// copied into wl.record after the recorder attaches, because attaching
 	// resets the trace (including any stale fault schedule).
@@ -783,9 +785,9 @@ type LoadOptions struct {
 	// unbounded buffers on the replay of a finite-capacity trace takes a
 	// negative NodeCapacity.
 	Replay *traffic.Trace `json:"-"`
-	// Pool, when non-nil, serves the run from a shared reservoir of warm
-	// simulations and returns the engine afterwards (see
-	// SaturationOptions.Pool); Cancel aborts the run with ErrCanceled
+	// Pool, when non-nil, serves the run from that reservoir of warm
+	// simulations and takes the simulation back afterwards (see
+	// LoadSweepOptions.Pool); Cancel aborts the run with ErrCanceled
 	// when it returns true (polled every cancelCheckInterval steps);
 	// Progress is called with (done, total) after every completed run (one
 	// per router arm of a replay comparison).
@@ -893,7 +895,7 @@ func LoadRun(opt LoadOptions) (traffic.LoadPoint, error) {
 		return traffic.LoadPoint{}, err
 	}
 	pts, err := runGrid(fanOut{workers: 1, pool: opt.Pool, cancel: opt.Cancel, progress: opt.Progress}, opt.Seed, 1,
-		func(p *simPool, _ int, r *rng.Source) (traffic.LoadPoint, error) {
+		func(p *EnginePool, _ int, r *rng.Source) (traffic.LoadPoint, error) {
 			return sopt.loadPoint(p, wl, opt.Router, r)
 		}, nil)
 	if err != nil {

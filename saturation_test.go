@@ -265,11 +265,11 @@ func TestSimulationRouteUnaffectedByContention(t *testing.T) {
 // load point — deep underload and past saturation (standing backlog
 // survives the drain) — the pooled engine must come back with no attached
 // flights and an all-zero residency census. Before the fix the backlog
-// stayed attached with its residency counted, and only simPool.get's Reset
-// rescued the next cell.
+// stayed attached with its residency counted, and only the next checkout's
+// Reset rescued the next cell.
 func TestLoadPointLeavesEngineClean(t *testing.T) {
 	opt := smallSaturation()
-	pool := newSimPool()
+	pool := NewEnginePool(0)
 	for _, tc := range []struct {
 		name  string
 		rate  float64
@@ -288,11 +288,11 @@ func TestLoadPointLeavesEngineClean(t *testing.T) {
 			if tc.name != "underload" && pt.Unfinished == 0 {
 				t.Fatal("past-saturation cell left no backlog; the test lost its teeth")
 			}
-			sim, ok := pool.sims[newSimKey(o.Dims, o.Lambda)]
-			if !ok {
-				t.Fatal("pooled simulation missing")
+			idle := pool.idle[newSimKey(o.Dims, o.Lambda)]
+			if len(idle) != 1 {
+				t.Fatalf("%d idle simulations after the load point, want 1", len(idle))
 			}
-			eng := sim.engine
+			eng := idle[0].engine
 			if n := len(eng.Flights()); n != 0 {
 				t.Errorf("%d flights still attached after load point", n)
 			}

@@ -43,7 +43,7 @@ func TestTheoremTraceFixture(t *testing.T) {
 				fmt.Fprintf(h, "%d %d %v %d %d %v\n", tr.D0, tr.Start, tr.DAt, tr.EndStep, tr.Hops, ivs)
 				samples += len(tr.DAt)
 			}
-			trials, err := runGrid(fanOut{workers: 2}, seed, 24, func(p *simPool, _ int, r *rng.Source) (theoremTrial, error) {
+			trials, err := runGrid(fanOut{workers: 2}, seed, 24, func(p *EnginePool, _ int, r *rng.Source) (theoremTrial, error) {
 				return p.theoremTrial(dims, r)
 			}, nil)
 			if err != nil {
@@ -52,7 +52,7 @@ func TestTheoremTraceFixture(t *testing.T) {
 			for _, res := range trials {
 				add(res.tr, res.ivs)
 			}
-			storms, err := runGrid(fanOut{workers: 2}, seed, 24, func(p *simPool, _ int, r *rng.Source) (theoremTrial, error) {
+			storms, err := runGrid(fanOut{workers: 2}, seed, 24, func(p *EnginePool, _ int, r *rng.Source) (theoremTrial, error) {
 				return stormTrace(p, dims, r)
 			}, nil)
 			if err != nil {
@@ -83,12 +83,13 @@ func TestTheoremTraceFixture(t *testing.T) {
 // stormTrace is a storm trial for TestTheoremTraceFixture: a fault every
 // other step from step 3 on, each recovered 5 steps later (so a fault and a
 // recovery share a step), one long-haul flight injected at step 4.
-func stormTrace(p *simPool, dims []int, r *rng.Source) (theoremTrial, error) {
+func stormTrace(p *EnginePool, dims []int, r *rng.Source) (theoremTrial, error) {
 	var res theoremTrial
 	sim, err := p.get(dims, 2)
 	if err != nil {
 		return res, err
 	}
+	defer p.put(sim)
 	src, dst := traffic.DrawLongHaulPair(sim.shape, r)
 	sched, err := fault.Generate(sim.shape, 8, fault.Options{
 		Interval: 2, Start: 3, RecoverAfter: 5,
