@@ -227,6 +227,35 @@ func TestManifestRecordsNoWorkers(t *testing.T) {
 	}
 }
 
+// TestManifestOneProbeCadence: a manifest records one flush cadence. A
+// -probe-every below 1 means every step, and both the manifest's
+// probe_every and the run's own ProbeEvery option say 1.
+func TestManifestOneProbeCadence(t *testing.T) {
+	for _, c := range []struct {
+		every string
+		want  int
+	}{{"0", 1}, {"-3", 1}, {"1", 1}, {"4", 4}} {
+		ts := filepath.Join(t.TempDir(), "ts.csv")
+		loadgen(t, "-dims", "4x4", "-rates", "0.1", "-warmup", "8", "-measure", "24", "-drain", "24",
+			"-probe-every", c.every, "-timeseries", ts)
+		data, err := os.ReadFile(ts + ".manifest.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m struct {
+			ProbeEvery int `json:"probe_every"`
+			Config     struct{ ProbeEvery int }
+		}
+		if err := json.Unmarshal(data, &m); err != nil {
+			t.Fatal(err)
+		}
+		if m.ProbeEvery != c.want || m.Config.ProbeEvery != c.want {
+			t.Errorf("-probe-every %s: manifest probe_every %d, config ProbeEvery %d, want both %d",
+				c.every, m.ProbeEvery, m.Config.ProbeEvery, c.want)
+		}
+	}
+}
+
 // TestManifestConfigGolden pins, byte for byte, the config object a probed
 // sweep embeds in its manifest: the options value the run took, hooks
 // omitted. One open-loop and one closed-loop invocation, each exercising

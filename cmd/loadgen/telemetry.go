@@ -142,7 +142,8 @@ func probed(pf probeFlags, dims []int, totalSteps int, seed uint64, run func(p e
 	var p engine.Probe
 	every := 0
 	if tel != nil {
-		p, every = tel.set, pf.every
+		// The defaulted cadence, the one the manifest records.
+		p, every = tel.set, tel.pf.every
 	}
 	config, err := run(p, every)
 	if err != nil || tel == nil {

@@ -5,9 +5,9 @@
 // constructions, and (for 2-D meshes) an ASCII picture of the final state.
 //
 // With -trials N (N > 1) it instead replicates the scenario under seeds
-// seed, seed+1, ..., seed+N-1 — fanned out across -workers CPUs by the
-// parallel experiment engine, with results independent of the worker count
-// — and prints aggregate routing statistics.
+// seed, seed+1, ..., seed+N-1 — through ndmesh.RouteSweepWorkers, across
+// -workers CPUs, with results independent of the worker count — and prints
+// aggregate routing statistics.
 //
 // Examples:
 //
@@ -144,37 +144,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// runBatch replicates one scenario under consecutive seeds across the
-// worker pool, reusing one simulation per worker, and prints aggregate
-// routing metrics. The output is identical for every -workers value.
+// runBatch replicates one scenario under consecutive seeds through the
+// library's route sweep and prints aggregate routing metrics. The output is
+// identical for every -workers value.
 func runBatch(stdout io.Writer, dims []int, lambda int, router string, src, dst ndmesh.Coord,
 	seed uint64, trials, workers int, plan func(seed uint64) ndmesh.FaultPlan) error {
-	type simBox struct{ sim *ndmesh.Simulation }
-	results := make([]ndmesh.RouteResult, trials)
-	err := par.ForState(workers, trials, func() *simBox { return &simBox{} },
-		func(box *simBox, i int) error {
-			// The worker's simulation is lazily built on its first trial and
-			// reset (not reallocated) for every following one.
-			if box.sim == nil {
-				var err error
-				box.sim, err = ndmesh.NewSimulation(ndmesh.Config{Dims: dims, Lambda: lambda})
-				if err != nil {
-					return err
-				}
-			} else {
-				box.sim.Reset()
-			}
-			sim := box.sim
-			if err := sim.GenerateFaults(plan(seed + uint64(i))); err != nil {
-				return err
-			}
-			res, err := sim.Route(src, dst, router)
-			if err != nil {
-				return err
-			}
-			results[i] = res
-			return nil
-		})
+	plans := make([]ndmesh.FaultPlan, trials)
+	for i := range plans {
+		plans[i] = plan(seed + uint64(i))
+	}
+	results, err := ndmesh.RouteSweepWorkers(ndmesh.Config{Dims: dims, Lambda: lambda}, src, dst, router, plans, workers)
 	if err != nil {
 		return err
 	}

@@ -256,6 +256,28 @@ func (p *EnginePool) replay(dims []int, lambda int, sched *fault.Schedule, src, 
 	return sim.routeIDs(src, dst, router)
 }
 
+// RouteSweepWorkers routes src -> dst under router once per fault plan, each
+// on a fault-free simulation of cfg's shape carrying that plan's faults, and
+// returns the results in plan order: what NewSimulation, GenerateFaults and
+// Route give for each plan, at every worker count (each plan is one
+// parallel job; workers < 1 means GOMAXPROCS). meshsim's -trials is this
+// sweep over one scenario under consecutive seeds.
+func RouteSweepWorkers(cfg Config, src, dst Coord, router string, plans []FaultPlan, workers int) ([]RouteResult, error) {
+	// The plans carry their own seeds: the job streams go unused.
+	return runGrid(fanOut{workers: workers}, 0, len(plans),
+		func(p *EnginePool, j int, _ *rng.Source) (RouteResult, error) {
+			sim, err := p.get(cfg.Dims, cfg.Lambda)
+			if err != nil {
+				return RouteResult{}, err
+			}
+			defer p.put(sim)
+			if err := sim.GenerateFaults(plans[j]); err != nil {
+				return RouteResult{}, err
+			}
+			return sim.Route(src, dst, router)
+		}, nil)
+}
+
 // midpoint returns the node halfway along the componentwise geodesic from
 // src to dst.
 func midpoint(shape *grid.Shape, src, dst grid.NodeID) grid.NodeID {

@@ -35,6 +35,10 @@ func TestProtocolSweepsDeterministicAcrossWorkers(t *testing.T) {
 			return OscillationSweepWorkers([]int{12, 12}, 4, []int{4, 12}, 3, 9, w)
 		}},
 		{"traffic", func(w int) (any, error) { return TrafficSweepWorkers([]int{14, 14}, 8, 4, 10, 21, w) }},
+		{"route", func(w int) (any, error) {
+			cfg, src, dst, plans := routeSweepScenario()
+			return RouteSweepWorkers(cfg, src, dst, "limited", plans, w)
+		}},
 	}
 	for _, sw := range sweeps {
 		t.Run(sw.name, func(t *testing.T) {

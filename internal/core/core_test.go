@@ -8,6 +8,8 @@ import (
 	"ndmesh/internal/grid"
 	"ndmesh/internal/info"
 	"ndmesh/internal/mesh"
+	"ndmesh/internal/route"
+	"ndmesh/internal/safety"
 )
 
 func newModel3D(t *testing.T) *Model {
@@ -184,11 +186,16 @@ func TestTheorem1RecoveryDoesNotHurtRouting(t *testing.T) {
 	shape := md.M.Shape()
 	src := shape.Index(grid.Coord{2, 3})
 	dst := shape.Index(grid.Coord{13, 12})
-	if !mdSourceSafe(md, src, dst) {
+	var boxes []grid.Box
+	for _, b := range block.Extract(md.M) {
+		boxes = append(boxes, b.Box)
+	}
+	if !safety.SourceSafe(boxes, shape.CoordOf(src), shape.CoordOf(dst)) {
 		t.Fatal("setup: source should be safe")
 	}
-	// Drive a routing by hand, recovering a node mid-flight.
-	msg := newLimitedMessage(md, src, dst)
+	// Drive a route.Limited routing by hand, recovering a node mid-flight.
+	ctx := &route.Context{M: md.M, Store: md.Store}
+	msg := route.NewMessage(src, dst)
 	stepsAtRecovery := 4
 	d0 := shape.Distance(src, dst)
 	for i := 0; ; i++ {
@@ -198,7 +205,7 @@ func TestTheorem1RecoveryDoesNotHurtRouting(t *testing.T) {
 		for l := 0; l < 2; l++ {
 			md.Round()
 		}
-		if !advanceLimited(md, msg) {
+		if !route.AdvanceGated(ctx, route.Limited{}, msg, nil) {
 			break
 		}
 		if i > 10*d0 {
@@ -235,102 +242,4 @@ func TestIdleRoundCheap(t *testing.T) {
 	if act := md.Round(); act != 0 {
 		t.Fatalf("idle round reported activity %d", act)
 	}
-}
-
-// --- helpers bridging to the route package without an import cycle ---
-
-func mdSourceSafe(md *Model, src, dst grid.NodeID) bool {
-	shape := md.M.Shape()
-	s, d := shape.CoordOf(src), shape.CoordOf(dst)
-	for _, b := range block.Extract(md.M) {
-		for axis := 0; axis < shape.Dims(); axis++ {
-			intersects := true
-			for l := range s {
-				if l == axis {
-					continue
-				}
-				if s[l] < b.Box.Lo[l] || s[l] > b.Box.Hi[l] {
-					intersects = false
-					break
-				}
-			}
-			if !intersects {
-				continue
-			}
-			lo, hi := s[axis], d[axis]
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			if b.Box.Hi[axis] >= lo && b.Box.Lo[axis] <= hi {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// limitedMsg is a minimal greedy walker equivalent to route.Limited for
-// this package's Theorem 1 test (avoiding a core -> route test dependency
-// cycle is unnecessary — route does not import core — but keeping the
-// helper local exercises the info store API directly).
-type limitedMsg struct {
-	Cur, Dst grid.NodeID
-	Hops     int
-	Arrived  bool
-	used     map[grid.NodeID]grid.DirSet
-}
-
-func newLimitedMessage(md *Model, src, dst grid.NodeID) *limitedMsg {
-	return &limitedMsg{Cur: src, Dst: dst, used: make(map[grid.NodeID]grid.DirSet)}
-}
-
-func advanceLimited(md *Model, msg *limitedMsg) bool {
-	if msg.Cur == msg.Dst {
-		msg.Arrived = true
-		return false
-	}
-	shape := md.M.Shape()
-	uc := shape.CoordOf(msg.Cur)
-	dc := shape.CoordOf(msg.Dst)
-	var pick grid.Dir = grid.InvalidDir
-	for dv := 0; dv < shape.NumDirs(); dv++ {
-		dir := grid.Dir(dv)
-		if msg.used[msg.Cur].Has(dir) {
-			continue
-		}
-		nb := md.M.Neighbor(msg.Cur, dir)
-		if nb == grid.InvalidNode || md.M.Status(nb) != mesh.Enabled {
-			continue
-		}
-		a := dir.Axis()
-		preferred := (dir.Positive() && uc[a] < dc[a]) || (!dir.Positive() && uc[a] > dc[a])
-		if !preferred {
-			continue
-		}
-		// Demotion per records at the current node.
-		wc := shape.CoordOf(nb)
-		demoted := false
-		for _, r := range md.Store.At(msg.Cur) {
-			box := md.Store.Box(r.Block)
-			if axis, neg, ok := boundary.InShadow(box, wc); ok && boundary.Trapped(box, dc, axis, neg) {
-				demoted = true
-				break
-			}
-		}
-		if !demoted {
-			pick = dir
-			break
-		}
-	}
-	if pick == grid.InvalidDir {
-		return false
-	}
-	msg.used[msg.Cur] = msg.used[msg.Cur].Add(pick)
-	msg.Cur = md.M.Neighbor(msg.Cur, pick)
-	msg.Hops++
-	if msg.Cur == msg.Dst {
-		msg.Arrived = true
-		return false
-	}
-	return true
 }

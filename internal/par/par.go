@@ -1,6 +1,7 @@
 // Package par is the parallel experiment engine: a small worker pool that
 // fans independent, pre-seeded trials out across GOMAXPROCS workers while
-// keeping the results bit-identical to a serial run.
+// keeping the results bit-identical to a serial run. Its one caller is the
+// root package's runGrid (rungrid.go), which every sweep goes through.
 //
 // The determinism contract is structural, not accidental:
 //
@@ -17,8 +18,8 @@
 //     count — including floating-point means, whose value depends on
 //     addition order.
 //
-// Under this contract, ForState(1, ...) and ForState(runtime.GOMAXPROCS(0),
-// ...) produce indistinguishable output, which experiments_parallel_test.go
+// Under this contract, For(1, ...) and For(runtime.GOMAXPROCS(0), ...)
+// produce indistinguishable output, which experiments_parallel_test.go
 // asserts for every sweep in the repository.
 package par
 
@@ -37,21 +38,17 @@ func Workers(n int) int {
 	return n
 }
 
-// ForState runs job(s, i) for every i in [0, n) across at most workers
-// goroutines. Each worker calls newState once and passes the value to every
-// job it claims; sweeps use it to reuse one simulation (mesh, info store,
-// detector, router scratch) across all the trials a worker executes, so a
-// trial restart is a cheap Reset instead of a reallocation.
+// For runs job(i) for every i in [0, n) across at most workers goroutines.
 //
 // Jobs are claimed from an atomic counter, so scheduling order is
 // nondeterministic — the caller must follow the package's determinism
 // contract (pre-seeded jobs, per-index result slots, in-order aggregation).
 //
-// If any jobs return errors, ForState waits for all workers to drain and
+// If any jobs return errors, For waits for all workers to drain and
 // returns the error of the lowest job index, so the reported error does not
 // depend on goroutine scheduling. With workers <= 1 the jobs run inline on
 // the calling goroutine in index order.
-func ForState[S any](workers, n int, newState func() S, job func(s S, i int) error) error {
+func For(workers, n int, job func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -60,15 +57,12 @@ func ForState[S any](workers, n int, newState func() S, job func(s S, i int) err
 		workers = n
 	}
 	if workers == 1 {
-		s := newState()
-		var firstErr error
 		for i := 0; i < n; i++ {
-			if err := job(s, i); err != nil {
-				firstErr = err
-				break
+			if err := job(i); err != nil {
+				return err
 			}
 		}
-		return firstErr
+		return nil
 	}
 
 	var (
@@ -85,7 +79,6 @@ func ForState[S any](workers, n int, newState func() S, job func(s S, i int) err
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := newState()
 			for {
 				i := int(atomic.AddInt64(&next, 1))
 				if i >= n {
@@ -94,7 +87,7 @@ func ForState[S any](workers, n int, newState func() S, job func(s S, i int) err
 				if f := atomic.LoadInt64(&failedAt); f > 0 && i >= int(f) {
 					return
 				}
-				if err := job(s, i); err != nil {
+				if err := job(i); err != nil {
 					mu.Lock()
 					errs[i] = err
 					mu.Unlock()

@@ -7,14 +7,11 @@ import (
 	"testing"
 )
 
-// noState is the newState of the tests that exercise only the index fan-out.
-func noState() struct{} { return struct{}{} }
-
 func TestForCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 64} {
 		const n = 500
 		counts := make([]int32, n)
-		err := ForState(workers, n, noState, func(_ struct{}, i int) error {
+		err := For(workers, n, func(i int) error {
 			atomic.AddInt32(&counts[i], 1)
 			return nil
 		})
@@ -30,14 +27,14 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 }
 
 func TestForEmpty(t *testing.T) {
-	if err := ForState(4, 0, noState, func(struct{}, int) error { return errors.New("must not run") }); err != nil {
+	if err := For(4, 0, func(int) error { return errors.New("must not run") }); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestForReturnsLowestIndexError(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
-		err := ForState(workers, 100, noState, func(_ struct{}, i int) error {
+		err := For(workers, 100, func(i int) error {
 			if i%30 == 7 { // fails at 7, 37, 67, 97
 				return fmt.Errorf("job %d", i)
 			}
@@ -45,31 +42,6 @@ func TestForReturnsLowestIndexError(t *testing.T) {
 		})
 		if err == nil || err.Error() != "job 7" {
 			t.Fatalf("workers=%d: got %v, want job 7", workers, err)
-		}
-	}
-}
-
-func TestForStateOneStatePerWorker(t *testing.T) {
-	var states int32
-	const workers, n = 4, 200
-	seen := make([]int32, n)
-	err := ForState(workers, n, func() *int32 {
-		atomic.AddInt32(&states, 1)
-		return new(int32)
-	}, func(s *int32, i int) error {
-		*s++
-		atomic.AddInt32(&seen[i], 1)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := atomic.LoadInt32(&states); got < 1 || got > workers {
-		t.Fatalf("created %d states, want 1..%d", got, workers)
-	}
-	for i, c := range seen {
-		if c != 1 {
-			t.Fatalf("index %d ran %d times", i, c)
 		}
 	}
 }
@@ -89,7 +61,7 @@ func TestForDeterministicResultOrder(t *testing.T) {
 	sum := func(workers int) float64 {
 		const n = 1000
 		res := make([]float64, n)
-		if err := ForState(workers, n, noState, func(_ struct{}, i int) error {
+		if err := For(workers, n, func(i int) error {
 			res[i] = 1.0 / float64(i+1)
 			return nil
 		}); err != nil {

@@ -7,8 +7,9 @@ package ndmesh
 // result, so a trial restart is a Reset instead of a construction. A sweep
 // runs against the caller's pool (the Pool field of LoadSweepOptions /
 // LoadOptions; the meshd daemon's shared one) or against a private one of
-// its own. The Reset contract (every layer rewinds without reallocating,
-// pinned by reset_test.go) is what makes reuse sound: a reused simulation
+// its own — as meshsim's -trials do, through RouteSweepWorkers. The Reset
+// contract (every layer rewinds without reallocating, pinned by
+// reset_test.go) is what makes reuse sound: a reused simulation
 // is indistinguishable from a fresh one after Reset, so which warm
 // simulation a job receives can never reach its results. loadPoint's
 // deferred cleanup (flights detached, the free configuration back —

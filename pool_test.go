@@ -3,6 +3,7 @@ package ndmesh
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -58,6 +59,59 @@ func TestEnginePoolReuseByteIdentical(t *testing.T) {
 	}
 	if err := pool.VerifyClean(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// routeSweepScenario is a meshsim-style batch: one 12x12 route under
+// twelve fault plans that differ in seed, placement and recovery, so that
+// some messages detour or fail and the results tell the plans apart.
+func routeSweepScenario() (Config, Coord, Coord, []FaultPlan) {
+	src, dst := Coord{1, 1}, Coord{10, 10}
+	plans := make([]FaultPlan, 12)
+	for i := range plans {
+		plans[i] = FaultPlan{
+			Faults: 4 + i%3, Interval: 1 + i%4, Start: 1,
+			Clustered: i%2 == 1, RecoverAfter: 30 * (i % 3),
+			Avoid: []Coord{src, dst}, Seed: uint64(i + 1),
+		}
+	}
+	return Config{Dims: []int{12, 12}, Lambda: 2}, src, dst, plans
+}
+
+// TestRouteSweepMatchesFreshSimulations holds the route sweep, whose jobs
+// run on warm Reset-recycled simulations, to a fresh NewSimulation +
+// GenerateFaults + Route per plan, under every router and at one and two
+// workers; and it fails a sweep whose results do not depend on the plan.
+func TestRouteSweepMatchesFreshSimulations(t *testing.T) {
+	cfg, src, dst, plans := routeSweepScenario()
+	for _, router := range []string{"limited", "congested", "oracle", "blind", "dor"} {
+		want := make([]RouteResult, len(plans))
+		for i, plan := range plans {
+			sim := MustSimulation(cfg)
+			if err := sim.GenerateFaults(plan); err != nil {
+				t.Fatal(err)
+			}
+			res, err := sim.Route(src, dst, router)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = res
+		}
+		if router == "limited" && !slices.ContainsFunc(want, func(r RouteResult) bool { return r != want[0] }) {
+			t.Fatalf("every plan routes alike (%+v): the scenario cannot tell reuse from fresh", want[0])
+		}
+		for _, w := range []int{1, 2} {
+			got, err := RouteSweepWorkers(cfg, src, dst, router, plans, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, workers=%d:\n got %+v\nwant %+v", router, w, got, want)
+			}
+		}
+	}
+	if _, err := RouteSweepWorkers(cfg, src, Coord{12, 0}, "limited", plans, 2); err == nil {
+		t.Error("a destination off the mesh was accepted")
 	}
 }
 

@@ -14,9 +14,9 @@ package ndmesh
 //
 // Determinism follows the repository contract: one rng stream is split
 // per trial in job order (cells outer, trials inner), each trial writes
-// only its own LoadPoint slot, and the fold from trial points into rows
-// is a serial pass over that slice — so the rows are byte-identical for
-// every worker count.
+// only its own LoadPoint slot, and the fold from a cell's trial points
+// into its row is a serial pass over its slots once the last one lands —
+// so the rows are byte-identical for every worker count.
 
 import (
 	"fmt"
@@ -128,47 +128,39 @@ func ReliabilitySweepWorkers(opt ReliabilityOptions, seed uint64, workers int) (
 	// One job per Monte-Carlo trial; cells pattern-major, then fault rate,
 	// then router, trials innermost — the order the streams are split in.
 	nf, nk, nt := len(opt.FaultRates), len(opt.Routers), opt.Trials
-	// With a streaming hook, each cell's fold runs as soon as its last
-	// trial lands: the countdown's atomic decrement orders every trial's
-	// slot write before the fold that reads them, and the fold itself is
-	// the same deterministic serial pass that builds the returned slice —
-	// which worker triggers it cannot reach the row.
-	var emitCell func(pts []traffic.LoadPoint, j int)
-	if opt.Emit != nil {
-		remaining := make([]atomic.Int32, cells)
-		for c := range remaining {
-			remaining[c].Store(int32(nt))
-		}
-		emitCell = func(pts []traffic.LoadPoint, j int) {
-			if cell := j / nt; remaining[cell].Add(-1) == 0 {
-				opt.Emit(cell, foldReliabilityCell(&opt, shape, pts, cell, nf, nk, nt))
-			}
-		}
+	// Each cell's fold runs as soon as its last trial lands: the countdown's
+	// atomic decrement orders every trial's slot write before the fold that
+	// reads them, and the fold is a deterministic serial pass in trial order
+	// — which worker triggers it cannot reach the row. The row it writes is
+	// the one Emit streams and the one returned.
+	rows := make([]ReliabilityRow, cells)
+	remaining := make([]atomic.Int32, cells)
+	for c := range remaining {
+		remaining[c].Store(int32(nt))
 	}
-	pts, err := runGrid(fanOut{workers: workers, pool: opt.Pool, cancel: opt.Cancel, progress: opt.Progress}, seed, cells*nt,
+	_, err = runGrid(fanOut{workers: workers, pool: opt.Pool, cancel: opt.Cancel, progress: opt.Progress}, seed, cells*nt,
 		func(p *EnginePool, j int, r *rng.Source) (traffic.LoadPoint, error) {
 			cell := j / nt
 			trial := opt
 			trial.FaultRate = opt.FaultRates[cell/nk%nf]
 			return trial.loadPoint(p, workload{pattern: opt.Patterns[cell/(nf*nk)], rate: opt.Rate}, opt.Routers[cell%nk], r)
-		}, emitCell)
+		}, func(pts []traffic.LoadPoint, j int) {
+			if cell := j / nt; remaining[cell].Add(-1) == 0 {
+				rows[cell] = foldReliabilityCell(&opt, shape, pts, cell, nf, nk, nt)
+				if opt.Emit != nil {
+					opt.Emit(cell, rows[cell])
+				}
+			}
+		})
 	if err != nil {
 		return nil, err
-	}
-
-	// Serial fold: trial points into one row per cell, in cell order (the
-	// streaming path above already folded; re-folding is cheap and keeps
-	// the two paths trivially identical).
-	rows := make([]ReliabilityRow, cells)
-	for c := 0; c < cells; c++ {
-		rows[c] = foldReliabilityCell(&opt, shape, pts, c, nf, nk, nt)
 	}
 	return rows, nil
 }
 
 // foldReliabilityCell folds one cell's Monte-Carlo trial points into its
-// row — a deterministic serial pass in trial order, shared verbatim by the
-// batch aggregation and the streaming Emit path.
+// row — a deterministic serial pass in trial order, run once per cell by
+// the worker that lands the cell's last trial.
 func foldReliabilityCell(opt *ReliabilityOptions, shape *grid.Shape, pts []traffic.LoadPoint, c, nf, nk, nt int) ReliabilityRow {
 	row := ReliabilityRow{
 		Dims:      shape.String(),

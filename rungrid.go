@@ -4,9 +4,11 @@ package ndmesh
 // the load studies E19-E23, replay-compare) and LoadRun goes through.
 // runGrid owns what the determinism contract needs done in one order —
 // per-job rng streams split serially before the fan-out, each job writing
-// only its own result slot, any fold over the slots left to the caller's
-// serial pass afterwards — and hands every job the pool (pool.go) its
-// simulations come from: the caller's, or a private one for the run.
+// only its own result slot, any fold over the slots left to a serial pass
+// over them (after the run, or per cell once its last slot is written) —
+// and hands every job the pool (pool.go) its simulations come from: the
+// caller's, or a private one for the run. Its par.For call is the module's
+// one fan-out (TestOneFanOut).
 
 import (
 	"sync/atomic"
@@ -43,7 +45,7 @@ func splitN(seed uint64, n int) []*rng.Source {
 // returned. done, when non-nil, is the sweeps' Emit seam: the worker that
 // completed job j calls it after writing out[j] and before the progress
 // tick, and it may read out[j] and any slot whose completion it has itself
-// ordered (reliability's per-cell countdown).
+// ordered (reliability's per-cell countdown, which folds each cell there).
 func runGrid[R any](f fanOut, seed uint64, jobs int,
 	job func(p *EnginePool, j int, r *rng.Source) (R, error), done func(out []R, j int)) ([]R, error) {
 	rngs := splitN(seed, jobs)
@@ -53,7 +55,7 @@ func runGrid[R any](f fanOut, seed uint64, jobs int,
 		pool = NewEnginePool(0)
 	}
 	var finished atomic.Int64
-	err := par.ForState(f.workers, jobs, func() struct{} { return struct{}{} }, func(_ struct{}, j int) error {
+	err := par.For(f.workers, jobs, func(j int) error {
 		if f.cancel != nil && f.cancel() {
 			return ErrCanceled
 		}

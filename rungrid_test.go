@@ -7,7 +7,6 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
-	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -257,35 +256,64 @@ func TestNegativeEscapeParametersAreOff(t *testing.T) {
 	}
 }
 
-// TestOneFanOut is the structural half of "one sweep runner": par.ForState
-// is called from exactly one non-test file of the root package — runGrid's
-// — so a hand-rolled fan-out skeleton fails here instead of drifting.
+// TestOneFanOut is the structural half of "one sweep runner", module-wide:
+// par.For is named in exactly one Go file outside bench/ — runGrid's — so a
+// hand-rolled fan-out skeleton (a command's own batch loop included) fails
+// here instead of drifting. Files are matched by the name they import
+// internal/par under, so an aliased import is caught too.
 func TestOneFanOut(t *testing.T) {
 	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, ".", func(fi os.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var callers []string
-	for fname, f := range pkgs["ndmesh"].Files {
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "bench" || d.Name() == "testdata" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		names := map[string]bool{}
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"ndmesh/internal/par"` {
+				if imp.Name != nil {
+					names[imp.Name.Name] = true
+				} else {
+					names["par"] = true
+				}
+			}
+		}
+		if len(names) == 0 {
+			return nil
+		}
 		calls := false
 		ast.Inspect(f, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "ForState" {
-				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "par" {
+			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "For" {
+				if pkg, ok := sel.X.(*ast.Ident); ok && names[pkg.Name] {
 					calls = true
 				}
 			}
 			return true
 		})
 		if calls {
-			callers = append(callers, fname)
+			callers = append(callers, filepath.ToSlash(path))
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	sort.Strings(callers)
 	if want := []string{"rungrid.go"}; !reflect.DeepEqual(callers, want) {
-		t.Errorf("par.ForState is called from %v, want exactly %v: route a sweep through runGrid instead of a new fan-out", callers, want)
+		t.Errorf("par.For is called from %v, want exactly %v: route a sweep through runGrid instead of a new fan-out", callers, want)
 	}
 }
 
