@@ -32,6 +32,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"log"
 	"net"
@@ -71,6 +72,14 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight jobs before canceling them")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"concurrency", cfg.MaxConcurrent}, {"queue", cfg.MaxQueue}, {"pool-idle", cfg.PoolIdle}} {
+		if f.v < 0 {
+			return fmt.Errorf("-%s %d must be >= 0 (0 = default)", f.name, f.v)
+		}
 	}
 	logger := log.New(stderr, "meshd: ", 0)
 

@@ -169,3 +169,18 @@ func TestServeSmoke(t *testing.T) {
 		t.Errorf("no clean-drain line in the log:\n%s", stderr.String())
 	}
 }
+
+// TestNegativeLimitsRejected holds run to refusing a negative -concurrency,
+// -queue or -pool-idle by name, before it listens.
+func TestNegativeLimitsRejected(t *testing.T) {
+	for _, name := range []string{"concurrency", "queue", "pool-idle"} {
+		var stderr logBuffer
+		err := run(context.Background(), []string{"-addr", "127.0.0.1:0", "-" + name, "-1"}, &stderr)
+		if err == nil || !strings.Contains(err.Error(), "-"+name+" ") {
+			t.Errorf("-%s -1: err = %v, want one naming the flag", name, err)
+		}
+		if strings.Contains(stderr.String(), "listening") {
+			t.Errorf("-%s -1: the daemon listened", name)
+		}
+	}
+}

@@ -107,8 +107,9 @@ func CongestionShiftSweepWorkers(opt CongestionShiftOptions, seed uint64, worker
 		return nil, nil, err
 	}
 	// One job per (pattern, rate) cell, pattern-major. Both routers replay
-	// the cell's scenario from value copies of the same stream state, so
-	// the fault schedule and the offered traffic are byte-identical.
+	// the cell's scenario from the same stream state (loadPoint draws from a
+	// copy of it), so the fault schedule and the offered traffic are
+	// byte-identical.
 	jobs := len(opt.Patterns) * len(opt.Rates)
 	rows, err := runGrid(fanOut{workers: workers, pool: opt.Pool, cancel: opt.Cancel, progress: opt.Progress}, seed, jobs,
 		func(p *EnginePool, j int, r *rng.Source) (CongestionShiftRow, error) {
@@ -116,8 +117,7 @@ func CongestionShiftSweepWorkers(opt CongestionShiftOptions, seed uint64, worker
 			rate := opt.Rates[j%len(opt.Rates)]
 			row := CongestionShiftRow{Dims: shape.String(), Pattern: pattern, OfferedRate: rate}
 			for _, router := range opt.Routers {
-				stream := *r // identical replay for both routers
-				pt, err := opt.loadPoint(p, workload{pattern: pattern, rate: rate}, router, &stream)
+				pt, err := opt.loadPoint(p, workload{pattern: pattern, rate: rate}, router, r)
 				if err != nil {
 					return CongestionShiftRow{}, err
 				}

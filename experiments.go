@@ -195,6 +195,8 @@ func DegradationSweepWorkers(opt DegradationOptions, seed uint64, workers int) (
 			if c.trials == 0 {
 				continue
 			}
+			var p95 [1]int
+			stats.Percentiles(p95[:], c.extras, 0.95)
 			rows = append(rows, DegradationRow{
 				Interval:   interval,
 				Router:     router,
@@ -203,7 +205,7 @@ func DegradationSweepWorkers(opt DegradationOptions, seed uint64, workers int) (
 				MeanSteps:  c.steps.Mean(),
 				MeanExtra:  c.extra.Mean(),
 				MeanBack:   c.back.Mean(),
-				P95Extra:   stats.Percentiles(c.extras, 0.95)[0],
+				P95Extra:   p95[0],
 			})
 		}
 	}
@@ -345,7 +347,9 @@ func LambdaSweepWorkers(dims []int, lambdas []int, trials int, seed uint64, work
 	// The cases are shared by every (λ, router) cell, so they are drawn
 	// serially before the fan-out: one stream per case, in case order.
 	cases := make([]trialCase, trials)
-	for i, tr := range splitN(seed, trials) {
+	streams := splitN(seed, trials)
+	for i := range streams {
+		tr := &streams[i]
 		src, dst := traffic.DrawLongHaulPair(shape, tr)
 		// Adversarial placement: the cluster grows from a point on the
 		// message's actual trajectory (the lowest-axis path), so the block

@@ -203,8 +203,8 @@ func GridlockSweepWorkers(opt GridlockOptions, seed uint64, workers int) ([]Grid
 				if !timeout {
 					arm.FlightTimeout, arm.RetryBackoff = 0, 0
 				}
-				stream := *r // identical scenario for every arm
-				pt, err := arm.loadPoint(p, workload{pattern: pattern, window: window}, opt.Routers[0], &stream)
+				// loadPoint leaves r as it was: every arm replays one scenario.
+				pt, err := arm.loadPoint(p, workload{pattern: pattern, window: window}, opt.Routers[0], r)
 				if err != nil {
 					return nil, err
 				}

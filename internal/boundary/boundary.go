@@ -48,6 +48,7 @@
 package boundary
 
 import (
+	"cmp"
 	"slices"
 
 	"ndmesh/internal/frame"
@@ -293,6 +294,8 @@ type Construction struct {
 	next     []grid.NodeID
 	// Rounds counts propagation rounds so far (contributes to c_i).
 	Rounds int
+	// serial numbers the constructions a protocol makes, in order.
+	serial int32
 }
 
 // Done reports whether the flood has exhausted its frontier.
@@ -329,8 +332,9 @@ type Protocol struct {
 	cons  []*Construction
 	// spare is the free list of retired constructions; Start reuses them so
 	// a fault process cycling blocks through the protocol allocates nothing
-	// once warm.
+	// once warm. made counts the constructions ever made.
 	spare []*Construction
+	made  int32 //meshvet:keep the serial the next construction made gets
 	// Cancel tombstones: tombs is the slot arena, firstTomb[id] links node
 	// id's marks (made by the first cancel, so a protocol that never
 	// cancels holds none) and freeTomb the free slots. expiry lists every
@@ -358,12 +362,16 @@ func NewProtocol(m *mesh.Mesh, store *info.Store) *Protocol {
 
 // Reset abandons every in-flight construction and every tombstone so the
 // protocol can be reused for a new trial; the constructions land on the
-// free list and the tombstone storage keeps its capacity.
+// free list and the tombstone storage keeps its capacity. The free list is
+// left in the order the constructions were made, the first on top, so a
+// rerun of one trial gets the construction (and the buffer capacity) it
+// had the first time at every Start.
 func (p *Protocol) Reset() {
 	for _, c := range p.cons {
 		p.retire(c)
 	}
 	p.cons = p.cons[:0]
+	slices.SortFunc(p.spare, func(a, b *Construction) int { return cmp.Compare(b.serial, a.serial) })
 	// Every mark held has an unexpired queue entry, so this clears every
 	// node that holds one.
 	for _, e := range p.expiry[p.expired:] {
@@ -393,7 +401,8 @@ func (p *Protocol) Start(b info.BlockID, epoch uint32, op Op, seeds []grid.NodeI
 		clear(c.queued)
 	} else {
 		words := (p.m.NumNodes() + 63) / 64
-		c = &Construction{region: make([]uint64, words), visited: make([]uint64, words), queued: make([]uint64, words)}
+		c = &Construction{region: make([]uint64, words), visited: make([]uint64, words), queued: make([]uint64, words), serial: p.made}
+		p.made++
 	}
 	if op == Cancel && p.firstTomb == nil {
 		p.firstTomb = make([]int32, p.m.NumNodes())
@@ -430,11 +439,16 @@ func (p *Protocol) addBase(c *Construction, b info.BlockID) {
 }
 
 // retire lets go of a finished construction's blocks and parks it for reuse.
+// It undoes an odd count of front swaps, so each front buffer keeps its role
+// from one use to the next and a rerun finds it as large as it grew.
 func (p *Protocol) retire(c *Construction) {
 	for _, b := range c.bases {
 		p.store.Release(b)
 	}
 	c.bases = c.bases[:0]
+	if c.Rounds%2 == 1 {
+		c.frontier, c.next = c.next, c.frontier
+	}
 	p.spare = append(p.spare, c)
 }
 

@@ -77,6 +77,8 @@ import (
 // Routing scratch is not per flight — the engine owns the route.Context.
 type Flight struct {
 	// Msg is the flight's header; it points into the flight itself.
+	// Router is nil once the flight is recycled, so the free list keeps no
+	// router (an oracle's table) of a finished run.
 	Msg    *route.Message
 	Router route.Router
 	// StartStep is the step the message was injected (the t of Table 1).
@@ -93,6 +95,8 @@ type Flight struct {
 	// sets Router): whether a stalled header may keep its decision while the
 	// step's key holds.
 	oblivious bool
+	// serial numbers the flights an engine carves, in order.
+	serial int32
 
 	msg route.Message
 }
@@ -279,6 +283,7 @@ type Engine struct {
 	// used-direction tables every slab's headers share: a flight borrows one
 	// when it first strays and gives it back when it is recycled.
 	spareFlights []*Flight
+	carved       int32        //meshvet:keep the serial the next flight carved gets
 	slab         []Flight     //meshvet:keep unused allocation, carries no trial state
 	stacks       route.Arena  //meshvet:keep the slab's unused header storage, carries no trial state
 	tables       route.Tables //meshvet:keep emptied tables, carry no trial state
@@ -471,12 +476,32 @@ func (c *contention) deny(li int32) bool {
 // NOT be read afterwards — consume results before resetting.
 func (e *Engine) Reset() {
 	e.ClearFlights() // also releases residency and clears the link state
+	e.restack()
 	e.Events = e.Events[:0]
 	e.evIdx = 0
 	e.step = 0
 	e.RoundsRun = 0
 	e.polled, e.replayed = 0, 0
 	e.census = StepCensus{}
+}
+
+// restack puts the free lists back in the order a fresh engine fills them,
+// the first flight carved (and table made) on top, so a rerun of one trial
+// injects every message into the flight it had the first time, with the
+// header capacity it grew then, and allocates nothing. Each flight goes to
+// its serial's slot, which takes every flight carved on hand, as after
+// ClearFlights.
+func (e *Engine) restack() {
+	sp := e.spareFlights
+	if len(sp) != int(e.carved) {
+		return
+	}
+	for i := range sp {
+		for j := len(sp) - 1 - int(sp[i].serial); j != i; j = len(sp) - 1 - int(sp[i].serial) {
+			sp[i], sp[j] = sp[j], sp[i]
+		}
+	}
+	e.tables.Restack()
 }
 
 // ClearFlights retires every flight (recycling it for future Inject calls),
@@ -488,6 +513,7 @@ func (e *Engine) ClearFlights() {
 	for _, f := range e.flights {
 		e.ctn.resident[f.msg.Cur]--
 		f.msg.Release()
+		f.Router = nil
 	}
 	e.spareFlights = append(e.spareFlights, e.flights...)
 	e.flights, e.live = e.flights[:0], 0
@@ -510,6 +536,7 @@ func (e *Engine) DetachDone(fn func(*Flight)) {
 			fn(f)
 		}
 		f.msg.Release()
+		f.Router = nil
 		e.spareFlights = append(e.spareFlights, f)
 	}
 	if len(e.flights) > e.live {
@@ -543,7 +570,8 @@ func (e *Engine) Inject(src, dst grid.NodeID, r route.Router) (*Flight, error) {
 			e.stacks = route.NewArena(e.Model.M.Shape(), flightSlab, &e.tables)
 		}
 		f, e.slab = &e.slab[0], e.slab[1:]
-		f.Msg = &f.msg
+		f.Msg, f.serial = &f.msg, e.carved
+		e.carved++
 		e.stacks.Carve(&f.msg)
 	}
 	// A recycled flight keeps the capacity of its header's path stack.

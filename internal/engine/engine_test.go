@@ -2,6 +2,7 @@ package engine
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -248,6 +249,57 @@ func TestInjectAllocsPerSlab(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(10, func() { e.ClearFlights(); inject() }); allocs != 0 {
 		t.Errorf("64 recycled injections: %.1f allocs, want 0", allocs)
+	}
+}
+
+// TestResetRestacksFlights holds Reset to handing the flights out again in
+// the order the engine carved them, however the run before recycled them:
+// the injections after a Reset get the flights the first run's injections
+// got, in the same order, so a rerun finds every header as large as it grew.
+func TestResetRestacksFlights(t *testing.T) {
+	e := newEngine(t, []int{8, 8}, 1, nil)
+	inject := func(n int) []*Flight {
+		out := make([]*Flight, n)
+		for i := range out {
+			f, err := e.Inject(grid.NodeID(i%64), grid.NodeID((i+9)%64), route.Limited{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = f
+		}
+		return out
+	}
+	first := inject(flightSlab + 6) // two slabs
+	e.ClearFlights()
+	inject(5) // recycled last-in first-out: the last five carved
+	e.Reset()
+	if again := inject(len(first)); !slices.Equal(again, first) {
+		t.Fatal("after Reset the injections got other flights than the first run's, or in another order")
+	}
+}
+
+// TestRecycledFlightsDropRouter holds the free list to keeping no router:
+// a flight recycled by DetachDone or ClearFlights lets go of its router, so
+// an engine idle in a pool keeps no oracle table of the run it finished.
+func TestRecycledFlightsDropRouter(t *testing.T) {
+	e := newEngine(t, []int{8, 8}, 1, nil)
+	for i := 0; i < 20; i++ {
+		if _, err := e.Inject(grid.NodeID(i), grid.NodeID(63-i), &route.Oracle{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 6; i++ {
+		e.Step()
+		e.DetachDone(nil)
+	}
+	if len(e.spareFlights) == 0 || len(e.flights) == 0 {
+		t.Fatalf("%d flights detached and %d attached: the test needs both", len(e.spareFlights), len(e.flights))
+	}
+	e.ClearFlights()
+	for _, f := range e.spareFlights {
+		if f.Router != nil {
+			t.Fatal("a recycled flight keeps its router")
+		}
 	}
 }
 

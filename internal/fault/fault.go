@@ -7,8 +7,9 @@
 package fault
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"ndmesh/internal/grid"
 	"ndmesh/internal/mesh"
@@ -47,7 +48,7 @@ type Schedule struct {
 
 // Sort orders events by step (stable for same-step events).
 func (s *Schedule) Sort() {
-	sort.SliceStable(s.Events, func(i, j int) bool { return s.Events[i].Step < s.Events[j].Step })
+	slices.SortStableFunc(s.Events, func(a, b Event) int { return cmp.Compare(a.Step, b.Step) })
 }
 
 // NumFaults returns the number of Fail events (the F of Table 1).

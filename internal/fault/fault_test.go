@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"slices"
 	"testing"
 
 	"ndmesh/internal/grid"
@@ -36,6 +37,35 @@ func TestScheduleSortAndAccessors(t *testing.T) {
 	}
 	if (&Schedule{}).LastStep() != 0 {
 		t.Fatal("empty LastStep != 0")
+	}
+}
+
+// TestScheduleSortKeepsEqualStepOrder pins the order Sort leaves events
+// of equal steps in: the order they were appended, for every kind mix and
+// however the steps interleave (a Fail and a Recover of one step apply in
+// schedule order, so the order is behaviour, not presentation).
+func TestScheduleSortKeepsEqualStepOrder(t *testing.T) {
+	s := &Schedule{}
+	// Node ids number the events in append order; steps cycle 5, 2, 8, 2,
+	// 5, ... so every step holds several events of both kinds.
+	steps := []int{5, 2, 8}
+	for i := 0; i < 30; i++ {
+		s.Events = append(s.Events, Event{Step: steps[i%3], Node: grid.NodeID(i), Kind: Kind(i / 3 % 2)})
+	}
+	s.Sort()
+	var want []Event
+	for _, step := range []int{2, 5, 8} {
+		for i := 0; i < 30; i++ {
+			if steps[i%3] == step {
+				want = append(want, Event{Step: step, Node: grid.NodeID(i), Kind: Kind(i / 3 % 2)})
+			}
+		}
+	}
+	if !slices.Equal(s.Events, want) {
+		t.Fatalf("sorted %v, want %v", s.Events, want)
+	}
+	if n := testing.AllocsPerRun(10, s.Sort); n != 0 {
+		t.Fatalf("Sort allocates %v times", n)
 	}
 }
 

@@ -130,22 +130,44 @@ type ProcessOptions struct {
 // because the placement bookkeeping replays the same order the engine
 // will.
 func GenerateProcess(shape *grid.Shape, opt ProcessOptions, r *rng.Source) (*Schedule, error) {
-	if err := opt.Arrival.validate("fault arrival"); err != nil {
+	var ps ProcessScratch
+	sched := &Schedule{}
+	if err := ps.Generate(sched, shape, opt, r); err != nil {
 		return nil, err
+	}
+	return sched, nil
+}
+
+// ProcessScratch is GenerateProcess's working storage, kept by a caller
+// that draws one schedule after another (a pooled load cell) so a warm
+// draw allocates nothing. The zero value is ready to use.
+type ProcessScratch struct {
+	// active holds the currently-faulty nodes; repairAt[i] is the step
+	// active[i]'s scheduled Recover lands (or -1 without repair).
+	active   []grid.NodeID
+	repairAt []int
+}
+
+// Generate is GenerateProcess writing into sched: it overwrites
+// sched.Events, keeping its capacity, with the schedule GenerateProcess
+// returns for the same arguments. On an error sched is left as it was.
+func (ps *ProcessScratch) Generate(sched *Schedule, shape *grid.Shape, opt ProcessOptions, r *rng.Source) error {
+	if err := opt.Arrival.validate("fault arrival"); err != nil {
+		return err
 	}
 	if opt.Repair.Enabled() {
 		if err := opt.Repair.validate("repair delay"); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if opt.Start < 1 {
 		opt.Start = 1
 	}
 	if opt.Horizon < opt.Start {
-		return nil, fmt.Errorf("fault: process horizon %d precedes start %d", opt.Horizon, opt.Start)
+		return fmt.Errorf("fault: process horizon %d precedes start %d", opt.Horizon, opt.Start)
 	}
 	if opt.MaxActive < 0 {
-		return nil, fmt.Errorf("fault: MaxActive %d must be >= 0", opt.MaxActive)
+		return fmt.Errorf("fault: MaxActive %d must be >= 0", opt.MaxActive)
 	}
 
 	const attemptsPer = 256
@@ -156,11 +178,8 @@ func GenerateProcess(shape *grid.Shape, opt ProcessOptions, r *rng.Source) (*Sch
 		Clustered:     opt.Clustered,
 	}
 	n := shape.NumNodes()
-	sched := &Schedule{}
-	// active holds the currently-faulty nodes; repairAt[i] is the step
-	// active[i]'s scheduled Recover lands (or -1 without repair).
-	var active []grid.NodeID
-	var repairAt []int
+	sched.Events = sched.Events[:0]
+	active, repairAt := ps.active[:0], ps.repairAt[:0]
 	for t := opt.Start - 1 + opt.Arrival.Sample(r); t <= opt.Horizon; t += opt.Arrival.Sample(r) {
 		// Apply the repairs due strictly before this arrival's step, so
 		// placement sees the mesh exactly as the engine will at step t
@@ -208,6 +227,7 @@ func GenerateProcess(shape *grid.Shape, opt ProcessOptions, r *rng.Source) (*Sch
 		active = append(active, node)
 		repairAt = append(repairAt, ra)
 	}
+	ps.active, ps.repairAt = active, repairAt
 	sched.Sort()
-	return sched, nil
+	return nil
 }

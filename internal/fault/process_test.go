@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"ndmesh/internal/grid"
@@ -196,5 +197,57 @@ func TestGenerateProcessValidation(t *testing.T) {
 		if _, err := GenerateProcess(shape, opt, rng.New(1)); err == nil {
 			t.Errorf("case %d: expected an error, got none", i)
 		}
+	}
+}
+
+// TestProcessScratchReuseMatchesFresh draws a run of schedules through one
+// ProcessScratch into one Schedule — arrival models, repair on and off,
+// clustering and a cap, so the scratch carries every kind of leftover — and
+// holds each to a fresh GenerateProcess of the same arguments; a warm
+// repeat of the largest draw allocates nothing.
+func TestProcessScratchReuseMatchesFresh(t *testing.T) {
+	shape := processShape(t)
+	opts := []ProcessOptions{
+		{Arrival: Delay{Model: DelayBernoulli, Rate: 0.2}, Repair: Delay{Model: DelayBernoulli, Rate: 0.05}, Start: 1, Horizon: 600},
+		{Arrival: Delay{Model: DelayWeibull, Rate: 0.1, Shape: 0.7}, Start: 4, Horizon: 200, MinSpacing: 2},
+		{Arrival: Delay{Model: DelayBernoulli, Rate: 0.3}, Repair: Delay{Model: DelayWeibull, Rate: 0.1, Shape: 1.5}, Start: 1, Horizon: 300, Clustered: true},
+		{Arrival: Delay{Model: DelayBernoulli, Rate: 0.5}, Start: 1, Horizon: 100, MaxActive: 3},
+		{Arrival: Delay{Model: DelayBernoulli, Rate: 0.01}, Start: 1, Horizon: 2},
+	}
+	var ps ProcessScratch
+	var sched Schedule
+	for round := 0; round < 2; round++ {
+		for i, opt := range opts {
+			seed := uint64(10*round + i)
+			want, err := GenerateProcess(shape, opt, rng.New(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ps.Generate(&sched, shape, opt, rng.New(seed)); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(sched.Events, want.Events) {
+				t.Fatalf("round %d case %d: reused scratch drew %v, fresh %v", round, i, sched.Events, want.Events)
+			}
+		}
+	}
+	r := rng.New(0)
+	warm := func() {
+		r.Reseed(0)
+		if err := ps.Generate(&sched, shape, opts[0], r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	warm()
+	if n := testing.AllocsPerRun(5, warm); n != 0 {
+		t.Fatalf("a warm draw allocates %v times", n)
+	}
+	// An invalid draw reports the error and leaves the schedule as it was.
+	before := slices.Clone(sched.Events)
+	if err := ps.Generate(&sched, shape, ProcessOptions{Arrival: Delay{Model: "x", Rate: 0.1}, Horizon: 9}, r); err == nil {
+		t.Fatal("an unknown arrival model drew a schedule")
+	}
+	if !slices.Equal(sched.Events, before) {
+		t.Fatal("a failed draw changed the schedule")
 	}
 }

@@ -18,6 +18,7 @@ package grid
 import (
 	"fmt"
 	"math/bits"
+	"strconv"
 	"strings"
 )
 
@@ -175,6 +176,7 @@ type Shape struct {
 	// coords[id*Dims : (id+1)*Dims] is the address of node id, built once so
 	// the routing hot path never pays a divmod per dimension (see CoordView).
 	coords []int
+	label  string // String's text
 }
 
 // MaxDims is the largest dimensionality a Shape may have (a DirSet holds 2n
@@ -210,6 +212,14 @@ func NewShape(dims ...int) (*Shape, error) {
 	for id := 0; id < s.n; id++ {
 		s.decode(NodeID(id), s.coords[id*len(dims):(id+1)*len(dims)])
 	}
+	label := make([]byte, 0, 8*len(dims)+5)
+	for i, k := range dims {
+		if i > 0 {
+			label = append(label, 'x')
+		}
+		label = strconv.AppendInt(label, int64(k), 10)
+	}
+	s.label = string(append(label, " mesh"...))
 	return s, nil
 }
 
@@ -371,11 +381,6 @@ func (s *Shape) PreferredDirs(u, d NodeID, dst []Dir) []Dir {
 	return dst
 }
 
-// String renders the shape as "k1 x k2 x ... x kn mesh".
-func (s *Shape) String() string {
-	parts := make([]string, len(s.dims))
-	for i, k := range s.dims {
-		parts[i] = fmt.Sprintf("%d", k)
-	}
-	return strings.Join(parts, "x") + " mesh"
-}
+// String renders the shape as "k1 x k2 x ... x kn mesh" (written without
+// spaces: "8x8 mesh"), a label NewShape builds once.
+func (s *Shape) String() string { return s.label }

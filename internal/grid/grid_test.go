@@ -1,6 +1,8 @@
 package grid
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -155,6 +157,26 @@ func TestNewShapeValidation(t *testing.T) {
 	}
 	if _, err := Uniform(0, 4); err == nil {
 		t.Error("0-dimensional uniform accepted")
+	}
+}
+
+// TestShapeStringLabel holds String to the text it rendered when it
+// formatted the radices on every call, on 1-D to 4-D shapes, and to
+// allocating nothing now that NewShape builds the label.
+func TestShapeStringLabel(t *testing.T) {
+	for _, dims := range [][]int{{7}, {1, 12}, {8, 8}, {6, 6, 6}, {10, 1, 3}, {2, 3, 4, 5}, {128, 128}} {
+		s := MustShape(dims...)
+		parts := make([]string, len(dims))
+		for i, k := range dims {
+			parts[i] = fmt.Sprintf("%d", k)
+		}
+		if want := strings.Join(parts, "x") + " mesh"; s.String() != want {
+			t.Errorf("%v: String() = %q, want %q", dims, s.String(), want)
+		}
+		var label string
+		if n := testing.AllocsPerRun(10, func() { label = s.String() }); n != 0 || label == "" {
+			t.Errorf("%v: String allocates %v times (label %q)", dims, n, label)
+		}
 	}
 }
 

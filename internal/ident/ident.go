@@ -152,12 +152,11 @@ func (p *Protocol) recycle(rs []*run) []*run {
 func (p *Protocol) getRun() *run {
 	n := len(p.spareRuns)
 	if n == 0 {
-		return &run{results: make(map[grid.NodeID]grid.Box)} //meshvet:allow free-list miss: the lists grow to the most objects ever in flight
+		return &run{} //meshvet:allow free-list miss: the lists grow to the most objects ever in flight
 	}
 	r := p.spareRuns[n-1]
 	p.spareRuns = p.spareRuns[:n-1]
-	clear(r.results)
-	*r = run{results: r.results, subs: r.subs[:0]}
+	*r = run{results: r.results[:0], subs: r.subs[:0]}
 	return r
 }
 
@@ -202,15 +201,47 @@ type run struct {
 	deadline  int
 	failed    bool
 	done      bool
-	// results holds completed sub-identifications, keyed by the node where
+	// results holds completed sub-identifications, one per node where
 	// the identified section information rests (the sub's opposite corner)
-	// and not by sub: from 4-D up, subs of different parents complete at
+	// and not per sub: from 4-D up, subs of different parents complete at
 	// the same node and a collector reads whichever section rests there.
-	// The values alias the completing sub's boxes.
-	results map[grid.NodeID]grid.Box
+	// The boxes alias the completing sub's. A few entries, searched in
+	// order: a cleared map would draw a new hash seed and could grow at a
+	// different insert, so a rerun would not allocate as its first run did.
+	results []section
 	// subs is every subRun of the run. They are recycled with the run and
 	// not before, so a box a sub owns outlives every walker of the run.
 	subs []*subRun
+}
+
+// section is one completed sub-identification: the box whose information
+// rests at node.
+type section struct {
+	node grid.NodeID
+	box  grid.Box
+}
+
+// result returns the box of the section resting at node.
+//
+//meshvet:noalloc TestFaultProcessStepAllocFree
+func (r *run) result(node grid.NodeID) (grid.Box, bool) {
+	for _, s := range r.results {
+		if s.node == node {
+			return s.box, true
+		}
+	}
+	return grid.Box{}, false
+}
+
+// rest records box as the section resting at node, replacing an earlier one.
+func (r *run) rest(node grid.NodeID, box grid.Box) {
+	for i := range r.results {
+		if r.results[i].node == node {
+			r.results[i].box = box
+			return
+		}
+	}
+	r.results = append(r.results, section{node, box})
 }
 
 // subRun is one (possibly nested) k-level identification: the top-level one
@@ -594,7 +625,7 @@ func (p *Protocol) advanceRing(w *walker) int {
 func (p *Protocol) advanceCollect(w *walker) int {
 	s := w.s
 	if !w.folded {
-		box, ok := s.r.results[w.pos]
+		box, ok := s.r.result(w.pos)
 		if !ok {
 			return 0 // the section here has not been identified yet: wait
 		}
@@ -679,7 +710,7 @@ func (p *Protocol) completeSub(s *subRun, node grid.NodeID, box grid.Box) {
 		}
 		return
 	}
-	s.r.results[node] = box
+	s.r.rest(node, box)
 	if s.isFirst {
 		dir, _ := axisDir(parent.dirs, s.parentAxis) // launch(parent) checked it
 		p.addWalker(parent, collectWalker, node, dir).axis = s.parentAxis

@@ -22,7 +22,11 @@
 // corner test — read those two words instead of re-deriving the geometry.
 package info
 
-import "ndmesh/internal/grid"
+import (
+	"slices"
+
+	"ndmesh/internal/grid"
+)
 
 // BlockID names one interned box of a Store's table. Two live ids of one
 // store are equal exactly when their boxes are.
@@ -107,6 +111,9 @@ func (s *Store) Intern(box grid.Box) BlockID {
 	default:
 		b = BlockID(len(s.refs))
 		s.refs = append(s.refs, 0)
+		// free can hold every id, so neither Release nor Clear grows it: a
+		// rerun on a cleared store allocates nothing.
+		s.free = slices.Grow(s.free, len(s.refs)-len(s.free))
 		n := len(box.Lo)
 		//meshvet:allow a new slot's box, Lo and Hi in one array that the slot keeps for good
 		c := make(grid.Coord, 2*n)

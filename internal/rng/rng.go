@@ -43,7 +43,15 @@ func (r *Source) Reseed(seed uint64) {
 // Split derives an independent child stream. The child is seeded from the
 // parent's next output, so splitting is itself deterministic.
 func (r *Source) Split() *Source {
-	return New(r.Uint64())
+	child := new(Source)
+	r.SplitInto(child)
+	return child
+}
+
+// SplitInto seeds child, in place, as the stream Split would return: it
+// takes the same one draw from r and allocates nothing.
+func (r *Source) SplitInto(child *Source) {
+	child.Reseed(r.Uint64())
 }
 
 // Uint64 returns the next 64 uniformly random bits.

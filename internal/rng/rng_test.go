@@ -70,6 +70,27 @@ func TestSplitIndependence(t *testing.T) {
 	}
 }
 
+// TestSplitIntoMatchesSplit holds the in-place split to Split: the same
+// child stream, the same one draw from the parent, and no allocation.
+func TestSplitIntoMatchesSplit(t *testing.T) {
+	a, b := New(7), New(7)
+	for i := 0; i < 4; i++ {
+		want := a.Split()
+		var got Source
+		b.SplitInto(&got)
+		if got != *want {
+			t.Fatalf("split %d: SplitInto seeded %v, Split %v", i, got, *want)
+		}
+	}
+	if a.Uint64() != b.Uint64() {
+		t.Fatal("SplitInto and Split left the parent in different states")
+	}
+	var child Source
+	if n := testing.AllocsPerRun(100, func() { b.SplitInto(&child) }); n != 0 {
+		t.Fatalf("SplitInto allocates %v times per call", n)
+	}
+}
+
 func TestIntnRange(t *testing.T) {
 	r := New(1)
 	for _, n := range []int{1, 2, 3, 7, 100, 1 << 20} {

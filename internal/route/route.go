@@ -175,6 +175,8 @@ type Message struct {
 	// Dst, set on the first step and kept up by every hop on the axis it
 	// crossed (see retoward); 0 until then, and at Dst.
 	toward grid.DirSet
+	// table is the id of the table visited is on loan under (see Tables).
+	table int32
 
 	// kept is the decision of the message's last step and key the versions
 	// of the mesh and the store it was made against (see StateKey). After a
@@ -223,7 +225,7 @@ func NewMessage(src, dst grid.NodeID) *Message {
 // message allocates nothing on its next flight.
 func (msg *Message) Reset(src, dst grid.NodeID) {
 	*msg = Message{Src: src, Dst: dst, Cur: src, Incoming: grid.InvalidDir, slot: -1,
-		path: msg.path[:0], visited: msg.visited[:0], tables: msg.tables}
+		path: msg.path[:0], visited: msg.visited[:0], tables: msg.tables, table: msg.table}
 }
 
 // Release hands the message's used-direction table back to the free list it
@@ -232,8 +234,9 @@ func (msg *Message) Reset(src, dst grid.NodeID) {
 //
 //meshvet:noalloc TestFaultProcessStepAllocFree
 func (msg *Message) Release() {
-	if msg.tables != nil && msg.visited != nil {
-		msg.tables.free = append(msg.tables.free, msg.visited[:0])
+	if t := msg.tables; t != nil && msg.visited != nil {
+		t.tabs[msg.table] = msg.visited[:0]
+		t.free = append(t.free, msg.table)
 		msg.visited = nil
 	}
 }
@@ -241,22 +244,34 @@ func (msg *Message) Release() {
 // Tables is a free list of used-direction tables for the headers one Arena
 // (or a run of them) carves: a header borrows a table when it first strays
 // and its owner returns it with Release when the flight is recycled, so the
-// tables alive are as many as the flights that have strayed at once.
+// tables alive are as many as the flights that have strayed at once. A
+// table is named by its index in tabs, in the order the tables were made.
 type Tables struct {
-	free [][]visit
+	tabs [][]visit // by id; a lent table's entry is refreshed on its return
+	free []int32   // the ids on hand, the last one lent next
 }
 
-// borrow pops a table off the free list, or returns nil when it is empty.
+// borrow lends a table on hand, or names a new one (with no storage yet).
 //
 //meshvet:noalloc TestFaultProcessStepAllocFree
-func (t *Tables) borrow() []visit {
+func (t *Tables) borrow() (int32, []visit) {
 	n := len(t.free)
 	if n == 0 {
-		return nil
+		t.tabs = append(t.tabs, nil)
+		return int32(len(t.tabs) - 1), nil
 	}
-	v := t.free[n-1]
+	id := t.free[n-1]
 	t.free = t.free[:n-1]
-	return v
+	return id, t.tabs[id]
+}
+
+// Restack orders the tables on hand so the oldest is lent next. With every
+// table on hand that is the order a fresh free list made them in, so a rerun
+// of one trial borrows, at every stray, the table it borrowed the first time
+// and grows none.
+func (t *Tables) Restack() {
+	slices.Sort(t.free)
+	slices.Reverse(t.free)
 }
 
 // Arena is the path-stack storage of a batch of headers: one slice of
@@ -344,7 +359,7 @@ func (msg *Message) materialize(m *mesh.Mesh) {
 	}
 	msg.strayed = true
 	if msg.visited == nil && msg.tables != nil {
-		msg.visited = msg.tables.borrow()
+		msg.table, msg.visited = msg.tables.borrow()
 	}
 	// A fresh table is sized once for the path and as much again.
 	msg.visited = slices.Grow(msg.visited, 2*len(msg.path)+2)

@@ -283,7 +283,7 @@ func TestTablesRecycle(t *testing.T) {
 	table := &first.visited[:1][0]
 	first.Release()
 	first.Release()
-	if first.visited != nil || len(tables.free) != 1 || len(tables.free[0]) != 0 {
+	if first.visited != nil || len(tables.free) != 1 || len(tables.tabs[tables.free[0]]) != 0 {
 		t.Fatalf("released header holds %v, free list %v: want none, and one empty table", first.visited, tables.free)
 	}
 	walk(&second)
@@ -293,5 +293,40 @@ func TestTablesRecycle(t *testing.T) {
 	second.Reset(src, dst)
 	if second.visited == nil || &second.visited[:1][0] != table {
 		t.Fatal("Reset dropped the table a header holds")
+	}
+}
+
+// TestTablesRestack pins the order Restack leaves the tables on hand in:
+// the oldest is lent first, whatever order the headers gave them back in,
+// so the next headers to stray take the tables the first ones made.
+func TestTablesRestack(t *testing.T) {
+	ctx, m := env(t, []int{6, 6}, nil)
+	shape := m.Shape()
+	var tables Tables
+	a := NewArena(shape, 3, &tables)
+	msgs := make([]Message, 3)
+	src, dst := shape.Index(grid.Coord{1, 2}), shape.Index(grid.Coord{5, 2})
+	walk := func(msg *Message) {
+		msg.Reset(src, dst)
+		for _, d := range strayWalks[1].script {
+			AdvanceGated(ctx, &scripted{next: []Decision{d}}, msg, nil)
+		}
+	}
+	for i := range msgs {
+		a.Carve(&msgs[i])
+		walk(&msgs[i])
+		if msgs[i].table != int32(i) {
+			t.Fatalf("header %d borrowed table %d, want a new one, %d", i, msgs[i].table, i)
+		}
+	}
+	for _, i := range []int{1, 0, 2} {
+		msgs[i].Release()
+	}
+	tables.Restack()
+	for i := range msgs {
+		walk(&msgs[i])
+		if msgs[i].table != int32(i) {
+			t.Fatalf("after Restack header %d borrowed table %d, want %d", i, msgs[i].table, i)
+		}
 	}
 }

@@ -284,3 +284,20 @@ func TestE2EBadRequests(t *testing.T) {
 		t.Fatalf("draining healthz got %d, want 503", hr.StatusCode)
 	}
 }
+
+// TestNegativeConfigMeansDefault holds a negative MaxConcurrent, MaxQueue,
+// PoolIdle or MaxWorkers to the default, as 0 is: New must not panic on a
+// negative run-slot count, a negative queue must not refuse every job, and
+// a negative idle cap must not retain without bound.
+func TestNegativeConfigMeansDefault(t *testing.T) {
+	srv := New(Config{MaxConcurrent: -1, MaxQueue: -3, PoolIdle: -1, MaxWorkers: -2})
+	if def := New(Config{}); srv.cfg != def.cfg {
+		t.Fatalf("negative config filled to %+v, want the defaults %+v", srv.cfg, def.cfg)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, body := submit(t, ts, "", `{"kind":"open-loop","dims":[4,4],"rates":[0.1],"warmup":4,"measure":8,"drain":8,"seed":1}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+}

@@ -57,6 +57,8 @@ import (
 // defaults noted on each field.
 type Config struct {
 	// MaxConcurrent is how many jobs may run engines at once (default 2).
+	// Like MaxQueue, PoolIdle and MaxWorkers, a value <= 0 means the
+	// default.
 	MaxConcurrent int
 	// MaxQueue is how many admitted jobs may wait for a run slot before
 	// submissions are refused with 503 (default 8).
@@ -76,14 +78,20 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	c.MaxConcurrent = cmp.Or(c.MaxConcurrent, 2)
-	c.MaxQueue = cmp.Or(c.MaxQueue, 8)
+	c.MaxConcurrent = positiveOr(c.MaxConcurrent, 2)
+	c.MaxQueue = positiveOr(c.MaxQueue, 8)
 	c.CacheEntries = cmp.Or(c.CacheEntries, 256)
 	c.CacheBytes = cmp.Or(c.CacheBytes, 64<<20)
-	c.PoolIdle = cmp.Or(c.PoolIdle, 8)
-	if c.MaxWorkers <= 0 {
-		c.MaxWorkers = runtime.GOMAXPROCS(0)
+	c.PoolIdle = positiveOr(c.PoolIdle, 8)
+	c.MaxWorkers = positiveOr(c.MaxWorkers, runtime.GOMAXPROCS(0))
+}
+
+// positiveOr returns v when it is positive and def otherwise.
+func positiveOr(v, def int) int {
+	if v > 0 {
+		return v
 	}
+	return def
 }
 
 // Job states reported by the registry.
@@ -149,7 +157,7 @@ func New(cfg Config) *Server {
 		cfg:   cfg,
 		pool:  ndmesh.NewEnginePool(cfg.PoolIdle),
 		cache: newResultCache(cfg.CacheEntries, cfg.CacheBytes),
-		queue: make(chan struct{}, max(cfg.MaxQueue, 0)),
+		queue: make(chan struct{}, cfg.MaxQueue),
 		sem:   make(chan struct{}, cfg.MaxConcurrent),
 	}
 	s.stop, s.cancelAll = context.WithCancel(context.Background())

@@ -8,7 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -79,20 +79,18 @@ func (s *Summary) String() string {
 	return fmt.Sprintf("%.2f ± %.2f [%.0f,%.0f] (n=%d)", s.Mean(), s.Std(), s.Min(), s.Max(), s.n)
 }
 
-// Percentiles computes exact percentiles from a full sample slice. Used
-// where the sample set is small enough to keep (per-trial metrics).
-func Percentiles(samples []int, ps ...float64) []int {
-	out := make([]int, len(ps))
-	if len(samples) == 0 {
-		return out
-	}
-	sorted := append([]int(nil), samples...)
-	sort.Ints(sorted)
+// Percentiles writes the exact ps[i]-quantile of a full sample slice (its
+// element of rank floor(p·(n-1))) into out[i], sorting samples in place; an
+// empty sample writes zeros. out must hold len(ps) values. Used where the
+// sample set is small enough to keep (per-trial metrics).
+func Percentiles(out, samples []int, ps ...float64) {
+	slices.Sort(samples)
 	for i, p := range ps {
-		idx := int(p * float64(len(sorted)-1))
-		out[i] = sorted[idx]
+		out[i] = 0
+		if len(samples) > 0 {
+			out[i] = samples[int(p*float64(len(samples)-1))]
+		}
 	}
-	return out
 }
 
 // Table accumulates rows of string cells and writes them with aligned

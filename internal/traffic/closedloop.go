@@ -62,18 +62,36 @@ type ClosedLoop struct {
 // NewClosedLoop builds a closed-loop source in which every node keeps up to
 // window requests outstanding (window < 1 means 1).
 func NewClosedLoop(shape *grid.Shape, pat Pattern, window int, r *rng.Source) *ClosedLoop {
-	if window < 1 {
-		window = 1
-	}
-	return &ClosedLoop{
+	c := new(ClosedLoop)
+	c.Reset(shape, pat, window, r)
+	return c
+}
+
+// Reset rewinds c in place into the source NewClosedLoop builds from the
+// same arguments (retry not configured), keeping its per-node arrays'
+// capacity, so a pooled load cell reuses it.
+func (c *ClosedLoop) Reset(shape *grid.Shape, pat Pattern, window int, r *rng.Source) {
+	n := shape.NumNodes()
+	*c = ClosedLoop{
 		shape:        shape,
 		pat:          pat,
-		window:       window,
-		outstanding:  make([]int, shape.NumNodes()),
-		attempts:     make([]int, shape.NumNodes()),
-		blockedUntil: make([]int, shape.NumNodes()),
+		window:       max(window, 1),
+		outstanding:  zeroed(c.outstanding, n),
+		attempts:     zeroed(c.attempts, n),
+		blockedUntil: zeroed(c.blockedUntil, n),
 		r:            r,
 	}
+}
+
+// zeroed returns s resized to n zeros, reusing its array when it is large
+// enough.
+func zeroed(s []int, n int) []int {
+	if cap(s) < n {
+		return make([]int, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // ConfigureRetry sets the base backoff (in steps) applied when a timed-out

@@ -22,8 +22,16 @@ type Generator struct {
 
 // NewGenerator builds a generator; it resets the process for the shape.
 func NewGenerator(shape *grid.Shape, pat Pattern, proc Process, rate float64, r *rng.Source) *Generator {
+	g := new(Generator)
+	g.Reset(shape, pat, proc, rate, r)
+	return g
+}
+
+// Reset rewinds g in place into the generator NewGenerator builds from the
+// same arguments, so a pooled load cell reuses it.
+func (g *Generator) Reset(shape *grid.Shape, pat Pattern, proc Process, rate float64, r *rng.Source) {
 	proc.Reset(shape.NumNodes())
-	return &Generator{shape: shape, pat: pat, proc: proc, rate: rate, r: r}
+	*g = Generator{shape: shape, pat: pat, proc: proc, rate: rate, r: r}
 }
 
 // Step implements Injector: it emits this step's injections in node order.

@@ -121,7 +121,8 @@ func (c *Collector) Retry(startStep int) {
 }
 
 // Result folds the run into a LoadPoint for a mesh of numNodes sources
-// offered the given per-node rate.
+// offered the given per-node rate. It ranks the latency sample in place
+// (Summarize); nothing reads the sample after Result but Reset.
 func (c *Collector) Result(rate float64, numNodes int) LoadPoint {
 	pt := LoadPoint{
 		OfferedRate: rate,
@@ -193,7 +194,8 @@ type LatencySummary struct {
 	N             int
 }
 
-// Summarize computes the summary of a latency sample.
+// Summarize computes the summary of a latency sample. It takes the mean in
+// the sample's own order first, then sorts samples in place to rank it.
 func Summarize(samples []int) LatencySummary {
 	if len(samples) == 0 {
 		return LatencySummary{}
@@ -202,7 +204,8 @@ func Summarize(samples []int) LatencySummary {
 	for _, v := range samples {
 		sum.AddInt(v)
 	}
-	qs := stats.Percentiles(samples, 0.50, 0.95, 0.99)
+	var qs [3]int
+	stats.Percentiles(qs[:], samples, 0.50, 0.95, 0.99)
 	return LatencySummary{
 		Mean: sum.Mean(),
 		P50:  qs[0],

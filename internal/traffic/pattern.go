@@ -27,6 +27,7 @@ package traffic
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"ndmesh/internal/grid"
 	"ndmesh/internal/rng"
@@ -44,10 +45,11 @@ type Pattern interface {
 	Dest(src grid.NodeID, r *rng.Source) grid.NodeID
 }
 
+// patternNames lists the patterns ByName accepts, in display order.
+var patternNames = [...]string{"uniform", "transpose", "complement", "bitrev", "hotspot", "neighbor"}
+
 // PatternNames lists the patterns ByName accepts, in display order.
-func PatternNames() []string {
-	return []string{"uniform", "transpose", "complement", "bitrev", "hotspot", "neighbor"}
-}
+func PatternNames() []string { return slices.Clone(patternNames[:]) }
 
 // ByName builds a pattern over the given shape. Hotspot uses the mesh
 // center as the hot node with DefaultHotspotFrac of the traffic.
@@ -71,6 +73,33 @@ func ByName(shape *grid.Shape, name string) (Pattern, error) {
 	default:
 		return nil, fmt.Errorf("traffic: unknown pattern %q", name)
 	}
+}
+
+// Patterns hands out one pattern per name over one shape, built by ByName
+// on its first request: a pattern keeps no state from one Dest to the next
+// (a mapped pattern's coordinate is scratch every Dest overwrites), so a
+// pooled load cell reuses the one its simulation built. The zero value is
+// ready to use.
+type Patterns struct {
+	shape *grid.Shape
+	built [len(patternNames)]Pattern
+}
+
+// ByName returns ByName(shape, name), built once per name while shape stays
+// the same.
+func (ps *Patterns) ByName(shape *grid.Shape, name string) (Pattern, error) {
+	if ps.shape != shape {
+		*ps = Patterns{shape: shape}
+	}
+	i := slices.Index(patternNames[:], name)
+	if i < 0 || ps.built[i] == nil {
+		p, err := ByName(shape, name)
+		if err != nil {
+			return nil, err
+		}
+		ps.built[i] = p
+	}
+	return ps.built[i], nil
 }
 
 // uniformDest draws a uniform destination different from src.

@@ -51,10 +51,17 @@ type retryItem struct {
 // (attempt k waits base<<(k-1), capped at backoffMaxShift, plus a uniform
 // jitter of the same magnitude; base <= 0 retries on the next step).
 func NewRetrySource(inner Injector, numNodes, base int, r *rng.Source) *RetrySource {
-	if base < 0 {
-		base = 0
-	}
-	return &RetrySource{inner: inner, r: r, backoff: base, attempts: make([]int, numNodes)}
+	q := new(RetrySource)
+	q.Reset(inner, numNodes, base, r)
+	return q
+}
+
+// Reset rewinds q in place into the source NewRetrySource builds from the
+// same arguments, keeping the pending queue's and the streak array's
+// capacity, so a pooled load cell reuses it.
+func (q *RetrySource) Reset(inner Injector, numNodes, base int, r *rng.Source) {
+	*q = RetrySource{inner: inner, r: r, backoff: max(base, 0),
+		pending: q.pending[:0], attempts: zeroed(q.attempts, numNodes)}
 }
 
 // Step implements Injector: due retries first, in kill order, then the

@@ -41,7 +41,6 @@ import (
 	"ndmesh/internal/rng"
 	"ndmesh/internal/route"
 	"ndmesh/internal/safety"
-	"ndmesh/internal/traffic"
 	"ndmesh/internal/viz"
 )
 
@@ -76,9 +75,11 @@ type Simulation struct {
 	model  *core.Model
 	engine *engine.Engine
 	sched  *fault.Schedule
-	// col is the load cells' collector: each cell rewinds it (loadPoint),
-	// so the latency sample keeps its capacity across the cells of a pool.
-	col traffic.Collector //meshvet:keep rewound by each load cell (Collector.Reset), carries no trial state across it
+	// load is the load cells' workload (saturation.go): its collector, rng
+	// streams, sources, patterns and fault-process scratch. Each cell
+	// rewinds it (newLoadRun) and drops its own wiring when done (release),
+	// so the buffers keep their capacity across the cells of a pool.
+	load loadRun //meshvet:keep rewound by each load cell (newLoadRun), holds nothing of a finished cell
 }
 
 // NewSimulation builds a fault-free simulation of the configured shape.

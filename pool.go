@@ -7,7 +7,12 @@ package ndmesh
 // result, so a trial restart is a Reset instead of a construction. A sweep
 // runs against the caller's pool (the Pool field of LoadSweepOptions /
 // LoadOptions; the meshd daemon's shared one) or against a private one of
-// its own — as meshsim's -trials do, through RouteSweepWorkers. The Reset
+// its own — as meshsim's -trials do, through RouteSweepWorkers. A pooled
+// simulation keeps, besides its engine and information plane, the load run
+// its cells rewind (Simulation.load: collector, rng streams, sources,
+// patterns, fault-process scratch), so a warm load cell allocates nothing;
+// it keeps no oracle table (a cell's route.Oracle, up to 4 MiB, is its
+// own) and nothing a finished cell wired in (loadRun.release). The Reset
 // contract (every layer rewinds without reallocating, pinned by
 // reset_test.go) is what makes reuse sound: a reused simulation
 // is indistinguishable from a fresh one after Reset, so which warm

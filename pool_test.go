@@ -2,7 +2,9 @@ package ndmesh
 
 import (
 	"errors"
+	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -368,34 +370,89 @@ type cellAllocs struct {
 	Allocs int    `json:"allocs"`
 }
 
-// TestWarmLoadCellAllocs runs a fault-storm cell (the workload's 16x16 λ=2
-// options at fault rate 0.2) twice on one EnginePool and holds what the second
-// run allocates to at most the count committed in
-// testdata/warm_load_cell_allocs.json. The warm cell reuses the
-// simulation, its flights and headers, the event log and the latency
-// sample; what it still allocates is its fault schedule, its traffic
-// source, and whatever the information plane and the headers grow past
-// their warm capacity. The fixture may only be regenerated, with
-// -update-fixtures, from a tree that allocates less.
+// TestWarmLoadCellAllocs runs each case's load cell twice on one
+// EnginePool and holds what the second, identical run allocates to at most
+// the count committed in testdata/warm_load_cell_allocs.json. The cases are
+// an open-loop 8x8 cell at capacity 8, the same with flight timeouts (the
+// retry source), a closed-loop 6x6x6 bubble cell with retry, the
+// fault-storm cell (the workload's 16x16 λ=2 options at fault rate 0.2) and
+// an oracle cell. A pooled Simulation keeps everything a warm cell needs:
+// its engine, flights, headers and event log, and its load run's
+// collector, rng streams, sources, patterns and fault-process scratch; a
+// warm cell of the first four allocates nothing. It keeps no oracle table
+// (up to 4 MiB): an oracle cell builds its own, the one count above zero.
+// The cell's stream is built outside the measured closure (loadPoint
+// leaves it as it was), so each count is the cell's alone. Every warm run is
+// an identical rerun, and the count is the least of three: a garbage
+// collection that ends inside one also counts the runtime's own allocations
+// (a sudog, a timer slot; about 1 in 600 storm cells), which a regression in
+// the cell cannot hide behind, since it allocates in every rerun. The
+// fixture may only be regenerated, with -update-fixtures, from a tree that
+// allocates less.
 func TestWarmLoadCellAllocs(t *testing.T) {
-	opt := ReliabilityOptions{
+	open := SaturationOptions{
+		Dims: []int{8, 8}, Lambda: 1, Process: "bernoulli",
+		Warmup: 16, Measure: 64, Drain: 32, LinkRate: 1, NodeCapacity: 8,
+	}
+	retry := open
+	retry.FlightTimeout, retry.RetryBackoff = 12, 4
+	closed := ClosedLoopOptions{
+		Dims: []int{6, 6, 6}, Lambda: 1,
+		Warmup: 16, Measure: 64, Drain: 32,
+		LinkRate: 1, NodeCapacity: 4, FlightTimeout: 32, RetryBackoff: 4, Bubble: true,
+	}
+	storm := ReliabilityOptions{
 		Dims: []int{16, 16}, Lambda: 2, FaultRate: 0.2, FaultModel: "bernoulli", FaultRepair: 24,
 		Process: "bernoulli", Warmup: 64, Measure: 512, Drain: 128,
 		LinkRate: 1, FlightTimeout: 48, RetryBackoff: 4, GridlockWindow: 16,
 	}
-	pool := NewEnginePool(0)
-	cell := func() {
-		pt, err := opt.loadPoint(pool, workload{pattern: "uniform", rate: 0.02}, "limited", rng.New(11).Split())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pt.Failed == 0 || pt.Delivered == 0 {
-			t.Fatalf("cell applied %d faults and delivered %d: not a storm cell", pt.Failed, pt.Delivered)
-		}
+	r := rng.New(11).Split()
+	// Each cell must do what its case names, or its count shows nothing.
+	cases := []struct {
+		name string
+		cell func(p *EnginePool) (traffic.LoadPoint, error)
+		does func(pt traffic.LoadPoint) bool
+	}{
+		{"open/8x8/limited/transpose/capacity8", func(p *EnginePool) (traffic.LoadPoint, error) {
+			return open.loadPoint(p, workload{pattern: "transpose", rate: 0.35}, "limited", r)
+		}, func(pt traffic.LoadPoint) bool { return pt.Dropped > 0 && pt.Delivered > 0 }},
+		{"open-retry/8x8/limited/transpose/capacity8", func(p *EnginePool) (traffic.LoadPoint, error) {
+			return retry.loadPoint(p, workload{pattern: "transpose", rate: 0.5}, "limited", r)
+		}, func(pt traffic.LoadPoint) bool { return pt.TimedOut > 0 && pt.Delivered > 0 }},
+		{"closed/6x6x6/congested/hotspot/bubble-retry", func(p *EnginePool) (traffic.LoadPoint, error) {
+			return closed.loadPoint(p, workload{pattern: "hotspot", window: 8}, "congested", r)
+		}, func(pt traffic.LoadPoint) bool { return pt.Retried > 0 && pt.Delivered > 0 }},
+		{"storm/16x16/lambda2/fault0.2", func(p *EnginePool) (traffic.LoadPoint, error) {
+			return storm.loadPoint(p, workload{pattern: "uniform", rate: 0.02}, "limited", r)
+		}, func(pt traffic.LoadPoint) bool { return pt.Failed > 0 && pt.Delivered > 0 }},
+		{"oracle/8x8/uniform/capacity8", func(p *EnginePool) (traffic.LoadPoint, error) {
+			return open.loadPoint(p, workload{pattern: "uniform", rate: 0.2}, "oracle", r)
+		}, func(pt traffic.LoadPoint) bool { return pt.Delivered > 0 }},
 	}
-	// AllocsPerRun's first call is its warm-up: the cold cell that builds
-	// the simulation. The one it measures is the second, identical cell.
-	got := []cellAllocs{{"storm/16x16/lambda2/fault0.2", int(testing.AllocsPerRun(1, cell))}}
+	var got []cellAllocs
+	for _, c := range cases {
+		pool := NewEnginePool(0)
+		cell := func() {
+			pt, err := c.cell(pool)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !c.does(pt) {
+				t.Fatalf("%s: the cell does not do what the case names: %+v", c.name, pt)
+			}
+		}
+		// The first cell is the cold one that builds the simulation.
+		cell()
+		warm := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			cell()
+			runtime.ReadMemStats(&after)
+			warm = min(warm, after.Mallocs-before.Mallocs)
+		}
+		got = append(got, cellAllocs{c.name, int(warm)})
+	}
 
 	const fixture = "warm_load_cell_allocs.json"
 	var want []cellAllocs

@@ -29,11 +29,13 @@ type fanOut struct {
 
 // splitN pre-draws n child rng streams from the sweep seed, in job-index
 // order — the serial prelude that makes the parallel fan-out deterministic.
-func splitN(seed uint64, n int) []*rng.Source {
-	r := rng.New(seed)
-	out := make([]*rng.Source, n)
+// The streams live in one slice, one allocation for the whole sweep.
+func splitN(seed uint64, n int) []rng.Source {
+	var r rng.Source
+	r.Reseed(seed)
+	out := make([]rng.Source, n)
 	for i := range out {
-		out[i] = r.Split()
+		r.SplitInto(&out[i])
 	}
 	return out
 }
@@ -59,7 +61,7 @@ func runGrid[R any](f fanOut, seed uint64, jobs int,
 		if f.cancel != nil && f.cancel() {
 			return ErrCanceled
 		}
-		v, err := job(pool, j, rngs[j])
+		v, err := job(pool, j, &rngs[j])
 		if err != nil {
 			return err
 		}

@@ -405,14 +405,18 @@ const cancelCheckInterval = 64
 // loadPoint executes one load run on a pooled simulation: workload
 // injection (open-loop, closed-loop or trace replay) for warmup+measure
 // steps, then a drain window, with terminated flights harvested (and
-// recycled) every step. newLoadRun builds the workload, Engine.Run steps it
-// with loadRun.tick as its stop rule, and fold reads the LoadPoint.
+// recycled) every step. newLoadRun rewinds the simulation's workload,
+// Engine.Run steps it with loadRun.tick as its stop rule, and fold reads the
+// LoadPoint. The cell draws from a copy of r and leaves r as it was.
 func (opt *LoadSweepOptions[Row]) loadPoint(p *EnginePool, wl workload, router string, r *rng.Source) (traffic.LoadPoint, error) {
 	sim, err := p.get(opt.Dims, opt.Lambda)
 	if err != nil {
 		return traffic.LoadPoint{}, err
 	}
 	defer p.put(sim)
+	// On every exit the cell's wiring goes before the put: a pooled
+	// simulation keeps no router (an oracle's table), hook or trace of it.
+	defer sim.load.release()
 	lr, err := opt.newLoadRun(sim, wl, router, r)
 	if err != nil {
 		return traffic.LoadPoint{}, err
@@ -451,10 +455,34 @@ func (opt *LoadSweepOptions[Row]) loadPoint(p *EnginePool, wl workload, router s
 }
 
 // loadRun is one load cell from its build to its fold: the engine and what
-// feeds and reads it. emit, harvest and next are its offer, finish and tick
-// methods, bound once per cell: a method value handed to Injector.Step,
-// DetachDone or Engine.Run allocates each time it is evaluated.
+// feeds and reads it. Each Simulation owns one (Simulation.load), and every
+// cell on it rewinds it: the embedded loadCell is the cell's wiring, set
+// whole by newLoadRun and dropped by release; the rest is workload state the
+// simulation keeps from cell to cell, so a warm cell allocates nothing.
 type loadRun struct {
+	loadCell
+	col traffic.Collector
+	// stream is the cell's copy of its job stream and faults the fault
+	// overlay's stream split off it; every source below draws from them.
+	stream, faults rng.Source
+	gen            traffic.Generator
+	retry          traffic.RetrySource
+	loop           traffic.ClosedLoop
+	pats           traffic.Patterns
+	// proc is the arrival process built for the name procName.
+	proc     traffic.Process
+	procName string
+	process  fault.ProcessScratch
+	// emit, harvest and next are the offer, finish and tick methods, bound
+	// once per simulation: a method value handed to Injector.Step,
+	// DetachDone or Engine.Run allocates each time it is evaluated.
+	emit    func(src, dst grid.NodeID) bool
+	harvest func(fl *engine.Flight)
+	next    func() bool
+}
+
+// loadCell is what one load cell wires into its simulation's loadRun.
+type loadCell struct {
 	eng *engine.Engine
 	fab *mesh.Mesh
 	rtr route.Router
@@ -467,7 +495,6 @@ type loadRun struct {
 	// & graceful degradation").
 	cl     *traffic.ClosedLoop
 	rq     *traffic.RetrySource
-	col    *traffic.Collector
 	ph     traffic.Phases
 	latObs interface{ ObserveLatency(steps int) }
 	rate   float64
@@ -477,17 +504,32 @@ type loadRun struct {
 	cancel     func() bool
 	probeEvery int
 	err        error
-	emit       func(src, dst grid.NodeID) bool
-	harvest    func(fl *engine.Flight)
-	next       func() bool
 }
 
-// newLoadRun builds a cell's workload on a pooled simulation: the fault
+// release drops the finished cell's wiring and keeps the workload state.
+func (lr *loadRun) release() { lr.loadCell = loadCell{} }
+
+// newLoadRun rewinds a pooled simulation's workload for a cell: the fault
 // schedule (the replay's, or an overlay drawn from the cell's stream), the
 // router, the injection source for the selected mode and, when asked, the
-// recorder around it. It leaves the engine's configuration alone.
+// recorder around it. It consumes the cell's stream in the order a fresh
+// build would and leaves the engine's configuration alone.
 func (opt *LoadSweepOptions[Row]) newLoadRun(sim *Simulation, wl workload, router string, r *rng.Source) (*loadRun, error) {
 	shape := sim.shape
+	lr := &sim.load
+	lr.loadCell = loadCell{
+		eng:        sim.engine,
+		fab:        sim.mesh,
+		ph:         traffic.Phases{Warmup: opt.Warmup, Measure: opt.Measure, Drain: opt.Drain},
+		rate:       wl.rate,
+		closed:     wl.closedLoop(),
+		cancel:     opt.Cancel,
+		probeEvery: max(opt.ProbeEvery, 1),
+	}
+	if lr.next == nil {
+		lr.emit, lr.harvest, lr.next = lr.offer, lr.finish, lr.tick
+	}
+	lr.stream = *r
 	var err error
 	// recFaults is the fault schedule a recording must carry. It is only
 	// copied into wl.record after the recorder attaches, because attaching
@@ -511,9 +553,8 @@ func (opt *LoadSweepOptions[Row]) newLoadRun(sim *Simulation, wl workload, route
 		// traffic draws below are byte-identical across fault settings (and
 		// the schedule is identical across patterns/rates at a fixed seed).
 		// Fault-free cells skip the split, keeping their goldens unchanged.
-		fr := r.Split()
+		lr.stream.SplitInto(&lr.faults)
 		total := opt.Warmup + opt.Measure + opt.Drain
-		var sched *fault.Schedule
 		if opt.FaultRate > 0 {
 			popt := fault.ProcessOptions{
 				Arrival:   fault.Delay{Model: opt.FaultModel, Rate: opt.FaultRate, Shape: opt.FaultShape},
@@ -524,7 +565,7 @@ func (opt *LoadSweepOptions[Row]) newLoadRun(sim *Simulation, wl workload, route
 			if opt.FaultRepair > 0 {
 				popt.Repair = fault.Delay{Model: fault.DelayBernoulli, Rate: 1 / opt.FaultRepair}
 			}
-			sched, err = fault.GenerateProcess(shape, popt, fr)
+			err = lr.process.Generate(sim.sched, shape, popt, &lr.faults)
 		} else {
 			// Fixed count: default the interval so the schedule spans the
 			// whole run (not, as the old hard-coded Start: 2 did, completing
@@ -537,34 +578,26 @@ func (opt *LoadSweepOptions[Row]) newLoadRun(sim *Simulation, wl workload, route
 			if start < 1 {
 				start = interval
 			}
-			sched, err = fault.Generate(shape, opt.Faults, fault.Options{
+			var sched *fault.Schedule
+			if sched, err = fault.Generate(shape, opt.Faults, fault.Options{
 				Interval:  interval,
 				Start:     start,
 				Clustered: opt.Clustered,
-			}, fr)
+			}, &lr.faults); err == nil {
+				setSchedule(sim, sched)
+			}
 		}
 		if err != nil {
 			return nil, err
 		}
-		setSchedule(sim, sched)
-		recFaults = sched.Events
-	}
-	lr := &loadRun{
-		eng:        sim.engine,
-		fab:        sim.mesh,
-		col:        &sim.col,
-		ph:         traffic.Phases{Warmup: opt.Warmup, Measure: opt.Measure, Drain: opt.Drain},
-		rate:       wl.rate,
-		closed:     wl.closedLoop(),
-		cancel:     opt.Cancel,
-		probeEvery: max(opt.ProbeEvery, 1),
+		recFaults = sim.sched.Events
 	}
 	if lr.rtr, err = route.ByName(router); err != nil {
 		return nil, err
 	}
 	var pat traffic.Pattern
 	if wl.replay == nil {
-		if pat, err = traffic.ByName(shape, wl.pattern); err != nil {
+		if pat, err = lr.pats.ByName(shape, wl.pattern); err != nil {
 			return nil, err
 		}
 	}
@@ -575,19 +608,24 @@ func (opt *LoadSweepOptions[Row]) newLoadRun(sim *Simulation, wl workload, route
 		lr.src = traffic.NewTracePlayer(wl.replay)
 		lr.rate = wl.replay.Rate
 	case wl.window > 0:
-		lr.cl = traffic.NewClosedLoop(shape, pat, wl.window, r)
+		lr.loop.Reset(shape, pat, wl.window, &lr.stream)
 		if opt.FlightTimeout > 0 {
-			lr.cl.ConfigureRetry(opt.RetryBackoff)
+			lr.loop.ConfigureRetry(opt.RetryBackoff)
 		}
+		lr.cl = &lr.loop
 		lr.src = lr.cl
 	default:
-		proc, err := traffic.ProcessByName(opt.Process)
-		if err != nil {
-			return nil, err
+		if lr.proc == nil || lr.procName != opt.Process {
+			if lr.proc, err = traffic.ProcessByName(opt.Process); err != nil {
+				return nil, err
+			}
+			lr.procName = opt.Process
 		}
-		lr.src = traffic.NewGenerator(shape, pat, proc, wl.rate, r)
+		lr.gen.Reset(shape, pat, lr.proc, wl.rate, &lr.stream)
+		lr.src = &lr.gen
 		if opt.FlightTimeout > 0 {
-			lr.rq = traffic.NewRetrySource(lr.src, shape.NumNodes(), opt.RetryBackoff, r)
+			lr.retry.Reset(lr.src, shape.NumNodes(), opt.RetryBackoff, &lr.stream)
+			lr.rq = &lr.retry
 			lr.src = lr.rq
 		}
 	}
@@ -609,7 +647,6 @@ func (opt *LoadSweepOptions[Row]) newLoadRun(sim *Simulation, wl workload, route
 	// The probe's latency sink, if it has one, sees every measured delivery.
 	lr.latObs, _ = opt.Probe.(interface{ ObserveLatency(steps int) })
 	lr.col.Reset(lr.ph)
-	lr.emit, lr.harvest, lr.next = lr.offer, lr.finish, lr.tick
 	return lr, nil
 }
 
