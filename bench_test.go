@@ -465,7 +465,10 @@ func BenchmarkContentionStep(b *testing.B) {
 	type pair struct{ src, dst grid.NodeID }
 	pairs := make([]pair, 24)
 	for i := range pairs {
-		s, d := traffic.DrawLongHaulPair(shape, r)
+		s, d, err := traffic.DrawLongHaulPair(shape, r)
+		if err != nil {
+			b.Fatal(err)
+		}
 		pairs[i] = pair{s, d}
 	}
 	inject := func() {
@@ -689,7 +692,10 @@ func BenchmarkCongestedContentionStep(b *testing.B) {
 	type pair struct{ src, dst grid.NodeID }
 	pairs := make([]pair, 24)
 	for i := range pairs {
-		s, d := traffic.DrawLongHaulPair(shape, r)
+		s, d, err := traffic.DrawLongHaulPair(shape, r)
+		if err != nil {
+			b.Fatal(err)
+		}
 		pairs[i] = pair{s, d}
 	}
 	inject := func() {

@@ -24,10 +24,10 @@ import (
 	"io"
 	"log"
 	"os"
+	"runtime"
 
 	"ndmesh"
 	"ndmesh/internal/cliutil"
-	"ndmesh/internal/par"
 	"ndmesh/internal/stats"
 	"ndmesh/internal/traffic"
 )
@@ -175,8 +175,11 @@ func runBatch(stdout io.Writer, dims []int, lambda int, router string, src, dst 
 			lost++
 		}
 	}
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	fmt.Fprintf(stdout, "mesh %v, router %s, λ=%d, %d trials (seeds %d..%d), %d workers\n",
-		dims, router, lambda, trials, seed, seed+uint64(trials)-1, par.Workers(workers))
+		dims, router, lambda, trials, seed, seed+uint64(trials)-1, workers)
 	fmt.Fprintf(stdout, "route %v -> %v\n", src, dst)
 	fmt.Fprintf(stdout, "  arrived     %5d (%.1f%%)\n", arrived, 100*float64(arrived)/float64(trials))
 	fmt.Fprintf(stdout, "  unreachable %5d\n", unreachable)

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -40,18 +42,33 @@ func TestSingleRunReport(t *testing.T) {
 }
 
 // TestBatchWorkersIdentical: -trials aggregates are the same at every
-// -workers value; only the reported worker count differs.
+// -workers value; only the reported worker count differs, and -workers
+// below 1 reports the GOMAXPROCS the sweep resolves it to.
 func TestBatchWorkersIdentical(t *testing.T) {
 	batch := func(workers string) string {
 		return meshsim(t, "-dims", "16x16", "-faults", "5", "-interval", "2", "-start", "1",
 			"-router", "blind", "-trials", "6", "-workers", workers)
 	}
-	one, two := batch("1"), batch("2")
+	one := batch("1")
 	if !strings.Contains(one, "6 trials (seeds 1..6), 1 workers\n") || !strings.Contains(one, "extra mean 9.33") {
 		t.Errorf("unexpected aggregate:\n%s", one)
 	}
-	if got := strings.Replace(two, ", 2 workers\n", ", 1 workers\n", 1); got != one {
-		t.Errorf("aggregates differ across -workers:\n workers=1\n%s workers=2\n%s", one, two)
+	for workers, reported := range map[string]int{"2": 2, "0": runtime.GOMAXPROCS(0), "-3": runtime.GOMAXPROCS(0)} {
+		out := batch(workers)
+		if got := strings.Replace(out, fmt.Sprintf(", %d workers\n", reported), ", 1 workers\n", 1); got != one {
+			t.Errorf("-workers %s: want the workers=1 aggregate with %d workers reported, got\n%s", workers, reported, out)
+		}
+	}
+}
+
+// TestWorkers: an explicit -workers count is reported as given, and a
+// count below 1 resolves to GOMAXPROCS.
+func TestWorkers(t *testing.T) {
+	for workers, want := range map[string]int{"3": 3, "0": runtime.GOMAXPROCS(0), "-1": runtime.GOMAXPROCS(0)} {
+		out := meshsim(t, "-dims", "8x8", "-faults", "2", "-trials", "2", "-workers", workers)
+		if !strings.Contains(out, fmt.Sprintf(", %d workers\n", want)) {
+			t.Errorf("-workers %s: want %d workers reported, got\n%s", workers, want, out)
+		}
 	}
 }
 

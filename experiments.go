@@ -156,7 +156,10 @@ func DegradationSweepWorkers(opt DegradationOptions, seed uint64, workers int) (
 	// the order the trial streams are split in.
 	results, err := runGrid(fanOut{workers: workers}, seed, len(opt.Intervals)*opt.Trials,
 		func(p *EnginePool, j int, r *rng.Source) ([]RouteResult, error) {
-			src, dst := traffic.DrawLongHaulPair(shape, r)
+			src, dst, err := traffic.DrawLongHaulPair(shape, r)
+			if err != nil {
+				return nil, err
+			}
 			genOpt := fault.Options{
 				Interval:      opt.Intervals[j/opt.Trials],
 				Start:         2,
@@ -350,7 +353,10 @@ func LambdaSweepWorkers(dims []int, lambdas []int, trials int, seed uint64, work
 	streams := splitN(seed, trials)
 	for i := range streams {
 		tr := &streams[i]
-		src, dst := traffic.DrawLongHaulPair(shape, tr)
+		src, dst, err := traffic.DrawLongHaulPair(shape, tr)
+		if err != nil {
+			return nil, err
+		}
 		// Adversarial placement: the cluster grows from a point on the
 		// message's actual trajectory (the lowest-axis path), so the block
 		// forms where the message is about to pass.
@@ -558,7 +564,10 @@ func TrafficSweepWorkers(dims []int, messages int, faults int, interval int, see
 	pairs := make([]pair, messages)
 	var exclude []grid.NodeID
 	for i := range pairs {
-		s, d := traffic.DrawLongHaulPair(shape, r)
+		s, d, err := traffic.DrawLongHaulPair(shape, r)
+		if err != nil {
+			return nil, err
+		}
 		pairs[i] = pair{s, d}
 		exclude = append(exclude, s, d)
 	}
@@ -698,7 +707,10 @@ func (p *EnginePool) theoremTrial(dims []int, rr *rng.Source) (theoremTrial, err
 	}
 	defer p.put(sim)
 	shape := sim.shape
-	src, dst := traffic.DrawLongHaulPair(shape, rr)
+	src, dst, err := traffic.DrawLongHaulPair(shape, rr)
+	if err != nil {
+		return res, err
+	}
 	// Conforming schedule: isolated single-node blocks, intervals far
 	// beyond stabilization; p = 2 occurrences before injection.
 	interval := 6*shape.Diameter() + 40

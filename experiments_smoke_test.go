@@ -1,6 +1,9 @@
 package ndmesh
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
 
 func TestSmokeTheoremSweep(t *testing.T) {
 	rep, err := TheoremSweepWorkers([]int{12, 12}, 5, 42, 0)
@@ -55,6 +58,54 @@ func TestSmokeTraffic(t *testing.T) {
 		t.Logf("%+v", r)
 		if r.ArrivedPct < 80 {
 			t.Errorf("router %s arrived only %.0f%%", r.Router, r.ArrivedPct)
+		}
+	}
+}
+
+// TestLongHaulSweepsOnSmallMeshes: the sweeps that draw long-haul
+// endpoints (E11-E13, E15, E15b, E18) return an error at once on a mesh
+// whose interior holds no pair at half the diameter — they used to spin
+// forever in the draw — and still run on a small square that does (the
+// smallest one their fault schedules fit on).
+func TestLongHaulSweepsOnSmallMeshes(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		runs  int // the radix of the smallest square the sweep runs on
+		sweep func(dims []int) error
+	}{
+		{"theorems", 12, func(dims []int) error {
+			_, err := TheoremSweepWorkers(dims, 2, 1, 1)
+			return err
+		}},
+		{"degradation", 5, func(dims []int) error {
+			opt := DefaultDegradation()
+			opt.Dims, opt.Faults, opt.Intervals, opt.Trials = dims, 1, []int{8}, 2
+			_, err := DegradationSweepWorkers(opt, 1, 1)
+			return err
+		}},
+		{"lambda", 6, func(dims []int) error {
+			_, err := LambdaSweepWorkers(dims, []int{1}, 2, 1, 1)
+			return err
+		}},
+		{"traffic", 5, func(dims []int) error {
+			_, err := TrafficSweepWorkers(dims, 2, 1, 8, 1, 1)
+			return err
+		}},
+	} {
+		for _, dims := range [][]int{{4, 4}, {3, 3, 3}} {
+			res := make(chan error, 1)
+			go func() { res <- tc.sweep(dims) }()
+			select {
+			case err := <-res:
+				if err == nil {
+					t.Errorf("%s on %v: no error", tc.name, dims)
+				}
+			case <-time.After(time.Second):
+				t.Fatalf("%s on %v: still running after 1 s", tc.name, dims)
+			}
+		}
+		if err := tc.sweep([]int{tc.runs, tc.runs}); err != nil {
+			t.Errorf("%s on %dx%[2]d: %v", tc.name, tc.runs, err)
 		}
 	}
 }

@@ -88,10 +88,9 @@ func ParseRates(s string) ([]float64, error) {
 }
 
 // Progress returns a (done, total) callback that prints per-cell sweep
-// completion to stderr (the sweeps call it from worker goroutines;
-// Fprintf on a shared os.File is atomic enough for single-line writes),
-// or nil when disabled — the sweep options treat a nil callback as "no
-// progress reporting".
+// completion to stderr (the sweeps call it one call at a time), or nil
+// when disabled — the sweep options treat a nil callback as "no progress
+// reporting".
 func Progress(enabled bool, label string) func(done, total int) {
 	if !enabled {
 		return nil

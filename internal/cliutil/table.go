@@ -55,22 +55,17 @@ func CSVHeader(header []string) string {
 }
 
 // CSVLine renders one row of AddRow-style cells as a CSV line (trailing
-// newline included) under stats.Table's formatting rules: float64 cells
-// at two decimals, everything else via fmt.Sprint. Pinned against
-// Table.CSV by TestCSVLineMatchesTable, so the incremental writer (meshd
-// streaming rows as cells complete) cannot drift from the batch one.
+// newline included), each cell by stats.Cell, the rule Table.AddRow uses.
+// Pinned against Table.CSV by TestCSVLineMatchesTable, so the incremental
+// writer (meshd streaming rows as cells complete) cannot drift from the
+// batch one.
 func CSVLine(cells []any) string {
 	var b strings.Builder
 	for i, c := range cells {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		switch v := c.(type) {
-		case float64:
-			fmt.Fprintf(&b, "%.2f", v)
-		default:
-			fmt.Fprint(&b, c)
-		}
+		b.WriteString(stats.Cell(c))
 	}
 	b.WriteByte('\n')
 	return b.String()

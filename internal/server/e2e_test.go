@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -299,5 +300,61 @@ func TestNegativeConfigMeansDefault(t *testing.T) {
 	resp, body := submit(t, ts, "", `{"kind":"open-loop","dims":[4,4],"rates":[0.1],"warmup":4,"measure":8,"drain":8,"seed":1}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+}
+
+// TestE2ECanceledMidGrid cancels a job once its first row has streamed:
+// at every width the body is a prefix of the batch rows, cut at the
+// lowest cell the cancel stopped, followed by the job's error line. The
+// batch prefix comes from the library sweep canceled after as many rows,
+// so only the streamed cells are run twice.
+func TestE2ECanceledMidGrid(t *testing.T) {
+	base := `{"kind":"open-loop","dims":[8,8],"patterns":["uniform","transpose"],"rates":[0.05,0.1,0.15,0.2,0.25,0.3],"warmup":8,"measure":3000,"drain":32,"seed":11`
+	spec, err := ParseSpec([]byte(base + `}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := len(spec.Patterns) * len(spec.Rates) * len(spec.Routers)
+	for _, w := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
+			srv := New(Config{})
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			body := make(chan []byte, 1)
+			go func() {
+				_, got := submit(t, ts, "", fmt.Sprintf(`%s,"workers":%d}`, base, w))
+				body <- got
+			}()
+			waitFor(t, srv, "a job with a streamed row", func(st JobStatus) bool { return st.Rows > 0 })
+			srv.CancelAll()
+			lines := bytes.SplitAfter(<-body, []byte("\n"))
+			if last := lines[len(lines)-1]; len(last) != 0 {
+				t.Fatalf("body does not end in a newline: %q", last)
+			}
+			lines = lines[:len(lines)-1]
+			n := len(lines) - 1
+			if n < 1 || n >= cells {
+				t.Fatalf("%d of %d rows streamed before the error line; the cancel did not land mid-grid", n, cells)
+			}
+
+			var want [][]byte
+			opt := sweepOptions[ndmesh.SaturationRow](spec)
+			opt.Emit = func(_ int, row ndmesh.SaturationRow) { want = append(want, encodeNDJSON(row)) }
+			opt.Cancel = func() bool { return len(want) >= n }
+			if _, err := ndmesh.SaturationSweepWorkers(opt, spec.Seed, 1); !errors.Is(err, ndmesh.ErrCanceled) {
+				t.Fatalf("batch prefix of %d rows: err = %v, want ErrCanceled", n, err)
+			}
+			for i, line := range lines[:n] {
+				if !bytes.Equal(line, want[i]) {
+					t.Fatalf("row %d differs from the batch row\n got: %s\nwant: %s", i, line, want[i])
+				}
+			}
+			if want := encodeNDJSON(map[string]string{"error": ndmesh.ErrCanceled.Error()}); !bytes.Equal(lines[n], want) {
+				t.Fatalf("last line = %q, want the error line %q", lines[n], want)
+			}
+			if err := srv.Pool().VerifyClean(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

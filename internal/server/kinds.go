@@ -8,6 +8,7 @@ package server
 import (
 	"cmp"
 	"fmt"
+	"io"
 	"strings"
 
 	"ndmesh"
@@ -72,23 +73,34 @@ func kindOf(name string) (*kind, error) {
 	return nil, fmt.Errorf("unknown kind %q (want %s)", name, strings.Join(names, " | "))
 }
 
-// env is what the pipeline hands a kind's run: the job and its row stream,
-// its cancel poll and clamped fan-out width, the census probe (nil unless
-// the spec asked for one) and the response format.
+// env is what the pipeline hands a kind's run: the job and its row stream
+// (the client+replica sink, its flush and the latched write error), its
+// cancel poll and clamped fan-out width, the census probe (nil unless the
+// spec asked for one) and the response format.
 type env struct {
 	srv     *Server
 	job     *JobStatus
-	seq     *sequencer
+	sink    io.Writer
+	flush   func()
+	werr    *error
 	cancel  func() bool
 	workers int
 	probe   engine.Probe
 	csv     bool
 }
 
-// emit sequences an encoded row under its cell index and counts it on the
-// job record.
-func (e env) emit(index int, line []byte) {
-	e.seq.push(index, line)
+// emit writes an encoded row to the stream and counts it on the job
+// record. Rows arrive in index order, one at a time (the sweeps' Emit
+// contract). The first write error — the client went away mid-stream —
+// latches, and the rows after it are dropped.
+func (e env) emit(line []byte) {
+	if *e.werr == nil {
+		if _, err := e.sink.Write(line); err != nil {
+			*e.werr = err
+		} else {
+			e.flush()
+		}
+	}
 	e.srv.mu.Lock()
 	e.job.Rows++
 	e.srv.mu.Unlock()
@@ -170,7 +182,7 @@ func runSweep[Row any](sweep func(ndmesh.LoadSweepOptions[Row], uint64, int) ([]
 		}
 		opt := sweepOptions[Row](s)
 		opt.Pool, opt.Cancel, opt.Probe = e.srv.pool, e.cancel, e.probe
-		opt.Emit = func(i int, row Row) { e.emit(i, encode(row)) }
+		opt.Emit = func(_ int, row Row) { e.emit(encode(row)) }
 		_, err := sweep(opt, s.Seed, e.workers)
 		return err
 	}
@@ -249,7 +261,7 @@ func runReplay(s *Spec, e env) error {
 	if err != nil {
 		return err
 	}
-	e.emit(0, encodeNDJSON(ReplayRow{Router: s.Routers[0], Point: pt}))
+	e.emit(encodeNDJSON(ReplayRow{Router: s.Routers[0], Point: pt}))
 	return nil
 }
 

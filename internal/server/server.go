@@ -12,9 +12,9 @@
 // tests, make the service shape work:
 //
 //   - Byte identity: a streamed response is byte-identical to the batch
-//     sweep's rows at every worker count. The sweeps emit rows in
-//     completion order tagged with cell indices; the sequencer restores
-//     index order, so streaming costs nothing in reproducibility.
+//     sweep's rows at every worker count. The sweeps emit rows in index
+//     order, one at a time, at every width, so each row goes straight to
+//     the client and streaming costs nothing in reproducibility.
 //   - Cacheability: because the bytes depend only on the canonical spec
 //     and seed, completed bodies are cached whole (spec key + format). A
 //     repeat submission is served from memory without acquiring an engine.
@@ -370,17 +370,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		flush = flusher.Flush
 	}
 	sink := io.MultiWriter(w, &replica)
-	seq := newSequencer(sink, flush)
 	if served.csv {
-		// The header goes out before any cell can emit, so writing it
-		// around the sequencer is race-free.
 		if _, err := io.WriteString(sink, cliutil.CSVHeader(cliutil.OpenLoopHeader())); err != nil {
 			s.settle(j, StateFailed, err.Error())
 			return
 		}
 	}
+	var werr error
 	e := env{
-		srv: s, job: j, seq: seq,
+		srv: s, job: j, sink: sink, flush: flush, werr: &werr,
 		cancel:  func() bool { return ctx.Err() != nil || s.stop.Err() != nil },
 		workers: min(cmp.Or(spec.Workers, s.cfg.MaxWorkers), s.cfg.MaxWorkers),
 		csv:     served.csv,
@@ -396,7 +394,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	// Settle.
 	switch {
-	case runErr == nil && seq.flushErr() == nil:
+	case runErr == nil && werr == nil:
 		// An exact-size copy: the buffer's spare capacity (up to 2x) would
 		// otherwise live as long as the entry, outside the cache's byte bound.
 		s.cache.put(key, bytes.Clone(replica.Bytes()))
@@ -410,7 +408,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			state = StateCanceled
 		}
 		s.settle(j, state, runErr.Error())
-		if !served.csv && seq.flushErr() == nil {
+		if !served.csv && werr == nil {
 			_, _ = sink.Write(encodeNDJSON(map[string]string{"error": runErr.Error()}))
 		}
 	}

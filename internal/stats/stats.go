@@ -111,17 +111,22 @@ func NewTable(title string, header ...string) *Table {
 	return t
 }
 
-// AddRow appends a row; cells render with %v. Extra cells beyond the header
-// width extend the table.
+// Cell renders one table cell: a float64 at two decimals, anything else
+// with fmt.Sprint. It is the one cell rule of every table, batch or
+// streamed (cliutil.CSVLine).
+func Cell(c any) string {
+	if v, ok := c.(float64); ok {
+		return fmt.Sprintf("%.2f", v)
+	}
+	return fmt.Sprint(c)
+}
+
+// AddRow appends a row of cells rendered by Cell. Extra cells beyond the
+// header width extend the table.
 func (t *Table) AddRow(cells ...any) {
 	row := make([]string, len(cells))
 	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			row[i] = fmt.Sprintf("%.2f", v)
-		default:
-			row[i] = fmt.Sprint(c)
-		}
+		row[i] = Cell(c)
 		for len(t.colWide) <= i {
 			t.colWide = append(t.colWide, 0)
 		}

@@ -295,10 +295,23 @@ func (p *Neighbor) Dest(src grid.NodeID, r *rng.Source) grid.NodeID {
 // experiment harness, moved here verbatim so every sweep and the traffic
 // subsystem share one endpoint generator; the rng consumption sequence is
 // part of the sweeps' byte-identical determinism contract and must not
-// change. It requires a mesh whose interior contains such a pair (every
-// experiment mesh does); on degenerate shapes it would not terminate.
-func DrawLongHaulPair(shape *grid.Shape, r *rng.Source) (src, dst grid.NodeID) {
+// change. A shape whose interior holds no such pair (the farthest interior
+// nodes lie sum_i (k_i - 3) apart: 4x4, 3x3x3) is an error, found before
+// any draw.
+func DrawLongHaulPair(shape *grid.Shape, r *rng.Source) (src, dst grid.NodeID, err error) {
 	minD := shape.Diameter() / 2
+	span := 0
+	for i := range shape.Dims() {
+		if k := shape.Radix(i); k >= 3 {
+			span += k - 3
+		} else {
+			span = -1 // no interior at all
+			break
+		}
+	}
+	if span < max(minD, 1) {
+		return 0, 0, fmt.Errorf("traffic: mesh %s has no two interior nodes at distance >= %d (half its diameter)", shape, minD)
+	}
 	for {
 		s := grid.NodeID(r.Intn(shape.NumNodes()))
 		d := grid.NodeID(r.Intn(shape.NumNodes()))
@@ -306,7 +319,7 @@ func DrawLongHaulPair(shape *grid.Shape, r *rng.Source) (src, dst grid.NodeID) {
 			continue
 		}
 		if shape.Distance(s, d) >= minD {
-			return s, d
+			return s, d, nil
 		}
 	}
 }

@@ -101,7 +101,10 @@ func TestDrawLongHaulPair(t *testing.T) {
 	shape := grid.MustShape(12, 12)
 	r := rng.New(5)
 	for i := 0; i < 200; i++ {
-		s, d := DrawLongHaulPair(shape, r)
+		s, d, err := DrawLongHaulPair(shape, r)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if s == d || shape.OnBorder(s) || shape.OnBorder(d) {
 			t.Fatalf("pair %d: bad endpoints %d, %d", i, s, d)
 		}
@@ -127,9 +130,32 @@ func TestDrawLongHaulPair(t *testing.T) {
 				break
 			}
 		}
-		gs, gd := DrawLongHaulPair(shape, got)
-		if gs != rs || gd != rd {
-			t.Fatalf("pair %d: (%d,%d) != reference (%d,%d)", i, gs, gd, rs, rd)
+		gs, gd, err := DrawLongHaulPair(shape, got)
+		if err != nil || gs != rs || gd != rd {
+			t.Fatalf("pair %d: (%d,%d) %v != reference (%d,%d)", i, gs, gd, err, rs, rd)
+		}
+	}
+}
+
+// TestDrawLongHaulPairInfeasible: a shape whose interior holds no pair at
+// half the diameter is an error before any draw, not an endless loop; the
+// smallest feasible shapes still draw.
+func TestDrawLongHaulPairInfeasible(t *testing.T) {
+	for _, dims := range [][]int{{4, 4}, {3, 3, 3}, {2, 9}, {3}, {4, 4, 4}} {
+		shape := grid.MustShape(dims...)
+		r := rng.New(1)
+		before := *r
+		if _, _, err := DrawLongHaulPair(shape, r); err == nil {
+			t.Errorf("%s: drew a pair", shape)
+		}
+		if *r != before {
+			t.Errorf("%s: the refusal consumed the stream", shape)
+		}
+	}
+	for _, dims := range [][]int{{5, 5}, {4, 5}, {10}, {5, 5, 5}} {
+		shape := grid.MustShape(dims...)
+		if _, _, err := DrawLongHaulPair(shape, rng.New(1)); err != nil {
+			t.Errorf("%s: %v", shape, err)
 		}
 	}
 }

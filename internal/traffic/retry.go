@@ -58,11 +58,33 @@ func NewRetrySource(inner Injector, numNodes, base int, r *rng.Source) *RetrySou
 
 // Reset rewinds q in place into the source NewRetrySource builds from the
 // same arguments, keeping the pending queue's and the streak array's
-// capacity, so a pooled load cell reuses it.
+// capacity, so a pooled load cell reuses it (Trim bounds the queue's).
 func (q *RetrySource) Reset(inner Injector, numNodes, base int, r *rng.Source) {
 	*q = RetrySource{inner: inner, r: r, backoff: max(base, 0),
 		pending: q.pending[:0], attempts: zeroed(q.attempts, numNodes)}
 }
+
+// trimFloor is the pending capacity Trim lets any source keep (24 KiB of
+// entries): an open loop is not self-throttling, so a saturated cell
+// queues retries in proportion to its timeouts, not to the mesh — 853 on
+// a saturated 8x8 — and dropping so small a queue would only make every
+// warm rerun of the cell regrow it.
+const trimFloor = 1024
+
+// Trim drops a pending queue grown past the node count (or trimFloor, if
+// larger), so a pooled source keeps at most that much between runs:
+// Reset alone would keep a saturated cell's high-water capacity (24,576
+// entries, 590 KB, after a 32x32 cell at rate 0.2 with flight timeouts)
+// for every later cell on the simulation.
+func (q *RetrySource) Trim() {
+	if cap(q.pending) > max(len(q.attempts), trimFloor) {
+		q.pending = nil
+	}
+}
+
+// Retained is the pending queue's capacity: what the source holds on to
+// between runs.
+func (q *RetrySource) Retained() int { return cap(q.pending) }
 
 // Step implements Injector: due retries first, in kill order, then the
 // inner source's fresh arrivals. A refused retry (full source queue or

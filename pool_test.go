@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -185,26 +184,25 @@ func TestEnginePoolMaxIdleCap(t *testing.T) {
 }
 
 // collectEmit returns an Emit hook that stores each row at its index,
-// failing on a repeat, and the slice it fills.
+// failing unless the rows arrive in index order (a repeat included), and
+// the slice it fills. It takes no lock: the calls come one at a time, and
+// -race fails two that overlap.
 func collectEmit[Row any](t *testing.T, n int) (func(int, Row), []Row) {
-	var mu sync.Mutex
 	got := make([]Row, n)
-	seen := make([]bool, n)
+	next := 0
 	return func(i int, row Row) {
-		mu.Lock()
-		defer mu.Unlock()
-		if seen[i] {
-			t.Errorf("row %d emitted twice", i)
+		if i != next {
+			t.Errorf("row %d emitted where row %d was due", i, next)
 		}
-		seen[i] = true
+		next = i + 1
 		got[i] = row
 	}, got
 }
 
 // TestSweepEmitMatchesRows certifies the streaming hook's contract: the
-// rows delivered through Emit, re-sequenced by index, are exactly the
-// slice the batch call returns — for every load sweep, at a parallel worker
-// count so completion order and index order genuinely diverge (a row never
+// rows delivered through Emit, in index order, are exactly the slice the
+// batch call returns — for every load sweep, at a parallel worker count
+// so completion order and index order genuinely diverge (a row never
 // emitted stays zero and differs).
 func TestSweepEmitMatchesRows(t *testing.T) {
 	t.Run("saturation", func(t *testing.T) {
@@ -464,5 +462,42 @@ func TestWarmLoadCellAllocs(t *testing.T) {
 		if g.Case != want[i].Case || g.Allocs > want[i].Allocs {
 			t.Errorf("case %d allocates %+v, the fixture allows %+v", i, g, want[i])
 		}
+	}
+}
+
+// TestSaturatedRetryQueueTrimmed: a saturated 32x32 cell with flight
+// timeouts ends with more retries queued than the mesh has nodes, and the
+// simulation it hands back to the pool keeps no more queue than that
+// (release trims it) — yet a warm rerun of the cell is unchanged.
+func TestSaturatedRetryQueueTrimmed(t *testing.T) {
+	opt := SaturationOptions{
+		Dims: []int{32, 32}, Lambda: 1, Process: "bernoulli",
+		Warmup: 16, Measure: 128, Drain: 32, LinkRate: 1, NodeCapacity: 8,
+		FlightTimeout: 16, RetryBackoff: 4,
+	}
+	const nodes = 32 * 32
+	pool := NewEnginePool(0)
+	r := rng.New(3)
+	cell := func() traffic.LoadPoint {
+		pt, err := opt.loadPoint(pool, workload{pattern: "transpose", rate: 0.2}, "limited", r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pt
+	}
+	cold := cell()
+	if cold.RetryDropped <= nodes {
+		t.Fatalf("the cell ended with %d retries queued, not past the %d nodes; the test lost its teeth", cold.RetryDropped, nodes)
+	}
+	sim, err := pool.get(opt.Dims, opt.Lambda)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sim.load.retry.Retained(); got > nodes {
+		t.Errorf("the pooled simulation retains a retry queue of capacity %d, want at most the %d nodes", got, nodes)
+	}
+	pool.put(sim)
+	if warm := cell(); !reflect.DeepEqual(warm, cold) {
+		t.Errorf("the warm rerun differs from the cold cell:\n cold %+v\n warm %+v", cold, warm)
 	}
 }

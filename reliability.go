@@ -20,7 +20,6 @@ package ndmesh
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"ndmesh/internal/grid"
 	"ndmesh/internal/rng"
@@ -128,16 +127,11 @@ func ReliabilitySweepWorkers(opt ReliabilityOptions, seed uint64, workers int) (
 	// One job per Monte-Carlo trial; cells pattern-major, then fault rate,
 	// then router, trials innermost — the order the streams are split in.
 	nf, nk, nt := len(opt.FaultRates), len(opt.Routers), opt.Trials
-	// Each cell's fold runs as soon as its last trial lands: the countdown's
-	// atomic decrement orders every trial's slot write before the fold that
-	// reads them, and the fold is a deterministic serial pass in trial order
-	// — which worker triggers it cannot reach the row. The row it writes is
+	// runGrid hands the done hook its jobs in index order, so a cell's
+	// last trial is the cue that all of its trials have landed: the fold
+	// is a serial pass over them in trial order, and the row it writes is
 	// the one Emit streams and the one returned.
 	rows := make([]ReliabilityRow, cells)
-	remaining := make([]atomic.Int32, cells)
-	for c := range remaining {
-		remaining[c].Store(int32(nt))
-	}
 	_, err = runGrid(fanOut{workers: workers, pool: opt.Pool, cancel: opt.Cancel, progress: opt.Progress}, seed, cells*nt,
 		func(p *EnginePool, j int, r *rng.Source) (traffic.LoadPoint, error) {
 			cell := j / nt
@@ -145,11 +139,13 @@ func ReliabilitySweepWorkers(opt ReliabilityOptions, seed uint64, workers int) (
 			trial.FaultRate = opt.FaultRates[cell/nk%nf]
 			return trial.loadPoint(p, workload{pattern: opt.Patterns[cell/(nf*nk)], rate: opt.Rate}, opt.Routers[cell%nk], r)
 		}, func(pts []traffic.LoadPoint, j int) {
-			if cell := j / nt; remaining[cell].Add(-1) == 0 {
-				rows[cell] = foldReliabilityCell(&opt, shape, pts, cell, nf, nk, nt)
-				if opt.Emit != nil {
-					opt.Emit(cell, rows[cell])
-				}
+			if j%nt != nt-1 {
+				return
+			}
+			cell := j / nt
+			rows[cell] = foldReliabilityCell(&opt, shape, pts, cell, nf, nk, nt)
+			if opt.Emit != nil {
+				opt.Emit(cell, rows[cell])
 			}
 		})
 	if err != nil {
@@ -159,8 +155,8 @@ func ReliabilitySweepWorkers(opt ReliabilityOptions, seed uint64, workers int) (
 }
 
 // foldReliabilityCell folds one cell's Monte-Carlo trial points into its
-// row — a deterministic serial pass in trial order, run once per cell by
-// the worker that lands the cell's last trial.
+// row — a deterministic serial pass in trial order, run once per cell
+// when runGrid's done hook reaches the cell's last trial.
 func foldReliabilityCell(opt *ReliabilityOptions, shape *grid.Shape, pts []traffic.LoadPoint, c, nf, nk, nt int) ReliabilityRow {
 	row := ReliabilityRow{
 		Dims:      shape.String(),

@@ -58,14 +58,15 @@ func TestRunGridDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRunGridHooks pins the done hook and the progress tick: done fires
-// exactly once per job, after the job's slot holds its final value, and
-// progress counts up to (jobs, jobs).
+// TestRunGridHooks pins the progress tick and the done hook at a parallel
+// width: progress counts up to (jobs, jobs), each count once, and done
+// fires exactly once per job, in index order, seeing the slot the returned
+// slice holds.
 func TestRunGridHooks(t *testing.T) {
 	const jobs = 23
 	var mu sync.Mutex
-	seen := make(map[int]uint64)
 	var ticks []int
+	var seen []uint64
 	out, err := runGrid(fanOut{workers: 4, progress: func(done, total int) {
 		if total != jobs {
 			t.Errorf("progress total = %d, want %d", total, jobs)
@@ -74,20 +75,16 @@ func TestRunGridHooks(t *testing.T) {
 		ticks = append(ticks, done)
 		mu.Unlock()
 	}}, 5, jobs, gridDraw, func(out []uint64, j int) {
-		mu.Lock()
-		defer mu.Unlock()
-		if _, dup := seen[j]; dup {
-			t.Errorf("done fired twice for job %d", j)
+		if j != len(seen) {
+			t.Errorf("done fired for job %d after %d calls", j, len(seen))
 		}
-		seen[j] = out[j]
+		seen = append(seen, out[j])
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for j, v := range out {
-		if got, ok := seen[j]; !ok || got != v {
-			t.Errorf("job %d: done saw %d (fired %v), returned slice holds %d", j, got, ok, v)
-		}
+	if !reflect.DeepEqual(seen, out) {
+		t.Errorf("done saw %v, the returned slice holds %v", seen, out)
 	}
 	sort.Ints(ticks)
 	for i, d := range ticks {
@@ -100,23 +97,215 @@ func TestRunGridHooks(t *testing.T) {
 	}
 }
 
+// orderedDone is a done hook that fails unless its calls come in index
+// order, one at a time, each after its slot holds final (want(j)); it
+// yields inside each call so an overlapping one would land in the window.
+// It returns the hook and the indices it saw.
+func orderedDone(t *testing.T, want func(j int) int) (func(out []int, j int), *[]int) {
+	var inFlight atomic.Int32
+	var seen []int
+	return func(out []int, j int) {
+		if n := inFlight.Add(1); n != 1 {
+			t.Errorf("done(%d) overlaps %d other call(s)", j, n-1)
+		}
+		defer inFlight.Add(-1)
+		if j != len(seen) {
+			t.Errorf("done fired for job %d after %d calls", j, len(seen))
+		}
+		if out[j] != want(j) {
+			t.Errorf("done(%d) saw slot %d, want its final %d", j, out[j], want(j))
+		}
+		seen = append(seen, j)
+		runtime.Gosched()
+	}, &seen
+}
+
+// TestRunGridEmitsInIndexOrder: jobs that complete in reverse index order
+// (within each run of `workers` jobs, job j returns only after job j+1
+// has) still reach done as 0, 1, 2, … one call at a time, each after its
+// slot is final.
+func TestRunGridEmitsInIndexOrder(t *testing.T) {
+	for _, w := range []int{2, 7, 64} {
+		n := 3 * w
+		returned := make([]chan struct{}, n)
+		for j := range returned {
+			returned[j] = make(chan struct{})
+		}
+		final := func(j int) int { return j + 1 }
+		done, seen := orderedDone(t, final)
+		out, err := runGrid(fanOut{workers: w}, 1, n, func(p *EnginePool, j int, r *rng.Source) (int, error) {
+			defer close(returned[j])
+			if (j+1)%w != 0 {
+				<-returned[j+1]
+			}
+			return final(j), nil
+		}, done)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		if len(*seen) != n || len(out) != n {
+			t.Errorf("workers=%d: done fired %d times for %d jobs", w, len(*seen), n)
+		}
+	}
+}
+
+// TestRunGridStopsAtFailure: when job k fails, done fires for exactly
+// 0..k-1, k's error is the one returned, and no job above a known failure
+// starts — the jobs above k wait until k has returned, so at most the
+// other workers' w-1 jobs started above it before its failure was known.
+func TestRunGridStopsAtFailure(t *testing.T) {
+	const n, k = 200, 50
+	for _, w := range []int{1, 2, 7, 64} {
+		kReturned := make(chan struct{})
+		var above atomic.Int32
+		done, seen := orderedDone(t, func(j int) int { return j })
+		_, err := runGrid(fanOut{workers: w}, 1, n, func(p *EnginePool, j int, r *rng.Source) (int, error) {
+			switch {
+			case j == k:
+				defer close(kReturned)
+				return 0, fmt.Errorf("job %d failed", j)
+			case j > k:
+				above.Add(1)
+				<-kReturned
+			}
+			return j, nil
+		}, done)
+		if err == nil || err.Error() != fmt.Sprintf("job %d failed", k) {
+			t.Errorf("workers=%d: err = %v, want job %d's", w, err, k)
+		}
+		if want := seqInts(k); !reflect.DeepEqual(*seen, want) {
+			t.Errorf("workers=%d: done fired for %v, want 0..%d", w, *seen, k-1)
+		}
+		if got := int(above.Load()); got > w-1 {
+			t.Errorf("workers=%d: %d jobs above the failure started, at most %d could", w, got, w-1)
+		}
+	}
+}
+
+func seqInts(n int) []int {
+	s := make([]int, n)
+	for i := range s {
+		s[i] = i
+	}
+	return s
+}
+
+// goroutineID is the running goroutine's id, read off its stack header.
+func goroutineID() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	id, _, _ := strings.Cut(strings.TrimPrefix(string(buf), "goroutine "), " ")
+	return id
+}
+
+// TestRunGridSerialOnCaller: at one worker (and wherever the grid has a
+// single job) every job and every done call runs on the caller's
+// goroutine — the path LoadRun and the workers:1 benchmark bodies take.
+func TestRunGridSerialOnCaller(t *testing.T) {
+	caller := goroutineID()
+	for _, tc := range []struct{ workers, jobs int }{{1, 9}, {0, 1}, {8, 1}} {
+		check := func(where string) {
+			if id := goroutineID(); id != caller {
+				t.Errorf("workers=%d jobs=%d: %s ran on goroutine %s, not the caller's %s", tc.workers, tc.jobs, where, id, caller)
+			}
+		}
+		_, err := runGrid(fanOut{workers: tc.workers}, 1, tc.jobs, func(p *EnginePool, j int, r *rng.Source) (int, error) {
+			check("a job")
+			return j, nil
+		}, func(out []int, j int) { check("done") })
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRunGridCoversEveryIndexOnce: every index runs exactly once at every
+// width, a width past the job count included.
+func TestRunGridCoversEveryIndexOnce(t *testing.T) {
+	for _, w := range []int{1, 2, 7, 64} {
+		const n = 500
+		counts := make([]atomic.Int32, n)
+		if _, err := runGrid(fanOut{workers: w}, 1, n, func(p *EnginePool, j int, r *rng.Source) (struct{}, error) {
+			counts[j].Add(1)
+			return struct{}{}, nil
+		}, nil); err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		for j := range counts {
+			if c := counts[j].Load(); c != 1 {
+				t.Fatalf("workers=%d: job %d ran %d times", w, j, c)
+			}
+		}
+	}
+}
+
+// TestRunGridEmpty: a grid of no jobs runs none and returns no error.
+func TestRunGridEmpty(t *testing.T) {
+	for _, w := range []int{1, 4} {
+		out, err := runGrid(fanOut{workers: w}, 1, 0, func(p *EnginePool, j int, r *rng.Source) (int, error) {
+			return 0, errors.New("must not run")
+		}, func([]int, int) { t.Error("done fired on an empty grid") })
+		if err != nil || len(out) != 0 {
+			t.Fatalf("workers=%d: out %v, err %v", w, out, err)
+		}
+	}
+}
+
 // TestRunGridLowestIndexError: of several failing jobs the error reported
 // is the lowest index's, whatever order the workers hit them in, and no
 // result slice comes back.
 func TestRunGridLowestIndexError(t *testing.T) {
-	const k = 5
+	checkLowestIndexError(t, 40, 5, func(j int) bool { return j >= 5 && j%2 == 1 })
+}
+
+// TestRunGridLowestOfSparseErrors: failures spread thinly across the grid
+// (7, 37, 67, 97) still report the lowest one at every width.
+func TestRunGridLowestOfSparseErrors(t *testing.T) {
+	checkLowestIndexError(t, 100, 7, func(j int) bool { return j%30 == 7 })
+}
+
+// checkLowestIndexError runs a grid of jobs in which fails(j) jobs return
+// an error, at widths {1, 2, 8}, and wants job lowest's error and no
+// results back.
+func checkLowestIndexError(t *testing.T, jobs, lowest int, fails func(j int) bool) {
+	t.Helper()
 	for _, w := range []int{1, 2, 8} {
-		out, err := runGrid(fanOut{workers: w}, 1, 40, func(p *EnginePool, j int, r *rng.Source) (int, error) {
-			if j >= k && j%2 == 1 {
+		out, err := runGrid(fanOut{workers: w}, 1, jobs, func(p *EnginePool, j int, r *rng.Source) (int, error) {
+			if fails(j) {
 				return 0, fmt.Errorf("job %d failed", j)
 			}
 			return j, nil
 		}, nil)
-		if err == nil || err.Error() != fmt.Sprintf("job %d failed", k) {
-			t.Errorf("workers=%d: err = %v, want job %d's", w, err, k)
+		if err == nil || err.Error() != fmt.Sprintf("job %d failed", lowest) {
+			t.Errorf("workers=%d: err = %v, want job %d's", w, err, lowest)
 		}
 		if out != nil {
 			t.Errorf("workers=%d: a failed grid returned results", w)
+		}
+	}
+}
+
+// TestRunGridDeterministicResultOrder: per-slot results folded in index
+// order give the same floating-point sum at every width, although float
+// addition is not associative.
+func TestRunGridDeterministicResultOrder(t *testing.T) {
+	sum := func(w int) float64 {
+		res, err := runGrid(fanOut{workers: w}, 1, 1000, func(p *EnginePool, j int, r *rng.Source) (float64, error) {
+			return 1.0 / float64(j+1), nil
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := 0.0
+		for _, v := range res {
+			s += v
+		}
+		return s
+	}
+	serial := sum(1)
+	for _, w := range []int{2, 5, 16} {
+		if got := sum(w); got != serial {
+			t.Fatalf("workers=%d: sum %v != serial %v", w, got, serial)
 		}
 	}
 }
@@ -257,13 +446,16 @@ func TestNegativeEscapeParametersAreOff(t *testing.T) {
 }
 
 // TestOneFanOut is the structural half of "one sweep runner", module-wide:
-// par.For is named in exactly one Go file outside bench/ — runGrid's — so a
-// hand-rolled fan-out skeleton (a command's own batch loop included) fails
-// here instead of drifting. Files are matched by the name they import
-// internal/par under, so an aliased import is caught too.
+// runGrid's worker loop is the one place that starts goroutines to run
+// work, so a hand-rolled fan-out skeleton (a command's own batch loop, a
+// package's own worker pool) fails here instead of drifting. Outside
+// bench/ and testdata/, every go statement in non-test Go is in rungrid.go
+// or one of the two commands' servers (loadgen's debug listener, meshd's
+// HTTP server).
 func TestOneFanOut(t *testing.T) {
+	allowed := map[string]bool{"rungrid.go": true, "cmd/loadgen/debug.go": true, "cmd/meshd/main.go": true}
 	fset := token.NewFileSet()
-	var callers []string
+	spawners := map[string]bool{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -274,46 +466,30 @@ func TestOneFanOut(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") {
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, 0)
 		if err != nil {
 			return err
 		}
-		names := map[string]bool{}
-		for _, imp := range f.Imports {
-			if imp.Path.Value == `"ndmesh/internal/par"` {
-				if imp.Name != nil {
-					names[imp.Name.Name] = true
-				} else {
-					names["par"] = true
-				}
-			}
-		}
-		if len(names) == 0 {
-			return nil
-		}
-		calls := false
 		ast.Inspect(f, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "For" {
-				if pkg, ok := sel.X.(*ast.Ident); ok && names[pkg.Name] {
-					calls = true
+			if g, ok := n.(*ast.GoStmt); ok {
+				path := filepath.ToSlash(path)
+				spawners[path] = true
+				if !allowed[path] {
+					t.Errorf("%s: a go statement outside runGrid: route the work through runGrid instead of a new fan-out", fset.Position(g.Pos()))
 				}
 			}
 			return true
 		})
-		if calls {
-			callers = append(callers, filepath.ToSlash(path))
-		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sort.Strings(callers)
-	if want := []string{"rungrid.go"}; !reflect.DeepEqual(callers, want) {
-		t.Errorf("par.For is called from %v, want exactly %v: route a sweep through runGrid instead of a new fan-out", callers, want)
+	if !spawners["rungrid.go"] {
+		t.Error("rungrid.go starts no goroutine; the walk lost its teeth")
 	}
 }
 

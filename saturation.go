@@ -128,8 +128,8 @@ type LoadSweepOptions[Row any] struct {
 	ProbeEvery int
 	// Progress, when non-nil, is called after every completed cell (every
 	// trial, in a reliability sweep) with (done, total) — the sweep CLIs
-	// wire it to a stderr printer. Called from worker goroutines; must be
-	// safe for concurrent use.
+	// wire it to a stderr printer. Called from worker goroutines, one call
+	// at a time.
 	Progress func(done, total int) `json:"-"`
 	// Pool, when non-nil, is the reservoir of warm simulations each cell
 	// checks its simulation out of and puts it back to once the cell is
@@ -139,12 +139,12 @@ type LoadSweepOptions[Row any] struct {
 	// are byte-identical with or without a pool.
 	Pool *EnginePool `json:"-"`
 	// Emit, when non-nil, is called once per completed cell with (index,
-	// row) — the streaming hook meshd serves NDJSON rows from. Calls
-	// arrive from worker goroutines in completion order (NOT index
-	// order), carrying exactly the row the returned slice holds at that
-	// index; a caller re-sequencing by index therefore reproduces the
-	// batch output byte-for-byte. A reliability row is emitted when the
-	// last of its cell's trials lands. Must be safe for concurrent use.
+	// row) — the streaming hook meshd serves NDJSON rows from. Calls come
+	// in index order, one at a time, carrying exactly the row the returned
+	// slice holds at that index, so the rows streamed are the batch output
+	// byte-for-byte; a failed or canceled sweep emits the prefix before
+	// its lowest failing cell. A reliability row is emitted once all of
+	// its cell's trials have landed.
 	Emit func(index int, row Row) `json:"-"`
 	// Cancel, when non-nil, is polled before every cell and every
 	// cancelCheckInterval steps inside one; returning true aborts the
@@ -506,8 +506,12 @@ type loadCell struct {
 	err        error
 }
 
-// release drops the finished cell's wiring and keeps the workload state.
-func (lr *loadRun) release() { lr.loadCell = loadCell{} }
+// release drops the finished cell's wiring and keeps the workload state,
+// less a retry queue grown past the node count.
+func (lr *loadRun) release() {
+	lr.loadCell = loadCell{}
+	lr.retry.Trim()
+}
 
 // newLoadRun rewinds a pooled simulation's workload for a cell: the fault
 // schedule (the replay's, or an overlay drawn from the cell's stream), the

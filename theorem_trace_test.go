@@ -90,7 +90,10 @@ func stormTrace(p *EnginePool, dims []int, r *rng.Source) (theoremTrial, error) 
 		return res, err
 	}
 	defer p.put(sim)
-	src, dst := traffic.DrawLongHaulPair(sim.shape, r)
+	src, dst, err := traffic.DrawLongHaulPair(sim.shape, r)
+	if err != nil {
+		return res, err
+	}
 	sched, err := fault.Generate(sim.shape, 8, fault.Options{
 		Interval: 2, Start: 3, RecoverAfter: 5,
 		Exclude: []grid.NodeID{src, dst}, ExcludeRadius: 1, MinSpacing: 2,
