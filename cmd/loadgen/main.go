@@ -46,6 +46,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"strings"
 
 	"ndmesh"
 	"ndmesh/internal/cliutil"
@@ -120,10 +121,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var f flags
 	fs.StringVar(&f.dimsFlag, "dims", "8x8", "mesh dimensions, e.g. 8x8 or 6x6x6")
 	fs.StringVar(&f.routersFlag, "routers", "limited", "comma-separated routers: limited | congested | oracle | blind | dor")
-	fs.StringVar(&f.patternsFlag, "patterns", "uniform", "comma-separated patterns: uniform | transpose | complement | bitrev | hotspot | neighbor")
+	fs.StringVar(&f.patternsFlag, "patterns", "uniform", "comma-separated patterns: "+strings.Join(traffic.PatternNames(), " | "))
 	fs.StringVar(&f.ratesFlag, "rates", "0.1", "comma-separated injection rates (messages/node/step)")
 	fs.StringVar(&f.windowsFlag, "windows", "", "comma-separated closed-loop windows (outstanding requests/node); selects the closed-loop workload and ignores -rates/-process")
-	fs.StringVar(&f.process, "process", "bernoulli", "arrival process: bernoulli | poisson | bursty")
+	fs.StringVar(&f.process, "process", "bernoulli", "arrival process: "+strings.Join(traffic.ProcessNames(), " | "))
 	fs.IntVar(&f.lambda, "lambda", 1, "information rounds per step (λ)")
 	fs.IntVar(&f.warmup, "warmup", 64, "warmup steps (not measured)")
 	fs.IntVar(&f.measure, "measure", 256, "measurement-window steps")

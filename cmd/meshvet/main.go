@@ -1,5 +1,5 @@
 // Command meshvet runs the repo's static contract suite (internal/lint):
-// determinism, resetcomplete, noalloc, and probereadonly. `meshvet ./...`
+// determinism, resetcomplete and noalloc. `meshvet ./...`
 // (or `go run ./cmd/meshvet ./...`) loads, type-checks and analyzes the
 // named packages and exits 1 on findings. It is a thin wrapper: the same
 // loader and analyzers run over the whole module inside tier-1, as

@@ -7,7 +7,7 @@ import (
 )
 
 // TestExitCodes drives meshvet in-process over a clean fixture package, one
-// with a finding, and -h, whose usage lists the four analyzers.
+// with a finding, and -h, whose usage lists the three analyzers.
 func TestExitCodes(t *testing.T) {
 	cases := []struct {
 		args []string
@@ -17,7 +17,7 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"./testdata/clean"}, 0, nil},
 		{[]string{"./testdata/finding"}, 1, []string{"finding.go:7:", "time.Now reads the wall clock", "(determinism)"}},
 		{[]string{"-h"}, 2, []string{"usage: meshvet [packages]",
-			"  determinism ", "  resetcomplete ", "  noalloc ", "  probereadonly "}},
+			"  determinism ", "  resetcomplete ", "  noalloc "}},
 	}
 	for _, c := range cases {
 		var stderr bytes.Buffer

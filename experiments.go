@@ -22,7 +22,10 @@ package ndmesh
 // restart is a Reset, not an allocation.
 
 import (
+	"fmt"
 	"slices"
+	"strconv"
+	"strings"
 
 	"ndmesh/internal/detour"
 	"ndmesh/internal/engine"
@@ -34,6 +37,21 @@ import (
 	"ndmesh/internal/stats"
 	"ndmesh/internal/traffic"
 )
+
+// wrapSweepErr prefixes a failing E11–E18 sweep's error with the sweep and
+// the mesh it ran on, as "ndmesh: theorem sweep on 10x10: ...": a fault
+// schedule that does not fit a small mesh otherwise reaches the caller
+// bare, naming neither.
+func wrapSweepErr(err *error, sweep string, dims []int) {
+	if *err == nil {
+		return
+	}
+	label := make([]string, len(dims))
+	for i, k := range dims {
+		label[i] = strconv.Itoa(k)
+	}
+	*err = fmt.Errorf("ndmesh: %s sweep on %s: %w", sweep, strings.Join(label, "x"), *err)
+}
 
 // ---------------------------------------------------------------------------
 // E14: convergence of the information constructions.
@@ -60,7 +78,8 @@ type ConvergenceRow struct {
 // mesh size.
 func ConvergenceSweepWorkers(shapes [][]int, faultsPerShape int, seed uint64, workers int) ([]ConvergenceRow, error) {
 	perShape, err := runGrid(fanOut{workers: workers}, seed, len(shapes),
-		func(p *EnginePool, i int, r *rng.Source) ([]ConvergenceRow, error) {
+		func(p *EnginePool, i int, r *rng.Source) (_ []ConvergenceRow, err error) {
+			defer wrapSweepErr(&err, "convergence", shapes[i])
 			sim, err := p.get(shapes[i], 1)
 			if err != nil {
 				return nil, err
@@ -147,7 +166,8 @@ func DefaultDegradation() DegradationOptions {
 // parallel job). The paper's claim under test: with limited global
 // information the routing degrades gracefully as intervals shrink, tracking
 // the oracle and far below the blind searcher.
-func DegradationSweepWorkers(opt DegradationOptions, seed uint64, workers int) ([]DegradationRow, error) {
+func DegradationSweepWorkers(opt DegradationOptions, seed uint64, workers int) (_ []DegradationRow, err error) {
+	defer wrapSweepErr(&err, "degradation", opt.Dims)
 	shape, err := grid.NewShape(opt.Dims...)
 	if err != nil {
 		return nil, err
@@ -337,7 +357,8 @@ type LambdaRow struct {
 // message), while the blind router is flat (it has no information to
 // receive) — the paper's "fault information can be distributed quickly to
 // help the routing process".
-func LambdaSweepWorkers(dims []int, lambdas []int, trials int, seed uint64, workers int) ([]LambdaRow, error) {
+func LambdaSweepWorkers(dims []int, lambdas []int, trials int, seed uint64, workers int) (_ []LambdaRow, err error) {
+	defer wrapSweepErr(&err, "lambda", dims)
 	shape, err := grid.NewShape(dims...)
 	if err != nil {
 		return nil, err
@@ -423,8 +444,9 @@ type MemoryRow struct {
 // parallel job).
 func MemorySweepWorkers(shapes [][]int, faults []int, seed uint64, workers int) ([]MemoryRow, error) {
 	return runGrid(fanOut{workers: workers}, seed, len(shapes)*len(faults),
-		func(p *EnginePool, j int, r *rng.Source) (MemoryRow, error) {
+		func(p *EnginePool, j int, r *rng.Source) (_ MemoryRow, err error) {
 			dims := shapes[j/len(faults)]
+			defer wrapSweepErr(&err, "memory", dims)
 			f := faults[j%len(faults)]
 			sim, err := p.get(dims, 1)
 			if err != nil {
@@ -440,11 +462,9 @@ func MemorySweepWorkers(shapes [][]int, faults []int, seed uint64, workers int) 
 			if err != nil {
 				return MemoryRow{}, err
 			}
-			sched.Apply(sim.mesh)
-			// Seed everything at once and stabilize.
+			// Apply every fault at once and stabilize.
 			for _, ev := range sched.Events {
-				sim.model.Labeling.Seed(ev.Node)
-				sim.model.Detector.Seed(ev.Node)
+				sim.model.ApplyFault(ev.Node)
 			}
 			sim.Stabilize()
 			return MemoryRow{
@@ -478,7 +498,8 @@ type OscillationRow struct {
 // trial) run is one parallel job). The paper's claim under test: the update
 // converges quickly and only affected nodes update (reduced oscillation
 // compared to routing-table flooding).
-func OscillationSweepWorkers(dims []int, faults int, intervals []int, trials int, seed uint64, workers int) ([]OscillationRow, error) {
+func OscillationSweepWorkers(dims []int, faults int, intervals []int, trials int, seed uint64, workers int) (_ []OscillationRow, err error) {
+	defer wrapSweepErr(&err, "oscillation", dims)
 	type evStat struct{ affected, arounds int }
 	results, err := runGrid(fanOut{workers: workers}, seed, len(intervals)*trials,
 		func(p *EnginePool, j int, r *rng.Source) ([]evStat, error) {
@@ -550,7 +571,8 @@ type TrafficRow struct {
 // TrafficSweepWorkers injects many messages with random endpoints into one
 // dynamic-fault scenario per router and reports population metrics (each
 // router's population run is one parallel job).
-func TrafficSweepWorkers(dims []int, messages int, faults int, interval int, seed uint64, workers int) ([]TrafficRow, error) {
+func TrafficSweepWorkers(dims []int, messages int, faults int, interval int, seed uint64, workers int) (_ []TrafficRow, err error) {
+	defer wrapSweepErr(&err, "traffic", dims)
 	shape, err := grid.NewShape(dims...)
 	if err != nil {
 		return nil, err
@@ -661,7 +683,8 @@ type theoremTrial struct {
 // TheoremSweepWorkers runs randomized conforming dynamic-fault scenarios and
 // checks every measured trace against Theorems 3, 4 and 5 (each trial is
 // one parallel job).
-func TheoremSweepWorkers(dims []int, trials int, seed uint64, workers int) (TheoremReport, error) {
+func TheoremSweepWorkers(dims []int, trials int, seed uint64, workers int) (_ TheoremReport, err error) {
+	defer wrapSweepErr(&err, "theorem", dims)
 	results, err := runGrid(fanOut{workers: workers}, seed, trials,
 		func(p *EnginePool, _ int, rr *rng.Source) (theoremTrial, error) { return p.theoremTrial(dims, rr) }, nil)
 	if err != nil {

@@ -63,12 +63,12 @@ func TestProtocolSweepsDeterministicAcrossWorkers(t *testing.T) {
 // runGrid when jobs fail: the lowest failing index's error, whatever the
 // scheduling, and no partial rows. A 3x3 mesh has a one-node interior, so
 // fault.Generate cannot grow a block there (job 1); a zero radix is refused
-// by the shape itself (job 2).
+// by the shape itself (job 2). The error names the sweep and job 1's mesh.
 func TestProtocolSweepFailingJob(t *testing.T) {
 	shapes := [][]int{{12, 12}, {3, 3}, {0}}
 	for _, w := range []int{1, 2} {
 		rows, err := ConvergenceSweepWorkers(shapes, 3, 11, w)
-		if err == nil || !strings.HasPrefix(err.Error(), "fault:") {
+		if err == nil || !strings.HasPrefix(err.Error(), "ndmesh: convergence sweep on 3x3: fault:") {
 			t.Errorf("workers=%d: error %v, want job 1's fault.Generate error", w, err)
 		}
 		if rows != nil {

@@ -1,6 +1,8 @@
 package ndmesh
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -66,39 +68,46 @@ func TestSmokeTraffic(t *testing.T) {
 // endpoints (E11-E13, E15, E15b, E18) return an error at once on a mesh
 // whose interior holds no pair at half the diameter — they used to spin
 // forever in the draw — and still run on a small square that does (the
-// smallest one their fault schedules fit on).
+// smallest one their fault schedules fit on). Just below that square the
+// schedule does not fit; every error names the sweep and the mesh.
 func TestLongHaulSweepsOnSmallMeshes(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		runs  int // the radix of the smallest square the sweep runs on
+		fails int // a radix above 4 whose square the schedule does not fit (0: none)
 		sweep func(dims []int) error
 	}{
-		{"theorems", 12, func(dims []int) error {
+		{"theorem", 12, 10, func(dims []int) error {
 			_, err := TheoremSweepWorkers(dims, 2, 1, 1)
 			return err
 		}},
-		{"degradation", 5, func(dims []int) error {
+		{"degradation", 5, 0, func(dims []int) error {
 			opt := DefaultDegradation()
 			opt.Dims, opt.Faults, opt.Intervals, opt.Trials = dims, 1, []int{8}, 2
 			_, err := DegradationSweepWorkers(opt, 1, 1)
 			return err
 		}},
-		{"lambda", 6, func(dims []int) error {
+		{"lambda", 6, 5, func(dims []int) error {
 			_, err := LambdaSweepWorkers(dims, []int{1}, 2, 1, 1)
 			return err
 		}},
-		{"traffic", 5, func(dims []int) error {
+		{"traffic", 5, 0, func(dims []int) error {
 			_, err := TrafficSweepWorkers(dims, 2, 1, 8, 1, 1)
 			return err
 		}},
 	} {
-		for _, dims := range [][]int{{4, 4}, {3, 3, 3}} {
+		shapes := [][]int{{4, 4}, {3, 3, 3}}
+		if tc.fails > 0 {
+			shapes = append(shapes, []int{tc.fails, tc.fails})
+		}
+		for _, dims := range shapes {
 			res := make(chan error, 1)
 			go func() { res <- tc.sweep(dims) }()
 			select {
 			case err := <-res:
-				if err == nil {
-					t.Errorf("%s on %v: no error", tc.name, dims)
+				want := fmt.Sprintf("ndmesh: %s sweep on %s: ", tc.name, strings.Trim(strings.ReplaceAll(fmt.Sprint(dims), " ", "x"), "[]"))
+				if err == nil || !strings.HasPrefix(err.Error(), want) {
+					t.Errorf("%s on %v: error %v, want one that starts %q", tc.name, dims, err, want)
 				}
 			case <-time.After(time.Second):
 				t.Fatalf("%s on %v: still running after 1 s", tc.name, dims)

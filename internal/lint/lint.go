@@ -1,14 +1,15 @@
 // Package lint is meshvet: a suite of static analyzers that enforce, at
 // `go vet` time, the three contracts the repo's results rest on — the
 // determinism contract (byte-identical results at every worker count),
-// the 0 allocs/op hot-path contract, and the Reset-based pooling contract
-// — plus the probe layer's "observation is off the decision path" rule.
+// the 0 allocs/op hot-path contract, and the Reset-based pooling contract.
 // The runtime tests (alloc assertions, determinism matrices,
 // reset-equivalence) catch violations late and only on exercised paths;
 // these analyzers catch the obvious violation classes on every path at
-// compile time.
+// compile time. The probe layer's "observation is off the decision path"
+// rule needs no type information and is a module test instead
+// (TestProbeReadOnly in the root package).
 //
-// The four analyzers (see their files for the precise rules):
+// The three analyzers (see their files for the precise rules):
 //
 //   - determinism: forbids math/rand, wall-clock reads and unannotated
 //     range-over-map in non-test code.
@@ -17,8 +18,6 @@
 //     methods) — the static form of the reset-equivalence tests.
 //   - noalloc: functions annotated //meshvet:noalloc must not contain
 //     obviously-allocating constructs.
-//   - probereadonly: the probe layer and every engine.Probe
-//     implementation may only call the engine's read-only methods.
 //
 // Escape hatches are explicit annotations, one per rule, each carrying a
 // justification in the rest of the comment line (docs/LINTING.md is the
@@ -163,7 +162,7 @@ func FuncDirective(fn *ast.FuncDecl, verb string) (args string, ok bool) {
 
 // All returns the full meshvet analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, ResetComplete, NoAlloc, ProbeReadOnly}
+	return []*Analyzer{Determinism, ResetComplete, NoAlloc}
 }
 
 // sortDiagnostics orders findings by file, line, column, analyzer — the

@@ -32,11 +32,6 @@ func TestNoAllocFixtures(t *testing.T) {
 	linttest.Run(t, lint.NoAlloc, "testdata/src", "noalloc")
 }
 
-func TestProbeReadOnlyFixtures(t *testing.T) {
-	linttest.Run(t, lint.ProbeReadOnly, "testdata/src",
-		"probereadonly/engine", "probereadonly/probe", "probereadonly/impl")
-}
-
 // module is the repo's packages, loaded and type-checked once for every
 // test that reads them.
 var module struct {

@@ -1,9 +1,9 @@
-// Package linttest runs meshvet analyzers over fixture packages and
-// checks their findings against inline expectations, mirroring x/tools'
+// Package linttest runs a meshvet analyzer over one fixture package and
+// checks its findings against inline expectations, mirroring x/tools'
 // analysistest on the standard library only. A fixture file marks each
 // expected finding with a trailing comment on the offending line:
 //
-//	e.Reset() // want `probe scope calls engine mutator Reset`
+//	return time.Now() // want `time\.Now reads the wall clock`
 //
 // Every `want` pattern (a Go regexp in a quoted or backquoted string)
 // must be matched by a diagnostic reported on that line, and every
@@ -11,10 +11,9 @@
 // test too, which is what makes the negative fixtures (annotated or
 // legitimately clean code) meaningful.
 //
-// Fixture packages live under testdata/src/<path>; they may import each
-// other by those paths (pass dependencies first) and the standard
-// library, which is resolved through `go list -export` like the main
-// loader.
+// A fixture package lives under testdata/src/<path> and imports only the
+// standard library, which is resolved through `go list -export` like the
+// main loader.
 package linttest
 
 import (
@@ -46,86 +45,53 @@ type expectation struct {
 	matched bool
 }
 
-// Run analyzes the fixture packages under srcRoot (in the given order —
-// list dependencies before their importers) with one analyzer and
-// compares findings against the fixtures' `// want` comments.
-func Run(t *testing.T, a *lint.Analyzer, srcRoot string, pkgPaths ...string) {
+// Run analyzes the fixture package srcRoot/pkgPath with one analyzer and
+// compares its findings against the fixture's `// want` comments.
+func Run(t *testing.T, a *lint.Analyzer, srcRoot, pkgPath string) {
 	t.Helper()
 	fset := token.NewFileSet()
-
-	type fixturePkg struct {
-		path  string
-		files []*ast.File
+	dir := filepath.Join(srcRoot, filepath.FromSlash(pkgPath))
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatalf("reading fixture dir: %v", err)
 	}
-	var fixtures []*fixturePkg
-	fixtureSet := map[string]bool{}
-	stdSet := map[string]bool{}
-	for _, path := range pkgPaths {
-		fixtureSet[path] = true
-	}
-	for _, path := range pkgPaths {
-		dir := filepath.Join(srcRoot, filepath.FromSlash(path))
-		entries, err := os.ReadDir(dir)
+	var files []*ast.File
+	imports := map[string]bool{}
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
 		if err != nil {
-			t.Fatalf("reading fixture dir: %v", err)
+			t.Fatalf("parsing fixture: %v", err)
 		}
-		fp := &fixturePkg{path: path}
-		for _, e := range entries {
-			if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-				continue
-			}
-			f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
-			if err != nil {
-				t.Fatalf("parsing fixture: %v", err)
-			}
-			fp.files = append(fp.files, f)
-			for _, imp := range f.Imports {
-				if p, err := strconv.Unquote(imp.Path.Value); err == nil && !fixtureSet[p] {
-					stdSet[p] = true
-				}
+		files = append(files, f)
+		for _, imp := range f.Imports {
+			if p, err := strconv.Unquote(imp.Path.Value); err == nil {
+				imports[p] = true
 			}
 		}
-		if len(fp.files) == 0 {
-			t.Fatalf("fixture package %s has no Go files", path)
-		}
-		fixtures = append(fixtures, fp)
+	}
+	if len(files) == 0 {
+		t.Fatalf("fixture package %s has no Go files", pkgPath)
 	}
 
-	lookup, err := stdExports(stdSet)
+	lookup, err := stdExports(imports)
 	if err != nil {
 		t.Fatalf("resolving standard-library imports: %v", err)
 	}
-	checked := map[string]*types.Package{}
-	std := importer.ForCompiler(fset, "gc", lookup)
-	imp := importerFunc(func(path string) (*types.Package, error) {
-		if pkg, ok := checked[path]; ok {
-			return pkg, nil
-		}
-		return std.Import(path)
-	})
-
-	var loaded []*lint.LoadedPackage
-	for _, fp := range fixtures {
-		info := &types.Info{
-			Types:      map[ast.Expr]types.TypeAndValue{},
-			Defs:       map[*ast.Ident]types.Object{},
-			Uses:       map[*ast.Ident]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
-		}
-		conf := types.Config{Importer: imp, Sizes: types.SizesFor("gc", runtime.GOARCH)}
-		pkg, err := conf.Check(fp.path, fset, fp.files, info)
-		if err != nil {
-			t.Fatalf("type-checking fixture %s: %v", fp.path, err)
-		}
-		checked[fp.path] = pkg
-		loaded = append(loaded, &lint.LoadedPackage{
-			ImportPath: fp.path,
-			Fset:       fset,
-			Files:      fp.files,
-			Pkg:        pkg,
-			Info:       info,
-		})
+	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
+	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", lookup), Sizes: types.SizesFor("gc", runtime.GOARCH)}
+	pkg, err := conf.Check(pkgPath, fset, files, info)
+	if err != nil {
+		t.Fatalf("type-checking fixture %s: %v", pkgPath, err)
+	}
+	loaded := []*lint.LoadedPackage{{ImportPath: pkgPath, Fset: fset, Files: files, Pkg: pkg, Info: info}}
 
 	diags, err := lint.RunAnalyzers(loaded, []*lint.Analyzer{a})
 	if err != nil {
@@ -133,10 +99,8 @@ func Run(t *testing.T, a *lint.Analyzer, srcRoot string, pkgPaths ...string) {
 	}
 
 	var expects []*expectation
-	for _, lp := range loaded {
-		for _, f := range lp.Files {
-			expects = append(expects, parseWants(t, fset, f)...)
-		}
+	for _, f := range files {
+		expects = append(expects, parseWants(t, fset, f)...)
 	}
 
 	for _, d := range diags {
@@ -199,8 +163,3 @@ func stdExports(paths map[string]bool) (importer.Lookup, error) {
 	sort.Strings(sorted)
 	return lint.ListExports(sorted)
 }
-
-// importerFunc adapts a function to types.Importer.
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

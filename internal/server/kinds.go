@@ -231,7 +231,8 @@ func replayAxes(s *Spec) error {
 		s.Faults != 0 || s.FaultRate != 0 {
 		return fmt.Errorf("replay specs take dims, phases, workload axes and the fault schedule from the trace; remove them")
 	}
-	if _, err := traffic.UnmarshalTrace(s.Trace); err != nil {
+	var err error
+	if s.trace, err = traffic.UnmarshalTrace(s.Trace); err != nil {
 		return fmt.Errorf("decoding trace: %w", err)
 	}
 	defList(&s.Routers, limited)
@@ -244,10 +245,6 @@ func replayAxes(s *Spec) error {
 // runReplay streams the replayed load point as the job's single row;
 // engine-side fields follow the library's replay-inheritance rules.
 func runReplay(s *Spec, e env) error {
-	tr, err := traffic.UnmarshalTrace(s.Trace) // validated by replayAxes
-	if err != nil {
-		return err
-	}
 	pt, err := ndmesh.LoadRun(ndmesh.LoadOptions{
 		Router:   s.Routers[0],
 		Lambda:   s.Lambda,
@@ -255,7 +252,7 @@ func runReplay(s *Spec, e env) error {
 		FlightTimeout: s.FlightTimeout, RetryBackoff: s.RetryBackoff,
 		Bubble: s.Bubble, GridlockWindow: s.GridlockWindow,
 		Seed:   s.Seed,
-		Replay: tr,
+		Replay: s.trace,
 		Pool:   e.srv.pool, Cancel: e.cancel,
 	})
 	if err != nil {

@@ -12,6 +12,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+
+	"ndmesh/internal/traffic"
 )
 
 // Spec bounds: a daemon accepts arbitrary network input, so every
@@ -89,7 +91,8 @@ type Spec struct {
 
 	// Trace is the recorded NDWT workload a replay job reproduces
 	// (base64 in JSON, per encoding/json []byte convention). Replay only.
-	Trace []byte `json:"trace,omitempty"`
+	Trace []byte         `json:"trace,omitempty"`
+	trace *traffic.Trace // Trace decoded, set by normalize (replay only)
 
 	// Probe attaches a live census snapshot served at /debug/census.
 	// Probes are stateful accumulators, so a probed job must be a single

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -118,6 +119,10 @@ func TestParseSpecReplay(t *testing.T) {
 	}
 	if !reflect.DeepEqual(s.Routers, []string{"limited"}) || s.cells() != 1 {
 		t.Fatalf("replay spec normalized wrong: %+v", s)
+	}
+	// normalize decodes the trace once and keeps it for runReplay.
+	if s.trace == nil || !bytes.Equal(s.trace.Marshal(), trace) {
+		t.Fatal("parsed replay spec does not carry the submitted trace")
 	}
 
 	// Workload fields on a replay spec are contradictions, not hints.

@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -445,6 +446,60 @@ func TestNegativeEscapeParametersAreOff(t *testing.T) {
 	}
 }
 
+// moduleFile is one Go file of the module, parsed once for the structural
+// tests below.
+type moduleFile struct {
+	path string // slash-separated, relative to the module root
+	f    *ast.File
+}
+
+func (m moduleFile) test() bool            { return strings.HasSuffix(m.path, "_test.go") }
+func (m moduleFile) under(dir string) bool { return strings.HasPrefix(m.path, dir+"/") }
+func (m moduleFile) fixture() bool {
+	return strings.HasPrefix(m.path, "testdata/") || strings.Contains(m.path, "/testdata/")
+}
+
+var moduleGo struct {
+	once  sync.Once
+	fset  *token.FileSet
+	files []moduleFile
+	err   error
+}
+
+// moduleFiles parses every Go file of the module once, dot directories
+// skipped; each structural test picks its own subset (non-test, outside
+// bench/, outside testdata/).
+func moduleFiles(t *testing.T) (*token.FileSet, []moduleFile) {
+	t.Helper()
+	moduleGo.once.Do(func() {
+		moduleGo.fset = token.NewFileSet()
+		moduleGo.err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() {
+				if path != "." && strings.HasPrefix(d.Name(), ".") {
+					return filepath.SkipDir
+				}
+				return nil
+			}
+			if !strings.HasSuffix(path, ".go") {
+				return nil
+			}
+			f, err := parser.ParseFile(moduleGo.fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			moduleGo.files = append(moduleGo.files, moduleFile{filepath.ToSlash(path), f})
+			return nil
+		})
+	})
+	if moduleGo.err != nil {
+		t.Fatal(moduleGo.err)
+	}
+	return moduleGo.fset, moduleGo.files
+}
+
 // TestOneFanOut is the structural half of "one sweep runner", module-wide:
 // runGrid's worker loop is the one place that starts goroutines to run
 // work, so a hand-rolled fan-out skeleton (a command's own batch loop, a
@@ -454,39 +509,21 @@ func TestNegativeEscapeParametersAreOff(t *testing.T) {
 // HTTP server).
 func TestOneFanOut(t *testing.T) {
 	allowed := map[string]bool{"rungrid.go": true, "cmd/loadgen/debug.go": true, "cmd/meshd/main.go": true}
-	fset := token.NewFileSet()
+	fset, files := moduleFiles(t)
 	spawners := map[string]bool{}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
+	for _, m := range files {
+		if m.test() || m.under("bench") || m.fixture() {
+			continue
 		}
-		if d.IsDir() {
-			if path == "bench" || d.Name() == "testdata" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
+		ast.Inspect(m.f, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {
-				path := filepath.ToSlash(path)
-				spawners[path] = true
-				if !allowed[path] {
+				spawners[m.path] = true
+				if !allowed[m.path] {
 					t.Errorf("%s: a go statement outside runGrid: route the work through runGrid instead of a new fan-out", fset.Position(g.Pos()))
 				}
 			}
 			return true
 		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	if !spawners["rungrid.go"] {
 		t.Error("rungrid.go starts no goroutine; the walk lost its teeth")
@@ -499,27 +536,14 @@ func TestOneFanOut(t *testing.T) {
 // sweeps' one options struct and LoadOptions) and nothing else — no read or
 // write of them, no SetShards, no "shards" flag.
 func TestShardResidue(t *testing.T) {
-	fset := token.NewFileSet()
+	fset, files := moduleFiles(t)
 	var kept, stray []string
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path == "bench" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
+	for _, m := range files {
+		if m.under("bench") {
+			continue
 		}
 		decl := map[*ast.Ident]bool{}
-		ast.Inspect(f, func(n ast.Node) bool {
+		ast.Inspect(m.f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.TypeSpec:
 				if st, ok := n.Type.(*ast.StructType); ok {
@@ -543,10 +567,6 @@ func TestShardResidue(t *testing.T) {
 			}
 			return true
 		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	sort.Strings(kept)
 	if want := []string{"LoadOptions", "LoadSweepOptions"}; !reflect.DeepEqual(kept, want) {
@@ -554,5 +574,76 @@ func TestShardResidue(t *testing.T) {
 	}
 	if len(stray) > 0 {
 		t.Errorf("sharding is gone; Shards/SetShards/\"shards\" used outside bench/ at %v", stray)
+	}
+}
+
+// TestProbeReadOnly holds observation off the decision path by the
+// module's import graph, which the compiler enforces: internal/probe
+// imports no module package but internal/engine and internal/stats, and
+// names of the engine only the Probe interface and the StepCensus value
+// the engine pushes, so no recorder can reach an Engine to steer it. Every
+// other non-test ObserveStep/ObserveLatency (bench's replica census
+// included) may only add up what it is handed: it calls nothing through a
+// selector.
+func TestProbeReadOnly(t *testing.T) {
+	fset, files := moduleFiles(t)
+	probeFiles, observers := 0, 0
+	for _, m := range files {
+		if m.test() || m.fixture() {
+			continue
+		}
+		if !m.under("internal/probe") {
+			for _, decl := range m.f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || fn.Recv == nil || fn.Body == nil || (fn.Name.Name != "ObserveStep" && fn.Name.Name != "ObserveLatency") {
+					continue
+				}
+				observers++
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					if call, ok := n.(*ast.CallExpr); ok {
+						fun := ast.Unparen(call.Fun)
+						if ix, ok := fun.(*ast.IndexExpr); ok {
+							fun = ix.X
+						} else if ix, ok := fun.(*ast.IndexListExpr); ok {
+							fun = ix.X
+						}
+						if _, ok := fun.(*ast.SelectorExpr); ok {
+							t.Errorf("%s: %s makes a call through a selector; an observer outside internal/probe only adds up its census", fset.Position(call.Pos()), fn.Name.Name)
+						}
+					}
+					return true
+				})
+			}
+			continue
+		}
+		probeFiles++
+		engName := "" // the file's name for internal/engine
+		for _, imp := range m.f.Imports {
+			path, _ := strconv.Unquote(imp.Path.Value)
+			switch {
+			case path == "ndmesh/internal/engine":
+				engName = "engine"
+				if imp.Name != nil {
+					engName = imp.Name.Name
+				}
+			case path == "ndmesh/internal/stats", path != "ndmesh" && !strings.HasPrefix(path, "ndmesh/"):
+			default:
+				t.Errorf("%s: internal/probe imports %s; it may import only internal/engine and internal/stats of the module", fset.Position(imp.Pos()), path)
+			}
+		}
+		if engName == "." {
+			t.Errorf("%s dot-imports internal/engine; name it through a selector", m.path)
+		}
+		ast.Inspect(m.f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == engName && sel.Sel.Name != "Probe" && sel.Sel.Name != "StepCensus" {
+					t.Errorf("%s: internal/probe names %s.%s; it may name only the engine's Probe and StepCensus", fset.Position(sel.Pos()), engName, sel.Sel.Name)
+				}
+			}
+			return true
+		})
+	}
+	if probeFiles == 0 || observers == 0 {
+		t.Errorf("the walk saw %d internal/probe files and %d observers outside it; it lost its teeth", probeFiles, observers)
 	}
 }
