@@ -8,6 +8,7 @@ package ndmesh
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -847,6 +848,49 @@ func BenchmarkStepSaturatedBody(b *testing.B) {
 	b.ReportMetric(float64(delivered), "delivered")
 }
 
+// faultStormBody is the options of bench/batch.go's newFaultStorm at full
+// size: 3 fault rates x 8 trials of a 16x16 storm cell.
+var faultStormBody = ReliabilityOptions{
+	Dims: []int{16, 16}, Lambda: 2,
+	Routers: []string{"limited"}, Patterns: []string{"uniform"},
+	FaultRates: []float64{0.05, 0.1, 0.2}, FaultModel: "bernoulli", FaultRepair: 24,
+	Trials: 8, Rate: 0.02, Process: "bernoulli",
+	Warmup: 64, Measure: 512, Drain: 128,
+	LinkRate: 1, FlightTimeout: 48, RetryBackoff: 4, GridlockWindow: 16,
+}
+
+// coldStormAllocs is TestColdStormAllocs's ratchet (the body reads 988, and
+// 996 under the race detector). Only ever lower it.
+const coldStormAllocs = 1000
+
+// TestColdStormAllocs holds one cold body of the fault-storm workload —
+// ReliabilitySweepWorkers at faultStormBody's options on no pool, so every
+// simulation is built and every per-node list filled from empty — to the
+// ratchet: the fill costs an allocation per chunk of lists, not one per
+// node per doubling (3,043 when each list grew by append). The count is
+// the least of two runs, since a collection ending inside a run counts the
+// runtime's own allocations.
+func TestColdStormAllocs(t *testing.T) {
+	got := uint64(math.MaxUint64)
+	for range 2 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rows, err := ReliabilitySweepWorkers(faultStormBody, 1, 1)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows[len(rows)-1].Delivered == 0 {
+			t.Fatal("the storm body delivered nothing")
+		}
+		got = min(got, after.Mallocs-before.Mallocs)
+	}
+	t.Logf("a cold storm body allocates %d times", got)
+	if got > coldStormAllocs {
+		t.Fatalf("a cold storm body allocates %d times, ratchet %d", got, coldStormAllocs)
+	}
+}
+
 // BenchmarkFaultStormBody is one body of the standing benchmark's
 // `fault-storm` workload — the options of bench/batch.go's newFaultStorm
 // (full size), run as ReliabilitySweepWorkers(opt, 1, 1) — so the per-layer
@@ -854,18 +898,10 @@ func BenchmarkStepSaturatedBody(b *testing.B) {
 // `go test -run '^$' -bench FaultStormBody -cpu 1 -cpuprofile cpu.prof .`
 // (recipe and reference tables in docs/BENCHMARKS.md).
 func BenchmarkFaultStormBody(b *testing.B) {
-	opt := ReliabilityOptions{
-		Dims: []int{16, 16}, Lambda: 2,
-		Routers: []string{"limited"}, Patterns: []string{"uniform"},
-		FaultRates: []float64{0.05, 0.1, 0.2}, FaultModel: "bernoulli", FaultRepair: 24,
-		Trials: 8, Rate: 0.02, Process: "bernoulli",
-		Warmup: 64, Measure: 512, Drain: 128,
-		LinkRate: 1, FlightTimeout: 48, RetryBackoff: 4, GridlockWindow: 16,
-	}
 	b.ReportAllocs()
 	var delivered int
 	for i := 0; i < b.N; i++ {
-		rows, err := ReliabilitySweepWorkers(opt, 1, 1)
+		rows, err := ReliabilitySweepWorkers(faultStormBody, 1, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

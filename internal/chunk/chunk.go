@@ -1,0 +1,84 @@
+// Package chunk is the module's one allocator for lists that grow: the
+// record lists of the fault-information store, the frame detector's
+// announcements, and a routing header's path stack and used-direction
+// table. A list that outgrows its capacity takes a block of twice the size,
+// carved from a chunk its owner already holds, and copies itself across in
+// order; a chunk is one allocation for many such blocks, so filling a store
+// during a fault storm costs an allocation per chunk, not one per node per
+// doubling.
+//
+// The rules every owner relies on:
+//
+//   - Order is kept: a grow copies the list in order, so what a reader sees
+//     (routing ties, history digests) is what append would have given.
+//   - A carved block is never handed out again. An outgrown block may still
+//     be read through a slice taken before the grow (boundary's merge scan
+//     iterates a node's records while deposits go on), so it is abandoned,
+//     not recycled; the doubling bounds what is abandoned by the lists'
+//     capacity.
+//   - Nothing is allocated before the first carve, so an owner whose lists
+//     never grow (a fault-free simulation) holds no chunk.
+//
+// An owner that empties its lists for a new trial keeps each list's block,
+// so a rerun that grows no list past its old capacity allocates nothing.
+package chunk
+
+import "unsafe"
+
+// maxChunkBytes caps a chunk, whatever the size its owner asks for, so a
+// large mesh's first carve does not pin megabytes.
+const maxChunkBytes = 64 << 10
+
+// Carver carves blocks of T from chunks of a fixed number of elements. A
+// block larger than a quarter of a chunk is allocated on its own, leaving
+// the chunk's tail for the blocks after it, so a chunk switch abandons at
+// most a quarter of a chunk. The zero Carver allocates every block on its
+// own.
+type Carver[T any] struct {
+	rest []T // the newest chunk's uncarved tail
+	size int // elements per chunk
+}
+
+// New returns a Carver whose chunks hold n elements, or as many as fit in
+// 64 KiB if fewer. It allocates nothing until the first carve.
+func New[T any](n int) Carver[T] {
+	var zero T
+	if sz := int(unsafe.Sizeof(zero)); sz > 0 {
+		n = min(n, maxChunkBytes/sz)
+	}
+	return Carver[T]{size: n}
+}
+
+// Make returns an empty list with room for n elements: the next n of the
+// current chunk, capped there so the list never grows into the block after
+// it.
+//
+//meshvet:noalloc TestCarveAllocFree
+func (c *Carver[T]) Make(n int) []T {
+	if n > len(c.rest) {
+		if 4*n > c.size {
+			//meshvet:allow a block too large to carve is its own allocation
+			return make([]T, 0, n)
+		}
+		//meshvet:allow one chunk for many blocks, kept by the lists carved from it
+		c.rest = make([]T, c.size)
+	}
+	b := c.rest[:0:n]
+	c.rest = c.rest[n:]
+	return b
+}
+
+// Grow returns s with room for n more elements. With room to spare that is
+// s itself; otherwise s's elements are copied, in order, into a carved
+// block of twice s's capacity (or of len(s)+n, if that is more), and s's
+// old block is abandoned.
+//
+//meshvet:noalloc TestCarveAllocFree
+func (c *Carver[T]) Grow(s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	b := c.Make(max(2*cap(s), len(s)+n))
+	b = append(b, s...)
+	return b
+}

@@ -30,9 +30,9 @@
 //     — asserted by the Test*AllocFree tests.
 //   - Layout: a step is memory-bound, so per-flight state is laid out for
 //     the loop that walks it. A Flight holds its message header by value
-//     and comes from a slab, whose route.Arena holds the headers' path
-//     stacks; a header that strays borrows a used-direction table from the
-//     engine's route.Tables until it is recycled. The flight list keeps the
+//     and comes from a slab; the engine's route.Tables carves the headers'
+//     path stacks, and a header that strays borrows a used-direction table
+//     from it until it is recycled. The flight list keeps the
 //     live flights as a dense prefix in injection order (terminated ones
 //     behind it, until harvested), compacted by the commit loop itself;
 //     routing scratch is the engine's (one route.Context), never a flight's.
@@ -277,16 +277,16 @@ type Engine struct {
 
 	// spareFlights is the free list fed by Reset/ClearFlights/DetachDone: a
 	// reused trial re-injects messages without reallocating flight or
-	// message objects. slab is the unused remainder of the last flight slab
-	// and stacks that of its header arena: a slab miss is two allocations
-	// for 64 flights, path stacks included. tables is the free list of
-	// used-direction tables every slab's headers share: a flight borrows one
-	// when it first strays and gives it back when it is recycled.
+	// message objects. slab is the unused remainder of the last flight
+	// slab. tables is the header storage every slab's flights share: it
+	// carves their path stacks, 64 to a chunk, so a slab miss is two
+	// allocations for 64 flights, path stacks included; a flight borrows a
+	// used-direction table from it when it first strays and gives it back
+	// when it is recycled.
 	spareFlights []*Flight
 	carved       int32        //meshvet:keep the serial the next flight carved gets
 	slab         []Flight     //meshvet:keep unused allocation, carries no trial state
-	stacks       route.Arena  //meshvet:keep the slab's unused header storage, carries no trial state
-	tables       route.Tables //meshvet:keep emptied tables, carry no trial state
+	tables       route.Tables //meshvet:keep carved stacks and emptied tables, carry no trial state
 
 	// oracle computes EMaxAfter in finalizeLastEvent with reusable buffers
 	// (a fault process applies events all run long; the centralized Extract
@@ -326,6 +326,7 @@ func New(md *core.Model, lambda int, sched *fault.Schedule) *Engine {
 	// routing is stall-gated, so under the free configuration, which denies
 	// no link, it decides as its load-oblivious baseline does.
 	e.ctx = route.Context{M: md.M, Store: md.Store, Load: e}
+	e.tables = route.NewTables(md.M.Shape(), flightSlab)
 	return e
 }
 
@@ -567,12 +568,11 @@ func (e *Engine) Inject(src, dst grid.NodeID, r route.Router) (*Flight, error) {
 	} else {
 		if len(e.slab) == 0 {
 			e.slab = make([]Flight, flightSlab)
-			e.stacks = route.NewArena(e.Model.M.Shape(), flightSlab, &e.tables)
 		}
 		f, e.slab = &e.slab[0], e.slab[1:]
 		f.Msg, f.serial = &f.msg, e.carved
 		e.carved++
-		e.stacks.Carve(&f.msg)
+		e.tables.Carve(&f.msg)
 	}
 	// A recycled flight keeps the capacity of its header's path stack.
 	f.msg.Reset(src, dst)

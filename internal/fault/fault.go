@@ -12,7 +12,6 @@ import (
 	"slices"
 
 	"ndmesh/internal/grid"
-	"ndmesh/internal/mesh"
 	"ndmesh/internal/rng"
 )
 
@@ -249,17 +248,4 @@ func borderDistance(shape *grid.Shape, id grid.NodeID) int {
 		}
 	}
 	return min
-}
-
-// Apply replays the whole schedule onto a mesh immediately (ignoring
-// steps); used to set up static-fault scenarios.
-func (s *Schedule) Apply(m *mesh.Mesh) {
-	for _, e := range s.Events {
-		switch e.Kind {
-		case Fail:
-			m.Fail(e.Node)
-		case Recover:
-			m.Recover(e.Node)
-		}
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"ndmesh/internal/grid"
-	"ndmesh/internal/mesh"
 	"ndmesh/internal/rng"
 )
 
@@ -201,21 +200,5 @@ func TestGenerateInfeasibleErrors(t *testing.T) {
 	// Interior is 3x3 = 9 nodes; 10 faults cannot fit.
 	if _, err := Generate(shape, 10, Options{}, rng.New(1)); err == nil {
 		t.Fatal("infeasible generation succeeded")
-	}
-}
-
-func TestApply(t *testing.T) {
-	shape := grid.MustShape(8, 8)
-	m := mesh.New(shape)
-	id := shape.Index(grid.Coord{3, 3})
-	id2 := shape.Index(grid.Coord{5, 5})
-	s := &Schedule{Events: []Event{
-		{Step: 0, Node: id, Kind: Fail},
-		{Step: 1, Node: id2, Kind: Fail},
-		{Step: 2, Node: id, Kind: Recover},
-	}}
-	s.Apply(m)
-	if m.Status(id) != mesh.Clean || m.Status(id2) != mesh.Faulty {
-		t.Fatalf("Apply wrong: %v %v", m.Status(id), m.Status(id2))
 	}
 }

@@ -19,6 +19,7 @@
 package frame
 
 import (
+	"ndmesh/internal/chunk"
 	"ndmesh/internal/grid"
 	"ndmesh/internal/mesh"
 )
@@ -137,8 +138,10 @@ type Announcement struct {
 type Detector struct {
 	m *mesh.Mesh //meshvet:keep fabric dependency, not per-trial state
 	// ann[id] holds the node's current announcements, sorted by
-	// (Level, Dirs) with no duplicates.
-	ann [][]Announcement
+	// (Level, Dirs) with no duplicates, in a block carved from lists; a
+	// node whose announcements outgrow it moves to a larger block.
+	ann   [][]Announcement
+	lists chunk.Carver[Announcement] //meshvet:keep carves blocks the lists keep across Reset
 	// cand holds the nodes to re-evaluate next round.
 	cand grid.NodeSet
 	// changed lists the nodes whose announcements changed in the last
@@ -157,10 +160,12 @@ type Detector struct {
 
 // NewDetector builds a detector over m with empty announcements.
 func NewDetector(m *mesh.Mesh) *Detector {
+	n := m.NumNodes()
 	return &Detector{
-		m:    m,
-		ann:  make([][]Announcement, m.NumNodes()),
-		cand: grid.NewNodeSet(m.NumNodes()),
+		m:     m,
+		ann:   make([][]Announcement, n),
+		lists: chunk.New[Announcement](n),
+		cand:  grid.NewNodeSet(n),
 	}
 }
 
@@ -244,7 +249,8 @@ func (d *Detector) Round() int {
 	d.cand.Clear()
 	d.changed = d.changed[:0]
 	for k, id := range d.pendingIDs {
-		d.ann[id] = append(d.ann[id][:0], d.pending[d.pendingOff[k]:d.pendingOff[k+1]]...)
+		anns := d.pending[d.pendingOff[k]:d.pendingOff[k+1]]
+		d.ann[id] = append(d.lists.Grow(d.ann[id][:0], len(anns)), anns...)
 		d.changed = append(d.changed, id)
 		d.addWithNeighbors(id)
 	}

@@ -25,6 +25,7 @@ package info
 import (
 	"slices"
 
+	"ndmesh/internal/chunk"
 	"ndmesh/internal/grid"
 )
 
@@ -61,6 +62,9 @@ type Store struct {
 	shape *grid.Shape //meshvet:keep the mesh shape, not per-trial state
 	recs  [][]Record
 	total int
+	// lists carves the record lists: a list that outgrows its block moves
+	// to one twice the size, and Clear keeps every list's block.
+	lists chunk.Carver[Record]
 	// Box table: boxes[b] is block b's box, in storage the slot keeps for
 	// good; refs[b] counts b's holders (0: a free slot, listed in free).
 	boxes []grid.Box
@@ -72,7 +76,8 @@ type Store struct {
 
 // NewStore builds an empty store for a mesh of the given shape.
 func NewStore(shape *grid.Shape) *Store {
-	return &Store{shape: shape, recs: make([][]Record, shape.NumNodes())}
+	n := shape.NumNodes()
+	return &Store{shape: shape, recs: make([][]Record, n), lists: chunk.New[Record](n)}
 }
 
 // Version advances whenever some node's records change — an Add or Remove
@@ -185,8 +190,9 @@ func (s *Store) Add(id grid.NodeID, rec Record) bool {
 		}
 		kept = append(kept, r)
 	}
-	//meshvet:allow a node's list grows to its peak record count and keeps it across Clear
-	s.recs[id] = append(kept, rec)
+	kept = s.lists.Grow(kept, 1)
+	kept = append(kept, rec)
+	s.recs[id] = kept
 	s.Retain(rec.Block)
 	s.total++
 	s.version++

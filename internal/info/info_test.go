@@ -1,9 +1,11 @@
 package info
 
 import (
+	"slices"
 	"testing"
 
 	"ndmesh/internal/grid"
+	"ndmesh/internal/rng"
 )
 
 func mkBox(lo, hi grid.Coord) grid.Box { return grid.NewBox(lo, hi) }
@@ -197,6 +199,154 @@ func TestStoreVersion(t *testing.T) {
 		}
 		if s.Version() < before {
 			t.Errorf("%s: version rewound %d -> %d", st.name, before, s.Version())
+		}
+	}
+}
+
+// storeOp is one step of a differential run: an Add of box's record at an
+// epoch, a Remove of box's record below an epoch, or a Clear.
+type storeOp struct {
+	kind  int // 0 Add, 1 Remove, 2 Clear
+	node  grid.NodeID
+	box   int
+	epoch uint32
+}
+
+// refStore is the store's reference: one plain []Record per node, grown by
+// append, with Add and Remove as the Store documents them.
+type refStore struct {
+	recs  [][]Record
+	total int
+}
+
+func (r *refStore) add(s *Store, id grid.NodeID, rec Record) bool {
+	rs := r.recs[id]
+	for i := range rs {
+		if rs[i].Block == rec.Block {
+			rs[i].Epoch = max(rs[i].Epoch, rec.Epoch)
+			return false
+		}
+	}
+	box := s.Box(rec.Block)
+	var kept []Record
+	for _, x := range rs {
+		if x.Epoch < rec.Epoch && contained(s.Box(x.Block), box) {
+			r.total--
+			continue
+		}
+		kept = append(kept, x)
+	}
+	rec.role, rec.shadow = geometry(box, s.shape.CoordView(id))
+	r.recs[id] = append(kept, rec)
+	r.total++
+	return true
+}
+
+func (r *refStore) remove(id grid.NodeID, b BlockID, minEpoch uint32) bool {
+	rs := r.recs[id]
+	for i := range rs {
+		if rs[i].Block == b && rs[i].Epoch < minEpoch {
+			rs[i] = rs[len(rs)-1]
+			r.recs[id] = rs[:len(rs)-1]
+			r.total--
+			return true
+		}
+	}
+	return false
+}
+
+// storeOps draws a run of n operations on a 6x6 mesh over boxes: mostly
+// Adds at rising epochs, a third as many Removes, and a rare Clear.
+func storeOps(seed uint64, n, boxes int) []storeOp {
+	r := rng.New(seed)
+	ops := make([]storeOp, n)
+	for i := range ops {
+		op := storeOp{node: grid.NodeID(r.Intn(36)), box: r.Intn(boxes), epoch: uint32(i/8 + r.Intn(4))}
+		switch k := r.Intn(100); {
+		case k == 0:
+			op.kind = 2
+		case k < 25:
+			op.kind = 1
+		}
+		ops[i] = op
+	}
+	return ops
+}
+
+// diffBoxes are the blocks of the differential runs: nested, overlapping
+// and disjoint boxes of a 6x6 mesh, so Adds replace contained records.
+var diffBoxes = []grid.Box{
+	mkBox(grid.Coord{2, 2}, grid.Coord{2, 2}),
+	mkBox(grid.Coord{2, 2}, grid.Coord{3, 2}),
+	mkBox(grid.Coord{1, 1}, grid.Coord{3, 3}),
+	mkBox(grid.Coord{1, 1}, grid.Coord{4, 4}),
+	mkBox(grid.Coord{4, 1}, grid.Coord{4, 2}),
+	mkBox(grid.Coord{0, 4}, grid.Coord{1, 5}),
+	mkBox(grid.Coord{3, 4}, grid.Coord{5, 5}),
+}
+
+// run applies ops to s (and to ref, when given, comparing after every
+// operation), interning every box first and again after each Clear.
+func run(t *testing.T, s *Store, ref *refStore, ops []storeOp, ids []BlockID) {
+	intern := func() {
+		for k, b := range diffBoxes {
+			ids[k] = s.Intern(b)
+		}
+	}
+	intern()
+	for i, op := range ops {
+		var got, want bool
+		switch op.kind {
+		case 0:
+			rec := Record{Block: ids[op.box], Epoch: op.epoch}
+			got = s.Add(op.node, rec)
+			if ref != nil {
+				want = ref.add(s, op.node, rec)
+			}
+		case 1:
+			got = s.Remove(op.node, ids[op.box], op.epoch)
+			if ref != nil {
+				want = ref.remove(op.node, ids[op.box], op.epoch)
+			}
+		case 2:
+			s.Clear()
+			if ref != nil {
+				clear(ref.recs)
+				ref.total = 0
+			}
+			intern()
+		}
+		if ref == nil {
+			continue
+		}
+		if got != want || s.TotalRecords() != ref.total {
+			t.Fatalf("op %d %+v: returned %v, total %d; the reference %v, %d", i, op, got, s.TotalRecords(), want, ref.total)
+		}
+		for id := range ref.recs {
+			if g, w := s.At(grid.NodeID(id)), ref.recs[id]; !slices.Equal(g, w) {
+				t.Fatalf("op %d %+v: node %d holds %v, the reference %v", i, op, id, g, w)
+			}
+		}
+	}
+}
+
+// TestStoreMatchesReference drives the store and a plain [][]Record through
+// the same random Add/Remove/Clear runs and requires the same records, in
+// the same order, at every node after every operation — the order routing
+// ties and the history digests read. A rerun after Clear, which finds every
+// list's block where the first run left it, allocates nothing.
+func TestStoreMatchesReference(t *testing.T) {
+	shape := grid.MustShape(6, 6)
+	ids := make([]BlockID, len(diffBoxes))
+	for seed := uint64(1); seed <= 60; seed++ {
+		ops := storeOps(seed, 600, len(diffBoxes))
+		s := NewStore(shape)
+		run(t, s, &refStore{recs: make([][]Record, shape.NumNodes())}, ops, ids)
+		if n := testing.AllocsPerRun(2, func() {
+			s.Clear()
+			run(t, s, nil, ops, ids)
+		}); n != 0 {
+			t.Fatalf("seed %d: a rerun after Clear allocates %v times", seed, n)
 		}
 	}
 }

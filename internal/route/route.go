@@ -58,9 +58,9 @@
 // first spare move or backtrack strays the message and materializes the
 // used-direction lists as one flat node-keyed table (see visit and
 // materialize), in the order a table written hop by hop would hold, so the
-// form a header takes changes no decision. Path stacks come from an Arena
-// carved per batch of headers, and tables from a free list (see Arena and
-// Tables).
+// form a header takes changes no decision. Path stacks are equal shares of
+// chunks, tables come from a free list, and either grows into a larger
+// block of the same chunks (see Tables).
 package route
 
 import (
@@ -69,6 +69,7 @@ import (
 	"slices"
 
 	"ndmesh/internal/boundary"
+	"ndmesh/internal/chunk"
 	"ndmesh/internal/grid"
 	"ndmesh/internal/info"
 	"ndmesh/internal/mesh"
@@ -241,14 +242,39 @@ func (msg *Message) Release() {
 	}
 }
 
-// Tables is a free list of used-direction tables for the headers one Arena
-// (or a run of them) carves: a header borrows a table when it first strays
-// and its owner returns it with Release when the flight is recycled, so the
-// tables alive are as many as the flights that have strayed at once. A
-// table is named by its index in tabs, in the order the tables were made.
+// Tables is the header storage of a run of flights (an engine's): it carves
+// each header's path stack, and lends used-direction tables from a free
+// list. A header borrows a table when it first strays and its owner returns
+// it with Release when the flight is recycled, so the tables alive are as
+// many as the flights that have strayed at once. A table is named by its
+// index in tabs, in the order the tables were made. A stack or table that
+// outgrows its block moves to one twice the size, carved from the same
+// chunks, and keeps it across Reset and Release.
 type Tables struct {
-	tabs [][]visit // by id; a lent table's entry is refreshed on its return
-	free []int32   // the ids on hand, the last one lent next
+	share  int                    // a fresh header's stack capacity
+	dirs   chunk.Carver[grid.Dir] // path stacks
+	visits chunk.Carver[visit]    // the tables' entries
+	tabs   [][]visit              // by id; a lent table's entry is refreshed on its return
+	free   []int32                // the ids on hand, the last one lent next
+}
+
+// NewTables returns the header storage of flights on the given shape, its
+// chunks sized for n headers' stacks and a quarter as many table entries
+// (few flights stray); it allocates nothing until the first Carve. A
+// header's share is the power of two at or above the shape's diameter: a
+// message that has not strayed holds at most Distance(Src, Dst) hops, so
+// its stack never outgrows the share, and a strayed one has the rounding
+// to spare before it does.
+func NewTables(shape *grid.Shape, n int) Tables {
+	share := 1 << bits.Len(uint(shape.Diameter()-1))
+	return Tables{share: share, dirs: chunk.New[grid.Dir](n * share), visits: chunk.New[visit](n * share / 4)}
+}
+
+// Carve hands msg the next share of the current chunk as its empty path
+// stack, and t as the storage its table and any larger stack come from. A
+// share is capped at its end, so a header never grows into its neighbour's.
+func (t *Tables) Carve(msg *Message) {
+	msg.path, msg.tables = t.dirs.Make(t.share), t
 }
 
 // borrow lends a table on hand, or names a new one (with no storage yet).
@@ -272,36 +298,6 @@ func (t *Tables) borrow() (int32, []visit) {
 func (t *Tables) Restack() {
 	slices.Sort(t.free)
 	slices.Reverse(t.free)
-}
-
-// Arena is the path-stack storage of a batch of headers: one slice of
-// directions allocated once and carved into equal shares, so a fresh header
-// costs no allocation of its own.
-type Arena struct {
-	dirs   []grid.Dir
-	share  int
-	tables *Tables
-}
-
-// NewArena allocates stacks for n headers of flights on the given shape,
-// whose tables come from tables (nil: each header allocates its own). A
-// header's share is the power of two at or above the shape's diameter: a
-// message that has not strayed holds at most Distance(Src, Dst) hops, so
-// its stack never outgrows the share, and a strayed one has the rounding
-// to spare before it does.
-func NewArena(shape *grid.Shape, n int, tables *Tables) Arena {
-	share := 1 << bits.Len(uint(shape.Diameter()-1))
-	return Arena{dirs: make([]grid.Dir, n*share), share: share, tables: tables}
-}
-
-// Carve hands msg the arena's next share as its empty path stack, and the
-// arena's free list as the one its table comes from. A share is capped at
-// its end, so a header never grows into its neighbour's: a walk that
-// outlasts it grows by append, and Reset keeps whatever capacity the header
-// ends up with.
-func (a *Arena) Carve(msg *Message) {
-	msg.path, msg.tables = a.dirs[:0:a.share], a.tables
-	a.dirs = a.dirs[a.share:]
 }
 
 // Stalled reports whether the message's most recent step was a contention
@@ -362,11 +358,24 @@ func (msg *Message) materialize(m *mesh.Mesh) {
 		msg.table, msg.visited = msg.tables.borrow()
 	}
 	// A fresh table is sized once for the path and as much again.
-	msg.visited = slices.Grow(msg.visited, 2*len(msg.path)+2)
+	msg.growTable(2*len(msg.path) + 2)
 	u := msg.Src
 	for _, d := range msg.path {
 		msg.visited = append(msg.visited, visit{node: u, used: grid.DirSet(0).Add(d)})
 		u = m.Neighbor(u, d)
+	}
+}
+
+// growTable makes room for n more entries in the used-direction table: a
+// full table moves to a block carved by the header's Tables (a header with
+// none grows by append).
+//
+//meshvet:noalloc TestRecycledMessageAllocFree
+func (msg *Message) growTable(n int) {
+	if msg.tables != nil {
+		msg.visited = msg.tables.visits.Grow(msg.visited, n)
+	} else {
+		msg.visited = slices.Grow(msg.visited, n)
 	}
 }
 
@@ -561,10 +570,14 @@ func (msg *Message) applyMove(ctx *Context, dir grid.Dir) {
 		msg.materialize(ctx.M)
 		if msg.slot < 0 {
 			msg.slot = int32(len(msg.visited))
+			msg.growTable(1)
 			msg.visited = append(msg.visited, visit{node: msg.Cur})
 		}
 		msg.visited[msg.slot].used = msg.used.Add(dir)
 		slot = msg.find(next)
+	}
+	if len(msg.path) == cap(msg.path) && msg.tables != nil {
+		msg.path = msg.tables.dirs.Grow(msg.path, 1)
 	}
 	msg.path = append(msg.path, dir)
 	msg.retoward(ctx.M.Shape(), dir)

@@ -2,6 +2,7 @@ package route
 
 import (
 	"testing"
+	"unsafe"
 
 	"ndmesh/internal/grid"
 )
@@ -152,27 +153,27 @@ func TestRecycledMessageAllocFree(t *testing.T) {
 
 // TestArenaShares pins the carve: every header gets an empty share of the
 // shape's reserve (the power of two at or above the diameter), capped at its
-// end, so a walk that outgrows its share reallocates instead of writing
-// into the next header's, and no table: a header borrows one from the
-// arena's free list when it first strays.
+// end, so a walk that outgrows its share moves to a new block instead of
+// writing into the next header's, and no table: a header borrows one from
+// the free list when it first strays. Shares are carved in order from one
+// chunk for the headers the storage was sized for.
 func TestArenaShares(t *testing.T) {
 	for _, tc := range []struct {
 		dims  []int
 		share int
 	}{{[]int{8, 8}, 16}, {[]int{32, 32}, 64}, {[]int{4, 4, 4}, 16}, {[]int{128, 128}, 256}, {[]int{256, 256}, 512}} {
-		var tables Tables
-		a := NewArena(grid.MustShape(tc.dims...), 2, &tables)
+		tables := NewTables(grid.MustShape(tc.dims...), 4)
 		var first, second Message
-		a.Carve(&first)
-		a.Carve(&second)
+		tables.Carve(&first)
+		tables.Carve(&second)
 		for _, msg := range []*Message{&first, &second} {
 			if len(msg.path) != 0 || cap(msg.path) != tc.share || msg.visited != nil || msg.tables != &tables {
 				t.Fatalf("%v: share path %d/%d table %d/%d, want 0/%d and no table", tc.dims,
 					len(msg.path), cap(msg.path), len(msg.visited), cap(msg.visited), tc.share)
 			}
 		}
-		if len(a.dirs) != 0 {
-			t.Fatalf("%v: two carves left %d directions of a two-header arena", tc.dims, len(a.dirs))
+		if unsafe.Add(unsafe.Pointer(unsafe.SliceData(first.path)), tc.share) != unsafe.Pointer(unsafe.SliceData(second.path)) {
+			t.Fatalf("%v: the second share does not follow the first in their chunk", tc.dims)
 		}
 		second.path = append(second.path, 7)
 		for i := 0; i <= tc.share; i++ {
@@ -264,11 +265,10 @@ func TestTableMaterializes(t *testing.T) {
 func TestTablesRecycle(t *testing.T) {
 	ctx, m := env(t, []int{6, 6}, nil)
 	shape := m.Shape()
-	var tables Tables
-	a := NewArena(shape, 2, &tables)
+	tables := NewTables(shape, 2)
 	var first, second Message
-	a.Carve(&first)
-	a.Carve(&second)
+	tables.Carve(&first)
+	tables.Carve(&second)
 	src, dst := shape.Index(grid.Coord{1, 2}), shape.Index(grid.Coord{5, 2})
 	walk := func(msg *Message) {
 		msg.Reset(src, dst)
@@ -302,8 +302,7 @@ func TestTablesRecycle(t *testing.T) {
 func TestTablesRestack(t *testing.T) {
 	ctx, m := env(t, []int{6, 6}, nil)
 	shape := m.Shape()
-	var tables Tables
-	a := NewArena(shape, 3, &tables)
+	tables := NewTables(shape, 3)
 	msgs := make([]Message, 3)
 	src, dst := shape.Index(grid.Coord{1, 2}), shape.Index(grid.Coord{5, 2})
 	walk := func(msg *Message) {
@@ -313,7 +312,7 @@ func TestTablesRestack(t *testing.T) {
 		}
 	}
 	for i := range msgs {
-		a.Carve(&msgs[i])
+		tables.Carve(&msgs[i])
 		walk(&msgs[i])
 		if msgs[i].table != int32(i) {
 			t.Fatalf("header %d borrowed table %d, want a new one, %d", i, msgs[i].table, i)

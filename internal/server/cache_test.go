@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -313,6 +314,51 @@ func TestHitHandlerAllocs(t *testing.T) {
 	t.Logf("a repeated request allocates %v times", got)
 	if got > hitHandlerAllocs {
 		t.Fatalf("a repeated request allocates %v times, ratchet %d", got, hitHandlerAllocs)
+	}
+}
+
+// missHandlerAllocs is TestMissHandlerAllocs's ratchet: the allocations of
+// one warm-pool miss through the handler. Only ever lower it.
+const missHandlerAllocs = 75
+
+// TestMissHandlerAllocs holds a warm-pool miss's allocations through
+// Handler().ServeHTTP to the ratchet: the 12-cell 8x8 open-loop spec the
+// standing benchmark's meshd-miss workload submits, every request under a
+// seed no other has, so each one runs its sweep on a simulation the pool
+// already holds and streams twelve rows. The count holds on the build that
+// ships: under the race detector it varies (see raceEnabled), and CI's
+// no-race allocation step runs it.
+func TestMissHandlerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	h := New(Config{}).Handler()
+	const runs = 8
+	bodies := make([][]byte, runs+3)
+	for i := range bodies {
+		bodies[i] = fmt.Appendf(nil, `{"kind":"open-loop","dims":[8,8],"routers":["limited","congested"],`+
+			`"patterns":["uniform","transpose"],"rates":[0.05,0.1,0.2],"warmup":64,"measure":256,"drain":256,`+
+			`"node_capacity":8,"seed":%d,"workers":1}`, 1000+i)
+	}
+	rd := bytes.NewReader(nil)
+	req := httptest.NewRequest(http.MethodPost, "/v1/jobs", rd)
+	w := &discardWriter{header: http.Header{}}
+	next := 0
+	serve := func() {
+		clear(w.header)
+		rd.Reset(bodies[next])
+		next++
+		h.ServeHTTP(w, req)
+		if c := w.header.Get("X-Meshd-Cache"); c != "miss" {
+			t.Fatalf("request %d was a %q, want a miss", next, c)
+		}
+	}
+	serve() // builds the pool's simulation: the rest are warm-pool misses
+	serve()
+	got := testing.AllocsPerRun(runs, serve)
+	t.Logf("a warm-pool miss allocates %v times", got)
+	if got > missHandlerAllocs {
+		t.Fatalf("a warm-pool miss allocates %v times, ratchet %d", got, missHandlerAllocs)
 	}
 }
 

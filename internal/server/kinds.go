@@ -176,9 +176,11 @@ func sweepOptions[Row any](s *Spec) ndmesh.LoadSweepOptions[Row] {
 // as CSV lines of csvCells for a kind that defines the format.
 func runSweep[Row any](sweep func(ndmesh.LoadSweepOptions[Row], uint64, int) ([]Row, error), csvCells func(Row) []any) func(*Spec, env) error {
 	return func(s *Spec, e env) error {
-		encode := encodeNDJSON[Row]
+		var encode func(Row) []byte
 		if e.csv {
 			encode = func(row Row) []byte { return []byte(cliutil.CSVLine(csvCells(row))) }
+		} else {
+			encode = ndjsonLines[Row]()
 		}
 		opt := sweepOptions[Row](s)
 		opt.Pool, opt.Cancel, opt.Probe = e.srv.pool, e.cancel, e.probe

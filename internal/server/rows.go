@@ -6,6 +6,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -29,4 +30,27 @@ func encodeNDJSON[R any](row R) []byte {
 		panic(fmt.Sprintf("server: encoding row: %v", err))
 	}
 	return append(data, '\n')
+}
+
+// ndjsonLines returns an encoder of a job's rows: each row goes through one
+// json.Encoder into one buffer the encoder reuses, and is encoded through a
+// pointer to one variable the encoder keeps, so a row costs neither a copy
+// of its line nor a boxed copy of itself. The bytes are encodeNDJSON's
+// (json.Marshal escapes HTML, as the Encoder does by default, a pointer
+// encodes as what it points to, and the Encoder ends each value with the
+// '\n'); a returned line is valid until the next call.
+func ndjsonLines[R any]() func(R) []byte {
+	var (
+		buf bytes.Buffer
+		cur R
+	)
+	enc := json.NewEncoder(&buf)
+	return func(row R) []byte {
+		buf.Reset()
+		cur = row
+		if err := enc.Encode(&cur); err != nil {
+			panic(fmt.Sprintf("server: encoding row: %v", err))
+		}
+		return buf.Bytes()
+	}
 }
