@@ -2,13 +2,18 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 
 	"ndmesh"
 )
+
+var updateFixtures = flag.Bool("update-fixtures", false, "rewrite testdata/ from this tree")
 
 // sweep runs the CLI in-process and returns its stdout.
 func sweep(t *testing.T, args ...string) string {
@@ -128,18 +133,37 @@ func TestUnknownExperimentNamesTheValidList(t *testing.T) {
 	}
 }
 
-// TestAllRunsEveryTableInOrder: "-exp all" is the twelve experiments of the
-// table, each printed exactly as on its own, in table order.
-func TestAllRunsEveryTableInOrder(t *testing.T) {
+// TestAllTablesGolden pins every experiment's default table: each run on
+// its own at one trial per cell (-csv, seed 1) and concatenated in table
+// order equals testdata/all.csv, and so does "-exp all". A change that
+// moves a row regenerates the golden with -update-fixtures and says why.
+func TestAllTablesGolden(t *testing.T) {
+	args := []string{"-trials", "1", "-csv", "-seed", "1"}
 	var each strings.Builder
 	for _, e := range experiments {
-		each.WriteString(sweep(t, "-exp", e.name, "-trials", "2"))
+		out := sweep(t, append([]string{"-exp", e.name}, args...)...)
+		if strings.Count(out, "\n") < 2 {
+			t.Errorf("%s printed no row: %q", e.name, out)
+		}
+		each.WriteString(out)
 	}
-	all := sweep(t, "-exp", "all", "-trials", "2")
-	if all != each.String() {
-		t.Errorf("-exp all is not the experiments in table order:\n%s\nvs one by one:\n%s", all, each.String())
+	if len(experiments) != 12 {
+		t.Errorf("%d experiments, want 12", len(experiments))
 	}
-	if n := strings.Count(all, "\n== ") + 1; n != 12 || len(experiments) != 12 {
-		t.Errorf("%d tables from %d experiments, want 12", n, len(experiments))
+	golden := filepath.Join("testdata", "all.csv")
+	if *updateFixtures {
+		if err := os.WriteFile(golden, []byte(each.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if each.String() != string(want) {
+		t.Errorf("the experiments one by one differ from %s:\n%s", golden, each.String())
+	}
+	if all := sweep(t, append([]string{"-exp", "all"}, args...)...); all != string(want) {
+		t.Errorf("-exp all differs from %s:\n%s", golden, all)
 	}
 }
