@@ -22,6 +22,7 @@ import (
 	"ndmesh/internal/ident"
 	"ndmesh/internal/info"
 	"ndmesh/internal/mesh"
+	"ndmesh/internal/meshtest"
 	"ndmesh/internal/probe"
 	"ndmesh/internal/rng"
 	"ndmesh/internal/route"
@@ -34,7 +35,7 @@ var fig1Faults = []grid.Coord{{3, 5, 4}, {4, 5, 4}, {5, 5, 3}, {3, 6, 3}}
 // BenchmarkFig1BlockConstruction (E1): Algorithm 1 stabilization on the
 // Figure 1 scenario.
 func BenchmarkFig1BlockConstruction(b *testing.B) {
-	m, _ := mesh.NewUniform(3, 10)
+	m, _ := meshtest.NewUniform(3, 10)
 	var rounds int
 	for i := 0; i < b.N; i++ {
 		m.Reset()
@@ -52,7 +53,7 @@ func BenchmarkFig1BlockConstruction(b *testing.B) {
 
 // BenchmarkFig2FrameClassify (E2): frame-level detection around the block.
 func BenchmarkFig2FrameClassify(b *testing.B) {
-	m, _ := mesh.NewUniform(3, 10)
+	m, _ := meshtest.NewUniform(3, 10)
 	var seeds []grid.NodeID
 	for _, c := range fig1Faults {
 		id := m.Shape().Index(c)
@@ -65,7 +66,9 @@ func BenchmarkFig2FrameClassify(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		det := frame.NewDetector(m)
 		det.Seed(seeds...)
-		rounds = det.Run()
+		for rounds = 0; !det.Quiescent(); rounds++ {
+			det.Round()
+		}
 	}
 	b.ReportMetric(float64(rounds), "frame_rounds")
 }
@@ -73,12 +76,12 @@ func BenchmarkFig2FrameClassify(b *testing.B) {
 // BenchmarkFig3BoundaryConstruction (E3): the boundary flood over the
 // block's placement.
 func BenchmarkFig3BoundaryConstruction(b *testing.B) {
-	m, _ := mesh.NewUniform(3, 10)
+	m, _ := meshtest.NewUniform(3, 10)
 	for _, c := range fig1Faults {
-		m.FailAt(c)
+		m.Fail(m.Shape().Index(c))
 	}
 	block.StabilizeFull(m)
-	box := grid.NewBox(grid.Coord{3, 5, 3}, grid.Coord{5, 6, 4})
+	box := meshtest.NewBox(grid.Coord{3, 5, 3}, grid.Coord{5, 6, 4})
 	corner := m.Shape().Index(grid.Coord{6, 4, 5})
 	b.ResetTimer()
 	var rounds, visits int
@@ -98,7 +101,7 @@ func BenchmarkFig3BoundaryConstruction(b *testing.B) {
 // BenchmarkFig4Recovery (E4): the clean-wave reconstruction after a
 // recovery.
 func BenchmarkFig4Recovery(b *testing.B) {
-	m, _ := mesh.NewUniform(3, 10)
+	m, _ := meshtest.NewUniform(3, 10)
 	var seeds []grid.NodeID
 	for _, c := range fig1Faults {
 		id := m.Shape().Index(c)
@@ -106,12 +109,12 @@ func BenchmarkFig4Recovery(b *testing.B) {
 		seeds = append(seeds, id)
 	}
 	block.Stabilize(m, seeds...)
-	snap := m.Snapshot()
+	snap := meshtest.Statuses(m)
 	rec := m.Shape().Index(grid.Coord{5, 5, 3})
 	b.ResetTimer()
 	var rounds int
 	for i := 0; i < b.N; i++ {
-		m.Restore(snap)
+		meshtest.Restore(m, snap)
 		m.Recover(rec)
 		res := block.Stabilize(m, rec)
 		rounds = res.Rounds
@@ -121,7 +124,7 @@ func BenchmarkFig4Recovery(b *testing.B) {
 
 // BenchmarkFig5Identification (E5): the 3-phase distributed identification.
 func BenchmarkFig5Identification(b *testing.B) {
-	m, _ := mesh.NewUniform(3, 10)
+	m, _ := meshtest.NewUniform(3, 10)
 	var seeds []grid.NodeID
 	for _, c := range fig1Faults {
 		id := m.Shape().Index(c)
@@ -131,7 +134,9 @@ func BenchmarkFig5Identification(b *testing.B) {
 	block.Stabilize(m, seeds...)
 	det := frame.NewDetector(m)
 	det.Seed(seeds...)
-	det.Run()
+	for !det.Quiescent() {
+		det.Round()
+	}
 	b.ResetTimer()
 	var rounds, hops int
 	for i := 0; i < b.N; i++ {
@@ -159,7 +164,7 @@ func BenchmarkFig5Identification(b *testing.B) {
 func BenchmarkFig6InfoPropagation(b *testing.B) {
 	var records int
 	for i := 0; i < b.N; i++ {
-		m, _ := mesh.NewUniform(3, 10)
+		m, _ := meshtest.NewUniform(3, 10)
 		md := core.New(m)
 		for _, c := range fig1Faults {
 			md.ApplyFault(m.Shape().Index(c))
@@ -437,8 +442,8 @@ func BenchmarkDegradationSweepWorkers(b *testing.B) {
 // reactive protocol must be O(block), not O(N)).
 func BenchmarkLabelingScale(b *testing.B) {
 	for _, k := range []int{16, 32, 64} {
-		b.Run(grid.MustShape(k, k).String(), func(b *testing.B) {
-			m, _ := mesh.NewUniform(2, k)
+		b.Run(meshtest.MustShape(k, k).String(), func(b *testing.B) {
+			m, _ := meshtest.NewUniform(2, k)
 			mid := grid.Coord{k / 2, k / 2}
 			mid2 := grid.Coord{k/2 + 1, k/2 + 1}
 			for i := 0; i < b.N; i++ {
@@ -541,7 +546,7 @@ func BenchmarkClosedLoopStep(b *testing.B) {
 		step()
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(cl.InFlight()), "in_flight")
+	b.ReportMetric(float64(len(eng.Flights())), "in_flight")
 }
 
 // BenchmarkGridlockEscapeStep (E22a) measures one step of a closed-loop
@@ -576,8 +581,10 @@ func BenchmarkGridlockEscapeStep(b *testing.B) {
 		}
 		return true
 	}
+	retried := 0
 	harvest := func(fl *engine.Flight) {
 		if fl.Msg.TimedOut {
+			retried++
 			cl.Timeout(fl.Msg.Src)
 		} else {
 			cl.Release(fl.Msg.Src)
@@ -593,7 +600,7 @@ func BenchmarkGridlockEscapeStep(b *testing.B) {
 	for i := 0; i < 256; i++ {
 		step()
 	}
-	if cl.Retried() == 0 {
+	if retried == 0 {
 		b.Fatal("no retries after warmup; the escape path is not being measured")
 	}
 	b.ReportAllocs()
@@ -602,8 +609,8 @@ func BenchmarkGridlockEscapeStep(b *testing.B) {
 		step()
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(cl.InFlight()), "in_flight")
-	b.ReportMetric(float64(cl.Retried()), "retried")
+	b.ReportMetric(float64(len(eng.Flights())), "in_flight")
+	b.ReportMetric(float64(retried), "retried")
 }
 
 // BenchmarkFaultProcessStep (E23a) measures one step of an open-loop run

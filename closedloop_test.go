@@ -105,9 +105,9 @@ func TestClosedLoopCurveShape(t *testing.T) {
 }
 
 // TestClosedLoopConservation steps a closed-loop run by hand and checks
-// the bookkeeping every step: no node ever exceeds its window, the
-// source's in-flight count equals the engine's active flight population,
-// and injected == delivered + unreachable + lost + in-flight.
+// the bookkeeping every step: no node ever has more flights in the engine
+// than its window, and injected == delivered + unreachable + lost + the
+// engine's active flight population.
 func TestClosedLoopConservation(t *testing.T) {
 	sim := MustSimulation(Config{Dims: []int{8, 8}})
 	if err := sim.GenerateFaults(FaultPlan{Faults: 3, Interval: 12, Start: 4, Seed: 9}); err != nil {
@@ -130,6 +130,7 @@ func TestClosedLoopConservation(t *testing.T) {
 	fab := sim.mesh
 
 	injected, delivered, unreachable, lost := 0, 0, 0, 0
+	outstanding := make([]int, shape.NumNodes())
 	emit := func(src, dst grid.NodeID) bool {
 		if fab.Status(src) != mesh.Enabled || !eng.Admit(src) {
 			return false
@@ -156,17 +157,15 @@ func TestClosedLoopConservation(t *testing.T) {
 			}
 			cl.Release(fl.Msg.Src)
 		})
-		for node := 0; node < shape.NumNodes(); node++ {
-			if out := cl.Outstanding(node); out < 0 || out > window {
-				t.Fatalf("step %d: node %d outstanding %d outside [0, %d]", step, node, out, window)
+		clear(outstanding)
+		for _, fl := range eng.Flights() {
+			if outstanding[fl.Msg.Src]++; outstanding[fl.Msg.Src] > window {
+				t.Fatalf("step %d: node %d has more than %d flights in the engine", step, fl.Msg.Src, window)
 			}
 		}
-		if got, want := cl.InFlight(), len(eng.Flights()); got != want {
-			t.Fatalf("step %d: closed loop tracks %d in flight, engine holds %d", step, got, want)
-		}
-		if injected != delivered+unreachable+lost+cl.InFlight() {
+		if inFlight := len(eng.Flights()); injected != delivered+unreachable+lost+inFlight {
 			t.Fatalf("step %d: conservation broken: injected %d != delivered %d + unreachable %d + lost %d + in-flight %d",
-				step, injected, delivered, unreachable, lost, cl.InFlight())
+				step, injected, delivered, unreachable, lost, inFlight)
 		}
 	}
 	if delivered == 0 {
@@ -245,8 +244,10 @@ func TestEscapeClosedLoopStepAllocFree(t *testing.T) {
 		}
 		return true
 	}
+	retried := 0
 	harvest := func(fl *engine.Flight) {
 		if fl.Msg.TimedOut {
+			retried++
 			cl.Timeout(fl.Msg.Src)
 		} else {
 			cl.Release(fl.Msg.Src)
@@ -260,7 +261,7 @@ func TestEscapeClosedLoopStepAllocFree(t *testing.T) {
 	for i := 0; i < 256; i++ {
 		step()
 	}
-	if cl.Retried() == 0 {
+	if retried == 0 {
 		t.Fatal("no retries after warmup; the escape path is not being exercised")
 	}
 	if allocs := testing.AllocsPerRun(300, step); allocs != 0 {

@@ -9,6 +9,7 @@ import (
 
 	"ndmesh/internal/engine"
 	"ndmesh/internal/grid"
+	"ndmesh/internal/meshtest"
 	"ndmesh/internal/probe"
 	"ndmesh/internal/viz"
 )
@@ -17,7 +18,7 @@ import (
 // through the CLI, as loadgen's -heatmap output is meant to be read:
 // -metric stalls -value peak shows each node's hottest link, not the sum.
 func TestRenderHeatmapFile(t *testing.T) {
-	shape := grid.MustShape(4, 3)
+	shape := meshtest.MustShape(4, 3)
 	hm := probe.NewHeatmap(shape.NumNodes(), shape.NumDirs())
 	hot, warm := shape.Index(grid.Coord{2, 1}), shape.Index(grid.Coord{0, 0})
 	stalls := make([]int32, shape.NumNodes()*shape.NumDirs())

@@ -80,13 +80,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var (
 		exp      = fs.String("exp", "all", "experiment: "+expNames())
 		seed     = fs.Uint64("seed", 1, "random seed")
-		trials   = fs.Int("trials", 0, "trials per cell (0 = experiment default)")
+		trials   = fs.Int("trials", 0, "trials per cell of degradation, lambda, oscillation, theorems and reliability (0 = experiment default); the other experiments ignore it")
 		csv      = fs.Bool("csv", false, "emit CSV instead of aligned tables")
 		workers  = fs.Int("workers", 0, "parallel trial workers (0 = all CPUs); results are identical for every value")
 		progress = fs.Bool("progress", false, "print per-cell completion of the load experiments (saturation/congestion/closedloop/gridlock) to stderr")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *trials < 0 {
+		return fmt.Errorf("-trials %d < 0", *trials)
 	}
 	cfg := config{seed: *seed, trials: *trials, workers: *workers}
 	ran := false

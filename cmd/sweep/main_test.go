@@ -133,6 +133,22 @@ func TestUnknownExperimentNamesTheValidList(t *testing.T) {
 	}
 }
 
+// TestNegativeTrialsRejected: -trials below zero is a flag error before
+// any experiment runs, for the experiments that read it and the ones that
+// do not alike.
+func TestNegativeTrialsRejected(t *testing.T) {
+	for _, exp := range []string{"lambda", "oscillation", "theorems", "degradation", "reliability", "memory", "all"} {
+		var stdout, stderr bytes.Buffer
+		err := run([]string{"-exp", exp, "-trials", "-3"}, &stdout, &stderr)
+		if err == nil || !strings.Contains(err.Error(), "-trials -3") {
+			t.Errorf("%s: error %v, want one naming -trials -3", exp, err)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s: printed %q before rejecting -trials", exp, stdout.String())
+		}
+	}
+}
+
 // TestAllTablesGolden pins every experiment's default table: each run on
 // its own at one trial per cell (-csv, seed 1) and concatenated in table
 // order equals testdata/all.csv, and so does "-exp all". A change that

@@ -53,6 +53,15 @@ func wrapSweepErr(err *error, sweep string, dims []int) {
 	*err = fmt.Errorf("ndmesh: %s sweep on %s: %w", sweep, strings.Join(label, "x"), *err)
 }
 
+// needCount rejects a trial or message count below one before a sweep
+// sizes its job grid by it.
+func needCount(name string, n int) error {
+	if n < 1 {
+		return fmt.Errorf("%s %d < 1", name, n)
+	}
+	return nil
+}
+
 // ---------------------------------------------------------------------------
 // E14: convergence of the information constructions.
 
@@ -168,6 +177,9 @@ func DefaultDegradation() DegradationOptions {
 // the oracle and far below the blind searcher.
 func DegradationSweepWorkers(opt DegradationOptions, seed uint64, workers int) (_ []DegradationRow, err error) {
 	defer wrapSweepErr(&err, "degradation", opt.Dims)
+	if err := needCount("trials", opt.Trials); err != nil {
+		return nil, err
+	}
 	shape, err := grid.NewShape(opt.Dims...)
 	if err != nil {
 		return nil, err
@@ -359,6 +371,9 @@ type LambdaRow struct {
 // help the routing process".
 func LambdaSweepWorkers(dims []int, lambdas []int, trials int, seed uint64, workers int) (_ []LambdaRow, err error) {
 	defer wrapSweepErr(&err, "lambda", dims)
+	if err := needCount("trials", trials); err != nil {
+		return nil, err
+	}
 	shape, err := grid.NewShape(dims...)
 	if err != nil {
 		return nil, err
@@ -500,6 +515,9 @@ type OscillationRow struct {
 // compared to routing-table flooding).
 func OscillationSweepWorkers(dims []int, faults int, intervals []int, trials int, seed uint64, workers int) (_ []OscillationRow, err error) {
 	defer wrapSweepErr(&err, "oscillation", dims)
+	if err := needCount("trials", trials); err != nil {
+		return nil, err
+	}
 	type evStat struct{ affected, arounds int }
 	results, err := runGrid(fanOut{workers: workers}, seed, len(intervals)*trials,
 		func(p *EnginePool, j int, r *rng.Source) ([]evStat, error) {
@@ -573,6 +591,9 @@ type TrafficRow struct {
 // router's population run is one parallel job).
 func TrafficSweepWorkers(dims []int, messages int, faults int, interval int, seed uint64, workers int) (_ []TrafficRow, err error) {
 	defer wrapSweepErr(&err, "traffic", dims)
+	if err := needCount("messages", messages); err != nil {
+		return nil, err
+	}
 	shape, err := grid.NewShape(dims...)
 	if err != nil {
 		return nil, err
@@ -685,6 +706,9 @@ type theoremTrial struct {
 // one parallel job).
 func TheoremSweepWorkers(dims []int, trials int, seed uint64, workers int) (_ TheoremReport, err error) {
 	defer wrapSweepErr(&err, "theorem", dims)
+	if err := needCount("trials", trials); err != nil {
+		return TheoremReport{}, err
+	}
 	results, err := runGrid(fanOut{workers: workers}, seed, trials,
 		func(p *EnginePool, _ int, rr *rng.Source) (theoremTrial, error) { return p.theoremTrial(dims, rr) }, nil)
 	if err != nil {

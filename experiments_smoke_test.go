@@ -118,3 +118,48 @@ func TestLongHaulSweepsOnSmallMeshes(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepsRejectNegativeCounts: a negative trial or message count is an
+// error naming the sweep, the mesh and the count, never a panic (each of
+// these used to size a slice by it).
+func TestSweepsRejectNegativeCounts(t *testing.T) {
+	dims := []int{16, 16}
+	for _, tc := range []struct {
+		want  string
+		sweep func() error
+	}{
+		{"ndmesh: theorem sweep on 16x16: trials -1 < 1", func() error {
+			_, err := TheoremSweepWorkers(dims, -1, 1, 1)
+			return err
+		}},
+		{"ndmesh: lambda sweep on 16x16: trials -1 < 1", func() error {
+			_, err := LambdaSweepWorkers(dims, []int{1}, -1, 1, 1)
+			return err
+		}},
+		{"ndmesh: oscillation sweep on 16x16: trials -1 < 1", func() error {
+			_, err := OscillationSweepWorkers(dims, 6, []int{4}, -1, 1, 1)
+			return err
+		}},
+		{"ndmesh: traffic sweep on 16x16: messages -1 < 1", func() error {
+			_, err := TrafficSweepWorkers(dims, -1, 8, 4, 1, 1)
+			return err
+		}},
+		{"ndmesh: degradation sweep on 16x16: trials -1 < 1", func() error {
+			opt := DefaultDegradation()
+			opt.Dims, opt.Trials = dims, -1
+			_, err := DegradationSweepWorkers(opt, 1, 1)
+			return err
+		}},
+	} {
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("%s: panicked: %v", tc.want, p)
+				}
+			}()
+			if err := tc.sweep(); err == nil || err.Error() != tc.want {
+				t.Errorf("error %v, want %q", err, tc.want)
+			}
+		}()
+	}
+}

@@ -69,9 +69,6 @@ func NewStepper(m *mesh.Mesh) *Stepper {
 	}
 }
 
-// Mesh returns the underlying fabric.
-func (st *Stepper) Mesh() *mesh.Mesh { return st.m }
-
 // Reset discards all protocol state so the stepper can be reused for a new
 // trial on the same (reset) mesh. Buffers are retained.
 func (st *Stepper) Reset() {
@@ -199,14 +196,6 @@ func nextStatus(m *mesh.Mesh, id grid.NodeID, old mesh.Status) (next mesh.Status
 	}
 }
 
-// Stabilize runs rounds until quiescence and reports the convergence
-// numbers. seeds are the externally-changed nodes of the triggering event.
-func Stabilize(m *mesh.Mesh, seeds ...grid.NodeID) Result {
-	st := NewStepper(m)
-	st.Seed(seeds...)
-	return st.Run()
-}
-
 // Run drives the stepper to quiescence.
 func (st *Stepper) Run() Result {
 	var res Result
@@ -227,18 +216,6 @@ func (st *Stepper) Run() Result {
 		res.Rounds--
 	}
 	return res
-}
-
-// StabilizeFull seeds every node (used to build the initial labeling when a
-// mesh is constructed with pre-existing faults).
-func StabilizeFull(m *mesh.Mesh) Result {
-	st := NewStepper(m)
-	ids := make([]grid.NodeID, m.NumNodes())
-	for i := range ids {
-		ids[i] = grid.NodeID(i)
-	}
-	st.Seed(ids...)
-	return st.Run()
 }
 
 // Block is a stabilized faulty block extracted by the oracle: the maximal
@@ -293,18 +270,6 @@ func Extract(m *mesh.Mesh) []Block {
 	return blocks
 }
 
-// MaxEdge returns e_max of Table 1: the maximum edge length over all blocks
-// (0 when there are none).
-func MaxEdge(blocks []Block) int {
-	e := 0
-	for _, b := range blocks {
-		if m := b.Box.MaxExtent(); m > e {
-			e = m
-		}
-	}
-	return e
-}
-
 // Oracle is the centralized block oracle's component search with reusable
 // buffers, for hot paths that query it repeatedly (the engine computes e_max
 // after every applied fault event). The zero value is ready to use; all
@@ -318,8 +283,9 @@ type Oracle struct {
 	box     grid.Box
 }
 
-// MaxEdge returns MaxEdge(Extract(m)) without materializing the blocks,
-// tracking only each component's bounding-box extents.
+// MaxEdge returns e_max of Table 1, the longest edge over the blocks
+// Extract(m) would return (0 when there are none), without materializing
+// them: it tracks only each component's bounding-box extents.
 func (o *Oracle) MaxEdge(m *mesh.Mesh) int {
 	e := 0
 	o.components(m, func(nodes []grid.NodeID) {

@@ -6,12 +6,13 @@ import (
 
 	"ndmesh/internal/grid"
 	"ndmesh/internal/mesh"
+	"ndmesh/internal/meshtest"
 	"ndmesh/internal/rng"
 )
 
 func mk3D(t *testing.T, k int) *mesh.Mesh {
 	t.Helper()
-	m, err := mesh.NewUniform(3, k)
+	m, err := meshtest.NewUniform(3, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +21,7 @@ func mk3D(t *testing.T, k int) *mesh.Mesh {
 
 func mk2D(t *testing.T, k int) *mesh.Mesh {
 	t.Helper()
-	m, err := mesh.NewUniform(2, k)
+	m, err := meshtest.NewUniform(2, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestFigure1BlockConstruction(t *testing.T) {
 	if len(blocks) != 1 {
 		t.Fatalf("want 1 block, got %d", len(blocks))
 	}
-	want := grid.NewBox(grid.Coord{3, 5, 3}, grid.Coord{5, 6, 4})
+	want := meshtest.NewBox(grid.Coord{3, 5, 3}, grid.Coord{5, 6, 4})
 	if !blocks[0].Box.Equal(want) {
 		t.Fatalf("block = %v, want %v (the paper's [3:5, 5:6, 3:4])", blocks[0].Box, want)
 	}
@@ -64,8 +65,8 @@ func TestFigure1BlockConstruction(t *testing.T) {
 		t.Fatalf("Nodes = %d, want %d", blocks[0].Nodes, want.Volume())
 	}
 	// The disabled nodes are exactly the non-faulty nodes of the box.
-	if m.NumDisabled() != want.Volume()-4 {
-		t.Fatalf("disabled = %d, want %d", m.NumDisabled(), want.Volume()-4)
+	if n := meshtest.Count(m, mesh.Disabled); n != want.Volume()-4 {
+		t.Fatalf("disabled = %d, want %d", n, want.Volume()-4)
 	}
 }
 
@@ -79,7 +80,7 @@ func TestRule1SameAxisDoesNotDisable(t *testing.T) {
 	if !res.Converged {
 		t.Fatal("not converged")
 	}
-	if m.StatusAt(grid.Coord{3, 4}) != mesh.Enabled {
+	if m.Status(m.Shape().Index(grid.Coord{3, 4})) != mesh.Enabled {
 		t.Fatal("node sandwiched along one axis must stay enabled")
 	}
 	if bs := Extract(m); len(bs) != 2 {
@@ -97,12 +98,12 @@ func TestRule1DiagonalDisables(t *testing.T) {
 		t.Fatal("not converged")
 	}
 	for _, c := range []grid.Coord{{3, 4}, {4, 3}} {
-		if m.StatusAt(c) != mesh.Disabled {
-			t.Fatalf("%v should be disabled, is %v", c, m.StatusAt(c))
+		if m.Status(m.Shape().Index(c)) != mesh.Disabled {
+			t.Fatalf("%v should be disabled, is %v", c, m.Status(m.Shape().Index(c)))
 		}
 	}
 	bs := Extract(m)
-	if len(bs) != 1 || !bs[0].Box.Equal(grid.NewBox(grid.Coord{3, 3}, grid.Coord{4, 4})) {
+	if len(bs) != 1 || !bs[0].Box.Equal(meshtest.NewBox(grid.Coord{3, 3}, grid.Coord{4, 4})) {
 		t.Fatalf("blocks = %v", bs)
 	}
 }
@@ -117,7 +118,7 @@ func TestStaircaseFillsBox(t *testing.T) {
 		t.Fatal("not converged")
 	}
 	bs := Extract(m)
-	want := grid.NewBox(grid.Coord{3, 3}, grid.Coord{5, 5})
+	want := meshtest.NewBox(grid.Coord{3, 3}, grid.Coord{5, 5})
 	if len(bs) != 1 || !bs[0].Box.Equal(want) || !bs[0].Solid {
 		t.Fatalf("blocks = %+v, want solid %v", bs, want)
 	}
@@ -147,13 +148,13 @@ func TestFigure4Recovery(t *testing.T) {
 	// clean status and become clean (rule 2).
 	st.Round()
 	for _, c := range []grid.Coord{{4, 5, 3}, {5, 6, 3}, {5, 5, 4}} {
-		if got := m.StatusAt(c); got != mesh.Clean {
+		if got := m.Status(m.Shape().Index(c)); got != mesh.Clean {
 			t.Fatalf("after round 1, %v = %v, want clean", c, got)
 		}
 	}
 	// (3,5,3) must never go clean: faulty neighbors (3,6,3) [Y] and
 	// (3,5,4) [Z] are in different dimensions.
-	if got := m.StatusAt(grid.Coord{3, 5, 3}); got != mesh.Disabled {
+	if got := m.Status(m.Shape().Index(grid.Coord{3, 5, 3})); got != mesh.Disabled {
 		t.Fatalf("(3,5,3) = %v, want disabled", got)
 	}
 
@@ -164,19 +165,19 @@ func TestFigure4Recovery(t *testing.T) {
 	// Final statuses per the paper's Figure 4(b): the block shrinks to
 	// [3:4, 5:6, 3:4]; (4,5,3) is disabled again; the x=5 slab except the
 	// nodes still forced by faults is released.
-	if got := m.StatusAt(grid.Coord{4, 5, 3}); got != mesh.Disabled {
+	if got := m.Status(m.Shape().Index(grid.Coord{4, 5, 3})); got != mesh.Disabled {
 		t.Fatalf("(4,5,3) = %v, want disabled (re-disabled after enable)", got)
 	}
-	if got := m.StatusAt(grid.Coord{5, 5, 3}); got != mesh.Enabled {
+	if got := m.Status(m.Shape().Index(grid.Coord{5, 5, 3})); got != mesh.Enabled {
 		t.Fatalf("recovered (5,5,3) = %v, want enabled", got)
 	}
 	for _, c := range []grid.Coord{{5, 6, 3}, {5, 5, 4}, {5, 6, 4}} {
-		if got := m.StatusAt(c); got != mesh.Enabled {
+		if got := m.Status(m.Shape().Index(c)); got != mesh.Enabled {
 			t.Fatalf("released node %v = %v, want enabled", c, got)
 		}
 	}
 	bs := Extract(m)
-	want := grid.NewBox(grid.Coord{3, 5, 3}, grid.Coord{4, 6, 4})
+	want := meshtest.NewBox(grid.Coord{3, 5, 3}, grid.Coord{4, 6, 4})
 	if len(bs) != 1 || !bs[0].Box.Equal(want) {
 		t.Fatalf("stabilized blocks = %+v, want %v", bs, want)
 	}
@@ -197,9 +198,8 @@ func TestRecoveryDissolvesSingletonBlock(t *testing.T) {
 	if !res.Converged {
 		t.Fatal("not converged")
 	}
-	if m.NumFaulty() != 0 || m.NumDisabled() != 0 || m.NumClean() != 0 {
-		t.Fatalf("mesh not fully released: f=%d d=%d c=%d",
-			m.NumFaulty(), m.NumDisabled(), m.NumClean())
+	if n := meshtest.Count(m, mesh.Enabled); n != m.NumNodes() {
+		t.Fatalf("mesh not fully released: %d of %d nodes enabled", n, m.NumNodes())
 	}
 	if len(Extract(m)) != 0 {
 		t.Fatal("blocks remain after full recovery")
@@ -225,8 +225,8 @@ func TestRefailWhileCleanQuiesces(t *testing.T) {
 	if !res.Converged || !st.Quiescent() {
 		t.Fatalf("re-failed node: %+v, quiescent %v", res, st.Quiescent())
 	}
-	if m.NumClean() != 0 || m.NumFaulty() != 1 {
-		t.Fatalf("clean=%d faulty=%d, want 0 and 1", m.NumClean(), m.NumFaulty())
+	if f := meshtest.Count(m, mesh.Faulty); m.NumClean() != 0 || f != 1 {
+		t.Fatalf("clean=%d faulty=%d, want 0 and 1", m.NumClean(), f)
 	}
 	if bs := Extract(m); len(bs) != 1 || bs[0].Box.Volume() != 1 {
 		t.Fatalf("want one singleton block, got %+v", bs)
@@ -279,11 +279,10 @@ func TestReactiveEqualsFull(t *testing.T) {
 		if !res1.Converged || !res2.Converged {
 			t.Fatal("not converged")
 		}
-		s1, s2 := m1.Snapshot(), m2.Snapshot()
-		for i := range s1 {
-			if s1[i] != s2[i] {
+		for id := grid.NodeID(0); int(id) < m1.NumNodes(); id++ {
+			if s1, s2 := m1.Status(id), m2.Status(id); s1 != s2 {
 				t.Fatalf("trial %d: reactive and full fixpoints differ at node %d: %v vs %v",
-					trial, i, s1[i], s2[i])
+					trial, id, s1, s2)
 			}
 		}
 	}
@@ -308,16 +307,18 @@ func TestBlocksAreSolidDisjointBoxes(t *testing.T) {
 		if !res.Converged {
 			t.Fatalf("trial %d: not converged", trial)
 		}
-		bs := Extract(m)
-		for i, b := range bs {
+		covered := make([]bool, m.NumNodes())
+		for _, b := range Extract(m) {
 			if !b.Solid {
 				t.Fatalf("trial %d: non-solid block %+v", trial, b)
 			}
-			for j := i + 1; j < len(bs); j++ {
-				if b.Box.Intersects(bs[j].Box) {
-					t.Fatalf("trial %d: blocks intersect: %v and %v", trial, b.Box, bs[j].Box)
+			b.Box.Each(func(c grid.Coord) {
+				id := m.Shape().Index(c)
+				if covered[id] {
+					t.Fatalf("trial %d: block %v overlaps another at %v", trial, b.Box, c)
 				}
-			}
+				covered[id] = true
+			})
 		}
 	}
 }
@@ -366,7 +367,7 @@ func TestConvergenceLocality(t *testing.T) {
 // diameter-scaled cap for arbitrary interior fault patterns.
 func TestQuickRandomFaultsConverge(t *testing.T) {
 	prop := func(raw []uint16) bool {
-		m, _ := mesh.NewUniform(2, 12)
+		m, _ := meshtest.NewUniform(2, 12)
 		var seeds []grid.NodeID
 		for _, v := range raw {
 			x := 1 + int(v%10)
@@ -388,17 +389,21 @@ func TestQuickRandomFaultsConverge(t *testing.T) {
 	}
 }
 
-// TestMaxEdge covers the e_max helper.
+// TestMaxEdge covers e_max as the engine reads it: the oracle's MaxEdge.
 func TestMaxEdge(t *testing.T) {
-	if MaxEdge(nil) != 0 {
-		t.Fatal("empty MaxEdge not 0")
+	m := mk2D(t, 12)
+	var o Oracle
+	if e := o.MaxEdge(m); e != 0 {
+		t.Fatalf("fault-free MaxEdge = %d, want 0", e)
 	}
-	bs := []Block{
-		{Box: grid.NewBox(grid.Coord{0, 0}, grid.Coord{2, 0})},
-		{Box: grid.NewBox(grid.Coord{5, 5}, grid.Coord{5, 9})},
+	failAll(m, grid.Coord{0, 0}, grid.Coord{1, 0}, grid.Coord{2, 0},
+		grid.Coord{5, 5}, grid.Coord{5, 6}, grid.Coord{5, 7}, grid.Coord{5, 8}, grid.Coord{5, 9})
+	StabilizeFull(m)
+	if n := len(Extract(m)); n != 2 {
+		t.Fatalf("%d blocks, want the two lines", n)
 	}
-	if MaxEdge(bs) != 5 {
-		t.Fatalf("MaxEdge = %d, want 5", MaxEdge(bs))
+	if e := o.MaxEdge(m); e != 5 {
+		t.Fatalf("MaxEdge = %d, want 5", e)
 	}
 }
 

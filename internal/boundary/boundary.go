@@ -51,7 +51,6 @@ import (
 	"cmp"
 	"slices"
 
-	"ndmesh/internal/frame"
 	"ndmesh/internal/grid"
 	"ndmesh/internal/info"
 	"ndmesh/internal/mesh"
@@ -77,31 +76,6 @@ func OnWall(b grid.Box, c grid.Coord) bool {
 		}
 	}
 	return extremes == 1 && beyond == 1
-}
-
-// OnPlacement reports whether coordinate c belongs to block b's information
-// placement: the frame shell (adjacent nodes, edge nodes, corners) or a
-// boundary wall.
-func OnPlacement(b grid.Box, c grid.Coord) bool {
-	if _, ok := frame.Level(b, c); ok {
-		return true
-	}
-	return OnWall(b, c)
-}
-
-// Placement enumerates every mesh node of block b's information placement,
-// clipped to the mesh, in id order. This is the oracle the distributed
-// protocol is verified against and the direct-deposit path used by the
-// global-epoch test harness.
-func Placement(shape *grid.Shape, b grid.Box) (ids []grid.NodeID) {
-	bits := make([]uint64, (shape.NumNodes()+63)/64)
-	markPlacement(shape, b, bits)
-	for id := 0; id < shape.NumNodes(); id++ {
-		if bits[id>>6]&(1<<(id&63)) != 0 {
-			ids = append(ids, grid.NodeID(id))
-		}
-	}
-	return ids
 }
 
 // markPlacement is the one placement enumerator: it sets, in the N-bit set
@@ -176,49 +150,6 @@ func markRun(bits []uint64, from, to int) {
 		bits[w] = ^uint64(0)
 	}
 	bits[last] |= tail
-}
-
-// InShadow reports whether coordinate c lies in block b's dangerous area
-// along some axis, returning that axis and whether c is on the negative
-// side. The adjacent slab (x_j = lo_j−1 / hi_j+1 with all other axes in
-// span) counts as part of the shadow: stepping onto it already forfeits
-// minimality when the destination is trapped beyond the block.
-func InShadow(b grid.Box, c grid.Coord) (axis int, negSide bool, ok bool) {
-	if len(c) != b.Dims() {
-		return 0, false, false
-	}
-	outAxis := -1
-	for i := range c {
-		if c[i] < b.Lo[i] || c[i] > b.Hi[i] {
-			if outAxis >= 0 {
-				return 0, false, false // outside the span on two axes
-			}
-			outAxis = i
-		}
-	}
-	if outAxis < 0 {
-		return 0, false, false // inside the block itself
-	}
-	return outAxis, c[outAxis] < b.Lo[outAxis], true
-}
-
-// Trapped reports whether a destination d is trapped beyond block b for a
-// message in the (axis, negSide) shadow: the destination lies beyond the
-// opposite adjacent surface and its projection on every other axis falls
-// inside the block span — the "no minimal path" condition of Section 2.2.
-func Trapped(b grid.Box, d grid.Coord, axis int, negSide bool) bool {
-	for l := range d {
-		if l == axis {
-			continue
-		}
-		if d[l] < b.Lo[l] || d[l] > b.Hi[l] {
-			return false
-		}
-	}
-	if negSide {
-		return d[axis] > b.Hi[axis]
-	}
-	return d[axis] < b.Lo[axis]
 }
 
 // Demotes is InShadow(b, w) && Trapped(b, d, axis, negSide) in one pass:
@@ -383,9 +314,6 @@ func (p *Protocol) Reset() {
 	p.Hops = 0
 }
 
-// Tombstones returns how many cancel tombstones the nodes hold.
-func (p *Protocol) Tombstones() int { return p.live }
-
 // Start registers a construction for block b (held in the store's table
 // until the flood retires) seeded at the given nodes, processed in round 1.
 // Deposits seed from the block's frame (typically its corners and edge
@@ -454,17 +382,6 @@ func (p *Protocol) retire(c *Construction) {
 
 // Quiescent reports whether no construction is in flight.
 func (p *Protocol) Quiescent() bool { return len(p.cons) == 0 }
-
-// Active returns the number of in-flight constructions.
-func (p *Protocol) Active() int { return len(p.cons) }
-
-// Held appends to dst the blocks in-flight constructions hold (with repeats).
-func (p *Protocol) Held(dst []info.BlockID) []info.BlockID {
-	for _, c := range p.cons {
-		dst = append(dst, c.bases...)
-	}
-	return dst
-}
 
 // Round advances every construction one hop and retires the finished ones
 // onto the free list. It returns the number of node visits performed (0 at

@@ -8,10 +8,11 @@ import (
 	"ndmesh/internal/grid"
 	"ndmesh/internal/info"
 	"ndmesh/internal/mesh"
+	"ndmesh/internal/meshtest"
 )
 
 // fig1Box is the paper's running example block [3:5, 5:6, 3:4].
-var fig1Box = grid.NewBox(grid.Coord{3, 5, 3}, grid.Coord{5, 6, 4})
+var fig1Box = meshtest.NewBox(grid.Coord{3, 5, 3}, grid.Coord{5, 6, 4})
 
 func TestOnWall3D(t *testing.T) {
 	cases := []struct {
@@ -58,7 +59,7 @@ func TestOnPlacement(t *testing.T) {
 }
 
 func TestPlacementMatchesPredicate(t *testing.T) {
-	shape := grid.MustShape(10, 10, 10)
+	shape := meshtest.MustShape(10, 10, 10)
 	ids := Placement(shape, fig1Box)
 	inPlacement := make(map[grid.NodeID]bool, len(ids))
 	for _, id := range ids {
@@ -129,12 +130,12 @@ func hasBox(s *info.Store, id grid.NodeID, box grid.Box) bool {
 // stabilized builds a mesh with the Figure 1 faults and full labeling.
 func stabilized(t *testing.T) *mesh.Mesh {
 	t.Helper()
-	m, err := mesh.NewUniform(3, 10)
+	m, err := meshtest.NewUniform(3, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []grid.Coord{{3, 5, 4}, {4, 5, 4}, {5, 5, 3}, {3, 6, 3}} {
-		m.FailAt(c)
+		m.Fail(m.Shape().Index(c))
 	}
 	block.StabilizeFull(m)
 	return m
@@ -223,22 +224,22 @@ func TestCancelEpochGuard(t *testing.T) {
 // 3(d)). Setup in 2-D: A's wall along -Y from its left edge passes through
 // B's frame.
 func TestMergeFigure3d(t *testing.T) {
-	m, err := mesh.NewUniform(2, 16)
+	m, err := meshtest.NewUniform(2, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Block A at [6:7, 8:9]; block B at [5:5, 4:4] sits exactly on A's
 	// x=5 wall (lo-1) below A.
 	for _, c := range []grid.Coord{{6, 8}, {7, 9}, {5, 4}} {
-		m.FailAt(c)
+		m.Fail(m.Shape().Index(c))
 	}
 	block.StabilizeFull(m)
 	bs := block.Extract(m)
 	if len(bs) != 2 {
 		t.Fatalf("want 2 blocks, got %+v", bs)
 	}
-	boxA := grid.NewBox(grid.Coord{6, 8}, grid.Coord{7, 9})
-	boxB := grid.NewBox(grid.Coord{5, 4}, grid.Coord{5, 4})
+	boxA := meshtest.NewBox(grid.Coord{6, 8}, grid.Coord{7, 9})
+	boxB := meshtest.NewBox(grid.Coord{5, 4}, grid.Coord{5, 4})
 
 	store := info.NewStore(m.Shape())
 	p := NewProtocol(m, store)
@@ -276,8 +277,8 @@ func TestMergeFigure3d(t *testing.T) {
 // TestWallStopsAtMeshBorder: boundary propagation ends at the outermost
 // surface (no wraparound, no overflow).
 func TestWallStopsAtMeshBorder(t *testing.T) {
-	m, _ := mesh.NewUniform(2, 8)
-	m.FailAt(grid.Coord{4, 4})
+	m, _ := meshtest.NewUniform(2, 8)
+	m.Fail(m.Shape().Index(grid.Coord{4, 4}))
 	block.StabilizeFull(m)
 	box := grid.BoxAt(grid.Coord{4, 4})
 	store := info.NewStore(m.Shape())
@@ -303,8 +304,8 @@ func TestWallStopsAtMeshBorder(t *testing.T) {
 // TestConstructionRoundsTrackDepth: the flood advances one hop per round,
 // so rounds scale with shell + wall depth, not with mesh volume.
 func TestConstructionRoundsTrackDepth(t *testing.T) {
-	m, _ := mesh.NewUniform(2, 20)
-	m.FailAt(grid.Coord{10, 10})
+	m, _ := meshtest.NewUniform(2, 20)
+	m.Fail(m.Shape().Index(grid.Coord{10, 10}))
 	block.StabilizeFull(m)
 	box := grid.BoxAt(grid.Coord{10, 10})
 	store := info.NewStore(m.Shape())
@@ -328,8 +329,8 @@ func TestConstructionRoundsTrackDepth(t *testing.T) {
 // the walls are 3-dimensional regions rather than the rays of the paper's
 // 3-D figures.
 func TestPlacementMatchesPredicate4D(t *testing.T) {
-	shape := grid.MustShape(7, 7, 7, 7)
-	box := grid.NewBox(grid.Coord{3, 3, 3, 3}, grid.Coord{4, 4, 3, 3})
+	shape := meshtest.MustShape(7, 7, 7, 7)
+	box := meshtest.NewBox(grid.Coord{3, 3, 3, 3}, grid.Coord{4, 4, 3, 3})
 	ids := Placement(shape, box)
 	inPlacement := make(map[grid.NodeID]bool, len(ids))
 	for _, id := range ids {
@@ -360,12 +361,12 @@ func TestPlacementMatchesPredicate4D(t *testing.T) {
 
 // TestFloodCoversPlacement4D runs the flood in 4-D.
 func TestFloodCoversPlacement4D(t *testing.T) {
-	shape := grid.MustShape(7, 7, 7, 7)
+	shape := meshtest.MustShape(7, 7, 7, 7)
 	m := mesh.New(shape)
-	m.FailAt(grid.Coord{3, 3, 3, 3})
-	m.FailAt(grid.Coord{4, 4, 3, 3})
+	m.Fail(m.Shape().Index(grid.Coord{3, 3, 3, 3}))
+	m.Fail(m.Shape().Index(grid.Coord{4, 4, 3, 3}))
 	block.StabilizeFull(m)
-	box := grid.NewBox(grid.Coord{3, 3, 3, 3}, grid.Coord{4, 4, 3, 3})
+	box := meshtest.NewBox(grid.Coord{3, 3, 3, 3}, grid.Coord{4, 4, 3, 3})
 	store := info.NewStore(m.Shape())
 	p := NewProtocol(m, store)
 	corner := shape.Index(grid.Coord{2, 2, 2, 2})
@@ -398,9 +399,9 @@ func TestShellIsSubsetOfPlacement(t *testing.T) {
 // blocks' cached placements, so an id the store recycles for another box
 // must flood that box's placement, not the one it named before.
 func TestRegionFollowsRecycledBlockID(t *testing.T) {
-	m, _ := mesh.NewUniform(2, 12)
+	m, _ := meshtest.NewUniform(2, 12)
 	for _, c := range []grid.Coord{{3, 3}, {8, 8}} {
-		m.FailAt(c)
+		m.Fail(m.Shape().Index(c))
 	}
 	block.StabilizeFull(m)
 	shape := m.Shape()
@@ -421,8 +422,8 @@ func TestRegionFollowsRecycledBlockID(t *testing.T) {
 	p.Start(a, 2, Cancel, []grid.NodeID{shape.Index(grid.Coord{2, 2})})
 	run()
 	store.Release(a)
-	if store.Blocks() != 0 {
-		t.Fatalf("%d blocks still held after the cancel", store.Blocks())
+	if _, ok := store.Find(boxA); ok {
+		t.Fatalf("%v still named after the cancel", boxA)
 	}
 	b := store.Intern(boxB)
 	if b != a {

@@ -7,6 +7,7 @@ import (
 	"ndmesh/internal/frame"
 	"ndmesh/internal/grid"
 	"ndmesh/internal/info"
+	"ndmesh/internal/meshtest"
 	"ndmesh/internal/rng"
 )
 
@@ -17,7 +18,7 @@ func randomShape(src *rng.Source, dims int) *grid.Shape {
 	for i := range radices {
 		radices[i] = 3 + src.Intn(9-dims) // 2-D: 3..9, 3-D: 3..8, 4-D: 3..7
 	}
-	return grid.MustShape(radices...)
+	return meshtest.MustShape(radices...)
 }
 
 // randomBox draws a box inside the shape: single nodes, boxes touching the
@@ -32,7 +33,7 @@ func randomBox(src *rng.Source, shape *grid.Shape) grid.Box {
 			hi[i] += src.Intn(shape.Radix(i) - lo[i])
 		}
 	}
-	return grid.NewBox(lo, hi)
+	return meshtest.NewBox(lo, hi)
 }
 
 // TestPlacementEnumeratorMatchesPredicate is the geometry differential of
@@ -88,8 +89,8 @@ func TestPlacementEnumeratorMatchesPredicate(t *testing.T) {
 // nothing, in any dimensionality.
 func TestPlacementEnumeratorAllocFree(t *testing.T) {
 	for _, dims := range [][]int{{16, 16}, {6, 7, 5}, {5, 4, 6, 5}} {
-		shape := grid.MustShape(dims...)
-		box := grid.NewBox(make(grid.Coord, len(dims)), make(grid.Coord, len(dims)))
+		shape := meshtest.MustShape(dims...)
+		box := meshtest.NewBox(make(grid.Coord, len(dims)), make(grid.Coord, len(dims)))
 		for i := range dims {
 			box.Lo[i], box.Hi[i] = 2, 3
 		}
@@ -139,7 +140,7 @@ func TestDemotesMatchesPredicates(t *testing.T) {
 		for i := range radices {
 			radices[i] = 2 + src.Intn(7-dims) // at most 6x6, 5x5x5, 4x4x4x4
 		}
-		shape := grid.MustShape(radices...)
+		shape := meshtest.MustShape(radices...)
 		b := randomBox(src, shape)
 		for w := grid.NodeID(0); int(w) < shape.NumNodes(); w++ {
 			for d := grid.NodeID(0); int(d) < shape.NumNodes(); d++ {
@@ -239,11 +240,11 @@ func TestRecordGeometry(t *testing.T) {
 		{2, 2}, {3, 3}, {4, 4}, {2, 4}, {4, 3}, {1, 4},
 		{2, 2, 2}, {3, 3, 3}, {4, 4, 4}, {2, 3, 4},
 	} {
-		shape := grid.MustShape(dims...)
+		shape := meshtest.MustShape(dims...)
 		store := info.NewStore(shape)
 		eachBox(shape, func(box grid.Box) { demoting += checkRecordGeometry(t, store, shape, box) })
 	}
-	shape := grid.MustShape(4, 4, 4, 4)
+	shape := meshtest.MustShape(4, 4, 4, 4)
 	store := info.NewStore(shape)
 	src := rng.New(38)
 	for range 32 {

@@ -53,7 +53,7 @@ func TestCancelMarksOnlyWhileOutrunnable(t *testing.T) {
 		}
 		p.Start(store.Intern(fig1Box), 2, Cancel, []grid.NodeID{far})
 		run(p, func() {
-			if n := p.Tombstones(); n != 0 {
+			if n := p.live; n != 0 {
 				t.Fatalf("cancel with no deposit in flight holds %d tombstones in round %d", n, p.round)
 			}
 		})
@@ -68,7 +68,7 @@ func TestCancelMarksOnlyWhileOutrunnable(t *testing.T) {
 		p.Start(store.Intern(fig1Box), 1, Deposit, []grid.NodeID{near})
 		p.Start(store.Intern(fig1Box), 2, Cancel, []grid.NodeID{far})
 		peak := 0
-		run(p, func() { peak = max(peak, p.Tombstones()) })
+		run(p, func() { peak = max(peak, p.live) })
 		if peak == 0 {
 			t.Fatal("cancel racing an older deposit left no tombstones")
 		}
@@ -77,7 +77,7 @@ func TestCancelMarksOnlyWhileOutrunnable(t *testing.T) {
 		if n := store.TotalRecords(); n != 0 {
 			t.Fatalf("%d records survive: the deposit was not outrun where the cancel swept first", n)
 		}
-		if p.Tombstones() == 0 {
+		if p.live == 0 {
 			t.Fatal("the marks expired before the newer deposit could meet them")
 		}
 		p.Start(store.Intern(fig1Box), 3, Deposit, []grid.NodeID{near})
@@ -116,7 +116,7 @@ func TestMarkRule(t *testing.T) {
 	id, other := seed[0], m.Shape().Index(grid.Coord{2, 7, 2})
 	c.marks = refreshMarks
 	p.entomb(id, c)
-	if n := p.Tombstones(); n != 0 {
+	if n := p.live; n != 0 {
 		t.Fatalf("refreshing with no mark held left %d", n)
 	}
 	c.marks = leaveMarks
@@ -126,7 +126,7 @@ func TestMarkRule(t *testing.T) {
 	newer.marks = refreshMarks
 	p.entomb(other, newer)
 	p.entomb(id, newer)
-	if n := p.Tombstones(); n != 1 {
+	if n := p.live; n != 1 {
 		t.Fatalf("refreshing left a mark: %d held, want 1", n)
 	}
 	if tb := p.tombs[p.findTomb(id, a)]; tb.epoch != 9 || tb.round != p.round {

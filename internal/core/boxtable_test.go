@@ -8,6 +8,7 @@ import (
 	"ndmesh/internal/grid"
 	"ndmesh/internal/info"
 	"ndmesh/internal/mesh"
+	"ndmesh/internal/meshtest"
 	"ndmesh/internal/rng"
 )
 
@@ -58,7 +59,7 @@ func boxKey(b grid.Box) (k uint64) {
 // further storm.
 func TestBoxTableLifetime(t *testing.T) {
 	const steps, lambda, slack = 4000, 2, 8
-	shape := grid.MustShape(16, 16)
+	shape := meshtest.MustShape(16, 16)
 	md := New(mesh.New(shape))
 
 	type shown struct {
@@ -91,11 +92,11 @@ func TestBoxTableLifetime(t *testing.T) {
 		for _, w := range md.watches {
 			name(w.block)
 		}
-		held = md.Boundary.Held(held[:0])
+		held = floodBlocks(held[:0], md)
 		for _, b := range held {
 			name(b)
 		}
-		if got := md.Store.Blocks(); got != len(named) {
+		if got := namedBlocks(md); got != len(named) {
 			t.Fatalf("step %d: the table holds %d ids, %d are named by records, watches and constructions", step, got, len(named))
 		}
 		clear(boxes)
@@ -119,8 +120,8 @@ func TestBoxTableLifetime(t *testing.T) {
 
 	md.Reset()
 	fresh := New(mesh.New(shape))
-	if md.Store.Blocks() != 0 || !bytes.Equal(observe(nil, md), observe(nil, fresh)) {
-		t.Fatalf("a Reset model differs from core.New (%d ids still in the table)", md.Store.Blocks())
+	if namedBlocks(md) != 0 || !bytes.Equal(observe(nil, md), observe(nil, fresh)) {
+		t.Fatalf("a Reset model differs from core.New (%d ids still in the table)", namedBlocks(md))
 	}
 	var trace [][]byte
 	storm(t, fresh, 23, 200, lambda, func(int) { trace = append(trace, observe(nil, fresh)) })

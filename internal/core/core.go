@@ -129,9 +129,6 @@ func (md *Model) Reset() {
 	md.CancelsStarted = 0
 }
 
-// Epoch returns the current construction epoch.
-func (md *Model) Epoch() uint32 { return md.epoch }
-
 // ApplyFault injects fault occurrence f_i at node id (detected by its
 // neighbors at the next round, per the fault-detection phase of Figure 7).
 func (md *Model) ApplyFault(id grid.NodeID) {

@@ -8,13 +8,14 @@ import (
 	"ndmesh/internal/grid"
 	"ndmesh/internal/info"
 	"ndmesh/internal/mesh"
+	"ndmesh/internal/meshtest"
 	"ndmesh/internal/route"
 	"ndmesh/internal/safety"
 )
 
 func newModel3D(t *testing.T) *Model {
 	t.Helper()
-	m, err := mesh.NewUniform(3, 10)
+	m, err := meshtest.NewUniform(3, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +24,7 @@ func newModel3D(t *testing.T) *Model {
 
 func newModel2D(t *testing.T, k int) *Model {
 	t.Helper()
-	m, err := mesh.NewUniform(2, k)
+	m, err := meshtest.NewUniform(2, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,8 +116,8 @@ func TestShrinkReplacesInformation(t *testing.T) {
 	md := newModel3D(t)
 	applyAndStabilize(t, md,
 		grid.Coord{3, 5, 4}, grid.Coord{4, 5, 4}, grid.Coord{5, 5, 3}, grid.Coord{3, 6, 3})
-	oldBox := grid.NewBox(grid.Coord{3, 5, 3}, grid.Coord{5, 6, 4})
-	newBox := grid.NewBox(grid.Coord{3, 5, 3}, grid.Coord{4, 6, 4})
+	oldBox := meshtest.NewBox(grid.Coord{3, 5, 3}, grid.Coord{5, 6, 4})
+	newBox := meshtest.NewBox(grid.Coord{3, 5, 3}, grid.Coord{4, 6, 4})
 
 	md.ApplyRecovery(md.M.Shape().Index(grid.Coord{5, 5, 3}))
 	md.Stabilize()
@@ -157,7 +158,7 @@ func TestGrowthReplacesDominatedRecords(t *testing.T) {
 	if !md.Quiescent() {
 		t.Fatal("not quiescent after growth")
 	}
-	bigBox := grid.NewBox(grid.Coord{6, 6}, grid.Coord{7, 7})
+	bigBox := meshtest.NewBox(grid.Coord{6, 6}, grid.Coord{7, 7})
 	bs := block.Extract(md.M)
 	if len(bs) != 1 || !bs[0].Box.Equal(bigBox) {
 		t.Fatalf("blocks = %+v", bs)
@@ -224,14 +225,14 @@ func TestTheorem1RecoveryDoesNotHurtRouting(t *testing.T) {
 func TestEpochsIncrease(t *testing.T) {
 	md := newModel2D(t, 12)
 	applyAndStabilize(t, md, grid.Coord{5, 5})
-	e1 := md.Epoch()
+	e1 := md.epoch
 	if e1 == 0 {
 		t.Fatal("no epoch assigned")
 	}
 	md.ApplyFault(md.M.Shape().Index(grid.Coord{6, 6}))
 	md.Stabilize()
-	if md.Epoch() <= e1 {
-		t.Fatalf("epoch did not advance: %d -> %d", e1, md.Epoch())
+	if md.epoch <= e1 {
+		t.Fatalf("epoch did not advance: %d -> %d", e1, md.epoch)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"ndmesh/internal/fault"
 	"ndmesh/internal/grid"
 	"ndmesh/internal/mesh"
+	"ndmesh/internal/meshtest"
 	"ndmesh/internal/rng"
 )
 
@@ -179,12 +180,12 @@ func observe(buf []byte, md *Model) []byte {
 			u32(int(r.Epoch))
 		}
 	}
-	u32(int(md.Epoch()))
+	u32(int(md.epoch))
 	for _, v := range []int{
 		md.RoundCount(), md.Store.TotalRecords(), md.Labeling.Affected(), md.CancelsStarted,
 		md.LastLabelRound, md.LastFrameRound, md.LastIdentRound, md.LastBoundaryRound,
-		md.Ident.Hops, md.Ident.Started, md.Ident.Completed, md.Ident.Failed, md.Ident.Active(),
-		md.Boundary.Hops, md.Boundary.Active(), md.Boundary.Tombstones(),
+		md.Ident.Hops, md.Ident.Started, md.Ident.Completed, md.Ident.Failed, identRuns(md),
+		md.Boundary.Hops, floods(md), tombstones(md),
 	} {
 		u32(v)
 	}
@@ -243,7 +244,7 @@ func replay(md *Model, sched *fault.Schedule, steps, lambda int, after func(step
 // nodes it ever held — nonzero only when faults stood close enough for a
 // block to outgrow them — and how many identification runs it completed.
 func checkHistory(t testing.TB, h history) (digest string, peakDisabled, identified int) {
-	shape := grid.MustShape(h.dims()...)
+	shape := meshtest.MustShape(h.dims()...)
 	recycled := New(mesh.New(shape))
 	h.other().drive(t, recycled, func(int, int) {})
 	recycled.Reset()
@@ -261,7 +262,7 @@ func checkHistory(t testing.TB, h history) (digest string, peakDisabled, identif
 		checkOpenSets(t, h, fresh.M, step)
 		o := roundObs{activity: activity, state: observe(nil, fresh)}
 		trace = append(trace, o)
-		peakDisabled = max(peakDisabled, fresh.M.NumDisabled())
+		peakDisabled = max(peakDisabled, meshtest.Count(fresh.M, mesh.Disabled))
 		sum.Write(binary.LittleEndian.AppendUint32(nil, uint32(activity)))
 		sum.Write(o.state)
 	})
@@ -396,7 +397,7 @@ func FuzzModelHistory(f *testing.F) {
 		for range diameter {
 			md.Round()
 		}
-		if n := md.Boundary.Tombstones(); n != 0 {
+		if n := tombstones(md); n != 0 {
 			t.Errorf("%v: %d tombstones left %d idle rounds after quiescence", h, n, diameter)
 		}
 	})
@@ -413,7 +414,7 @@ func FuzzModelHistory(f *testing.F) {
 // the floods' node visits per op.
 func BenchmarkModelStorm(b *testing.B) {
 	const steps, lambda = 704, 2
-	md := New(mesh.New(grid.MustShape(16, 16)))
+	md := New(mesh.New(meshtest.MustShape(16, 16)))
 	sched, err := fault.GenerateProcess(md.M.Shape(), fault.ProcessOptions{
 		Arrival: fault.Delay{Model: fault.DelayBernoulli, Rate: 0.2},
 		Repair:  fault.Delay{Model: fault.DelayBernoulli, Rate: 1.0 / 24},
@@ -429,7 +430,7 @@ func BenchmarkModelStorm(b *testing.B) {
 		md.Reset()
 		replay(md, sched, steps, lambda, func(int, int) {
 			peak = max(peak, md.Store.TotalRecords())
-			tombs = max(tombs, md.Boundary.Tombstones())
+			tombs = max(tombs, tombstones(md))
 		})
 	}
 	b.ReportMetric(float64(peak), "records_peak")

@@ -5,6 +5,7 @@ import (
 
 	"ndmesh/internal/grid"
 	"ndmesh/internal/mesh"
+	"ndmesh/internal/meshtest"
 )
 
 // leakCount is what one case leaves behind on a fault-free mesh: the paper
@@ -40,7 +41,7 @@ func recoverAll(t *testing.T, name string, md *Model) leakCount {
 	if !md.Quiescent() {
 		t.Errorf("%s: not quiescent inside Stabilize's cap after full recovery", name)
 	}
-	return leakCount{name, md.Store.TotalRecords(), md.Store.Blocks(), len(md.watches), md.Boundary.Active()}
+	return leakCount{name, md.Store.TotalRecords(), namedBlocks(md), len(md.watches), floods(md)}
 }
 
 // TestFullRecoveryLeakRatchet runs every corpus history and one storm per
@@ -51,12 +52,12 @@ func recoverAll(t *testing.T, name string, md *Model) leakCount {
 func TestFullRecoveryLeakRatchet(t *testing.T) {
 	var got []leakCount
 	for _, h := range append(historyCorpus(), historyDeepCorpus()...) {
-		md := New(mesh.New(grid.MustShape(h.dims()...)))
+		md := New(mesh.New(meshtest.MustShape(h.dims()...)))
 		h.drive(t, md, func(int, int) {})
 		got = append(got, recoverAll(t, h.String(), md))
 	}
 	for _, s := range leakStorms {
-		md := New(mesh.New(grid.MustShape(s.dims...)))
+		md := New(mesh.New(meshtest.MustShape(s.dims...)))
 		storm(t, md, s.seed, 300, 2, func(int) {})
 		got = append(got, recoverAll(t, s.name, md))
 	}

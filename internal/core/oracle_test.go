@@ -10,6 +10,7 @@ import (
 	"ndmesh/internal/frame"
 	"ndmesh/internal/grid"
 	"ndmesh/internal/mesh"
+	"ndmesh/internal/meshtest"
 )
 
 // oracleGap is how far the records of a quiescent model are from the
@@ -131,7 +132,7 @@ var labelingCycles = []string{
 // the rest of the schedule and runs Stabilize. It reports whether the model
 // is quiescent after it; only the cuts in labelingCycles are not.
 func (h history) cutAndStabilize(t testing.TB, cut int) (*Model, bool) {
-	md := New(mesh.New(grid.MustShape(h.dims()...)))
+	md := New(mesh.New(meshtest.MustShape(h.dims()...)))
 	replay(md, h.schedule(t, md.M.Shape()), cut, h.rounds(), func(int, int) {})
 	md.Stabilize()
 	return md, md.Quiescent()
@@ -163,7 +164,7 @@ func TestOracleGapsRatchet(t *testing.T) {
 		}
 	}
 	for _, s := range leakStorms {
-		md := New(mesh.New(grid.MustShape(s.dims...)))
+		md := New(mesh.New(meshtest.MustShape(s.dims...)))
 		storm(t, md, s.seed, 300, 2, func(int) {})
 		md.Stabilize()
 		if !md.Quiescent() {

@@ -7,6 +7,7 @@ import (
 	"ndmesh/internal/boundary"
 	"ndmesh/internal/grid"
 	"ndmesh/internal/mesh"
+	"ndmesh/internal/meshtest"
 	"ndmesh/internal/rng"
 )
 
@@ -102,7 +103,7 @@ func TestPropertyInformationMatchesOracle(t *testing.T) {
 func TestPropertyFullRecoveryEmptiesStore(t *testing.T) {
 	r := rng.New(55)
 	for trial := 0; trial < 15; trial++ {
-		m, _ := mesh.NewUniform(2, 14)
+		m, _ := meshtest.NewUniform(2, 14)
 		md := New(m)
 		faults := placeSeparated(m, 1+r.Intn(3), 5, r.Split())
 		for _, id := range faults {
@@ -116,7 +117,7 @@ func TestPropertyFullRecoveryEmptiesStore(t *testing.T) {
 		if !md.Quiescent() {
 			t.Fatalf("trial %d: not quiescent after recovery", trial)
 		}
-		if m.NumFaulty() != 0 || m.NumDisabled() != 0 || m.NumClean() != 0 {
+		if meshtest.Count(m, mesh.Enabled) != m.NumNodes() {
 			t.Fatalf("trial %d: mesh not pristine", trial)
 		}
 		if md.Store.TotalRecords() != 0 {
@@ -130,7 +131,7 @@ func TestPropertyFullRecoveryEmptiesStore(t *testing.T) {
 // converges to the same information as building the small block directly.
 func TestPropertyGrowShrinkCycle(t *testing.T) {
 	mkModel := func() (*Model, grid.NodeID, grid.NodeID) {
-		m, _ := mesh.NewUniform(2, 14)
+		m, _ := meshtest.NewUniform(2, 14)
 		md := New(m)
 		a := m.Shape().Index(grid.Coord{6, 6})
 		b := m.Shape().Index(grid.Coord{7, 7})

@@ -8,6 +8,7 @@ import (
 	"ndmesh/internal/frame"
 	"ndmesh/internal/grid"
 	"ndmesh/internal/mesh"
+	"ndmesh/internal/meshtest"
 )
 
 // TestSmokeFigure1Pipeline drives the full information-construction pipeline
@@ -16,7 +17,7 @@ import (
 // must then be identified distributively and deposited over its frame and
 // boundary walls.
 func TestSmokeFigure1Pipeline(t *testing.T) {
-	m, err := mesh.NewUniform(3, 10)
+	m, err := meshtest.NewUniform(3, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func TestSmokeFigure1Pipeline(t *testing.T) {
 	if len(blocks) != 1 {
 		t.Fatalf("want 1 block, got %d: %v", len(blocks), blocks)
 	}
-	want := grid.NewBox(grid.Coord{3, 5, 3}, grid.Coord{5, 6, 4})
+	want := meshtest.NewBox(grid.Coord{3, 5, 3}, grid.Coord{5, 6, 4})
 	if !blocks[0].Box.Equal(want) {
 		t.Fatalf("block = %v, want %v", blocks[0].Box, want)
 	}

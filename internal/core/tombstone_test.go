@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"ndmesh/internal/fault"
-	"ndmesh/internal/grid"
 	"ndmesh/internal/mesh"
+	"ndmesh/internal/meshtest"
 	"ndmesh/internal/rng"
 )
 
@@ -15,10 +15,10 @@ import (
 // cancel tombstone must be gone, so a long-lived model does not accumulate
 // them. It reports the oracle gaps at that quiescence.
 func TestCancelTombstonesBounded(t *testing.T) {
-	shape := grid.MustShape(16, 16)
+	shape := meshtest.MustShape(16, 16)
 	md := New(mesh.New(shape))
 	peak := 0
-	storm(t, md, 19, 4000, 2, func(int) { peak = max(peak, md.Boundary.Tombstones()) })
+	storm(t, md, 19, 4000, 2, func(int) { peak = max(peak, tombstones(md)) })
 	if md.CancelsStarted == 0 || peak == 0 {
 		t.Fatalf("storm started %d cancellations, held at most %d tombstones: not a cancel-heavy storm", md.CancelsStarted, peak)
 	}
@@ -30,7 +30,7 @@ func TestCancelTombstonesBounded(t *testing.T) {
 	for range shape.Diameter() {
 		md.Round()
 	}
-	if n := md.Boundary.Tombstones(); n != 0 {
+	if n := tombstones(md); n != 0 {
 		t.Fatalf("%d tombstones left %d idle rounds after quiescence", n, shape.Diameter())
 	}
 	t.Logf("%d cancellations, at most %d tombstones at once; at quiescence %d holes, %d stale of %d records, %d unbuilt blocks",
@@ -45,7 +45,7 @@ func TestCancelTombstonesBounded(t *testing.T) {
 // their buffers reach peak capacity only after a few (7, 3, 1, 1 and then
 // no allocations on this storm).
 func TestCancelHeavyRoundsAllocFree(t *testing.T) {
-	shape := grid.MustShape(16, 16)
+	shape := meshtest.MustShape(16, 16)
 	sched, err := fault.GenerateProcess(shape, fault.ProcessOptions{
 		Arrival: fault.Delay{Model: fault.DelayBernoulli, Rate: 0.2},
 		Repair:  fault.Delay{Model: fault.DelayBernoulli, Rate: 1.0 / 24},

@@ -5,13 +5,13 @@ import (
 
 	"ndmesh/internal/core"
 	"ndmesh/internal/grid"
-	"ndmesh/internal/mesh"
+	"ndmesh/internal/meshtest"
 	"ndmesh/internal/route"
 )
 
 func newContentionEngine(t *testing.T, k int, cfg ContentionConfig) (*Engine, *grid.Shape) {
 	t.Helper()
-	m, err := mesh.NewUniform(2, k)
+	m, err := meshtest.NewUniform(2, k)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,7 @@ import (
 
 	"ndmesh/internal/core"
 	"ndmesh/internal/grid"
-	"ndmesh/internal/mesh"
+	"ndmesh/internal/meshtest"
 	"ndmesh/internal/route"
 )
 
@@ -14,7 +14,7 @@ import (
 // (7,14): straight up, directly through the block's shadow.
 func buildShadowScenario(t *testing.T) (*core.Model, grid.NodeID, grid.NodeID) {
 	t.Helper()
-	m, err := mesh.NewUniform(2, 16)
+	m, err := meshtest.NewUniform(2, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@ import (
 	"ndmesh/internal/core"
 	"ndmesh/internal/fault"
 	"ndmesh/internal/grid"
-	"ndmesh/internal/mesh"
+	"ndmesh/internal/meshtest"
 	"ndmesh/internal/route"
 )
 
@@ -15,7 +15,7 @@ import (
 // router must still arrive, and with the boundary information in place the
 // detour must stay bounded.
 func TestSmokeDynamicRouting(t *testing.T) {
-	m, err := mesh.NewUniform(2, 16)
+	m, err := meshtest.NewUniform(2, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestSmokeDynamicRouting(t *testing.T) {
 
 	// Same scenario with the blind router must also arrive (fault
 	// tolerance does not depend on information), possibly with more hops.
-	m2, _ := mesh.NewUniform(2, 16)
+	m2, _ := meshtest.NewUniform(2, 16)
 	md2 := core.New(m2)
 	sched2 := &fault.Schedule{}
 	for _, c := range []grid.Coord{{7, 7}, {8, 7}, {7, 8}, {8, 8}} {
@@ -65,7 +65,7 @@ func TestSmokeDynamicRouting(t *testing.T) {
 	t.Logf("blind: %v", fl2.Msg)
 
 	// Oracle router for reference.
-	m3, _ := mesh.NewUniform(2, 16)
+	m3, _ := meshtest.NewUniform(2, 16)
 	md3 := core.New(m3)
 	sched3 := &fault.Schedule{}
 	for _, c := range []grid.Coord{{7, 7}, {8, 7}, {7, 8}, {8, 8}} {

@@ -10,6 +10,7 @@ import (
 	"ndmesh/internal/fault"
 	"ndmesh/internal/grid"
 	"ndmesh/internal/mesh"
+	"ndmesh/internal/meshtest"
 	"ndmesh/internal/route"
 )
 
@@ -27,7 +28,7 @@ func newEngine(t *testing.T, dims []int, lambda int, sched *fault.Schedule) *Eng
 // s, and the routing message moves exactly one hop per step regardless of
 // λ.
 func TestFigure7StepAnatomy(t *testing.T) {
-	shape := grid.MustShape(10, 10)
+	shape := meshtest.MustShape(10, 10)
 	node := shape.Index(grid.Coord{5, 5})
 	sched := &fault.Schedule{Events: []fault.Event{{Step: 3, Node: node, Kind: fault.Fail}}}
 	eng := newEngine(t, []int{10, 10}, 4, sched)
@@ -64,7 +65,7 @@ func TestFigure7StepAnatomy(t *testing.T) {
 // TestEventRecordsConvergence: every event gets a_i/b_i/c_i and the
 // one-hop-per-round protocols yield positive b and c for a real block.
 func TestEventRecordsConvergence(t *testing.T) {
-	shape := grid.MustShape(12, 12)
+	shape := meshtest.MustShape(12, 12)
 	sched := &fault.Schedule{}
 	// Two diagonal faults at step 2 (one block), then a far fault at step 60.
 	for _, c := range []grid.Coord{{5, 5}, {6, 6}} {
@@ -118,7 +119,7 @@ func TestInjectValidation(t *testing.T) {
 // without the store. A blind flight through the engine must walk exactly as
 // a blind message advanced with a store-less context on the same fabric.
 func TestBlindIgnoresStore(t *testing.T) {
-	shape := grid.MustShape(12, 12)
+	shape := meshtest.MustShape(12, 12)
 	sched := &fault.Schedule{}
 	for _, c := range []grid.Coord{{5, 5}, {6, 6}, {5, 7}} {
 		sched.Events = append(sched.Events, fault.Event{Step: 0, Node: shape.Index(c), Kind: fault.Fail})
@@ -152,7 +153,7 @@ func TestBlindIgnoresStore(t *testing.T) {
 // TestDoneAndRun: Done requires schedule drained, flights finished, model
 // quiescent.
 func TestDoneAndRun(t *testing.T) {
-	shape := grid.MustShape(8, 8)
+	shape := meshtest.MustShape(8, 8)
 	sched := &fault.Schedule{Events: []fault.Event{
 		{Step: 2, Node: shape.Index(grid.Coord{4, 4}), Kind: fault.Fail},
 	}}
@@ -184,7 +185,7 @@ func TestDoneAndRun(t *testing.T) {
 // TestRunFlightsStopsEarly: a Run stopped on Idle ends as soon as messages
 // are done, even if the model still has work.
 func TestRunFlightsStopsEarly(t *testing.T) {
-	shape := grid.MustShape(8, 8)
+	shape := meshtest.MustShape(8, 8)
 	sched := &fault.Schedule{Events: []fault.Event{
 		{Step: 1, Node: shape.Index(grid.Coord{4, 4}), Kind: fault.Fail},
 	}}
@@ -209,7 +210,7 @@ func TestLambdaDefaulting(t *testing.T) {
 
 // TestRecoveryEventKind: recovery events are applied as rule 5.
 func TestRecoveryEventKind(t *testing.T) {
-	shape := grid.MustShape(8, 8)
+	shape := meshtest.MustShape(8, 8)
 	node := shape.Index(grid.Coord{4, 4})
 	sched := &fault.Schedule{Events: []fault.Event{
 		{Step: 1, Node: node, Kind: fault.Fail},

@@ -7,6 +7,7 @@ import (
 	"ndmesh/internal/core"
 	"ndmesh/internal/grid"
 	"ndmesh/internal/mesh"
+	"ndmesh/internal/meshtest"
 	"ndmesh/internal/rng"
 	"ndmesh/internal/route"
 )
@@ -20,7 +21,7 @@ import (
 // under the free configuration no link stalls and the gridlock detector
 // reads 0; and a probe counts every step, free ones included.
 func TestOneStepModel(t *testing.T) {
-	shape := grid.MustShape(6, 6)
+	shape := meshtest.MustShape(6, 6)
 	e := New(core.New(mesh.New(shape)), 1, nil)
 	log := &censusLog{}
 	e.SetProbe(log)

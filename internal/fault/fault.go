@@ -50,17 +50,6 @@ func (s *Schedule) Sort() {
 	slices.SortStableFunc(s.Events, func(a, b Event) int { return cmp.Compare(a.Step, b.Step) })
 }
 
-// NumFaults returns the number of Fail events (the F of Table 1).
-func (s *Schedule) NumFaults() int {
-	n := 0
-	for _, e := range s.Events {
-		if e.Kind == Fail {
-			n++
-		}
-	}
-	return n
-}
-
 // LastStep returns the step of the final event (0 for an empty schedule).
 func (s *Schedule) LastStep() int {
 	if len(s.Events) == 0 {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ndmesh/internal/grid"
+	"ndmesh/internal/meshtest"
 	"ndmesh/internal/rng"
 )
 
@@ -69,7 +70,7 @@ func TestScheduleSortKeepsEqualStepOrder(t *testing.T) {
 }
 
 func TestGenerateRespectsConstraints(t *testing.T) {
-	shape := grid.MustShape(16, 16)
+	shape := meshtest.MustShape(16, 16)
 	r := rng.New(5)
 	exclude := []grid.NodeID{shape.Index(grid.Coord{8, 8})}
 	sched, err := Generate(shape, 6, Options{
@@ -123,7 +124,7 @@ func TestGenerateRespectsConstraints(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	shape := grid.MustShape(12, 12)
+	shape := meshtest.MustShape(12, 12)
 	s1, err1 := Generate(shape, 5, Options{MinSpacing: 3}, rng.New(77))
 	s2, err2 := Generate(shape, 5, Options{MinSpacing: 3}, rng.New(77))
 	if err1 != nil || err2 != nil {
@@ -137,7 +138,7 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 func TestGenerateClustered(t *testing.T) {
-	shape := grid.MustShape(16, 16)
+	shape := meshtest.MustShape(16, 16)
 	sched, err := Generate(shape, 8, Options{Clustered: true}, rng.New(9))
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +162,7 @@ func TestGenerateClustered(t *testing.T) {
 }
 
 func TestGenerateWithRecoveries(t *testing.T) {
-	shape := grid.MustShape(12, 12)
+	shape := meshtest.MustShape(12, 12)
 	sched, err := Generate(shape, 3, Options{Interval: 20, Start: 5, RecoverAfter: 7}, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +197,7 @@ func TestGenerateWithRecoveries(t *testing.T) {
 }
 
 func TestGenerateInfeasibleErrors(t *testing.T) {
-	shape := grid.MustShape(5, 5)
+	shape := meshtest.MustShape(5, 5)
 	// Interior is 3x3 = 9 nodes; 10 faults cannot fit.
 	if _, err := Generate(shape, 10, Options{}, rng.New(1)); err == nil {
 		t.Fatal("infeasible generation succeeded")

@@ -4,10 +4,11 @@ import (
 	"testing"
 
 	"ndmesh/internal/grid"
+	"ndmesh/internal/meshtest"
 )
 
 func TestLinkFaultPicksInteriorEndpoint(t *testing.T) {
-	shape := grid.MustShape(10, 10)
+	shape := meshtest.MustShape(10, 10)
 	// Link between a near-border node and a deeper node: the deeper one
 	// fails (keeping the outermost surface fault-free).
 	a := shape.Index(grid.Coord{1, 5})
@@ -27,7 +28,7 @@ func TestLinkFaultPicksInteriorEndpoint(t *testing.T) {
 }
 
 func TestLinkFaultTieBreaksDeterministically(t *testing.T) {
-	shape := grid.MustShape(10, 10)
+	shape := meshtest.MustShape(10, 10)
 	a := shape.Index(grid.Coord{4, 5})
 	b := shape.Index(grid.Coord{5, 5})
 	// Both are 4 deep: the smaller id wins.
@@ -45,7 +46,7 @@ func TestLinkFaultTieBreaksDeterministically(t *testing.T) {
 }
 
 func TestLinkFaultRejectsNonNeighbors(t *testing.T) {
-	shape := grid.MustShape(10, 10)
+	shape := meshtest.MustShape(10, 10)
 	a := shape.Index(grid.Coord{1, 1})
 	b := shape.Index(grid.Coord{3, 1})
 	if _, err := LinkFault(shape, a, b); err == nil {
@@ -57,7 +58,7 @@ func TestLinkFaultRejectsNonNeighbors(t *testing.T) {
 }
 
 func TestBorderDistance(t *testing.T) {
-	shape := grid.MustShape(10, 8)
+	shape := meshtest.MustShape(10, 8)
 	cases := []struct {
 		c    grid.Coord
 		want int

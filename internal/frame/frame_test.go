@@ -6,11 +6,12 @@ import (
 	"ndmesh/internal/block"
 	"ndmesh/internal/grid"
 	"ndmesh/internal/mesh"
+	"ndmesh/internal/meshtest"
 	"ndmesh/internal/rng"
 )
 
 // fig1Box is the paper's block [3:5, 5:6, 3:4].
-var fig1Box = grid.NewBox(grid.Coord{3, 5, 3}, grid.Coord{5, 6, 4})
+var fig1Box = meshtest.NewBox(grid.Coord{3, 5, 3}, grid.Coord{5, 6, 4})
 
 func TestLevelClassification(t *testing.T) {
 	cases := []struct {
@@ -126,8 +127,8 @@ func TestEachShellNode(t *testing.T) {
 // surface y = 4 of Figure 1(b), those along -Y the surface y = 7, and every
 // adjacent node looks onto exactly one face.
 func TestAdjacentSurfaces(t *testing.T) {
-	south := grid.NewBox(grid.Coord{3, 4, 3}, grid.Coord{5, 4, 4})
-	north := grid.NewBox(grid.Coord{3, 7, 3}, grid.Coord{5, 7, 4})
+	south := meshtest.NewBox(grid.Coord{3, 4, 3}, grid.Coord{5, 4, 4})
+	north := meshtest.NewBox(grid.Coord{3, 7, 3}, grid.Coord{5, 7, 4})
 	var nSouth, nNorth int
 	EachShellNode(fig1Box, func(c grid.Coord, level int) {
 		if level != 1 {
@@ -140,12 +141,12 @@ func TestAdjacentSurfaces(t *testing.T) {
 		switch dirs.First() {
 		case grid.DirPlus(1):
 			nSouth++
-			if !south.Contains(c) {
+			if !inBox(south, c) {
 				t.Fatalf("+Y node %v off the surface %v", c, south)
 			}
 		case grid.DirMinus(1):
 			nNorth++
-			if !north.Contains(c) {
+			if !inBox(north, c) {
 				t.Fatalf("-Y node %v off the surface %v", c, north)
 			}
 		}
@@ -159,9 +160,9 @@ func TestAdjacentSurfaces(t *testing.T) {
 // announcements must equal the geometric classification for every node of
 // the mesh — for the Figure 1 block and for random scattered blocks.
 func TestDetectorMatchesGeometry(t *testing.T) {
-	m, _ := mesh.NewUniform(3, 10)
+	m, _ := meshtest.NewUniform(3, 10)
 	for _, c := range []grid.Coord{{3, 5, 4}, {4, 5, 4}, {5, 5, 3}, {3, 6, 3}} {
-		m.FailAt(c)
+		m.Fail(m.Shape().Index(c))
 	}
 	block.StabilizeFull(m)
 	det := NewDetector(m)
@@ -170,7 +171,7 @@ func TestDetectorMatchesGeometry(t *testing.T) {
 		ids[i] = grid.NodeID(i)
 	}
 	det.Seed(ids...)
-	det.Run()
+	settle(t, det)
 	verifyDetector(t, m, det, fig1Box)
 }
 
@@ -205,7 +206,7 @@ func verifyDetector(t *testing.T, m *mesh.Mesh, det *Detector, box grid.Box) {
 func TestDetectorRandom2D(t *testing.T) {
 	r := rng.New(33)
 	for trial := 0; trial < 30; trial++ {
-		m, _ := mesh.NewUniform(2, 16)
+		m, _ := meshtest.NewUniform(2, 16)
 		// Place 2 isolated faults at Chebyshev distance >= 5.
 		var coords []grid.Coord
 		for len(coords) < 2 {
@@ -230,7 +231,7 @@ func TestDetectorRandom2D(t *testing.T) {
 		block.Stabilize(m, seeds...)
 		det := NewDetector(m)
 		det.Seed(seeds...)
-		det.Run()
+		settle(t, det)
 		for _, c := range coords {
 			box := grid.BoxAt(c)
 			// Check the 8 ring nodes and 4 corners of each singleton.
@@ -250,7 +251,7 @@ func TestDetectorRandom2D(t *testing.T) {
 // TestDetectorReactsToRecovery: announcements must follow the labeling
 // after a block dissolves.
 func TestDetectorReactsToRecovery(t *testing.T) {
-	m, _ := mesh.NewUniform(2, 10)
+	m, _ := meshtest.NewUniform(2, 10)
 	id := m.Shape().Index(grid.Coord{5, 5})
 	m.Fail(id)
 	st := block.NewStepper(m)
@@ -258,7 +259,7 @@ func TestDetectorReactsToRecovery(t *testing.T) {
 	st.Run()
 	det := NewDetector(m)
 	det.Seed(id)
-	det.Run()
+	settle(t, det)
 	corner := m.Shape().Index(grid.Coord{4, 4})
 	if det.Announcement(corner).Level != 2 {
 		t.Fatalf("corner not detected: %+v", det.Announcement(corner))
@@ -287,7 +288,7 @@ func TestDetectorReactsToRecovery(t *testing.T) {
 // (3,7,4) belonging to block [2:2, 7:7, 3:3]'s frame, and must still
 // announce level 3 (candidate-set detection, not neighbor counting).
 func TestDetectorAdjacentFrames(t *testing.T) {
-	m, _ := mesh.NewUniform(3, 10)
+	m, _ := meshtest.NewUniform(3, 10)
 	var seeds []grid.NodeID
 	for _, c := range []grid.Coord{{5, 5, 5}, {5, 6, 6}, {2, 7, 3}} {
 		id := m.Shape().Index(c)
@@ -297,9 +298,9 @@ func TestDetectorAdjacentFrames(t *testing.T) {
 	block.Stabilize(m, seeds...)
 	det := NewDetector(m)
 	det.Seed(seeds...)
-	det.Run()
+	settle(t, det)
 
-	boxA := grid.NewBox(grid.Coord{5, 5, 5}, grid.Coord{5, 6, 6})
+	boxA := meshtest.NewBox(grid.Coord{5, 5, 5}, grid.Coord{5, 6, 6})
 	boxB := grid.BoxAt(grid.Coord{2, 7, 3})
 	cornerA := grid.Coord{4, 7, 4}
 	cornerB := grid.Coord{3, 6, 4}
@@ -318,4 +319,26 @@ func abs(x int) int {
 		return -x
 	}
 	return x
+}
+
+// settle runs the detector's rounds to quiescence, as the core model does,
+// and fails past the round cap the model allows the labeling.
+func settle(t *testing.T, d *Detector) {
+	t.Helper()
+	for rounds := 0; !d.Quiescent(); rounds++ {
+		if rounds > 8*(d.m.Shape().Diameter()+2) {
+			t.Fatalf("detector not quiescent after %d rounds", rounds)
+		}
+		d.Round()
+	}
+}
+
+// inBox reports whether c lies inside b on every axis.
+func inBox(b grid.Box, c grid.Coord) bool {
+	for i, v := range c {
+		if !b.ContainsOn(i, v) {
+			return false
+		}
+	}
+	return len(c) == b.Dims()
 }

@@ -12,35 +12,17 @@ type Box struct {
 	Lo, Hi Coord
 }
 
-// NewBox builds a box from inclusive corner coordinates; it panics if the
-// corners have mismatched dimensions or Lo > Hi on some axis, since boxes are
-// constructed from already-validated geometry.
-func NewBox(lo, hi Coord) Box {
-	if len(lo) != len(hi) {
-		panic("grid: box corners of different dimension")
-	}
-	for i := range lo {
-		if lo[i] > hi[i] {
-			panic(fmt.Sprintf("grid: box corner order violated on axis %d: [%d:%d]", i, lo[i], hi[i]))
-		}
-	}
-	return Box{Lo: lo.Clone(), Hi: hi.Clone()}
-}
-
 // BoxAt returns the degenerate single-node box at c.
 func BoxAt(c Coord) Box { return Box{Lo: c.Clone(), Hi: c.Clone()} }
 
 // Dims returns the dimensionality of the box.
 func (b Box) Dims() int { return len(b.Lo) }
 
-// Clone returns a deep copy.
-func (b Box) Clone() Box { return Box{Lo: b.Lo.Clone(), Hi: b.Hi.Clone()} }
-
 // Equal reports componentwise equality.
 func (b Box) Equal(o Box) bool { return b.Lo.Equal(o.Lo) && b.Hi.Equal(o.Hi) }
 
 // Set overwrites b in place with a copy of o, reusing b's backing arrays
-// when they have the capacity (the pooled-object counterpart of Clone).
+// when they have the capacity.
 func (b *Box) Set(o Box) {
 	b.Lo = append(b.Lo[:0], o.Lo...)
 	b.Hi = append(b.Hi[:0], o.Hi...)
@@ -65,31 +47,8 @@ func (b *Box) Extend(o Box) {
 	}
 }
 
-// Contains reports whether c lies inside the box.
-func (b Box) Contains(c Coord) bool {
-	if len(c) != len(b.Lo) {
-		return false
-	}
-	for i := range c {
-		if c[i] < b.Lo[i] || c[i] > b.Hi[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // ContainsOn reports whether value v lies within the box's extent on axis.
 func (b Box) ContainsOn(axis, v int) bool { return v >= b.Lo[axis] && v <= b.Hi[axis] }
-
-// Intersects reports whether the two boxes share at least one node.
-func (b Box) Intersects(o Box) bool {
-	for i := range b.Lo {
-		if b.Hi[i] < o.Lo[i] || o.Hi[i] < b.Lo[i] {
-			return false
-		}
-	}
-	return true
-}
 
 // Include grows the box in place so it contains c.
 func (b *Box) Include(c Coord) {
@@ -103,8 +62,8 @@ func (b *Box) Include(c Coord) {
 	}
 }
 
-// Expand returns the box grown by r on every side (clipped by nothing; use
-// Clip to stay inside a mesh). Expand(1) turns a block's interior box into
+// Expand returns the box grown by r on every side, past the mesh border
+// where it reaches it. Expand(1) turns a block's interior box into
 // the frame box whose faces are the adjacent surfaces of Definition 3.
 func (b Box) Expand(r int) Box {
 	lo := make(Coord, len(b.Lo))
@@ -114,21 +73,6 @@ func (b Box) Expand(r int) Box {
 		hi[i] = b.Hi[i] + r
 	}
 	return Box{Lo: lo, Hi: hi}
-}
-
-// Clip returns the part of the box inside the shape's address space and
-// whether it is non-empty.
-func (b Box) Clip(s *Shape) (Box, bool) {
-	lo := make(Coord, len(b.Lo))
-	hi := make(Coord, len(b.Lo))
-	for i := range b.Lo {
-		lo[i] = max(b.Lo[i], 0)
-		hi[i] = min(b.Hi[i], s.Radix(i)-1)
-		if lo[i] > hi[i] {
-			return Box{}, false
-		}
-	}
-	return Box{Lo: lo, Hi: hi}, true
 }
 
 // Extent returns Hi-Lo+1 on the axis: the block's edge length there.

@@ -5,33 +5,26 @@ import (
 	"testing/quick"
 )
 
-func mkBox(lo, hi Coord) Box { return NewBox(lo, hi) }
+func mkBox(lo, hi Coord) Box { return Box{Lo: lo, Hi: hi} }
 
-func TestNewBoxValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("inverted box accepted")
+// contains reports whether c lies inside b: in its extent on every axis.
+func contains(b Box, c Coord) bool {
+	for i, v := range c {
+		if !b.ContainsOn(i, v) {
+			return false
 		}
-	}()
-	NewBox(Coord{2, 2}, Coord{1, 3})
+	}
+	return len(c) == b.Dims()
 }
 
-func TestNewBoxDimMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched corners accepted")
-		}
-	}()
-	NewBox(Coord{1}, Coord{2, 3})
-}
-
+// TestBoxContains: ContainsOn on every axis holds exactly the box.
 func TestBoxContains(t *testing.T) {
 	b := mkBox(Coord{3, 5, 3}, Coord{5, 6, 4})
-	if !b.Contains(Coord{3, 5, 3}) || !b.Contains(Coord{5, 6, 4}) || !b.Contains(Coord{4, 5, 4}) {
+	if !contains(b, Coord{3, 5, 3}) || !contains(b, Coord{5, 6, 4}) || !contains(b, Coord{4, 5, 4}) {
 		t.Error("box must contain its corners and interior")
 	}
 	for _, c := range []Coord{{2, 5, 3}, {6, 6, 4}, {4, 7, 4}, {4, 5, 5}, {4, 5}} {
-		if b.Contains(c) {
+		if contains(b, c) {
 			t.Errorf("box should not contain %v", c)
 		}
 	}
@@ -40,47 +33,28 @@ func TestBoxContains(t *testing.T) {
 	}
 }
 
-func TestBoxIntersect(t *testing.T) {
-	a := mkBox(Coord{0, 0}, Coord{4, 4})
-	b := mkBox(Coord{4, 4}, Coord{6, 6})
-	c := mkBox(Coord{5, 0}, Coord{7, 3})
-	if !a.Intersects(b) || !b.Intersects(a) {
-		t.Error("touching boxes must intersect")
-	}
-	if a.Intersects(c) {
-		t.Error("disjoint boxes intersect")
-	}
-}
-
 func TestBoxHullInclude(t *testing.T) {
 	a := mkBox(Coord{2, 3}, Coord{4, 5})
 	b := mkBox(Coord{0, 4}, Coord{3, 8})
-	h := a.Clone()
+	var h Box
+	h.Set(a)
 	h.Extend(b)
 	if !h.Equal(mkBox(Coord{0, 3}, Coord{4, 8})) {
 		t.Errorf("Extend = %v", h)
 	}
-	in := a.Clone()
+	var in Box
+	in.Set(a)
 	in.Include(Coord{7, 1})
 	if !in.Equal(mkBox(Coord{2, 1}, Coord{7, 5})) {
 		t.Errorf("Include = %v", in)
 	}
 }
 
-func TestBoxExpandClip(t *testing.T) {
-	s := MustShape(10, 10)
+func TestBoxExpand(t *testing.T) {
 	b := mkBox(Coord{0, 4}, Coord{2, 6})
 	e := b.Expand(1)
 	if !e.Equal(Box{Lo: Coord{-1, 3}, Hi: Coord{3, 7}}) {
 		t.Errorf("Expand = %v", e)
-	}
-	clipped, ok := e.Clip(s)
-	if !ok || !clipped.Equal(mkBox(Coord{0, 3}, Coord{3, 7})) {
-		t.Errorf("Clip = %v, %v", clipped, ok)
-	}
-	far := Box{Lo: Coord{12, 12}, Hi: Coord{14, 14}}
-	if _, ok := far.Clip(s); ok {
-		t.Error("off-mesh box clipped to non-empty")
 	}
 }
 
@@ -106,7 +80,7 @@ func TestBoxEach(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, c := range got {
-		if !b.Contains(c) {
+		if !contains(b, c) {
 			t.Fatalf("Each visited %v outside box", c)
 		}
 		if seen[c.String()] {
@@ -125,12 +99,12 @@ func TestBoxString(t *testing.T) {
 
 func TestBoxAt(t *testing.T) {
 	b := BoxAt(Coord{2, 3})
-	if b.Volume() != 1 || !b.Contains(Coord{2, 3}) {
+	if b.Volume() != 1 || !contains(b, Coord{2, 3}) {
 		t.Errorf("BoxAt wrong: %v", b)
 	}
 }
 
-func TestBoxPropertyIntersectionSymmetric(t *testing.T) {
+func TestBoxPropertyExtendCoversBoth(t *testing.T) {
 	mk := func(a, b, c, d uint8) Box {
 		lo := Coord{int(a % 8), int(b % 8)}
 		hi := Coord{lo[0] + int(c%4), lo[1] + int(d%4)}
@@ -138,13 +112,10 @@ func TestBoxPropertyIntersectionSymmetric(t *testing.T) {
 	}
 	prop := func(a, b, c, d, e, f, g, h uint8) bool {
 		x, y := mk(a, b, c, d), mk(e, f, g, h)
-		if x.Intersects(y) != y.Intersects(x) {
-			return false
-		}
-		// The extended box contains both.
-		hu := x.Clone()
+		var hu Box
+		hu.Set(x)
 		hu.Extend(y)
-		return hu.Contains(x.Lo) && hu.Contains(x.Hi) && hu.Contains(y.Lo) && hu.Contains(y.Hi)
+		return contains(hu, x.Lo) && contains(hu, x.Hi) && contains(hu, y.Lo) && contains(hu, y.Hi)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -223,27 +223,6 @@ func NewShape(dims ...int) (*Shape, error) {
 	return s, nil
 }
 
-// MustShape is NewShape but panics on error; for tests and examples.
-func MustShape(dims ...int) *Shape {
-	s, err := NewShape(dims...)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// Uniform builds the k-ary n-D mesh shape of the paper.
-func Uniform(n, k int) (*Shape, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("grid: need n >= 1 dimensions, got %d", n)
-	}
-	dims := make([]int, n)
-	for i := range dims {
-		dims[i] = k
-	}
-	return NewShape(dims...)
-}
-
 // Dims returns the number of dimensions n.
 func (s *Shape) Dims() int { return len(s.dims) }
 

@@ -7,6 +7,15 @@ import (
 	"testing/quick"
 )
 
+// mustShape is NewShape but fails loudly: the shapes here are constants.
+func mustShape(dims ...int) *Shape {
+	s, err := NewShape(dims...)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 func TestCoordBasics(t *testing.T) {
 	c := Coord{3, 5, 4}
 	d := c.Clone()
@@ -155,9 +164,6 @@ func TestNewShapeValidation(t *testing.T) {
 	if _, err := NewShape(dims...); err == nil {
 		t.Error("17-dimensional shape accepted")
 	}
-	if _, err := Uniform(0, 4); err == nil {
-		t.Error("0-dimensional uniform accepted")
-	}
 }
 
 // TestShapeStringLabel holds String to the text it rendered when it
@@ -165,7 +171,7 @@ func TestNewShapeValidation(t *testing.T) {
 // allocating nothing now that NewShape builds the label.
 func TestShapeStringLabel(t *testing.T) {
 	for _, dims := range [][]int{{7}, {1, 12}, {8, 8}, {6, 6, 6}, {10, 1, 3}, {2, 3, 4, 5}, {128, 128}} {
-		s := MustShape(dims...)
+		s := mustShape(dims...)
 		parts := make([]string, len(dims))
 		for i, k := range dims {
 			parts[i] = fmt.Sprintf("%d", k)
@@ -181,7 +187,7 @@ func TestShapeStringLabel(t *testing.T) {
 }
 
 func TestShapeBasics(t *testing.T) {
-	s := MustShape(4, 5, 6)
+	s := mustShape(4, 5, 6)
 	if s.Dims() != 3 || s.NumNodes() != 120 || s.NumDirs() != 6 {
 		t.Fatalf("basic shape properties wrong: %v", s)
 	}
@@ -191,7 +197,7 @@ func TestShapeBasics(t *testing.T) {
 	if got := s.String(); got != "4x5x6 mesh" {
 		t.Fatalf("String = %q", got)
 	}
-	u, err := Uniform(3, 8)
+	u, err := NewShape(8, 8, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +207,7 @@ func TestShapeBasics(t *testing.T) {
 }
 
 func TestIndexCoordRoundtrip(t *testing.T) {
-	s := MustShape(3, 4, 5)
+	s := mustShape(3, 4, 5)
 	seen := make(map[NodeID]bool)
 	for x := 0; x < 3; x++ {
 		for y := 0; y < 4; y++ {
@@ -229,7 +235,7 @@ func TestIndexCoordRoundtrip(t *testing.T) {
 }
 
 func TestIndexPanics(t *testing.T) {
-	s := MustShape(3, 3)
+	s := mustShape(3, 3)
 	for _, c := range []Coord{{3, 0}, {0, -1}, {1, 1, 1}} {
 		func() {
 			defer func() {
@@ -243,7 +249,7 @@ func TestIndexPanics(t *testing.T) {
 }
 
 func TestNeighbor(t *testing.T) {
-	s := MustShape(3, 3)
+	s := mustShape(3, 3)
 	mid := s.Index(Coord{1, 1})
 	wants := map[Dir]Coord{
 		DirPlus(0):  {2, 1},
@@ -269,7 +275,7 @@ func TestNeighbor(t *testing.T) {
 
 func TestNeighborAdjacencyProperty(t *testing.T) {
 	// Two nodes are neighbors iff their Manhattan distance is exactly 1.
-	s := MustShape(4, 3, 3)
+	s := mustShape(4, 3, 3)
 	n := s.NumNodes()
 	for a := 0; a < n; a++ {
 		count := 0
@@ -295,7 +301,7 @@ func TestNeighborAdjacencyProperty(t *testing.T) {
 }
 
 func TestOnBorder(t *testing.T) {
-	s := MustShape(4, 4)
+	s := mustShape(4, 4)
 	if !s.OnBorder(s.Index(Coord{0, 2})) || !s.OnBorder(s.Index(Coord{3, 1})) {
 		t.Error("border node not detected")
 	}
@@ -305,7 +311,7 @@ func TestOnBorder(t *testing.T) {
 }
 
 func TestPreferredDirs(t *testing.T) {
-	s := MustShape(8, 8, 8)
+	s := mustShape(8, 8, 8)
 	u := s.Index(Coord{4, 4, 4})
 	cases := []struct {
 		d    Coord
@@ -335,7 +341,7 @@ func TestPreferredDirsReduceDistance(t *testing.T) {
 	// Property: every preferred direction reduces distance by exactly 1,
 	// and the number of preferred directions is the number of axes with a
 	// non-zero offset.
-	s := MustShape(5, 6, 4)
+	s := mustShape(5, 6, 4)
 	prop := func(a, b uint32) bool {
 		u := NodeID(int(a) % s.NumNodes())
 		d := NodeID(int(b) % s.NumNodes())
@@ -363,7 +369,7 @@ func TestPreferredDirsReduceDistance(t *testing.T) {
 }
 
 func TestDistanceMatchesManhattan(t *testing.T) {
-	s := MustShape(5, 4, 3, 2)
+	s := mustShape(5, 4, 3, 2)
 	prop := func(a, b uint32) bool {
 		u := NodeID(int(a) % s.NumNodes())
 		v := NodeID(int(b) % s.NumNodes())
@@ -379,7 +385,7 @@ func TestDistanceMatchesManhattan(t *testing.T) {
 // of nodes of mixed-radix 1-D to 5-D shapes.
 func TestDistanceMatchesComponents(t *testing.T) {
 	for _, dims := range [][]int{{9}, {5, 3}, {4, 6, 3}, {5, 4, 3, 2}, {2, 3, 2, 4, 3}} {
-		s := MustShape(dims...)
+		s := mustShape(dims...)
 		for u := NodeID(0); int(u) < s.NumNodes(); u++ {
 			for v := NodeID(0); int(v) < s.NumNodes(); v++ {
 				want := 0
@@ -399,7 +405,7 @@ func TestDistanceMatchesComponents(t *testing.T) {
 // and linearizes back to the id.
 func TestCoordViewMatchesDecode(t *testing.T) {
 	for _, dims := range [][]int{{7}, {4, 6, 3}, {2, 2, 2, 2, 2}} {
-		s := MustShape(dims...)
+		s := mustShape(dims...)
 		for id := NodeID(0); int(id) < s.NumNodes(); id++ {
 			c := s.CoordView(id)
 			if len(c) != len(dims) || cap(c) != len(dims) {

@@ -375,9 +375,6 @@ func (p *Protocol) Quiescent() bool {
 		p.pending.Len() == 0 && len(p.retryQueue) == 0
 }
 
-// Active returns the number of in-flight runs.
-func (p *Protocol) Active() int { return len(p.runs) }
-
 // initiate starts a run at every pending enabled n-level corner that lacks
 // a record of the block it is a corner of and whose backoff has expired.
 //

@@ -8,6 +8,7 @@ import (
 	"ndmesh/internal/grid"
 	"ndmesh/internal/info"
 	"ndmesh/internal/mesh"
+	"ndmesh/internal/meshtest"
 )
 
 // harness wires a mesh with stabilized labeling + frame announcements and
@@ -40,7 +41,12 @@ func newHarness(t *testing.T, dims []int, faults []grid.Coord) *harness {
 	}
 	det := frame.NewDetector(m)
 	det.Seed(seeds...)
-	det.Run()
+	for rounds := 0; !det.Quiescent(); rounds++ {
+		if rounds > 8*(m.Shape().Diameter()+2) {
+			t.Fatalf("frame detector not quiescent after %d rounds", rounds)
+		}
+		det.Round()
+	}
 	store := info.NewStore(m.Shape())
 	h := &harness{m: m, det: det, store: store}
 	h.p = NewProtocol(m, det, store)
@@ -91,7 +97,7 @@ func TestFigure5Identification3D(t *testing.T) {
 	h := newHarness(t, []int{10, 10, 10},
 		[]grid.Coord{{3, 5, 4}, {4, 5, 4}, {5, 5, 3}, {3, 6, 3}})
 	rounds := h.kick(t)
-	want := grid.NewBox(grid.Coord{3, 5, 3}, grid.Coord{5, 6, 4})
+	want := meshtest.NewBox(grid.Coord{3, 5, 3}, grid.Coord{5, 6, 4})
 	if len(h.found) == 0 {
 		t.Fatalf("no identification completed (started=%d failed=%d)", h.p.Started, h.p.Failed)
 	}
@@ -115,7 +121,7 @@ func TestFigure5Identification3D(t *testing.T) {
 func TestIdentification2D(t *testing.T) {
 	h := newHarness(t, []int{12, 12}, []grid.Coord{{5, 5}, {6, 6}})
 	h.kick(t)
-	want := grid.NewBox(grid.Coord{5, 5}, grid.Coord{6, 6})
+	want := meshtest.NewBox(grid.Coord{5, 5}, grid.Coord{6, 6})
 	if len(h.found) == 0 {
 		t.Fatalf("no completion (started=%d failed=%d)", h.p.Started, h.p.Failed)
 	}
@@ -135,7 +141,7 @@ func TestIdentification4D(t *testing.T) {
 	h.kick(t)
 	// Faults at (3,3,3,3) and (4,4,3,3) are diagonal in the x,y plane:
 	// block [3:4, 3:4, 3:3, 3:3].
-	want := grid.NewBox(grid.Coord{3, 3, 3, 3}, grid.Coord{4, 4, 3, 3})
+	want := meshtest.NewBox(grid.Coord{3, 3, 3, 3}, grid.Coord{4, 4, 3, 3})
 	if len(h.found) == 0 {
 		t.Fatalf("no 4-D completion (started=%d failed=%d)", h.p.Started, h.p.Failed)
 	}
@@ -251,7 +257,7 @@ func TestRunsFailFastOnMidFlightChange(t *testing.T) {
 	// Let everything settle; notify new corners.
 	rounds := h.kick(t)
 	_ = rounds
-	want := grid.NewBox(grid.Coord{5, 5}, grid.Coord{6, 6})
+	want := meshtest.NewBox(grid.Coord{5, 5}, grid.Coord{6, 6})
 	sawGrown := false
 	for _, b := range h.found {
 		if b.Equal(want) {

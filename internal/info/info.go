@@ -141,9 +141,6 @@ func (s *Store) Release(b BlockID) {
 	}
 }
 
-// Blocks returns how many ids are held.
-func (s *Store) Blocks() int { return len(s.refs) - len(s.free) }
-
 // At returns the records held by node id. The returned slice is owned by
 // the store; callers must not mutate it.
 func (s *Store) At(id grid.NodeID) []Record { return s.recs[id] }

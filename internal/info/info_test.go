@@ -5,10 +5,11 @@ import (
 	"testing"
 
 	"ndmesh/internal/grid"
+	"ndmesh/internal/meshtest"
 	"ndmesh/internal/rng"
 )
 
-func mkBox(lo, hi grid.Coord) grid.Box { return grid.NewBox(lo, hi) }
+func mkBox(lo, hi grid.Coord) grid.Box { return meshtest.NewBox(lo, hi) }
 
 // rec interns box (the test stays a holder, as a watch would) and returns its
 // record at the given epoch.
@@ -23,7 +24,7 @@ func hasBox(s *Store, id grid.NodeID, box grid.Box) bool {
 }
 
 func TestAddAndHas(t *testing.T) {
-	s := NewStore(grid.MustShape(10, 10))
+	s := NewStore(meshtest.MustShape(10, 10))
 	b := mkBox(grid.Coord{2, 2}, grid.Coord{3, 3})
 	if hasBox(s, 1, b) {
 		t.Fatal("empty store has record")
@@ -49,7 +50,7 @@ func TestAddAndHas(t *testing.T) {
 }
 
 func TestAddDominatedReplacement(t *testing.T) {
-	s := NewStore(grid.MustShape(10, 10))
+	s := NewStore(meshtest.MustShape(10, 10))
 	small := mkBox(grid.Coord{2, 2}, grid.Coord{3, 3})
 	big := mkBox(grid.Coord{1, 1}, grid.Coord{4, 4})
 	s.Add(5, rec(s, small, 1))
@@ -65,7 +66,7 @@ func TestAddDominatedReplacement(t *testing.T) {
 
 	// A newer record does NOT replace a contained record with a newer or
 	// equal epoch (two genuinely distinct blocks).
-	s2 := NewStore(grid.MustShape(10, 10))
+	s2 := NewStore(meshtest.MustShape(10, 10))
 	s2.Add(5, rec(s2, small, 7))
 	s2.Add(5, rec(s2, big, 7))
 	if !hasBox(s2, 5, small) || !hasBox(s2, 5, big) {
@@ -74,7 +75,7 @@ func TestAddDominatedReplacement(t *testing.T) {
 }
 
 func TestAddDistinctBlocks(t *testing.T) {
-	s := NewStore(grid.MustShape(10, 10))
+	s := NewStore(meshtest.MustShape(10, 10))
 	a := mkBox(grid.Coord{1, 1}, grid.Coord{2, 2})
 	b := mkBox(grid.Coord{5, 5}, grid.Coord{6, 6})
 	s.Add(0, rec(s, a, 1))
@@ -85,7 +86,7 @@ func TestAddDistinctBlocks(t *testing.T) {
 }
 
 func TestRemoveEpochGuard(t *testing.T) {
-	s := NewStore(grid.MustShape(10, 10))
+	s := NewStore(meshtest.MustShape(10, 10))
 	b := mkBox(grid.Coord{2, 2}, grid.Coord{3, 3})
 	id := s.Intern(b)
 	s.Add(1, Record{Block: id, Epoch: 5})
@@ -111,7 +112,7 @@ func TestRemoveEpochGuard(t *testing.T) {
 }
 
 func TestClear(t *testing.T) {
-	s := NewStore(grid.MustShape(4, 4))
+	s := NewStore(meshtest.MustShape(4, 4))
 	b := mkBox(grid.Coord{0, 0}, grid.Coord{1, 1})
 	s.Add(0, rec(s, b, 1))
 	s.Add(1, rec(s, b, 1))
@@ -122,7 +123,7 @@ func TestClear(t *testing.T) {
 }
 
 func TestTotalAcrossNodes(t *testing.T) {
-	s := NewStore(grid.MustShape(8, 8))
+	s := NewStore(meshtest.MustShape(8, 8))
 	b := mkBox(grid.Coord{0, 0}, grid.Coord{1, 1})
 	for id := 0; id < 5; id++ {
 		s.Add(grid.NodeID(id), rec(s, b, 1))
@@ -136,7 +137,7 @@ func TestTotalAcrossNodes(t *testing.T) {
 // anyone holds it (the interner, each record), equal boxes share it, and the
 // slot of a fully released id is reused by the next new box.
 func TestBoxTableRecyclesIDs(t *testing.T) {
-	s := NewStore(grid.MustShape(4, 4))
+	s := NewStore(meshtest.MustShape(4, 4))
 	a, b := mkBox(grid.Coord{1, 1}, grid.Coord{2, 2}), mkBox(grid.Coord{5, 5}, grid.Coord{6, 7})
 	ia, ib := s.Intern(a), s.Intern(b)
 	if again := s.Intern(a); again != ia || ia == ib || s.Blocks() != 2 {
@@ -170,7 +171,7 @@ func TestBoxTableRecyclesIDs(t *testing.T) {
 // Remove that changes a node's records and on every Clear — and not on an
 // Add that only refreshes an epoch or a Remove that finds nothing to remove.
 func TestStoreVersion(t *testing.T) {
-	s := NewStore(grid.MustShape(4, 4))
+	s := NewStore(meshtest.MustShape(4, 4))
 	small := mkBox(grid.Coord{2, 2}, grid.Coord{2, 2})
 	big := mkBox(grid.Coord{1, 1}, grid.Coord{3, 3})
 	sb := rec(s, small, 1)
@@ -336,7 +337,7 @@ func run(t *testing.T, s *Store, ref *refStore, ops []storeOp, ids []BlockID) {
 // ties and the history digests read. A rerun after Clear, which finds every
 // list's block where the first run left it, allocates nothing.
 func TestStoreMatchesReference(t *testing.T) {
-	shape := grid.MustShape(6, 6)
+	shape := meshtest.MustShape(6, 6)
 	ids := make([]BlockID, len(diffBoxes))
 	for seed := uint64(1); seed <= 60; seed++ {
 		ops := storeOps(seed, 600, len(diffBoxes))

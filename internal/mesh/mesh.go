@@ -112,15 +112,6 @@ func New(shape *grid.Shape) *Mesh {
 	return m
 }
 
-// NewUniform builds an all-enabled k-ary n-D mesh.
-func NewUniform(n, k int) (*Mesh, error) {
-	shape, err := grid.Uniform(n, k)
-	if err != nil {
-		return nil, err
-	}
-	return New(shape), nil
-}
-
 // Shape returns the mesh geometry.
 func (m *Mesh) Shape() *grid.Shape { return m.shape }
 
@@ -129,9 +120,6 @@ func (m *Mesh) NumNodes() int { return len(m.status) }
 
 // Status returns the current label of node id.
 func (m *Mesh) Status(id grid.NodeID) Status { return m.status[id] }
-
-// StatusAt returns the label of the node at coordinate c.
-func (m *Mesh) StatusAt(c grid.Coord) Status { return m.status[m.shape.Index(c)] }
 
 // Neighbor returns the neighbor of id in direction d (InvalidNode off-mesh).
 func (m *Mesh) Neighbor(id grid.NodeID, d grid.Dir) grid.NodeID {
@@ -205,9 +193,6 @@ func (m *Mesh) incr(id grid.NodeID, s Status) {
 // Fail marks a node faulty (a dynamic fault occurrence f_i).
 func (m *Mesh) Fail(id grid.NodeID) { m.SetStatus(id, Faulty) }
 
-// FailAt marks the node at coordinate c faulty.
-func (m *Mesh) FailAt(c grid.Coord) { m.Fail(m.shape.Index(c)) }
-
 // Recover applies rule 5 of Algorithm 1: a faulty node recovers and is
 // labeled clean. Recovering a non-faulty node is a no-op.
 func (m *Mesh) Recover(id grid.NodeID) {
@@ -215,9 +200,6 @@ func (m *Mesh) Recover(id grid.NodeID) {
 		m.SetStatus(id, Clean)
 	}
 }
-
-// RecoverAt recovers the node at coordinate c.
-func (m *Mesh) RecoverAt(c grid.Coord) { m.Recover(m.shape.Index(c)) }
 
 // CleanAge returns the number of stabilization rounds node id has been
 // Clean; meaningful only while Status(id) == Clean.
@@ -230,12 +212,6 @@ func (m *Mesh) BumpCleanAge(id grid.NodeID) {
 		m.cleanAge[id]++
 	}
 }
-
-// NumFaulty returns the count of faulty nodes (F at the current time).
-func (m *Mesh) NumFaulty() int { return m.faulty }
-
-// NumDisabled returns the count of disabled nodes.
-func (m *Mesh) NumDisabled() int { return m.disabled }
 
 // NumClean returns the count of clean (transient) nodes; zero once the
 // labeling is quiescent.
@@ -298,22 +274,6 @@ func (m *Mesh) HasCleanNeighbor(id grid.NodeID) bool {
 		}
 	}
 	return false
-}
-
-// Snapshot returns a copy of the status array, for tests that compare
-// protocol evolution against a reference.
-func (m *Mesh) Snapshot() []Status { return append([]Status(nil), m.status...) }
-
-// Restore resets statuses from a snapshot taken on the same mesh. Every
-// change goes through SetStatus, so the counters, the open sets and the
-// version follow.
-func (m *Mesh) Restore(snap []Status) {
-	if len(snap) != len(m.status) {
-		panic("mesh: snapshot from a different mesh")
-	}
-	for id, s := range snap {
-		m.SetStatus(grid.NodeID(id), s)
-	}
 }
 
 // Reset returns every node to Enabled, relabeling the ones that are not

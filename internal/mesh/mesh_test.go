@@ -7,6 +7,16 @@ import (
 	"ndmesh/internal/rng"
 )
 
+// mustShape is grid.NewShape but fails loudly: the shapes here are
+// constants.
+func mustShape(dims ...int) *grid.Shape {
+	s, err := grid.NewShape(dims...)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 func TestStatusStringsAndBad(t *testing.T) {
 	cases := map[Status]string{
 		Enabled: "enabled", Disabled: "disabled", Clean: "clean", Faulty: "faulty",
@@ -28,10 +38,7 @@ func TestStatusStringsAndBad(t *testing.T) {
 }
 
 func TestNewMeshAllEnabled(t *testing.T) {
-	m, err := NewUniform(2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := New(mustShape(5, 5))
 	if m.NumNodes() != 25 {
 		t.Fatalf("NumNodes = %d", m.NumNodes())
 	}
@@ -40,13 +47,13 @@ func TestNewMeshAllEnabled(t *testing.T) {
 			t.Fatalf("node %d not enabled initially", id)
 		}
 	}
-	if m.NumFaulty() != 0 || m.NumDisabled() != 0 || m.NumClean() != 0 {
+	if m.faulty != 0 || m.disabled != 0 || m.NumClean() != 0 {
 		t.Fatal("counters not zero initially")
 	}
 }
 
 func TestNeighborTableMatchesShape(t *testing.T) {
-	m, _ := NewUniform(3, 4)
+	m := New(mustShape(4, 4, 4))
 	shape := m.Shape()
 	for id := 0; id < m.NumNodes(); id++ {
 		for d := 0; d < shape.NumDirs(); d++ {
@@ -62,7 +69,7 @@ func TestNeighborTableMatchesShape(t *testing.T) {
 // Neighbor in every direction, off-mesh hops included, on a 2-D and a 3-D
 // mesh.
 func TestNeighborsMatchesNeighbor(t *testing.T) {
-	for _, shape := range []*grid.Shape{grid.MustShape(3, 3), grid.MustShape(4, 2, 3)} {
+	for _, shape := range []*grid.Shape{mustShape(3, 3), mustShape(4, 2, 3)} {
 		m := New(shape)
 		for id := grid.NodeID(0); int(id) < m.NumNodes(); id++ {
 			row := m.Neighbors(id)
@@ -76,7 +83,7 @@ func TestNeighborsMatchesNeighbor(t *testing.T) {
 			}
 		}
 	}
-	m, _ := NewUniform(2, 3)
+	m := New(mustShape(3, 3))
 	off := 0
 	for _, nb := range m.Neighbors(m.Shape().Index(grid.Coord{0, 0})) {
 		if nb == grid.InvalidNode {
@@ -89,10 +96,10 @@ func TestNeighborsMatchesNeighbor(t *testing.T) {
 }
 
 func TestStatusTransitionsAndCounters(t *testing.T) {
-	m, _ := NewUniform(2, 4)
+	m := New(mustShape(4, 4))
 	id := m.Shape().Index(grid.Coord{1, 1})
 	m.Fail(id)
-	if m.Status(id) != Faulty || m.NumFaulty() != 1 {
+	if m.Status(id) != Faulty || m.faulty != 1 {
 		t.Fatal("Fail did not apply")
 	}
 	v := m.Version()
@@ -101,7 +108,7 @@ func TestStatusTransitionsAndCounters(t *testing.T) {
 		t.Fatal("redundant SetStatus bumped version")
 	}
 	m.Recover(id)
-	if m.Status(id) != Clean || m.NumClean() != 1 || m.NumFaulty() != 0 {
+	if m.Status(id) != Clean || m.NumClean() != 1 || m.faulty != 0 {
 		t.Fatal("Recover did not set clean")
 	}
 	// Recover on non-faulty node is a no-op.
@@ -111,30 +118,17 @@ func TestStatusTransitionsAndCounters(t *testing.T) {
 		t.Fatal("Recover changed an enabled node")
 	}
 	m.SetStatus(id, Disabled)
-	if m.NumDisabled() != 1 || m.NumClean() != 0 {
+	if m.disabled != 1 || m.NumClean() != 0 {
 		t.Fatal("counters wrong after disable")
 	}
 	m.SetStatus(id, Enabled)
-	if m.NumDisabled() != 0 {
+	if m.disabled != 0 {
 		t.Fatal("counters wrong after re-enable")
 	}
 }
 
-func TestFailAtRecoverAt(t *testing.T) {
-	m, _ := NewUniform(3, 4)
-	c := grid.Coord{1, 2, 3}
-	m.FailAt(c)
-	if m.StatusAt(c) != Faulty {
-		t.Fatal("FailAt missed")
-	}
-	m.RecoverAt(c)
-	if m.StatusAt(c) != Clean {
-		t.Fatal("RecoverAt missed")
-	}
-}
-
 func TestCleanAge(t *testing.T) {
-	m, _ := NewUniform(2, 4)
+	m := New(mustShape(4, 4))
 	id := m.Shape().Index(grid.Coord{2, 2})
 	m.Fail(id)
 	m.Recover(id)
@@ -155,33 +149,33 @@ func TestCleanAge(t *testing.T) {
 }
 
 func TestBadNeighborDims(t *testing.T) {
-	m, _ := NewUniform(2, 8)
+	m := New(mustShape(8, 8))
 	shape := m.Shape()
 	center := shape.Index(grid.Coord{4, 4})
 
 	// One faulty neighbor: neither condition.
-	m.FailAt(grid.Coord{5, 4})
+	m.Fail(m.Shape().Index(grid.Coord{5, 4}))
 	bad2, faulty2 := m.BadNeighborDims(center)
 	if bad2 || faulty2 {
 		t.Fatal("single faulty neighbor must not trigger")
 	}
 	// Two faulty along the SAME axis: still neither (rule 1 needs
 	// different dimensions).
-	m.FailAt(grid.Coord{3, 4})
+	m.Fail(m.Shape().Index(grid.Coord{3, 4}))
 	bad2, faulty2 = m.BadNeighborDims(center)
 	if bad2 || faulty2 {
 		t.Fatal("two faulty neighbors on one axis must not trigger")
 	}
 	// Add a faulty neighbor on the other axis: both trigger.
-	m.FailAt(grid.Coord{4, 5})
+	m.Fail(m.Shape().Index(grid.Coord{4, 5}))
 	bad2, faulty2 = m.BadNeighborDims(center)
 	if !bad2 || !faulty2 {
 		t.Fatal("two faulty dims must trigger both conditions")
 	}
 
 	// Disabled counts toward bad but not faulty.
-	m2, _ := NewUniform(2, 8)
-	m2.FailAt(grid.Coord{5, 4})
+	m2 := New(mustShape(8, 8))
+	m2.Fail(m2.Shape().Index(grid.Coord{5, 4}))
 	m2.SetStatus(shape.Index(grid.Coord{4, 5}), Disabled)
 	bad2, faulty2 = m2.BadNeighborDims(center)
 	if !bad2 {
@@ -193,7 +187,7 @@ func TestBadNeighborDims(t *testing.T) {
 }
 
 func TestHasCleanNeighbor(t *testing.T) {
-	m, _ := NewUniform(2, 6)
+	m := New(mustShape(6, 6))
 	shape := m.Shape()
 	id := shape.Index(grid.Coord{2, 2})
 	if m.HasCleanNeighbor(id) {
@@ -207,48 +201,28 @@ func TestHasCleanNeighbor(t *testing.T) {
 	}
 }
 
-func TestSnapshotRestore(t *testing.T) {
-	m, _ := NewUniform(2, 5)
-	m.FailAt(grid.Coord{1, 1})
-	m.FailAt(grid.Coord{2, 2})
-	m.SetStatus(m.Shape().Index(grid.Coord{3, 3}), Disabled)
-	snap := m.Snapshot()
-	m.Reset()
-	if m.NumFaulty() != 0 || m.NumDisabled() != 0 {
-		t.Fatal("Reset incomplete")
-	}
-	m.Restore(snap)
-	if m.NumFaulty() != 2 || m.NumDisabled() != 1 {
-		t.Fatalf("Restore counters wrong: f=%d d=%d", m.NumFaulty(), m.NumDisabled())
-	}
-	if m.StatusAt(grid.Coord{1, 1}) != Faulty || m.StatusAt(grid.Coord{3, 3}) != Disabled {
-		t.Fatal("Restore statuses wrong")
-	}
-}
-
-func TestRestorePanicsOnWrongSize(t *testing.T) {
-	m, _ := NewUniform(2, 4)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Restore with wrong snapshot did not panic")
-		}
-	}()
-	m.Restore(make([]Status, 3))
-}
-
 func TestVersionBumps(t *testing.T) {
-	m, _ := NewUniform(2, 4)
+	m := New(mustShape(4, 4))
 	v0 := m.Version()
-	m.FailAt(grid.Coord{1, 1})
+	m.Fail(m.Shape().Index(grid.Coord{1, 1}))
 	if m.Version() == v0 {
 		t.Fatal("version not bumped on change")
 	}
 }
 
 // checkOpen holds every node's open set to its definition, recomputed from
-// the neighbor table and the statuses (the truth the sets are derived from).
+// the neighbor table and the statuses (the truth the sets are derived from),
+// and the faulty, disabled and clean counts Reset reads to a recount.
 func checkOpen(t *testing.T, m *Mesh, when string) {
 	t.Helper()
+	var count [4]int
+	for _, s := range m.status {
+		count[s]++
+	}
+	if count[Faulty] != m.faulty || count[Disabled] != m.disabled || count[Clean] != m.NumClean() {
+		t.Fatalf("%v %s: counters faulty %d disabled %d clean %d, statuses say %d %d %d", m.Shape(), when,
+			m.faulty, m.disabled, m.NumClean(), count[Faulty], count[Disabled], count[Clean])
+	}
 	for id := grid.NodeID(0); int(id) < m.NumNodes(); id++ {
 		var want grid.DirSet
 		for d := grid.Dir(0); int(d) < m.Shape().NumDirs(); d++ {
@@ -262,16 +236,18 @@ func checkOpen(t *testing.T, m *Mesh, when string) {
 	}
 }
 
-// TestOpenSetsFollowStatus: the open sets are derived state. After every
-// operation of a random Fail / Recover / SetStatus / Restore / Reset sequence
-// on mixed-radix 2-D to 4-D meshes — border nodes included, and a radix-1
-// axis whose nodes have no neighbor along it — they equal the recomputation.
+// TestOpenSetsFollowStatus: the open sets and the counters are derived
+// state. After every operation of a random Fail / Recover / SetStatus /
+// restore / Reset sequence on mixed-radix 2-D to 4-D meshes — border nodes
+// included, and a radix-1 axis whose nodes have no neighbor along it — they
+// equal the recomputation. A restore relabels every node to a saved status
+// through SetStatus.
 func TestOpenSetsFollowStatus(t *testing.T) {
 	for i, dims := range [][]int{{5, 4}, {3, 4, 5}, {4, 1, 3}, {3, 2, 4, 3}} {
-		m := New(grid.MustShape(dims...))
+		m := New(mustShape(dims...))
 		checkOpen(t, m, "new")
 		r := rng.New(uint64(i) + 1)
-		snap := m.Snapshot()
+		snap := append([]Status(nil), m.status...)
 		for op := 0; op < 600; op++ {
 			id := grid.NodeID(r.Intn(m.NumNodes()))
 			var when string
@@ -287,11 +263,13 @@ func TestOpenSetsFollowStatus(t *testing.T) {
 				when = "SetStatus " + s.String()
 				m.SetStatus(id, s)
 			case k < 37:
-				when = "Snapshot"
-				snap = m.Snapshot()
+				when = "snapshot"
+				snap = append(snap[:0], m.status...)
 			case k < 39:
-				when = "Restore"
-				m.Restore(snap)
+				when = "restore"
+				for id, s := range snap {
+					m.SetStatus(grid.NodeID(id), s)
+				}
 			default:
 				when = "Reset"
 				m.Reset()

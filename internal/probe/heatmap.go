@@ -68,15 +68,6 @@ func (h *Heatmap) ObserveStep(c engine.StepCensus) {
 	h.samples++
 }
 
-// Samples returns how many flushes have been folded in.
-func (h *Heatmap) Samples() int { return h.samples }
-
-// NumNodes returns the node count the heatmap was sized for.
-func (h *Heatmap) NumNodes() int { return h.numNodes }
-
-// NumDirs returns the per-node directed-link count.
-func (h *Heatmap) NumDirs() int { return h.numDirs }
-
 // Resident returns (peak, total) residency for node n.
 func (h *Heatmap) Resident(n int) (peak int32, total int64) {
 	return h.residentPeak[n], h.residentSum[n]

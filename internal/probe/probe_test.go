@@ -12,7 +12,7 @@ import (
 	"ndmesh/internal/core"
 	"ndmesh/internal/engine"
 	"ndmesh/internal/grid"
-	"ndmesh/internal/mesh"
+	"ndmesh/internal/meshtest"
 	"ndmesh/internal/route"
 )
 
@@ -23,8 +23,8 @@ func TestTimeSeriesRing(t *testing.T) {
 	for step := 1; step <= 5; step++ {
 		ts.ObserveStep(engine.StepCensus{Step: step, Steps: 1, Injected: step})
 	}
-	if ts.Len() != 3 || ts.Dropped() != 2 {
-		t.Fatalf("len=%d dropped=%d, want 3/2", ts.Len(), ts.Dropped())
+	if len(ts.Rows()) != 3 || ts.Dropped() != 2 {
+		t.Fatalf("len=%d dropped=%d, want 3/2", len(ts.Rows()), ts.Dropped())
 	}
 	rows := ts.Rows()
 	for i, want := range []int{3, 4, 5} {
@@ -36,8 +36,8 @@ func TestTimeSeriesRing(t *testing.T) {
 	one := NewTimeSeries(0)
 	one.ObserveStep(engine.StepCensus{Step: 1, Steps: 1})
 	one.ObserveStep(engine.StepCensus{Step: 2, Steps: 1})
-	if one.Len() != 1 || one.Rows()[0].Step != 2 || one.Dropped() != 1 {
-		t.Fatalf("capacity-0 ring: len=%d dropped=%d rows=%+v", one.Len(), one.Dropped(), one.Rows())
+	if len(one.Rows()) != 1 || one.Rows()[0].Step != 2 || one.Dropped() != 1 {
+		t.Fatalf("capacity-0 ring: len=%d dropped=%d rows=%+v", len(one.Rows()), one.Dropped(), one.Rows())
 	}
 }
 
@@ -83,8 +83,8 @@ func TestHeatmapFold(t *testing.T) {
 		Resident: resident, LinkStalls: stalls,
 		LinkStallsDirty: []int32{1, 6}, NumDirs: 2,
 	})
-	if h.Samples() != 2 {
-		t.Fatalf("samples %d, want 2", h.Samples())
+	if h.samples != 2 {
+		t.Fatalf("samples %d, want 2", h.samples)
 	}
 	if peak, total := h.Resident(1); peak != 2 || total != 3 {
 		t.Fatalf("node 1 residency peak=%d total=%d, want 2/3", peak, total)
@@ -134,9 +134,9 @@ func TestSetFanOut(t *testing.T) {
 	set.ObserveStep(engine.StepCensus{Step: 1, Steps: 1, Injected: 2})
 	set.ObserveLatency(5)
 	set.ObserveLatency(9)
-	if ts.Len() != 1 || hm.Samples() != 1 || snap.State().Injected != 2 {
+	if len(ts.Rows()) != 1 || hm.samples != 1 || snap.State().Injected != 2 {
 		t.Fatalf("census fan-out missed a recorder: ts=%d hm=%d snap=%+v",
-			ts.Len(), hm.Samples(), snap.State())
+			len(ts.Rows()), hm.samples, snap.State())
 	}
 	var hist bytes.Buffer
 	if err := lh.WriteCSV(&hist); err != nil {
@@ -242,7 +242,7 @@ func TestManifestRoundtrip(t *testing.T) {
 // histogram and live snapshot, census flush plus latency feed — allocates
 // nothing in steady state.
 func TestProbedStepAllocFree(t *testing.T) {
-	m, err := mesh.NewUniform(2, 16)
+	m, err := meshtest.NewUniform(2, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

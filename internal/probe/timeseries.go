@@ -79,9 +79,6 @@ func (t *TimeSeries) ObserveStep(c engine.StepCensus) {
 	}
 }
 
-// Len returns the number of rows currently held.
-func (t *TimeSeries) Len() int { return t.n }
-
 // Dropped returns how many rows were overwritten because the ring
 // filled.
 func (t *TimeSeries) Dropped() int { return t.dropped }

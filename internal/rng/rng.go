@@ -84,14 +84,6 @@ func (r *Source) Intn(n int) int {
 	}
 }
 
-// IntRange returns a uniform int in [lo, hi] inclusive; it panics if lo > hi.
-func (r *Source) IntRange(lo, hi int) int {
-	if lo > hi {
-		panic("rng: IntRange with lo > hi")
-	}
-	return lo + r.Intn(hi-lo+1)
-}
-
 // Float64 returns a uniform float64 in [0, 1).
 func (r *Source) Float64() float64 {
 	return float64(r.Uint64()>>11) * (1.0 / (1 << 53))

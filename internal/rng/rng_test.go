@@ -127,25 +127,6 @@ func TestIntnUniformity(t *testing.T) {
 	}
 }
 
-func TestIntRange(t *testing.T) {
-	r := New(5)
-	for i := 0; i < 500; i++ {
-		v := r.IntRange(-3, 3)
-		if v < -3 || v > 3 {
-			t.Fatalf("IntRange out of range: %d", v)
-		}
-	}
-	if r.IntRange(4, 4) != 4 {
-		t.Fatal("degenerate range wrong")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("inverted range did not panic")
-		}
-	}()
-	r.IntRange(2, 1)
-}
-
 func TestFloat64Range(t *testing.T) {
 	r := New(3)
 	sum := 0.0

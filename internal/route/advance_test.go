@@ -6,7 +6,7 @@ import (
 
 	"ndmesh/internal/grid"
 	"ndmesh/internal/info"
-	"ndmesh/internal/mesh"
+	"ndmesh/internal/meshtest"
 )
 
 // alwaysBacktrack is the adversarial router for the empty-path gating
@@ -37,7 +37,7 @@ func (g *countingGate) gate(from grid.NodeID, dir grid.Dir) bool {
 // backtrackOrFail turns an empty stack into Fail. The stub pins the
 // contract for any router.)
 func TestBacktrackEmptyPathConsultsNoGate(t *testing.T) {
-	m, err := mesh.NewUniform(2, 6)
+	m, err := meshtest.NewUniform(2, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,14 +69,14 @@ func TestBacktrackEmptyPathConsultsNoGate(t *testing.T) {
 // (no link budget, no pending counter) — the regression a gated empty-path
 // backtrack would have broken.
 func TestSourceDeadEndUnderContention(t *testing.T) {
-	m, err := mesh.NewUniform(2, 8)
+	m, err := meshtest.NewUniform(2, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	shape := m.Shape()
 	src := grid.Coord{3, 3}
 	for _, nb := range [][2]int{{2, 3}, {4, 3}, {3, 2}, {3, 4}} {
-		m.FailAt(grid.Coord{nb[0], nb[1]})
+		m.Fail(m.Shape().Index(grid.Coord{nb[0], nb[1]}))
 	}
 	ctx := &Context{M: m}
 	msg := NewMessage(shape.Index(src), shape.Index(grid.Coord{6, 6}))

@@ -7,6 +7,7 @@ import (
 	"ndmesh/internal/grid"
 	"ndmesh/internal/info"
 	"ndmesh/internal/mesh"
+	"ndmesh/internal/meshtest"
 	"ndmesh/internal/rng"
 )
 
@@ -148,7 +149,7 @@ func TestStaleInformationStillCorrect(t *testing.T) {
 	ctx, m := env(t, []int{14, 14}, nil)
 	// Plant a phantom block record on every node of its placement, with no
 	// actual faults in the mesh.
-	phantom := grid.NewBox(grid.Coord{6, 6}, grid.Coord{8, 8})
+	phantom := meshtest.NewBox(grid.Coord{6, 6}, grid.Coord{8, 8})
 	for id := 0; id < m.NumNodes(); id++ {
 		c := m.Shape().CoordOf(grid.NodeID(id))
 		if phantomOn(phantom, c) {

@@ -5,6 +5,7 @@ import (
 
 	"ndmesh/internal/grid"
 	"ndmesh/internal/mesh"
+	"ndmesh/internal/meshtest"
 	"ndmesh/internal/rng"
 )
 
@@ -102,7 +103,7 @@ func FuzzRouterDecision(f *testing.F) {
 		for i := range dims {
 			dims[i] = 3 + r.Intn(4)
 		}
-		shape := grid.MustShape(dims...)
+		shape := meshtest.MustShape(dims...)
 		// Random interior faults (the paper's model keeps the outermost
 		// surface fault-free).
 		var faults []grid.Coord

@@ -309,25 +309,6 @@ func (msg *Message) Done() bool {
 	return msg.Arrived || msg.Unreachable || msg.Lost || msg.TimedOut
 }
 
-// Used returns the used-direction set recorded at node id of a message on
-// the given shape.
-func (msg *Message) Used(shape *grid.Shape, id grid.NodeID) grid.DirSet {
-	if msg.strayed {
-		if i := msg.find(id); i >= 0 {
-			return msg.visited[i].used
-		}
-		return 0
-	}
-	u := msg.Src
-	for _, d := range msg.path {
-		if u == id {
-			return grid.DirSet(0).Add(d)
-		}
-		u = shape.Neighbor(u, d)
-	}
-	return 0
-}
-
 // find returns id's slot in the used-direction table, or -1.
 //
 //meshvet:noalloc TestRecycledMessageAllocFree
@@ -417,37 +398,6 @@ func (msg *Message) String() string {
 // what it decides next step). A nil Gate grants every traversal — the
 // contention-free model.
 type Gate func(from grid.NodeID, dir grid.Dir) bool
-
-// AdvanceGated performs one step of the routing process: one decision and
-// one hop (Figure 7's routing decision + message sending) under link
-// arbitration. It returns true if the message is still in flight
-// afterwards. The chosen traversal (forward or backward) only executes if
-// the gate grants the link (a nil gate grants every one); otherwise the
-// message waits in place. A waiting message re-decides whenever status or
-// information changed — the mesh version or the store version moved since
-// it stalled — so a stalled preferred direction can be abandoned for a
-// spare if the fault picture changes while queued. While neither moved, a
-// fresh decision would equal the one it stalled on, and a load-oblivious
-// router (see LoadOblivious) is not asked again: the message re-asks the
-// gate for the decision it kept. A header is advanced under one Context
-// throughout.
-//
-// AdvanceGated is the composition of the step's parts — Plan, Link, then
-// Wait or Commit — which a caller stepping many messages under one state
-// (the engine) uses directly, taking StateKey and LoadOblivious once.
-//
-//meshvet:noalloc TestRecycledMessageAllocFree
-func AdvanceGated(ctx *Context, r Router, msg *Message, gate Gate) bool {
-	d, ok := Plan(ctx, r, msg, StateKey(ctx), LoadOblivious(r))
-	if !ok {
-		return false
-	}
-	if dir, crosses := msg.Link(d); crosses && gate != nil && !gate(msg.Cur, dir) {
-		msg.Wait()
-		return true
-	}
-	return Commit(ctx, msg, d)
-}
 
 // StateKey sums the versions of the context's mesh and record store. Both
 // only ever advance, so the sum is unchanged exactly when neither moved.

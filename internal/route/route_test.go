@@ -8,6 +8,7 @@ import (
 	"ndmesh/internal/grid"
 	"ndmesh/internal/info"
 	"ndmesh/internal/mesh"
+	"ndmesh/internal/meshtest"
 )
 
 // env builds a mesh with stabilized faults and a fully deposited info
@@ -20,7 +21,7 @@ func env(t *testing.T, dims []int, faults []grid.Coord) (*Context, *mesh.Mesh) {
 	}
 	m := mesh.New(shape)
 	for _, c := range faults {
-		m.FailAt(c)
+		m.Fail(m.Shape().Index(c))
 	}
 	block.StabilizeFull(m)
 	store := info.NewStore(m.Shape())
@@ -98,7 +99,7 @@ func TestDemotionAtBoundary(t *testing.T) {
 	shape := m.Shape()
 	// The staircase of faults stabilizes to the block [3:6, 4:5].
 	bs := block.Extract(m)
-	if len(bs) != 1 || !bs[0].Box.Equal(grid.NewBox(grid.Coord{3, 4}, grid.Coord{6, 5})) {
+	if len(bs) != 1 || !bs[0].Box.Equal(meshtest.NewBox(grid.Coord{3, 4}, grid.Coord{6, 5})) {
 		t.Fatalf("unexpected blocks: %+v", bs)
 	}
 	u := shape.Index(grid.Coord{2, 3})
@@ -129,7 +130,7 @@ func TestSpareAlongBlock(t *testing.T) {
 	ctx, m := env(t, []int{12, 12}, []grid.Coord{{3, 5}, {4, 6}, {5, 5}, {6, 6}, {7, 5}, {8, 6}})
 	shape := m.Shape()
 	bs := block.Extract(m)
-	if len(bs) != 1 || !bs[0].Box.Equal(grid.NewBox(grid.Coord{3, 5}, grid.Coord{8, 6})) {
+	if len(bs) != 1 || !bs[0].Box.Equal(meshtest.NewBox(grid.Coord{3, 5}, grid.Coord{8, 6})) {
 		t.Fatalf("unexpected blocks: %+v", bs)
 	}
 	u := shape.Index(grid.Coord{7, 4})
@@ -261,14 +262,15 @@ func TestOracleOptimal(t *testing.T) {
 }
 
 // TestRestoreInvalidatesOracle: the oracle's distance fields are cached against
-// the mesh version, so a Restore — which rewrites every status — must advance
-// it: one Oracle routes around a wall, the wall is restored away, and the
-// next message to the same destination must take the straight path.
+// the mesh version, so restoring a saved status picture — every node
+// relabeled through SetStatus — must advance it: one Oracle routes around a
+// wall, the wall is restored away, and the next message to the same
+// destination must take the straight path.
 func TestRestoreInvalidatesOracle(t *testing.T) {
 	ctx, m := env(t, []int{7, 7}, nil)
-	faultFree := m.Snapshot()
+	faultFree := meshtest.Statuses(m)
 	for x := 0; x < 6; x++ {
-		m.FailAt(grid.Coord{x, 3})
+		m.Fail(m.Shape().Index(grid.Coord{x, 3}))
 	}
 	src, dst := m.Shape().Index(grid.Coord{0, 0}), m.Shape().Index(grid.Coord{0, 6})
 	o := &Oracle{}
@@ -277,7 +279,7 @@ func TestRestoreInvalidatesOracle(t *testing.T) {
 	if !msg.Arrived || msg.Hops != 18 {
 		t.Fatalf("around the wall: %v, want arrival in 18 hops", msg)
 	}
-	m.Restore(faultFree)
+	meshtest.Restore(m, faultFree)
 	msg = NewMessage(src, dst)
 	runToEnd(t, ctx, o, msg)
 	if !msg.Arrived || msg.Hops != 6 {
@@ -290,11 +292,11 @@ func TestRestoreInvalidatesOracle(t *testing.T) {
 // (the column x = 6, y 0-5) are both at version 6; one Oracle routes across
 // A, then must route across B as a fresh one does, not from A's fields.
 func TestOracleFollowsMesh(t *testing.T) {
-	shape := grid.MustShape(7, 7)
+	shape := meshtest.MustShape(7, 7)
 	a, b := mesh.New(shape), mesh.New(shape)
 	for i := 0; i < 6; i++ {
-		a.FailAt(grid.Coord{i, 3})
-		b.FailAt(grid.Coord{6, i})
+		a.Fail(a.Shape().Index(grid.Coord{i, 3}))
+		b.Fail(b.Shape().Index(grid.Coord{6, i}))
 	}
 	if a.Version() != b.Version() {
 		t.Fatalf("versions %d and %d: the scenario needs them equal", a.Version(), b.Version())
@@ -339,7 +341,7 @@ func TestOracleFieldCache(t *testing.T) {
 			}
 		}
 	}
-	shape := grid.MustShape(10, 10)
+	shape := meshtest.MustShape(10, 10)
 	ids := func(cs ...grid.Coord) []grid.NodeID {
 		out := make([]grid.NodeID, len(cs))
 		for i, c := range cs {
@@ -351,16 +353,16 @@ func TestOracleFieldCache(t *testing.T) {
 	dsts := ids(grid.Coord{1, 8}, grid.Coord{5, 9}, grid.Coord{8, 7}, grid.Coord{0, 0}, grid.Coord{9, 5}, grid.Coord{4, 5})
 	wall := func(m *mesh.Mesh) { // y = 5, x 0-8: the gap is x = 9
 		for x := 0; x < 9; x++ {
-			m.FailAt(grid.Coord{x, 5})
+			m.Fail(m.Shape().Index(grid.Coord{x, 5}))
 		}
 	}
 	m := mesh.New(shape)
 	check("fault-free", curs, dsts, m)
 	wall(m)
 	check("Fail", curs, dsts, m)
-	snap := m.Snapshot()
-	m.RecoverAt(grid.Coord{3, 5})
-	m.RecoverAt(grid.Coord{4, 5})
+	snap := meshtest.Statuses(m)
+	m.Recover(m.Shape().Index(grid.Coord{3, 5}))
+	m.Recover(m.Shape().Index(grid.Coord{4, 5}))
 	check("Recover", curs, dsts, m)
 	m.SetStatus(shape.Index(grid.Coord{3, 5}), mesh.Disabled)
 	check("Clean -> Disabled", curs, dsts, m)
@@ -369,24 +371,24 @@ func TestOracleFieldCache(t *testing.T) {
 	m.SetStatus(shape.Index(grid.Coord{3, 5}), mesh.Enabled)
 	m.SetStatus(shape.Index(grid.Coord{4, 5}), mesh.Enabled)
 	check("Clean -> Enabled", curs, dsts, m)
-	m.Restore(snap)
+	meshtest.Restore(m, snap)
 	check("Restore", curs, dsts, m)
 	m.Reset()
 	check("Reset", curs, dsts, m)
 	a, b := mesh.New(shape), mesh.New(shape)
 	wall(a)
 	for y := 1; y < 10; y++ { // the column x = 5, y 1-9
-		b.FailAt(grid.Coord{5, y})
+		b.Fail(b.Shape().Index(grid.Coord{5, y}))
 	}
 	if a.Version() != b.Version() {
 		t.Fatalf("versions %d and %d: the two-mesh stage needs them equal", a.Version(), b.Version())
 	}
 	check("two meshes", curs, dsts, a, b)
 
-	shape = grid.MustShape(128, 128)
+	shape = meshtest.MustShape(128, 128)
 	big := mesh.New(shape)
 	for x := 1; x < 127; x++ { // y = 64: the gaps are x = 0 and x = 127
-		big.FailAt(grid.Coord{x, 64})
+		big.Fail(big.Shape().Index(grid.Coord{x, 64}))
 	}
 	curs = ids(grid.Coord{64, 10}, grid.Coord{20, 30}, grid.Coord{100, 50})
 	n := shape.NumNodes()

@@ -5,6 +5,7 @@ import (
 	"unsafe"
 
 	"ndmesh/internal/grid"
+	"ndmesh/internal/meshtest"
 )
 
 // scripted replays a fixed list of decisions, one per Decide call.
@@ -162,7 +163,7 @@ func TestArenaShares(t *testing.T) {
 		dims  []int
 		share int
 	}{{[]int{8, 8}, 16}, {[]int{32, 32}, 64}, {[]int{4, 4, 4}, 16}, {[]int{128, 128}, 256}, {[]int{256, 256}, 512}} {
-		tables := NewTables(grid.MustShape(tc.dims...), 4)
+		tables := NewTables(meshtest.MustShape(tc.dims...), 4)
 		var first, second Message
 		tables.Carve(&first)
 		tables.Carve(&second)

@@ -49,43 +49,6 @@ func SourceSafe(blocks []grid.Box, s, d grid.Coord) bool {
 	return true
 }
 
-// MinimalPathExists reports whether a minimal (monotone, Manhattan-length)
-// path from s to d exists through enabled nodes only. It is the exhaustive
-// ground truth Theorem 2's sufficiency is tested against: BFS restricted to
-// the preferred directions.
-func MinimalPathExists(m *mesh.Mesh, s, d grid.NodeID) bool {
-	if m.Status(s) != mesh.Enabled || m.Status(d) != mesh.Enabled {
-		return false
-	}
-	if s == d {
-		return true
-	}
-	shape := m.Shape()
-	visited := map[grid.NodeID]struct{}{s: {}}
-	queue := []grid.NodeID{s}
-	var dirs []grid.Dir
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		dirs = shape.PreferredDirs(cur, d, dirs[:0])
-		for _, dir := range dirs {
-			nb := shape.Neighbor(cur, dir)
-			if nb == grid.InvalidNode || m.Status(nb) != mesh.Enabled {
-				continue
-			}
-			if nb == d {
-				return true
-			}
-			if _, dup := visited[nb]; dup {
-				continue
-			}
-			visited[nb] = struct{}{}
-			queue = append(queue, nb)
-		}
-	}
-	return false
-}
-
 // PathExists reports whether any path (not necessarily minimal) from s to d
 // exists through enabled nodes, and returns its length (BFS hops). Used by
 // Theorem 5 (unsafe sources route along a path of length L).

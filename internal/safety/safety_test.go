@@ -6,11 +6,12 @@ import (
 	"ndmesh/internal/block"
 	"ndmesh/internal/grid"
 	"ndmesh/internal/mesh"
+	"ndmesh/internal/meshtest"
 	"ndmesh/internal/rng"
 )
 
 func TestBlockIntersectsAxisSection(t *testing.T) {
-	b := grid.NewBox(grid.Coord{3, 4}, grid.Coord{5, 6})
+	b := meshtest.NewBox(grid.Coord{3, 4}, grid.Coord{5, 6})
 	s := grid.Coord{1, 5}
 	d := grid.Coord{8, 5}
 	// X axis section from (1,5) to (8,5): the block spans x 3..5 and
@@ -46,7 +47,7 @@ func TestSourceSafeNoBlocks(t *testing.T) {
 }
 
 func TestSourceSafeExamples(t *testing.T) {
-	blocks := []grid.Box{grid.NewBox(grid.Coord{3, 4}, grid.Coord{5, 6})}
+	blocks := []grid.Box{meshtest.NewBox(grid.Coord{3, 4}, grid.Coord{5, 6})}
 	// Source at (1,1), dest (8,8): x section at y=1 misses the block
 	// (block y span 4..6), y section at x=1 misses (x span 3..5): safe.
 	if !SourceSafe(blocks, grid.Coord{1, 1}, grid.Coord{8, 8}) {
@@ -69,7 +70,7 @@ func TestTheorem2SafeImpliesMinimalPath(t *testing.T) {
 	r := rng.New(99)
 	safeCount, unsafeCount := 0, 0
 	for trial := 0; trial < 200; trial++ {
-		m, _ := mesh.NewUniform(2, 12)
+		m, _ := meshtest.NewUniform(2, 12)
 		var seeds []grid.NodeID
 		nf := 1 + r.Intn(6)
 		for f := 0; f < nf; f++ {
@@ -154,7 +155,7 @@ func TestTheorem2InND(t *testing.T) {
 }
 
 func TestMinimalPathExistsBasics(t *testing.T) {
-	m, _ := mesh.NewUniform(2, 8)
+	m, _ := meshtest.NewUniform(2, 8)
 	shape := m.Shape()
 	s := shape.Index(grid.Coord{1, 1})
 	d := shape.Index(grid.Coord{5, 5})
@@ -171,12 +172,12 @@ func TestMinimalPathExistsBasics(t *testing.T) {
 }
 
 func TestMinimalPathBlocked(t *testing.T) {
-	m, _ := mesh.NewUniform(2, 8)
+	m, _ := meshtest.NewUniform(2, 8)
 	shape := m.Shape()
 	// Full diagonal wall across the monotone region from (1,1) to (4,4):
 	// cut the anti-diagonal x+y=5 within the rectangle.
 	for _, c := range []grid.Coord{{1, 4}, {2, 3}, {3, 2}, {4, 1}} {
-		m.FailAt(c)
+		m.Fail(m.Shape().Index(c))
 	}
 	s := shape.Index(grid.Coord{1, 1})
 	d := shape.Index(grid.Coord{4, 4})
@@ -190,7 +191,7 @@ func TestMinimalPathBlocked(t *testing.T) {
 }
 
 func TestPathExists(t *testing.T) {
-	m, _ := mesh.NewUniform(2, 8)
+	m, _ := meshtest.NewUniform(2, 8)
 	shape := m.Shape()
 	s := shape.Index(grid.Coord{0, 0})
 	d := shape.Index(grid.Coord{3, 0})
@@ -202,7 +203,7 @@ func TestPathExists(t *testing.T) {
 	}
 	// Wall the destination in.
 	for _, c := range []grid.Coord{{2, 0}, {2, 1}, {3, 1}, {4, 1}, {4, 0}} {
-		m.FailAt(c)
+		m.Fail(m.Shape().Index(c))
 	}
 	if _, ok := PathExists(m, s, d); ok {
 		t.Fatal("walled-in destination reachable")

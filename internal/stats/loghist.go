@@ -12,9 +12,7 @@ import "math/bits"
 // lets a probe keep the full latency distribution of an arbitrarily long
 // load run at 0 allocs/op steady state.
 type LogHistogram struct {
-	counts     []int64
-	total, sum int64
-	max        int
+	counts []int64
 }
 
 const (
@@ -68,49 +66,6 @@ func (h *LogHistogram) Add(v int) {
 		v = 0
 	}
 	h.counts[logHistIndex(v)]++
-	h.total++
-	h.sum += int64(v)
-	if v > h.max {
-		h.max = v
-	}
-}
-
-// Total returns the observation count.
-func (h *LogHistogram) Total() int64 { return h.total }
-
-// Max returns the largest observation, exactly (0 when empty).
-func (h *LogHistogram) Max() int { return h.max }
-
-// Mean returns the exact mean of observations (the sum is kept exactly).
-func (h *LogHistogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.total)
-}
-
-// Quantile returns the q-quantile (q in [0,1]) as the upper edge of the
-// bucket holding that rank: exact below 128, within ~1.6% above.
-func (h *LogHistogram) Quantile(q float64) int {
-	if h.total == 0 {
-		return 0
-	}
-	target := int64(q * float64(h.total))
-	if target >= h.total {
-		target = h.total - 1
-	}
-	var seen int64
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		seen += c
-		if seen > target {
-			_, hi := h.BucketBounds(i)
-			return hi
-		}
-	}
-	return h.max
 }
 
 // Buckets calls fn for every non-empty bucket in increasing value order.
@@ -129,5 +84,4 @@ func (h *LogHistogram) Reset() {
 	for i := range h.counts {
 		h.counts[i] = 0
 	}
-	h.total, h.sum, h.max = 0, 0, 0
 }

@@ -11,9 +11,6 @@ func TestLogHistExactRange(t *testing.T) {
 	for v := 0; v < 128; v++ {
 		h.Add(v)
 	}
-	if h.Total() != 128 {
-		t.Fatalf("total %d, want 128", h.Total())
-	}
 	if got := h.Quantile(0); got != 0 {
 		t.Fatalf("q0 = %d, want 0", got)
 	}
@@ -22,12 +19,6 @@ func TestLogHistExactRange(t *testing.T) {
 	}
 	if got := h.Quantile(1); got != 127 {
 		t.Fatalf("q100 = %d, want 127", got)
-	}
-	if h.Max() != 127 {
-		t.Fatalf("max %d, want 127", h.Max())
-	}
-	if h.Mean() != 63.5 {
-		t.Fatalf("mean %v, want 63.5", h.Mean())
 	}
 }
 
@@ -87,8 +78,10 @@ func TestLogHistQuantileError(t *testing.T) {
 func TestLogHistNegativeClamp(t *testing.T) {
 	h := NewLogHistogram()
 	h.Add(-5)
-	if h.Total() != 1 || h.Quantile(0.5) != 0 || h.Max() != 0 {
-		t.Fatalf("negative add mishandled: total=%d q50=%d max=%d", h.Total(), h.Quantile(0.5), h.Max())
+	var buckets []int64
+	h.Buckets(func(lo, hi int, count int64) { buckets = append(buckets, int64(lo), int64(hi), count) })
+	if len(buckets) != 3 || buckets[0] != 0 || buckets[1] != 0 || buckets[2] != 1 || h.Quantile(0.5) != 0 {
+		t.Fatalf("negative add mishandled: buckets (lo, hi, count) %v, q50=%d", buckets, h.Quantile(0.5))
 	}
 }
 
@@ -112,9 +105,6 @@ func TestLogHistBucketsAndReset(t *testing.T) {
 		t.Fatalf("bucket counts sum to %d, want 4", total)
 	}
 	h.Reset()
-	if h.Total() != 0 || h.Max() != 0 || h.Mean() != 0 {
-		t.Fatal("reset did not empty the histogram")
-	}
 	count := 0
 	h.Buckets(func(int, int, int64) { count++ })
 	if count != 0 {

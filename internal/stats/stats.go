@@ -41,9 +41,6 @@ func (s *Summary) Add(x float64) {
 // AddInt records one integer observation.
 func (s *Summary) AddInt(x int) { s.Add(float64(x)) }
 
-// N returns the observation count.
-func (s *Summary) N() int64 { return s.n }
-
 // Mean returns the running mean (0 for an empty summary).
 func (s *Summary) Mean() float64 { return s.mean }
 

@@ -9,14 +9,14 @@ import (
 
 func TestSummaryBasics(t *testing.T) {
 	var s Summary
-	if s.N() != 0 || s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 {
+	if s.n != 0 || s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 {
 		t.Fatal("empty summary not zero")
 	}
 	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		s.Add(v)
 	}
-	if s.N() != 8 {
-		t.Fatalf("N = %d", s.N())
+	if s.n != 8 {
+		t.Fatalf("N = %d", s.n)
 	}
 	if math.Abs(s.Mean()-5) > 1e-12 {
 		t.Fatalf("Mean = %f", s.Mean())

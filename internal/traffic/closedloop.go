@@ -41,7 +41,6 @@ type ClosedLoop struct {
 	pat         Pattern
 	window      int
 	outstanding []int
-	inFlight    int
 	r           *rng.Source
 
 	// Retry state (ConfigureRetry). A timed-out request releases its slot
@@ -56,7 +55,6 @@ type ClosedLoop struct {
 	attempts     []int
 	blockedUntil []int
 	step         int // Step() calls so far — the backoff clock
-	retried      int
 }
 
 // NewClosedLoop builds a closed-loop source in which every node keeps up to
@@ -124,18 +122,6 @@ func backoffDelay(base, streak int, r *rng.Source) int {
 	return delay + r.Intn(delay) // jitter: [0, delay)
 }
 
-// Retried returns how many timed-out requests have been re-armed for retry.
-func (c *ClosedLoop) Retried() int { return c.retried }
-
-// Window returns the per-node outstanding-request bound.
-func (c *ClosedLoop) Window() int { return c.window }
-
-// Outstanding returns node's current outstanding-request count.
-func (c *ClosedLoop) Outstanding(node int) int { return c.outstanding[node] }
-
-// InFlight returns the total outstanding requests across all nodes.
-func (c *ClosedLoop) InFlight() int { return c.inFlight }
-
 // Step implements Injector: in node order, every node tops its outstanding
 // count up to the window, drawing one destination per new request. A
 // refusal (emit returns false: the source's input queue is full, or the
@@ -157,7 +143,6 @@ func (c *ClosedLoop) Step(emit func(src, dst grid.NodeID) bool) {
 				break // source blocked this step; retry next step
 			}
 			c.outstanding[node]++
-			c.inFlight++
 		}
 	}
 	c.step++
@@ -176,7 +161,6 @@ func (c *ClosedLoop) Release(src grid.NodeID) {
 		panic("traffic: ClosedLoop.Release without an outstanding request")
 	}
 	c.outstanding[src]--
-	c.inFlight--
 	c.attempts[src] = 0
 }
 
@@ -196,9 +180,7 @@ func (c *ClosedLoop) Timeout(src grid.NodeID) {
 		panic("traffic: ClosedLoop.Timeout without an outstanding request")
 	}
 	c.outstanding[src]--
-	c.inFlight--
 	c.attempts[src]++
-	c.retried++
 	if delay := backoffDelay(c.backoff, c.attempts[src], c.r); delay > 0 {
 		c.blockedUntil[src] = max(c.blockedUntil[src], c.step+delay)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ndmesh/internal/grid"
+	"ndmesh/internal/meshtest"
 	"ndmesh/internal/rng"
 )
 
@@ -16,7 +17,7 @@ var testShapes = [][]int{{4, 6, 3}, {8, 8}, {5, 5, 5}, {2, 2}, {16, 3}}
 // an in-shape destination different from the source, for every source.
 func TestPatternsProduceValidEndpoints(t *testing.T) {
 	for _, dims := range testShapes {
-		shape := grid.MustShape(dims...)
+		shape := meshtest.MustShape(dims...)
 		for _, name := range PatternNames() {
 			pat, err := ByName(shape, name)
 			if err != nil {
@@ -39,10 +40,10 @@ func TestPatternsProduceValidEndpoints(t *testing.T) {
 }
 
 func TestPatternByNameUnknown(t *testing.T) {
-	if _, err := ByName(grid.MustShape(4, 4), "zipf"); err == nil {
+	if _, err := ByName(meshtest.MustShape(4, 4), "zipf"); err == nil {
 		t.Fatal("expected error for unknown pattern")
 	}
-	if _, err := ByName(grid.MustShape(1), "uniform"); err == nil {
+	if _, err := ByName(meshtest.MustShape(1), "uniform"); err == nil {
 		t.Fatal("expected error for a 1-node shape")
 	}
 }
@@ -50,7 +51,7 @@ func TestPatternByNameUnknown(t *testing.T) {
 // TestNeighborPatternIsOneHop pins the locality extreme: every destination
 // is exactly one hop away.
 func TestNeighborPatternIsOneHop(t *testing.T) {
-	shape := grid.MustShape(4, 6, 3)
+	shape := meshtest.MustShape(4, 6, 3)
 	pat := NewNeighbor(shape)
 	r := rng.New(3)
 	for src := 0; src < shape.NumNodes(); src++ {
@@ -66,7 +67,7 @@ func TestNeighborPatternIsOneHop(t *testing.T) {
 // TestComplementPattern pins the deterministic mapping on an asymmetric
 // shape.
 func TestComplementPattern(t *testing.T) {
-	shape := grid.MustShape(4, 6, 3)
+	shape := meshtest.MustShape(4, 6, 3)
 	pat := NewComplement(shape)
 	r := rng.New(1)
 	src := shape.Index(grid.Coord{1, 2, 0})
@@ -79,7 +80,7 @@ func TestComplementPattern(t *testing.T) {
 // TestTransposeRescalesToRadix checks the mixed-radix transpose stays in
 // shape by construction (no clamping artifacts at the extremes).
 func TestTransposeRescalesToRadix(t *testing.T) {
-	shape := grid.MustShape(4, 6, 3)
+	shape := meshtest.MustShape(4, 6, 3)
 	pat := NewTranspose(shape)
 	r := rng.New(1)
 	src := shape.Index(grid.Coord{3, 5, 2})
@@ -98,7 +99,7 @@ func TestTransposeRescalesToRadix(t *testing.T) {
 // stream compatibility with the historical drawPair (two Intn(N) draws per
 // attempt).
 func TestDrawLongHaulPair(t *testing.T) {
-	shape := grid.MustShape(12, 12)
+	shape := meshtest.MustShape(12, 12)
 	r := rng.New(5)
 	for i := 0; i < 200; i++ {
 		s, d, err := DrawLongHaulPair(shape, r)
@@ -142,7 +143,7 @@ func TestDrawLongHaulPair(t *testing.T) {
 // smallest feasible shapes still draw.
 func TestDrawLongHaulPairInfeasible(t *testing.T) {
 	for _, dims := range [][]int{{4, 4}, {3, 3, 3}, {2, 9}, {3}, {4, 4, 4}} {
-		shape := grid.MustShape(dims...)
+		shape := meshtest.MustShape(dims...)
 		r := rng.New(1)
 		before := *r
 		if _, _, err := DrawLongHaulPair(shape, r); err == nil {
@@ -153,7 +154,7 @@ func TestDrawLongHaulPairInfeasible(t *testing.T) {
 		}
 	}
 	for _, dims := range [][]int{{5, 5}, {4, 5}, {10}, {5, 5, 5}} {
-		shape := grid.MustShape(dims...)
+		shape := meshtest.MustShape(dims...)
 		if _, _, err := DrawLongHaulPair(shape, rng.New(1)); err != nil {
 			t.Errorf("%s: %v", shape, err)
 		}
@@ -163,7 +164,7 @@ func TestDrawLongHaulPairInfeasible(t *testing.T) {
 // TestGeneratorDeterministic pins the injection sequence: same seed, same
 // emissions.
 func TestGeneratorDeterministic(t *testing.T) {
-	shape := grid.MustShape(4, 6, 3)
+	shape := meshtest.MustShape(4, 6, 3)
 	type ev struct{ s, d grid.NodeID }
 	runOnce := func() []ev {
 		pat, _ := ByName(shape, "hotspot")

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ndmesh/internal/grid"
+	"ndmesh/internal/meshtest"
 	"ndmesh/internal/rng"
 	"ndmesh/internal/stats"
 )
@@ -43,7 +44,7 @@ func drive(src Injector, steps int, settle func(i int, src, dst grid.NodeID)) []
 // arguments, emits what a fresh source of those arguments emits, and a
 // Reset of a source of the same size allocates nothing.
 func TestSourceResetMatchesFresh(t *testing.T) {
-	shape := grid.MustShape(6, 5)
+	shape := meshtest.MustShape(6, 5)
 	uniform, transpose := NewUniform(shape), NewTranspose(shape)
 	noop := func(int, grid.NodeID, grid.NodeID) {}
 
@@ -86,8 +87,8 @@ func TestSourceResetMatchesFresh(t *testing.T) {
 		fr := rng.New(5)
 		fresh := NewRetrySource(NewGenerator(shape, transpose, &Bernoulli{}, 0.3, fr), shape.NumNodes(), 3, fr)
 		want := drive(fresh, 40, settle(fresh))
-		if !slices.Equal(got, want) || q.Retried() != fresh.Retried() || q.PendingMeasured() != fresh.PendingMeasured() {
-			t.Fatalf("reset retry source emitted %v (retried %d), fresh %v (retried %d)", head(got), q.Retried(), head(want), fresh.Retried())
+		if !slices.Equal(got, want) || q.PendingMeasured() != fresh.PendingMeasured() || len(q.pending) != len(fresh.pending) {
+			t.Fatalf("reset retry source emitted %v (%d pending), fresh %v (%d pending)", head(got), len(q.pending), head(want), len(fresh.pending))
 		}
 		if n := testing.AllocsPerRun(10, func() { q.Reset(gen, shape.NumNodes(), 3, r) }); n != 0 {
 			t.Fatalf("Reset allocates %v times", n)
@@ -113,8 +114,8 @@ func TestSourceResetMatchesFresh(t *testing.T) {
 		got := drive(c, 40, settle(c))
 		fresh := NewClosedLoop(shape, transpose, 2, rng.New(7))
 		want := drive(fresh, 40, settle(fresh))
-		if !slices.Equal(got, want) || c.Retried() != fresh.Retried() || c.InFlight() != fresh.InFlight() {
-			t.Fatalf("reset closed loop emitted %v (retried %d), fresh %v (retried %d)", head(got), c.Retried(), head(want), fresh.Retried())
+		if !slices.Equal(got, want) || !slices.Equal(c.outstanding, fresh.outstanding) || !slices.Equal(c.blockedUntil, fresh.blockedUntil) {
+			t.Fatalf("reset closed loop emitted %v (outstanding %v), fresh %v (outstanding %v)", head(got), c.outstanding, head(want), fresh.outstanding)
 		}
 		if n := testing.AllocsPerRun(10, func() { c.Reset(shape, transpose, 2, r) }); n != 0 {
 			t.Fatalf("Reset allocates %v times", n)
@@ -126,7 +127,7 @@ func TestSourceResetMatchesFresh(t *testing.T) {
 // pattern per name while the shape stays (drawing the destinations a fresh
 // ByName pattern draws), a rebuild when it changes, and ByName's errors.
 func TestPatternsBuildOnce(t *testing.T) {
-	shape := grid.MustShape(5, 7)
+	shape := meshtest.MustShape(5, 7)
 	var ps Patterns
 	for _, name := range PatternNames() {
 		p, err := ps.ByName(shape, name)
@@ -144,7 +145,7 @@ func TestPatternsBuildOnce(t *testing.T) {
 			}
 		}
 	}
-	other := grid.MustShape(5, 7)
+	other := meshtest.MustShape(5, 7)
 	p, _ := ps.ByName(shape, "transpose")
 	if q, _ := ps.ByName(other, "transpose"); q == p {
 		t.Fatal("a new shape got the old shape's pattern")
@@ -152,7 +153,7 @@ func TestPatternsBuildOnce(t *testing.T) {
 	if _, err := ps.ByName(other, "nope"); err == nil {
 		t.Fatal("an unknown name built a pattern")
 	}
-	if _, err := ps.ByName(grid.MustShape(1), "uniform"); err == nil {
+	if _, err := ps.ByName(meshtest.MustShape(1), "uniform"); err == nil {
 		t.Fatal("a one-node shape built a pattern")
 	}
 }

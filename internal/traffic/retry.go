@@ -34,7 +34,6 @@ type RetrySource struct {
 	pending  []retryItem
 	attempts []int // per-source consecutive-timeout streak
 	step     int   // Step() calls so far — the backoff clock
-	retried  int
 }
 
 type retryItem struct {
@@ -82,10 +81,6 @@ func (q *RetrySource) Trim() {
 	}
 }
 
-// Retained is the pending queue's capacity: what the source holds on to
-// between runs.
-func (q *RetrySource) Retained() int { return cap(q.pending) }
-
 // Step implements Injector: due retries first, in kill order, then the
 // inner source's fresh arrivals. A refused retry (full source queue or
 // bad node) stays pending and is re-attempted next step — mirroring the
@@ -107,7 +102,6 @@ func (q *RetrySource) Step(emit func(src, dst grid.NodeID) bool) {
 // echoed by PendingMeasured. Every Timeout counts as one retry.
 func (q *RetrySource) Timeout(src, dst grid.NodeID, measured bool) {
 	q.attempts[src]++
-	q.retried++
 	due := q.step + backoffDelay(q.backoff, q.attempts[src], q.r)
 	q.pending = append(q.pending, retryItem{src: src, dst: dst, due: due, measured: measured})
 }
@@ -117,10 +111,6 @@ func (q *RetrySource) Timeout(src, dst grid.NodeID, measured bool) {
 // backs off from the base delay again (the closed loop resets the same
 // way on Release).
 func (q *RetrySource) Settle(src grid.NodeID) { q.attempts[src] = 0 }
-
-// Retried returns how many timed-out requests have been scheduled for
-// retry.
-func (q *RetrySource) Retried() int { return q.retried }
 
 // PendingMeasured returns the pending retries whose killed flight was
 // attributed to the measurement window — the requests that will be

@@ -6,6 +6,7 @@ import (
 
 	"ndmesh/internal/fault"
 	"ndmesh/internal/grid"
+	"ndmesh/internal/meshtest"
 	"ndmesh/internal/rng"
 )
 
@@ -41,7 +42,7 @@ func recordOffers(t *testing.T, shape *grid.Shape, steps int) (*Trace, [][2]grid
 // TestTraceRecordsEveryOffer pins what a trace captures: every offer the
 // source made — accepted or refused — in step order.
 func TestTraceRecordsEveryOffer(t *testing.T) {
-	shape := grid.MustShape(4, 4)
+	shape := meshtest.MustShape(4, 4)
 	tr, seen := recordOffers(t, shape, 12)
 	if tr.Steps() != 12 {
 		t.Fatalf("trace recorded %d steps, want 12", tr.Steps())
@@ -66,7 +67,7 @@ func TestTraceRecordsEveryOffer(t *testing.T) {
 // reproduces the trace exactly, including metadata, fault schedule and the
 // full offer stream.
 func TestTraceMarshalRoundTrip(t *testing.T) {
-	shape := grid.MustShape(4, 4)
+	shape := meshtest.MustShape(4, 4)
 	tr, _ := recordOffers(t, shape, 12)
 	tr.Window = 0
 	tr.ClosedLoop = false
@@ -111,7 +112,7 @@ func TestTraceMarshalRoundTrip(t *testing.T) {
 // TestTracePlayerPastEnd pins the drain behavior: steps beyond the
 // recording offer nothing (and do not panic).
 func TestTracePlayerPastEnd(t *testing.T) {
-	shape := grid.MustShape(4, 4)
+	shape := meshtest.MustShape(4, 4)
 	tr, _ := recordOffers(t, shape, 5)
 	p := NewTracePlayer(tr)
 	for s := 0; s < 5; s++ {
@@ -127,7 +128,7 @@ func TestTracePlayerPastEnd(t *testing.T) {
 // unknown version, truncation and inconsistent counts all error instead of
 // yielding a half-parsed trace.
 func TestUnmarshalTraceRejectsCorrupt(t *testing.T) {
-	shape := grid.MustShape(4, 4)
+	shape := meshtest.MustShape(4, 4)
 	tr, _ := recordOffers(t, shape, 8)
 	good := tr.Marshal()
 
@@ -213,9 +214,9 @@ func TestUnmarshalTraceRejectsOversizedCounts(t *testing.T) {
 // TestTraceValidate pins the replay-time checks: shape mismatches and
 // out-of-mesh endpoints are rejected before a replay can misindex.
 func TestTraceValidate(t *testing.T) {
-	shape := grid.MustShape(4, 4)
+	shape := meshtest.MustShape(4, 4)
 	tr, _ := recordOffers(t, shape, 6)
-	if err := tr.Validate(grid.MustShape(5, 5)); err == nil {
+	if err := tr.Validate(meshtest.MustShape(5, 5)); err == nil {
 		t.Error("shape mismatch accepted")
 	}
 	tr2, _ := recordOffers(t, shape, 6)

@@ -8,11 +8,12 @@ import (
 	"ndmesh/internal/grid"
 	"ndmesh/internal/info"
 	"ndmesh/internal/mesh"
+	"ndmesh/internal/meshtest"
 )
 
 func TestRenderStatuses(t *testing.T) {
-	m, _ := mesh.NewUniform(2, 5)
-	m.FailAt(grid.Coord{2, 2})
+	m, _ := meshtest.NewUniform(2, 5)
+	m.Fail(m.Shape().Index(grid.Coord{2, 2}))
 	m.SetStatus(m.Shape().Index(grid.Coord{1, 2}), mesh.Disabled)
 	m.SetStatus(m.Shape().Index(grid.Coord{3, 2}), mesh.Clean)
 	out := Render(m, Options{Source: grid.InvalidNode, Dest: grid.InvalidNode})
@@ -28,7 +29,7 @@ func TestRenderStatuses(t *testing.T) {
 }
 
 func TestRenderInfoGlyph(t *testing.T) {
-	m, _ := mesh.NewUniform(2, 5)
+	m, _ := meshtest.NewUniform(2, 5)
 	store := info.NewStore(m.Shape())
 	store.Add(m.Shape().Index(grid.Coord{1, 1}), info.Record{Block: store.Intern(grid.BoxAt(grid.Coord{3, 3}))})
 	out := Render(m, Options{Store: store, Source: grid.InvalidNode, Dest: grid.InvalidNode})
@@ -40,7 +41,7 @@ func TestRenderInfoGlyph(t *testing.T) {
 }
 
 func TestRenderPathAndEndpoints(t *testing.T) {
-	m, _ := mesh.NewUniform(2, 5)
+	m, _ := meshtest.NewUniform(2, 5)
 	shape := m.Shape()
 	src := shape.Index(grid.Coord{0, 0})
 	dst := shape.Index(grid.Coord{2, 0})
@@ -53,9 +54,9 @@ func TestRenderPathAndEndpoints(t *testing.T) {
 }
 
 func TestRender3DSlice(t *testing.T) {
-	m, _ := mesh.NewUniform(3, 6)
+	m, _ := meshtest.NewUniform(3, 6)
 	for _, c := range []grid.Coord{{2, 2, 3}, {3, 3, 3}} {
-		m.FailAt(c)
+		m.Fail(m.Shape().Index(c))
 	}
 	block.StabilizeFull(m)
 	// Slice z=3 shows the faults; slice z=0 does not.
@@ -70,8 +71,8 @@ func TestRender3DSlice(t *testing.T) {
 }
 
 func TestRenderAxisSelection(t *testing.T) {
-	m, _ := mesh.NewUniform(3, 4)
-	m.FailAt(grid.Coord{1, 0, 2})
+	m, _ := meshtest.NewUniform(3, 4)
+	m.Fail(m.Shape().Index(grid.Coord{1, 0, 2}))
 	// Render the X-Z plane at y=0: the fault appears at (x=1, z=2).
 	out := Render(m, Options{AxisX: 0, AxisY: 2, Fixed: grid.Coord{0, 0, 0},
 		Source: grid.InvalidNode, Dest: grid.InvalidNode})

@@ -12,6 +12,7 @@ import (
 	"ndmesh/internal/detour"
 	"ndmesh/internal/fault"
 	"ndmesh/internal/grid"
+	"ndmesh/internal/meshtest"
 	"ndmesh/internal/rng"
 	"ndmesh/internal/route"
 	"ndmesh/internal/traffic"
@@ -61,7 +62,7 @@ func TestTheoremTraceFixture(t *testing.T) {
 			for _, res := range storms {
 				add(res.tr, res.ivs)
 			}
-			got = append(got, traceDigest{fmt.Sprintf("%s/seed%d", grid.MustShape(dims...), seed), samples, hex.EncodeToString(h.Sum(nil))})
+			got = append(got, traceDigest{fmt.Sprintf("%s/seed%d", meshtest.MustShape(dims...), seed), samples, hex.EncodeToString(h.Sum(nil))})
 		}
 	}
 	const fixture = "theorem_traces.json"
