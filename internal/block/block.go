@@ -19,26 +19,6 @@ import (
 	"ndmesh/internal/mesh"
 )
 
-// maxRoundsFactor bounds stabilization length as a safety net. The clean
-// wave crosses the mesh at one hop per round and every node changes status a
-// bounded number of times per wave, so 8*diameter is far beyond any legal
-// convergence; exceeding it indicates a protocol bug.
-const maxRoundsFactor = 8
-
-// Result summarizes one stabilization run.
-type Result struct {
-	// Rounds is the number of synchronous rounds until no status change
-	// (the a_i of Table 1).
-	Rounds int
-	// Transitions counts individual status changes applied over all rounds.
-	Transitions int
-	// Affected counts distinct nodes that changed status at least once;
-	// the locality metric of the reactive model.
-	Affected int
-	// Converged is false only if the safety cap was hit (protocol bug).
-	Converged bool
-}
-
 // Stepper advances the labeling protocol one synchronous round at a time so
 // the execution engine can interleave it with identification and boundary
 // rounds (λ rounds per step, Figure 7). Its only protocol state is the
@@ -194,28 +174,6 @@ func nextStatus(m *mesh.Mesh, id grid.NodeID, old mesh.Status) (next mesh.Status
 	default:
 		return old, false
 	}
-}
-
-// Run drives the stepper to quiescence.
-func (st *Stepper) Run() Result {
-	var res Result
-	roundCap := maxRoundsFactor * (st.m.Shape().Diameter() + 2)
-	for !st.Quiescent() {
-		if res.Rounds >= roundCap {
-			res.Affected = st.Affected()
-			return res // Converged stays false: protocol bug guard.
-		}
-		res.Transitions += st.Round()
-		res.Rounds++
-	}
-	res.Affected = st.Affected()
-	res.Converged = true
-	// Quiescence is detected one round after the last change: the final
-	// evaluation round that produced no transition is not counted in a_i.
-	if res.Rounds > 0 {
-		res.Rounds--
-	}
-	return res
 }
 
 // Block is a stabilized faulty block extracted by the oracle: the maximal

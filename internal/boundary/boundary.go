@@ -51,32 +51,11 @@ import (
 	"cmp"
 	"slices"
 
+	"ndmesh/internal/chunk"
 	"ndmesh/internal/grid"
 	"ndmesh/internal/info"
 	"ndmesh/internal/mesh"
 )
-
-// OnWall reports whether coordinate c lies on one of block b's boundary
-// walls: exactly one axis at lo−1/hi+1 (the lateral wall axis), exactly one
-// axis strictly beyond the frame shell (the shadow axis), and every other
-// axis inside the block span.
-func OnWall(b grid.Box, c grid.Coord) bool {
-	if len(c) != b.Dims() {
-		return false
-	}
-	extremes, beyond := 0, 0
-	for i := range c {
-		switch {
-		case c[i] == b.Lo[i]-1 || c[i] == b.Hi[i]+1:
-			extremes++
-		case c[i] < b.Lo[i]-1 || c[i] > b.Hi[i]+1:
-			beyond++
-		default:
-			// inside the span
-		}
-	}
-	return extremes == 1 && beyond == 1
-}
 
 // markPlacement is the one placement enumerator: it sets, in the N-bit set
 // bits, every mesh node of b's placement, as a union of clipped boxes — per
@@ -266,6 +245,19 @@ type Protocol struct {
 	// once warm. made counts the constructions ever made.
 	spare []*Construction
 	made  int32 //meshvet:keep the serial the next construction made gets
+	// The constructions, their bitsets, fronts and bases, the construction
+	// lists, the placement cache and the tombstones are carved from chunks
+	// (internal/chunk): a cold fill costs an allocation per chunk, and every
+	// carved block stays with its owner across Reset.
+	objs   chunk.Carver[Construction]  //meshvet:keep carves constructions the free list keeps
+	lists  chunk.Carver[*Construction] //meshvet:keep carves cons and spare
+	words  chunk.Carver[uint64]        //meshvet:keep carves the constructions' and placements' bitsets
+	nodes  chunk.Carver[grid.NodeID]   //meshvet:keep carves the fronts
+	ids    chunk.Carver[info.BlockID]  //meshvet:keep carves the bases
+	coords chunk.Carver[int]           //meshvet:keep carves the placements' boxes
+	places chunk.Carver[placement]     //meshvet:keep carves placed
+	slots  chunk.Carver[tomb]          //meshvet:keep carves tombs
+	queue  chunk.Carver[tombAt]        //meshvet:keep carves expiry
 	// Cancel tombstones: tombs is the slot arena, firstTomb[id] links node
 	// id's marks (made by the first cancel, so a protocol that never
 	// cancels holds none) and freeTomb the free slots. expiry lists every
@@ -286,10 +278,27 @@ type Protocol struct {
 	Hops int
 }
 
-// NewProtocol builds an empty boundary protocol over m and store.
+// NewProtocol builds an empty boundary protocol over m and store. It
+// allocates no chunk until the first construction starts.
 func NewProtocol(m *mesh.Mesh, store *info.Store) *Protocol {
-	return &Protocol{m: m, store: store, ttl: m.Shape().Diameter()}
+	n, words := m.NumNodes(), (m.NumNodes()+63)/64
+	return &Protocol{
+		m: m, store: store, ttl: m.Shape().Diameter(),
+		objs:   chunk.New[Construction](consPerChunk),
+		lists:  chunk.New[*Construction](2 * consPerChunk),
+		words:  chunk.New[uint64](4 * consPerChunk * words),
+		nodes:  chunk.New[grid.NodeID](4 * n),
+		ids:    chunk.New[info.BlockID](16 * consPerChunk),
+		coords: chunk.New[int](2 * m.Shape().Dims() * consPerChunk),
+		places: chunk.New[placement](consPerChunk),
+		slots:  chunk.New[tomb](n),
+		queue:  chunk.New[tombAt](n),
+	}
 }
+
+// consPerChunk is how many constructions (and as many placements) a chunk
+// of each kind is sized for.
+const consPerChunk = 16
 
 // Reset abandons every in-flight construction and every tombstone so the
 // protocol can be reused for a new trial; the constructions land on the
@@ -329,15 +338,20 @@ func (p *Protocol) Start(b info.BlockID, epoch uint32, op Op, seeds []grid.NodeI
 		clear(c.queued)
 	} else {
 		words := (p.m.NumNodes() + 63) / 64
-		c = &Construction{region: make([]uint64, words), visited: make([]uint64, words), queued: make([]uint64, words), serial: p.made}
+		bits := p.words.Make(3 * words)[:3*words]
+		c = p.objs.Take()
+		c.region, c.visited, c.queued = bits[:words:words], bits[words:2*words:2*words], bits[2*words:]
+		c.serial = p.made
 		p.made++
 	}
 	if op == Cancel && p.firstTomb == nil {
 		p.firstTomb = make([]int32, p.m.NumNodes())
 	}
 	c.Block, c.Epoch, c.Op, c.Rounds = b, epoch, op, 0
-	c.frontier = append(c.frontier[:0], seeds...)
+	c.frontier = p.nodes.Grow(c.frontier[:0], len(seeds))
+	c.frontier = append(c.frontier, seeds...)
 	p.addBase(c, b)
+	p.cons = p.lists.Grow(p.cons, 1)
 	p.cons = append(p.cons, c)
 	return c
 }
@@ -346,15 +360,19 @@ func (p *Protocol) Start(b info.BlockID, epoch uint32, op Op, seeds []grid.NodeI
 // an id names.
 func (p *Protocol) addBase(c *Construction, b info.BlockID) {
 	p.store.Retain(b)
+	c.bases = p.ids.Grow(c.bases, 1)
 	c.bases = append(c.bases, b)
 	for int(b) >= len(p.placed) {
-		//meshvet:allow one entry per box-table slot, kept across Reset
+		p.placed = p.places.Grow(p.placed, 1)
 		p.placed = append(p.placed, placement{})
 	}
 	pl, box := &p.placed[b], p.store.Box(b)
 	if pl.bits == nil {
-		//meshvet:allow one set per box-table slot, kept across Reset
-		pl.bits = make([]uint64, len(c.region))
+		// One set and one box per box-table slot, kept across Reset.
+		pl.bits = p.words.Make(len(c.region))[:len(c.region)]
+		n := box.Dims()
+		lohi := p.coords.Make(2 * n)
+		pl.box = grid.Box{Lo: lohi[:0:n], Hi: lohi[n : n : 2*n]}
 	}
 	if !pl.box.Equal(box) { // a new entry's empty box equals none
 		clear(pl.bits)
@@ -377,6 +395,7 @@ func (p *Protocol) retire(c *Construction) {
 	if c.Rounds%2 == 1 {
 		c.frontier, c.next = c.next, c.frontier
 	}
+	p.spare = p.lists.Grow(p.spare, 1)
 	p.spare = append(p.spare, c)
 }
 
@@ -499,9 +518,11 @@ func (p *Protocol) roundOne(c *Construction) int {
 		// A neighbor neither visited nor queued joins the next front when it
 		// lies in the region. Which neighbors join is unpredictable hop to
 		// hop, so the test is arithmetic, and every neighbor is appended and
-		// then kept or cut off again.
+		// then kept or cut off again, into room made for all of them.
 		cancel := c.Op == Cancel
-		for _, nb := range p.m.Neighbors(id) {
+		nbs := p.m.Neighbors(id)
+		next = p.nodes.Grow(next, len(nbs))
+		for _, nb := range nbs {
 			if nb == grid.InvalidNode {
 				continue
 			}
@@ -543,14 +564,18 @@ func (p *Protocol) entomb(id grid.NodeID, c *Construction) {
 			slot = p.freeTomb - 1
 			p.freeTomb = p.tombs[slot].next
 		} else {
+			// The arena grows to the most marks held at once and keeps its
+			// slots across Reset.
 			slot = int32(len(p.tombs))
-			//meshvet:allow the arena grows to the most marks held at once and keeps its slots across Reset
+			p.tombs = p.slots.Grow(p.tombs, 1)
 			p.tombs = append(p.tombs, tomb{})
 		}
 		p.tombs[slot] = tomb{id, c.Block, c.Epoch, p.firstTomb[id], p.round}
 		p.firstTomb[id], p.live = slot+1, p.live+1
 	}
-	//meshvet:allow the queue grows to the marks left within one ttl and keeps its capacity
+	// The queue grows to the marks left within one ttl and keeps its
+	// capacity.
+	p.expiry = p.queue.Grow(p.expiry, 1)
 	p.expiry = append(p.expiry, tombAt{slot, p.round})
 }
 

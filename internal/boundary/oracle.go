@@ -21,6 +21,28 @@ func OnPlacement(b grid.Box, c grid.Coord) bool {
 	return OnWall(b, c)
 }
 
+// OnWall reports whether coordinate c lies on one of block b's boundary
+// walls: exactly one axis at lo−1/hi+1 (the lateral wall axis), exactly one
+// axis strictly beyond the frame shell (the shadow axis), and every other
+// axis inside the block span.
+func OnWall(b grid.Box, c grid.Coord) bool {
+	if len(c) != b.Dims() {
+		return false
+	}
+	extremes, beyond := 0, 0
+	for i := range c {
+		switch {
+		case c[i] == b.Lo[i]-1 || c[i] == b.Hi[i]+1:
+			extremes++
+		case c[i] < b.Lo[i]-1 || c[i] > b.Hi[i]+1:
+			beyond++
+		default:
+			// inside the span
+		}
+	}
+	return extremes == 1 && beyond == 1
+}
+
 // Placement enumerates every mesh node of block b's information placement,
 // clipped to the mesh, in id order. This is the oracle the distributed
 // protocol is verified against and the direct-deposit path used by the

@@ -1,11 +1,15 @@
 // Package chunk is the module's one allocator for lists that grow: the
-// record lists of the fault-information store, the frame detector's
-// announcements, and a routing header's path stack and used-direction
-// table. A list that outgrows its capacity takes a block of twice the size,
-// carved from a chunk its owner already holds, and copies itself across in
-// order; a chunk is one allocation for many such blocks, so filling a store
-// during a fault storm costs an allocation per chunk, not one per node per
-// doubling.
+// record lists of the fault-information store and its interned boxes, the
+// frame detector's announcements, a routing header's path stack and
+// used-direction table, and the information plane's objects — boundary
+// constructions (their bitsets, fronts, bases and tombstones), ident's
+// walkers, runs and sub-runs (their boxes, free axes and lists), and core's
+// watches (their corners and keys). A list that outgrows its capacity
+// takes a block of twice the size, carved from a chunk its owner already
+// holds, and copies itself across in order; a chunk is one allocation for
+// many such blocks, so filling a store during a fault storm costs an
+// allocation per chunk, not one per node per doubling. An owner that keeps
+// objects on a free list takes each from a chunk the same way (Take).
 //
 // The rules every owner relies on:
 //
@@ -66,6 +70,16 @@ func (c *Carver[T]) Make(n int) []T {
 	b := c.rest[:0:n]
 	c.rest = c.rest[n:]
 	return b
+}
+
+// Take returns a new zero T carved from the current chunk: one object of
+// many that its owner keeps on its own free list, so taking them costs an
+// allocation per chunk, not one per object. The chunk lives as long as any
+// object carved from it.
+//
+//meshvet:noalloc TestCarveAllocFree
+func (c *Carver[T]) Take() *T {
+	return &c.Make(1)[:1][0]
 }
 
 // Grow returns s with room for n more elements. With room to spare that is

@@ -99,17 +99,49 @@ func TestChunkSizing(t *testing.T) {
 	}
 }
 
-// TestCarveAllocFree holds Make and Grow to allocating nothing while the
+// TestTake pins what Take hands out: a zero object, never one handed out
+// before, and one allocation for every chunk of them.
+func TestTake(t *testing.T) {
+	type obj struct {
+		id   int
+		next *obj
+	}
+	c := New[obj](8)
+	var taken [9]*obj
+	if n := testing.AllocsPerRun(1, func() {
+		for i := range 8 {
+			taken[i] = c.Take()
+		}
+	}); n != 1 {
+		t.Fatalf("8 objects from 8-object chunks: %v allocations, want 1", n)
+	}
+	taken[8] = c.Take()
+	for i, o := range taken {
+		if *o != (obj{}) {
+			t.Fatalf("take %d is not zero: %+v", i, *o)
+		}
+		o.id, o.next = i+1, o
+	}
+	for i, o := range taken {
+		if o.id != i+1 || o.next != o {
+			t.Fatalf("take %d was handed out again: %+v", i, *o)
+		}
+	}
+}
+
+// TestCarveAllocFree holds Make, Grow and Take to allocating nothing while the
 // current chunk has room: carving is slicing.
 func TestCarveAllocFree(t *testing.T) {
 	c := New[int16](1 << 12)
 	c.Make(1) // the chunk
 	var s []int16
+	var p *int16
 	if n := testing.AllocsPerRun(100, func() {
 		b := c.Make(2)
 		s = c.Grow(b, 3)
+		p = c.Take()
 	}); n != 0 {
 		t.Fatalf("carving from a chunk with room: %v allocations per run, want 0", n)
 	}
-	_ = s
+	_, _ = s, p
 }

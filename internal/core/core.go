@@ -24,6 +24,7 @@ import (
 
 	"ndmesh/internal/block"
 	"ndmesh/internal/boundary"
+	"ndmesh/internal/chunk"
 	"ndmesh/internal/frame"
 	"ndmesh/internal/grid"
 	"ndmesh/internal/ident"
@@ -68,9 +69,11 @@ type Model struct {
 	round int
 	// watches holds the constructed blocks in key order — the order the
 	// deletion trigger visits them, and so the order cancellation epochs
-	// are assigned. scratch is where onIdentified builds each frame corner.
+	// are assigned. scratch is where onIdentified builds each frame corner,
+	// and keyBuf where getWatched formats each key before carving it.
 	watches []*watched
 	scratch grid.Coord //meshvet:keep scratch buffer, overwritten before every use
+	keyBuf  []byte     //meshvet:keep scratch buffer, overwritten before every use
 
 	// seedBuf and spareWatches make the identification path allocation-free
 	// once warm: flood seeds are staged in seedBuf (boundary.Start copies
@@ -78,6 +81,13 @@ type Model struct {
 	// with their key and corner storage.
 	seedBuf      []grid.NodeID //meshvet:keep staging buffer, copied out by boundary.Start
 	spareWatches []*watched
+	// The watch objects, their corners and keys and the two watch lists are
+	// carved from chunks (internal/chunk): a cold fill costs an allocation
+	// per chunk, and every carved block stays with its owner across Reset.
+	watchObjs chunk.Carver[watched]    //meshvet:keep carves watches the free list keeps
+	corners   chunk.Carver[cornerRole] //meshvet:keep carves the corner lists their watches keep
+	keys      chunk.Carver[byte]       //meshvet:keep carves the keys their watches keep
+	lists     chunk.Carver[*watched]   //meshvet:keep carves watches and spareWatches
 
 	// Debug, when non-nil, receives internal decision traces (tests only).
 	Debug func(format string, args ...any) //meshvet:keep test hook, not trial state
@@ -93,18 +103,27 @@ type Model struct {
 func New(m *mesh.Mesh) *Model {
 	store := info.NewStore(m.Shape())
 	det := frame.NewDetector(m)
+	n := m.Shape().Dims()
 	md := &Model{
-		M:        m,
-		Labeling: block.NewStepper(m),
-		Detector: det,
-		Ident:    ident.NewProtocol(m, det, store),
-		Boundary: boundary.NewProtocol(m, store),
-		Store:    store,
-		scratch:  make(grid.Coord, m.Shape().Dims()),
+		M:         m,
+		Labeling:  block.NewStepper(m),
+		Detector:  det,
+		Ident:     ident.NewProtocol(m, det, store),
+		Boundary:  boundary.NewProtocol(m, store),
+		Store:     store,
+		scratch:   make(grid.Coord, n),
+		watchObjs: chunk.New[watched](watchesPerChunk),
+		corners:   chunk.New[cornerRole](watchesPerChunk << n),
+		keys:      chunk.New[byte](watchesPerChunk * 16 * n),
+		lists:     chunk.New[*watched](4 * watchesPerChunk),
 	}
 	md.Ident.OnIdentified = md.onIdentified
 	return md
 }
+
+// watchesPerChunk is how many watches a chunk of watch objects, corner
+// lists or keys is sized for.
+const watchesPerChunk = 16
 
 // RoundCount returns the current global round counter.
 func (md *Model) RoundCount() int { return md.round }
@@ -123,6 +142,7 @@ func (md *Model) Reset() {
 	md.Store.Clear()
 	md.epoch = 0
 	md.round = 0
+	md.spareWatches = md.lists.Grow(md.spareWatches, len(md.watches))
 	md.spareWatches = append(md.spareWatches, md.watches...)
 	md.watches = md.watches[:0]
 	md.LastLabelRound, md.LastFrameRound, md.LastIdentRound, md.LastBoundaryRound = 0, 0, 0, 0
@@ -204,6 +224,7 @@ func (md *Model) onIdentified(box grid.Box, corner grid.NodeID) {
 		return bytes.Compare(o.key, key)
 	})
 	if dup {
+		md.spareWatches = md.lists.Grow(md.spareWatches, 1)
 		md.spareWatches = append(md.spareWatches, w)
 		return // already constructed (another corner's run finished first)
 	}
@@ -232,21 +253,25 @@ func (md *Model) onIdentified(box grid.Box, corner grid.NodeID) {
 			w.corners = append(w.corners, cornerRole{shape.Index(c), role})
 		}
 	}
+	md.watches = md.lists.Grow(md.watches, 1)
 	md.watches = slices.Insert(md.watches, at, w)
 	md.LastBoundaryRound = md.round
 }
 
 // getWatched returns a keyed watch object for the box, recycling a retired
-// one (keeping its key and corner storage) when available.
+// one (keeping its key and corner storage) when available, or carving one.
 func (md *Model) getWatched(box grid.Box) *watched {
 	var w *watched
 	if n := len(md.spareWatches); n > 0 {
 		w = md.spareWatches[n-1]
 		md.spareWatches = md.spareWatches[:n-1]
 	} else {
-		w = &watched{corners: make([]cornerRole, 0, 1<<box.Dims())}
+		w = md.watchObjs.Take()
+		w.corners = md.corners.Make(1 << box.Dims())
 	}
-	w.key = appendBoxKey(w.key[:0], box)
+	md.keyBuf = appendBoxKey(md.keyBuf[:0], box)
+	w.key = md.keys.Grow(w.key[:0], len(md.keyBuf))
+	w.key = append(w.key, md.keyBuf...)
 	w.corners = w.corners[:0]
 	w.strikes = 0
 	return w
@@ -298,6 +323,7 @@ func (md *Model) watchCorners() int {
 			activity++
 		}
 		md.Store.Release(w.block)
+		md.spareWatches = md.lists.Grow(md.spareWatches, 1)
 		md.spareWatches = append(md.spareWatches, w)
 	}
 	md.watches = kept

@@ -8,8 +8,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"ndmesh/internal/fault"
@@ -403,32 +405,71 @@ func FuzzModelHistory(f *testing.F) {
 	})
 }
 
+// modelStorm returns a fresh model and the fault process of
+// BenchmarkModelStorm: the standing benchmark's `fault-storm` process
+// (16x16, bernoulli arrivals at 0.2 per step, mean repair 24 steps),
+// replayed over modelStormSteps steps of lambda=2 rounds.
+func modelStorm(tb testing.TB) (*Model, *fault.Schedule) {
+	md := New(mesh.New(meshtest.MustShape(16, 16)))
+	sched, err := fault.GenerateProcess(md.M.Shape(), fault.ProcessOptions{
+		Arrival: fault.Delay{Model: fault.DelayBernoulli, Rate: 0.2},
+		Repair:  fault.Delay{Model: fault.DelayBernoulli, Rate: 1.0 / 24},
+		Start:   1, Horizon: modelStormSteps - 1,
+	}, rng.New(1))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return md, sched
+}
+
+const modelStormSteps, modelStormLambda = 704, 2
+
+// coldModelStormAllocs is TestColdModelStormAllocs's ratchet (the history
+// reads 134, and 139 under the race detector). Only ever lower it.
+const coldModelStormAllocs = 146
+
+// TestColdModelStormAllocs holds BenchmarkModelStorm's history, replayed on
+// a fresh Model, to the ratchet: every object and list of the information
+// plane fills from empty, at an allocation per chunk, not one per flood,
+// walker or watch (603 when each was allocated on its own).
+// The model and the fault process are built before the count starts. The
+// count is the least of two runs, since a collection ending inside a run
+// counts the runtime's own allocations.
+func TestColdModelStormAllocs(t *testing.T) {
+	got := uint64(math.MaxUint64)
+	for range 2 {
+		md, sched := modelStorm(t)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		replay(md, sched, modelStormSteps, modelStormLambda, func(int, int) {})
+		runtime.ReadMemStats(&after)
+		if md.Boundary.Hops == 0 {
+			t.Fatal("the storm built no boundary")
+		}
+		got = min(got, after.Mallocs-before.Mallocs)
+	}
+	t.Logf("a cold model storm allocates %d times", got)
+	if got > coldModelStormAllocs {
+		t.Fatalf("a cold model storm allocates %d times, ratchet %d", got, coldModelStormAllocs)
+	}
+}
+
 // BenchmarkModelStorm is the information plane of the standing benchmark's
-// `fault-storm` workload alone: its fault process (16x16, lambda=2, bernoulli
-// arrivals at 0.2 per step, mean repair 24 steps, 704 steps) replayed through
-// a reused Model with no flights, so
+// `fault-storm` workload alone: its fault process (see modelStorm) replayed
+// through a reused Model with no flights, so
 // `go test ./internal/core -run '^$' -bench ModelStorm -cpu 1 -cpuprofile cpu.prof`
 // profiles labeling, frames, identification and the boundary floods without
 // the router. Beside the peak of stored records it reports the work the
 // boundary floods leave behind: the most cancel tombstones held at once and
 // the floods' node visits per op.
 func BenchmarkModelStorm(b *testing.B) {
-	const steps, lambda = 704, 2
-	md := New(mesh.New(meshtest.MustShape(16, 16)))
-	sched, err := fault.GenerateProcess(md.M.Shape(), fault.ProcessOptions{
-		Arrival: fault.Delay{Model: fault.DelayBernoulli, Rate: 0.2},
-		Repair:  fault.Delay{Model: fault.DelayBernoulli, Rate: 1.0 / 24},
-		Start:   1, Horizon: steps - 1,
-	}, rng.New(1))
-	if err != nil {
-		b.Fatal(err)
-	}
+	md, sched := modelStorm(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	peak, tombs := 0, 0
 	for i := 0; i < b.N; i++ {
 		md.Reset()
-		replay(md, sched, steps, lambda, func(int, int) {
+		replay(md, sched, modelStormSteps, modelStormLambda, func(int, int) {
 			peak = max(peak, md.Store.TotalRecords())
 			tombs = max(tombs, tombstones(md))
 		})

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"ndmesh/internal/core"
 	"ndmesh/internal/fault"
@@ -225,6 +226,7 @@ func TestStepMatchesAdvanceGated(t *testing.T) {
 			gate := b.gate
 			r := rng.New(29)
 			n := shape.NumNodes()
+			held := 0 // census rows already held equal
 			for step := 0; step < tc.steps; step++ {
 				if tc.between != nil {
 					tc.between(step, a)
@@ -270,9 +272,7 @@ func TestStepMatchesAdvanceGated(t *testing.T) {
 				}
 				a.FlushCensus()
 				b.FlushCensus()
-				if !reflect.DeepEqual(alog, blog) {
-					t.Fatalf("step %d: probe census %+v, reference %+v", step, alog.rows[len(alog.rows)-1], blog.rows[len(blog.rows)-1])
-				}
+				sameCensus(t, step, alog, blog, &held)
 			}
 			if tc.storm && len(a.Events) == 0 {
 				t.Fatal("the storm applied no event")
@@ -336,13 +336,28 @@ func sameEngines(t *testing.T, step int, a, b *Engine) {
 	if a.live != b.live || len(a.flights) != len(b.flights) {
 		t.Fatalf("step %d: %d live of %d flights, reference %d of %d", step, a.live, len(a.flights), b.live, len(b.flights))
 	}
+	// A header's tables field points at its engine's whole route.Tables:
+	// the headers are compared with it left out, each must point at its own
+	// engine's, and the two engines' Tables are compared once.
 	for i, fa := range a.flights {
 		fb := b.flights[i]
+		ma, mb := fa.msg, fb.msg
+		ta, tb := tablesOf(&ma), tablesOf(&mb)
+		if *ta != nil && *ta != &a.tables || *tb != nil && *tb != &b.tables {
+			t.Fatalf("step %d: flight %d's header borrows from another engine's tables", step, i)
+		}
+		if (*ta == nil) != (*tb == nil) {
+			t.Fatalf("step %d: flight %d's header has tables %v, reference %v", step, i, *ta != nil, *tb != nil)
+		}
+		*ta, *tb = nil, nil
 		if fa.Router.Name() != fb.Router.Name() || fa.StartStep != fb.StartStep || fa.StallAge != fb.StallAge ||
-			!reflect.DeepEqual(fa.msg, fb.msg) {
+			!reflect.DeepEqual(ma, mb) {
 			t.Fatalf("step %d: flight %d (%s) is %v stall age %d, reference %v stall age %d",
 				step, i, fa.Router.Name(), fa.Msg, fa.StallAge, fb.Msg, fb.StallAge)
 		}
+	}
+	if !reflect.DeepEqual(a.tables, b.tables) {
+		t.Fatalf("step %d: header tables differ", step)
 	}
 	if !slices.Equal(a.ResidencyCensus(), b.ResidencyCensus()) {
 		t.Fatalf("step %d: residency census differs", step)
@@ -358,6 +373,29 @@ func sameEngines(t *testing.T, step int, a, b *Engine) {
 	if a.Gridlocked() != b.Gridlocked() || a.GridlockStep() != b.GridlockStep() || a.GridlockRecovery() != b.GridlockRecovery() {
 		t.Fatalf("step %d: gridlock state differs", step)
 	}
+}
+
+// tablesOf returns the address of msg's tables field (route's, unexported):
+// the engine's route.Tables the header borrows from, or nil.
+func tablesOf(msg *route.Message) **route.Tables {
+	f := reflect.ValueOf(msg).Elem().FieldByName("tables")
+	return (**route.Tables)(unsafe.Pointer(f.UnsafeAddr()))
+}
+
+// sameCensus fails unless the two probe logs are equal. The logs are
+// append-only and their first *held rows were already held equal, so only
+// the rows flushed since are compared; held then covers every row.
+func sameCensus(t *testing.T, step int, a, b *censusLog, held *int) {
+	t.Helper()
+	if len(a.rows) != len(b.rows) || len(a.resident) != len(b.resident) || len(a.stalls) != len(b.stalls) {
+		t.Fatalf("step %d: probe census has %d rows, reference %d", step, len(a.rows), len(b.rows))
+	}
+	from := *held
+	if !reflect.DeepEqual(a.rows[from:], b.rows[from:]) || !reflect.DeepEqual(a.resident[from:], b.resident[from:]) ||
+		!reflect.DeepEqual(a.stalls[from:], b.stalls[from:]) {
+		t.Fatalf("step %d: probe census %+v, reference %+v", step, a.rows[len(a.rows)-1], b.rows[len(b.rows)-1])
+	}
+	*held = len(a.rows)
 }
 
 // sameSet reports whether a and b hold the same elements, each once.

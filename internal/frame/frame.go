@@ -24,30 +24,6 @@ import (
 	"ndmesh/internal/mesh"
 )
 
-// Level returns the frame level of coordinate c relative to the interior
-// box b: the number of extreme coordinates. ok is false if c is not on the
-// frame shell (some coordinate further than one unit outside, or all
-// coordinates inside the interior).
-func Level(b grid.Box, c grid.Coord) (level int, ok bool) {
-	if len(c) != b.Dims() {
-		return 0, false
-	}
-	for i := range c {
-		switch {
-		case c[i] == b.Lo[i]-1 || c[i] == b.Hi[i]+1:
-			level++
-		case c[i] >= b.Lo[i] && c[i] <= b.Hi[i]:
-			// inside the span on this axis
-		default:
-			return 0, false
-		}
-	}
-	if level == 0 {
-		return 0, false // inside the block, not on the shell
-	}
-	return level, true
-}
-
 // Announcement is one frame role a node announces: a believed level and the
 // surface directions of that role. A node may hold several announcements at
 // once — for example, an adjacent node of one block that is simultaneously

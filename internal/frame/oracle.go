@@ -7,6 +7,30 @@ package frame
 
 import "ndmesh/internal/grid"
 
+// Level returns the frame level of coordinate c relative to the interior
+// box b: the number of extreme coordinates. ok is false if c is not on the
+// frame shell (some coordinate further than one unit outside, or all
+// coordinates inside the interior).
+func Level(b grid.Box, c grid.Coord) (level int, ok bool) {
+	if len(c) != b.Dims() {
+		return 0, false
+	}
+	for i := range c {
+		switch {
+		case c[i] == b.Lo[i]-1 || c[i] == b.Hi[i]+1:
+			level++
+		case c[i] >= b.Lo[i] && c[i] <= b.Hi[i]:
+			// inside the span on this axis
+		default:
+			return 0, false
+		}
+	}
+	if level == 0 {
+		return 0, false // inside the block, not on the shell
+	}
+	return level, true
+}
+
 // SurfaceDirs returns the surface directions of frame node c: for every
 // extreme coordinate, the direction pointing back toward the block span.
 // For the paper's example block [3:5, 5:6, 3:4], the 3-level edge node

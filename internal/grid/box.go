@@ -62,19 +62,6 @@ func (b *Box) Include(c Coord) {
 	}
 }
 
-// Expand returns the box grown by r on every side, past the mesh border
-// where it reaches it. Expand(1) turns a block's interior box into
-// the frame box whose faces are the adjacent surfaces of Definition 3.
-func (b Box) Expand(r int) Box {
-	lo := make(Coord, len(b.Lo))
-	hi := make(Coord, len(b.Lo))
-	for i := range b.Lo {
-		lo[i] = b.Lo[i] - r
-		hi[i] = b.Hi[i] + r
-	}
-	return Box{Lo: lo, Hi: hi}
-}
-
 // Extent returns Hi-Lo+1 on the axis: the block's edge length there.
 func (b Box) Extent(axis int) int { return b.Hi[axis] - b.Lo[axis] + 1 }
 
@@ -97,27 +84,6 @@ func (b Box) Volume() int {
 		v *= b.Extent(i)
 	}
 	return v
-}
-
-// Each invokes fn for every node coordinate inside the box, in row-major
-// order. The callback receives a reused scratch coordinate: clone it to keep.
-func (b Box) Each(fn func(Coord)) {
-	c := b.Lo.Clone()
-	for {
-		fn(c)
-		axis := 0
-		for axis < len(c) {
-			c[axis]++
-			if c[axis] <= b.Hi[axis] {
-				break
-			}
-			c[axis] = b.Lo[axis]
-			axis++
-		}
-		if axis == len(c) {
-			return
-		}
-	}
 }
 
 // String renders the paper's block notation "[lo1:hi1, lo2:hi2, ...]".

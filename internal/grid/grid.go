@@ -344,22 +344,6 @@ func (s *Shape) OnBorder(id NodeID) bool {
 	return false
 }
 
-// PreferredDirs appends to dst the preferred directions for travelling from
-// u toward d: the directions that strictly reduce Manhattan distance
-// (Section 2.1). The remaining directions are spare.
-func (s *Shape) PreferredDirs(u, d NodeID, dst []Dir) []Dir {
-	for axis := 0; axis < len(s.dims); axis++ {
-		cu, cd := s.Component(u, axis), s.Component(d, axis)
-		switch {
-		case cu < cd:
-			dst = append(dst, DirPlus(axis))
-		case cu > cd:
-			dst = append(dst, DirMinus(axis))
-		}
-	}
-	return dst
-}
-
 // String renders the shape as "k1 x k2 x ... x kn mesh" (written without
 // spaces: "8x8 mesh"), a label NewShape builds once.
 func (s *Shape) String() string { return s.label }

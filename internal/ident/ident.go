@@ -40,6 +40,7 @@
 package ident
 
 import (
+	"ndmesh/internal/chunk"
 	"ndmesh/internal/frame"
 	"ndmesh/internal/grid"
 	"ndmesh/internal/info"
@@ -90,6 +91,23 @@ type Protocol struct {
 	retryQueue []grid.NodeID
 	round      int
 
+	// Runs, subs and walkers are carved from chunks (internal/chunk), and
+	// so is every list that grows with them: a box's Lo and Hi and a sub's
+	// free axes (ints), a sub's collected hulls (boxes), a run's results and
+	// subs, the object lists and free lists above and the retry queue. A
+	// cold fill costs an allocation per chunk; every carved block stays
+	// with its owner across Reset.
+	runObjs    chunk.Carver[run]         //meshvet:keep carves runs the free list keeps
+	subObjs    chunk.Carver[subRun]      //meshvet:keep carves subs the free list keeps
+	walkerObjs chunk.Carver[walker]      //meshvet:keep carves walkers the free list keeps
+	ints       chunk.Carver[int]         //meshvet:keep carves boxes and free axes their objects keep
+	boxes      chunk.Carver[grid.Box]    //meshvet:keep carves the collected hulls their subs keep
+	sections   chunk.Carver[section]     //meshvet:keep carves run results
+	runList    chunk.Carver[*run]        //meshvet:keep carves runs, spareRuns, deadFresh, deadReady
+	subList    chunk.Carver[*subRun]     //meshvet:keep carves run subs and spareSubs
+	walkerList chunk.Carver[*walker]     //meshvet:keep carves walkers and spareWalkers
+	nodes      chunk.Carver[grid.NodeID] //meshvet:keep carves retryQueue
+
 	// Hops counts walker moves (identification message cost).
 	Hops int
 	// Started, Completed, Failed count runs for the harness.
@@ -105,7 +123,7 @@ type retryEntry struct {
 // NewProtocol builds an identification protocol over the mesh, frame
 // detector and info store.
 func NewProtocol(m *mesh.Mesh, det *frame.Detector, store *info.Store) *Protocol {
-	diam := m.Shape().Diameter()
+	diam, dims := m.Shape().Diameter(), m.Shape().Dims()
 	return &Protocol{
 		m:          m,
 		det:        det,
@@ -115,12 +133,27 @@ func NewProtocol(m *mesh.Mesh, det *frame.Detector, store *info.Store) *Protocol
 		maxRetries: 4,
 		pending:    grid.NewNodeSet(m.NumNodes()),
 		retry:      make([]retryEntry, m.NumNodes()),
+		runObjs:    chunk.New[run](objsPerChunk),
+		subObjs:    chunk.New[subRun](objsPerChunk),
+		walkerObjs: chunk.New[walker](objsPerChunk),
+		ints:       chunk.New[int](4 * dims * objsPerChunk),
+		boxes:      chunk.New[grid.Box](dims * objsPerChunk),
+		sections:   chunk.New[section](objsPerChunk),
+		runList:    chunk.New[*run](4 * objsPerChunk),
+		subList:    chunk.New[*subRun](4 * objsPerChunk),
+		walkerList: chunk.New[*walker](4 * objsPerChunk),
+		nodes:      chunk.New[grid.NodeID](objsPerChunk),
 	}
 }
+
+// objsPerChunk is how many runs, subs or walkers a chunk of each kind is
+// sized for; NewProtocol sizes the chunks of their lists from it.
+const objsPerChunk = 16
 
 // Reset abandons every in-flight run and all retry state so the protocol
 // can be reused for a new trial; every buffer keeps its capacity.
 func (p *Protocol) Reset() {
+	p.spareWalkers = p.walkerList.Grow(p.spareWalkers, len(p.walkers))
 	p.spareWalkers = append(p.spareWalkers, p.walkers...)
 	p.walkers = p.walkers[:0]
 	p.runs = p.recycle(p.runs)
@@ -138,21 +171,24 @@ func (p *Protocol) Reset() {
 // references them.
 func (p *Protocol) recycle(rs []*run) []*run {
 	for _, r := range rs {
+		p.spareSubs = p.subList.Grow(p.spareSubs, len(r.subs))
 		p.spareSubs = append(p.spareSubs, r.subs...)
+		p.spareRuns = p.runList.Grow(p.spareRuns, 1)
 		p.spareRuns = append(p.spareRuns, r)
 	}
 	return rs[:0]
 }
 
-// getRun, getSub and getWalker take an object off its free list (or
-// allocate one) and rewind it by one assignment that names only the storage
-// it keeps; the caller sets every field it needs.
+// getRun, getSub and getWalker take an object off its free list (or carve
+// one) and rewind it by one assignment that names only the storage it
+// keeps; the caller sets every field it needs. A carved sub or walker gets
+// its box's storage, and a sub its free axes', for good.
 //
 //meshvet:noalloc TestFaultProcessStepAllocFree
 func (p *Protocol) getRun() *run {
 	n := len(p.spareRuns)
 	if n == 0 {
-		return &run{} //meshvet:allow free-list miss: the lists grow to the most objects ever in flight
+		return p.runObjs.Take()
 	}
 	r := p.spareRuns[n-1]
 	p.spareRuns = p.spareRuns[:n-1]
@@ -164,7 +200,10 @@ func (p *Protocol) getRun() *run {
 func (p *Protocol) getSub() *subRun {
 	n := len(p.spareSubs)
 	if n == 0 {
-		return &subRun{} //meshvet:allow free-list miss
+		s := p.subObjs.Take()
+		p.carveBox(&s.box)
+		s.freeAxes = p.ints.Make(p.m.Shape().Dims())
+		return s
 	}
 	s := p.spareSubs[n-1]
 	p.spareSubs = p.spareSubs[:n-1]
@@ -176,12 +215,24 @@ func (p *Protocol) getSub() *subRun {
 func (p *Protocol) getWalker() *walker {
 	n := len(p.spareWalkers)
 	if n == 0 {
-		return &walker{} //meshvet:allow free-list miss
+		w := p.walkerObjs.Take()
+		p.carveBox(&w.box)
+		return w
 	}
 	w := p.spareWalkers[n-1]
 	p.spareWalkers = p.spareWalkers[:n-1]
 	*w = walker{box: w.box}
 	return w
+}
+
+// carveBox gives b room for a box of the mesh's dimension, Lo and Hi in one
+// carved block, so setting it never allocates.
+//
+//meshvet:noalloc TestFaultProcessStepAllocFree
+func (p *Protocol) carveBox(b *grid.Box) {
+	n := p.m.Shape().Dims()
+	c := p.ints.Make(2 * n)
+	b.Lo, b.Hi = c[:0:n], c[n:n:2*n]
 }
 
 // Notify feeds nodes whose frame announcement changed (or that otherwise
@@ -234,13 +285,14 @@ func (r *run) result(node grid.NodeID) (grid.Box, bool) {
 }
 
 // rest records box as the section resting at node, replacing an earlier one.
-func (r *run) rest(node grid.NodeID, box grid.Box) {
+func (p *Protocol) rest(r *run, node grid.NodeID, box grid.Box) {
 	for i := range r.results {
 		if r.results[i].node == node {
 			r.results[i].box = box
 			return
 		}
 	}
+	r.results = p.sections.Grow(r.results, 1)
 	r.results = append(r.results, section{node, box})
 }
 
@@ -342,6 +394,7 @@ func (p *Protocol) Round() int {
 		if !w.done && !w.s.r.failed && !w.s.r.done {
 			liveW = append(liveW, w)
 		} else {
+			p.spareWalkers = p.walkerList.Grow(p.spareWalkers, 1)
 			p.spareWalkers = append(p.spareWalkers, w)
 		}
 	}
@@ -356,12 +409,14 @@ func (p *Protocol) Round() int {
 			r.failed = true
 			// Schedule a retry from the initiator if budget remains.
 			if p.retry[r.initiator].attempts < p.maxRetries {
+				p.retryQueue = p.nodes.Grow(p.retryQueue, 1)
 				p.retryQueue = append(p.retryQueue, r.initiator)
 			}
 		default:
 			liveR = append(liveR, r)
 			continue
 		}
+		p.deadFresh = p.runList.Grow(p.deadFresh, 1)
 		p.deadFresh = append(p.deadFresh, r)
 	}
 	p.runs = liveR
@@ -417,6 +472,7 @@ func (p *Protocol) initiate() int {
 			}
 			if p.round < p.retry[id].at {
 				// Back off: re-examine when the backoff expires.
+				p.retryQueue = p.nodes.Grow(p.retryQueue, 1)
 				p.retryQueue = append(p.retryQueue, id)
 				continue
 			}
@@ -451,7 +507,9 @@ func (p *Protocol) startRun(corner grid.NodeID, ann frame.Announcement) {
 	for i := 0; i < top.level; i++ {
 		top.freeAxes = append(top.freeAxes, i)
 	}
+	r.subs = p.subList.Grow(r.subs, 1)
 	r.subs = append(r.subs, top)
+	p.runs = p.runList.Grow(p.runs, 1)
 	p.runs = append(p.runs, r)
 	p.launch(top)
 }
@@ -478,7 +536,11 @@ func (p *Protocol) launch(s *subRun) {
 	// Phase 1: k-1 edge walkers; the excluded free axis is the highest.
 	s.travelAxes = s.freeAxes[:len(s.freeAxes)-1]
 	if s.collected == nil {
-		s.collected = make([]grid.Box, p.m.Shape().Dims())
+		n := p.m.Shape().Dims()
+		s.collected = p.boxes.Make(n)[:n]
+		for i := range s.collected {
+			p.carveBox(&s.collected[i])
+		}
 	}
 	for _, a := range s.travelAxes {
 		d, ok := axisDir(s.dirs, a)
@@ -494,6 +556,7 @@ func (p *Protocol) launch(s *subRun) {
 func (p *Protocol) addWalker(s *subRun, kind walkerKind, pos grid.NodeID, dir grid.Dir) *walker {
 	w := p.getWalker()
 	w.s, w.kind, w.pos, w.dir = s, kind, pos, dir
+	p.walkers = p.walkerList.Grow(p.walkers, 1)
 	p.walkers = append(p.walkers, w)
 	return w
 }
@@ -564,6 +627,7 @@ func (p *Protocol) spawnSub(w *walker, node grid.NodeID, dirs grid.DirSet) {
 			sub.freeAxes = append(sub.freeAxes, a)
 		}
 	}
+	parent.r.subs = p.subList.Grow(parent.r.subs, 1)
 	parent.r.subs = append(parent.r.subs, sub)
 	w.spawned = true
 	p.launch(sub)
@@ -707,7 +771,7 @@ func (p *Protocol) completeSub(s *subRun, node grid.NodeID, box grid.Box) {
 		}
 		return
 	}
-	s.r.rest(node, box)
+	p.rest(s.r, node, box)
 	if s.isFirst {
 		dir, _ := axisDir(parent.dirs, s.parentAxis) // launch(parent) checked it
 		p.addWalker(parent, collectWalker, node, dir).axis = s.parentAxis

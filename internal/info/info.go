@@ -65,6 +65,8 @@ type Store struct {
 	// lists carves the record lists: a list that outgrows its block moves
 	// to one twice the size, and Clear keeps every list's block.
 	lists chunk.Carver[Record]
+	// coords carves each table slot's box, Lo and Hi in one block of 2n.
+	coords chunk.Carver[int]
 	// Box table: boxes[b] is block b's box, in storage the slot keeps for
 	// good; refs[b] counts b's holders (0: a free slot, listed in free).
 	boxes []grid.Box
@@ -77,7 +79,7 @@ type Store struct {
 // NewStore builds an empty store for a mesh of the given shape.
 func NewStore(shape *grid.Shape) *Store {
 	n := shape.NumNodes()
-	return &Store{shape: shape, recs: make([][]Record, n), lists: chunk.New[Record](n)}
+	return &Store{shape: shape, recs: make([][]Record, n), lists: chunk.New[Record](n), coords: chunk.New[int](64 * shape.Dims())}
 }
 
 // Version advances whenever some node's records change — an Add or Remove
@@ -119,9 +121,10 @@ func (s *Store) Intern(box grid.Box) BlockID {
 		// free can hold every id, so neither Release nor Clear grows it: a
 		// rerun on a cleared store allocates nothing.
 		s.free = slices.Grow(s.free, len(s.refs)-len(s.free))
+		// A new slot's box, Lo and Hi in one carved block that the slot
+		// keeps for good.
 		n := len(box.Lo)
-		//meshvet:allow a new slot's box, Lo and Hi in one array that the slot keeps for good
-		c := make(grid.Coord, 2*n)
+		c := grid.Coord(s.coords.Make(2 * n)[:2*n])
 		copy(c, box.Lo)
 		copy(c[n:], box.Hi)
 		//meshvet:allow the table grows to the most blocks ever named at once and keeps the slots across Clear

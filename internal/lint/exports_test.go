@@ -16,10 +16,10 @@ import (
 // what production calls: every package-level exported func, method, type,
 // var or const declared in internal/ must be used by a non-test file of the
 // module (bench/, cmd/ and examples/ count) outside its own declaration.
-// Two places are exempt: a package's oracle.go, which holds the paper's
-// definitions and theorems that tests check the protocol against, and a
-// package that no non-test file imports (a test-support package such as
-// meshtest or linttest). So is a method whose name some interface in the
+// Two places are exempt, and a use inside them is no caller: a package's
+// oracle.go, which holds the paper's definitions and theorems that tests
+// check the protocol against, and a package that no non-test file imports
+// (a test-support package such as meshtest or linttest). So is a method whose name some interface in the
 // module declares, and String and Error. There is no allowlist: a helper
 // only tests call lives in its package's export_test.go or in a
 // test-support package.
@@ -101,8 +101,16 @@ func uncalledExports(pkgs []*lint.LoadedPackage) []string {
 		}
 	}
 
+	// A use counts only where production code makes it: not in an
+	// oracle.go, and not in a package only tests import.
 	for _, lp := range pkgs {
+		if strings.HasPrefix(lp.ImportPath, "ndmesh/internal/") && !imported[lp.ImportPath] {
+			continue
+		}
 		for id, obj := range lp.Info.Uses {
+			if filepath.Base(lp.Fset.Position(id.Pos()).Filename) == "oracle.go" {
+				continue
+			}
 			key := objectKey(obj)
 			if c := cands[key]; c != nil && !receivers[id] && (id.Pos() < c.decl.Pos() || id.Pos() >= c.decl.End()) {
 				delete(cands, key)

@@ -24,15 +24,15 @@ import (
 // negatives, which must produce no findings.
 
 func TestDeterminismFixtures(t *testing.T) {
-	linttest.Run(t, lint.Determinism, "testdata/src", "determinism")
+	linttest.Run(t, lint.ListExports, lint.Determinism, "testdata/src", "determinism")
 }
 
 func TestResetCompleteFixtures(t *testing.T) {
-	linttest.Run(t, lint.ResetComplete, "testdata/src", "resetcomplete")
+	linttest.Run(t, lint.ListExports, lint.ResetComplete, "testdata/src", "resetcomplete")
 }
 
 func TestNoAllocFixtures(t *testing.T) {
-	linttest.Run(t, lint.NoAlloc, "testdata/src", "noalloc")
+	linttest.Run(t, lint.ListExports, lint.NoAlloc, "testdata/src", "noalloc")
 }
 
 // module is the repo's packages, loaded and type-checked once for every

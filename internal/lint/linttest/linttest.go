@@ -45,9 +45,14 @@ type expectation struct {
 	matched bool
 }
 
+// Exports opens the compiler export data of the named packages and all
+// their dependencies: internal/lint's loader, which its tests hand to Run.
+type Exports func(paths []string) (importer.Lookup, error)
+
 // Run analyzes the fixture package srcRoot/pkgPath with one analyzer and
-// compares its findings against the fixture's `// want` comments.
-func Run(t *testing.T, a *lint.Analyzer, srcRoot, pkgPath string) {
+// compares its findings against the fixture's `// want` comments; the
+// fixture's standard-library imports are resolved through exports.
+func Run(t *testing.T, exports Exports, a *lint.Analyzer, srcRoot, pkgPath string) {
 	t.Helper()
 	fset := token.NewFileSet()
 	dir := filepath.Join(srcRoot, filepath.FromSlash(pkgPath))
@@ -76,7 +81,7 @@ func Run(t *testing.T, a *lint.Analyzer, srcRoot, pkgPath string) {
 		t.Fatalf("fixture package %s has no Go files", pkgPath)
 	}
 
-	lookup, err := stdExports(imports)
+	lookup, err := stdExports(exports, imports)
 	if err != nil {
 		t.Fatalf("resolving standard-library imports: %v", err)
 	}
@@ -154,12 +159,12 @@ func parseWants(t *testing.T, fset *token.FileSet, f *ast.File) []*expectation {
 
 // stdExports returns the export-data lookup of the needed standard-library
 // import paths and their dependencies.
-func stdExports(paths map[string]bool) (importer.Lookup, error) {
+func stdExports(exports Exports, paths map[string]bool) (importer.Lookup, error) {
 	sorted := make([]string, 0, len(paths))
 	//meshvet:ordered keys are sorted before use
 	for p := range paths {
 		sorted = append(sorted, p)
 	}
 	sort.Strings(sorted)
-	return lint.ListExports(sorted)
+	return exports(sorted)
 }

@@ -99,10 +99,10 @@ func LoadPackages(dir string, patterns ...string) ([]*LoadedPackage, error) {
 	return out, nil
 }
 
-// ListExports returns the import lookup of the linttest fixture loader:
-// it opens the compiler export data of the named packages and all their
-// dependencies.
-func ListExports(patterns []string) (importer.Lookup, error) {
+// listExports returns the import lookup of the linttest fixture loader
+// (handed to it by this package's tests): it opens the compiler export data
+// of the named packages and all their dependencies.
+func listExports(patterns []string) (importer.Lookup, error) {
 	if len(patterns) == 0 {
 		return exportLookup(nil), nil
 	}

@@ -5,6 +5,16 @@ package route
 // composition of its parts. The engine runs those parts itself, and
 // TestStepMatchesAdvanceGated holds it to a loop of AdvanceGated calls.
 
+import "ndmesh/internal/grid"
+
+// Gate arbitrates one link traversal under the contention model: it is
+// asked whether the message at `from` may cross the directed link along
+// `dir` this step. Returning false stalls the message for the step (its
+// position and used-direction lists are untouched; see AdvanceGated for
+// what it decides next step). A nil Gate grants every traversal — the
+// contention-free model.
+type Gate func(from grid.NodeID, dir grid.Dir) bool
+
 // AdvanceGated performs one step of the routing process: one decision and
 // one hop (Figure 7's routing decision + message sending) under link
 // arbitration. It returns true if the message is still in flight

@@ -391,14 +391,6 @@ func (msg *Message) String() string {
 		msg.Src, msg.Dst, msg.Cur, state, msg.Hops, msg.Backtracks, msg.Steps)
 }
 
-// Gate arbitrates one link traversal under the contention model: it is
-// asked whether the message at `from` may cross the directed link along
-// `dir` this step. Returning false stalls the message for the step (its
-// position and used-direction lists are untouched; see AdvanceGated for
-// what it decides next step). A nil Gate grants every traversal — the
-// contention-free model.
-type Gate func(from grid.NodeID, dir grid.Dir) bool
-
 // StateKey sums the versions of the context's mesh and record store. Both
 // only ever advance, so the sum is unchanged exactly when neither moved.
 //
