@@ -838,21 +838,58 @@ func BenchmarkProbedContentionStep(b *testing.B) {
 // `go test -run '^$' -bench StepSaturatedBody -cpu 1 -cpuprofile cpu.prof .`
 // (recipe and reference tables in docs/BENCHMARKS.md).
 func BenchmarkStepSaturatedBody(b *testing.B) {
-	opt := LoadOptions{
-		Dims: []int{32, 32}, Lambda: 1, Router: "limited", Pattern: "uniform",
-		Process: "bernoulli", Rate: 0.12, Warmup: 128, Measure: 256, Drain: 128,
-		LinkRate: 1, Seed: 1,
-	}
 	b.ReportAllocs()
 	var delivered int
 	for i := 0; i < b.N; i++ {
-		pt, err := LoadRun(opt)
+		pt, err := LoadRun(stepSaturatedBody)
 		if err != nil {
 			b.Fatal(err)
 		}
 		delivered = pt.Delivered
 	}
 	b.ReportMetric(float64(delivered), "delivered")
+}
+
+// stepSaturatedBody is the options of bench/batch.go's newStepSaturated at
+// full size and seed 1: one LoadRun cell on a saturated 32x32.
+var stepSaturatedBody = LoadOptions{
+	Dims: []int{32, 32}, Lambda: 1, Router: "limited", Pattern: "uniform",
+	Process: "bernoulli", Rate: 0.12, Warmup: 128, Measure: 256, Drain: 128,
+	LinkRate: 1, Seed: 1,
+}
+
+// coldStepSaturatedAllocs is TestColdStepSaturatedAllocs's ratchet (the
+// cell reads 143 with or without the race detector, 144 at -cpu 2). Only
+// ever lower it.
+const coldStepSaturatedAllocs = 155
+
+// TestColdStepSaturatedAllocs holds one cold LoadRun of stepSaturatedBody
+// on no pool — the simulation built, every flight and header carved from
+// empty — to the ratchet: flights and their path stacks fill at an
+// allocation per chunk, chunks doubling up to 64 KiB, and the link lists
+// are sized when the engine is built (304 when each chunk held 64 flights
+// beside a hand-rolled flight slab). The count is the least of two runs,
+// since a collection ending inside a run counts the runtime's own
+// allocations.
+func TestColdStepSaturatedAllocs(t *testing.T) {
+	got := uint64(math.MaxUint64)
+	for range 2 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		pt, err := LoadRun(stepSaturatedBody)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pt.Delivered == 0 {
+			t.Fatal("the step-saturated cell delivered nothing")
+		}
+		got = min(got, after.Mallocs-before.Mallocs)
+	}
+	t.Logf("a cold step-saturated cell allocates %d times", got)
+	if got > coldStepSaturatedAllocs {
+		t.Fatalf("a cold step-saturated cell allocates %d times, ratchet %d", got, coldStepSaturatedAllocs)
+	}
 }
 
 // faultStormBody is the options of bench/batch.go's newFaultStorm at full
@@ -866,9 +903,10 @@ var faultStormBody = ReliabilityOptions{
 	LinkRate: 1, FlightTimeout: 48, RetryBackoff: 4, GridlockWindow: 16,
 }
 
-// coldStormAllocs is TestColdStormAllocs's ratchet (the body reads 358, and
-// 363 under the race detector). Only ever lower it.
-const coldStormAllocs = 370
+// coldStormAllocs is TestColdStormAllocs's ratchet (the body reads 262 with
+// or without the race detector; 358 before chunks doubled and the store's
+// box table was carved). Only ever lower it.
+const coldStormAllocs = 274
 
 // TestColdStormAllocs holds one cold body of the fault-storm workload —
 // ReliabilitySweepWorkers at faultStormBody's options on no pool, so every

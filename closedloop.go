@@ -84,7 +84,7 @@ type ClosedLoopRow struct {
 func ClosedLoopSweepWorkers(opt ClosedLoopOptions, seed uint64, workers int) ([]ClosedLoopRow, error) {
 	// One job per (pattern, window, router) cell, pattern-major — the order
 	// the rows are reported in and the order the job streams are split in.
-	jobs, shape, err := opt.sweepGrid("closed-loop", "window", len(opt.Windows),
+	jobs, dims, nodes, err := opt.sweepGrid("closed-loop", "window", len(opt.Windows),
 		"Rates", "FaultRates", "Trials", "Rate", "Process", "Capacities", "FaultCounts", "Mechanisms")
 	if err != nil {
 		return nil, err
@@ -108,7 +108,7 @@ func ClosedLoopSweepWorkers(opt ClosedLoopOptions, seed uint64, workers int) ([]
 				return ClosedLoopRow{}, err
 			}
 			return ClosedLoopRow{
-				Dims:         shape.String(),
+				Dims:         dims,
 				Pattern:      opt.Patterns[pi],
 				Router:       opt.Routers[ki],
 				Window:       window,
@@ -124,7 +124,7 @@ func ClosedLoopSweepWorkers(opt ClosedLoopOptions, seed uint64, workers int) ([]
 				LatP99:       pt.Latency.P99,
 				LatMax:       pt.Latency.Max,
 				// validateLoadShape holds Measure >= 1.
-				InjectedRate: float64(pt.Injected) / float64(opt.Measure*shape.NumNodes()),
+				InjectedRate: float64(pt.Injected) / float64(opt.Measure*nodes),
 			}, nil
 		}, emitEach(opt.Emit))
 }

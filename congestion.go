@@ -95,7 +95,7 @@ func CongestionShiftSweepWorkers(opt CongestionShiftOptions, seed uint64, worker
 	if !slices.Equal(opt.Routers, []string{"limited", "congested"}) {
 		return nil, nil, fmt.Errorf("ndmesh: a congestion sweep compares Routers [limited congested], got %v", opt.Routers)
 	}
-	_, shape, err := opt.sweepGrid("congestion", "rate", len(opt.Rates),
+	_, dims, _, err := opt.sweepGrid("congestion", "rate", len(opt.Rates),
 		"Windows", "FaultRates", "Trials", "Rate", "Capacities", "FaultCounts", "Mechanisms", "Probe")
 	if err != nil {
 		return nil, nil, err
@@ -115,7 +115,7 @@ func CongestionShiftSweepWorkers(opt CongestionShiftOptions, seed uint64, worker
 		func(p *EnginePool, j int, r *rng.Source) (CongestionShiftRow, error) {
 			pattern := opt.Patterns[j/len(opt.Rates)]
 			rate := opt.Rates[j%len(opt.Rates)]
-			row := CongestionShiftRow{Dims: shape.String(), Pattern: pattern, OfferedRate: rate}
+			row := CongestionShiftRow{Dims: dims, Pattern: pattern, OfferedRate: rate}
 			for _, router := range opt.Routers {
 				pt, err := opt.loadPoint(p, workload{pattern: pattern, rate: rate}, router, r)
 				if err != nil {

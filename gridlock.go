@@ -148,7 +148,7 @@ func GridlockSweepWorkers(opt GridlockOptions, seed uint64, workers int) ([]Grid
 	// faults); the mechanism arms run inside the job from value copies of
 	// the cell's stream state, so all arms face the identical scenario.
 	nw, nc, nf, nm := len(opt.Windows), len(opt.Capacities), len(opt.FaultCounts), len(opt.Mechanisms)
-	jobs, shape, err := opt.sweepGrid("gridlock", "window x capacity", nw*nc*nf,
+	jobs, dims, _, err := opt.sweepGrid("gridlock", "window x capacity", nw*nc*nf,
 		"Rates", "FaultRates", "Trials", "Rate", "Process", "NodeCapacity", "Faults", "Bubble", "FaultRate", "Probe")
 	if err != nil {
 		return nil, err
@@ -209,7 +209,7 @@ func GridlockSweepWorkers(opt GridlockOptions, seed uint64, workers int) ([]Grid
 					return nil, err
 				}
 				arms[mi] = GridlockRow{
-					Dims:          shape.String(),
+					Dims:          dims,
 					Pattern:       pattern,
 					Router:        opt.Routers[0],
 					Window:        window,

@@ -296,8 +296,8 @@ func NewProtocol(m *mesh.Mesh, store *info.Store) *Protocol {
 	}
 }
 
-// consPerChunk is how many constructions (and as many placements) a chunk
-// of each kind is sized for.
+// consPerChunk is how many constructions (and as many placements) the first
+// chunk of each kind is sized for.
 const consPerChunk = 16
 
 // Reset abandons every in-flight construction and every tombstone so the

@@ -9,7 +9,13 @@
 // holds, and copies itself across in order; a chunk is one allocation for
 // many such blocks, so filling a store during a fault storm costs an
 // allocation per chunk, not one per node per doubling. An owner that keeps
-// objects on a free list takes each from a chunk the same way (Take).
+// objects on a free list takes each from a chunk the same way (Take): the
+// engine's flights, 64 to its first chunk.
+//
+// Chunks double: an owner's first chunk is the size it asks for, and each
+// later one twice the last, up to 64 KiB. A small owner (an 8x8 mesh, a
+// cell that injects a few flights) holds one small chunk, and a large fill
+// takes a few doublings, not one chunk of the first size after another.
 //
 // The rules every owner relies on:
 //
@@ -29,28 +35,32 @@ package chunk
 
 import "unsafe"
 
-// maxChunkBytes caps a chunk, whatever the size its owner asks for, so a
-// large mesh's first carve does not pin megabytes.
+// maxChunkBytes caps a chunk, whatever the size its owner asks for and
+// however many times its chunks doubled, so a large mesh's carves do not
+// pin megabytes.
 const maxChunkBytes = 64 << 10
 
-// Carver carves blocks of T from chunks of a fixed number of elements. A
-// block larger than a quarter of a chunk is allocated on its own, leaving
-// the chunk's tail for the blocks after it, so a chunk switch abandons at
-// most a quarter of a chunk. The zero Carver allocates every block on its
-// own.
+// Carver carves blocks of T from chunks: the first of the size its owner
+// asks for, each later one twice the last, up to 64 KiB. A block larger than
+// a quarter of the chunk it would be carved from is allocated on its own,
+// leaving the current chunk's tail for the blocks after it, so a chunk
+// switch abandons less than a quarter of the chunk that replaces it. The
+// zero Carver allocates every block on its own.
 type Carver[T any] struct {
 	rest []T // the newest chunk's uncarved tail
-	size int // elements per chunk
+	next int // elements in the next chunk made
 }
 
-// New returns a Carver whose chunks hold n elements, or as many as fit in
-// 64 KiB if fewer. It allocates nothing until the first carve.
+// New returns a Carver whose first chunk holds n elements, or as many as fit
+// in 64 KiB if fewer. It allocates nothing until the first carve.
 func New[T any](n int) Carver[T] {
+	return Carver[T]{next: min(n, maxElems[T]())}
+}
+
+// maxElems is how many elements of T fit in a chunk.
+func maxElems[T any]() int {
 	var zero T
-	if sz := int(unsafe.Sizeof(zero)); sz > 0 {
-		n = min(n, maxChunkBytes/sz)
-	}
-	return Carver[T]{size: n}
+	return maxChunkBytes / max(int(unsafe.Sizeof(zero)), 1)
 }
 
 // Make returns an empty list with room for n elements: the next n of the
@@ -60,12 +70,13 @@ func New[T any](n int) Carver[T] {
 //meshvet:noalloc TestCarveAllocFree
 func (c *Carver[T]) Make(n int) []T {
 	if n > len(c.rest) {
-		if 4*n > c.size {
+		if 4*n > c.next {
 			//meshvet:allow a block too large to carve is its own allocation
 			return make([]T, 0, n)
 		}
 		//meshvet:allow one chunk for many blocks, kept by the lists carved from it
-		c.rest = make([]T, c.size)
+		c.rest = make([]T, c.next)
+		c.next = min(2*c.next, maxElems[T]())
 	}
 	b := c.rest[:0:n]
 	c.rest = c.rest[n:]

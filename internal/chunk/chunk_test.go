@@ -64,33 +64,53 @@ func TestGrowDoubles(t *testing.T) {
 	}
 }
 
-// TestChunkSizing pins what a carve costs: nothing before the first, one
-// chunk for every block that fits in it, a block over a quarter of a chunk
-// that does not fit on its own (the tail kept for the blocks after it), and
-// a chunk never over 64 KiB whatever the owner asks for.
+// TestChunkSizing pins what a carve costs: nothing before the first; chunks
+// of the owner's size, then each twice the last, never over 64 KiB, one
+// allocation each for every block carved from it; a block over a quarter
+// of the chunk it would be carved from on its own (the current tail kept for
+// the blocks after it); and one allocation per block from the zero Carver.
 func TestChunkSizing(t *testing.T) {
-	c := New[uint64](64)
-	if c.rest != nil {
+	if c := New[uint64](64); c.rest != nil {
 		t.Fatal("New allocated")
 	}
+	const blocks = 1 << 14 // blocks of 4: past the cap, 8192 elements
+	var sizes [32]int
+	chunks := 0
 	if n := testing.AllocsPerRun(1, func() {
-		for range 16 {
+		c := New[uint64](64)
+		chunks = 0
+		for range blocks {
+			fresh := len(c.rest) < 4
 			c.Make(4)
+			if fresh {
+				if chunks < len(sizes) {
+					sizes[chunks] = len(c.rest) + 4
+				}
+				chunks++
+			}
 		}
-	}); n != 1 {
-		t.Fatalf("16 blocks of 4 from 64-element chunks: %v allocations, want 1", n)
+	}); int(n) != chunks {
+		t.Fatalf("%d blocks of 4: %v allocations, want one for each of the %d chunks", blocks, n, chunks)
 	}
-	if len(c.rest) != 0 {
-		t.Fatalf("16 blocks of 4 left %d of a 64-element chunk", len(c.rest))
+	want, seen := 64, sizes[:min(chunks, len(sizes))]
+	for i, got := range seen {
+		if got != want {
+			t.Fatalf("chunk %d holds %d elements, want %d (chunks %v)", i, got, want, seen)
+		}
+		want = min(2*want, 8<<10)
 	}
+
+	c := New[uint64](64)
 	for range 3 {
 		c.Make(16)
 	}
-	big := c.Make(17)
-	if cap(big) != 17 || len(c.rest) != 16 {
-		t.Fatalf("a 17-block past the chunk: cap %d, chunk tail %d; want its own 17 and the tail 16 kept", cap(big), len(c.rest))
+	if big := c.Make(33); cap(big) != 33 || len(c.rest) != 16 {
+		t.Fatalf("a 33-block past a 64-element chunk (the next holds 128): cap %d, chunk tail %d; want its own 33 and the tail 16 kept", cap(big), len(c.rest))
 	}
-	if got := New[uint64](1 << 20).size; got != 8<<10 {
+	if c.Make(32); len(c.rest) != 96 {
+		t.Fatalf("a 32-block, a quarter of the next chunk: tail %d, want it carved from a chunk of 128 (tail 96)", len(c.rest))
+	}
+	if got := New[uint64](1 << 20).next; got != 8<<10 {
 		t.Fatalf("a million 8-byte elements asked for: chunk of %d, want 8192 (64 KiB)", got)
 	}
 	var zero Carver[int]

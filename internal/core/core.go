@@ -121,8 +121,8 @@ func New(m *mesh.Mesh) *Model {
 	return md
 }
 
-// watchesPerChunk is how many watches a chunk of watch objects, corner
-// lists or keys is sized for.
+// watchesPerChunk is how many watches the first chunk of watch objects,
+// corner lists or keys is sized for.
 const watchesPerChunk = 16
 
 // RoundCount returns the current global round counter.

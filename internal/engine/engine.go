@@ -30,12 +30,13 @@
 //     — asserted by the Test*AllocFree tests.
 //   - Layout: a step is memory-bound, so per-flight state is laid out for
 //     the loop that walks it. A Flight holds its message header by value
-//     and comes from a slab; the engine's route.Tables carves the headers'
-//     path stacks, and a header that strays borrows a used-direction table
-//     from it until it is recycled. The flight list keeps the
-//     live flights as a dense prefix in injection order (terminated ones
-//     behind it, until harvested), compacted by the commit loop itself;
-//     routing scratch is the engine's (one route.Context), never a flight's.
+//     and is carved from the engine's flight chunks; the engine's
+//     route.Tables carves the headers' path stacks, and a header that
+//     strays borrows a used-direction table from it until it is recycled.
+//     The flight list keeps the live flights as a dense prefix in injection
+//     order (terminated ones behind it, until harvested), compacted by the
+//     commit loop itself; routing scratch is the engine's (one
+//     route.Context), never a flight's.
 //   - One advance path: a flight's step is route.AdvanceGated's parts (Plan,
 //     Message.Link, Message.Wait or route.Commit), run by the commit loop
 //     with what is fixed for the step taken once — the (mesh, store) key
@@ -65,6 +66,7 @@ import (
 	"math"
 
 	"ndmesh/internal/block"
+	"ndmesh/internal/chunk"
 	"ndmesh/internal/core"
 	"ndmesh/internal/fault"
 	"ndmesh/internal/grid"
@@ -72,7 +74,7 @@ import (
 )
 
 // Flight is one routing message in flight with its router. Flights are
-// carved from slabs and hold their message header by value (Msg points at
+// carved from chunks and hold their message header by value (Msg points at
 // it), so the step loop walks one contiguous run of memory per flight.
 // Routing scratch is not per flight — the engine owns the route.Context.
 type Flight struct {
@@ -101,8 +103,9 @@ type Flight struct {
 	msg route.Message
 }
 
-// flightSlab is how many flights one free-list miss allocates at once.
-const flightSlab = 64
+// flightChunk is how many flights (and headers' path stacks) the first
+// chunk holds; later chunks double (see internal/chunk).
+const flightChunk = 64
 
 // EventRecord captures one fault occurrence (or recovery) and the
 // convergence of the information constructions it triggered.
@@ -277,16 +280,17 @@ type Engine struct {
 
 	// spareFlights is the free list fed by Reset/ClearFlights/DetachDone: a
 	// reused trial re-injects messages without reallocating flight or
-	// message objects. slab is the unused remainder of the last flight
-	// slab. tables is the header storage every slab's flights share: it
-	// carves their path stacks, 64 to a chunk, so a slab miss is two
-	// allocations for 64 flights, path stacks included; a flight borrows a
+	// message objects. A free-list miss takes a flight from flightObjs,
+	// whose chunks hold 64 flights, then 128, doubling up to 64 KiB. tables is
+	// the header storage every flight shares: it carves their path stacks
+	// from chunks sized the same way, so a chunk miss is two allocations for
+	// a chunk of flights, path stacks included; a flight borrows a
 	// used-direction table from it when it first strays and gives it back
 	// when it is recycled.
 	spareFlights []*Flight
-	carved       int32        //meshvet:keep the serial the next flight carved gets
-	slab         []Flight     //meshvet:keep unused allocation, carries no trial state
-	tables       route.Tables //meshvet:keep carved stacks and emptied tables, carry no trial state
+	carved       int32                //meshvet:keep the serial the next flight carved gets
+	flightObjs   chunk.Carver[Flight] //meshvet:keep carves flights the free list keeps
+	tables       route.Tables         //meshvet:keep carved stacks and emptied tables, carry no trial state
 
 	// oracle computes EMaxAfter in finalizeLastEvent with reusable buffers
 	// (a fault process applies events all run long; the centralized Extract
@@ -311,12 +315,17 @@ func New(md *core.Model, lambda int, sched *fault.Schedule) *Engine {
 	if sched == nil {
 		sched = &fault.Schedule{}
 	}
+	// A link index enters each dirty list at most once (when its counter
+	// leaves 0), so n*dirs bounds every list and a step never grows one.
 	n, dirs := md.M.NumNodes(), md.M.Shape().NumDirs()
-	e := &Engine{Model: md, Lambda: lambda, Schedule: sched, ctn: contention{
+	e := &Engine{Model: md, Lambda: lambda, Schedule: sched, flightObjs: chunk.New[Flight](flightChunk), ctn: contention{
 		cfg:         free,
 		served:      make([]int32, n*dirs),
+		dirty:       make([]int32, 0, n*dirs),
 		pending:     make([]int32, n*dirs),
+		pendingDty:  make([]int32, 0, n*dirs),
 		lastPending: make([]int32, n*dirs),
+		lastDty:     make([]int32, 0, n*dirs),
 		resident:    make([]int32, n),
 		numDirs:     int32(dirs),
 		gridlockAt:  -1,
@@ -326,7 +335,7 @@ func New(md *core.Model, lambda int, sched *fault.Schedule) *Engine {
 	// routing is stall-gated, so under the free configuration, which denies
 	// no link, it decides as its load-oblivious baseline does.
 	e.ctx = route.Context{M: md.M, Store: md.Store, Load: e}
-	e.tables = route.NewTables(md.M.Shape(), flightSlab)
+	e.tables = route.NewTables(md.M.Shape(), flightChunk)
 	return e
 }
 
@@ -566,10 +575,7 @@ func (e *Engine) Inject(src, dst grid.NodeID, r route.Router) (*Flight, error) {
 		f = e.spareFlights[n-1]
 		e.spareFlights = e.spareFlights[:n-1]
 	} else {
-		if len(e.slab) == 0 {
-			e.slab = make([]Flight, flightSlab)
-		}
-		f, e.slab = &e.slab[0], e.slab[1:]
+		f = e.flightObjs.Take()
 		f.Msg, f.serial = &f.msg, e.carved
 		e.carved++
 		e.tables.Carve(&f.msg)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"ndmesh/internal/chunk"
 	"ndmesh/internal/core"
 	"ndmesh/internal/fault"
 	"ndmesh/internal/grid"
@@ -226,31 +227,40 @@ func TestRecoveryEventKind(t *testing.T) {
 	}
 }
 
-// TestInjectAllocsPerSlab pins the allocation contract of Inject: a slab
-// miss cuts 64 flights and one path-stack arena for their headers — at most
-// three allocations for 64 injections, headers included (two today: a
-// header holds no used-direction table until it strays) — and re-injecting
-// recycled flights allocates nothing.
+// TestInjectAllocsPerSlab pins the allocation contract of Inject: 64
+// injections into fresh carvers take the first chunk of flights and the
+// first of their headers' path stacks — at most three allocations, headers
+// included (two today: a header holds no used-direction table until it
+// strays) — and re-injecting recycled flights allocates nothing.
 func TestInjectAllocsPerSlab(t *testing.T) {
 	e := newEngine(t, []int{32, 32}, 1, nil)
 	inject := func() {
-		for i := 0; i < flightSlab; i++ {
+		for i := 0; i < flightChunk; i++ {
 			if _, err := e.Inject(grid.NodeID(i), grid.NodeID(1000-i), route.Limited{}); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	fresh := func() {
-		e.ClearFlights()
-		e.spareFlights, e.slab = e.spareFlights[:0], nil // forget the flights: the next Inject misses
+		forgetFlights(e) // the next Inject misses
 		inject()
 	}
 	if allocs := testing.AllocsPerRun(10, fresh); allocs > 3 {
-		t.Errorf("64 injections into a fresh slab: %.1f allocs, want at most 3 (slab + header arenas)", allocs)
+		t.Errorf("64 injections into fresh carvers: %.1f allocs, want at most 3 (flight + header chunks)", allocs)
 	}
 	if allocs := testing.AllocsPerRun(10, func() { e.ClearFlights(); inject() }); allocs != 0 {
 		t.Errorf("64 recycled injections: %.1f allocs, want 0", allocs)
 	}
+}
+
+// forgetFlights retires the flights and forgets them: the free list empties
+// and both carvers start over, so the next Inject misses into a first chunk
+// of flights and of path stacks.
+func forgetFlights(e *Engine) {
+	e.ClearFlights()
+	e.spareFlights = e.spareFlights[:0]
+	e.flightObjs = chunk.New[Flight](flightChunk)
+	e.tables = route.NewTables(e.Model.M.Shape(), flightChunk)
 }
 
 // TestResetRestacksFlights holds Reset to handing the flights out again in
@@ -270,7 +280,7 @@ func TestResetRestacksFlights(t *testing.T) {
 		}
 		return out
 	}
-	first := inject(flightSlab + 6) // two slabs
+	first := inject(flightChunk + 6) // two chunks
 	e.ClearFlights()
 	inject(5) // recycled last-in first-out: the last five carved
 	e.Reset()
@@ -305,16 +315,15 @@ func TestRecycledFlightsDropRouter(t *testing.T) {
 }
 
 // TestInjectBytesPerSlab pins what a fresh header costs on a large mesh: 64
-// injections into a fresh slab on 256x256 allocate the 64 flights and one
+// injections into fresh carvers on 256x256 allocate the 64 flights and one
 // direction a hop for each header's stack share (512, the power of two at
 // or above the diameter), plus at most one page of size-class rounding per
 // allocation, and no used-direction table.
 func TestInjectBytesPerSlab(t *testing.T) {
 	e := newEngine(t, []int{256, 256}, 1, nil)
 	fresh := func() {
-		e.ClearFlights()
-		e.spareFlights, e.slab = e.spareFlights[:0], nil
-		for i := 0; i < flightSlab; i++ {
+		forgetFlights(e)
+		for i := 0; i < flightChunk; i++ {
 			if _, err := e.Inject(grid.NodeID(i), grid.NodeID(60000-i), route.Limited{}); err != nil {
 				t.Fatal(err)
 			}
@@ -326,7 +335,7 @@ func TestInjectBytesPerSlab(t *testing.T) {
 	fresh()
 	runtime.ReadMemStats(&after)
 	const share, page = 512, 8192
-	limit := flightSlab*(unsafe.Sizeof(Flight{})+share) + 2*page
+	limit := flightChunk*(unsafe.Sizeof(Flight{})+share) + 2*page
 	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(limit) {
 		t.Errorf("64 fresh injections on 256x256 allocated %d bytes, want at most %d", got, limit)
 	}

@@ -187,40 +187,59 @@ const MaxDims = 16
 // at least 1; at least one dimension is required. The paper's k-ary n-D mesh
 // is NewShape(k, k, ..., k) with n entries.
 func NewShape(dims ...int) (*Shape, error) {
-	if len(dims) == 0 {
-		return nil, fmt.Errorf("grid: shape needs at least one dimension")
-	}
-	if len(dims) > MaxDims {
-		return nil, fmt.Errorf("grid: at most %d dimensions supported, got %d", MaxDims, len(dims))
+	label, n, err := Describe(dims...)
+	if err != nil {
+		return nil, err
 	}
 	s := &Shape{
 		dims:    append([]int(nil), dims...),
 		strides: make([]int, len(dims)),
-		n:       1,
+		n:       n,
+		label:   label,
 	}
+	stride := 1
 	for i, k := range dims {
-		if k < 1 {
-			return nil, fmt.Errorf("grid: dimension %d has radix %d (< 1)", i, k)
-		}
-		s.strides[i] = s.n
-		if s.n > (1<<31-1)/k {
-			return nil, fmt.Errorf("grid: shape %v exceeds 2^31-1 nodes", dims)
-		}
-		s.n *= k
+		s.strides[i] = stride
+		stride *= k
 	}
 	s.coords = make([]int, s.n*len(dims))
 	for id := 0; id < s.n; id++ {
 		s.decode(NodeID(id), s.coords[id*len(dims):(id+1)*len(dims)])
 	}
-	label := make([]byte, 0, 8*len(dims)+5)
+	return s, nil
+}
+
+// Describe checks dims as NewShape does, with the same errors, and returns
+// the label (String) and node count of the shape they make, without
+// building it: a caller that only names or counts a shape does not pay for
+// its coordinate table.
+func Describe(dims ...int) (label string, nodes int, err error) {
+	if len(dims) == 0 {
+		return "", 0, fmt.Errorf("grid: shape needs at least one dimension")
+	}
+	if len(dims) > MaxDims {
+		return "", 0, fmt.Errorf("grid: at most %d dimensions supported, got %d", MaxDims, len(dims))
+	}
+	nodes = 1
+	for i, k := range dims {
+		if k < 1 {
+			return "", 0, fmt.Errorf("grid: dimension %d has radix %d (< 1)", i, k)
+		}
+		if nodes > (1<<31-1)/k {
+			return "", 0, fmt.Errorf("grid: shape %v exceeds 2^31-1 nodes", dims)
+		}
+		nodes *= k
+	}
+	// Each radix is under 2^31 (10 digits) with its separator.
+	var buf [11*MaxDims + 5]byte
+	b := buf[:0]
 	for i, k := range dims {
 		if i > 0 {
-			label = append(label, 'x')
+			b = append(b, 'x')
 		}
-		label = strconv.AppendInt(label, int64(k), 10)
+		b = strconv.AppendInt(b, int64(k), 10)
 	}
-	s.label = string(append(label, " mesh"...))
-	return s, nil
+	return string(append(b, " mesh"...)), nodes, nil
 }
 
 // Dims returns the number of dimensions n.

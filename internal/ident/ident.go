@@ -146,8 +146,8 @@ func NewProtocol(m *mesh.Mesh, det *frame.Detector, store *info.Store) *Protocol
 	}
 }
 
-// objsPerChunk is how many runs, subs or walkers a chunk of each kind is
-// sized for; NewProtocol sizes the chunks of their lists from it.
+// objsPerChunk is how many runs, subs or walkers the first chunk of each
+// kind is sized for; NewProtocol sizes the chunks of their lists from it.
 const objsPerChunk = 16
 
 // Reset abandons every in-flight run and all retry state so the protocol

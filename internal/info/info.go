@@ -23,8 +23,6 @@
 package info
 
 import (
-	"slices"
-
 	"ndmesh/internal/chunk"
 	"ndmesh/internal/grid"
 )
@@ -69,9 +67,13 @@ type Store struct {
 	coords chunk.Carver[int]
 	// Box table: boxes[b] is block b's box, in storage the slot keeps for
 	// good; refs[b] counts b's holders (0: a free slot, listed in free).
-	boxes []grid.Box
-	refs  []int32
-	free  []BlockID
+	// The three lists grow through their carvers, by doubling.
+	boxes    []grid.Box
+	refs     []int32
+	free     []BlockID
+	boxList  chunk.Carver[grid.Box]
+	refList  chunk.Carver[int32]
+	freeList chunk.Carver[BlockID]
 	// version counts the changes to any node's records (see Version).
 	version uint64
 }
@@ -79,7 +81,11 @@ type Store struct {
 // NewStore builds an empty store for a mesh of the given shape.
 func NewStore(shape *grid.Shape) *Store {
 	n := shape.NumNodes()
-	return &Store{shape: shape, recs: make([][]Record, n), lists: chunk.New[Record](n), coords: chunk.New[int](64 * shape.Dims())}
+	return &Store{
+		shape: shape, recs: make([][]Record, n),
+		lists: chunk.New[Record](n), coords: chunk.New[int](64 * shape.Dims()),
+		boxList: chunk.New[grid.Box](64), refList: chunk.New[int32](64), freeList: chunk.New[BlockID](64),
+	}
 }
 
 // Version advances whenever some node's records change — an Add or Remove
@@ -117,17 +123,18 @@ func (s *Store) Intern(box grid.Box) BlockID {
 		copy(s.boxes[b].Hi, box.Hi)
 	default:
 		b = BlockID(len(s.refs))
+		s.refs = s.refList.Grow(s.refs, 1)
 		s.refs = append(s.refs, 0)
 		// free can hold every id, so neither Release nor Clear grows it: a
 		// rerun on a cleared store allocates nothing.
-		s.free = slices.Grow(s.free, len(s.refs)-len(s.free))
+		s.free = s.freeList.Grow(s.free, len(s.refs)-len(s.free))
 		// A new slot's box, Lo and Hi in one carved block that the slot
 		// keeps for good.
 		n := len(box.Lo)
 		c := grid.Coord(s.coords.Make(2 * n)[:2*n])
 		copy(c, box.Lo)
 		copy(c[n:], box.Hi)
-		//meshvet:allow the table grows to the most blocks ever named at once and keeps the slots across Clear
+		s.boxes = s.boxList.Grow(s.boxes, 1)
 		s.boxes = append(s.boxes, grid.Box{Lo: c[:n:n], Hi: c[n:]})
 	}
 	s.refs[b]++

@@ -259,8 +259,9 @@ type Tables struct {
 }
 
 // NewTables returns the header storage of flights on the given shape, its
-// chunks sized for n headers' stacks and a quarter as many table entries
-// (few flights stray); it allocates nothing until the first Carve. A
+// first chunks sized for n headers' stacks and a quarter as many table
+// entries (few flights stray; later chunks double, see internal/chunk); it
+// allocates nothing until the first Carve. A
 // header's share is the power of two at or above the shape's diameter: a
 // message that has not strayed holds at most Distance(Src, Dst) hops, so
 // its stack never outgrows the share, and a strayed one has the rounding

@@ -503,3 +503,56 @@ func TestSaturatedRetryQueueTrimmed(t *testing.T) {
 		t.Errorf("the warm rerun differs from the cold cell:\n cold %+v\n warm %+v", cold, warm)
 	}
 }
+
+// pooledRetainedCeiling is TestPooledRetainedBytes's ceiling: the bytes the
+// two pooled simulations keep, as measured (2,423,152 at -cpu 1 and 2;
+// 2,304,368 while chunks held a fixed number of elements and the link lists
+// grew by append), plus 10%.
+const pooledRetainedCeiling = 2_665_500
+
+// TestPooledRetainedBytes measures what recycling keeps between cells: a
+// pool holding the 16x16 simulation a fault-storm body ran its storms on and
+// the 32x32 one a step-saturated cell ran on keeps every list, flight and
+// chunk they grew. The reading is the live heap (the least of four
+// collections) with both simulations put back, minus the same reading taken
+// before the pool was built, and it must stay under the ceiling.
+func TestPooledRetainedBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector moves the heap readings")
+	}
+	before := liveHeap()
+	pool := NewEnginePool(0)
+	storm := faultStormBody
+	storm.Pool = pool
+	if _, err := ReliabilitySweepWorkers(storm, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	sat := stepSaturatedBody
+	sat.Pool = pool
+	if _, err := LoadRun(sat); err != nil {
+		t.Fatal(err)
+	}
+	if idle := pool.Stats().Idle; idle != 2 {
+		t.Fatalf("the pool holds %d idle simulations, want 2", idle)
+	}
+	kept := liveHeap() - before
+	runtime.KeepAlive(pool)
+	t.Logf("two pooled simulations keep %d bytes", kept)
+	if kept > pooledRetainedCeiling {
+		t.Fatalf("two pooled simulations keep %d bytes, ceiling %d", kept, pooledRetainedCeiling)
+	}
+}
+
+// liveHeap returns the least heap in use read after each of four
+// collections: a collection frees what the program dropped, and the least
+// reading leaves out what a background goroutine held at that moment.
+func liveHeap() int64 {
+	least := int64(math.MaxInt64)
+	for range 4 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		least = min(least, int64(ms.HeapAlloc))
+	}
+	return least
+}

@@ -21,7 +21,6 @@ package ndmesh
 import (
 	"fmt"
 
-	"ndmesh/internal/grid"
 	"ndmesh/internal/rng"
 	"ndmesh/internal/traffic"
 )
@@ -97,7 +96,7 @@ type ReliabilityRow struct {
 // ReliabilitySweepWorkers runs the E23 reliability grid (each Monte-Carlo
 // trial is one parallel job; workers < 1 means GOMAXPROCS).
 func ReliabilitySweepWorkers(opt ReliabilityOptions, seed uint64, workers int) ([]ReliabilityRow, error) {
-	cells, shape, err := opt.sweepGrid("reliability", "fault rate", len(opt.FaultRates),
+	cells, dims, _, err := opt.sweepGrid("reliability", "fault rate", len(opt.FaultRates),
 		"Rates", "Windows", "Faults", "FaultRate", "FaultInterval", "FaultStart", "Probe",
 		"Capacities", "FaultCounts", "Mechanisms")
 	if err != nil {
@@ -143,7 +142,7 @@ func ReliabilitySweepWorkers(opt ReliabilityOptions, seed uint64, workers int) (
 				return
 			}
 			cell := j / nt
-			rows[cell] = foldReliabilityCell(&opt, shape, pts, cell, nf, nk, nt)
+			rows[cell] = foldReliabilityCell(&opt, dims, pts, cell, nf, nk, nt)
 			if opt.Emit != nil {
 				opt.Emit(cell, rows[cell])
 			}
@@ -157,9 +156,9 @@ func ReliabilitySweepWorkers(opt ReliabilityOptions, seed uint64, workers int) (
 // foldReliabilityCell folds one cell's Monte-Carlo trial points into its
 // row — a deterministic serial pass in trial order, run once per cell
 // when runGrid's done hook reaches the cell's last trial.
-func foldReliabilityCell(opt *ReliabilityOptions, shape *grid.Shape, pts []traffic.LoadPoint, c, nf, nk, nt int) ReliabilityRow {
+func foldReliabilityCell(opt *ReliabilityOptions, dims string, pts []traffic.LoadPoint, c, nf, nk, nt int) ReliabilityRow {
 	row := ReliabilityRow{
-		Dims:      shape.String(),
+		Dims:      dims,
 		Pattern:   opt.Patterns[c/(nf*nk)],
 		Router:    opt.Routers[c%nk],
 		FaultRate: opt.FaultRates[c/nk%nf],

@@ -203,7 +203,7 @@ type SaturationRow struct {
 func SaturationSweepWorkers(opt SaturationOptions, seed uint64, workers int) ([]SaturationRow, error) {
 	// One job per (pattern, rate, router) cell, pattern-major — the order
 	// the rows are reported in and the order the job streams are split in.
-	jobs, shape, err := opt.sweepGrid("saturation", "rate", len(opt.Rates),
+	jobs, dims, _, err := opt.sweepGrid("saturation", "rate", len(opt.Rates),
 		"Windows", "FaultRates", "Trials", "Rate", "Capacities", "FaultCounts", "Mechanisms")
 	if err != nil {
 		return nil, err
@@ -224,7 +224,7 @@ func SaturationSweepWorkers(opt SaturationOptions, seed uint64, workers int) ([]
 				return SaturationRow{}, err
 			}
 			return SaturationRow{
-				Dims:         shape.String(),
+				Dims:         dims,
 				Pattern:      opt.Patterns[pi],
 				Router:       opt.Routers[ki],
 				OfferedRate:  pt.OfferedRate,
@@ -254,34 +254,65 @@ func emitEach[R any](emit func(index int, row R)) func(out []R, j int) {
 }
 
 // sweepGrid is the preamble of the five entry points: it applies the
-// caller's axis rules and returns its grid size and mesh shape. The entry
-// point's own axes, n cells per (pattern, router), must be set; the first
-// field foreign to it that is set is an error naming it; a probe limits the
-// grid to one cell.
-func (opt *LoadSweepOptions[Row]) sweepGrid(entry, axis string, n int, foreign ...string) (int, *grid.Shape, error) {
+// caller's axis rules and returns its grid size and the mesh's label and
+// node count. The entry point's own axes, n cells per (pattern, router),
+// must be set; the first field foreign to it that is set is an error naming
+// it; a probe limits the grid to one cell.
+func (opt *LoadSweepOptions[Row]) sweepGrid(entry, axis string, n int, foreign ...string) (cells int, dims string, nodes int, err error) {
 	if len(opt.Routers) == 0 || len(opt.Patterns) == 0 || n == 0 {
-		return 0, nil, fmt.Errorf("ndmesh: %s sweep needs at least one router, pattern and %s", entry, axis)
-	}
-	set := map[string]bool{
-		"Rates": len(opt.Rates) > 0, "Windows": len(opt.Windows) > 0, "FaultRates": len(opt.FaultRates) > 0,
-		"Capacities": len(opt.Capacities) > 0, "FaultCounts": len(opt.FaultCounts) > 0, "Mechanisms": len(opt.Mechanisms) > 0,
-		"Trials": opt.Trials != 0, "Rate": opt.Rate != 0, "Process": opt.Process != "",
-		"NodeCapacity": opt.NodeCapacity != 0, "Bubble": opt.Bubble,
-		"Faults": opt.Faults != 0, "FaultRate": opt.FaultRate != 0,
-		"FaultInterval": opt.FaultInterval != 0, "FaultStart": opt.FaultStart != 0,
-		"Probe": opt.Probe != nil,
+		return 0, "", 0, fmt.Errorf("ndmesh: %s sweep needs at least one router, pattern and %s", entry, axis)
 	}
 	for _, f := range foreign {
-		if set[f] {
-			return 0, nil, fmt.Errorf("ndmesh: a %s sweep does not take %s", entry, f)
+		if opt.isSet(f) {
+			return 0, "", 0, fmt.Errorf("ndmesh: a %s sweep does not take %s", entry, f)
 		}
 	}
-	cells := len(opt.Patterns) * n * len(opt.Routers)
+	cells = len(opt.Patterns) * n * len(opt.Routers)
 	if opt.Probe != nil && cells > 1 {
-		return 0, nil, fmt.Errorf("ndmesh: a probed sweep must be a single cell (got %d); probes are stateful accumulators and parallel cells would interleave their censuses", cells)
+		return 0, "", 0, fmt.Errorf("ndmesh: a probed sweep must be a single cell (got %d); probes are stateful accumulators and parallel cells would interleave their censuses", cells)
 	}
-	shape, err := grid.NewShape(opt.Dims...)
-	return cells, shape, err
+	dims, nodes, err = grid.Describe(opt.Dims...)
+	return cells, dims, nodes, err
+}
+
+// isSet reports whether the named axis field is set: a list that is not
+// empty, or a value that is not zero.
+func (opt *LoadSweepOptions[Row]) isSet(field string) bool {
+	switch field {
+	case "Rates":
+		return len(opt.Rates) > 0
+	case "Windows":
+		return len(opt.Windows) > 0
+	case "FaultRates":
+		return len(opt.FaultRates) > 0
+	case "Capacities":
+		return len(opt.Capacities) > 0
+	case "FaultCounts":
+		return len(opt.FaultCounts) > 0
+	case "Mechanisms":
+		return len(opt.Mechanisms) > 0
+	case "Trials":
+		return opt.Trials != 0
+	case "Rate":
+		return opt.Rate != 0
+	case "Process":
+		return opt.Process != ""
+	case "NodeCapacity":
+		return opt.NodeCapacity != 0
+	case "Bubble":
+		return opt.Bubble
+	case "Faults":
+		return opt.Faults != 0
+	case "FaultRate":
+		return opt.FaultRate != 0
+	case "FaultInterval":
+		return opt.FaultInterval != 0
+	case "FaultStart":
+		return opt.FaultStart != 0
+	case "Probe":
+		return opt.Probe != nil
+	}
+	panic("ndmesh: sweepGrid names no field " + field)
 }
 
 // validateRates rejects rates the arrival process cannot offer faithfully:
