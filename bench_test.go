@@ -859,17 +859,17 @@ var stepSaturatedBody = LoadOptions{
 }
 
 // coldStepSaturatedAllocs is TestColdStepSaturatedAllocs's ratchet (the
-// cell reads 143 with or without the race detector, 144 at -cpu 2). Only
-// ever lower it.
-const coldStepSaturatedAllocs = 155
+// cell reads 114 with or without the race detector and at -cpu 2; 143 while
+// the engine's flight lists grew by append). Only ever lower it.
+const coldStepSaturatedAllocs = 126
 
 // TestColdStepSaturatedAllocs holds one cold LoadRun of stepSaturatedBody
 // on no pool — the simulation built, every flight and header carved from
 // empty — to the ratchet: flights and their path stacks fill at an
-// allocation per chunk, chunks doubling up to 64 KiB, and the link lists
-// are sized when the engine is built (304 when each chunk held 64 flights
-// beside a hand-rolled flight slab). The count is the least of two runs,
-// since a collection ending inside a run counts the runtime's own
+// allocation per chunk, chunks doubling up to 64 KiB, and the link and
+// flight lists are sized when the engine is built (304 when each chunk held
+// 64 flights beside a hand-rolled flight slab). The count is the least of
+// two runs, since a collection ending inside a run counts the runtime's own
 // allocations.
 func TestColdStepSaturatedAllocs(t *testing.T) {
 	got := uint64(math.MaxUint64)
@@ -903,10 +903,10 @@ var faultStormBody = ReliabilityOptions{
 	LinkRate: 1, FlightTimeout: 48, RetryBackoff: 4, GridlockWindow: 16,
 }
 
-// coldStormAllocs is TestColdStormAllocs's ratchet (the body reads 262 with
-// or without the race detector; 358 before chunks doubled and the store's
-// box table was carved). Only ever lower it.
-const coldStormAllocs = 274
+// coldStormAllocs is TestColdStormAllocs's ratchet (the body reads 215 with
+// or without the race detector; 262 while the engine's flight lists and the
+// labeling and frame rounds' lists grew by append). Only ever lower it.
+const coldStormAllocs = 227
 
 // TestColdStormAllocs holds one cold body of the fault-storm workload —
 // ReliabilitySweepWorkers at faultStormBody's options on no pool, so every
@@ -914,8 +914,9 @@ const coldStormAllocs = 274
 // ratchet: the fill costs an allocation per chunk of lists, not one per
 // node per doubling (3,043 when each list grew by append), and the
 // information plane's floods, walkers and watches come from chunks too (988
-// when each was allocated on its own). The count is
-// the least of two runs, since a collection ending inside a run counts the
+// when each was allocated on its own), and the labeling and frame rounds
+// take their node lists' bound on their first growth. The count is the
+// least of two runs, since a collection ending inside a run counts the
 // runtime's own allocations.
 func TestColdStormAllocs(t *testing.T) {
 	got := uint64(math.MaxUint64)
@@ -959,13 +960,26 @@ func BenchmarkFaultStormBody(b *testing.B) {
 
 // BenchmarkRouterGridBody is one body of the standing benchmark's
 // `router-grid` workload — the options of bench/batch.go's newRouterGrid
-// (full size, seed 1), run as SaturationSweepWorkers(sat, 1, 1) then
-// ClosedLoopSweepWorkers(cl, 2, 1) — so the profile of every router under
-// finite buffers, the oracle's table included, is
+// (full size, seed 1), run as routerGridBody does — so the profile of every
+// router under finite buffers, the oracle's table included, is
 // `go test -run '^$' -bench RouterGridBody -cpu 1 -cpuprofile cpu.prof .`
 // (recipe and reference tables in docs/BENCHMARKS.md).
 func BenchmarkRouterGridBody(b *testing.B) {
-	sat := SaturationOptions{
+	b.ReportAllocs()
+	var delivered int
+	for i := 0; i < b.N; i++ {
+		var err error
+		if delivered, err = routerGridBody(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(delivered), "delivered")
+}
+
+// routerGridOpen and routerGridClosed are the options of bench/batch.go's
+// newRouterGrid at full size: its open-loop and closed-loop sweeps.
+var (
+	routerGridOpen = SaturationOptions{
 		Dims: []int{8, 8}, Lambda: 1,
 		Routers:  []string{"limited", "congested", "dor", "blind", "oracle"},
 		Patterns: []string{"uniform", "transpose", "complement", "bitrev", "hotspot", "neighbor"},
@@ -973,25 +987,59 @@ func BenchmarkRouterGridBody(b *testing.B) {
 		Process:  "bernoulli", LinkRate: 1, NodeCapacity: 8,
 		Warmup: 16, Measure: 64, Drain: 32,
 	}
-	cl := ClosedLoopOptions{
+	routerGridClosed = ClosedLoopOptions{
 		Dims: []int{6, 6, 6}, Lambda: 1,
 		Routers: []string{"limited", "congested"}, Patterns: []string{"uniform", "hotspot"},
 		Windows:  []int{1, 2, 4, 8},
 		LinkRate: 1, NodeCapacity: 4, FlightTimeout: 32, RetryBackoff: 4, Bubble: true,
 		Warmup: 16, Measure: 64, Drain: 32,
 	}
-	b.ReportAllocs()
-	var delivered int
-	for i := 0; i < b.N; i++ {
-		open, err := SaturationSweepWorkers(sat, 1, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		closed, err := ClosedLoopSweepWorkers(cl, 2, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		delivered = open[len(open)-1].Delivered + closed[len(closed)-1].Delivered
+)
+
+// routerGridBody runs one body of the router-grid workload on no pool and
+// returns the deliveries of its last open and last closed-loop cell.
+func routerGridBody() (int, error) {
+	open, err := SaturationSweepWorkers(routerGridOpen, 1, 1)
+	if err != nil {
+		return 0, err
 	}
-	b.ReportMetric(float64(delivered), "delivered")
+	closed, err := ClosedLoopSweepWorkers(routerGridClosed, 2, 1)
+	if err != nil {
+		return 0, err
+	}
+	return open[len(open)-1].Delivered + closed[len(closed)-1].Delivered, nil
+}
+
+// coldRouterGridAllocs is TestColdRouterGridAllocs's ratchet (the body
+// reads 180 with or without the race detector and at -cpu 2). Only ever
+// lower it.
+const coldRouterGridAllocs = 192
+
+// TestColdRouterGridAllocs holds one cold body of the router-grid workload —
+// 216 load cells over every router, each on a simulation built from empty —
+// to the ratchet: a simulation's oracle cells share its one table, whose
+// arena is allocated at the budget's capacity on first use, and the engine's
+// flight lists are sized when it is built (400 when each oracle cell built a
+// table of its own and those lists grew by append). The count is the least
+// of two runs, since a collection ending inside a run counts the runtime's
+// own allocations.
+func TestColdRouterGridAllocs(t *testing.T) {
+	got := uint64(math.MaxUint64)
+	for range 2 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		delivered, err := routerGridBody()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if delivered == 0 {
+			t.Fatal("the router-grid body delivered nothing")
+		}
+		got = min(got, after.Mallocs-before.Mallocs)
+	}
+	t.Logf("a cold router-grid body allocates %d times", got)
+	if got > coldRouterGridAllocs {
+		t.Fatalf("a cold router-grid body allocates %d times, ratchet %d", got, coldRouterGridAllocs)
+	}
 }

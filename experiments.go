@@ -634,7 +634,7 @@ func TrafficSweepWorkers(dims []int, messages int, faults int, interval int, see
 			}
 			defer p.put(sim)
 			setSchedule(sim, sched)
-			rt, err := route.ByName(routers[j])
+			rt, err := sim.router(routers[j])
 			if err != nil {
 				return row, err
 			}

@@ -68,6 +68,7 @@ func (st *Stepper) Seed(ids ...grid.NodeID) {
 
 // addWithNeighbors makes id and its neighbors candidates for the next round.
 func (st *Stepper) addWithNeighbors(id grid.NodeID) {
+	st.cand.Reserve(st.m.NumNodes())
 	st.cand.Add(id)
 	for _, nb := range st.m.Neighbors(id) {
 		if nb != grid.InvalidNode {
@@ -94,16 +95,22 @@ func (st *Stepper) Affected() int { return st.affected.Len() }
 // returns the number of status transitions committed.
 func (st *Stepper) Round() int {
 	m := st.m
+	st.changedIDs = st.changedIDs[:0]
+	st.changedTo = st.changedTo[:0]
+	if st.Quiescent() {
+		return 0
+	}
 	// Evaluate: candidates plus all clean nodes (whose age must advance).
-	eval := append(st.eval[:0], st.cand.IDs()...)
+	// The lists hold distinct nodes, so the node count bounds each: the
+	// first growth of each takes that bound.
+	n := m.NumNodes()
+	eval := append(grid.Reserve(st.eval, n)[:0], st.cand.IDs()...)
 	for _, id := range m.CleanIDs() {
 		if !st.cand.Has(id) {
 			eval = append(eval, id)
 		}
 	}
 	st.eval = eval
-	st.changedIDs = st.changedIDs[:0]
-	st.changedTo = st.changedTo[:0]
 	agedCleans := st.agedCleans[:0]
 	for _, id := range eval {
 		old := m.Status(id)
@@ -112,8 +119,8 @@ func (st *Stepper) Round() int {
 			agedCleans = append(agedCleans, id)
 		}
 		if next != old {
-			st.changedIDs = append(st.changedIDs, id)
-			st.changedTo = append(st.changedTo, next)
+			st.changedIDs = append(grid.Reserve(st.changedIDs, n), id)
+			st.changedTo = append(grid.Reserve(st.changedTo, n), next)
 		}
 	}
 	// Commit phase: all updates appear simultaneously (synchronous model).

@@ -425,14 +425,15 @@ func modelStorm(tb testing.TB) (*Model, *fault.Schedule) {
 const modelStormSteps, modelStormLambda = 704, 2
 
 // coldModelStormAllocs is TestColdModelStormAllocs's ratchet (the history
-// reads 102 with or without the race detector; 134 before chunks doubled
-// and the store's box table was carved). Only ever lower it.
-const coldModelStormAllocs = 114
+// reads 79 with or without the race detector; 102 while the labeling and
+// frame rounds' lists grew by append). Only ever lower it.
+const coldModelStormAllocs = 91
 
 // TestColdModelStormAllocs holds BenchmarkModelStorm's history, replayed on
 // a fresh Model, to the ratchet: every object and list of the information
 // plane fills from empty, at an allocation per chunk, not one per flood,
-// walker or watch (603 when each was allocated on its own).
+// walker or watch (603 when each was allocated on its own), and each round's
+// node lists take their bound on their first growth.
 // The model and the fault process are built before the count starts. The
 // count is the least of two runs, since a collection ending inside a run
 // counts the runtime's own allocations.

@@ -317,20 +317,29 @@ func New(md *core.Model, lambda int, sched *fault.Schedule) *Engine {
 	}
 	// A link index enters each dirty list at most once (when its counter
 	// leaves 0), so n*dirs bounds every list and a step never grows one.
+	// The flight lists start with room for a flight per node, so a load
+	// cell's population fills them without doubling up from empty.
 	n, dirs := md.M.NumNodes(), md.M.Shape().NumDirs()
-	e := &Engine{Model: md, Lambda: lambda, Schedule: sched, flightObjs: chunk.New[Flight](flightChunk), ctn: contention{
-		cfg:         free,
-		served:      make([]int32, n*dirs),
-		dirty:       make([]int32, 0, n*dirs),
-		pending:     make([]int32, n*dirs),
-		pendingDty:  make([]int32, 0, n*dirs),
-		lastPending: make([]int32, n*dirs),
-		lastDty:     make([]int32, 0, n*dirs),
-		resident:    make([]int32, n),
-		numDirs:     int32(dirs),
-		gridlockAt:  -1,
-		recoverAt:   -1,
-	}}
+	e := &Engine{
+		Model: md, Lambda: lambda, Schedule: sched,
+		flights:      make([]*Flight, 0, n),
+		retired:      make([]*Flight, 0, n),
+		spareFlights: make([]*Flight, 0, n),
+		flightObjs:   chunk.New[Flight](flightChunk),
+		ctn: contention{
+			cfg:         free,
+			served:      make([]int32, n*dirs),
+			dirty:       make([]int32, 0, n*dirs),
+			pending:     make([]int32, n*dirs),
+			pendingDty:  make([]int32, 0, n*dirs),
+			lastPending: make([]int32, n*dirs),
+			lastDty:     make([]int32, 0, n*dirs),
+			resident:    make([]int32, n),
+			numDirs:     int32(dirs),
+			gridlockAt:  -1,
+			recoverAt:   -1,
+		},
+	}
 	// The engine is its flights' load view (route.LoadView). Load-aware
 	// routing is stall-gated, so under the free configuration, which denies
 	// no link, it decides as its load-oblivious baseline does.

@@ -110,6 +110,7 @@ func (d *Detector) Seed(ids ...grid.NodeID) {
 
 // addWithNeighbors makes id and its neighbors candidates for the next round.
 func (d *Detector) addWithNeighbors(id grid.NodeID) {
+	d.cand.Reserve(d.m.NumNodes())
 	d.cand.Add(id)
 	for _, nb := range d.m.Neighbors(id) {
 		if nb != grid.InvalidNode {
@@ -138,9 +139,17 @@ func (d *Detector) Reset() {
 // staged in the reusable arena and committed together, preserving the
 // synchronous model (every compute sees only last round's announcements).
 func (d *Detector) Round() int {
+	d.changed = d.changed[:0]
+	if d.cand.Len() == 0 {
+		return 0
+	}
+	// The node lists hold distinct candidates, so the node count bounds
+	// each (pendingOff holds one more): the first growth of each takes
+	// that bound.
+	n := d.m.NumNodes()
 	d.pending = d.pending[:0]
 	d.pendingIDs = d.pendingIDs[:0]
-	d.pendingOff = d.pendingOff[:0]
+	d.pendingOff = grid.Reserve(d.pendingOff, n+1)[:0]
 	for _, id := range d.cand.IDs() {
 		start := len(d.pending)
 		d.pending = d.compute(id, d.pending)
@@ -148,16 +157,15 @@ func (d *Detector) Round() int {
 			d.pending = d.pending[:start]
 			continue
 		}
-		d.pendingIDs = append(d.pendingIDs, id)
+		d.pendingIDs = append(grid.Reserve(d.pendingIDs, n), id)
 		d.pendingOff = append(d.pendingOff, start)
 	}
 	d.pendingOff = append(d.pendingOff, len(d.pending))
 	d.cand.Clear()
-	d.changed = d.changed[:0]
 	for k, id := range d.pendingIDs {
 		anns := d.pending[d.pendingOff[k]:d.pendingOff[k+1]]
 		d.ann[id] = append(d.lists.Grow(d.ann[id][:0], len(anns)), anns...)
-		d.changed = append(d.changed, id)
+		d.changed = append(grid.Reserve(d.changed, n), id)
 		d.addWithNeighbors(id)
 	}
 	return len(d.pendingIDs)

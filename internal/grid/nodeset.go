@@ -29,6 +29,23 @@ func (s *NodeSet) Add(id NodeID) bool {
 	return true
 }
 
+// Reserve gives the member list room for n members if it has no capacity
+// yet, in one allocation: a set refilled every round that n bounds (a
+// protocol's candidates) takes its bound on its first growth instead of
+// doubling up to it. Sets that stay small, like a boundary flood's, do not
+// call it.
+func (s *NodeSet) Reserve(n int) { s.ids = Reserve(s.ids, n) }
+
+// Reserve returns list, or an empty list with room for n elements if list
+// has no capacity yet: a per-round work list that n bounds takes its bound
+// on its first growth, one allocation, where append would double up to it.
+func Reserve[T any](list []T, n int) []T {
+	if cap(list) == 0 {
+		return make([]T, 0, n)
+	}
+	return list
+}
+
 // Has reports whether id is a member.
 func (s *NodeSet) Has(id NodeID) bool { return s.bits[id>>6]&(1<<(id&63)) != 0 }
 

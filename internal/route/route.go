@@ -829,10 +829,9 @@ func (o *Oracle) Decide(ctx *Context, msg *Message) Decision {
 }
 
 // field returns dst's BFS distance field over m's enabled nodes, computing
-// it on the first ask since m last changed. The arena is allocated twice at
-// most: one field for the first destination — with row and queue, and the
-// router value itself, the 4 allocs a Simulation.Route("oracle") pays — and
-// the budget's capacity for the second.
+// it on the first ask since m last changed. The arena is allocated once, at
+// the budget's capacity, on the first ask: with row and queue, the 3 allocs
+// an Oracle pays for a mesh size, after which it allocates nothing.
 func (o *Oracle) field(m *mesh.Mesh, dst grid.NodeID) []int32 {
 	n := m.NumNodes()
 	if o.m != m || o.version != m.Version() {
@@ -846,12 +845,9 @@ func (o *Oracle) field(m *mesh.Mesh, dst grid.NodeID) []int32 {
 		return o.dist[(f-1)*n : f*n]
 	}
 	if len(o.dist) == cap(o.dist) { // no room for dst's field
-		switch size := min(n, fieldBudget/n) * n; {
-		case len(o.dist) == 0:
-			o.dist = make([]int32, 0, n)
-		case len(o.dist) < size:
-			o.dist = append(make([]int32, 0, size), o.dist...)
-		default:
+		if cap(o.dist) == 0 {
+			o.dist = make([]int32, 0, max(min(n, fieldBudget/n), 1)*n)
+		} else {
 			clear(o.row)
 			o.dist = o.dist[:0]
 		}
@@ -932,7 +928,10 @@ func LoadOblivious(r Router) bool {
 	return false
 }
 
-// ByName returns a fresh router by experiment name.
+// ByName returns a router by experiment name: a fresh Oracle, whose table
+// is its own, or the stateless value of every other router. The
+// simulation's cell runners route with the simulation's own Oracle instead,
+// so a warm cell reuses its table's storage.
 func ByName(name string) (Router, error) {
 	switch name {
 	case "limited":

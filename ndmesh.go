@@ -80,6 +80,11 @@ type Simulation struct {
 	// rewinds it (newLoadRun) and drops its own wiring when done (release),
 	// so the buffers keep their capacity across the cells of a pool.
 	load loadRun //meshvet:keep rewound by each load cell (newLoadRun), holds nothing of a finished cell
+	// oracle is the "oracle" router of every run on the simulation (see
+	// router): its table is keyed on the mesh's version, which every Reset
+	// advances, so no field of an earlier run is read again, and a warm
+	// cell refills the storage the first one allocated.
+	oracle route.Oracle //meshvet:keep its fields are dropped when the mesh version moves, which Reset does
 }
 
 // NewSimulation builds a fault-free simulation of the configured shape.
@@ -316,9 +321,18 @@ func (s *Simulation) Route(src, dst Coord, router string) (RouteResult, error) {
 	return s.routeIDs(srcID, dstID, router)
 }
 
+// router resolves a router name for a run on s: the simulation's own
+// oracle for "oracle", route.ByName's stateless value for every other name.
+func (s *Simulation) router(name string) (route.Router, error) {
+	if name == "oracle" {
+		return &s.oracle, nil
+	}
+	return route.ByName(name)
+}
+
 // routeIDs is Route on node ids (the sweeps draw ids, not coordinates).
 func (s *Simulation) routeIDs(src, dst NodeID, router string) (RouteResult, error) {
-	r, err := route.ByName(router)
+	r, err := s.router(router)
 	if err != nil {
 		return RouteResult{}, err
 	}

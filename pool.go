@@ -10,9 +10,13 @@ package ndmesh
 // its own — as meshsim's -trials do, through RouteSweepWorkers. A pooled
 // simulation keeps, besides its engine and information plane, the load run
 // its cells rewind (Simulation.load: collector, rng streams, sources,
-// patterns, fault-process scratch), so a warm load cell allocates nothing;
-// it keeps no oracle table (a cell's route.Oracle, up to 4 MiB, is its
-// own) and nothing a finished cell wired in (loadRun.release). The Reset
+// patterns, fault-process scratch) and its own route.Oracle, so a warm load
+// cell allocates nothing. It keeps nothing a finished cell wired in
+// (loadRun.release); its oracle's table outlives the cell, but its fields
+// are keyed on the mesh version, which Reset advances, so the table is
+// storage, not state. Only a simulation that has served an oracle cell
+// holds one: an arena of at most min(n, 2^20/n)·n int32 entries (4 MiB per
+// simulation at most) and a row and a queue of n. The Reset
 // contract (every layer rewinds without reallocating, pinned by
 // reset_test.go) is what makes reuse sound: a reused simulation
 // is indistinguishable from a fresh one after Reset, so which warm

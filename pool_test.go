@@ -376,9 +376,9 @@ type cellAllocs struct {
 // fault-storm cell (the workload's 16x16 λ=2 options at fault rate 0.2) and
 // an oracle cell. A pooled Simulation keeps everything a warm cell needs:
 // its engine, flights, headers and event log, and its load run's
-// collector, rng streams, sources, patterns and fault-process scratch; a
-// warm cell of the first four allocates nothing. It keeps no oracle table
-// (up to 4 MiB): an oracle cell builds its own, the one count above zero.
+// collector, rng streams, sources, patterns and fault-process scratch, and
+// the oracle whose table the oracle cell refills (the mesh version moved by
+// the Reset drops its fields); a warm cell of each case allocates nothing.
 // The cell's stream is built outside the measured closure (loadPoint
 // leaves it as it was), so each count is the cell's alone. Every warm run is
 // an identical rerun, and the count is the least of three: a garbage
@@ -501,6 +501,113 @@ func TestSaturatedRetryQueueTrimmed(t *testing.T) {
 	pool.put(sim)
 	if warm := cell(); !reflect.DeepEqual(warm, cold) {
 		t.Errorf("the warm rerun differs from the cold cell:\n cold %+v\n warm %+v", cold, warm)
+	}
+}
+
+// TestPooledOracleNotStale: a simulation's one oracle serves every oracle
+// run on it, so no field an earlier run computed may reach a later one. An
+// oracle cell under a fault storm, then a fault-free oracle cell and a
+// different storm, all on one warm simulation, each equal the same cell on
+// a fresh pool; and Simulation.Route after a Reset to another fault
+// schedule equals a fresh simulation's route.
+func TestPooledOracleNotStale(t *testing.T) {
+	free := SaturationOptions{
+		Dims: []int{8, 8}, Lambda: 1, Process: "bernoulli",
+		Warmup: 16, Measure: 64, Drain: 32, LinkRate: 1, NodeCapacity: 8,
+	}
+	storm := free
+	storm.FaultRate, storm.FaultModel, storm.FaultRepair = 0.1, "bernoulli", 24
+	other := storm
+	other.FaultRate, other.FaultRepair = 0.2, 12
+	wl := workload{pattern: "uniform", rate: 0.2}
+	r := rng.New(5).Split()
+	warm := NewEnginePool(0)
+	var points []traffic.LoadPoint
+	for _, opt := range []SaturationOptions{storm, free, other} {
+		got, err := opt.loadPoint(warm, wl, "oracle", r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := opt.loadPoint(NewEnginePool(0), wl, "oracle", r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("fault rate %g: the warm oracle cell differs from a fresh one:\n warm  %+v\n fresh %+v", opt.FaultRate, got, want)
+		}
+		points = append(points, got)
+	}
+	if built := warm.Stats().Built; built != 1 {
+		t.Fatalf("the warm pool built %d simulations, want the one every cell shares", built)
+	}
+	if points[0].Failed == 0 || points[2].Failed == 0 || points[0] == points[2] {
+		t.Fatalf("the two storms do not fault the mesh differently: %+v, %+v", points[0], points[2])
+	}
+
+	// Two walls across x = 4, y from lo to hi, that leave a route around
+	// their opposite ends.
+	wall := func(sim *Simulation, lo, hi int) {
+		t.Helper()
+		for y := lo; y <= hi; y++ {
+			if err := sim.ScheduleFault(1, C(4, y)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	route := func(sim *Simulation) RouteResult {
+		t.Helper()
+		res, err := sim.Route(C(0, 4), C(7, 3), "oracle")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	sim := MustSimulation(Config{Dims: []int{8, 8}})
+	wall(sim, 0, 4)
+	first := route(sim)
+	sim.Reset()
+	wall(sim, 2, 7)
+	fresh := MustSimulation(Config{Dims: []int{8, 8}})
+	wall(fresh, 2, 7)
+	if got, want := route(sim), route(fresh); got != want || !got.Arrived || got == first {
+		t.Errorf("after a Reset to the other wall the oracle routes %+v, a fresh simulation %+v (before the Reset %+v)", got, want, first)
+	}
+}
+
+// TestPooledOracleRetained states what a pooled simulation keeps of its
+// oracle once it has served an oracle cell: an arena of at most the
+// budget's min(n, 2^20/n)·n entries (4 MiB of int32 at most), and a row and
+// a queue of n. A simulation that served no oracle cell keeps no table.
+// Nothing reads these capacities, so they are read here by field name.
+func TestPooledOracleRetained(t *testing.T) {
+	for _, dims := range [][]int{{8, 8}, {32, 32}} {
+		opt := SaturationOptions{
+			Dims: dims, Lambda: 1, Process: "bernoulli",
+			Warmup: 8, Measure: 32, Drain: 16, LinkRate: 1, NodeCapacity: 8,
+		}
+		n := dims[0] * dims[1]
+		pool := NewEnginePool(0)
+		r := rng.New(9)
+		caps := func(router string) (arena, row, queue int) {
+			t.Helper()
+			if _, err := opt.loadPoint(pool, workload{pattern: "uniform", rate: 0.05}, router, r); err != nil {
+				t.Fatal(err)
+			}
+			sim, err := pool.get(dims, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pool.put(sim)
+			o := reflect.ValueOf(&sim.oracle).Elem()
+			return o.FieldByName("dist").Cap(), o.FieldByName("row").Cap(), o.FieldByName("queue").Cap()
+		}
+		if arena, row, queue := caps("limited"); arena+row+queue != 0 {
+			t.Errorf("%v: a simulation that served no oracle cell keeps an oracle of %d+%d+%d entries", dims, arena, row, queue)
+		}
+		arena, row, queue := caps("oracle")
+		if budget := min(n, (1<<20)/n) * n; arena == 0 || arena > budget || row != n || queue != n {
+			t.Errorf("%v: the pooled oracle keeps an arena of %d, a row of %d and a queue of %d; want at most %d, and %d each", dims, arena, row, queue, budget, n)
+		}
 	}
 }
 

@@ -446,7 +446,8 @@ func (opt *LoadSweepOptions[Row]) loadPoint(p *EnginePool, wl workload, router s
 	}
 	defer p.put(sim)
 	// On every exit the cell's wiring goes before the put: a pooled
-	// simulation keeps no router (an oracle's table), hook or trace of it.
+	// simulation keeps no router, hook or trace of it (its own oracle's
+	// fields are keyed on a mesh version the next Reset moves past).
 	defer sim.load.release()
 	lr, err := opt.newLoadRun(sim, wl, router, r)
 	if err != nil {
@@ -627,7 +628,7 @@ func (opt *LoadSweepOptions[Row]) newLoadRun(sim *Simulation, wl workload, route
 		}
 		recFaults = sim.sched.Events
 	}
-	if lr.rtr, err = route.ByName(router); err != nil {
+	if lr.rtr, err = sim.router(router); err != nil {
 		return nil, err
 	}
 	var pat traffic.Pattern
