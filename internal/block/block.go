@@ -15,6 +15,7 @@ package block
 import (
 	"sort"
 
+	"ndmesh/internal/chunk"
 	"ndmesh/internal/grid"
 	"ndmesh/internal/mesh"
 )
@@ -104,7 +105,7 @@ func (st *Stepper) Round() int {
 	// The lists hold distinct nodes, so the node count bounds each: the
 	// first growth of each takes that bound.
 	n := m.NumNodes()
-	eval := append(grid.Reserve(st.eval, n)[:0], st.cand.IDs()...)
+	eval := append(chunk.Reserve(st.eval, n)[:0], st.cand.IDs()...)
 	for _, id := range m.CleanIDs() {
 		if !st.cand.Has(id) {
 			eval = append(eval, id)
@@ -119,8 +120,8 @@ func (st *Stepper) Round() int {
 			agedCleans = append(agedCleans, id)
 		}
 		if next != old {
-			st.changedIDs = append(grid.Reserve(st.changedIDs, n), id)
-			st.changedTo = append(grid.Reserve(st.changedTo, n), next)
+			st.changedIDs = append(chunk.Reserve(st.changedIDs, n), id)
+			st.changedTo = append(chunk.Reserve(st.changedTo, n), next)
 		}
 	}
 	// Commit phase: all updates appear simultaneously (synchronous model).

@@ -48,7 +48,6 @@
 package boundary
 
 import (
-	"cmp"
 	"slices"
 
 	"ndmesh/internal/chunk"
@@ -204,8 +203,6 @@ type Construction struct {
 	next     []grid.NodeID
 	// Rounds counts propagation rounds so far (contributes to c_i).
 	Rounds int
-	// serial numbers the constructions a protocol makes, in order.
-	serial int32
 }
 
 // Done reports whether the flood has exhausted its frontier.
@@ -240,24 +237,17 @@ type Protocol struct {
 	m     *mesh.Mesh  //meshvet:keep dependency, not per-trial state
 	store *info.Store //meshvet:keep dependency, not per-trial state
 	cons  []*Construction
-	// spare is the free list of retired constructions; Start reuses them so
-	// a fault process cycling blocks through the protocol allocates nothing
-	// once warm. made counts the constructions ever made.
-	spare []*Construction
-	made  int32 //meshvet:keep the serial the next construction made gets
-	// The constructions, their bitsets, fronts and bases, the construction
-	// lists, the placement cache and the tombstones are carved from chunks
-	// (internal/chunk): a cold fill costs an allocation per chunk, and every
-	// carved block stays with its owner across Reset.
-	objs   chunk.Carver[Construction]  //meshvet:keep carves constructions the free list keeps
-	lists  chunk.Carver[*Construction] //meshvet:keep carves cons and spare
-	words  chunk.Carver[uint64]        //meshvet:keep carves the constructions' and placements' bitsets
-	nodes  chunk.Carver[grid.NodeID]   //meshvet:keep carves the fronts
-	ids    chunk.Carver[info.BlockID]  //meshvet:keep carves the bases
-	coords chunk.Carver[int]           //meshvet:keep carves the placements' boxes
-	places chunk.Carver[placement]     //meshvet:keep carves placed
-	slots  chunk.Carver[tomb]          //meshvet:keep carves tombs
-	queue  chunk.Carver[tombAt]        //meshvet:keep carves expiry
+	// spare recycles retired constructions; Start reuses them so a fault
+	// process cycling blocks through the protocol allocates nothing once
+	// warm. Their bitsets, fronts and bases and the placement cache's boxes
+	// are carved from chunks (internal/chunk): a cold fill costs an
+	// allocation per chunk, and every carved block stays with its owner
+	// across Reset.
+	spare  chunk.Pool[Construction]
+	words  chunk.Carver[uint64]       //meshvet:keep carves the constructions' and placements' bitsets
+	nodes  chunk.Carver[grid.NodeID]  //meshvet:keep carves the fronts
+	ids    chunk.Carver[info.BlockID] //meshvet:keep carves the bases
+	coords chunk.Carver[int]          //meshvet:keep carves the placements' boxes
 	// Cancel tombstones: tombs is the slot arena, firstTomb[id] links node
 	// id's marks (made by the first cancel, so a protocol that never
 	// cancels holds none) and freeTomb the free slots. expiry lists every
@@ -284,15 +274,11 @@ func NewProtocol(m *mesh.Mesh, store *info.Store) *Protocol {
 	n, words := m.NumNodes(), (m.NumNodes()+63)/64
 	return &Protocol{
 		m: m, store: store, ttl: m.Shape().Diameter(),
-		objs:   chunk.New[Construction](consPerChunk),
-		lists:  chunk.New[*Construction](2 * consPerChunk),
+		spare:  chunk.NewPool[Construction](consPerChunk, consPerChunk),
 		words:  chunk.New[uint64](4 * consPerChunk * words),
 		nodes:  chunk.New[grid.NodeID](4 * n),
 		ids:    chunk.New[info.BlockID](16 * consPerChunk),
 		coords: chunk.New[int](2 * m.Shape().Dims() * consPerChunk),
-		places: chunk.New[placement](consPerChunk),
-		slots:  chunk.New[tomb](n),
-		queue:  chunk.New[tombAt](n),
 	}
 }
 
@@ -311,7 +297,7 @@ func (p *Protocol) Reset() {
 		p.retire(c)
 	}
 	p.cons = p.cons[:0]
-	slices.SortFunc(p.spare, func(a, b *Construction) int { return cmp.Compare(b.serial, a.serial) })
+	p.spare.Restack()
 	// Every mark held has an unexpired queue entry, so this clears every
 	// node that holds one.
 	for _, e := range p.expiry[p.expired:] {
@@ -330,20 +316,15 @@ func (p *Protocol) Reset() {
 // seed from the node that detected the stale record. The seeds slice is
 // copied, not retained; a recycled construction keeps every buffer.
 func (p *Protocol) Start(b info.BlockID, epoch uint32, op Op, seeds []grid.NodeID) *Construction {
-	var c *Construction
-	if n := len(p.spare); n > 0 {
-		c, p.spare = p.spare[n-1], p.spare[:n-1]
-		clear(c.region)
-		clear(c.visited)
-		clear(c.queued)
-	} else {
+	c, fresh := p.spare.Get()
+	if fresh {
 		words := (p.m.NumNodes() + 63) / 64
 		bits := p.words.Make(3 * words)[:3*words]
-		c = p.objs.Take()
 		c.region, c.visited, c.queued = bits[:words:words], bits[words:2*words:2*words], bits[2*words:]
-		c.serial = p.made
-		p.made++
 	}
+	clear(c.region)
+	clear(c.visited)
+	clear(c.queued)
 	if op == Cancel && p.firstTomb == nil {
 		p.firstTomb = make([]int32, p.m.NumNodes())
 	}
@@ -351,7 +332,7 @@ func (p *Protocol) Start(b info.BlockID, epoch uint32, op Op, seeds []grid.NodeI
 	c.frontier = p.nodes.Grow(c.frontier[:0], len(seeds))
 	c.frontier = append(c.frontier, seeds...)
 	p.addBase(c, b)
-	p.cons = p.lists.Grow(p.cons, 1)
+	p.cons = chunk.Reserve(p.cons, 2*consPerChunk)
 	p.cons = append(p.cons, c)
 	return c
 }
@@ -363,7 +344,7 @@ func (p *Protocol) addBase(c *Construction, b info.BlockID) {
 	c.bases = p.ids.Grow(c.bases, 1)
 	c.bases = append(c.bases, b)
 	for int(b) >= len(p.placed) {
-		p.placed = p.places.Grow(p.placed, 1)
+		p.placed = chunk.Reserve(p.placed, consPerChunk)
 		p.placed = append(p.placed, placement{})
 	}
 	pl, box := &p.placed[b], p.store.Box(b)
@@ -395,8 +376,7 @@ func (p *Protocol) retire(c *Construction) {
 	if c.Rounds%2 == 1 {
 		c.frontier, c.next = c.next, c.frontier
 	}
-	p.spare = p.lists.Grow(p.spare, 1)
-	p.spare = append(p.spare, c)
+	p.spare.Put(c)
 }
 
 // Quiescent reports whether no construction is in flight.
@@ -567,7 +547,7 @@ func (p *Protocol) entomb(id grid.NodeID, c *Construction) {
 			// The arena grows to the most marks held at once and keeps its
 			// slots across Reset.
 			slot = int32(len(p.tombs))
-			p.tombs = p.slots.Grow(p.tombs, 1)
+			p.tombs = chunk.Reserve(p.tombs, p.m.NumNodes())
 			p.tombs = append(p.tombs, tomb{})
 		}
 		p.tombs[slot] = tomb{id, c.Block, c.Epoch, p.firstTomb[id], p.round}
@@ -575,7 +555,7 @@ func (p *Protocol) entomb(id grid.NodeID, c *Construction) {
 	}
 	// The queue grows to the marks left within one ttl and keeps its
 	// capacity.
-	p.expiry = p.queue.Grow(p.expiry, 1)
+	p.expiry = chunk.Reserve(p.expiry, p.m.NumNodes())
 	p.expiry = append(p.expiry, tombAt{slot, p.round})
 }
 

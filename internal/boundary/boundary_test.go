@@ -1,6 +1,7 @@
 package boundary
 
 import (
+	"slices"
 	"testing"
 
 	"ndmesh/internal/block"
@@ -173,6 +174,45 @@ func TestDepositFloodCoversPlacement(t *testing.T) {
 		}
 	}
 	t.Logf("flood covered placement in %d rounds, %d hops", rounds, p.Hops)
+}
+
+// TestResetRestacksConstructions holds Reset to handing the constructions
+// out again in the order the protocol made them, however the run before
+// recycled them: a rerun of one history after a Reset gets, at every Start,
+// the construction the first run got, so it finds every buffer as large as
+// it grew.
+func TestResetRestacksConstructions(t *testing.T) {
+	m := stabilized(t)
+	store := info.NewStore(m.Shape())
+	p := NewProtocol(m, store)
+	b := store.Intern(fig1Box)
+	corner := m.Shape().Index(grid.Coord{6, 4, 5})
+	dead := m.Shape().Index(grid.Coord{3, 5, 4}) // a flood seeded here stops at once
+	history := func() []*Construction {
+		var got []*Construction
+		start := func(seed grid.NodeID) {
+			got = append(got, p.Start(b, uint32(len(got)+1), Deposit, []grid.NodeID{seed}))
+		}
+		start(corner)
+		start(dead)
+		start(dead)
+		p.Round() // the two dead floods retire
+		start(corner)
+		start(corner)
+		start(dead) // two recycled, last-in first-out, and one made
+		for !p.Quiescent() {
+			p.Round()
+		}
+		start(dead)
+		start(corner)
+		p.Round() // Reset retires the one still in flight
+		return got
+	}
+	first := history()
+	p.Reset()
+	if again := history(); !slices.Equal(again, first) {
+		t.Fatal("after Reset the Starts got other constructions than the first run's, or in another order")
+	}
 }
 
 // TestCancelRemovesRecords: a cancel construction with a newer epoch clears

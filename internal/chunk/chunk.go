@@ -1,16 +1,15 @@
-// Package chunk is the module's one allocator for lists that grow: the
-// record lists of the fault-information store and its interned boxes, the
-// frame detector's announcements, a routing header's path stack and
-// used-direction table, and the information plane's objects — boundary
-// constructions (their bitsets, fronts, bases and tombstones), ident's
-// walkers, runs and sub-runs (their boxes, free axes and lists), and core's
-// watches (their corners and keys). A list that outgrows its capacity
-// takes a block of twice the size, carved from a chunk its owner already
-// holds, and copies itself across in order; a chunk is one allocation for
-// many such blocks, so filling a store during a fault storm costs an
-// allocation per chunk, not one per node per doubling. An owner that keeps
-// objects on a free list takes each from a chunk the same way (Take): the
-// engine's flights, 64 to its first chunk.
+// Package chunk is how the module's lists and recycled objects grow, one
+// rule for each:
+//
+//   - Carver, for lists that share chunks: a list that outgrows its
+//     capacity takes a block of twice the size, carved from a chunk its
+//     owner already holds, and copies itself across in order, so filling a
+//     store during a fault storm costs an allocation per chunk, not one per
+//     node per doubling.
+//   - Reserve, for a single list: its first growth takes the room its owner
+//     names, and append doubles it from there.
+//   - Pool, for recycled objects: a free list over objects carved from
+//     chunks, put back in the order they were made on the owner's Reset.
 //
 // Chunks double: an owner's first chunk is the size it asks for, and each
 // later one twice the last, up to 64 KiB. A small owner (an 8x8 mesh, a
@@ -107,3 +106,80 @@ func (c *Carver[T]) Grow(s []T, n int) []T {
 	b = append(b, s...)
 	return b
 }
+
+// Reserve returns list, or an empty list with room for n elements if list
+// has no capacity yet: a list that n bounds takes its bound on its first
+// growth, one allocation, where append would double up to it.
+func Reserve[T any](list []T, n int) []T {
+	if cap(list) == 0 {
+		return make([]T, 0, n)
+	}
+	return list
+}
+
+// Pool recycles objects of T carved from chunks. Each object is the first
+// field of a slot that records its serial, the order it was made in, so
+// its address is the slot's.
+type Pool[T any] struct {
+	free  []*T
+	first int // the free list's capacity when the first Put makes it
+	made  int
+	slots Carver[slot[T]]
+}
+
+type slot[T any] struct {
+	obj    T
+	serial int
+}
+
+// NewPool returns a Pool whose first chunk holds n objects and whose free
+// list starts with room for list of them. It allocates nothing.
+func NewPool[T any](n, list int) Pool[T] {
+	return Pool[T]{first: list, slots: New[slot[T]](n)}
+}
+
+// Get takes the object put last off the free list, as it was put, or else
+// carves a zero one and reports it fresh.
+//
+//meshvet:noalloc TestCarveAllocFree
+func (p *Pool[T]) Get() (x *T, fresh bool) {
+	if n := len(p.free); n > 0 {
+		x, p.free = p.free[n-1], p.free[:n-1]
+		return x, false
+	}
+	s := p.slots.Take()
+	s.serial, p.made = p.made, p.made+1
+	return &s.obj, true
+}
+
+// Put returns objects Get handed out. An empty Put makes no free list, so
+// an owner that never recycled anything holds none.
+//
+//meshvet:noalloc TestCarveAllocFree
+func (p *Pool[T]) Put(xs ...*T) {
+	if len(xs) > 0 {
+		p.free = Reserve(p.free, max(p.first, len(xs)))
+		p.free = append(p.free, xs...)
+	}
+}
+
+// Restack, when every object made is on hand (as after its owner's Reset),
+// orders the free list so Get hands them out in the order they were made:
+// a rerun of one trial then gets at every Get the object, and the capacity
+// it grew, that it got the first time. Otherwise it changes nothing.
+//
+//meshvet:noalloc TestCarveAllocFree
+func (p *Pool[T]) Restack() {
+	f := p.free
+	if len(f) != p.made {
+		return
+	}
+	// Each swap moves f[i] to its serial's place, counted from the top.
+	for i := range f {
+		for j := len(f) - 1 - serial(f[i]); j != i; j = len(f) - 1 - serial(f[i]) {
+			f[i], f[j] = f[j], f[i]
+		}
+	}
+}
+
+func serial[T any](x *T) int { return (*slot[T])(unsafe.Pointer(x)).serial }

@@ -149,19 +149,86 @@ func TestTake(t *testing.T) {
 	}
 }
 
-// TestCarveAllocFree holds Make, Grow and Take to allocating nothing while the
-// current chunk has room: carving is slicing.
+// TestCarveAllocFree holds Make, Grow and Take, and a Pool's Get, Put and
+// Restack, to allocating nothing while the current chunk has room and the
+// free list has been made: carving and recycling are slicing.
 func TestCarveAllocFree(t *testing.T) {
 	c := New[int16](1 << 12)
 	c.Make(1) // the chunk
+	pool := NewPool[int16](1<<12, 4)
+	x, _ := pool.Get()
+	pool.Put(x) // the free list
 	var s []int16
 	var p *int16
 	if n := testing.AllocsPerRun(100, func() {
 		b := c.Make(2)
 		s = c.Grow(b, 3)
 		p = c.Take()
+		y, _ := pool.Get()
+		z, _ := pool.Get()
+		pool.Put(z, y)
+		pool.Restack()
 	}); n != 0 {
 		t.Fatalf("carving from a chunk with room: %v allocations per run, want 0", n)
 	}
 	_, _ = s, p
+}
+
+// TestReserve pins Reserve: a list with no capacity gets room for n, and
+// one with capacity is returned as it is.
+func TestReserve(t *testing.T) {
+	if r := Reserve[int](nil, 5); len(r) != 0 || cap(r) != 5 {
+		t.Fatalf("Reserve(nil, 5): %d/%d, want 0/5", len(r), cap(r))
+	}
+	s := make([]int, 1, 2)
+	if r := Reserve(s, 8); unsafe.SliceData(r) != unsafe.SliceData(s) || len(r) != 1 || cap(r) != 2 {
+		t.Fatal("Reserve replaced a list that had capacity")
+	}
+}
+
+// TestPoolRestack holds a Pool to its contract: Get reports fresh exactly
+// the objects it carves; with every object on hand, Restack makes Gets
+// return them in the order they were made, whatever order they were put
+// back in; with one still out, Restack changes nothing.
+func TestPoolRestack(t *testing.T) {
+	type obj struct{ id int }
+	p := NewPool[obj](4, 2) // two chunks, a free list that grows
+	var made []*obj
+	get := func() *obj {
+		o, fresh := p.Get()
+		if fresh != (o.id == 0) {
+			t.Fatalf("Get of object %d reported fresh %v", o.id, fresh)
+		}
+		if fresh {
+			made = append(made, o)
+			o.id = len(made)
+		}
+		return o
+	}
+	for range 7 {
+		get()
+	}
+	for _, perm := range [][]int{{3, 0, 6, 1, 5, 2, 4}, {6, 5, 4, 3, 2, 1, 0}, {0, 1, 2, 3, 4, 5, 6}} {
+		for _, i := range perm {
+			p.Put(made[i])
+		}
+		p.Restack()
+		for i, want := range made {
+			if got := get(); got != want {
+				t.Fatalf("put in order %v: Get %d after Restack returned object %d, want %d", perm, i, got.id, want.id)
+			}
+		}
+	}
+
+	out, back := get(), made[:7] // the eighth is carved and stays out
+	p.Put(back...)
+	p.Restack()
+	for i := len(back) - 1; i >= 0; i-- {
+		if got := get(); got != back[i] {
+			t.Fatalf("with one object out, Get returned object %d, want %d: Restack changed the order", got.id, back[i].id)
+		}
+	}
+	if out.id != 8 {
+		t.Fatalf("the eighth Get carved object %d, want 8", out.id)
+	}
 }

@@ -75,19 +75,16 @@ type Model struct {
 	scratch grid.Coord //meshvet:keep scratch buffer, overwritten before every use
 	keyBuf  []byte     //meshvet:keep scratch buffer, overwritten before every use
 
-	// seedBuf and spareWatches make the identification path allocation-free
-	// once warm: flood seeds are staged in seedBuf (boundary.Start copies
-	// them), and retired watch objects are recycled through spareWatches
-	// with their key and corner storage.
-	seedBuf      []grid.NodeID //meshvet:keep staging buffer, copied out by boundary.Start
-	spareWatches []*watched
-	// The watch objects, their corners and keys and the two watch lists are
-	// carved from chunks (internal/chunk): a cold fill costs an allocation
-	// per chunk, and every carved block stays with its owner across Reset.
-	watchObjs chunk.Carver[watched]    //meshvet:keep carves watches the free list keeps
-	corners   chunk.Carver[cornerRole] //meshvet:keep carves the corner lists their watches keep
-	keys      chunk.Carver[byte]       //meshvet:keep carves the keys their watches keep
-	lists     chunk.Carver[*watched]   //meshvet:keep carves watches and spareWatches
+	// seedBuf and spare make the identification path allocation-free once
+	// warm: flood seeds are staged in seedBuf (boundary.Start copies them),
+	// and retired watch objects are recycled through spare with their key
+	// and corner storage. The corners and keys are carved from chunks
+	// (internal/chunk): a cold fill costs an allocation per chunk, and every
+	// carved block stays with its owner across Reset.
+	seedBuf []grid.NodeID //meshvet:keep staging buffer, copied out by boundary.Start
+	spare   chunk.Pool[watched]
+	corners chunk.Carver[cornerRole] //meshvet:keep carves the corner lists their watches keep
+	keys    chunk.Carver[byte]       //meshvet:keep carves the keys their watches keep
 
 	// Debug, when non-nil, receives internal decision traces (tests only).
 	Debug func(format string, args ...any) //meshvet:keep test hook, not trial state
@@ -105,17 +102,16 @@ func New(m *mesh.Mesh) *Model {
 	det := frame.NewDetector(m)
 	n := m.Shape().Dims()
 	md := &Model{
-		M:         m,
-		Labeling:  block.NewStepper(m),
-		Detector:  det,
-		Ident:     ident.NewProtocol(m, det, store),
-		Boundary:  boundary.NewProtocol(m, store),
-		Store:     store,
-		scratch:   make(grid.Coord, n),
-		watchObjs: chunk.New[watched](watchesPerChunk),
-		corners:   chunk.New[cornerRole](watchesPerChunk << n),
-		keys:      chunk.New[byte](watchesPerChunk * 16 * n),
-		lists:     chunk.New[*watched](4 * watchesPerChunk),
+		M:        m,
+		Labeling: block.NewStepper(m),
+		Detector: det,
+		Ident:    ident.NewProtocol(m, det, store),
+		Boundary: boundary.NewProtocol(m, store),
+		Store:    store,
+		scratch:  make(grid.Coord, n),
+		spare:    chunk.NewPool[watched](watchesPerChunk, watchesPerChunk),
+		corners:  chunk.New[cornerRole](watchesPerChunk << n),
+		keys:     chunk.New[byte](watchesPerChunk * 16 * n),
 	}
 	md.Ident.OnIdentified = md.onIdentified
 	return md
@@ -142,8 +138,8 @@ func (md *Model) Reset() {
 	md.Store.Clear()
 	md.epoch = 0
 	md.round = 0
-	md.spareWatches = md.lists.Grow(md.spareWatches, len(md.watches))
-	md.spareWatches = append(md.spareWatches, md.watches...)
+	md.spare.Put(md.watches...)
+	md.spare.Restack()
 	md.watches = md.watches[:0]
 	md.LastLabelRound, md.LastFrameRound, md.LastIdentRound, md.LastBoundaryRound = 0, 0, 0, 0
 	md.CancelsStarted = 0
@@ -224,8 +220,7 @@ func (md *Model) onIdentified(box grid.Box, corner grid.NodeID) {
 		return bytes.Compare(o.key, key)
 	})
 	if dup {
-		md.spareWatches = md.lists.Grow(md.spareWatches, 1)
-		md.spareWatches = append(md.spareWatches, w)
+		md.spare.Put(w)
 		return // already constructed (another corner's run finished first)
 	}
 	md.epoch++
@@ -253,7 +248,7 @@ func (md *Model) onIdentified(box grid.Box, corner grid.NodeID) {
 			w.corners = append(w.corners, cornerRole{shape.Index(c), role})
 		}
 	}
-	md.watches = md.lists.Grow(md.watches, 1)
+	md.watches = chunk.Reserve(md.watches, 4*watchesPerChunk)
 	md.watches = slices.Insert(md.watches, at, w)
 	md.LastBoundaryRound = md.round
 }
@@ -261,12 +256,8 @@ func (md *Model) onIdentified(box grid.Box, corner grid.NodeID) {
 // getWatched returns a keyed watch object for the box, recycling a retired
 // one (keeping its key and corner storage) when available, or carving one.
 func (md *Model) getWatched(box grid.Box) *watched {
-	var w *watched
-	if n := len(md.spareWatches); n > 0 {
-		w = md.spareWatches[n-1]
-		md.spareWatches = md.spareWatches[:n-1]
-	} else {
-		w = md.watchObjs.Take()
+	w, fresh := md.spare.Get()
+	if fresh {
 		w.corners = md.corners.Make(1 << box.Dims())
 	}
 	md.keyBuf = appendBoxKey(md.keyBuf[:0], box)
@@ -323,8 +314,7 @@ func (md *Model) watchCorners() int {
 			activity++
 		}
 		md.Store.Release(w.block)
-		md.spareWatches = md.lists.Grow(md.spareWatches, 1)
-		md.spareWatches = append(md.spareWatches, w)
+		md.spare.Put(w)
 	}
 	md.watches = kept
 	return activity

@@ -97,8 +97,6 @@ type Flight struct {
 	// sets Router): whether a stalled header may keep its decision while the
 	// step's key holds.
 	oblivious bool
-	// serial numbers the flights an engine carves, in order.
-	serial int32
 
 	msg route.Message
 }
@@ -278,19 +276,17 @@ type Engine struct {
 	// the ones Step replayed for a frozen prefix instead.
 	polled, replayed int
 
-	// spareFlights is the free list fed by Reset/ClearFlights/DetachDone: a
+	// spare recycles the flights Reset/ClearFlights/DetachDone retire: a
 	// reused trial re-injects messages without reallocating flight or
-	// message objects. A free-list miss takes a flight from flightObjs,
-	// whose chunks hold 64 flights, then 128, doubling up to 64 KiB. tables is
+	// message objects. A free-list miss carves a flight from its chunks,
+	// which hold 64 flights, then 128, doubling up to 64 KiB. tables is
 	// the header storage every flight shares: it carves their path stacks
 	// from chunks sized the same way, so a chunk miss is two allocations for
 	// a chunk of flights, path stacks included; a flight borrows a
 	// used-direction table from it when it first strays and gives it back
 	// when it is recycled.
-	spareFlights []*Flight
-	carved       int32                //meshvet:keep the serial the next flight carved gets
-	flightObjs   chunk.Carver[Flight] //meshvet:keep carves flights the free list keeps
-	tables       route.Tables         //meshvet:keep carved stacks and emptied tables, carry no trial state
+	spare  chunk.Pool[Flight]
+	tables route.Tables //meshvet:keep carved stacks and emptied tables, carry no trial state
 
 	// oracle computes EMaxAfter in finalizeLastEvent with reusable buffers
 	// (a fault process applies events all run long; the centralized Extract
@@ -322,10 +318,9 @@ func New(md *core.Model, lambda int, sched *fault.Schedule) *Engine {
 	n, dirs := md.M.NumNodes(), md.M.Shape().NumDirs()
 	e := &Engine{
 		Model: md, Lambda: lambda, Schedule: sched,
-		flights:      make([]*Flight, 0, n),
-		retired:      make([]*Flight, 0, n),
-		spareFlights: make([]*Flight, 0, n),
-		flightObjs:   chunk.New[Flight](flightChunk),
+		flights: make([]*Flight, 0, n),
+		retired: make([]*Flight, 0, n),
+		spare:   chunk.NewPool[Flight](flightChunk, n),
 		ctn: contention{
 			cfg:         free,
 			served:      make([]int32, n*dirs),
@@ -495,32 +490,15 @@ func (c *contention) deny(li int32) bool {
 // NOT be read afterwards — consume results before resetting.
 func (e *Engine) Reset() {
 	e.ClearFlights() // also releases residency and clears the link state
-	e.restack()
+	// A rerun of one trial gets every flight and table it had the first time.
+	e.spare.Restack()
+	e.tables.Restack()
 	e.Events = e.Events[:0]
 	e.evIdx = 0
 	e.step = 0
 	e.RoundsRun = 0
 	e.polled, e.replayed = 0, 0
 	e.census = StepCensus{}
-}
-
-// restack puts the free lists back in the order a fresh engine fills them,
-// the first flight carved (and table made) on top, so a rerun of one trial
-// injects every message into the flight it had the first time, with the
-// header capacity it grew then, and allocates nothing. Each flight goes to
-// its serial's slot, which takes every flight carved on hand, as after
-// ClearFlights.
-func (e *Engine) restack() {
-	sp := e.spareFlights
-	if len(sp) != int(e.carved) {
-		return
-	}
-	for i := range sp {
-		for j := len(sp) - 1 - int(sp[i].serial); j != i; j = len(sp) - 1 - int(sp[i].serial) {
-			sp[i], sp[j] = sp[j], sp[i]
-		}
-	}
-	e.tables.Restack()
 }
 
 // ClearFlights retires every flight (recycling it for future Inject calls),
@@ -534,7 +512,7 @@ func (e *Engine) ClearFlights() {
 		f.msg.Release()
 		f.Router = nil
 	}
-	e.spareFlights = append(e.spareFlights, e.flights...)
+	e.spare.Put(e.flights...)
 	e.flights, e.live = e.flights[:0], 0
 	e.ctn.clearLinks()
 }
@@ -556,7 +534,7 @@ func (e *Engine) DetachDone(fn func(*Flight)) {
 		}
 		f.msg.Release()
 		f.Router = nil
-		e.spareFlights = append(e.spareFlights, f)
+		e.spare.Put(f)
 	}
 	if len(e.flights) > e.live {
 		// A released slot may be the one a frozen flight waits for.
@@ -579,14 +557,9 @@ func (e *Engine) Inject(src, dst grid.NodeID, r route.Router) (*Flight, error) {
 		return nil, fmt.Errorf("engine: injection at node %d exceeds capacity %d (resident %d); check Admit before Inject",
 			src, e.ctn.cfg.NodeCapacity, e.ctn.resident[src])
 	}
-	var f *Flight
-	if n := len(e.spareFlights); n > 0 {
-		f = e.spareFlights[n-1]
-		e.spareFlights = e.spareFlights[:n-1]
-	} else {
-		f = e.flightObjs.Take()
-		f.Msg, f.serial = &f.msg, e.carved
-		e.carved++
+	f, fresh := e.spare.Get()
+	if fresh {
+		f.Msg = &f.msg
 		e.tables.Carve(&f.msg)
 	}
 	// A recycled flight keeps the capacity of its header's path stack.

@@ -241,11 +241,12 @@ func TestInjectAllocsPerSlab(t *testing.T) {
 			}
 		}
 	}
-	fresh := func() {
-		forgetFlights(e) // the next Inject misses
-		inject()
+	var total uint64
+	for range 10 {
+		allocs, _ := freshCost(e, inject)
+		total += allocs
 	}
-	if allocs := testing.AllocsPerRun(10, fresh); allocs > 3 {
+	if allocs := float64(total) / 10; allocs > 3 {
 		t.Errorf("64 injections into fresh carvers: %.1f allocs, want at most 3 (flight + header chunks)", allocs)
 	}
 	if allocs := testing.AllocsPerRun(10, func() { e.ClearFlights(); inject() }); allocs != 0 {
@@ -253,14 +254,20 @@ func TestInjectAllocsPerSlab(t *testing.T) {
 	}
 }
 
-// forgetFlights retires the flights and forgets them: the free list empties
-// and both carvers start over, so the next Inject misses into a first chunk
-// of flights and of path stacks.
-func forgetFlights(e *Engine) {
+// freshCost retires the flights and forgets them, so the pool and the
+// tables start over, and returns what inject then allocates, in objects and
+// bytes: its injections miss into a first chunk of flights and of path
+// stacks. The retired flights went to the old pool, and the new one makes
+// its free list at the next retirement, outside what is measured.
+func freshCost(e *Engine, inject func()) (allocs, bytes uint64) {
 	e.ClearFlights()
-	e.spareFlights = e.spareFlights[:0]
-	e.flightObjs = chunk.New[Flight](flightChunk)
+	e.spare = chunk.NewPool[Flight](flightChunk, e.Model.M.NumNodes())
 	e.tables = route.NewTables(e.Model.M.Shape(), flightChunk)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	inject()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }
 
 // TestResetRestacksFlights holds Reset to handing the flights out again in
@@ -294,20 +301,23 @@ func TestResetRestacksFlights(t *testing.T) {
 // an engine idle in a pool keeps no oracle table of the run it finished.
 func TestRecycledFlightsDropRouter(t *testing.T) {
 	e := newEngine(t, []int{8, 8}, 1, nil)
-	for i := 0; i < 20; i++ {
-		if _, err := e.Inject(grid.NodeID(i), grid.NodeID(63-i), &route.Oracle{}); err != nil {
+	injected := make([]*Flight, 20)
+	for i := range injected {
+		f, err := e.Inject(grid.NodeID(i), grid.NodeID(63-i), &route.Oracle{})
+		if err != nil {
 			t.Fatal(err)
 		}
+		injected[i] = f
 	}
 	for i := 0; i < 6; i++ {
 		e.Step()
 		e.DetachDone(nil)
 	}
-	if len(e.spareFlights) == 0 || len(e.flights) == 0 {
-		t.Fatalf("%d flights detached and %d attached: the test needs both", len(e.spareFlights), len(e.flights))
+	if detached := len(injected) - len(e.flights); detached == 0 || len(e.flights) == 0 {
+		t.Fatalf("%d flights detached and %d attached: the test needs both", detached, len(e.flights))
 	}
 	e.ClearFlights()
-	for _, f := range e.spareFlights {
+	for _, f := range injected {
 		if f.Router != nil {
 			t.Fatal("a recycled flight keeps its router")
 		}
@@ -321,22 +331,16 @@ func TestRecycledFlightsDropRouter(t *testing.T) {
 // allocation, and no used-direction table.
 func TestInjectBytesPerSlab(t *testing.T) {
 	e := newEngine(t, []int{256, 256}, 1, nil)
-	fresh := func() {
-		forgetFlights(e)
+	_, got := freshCost(e, func() {
 		for i := 0; i < flightChunk; i++ {
 			if _, err := e.Inject(grid.NodeID(i), grid.NodeID(60000-i), route.Limited{}); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}
-	fresh() // grows the flight list once
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	fresh()
-	runtime.ReadMemStats(&after)
+	})
 	const share, page = 512, 8192
 	limit := flightChunk*(unsafe.Sizeof(Flight{})+share) + 2*page
-	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(limit) {
+	if got > uint64(limit) {
 		t.Errorf("64 fresh injections on 256x256 allocated %d bytes, want at most %d", got, limit)
 	}
 }

@@ -149,7 +149,7 @@ func (d *Detector) Round() int {
 	n := d.m.NumNodes()
 	d.pending = d.pending[:0]
 	d.pendingIDs = d.pendingIDs[:0]
-	d.pendingOff = grid.Reserve(d.pendingOff, n+1)[:0]
+	d.pendingOff = chunk.Reserve(d.pendingOff, n+1)[:0]
 	for _, id := range d.cand.IDs() {
 		start := len(d.pending)
 		d.pending = d.compute(id, d.pending)
@@ -157,7 +157,7 @@ func (d *Detector) Round() int {
 			d.pending = d.pending[:start]
 			continue
 		}
-		d.pendingIDs = append(grid.Reserve(d.pendingIDs, n), id)
+		d.pendingIDs = append(chunk.Reserve(d.pendingIDs, n), id)
 		d.pendingOff = append(d.pendingOff, start)
 	}
 	d.pendingOff = append(d.pendingOff, len(d.pending))
@@ -165,7 +165,7 @@ func (d *Detector) Round() int {
 	for k, id := range d.pendingIDs {
 		anns := d.pending[d.pendingOff[k]:d.pendingOff[k+1]]
 		d.ann[id] = append(d.lists.Grow(d.ann[id][:0], len(anns)), anns...)
-		d.changed = append(grid.Reserve(d.changed, n), id)
+		d.changed = append(chunk.Reserve(d.changed, n), id)
 		d.addWithNeighbors(id)
 	}
 	return len(d.pendingIDs)

@@ -1,6 +1,10 @@
 package grid
 
-import "slices"
+import (
+	"slices"
+
+	"ndmesh/internal/chunk"
+)
 
 // NodeSet is a deduplicated set of node ids that is refilled every round
 // without allocating: the candidate lists of the labeling and frame
@@ -34,17 +38,7 @@ func (s *NodeSet) Add(id NodeID) bool {
 // protocol's candidates) takes its bound on its first growth instead of
 // doubling up to it. Sets that stay small, like a boundary flood's, do not
 // call it.
-func (s *NodeSet) Reserve(n int) { s.ids = Reserve(s.ids, n) }
-
-// Reserve returns list, or an empty list with room for n elements if list
-// has no capacity yet: a per-round work list that n bounds takes its bound
-// on its first growth, one allocation, where append would double up to it.
-func Reserve[T any](list []T, n int) []T {
-	if cap(list) == 0 {
-		return make([]T, 0, n)
-	}
-	return list
-}
+func (s *NodeSet) Reserve(n int) { s.ids = chunk.Reserve(s.ids, n) }
 
 // Has reports whether id is a member.
 func (s *NodeSet) Has(id NodeID) bool { return s.bits[id>>6]&(1<<(id&63)) != 0 }

@@ -70,15 +70,15 @@ type Protocol struct {
 
 	runs    []*run
 	walkers []*walker
-	// spareRuns/spareSubs/spareWalkers are free lists of retired protocol
-	// objects; with them a fault process that cycles identifications
-	// through the protocol allocates nothing once warm. deadFresh/deadReady
-	// stage retired runs for recycling: a deadline-expired run's walkers
-	// are only dropped by the NEXT round's walker filter, so its subRuns
-	// must survive one more round.
-	spareRuns    []*run
-	spareSubs    []*subRun
-	spareWalkers []*walker
+	// spareRuns/spareSubs/spareWalkers recycle retired protocol objects;
+	// with them a fault process that cycles identifications through the
+	// protocol allocates nothing once warm. deadFresh/deadReady stage
+	// retired runs for recycling: a deadline-expired run's walkers are only
+	// dropped by the NEXT round's walker filter, so its subRuns must survive
+	// one more round.
+	spareRuns    chunk.Pool[run]
+	spareSubs    chunk.Pool[subRun]
+	spareWalkers chunk.Pool[walker]
 	deadFresh    []*run
 	deadReady    []*run
 	// pending holds nodes to consider for initiation (fed by announcement
@@ -91,22 +91,16 @@ type Protocol struct {
 	retryQueue []grid.NodeID
 	round      int
 
-	// Runs, subs and walkers are carved from chunks (internal/chunk), and
-	// so is every list that grows with them: a box's Lo and Hi and a sub's
-	// free axes (ints), a sub's collected hulls (boxes), a run's results and
-	// subs, the object lists and free lists above and the retry queue. A
-	// cold fill costs an allocation per chunk; every carved block stays
-	// with its owner across Reset.
-	runObjs    chunk.Carver[run]         //meshvet:keep carves runs the free list keeps
-	subObjs    chunk.Carver[subRun]      //meshvet:keep carves subs the free list keeps
-	walkerObjs chunk.Carver[walker]      //meshvet:keep carves walkers the free list keeps
-	ints       chunk.Carver[int]         //meshvet:keep carves boxes and free axes their objects keep
-	boxes      chunk.Carver[grid.Box]    //meshvet:keep carves the collected hulls their subs keep
-	sections   chunk.Carver[section]     //meshvet:keep carves run results
-	runList    chunk.Carver[*run]        //meshvet:keep carves runs, spareRuns, deadFresh, deadReady
-	subList    chunk.Carver[*subRun]     //meshvet:keep carves run subs and spareSubs
-	walkerList chunk.Carver[*walker]     //meshvet:keep carves walkers and spareWalkers
-	nodes      chunk.Carver[grid.NodeID] //meshvet:keep carves retryQueue
+	// Every list that grows with the pooled objects is carved from chunks
+	// (internal/chunk): a box's Lo and Hi and a sub's free axes (ints), a
+	// sub's collected hulls (boxes), a run's results and subs, and the run
+	// lists above. A cold fill costs an allocation per chunk; every carved
+	// block stays with its owner across Reset.
+	ints     chunk.Carver[int]      //meshvet:keep carves boxes and free axes their objects keep
+	boxes    chunk.Carver[grid.Box] //meshvet:keep carves the collected hulls their subs keep
+	sections chunk.Carver[section]  //meshvet:keep carves run results
+	runList  chunk.Carver[*run]     //meshvet:keep carves runs, deadFresh, deadReady
+	subList  chunk.Carver[*subRun]  //meshvet:keep carves run subs
 
 	// Hops counts walker moves (identification message cost).
 	Hops int
@@ -125,24 +119,22 @@ type retryEntry struct {
 func NewProtocol(m *mesh.Mesh, det *frame.Detector, store *info.Store) *Protocol {
 	diam, dims := m.Shape().Diameter(), m.Shape().Dims()
 	return &Protocol{
-		m:          m,
-		det:        det,
-		store:      store,
-		TTL:        6*diam + 24,
-		backoff:    2*diam + 8,
-		maxRetries: 4,
-		pending:    grid.NewNodeSet(m.NumNodes()),
-		retry:      make([]retryEntry, m.NumNodes()),
-		runObjs:    chunk.New[run](objsPerChunk),
-		subObjs:    chunk.New[subRun](objsPerChunk),
-		walkerObjs: chunk.New[walker](objsPerChunk),
-		ints:       chunk.New[int](4 * dims * objsPerChunk),
-		boxes:      chunk.New[grid.Box](dims * objsPerChunk),
-		sections:   chunk.New[section](objsPerChunk),
-		runList:    chunk.New[*run](4 * objsPerChunk),
-		subList:    chunk.New[*subRun](4 * objsPerChunk),
-		walkerList: chunk.New[*walker](4 * objsPerChunk),
-		nodes:      chunk.New[grid.NodeID](objsPerChunk),
+		m:            m,
+		det:          det,
+		store:        store,
+		TTL:          6*diam + 24,
+		backoff:      2*diam + 8,
+		maxRetries:   4,
+		pending:      grid.NewNodeSet(m.NumNodes()),
+		retry:        make([]retryEntry, m.NumNodes()),
+		spareRuns:    chunk.NewPool[run](objsPerChunk, objsPerChunk),
+		spareSubs:    chunk.NewPool[subRun](objsPerChunk, objsPerChunk),
+		spareWalkers: chunk.NewPool[walker](objsPerChunk, objsPerChunk),
+		ints:         chunk.New[int](4 * dims * objsPerChunk),
+		boxes:        chunk.New[grid.Box](dims * objsPerChunk),
+		sections:     chunk.New[section](objsPerChunk),
+		runList:      chunk.New[*run](4 * objsPerChunk),
+		subList:      chunk.New[*subRun](4 * objsPerChunk),
 	}
 }
 
@@ -151,14 +143,17 @@ func NewProtocol(m *mesh.Mesh, det *frame.Detector, store *info.Store) *Protocol
 const objsPerChunk = 16
 
 // Reset abandons every in-flight run and all retry state so the protocol
-// can be reused for a new trial; every buffer keeps its capacity.
+// can be reused for a new trial; every buffer keeps its capacity, and the
+// free lists go back in the order their objects were made.
 func (p *Protocol) Reset() {
-	p.spareWalkers = p.walkerList.Grow(p.spareWalkers, len(p.walkers))
-	p.spareWalkers = append(p.spareWalkers, p.walkers...)
+	p.spareWalkers.Put(p.walkers...)
 	p.walkers = p.walkers[:0]
 	p.runs = p.recycle(p.runs)
 	p.deadFresh = p.recycle(p.deadFresh)
 	p.deadReady = p.recycle(p.deadReady)
+	p.spareRuns.Restack()
+	p.spareSubs.Restack()
+	p.spareWalkers.Restack()
 	p.pending.Clear()
 	clear(p.retry)
 	p.retryQueue = p.retryQueue[:0]
@@ -171,10 +166,8 @@ func (p *Protocol) Reset() {
 // references them.
 func (p *Protocol) recycle(rs []*run) []*run {
 	for _, r := range rs {
-		p.spareSubs = p.subList.Grow(p.spareSubs, len(r.subs))
-		p.spareSubs = append(p.spareSubs, r.subs...)
-		p.spareRuns = p.runList.Grow(p.spareRuns, 1)
-		p.spareRuns = append(p.spareRuns, r)
+		p.spareSubs.Put(r.subs...)
+		p.spareRuns.Put(r)
 	}
 	return rs[:0]
 }
@@ -186,41 +179,28 @@ func (p *Protocol) recycle(rs []*run) []*run {
 //
 //meshvet:noalloc TestFaultProcessStepAllocFree
 func (p *Protocol) getRun() *run {
-	n := len(p.spareRuns)
-	if n == 0 {
-		return p.runObjs.Take()
-	}
-	r := p.spareRuns[n-1]
-	p.spareRuns = p.spareRuns[:n-1]
+	r, _ := p.spareRuns.Get()
 	*r = run{results: r.results[:0], subs: r.subs[:0]}
 	return r
 }
 
 //meshvet:noalloc TestFaultProcessStepAllocFree
 func (p *Protocol) getSub() *subRun {
-	n := len(p.spareSubs)
-	if n == 0 {
-		s := p.subObjs.Take()
+	s, fresh := p.spareSubs.Get()
+	if fresh {
 		p.carveBox(&s.box)
 		s.freeAxes = p.ints.Make(p.m.Shape().Dims())
-		return s
 	}
-	s := p.spareSubs[n-1]
-	p.spareSubs = p.spareSubs[:n-1]
 	*s = subRun{freeAxes: s.freeAxes[:0], box: s.box, collected: s.collected}
 	return s
 }
 
 //meshvet:noalloc TestFaultProcessStepAllocFree
 func (p *Protocol) getWalker() *walker {
-	n := len(p.spareWalkers)
-	if n == 0 {
-		w := p.walkerObjs.Take()
+	w, fresh := p.spareWalkers.Get()
+	if fresh {
 		p.carveBox(&w.box)
-		return w
 	}
-	w := p.spareWalkers[n-1]
-	p.spareWalkers = p.spareWalkers[:n-1]
 	*w = walker{box: w.box}
 	return w
 }
@@ -394,8 +374,7 @@ func (p *Protocol) Round() int {
 		if !w.done && !w.s.r.failed && !w.s.r.done {
 			liveW = append(liveW, w)
 		} else {
-			p.spareWalkers = p.walkerList.Grow(p.spareWalkers, 1)
-			p.spareWalkers = append(p.spareWalkers, w)
+			p.spareWalkers.Put(w)
 		}
 	}
 	p.walkers = liveW
@@ -409,7 +388,7 @@ func (p *Protocol) Round() int {
 			r.failed = true
 			// Schedule a retry from the initiator if budget remains.
 			if p.retry[r.initiator].attempts < p.maxRetries {
-				p.retryQueue = p.nodes.Grow(p.retryQueue, 1)
+				p.retryQueue = chunk.Reserve(p.retryQueue, objsPerChunk)
 				p.retryQueue = append(p.retryQueue, r.initiator)
 			}
 		default:
@@ -472,7 +451,7 @@ func (p *Protocol) initiate() int {
 			}
 			if p.round < p.retry[id].at {
 				// Back off: re-examine when the backoff expires.
-				p.retryQueue = p.nodes.Grow(p.retryQueue, 1)
+				p.retryQueue = chunk.Reserve(p.retryQueue, objsPerChunk)
 				p.retryQueue = append(p.retryQueue, id)
 				continue
 			}
@@ -556,7 +535,7 @@ func (p *Protocol) launch(s *subRun) {
 func (p *Protocol) addWalker(s *subRun, kind walkerKind, pos grid.NodeID, dir grid.Dir) *walker {
 	w := p.getWalker()
 	w.s, w.kind, w.pos, w.dir = s, kind, pos, dir
-	p.walkers = p.walkerList.Grow(p.walkers, 1)
+	p.walkers = chunk.Reserve(p.walkers, 4*objsPerChunk)
 	p.walkers = append(p.walkers, w)
 	return w
 }

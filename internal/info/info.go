@@ -23,6 +23,8 @@
 package info
 
 import (
+	"slices"
+
 	"ndmesh/internal/chunk"
 	"ndmesh/internal/grid"
 )
@@ -67,13 +69,10 @@ type Store struct {
 	coords chunk.Carver[int]
 	// Box table: boxes[b] is block b's box, in storage the slot keeps for
 	// good; refs[b] counts b's holders (0: a free slot, listed in free).
-	// The three lists grow through their carvers, by doubling.
-	boxes    []grid.Box
-	refs     []int32
-	free     []BlockID
-	boxList  chunk.Carver[grid.Box]
-	refList  chunk.Carver[int32]
-	freeList chunk.Carver[BlockID]
+	// The three lists start with room for 64 ids and double.
+	boxes []grid.Box
+	refs  []int32
+	free  []BlockID
 	// version counts the changes to any node's records (see Version).
 	version uint64
 }
@@ -84,7 +83,6 @@ func NewStore(shape *grid.Shape) *Store {
 	return &Store{
 		shape: shape, recs: make([][]Record, n),
 		lists: chunk.New[Record](n), coords: chunk.New[int](64 * shape.Dims()),
-		boxList: chunk.New[grid.Box](64), refList: chunk.New[int32](64), freeList: chunk.New[BlockID](64),
 	}
 }
 
@@ -123,18 +121,18 @@ func (s *Store) Intern(box grid.Box) BlockID {
 		copy(s.boxes[b].Hi, box.Hi)
 	default:
 		b = BlockID(len(s.refs))
-		s.refs = s.refList.Grow(s.refs, 1)
+		s.refs = chunk.Reserve(s.refs, 64)
 		s.refs = append(s.refs, 0)
-		// free can hold every id, so neither Release nor Clear grows it: a
-		// rerun on a cleared store allocates nothing.
-		s.free = s.freeList.Grow(s.free, len(s.refs)-len(s.free))
+		// free has room for every id refs has room for, so neither Release
+		// nor Clear grows it: a rerun on a cleared store allocates nothing.
+		s.free = slices.Grow(s.free, cap(s.refs)-len(s.free))
 		// A new slot's box, Lo and Hi in one carved block that the slot
 		// keeps for good.
 		n := len(box.Lo)
 		c := grid.Coord(s.coords.Make(2 * n)[:2*n])
 		copy(c, box.Lo)
 		copy(c[n:], box.Hi)
-		s.boxes = s.boxList.Grow(s.boxes, 1)
+		s.boxes = chunk.Reserve(s.boxes, 64)
 		s.boxes = append(s.boxes, grid.Box{Lo: c[:n:n], Hi: c[n:]})
 	}
 	s.refs[b]++
