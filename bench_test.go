@@ -626,10 +626,13 @@ func BenchmarkGridlockEscapeStep(b *testing.B) {
 func BenchmarkFaultProcessStep(b *testing.B) {
 	sim := MustSimulation(Config{Dims: []int{16, 16}})
 	eng := sim.engine
-	eng.EnableContention(engine.ContentionConfig{
+	// Simulation.Reset installs the free configuration, so every trial
+	// wrap turns contention back on.
+	cfg := engine.ContentionConfig{
 		LinkRate: 1, NodeCapacity: 4,
 		FlightTimeout: 16, GridlockWindow: 8,
-	})
+	}
+	eng.EnableContention(cfg)
 	shape := sim.shape
 	fab := sim.mesh
 	const horizon = 64
@@ -646,10 +649,16 @@ func BenchmarkFaultProcessStep(b *testing.B) {
 	var rtr route.Router = route.Congested{}
 	srcs := []grid.Coord{{1, 1}, {1, 2}, {2, 1}, {14, 14}, {13, 14}, {14, 13}}
 	dsts := []grid.Coord{{14, 14}, {14, 13}, {13, 14}, {1, 1}, {2, 1}, {1, 2}}
-	stepIdx, trials := 0, 0
+	stepIdx, trials, timedOut := 0, 0, 0
+	countTimeout := func(fl *engine.Flight) {
+		if fl.Msg.TimedOut {
+			timedOut++
+		}
+	}
 	step := func() {
 		if stepIdx == trialSteps {
 			sim.Reset()
+			eng.EnableContention(cfg)
 			setSchedule(sim, sched)
 			stepIdx = 0
 			trials++
@@ -664,25 +673,36 @@ func BenchmarkFaultProcessStep(b *testing.B) {
 			}
 		}
 		eng.Step()
-		eng.DetachDone(nil)
+		eng.DetachDone(countTimeout)
 		stepIdx++
 	}
 	// Warm every pool to its high-water mark: flights come off the free
 	// list LIFO, so rarely-reused ones warm their routing scratch late.
 	for i := 0; i < 20*trialSteps; i++ {
+		if i == trialSteps { // count the timeouts of wrapped trials only
+			timedOut = 0
+		}
 		step()
 	}
 	if len(eng.Events) == 0 {
 		b.Fatal("no fault events applied; the process is not being measured")
 	}
+	if timedOut == 0 {
+		b.Fatal("no flight timed out after a trial wrap; the escape path is not being measured")
+	}
+	timedOut = 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		step()
 	}
 	b.StopTimer()
+	if !eng.ContentionEnabled() {
+		b.Fatal("contention is off after the timed steps; the escape path was not measured")
+	}
 	b.ReportMetric(float64(trials), "trials")
 	b.ReportMetric(float64(len(eng.Events)), "events_last_trial")
+	b.ReportMetric(float64(timedOut)/float64(b.N), "timeouts/op")
 }
 
 // BenchmarkCongestedContentionStep (E20a) is BenchmarkContentionStep with

@@ -500,12 +500,11 @@ func MemorySweepWorkers(shapes [][]int, faults []int, seed uint64, workers int) 
 // OscillationRow reports, for one fault-arrival interval, how much status
 // churn the labeling exhibits and how local it stays.
 type OscillationRow struct {
-	Interval        int
-	Trials          int
-	MeanTransitions float64 // status transitions per occurrence
-	MeanAffected    float64 // distinct nodes changed per occurrence
-	MeanARounds     float64
-	MaxARounds      int
+	Interval     int
+	Trials       int
+	MeanAffected float64 // distinct nodes changed per occurrence
+	MeanARounds  float64
+	MaxARounds   int
 }
 
 // OscillationSweepWorkers injects clustered fault bursts at varying
@@ -559,12 +558,11 @@ func OscillationSweepWorkers(dims []int, faults int, intervals []int, trials int
 			}
 		}
 		rows = append(rows, OscillationRow{
-			Interval:        interval,
-			Trials:          trials,
-			MeanTransitions: affected.Mean(), // one transition per affected node per wave front
-			MeanAffected:    affected.Mean(),
-			MeanARounds:     arounds.Mean(),
-			MaxARounds:      maxA,
+			Interval:     interval,
+			Trials:       trials,
+			MeanAffected: affected.Mean(),
+			MeanARounds:  arounds.Mean(),
+			MaxARounds:   maxA,
 		})
 	}
 	return rows, nil

@@ -10,6 +10,10 @@
 //     names, and append doubles it from there.
 //   - Pool, for recycled objects: a free list over objects carved from
 //     chunks, put back in the order they were made on the owner's Reset.
+//     It is the module's one object recycler: the engine's flights, the
+//     headers' used-direction tables (route.Tables), boundary's
+//     constructions, ident's runs, sub-runs and walkers, and core's
+//     watches.
 //
 // Chunks double: an owner's first chunk is the size it asks for, and each
 // later one twice the last, up to 64 KiB. A small owner (an 8x8 mesh, a

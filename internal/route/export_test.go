@@ -7,7 +7,7 @@ import "ndmesh/internal/grid"
 func (msg *Message) Used(shape *grid.Shape, id grid.NodeID) grid.DirSet {
 	if msg.strayed {
 		if i := msg.find(id); i >= 0 {
-			return msg.visited[i].used
+			return (*msg.table)[i].used
 		}
 		return 0
 	}
@@ -19,4 +19,13 @@ func (msg *Message) Used(shape *grid.Shape, id grid.NodeID) grid.DirSet {
 		u = shape.Neighbor(u, d)
 	}
 	return 0
+}
+
+// visits returns the message's used-direction table, nil while it holds
+// none.
+func (msg *Message) visits() []visit {
+	if msg.table == nil {
+		return nil
+	}
+	return *msg.table
 }

@@ -59,7 +59,7 @@
 // used-direction lists as one flat node-keyed table (see visit and
 // materialize), in the order a table written hop by hop would hold, so the
 // form a header takes changes no decision. Path stacks are equal shares of
-// chunks, tables come from a free list, and either grows into a larger
+// chunks, tables are lent by a chunk.Pool, and either grows into a larger
 // block of the same chunks (see Tables).
 package route
 
@@ -164,7 +164,7 @@ type Message struct {
 	// the header is its path stack alone (see materialize).
 	strayed bool
 
-	// slot is Cur's index in visited (-1 while Cur has no entry yet) and
+	// slot is Cur's index in the table (-1 while Cur has no entry yet) and
 	// used a copy of that entry's set, refreshed whenever Cur changes: a
 	// decision reads the used directions from the header's own cache line,
 	// and a stalled message (Cur unchanged) never looks anything up. Before
@@ -176,8 +176,6 @@ type Message struct {
 	// Dst, set on the first step and kept up by every hop on the axis it
 	// crossed (see retoward); 0 until then, and at Dst.
 	toward grid.DirSet
-	// table is the id of the table visited is on loan under (see Tables).
-	table int32
 
 	// kept is the decision of the message's last step and key the versions
 	// of the mesh and the store it was made against (see StateKey). After a
@@ -195,11 +193,11 @@ type Message struct {
 	// path held from Src, one byte a hop. The top hop always ends at Cur, so
 	// a backtrack's target is Cur's neighbor against it.
 	path []grid.Dir
-	// visited is the used-direction table, empty until the message strays
-	// (see materialize), and tables the free list it is borrowed from and
-	// returned to (nil: the header keeps its own).
-	visited []visit
-	tables  *Tables
+	// table holds the used-direction table, nil until the message strays
+	// (see materialize): a slot on loan from tables, the storage that carved
+	// path, or the header's own when it has no tables.
+	tables *Tables
+	table  *[]visit
 }
 
 // visit is one entry of the header's used-direction table: a node the
@@ -226,49 +224,51 @@ func NewMessage(src, dst grid.NodeID) *Message {
 // message allocates nothing on its next flight.
 func (msg *Message) Reset(src, dst grid.NodeID) {
 	*msg = Message{Src: src, Dst: dst, Cur: src, Incoming: grid.InvalidDir, slot: -1,
-		path: msg.path[:0], visited: msg.visited[:0], tables: msg.tables, table: msg.table}
+		path: msg.path[:0], tables: msg.tables, table: msg.table}
+	if msg.table != nil {
+		*msg.table = (*msg.table)[:0]
+	}
 }
 
-// Release hands the message's used-direction table back to the free list it
-// was borrowed from, so a recycled header holds its path stack alone. A
-// message with no free list keeps its table.
+// Release hands the message's used-direction table back to the pool it was
+// borrowed from, emptied, so a recycled header holds its path stack alone.
+// A message with no pool keeps its table.
 //
 //meshvet:noalloc TestFaultProcessStepAllocFree
 func (msg *Message) Release() {
-	if t := msg.tables; t != nil && msg.visited != nil {
-		t.tabs[msg.table] = msg.visited[:0]
-		t.free = append(t.free, msg.table)
-		msg.visited = nil
+	if t := msg.tables; t != nil && msg.table != nil {
+		*msg.table = (*msg.table)[:0]
+		t.lent.Put(msg.table)
+		msg.table = nil
 	}
 }
 
 // Tables is the header storage of a run of flights (an engine's): it carves
-// each header's path stack, and lends used-direction tables from a free
-// list. A header borrows a table when it first strays and its owner returns
-// it with Release when the flight is recycled, so the tables alive are as
-// many as the flights that have strayed at once. A table is named by its
-// index in tabs, in the order the tables were made. A stack or table that
-// outgrows its block moves to one twice the size, carved from the same
+// each header's path stack, and lends used-direction tables from a
+// chunk.Pool. A header borrows a table when it first strays and its owner
+// returns it with Release when the flight is recycled, so the tables alive
+// are as many as the flights that have strayed at once. A stack or table
+// that outgrows its block moves to one twice the size, carved from the same
 // chunks, and keeps it across Reset and Release.
 type Tables struct {
 	share  int                    // a fresh header's stack capacity
 	dirs   chunk.Carver[grid.Dir] // path stacks
 	visits chunk.Carver[visit]    // the tables' entries
-	tabs   [][]visit              // by id; a lent table's entry is refreshed on its return
-	free   []int32                // the ids on hand, the last one lent next
+	lent   chunk.Pool[[]visit]    // the tables, each emptied on its return
 }
 
 // NewTables returns the header storage of flights on the given shape, its
-// first chunks sized for n headers' stacks and a quarter as many table
-// entries (few flights stray; later chunks double, see internal/chunk); it
-// allocates nothing until the first Carve. A
+// first chunks sized for n headers' stacks, a quarter as many table entries
+// and a quarter as many tables (few flights stray; later chunks double, see
+// internal/chunk); it allocates nothing until the first Carve. A
 // header's share is the power of two at or above the shape's diameter: a
 // message that has not strayed holds at most Distance(Src, Dst) hops, so
 // its stack never outgrows the share, and a strayed one has the rounding
 // to spare before it does.
 func NewTables(shape *grid.Shape, n int) Tables {
 	share := 1 << bits.Len(uint(shape.Diameter()-1))
-	return Tables{share: share, dirs: chunk.New[grid.Dir](n * share), visits: chunk.New[visit](n * share / 4)}
+	return Tables{share: share, dirs: chunk.New[grid.Dir](n * share), visits: chunk.New[visit](n * share / 4),
+		lent: chunk.NewPool[[]visit](n/4, n/4)}
 }
 
 // Carve hands msg the next share of the current chunk as its empty path
@@ -278,28 +278,10 @@ func (t *Tables) Carve(msg *Message) {
 	msg.path, msg.tables = t.dirs.Make(t.share), t
 }
 
-// borrow lends a table on hand, or names a new one (with no storage yet).
-//
-//meshvet:noalloc TestFaultProcessStepAllocFree
-func (t *Tables) borrow() (int32, []visit) {
-	n := len(t.free)
-	if n == 0 {
-		t.tabs = append(t.tabs, nil)
-		return int32(len(t.tabs) - 1), nil
-	}
-	id := t.free[n-1]
-	t.free = t.free[:n-1]
-	return id, t.tabs[id]
-}
-
-// Restack orders the tables on hand so the oldest is lent next. With every
-// table on hand that is the order a fresh free list made them in, so a rerun
-// of one trial borrows, at every stray, the table it borrowed the first time
-// and grows none.
-func (t *Tables) Restack() {
-	slices.Sort(t.free)
-	slices.Reverse(t.free)
-}
+// Restack puts the tables back in the order they were made once every one
+// is on hand, so a rerun of one trial borrows, at every stray, the table it
+// borrowed the first time and grows none.
+func (t *Tables) Restack() { t.lent.Restack() }
 
 // Stalled reports whether the message's most recent step was a contention
 // stall (it lost link arbitration and waited in place).
@@ -314,8 +296,9 @@ func (msg *Message) Done() bool {
 //
 //meshvet:noalloc TestRecycledMessageAllocFree
 func (msg *Message) find(id grid.NodeID) int32 {
-	for i := range msg.visited {
-		if msg.visited[i].node == id {
+	table := *msg.table
+	for i := range table {
+		if table[i].node == id {
 			return int32(i)
 		}
 	}
@@ -327,8 +310,8 @@ func (msg *Message) find(id grid.NodeID) int32 {
 // hop left (walked from Src) and the one direction tried there, in path
 // order — the order a table written hop by hop would hold them in, so every
 // later lookup and decision is the same. Cur has been left by no hop and
-// gets no entry. The table comes from the header's free list, if it has
-// one and holds no table of its own.
+// gets no entry. The table comes from the header's Tables, if it has one
+// and holds no table of its own; a header with none makes its own once.
 //
 //meshvet:noalloc TestRecycledMessageAllocFree
 func (msg *Message) materialize(m *mesh.Mesh) {
@@ -336,16 +319,22 @@ func (msg *Message) materialize(m *mesh.Mesh) {
 		return
 	}
 	msg.strayed = true
-	if msg.visited == nil && msg.tables != nil {
-		msg.table, msg.visited = msg.tables.borrow()
+	if msg.table == nil {
+		if msg.tables != nil {
+			msg.table, _ = msg.tables.lent.Get()
+		} else {
+			//meshvet:allow a header with no Tables keeps the one table it makes
+			msg.table = new([]visit)
+		}
 	}
 	// A fresh table is sized once for the path and as much again.
 	msg.growTable(2*len(msg.path) + 2)
-	u := msg.Src
+	table, u := *msg.table, msg.Src
 	for _, d := range msg.path {
-		msg.visited = append(msg.visited, visit{node: u, used: grid.DirSet(0).Add(d)})
+		table = append(table, visit{node: u, used: grid.DirSet(0).Add(d)})
 		u = m.Neighbor(u, d)
 	}
+	*msg.table = table
 }
 
 // growTable makes room for n more entries in the used-direction table: a
@@ -355,9 +344,9 @@ func (msg *Message) materialize(m *mesh.Mesh) {
 //meshvet:noalloc TestRecycledMessageAllocFree
 func (msg *Message) growTable(n int) {
 	if msg.tables != nil {
-		msg.visited = msg.tables.visits.Grow(msg.visited, n)
+		*msg.table = msg.tables.visits.Grow(*msg.table, n)
 	} else {
-		msg.visited = slices.Grow(msg.visited, n)
+		*msg.table = slices.Grow(*msg.table, n)
 	}
 }
 
@@ -367,7 +356,7 @@ func (msg *Message) growTable(n int) {
 func (msg *Message) enter(id grid.NodeID, slot int32) {
 	msg.Cur, msg.slot, msg.used = id, slot, 0
 	if slot >= 0 {
-		msg.used = msg.visited[slot].used
+		msg.used = (*msg.table)[slot].used
 	}
 }
 
@@ -512,11 +501,11 @@ func (msg *Message) applyMove(ctx *Context, dir grid.Dir) {
 	if msg.strayed || !msg.toward.Has(dir) {
 		msg.materialize(ctx.M)
 		if msg.slot < 0 {
-			msg.slot = int32(len(msg.visited))
+			msg.slot = int32(len(*msg.table))
 			msg.growTable(1)
-			msg.visited = append(msg.visited, visit{node: msg.Cur})
+			*msg.table = append(*msg.table, visit{node: msg.Cur})
 		}
-		msg.visited[msg.slot].used = msg.used.Add(dir)
+		(*msg.table)[msg.slot].used = msg.used.Add(dir)
 		slot = msg.find(next)
 	}
 	if len(msg.path) == cap(msg.path) && msg.tables != nil {
@@ -829,9 +818,10 @@ func (o *Oracle) Decide(ctx *Context, msg *Message) Decision {
 }
 
 // field returns dst's BFS distance field over m's enabled nodes, computing
-// it on the first ask since m last changed. The arena is allocated once, at
-// the budget's capacity, on the first ask: with row and queue, the 3 allocs
-// an Oracle pays for a mesh size, after which it allocates nothing.
+// it on the first ask since m last changed. The arena grows by doubling
+// whole fields, from one up to the budget's, so an Oracle asked for a few
+// fields pays for those; a full one is dropped. An Oracle that has grown
+// for a mesh size allocates nothing more for it.
 func (o *Oracle) field(m *mesh.Mesh, dst grid.NodeID) []int32 {
 	n := m.NumNodes()
 	if o.m != m || o.version != m.Version() {
@@ -845,8 +835,8 @@ func (o *Oracle) field(m *mesh.Mesh, dst grid.NodeID) []int32 {
 		return o.dist[(f-1)*n : f*n]
 	}
 	if len(o.dist) == cap(o.dist) { // no room for dst's field
-		if cap(o.dist) == 0 {
-			o.dist = make([]int32, 0, max(min(n, fieldBudget/n), 1)*n)
+		if fields, most := cap(o.dist)/n, max(min(n, fieldBudget/n), 1); fields < most {
+			o.dist = append(make([]int32, 0, min(max(2*fields, 1), most)*n), o.dist...)
 		} else {
 			clear(o.row)
 			o.dist = o.dist[:0]

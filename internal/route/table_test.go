@@ -1,6 +1,7 @@
 package route
 
 import (
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -72,7 +73,7 @@ func TestUsedTableSurvivesReentry(t *testing.T) {
 	if msg.Cur != at(2, 2) || msg.Incoming != py || msg.Backtracks != 4 {
 		t.Fatalf("backtrack out of v: cur %d incoming %v backtracks %d, want %d %v 4", msg.Cur, msg.Incoming, msg.Backtracks, at(2, 2), py)
 	}
-	if n := len(msg.visited); n != 4 {
+	if n := len(msg.visits()); n != 4 {
 		t.Fatalf("table holds %d entries, want one per node left by a forward move (s, v, (1,2), (2,2))", n)
 	}
 }
@@ -121,7 +122,7 @@ func TestBlindLongWalkPinned(t *testing.T) {
 			t.Errorf("%s: %v over %d distinct nodes, want arrived=%v hops=%d backtracks=%d distinct=%d",
 				tc.name, msg, len(seen), tc.arrived, tc.hops, tc.backtracks, tc.distinct)
 		}
-		if n := len(msg.visited); n > len(seen) {
+		if n := len(msg.visits()); n > len(seen) {
 			t.Errorf("%s: table grew to %d entries over %d distinct nodes", tc.name, n, len(seen))
 		}
 	}
@@ -142,13 +143,13 @@ func TestRecycledMessageAllocFree(t *testing.T) {
 		}
 	}
 	walk()
-	pathCap, tableCap := cap(msg.path), cap(msg.visited)
+	pathCap, tableCap := cap(msg.path), cap(msg.visits())
 	if allocs := testing.AllocsPerRun(5, walk); allocs != 0 {
 		t.Fatalf("recycled walk allocates %.1f allocs/op, want 0", allocs)
 	}
-	if msg.Hops != tc.hops || cap(msg.path) != pathCap || cap(msg.visited) != tableCap {
+	if msg.Hops != tc.hops || cap(msg.path) != pathCap || cap(msg.visits()) != tableCap {
 		t.Fatalf("recycled walk: hops %d (want %d), path cap %d -> %d, table cap %d -> %d",
-			msg.Hops, tc.hops, pathCap, cap(msg.path), tableCap, cap(msg.visited))
+			msg.Hops, tc.hops, pathCap, cap(msg.path), tableCap, cap(msg.visits()))
 	}
 }
 
@@ -168,9 +169,9 @@ func TestArenaShares(t *testing.T) {
 		tables.Carve(&first)
 		tables.Carve(&second)
 		for _, msg := range []*Message{&first, &second} {
-			if len(msg.path) != 0 || cap(msg.path) != tc.share || msg.visited != nil || msg.tables != &tables {
+			if len(msg.path) != 0 || cap(msg.path) != tc.share || msg.visits() != nil || msg.tables != &tables {
 				t.Fatalf("%v: share path %d/%d table %d/%d, want 0/%d and no table", tc.dims,
-					len(msg.path), cap(msg.path), len(msg.visited), cap(msg.visited), tc.share)
+					len(msg.path), cap(msg.path), len(msg.visits()), cap(msg.visits()), tc.share)
 			}
 		}
 		if unsafe.Add(unsafe.Pointer(unsafe.SliceData(first.path)), tc.share) != unsafe.Pointer(unsafe.SliceData(second.path)) {
@@ -234,8 +235,8 @@ func TestTableMaterializes(t *testing.T) {
 				}
 				shadow[before] = shadow[before].Add(d.Dir)
 			}
-			if compact := i < tc.compact; compact == msg.strayed || compact && msg.visited != nil {
-				t.Fatalf("%s: step %d: strayed %v with a %d-entry table, want strayed %v", tc.name, i, msg.strayed, len(msg.visited), !compact)
+			if compact := i < tc.compact; compact == msg.strayed || compact && msg.visits() != nil {
+				t.Fatalf("%s: step %d: strayed %v with a %d-entry table, want strayed %v", tc.name, i, msg.strayed, len(msg.visits()), !compact)
 			}
 			for id := grid.NodeID(0); int(id) < m.NumNodes(); id++ {
 				if got := msg.Used(shape, id); got != shadow[id] {
@@ -248,10 +249,10 @@ func TestTableMaterializes(t *testing.T) {
 			if !msg.strayed {
 				continue
 			}
-			if len(msg.visited) != len(order) {
-				t.Fatalf("%s: step %d: table holds %d entries, %d nodes were left", tc.name, i, len(msg.visited), len(order))
+			if len(msg.visits()) != len(order) {
+				t.Fatalf("%s: step %d: table holds %d entries, %d nodes were left", tc.name, i, len(msg.visits()), len(order))
 			}
-			for j, v := range msg.visited {
+			for j, v := range msg.visits() {
 				if v.node != order[j] {
 					t.Fatalf("%s: step %d: slot %d holds %v, the %d-th node left is %v", tc.name, i, j, shape.CoordOf(v.node), j, shape.CoordOf(order[j]))
 				}
@@ -260,16 +261,18 @@ func TestTableMaterializes(t *testing.T) {
 	}
 }
 
-// TestTablesRecycle pins the free list: a header borrows its table when it
+// TestTablesRecycle pins the lending: a header borrows its table when it
 // first strays, Release hands it back emptied, and the next header to stray
-// takes that same table, with its capacity, instead of allocating one.
+// takes that same pooled table, with its capacity, instead of carving one; a
+// header that strays while the table is out gets a table of its own.
 func TestTablesRecycle(t *testing.T) {
 	ctx, m := env(t, []int{6, 6}, nil)
 	shape := m.Shape()
 	tables := NewTables(shape, 2)
-	var first, second Message
+	var first, second, third Message
 	tables.Carve(&first)
 	tables.Carve(&second)
+	tables.Carve(&third)
 	src, dst := shape.Index(grid.Coord{1, 2}), shape.Index(grid.Coord{5, 2})
 	walk := func(msg *Message) {
 		msg.Reset(src, dst)
@@ -278,33 +281,38 @@ func TestTablesRecycle(t *testing.T) {
 		}
 	}
 	walk(&first)
-	if first.visited == nil || len(tables.free) != 0 {
-		t.Fatalf("a strayed header holds table %v with %d on the free list, want its own and none", first.visited, len(tables.free))
+	if first.visits() == nil || first.table == nil {
+		t.Fatalf("a strayed header holds table %v under slot %p, want its own from the pool", first.visits(), first.table)
 	}
-	table := &first.visited[:1][0]
+	slot, entry := first.table, &first.visits()[:1][0]
 	first.Release()
 	first.Release()
-	if first.visited != nil || len(tables.free) != 1 || len(tables.tabs[tables.free[0]]) != 0 {
-		t.Fatalf("released header holds %v, free list %v: want none, and one empty table", first.visited, tables.free)
+	if first.visits() != nil || first.table != nil || len(*slot) != 0 || &(*slot)[:1][0] != entry {
+		t.Fatalf("released header holds %v under slot %p, the slot %v: want none, and the table back empty", first.visits(), first.table, *slot)
 	}
 	walk(&second)
-	if &second.visited[:1][0] != table || len(tables.free) != 0 {
+	if second.table != slot || &second.visits()[:1][0] != entry {
 		t.Fatal("the next header to stray did not take the released table")
 	}
+	walk(&third)
+	if third.table == nil || third.table == slot {
+		t.Fatal("a header that strayed while the table was out did not get one of its own")
+	}
 	second.Reset(src, dst)
-	if second.visited == nil || &second.visited[:1][0] != table {
+	if second.visits() == nil || second.table != slot || &second.visits()[:1][0] != entry {
 		t.Fatal("Reset dropped the table a header holds")
 	}
 }
 
-// TestTablesRestack pins the order Restack leaves the tables on hand in:
-// the oldest is lent first, whatever order the headers gave them back in,
-// so the next headers to stray take the tables the first ones made.
+// TestTablesRestack pins the order Restack leaves the tables in once all are
+// back: the oldest is lent first, whatever order the headers gave them back
+// in, so the next headers to stray take the tables the first ones made.
 func TestTablesRestack(t *testing.T) {
 	ctx, m := env(t, []int{6, 6}, nil)
 	shape := m.Shape()
 	tables := NewTables(shape, 3)
 	msgs := make([]Message, 3)
+	made := make([]*[]visit, len(msgs))
 	src, dst := shape.Index(grid.Coord{1, 2}), shape.Index(grid.Coord{5, 2})
 	walk := func(msg *Message) {
 		msg.Reset(src, dst)
@@ -315,8 +323,9 @@ func TestTablesRestack(t *testing.T) {
 	for i := range msgs {
 		tables.Carve(&msgs[i])
 		walk(&msgs[i])
-		if msgs[i].table != int32(i) {
-			t.Fatalf("header %d borrowed table %d, want a new one, %d", i, msgs[i].table, i)
+		made[i] = msgs[i].table
+		if made[i] == nil || slices.Contains(made[:i], made[i]) {
+			t.Fatalf("header %d borrowed table %p, want a new one (made before: %v)", i, made[i], made[:i])
 		}
 	}
 	for _, i := range []int{1, 0, 2} {
@@ -325,8 +334,8 @@ func TestTablesRestack(t *testing.T) {
 	tables.Restack()
 	for i := range msgs {
 		walk(&msgs[i])
-		if msgs[i].table != int32(i) {
-			t.Fatalf("after Restack header %d borrowed table %d, want %d", i, msgs[i].table, i)
+		if msgs[i].table != made[i] {
+			t.Fatalf("after Restack header %d borrowed table %p, want %p, the %d-th made", i, msgs[i].table, made[i], i)
 		}
 	}
 }

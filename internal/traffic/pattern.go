@@ -39,8 +39,6 @@ import (
 // the source address (transpose, complement, reversal) that fall back to a
 // uniform redraw when the mapping would be a fixed point.
 type Pattern interface {
-	// Name identifies the pattern in tables and CLI flags.
-	Name() string
 	// Dest returns the destination for a message injected at src.
 	Dest(src grid.NodeID, r *rng.Source) grid.NodeID
 }
@@ -119,9 +117,6 @@ type Uniform struct{ shape *grid.Shape }
 // NewUniform builds the uniform-random pattern.
 func NewUniform(shape *grid.Shape) *Uniform { return &Uniform{shape: shape} }
 
-// Name implements Pattern.
-func (*Uniform) Name() string { return "uniform" }
-
 // Dest implements Pattern.
 func (p *Uniform) Dest(src grid.NodeID, r *rng.Source) grid.NodeID {
 	return uniformDest(p.shape, src, r)
@@ -157,9 +152,6 @@ type Transpose struct{ mapped }
 // NewTranspose builds the transpose pattern.
 func NewTranspose(shape *grid.Shape) *Transpose { return &Transpose{newMapped(shape)} }
 
-// Name implements Pattern.
-func (*Transpose) Name() string { return "transpose" }
-
 // Dest implements Pattern.
 func (p *Transpose) Dest(src grid.NodeID, r *rng.Source) grid.NodeID {
 	shape := p.shape
@@ -182,9 +174,6 @@ type Complement struct{ mapped }
 // NewComplement builds the complement pattern.
 func NewComplement(shape *grid.Shape) *Complement { return &Complement{newMapped(shape)} }
 
-// Name implements Pattern.
-func (*Complement) Name() string { return "complement" }
-
 // Dest implements Pattern.
 func (p *Complement) Dest(src grid.NodeID, r *rng.Source) grid.NodeID {
 	shape := p.shape
@@ -202,9 +191,6 @@ type BitReversal struct{ mapped }
 
 // NewBitReversal builds the bit-reversal pattern.
 func NewBitReversal(shape *grid.Shape) *BitReversal { return &BitReversal{newMapped(shape)} }
-
-// Name implements Pattern.
-func (*BitReversal) Name() string { return "bitrev" }
 
 // Dest implements Pattern.
 func (p *BitReversal) Dest(src grid.NodeID, r *rng.Source) grid.NodeID {
@@ -248,9 +234,6 @@ func NewHotspot(shape *grid.Shape, frac float64) *Hotspot {
 	return &Hotspot{shape: shape, Hot: shape.Index(c), Frac: frac}
 }
 
-// Name implements Pattern.
-func (*Hotspot) Name() string { return "hotspot" }
-
 // Dest implements Pattern.
 func (p *Hotspot) Dest(src grid.NodeID, r *rng.Source) grid.NodeID {
 	if r.Bool(p.Frac) && p.Hot != src {
@@ -265,9 +248,6 @@ type Neighbor struct{ shape *grid.Shape }
 
 // NewNeighbor builds the nearest-neighbor pattern.
 func NewNeighbor(shape *grid.Shape) *Neighbor { return &Neighbor{shape: shape} }
-
-// Name implements Pattern.
-func (*Neighbor) Name() string { return "neighbor" }
 
 // Dest implements Pattern.
 func (p *Neighbor) Dest(src grid.NodeID, r *rng.Source) grid.NodeID {

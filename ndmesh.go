@@ -77,9 +77,9 @@ type Simulation struct {
 	sched  *fault.Schedule
 	// load is the load cells' workload (saturation.go): its collector, rng
 	// streams, sources, patterns and fault-process scratch. Each cell
-	// rewinds it (newLoadRun) and drops its own wiring when done (release),
-	// so the buffers keep their capacity across the cells of a pool.
-	load loadRun //meshvet:keep rewound by each load cell (newLoadRun), holds nothing of a finished cell
+	// rewinds it (newLoadRun) and Reset drops the cell's wiring, so the
+	// buffers keep their capacity across the cells of a pool.
+	load loadRun
 	// oracle is the "oracle" router of every run on the simulation (see
 	// router): its table is keyed on the mesh's version, which every Reset
 	// advances, so no field of an earlier run is read again, and a warm
@@ -114,14 +114,20 @@ func MustSimulation(cfg Config) *Simulation {
 
 // Reset rewinds the simulation to the fault-free state NewSimulation
 // produces — mesh statuses, all four protocol layers, the information
-// store, the engine clock, flights and the fault schedule — while keeping
-// every internal buffer, so a sweep can restart a trial without
+// store, the engine clock, flights, the free contention configuration with
+// no probe, the fault schedule and no load cell's router, source, hooks or
+// trace — while keeping every internal buffer (less a retry queue grown
+// past the node count), so a sweep can restart a trial without
 // reallocating. Results (RouteResult, Events) must be consumed before the
 // reset: flights are recycled and the event log is overwritten.
 func (s *Simulation) Reset() {
 	s.model.Reset()
 	s.engine.Reset()
+	s.engine.DisableContention()
+	s.engine.SetProbe(nil)
 	s.sched.Events = s.sched.Events[:0]
+	s.load.loadCell = loadCell{}
+	s.load.retry.Trim()
 }
 
 // Dims returns the mesh dimensions.

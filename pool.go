@@ -11,21 +11,22 @@ package ndmesh
 // simulation keeps, besides its engine and information plane, the load run
 // its cells rewind (Simulation.load: collector, rng streams, sources,
 // patterns, fault-process scratch) and its own route.Oracle, so a warm load
-// cell allocates nothing. It keeps nothing a finished cell wired in
-// (loadRun.release); its oracle's table outlives the cell, but its fields
-// are keyed on the mesh version, which Reset advances, so the table is
-// storage, not state. Only a simulation that has served an oracle cell
-// holds one: an arena of at most min(n, 2^20/n)·n int32 entries (4 MiB per
-// simulation at most) and a row and a queue of n. The Reset
-// contract (every layer rewinds without reallocating, pinned by
-// reset_test.go) is what makes reuse sound: a reused simulation
-// is indistinguishable from a fresh one after Reset, so which warm
-// simulation a job receives can never reach its results. loadPoint's
-// deferred cleanup (flights detached, the free configuration back —
-// TestLoadPointLeavesEngineClean) is what makes sharing safe: load cells
-// put their simulations back clean on every exit of its Engine.Run
-// (saturation.go), the Cancel poll included, which EnginePool.VerifyClean
-// audits.
+// cell allocates nothing. Its oracle's table outlives the cell, but its
+// fields are keyed on the mesh version, which Reset advances, so the table
+// is storage, not state. Only a simulation that has served an oracle cell
+// holds one: an arena that doubles toward at most min(n, 2^20/n)·n int32
+// entries (4 MiB per simulation at most) and a row and a queue of n.
+//
+// A simulation is rewound once, where it comes back: put calls
+// Simulation.Reset, which restores the state NewSimulation builds — no
+// flights, the free configuration, no probe, no load cell's wiring — on
+// every exit of every job, a cancel or an error included, and get hands an
+// idle simulation out as it is. The Reset contract (every layer rewinds
+// without reallocating, pinned by reset_test.go) is what makes reuse
+// sound: a reused simulation is indistinguishable from a fresh one, so
+// which warm simulation a job receives can never reach its results, and
+// EnginePool.VerifyClean audits the reservoir
+// (TestLoadPointLeavesEngineClean).
 
 import (
 	"errors"
@@ -37,8 +38,8 @@ import (
 )
 
 // ErrCanceled is returned by the sweeps and LoadRun when the caller's
-// Cancel hook reports cancellation mid-run. The aborted run performs the
-// same engine cleanup as a completed one, so pooled simulations come back
+// Cancel hook reports cancellation mid-run. The aborted run's simulation
+// goes back through the same put as a completed one, so it comes back
 // clean.
 var ErrCanceled = errors.New("ndmesh: run canceled")
 
@@ -74,8 +75,8 @@ func setSchedule(sim *Simulation, sched *fault.Schedule) {
 // against it: a cache-hit submission must leave Acquired and Built
 // unchanged (no engine was touched).
 type PoolStats struct {
-	// Acquired counts checkouts served by resetting a warm idle
-	// simulation; Built counts checkouts that had to construct one.
+	// Acquired counts checkouts served by a warm idle simulation (put
+	// rewound it); Built counts checkouts that had to construct one.
 	Acquired uint64 `json:"acquired"`
 	Built    uint64 `json:"built"`
 	// Released counts simulations returned to the idle reservoir;
@@ -121,8 +122,8 @@ func (p *EnginePool) Stats() PoolStats {
 }
 
 // get returns a fault-free simulation of the given shape and λ (λ < 1
-// meaning 1, as in NewSimulation): a warm idle one, Reset, or else a new
-// one. The caller puts it back once it has read its results.
+// meaning 1, as in NewSimulation): a warm idle one, as put left it, or else
+// a new one. The caller puts it back once it has read its results.
 func (p *EnginePool) get(dims []int, lambda int) (*Simulation, error) {
 	key := newSimKey(dims, max(lambda, 1))
 	p.mu.Lock()
@@ -132,7 +133,6 @@ func (p *EnginePool) get(dims []int, lambda int) (*Simulation, error) {
 		p.idle[key] = sims[:n-1]
 		p.stats.Acquired++
 		p.mu.Unlock()
-		sim.Reset()
 		return sim, nil
 	}
 	p.mu.Unlock()
@@ -146,22 +146,36 @@ func (p *EnginePool) get(dims []int, lambda int) (*Simulation, error) {
 	return sim, nil
 }
 
-// put returns a simulation to the idle reservoir under its own key,
-// dropping it when the key's cap is full.
+// put rewinds a simulation and returns it to the idle reservoir under its
+// own key, or drops it, unrewound, when the key's cap is full. The rewind
+// runs outside the mutex, so puts of other jobs do not wait on it; a put
+// that finds the cap filled meanwhile drops the rewound simulation.
 func (p *EnginePool) put(sim *Simulation) {
+	if p.file(sim, false) {
+		sim.Reset()
+		p.file(sim, true)
+	}
+}
+
+// file reports whether sim's key has room for it, counting a drop when it
+// has none, and with add files sim there.
+func (p *EnginePool) file(sim *Simulation, add bool) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.maxIdle > 0 && len(p.idle[sim.key]) >= p.maxIdle {
 		p.stats.Dropped++
-		return
+		return false
 	}
-	p.idle[sim.key] = append(p.idle[sim.key], sim)
-	p.stats.Released++
+	if add {
+		p.idle[sim.key] = append(p.idle[sim.key], sim)
+		p.stats.Released++
+	}
+	return true
 }
 
 // VerifyClean audits every idle simulation against the clean-engine
-// contract the load cells' deferred cleanup guarantees (the residency-census
-// assertions of TestLoadPointLeavesEngineClean): no attached flights, an
+// contract put's rewind guarantees (the residency-census assertions of
+// TestLoadPointLeavesEngineClean): no attached flights, an
 // all-zero residency census and the free configuration. It reports aggregate
 // violation counts, so the result does not depend on map iteration order.
 // The daemon's stress tests call it after mixed-workload runs, mid-stream

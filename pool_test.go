@@ -9,6 +9,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"ndmesh/internal/fault"
+	"ndmesh/internal/grid"
+	"ndmesh/internal/meshtest"
 	"ndmesh/internal/rng"
 	"ndmesh/internal/traffic"
 )
@@ -465,10 +468,81 @@ func TestWarmLoadCellAllocs(t *testing.T) {
 	}
 }
 
+// TestPoolSharedAcrossSweepKinds: one pool serves a contention cell and a
+// protocol job in turn, so the simulation an E19 cell leaves behind (past
+// saturation: backlog flights, contention on) serves E15's replays, and then
+// the next E19 cell. Every row and route equals its run on a private pool,
+// and the shared pool builds one simulation for all of them.
+func TestPoolSharedAcrossSweepKinds(t *testing.T) {
+	dims := []int{10, 10}
+	sat := SaturationOptions{
+		Dims: dims, Lambda: 2, Process: "bernoulli",
+		Routers: []string{"limited"}, Patterns: []string{"transpose"}, Rates: []float64{0.5},
+		Warmup: 16, Measure: 48, Drain: 8, LinkRate: 1, NodeCapacity: 4, FlightTimeout: 24,
+	}
+	cell := func(p *EnginePool) []SaturationRow {
+		t.Helper()
+		o := sat
+		o.Pool = p
+		rows, err := SaturationSweepWorkers(o, 7, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
+	// E15's job: one drawn scenario, replayed under each router.
+	shape := meshtest.MustShape(dims...)
+	replays := func(p *EnginePool) []RouteResult {
+		t.Helper()
+		r := rng.New(7)
+		var out []RouteResult
+		for range 4 {
+			src, dst, err := traffic.DrawLongHaulPair(shape, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sched, err := fault.Generate(shape, 4, fault.Options{
+				Interval: 4, Start: 2, Exclude: []grid.NodeID{src, dst}, ExcludeRadius: 1, MinSpacing: 4,
+			}, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, router := range []string{"limited", "oracle", "blind"} {
+				res, err := p.replay(dims, sat.Lambda, sched, src, dst, router)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, res)
+			}
+		}
+		return out
+	}
+
+	shared := NewEnginePool(0)
+	first := cell(shared)
+	if first[0].Unfinished == 0 {
+		t.Fatal("the E19 cell left no backlog; the test lost its teeth")
+	}
+	got := replays(shared)
+	again := cell(shared)
+	if want := cell(nil); !reflect.DeepEqual(first, want) || !reflect.DeepEqual(again, want) {
+		t.Errorf("the E19 rows on the shared pool differ from a private pool's:\n first %+v\n again %+v\n want  %+v", first, again, want)
+	}
+	if want := replays(NewEnginePool(0)); !reflect.DeepEqual(got, want) {
+		t.Errorf("E15's replays after an E19 cell differ from a private pool's:\n got  %+v\n want %+v", got, want)
+	}
+	if st := shared.Stats(); st.Built != 1 {
+		t.Errorf("the shared pool built %d simulations, want the one every job reused: %+v", st.Built, st)
+	}
+	if err := shared.VerifyClean(); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestSaturatedRetryQueueTrimmed: a saturated 32x32 cell with flight
 // timeouts ends with more retries queued than the mesh has nodes, and the
 // simulation it hands back to the pool keeps no more queue than that
-// (release trims it) — yet a warm rerun of the cell is unchanged.
+// (put's Reset trims it) — yet a warm rerun of the cell is unchanged.
 func TestSaturatedRetryQueueTrimmed(t *testing.T) {
 	opt := SaturationOptions{
 		Dims: []int{32, 32}, Lambda: 1, Process: "bernoulli",
@@ -608,6 +682,36 @@ func TestPooledOracleRetained(t *testing.T) {
 		if budget := min(n, (1<<20)/n) * n; arena == 0 || arena > budget || row != n || queue != n {
 			t.Errorf("%v: the pooled oracle keeps an arena of %d, a row of %d and a queue of %d; want at most %d, and %d each", dims, arena, row, queue, budget, n)
 		}
+	}
+}
+
+// oracleRouteCeiling is TestOracleRouteBytes's ceiling: twice the 28,800 B
+// a one-shot oracle route allocated before the oracle kept a table (4,220,080
+// B while the arena took the whole 4 MiB budget on its first field).
+const oracleRouteCeiling = 2 * 28_800
+
+// TestOracleRouteBytes: one oracle route on a fresh 32x32 simulation pays
+// for the fields it asks for, not for the table's whole budget. The bytes
+// are the route's alone (the simulation is built before the reading).
+func TestOracleRouteBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector moves the heap readings")
+	}
+	sim := MustSimulation(Config{Dims: []int{32, 32}})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := sim.Route(C(0, 0), C(31, 31), "oracle")
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Arrived {
+		t.Fatalf("the oracle route did not arrive: %+v", res)
+	}
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("one oracle route on a fresh 32x32 allocates %d bytes", bytes)
+	if bytes > oracleRouteCeiling {
+		t.Fatalf("one oracle route on a fresh 32x32 allocates %d bytes, ceiling %d", bytes, oracleRouteCeiling)
 	}
 }
 

@@ -4,6 +4,9 @@ import (
 	"reflect"
 	"testing"
 
+	"ndmesh/internal/engine"
+	"ndmesh/internal/grid"
+	"ndmesh/internal/rng"
 	"ndmesh/internal/route"
 )
 
@@ -99,5 +102,53 @@ func TestResetAfterPartialRun(t *testing.T) {
 	reused.Drain()
 	if !reflect.DeepEqual(reused.Events(), fresh.Events()) {
 		t.Errorf("post-reset events diverged:\n got %+v\nwant %+v", reused.Events(), fresh.Events())
+	}
+}
+
+// stepCounter is a probe that counts the censuses handed to it.
+type stepCounter struct{ censuses int }
+
+func (c *stepCounter) ObserveStep(engine.StepCensus) { c.censuses++ }
+
+// TestResetRestoresFreshState: Reset gives back the state NewSimulation
+// builds, not only the step-0 clock. A simulation a load cell wired, with
+// contention enabled, a probe attached and a flight in the air, comes back
+// under the free configuration, with no flight, no probe and no load
+// wiring, so a pool may hand it to the next job as it is.
+func TestResetRestoresFreshState(t *testing.T) {
+	opt := smallSaturation()
+	sim := MustSimulation(Config{Dims: opt.Dims, Lambda: opt.Lambda})
+	lr, err := opt.newLoadRun(sim, workload{pattern: "uniform", rate: 0.1}, "limited", rng.New(1).Split())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := sim.engine
+	eng.EnableContention(engine.ContentionConfig{LinkRate: 1, NodeCapacity: opt.NodeCapacity})
+	probe := &stepCounter{}
+	eng.SetProbe(probe)
+	if _, err := eng.Inject(0, grid.NodeID(sim.NumNodes()-1), lr.rtr); err != nil {
+		t.Fatal(err)
+	}
+	eng.Step()
+	eng.FlushCensus()
+	if probe.censuses != 1 || !eng.ContentionEnabled() || reflect.ValueOf(sim.load.loadCell).IsZero() {
+		t.Fatalf("before the Reset: %d censuses, contention %v, wired %v; the test lost its teeth",
+			probe.censuses, eng.ContentionEnabled(), !reflect.ValueOf(sim.load.loadCell).IsZero())
+	}
+
+	sim.Reset()
+	if eng.ContentionEnabled() {
+		t.Error("contention still enabled after Reset; a fresh simulation runs the free configuration")
+	}
+	if n := len(eng.Flights()); n != 0 || eng.StepCount() != 0 {
+		t.Errorf("after Reset %d flights attached at step %d, want none at step 0", n, eng.StepCount())
+	}
+	if !reflect.ValueOf(sim.load.loadCell).IsZero() {
+		t.Errorf("the load cell's wiring survived Reset: %+v", sim.load.loadCell)
+	}
+	eng.Step()
+	eng.FlushCensus()
+	if probe.censuses != 1 {
+		t.Errorf("the probe saw %d censuses after Reset, want none: a fresh simulation has no probe", probe.censuses-1)
 	}
 }

@@ -148,8 +148,9 @@ type LoadSweepOptions[Row any] struct {
 	Emit func(index int, row Row) `json:"-"`
 	// Cancel, when non-nil, is polled before every cell and every
 	// cancelCheckInterval steps inside one; returning true aborts the
-	// sweep with ErrCanceled. The abort path runs the same engine cleanup
-	// as a completed cell, so pooled simulations come back clean.
+	// sweep with ErrCanceled. The aborted cell's simulation goes back
+	// through the same rewinding put as a completed one, so pooled
+	// simulations come back clean.
 	Cancel func() bool `json:"-"`
 }
 
@@ -444,11 +445,11 @@ func (opt *LoadSweepOptions[Row]) loadPoint(p *EnginePool, wl workload, router s
 	if err != nil {
 		return traffic.LoadPoint{}, err
 	}
+	// The put rewinds the simulation on every exit, a cancel included: the
+	// backlog flights a past-saturation drain leaves go, with their
+	// residency, and so do the contention configuration, the probe and the
+	// cell's wiring (TestLoadPointLeavesEngineClean).
 	defer p.put(sim)
-	// On every exit the cell's wiring goes before the put: a pooled
-	// simulation keeps no router, hook or trace of it (its own oracle's
-	// fields are keyed on a mesh version the next Reset moves past).
-	defer sim.load.release()
 	lr, err := opt.newLoadRun(sim, wl, router, r)
 	if err != nil {
 		return traffic.LoadPoint{}, err
@@ -465,15 +466,6 @@ func (opt *LoadSweepOptions[Row]) loadPoint(p *EnginePool, wl workload, router s
 	// the whole run; observation is read-only, so the LoadPoint is
 	// byte-identical with or without it.
 	eng.SetProbe(opt.Probe)
-	// Every exit, a cancel included, cleans the engine before the put above
-	// hands it back: a past-saturation cell ends its drain with backlog
-	// flights attached, which ClearFlights recycles, releasing their
-	// residency (TestLoadPointLeavesEngineClean).
-	defer func() {
-		eng.SetProbe(nil)
-		eng.ClearFlights()
-		eng.DisableContention()
-	}()
 	// Run also ends on a wedged engine; fold then counts the backlog
 	// unfinished and reports the run Gridlocked.
 	eng.Run(lr.ph.Total(), lr.next)
@@ -489,8 +481,9 @@ func (opt *LoadSweepOptions[Row]) loadPoint(p *EnginePool, wl workload, router s
 // loadRun is one load cell from its build to its fold: the engine and what
 // feeds and reads it. Each Simulation owns one (Simulation.load), and every
 // cell on it rewinds it: the embedded loadCell is the cell's wiring, set
-// whole by newLoadRun and dropped by release; the rest is workload state the
-// simulation keeps from cell to cell, so a warm cell allocates nothing.
+// whole by newLoadRun and dropped by Simulation.Reset; the rest is workload
+// state the simulation keeps from cell to cell, so a warm cell allocates
+// nothing.
 type loadRun struct {
 	loadCell
 	col traffic.Collector
@@ -536,13 +529,6 @@ type loadCell struct {
 	cancel     func() bool
 	probeEvery int
 	err        error
-}
-
-// release drops the finished cell's wiring and keeps the workload state,
-// less a retry queue grown past the node count.
-func (lr *loadRun) release() {
-	lr.loadCell = loadCell{}
-	lr.retry.Trim()
 }
 
 // newLoadRun rewinds a pooled simulation's workload for a cell: the fault
@@ -772,8 +758,8 @@ func (lr *loadRun) finish(fl *engine.Flight) {
 	}
 }
 
-// fold reads the cell's LoadPoint. It must run before loadPoint's deferred
-// cleanup, which detaches the backlog and resets the detector.
+// fold reads the cell's LoadPoint. It must run before the put that rewinds
+// the simulation, which detaches the backlog and resets the detector.
 func (lr *loadRun) fold() traffic.LoadPoint {
 	eng := lr.eng
 	// Whatever survived the drain and its last harvest is unfinished backlog.
