@@ -94,24 +94,26 @@ func ClosedLoopSweepWorkers(opt ClosedLoopOptions, seed uint64, workers int) ([]
 			return nil, fmt.Errorf("ndmesh: closed-loop window %d must be >= 1", w)
 		}
 	}
-	if err := opt.validateLoadShape(); err != nil {
+	base := opt.cell()
+	if err := base.validateLoadShape(); err != nil {
 		return nil, err
 	}
+	patterns, windows, routers := opt.Patterns, opt.Windows, opt.Routers
 	return runGrid(fanOut{workers: workers, pool: opt.Pool, cancel: opt.Cancel, progress: opt.Progress}, seed, jobs,
 		func(p *EnginePool, j int, r *rng.Source) (ClosedLoopRow, error) {
-			pi := j / (len(opt.Windows) * len(opt.Routers))
-			wi := j / len(opt.Routers) % len(opt.Windows)
-			ki := j % len(opt.Routers)
-			window := opt.Windows[wi]
-			pt, err := opt.loadPoint(p, workload{pattern: opt.Patterns[pi], window: window}, opt.Routers[ki], r)
+			c := base
+			c.Pattern = patterns[j/(len(windows)*len(routers))]
+			c.Window = windows[j/len(routers)%len(windows)]
+			c.Router = routers[j%len(routers)]
+			pt, err := loadPoint(p, &c, r)
 			if err != nil {
 				return ClosedLoopRow{}, err
 			}
 			return ClosedLoopRow{
 				Dims:         dims,
-				Pattern:      opt.Patterns[pi],
-				Router:       opt.Routers[ki],
-				Window:       window,
+				Pattern:      c.Pattern,
+				Router:       c.Router,
+				Window:       c.Window,
 				AcceptedRate: pt.AcceptedRate,
 				Injected:     pt.Injected,
 				Delivered:    pt.Delivered,
@@ -124,7 +126,7 @@ func ClosedLoopSweepWorkers(opt ClosedLoopOptions, seed uint64, workers int) ([]
 				LatP99:       pt.Latency.P99,
 				LatMax:       pt.Latency.Max,
 				// validateLoadShape holds Measure >= 1.
-				InjectedRate: float64(pt.Injected) / float64(opt.Measure*nodes),
+				InjectedRate: float64(pt.Injected) / float64(c.Measure*nodes),
 			}, nil
 		}, emitEach(opt.Emit))
 }

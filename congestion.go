@@ -100,24 +100,27 @@ func CongestionShiftSweepWorkers(opt CongestionShiftOptions, seed uint64, worker
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := opt.validateRates(opt.Rates...); err != nil {
+	if err := validateRates(opt.Process, opt.Rates...); err != nil {
 		return nil, nil, err
 	}
-	if err := opt.validateLoadShape(); err != nil {
+	base := opt.cell()
+	if err := base.validateLoadShape(); err != nil {
 		return nil, nil, err
 	}
 	// One job per (pattern, rate) cell, pattern-major. Both routers replay
 	// the cell's scenario from the same stream state (loadPoint draws from a
 	// copy of it), so the fault schedule and the offered traffic are
 	// byte-identical.
-	jobs := len(opt.Patterns) * len(opt.Rates)
-	rows, err := runGrid(fanOut{workers: workers, pool: opt.Pool, cancel: opt.Cancel, progress: opt.Progress}, seed, jobs,
+	patterns, rates, routers := opt.Patterns, opt.Rates, opt.Routers
+	rows, err := runGrid(fanOut{workers: workers, pool: opt.Pool, cancel: opt.Cancel, progress: opt.Progress}, seed, len(patterns)*len(rates),
 		func(p *EnginePool, j int, r *rng.Source) (CongestionShiftRow, error) {
-			pattern := opt.Patterns[j/len(opt.Rates)]
-			rate := opt.Rates[j%len(opt.Rates)]
-			row := CongestionShiftRow{Dims: dims, Pattern: pattern, OfferedRate: rate}
-			for _, router := range opt.Routers {
-				pt, err := opt.loadPoint(p, workload{pattern: pattern, rate: rate}, router, r)
+			c := base
+			c.Pattern = patterns[j/len(rates)]
+			c.Rate = rates[j%len(rates)]
+			row := CongestionShiftRow{Dims: dims, Pattern: c.Pattern, OfferedRate: c.Rate}
+			for _, router := range routers {
+				c.Router = router
+				pt, err := loadPoint(p, &c, r)
 				if err != nil {
 					return CongestionShiftRow{}, err
 				}

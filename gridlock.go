@@ -174,45 +174,49 @@ func GridlockSweepWorkers(opt GridlockOptions, seed uint64, workers int) ([]Grid
 	if opt.GridlockWindow < 1 {
 		return nil, fmt.Errorf("ndmesh: gridlock sweep needs GridlockWindow >= 1 (without detection, a gridlocked 'none' arm spins to its budget)")
 	}
-	if err := opt.validateLoadShape(); err != nil {
+	base := opt.cell()
+	if err := base.validateLoadShape(); err != nil {
 		return nil, err
 	}
+	base.Router = opt.Routers[0]
 	// A job's arms stream at their row indexes, j*nm+mi.
 	var emitArms func(out [][]GridlockRow, j int)
-	if opt.Emit != nil {
+	if emit := opt.Emit; emit != nil {
 		emitArms = func(out [][]GridlockRow, j int) {
 			for mi, row := range out[j] {
-				opt.Emit(j*nm+mi, row)
+				emit(j*nm+mi, row)
 			}
 		}
 	}
+	patterns, windows, capacities, faultCounts, mechanisms := opt.Patterns, opt.Windows, opt.Capacities, opt.FaultCounts, opt.Mechanisms
 	cells, err := runGrid(fanOut{workers: workers, pool: opt.Pool, cancel: opt.Cancel, progress: opt.Progress}, seed, jobs,
 		func(p *EnginePool, j int, r *rng.Source) ([]GridlockRow, error) {
-			pattern := opt.Patterns[j/(nw*nc*nf)]
-			window := opt.Windows[j/(nc*nf)%nw]
+			c := base
+			c.Pattern = patterns[j/(nw*nc*nf)]
+			c.Window = windows[j/(nc*nf)%nw]
+			c.NodeCapacity = capacities[j/nf%nc]
+			c.Faults = faultCounts[j%nf]
 			arms := make([]GridlockRow, nm)
-			for mi, mech := range opt.Mechanisms {
+			for mi, mech := range mechanisms {
 				timeout, bubble, err := gridlockMechanism(mech)
 				if err != nil {
 					return nil, err
 				}
-				arm := opt
-				arm.NodeCapacity = opt.Capacities[j/nf%nc]
-				arm.Faults = opt.FaultCounts[j%nf]
+				arm := c
 				arm.Bubble = bubble
 				if !timeout {
 					arm.FlightTimeout, arm.RetryBackoff = 0, 0
 				}
 				// loadPoint leaves r as it was: every arm replays one scenario.
-				pt, err := arm.loadPoint(p, workload{pattern: pattern, window: window}, opt.Routers[0], r)
+				pt, err := loadPoint(p, &arm, r)
 				if err != nil {
 					return nil, err
 				}
 				arms[mi] = GridlockRow{
 					Dims:          dims,
-					Pattern:       pattern,
-					Router:        opt.Routers[0],
-					Window:        window,
+					Pattern:       arm.Pattern,
+					Router:        arm.Router,
+					Window:        arm.Window,
 					Capacity:      arm.NodeCapacity,
 					Faults:        arm.Faults,
 					Mechanism:     mech,

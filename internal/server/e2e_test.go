@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -182,6 +183,39 @@ func TestE2EReplay(t *testing.T) {
 	}
 	if err := srv.Pool().VerifyClean(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestE2ENaNTraceRefused: a replay trace whose rate is NaN gets a 400 and
+// leaves no job in the registry. Accepted, it had the handler panic while
+// encoding the replayed row (JSON has no NaN), and the job stayed running.
+func TestE2ENaNTraceRefused(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	trace := (&traffic.Trace{Dims: []int{4, 4}, Rate: math.NaN()}).Marshal()
+	resp, body := submit(t, ts, "", string(replaySpec(t, "", trace)))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", resp.StatusCode, body)
+	}
+	lr, err := http.Get(ts.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list struct {
+		Jobs []JobStatus `json:"jobs"`
+	}
+	if err := json.NewDecoder(lr.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	lr.Body.Close()
+	for _, j := range list.Jobs {
+		if j.State == StateRunning {
+			t.Errorf("job %s is still running after the refusal: %+v", j.ID, j)
+		}
+	}
+	if st := srv.Pool().Stats(); st.Built != 0 || st.Acquired != 0 {
+		t.Errorf("the refused job touched an engine: %+v", st)
 	}
 }
 

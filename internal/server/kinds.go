@@ -123,23 +123,9 @@ func sweepDefaults[Row any](s *Spec, d *ndmesh.LoadSweepOptions[Row]) error {
 		return fmt.Errorf("only replay specs carry a trace")
 	}
 	defList(&s.Dims, d.Dims)
-	if len(s.Dims) > maxDims {
-		return fmt.Errorf("mesh has %d dimensions (max %d)", len(s.Dims), maxDims)
-	}
-	nodes := 1
-	for _, d := range s.Dims {
-		// The per-radix bound keeps the running product from overflowing
-		// before the node cap can catch it.
-		if d < 2 || d > maxNodes {
-			return fmt.Errorf("mesh dimension %d out of range [2, %d]", d, maxNodes)
-		}
-		if nodes *= d; nodes > maxNodes {
-			return fmt.Errorf("mesh exceeds %d nodes", maxNodes)
-		}
-	}
 	s.Lambda = cmp.Or(s.Lambda, d.Lambda)
-	if s.Lambda < 1 || s.Lambda > 64 {
-		return fmt.Errorf("lambda %d out of range [1, 64]", s.Lambda)
+	if err := checkMesh(s.Dims, s.Lambda); err != nil {
+		return err
 	}
 	defList(&s.Routers, d.Routers)
 	defList(&s.Patterns, uniform)
@@ -222,7 +208,8 @@ func closedLoopAxes(s *Spec) error {
 
 // replayAxes: the trace is the workload — the mesh shape, the phases and
 // the grid axes come from it, and spec fields that would fight it are
-// rejected rather than silently ignored.
+// rejected rather than silently ignored. The trace's run is bounded as
+// every kind's is: its mesh, phases and λ (the spec's, else the trace's).
 func replayAxes(s *Spec) error {
 	if len(s.Trace) == 0 {
 		return fmt.Errorf("replay spec needs a trace")
@@ -236,6 +223,13 @@ func replayAxes(s *Spec) error {
 	var err error
 	if s.trace, err = traffic.UnmarshalTrace(s.Trace); err != nil {
 		return fmt.Errorf("decoding trace: %w", err)
+	}
+	tr := s.trace
+	if err := checkMesh(tr.Dims, cmp.Or(s.Lambda, tr.Lambda, 1)); err != nil {
+		return fmt.Errorf("trace: %w", err)
+	}
+	if err := checkPhases(tr.Warmup, tr.Measure, tr.Drain); err != nil {
+		return fmt.Errorf("trace: %w", err)
 	}
 	defList(&s.Routers, limited)
 	if len(s.Routers) != 1 {

@@ -147,16 +147,8 @@ func (s *Spec) normalize() error {
 			}
 		}
 	}
-	// Each phase is bounded individually before summing, so the total
-	// cannot overflow into a negative that would slip past the cap.
-	if s.Warmup < 0 || s.Measure < 0 || s.Drain < 0 {
-		return fmt.Errorf("negative phase length")
-	}
-	if s.Warmup > maxPhase || s.Measure > maxPhase || s.Drain > maxPhase {
-		return fmt.Errorf("a phase length exceeds %d steps", maxPhase)
-	}
-	if total := s.Warmup + s.Measure + s.Drain; total > maxPhase {
-		return fmt.Errorf("total phase length %d exceeds %d steps", total, maxPhase)
+	if err := checkPhases(s.Warmup, s.Measure, s.Drain); err != nil {
+		return err
 	}
 	if s.Trials < 0 || s.Trials > maxTrials {
 		return fmt.Errorf("trials %d out of range [0, %d]", s.Trials, maxTrials)
@@ -184,6 +176,46 @@ func (s *Spec) normalize() error {
 	}
 	if s.Probe && s.cells() != 1 {
 		return fmt.Errorf("a probed job must be a single cell (got %d); probes are stateful accumulators", s.cells())
+	}
+	return nil
+}
+
+// checkMesh bounds the mesh a job builds and the λ it steps at: at most
+// maxDims dimensions of radix at least 2, at most maxNodes nodes, and λ in
+// [1, 64].
+func checkMesh(dims []int, lambda int) error {
+	if len(dims) > maxDims {
+		return fmt.Errorf("mesh has %d dimensions (max %d)", len(dims), maxDims)
+	}
+	nodes := 1
+	for _, d := range dims {
+		// The per-radix bound keeps the running product from overflowing
+		// before the node cap can catch it.
+		if d < 2 || d > maxNodes {
+			return fmt.Errorf("mesh dimension %d out of range [2, %d]", d, maxNodes)
+		}
+		if nodes *= d; nodes > maxNodes {
+			return fmt.Errorf("mesh exceeds %d nodes", maxNodes)
+		}
+	}
+	if lambda < 1 || lambda > 64 {
+		return fmt.Errorf("lambda %d out of range [1, 64]", lambda)
+	}
+	return nil
+}
+
+// checkPhases bounds the steps a job runs. Each phase is bounded
+// individually before summing, so the total cannot overflow into a
+// negative that would slip past the cap.
+func checkPhases(warmup, measure, drain int) error {
+	if warmup < 0 || measure < 0 || drain < 0 {
+		return fmt.Errorf("negative phase length")
+	}
+	if warmup > maxPhase || measure > maxPhase || drain > maxPhase {
+		return fmt.Errorf("a phase length exceeds %d steps", maxPhase)
+	}
+	if total := warmup + measure + drain; total > maxPhase {
+		return fmt.Errorf("total phase length %d exceeds %d steps", total, maxPhase)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -129,6 +130,51 @@ func TestParseSpecReplay(t *testing.T) {
 	bad, _ := json.Marshal(map[string]any{"kind": "replay", "trace": trace, "measure": 100})
 	if _, err := ParseSpec(bad); err == nil {
 		t.Fatal("replay spec with its own phases accepted")
+	}
+}
+
+// replaySpec is a replay spec body carrying trace, with extra fields (a
+// JSON object's members, or empty) before it.
+func replaySpec(t testing.TB, extra string, trace []byte) []byte {
+	t.Helper()
+	enc, err := json.Marshal(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []byte(`{"kind":"replay",` + extra + `"trace":` + string(enc) + `}`)
+}
+
+// TestParseSpecReplayBounds: a replay spec's run comes from its trace, and
+// that run is bounded as every other kind's spec is — the trace's mesh,
+// the effective λ (the spec's, else the trace's) and the trace's phases.
+// Each trace here decodes; only the bound refuses it. Nothing is run.
+func TestParseSpecReplayBounds(t *testing.T) {
+	recorded, err := traffic.UnmarshalTrace(recordedTrace(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	longDrain := *recorded
+	longDrain.Drain = maxPhase // warmup + measure + drain past the cap
+	for name, body := range map[string][]byte{
+		"huge-mesh":       replaySpec(t, "", (&traffic.Trace{Dims: []int{46340, 46340}}).Marshal()),
+		"radix-1":         replaySpec(t, "", (&traffic.Trace{Dims: []int{1, 8}}).Marshal()),
+		"too-many-dims":   replaySpec(t, "", (&traffic.Trace{Dims: []int{2, 2, 2, 2, 2, 2, 2, 2, 2}}).Marshal()),
+		"trace-lambda":    replaySpec(t, "", (&traffic.Trace{Dims: []int{4, 4}, Lambda: 1 << 30}).Marshal()),
+		"spec-lambda":     replaySpec(t, `"lambda":2000000000,`, recordedTrace(t)),
+		"long-drain":      replaySpec(t, "", (&traffic.Trace{Dims: []int{4, 4}, Drain: 1 << 24}).Marshal()),
+		"total-phases":    replaySpec(t, "", longDrain.Marshal()),
+		"nan-trace-rate":  replaySpec(t, "", (&traffic.Trace{Dims: []int{4, 4}, Rate: math.NaN()}).Marshal()),
+		"negative-lambda": replaySpec(t, `"lambda":-1,`, recordedTrace(t)),
+	} {
+		t.Run(name, func(t *testing.T) {
+			if _, err := ParseSpec(body); err == nil {
+				t.Fatalf("ParseSpec accepted %s", body)
+			}
+		})
+	}
+	// The bounds refuse nothing a recording within them makes.
+	if _, err := ParseSpec(replaySpec(t, `"lambda":64,`, (&traffic.Trace{Dims: []int{256, 256}, Drain: maxPhase}).Marshal())); err != nil {
+		t.Fatalf("a replay at the bounds was refused: %v", err)
 	}
 }
 

@@ -253,6 +253,11 @@ func UnmarshalTrace(data []byte) (*Trace, error) {
 	}
 	t.Rate = math.Float64frombits(binary.BigEndian.Uint64(r.data[r.pos:]))
 	r.pos += 8
+	// A recording writes a validated offered rate or 0; anything else is
+	// corruption that would reach the replayed LoadPoint's OfferedRate.
+	if math.IsNaN(t.Rate) || math.IsInf(t.Rate, 0) || t.Rate < 0 {
+		return nil, fmt.Errorf("traffic: corrupt trace rate %v", t.Rate)
+	}
 	t.Window = int(r.next32())
 	t.ClosedLoop = r.next()&1 != 0
 	t.Warmup = int(r.next32())

@@ -1,6 +1,8 @@
 package traffic
 
 import (
+	"encoding/binary"
+	"math"
 	"reflect"
 	"testing"
 
@@ -146,6 +148,76 @@ func TestUnmarshalTraceRejectsCorrupt(t *testing.T) {
 	if _, err := UnmarshalTrace(good[:len(good)-1]); err == nil {
 		t.Error("trace missing its final byte accepted")
 	}
+	// A recording writes a validated rate or 0, never a non-finite or
+	// negative one.
+	for _, rate := range []float64{math.NaN(), math.Inf(1), -0.1} {
+		bad := *tr
+		bad.Rate = rate
+		if _, err := UnmarshalTrace(bad.Marshal()); err == nil {
+			t.Errorf("trace rate %v accepted", rate)
+		}
+	}
+}
+
+// marshalV1 encodes a trace with no escape metadata in format version 1,
+// whose header ends at NodeCapacity.
+func marshalV1(tr *Trace) []byte {
+	buf := append([]byte(traceMagic), 1)
+	buf = binary.AppendUvarint(buf, uint64(len(tr.Dims)))
+	for _, d := range tr.Dims {
+		buf = binary.AppendUvarint(buf, uint64(d))
+	}
+	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(tr.Rate))
+	flags := 0
+	if tr.ClosedLoop {
+		flags = 1
+	}
+	for _, v := range []int{tr.Window, flags, tr.Warmup, tr.Measure, tr.Drain, tr.Lambda, tr.LinkRate, tr.NodeCapacity} {
+		buf = binary.AppendUvarint(buf, uint64(v))
+	}
+	// Version 2 has the same header up to here (both versions are one
+	// byte), then three one-byte zero escape fields.
+	return append(buf, tr.Marshal()[len(buf)+3:]...)
+}
+
+// FuzzUnmarshalTrace: on any bytes the decoder returns a trace or an error,
+// never a panic, and an accepted trace decodes back from its own Marshal to
+// an equal trace (a NaN rate would not: NaN is unequal to itself). Seeded
+// with a recording, its version-1 encoding and truncations of both.
+func FuzzUnmarshalTrace(f *testing.F) {
+	shape := meshtest.MustShape(4, 4)
+	pat, err := ByName(shape, "uniform")
+	if err != nil {
+		f.Fatal(err)
+	}
+	var tr Trace
+	gen := NewGenerator(shape, pat, &Bernoulli{}, 0.3, rng.New(3))
+	rec := NewTraceRecorder(gen, &tr)
+	tr.Dims, tr.Rate, tr.Warmup, tr.Measure, tr.Drain = []int{4, 4}, 0.3, 2, 4, 6
+	for s := 0; s < 6; s++ {
+		rec.Step(func(src, dst grid.NodeID) bool { return true })
+	}
+	tr.Faults = append(tr.Faults, fault.Event{Step: 3, Node: 5, Kind: fault.Fail})
+	v2, v1 := tr.Marshal(), marshalV1(&tr)
+	if got, err := UnmarshalTrace(v1); err != nil || !reflect.DeepEqual(got, &tr) {
+		f.Fatalf("the version-1 seed does not decode to its trace: %v", err)
+	}
+	for _, seed := range [][]byte{v2, v1, v2[:len(v2)/2], v1[:len(v1)-1], v2[:len(traceMagic)+1]} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := UnmarshalTrace(data)
+		if err != nil {
+			return
+		}
+		again, err := UnmarshalTrace(got.Marshal())
+		if err != nil {
+			t.Fatalf("an accepted trace does not decode from its own Marshal: %v", err)
+		}
+		if !reflect.DeepEqual(again, got) {
+			t.Fatalf("round trip diverged:\n got %+v\nwant %+v", again, got)
+		}
+	})
 }
 
 // TestUnmarshalTraceRejectsOversizedCounts pins the allocation guard: a

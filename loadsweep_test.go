@@ -113,3 +113,72 @@ func TestSweepAxisRules(t *testing.T) {
 		}
 	})
 }
+
+// TestSweepCellCarriesEverySharedField holds the one options-to-options
+// copy, LoadSweepOptions.cell, to the two structs: every field they share
+// by name and type, set to a value no other field has, must reach the base
+// cell under each of the five sweeps' row types, so a field added to both
+// later cannot be dropped on the way. Shards is the one exception: both
+// structs keep it only for bench/batch.go, and nothing else may read it
+// (TestShardResidue).
+func TestSweepCellCarriesEverySharedField(t *testing.T) {
+	t.Run("saturation", sweepCellCarries[SaturationRow])
+	t.Run("congestion", sweepCellCarries[CongestionShiftRow])
+	t.Run("closed-loop", sweepCellCarries[ClosedLoopRow])
+	t.Run("gridlock", sweepCellCarries[GridlockRow])
+	t.Run("reliability", sweepCellCarries[ReliabilityRow])
+}
+
+func sweepCellCarries[Row any](t *testing.T) {
+	var opt LoadSweepOptions[Row]
+	ov := reflect.ValueOf(&opt).Elem()
+	ct := reflect.TypeOf(LoadOptions{})
+	var shared []string
+	for i := 0; i < ov.NumField(); i++ {
+		f := ov.Type().Field(i)
+		if cf, ok := ct.FieldByName(f.Name); !ok || cf.Type != f.Type || f.Name == "Shards" {
+			continue
+		}
+		shared = append(shared, f.Name)
+		switch v := ov.Field(i); v.Interface().(type) {
+		case int:
+			v.SetInt(int64(i + 1))
+		case float64:
+			v.SetFloat(float64(i) + 0.5)
+		case string:
+			v.SetString(f.Name)
+		case bool:
+			v.SetBool(true)
+		case []int:
+			v.Set(reflect.ValueOf([]int{i + 1}))
+		case *EnginePool:
+			v.Set(reflect.ValueOf(NewEnginePool(i)))
+		case func() bool:
+			v.Set(reflect.ValueOf(func() bool { return false }))
+		case func(done, total int):
+			v.Set(reflect.ValueOf(func(done, total int) {}))
+		default:
+			if f.Type != reflect.TypeOf(&opt.Probe).Elem() {
+				t.Fatalf("LoadSweepOptions.%s has a type this test cannot fill: %s", f.Name, f.Type)
+			}
+			v.Set(reflect.ValueOf(&stepCounter{}))
+		}
+	}
+	if len(shared) < 26 {
+		t.Fatalf("only %d fields are shared by name and type (%v); the test lost its subject", len(shared), shared)
+	}
+	cell := opt.cell()
+	cv := reflect.ValueOf(cell)
+	for _, name := range shared {
+		got, want := cv.FieldByName(name), ov.FieldByName(name)
+		same := false
+		if want.Kind() == reflect.Func {
+			same = !got.IsNil() && got.Pointer() == want.Pointer()
+		} else {
+			same = reflect.DeepEqual(got.Interface(), want.Interface())
+		}
+		if !same {
+			t.Errorf("LoadSweepOptions.%s = %v reached the cell as %v", name, want, got)
+		}
+	}
+}

@@ -407,6 +407,11 @@ func TestWarmLoadCellAllocs(t *testing.T) {
 		Process: "bernoulli", Warmup: 64, Measure: 512, Drain: 128,
 		LinkRate: 1, FlightTimeout: 48, RetryBackoff: 4, GridlockWindow: 16,
 	}
+	openTranspose := cellAt(open, "transpose", 0.35, 0, "limited")
+	retryTranspose := cellAt(retry, "transpose", 0.5, 0, "limited")
+	closedHotspot := cellAt(closed, "hotspot", 0, 8, "congested")
+	stormUniform := cellAt(storm, "uniform", 0.02, 0, "limited")
+	oracleUniform := cellAt(open, "uniform", 0.2, 0, "oracle")
 	r := rng.New(11).Split()
 	// Each cell must do what its case names, or its count shows nothing.
 	cases := []struct {
@@ -415,19 +420,19 @@ func TestWarmLoadCellAllocs(t *testing.T) {
 		does func(pt traffic.LoadPoint) bool
 	}{
 		{"open/8x8/limited/transpose/capacity8", func(p *EnginePool) (traffic.LoadPoint, error) {
-			return open.loadPoint(p, workload{pattern: "transpose", rate: 0.35}, "limited", r)
+			return loadPoint(p, &openTranspose, r)
 		}, func(pt traffic.LoadPoint) bool { return pt.Dropped > 0 && pt.Delivered > 0 }},
 		{"open-retry/8x8/limited/transpose/capacity8", func(p *EnginePool) (traffic.LoadPoint, error) {
-			return retry.loadPoint(p, workload{pattern: "transpose", rate: 0.5}, "limited", r)
+			return loadPoint(p, &retryTranspose, r)
 		}, func(pt traffic.LoadPoint) bool { return pt.TimedOut > 0 && pt.Delivered > 0 }},
 		{"closed/6x6x6/congested/hotspot/bubble-retry", func(p *EnginePool) (traffic.LoadPoint, error) {
-			return closed.loadPoint(p, workload{pattern: "hotspot", window: 8}, "congested", r)
+			return loadPoint(p, &closedHotspot, r)
 		}, func(pt traffic.LoadPoint) bool { return pt.Retried > 0 && pt.Delivered > 0 }},
 		{"storm/16x16/lambda2/fault0.2", func(p *EnginePool) (traffic.LoadPoint, error) {
-			return storm.loadPoint(p, workload{pattern: "uniform", rate: 0.02}, "limited", r)
+			return loadPoint(p, &stormUniform, r)
 		}, func(pt traffic.LoadPoint) bool { return pt.Failed > 0 && pt.Delivered > 0 }},
 		{"oracle/8x8/uniform/capacity8", func(p *EnginePool) (traffic.LoadPoint, error) {
-			return open.loadPoint(p, workload{pattern: "uniform", rate: 0.2}, "oracle", r)
+			return loadPoint(p, &oracleUniform, r)
 		}, func(pt traffic.LoadPoint) bool { return pt.Delivered > 0 }},
 	}
 	var got []cellAllocs
@@ -552,8 +557,9 @@ func TestSaturatedRetryQueueTrimmed(t *testing.T) {
 	const nodes = 32 * 32
 	pool := NewEnginePool(0)
 	r := rng.New(3)
+	c := cellAt(opt, "transpose", 0.2, 0, "limited")
 	cell := func() traffic.LoadPoint {
-		pt, err := opt.loadPoint(pool, workload{pattern: "transpose", rate: 0.2}, "limited", r)
+		pt, err := loadPoint(pool, &c, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -593,16 +599,16 @@ func TestPooledOracleNotStale(t *testing.T) {
 	storm.FaultRate, storm.FaultModel, storm.FaultRepair = 0.1, "bernoulli", 24
 	other := storm
 	other.FaultRate, other.FaultRepair = 0.2, 12
-	wl := workload{pattern: "uniform", rate: 0.2}
 	r := rng.New(5).Split()
 	warm := NewEnginePool(0)
 	var points []traffic.LoadPoint
 	for _, opt := range []SaturationOptions{storm, free, other} {
-		got, err := opt.loadPoint(warm, wl, "oracle", r)
+		c := cellAt(opt, "uniform", 0.2, 0, "oracle")
+		got, err := loadPoint(warm, &c, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := opt.loadPoint(NewEnginePool(0), wl, "oracle", r)
+		want, err := loadPoint(NewEnginePool(0), &c, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -664,7 +670,8 @@ func TestPooledOracleRetained(t *testing.T) {
 		r := rng.New(9)
 		caps := func(router string) (arena, row, queue int) {
 			t.Helper()
-			if _, err := opt.loadPoint(pool, workload{pattern: "uniform", rate: 0.05}, router, r); err != nil {
+			c := cellAt(opt, "uniform", 0.05, 0, router)
+			if _, err := loadPoint(pool, &c, r); err != nil {
 				t.Fatal(err)
 			}
 			sim, err := pool.get(dims, 1)

@@ -105,21 +105,22 @@ func ReliabilitySweepWorkers(opt ReliabilityOptions, seed uint64, workers int) (
 	if opt.Trials < 1 {
 		return nil, fmt.Errorf("ndmesh: reliability sweep needs Trials >= 1 (got %d)", opt.Trials)
 	}
-	// The configuration every trial shares is validated (and defaulted) in
-	// place — the open-loop rate against its arrival process included — at
-	// the grid's highest fault rate, so the fault-process parameters are
-	// checked whenever any cell uses them; a trial overrides only its
-	// cell's fault rate.
+	// The base cell every trial copies is validated (and defaulted) — the
+	// open-loop rate against its arrival process included — at the grid's
+	// highest fault rate, so the fault-process parameters are checked
+	// whenever any cell uses them; a trial overrides only its cell's
+	// pattern, fault rate and router.
+	base := opt.cell()
 	for _, fr := range opt.FaultRates {
 		if !finite(fr) || fr < 0 || fr > 1 {
 			return nil, fmt.Errorf("ndmesh: fault rate %v out of range [0, 1]", fr)
 		}
-		opt.FaultRate = max(opt.FaultRate, fr)
+		base.FaultRate = max(base.FaultRate, fr)
 	}
-	if err := opt.validateRates(opt.Rate); err != nil {
+	if err := validateRates(base.Process, base.Rate); err != nil {
 		return nil, err
 	}
-	if err := opt.validateLoadShape(); err != nil {
+	if err := base.validateLoadShape(); err != nil {
 		return nil, err
 	}
 
@@ -131,20 +132,29 @@ func ReliabilitySweepWorkers(opt ReliabilityOptions, seed uint64, workers int) (
 	// is a serial pass over them in trial order, and the row it writes is
 	// the one Emit streams and the one returned.
 	rows := make([]ReliabilityRow, cells)
+	patterns, faultRates, routers, emit := opt.Patterns, opt.FaultRates, opt.Routers, opt.Emit
 	_, err = runGrid(fanOut{workers: workers, pool: opt.Pool, cancel: opt.Cancel, progress: opt.Progress}, seed, cells*nt,
 		func(p *EnginePool, j int, r *rng.Source) (traffic.LoadPoint, error) {
 			cell := j / nt
-			trial := opt
-			trial.FaultRate = opt.FaultRates[cell/nk%nf]
-			return trial.loadPoint(p, workload{pattern: opt.Patterns[cell/(nf*nk)], rate: opt.Rate}, opt.Routers[cell%nk], r)
+			c := base
+			c.Pattern = patterns[cell/(nf*nk)]
+			c.FaultRate = faultRates[cell/nk%nf]
+			c.Router = routers[cell%nk]
+			return loadPoint(p, &c, r)
 		}, func(pts []traffic.LoadPoint, j int) {
 			if j%nt != nt-1 {
 				return
 			}
 			cell := j / nt
-			rows[cell] = foldReliabilityCell(&opt, dims, pts, cell, nf, nk, nt)
-			if opt.Emit != nil {
-				opt.Emit(cell, rows[cell])
+			rows[cell] = foldReliabilityCell(ReliabilityRow{
+				Dims:      dims,
+				Pattern:   patterns[cell/(nf*nk)],
+				Router:    routers[cell%nk],
+				FaultRate: faultRates[cell/nk%nf],
+				Trials:    nt,
+			}, pts[cell*nt:(cell+1)*nt])
+			if emit != nil {
+				emit(cell, rows[cell])
 			}
 		})
 	if err != nil {
@@ -153,23 +163,17 @@ func ReliabilitySweepWorkers(opt ReliabilityOptions, seed uint64, workers int) (
 	return rows, nil
 }
 
-// foldReliabilityCell folds one cell's Monte-Carlo trial points into its
-// row — a deterministic serial pass in trial order, run once per cell
-// when runGrid's done hook reaches the cell's last trial.
-func foldReliabilityCell(opt *ReliabilityOptions, dims string, pts []traffic.LoadPoint, c, nf, nk, nt int) ReliabilityRow {
-	row := ReliabilityRow{
-		Dims:      dims,
-		Pattern:   opt.Patterns[c/(nf*nk)],
-		Router:    opt.Routers[c%nk],
-		FaultRate: opt.FaultRates[c/nk%nf],
-		Trials:    nt,
-	}
+// foldReliabilityCell folds one cell's Monte-Carlo trial points, in trial
+// order, into its row, whose cell fields are set — a deterministic serial
+// pass, run once per cell when runGrid's done hook reaches the cell's last
+// trial.
+func foldReliabilityCell(row ReliabilityRow, pts []traffic.LoadPoint) ReliabilityRow {
+	nt := len(pts)
 	failed, recovered := 0, 0
 	latNum, accepted := 0.0, 0.0
 	p50, p99 := 0.0, 0.0
 	delTrials := 0
-	for t := 0; t < nt; t++ {
-		pt := pts[c*nt+t]
+	for _, pt := range pts {
 		row.Injected += pt.Injected
 		row.Delivered += pt.Delivered
 		row.Unreachable += pt.Unreachable

@@ -9,9 +9,9 @@ package ndmesh
 // having to re-draw the workload per arm.
 //
 // The comparison takes LoadRun's own options, with the routers as a
-// separate argument, and resolves them through the same LoadOptions.cell:
-// every engine-side field left zero is taken from opt.Replay, so a
-// single-router comparison reproduces the origin run byte-for-byte.
+// separate argument, and resolves them through the same applyReplay: every
+// engine-side field left zero is taken from opt.Replay, so a single-router
+// comparison reproduces the origin run byte-for-byte.
 //
 // Determinism follows the repository contract: one rng stream is split per
 // router job in row order (replay consumes no randomness, but the split
@@ -57,13 +57,15 @@ func ReplayCompareSweepWorkers(opt LoadOptions, routers []string, workers int) (
 	}
 	// Resolve the trace inheritance once, so every arm replays the identical
 	// effective configuration.
-	sopt, wl := opt.cell()
-	if err := sopt.validateLoadShape(); err != nil {
+	opt.applyReplay()
+	if err := opt.validateLoadShape(); err != nil {
 		return nil, err
 	}
 	return runGrid(fanOut{workers: workers, pool: opt.Pool, cancel: opt.Cancel, progress: opt.Progress}, opt.Seed, len(routers),
 		func(p *EnginePool, j int, r *rng.Source) (ReplayCompareRow, error) {
-			pt, err := sopt.loadPoint(p, wl, routers[j], r)
+			c := opt
+			c.Router = routers[j]
+			pt, err := loadPoint(p, &c, r)
 			if err != nil {
 				return ReplayCompareRow{}, err
 			}

@@ -118,7 +118,8 @@ func (c *stepCounter) ObserveStep(engine.StepCensus) { c.censuses++ }
 func TestResetRestoresFreshState(t *testing.T) {
 	opt := smallSaturation()
 	sim := MustSimulation(Config{Dims: opt.Dims, Lambda: opt.Lambda})
-	lr, err := opt.newLoadRun(sim, workload{pattern: "uniform", rate: 0.1}, "limited", rng.New(1).Split())
+	c := cellAt(opt, "uniform", 0.1, 0, "limited")
+	lr, err := newLoadRun(sim, &c, rng.New(1).Split())
 	if err != nil {
 		t.Fatal(err)
 	}

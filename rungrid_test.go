@@ -318,11 +318,11 @@ func TestRunGridDeterministicResultOrder(t *testing.T) {
 // what is idle afterwards is clean.
 func TestRunGridPoolBalanced(t *testing.T) {
 	loadCell := func(p *EnginePool, j int, r *rng.Source) (int, error) {
-		opt := smallSaturation()
-		if err := opt.validateLoadShape(); err != nil {
+		c := cellAt(smallSaturation(), "uniform", 0.5, 0, "limited")
+		if err := c.validateLoadShape(); err != nil {
 			return 0, err
 		}
-		pt, err := opt.loadPoint(p, workload{pattern: "uniform", rate: 0.5}, "limited", r)
+		pt, err := loadPoint(p, &c, r)
 		return pt.Delivered, err
 	}
 	boom := errors.New("boom")

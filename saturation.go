@@ -12,6 +12,7 @@ package ndmesh
 // worker count.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 
@@ -209,25 +210,30 @@ func SaturationSweepWorkers(opt SaturationOptions, seed uint64, workers int) ([]
 	if err != nil {
 		return nil, err
 	}
-	if err := opt.validateRates(opt.Rates...); err != nil {
+	if err := validateRates(opt.Process, opt.Rates...); err != nil {
 		return nil, err
 	}
-	if err := opt.validateLoadShape(); err != nil {
+	base := opt.cell()
+	if err := base.validateLoadShape(); err != nil {
 		return nil, err
 	}
+	// The job captures the base cell and the axis slices, not opt: a
+	// closure capturing both moves both to the heap.
+	patterns, rates, routers := opt.Patterns, opt.Rates, opt.Routers
 	return runGrid(fanOut{workers: workers, pool: opt.Pool, cancel: opt.Cancel, progress: opt.Progress}, seed, jobs,
 		func(p *EnginePool, j int, r *rng.Source) (SaturationRow, error) {
-			pi := j / (len(opt.Rates) * len(opt.Routers))
-			ri := j / len(opt.Routers) % len(opt.Rates)
-			ki := j % len(opt.Routers)
-			pt, err := opt.loadPoint(p, workload{pattern: opt.Patterns[pi], rate: opt.Rates[ri]}, opt.Routers[ki], r)
+			c := base
+			c.Pattern = patterns[j/(len(rates)*len(routers))]
+			c.Rate = rates[j/len(routers)%len(rates)]
+			c.Router = routers[j%len(routers)]
+			pt, err := loadPoint(p, &c, r)
 			if err != nil {
 				return SaturationRow{}, err
 			}
 			return SaturationRow{
 				Dims:         dims,
-				Pattern:      opt.Patterns[pi],
-				Router:       opt.Routers[ki],
+				Pattern:      c.Pattern,
+				Router:       c.Router,
 				OfferedRate:  pt.OfferedRate,
 				AcceptedRate: pt.AcceptedRate,
 				Offered:      pt.Offered,
@@ -316,12 +322,33 @@ func (opt *LoadSweepOptions[Row]) isSet(field string) bool {
 	panic("ndmesh: sweepGrid names no field " + field)
 }
 
+// cell is the sweep's base load cell: every field the sweep shares with
+// LoadOptions by name and type, but the ignored Shards. It is the only
+// field-by-field copy between option structs; a job copies the base cell
+// and sets its own axes (Pattern, Router and the entry point's load axes)
+// on the copy.
+func (opt *LoadSweepOptions[Row]) cell() LoadOptions {
+	return LoadOptions{
+		Dims: opt.Dims, Lambda: opt.Lambda, Process: opt.Process, Rate: opt.Rate,
+		Warmup: opt.Warmup, Measure: opt.Measure, Drain: opt.Drain,
+		LinkRate: opt.LinkRate, NodeCapacity: opt.NodeCapacity,
+		FlightTimeout: opt.FlightTimeout, RetryBackoff: opt.RetryBackoff,
+		Bubble: opt.Bubble, GridlockWindow: opt.GridlockWindow,
+		Faults: opt.Faults, FaultInterval: opt.FaultInterval,
+		Clustered: opt.Clustered, FaultStart: opt.FaultStart,
+		FaultRate: opt.FaultRate, FaultModel: opt.FaultModel,
+		FaultShape: opt.FaultShape, FaultRepair: opt.FaultRepair,
+		Probe: opt.Probe, ProbeEvery: opt.ProbeEvery,
+		Pool: opt.Pool, Cancel: opt.Cancel, Progress: opt.Progress,
+	}
+}
+
 // validateRates rejects rates the arrival process cannot offer faithfully:
 // past its MaxRate the realized load silently clips and the curve's
 // offered-rate axis would lie (a Bernoulli source caps at 1 msg/node/step, a
 // bursty one at its duty cycle).
-func (opt *LoadSweepOptions[Row]) validateRates(rates ...float64) error {
-	proc, err := traffic.ProcessByName(opt.Process)
+func validateRates(process string, rates ...float64) error {
+	proc, err := traffic.ProcessByName(process)
 	if err != nil {
 		return err
 	}
@@ -337,97 +364,8 @@ func (opt *LoadSweepOptions[Row]) validateRates(rates ...float64) error {
 	return nil
 }
 
-// validateLoadShape checks (and defaults) the workload-independent run
-// configuration shared by the open-loop sweeps, the closed-loop sweep and
-// trace replays: the phase lengths and the contention parameters.
-func (opt *LoadSweepOptions[Row]) validateLoadShape() error {
-	if opt.Measure < 1 {
-		return fmt.Errorf("ndmesh: load run needs a measurement window (Measure >= 1)")
-	}
-	if opt.Warmup < 0 || opt.Drain < 0 {
-		return fmt.Errorf("ndmesh: negative phase lengths (warmup %d, drain %d)", opt.Warmup, opt.Drain)
-	}
-	if opt.Lambda < 1 {
-		opt.Lambda = 1
-	}
-	if opt.LinkRate < 1 {
-		opt.LinkRate = 1
-	}
-	if opt.FlightTimeout < 0 {
-		opt.FlightTimeout = 0
-	}
-	if opt.RetryBackoff < 0 {
-		opt.RetryBackoff = 0
-	}
-	if opt.GridlockWindow < 0 {
-		opt.GridlockWindow = 0
-	}
-	if opt.Bubble && opt.NodeCapacity == 1 {
-		return fmt.Errorf("ndmesh: bubble admission with capacity 1 can never admit a flight (NodeCapacity must be >= 2)")
-	}
-	if opt.FaultStart < 0 {
-		return fmt.Errorf("ndmesh: FaultStart %d must be >= 0", opt.FaultStart)
-	}
-	if !finite(opt.FaultRate) || !finite(opt.FaultShape) || !finite(opt.FaultRepair) {
-		return fmt.Errorf("ndmesh: fault process parameters must be finite (rate %v, shape %v, repair %v)",
-			opt.FaultRate, opt.FaultShape, opt.FaultRepair)
-	}
-	if opt.FaultRate < 0 || opt.FaultRate > 1 {
-		return fmt.Errorf("ndmesh: fault rate %v out of range [0, 1]", opt.FaultRate)
-	}
-	if opt.FaultRate > 0 {
-		if opt.Faults > 0 {
-			return fmt.Errorf("ndmesh: FaultRate and Faults are mutually exclusive overlays — pick the stochastic process or the fixed count")
-		}
-		if opt.FaultModel == "" {
-			opt.FaultModel = fault.DelayBernoulli
-		}
-		if opt.FaultModel != fault.DelayBernoulli && opt.FaultModel != fault.DelayWeibull {
-			return fmt.Errorf("ndmesh: unknown fault model %q (want %s|%s)", opt.FaultModel, fault.DelayBernoulli, fault.DelayWeibull)
-		}
-		if opt.FaultModel == fault.DelayWeibull && opt.FaultShape == 0 {
-			opt.FaultShape = 1.5
-		}
-		if opt.FaultRepair < 0 {
-			return fmt.Errorf("ndmesh: FaultRepair %v must be >= 0", opt.FaultRepair)
-		}
-		if opt.FaultRepair > 0 && opt.FaultRepair < 1 {
-			return fmt.Errorf("ndmesh: FaultRepair %v is a mean delay in steps (>= 1)", opt.FaultRepair)
-		}
-	}
-	return nil
-}
-
 // finite reports whether x is neither NaN nor infinite.
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
-
-// workload selects what one load run offers the network: a live open-loop
-// generator (pattern + rate), a live closed-loop source (pattern + window),
-// or the replay of a recorded trace. record, when non-nil, captures the
-// run's offered stream and fault schedule into the trace so the identical
-// workload can be replayed later (see traffic.Trace).
-type workload struct {
-	// pattern names the traffic pattern for the live modes (unused when
-	// replaying — the trace already holds concrete endpoints).
-	pattern string
-	// rate is the open-loop nominal injection rate (0 in closed-loop mode).
-	rate float64
-	// window > 0 selects the closed loop: every node keeps up to window
-	// requests outstanding and reinjects only when one terminates.
-	window int
-	// replay, when non-nil, replays the recorded workload: its injections,
-	// fault schedule, phases and rate. No randomness is consumed.
-	replay *traffic.Trace
-	// record, when non-nil, is filled with the run's offers and metadata.
-	record *traffic.Trace
-}
-
-// closedLoop reports whether the run uses closed-loop drop accounting: a
-// refused offer is deferred and retried, never counted as a drop. Replays
-// mirror the accounting of the run they recorded.
-func (wl *workload) closedLoop() bool {
-	return wl.window > 0 || (wl.replay != nil && wl.replay.ClosedLoop)
-}
 
 // cancelCheckInterval is how many steps a load run advances between polls
 // of its Cancel hook: frequent enough that a wedged multi-thousand-step
@@ -439,9 +377,10 @@ const cancelCheckInterval = 64
 // steps, then a drain window, with terminated flights harvested (and
 // recycled) every step. newLoadRun rewinds the simulation's workload,
 // Engine.Run steps it with loadRun.tick as its stop rule, and fold reads the
-// LoadPoint. The cell draws from a copy of r and leaves r as it was.
-func (opt *LoadSweepOptions[Row]) loadPoint(p *EnginePool, wl workload, router string, r *rng.Source) (traffic.LoadPoint, error) {
-	sim, err := p.get(opt.Dims, opt.Lambda)
+// LoadPoint. The cell draws from a copy of r and leaves r as it was; c must
+// have passed validateLoadShape (and applyReplay, when it replays).
+func loadPoint(p *EnginePool, c *LoadOptions, r *rng.Source) (traffic.LoadPoint, error) {
+	sim, err := p.get(c.Dims, c.Lambda)
 	if err != nil {
 		return traffic.LoadPoint{}, err
 	}
@@ -450,22 +389,22 @@ func (opt *LoadSweepOptions[Row]) loadPoint(p *EnginePool, wl workload, router s
 	// residency, and so do the contention configuration, the probe and the
 	// cell's wiring (TestLoadPointLeavesEngineClean).
 	defer p.put(sim)
-	lr, err := opt.newLoadRun(sim, wl, router, r)
+	lr, err := newLoadRun(sim, c, r)
 	if err != nil {
 		return traffic.LoadPoint{}, err
 	}
 	eng := lr.eng
 	eng.EnableContention(engine.ContentionConfig{
-		LinkRate:       opt.LinkRate,
-		NodeCapacity:   opt.NodeCapacity,
-		GridlockWindow: opt.GridlockWindow,
-		FlightTimeout:  opt.FlightTimeout,
-		Bubble:         opt.Bubble,
+		LinkRate:       c.LinkRate,
+		NodeCapacity:   c.NodeCapacity,
+		GridlockWindow: c.GridlockWindow,
+		FlightTimeout:  c.FlightTimeout,
+		Bubble:         c.Bubble,
 	})
 	// The probe attaches before the first injection, so its census covers
 	// the whole run; observation is read-only, so the LoadPoint is
 	// byte-identical with or without it.
-	eng.SetProbe(opt.Probe)
+	eng.SetProbe(c.Probe)
 	// Run also ends on a wedged engine; fold then counts the backlog
 	// unfinished and reports the run Gridlocked.
 	eng.Run(lr.ph.Total(), lr.next)
@@ -523,6 +462,9 @@ type loadCell struct {
 	ph     traffic.Phases
 	latObs interface{ ObserveLatency(steps int) }
 	rate   float64
+	// closed selects closed-loop drop accounting: a refused offer is
+	// deferred and retried, never counted as a drop. A replay mirrors the
+	// accounting of the run it recorded.
 	closed bool
 	// cancel is the caller's Cancel hook and probeEvery the census flush
 	// cadence; err is the cancel or inject error that stopped the run.
@@ -536,17 +478,17 @@ type loadCell struct {
 // router, the injection source for the selected mode and, when asked, the
 // recorder around it. It consumes the cell's stream in the order a fresh
 // build would and leaves the engine's configuration alone.
-func (opt *LoadSweepOptions[Row]) newLoadRun(sim *Simulation, wl workload, router string, r *rng.Source) (*loadRun, error) {
+func newLoadRun(sim *Simulation, c *LoadOptions, r *rng.Source) (*loadRun, error) {
 	shape := sim.shape
 	lr := &sim.load
 	lr.loadCell = loadCell{
 		eng:        sim.engine,
 		fab:        sim.mesh,
-		ph:         traffic.Phases{Warmup: opt.Warmup, Measure: opt.Measure, Drain: opt.Drain},
-		rate:       wl.rate,
-		closed:     wl.closedLoop(),
-		cancel:     opt.Cancel,
-		probeEvery: max(opt.ProbeEvery, 1),
+		ph:         traffic.Phases{Warmup: c.Warmup, Measure: c.Measure, Drain: c.Drain},
+		rate:       c.Rate,
+		closed:     c.Window > 0 || (c.Replay != nil && c.Replay.ClosedLoop),
+		cancel:     c.Cancel,
+		probeEvery: max(c.ProbeEvery, 1),
 	}
 	if lr.next == nil {
 		lr.emit, lr.harvest, lr.next = lr.offer, lr.finish, lr.tick
@@ -554,57 +496,57 @@ func (opt *LoadSweepOptions[Row]) newLoadRun(sim *Simulation, wl workload, route
 	lr.stream = *r
 	var err error
 	// recFaults is the fault schedule a recording must carry. It is only
-	// copied into wl.record after the recorder attaches, because attaching
+	// copied into c.Record after the recorder attaches, because attaching
 	// resets the trace (including any stale fault schedule).
 	var recFaults []fault.Event
 	switch {
-	case wl.replay != nil:
+	case c.Replay != nil:
 		// The trace carries the origin run's fault schedule; a live fault
 		// overlay would double-fault the replay.
-		if err := wl.replay.Validate(shape); err != nil {
+		if err := c.Replay.Validate(shape); err != nil {
 			return nil, err
 		}
-		if len(wl.replay.Faults) > 0 {
-			setSchedule(sim, wl.replay.Schedule())
+		if len(c.Replay.Faults) > 0 {
+			setSchedule(sim, c.Replay.Schedule())
 		}
 		// Re-recording a replay must carry the schedule over, or the copy
 		// would replay fault-free and break the byte-identity contract.
-		recFaults = wl.replay.Faults
-	case opt.FaultRate > 0 || opt.Faults > 0:
+		recFaults = c.Replay.Faults
+	case c.FaultRate > 0 || c.Faults > 0:
 		// The overlay draws from a stream split off the cell's, so the
 		// traffic draws below are byte-identical across fault settings (and
 		// the schedule is identical across patterns/rates at a fixed seed).
 		// Fault-free cells skip the split, keeping their goldens unchanged.
 		lr.stream.SplitInto(&lr.faults)
-		total := opt.Warmup + opt.Measure + opt.Drain
-		if opt.FaultRate > 0 {
+		total := c.Warmup + c.Measure + c.Drain
+		if c.FaultRate > 0 {
 			popt := fault.ProcessOptions{
-				Arrival:   fault.Delay{Model: opt.FaultModel, Rate: opt.FaultRate, Shape: opt.FaultShape},
-				Start:     opt.FaultStart,
+				Arrival:   fault.Delay{Model: c.FaultModel, Rate: c.FaultRate, Shape: c.FaultShape},
+				Start:     c.FaultStart,
 				Horizon:   total - 1,
-				Clustered: opt.Clustered,
+				Clustered: c.Clustered,
 			}
-			if opt.FaultRepair > 0 {
-				popt.Repair = fault.Delay{Model: fault.DelayBernoulli, Rate: 1 / opt.FaultRepair}
+			if c.FaultRepair > 0 {
+				popt.Repair = fault.Delay{Model: fault.DelayBernoulli, Rate: 1 / c.FaultRepair}
 			}
 			err = lr.process.Generate(sim.sched, shape, popt, &lr.faults)
 		} else {
 			// Fixed count: default the interval so the schedule spans the
 			// whole run (not, as the old hard-coded Start: 2 did, completing
 			// before the warmup ends), and start one interval in.
-			interval := opt.FaultInterval
+			interval := c.FaultInterval
 			if interval < 1 {
-				interval = max(total/(opt.Faults+1), 1)
+				interval = max(total/(c.Faults+1), 1)
 			}
-			start := opt.FaultStart
+			start := c.FaultStart
 			if start < 1 {
 				start = interval
 			}
 			var sched *fault.Schedule
-			if sched, err = fault.Generate(shape, opt.Faults, fault.Options{
+			if sched, err = fault.Generate(shape, c.Faults, fault.Options{
 				Interval:  interval,
 				Start:     start,
-				Clustered: opt.Clustered,
+				Clustered: c.Clustered,
 			}, &lr.faults); err == nil {
 				setSchedule(sim, sched)
 			}
@@ -614,60 +556,62 @@ func (opt *LoadSweepOptions[Row]) newLoadRun(sim *Simulation, wl workload, route
 		}
 		recFaults = sim.sched.Events
 	}
-	if lr.rtr, err = sim.router(router); err != nil {
+	if lr.rtr, err = sim.router(c.Router); err != nil {
 		return nil, err
 	}
 	var pat traffic.Pattern
-	if wl.replay == nil {
-		if pat, err = lr.pats.ByName(shape, wl.pattern); err != nil {
+	if c.Replay == nil {
+		if pat, err = lr.pats.ByName(shape, c.Pattern); err != nil {
 			return nil, err
 		}
 	}
 	switch {
-	case wl.replay != nil:
+	case c.Replay != nil:
 		// No retry machinery on replay: the recorded stream already carries
 		// the origin run's retried offers.
-		lr.src = traffic.NewTracePlayer(wl.replay)
-		lr.rate = wl.replay.Rate
-	case wl.window > 0:
-		lr.loop.Reset(shape, pat, wl.window, &lr.stream)
-		if opt.FlightTimeout > 0 {
-			lr.loop.ConfigureRetry(opt.RetryBackoff)
+		lr.src = traffic.NewTracePlayer(c.Replay)
+		lr.rate = c.Replay.Rate
+	case c.Window > 0:
+		// A closed loop has no nominal rate: Rate and Process go unread.
+		lr.rate = 0
+		lr.loop.Reset(shape, pat, c.Window, &lr.stream)
+		if c.FlightTimeout > 0 {
+			lr.loop.ConfigureRetry(c.RetryBackoff)
 		}
 		lr.cl = &lr.loop
 		lr.src = lr.cl
 	default:
-		if lr.proc == nil || lr.procName != opt.Process {
-			if lr.proc, err = traffic.ProcessByName(opt.Process); err != nil {
+		if lr.proc == nil || lr.procName != c.Process {
+			if lr.proc, err = traffic.ProcessByName(c.Process); err != nil {
 				return nil, err
 			}
-			lr.procName = opt.Process
+			lr.procName = c.Process
 		}
-		lr.gen.Reset(shape, pat, lr.proc, wl.rate, &lr.stream)
+		lr.gen.Reset(shape, pat, lr.proc, c.Rate, &lr.stream)
 		lr.src = &lr.gen
-		if opt.FlightTimeout > 0 {
-			lr.retry.Reset(lr.src, shape.NumNodes(), opt.RetryBackoff, &lr.stream)
+		if c.FlightTimeout > 0 {
+			lr.retry.Reset(lr.src, shape.NumNodes(), c.RetryBackoff, &lr.stream)
 			lr.rq = &lr.retry
 			lr.src = lr.rq
 		}
 	}
-	if wl.record != nil {
-		wl.record.Dims = shape.Radices()
-		wl.record.Rate = lr.rate
-		wl.record.Window = wl.window
-		wl.record.ClosedLoop = lr.closed
-		wl.record.Warmup, wl.record.Measure, wl.record.Drain = opt.Warmup, opt.Measure, opt.Drain
+	if c.Record != nil {
+		c.Record.Dims = shape.Radices()
+		c.Record.Rate = lr.rate
+		c.Record.Window = c.Window
+		c.Record.ClosedLoop = lr.closed
+		c.Record.Warmup, c.Record.Measure, c.Record.Drain = c.Warmup, c.Measure, c.Drain
 		// The engine-side configuration shapes every admission verdict, so
 		// the trace carries it: a replay inherits these unless the caller
 		// overrides deliberately.
-		wl.record.Lambda, wl.record.LinkRate, wl.record.NodeCapacity = opt.Lambda, opt.LinkRate, opt.NodeCapacity
-		wl.record.FlightTimeout, wl.record.GridlockWindow, wl.record.Bubble = opt.FlightTimeout, opt.GridlockWindow, opt.Bubble
-		lr.src = traffic.NewTraceRecorder(lr.src, wl.record) // resets the trace...
-		wl.record.Faults = append(wl.record.Faults, recFaults...)
+		c.Record.Lambda, c.Record.LinkRate, c.Record.NodeCapacity = c.Lambda, c.LinkRate, c.NodeCapacity
+		c.Record.FlightTimeout, c.Record.GridlockWindow, c.Record.Bubble = c.FlightTimeout, c.GridlockWindow, c.Bubble
+		lr.src = traffic.NewTraceRecorder(lr.src, c.Record) // resets the trace...
+		c.Record.Faults = append(c.Record.Faults, recFaults...)
 		// ... so the fault schedule is attached afterwards.
 	}
 	// The probe's latency sink, if it has one, sees every measured delivery.
-	lr.latObs, _ = opt.Probe.(interface{ ObserveLatency(steps int) })
+	lr.latObs, _ = c.Probe.(interface{ ObserveLatency(steps int) })
 	lr.col.Reset(lr.ph)
 	return lr, nil
 }
@@ -870,60 +814,63 @@ func (opt *LoadOptions) applyReplay() {
 	// of it would double-fault the replay.
 	opt.Faults = 0
 	opt.FaultRate = 0
-	if opt.Lambda == 0 {
-		opt.Lambda = tr.Lambda
-	}
-	if opt.LinkRate == 0 {
-		opt.LinkRate = tr.LinkRate
-	}
+	opt.Lambda, opt.LinkRate = cmp.Or(opt.Lambda, tr.Lambda), cmp.Or(opt.LinkRate, tr.LinkRate)
 	switch {
 	case opt.NodeCapacity == 0:
 		opt.NodeCapacity = tr.NodeCapacity
 	case opt.NodeCapacity < 0:
 		opt.NodeCapacity = 0 // explicit unbounded override
 	}
-	if opt.FlightTimeout == 0 {
-		opt.FlightTimeout = tr.FlightTimeout
-	}
-	if opt.GridlockWindow == 0 {
-		opt.GridlockWindow = tr.GridlockWindow
-	}
-	if tr.Bubble {
-		opt.Bubble = true
-	}
+	opt.FlightTimeout = cmp.Or(opt.FlightTimeout, tr.FlightTimeout)
+	opt.GridlockWindow = cmp.Or(opt.GridlockWindow, tr.GridlockWindow)
+	opt.Bubble = opt.Bubble || tr.Bubble
 }
 
-// cell resolves a one-shot run into what loadPoint takes: the engine-side
-// configuration (with the trace inheritance applied when opt.Replay is set)
-// and the workload. It is the one place LoadOptions becomes the sweeps'
-// LoadSweepOptions — the only field-by-field copy between option structs —
-// shared by LoadRun and ReplayCompareSweepWorkers, so a replay behaves the
-// same whichever entry point runs it.
-func (opt LoadOptions) cell() (SaturationOptions, workload) {
-	if opt.Replay != nil {
-		opt.applyReplay()
+// validateLoadShape checks (and defaults) the workload-independent run
+// configuration of a cell, live or replayed: the phase lengths, the
+// contention parameters and the fault overlay.
+func (opt *LoadOptions) validateLoadShape() error {
+	if opt.Measure < 1 {
+		return fmt.Errorf("ndmesh: load run needs a measurement window (Measure >= 1)")
 	}
-	sopt := SaturationOptions{
-		Dims: opt.Dims, Lambda: opt.Lambda,
-		Routers: []string{opt.Router}, Patterns: []string{opt.Pattern},
-		Rates: []float64{opt.Rate}, Process: opt.Process,
-		Warmup: opt.Warmup, Measure: opt.Measure, Drain: opt.Drain,
-		LinkRate: opt.LinkRate, NodeCapacity: opt.NodeCapacity,
-		FlightTimeout: opt.FlightTimeout, RetryBackoff: opt.RetryBackoff,
-		Bubble: opt.Bubble, GridlockWindow: opt.GridlockWindow,
-		Faults: opt.Faults, FaultInterval: opt.FaultInterval,
-		Clustered: opt.Clustered, FaultStart: opt.FaultStart,
-		FaultRate: opt.FaultRate, FaultModel: opt.FaultModel,
-		FaultShape: opt.FaultShape, FaultRepair: opt.FaultRepair,
-		Probe: opt.Probe, ProbeEvery: opt.ProbeEvery,
-		Cancel: opt.Cancel,
+	if opt.Warmup < 0 || opt.Drain < 0 {
+		return fmt.Errorf("ndmesh: negative phase lengths (warmup %d, drain %d)", opt.Warmup, opt.Drain)
 	}
-	wl := workload{pattern: opt.Pattern, rate: opt.Rate, window: opt.Window,
-		replay: opt.Replay, record: opt.Record}
-	if wl.window > 0 {
-		wl.rate = 0
+	opt.Lambda, opt.LinkRate = max(opt.Lambda, 1), max(opt.LinkRate, 1)
+	opt.FlightTimeout, opt.RetryBackoff = max(opt.FlightTimeout, 0), max(opt.RetryBackoff, 0)
+	opt.GridlockWindow = max(opt.GridlockWindow, 0)
+	if opt.Bubble && opt.NodeCapacity == 1 {
+		return fmt.Errorf("ndmesh: bubble admission with capacity 1 can never admit a flight (NodeCapacity must be >= 2)")
 	}
-	return sopt, wl
+	if opt.FaultStart < 0 {
+		return fmt.Errorf("ndmesh: FaultStart %d must be >= 0", opt.FaultStart)
+	}
+	if !finite(opt.FaultRate) || !finite(opt.FaultShape) || !finite(opt.FaultRepair) {
+		return fmt.Errorf("ndmesh: fault process parameters must be finite (rate %v, shape %v, repair %v)",
+			opt.FaultRate, opt.FaultShape, opt.FaultRepair)
+	}
+	if opt.FaultRate < 0 || opt.FaultRate > 1 {
+		return fmt.Errorf("ndmesh: fault rate %v out of range [0, 1]", opt.FaultRate)
+	}
+	if opt.FaultRate > 0 {
+		if opt.Faults > 0 {
+			return fmt.Errorf("ndmesh: FaultRate and Faults are mutually exclusive overlays — pick the stochastic process or the fixed count")
+		}
+		opt.FaultModel = cmp.Or(opt.FaultModel, fault.DelayBernoulli)
+		if opt.FaultModel != fault.DelayBernoulli && opt.FaultModel != fault.DelayWeibull {
+			return fmt.Errorf("ndmesh: unknown fault model %q (want %s|%s)", opt.FaultModel, fault.DelayBernoulli, fault.DelayWeibull)
+		}
+		if opt.FaultModel == fault.DelayWeibull && opt.FaultShape == 0 {
+			opt.FaultShape = 1.5
+		}
+		if opt.FaultRepair < 0 {
+			return fmt.Errorf("ndmesh: FaultRepair %v must be >= 0", opt.FaultRepair)
+		}
+		if opt.FaultRepair > 0 && opt.FaultRepair < 1 {
+			return fmt.Errorf("ndmesh: FaultRepair %v is a mean delay in steps (>= 1)", opt.FaultRepair)
+		}
+	}
+	return nil
 }
 
 // LoadRun executes one load run under contention and returns its
@@ -942,20 +889,21 @@ func LoadRun(opt LoadOptions) (traffic.LoadPoint, error) {
 	if opt.Router == "" {
 		return traffic.LoadPoint{}, fmt.Errorf("ndmesh: load run needs a router")
 	}
-	sopt, wl := opt.cell()
-	// Closed-loop and replay runs have no live arrival process to validate
-	// a rate against (a closed loop has no nominal rate at all).
-	if wl.window == 0 && wl.replay == nil {
-		if err := sopt.validateRates(opt.Rate); err != nil {
+	if opt.Replay != nil {
+		opt.applyReplay()
+	} else if opt.Window == 0 {
+		// Closed-loop and replay runs have no live arrival process to
+		// validate a rate against (a closed loop has no nominal rate at all).
+		if err := validateRates(opt.Process, opt.Rate); err != nil {
 			return traffic.LoadPoint{}, err
 		}
 	}
-	if err := sopt.validateLoadShape(); err != nil {
+	if err := opt.validateLoadShape(); err != nil {
 		return traffic.LoadPoint{}, err
 	}
 	pts, err := runGrid(fanOut{workers: 1, pool: opt.Pool, cancel: opt.Cancel, progress: opt.Progress}, opt.Seed, 1,
 		func(p *EnginePool, _ int, r *rng.Source) (traffic.LoadPoint, error) {
-			return sopt.loadPoint(p, wl, opt.Router, r)
+			return loadPoint(p, &opt, r)
 		}, nil)
 	if err != nil {
 		return traffic.LoadPoint{}, err

@@ -21,6 +21,14 @@ func smallSaturation() SaturationOptions {
 	return opt
 }
 
+// cellAt is opt's base cell with a job's axes set, as a sweep job sets
+// them: pattern at an open-loop rate or a closed-loop window, via router.
+func cellAt[Row any](opt LoadSweepOptions[Row], pattern string, rate float64, window int, router string) LoadOptions {
+	c := opt.cell()
+	c.Pattern, c.Rate, c.Window, c.Router = pattern, rate, window, router
+	return c
+}
+
 // TestParallelSaturationSweepDeterministic extends the repository's
 // determinism contract to the load subsystem: byte-identical rows for
 // every worker count (run under -race in CI to certify the fan-out shares
@@ -281,7 +289,8 @@ func TestLoadPointLeavesEngineClean(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			o := opt
 			o.Drain = tc.drain
-			pt, err := o.loadPoint(pool, workload{pattern: "uniform", rate: tc.rate}, "limited", rng.New(3).Split())
+			c := cellAt(o, "uniform", tc.rate, 0, "limited")
+			pt, err := loadPoint(pool, &c, rng.New(3).Split())
 			if err != nil {
 				t.Fatal(err)
 			}
