@@ -220,9 +220,10 @@ type tomb struct {
 	round int
 }
 
-// placement is a block's placement bits, marked for box.
+// placement is a block's placement bits, marked for the box its id held
+// at generation gen (info.Store.Gen; 0, which no box has, on a new entry).
 type placement struct {
-	box  grid.Box
+	gen  uint32
 	bits []uint64
 }
 
@@ -239,15 +240,14 @@ type Protocol struct {
 	cons  []*Construction
 	// spare recycles retired constructions; Start reuses them so a fault
 	// process cycling blocks through the protocol allocates nothing once
-	// warm. Their bitsets, fronts and bases and the placement cache's boxes
-	// are carved from chunks (internal/chunk): a cold fill costs an
+	// warm. Their bitsets, fronts and bases and the placement cache's
+	// bitsets are carved from chunks (internal/chunk): a cold fill costs an
 	// allocation per chunk, and every carved block stays with its owner
 	// across Reset.
-	spare  chunk.Pool[Construction]
-	words  chunk.Carver[uint64]       //meshvet:keep carves the constructions' and placements' bitsets
-	nodes  chunk.Carver[grid.NodeID]  //meshvet:keep carves the fronts
-	ids    chunk.Carver[info.BlockID] //meshvet:keep carves the bases
-	coords chunk.Carver[int]          //meshvet:keep carves the placements' boxes
+	spare chunk.Pool[Construction]
+	words chunk.Carver[uint64]       //meshvet:keep carves the constructions' and placements' bitsets
+	nodes chunk.Carver[grid.NodeID]  //meshvet:keep carves the fronts
+	ids   chunk.Carver[info.BlockID] //meshvet:keep carves the bases
 	// Cancel tombstones: tombs is the slot arena, firstTomb[id] links node
 	// id's marks (made by the first cancel, so a protocol that never
 	// cancels holds none) and freeTomb the free slots. expiry lists every
@@ -263,7 +263,7 @@ type Protocol struct {
 	round, live int
 	// placed[b] is the placement of the box block id b last named; an id
 	// keeps its entry when the store recycles it, remarked on first use.
-	placed []placement //meshvet:keep a cache checked against the box it was marked for
+	placed []placement //meshvet:keep a cache checked against the generation it was marked for
 	// Hops counts total node visits across constructions (message cost).
 	Hops int
 }
@@ -274,11 +274,10 @@ func NewProtocol(m *mesh.Mesh, store *info.Store) *Protocol {
 	n, words := m.NumNodes(), (m.NumNodes()+63)/64
 	return &Protocol{
 		m: m, store: store, ttl: m.Shape().Diameter(),
-		spare:  chunk.NewPool[Construction](consPerChunk, consPerChunk),
-		words:  chunk.New[uint64](4 * consPerChunk * words),
-		nodes:  chunk.New[grid.NodeID](4 * n),
-		ids:    chunk.New[info.BlockID](16 * consPerChunk),
-		coords: chunk.New[int](2 * m.Shape().Dims() * consPerChunk),
+		spare: chunk.NewPool[Construction](consPerChunk, consPerChunk),
+		words: chunk.New[uint64](4 * consPerChunk * words),
+		nodes: chunk.New[grid.NodeID](4 * n),
+		ids:   chunk.New[info.BlockID](16 * consPerChunk),
 	}
 }
 
@@ -347,18 +346,15 @@ func (p *Protocol) addBase(c *Construction, b info.BlockID) {
 		p.placed = chunk.Reserve(p.placed, consPerChunk)
 		p.placed = append(p.placed, placement{})
 	}
-	pl, box := &p.placed[b], p.store.Box(b)
+	pl := &p.placed[b]
 	if pl.bits == nil {
-		// One set and one box per box-table slot, kept across Reset.
+		// One set per box-table slot, kept across Reset.
 		pl.bits = p.words.Make(len(c.region))[:len(c.region)]
-		n := box.Dims()
-		lohi := p.coords.Make(2 * n)
-		pl.box = grid.Box{Lo: lohi[:0:n], Hi: lohi[n : n : 2*n]}
 	}
-	if !pl.box.Equal(box) { // a new entry's empty box equals none
+	if gen := p.store.Gen(b); pl.gen != gen {
 		clear(pl.bits)
-		pl.box.Set(box)
-		markPlacement(p.m.Shape(), box, pl.bits)
+		pl.gen = gen
+		markPlacement(p.m.Shape(), p.store.Box(b), pl.bits)
 	}
 	for i, w := range pl.bits {
 		c.region[i] |= w

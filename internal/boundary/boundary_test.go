@@ -471,10 +471,27 @@ func TestRegionFollowsRecycledBlockID(t *testing.T) {
 	}
 	p.Start(b, 3, Deposit, []grid.NodeID{shape.Index(grid.Coord{7, 7})})
 	run()
-	for id := grid.NodeID(0); int(id) < shape.NumNodes(); id++ {
-		want := m.Status(id) == mesh.Enabled && OnPlacement(boxB, shape.CoordView(id))
-		if got := store.Has(id, b); got != want {
-			t.Fatalf("node %v holds the recycled id's record: %v, want %v", shape.CoordView(id), got, want)
+	check := func(b info.BlockID, box grid.Box) {
+		t.Helper()
+		for id := grid.NodeID(0); int(id) < shape.NumNodes(); id++ {
+			want := m.Status(id) == mesh.Enabled && OnPlacement(box, shape.CoordView(id))
+			if got := store.Has(id, b); got != want {
+				t.Fatalf("node %v holds the recycled id's record of %v: %v, want %v", shape.CoordView(id), box, got, want)
+			}
 		}
+	}
+	check(b, boxB)
+	// A cleared store hands the id out again while its placement is still
+	// cached for the box before: Clear must not rewind the slot's
+	// generation, or the second trial would find the first one's again.
+	for _, box := range []grid.Box{boxA, boxB} {
+		p.Reset()
+		store.Clear()
+		if c := store.Intern(box); c != a {
+			t.Fatalf("the cleared store named %v by id %d, not the recycled %d", box, c, a)
+		}
+		p.Start(a, 1, Deposit, []grid.NodeID{shape.Index(box.Lo) - grid.NodeID(shape.Stride(1)+1)})
+		run()
+		check(a, box)
 	}
 }

@@ -15,6 +15,10 @@
 //     constructions, ident's runs, sub-runs and walkers, and core's
 //     watches.
 //
+// The module keeps 13 Carver and 7 Pool fields outside this package, and
+// the root package's TestChunkConsumers fails if either count grows: a new
+// owner of chunks replaces an old one or earns its keep in a measurement.
+//
 // Chunks double: an owner's first chunk is the size it asks for, and each
 // later one twice the last, up to 64 KiB. A small owner (an 8x8 mesh, a
 // cell that injects a few flights) holds one small chunk, and a large fill

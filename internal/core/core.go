@@ -38,13 +38,10 @@ import (
 const watchStrikes = 2
 
 // watched tracks one constructed block: its id in the store's box table
-// (held until the watch retires), construction epoch, frame corners, and the
-// per-corner inconsistency strike counter. key is the box formatted as
-// grid.Box.String does; the watch list is sorted by it.
+// (held until the watch retires), frame corners, and the per-corner
+// inconsistency strike counter.
 type watched struct {
-	key     []byte
 	block   info.BlockID
-	epoch   uint32
 	corners []cornerRole
 	strikes int
 }
@@ -67,27 +64,24 @@ type Model struct {
 
 	epoch uint32
 	round int
-	// watches holds the constructed blocks in key order — the order the
-	// deletion trigger visits them, and so the order cancellation epochs
-	// are assigned. scratch is where onIdentified builds each frame corner,
-	// and keyBuf where getWatched formats each key before carving it.
+	// watches holds the constructed blocks in the byte order of their boxes
+	// formatted as grid.Box.String does — the order the deletion trigger
+	// visits them, and so the order cancellation epochs are assigned.
+	// scratch is where onIdentified builds each frame corner, and boxText
+	// where compareWatch formats the two boxes it compares.
 	watches []*watched
 	scratch grid.Coord //meshvet:keep scratch buffer, overwritten before every use
-	keyBuf  []byte     //meshvet:keep scratch buffer, overwritten before every use
+	boxText []byte     //meshvet:keep scratch buffer, overwritten before every use
 
 	// seedBuf and spare make the identification path allocation-free once
 	// warm: flood seeds are staged in seedBuf (boundary.Start copies them),
-	// and retired watch objects are recycled through spare with their key
-	// and corner storage. The corners and keys are carved from chunks
-	// (internal/chunk): a cold fill costs an allocation per chunk, and every
-	// carved block stays with its owner across Reset.
+	// and retired watch objects are recycled through spare with their
+	// corner storage, which is carved from chunks (internal/chunk): a cold
+	// fill costs an allocation per chunk, and every carved block stays with
+	// its owner across Reset.
 	seedBuf []grid.NodeID //meshvet:keep staging buffer, copied out by boundary.Start
 	spare   chunk.Pool[watched]
 	corners chunk.Carver[cornerRole] //meshvet:keep carves the corner lists their watches keep
-	keys    chunk.Carver[byte]       //meshvet:keep carves the keys their watches keep
-
-	// Debug, when non-nil, receives internal decision traces (tests only).
-	Debug func(format string, args ...any) //meshvet:keep test hook, not trial state
 
 	// Last activity rounds, for convergence accounting (a_i, b_i, c_i).
 	LastLabelRound, LastFrameRound, LastIdentRound, LastBoundaryRound int
@@ -111,14 +105,13 @@ func New(m *mesh.Mesh) *Model {
 		scratch:  make(grid.Coord, n),
 		spare:    chunk.NewPool[watched](watchesPerChunk, watchesPerChunk),
 		corners:  chunk.New[cornerRole](watchesPerChunk << n),
-		keys:     chunk.New[byte](watchesPerChunk * 16 * n),
 	}
 	md.Ident.OnIdentified = md.onIdentified
 	return md
 }
 
-// watchesPerChunk is how many watches the first chunk of watch objects,
-// corner lists or keys is sized for.
+// watchesPerChunk is how many watches the first chunk of watch objects or
+// corner lists is sized for.
 const watchesPerChunk = 16
 
 // RoundCount returns the current global round counter.
@@ -215,16 +208,16 @@ func (md *Model) Stabilize() int {
 // corner over the block's frame shell and down its boundary walls, merging
 // into other blocks' placements where they intersect (Fig. 3(d)).
 func (md *Model) onIdentified(box grid.Box, corner grid.NodeID) {
-	w := md.getWatched(box)
-	at, dup := slices.BinarySearchFunc(md.watches, w.key, func(o *watched, key []byte) int {
-		return bytes.Compare(o.key, key)
-	})
+	at, dup := slices.BinarySearchFunc(md.watches, box, md.compareWatch)
 	if dup {
-		md.spare.Put(w)
 		return // already constructed (another corner's run finished first)
 	}
+	w, fresh := md.spare.Get()
+	if fresh {
+		w.corners = md.corners.Make(1 << box.Dims())
+	}
+	w.corners, w.strikes = w.corners[:0], 0
 	md.epoch++
-	w.epoch = md.epoch
 	w.block = md.Store.Intern(box)
 	md.seedBuf = append(md.seedBuf[:0], corner)
 	md.Boundary.Start(w.block, md.epoch, boundary.Deposit, md.seedBuf)
@@ -253,25 +246,18 @@ func (md *Model) onIdentified(box grid.Box, corner grid.NodeID) {
 	md.LastBoundaryRound = md.round
 }
 
-// getWatched returns a keyed watch object for the box, recycling a retired
-// one (keeping its key and corner storage) when available, or carving one.
-func (md *Model) getWatched(box grid.Box) *watched {
-	w, fresh := md.spare.Get()
-	if fresh {
-		w.corners = md.corners.Make(1 << box.Dims())
-	}
-	md.keyBuf = appendBoxKey(md.keyBuf[:0], box)
-	w.key = md.keys.Grow(w.key[:0], len(md.keyBuf))
-	w.key = append(w.key, md.keyBuf...)
-	w.corners = w.corners[:0]
-	w.strikes = 0
-	return w
+// compareWatch orders w's box against box by their bytes as grid.Box.String
+// formats them, both into boxText — the watch list is sorted this way, so
+// the format is part of the deletion-trigger visit order.
+func (md *Model) compareWatch(w *watched, box grid.Box) int {
+	text := appendBox(md.boxText[:0], md.Store.Box(w.block))
+	k := len(text)
+	md.boxText = appendBox(text, box)
+	return bytes.Compare(md.boxText[:k], md.boxText[k:])
 }
 
-// appendBoxKey formats box exactly as grid.Box.String does — the watch list
-// is sorted by key, so the format is part of the deletion-trigger visit
-// order.
-func appendBoxKey(buf []byte, box grid.Box) []byte {
+// appendBox formats box exactly as grid.Box.String does.
+func appendBox(buf []byte, box grid.Box) []byte {
 	buf = append(buf, '[')
 	for i := range box.Lo {
 		if i > 0 {
@@ -288,7 +274,7 @@ func appendBoxKey(buf []byte, box grid.Box) []byte {
 // constructed block reports an inconsistent frame announcement for
 // watchStrikes consecutive rounds (with no clean wave in flight), the
 // block's old information is cancelled along its old placement. Watches are
-// visited in key order for determinism; retired ones are compacted away in
+// visited in list order for determinism; retired ones are compacted away in
 // place.
 func (md *Model) watchCorners() int {
 	activity := 0
@@ -331,17 +317,9 @@ func (md *Model) cornersConsistent(w *watched) bool {
 	if md.M.NumClean() > 0 {
 		return true // a clean wave is in flight: wait for it to settle
 	}
-	shape := md.M.Shape()
-	n := shape.Dims()
+	n := md.M.Shape().Dims()
 	for _, c := range w.corners {
-		if md.M.Status(c.node) != mesh.Enabled {
-			continue
-		}
-		if !md.Detector.HasRecord(c.node, n, c.role) {
-			if md.Debug != nil {
-				md.Debug("watch %v: corner %v lost its role (want level %d dirs=%b, has %v)",
-					md.Store.Box(w.block), shape.CoordOf(c.node), n, c.role, md.Detector.Records(c.node))
-			}
+		if md.M.Status(c.node) == mesh.Enabled && !md.Detector.HasRecord(c.node, n, c.role) {
 			return false
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"ndmesh/internal/block"
@@ -242,5 +243,32 @@ func TestIdleRoundCheap(t *testing.T) {
 	applyAndStabilize(t, md, grid.Coord{5, 5})
 	if act := md.Round(); act != 0 {
 		t.Fatalf("idle round reported activity %d", act)
+	}
+}
+
+// TestWatchOrderIsBoxText: the watch list is sorted by the bytes of its
+// boxes as grid.Box.String formats them, not numerically — on 16x16 the box
+// at x = 10 sorts before the one at x = 9 — since that order is the
+// deletion trigger's visit order and so the order of cancellation epochs.
+func TestWatchOrderIsBoxText(t *testing.T) {
+	md := newModel2D(t, 16)
+	boxes := []grid.Box{
+		grid.BoxAt(grid.Coord{9, 3}), grid.BoxAt(grid.Coord{10, 3}),
+		grid.BoxAt(grid.Coord{1, 12}), grid.BoxAt(grid.Coord{1, 2}),
+		meshtest.NewBox(grid.Coord{9, 3}, grid.Coord{11, 3}),
+		meshtest.NewBox(grid.Coord{2, 5}, grid.Coord{2, 6}),
+	}
+	for _, a := range boxes {
+		w := &watched{block: md.Store.Intern(a)}
+		for _, b := range boxes {
+			want := strings.Compare(a.String(), b.String())
+			if got := md.compareWatch(w, b); got != want {
+				t.Errorf("a watch of %v against %v compares %d, want %d", a, b, got, want)
+			}
+		}
+	}
+	nine := &watched{block: md.Store.Intern(boxes[0])}
+	if md.compareWatch(nine, boxes[1]) <= 0 {
+		t.Errorf("the watch of %v sorts before %v", boxes[0], boxes[1])
 	}
 }

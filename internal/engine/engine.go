@@ -105,6 +105,11 @@ type Flight struct {
 // chunk holds; later chunks double (see internal/chunk).
 const flightChunk = 64
 
+// flightLists is the most room the flight lists start with: a flight per
+// node up to 8,192 (64 KiB of pointers, a chunk's cap), so a large mesh
+// does not hold megabytes of list before its first flight.
+const flightLists = 8192
+
 // EventRecord captures one fault occurrence (or recovery) and the
 // convergence of the information constructions it triggered.
 type EventRecord struct {
@@ -117,11 +122,10 @@ type EventRecord struct {
 	Kind  fault.Kind
 	Node  grid.NodeID
 
-	// ARounds/FrameRounds/BRounds/CRounds are rounds from the event until
-	// the last labeling / frame / identification / boundary activity
-	// attributable to it (finalized when the next event fires or the run
-	// ends).
-	ARounds, FrameRounds, BRounds, CRounds int
+	// ARounds/BRounds/CRounds are rounds from the event until the last
+	// labeling / identification / boundary activity attributable to it
+	// (finalized when the next event fires or the run ends).
+	ARounds, BRounds, CRounds int
 	// ASteps is ceil(ARounds/λ) etc., the step-denominated stabilization
 	// times the theorems use.
 	ASteps, BSteps, CSteps int
@@ -313,14 +317,16 @@ func New(md *core.Model, lambda int, sched *fault.Schedule) *Engine {
 	}
 	// A link index enters each dirty list at most once (when its counter
 	// leaves 0), so n*dirs bounds every list and a step never grows one.
-	// The flight lists start with room for a flight per node, so a load
-	// cell's population fills them without doubling up from empty.
+	// The flight lists start with room for a flight per node (up to
+	// flightLists), so a load cell's population fills them without
+	// doubling up from empty.
 	n, dirs := md.M.NumNodes(), md.M.Shape().NumDirs()
+	fl := min(n, flightLists)
 	e := &Engine{
 		Model: md, Lambda: lambda, Schedule: sched,
-		flights: make([]*Flight, 0, n),
-		retired: make([]*Flight, 0, n),
-		spare:   chunk.NewPool[Flight](flightChunk, n),
+		flights: make([]*Flight, 0, fl),
+		retired: make([]*Flight, 0, fl),
+		spare:   chunk.NewPool[Flight](flightChunk, fl),
 		ctn: contention{
 			cfg:         free,
 			served:      make([]int32, n*dirs),
@@ -834,7 +840,6 @@ func (e *Engine) finalizeLastEvent() {
 	rec := &e.Events[len(e.Events)-1]
 	md := e.Model
 	rec.ARounds = clampNonNeg(md.LastLabelRound - rec.Round)
-	rec.FrameRounds = clampNonNeg(md.LastFrameRound - rec.Round)
 	rec.BRounds = clampNonNeg(md.LastIdentRound - rec.Round)
 	rec.CRounds = clampNonNeg(md.LastBoundaryRound - rec.Round)
 	rec.ASteps = ceilDiv(rec.ARounds, e.Lambda)

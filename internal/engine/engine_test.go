@@ -261,7 +261,7 @@ func TestInjectAllocsPerSlab(t *testing.T) {
 // its free list at the next retirement, outside what is measured.
 func freshCost(e *Engine, inject func()) (allocs, bytes uint64) {
 	e.ClearFlights()
-	e.spare = chunk.NewPool[Flight](flightChunk, e.Model.M.NumNodes())
+	e.spare = chunk.NewPool[Flight](flightChunk, min(e.Model.M.NumNodes(), flightLists))
 	e.tables = route.NewTables(e.Model.M.Shape(), flightChunk)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -342,5 +342,29 @@ func TestInjectBytesPerSlab(t *testing.T) {
 	limit := flightChunk*(unsafe.Sizeof(Flight{})+share) + 2*page
 	if got > uint64(limit) {
 		t.Errorf("64 fresh injections on 256x256 allocated %d bytes, want at most %d", got, limit)
+	}
+}
+
+// TestFlightListsOnLargeMesh: the flight lists start with room for a flight
+// per node only up to flightLists, so a fresh 256x256 engine holds 64 KiB of
+// each list, not 512 KiB, and its free list is made as small when the first
+// flight comes back (plus at most two pages the runtime allocates for
+// itself when a collection starts inside the reading).
+func TestFlightListsOnLargeMesh(t *testing.T) {
+	e := newEngine(t, []int{256, 256}, 1, nil)
+	if cap(e.flights) > flightLists || cap(e.retired) > flightLists {
+		t.Errorf("a fresh 256x256 engine starts its flight lists at %d and %d, want at most %d",
+			cap(e.flights), cap(e.retired), flightLists)
+	}
+	if _, err := e.Inject(0, 60000, route.Limited{}); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e.ClearFlights()
+	runtime.ReadMemStats(&after)
+	const page = 8192
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(8*flightLists+2*page); got > limit {
+		t.Errorf("the first flight back on 256x256 allocated %d bytes of free list, want at most %d", got, limit)
 	}
 }

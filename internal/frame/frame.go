@@ -50,18 +50,16 @@ type Detector struct {
 	lists chunk.Carver[Announcement] //meshvet:keep carves blocks the lists keep across Reset
 	// cand holds the nodes to re-evaluate next round.
 	cand grid.NodeSet
-	// changed lists the nodes whose announcements changed in the last
-	// Round; consumers (identification initiation) read it after each
-	// round.
-	changed []grid.NodeID
 	// pending* are the per-round commit arena: announcements recomputed
 	// this round accumulate in one flat buffer (pending), with pendingIDs
 	// and pendingOff delimiting each node's range. The arena is reused
 	// every round, so a round allocates only when announcements outgrow
-	// all previous rounds' capacity.
+	// all previous rounds' capacity. pendingIDs, the nodes whose
+	// announcements the last Round changed, is also what Changed returns;
+	// every Round empties it first.
 	pending    []Announcement //meshvet:keep commit arena, re-sliced at each Round
-	pendingIDs []grid.NodeID  //meshvet:keep commit arena, re-sliced at each Round
-	pendingOff []int          //meshvet:keep commit arena, re-sliced at each Round
+	pendingIDs []grid.NodeID
+	pendingOff []int //meshvet:keep commit arena, re-sliced at each Round
 }
 
 // NewDetector builds a detector over m with empty announcements.
@@ -131,7 +129,7 @@ func (d *Detector) Reset() {
 		}
 	}
 	d.cand.Clear()
-	d.changed = d.changed[:0]
+	d.pendingIDs = d.pendingIDs[:0]
 }
 
 // Round performs one synchronous announcement-update round and returns the
@@ -139,7 +137,7 @@ func (d *Detector) Reset() {
 // staged in the reusable arena and committed together, preserving the
 // synchronous model (every compute sees only last round's announcements).
 func (d *Detector) Round() int {
-	d.changed = d.changed[:0]
+	d.pendingIDs = d.pendingIDs[:0]
 	if d.cand.Len() == 0 {
 		return 0
 	}
@@ -148,7 +146,6 @@ func (d *Detector) Round() int {
 	// that bound.
 	n := d.m.NumNodes()
 	d.pending = d.pending[:0]
-	d.pendingIDs = d.pendingIDs[:0]
 	d.pendingOff = chunk.Reserve(d.pendingOff, n+1)[:0]
 	for _, id := range d.cand.IDs() {
 		start := len(d.pending)
@@ -165,7 +162,6 @@ func (d *Detector) Round() int {
 	for k, id := range d.pendingIDs {
 		anns := d.pending[d.pendingOff[k]:d.pendingOff[k+1]]
 		d.ann[id] = append(d.lists.Grow(d.ann[id][:0], len(anns)), anns...)
-		d.changed = append(chunk.Reserve(d.changed, n), id)
 		d.addWithNeighbors(id)
 	}
 	return len(d.pendingIDs)
@@ -185,7 +181,7 @@ func annsEqual(a, b []Announcement) bool {
 
 // Changed returns the nodes whose announcement changed in the last Round.
 // The slice is valid until the next Round call.
-func (d *Detector) Changed() []grid.NodeID { return d.changed }
+func (d *Detector) Changed() []grid.NodeID { return d.pendingIDs }
 
 // compute derives node id's announcements from direct bad-neighbor
 // observation (level 1) and neighbors' current announcements (level k from
@@ -275,18 +271,7 @@ func (d *Detector) consistentCorner(id grid.NodeID, dirs grid.DirSet, level int)
 			continue
 		}
 		nb := d.m.Neighbor(id, dir)
-		if nb == grid.InvalidNode {
-			return false
-		}
-		want := dirs.Remove(dir)
-		found := false
-		for _, a := range d.ann[nb] {
-			if int(a.Level) == level-1 && a.Dirs == want {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if nb == grid.InvalidNode || !d.HasRecord(nb, level-1, dirs.Remove(dir)) {
 			return false
 		}
 	}

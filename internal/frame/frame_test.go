@@ -342,3 +342,38 @@ func inBox(b grid.Box, c grid.Coord) bool {
 	}
 	return len(c) == b.Dims()
 }
+
+// TestChangedEmptyAfterQuietRound: Changed lists the nodes the last Round
+// changed, so a quiet Round after one with changes empties it — whether it
+// re-evaluated candidates and found nothing new or had none to evaluate.
+func TestChangedEmptyAfterQuietRound(t *testing.T) {
+	m, _ := meshtest.NewUniform(2, 10)
+	id := m.Shape().Index(grid.Coord{5, 5})
+	m.Fail(id)
+	det := NewDetector(m)
+	det.Seed(id)
+	if det.Round() == 0 || len(det.Changed()) == 0 {
+		t.Fatal("the first round after a fault changed nothing")
+	}
+	for rounds := 0; det.Round() > 0; rounds++ {
+		if rounds > 20 {
+			t.Fatal("the detector did not settle")
+		}
+	}
+	if got := det.Changed(); len(got) != 0 {
+		t.Fatalf("after a quiet round Changed lists %v", got)
+	}
+	det.Seed(id)
+	if det.Round() != 0 {
+		t.Fatal("re-evaluating settled nodes changed them")
+	}
+	m.Recover(id)
+	det.Seed(id)
+	if det.Round() == 0 {
+		t.Fatal("the round after a recovery changed nothing")
+	}
+	det.cand.Clear()
+	if det.Round() != 0 || len(det.Changed()) != 0 {
+		t.Fatalf("a round with no candidates lists %v", det.Changed())
+	}
+}

@@ -72,15 +72,11 @@ type Protocol struct {
 	walkers []*walker
 	// spareRuns/spareSubs/spareWalkers recycle retired protocol objects;
 	// with them a fault process that cycles identifications through the
-	// protocol allocates nothing once warm. deadFresh/deadReady stage
-	// retired runs for recycling: a deadline-expired run's walkers are only
-	// dropped by the NEXT round's walker filter, so its subRuns must survive
-	// one more round.
+	// protocol allocates nothing once warm. A run goes back in the round it
+	// ends, since that round's walker filter drops all its walkers.
 	spareRuns    chunk.Pool[run]
 	spareSubs    chunk.Pool[subRun]
 	spareWalkers chunk.Pool[walker]
-	deadFresh    []*run
-	deadReady    []*run
 	// pending holds nodes to consider for initiation (fed by announcement
 	// changes and by retry wakeups); initiate drains it every round. retry
 	// is every node's retry state, indexed by node id; retryQueue lists the
@@ -93,13 +89,12 @@ type Protocol struct {
 
 	// Every list that grows with the pooled objects is carved from chunks
 	// (internal/chunk): a box's Lo and Hi and a sub's free axes (ints), a
-	// sub's collected hulls (boxes), a run's results and subs, and the run
-	// lists above. A cold fill costs an allocation per chunk; every carved
-	// block stays with its owner across Reset.
+	// sub's collected hulls (boxes), and a run's results and subs. A cold
+	// fill costs an allocation per chunk; every carved block stays with its
+	// owner across Reset.
 	ints     chunk.Carver[int]      //meshvet:keep carves boxes and free axes their objects keep
 	boxes    chunk.Carver[grid.Box] //meshvet:keep carves the collected hulls their subs keep
 	sections chunk.Carver[section]  //meshvet:keep carves run results
-	runList  chunk.Carver[*run]     //meshvet:keep carves runs, deadFresh, deadReady
 	subList  chunk.Carver[*subRun]  //meshvet:keep carves run subs
 
 	// Hops counts walker moves (identification message cost).
@@ -133,7 +128,6 @@ func NewProtocol(m *mesh.Mesh, det *frame.Detector, store *info.Store) *Protocol
 		ints:         chunk.New[int](4 * dims * objsPerChunk),
 		boxes:        chunk.New[grid.Box](dims * objsPerChunk),
 		sections:     chunk.New[section](objsPerChunk),
-		runList:      chunk.New[*run](4 * objsPerChunk),
 		subList:      chunk.New[*subRun](4 * objsPerChunk),
 	}
 }
@@ -148,9 +142,10 @@ const objsPerChunk = 16
 func (p *Protocol) Reset() {
 	p.spareWalkers.Put(p.walkers...)
 	p.walkers = p.walkers[:0]
-	p.runs = p.recycle(p.runs)
-	p.deadFresh = p.recycle(p.deadFresh)
-	p.deadReady = p.recycle(p.deadReady)
+	for _, r := range p.runs {
+		p.recycle(r)
+	}
+	p.runs = p.runs[:0]
 	p.spareRuns.Restack()
 	p.spareSubs.Restack()
 	p.spareWalkers.Restack()
@@ -161,15 +156,11 @@ func (p *Protocol) Reset() {
 	p.Hops, p.Started, p.Completed, p.Failed = 0, 0, 0, 0
 }
 
-// recycle parks retired runs and their subRuns on the free lists and
-// returns the emptied list. Callers guarantee no live walker still
-// references them.
-func (p *Protocol) recycle(rs []*run) []*run {
-	for _, r := range rs {
-		p.spareSubs.Put(r.subs...)
-		p.spareRuns.Put(r)
-	}
-	return rs[:0]
+// recycle parks a retired run and its subRuns on the free lists. Callers
+// guarantee no live walker still references them.
+func (p *Protocol) recycle(r *run) {
+	p.spareSubs.Put(r.subs...)
+	p.spareRuns.Put(r)
 }
 
 // getRun, getSub and getWalker take an object off its free list (or carve
@@ -366,12 +357,12 @@ func (p *Protocol) Round() int {
 	}
 
 	// Retire walkers and runs. Dropped walkers go straight to the free
-	// list (nothing references a walker but this slice); retired runs are
-	// staged through deadFresh/deadReady because a deadline-expired run's
-	// walkers are only dropped by the NEXT round's walker filter.
+	// list (nothing references a walker but this slice). The filter drops
+	// every walker of a run the loop below retires — done, failed or past
+	// its deadline — so each retired run goes straight back too.
 	liveW := p.walkers[:0]
 	for _, w := range p.walkers {
-		if !w.done && !w.s.r.failed && !w.s.r.done {
+		if r := w.s.r; !w.done && !r.failed && !r.done && p.round <= r.deadline {
 			liveW = append(liveW, w)
 		} else {
 			p.spareWalkers.Put(w)
@@ -395,11 +386,9 @@ func (p *Protocol) Round() int {
 			liveR = append(liveR, r)
 			continue
 		}
-		p.deadFresh = p.runList.Grow(p.deadFresh, 1)
-		p.deadFresh = append(p.deadFresh, r)
+		p.recycle(r)
 	}
 	p.runs = liveR
-	p.deadReady, p.deadFresh = p.deadFresh, p.recycle(p.deadReady)
 	return actions
 }
 
@@ -488,7 +477,7 @@ func (p *Protocol) startRun(corner grid.NodeID, ann frame.Announcement) {
 	}
 	r.subs = p.subList.Grow(r.subs, 1)
 	r.subs = append(r.subs, top)
-	p.runs = p.runList.Grow(p.runs, 1)
+	p.runs = chunk.Reserve(p.runs, 4*objsPerChunk)
 	p.runs = append(p.runs, r)
 	p.launch(top)
 }

@@ -1,6 +1,7 @@
 package ident
 
 import (
+	"slices"
 	"testing"
 
 	"ndmesh/internal/block"
@@ -296,5 +297,57 @@ func TestQuiescentInitially(t *testing.T) {
 	}
 	if h.p.Round() != 0 {
 		t.Fatal("idle round reported activity")
+	}
+}
+
+// TestExpiredRunRetiresInItsRound: in the round a run passes its deadline,
+// the walker filter drops its walkers and the run, with its subs, goes back
+// on the free lists — no walker outlives its run by a round. A TTL shorter
+// than the ring walk around a 3x3 block makes every run expire in flight.
+func TestExpiredRunRetiresInItsRound(t *testing.T) {
+	h := newHarness(t, []int{16, 16}, []grid.Coord{{6, 6}, {7, 7}, {8, 8}})
+	h.p.TTL = 3
+	for id := 0; id < h.m.NumNodes(); id++ {
+		if h.det.Announcement(grid.NodeID(id)).Level > 0 {
+			h.p.Notify(grid.NodeID(id))
+		}
+	}
+	expired := 0
+	for rounds := 0; !h.p.Quiescent(); rounds++ {
+		if rounds > 2000 {
+			t.Fatal("identification did not quiesce")
+		}
+		// The runs that pass their deadline this round, walkers in flight.
+		var ending []*run
+		for _, r := range h.p.runs {
+			if r.deadline == h.p.round && !r.done && !r.failed {
+				ending = append(ending, r)
+			}
+		}
+		h.p.Round()
+		for _, w := range h.p.walkers {
+			if !slices.Contains(h.p.runs, w.s.r) {
+				t.Fatalf("round %d: a walker of a retired run is still in flight", h.p.round)
+			}
+		}
+		if len(ending) == 0 {
+			continue
+		}
+		expired += len(ending)
+		// The last run retired is the first the free list hands out, and
+		// its last sub the first of the subs.
+		r, fresh := h.p.spareRuns.Get()
+		if fresh || !slices.Contains(ending, r) {
+			t.Fatalf("round %d: an expired run is not back on the free list", h.p.round)
+		}
+		s, fresh := h.p.spareSubs.Get()
+		if fresh || s != r.subs[len(r.subs)-1] {
+			t.Fatalf("round %d: an expired run's subs are not back on the free list", h.p.round)
+		}
+		h.p.spareSubs.Put(s)
+		h.p.spareRuns.Put(r)
+	}
+	if expired == 0 || len(h.found) > 0 {
+		t.Fatalf("%d runs expired and %d completed, want every run to expire", expired, len(h.found))
 	}
 }

@@ -68,10 +68,12 @@ type Store struct {
 	// coords carves each table slot's box, Lo and Hi in one block of 2n.
 	coords chunk.Carver[int]
 	// Box table: boxes[b] is block b's box, in storage the slot keeps for
-	// good; refs[b] counts b's holders (0: a free slot, listed in free).
-	// The three lists start with room for 64 ids and double.
+	// good; refs[b] counts b's holders (0: a free slot, listed in free);
+	// gens[b] counts the boxes slot b has taken (see Gen). The four lists
+	// start with room for 64 ids and double.
 	boxes []grid.Box
 	refs  []int32
+	gens  []uint32
 	free  []BlockID
 	// version counts the changes to any node's records (see Version).
 	version uint64
@@ -97,6 +99,11 @@ func (s *Store) Version() uint64 { return s.version }
 // Box returns b's box: the table's own, read-only and valid while b is held.
 func (s *Store) Box(b BlockID) grid.Box { return s.boxes[b] }
 
+// Gen returns b's generation: it advances each time Intern enters a box
+// into b's slot and never rewinds, Clear included, so a reader that saw
+// the same generation twice saw the same box there.
+func (s *Store) Gen(b BlockID) uint32 { return s.gens[b] }
+
 // Find returns the id of box if some holder names it.
 func (s *Store) Find(box grid.Box) (BlockID, bool) {
 	for b := range s.refs {
@@ -119,10 +126,13 @@ func (s *Store) Intern(box grid.Box) BlockID {
 		b, s.free = s.free[len(s.free)-1], s.free[:len(s.free)-1]
 		copy(s.boxes[b].Lo, box.Lo)
 		copy(s.boxes[b].Hi, box.Hi)
+		s.gens[b]++
 	default:
 		b = BlockID(len(s.refs))
 		s.refs = chunk.Reserve(s.refs, 64)
 		s.refs = append(s.refs, 0)
+		s.gens = chunk.Reserve(s.gens, 64)
+		s.gens = append(s.gens, 1)
 		// free has room for every id refs has room for, so neither Release
 		// nor Clear grows it: a rerun on a cleared store allocates nothing.
 		s.free = slices.Grow(s.free, cap(s.refs)-len(s.free))

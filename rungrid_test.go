@@ -530,6 +530,55 @@ func TestOneFanOut(t *testing.T) {
 	}
 }
 
+// TestChunkConsumers is a ratchet on internal/chunk's users: each carver or
+// pool a struct keeps outside internal/chunk is one more owner of chunks
+// that must earn its keep, so the count of chunk.Carver and chunk.Pool
+// fields declared in non-test Go may only go down.
+func TestChunkConsumers(t *testing.T) {
+	const maxCarvers, maxPools = 13, 7
+	fset, files := moduleFiles(t)
+	count := map[string][]string{}
+	for _, m := range files {
+		if m.test() || m.fixture() || m.under("internal/chunk") {
+			continue
+		}
+		ast.Inspect(m.f, func(n ast.Node) bool {
+			st, ok := n.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			for _, field := range st.Fields.List {
+				typ := field.Type
+				if ix, ok := typ.(*ast.IndexExpr); ok {
+					typ = ix.X
+				}
+				sel, ok := typ.(*ast.SelectorExpr)
+				if !ok {
+					continue
+				}
+				if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "chunk" {
+					continue
+				}
+				for range max(len(field.Names), 1) {
+					count[sel.Sel.Name] = append(count[sel.Sel.Name], fset.Position(field.Pos()).String())
+				}
+			}
+			return true
+		})
+	}
+	carvers, pools := count["Carver"], count["Pool"]
+	t.Logf("%d chunk.Carver and %d chunk.Pool fields outside internal/chunk", len(carvers), len(pools))
+	if len(carvers) == 0 || len(pools) == 0 {
+		t.Fatal("the walk found no chunk.Carver or chunk.Pool field; it lost its teeth")
+	}
+	if len(carvers) > maxCarvers {
+		t.Errorf("%d chunk.Carver fields, ratchet %d: %v", len(carvers), maxCarvers, carvers)
+	}
+	if len(pools) > maxPools {
+		t.Errorf("%d chunk.Pool fields, ratchet %d: %v", len(pools), maxPools, pools)
+	}
+}
+
 // TestShardResidue keeps the remains of intra-step sharding from growing
 // back before the benchmark PR removes them: outside bench/ the identifier
 // Shards is the two ignored option fields bench/batch.go assigns (the load
