@@ -17,11 +17,7 @@ package ndmesh
 // count (the closed loop releases window slots from the engine's harvest
 // pass, which runs in flight-injection order).
 
-import (
-	"fmt"
-
-	"ndmesh/internal/rng"
-)
+import "ndmesh/internal/rng"
 
 // ClosedLoopOptions configures the E21 grid, Patterns x Windows x Routers,
 // one closed-loop load run per cell: it takes Windows and rejects Rates,
@@ -84,20 +80,11 @@ type ClosedLoopRow struct {
 func ClosedLoopSweepWorkers(opt ClosedLoopOptions, seed uint64, workers int) ([]ClosedLoopRow, error) {
 	// One job per (pattern, window, router) cell, pattern-major — the order
 	// the rows are reported in and the order the job streams are split in.
-	jobs, dims, nodes, err := opt.sweepGrid("closed-loop", "window", len(opt.Windows),
-		"Rates", "FaultRates", "Trials", "Rate", "Process", "Capacities", "FaultCounts", "Mechanisms")
+	base, jobs, err := opt.checkClosedLoop()
 	if err != nil {
 		return nil, err
 	}
-	for _, w := range opt.Windows {
-		if w < 1 {
-			return nil, fmt.Errorf("ndmesh: closed-loop window %d must be >= 1", w)
-		}
-	}
-	base := opt.cell()
-	if err := base.validateLoadShape(); err != nil {
-		return nil, err
-	}
+	dims, nodes := opt.describe()
 	patterns, windows, routers := opt.Patterns, opt.Windows, opt.Routers
 	return runGrid(fanOut{workers: workers, pool: opt.Pool, cancel: opt.Cancel, progress: opt.Progress}, seed, jobs,
 		func(p *EnginePool, j int, r *rng.Source) (ClosedLoopRow, error) {
@@ -129,4 +116,21 @@ func ClosedLoopSweepWorkers(opt ClosedLoopOptions, seed uint64, workers int) ([]
 				InjectedRate: float64(pt.Injected) / float64(c.Measure*nodes),
 			}, nil
 		}, emitEach(opt.Emit))
+}
+
+// checkClosedLoop is ClosedLoopSweepWorkers' Check. It returns the base
+// cell every job copies, validated and defaulted, and the job count, one
+// per row.
+func (opt *LoadSweepOptions[Row]) checkClosedLoop() (base LoadOptions, rows int, err error) {
+	rows, err = opt.sweepGrid("closed-loop", "window", len(opt.Windows),
+		"Rates", "FaultRates", "Trials", "Rate", "Process", "Capacities", "FaultCounts", "Mechanisms")
+	if err != nil {
+		return base, 0, err
+	}
+	if err := validateWindows(opt.Windows...); err != nil {
+		return base, 0, err
+	}
+	base = opt.cell()
+	err = base.validateLoadShape()
+	return base, rows, err
 }

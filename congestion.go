@@ -92,21 +92,11 @@ type CongestionShiftSummary struct {
 // is one parallel job; workers < 1 means GOMAXPROCS, and the results are
 // identical for every value).
 func CongestionShiftSweepWorkers(opt CongestionShiftOptions, seed uint64, workers int) ([]CongestionShiftRow, []CongestionShiftSummary, error) {
-	if !slices.Equal(opt.Routers, []string{"limited", "congested"}) {
-		return nil, nil, fmt.Errorf("ndmesh: a congestion sweep compares Routers [limited congested], got %v", opt.Routers)
-	}
-	_, dims, _, err := opt.sweepGrid("congestion", "rate", len(opt.Rates),
-		"Windows", "FaultRates", "Trials", "Rate", "Capacities", "FaultCounts", "Mechanisms", "Probe")
+	base, _, err := opt.checkCongestion()
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := validateRates(opt.Process, opt.Rates...); err != nil {
-		return nil, nil, err
-	}
-	base := opt.cell()
-	if err := base.validateLoadShape(); err != nil {
-		return nil, nil, err
-	}
+	dims, _ := opt.describe()
 	// One job per (pattern, rate) cell, pattern-major. Both routers replay
 	// the cell's scenario from the same stream state (loadPoint draws from a
 	// copy of it), so the fault schedule and the offered traffic are
@@ -166,4 +156,23 @@ func CongestionShiftSweepWorkers(opt CongestionShiftOptions, seed uint64, worker
 		summaries = append(summaries, sum)
 	}
 	return rows, summaries, nil
+}
+
+// checkCongestion is CongestionShiftSweepWorkers' Check. It returns the
+// base cell every job copies, validated and defaulted, and the row count,
+// one per (pattern, rate) cell.
+func (opt *LoadSweepOptions[Row]) checkCongestion() (base LoadOptions, rows int, err error) {
+	if !slices.Equal(opt.Routers, []string{"limited", "congested"}) {
+		return base, 0, fmt.Errorf("ndmesh: a congestion sweep compares Routers [limited congested], got %v", opt.Routers)
+	}
+	if _, err := opt.sweepGrid("congestion", "rate", len(opt.Rates),
+		"Windows", "FaultRates", "Trials", "Rate", "Capacities", "FaultCounts", "Mechanisms", "Probe"); err != nil {
+		return base, 0, err
+	}
+	if err := validateRates(opt.Process, opt.Rates...); err != nil {
+		return base, 0, err
+	}
+	base = opt.cell()
+	err = base.validateLoadShape()
+	return base, len(opt.Patterns) * len(opt.Rates), err
 }

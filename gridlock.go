@@ -132,53 +132,16 @@ func gridlockMechanism(name string) (timeout, bubble bool, err error) {
 // GridlockSweepWorkers runs the E22 phase diagram (each scenario cell — all
 // its mechanism arms — is one parallel job; workers < 1 means GOMAXPROCS).
 func GridlockSweepWorkers(opt GridlockOptions, seed uint64, workers int) ([]GridlockRow, error) {
-	if len(opt.Routers) == 0 {
-		opt.Routers = []string{"limited"}
+	base, _, err := opt.checkGridlock()
+	if err != nil {
+		return nil, err
 	}
-	if len(opt.Routers) != 1 {
-		return nil, fmt.Errorf("ndmesh: a gridlock sweep drives every arm with one router, got Routers %v", opt.Routers)
-	}
-	if len(opt.Mechanisms) == 0 {
-		opt.Mechanisms = GridlockMechanisms
-	}
-	if len(opt.FaultCounts) == 0 {
-		opt.FaultCounts = []int{0}
-	}
+	dims, _ := opt.describe()
 	// One job per scenario cell (pattern-major, then window, capacity,
 	// faults); the mechanism arms run inside the job from value copies of
 	// the cell's stream state, so all arms face the identical scenario.
 	nw, nc, nf, nm := len(opt.Windows), len(opt.Capacities), len(opt.FaultCounts), len(opt.Mechanisms)
-	jobs, dims, _, err := opt.sweepGrid("gridlock", "window x capacity", nw*nc*nf,
-		"Rates", "FaultRates", "Trials", "Rate", "Process", "NodeCapacity", "Faults", "Bubble", "FaultRate", "Probe")
-	if err != nil {
-		return nil, err
-	}
-	for _, m := range opt.Mechanisms {
-		if _, _, err := gridlockMechanism(m); err != nil {
-			return nil, err
-		}
-	}
-	for _, w := range opt.Windows {
-		if w < 1 {
-			return nil, fmt.Errorf("ndmesh: closed-loop window %d must be >= 1", w)
-		}
-	}
-	for _, c := range opt.Capacities {
-		if c < 2 {
-			return nil, fmt.Errorf("ndmesh: gridlock sweep capacity %d must be >= 2 (bubble admission keeps one slot free)", c)
-		}
-	}
-	if opt.FlightTimeout < 1 {
-		return nil, fmt.Errorf("ndmesh: gridlock sweep needs FlightTimeout >= 1 (the retry arms have nothing to do without it)")
-	}
-	if opt.GridlockWindow < 1 {
-		return nil, fmt.Errorf("ndmesh: gridlock sweep needs GridlockWindow >= 1 (without detection, a gridlocked 'none' arm spins to its budget)")
-	}
-	base := opt.cell()
-	if err := base.validateLoadShape(); err != nil {
-		return nil, err
-	}
-	base.Router = opt.Routers[0]
+	jobs := len(opt.Patterns) * nw * nc * nf
 	// A job's arms stream at their row indexes, j*nm+mi.
 	var emitArms func(out [][]GridlockRow, j int)
 	if emit := opt.Emit; emit != nil {
@@ -245,4 +208,58 @@ func GridlockSweepWorkers(opt GridlockOptions, seed uint64, workers int) ([]Grid
 		rows = append(rows, arms...)
 	}
 	return rows, nil
+}
+
+// gridlockRouters and faultFree are the gridlock sweep's Routers and
+// FaultCounts defaults, shared read-only by every options value they fill.
+var (
+	gridlockRouters = []string{"limited"}
+	faultFree       = []int{0}
+)
+
+// checkGridlock is GridlockSweepWorkers' Check. It folds the empty Routers,
+// Mechanisms and FaultCounts defaults into opt, and returns the base cell
+// every job copies, validated and defaulted, with the one router set, and
+// the row count, one per mechanism arm of each scenario cell.
+func (opt *LoadSweepOptions[Row]) checkGridlock() (base LoadOptions, rows int, err error) {
+	if len(opt.Routers) == 0 {
+		opt.Routers = gridlockRouters
+	}
+	if len(opt.Routers) != 1 {
+		return base, 0, fmt.Errorf("ndmesh: a gridlock sweep drives every arm with one router, got Routers %v", opt.Routers)
+	}
+	if len(opt.Mechanisms) == 0 {
+		opt.Mechanisms = GridlockMechanisms
+	}
+	if len(opt.FaultCounts) == 0 {
+		opt.FaultCounts = faultFree
+	}
+	cells, err := opt.sweepGrid("gridlock", "window x capacity", len(opt.Windows)*len(opt.Capacities)*len(opt.FaultCounts),
+		"Rates", "FaultRates", "Trials", "Rate", "Process", "NodeCapacity", "Faults", "Bubble", "FaultRate", "Probe")
+	if err != nil {
+		return base, 0, err
+	}
+	for _, m := range opt.Mechanisms {
+		if _, _, err := gridlockMechanism(m); err != nil {
+			return base, 0, err
+		}
+	}
+	if err := validateWindows(opt.Windows...); err != nil {
+		return base, 0, err
+	}
+	for _, c := range opt.Capacities {
+		if c < 2 {
+			return base, 0, fmt.Errorf("ndmesh: gridlock sweep capacity %d must be >= 2 (bubble admission keeps one slot free)", c)
+		}
+	}
+	if opt.FlightTimeout < 1 {
+		return base, 0, fmt.Errorf("ndmesh: gridlock sweep needs FlightTimeout >= 1 (the retry arms have nothing to do without it)")
+	}
+	if opt.GridlockWindow < 1 {
+		return base, 0, fmt.Errorf("ndmesh: gridlock sweep needs GridlockWindow >= 1 (without detection, a gridlocked 'none' arm spins to its budget)")
+	}
+	base = opt.cell()
+	base.Router = opt.Routers[0]
+	err = base.validateLoadShape()
+	return base, cells * len(opt.Mechanisms), err
 }

@@ -138,6 +138,26 @@ func GenerateProcess(shape *grid.Shape, opt ProcessOptions, r *rng.Source) (*Sch
 	return sched, nil
 }
 
+// Check returns the error GenerateProcess refuses opt with, and nil for
+// options it draws from, drawing nothing.
+func (opt *ProcessOptions) Check() error {
+	if err := opt.Arrival.validate("fault arrival"); err != nil {
+		return err
+	}
+	if opt.Repair.Enabled() {
+		if err := opt.Repair.validate("repair delay"); err != nil {
+			return err
+		}
+	}
+	if start := max(opt.Start, 1); opt.Horizon < start {
+		return fmt.Errorf("fault: process horizon %d precedes start %d", opt.Horizon, start)
+	}
+	if opt.MaxActive < 0 {
+		return fmt.Errorf("fault: MaxActive %d must be >= 0", opt.MaxActive)
+	}
+	return nil
+}
+
 // ProcessScratch is GenerateProcess's working storage, kept by a caller
 // that draws one schedule after another (a pooled load cell) so a warm
 // draw allocates nothing. The zero value is ready to use.
@@ -152,23 +172,10 @@ type ProcessScratch struct {
 // sched.Events, keeping its capacity, with the schedule GenerateProcess
 // returns for the same arguments. On an error sched is left as it was.
 func (ps *ProcessScratch) Generate(sched *Schedule, shape *grid.Shape, opt ProcessOptions, r *rng.Source) error {
-	if err := opt.Arrival.validate("fault arrival"); err != nil {
+	if err := opt.Check(); err != nil {
 		return err
 	}
-	if opt.Repair.Enabled() {
-		if err := opt.Repair.validate("repair delay"); err != nil {
-			return err
-		}
-	}
-	if opt.Start < 1 {
-		opt.Start = 1
-	}
-	if opt.Horizon < opt.Start {
-		return fmt.Errorf("fault: process horizon %d precedes start %d", opt.Horizon, opt.Start)
-	}
-	if opt.MaxActive < 0 {
-		return fmt.Errorf("fault: MaxActive %d must be >= 0", opt.MaxActive)
-	}
+	opt.Start = max(opt.Start, 1)
 
 	const attemptsPer = 256
 	placeOpt := Options{

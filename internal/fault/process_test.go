@@ -181,7 +181,8 @@ func TestGenerateProcessWeibull(t *testing.T) {
 	}
 }
 
-// TestGenerateProcessValidation covers the error paths.
+// TestGenerateProcessValidation covers the error paths, each one Check's
+// too.
 func TestGenerateProcessValidation(t *testing.T) {
 	shape := processShape(t)
 	cases := []ProcessOptions{
@@ -197,6 +198,13 @@ func TestGenerateProcessValidation(t *testing.T) {
 		if _, err := GenerateProcess(shape, opt, rng.New(1)); err == nil {
 			t.Errorf("case %d: expected an error, got none", i)
 		}
+		if err := opt.Check(); err == nil {
+			t.Errorf("case %d: Check passed what GenerateProcess refuses", i)
+		}
+	}
+	ok := ProcessOptions{Arrival: Delay{Model: DelayWeibull, Rate: 0.1}, Horizon: 10}
+	if err := ok.Check(); err != nil {
+		t.Errorf("Check refused a drawable process: %v", err)
 	}
 }
 

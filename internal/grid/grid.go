@@ -214,21 +214,8 @@ func NewShape(dims ...int) (*Shape, error) {
 // building it: a caller that only names or counts a shape does not pay for
 // its coordinate table.
 func Describe(dims ...int) (label string, nodes int, err error) {
-	if len(dims) == 0 {
-		return "", 0, fmt.Errorf("grid: shape needs at least one dimension")
-	}
-	if len(dims) > MaxDims {
-		return "", 0, fmt.Errorf("grid: at most %d dimensions supported, got %d", MaxDims, len(dims))
-	}
-	nodes = 1
-	for i, k := range dims {
-		if k < 1 {
-			return "", 0, fmt.Errorf("grid: dimension %d has radix %d (< 1)", i, k)
-		}
-		if nodes > (1<<31-1)/k {
-			return "", 0, fmt.Errorf("grid: shape %v exceeds 2^31-1 nodes", dims)
-		}
-		nodes *= k
+	if nodes, err = Nodes(dims...); err != nil {
+		return "", 0, err
 	}
 	// Each radix is under 2^31 (10 digits) with its separator.
 	var buf [11*MaxDims + 5]byte
@@ -240,6 +227,28 @@ func Describe(dims ...int) (label string, nodes int, err error) {
 		b = strconv.AppendInt(b, int64(k), 10)
 	}
 	return string(append(b, " mesh"...)), nodes, nil
+}
+
+// Nodes is Describe without the label: it checks dims as NewShape does and
+// returns the node count, allocating nothing unless dims fail.
+func Nodes(dims ...int) (int, error) {
+	if len(dims) == 0 {
+		return 0, fmt.Errorf("grid: shape needs at least one dimension")
+	}
+	if len(dims) > MaxDims {
+		return 0, fmt.Errorf("grid: at most %d dimensions supported, got %d", MaxDims, len(dims))
+	}
+	nodes := 1
+	for i, k := range dims {
+		if k < 1 {
+			return 0, fmt.Errorf("grid: dimension %d has radix %d (< 1)", i, k)
+		}
+		if nodes > (1<<31-1)/k {
+			return 0, fmt.Errorf("grid: shape %v exceeds 2^31-1 nodes", dims)
+		}
+		nodes *= k
+	}
+	return nodes, nil
 }
 
 // Dims returns the number of dimensions n.

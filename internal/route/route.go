@@ -923,18 +923,26 @@ func LoadOblivious(r Router) bool {
 // simulation's cell runners route with the simulation's own Oracle instead,
 // so a warm cell reuses its table's storage.
 func ByName(name string) (Router, error) {
-	switch name {
-	case "limited":
-		return Limited{}, nil
-	case "congested":
-		return Congested{}, nil
-	case "blind":
-		return Blind{}, nil
-	case "oracle":
-		return &Oracle{}, nil
-	case "dor":
-		return DOR{}, nil
-	default:
-		return nil, fmt.Errorf("route: unknown router %q", name)
+	if err := CheckName(name); err != nil {
+		return nil, err
 	}
+	return builders[name](), nil
+}
+
+// builders holds, by experiment name, each router ByName builds.
+var builders = map[string]func() Router{
+	"limited":   func() Router { return Limited{} },
+	"congested": func() Router { return Congested{} },
+	"blind":     func() Router { return Blind{} },
+	"oracle":    func() Router { return &Oracle{} },
+	"dor":       func() Router { return DOR{} },
+}
+
+// CheckName returns the error ByName returns for a name it does not know,
+// and nil for one it builds, building nothing.
+func CheckName(name string) error {
+	if _, ok := builders[name]; !ok {
+		return fmt.Errorf("route: unknown router %q", name)
+	}
+	return nil
 }

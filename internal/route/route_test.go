@@ -429,16 +429,23 @@ func TestLimitedMinimalWhenSafe(t *testing.T) {
 	}
 }
 
-// TestByName covers the registry.
+// TestByName covers the registry, and CheckName's agreement with it.
 func TestByName(t *testing.T) {
-	for _, name := range []string{"limited", "blind", "oracle", "dor"} {
+	for _, name := range []string{"limited", "congested", "blind", "oracle", "dor"} {
 		r, err := ByName(name)
 		if err != nil || r.Name() != name {
 			t.Fatalf("ByName(%q) = %v, %v", name, r, err)
 		}
+		if err := CheckName(name); err != nil {
+			t.Errorf("CheckName(%q) = %v for a router ByName builds", name, err)
+		}
 	}
-	if _, err := ByName("nope"); err == nil {
+	_, err := ByName("nope")
+	if err == nil {
 		t.Fatal("unknown router accepted")
+	}
+	if cerr := CheckName("nope"); cerr == nil || cerr.Error() != err.Error() {
+		t.Errorf("CheckName(nope) = %v, want ByName's %v", cerr, err)
 	}
 }
 

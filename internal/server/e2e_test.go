@@ -320,6 +320,60 @@ func TestE2EBadRequests(t *testing.T) {
 	}
 }
 
+// TestE2ELibraryRulesRefused: a spec the library's own pre-run check
+// refuses gets a 400 at decode — no job registered, no run slot, no
+// simulation built — where each of these once was admitted and ended as a
+// 200 carrying one error line (the 256x256 one after building a 65,536-node
+// simulation for the pool).
+func TestE2ELibraryRulesRefused(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	// A 4x4 recording relabeled 2x2: its offers name nodes past the mesh.
+	outside, err := traffic.UnmarshalTrace(recordedTrace(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	outside.Dims = []int{2, 2}
+	for name, body := range map[string]string{
+		"rate-over-process":     `{"kind":"open-loop","rates":[1.5]}`,
+		"bubble-capacity-1":     `{"kind":"open-loop","bubble":true,"node_capacity":1}`,
+		"fault-rate-over-1":     `{"kind":"reliability","fault_rates":[2]}`,
+		"unknown-fault-model":   `{"kind":"reliability","fault_model":"nope"}`,
+		"fault-rate-and-faults": `{"kind":"open-loop","fault_rate":0.01,"faults":2}`,
+		"unknown-process":       `{"kind":"open-loop","process":"nope"}`,
+		"unknown-router":        `{"kind":"open-loop","routers":["nope"]}`,
+		"unknown-pattern":       `{"kind":"open-loop","patterns":["nope"]}`,
+		"unknown-router-large":  `{"kind":"open-loop","dims":[256,256],"routers":["nope"]}`,
+		"unknown-router-after":  `{"kind":"open-loop","routers":["limited","nope"]}`,
+		"replay-unknown-router": string(replaySpec(t, `"routers":["nope"],`, recordedTrace(t))),
+		"replay-outside-mesh":   string(replaySpec(t, "", outside.Marshal())),
+	} {
+		t.Run(name, func(t *testing.T) {
+			if resp, body := submit(t, ts, "", body); resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status %d (%s), want 400", resp.StatusCode, body)
+			}
+		})
+	}
+	lr, err := http.Get(ts.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list struct {
+		Jobs []JobStatus `json:"jobs"`
+	}
+	if err := json.NewDecoder(lr.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	lr.Body.Close()
+	if len(list.Jobs) != 0 {
+		t.Errorf("refused specs registered jobs: %+v", list.Jobs)
+	}
+	if st := srv.Pool().Stats(); st != (ndmesh.PoolStats{}) {
+		t.Errorf("refused specs touched the pool: %+v", st)
+	}
+}
+
 // TestNegativeConfigMeansDefault holds a negative MaxConcurrent, MaxQueue,
 // PoolIdle or MaxWorkers to the default, as 0 is: New must not panic on a
 // negative run-slot count, a negative queue must not refuse every job, and

@@ -1,7 +1,7 @@
 // This file is the job-kind table: one row per workload family. The
-// decoder, its unknown-kind error, Spec.cells, the format check and the
-// runner all read the table; nothing else switches on the kind. Adding a
-// kind is adding a row (and an e2e byte-identity test).
+// decoder, its unknown-kind error, the format check and the runner all read
+// the table; nothing else switches on the kind. Adding a kind is adding a
+// row (and an e2e byte-identity test).
 
 package server
 
@@ -14,6 +14,7 @@ import (
 	"ndmesh"
 	"ndmesh/internal/cliutil"
 	"ndmesh/internal/engine"
+	"ndmesh/internal/probe"
 	"ndmesh/internal/traffic"
 )
 
@@ -25,25 +26,24 @@ const (
 	KindReliability = "reliability"
 )
 
-// kind is one row of the table. axes applies the kind's axis rules to a
-// bounds-checked spec and folds in its served defaults; cells is the
-// normalized spec's grid size (reliability counts cells, not trials); run
-// makes the kind's one library call, wired to the job's env.
+// kind is one row of the table. axes folds the kind's served defaults into
+// a bounds-checked spec and applies the server's own caps; check runs the
+// library's pre-run check on the options run hands the entry point and
+// returns the job's row count; run makes the kind's one library call.
 type kind struct {
 	name  string
 	csv   bool // format=csv is defined for the kind
-	probe bool // the kind's library call has a probe seam
 	axes  func(*Spec) error
-	cells func(*Spec) int
+	check func(*Spec) (rows int, err error)
 	run   func(*Spec, env) error
 }
 
 // kinds is in the order the error messages list the names.
 var kinds = []kind{
-	{KindOpenLoop, true, true, openLoopAxes, func(s *Spec) int { return len(s.Patterns) * len(s.Rates) * len(s.Routers) }, runSweep(ndmesh.SaturationSweepWorkers, cliutil.OpenLoopCells)},
-	{KindClosedLoop, false, true, closedLoopAxes, func(s *Spec) int { return len(s.Patterns) * len(s.Windows) * len(s.Routers) }, runSweep(ndmesh.ClosedLoopSweepWorkers, nil)},
-	{KindReplay, false, false, replayAxes, func(*Spec) int { return 1 }, runReplay},
-	{KindReliability, false, false, reliabilityAxes, func(s *Spec) int { return len(s.Patterns) * len(s.FaultRates) * len(s.Routers) }, runSweep(ndmesh.ReliabilitySweepWorkers, nil)},
+	{KindOpenLoop, true, openLoopAxes, checkSweep[ndmesh.SaturationRow], runSweep(ndmesh.SaturationSweepWorkers, cliutil.OpenLoopCells)},
+	{KindClosedLoop, false, closedLoopAxes, checkSweep[ndmesh.ClosedLoopRow], runSweep(ndmesh.ClosedLoopSweepWorkers, nil)},
+	{KindReplay, false, replayAxes, checkReplay, runReplay},
+	{KindReliability, false, reliabilityAxes, checkSweep[ndmesh.ReliabilityRow], runSweep(ndmesh.ReliabilitySweepWorkers, nil)},
 }
 
 // The library defaults the rows serve, read once: specs share these slices,
@@ -136,12 +136,11 @@ func sweepDefaults[Row any](s *Spec, d *ndmesh.LoadSweepOptions[Row]) error {
 	return nil
 }
 
-// sweepOptions is the one Spec -> options conversion, shared by the three
-// sweep kinds: every Spec field with an options field of the same name is
-// carried over. The kind's axes left what is foreign to it zero, which is
-// what the library's entry point demands.
+// sweepOptions is the one Spec -> options conversion of the three sweep
+// kinds' check and run: every Spec field with an options field of the same
+// name is carried over, and a probed spec gets a Probe (run's is the job's).
 func sweepOptions[Row any](s *Spec) ndmesh.LoadSweepOptions[Row] {
-	return ndmesh.LoadSweepOptions[Row]{
+	opt := ndmesh.LoadSweepOptions[Row]{
 		Dims: s.Dims, Lambda: s.Lambda,
 		Routers: s.Routers, Patterns: s.Patterns,
 		Rates: s.Rates, Windows: s.Windows, FaultRates: s.FaultRates,
@@ -155,6 +154,16 @@ func sweepOptions[Row any](s *Spec) ndmesh.LoadSweepOptions[Row] {
 		FaultRate: s.FaultRate, FaultModel: s.FaultModel,
 		FaultShape: s.FaultShape, FaultRepair: s.FaultRepair,
 	}
+	if s.Probe {
+		opt.Probe = new(probe.Snapshot)
+	}
+	return opt
+}
+
+// checkSweep is a sweep kind's check: the entry point's own Check, on the
+// options runSweep hands it.
+func checkSweep[Row any](s *Spec) (int, error) {
+	return sweepOptions[Row](s).Check()
 }
 
 // runSweep is a sweep kind's run: the spec's options wired to the job's
@@ -181,9 +190,6 @@ func openLoopAxes(s *Spec) error {
 	if err := sweepDefaults(s, d); err != nil {
 		return err
 	}
-	if len(s.Windows) > 0 || len(s.FaultRates) > 0 || s.Trials != 0 || s.Rate != 0 {
-		return fmt.Errorf("open-loop specs take rates, not windows/fault_rates/trials/rate")
-	}
 	defList(&s.Rates, d.Rates)
 	s.Process = cmp.Or(s.Process, d.Process)
 	return nil
@@ -194,13 +200,10 @@ func closedLoopAxes(s *Spec) error {
 	if err := sweepDefaults(s, d); err != nil {
 		return err
 	}
-	if len(s.Rates) > 0 || len(s.FaultRates) > 0 || s.Trials != 0 || s.Rate != 0 || s.Process != "" {
-		return fmt.Errorf("closed-loop specs take windows, not rates/fault_rates/trials/rate/process")
-	}
 	defList(&s.Windows, d.Windows)
 	for _, w := range s.Windows {
-		if w < 1 || w > 1<<16 {
-			return fmt.Errorf("window %d out of range [1, %d]", w, 1<<16)
+		if w > 1<<16 {
+			return fmt.Errorf("window %d exceeds %d", w, 1<<16)
 		}
 	}
 	return nil
@@ -235,13 +238,17 @@ func replayAxes(s *Spec) error {
 	if len(s.Routers) != 1 {
 		return fmt.Errorf("replay runs one router (got %d)", len(s.Routers))
 	}
+	if s.Probe {
+		return fmt.Errorf("probe is not supported on replay jobs")
+	}
 	return nil
 }
 
-// runReplay streams the replayed load point as the job's single row;
-// engine-side fields follow the library's replay-inheritance rules.
-func runReplay(s *Spec, e env) error {
-	pt, err := ndmesh.LoadRun(ndmesh.LoadOptions{
+// replayOptions is the replay kind's LoadRun options, shared by its check
+// and run; engine-side fields follow the library's replay-inheritance
+// rules.
+func replayOptions(s *Spec) ndmesh.LoadOptions {
+	return ndmesh.LoadOptions{
 		Router:   s.Routers[0],
 		Lambda:   s.Lambda,
 		LinkRate: s.LinkRate, NodeCapacity: s.NodeCapacity,
@@ -249,8 +256,19 @@ func runReplay(s *Spec, e env) error {
 		Bubble: s.Bubble, GridlockWindow: s.GridlockWindow,
 		Seed:   s.Seed,
 		Replay: s.trace,
-		Pool:   e.srv.pool, Cancel: e.cancel,
-	})
+	}
+}
+
+// checkReplay is the replay kind's check: LoadRun's own Check.
+func checkReplay(s *Spec) (int, error) {
+	return replayOptions(s).Check()
+}
+
+// runReplay streams the replayed load point as the job's single row.
+func runReplay(s *Spec, e env) error {
+	opt := replayOptions(s)
+	opt.Pool, opt.Cancel = e.srv.pool, e.cancel
+	pt, err := ndmesh.LoadRun(opt)
 	if err != nil {
 		return err
 	}
@@ -264,9 +282,6 @@ func reliabilityAxes(s *Spec) error {
 	d := &reliabilityDefaults
 	if err := sweepDefaults(s, d); err != nil {
 		return err
-	}
-	if len(s.Rates) > 0 || len(s.Windows) > 0 || s.Faults != 0 || s.FaultRate != 0 || s.FaultInterval != 0 || s.FaultStart != 0 {
-		return fmt.Errorf("reliability specs take fault_rates, not rates/windows/faults/fault_rate/fault_interval/fault_start")
 	}
 	defList(&s.FaultRates, d.FaultRates)
 	s.Trials = cmp.Or(s.Trials, d.Trials)

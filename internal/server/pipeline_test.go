@@ -236,7 +236,9 @@ func TestJobStateTransitions(t *testing.T) {
 		t.Cleanup(func() { cancel(); <-done })
 		waitForState(t, srv, StateRunning)
 	}
-	failing := `{"kind":"open-loop","dims":[4,4],"routers":["nope"],"rates":[0.2],"seed":1}`
+	// Twenty fixed faults cannot be placed on a 4x4 mesh: the spec passes
+	// every check and fails in its one cell.
+	failing := `{"kind":"open-loop","dims":[4,4],"faults":20,"rates":[0.2],"seed":1}`
 	failSpec, err := ParseSpec([]byte(failing))
 	if err != nil {
 		t.Fatal(err)

@@ -325,7 +325,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// an engine (or even a run slot) — the determinism dividend — and
 	// names this request's digest on the entry.
 	key := spec.Key() + ":" + format
-	served := hit{kind: spec.kind, cells: spec.cells(), csv: format == "csv"}
+	served := hit{kind: spec.kind, cells: spec.rows, csv: format == "csv"}
 	if served.body = s.cache.get(key); served.body != nil {
 		s.cache.name(key, req, served)
 		s.serveHit(w, served)

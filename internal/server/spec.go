@@ -1,7 +1,7 @@
 // This file is the meshd job-spec layer: the JSON shape clients POST to
 // /v1/jobs, its strict decoder, the bounds every kind shares, and the
-// canonical cache key (see Key). What differs per kind — axis rules, served
-// defaults — is the kind's row in kinds.go.
+// canonical cache key (see Key). What differs per kind — served defaults,
+// the library check a run's rules come from — is the kind's row in kinds.go.
 
 package server
 
@@ -11,7 +11,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"math"
 
 	"ndmesh/internal/traffic"
 )
@@ -37,6 +36,7 @@ type Spec struct {
 	// Kind selects the workload family: one of the Kind* names.
 	Kind string `json:"kind"`
 	kind *kind  // Kind's table row, set by normalize
+	rows int    // the library check's row count, set by normalize
 
 	// Dims/Lambda shape the mesh (defaults: 8x8, λ=1). Replay jobs take
 	// the shape from the trace and must leave Dims empty.
@@ -95,9 +95,9 @@ type Spec struct {
 	trace *traffic.Trace // Trace decoded, set by normalize (replay only)
 
 	// Probe attaches a live census snapshot served at /debug/census.
-	// Probes are stateful accumulators, so a probed job must be a single
-	// cell, and reliability jobs (whose sweep has no probe seam) reject
-	// it.
+	// Probes are stateful accumulators, so the library refuses a probed
+	// job of more than one cell, and a reliability job; replay jobs run
+	// unprobed and refuse it here.
 	Probe bool `json:"probe,omitempty"`
 }
 
@@ -131,21 +131,9 @@ func (s *Spec) normalize() error {
 	if s.kind, err = kindOf(s.Kind); err != nil {
 		return err
 	}
-	for _, f := range []float64{s.Rate, s.FaultRate, s.FaultShape, s.FaultRepair} {
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return fmt.Errorf("non-finite numeric field in spec")
-		}
-	}
 	if len(s.Routers) > maxList || len(s.Patterns) > maxList || len(s.Rates) > maxList ||
 		len(s.Windows) > maxList || len(s.FaultRates) > maxList {
 		return fmt.Errorf("a spec list exceeds %d entries", maxList)
-	}
-	for _, rates := range [][]float64{s.Rates, s.FaultRates} {
-		for _, f := range rates {
-			if math.IsNaN(f) || math.IsInf(f, 0) || f < 0 {
-				return fmt.Errorf("rate %v out of range", f)
-			}
-		}
 	}
 	if err := checkPhases(s.Warmup, s.Measure, s.Drain); err != nil {
 		return err
@@ -171,13 +159,8 @@ func (s *Spec) normalize() error {
 	if err = s.kind.axes(s); err != nil {
 		return err
 	}
-	if s.Probe && !s.kind.probe {
-		return fmt.Errorf("probe is not supported on %s jobs", s.Kind)
-	}
-	if s.Probe && s.cells() != 1 {
-		return fmt.Errorf("a probed job must be a single cell (got %d); probes are stateful accumulators", s.cells())
-	}
-	return nil
+	s.rows, err = s.kind.check(s)
+	return err
 }
 
 // checkMesh bounds the mesh a job builds and the λ it steps at: at most
@@ -219,9 +202,6 @@ func checkPhases(warmup, measure, drain int) error {
 	}
 	return nil
 }
-
-// cells returns the normalized spec's grid size.
-func (s *Spec) cells() int { return s.kind.cells(s) }
 
 // Key returns the spec's canonical cache key. Workers is zeroed first —
 // the sweeps produce byte-identical rows at every worker count, so

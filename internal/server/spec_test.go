@@ -81,6 +81,22 @@ func TestParseSpecRejections(t *testing.T) {
 		"fault-rate-reliability":     `{"kind":"reliability","fault_rate":0.01}`,
 		"fault-interval-reliability": `{"kind":"reliability","fault_interval":20}`,
 		"fault-start-reliability":    `{"kind":"reliability","fault_start":5}`,
+		// The rest of the library's rules: each of these parsed once, was
+		// admitted and failed in its first cell.
+		"rate-over-process":        `{"kind":"open-loop","rates":[1.5]}`,
+		"bubble-capacity-1":        `{"kind":"open-loop","bubble":true,"node_capacity":1}`,
+		"fault-rate-over-1":        `{"kind":"reliability","fault_rates":[2]}`,
+		"unknown-fault-model":      `{"kind":"reliability","fault_model":"nope"}`,
+		"fault-rate-and-faults":    `{"kind":"open-loop","fault_rate":0.01,"faults":2}`,
+		"unknown-process":          `{"kind":"open-loop","process":"nope"}`,
+		"unknown-router":           `{"kind":"open-loop","routers":["nope"]}`,
+		"unknown-pattern":          `{"kind":"open-loop","patterns":["nope"]}`,
+		"unknown-router-after":     `{"kind":"open-loop","routers":["limited","nope"]}`,
+		"unknown-router-closed":    `{"kind":"closed-loop","routers":["nope"]}`,
+		"unknown-pattern-reliab":   `{"kind":"reliability","patterns":["uniform","nope"]}`,
+		"window-zero":              `{"kind":"closed-loop","windows":[0]}`,
+		"weibull-negative-shape":   `{"kind":"open-loop","fault_rate":0.01,"fault_model":"weibull","fault_shape":-1}`,
+		"fault-start-past-the-run": `{"kind":"open-loop","fault_rate":0.01,"fault_start":600}`,
 	} {
 		t.Run(name, func(t *testing.T) {
 			if _, err := ParseSpec([]byte(body)); err == nil {
@@ -118,7 +134,7 @@ func TestParseSpecReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(s.Routers, []string{"limited"}) || s.cells() != 1 {
+	if !reflect.DeepEqual(s.Routers, []string{"limited"}) || s.rows != 1 {
 		t.Fatalf("replay spec normalized wrong: %+v", s)
 	}
 	// normalize decodes the trace once and keeps it for runReplay.
@@ -130,6 +146,12 @@ func TestParseSpecReplay(t *testing.T) {
 	bad, _ := json.Marshal(map[string]any{"kind": "replay", "trace": trace, "measure": 100})
 	if _, err := ParseSpec(bad); err == nil {
 		t.Fatal("replay spec with its own phases accepted")
+	}
+	// What LoadRun would refuse, the replay kind refuses at parse time.
+	for _, extra := range []string{`"routers":["nope"],`, `"bubble":true,"node_capacity":1,`, `"probe":true,`} {
+		if _, err := ParseSpec(replaySpec(t, extra, trace)); err == nil {
+			t.Errorf("replay spec with %s accepted", extra)
+		}
 	}
 }
 
@@ -173,7 +195,10 @@ func TestParseSpecReplayBounds(t *testing.T) {
 		})
 	}
 	// The bounds refuse nothing a recording within them makes.
-	if _, err := ParseSpec(replaySpec(t, `"lambda":64,`, (&traffic.Trace{Dims: []int{256, 256}, Drain: maxPhase}).Marshal())); err != nil {
+	atBounds := *recorded
+	atBounds.Dims = []int{256, 256}
+	atBounds.Drain = maxPhase - atBounds.Warmup - atBounds.Measure
+	if _, err := ParseSpec(replaySpec(t, `"lambda":64,`, atBounds.Marshal())); err != nil {
 		t.Fatalf("a replay at the bounds was refused: %v", err)
 	}
 }
@@ -245,10 +270,13 @@ func TestParseSpecCanonicalIdempotent(t *testing.T) {
 }
 
 // FuzzSpecDecode hammers the decoder with arbitrary bytes: it must never
-// panic, never accept a spec it cannot canonicalize idempotently, and
-// never produce a spec whose Key diverges from its own round trip. The
-// seeded corpus covers every kind and the bound edges; CI runs the
-// corpus on every test run and a short fuzz session on top.
+// panic, never accept a spec it cannot canonicalize idempotently, never
+// produce a spec whose Key diverges from its own round trip, and never
+// accept a spec the library's pre-run check refuses on the options the
+// kind's run hands its entry point — so a spec that parses cannot fail the
+// library's rules at run time. The seeded corpus covers every kind, the
+// bound edges and specs only the library refuses; CI runs the corpus on
+// every test run and a short fuzz session on top.
 func FuzzSpecDecode(f *testing.F) {
 	seeds := []string{
 		`{}`,
@@ -262,6 +290,14 @@ func FuzzSpecDecode(f *testing.F) {
 		`{"kind":"open-loop","dims":[65536]}`,
 		`{"kind":"open-loop","rates":[1e308]}`,
 		`{"kind":"open-loop","seed":18446744073709551615}`,
+		`{"kind":"open-loop","rates":[1.5]}`,
+		`{"kind":"open-loop","bubble":true,"node_capacity":1}`,
+		`{"kind":"reliability","fault_rates":[2]}`,
+		`{"kind":"reliability","fault_model":"nope"}`,
+		`{"kind":"open-loop","fault_rate":0.01,"faults":2}`,
+		`{"kind":"open-loop","process":"nope"}`,
+		`{"kind":"open-loop","routers":["nope"]}`,
+		`{"kind":"open-loop","patterns":["nope"]}`,
 		`[1,2,3]`,
 		`"open-loop"`,
 		strings.Repeat(`{"kind":`, 1000),
@@ -290,8 +326,22 @@ func FuzzSpecDecode(f *testing.F) {
 		if s.Key() != s2.Key() {
 			t.Fatal("cache key changed across canonical round trip")
 		}
-		if c := s.cells(); c < 1 || c > maxList*maxList*maxList {
-			t.Fatalf("cells() = %d out of bounds", c)
+		if c := s.rows; c < 1 || c > maxList*maxList*maxList {
+			t.Fatalf("rows = %d out of bounds", c)
+		}
+		var rows int
+		switch s.Kind {
+		case KindOpenLoop:
+			rows, err = sweepOptions[ndmesh.SaturationRow](s).Check()
+		case KindClosedLoop:
+			rows, err = sweepOptions[ndmesh.ClosedLoopRow](s).Check()
+		case KindReliability:
+			rows, err = sweepOptions[ndmesh.ReliabilityRow](s).Check()
+		case KindReplay:
+			rows, err = replayOptions(s).Check()
+		}
+		if err != nil || rows != s.rows {
+			t.Fatalf("parsed spec fails the library's check: %d rows (parsed %d), %v\nspec: %s", rows, s.rows, err, out)
 		}
 	})
 }

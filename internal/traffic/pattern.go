@@ -52,12 +52,10 @@ func PatternNames() []string { return slices.Clone(patternNames[:]) }
 // ByName builds a pattern over the given shape. Hotspot uses the mesh
 // center as the hot node with DefaultHotspotFrac of the traffic.
 func ByName(shape *grid.Shape, name string) (Pattern, error) {
-	if shape.NumNodes() < 2 {
-		return nil, fmt.Errorf("traffic: shape %v too small for traffic patterns", shape)
+	if err := CheckPattern(shape.NumNodes(), name); err != nil {
+		return nil, err
 	}
 	switch name {
-	case "uniform":
-		return NewUniform(shape), nil
 	case "transpose":
 		return NewTranspose(shape), nil
 	case "complement":
@@ -68,9 +66,20 @@ func ByName(shape *grid.Shape, name string) (Pattern, error) {
 		return NewHotspot(shape, DefaultHotspotFrac), nil
 	case "neighbor":
 		return NewNeighbor(shape), nil
-	default:
-		return nil, fmt.Errorf("traffic: unknown pattern %q", name)
 	}
+	return NewUniform(shape), nil // "uniform", the one name left
+}
+
+// CheckPattern returns the error ByName returns for the named pattern over
+// a shape of nodes nodes, and nil where ByName builds it, building nothing.
+func CheckPattern(nodes int, name string) error {
+	if nodes < 2 {
+		return fmt.Errorf("traffic: a %d-node shape is too small for traffic patterns", nodes)
+	}
+	if !slices.Contains(patternNames[:], name) {
+		return fmt.Errorf("traffic: unknown pattern %q", name)
+	}
+	return nil
 }
 
 // Patterns hands out one pattern per name over one shape, built by ByName

@@ -48,6 +48,21 @@ func TestPatternByNameUnknown(t *testing.T) {
 	}
 }
 
+// TestCheckPatternMatchesByName: CheckPattern refuses exactly what ByName
+// refuses, with its error.
+func TestCheckPatternMatchesByName(t *testing.T) {
+	for _, dims := range [][]int{{1}, {2}, {4, 4}} {
+		shape := meshtest.MustShape(dims...)
+		for _, name := range append(PatternNames(), "zipf", "") {
+			_, err := ByName(shape, name)
+			cerr := CheckPattern(shape.NumNodes(), name)
+			if (err == nil) != (cerr == nil) || err != nil && err.Error() != cerr.Error() {
+				t.Errorf("%v/%q: CheckPattern = %v, ByName = %v", dims, name, cerr, err)
+			}
+		}
+	}
+}
+
 // TestNeighborPatternIsOneHop pins the locality extreme: every destination
 // is exactly one hop away.
 func TestNeighborPatternIsOneHop(t *testing.T) {

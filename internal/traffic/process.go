@@ -28,6 +28,10 @@ type Process interface {
 // ProcessNames lists the processes ProcessByName accepts.
 func ProcessNames() []string { return []string{"bernoulli", "poisson", "bursty"} }
 
+// burstyOn and burstyOff are the mean burst and gap lengths of the process
+// ProcessByName calls "bursty".
+const burstyOn, burstyOff = 8, 24
+
 // ProcessByName builds an arrival process by CLI name.
 func ProcessByName(name string) (Process, error) {
 	switch name {
@@ -36,10 +40,30 @@ func ProcessByName(name string) (Process, error) {
 	case "poisson":
 		return &Poisson{}, nil
 	case "bursty":
-		return NewBursty(8, 24), nil
+		return NewBursty(burstyOn, burstyOff), nil
 	default:
-		return nil, fmt.Errorf("traffic: unknown arrival process %q", name)
+		return nil, unknownProcess(name)
 	}
+}
+
+// MaxRate returns the MaxRate of the process ProcessByName(name) builds, or
+// its error, building nothing.
+func MaxRate(name string) (float64, error) {
+	switch name {
+	case "", "bernoulli":
+		return (*Bernoulli)(nil).MaxRate(), nil
+	case "poisson":
+		return (*Poisson)(nil).MaxRate(), nil
+	case "bursty":
+		b := Bursty{MeanOn: burstyOn, MeanOff: burstyOff}
+		return b.MaxRate(), nil
+	default:
+		return 0, unknownProcess(name)
+	}
+}
+
+func unknownProcess(name string) error {
+	return fmt.Errorf("traffic: unknown arrival process %q", name)
 }
 
 // Bernoulli offers at most one message per node per step, with probability

@@ -74,6 +74,23 @@ func TestProcessEmpiricalRate(t *testing.T) {
 	}
 }
 
+// TestMaxRateMatchesProcess: MaxRate answers what the process ProcessByName
+// builds answers, and refuses what ProcessByName refuses, with its error.
+func TestMaxRateMatchesProcess(t *testing.T) {
+	for _, name := range append(ProcessNames(), "", "zipf") {
+		p, err := ProcessByName(name)
+		got, merr := MaxRate(name)
+		switch {
+		case err != nil:
+			if merr == nil || merr.Error() != err.Error() {
+				t.Errorf("%q: MaxRate error %v, ProcessByName's %v", name, merr, err)
+			}
+		case merr != nil || got != p.MaxRate():
+			t.Errorf("%q: MaxRate = %v, %v; the built process says %v", name, got, merr, p.MaxRate())
+		}
+	}
+}
+
 // TestProcessZeroRate pins the lower boundary: at rate 0 no process ever
 // offers a message.
 func TestProcessZeroRate(t *testing.T) {

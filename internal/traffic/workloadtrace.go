@@ -329,13 +329,18 @@ func UnmarshalTrace(data []byte) (*Trace, error) {
 	return t, nil
 }
 
-// Validate checks the trace against a mesh shape: every recorded endpoint
-// and fault node must be a valid node id.
-func (t *Trace) Validate(shape *grid.Shape) error {
-	if !slices.Equal(t.Dims, shape.Radices()) {
-		return fmt.Errorf("traffic: trace recorded on %v, replaying on %v", t.Dims, shape.Radices())
+// Validate checks the trace against the radices of the mesh it is to
+// replay on: every recorded endpoint and fault node must be a valid node
+// id. It allocates nothing unless it fails.
+func (t *Trace) Validate(dims []int) error {
+	if !slices.Equal(t.Dims, dims) {
+		return fmt.Errorf("traffic: trace recorded on %v, replaying on %v", t.Dims, dims)
 	}
-	n := int32(shape.NumNodes())
+	nodes, err := grid.Nodes(dims...)
+	if err != nil {
+		return err
+	}
+	n := int32(nodes)
 	for _, ev := range t.Faults {
 		if int32(ev.Node) < 0 || int32(ev.Node) >= n {
 			return fmt.Errorf("traffic: trace fault node %d outside mesh", ev.Node)

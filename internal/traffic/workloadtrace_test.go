@@ -81,7 +81,7 @@ func TestTraceMarshalRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, tr) {
 		t.Fatalf("round trip diverged:\n got %+v\nwant %+v", got, tr)
 	}
-	if err := got.Validate(shape); err != nil {
+	if err := got.Validate(shape.Radices()); err != nil {
 		t.Fatalf("round-tripped trace failed validation: %v", err)
 	}
 
@@ -288,7 +288,7 @@ func TestUnmarshalTraceRejectsOversizedCounts(t *testing.T) {
 func TestTraceValidate(t *testing.T) {
 	shape := meshtest.MustShape(4, 4)
 	tr, _ := recordOffers(t, shape, 6)
-	if err := tr.Validate(meshtest.MustShape(5, 5)); err == nil {
+	if err := tr.Validate([]int{5, 5}); err == nil {
 		t.Error("shape mismatch accepted")
 	}
 	tr2, _ := recordOffers(t, shape, 6)
@@ -296,12 +296,12 @@ func TestTraceValidate(t *testing.T) {
 		t.Fatal("recording offered nothing; test lost its teeth")
 	}
 	tr2.dsts[0] = 99 // outside the 16-node mesh
-	if err := tr2.Validate(shape); err == nil {
+	if err := tr2.Validate(shape.Radices()); err == nil {
 		t.Error("out-of-mesh endpoint accepted")
 	}
 	tr3, _ := recordOffers(t, shape, 6)
 	tr3.Faults[0].Node = -2
-	if err := tr3.Validate(shape); err == nil {
+	if err := tr3.Validate(shape.Radices()); err == nil {
 		t.Error("out-of-mesh fault node accepted")
 	}
 }

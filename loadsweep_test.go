@@ -3,6 +3,7 @@ package ndmesh
 import (
 	"encoding/json"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -181,4 +182,207 @@ func sweepCellCarries[Row any](t *testing.T) {
 			t.Errorf("LoadSweepOptions.%s = %v reached the cell as %v", name, want, got)
 		}
 	}
+}
+
+// withUnknown returns axis with "nope" in each position: alone, after every
+// name and before every name.
+func withUnknown(axis []string) [][]string {
+	return [][]string{{"nope"}, append(slices.Clone(axis), "nope"), append([]string{"nope"}, axis...)}
+}
+
+// refusedUpFront runs one entry point on its library defaults (phases cut
+// short) with an unknown router, then an unknown pattern, in every position
+// of the axis: each run must fail naming it before any cell — no Emit, and
+// the caller's pool never checked out or built — and Check must refuse the
+// same options with the same error.
+func refusedUpFront[Row any](t *testing.T, opt LoadSweepOptions[Row],
+	sweep func(LoadSweepOptions[Row], uint64, int) ([]Row, error)) {
+	t.Helper()
+	opt.Dims, opt.Warmup, opt.Measure, opt.Drain = []int{4, 4}, 4, 8, 8
+	if len(opt.Routers) == 0 {
+		opt.Routers = []string{"limited"}
+	}
+	var bad []LoadSweepOptions[Row]
+	for _, routers := range withUnknown(opt.Routers) {
+		o := opt
+		o.Routers = routers
+		bad = append(bad, o)
+	}
+	for _, patterns := range withUnknown(opt.Patterns) {
+		o := opt
+		o.Patterns = patterns
+		bad = append(bad, o)
+	}
+	for _, o := range bad {
+		pool := NewEnginePool(1)
+		emitted := 0
+		o.Pool, o.Emit = pool, func(int, Row) { emitted++ }
+		_, err := sweep(o, 1, 1)
+		if err == nil || !strings.Contains(err.Error(), "nope") {
+			t.Errorf("routers %v, patterns %v: error = %v, want one naming the unknown name", o.Routers, o.Patterns, err)
+			continue
+		}
+		if st := pool.Stats(); emitted != 0 || st.Built != 0 || st.Acquired != 0 {
+			t.Errorf("routers %v, patterns %v: %d rows emitted, pool %+v before the refusal", o.Routers, o.Patterns, emitted, st)
+		}
+		if _, cerr := o.Check(); cerr == nil || cerr.Error() != err.Error() {
+			t.Errorf("routers %v, patterns %v: Check = %v, the sweep's error %v", o.Routers, o.Patterns, cerr, err)
+		}
+	}
+}
+
+// TestUnknownNameFailsBeforeAnyCell: every load entry point refuses an
+// unknown router or pattern, wherever it sits in its axis, in its pre-run
+// check — not in the first cell that would build it.
+func TestUnknownNameFailsBeforeAnyCell(t *testing.T) {
+	t.Run("saturation", func(t *testing.T) { refusedUpFront(t, DefaultSaturation(), SaturationSweepWorkers) })
+	t.Run("congestion", func(t *testing.T) {
+		refusedUpFront(t, DefaultCongestionShift(), func(o CongestionShiftOptions, seed uint64, workers int) ([]CongestionShiftRow, error) {
+			rows, _, err := CongestionShiftSweepWorkers(o, seed, workers)
+			return rows, err
+		})
+	})
+	t.Run("closed-loop", func(t *testing.T) { refusedUpFront(t, DefaultClosedLoop(), ClosedLoopSweepWorkers) })
+	t.Run("gridlock", func(t *testing.T) { refusedUpFront(t, DefaultGridlock(), GridlockSweepWorkers) })
+	t.Run("reliability", func(t *testing.T) {
+		opt := DefaultReliability()
+		opt.Trials = 2
+		refusedUpFront(t, opt, ReliabilitySweepWorkers)
+	})
+
+	live := LoadOptions{Dims: []int{4, 4}, Router: "limited", Pattern: "uniform", Rate: 0.1, Warmup: 4, Measure: 8, Drain: 8}
+	rec := &traffic.Trace{}
+	o := live
+	o.Record = rec
+	if _, err := LoadRun(o); err != nil {
+		t.Fatal(err)
+	}
+	bad := map[string]LoadOptions{}
+	for name, mutate := range map[string]func(*LoadOptions){
+		"router":        func(o *LoadOptions) { o.Router = "nope" },
+		"pattern":       func(o *LoadOptions) { o.Pattern = "nope" },
+		"closed-loop":   func(o *LoadOptions) { o.Pattern, o.Window = "nope", 2 },
+		"replay-router": func(o *LoadOptions) { *o = LoadOptions{Router: "nope", Replay: rec} },
+	} {
+		o := live
+		mutate(&o)
+		bad[name] = o
+	}
+	for name, o := range bad {
+		pool := NewEnginePool(1)
+		o.Pool = pool
+		_, err := LoadRun(o)
+		if err == nil || !strings.Contains(err.Error(), "nope") {
+			t.Errorf("LoadRun %s: error = %v, want one naming the unknown name", name, err)
+		} else if st := pool.Stats(); st.Built != 0 || st.Acquired != 0 {
+			t.Errorf("LoadRun %s: pool %+v before the refusal", name, st)
+		}
+		if _, cerr := o.Check(); cerr == nil || err != nil && cerr.Error() != err.Error() {
+			t.Errorf("LoadRun %s: Check = %v, LoadRun's error %v", name, cerr, err)
+		}
+	}
+	for _, routers := range withUnknown([]string{"limited", "dor"}) {
+		pool := NewEnginePool(1)
+		_, err := ReplayCompareSweepWorkers(LoadOptions{Replay: rec, Pool: pool}, routers, 1)
+		if err == nil || !strings.Contains(err.Error(), "nope") {
+			t.Errorf("replay comparison over %v: error = %v, want one naming the unknown router", routers, err)
+		} else if st := pool.Stats(); st.Built != 0 || st.Acquired != 0 {
+			t.Errorf("replay comparison over %v: pool %+v before the refusal", routers, st)
+		}
+	}
+}
+
+// TestCheckAllocatesNothing holds the entry points' exported pre-run check
+// to no allocation on options it passes — every library default, a bursty
+// and a weibull spelling, a load run and a replay — so a server can check
+// each request up front for free.
+func TestCheckAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	bursty := DefaultSaturation()
+	bursty.Process, bursty.Rates = "bursty", []float64{0.1, 0.2}
+	weibull := DefaultReliability()
+	weibull.FaultModel = "weibull"
+	gridlock := DefaultGridlock()
+	gridlock.Routers, gridlock.FaultCounts, gridlock.Mechanisms = nil, nil, nil
+	rec := &traffic.Trace{}
+	if _, err := LoadRun(LoadOptions{Dims: []int{4, 4}, Router: "limited", Pattern: "uniform", Rate: 0.1,
+		Warmup: 4, Measure: 8, Drain: 8, Record: rec}); err != nil {
+		t.Fatal(err)
+	}
+	for name, check := range map[string]func() (int, error){
+		"saturation":      DefaultSaturation().Check,
+		"bursty":          bursty.Check,
+		"congestion":      DefaultCongestionShift().Check,
+		"closed-loop":     DefaultClosedLoop().Check,
+		"gridlock":        DefaultGridlock().Check,
+		"gridlock-bare":   gridlock.Check,
+		"reliability":     DefaultReliability().Check,
+		"weibull":         weibull.Check,
+		"load-run":        LoadOptions{Dims: []int{8, 8}, Router: "oracle", Pattern: "hotspot", Process: "bursty", Rate: 0.1, Measure: 8}.Check,
+		"load-run-loop":   LoadOptions{Dims: []int{8, 8}, Router: "dor", Pattern: "uniform", Window: 2, Measure: 8}.Check,
+		"load-run-replay": LoadOptions{Router: "congested", Replay: rec}.Check,
+	} {
+		if _, err := check(); err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if got := testing.AllocsPerRun(100, func() { _, _ = check() }); got != 0 {
+			t.Errorf("%s: Check allocates %v times", name, got)
+		}
+	}
+}
+
+// TestCheckRows: Check counts the rows the sweep returns.
+func TestCheckRows(t *testing.T) {
+	rowsOf := func(name string, want int, check func() (int, error)) {
+		t.Helper()
+		if got, err := check(); err != nil || got != want {
+			t.Errorf("%s: Check = %d, %v; the sweep returned %d rows", name, got, err, want)
+		}
+	}
+	short := func(dims *[]int, warmup, measure, drain *int) {
+		*dims, *warmup, *measure, *drain = []int{4, 4}, 2, 4, 4
+	}
+	sat := DefaultSaturation()
+	short(&sat.Dims, &sat.Warmup, &sat.Measure, &sat.Drain)
+	sat.Rates = sat.Rates[:2]
+	rows, err := SaturationSweepWorkers(sat, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowsOf("saturation", len(rows), sat.Check)
+	cs := DefaultCongestionShift()
+	short(&cs.Dims, &cs.Warmup, &cs.Measure, &cs.Drain)
+	cs.Rates = cs.Rates[:2]
+	crows, _, err := CongestionShiftSweepWorkers(cs, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowsOf("congestion", len(crows), cs.Check)
+	cl := DefaultClosedLoop()
+	short(&cl.Dims, &cl.Warmup, &cl.Measure, &cl.Drain)
+	cl.Windows = cl.Windows[:2]
+	clrows, err := ClosedLoopSweepWorkers(cl, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowsOf("closed-loop", len(clrows), cl.Check)
+	gl := DefaultGridlock()
+	short(&gl.Dims, &gl.Warmup, &gl.Measure, &gl.Drain)
+	gl.Patterns, gl.Windows, gl.FaultCounts = gl.Patterns[:1], gl.Windows[:1], nil
+	grows, err := GridlockSweepWorkers(gl, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowsOf("gridlock", len(grows), gl.Check)
+	rel := DefaultReliability()
+	short(&rel.Dims, &rel.Warmup, &rel.Measure, &rel.Drain)
+	rel.Trials, rel.FaultRates = 2, rel.FaultRates[:2]
+	rrows, err := ReliabilitySweepWorkers(rel, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowsOf("reliability", len(rrows), rel.Check)
 }

@@ -96,33 +96,11 @@ type ReliabilityRow struct {
 // ReliabilitySweepWorkers runs the E23 reliability grid (each Monte-Carlo
 // trial is one parallel job; workers < 1 means GOMAXPROCS).
 func ReliabilitySweepWorkers(opt ReliabilityOptions, seed uint64, workers int) ([]ReliabilityRow, error) {
-	cells, dims, _, err := opt.sweepGrid("reliability", "fault rate", len(opt.FaultRates),
-		"Rates", "Windows", "Faults", "FaultRate", "FaultInterval", "FaultStart", "Probe",
-		"Capacities", "FaultCounts", "Mechanisms")
+	base, cells, err := opt.checkReliability()
 	if err != nil {
 		return nil, err
 	}
-	if opt.Trials < 1 {
-		return nil, fmt.Errorf("ndmesh: reliability sweep needs Trials >= 1 (got %d)", opt.Trials)
-	}
-	// The base cell every trial copies is validated (and defaulted) — the
-	// open-loop rate against its arrival process included — at the grid's
-	// highest fault rate, so the fault-process parameters are checked
-	// whenever any cell uses them; a trial overrides only its cell's
-	// pattern, fault rate and router.
-	base := opt.cell()
-	for _, fr := range opt.FaultRates {
-		if !finite(fr) || fr < 0 || fr > 1 {
-			return nil, fmt.Errorf("ndmesh: fault rate %v out of range [0, 1]", fr)
-		}
-		base.FaultRate = max(base.FaultRate, fr)
-	}
-	if err := validateRates(base.Process, base.Rate); err != nil {
-		return nil, err
-	}
-	if err := base.validateLoadShape(); err != nil {
-		return nil, err
-	}
+	dims, _ := opt.describe()
 
 	// One job per Monte-Carlo trial; cells pattern-major, then fault rate,
 	// then router, trials innermost — the order the streams are split in.
@@ -161,6 +139,36 @@ func ReliabilitySweepWorkers(opt ReliabilityOptions, seed uint64, workers int) (
 		return nil, err
 	}
 	return rows, nil
+}
+
+// checkReliability is ReliabilitySweepWorkers' Check. It returns the base
+// cell every trial copies and the row count, one per cell. The base is
+// validated (and defaulted) — the open-loop rate against its arrival
+// process included — at the grid's highest fault rate, so the
+// fault-process parameters are checked whenever any cell uses them; a trial
+// overrides only its cell's pattern, fault rate and router.
+func (opt *LoadSweepOptions[Row]) checkReliability() (base LoadOptions, rows int, err error) {
+	rows, err = opt.sweepGrid("reliability", "fault rate", len(opt.FaultRates),
+		"Rates", "Windows", "Faults", "FaultRate", "FaultInterval", "FaultStart", "Probe",
+		"Capacities", "FaultCounts", "Mechanisms")
+	if err != nil {
+		return base, 0, err
+	}
+	if opt.Trials < 1 {
+		return base, 0, fmt.Errorf("ndmesh: reliability sweep needs Trials >= 1 (got %d)", opt.Trials)
+	}
+	base = opt.cell()
+	for _, fr := range opt.FaultRates {
+		if !finite(fr) || fr < 0 || fr > 1 {
+			return base, 0, fmt.Errorf("ndmesh: fault rate %v out of range [0, 1]", fr)
+		}
+		base.FaultRate = max(base.FaultRate, fr)
+	}
+	if err := validateRates(base.Process, base.Rate); err != nil {
+		return base, 0, err
+	}
+	err = base.validateLoadShape()
+	return base, rows, err
 }
 
 // foldReliabilityCell folds one cell's Monte-Carlo trial points, in trial

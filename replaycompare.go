@@ -55,15 +55,20 @@ func ReplayCompareSweepWorkers(opt LoadOptions, routers []string, workers int) (
 	if foreign != "" {
 		return nil, fmt.Errorf("ndmesh: a replay comparison does not take %s", foreign)
 	}
-	// Resolve the trace inheritance once, so every arm replays the identical
-	// effective configuration.
-	opt.applyReplay()
-	if err := opt.validateLoadShape(); err != nil {
-		return nil, err
+	// Every arm is LoadRun's check on opt with its router, all passed before
+	// any arm runs; they share the one resolved configuration (the trace
+	// inheritance is resolved once per arm, identically).
+	var base LoadOptions
+	for _, router := range routers {
+		base = opt
+		base.Router = router
+		if err := base.check(); err != nil {
+			return nil, err
+		}
 	}
 	return runGrid(fanOut{workers: workers, pool: opt.Pool, cancel: opt.Cancel, progress: opt.Progress}, opt.Seed, len(routers),
 		func(p *EnginePool, j int, r *rng.Source) (ReplayCompareRow, error) {
-			c := opt
+			c := base
 			c.Router = routers[j]
 			pt, err := loadPoint(p, &c, r)
 			if err != nil {

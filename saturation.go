@@ -32,8 +32,8 @@ import (
 // SaturationOptions, CongestionShiftOptions, ClosedLoopOptions,
 // GridlockOptions and ReliabilityOptions, which differ only in the row type
 // Emit streams; each requires its own axes and rejects, by name, the fields
-// that belong to another's (the aliases say which). Every other field means
-// the same thing to all five.
+// that belong to another's (the aliases say which), in the pre-run check
+// Check exports. Every other field means the same thing to all five.
 type LoadSweepOptions[Row any] struct {
 	// Dims is the mesh shape; Lambda the information rounds per step.
 	Dims   []int
@@ -205,18 +205,11 @@ type SaturationRow struct {
 func SaturationSweepWorkers(opt SaturationOptions, seed uint64, workers int) ([]SaturationRow, error) {
 	// One job per (pattern, rate, router) cell, pattern-major — the order
 	// the rows are reported in and the order the job streams are split in.
-	jobs, dims, _, err := opt.sweepGrid("saturation", "rate", len(opt.Rates),
-		"Windows", "FaultRates", "Trials", "Rate", "Capacities", "FaultCounts", "Mechanisms")
+	base, jobs, err := opt.checkSaturation()
 	if err != nil {
 		return nil, err
 	}
-	if err := validateRates(opt.Process, opt.Rates...); err != nil {
-		return nil, err
-	}
-	base := opt.cell()
-	if err := base.validateLoadShape(); err != nil {
-		return nil, err
-	}
+	dims, _ := opt.describe()
 	// The job captures the base cell and the axis slices, not opt: a
 	// closure capturing both moves both to the heap.
 	patterns, rates, routers := opt.Patterns, opt.Rates, opt.Routers
@@ -260,26 +253,92 @@ func emitEach[R any](emit func(index int, row R)) func(out []R, j int) {
 	return func(out []R, j int) { emit(j, out[j]) }
 }
 
-// sweepGrid is the preamble of the five entry points: it applies the
-// caller's axis rules and returns its grid size and the mesh's label and
-// node count. The entry point's own axes, n cells per (pattern, router),
-// must be set; the first field foreign to it that is set is an error naming
-// it; a probe limits the grid to one cell.
-func (opt *LoadSweepOptions[Row]) sweepGrid(entry, axis string, n int, foreign ...string) (cells int, dims string, nodes int, err error) {
+// Check is the sweep's pre-run check, the one statement of its rules: the
+// entry point Row names (SaturationRow names SaturationSweepWorkers, and
+// CongestionShiftRow, ClosedLoopRow, GridlockRow and ReliabilityRow the
+// other four) runs it before anything else, so options it refuses — a
+// foreign field, an empty axis, an unknown router, pattern or process, a
+// value out of range — fail before any cell, any Emit and any simulation.
+// It returns the number of rows the sweep emits, and allocates nothing
+// unless it fails.
+func (opt LoadSweepOptions[Row]) Check() (rows int, err error) {
+	switch any((*Row)(nil)).(type) {
+	case *SaturationRow:
+		_, rows, err = opt.checkSaturation()
+	case *CongestionShiftRow:
+		_, rows, err = opt.checkCongestion()
+	case *ClosedLoopRow:
+		_, rows, err = opt.checkClosedLoop()
+	case *GridlockRow:
+		_, rows, err = opt.checkGridlock()
+	case *ReliabilityRow:
+		_, rows, err = opt.checkReliability()
+	default:
+		err = fmt.Errorf("ndmesh: no load sweep emits %T rows", *new(Row))
+	}
+	if err != nil {
+		return 0, err
+	}
+	return rows, nil
+}
+
+// checkSaturation is SaturationSweepWorkers' Check. It returns the base
+// cell every job copies, validated and defaulted, and the job count, one
+// per row.
+func (opt *LoadSweepOptions[Row]) checkSaturation() (base LoadOptions, rows int, err error) {
+	rows, err = opt.sweepGrid("saturation", "rate", len(opt.Rates),
+		"Windows", "FaultRates", "Trials", "Rate", "Capacities", "FaultCounts", "Mechanisms")
+	if err != nil {
+		return base, 0, err
+	}
+	if err := validateRates(opt.Process, opt.Rates...); err != nil {
+		return base, 0, err
+	}
+	base = opt.cell()
+	err = base.validateLoadShape()
+	return base, rows, err
+}
+
+// sweepGrid applies the axis rules the five entry points share and returns
+// the grid's cell count. The entry point's own axes, n cells per (pattern,
+// router), must be set; the first field foreign to it that is set is an
+// error naming it; every router and pattern must be one the cells can
+// build, over a valid mesh; a probe limits the grid to one cell.
+func (opt *LoadSweepOptions[Row]) sweepGrid(entry, axis string, n int, foreign ...string) (cells int, err error) {
 	if len(opt.Routers) == 0 || len(opt.Patterns) == 0 || n == 0 {
-		return 0, "", 0, fmt.Errorf("ndmesh: %s sweep needs at least one router, pattern and %s", entry, axis)
+		return 0, fmt.Errorf("ndmesh: %s sweep needs at least one router, pattern and %s", entry, axis)
 	}
 	for _, f := range foreign {
 		if opt.isSet(f) {
-			return 0, "", 0, fmt.Errorf("ndmesh: a %s sweep does not take %s", entry, f)
+			return 0, fmt.Errorf("ndmesh: a %s sweep does not take %s", entry, f)
+		}
+	}
+	for _, r := range opt.Routers {
+		if err := route.CheckName(r); err != nil {
+			return 0, err
+		}
+	}
+	nodes, err := grid.Nodes(opt.Dims...)
+	if err != nil {
+		return 0, err
+	}
+	for _, p := range opt.Patterns {
+		if err := traffic.CheckPattern(nodes, p); err != nil {
+			return 0, err
 		}
 	}
 	cells = len(opt.Patterns) * n * len(opt.Routers)
 	if opt.Probe != nil && cells > 1 {
-		return 0, "", 0, fmt.Errorf("ndmesh: a probed sweep must be a single cell (got %d); probes are stateful accumulators and parallel cells would interleave their censuses", cells)
+		return 0, fmt.Errorf("ndmesh: a probed sweep must be a single cell (got %d); probes are stateful accumulators and parallel cells would interleave their censuses", cells)
 	}
-	dims, nodes, err = grid.Describe(opt.Dims...)
-	return cells, dims, nodes, err
+	return cells, nil
+}
+
+// describe returns the mesh's row label and node count; the sweep's check
+// has passed Dims.
+func (opt *LoadSweepOptions[Row]) describe() (label string, nodes int) {
+	label, nodes, _ = grid.Describe(opt.Dims...)
+	return label, nodes
 }
 
 // isSet reports whether the named axis field is set: a list that is not
@@ -348,7 +407,7 @@ func (opt *LoadSweepOptions[Row]) cell() LoadOptions {
 // offered-rate axis would lie (a Bernoulli source caps at 1 msg/node/step, a
 // bursty one at its duty cycle).
 func validateRates(process string, rates ...float64) error {
-	proc, err := traffic.ProcessByName(process)
+	max, err := traffic.MaxRate(process)
 	if err != nil {
 		return err
 	}
@@ -356,9 +415,20 @@ func validateRates(process string, rates ...float64) error {
 		if !finite(rate) || rate <= 0 {
 			return fmt.Errorf("ndmesh: injection rate %v must be positive and finite", rate)
 		}
-		if max := proc.MaxRate(); rate > max {
+		if rate > max {
 			return fmt.Errorf("ndmesh: rate %v exceeds what the %s process can offer (max %v msgs/node/step); use a lower rate or the poisson process",
-				rate, proc.Name(), max)
+				rate, cmp.Or(process, "bernoulli"), max)
+		}
+	}
+	return nil
+}
+
+// validateWindows rejects a closed-loop window below one outstanding
+// request.
+func validateWindows(windows ...int) error {
+	for _, w := range windows {
+		if w < 1 {
+			return fmt.Errorf("ndmesh: closed-loop window %d must be >= 1", w)
 		}
 	}
 	return nil
@@ -378,7 +448,8 @@ const cancelCheckInterval = 64
 // recycled) every step. newLoadRun rewinds the simulation's workload,
 // Engine.Run steps it with loadRun.tick as its stop rule, and fold reads the
 // LoadPoint. The cell draws from a copy of r and leaves r as it was; c must
-// have passed validateLoadShape (and applyReplay, when it replays).
+// have passed its entry point's check (validateLoadShape, and
+// LoadOptions.check when it replays).
 func loadPoint(p *EnginePool, c *LoadOptions, r *rng.Source) (traffic.LoadPoint, error) {
 	sim, err := p.get(c.Dims, c.Lambda)
 	if err != nil {
@@ -503,9 +574,6 @@ func newLoadRun(sim *Simulation, c *LoadOptions, r *rng.Source) (*loadRun, error
 	case c.Replay != nil:
 		// The trace carries the origin run's fault schedule; a live fault
 		// overlay would double-fault the replay.
-		if err := c.Replay.Validate(shape); err != nil {
-			return nil, err
-		}
 		if len(c.Replay.Faults) > 0 {
 			setSchedule(sim, c.Replay.Schedule())
 		}
@@ -520,15 +588,7 @@ func newLoadRun(sim *Simulation, c *LoadOptions, r *rng.Source) (*loadRun, error
 		lr.stream.SplitInto(&lr.faults)
 		total := c.Warmup + c.Measure + c.Drain
 		if c.FaultRate > 0 {
-			popt := fault.ProcessOptions{
-				Arrival:   fault.Delay{Model: c.FaultModel, Rate: c.FaultRate, Shape: c.FaultShape},
-				Start:     c.FaultStart,
-				Horizon:   total - 1,
-				Clustered: c.Clustered,
-			}
-			if c.FaultRepair > 0 {
-				popt.Repair = fault.Delay{Model: fault.DelayBernoulli, Rate: 1 / c.FaultRepair}
-			}
+			popt := c.faultProcess()
 			err = lr.process.Generate(sim.sched, shape, popt, &lr.faults)
 		} else {
 			// Fixed count: default the interval so the schedule spans the
@@ -806,7 +866,7 @@ type LoadOptions struct {
 // byte-identically. opt.Replay must be non-nil.
 func (opt *LoadOptions) applyReplay() {
 	tr := opt.Replay
-	opt.Dims = append([]int(nil), tr.Dims...)
+	opt.Dims = tr.Dims // read-only downstream, as the trace is
 	opt.Rate = tr.Rate
 	opt.Window = tr.Window
 	opt.Warmup, opt.Measure, opt.Drain = tr.Warmup, tr.Measure, tr.Drain
@@ -857,9 +917,6 @@ func (opt *LoadOptions) validateLoadShape() error {
 			return fmt.Errorf("ndmesh: FaultRate and Faults are mutually exclusive overlays — pick the stochastic process or the fixed count")
 		}
 		opt.FaultModel = cmp.Or(opt.FaultModel, fault.DelayBernoulli)
-		if opt.FaultModel != fault.DelayBernoulli && opt.FaultModel != fault.DelayWeibull {
-			return fmt.Errorf("ndmesh: unknown fault model %q (want %s|%s)", opt.FaultModel, fault.DelayBernoulli, fault.DelayWeibull)
-		}
 		if opt.FaultModel == fault.DelayWeibull && opt.FaultShape == 0 {
 			opt.FaultShape = 1.5
 		}
@@ -869,8 +926,81 @@ func (opt *LoadOptions) validateLoadShape() error {
 		if opt.FaultRepair > 0 && opt.FaultRepair < 1 {
 			return fmt.Errorf("ndmesh: FaultRepair %v is a mean delay in steps (>= 1)", opt.FaultRepair)
 		}
+		// The process the cell draws: its model, weibull shape and window.
+		popt := opt.faultProcess()
+		return popt.Check()
 	}
 	return nil
+}
+
+// faultProcess is the stochastic fault overlay a cell with FaultRate > 0
+// draws, spanning the whole run.
+func (opt *LoadOptions) faultProcess() fault.ProcessOptions {
+	popt := fault.ProcessOptions{
+		Arrival:   fault.Delay{Model: opt.FaultModel, Rate: opt.FaultRate, Shape: opt.FaultShape},
+		Start:     opt.FaultStart,
+		Horizon:   opt.Warmup + opt.Measure + opt.Drain - 1,
+		Clustered: opt.Clustered,
+	}
+	if opt.FaultRepair > 0 {
+		popt.Repair = fault.Delay{Model: fault.DelayBernoulli, Rate: 1 / opt.FaultRepair}
+	}
+	return popt
+}
+
+// Check is LoadRun's pre-run check, the one statement of its rules: LoadRun
+// runs it before anything else, so options it refuses — an unknown router,
+// pattern or process, a value out of range — fail before the run takes a
+// simulation. It returns the number of rows a load run makes, one, and
+// allocates nothing unless it fails.
+func (opt LoadOptions) Check() (rows int, err error) {
+	if err := opt.check(); err != nil {
+		return 0, err
+	}
+	return 1, nil
+}
+
+// check is Check on LoadRun's own copy of the options: it resolves the
+// trace inheritance (applyReplay) and validateLoadShape's defaults into opt.
+func (opt *LoadOptions) check() error {
+	if opt.Replay != nil && opt.Record == opt.Replay {
+		// Aliasing the two would have the recorder truncate the very
+		// offer stream the player is reading — refuse instead of
+		// silently replaying (and re-recording) an empty workload.
+		return fmt.Errorf("ndmesh: Record and Replay must be distinct traces")
+	}
+	if opt.Router == "" {
+		return fmt.Errorf("ndmesh: load run needs a router")
+	}
+	if err := route.CheckName(opt.Router); err != nil {
+		return err
+	}
+	if opt.Replay != nil {
+		// A replay's workload is the trace's, offers and faults inside its
+		// mesh; it has no pattern, window or process of its own.
+		opt.applyReplay()
+		if err := opt.Replay.Validate(opt.Dims); err != nil {
+			return err
+		}
+		return opt.validateLoadShape()
+	}
+	nodes, err := grid.Nodes(opt.Dims...)
+	if err != nil {
+		return err
+	}
+	if err := traffic.CheckPattern(nodes, opt.Pattern); err != nil {
+		return err
+	}
+	// A closed loop has no nominal rate to check against a process.
+	if opt.Window != 0 {
+		err = validateWindows(opt.Window)
+	} else {
+		err = validateRates(opt.Process, opt.Rate)
+	}
+	if err != nil {
+		return err
+	}
+	return opt.validateLoadShape()
 }
 
 // LoadRun executes one load run under contention and returns its
@@ -880,25 +1010,7 @@ func (opt *LoadOptions) validateLoadShape() error {
 // produce identical points, pinned by TestLoadRunMatchesSweepCell: a
 // 1-job grid splits the seed exactly as a sweep splits its first cell).
 func LoadRun(opt LoadOptions) (traffic.LoadPoint, error) {
-	if opt.Replay != nil && opt.Record == opt.Replay {
-		// Aliasing the two would have the recorder truncate the very
-		// offer stream the player is reading — refuse instead of
-		// silently replaying (and re-recording) an empty workload.
-		return traffic.LoadPoint{}, fmt.Errorf("ndmesh: Record and Replay must be distinct traces")
-	}
-	if opt.Router == "" {
-		return traffic.LoadPoint{}, fmt.Errorf("ndmesh: load run needs a router")
-	}
-	if opt.Replay != nil {
-		opt.applyReplay()
-	} else if opt.Window == 0 {
-		// Closed-loop and replay runs have no live arrival process to
-		// validate a rate against (a closed loop has no nominal rate at all).
-		if err := validateRates(opt.Process, opt.Rate); err != nil {
-			return traffic.LoadPoint{}, err
-		}
-	}
-	if err := opt.validateLoadShape(); err != nil {
+	if err := opt.check(); err != nil {
 		return traffic.LoadPoint{}, err
 	}
 	pts, err := runGrid(fanOut{workers: 1, pool: opt.Pool, cancel: opt.Cancel, progress: opt.Progress}, opt.Seed, 1,
