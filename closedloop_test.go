@@ -3,6 +3,7 @@ package ndmesh
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ndmesh/internal/engine"
@@ -415,29 +416,87 @@ func TestTraceReplayExplicitUnbounded(t *testing.T) {
 	}
 }
 
-// TestLoadRunReplayOverridesMismatchedOptions pins the precedence rule:
-// the trace is authoritative for the workload-side options, so a caller
-// passing stale dims/rates with a Replay gets the trace's values.
-func TestLoadRunReplayOverridesMismatchedOptions(t *testing.T) {
+// TestNegativeCapacityReplays: a negative NodeCapacity means unbounded and
+// clamps to 0 up front, as the other escape parameters clamp, so a live
+// run's recording carries 0, round-trips through the trace format and
+// replays to the live run's point. Unclamped, the trace header carried the
+// negative value and did not decode.
+func TestNegativeCapacityReplays(t *testing.T) {
 	rec := &traffic.Trace{}
 	live, err := LoadRun(LoadOptions{
 		Dims: []int{6, 6}, Router: "limited", Pattern: "uniform",
-		Rate: 0.15, Warmup: 8, Measure: 24, Drain: 24, Seed: 2, Record: rec,
+		Rate: 0.3, Warmup: 16, Measure: 48, Drain: 48,
+		NodeCapacity: -5, Seed: 7, Record: rec,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := LoadRun(LoadOptions{
-		Dims: []int{9, 9}, Router: "limited", Pattern: "hotspot",
-		Rate: 0.9, Warmup: 1, Measure: 1, Drain: 0,
-		Faults: 5, FaultInterval: 2, // must be ignored: the trace is fault-free
-		Replay: rec,
-	})
+	tr, err := traffic.UnmarshalTrace(rec.Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed, err := LoadRun(LoadOptions{Router: "limited", Replay: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(replayed, live) {
-		t.Errorf("replay with mismatched options diverged:\n live   %+v\n replay %+v", live, replayed)
+		t.Errorf("replay of a negative-capacity recording diverged:\n live   %+v\n replay %+v", live, replayed)
+	}
+}
+
+// TestReplayRefusesFieldsItDoesNotRead: the trace owns a replay's workload
+// and fault schedule, so each field a replay would not read is refused by
+// name — by LoadRun, by LoadOptions.Check and by ReplayCompareSweepWorkers
+// alike — before any simulation is taken, where it was once overridden or
+// ignored in silence. Every value set here is one a live run accepts.
+func TestReplayRefusesFieldsItDoesNotRead(t *testing.T) {
+	rec := &traffic.Trace{}
+	if _, err := LoadRun(LoadOptions{
+		Dims: []int{6, 6}, Router: "limited", Pattern: "uniform",
+		Rate: 0.15, Warmup: 8, Measure: 24, Drain: 24, Seed: 2, Record: rec,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for name, set := range map[string]func(*LoadOptions){
+		"Dims":          func(o *LoadOptions) { o.Dims = []int{9, 9} },
+		"Pattern":       func(o *LoadOptions) { o.Pattern = "hotspot" },
+		"Process":       func(o *LoadOptions) { o.Process = "poisson" },
+		"Rate":          func(o *LoadOptions) { o.Rate = 0.9 },
+		"Window":        func(o *LoadOptions) { o.Window = 2 },
+		"Warmup":        func(o *LoadOptions) { o.Warmup = 1 },
+		"Measure":       func(o *LoadOptions) { o.Measure = 1 },
+		"Drain":         func(o *LoadOptions) { o.Drain = 1 },
+		"Faults":        func(o *LoadOptions) { o.Faults = 5 },
+		"FaultInterval": func(o *LoadOptions) { o.FaultInterval = 2 },
+		"FaultStart":    func(o *LoadOptions) { o.FaultStart = 3 },
+		"Clustered":     func(o *LoadOptions) { o.Clustered = true },
+		"FaultRate":     func(o *LoadOptions) { o.FaultRate = 0.01 },
+		"FaultModel":    func(o *LoadOptions) { o.FaultModel = "weibull" },
+		"FaultShape":    func(o *LoadOptions) { o.FaultShape = 1.5 },
+		"FaultRepair":   func(o *LoadOptions) { o.FaultRepair = 40 },
+		"RetryBackoff":  func(o *LoadOptions) { o.RetryBackoff = 9 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			pool := NewEnginePool(1)
+			o := LoadOptions{Replay: rec, Pool: pool}
+			set(&o)
+			refused := func(entry string, err error) {
+				t.Helper()
+				if err == nil || !strings.Contains(err.Error(), "does not take "+name+" (") {
+					t.Errorf("%s: error = %v, want one naming %s", entry, err, name)
+				}
+			}
+			_, err := ReplayCompareSweepWorkers(o, []string{"limited", "dor"}, 1)
+			refused("ReplayCompareSweepWorkers", err)
+			o.Router = "limited"
+			_, err = o.Check()
+			refused("Check", err)
+			_, err = LoadRun(o)
+			refused("LoadRun", err)
+			if st := pool.Stats(); st != (PoolStats{}) {
+				t.Errorf("the refused replay touched the pool: %+v", st)
+			}
+		})
 	}
 }
 

@@ -25,9 +25,13 @@
 //	loadgen -dims 8x8 -rates 0.35 -timeseries ts.csv -heatmap hm.csv -hist lat.csv
 //	loadgen -dims 16x16 -rates 0.3 -measure 20000 -probe-every 16 -timeseries ts.csv -debug-addr :6060
 //
-// With several -routers, -trace-replay becomes a comparison sweep: every
-// router replays the identical offer stream and fault schedule, one row
-// per router, so the rows differ by router choice alone.
+// -trace-replay runs the recorded workload under each of -routers, one
+// row per router: every router replays the identical offer stream and
+// fault schedule, so the rows differ by router choice alone. The trace
+// carries the engine configuration it was recorded under; an engine flag
+// given explicitly replaces the recorded value (0 and false included). The
+// fault-overlay flags and -retry-backoff, which a replay does not read, are
+// refused.
 //
 // The telemetry flags (-timeseries, -heatmap, -hist, -probe-every,
 // -debug-addr) attach internal/probe recorders to a single run: a
@@ -146,7 +150,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.Uint64Var(&f.seed, "seed", 1, "random seed")
 	fs.IntVar(&f.workers, "workers", 0, "parallel cell workers (0 = all CPUs); results are identical for every value")
 	fs.StringVar(&f.traceRecord, "trace-record", "", "record the run's offered workload (single cell only) into this file")
-	fs.StringVar(&f.traceReplay, "trace-replay", "", "replay a recorded workload trace from this file (overrides -dims/-rates/-windows/-patterns/-faults and the phase lengths)")
+	fs.StringVar(&f.traceReplay, "trace-replay", "", "replay a recorded workload trace from this file: the trace stands in for -dims/-rates/-windows/-patterns/-process/-interval and the phase lengths, the fault-overlay flags and -retry-backoff are refused, and -lambda/-link-rate/-capacity/-timeout/-gridlock-window/-bubble replace the recorded value only when given, 0 and false included")
 	fs.BoolVar(&f.csv, "csv", false, "emit CSV instead of an aligned table")
 	fs.StringVar(&f.probe.timeseries, "timeseries", "", "write the run's per-step census time series to this CSV (single run only; a .manifest.json sidecar is written alongside)")
 	fs.StringVar(&f.probe.heatmap, "heatmap", "", "write per-node residency + per-link stall heatmap accumulators to this CSV (single run only; render with faultviz -heatmap)")
@@ -208,14 +212,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 			pt.TimedOut, pt.Retried, pt.Unfinished, gl, pt.Failed, pt.Recovered,
 			pt.Latency.Mean, pt.Latency.P50, pt.Latency.P95, pt.Latency.P99, pt.Latency.Max)
 	}
-	pointTable := func(title string, router, workload string, pt traffic.LoadPoint) *stats.Table {
-		tab := newPointTable(title)
-		addPointRow(tab, workload, router, pt)
-		return tab
-	}
 
-	// Trace replay: the trace is the workload; only the engine-side
-	// configuration (router, contention, λ) is taken from the flags.
+	// Trace replay: the trace is the workload. An engine flag given
+	// explicitly is written onto it, so 0 and false switch a recorded value
+	// off; one router or several, every replay is the library's comparison.
 	if f.traceReplay != "" {
 		data, err := os.ReadFile(f.traceReplay)
 		if err != nil {
@@ -225,84 +225,48 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		// Engine-side flags override the trace only when given explicitly
-		// on the command line: the flag *defaults* must not silently
-		// replace the recorded configuration (that was exactly the footgun
-		// the trace records them to close).
-		set := map[string]bool{}
-		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		capacityOverride := 0
-		if set["capacity"] {
-			capacityOverride = f.capacity
-			if f.capacity == 0 {
-				// 0 is the flag's "unbounded" value; the library reserves
-				// zero for trace inheritance, so an explicit 0 becomes the
-				// explicit-unbounded sentinel.
-				capacityOverride = -1
+		fs.Visit(func(fl *flag.Flag) {
+			switch fl.Name {
+			case "lambda":
+				tr.Lambda = f.lambda
+			case "link-rate":
+				tr.LinkRate = f.linkRate
+			case "capacity":
+				tr.NodeCapacity = f.capacity
+			case "timeout":
+				tr.FlightTimeout = f.timeout
+			case "gridlock-window":
+				tr.GridlockWindow = f.gridlockWin
+			case "bubble":
+				tr.Bubble = f.bubble
 			}
+		})
+		if f.traceRecord != "" && len(routers) > 1 {
+			return errors.New("-trace-record with -trace-replay needs exactly one -routers entry")
 		}
-		lambdaOverride, linkRateOverride := 0, 0
-		if set["lambda"] {
-			lambdaOverride = f.lambda
+		if err := requireSingleRun(pf, "replay router arms", len(routers)); err != nil {
+			return err
 		}
-		if set["link-rate"] {
-			linkRateOverride = f.linkRate
-		}
-		mode := "open-loop"
-		if tr.ClosedLoop {
-			mode = fmt.Sprintf("closed-loop w=%d", tr.Window)
-		}
-		linkRateEff, capacityEff := tr.LinkRate, tr.NodeCapacity
-		if set["link-rate"] {
-			linkRateEff = f.linkRate
-		}
-		if set["capacity"] {
-			capacityEff = f.capacity
-		}
-
 		opt := ndmesh.LoadOptions{
-			Seed:   f.seed,
-			Lambda: lambdaOverride, LinkRate: linkRateOverride, NodeCapacity: capacityOverride,
-			FlightTimeout: f.timeout, RetryBackoff: f.retryBackoff,
-			Bubble: f.bubble, GridlockWindow: f.gridlockWin,
+			Seed: f.seed, RetryBackoff: f.retryBackoff,
+			Faults: f.faults, Clustered: f.clustered, FaultStart: f.faultStart,
+			FaultRate: f.faultRate, FaultModel: f.faultModel, FaultShape: f.faultShape, FaultRepair: f.repair,
 			Replay: tr, Progress: f.progress,
 		}
-
-		// Several routers: the comparison sweep — every arm replays the
-		// identical offer stream and fault schedule, one row per router.
-		if len(routers) > 1 {
-			if f.traceRecord != "" {
-				return errors.New("-trace-record with -trace-replay needs exactly one -routers entry")
-			}
-			if err := requireSingleRun(pf, "replay router arms", len(routers)); err != nil {
-				return err
-			}
-			rows, err := ndmesh.ReplayCompareSweepWorkers(opt, routers, f.workers)
-			if err != nil {
-				return err
-			}
-			title := fmt.Sprintf("trace replay comparison: %s (%v, %s, %d offers over %d steps), link-rate=%d, capacity=%d",
-				f.traceReplay, tr.Dims, mode, tr.Offers(), tr.Steps(), linkRateEff, capacityEff)
-			tab := newPointTable(title)
-			for _, row := range rows {
-				addPointRow(tab, "trace", row.Router, row.Point)
-			}
-			emitTable(tab)
-			return nil
-		}
-
-		opt.Router = routers[0]
 		if f.traceRecord != "" {
 			// Re-record the replay: the offered stream and fault schedule
 			// carry over, so the written trace is a standalone equivalent
 			// of the input (useful for normalizing or re-homing traces).
 			opt.Record = &traffic.Trace{}
 		}
-		var pt traffic.LoadPoint
+		var rows []ndmesh.ReplayCompareRow
 		err = probed(pf, tr.Dims, tr.Warmup+tr.Measure+tr.Drain, f.seed, func(p engine.Probe, every int) (cfg any, err error) {
 			opt.Probe, opt.ProbeEvery = p, every
-			pt, err = ndmesh.LoadRun(opt)
-			return opt, err
+			rows, err = ndmesh.ReplayCompareSweepWorkers(opt, routers, f.workers)
+			return struct {
+				Routers []string
+				ndmesh.LoadOptions
+			}{routers, opt}, err
 		})
 		if err != nil {
 			return err
@@ -312,9 +276,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 				return err
 			}
 		}
-		title := fmt.Sprintf("trace replay: %s (%v, %s, %d offers over %d steps), link-rate=%d, capacity=%d",
-			f.traceReplay, tr.Dims, mode, tr.Offers(), tr.Steps(), linkRateEff, capacityEff)
-		emitTable(pointTable(title, routers[0], "trace", pt))
+		what, mode := "trace replay", "open-loop"
+		if len(routers) > 1 {
+			what = "trace replay comparison"
+		}
+		if tr.ClosedLoop {
+			mode = fmt.Sprintf("closed-loop w=%d", tr.Window)
+		}
+		tab := newPointTable(fmt.Sprintf("%s: %s (%v, %s, %d offers over %d steps), link-rate=%d, capacity=%d",
+			what, f.traceReplay, tr.Dims, mode, tr.Offers(), tr.Steps(), tr.LinkRate, tr.NodeCapacity))
+		for _, row := range rows {
+			addPointRow(tab, "trace", row.Router, row.Point)
+		}
+		emitTable(tab)
 		return nil
 	}
 
@@ -373,7 +347,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		title := fmt.Sprintf("trace record: %s (%s, %d offers over %d steps), link-rate=%d, capacity=%d, %s",
 			f.traceRecord, f.dimsFlag, opt.Record.Offers(), opt.Record.Steps(), f.linkRate, f.capacity, faultDesc)
-		emitTable(pointTable(title, routers[0], workload, pt))
+		tab := newPointTable(title)
+		addPointRow(tab, workload, routers[0], pt)
+		emitTable(tab)
 		return nil
 	}
 

@@ -15,6 +15,7 @@ import (
 	"ndmesh"
 	"ndmesh/internal/cliutil"
 	"ndmesh/internal/probe"
+	"ndmesh/internal/traffic"
 )
 
 var updateFixtures = flag.Bool("update-fixtures", false, "rewrite testdata/ from this tree")
@@ -104,6 +105,66 @@ func TestReplayComparisonRows(t *testing.T) {
 	single := csvRows(t, loadgen(t, "-trace-replay", trace, "-csv"))
 	if rows[0] != single[0] {
 		t.Errorf("limited arm differs from the single-router replay:\n arm    %s\n single %s", rows[0], single[0])
+	}
+}
+
+// TestReplayEngineFlagsReplaceRecorded: on a replay, an engine flag given
+// explicitly replaces the value the trace recorded, 0 and false included,
+// and a flag left at its default replaces nothing. Each replay re-records,
+// and the re-recording carries the configuration the replay ran under. A
+// flag a replay does not read is refused.
+func TestReplayEngineFlagsReplaceRecorded(t *testing.T) {
+	dir := t.TempDir()
+	record := func(name string, extra ...string) string {
+		trace := filepath.Join(dir, name)
+		loadgen(t, append([]string{"-dims", "6x6", "-windows", "4", "-patterns", "transpose", "-capacity", "2",
+			"-timeout", "6", "-retry-backoff", "2", "-link-rate", "2", "-trace-record", trace}, extra...)...)
+		return trace
+	}
+	plain, bubble := record("plain.ndwt"), record("bubble.ndwt", "-bubble")
+	// replay returns the replay's output and the configuration it ran under.
+	replay := func(trace string, flags ...string) (string, *traffic.Trace) {
+		t.Helper()
+		rerec := filepath.Join(t.TempDir(), "rerec.ndwt")
+		out := loadgen(t, append([]string{"-trace-replay", trace, "-trace-record", rerec}, flags...)...)
+		data, err := os.ReadFile(rerec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ran, err := traffic.UnmarshalTrace(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, ran
+	}
+	out, ran := replay(plain, "-csv")
+	if ran.LinkRate != 2 || ran.NodeCapacity != 2 || ran.FlightTimeout != 6 || ran.Bubble {
+		t.Errorf("a flagless replay did not run the recorded configuration: %+v", ran)
+	}
+	if timeouts := csvColumn(t, out, "timeout"); timeouts[0] == "0" {
+		t.Fatal("the recording's replay kills no flight; the -timeout 0 case lost its teeth")
+	}
+	out, ran = replay(plain, "-timeout", "0", "-csv")
+	if timeouts := csvColumn(t, out, "timeout"); ran.FlightTimeout != 0 || timeouts[0] != "0" {
+		t.Errorf("-timeout 0 replayed with timeout %d, %s flights killed", ran.FlightTimeout, timeouts[0])
+	}
+	if _, ran = replay(plain, "-capacity", "0"); ran.NodeCapacity != 0 {
+		t.Errorf("-capacity 0 replayed at capacity %d, want unbounded", ran.NodeCapacity)
+	}
+	if out, ran = replay(plain, "-link-rate", "3"); ran.LinkRate != 3 || !strings.Contains(out, "link-rate=3,") {
+		t.Errorf("-link-rate 3 replayed at link rate %d under the title\n%s", ran.LinkRate, out)
+	}
+	on, ran := replay(bubble, "-csv")
+	if !ran.Bubble {
+		t.Fatal("a bubble recording replayed without bubble admission")
+	}
+	off, ran := replay(bubble, "-bubble=false", "-csv")
+	if ran.Bubble || off == on {
+		t.Errorf("-bubble=false left bubble admission on (bubble %v)", ran.Bubble)
+	}
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-trace-replay", plain, "-retry-backoff", "4"}, &stdout, &stderr); err == nil || !strings.Contains(err.Error(), "RetryBackoff") {
+		t.Errorf("-retry-backoff on a replay: error = %v, want one naming RetryBackoff", err)
 	}
 }
 

@@ -348,6 +348,15 @@ func TestE2ELibraryRulesRefused(t *testing.T) {
 		"unknown-router-after":  `{"kind":"open-loop","routers":["limited","nope"]}`,
 		"replay-unknown-router": string(replaySpec(t, `"routers":["nope"],`, recordedTrace(t))),
 		"replay-outside-mesh":   string(replaySpec(t, "", outside.Marshal())),
+		// Fields a replay does not read: each was once run, ignored, and
+		// cached under a key of its own.
+		"replay-retry-backoff":  string(replaySpec(t, `"retry_backoff":4,`, recordedTrace(t))),
+		"replay-fault-model":    string(replaySpec(t, `"fault_model":"nope",`, recordedTrace(t))),
+		"replay-fault-shape":    string(replaySpec(t, `"fault_shape":1.5,`, recordedTrace(t))),
+		"replay-fault-repair":   string(replaySpec(t, `"fault_repair":40,`, recordedTrace(t))),
+		"replay-fault-interval": string(replaySpec(t, `"fault_interval":10,`, recordedTrace(t))),
+		"replay-fault-start":    string(replaySpec(t, `"fault_start":3,`, recordedTrace(t))),
+		"replay-clustered":      string(replaySpec(t, `"clustered":true,`, recordedTrace(t))),
 	} {
 		t.Run(name, func(t *testing.T) {
 			if resp, body := submit(t, ts, "", body); resp.StatusCode != http.StatusBadRequest {

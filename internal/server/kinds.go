@@ -210,18 +210,16 @@ func closedLoopAxes(s *Spec) error {
 }
 
 // replayAxes: the trace is the workload — the mesh shape, the phases and
-// the grid axes come from it, and spec fields that would fight it are
-// rejected rather than silently ignored. The trace's run is bounded as
-// every kind's is: its mesh, phases and λ (the spec's, else the trace's).
+// the fault schedule come from it, and the library refuses, by name, each
+// field a replay would not read. The grid axes have no LoadRun counterpart
+// and are refused here. The trace's run is bounded as every kind's is: its
+// mesh, phases and λ (the spec's, else the trace's).
 func replayAxes(s *Spec) error {
 	if len(s.Trace) == 0 {
 		return fmt.Errorf("replay spec needs a trace")
 	}
-	if len(s.Dims) > 0 || len(s.Rates) > 0 || len(s.Windows) > 0 || len(s.FaultRates) > 0 ||
-		len(s.Patterns) > 0 || s.Warmup != 0 || s.Measure != 0 || s.Drain != 0 ||
-		s.Rate != 0 || s.Trials != 0 || s.Process != "" ||
-		s.Faults != 0 || s.FaultRate != 0 {
-		return fmt.Errorf("replay specs take dims, phases, workload axes and the fault schedule from the trace; remove them")
+	if len(s.Rates) > 0 || len(s.Windows) > 0 || len(s.FaultRates) > 0 || len(s.Patterns) > 0 || s.Trials != 0 {
+		return fmt.Errorf("replay specs take no rates, windows, fault_rates, patterns or trials; the trace is the workload")
 	}
 	var err error
 	if s.trace, err = traffic.UnmarshalTrace(s.Trace); err != nil {
@@ -245,15 +243,20 @@ func replayAxes(s *Spec) error {
 }
 
 // replayOptions is the replay kind's LoadRun options, shared by its check
-// and run; engine-side fields follow the library's replay-inheritance
-// rules.
+// and run: every Spec field with a LoadOptions field of the same name is
+// carried over, so LoadRun's check refuses what a replay would not read.
 func replayOptions(s *Spec) ndmesh.LoadOptions {
 	return ndmesh.LoadOptions{
-		Router:   s.Routers[0],
-		Lambda:   s.Lambda,
+		Dims: s.Dims, Lambda: s.Lambda, Router: s.Routers[0],
+		Process: s.Process, Rate: s.Rate,
+		Warmup: s.Warmup, Measure: s.Measure, Drain: s.Drain,
 		LinkRate: s.LinkRate, NodeCapacity: s.NodeCapacity,
 		FlightTimeout: s.FlightTimeout, RetryBackoff: s.RetryBackoff,
 		Bubble: s.Bubble, GridlockWindow: s.GridlockWindow,
+		Faults: s.Faults, FaultInterval: s.FaultInterval,
+		Clustered: s.Clustered, FaultStart: s.FaultStart,
+		FaultRate: s.FaultRate, FaultModel: s.FaultModel,
+		FaultShape: s.FaultShape, FaultRepair: s.FaultRepair,
 		Seed:   s.Seed,
 		Replay: s.trace,
 	}

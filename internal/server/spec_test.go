@@ -147,8 +147,12 @@ func TestParseSpecReplay(t *testing.T) {
 	if _, err := ParseSpec(bad); err == nil {
 		t.Fatal("replay spec with its own phases accepted")
 	}
-	// What LoadRun would refuse, the replay kind refuses at parse time.
-	for _, extra := range []string{`"routers":["nope"],`, `"bubble":true,"node_capacity":1,`, `"probe":true,`} {
+	// What LoadRun would refuse, the replay kind refuses at parse time: the
+	// fields a replay does not read among them, each once accepted, ignored
+	// and keyed apart.
+	for _, extra := range []string{`"routers":["nope"],`, `"bubble":true,"node_capacity":1,`, `"probe":true,`,
+		`"retry_backoff":4,`, `"fault_model":"nope",`, `"fault_model":"weibull",`, `"fault_shape":1.5,`,
+		`"fault_repair":40,`, `"fault_interval":10,`, `"fault_start":3,`, `"clustered":true,`} {
 		if _, err := ParseSpec(replaySpec(t, extra, trace)); err == nil {
 			t.Errorf("replay spec with %s accepted", extra)
 		}
@@ -301,6 +305,10 @@ func FuzzSpecDecode(f *testing.F) {
 		`[1,2,3]`,
 		`"open-loop"`,
 		strings.Repeat(`{"kind":`, 1000),
+		// A one-step 2x2 recording: a replay that parses, and the same with
+		// a field a replay does not read.
+		`{"kind":"replay","trace":"TkRXVAICAgI/4AAAAAAAAAAAAAEAAQEAAAAAAAEEBAABAQACAQMB"}`,
+		`{"kind":"replay","trace":"TkRXVAICAgI/4AAAAAAAAAAAAAEAAQEAAAAAAAEEBAABAQACAQMB","fault_model":"weibull"}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -393,16 +401,13 @@ func TestSpecDefaultsVsLibrary(t *testing.T) {
 	})
 }
 
-// TestSweepOptionsCarriesEverySpecField holds the one Spec -> options
-// conversion to the Spec: every Spec field that has an options field of the
-// same name and type, set to a value no other field has, must arrive under
-// each of the three sweep kinds' row types. A field added to both structs
-// later cannot be dropped on the way (Probe is a bool here and an
-// engine.Probe there; run wires it from the env).
-func TestSweepOptionsCarriesEverySpecField(t *testing.T) {
+// fillShared sets every Spec field that has a field of the same name and
+// type in options to a value no other field has, and returns their names.
+func fillShared(t *testing.T, options any) (*Spec, []string) {
+	t.Helper()
 	var s Spec
 	sv := reflect.ValueOf(&s).Elem()
-	ot := reflect.TypeOf(ndmesh.SaturationOptions{})
+	ot := reflect.TypeOf(options)
 	var shared []string
 	for i := 0; i < sv.NumField(); i++ {
 		f := sv.Type().Field(i)
@@ -413,6 +418,8 @@ func TestSweepOptionsCarriesEverySpecField(t *testing.T) {
 		switch v := sv.Field(i); v.Interface().(type) {
 		case int:
 			v.SetInt(int64(i + 1))
+		case uint64:
+			v.SetUint(uint64(i + 1))
 		case float64:
 			v.SetFloat(float64(i) + 0.5)
 		case string:
@@ -429,19 +436,45 @@ func TestSweepOptionsCarriesEverySpecField(t *testing.T) {
 			t.Fatalf("Spec.%s has a type this test cannot fill: %s", f.Name, f.Type)
 		}
 	}
+	return &s, shared
+}
+
+// carries reports each shared field that did not reach opt unchanged.
+func carries(t *testing.T, kind string, s *Spec, shared []string, opt any) {
+	t.Helper()
+	for _, name := range shared {
+		got, want := reflect.ValueOf(opt).FieldByName(name).Interface(), reflect.ValueOf(s).Elem().FieldByName(name).Interface()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Spec.%s = %v reached the options as %v", kind, name, want, got)
+		}
+	}
+}
+
+// TestSweepOptionsCarriesEverySpecField holds the one Spec -> options
+// conversion to the Spec: every Spec field that has an options field of the
+// same name and type, set to a value no other field has, must arrive under
+// each of the three sweep kinds' row types. A field added to both structs
+// later cannot be dropped on the way (Probe is a bool here and an
+// engine.Probe there; run wires it from the env).
+func TestSweepOptionsCarriesEverySpecField(t *testing.T) {
+	s, shared := fillShared(t, ndmesh.SaturationOptions{})
 	if len(shared) < 27 {
 		t.Fatalf("only %d Spec fields match an options field by name and type (%v); the test lost its subject", len(shared), shared)
 	}
-	for kind, opt := range map[string]any{
-		KindOpenLoop:    sweepOptions[ndmesh.SaturationRow](&s),
-		KindClosedLoop:  sweepOptions[ndmesh.ClosedLoopRow](&s),
-		KindReliability: sweepOptions[ndmesh.ReliabilityRow](&s),
-	} {
-		for _, name := range shared {
-			got, want := reflect.ValueOf(opt).FieldByName(name).Interface(), sv.FieldByName(name).Interface()
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: Spec.%s = %v reached the options as %v", kind, name, want, got)
-			}
-		}
+	carries(t, KindOpenLoop, s, shared, sweepOptions[ndmesh.SaturationRow](s))
+	carries(t, KindClosedLoop, s, shared, sweepOptions[ndmesh.ClosedLoopRow](s))
+	carries(t, KindReliability, s, shared, sweepOptions[ndmesh.ReliabilityRow](s))
+}
+
+// TestReplayOptionsCarriesEverySpecField holds the replay kind's Spec ->
+// LoadOptions conversion to the same rule, so LoadRun's check sees every
+// field a replay spec sets and refuses, by name, those a replay does not
+// read.
+func TestReplayOptionsCarriesEverySpecField(t *testing.T) {
+	s, shared := fillShared(t, ndmesh.LoadOptions{})
+	if len(shared) < 22 {
+		t.Fatalf("only %d Spec fields match a LoadOptions field by name and type (%v); the test lost its subject", len(shared), shared)
 	}
+	s.Routers = []string{"limited"}
+	carries(t, KindReplay, s, shared, replayOptions(s))
 }

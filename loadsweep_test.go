@@ -106,13 +106,64 @@ func TestSweepAxisRules(t *testing.T) {
 			"Record": func(o *LoadOptions) { o.Record = &traffic.Trace{} },
 			"Probe":  func(o *LoadOptions) { o.Probe = &probe.Snapshot{} },
 		} {
-			o := LoadOptions{Replay: rec}
+			pool, calls := NewEnginePool(1), 0
+			o := LoadOptions{Replay: rec, Pool: pool, Progress: func(int, int) { calls++ }}
 			mutate(&o)
 			if _, err := ReplayCompareSweepWorkers(o, routers, 1); err == nil || !strings.Contains(err.Error(), name) {
 				t.Errorf("%s set: error = %v, want one naming the field", name, err)
 			}
+			if st := pool.Stats(); calls != 0 || st != (PoolStats{}) {
+				t.Errorf("%s set: an arm ran before the refusal (%d progress calls, pool %+v)", name, calls, st)
+			}
 		}
 	})
+}
+
+// TestReplayCompareOneRouterIsLoadRun: a comparison of one router is a
+// single cell, so it takes a probe and a Record as a one-cell sweep does,
+// and it is LoadRun's replay: the same point, the same census and a
+// re-recording of the same bytes.
+func TestReplayCompareOneRouterIsLoadRun(t *testing.T) {
+	rec := &traffic.Trace{}
+	if _, err := LoadRun(LoadOptions{
+		Dims: []int{6, 6}, Router: "limited", Pattern: "transpose", Rate: 0.25,
+		Warmup: 16, Measure: 48, Drain: 48, NodeCapacity: 4, Faults: 2, Seed: 3, Record: rec,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	type arm struct {
+		pt  traffic.LoadPoint
+		ts  *probe.TimeSeries
+		rec *traffic.Trace
+	}
+	var viaRun, viaCmp arm
+	for _, a := range []*arm{&viaRun, &viaCmp} {
+		a.ts, a.rec = probe.NewTimeSeries(256), &traffic.Trace{}
+	}
+	var err error
+	if viaRun.pt, err = LoadRun(LoadOptions{Router: "congested", Replay: rec, Probe: viaRun.ts, Record: viaRun.rec}); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := ReplayCompareSweepWorkers(LoadOptions{Replay: rec, Probe: viaCmp.ts, Record: viaCmp.rec}, []string{"congested"}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1 || rows[0].Router != "congested" || !reflect.DeepEqual(rows[0].Point, viaRun.pt) {
+		t.Errorf("one-router comparison diverged from LoadRun:\n got %+v\nwant %+v", rows, viaRun.pt)
+	}
+	var runCSV, cmpCSV strings.Builder
+	if err := viaRun.ts.WriteCSV(&runCSV); err != nil {
+		t.Fatal(err)
+	}
+	if err := viaCmp.ts.WriteCSV(&cmpCSV); err != nil {
+		t.Fatal(err)
+	}
+	if runCSV.String() != cmpCSV.String() || runCSV.Len() == 0 {
+		t.Error("one-router comparison's census differs from LoadRun's")
+	}
+	if !slices.Equal(viaRun.rec.Marshal(), viaCmp.rec.Marshal()) || len(viaCmp.rec.Faults) == 0 {
+		t.Error("one-router comparison recorded other bytes than LoadRun")
+	}
 }
 
 // TestSweepCellCarriesEverySharedField holds the one options-to-options

@@ -9,9 +9,8 @@ package ndmesh
 // having to re-draw the workload per arm.
 //
 // The comparison takes LoadRun's own options, with the routers as a
-// separate argument, and resolves them through the same applyReplay: every
-// engine-side field left zero is taken from opt.Replay, so a single-router
-// comparison reproduces the origin run byte-for-byte.
+// separate argument, and holds each arm to LoadRun's own check, so a
+// single-router comparison reproduces the origin run byte-for-byte.
 //
 // Determinism follows the repository contract: one rng stream is split per
 // router job in row order (replay consumes no randomness, but the split
@@ -35,7 +34,8 @@ type ReplayCompareRow struct {
 // ReplayCompareSweepWorkers replays opt.Replay across every router (each
 // router arm is one parallel job; workers < 1 means GOMAXPROCS), seeded
 // with opt.Seed as LoadRun is. It rejects a set Router (the arms come from
-// routers), Record and Probe (one trace or probe cannot serve several arms).
+// routers) and, with several routers, Record and Probe (one trace or probe
+// cannot serve several arms; one router is a single cell, LoadRun's).
 func ReplayCompareSweepWorkers(opt LoadOptions, routers []string, workers int) ([]ReplayCompareRow, error) {
 	if opt.Replay == nil {
 		return nil, fmt.Errorf("ndmesh: replay comparison needs a trace (Replay)")
@@ -47,9 +47,9 @@ func ReplayCompareSweepWorkers(opt LoadOptions, routers []string, workers int) (
 	switch {
 	case opt.Router != "":
 		foreign = "Router"
-	case opt.Record != nil:
+	case opt.Record != nil && len(routers) > 1:
 		foreign = "Record"
-	case opt.Probe != nil:
+	case opt.Probe != nil && len(routers) > 1:
 		foreign = "Probe"
 	}
 	if foreign != "" {

@@ -421,7 +421,7 @@ func TestNegativeEscapeParametersAreOff(t *testing.T) {
 		"replay-compare": func(v int) (any, error) {
 			return ReplayCompareSweepWorkers(LoadOptions{
 				Replay: rec, Seed: 3,
-				FlightTimeout: v, RetryBackoff: v, GridlockWindow: v,
+				FlightTimeout: v, GridlockWindow: v,
 			}, []string{"limited", "dor"}, 2)
 		},
 		"load-run": func(v int) (any, error) {

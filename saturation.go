@@ -630,7 +630,6 @@ func newLoadRun(sim *Simulation, c *LoadOptions, r *rng.Source) (*loadRun, error
 		// No retry machinery on replay: the recorded stream already carries
 		// the origin run's retried offers.
 		lr.src = traffic.NewTracePlayer(c.Replay)
-		lr.rate = c.Replay.Rate
 	case c.Window > 0:
 		// A closed loop has no nominal rate: Rate and Process go unread.
 		lr.rate = 0
@@ -799,13 +798,14 @@ type LoadOptions struct {
 	Process                string
 	Rate                   float64
 	Warmup, Measure, Drain int
+	// NodeCapacity is the per-node input-queue depth; 0 or negative is
+	// unbounded, except that on replay 0 inherits the trace's depth.
 	LinkRate, NodeCapacity int
 	// FlightTimeout/RetryBackoff/Bubble/GridlockWindow configure the
 	// deadlock-escape mechanisms; see the SaturationOptions fields of the
 	// same names. On replay, FlightTimeout and GridlockWindow are inherited
 	// from the trace wherever left zero, and Bubble is inherited when the
-	// trace recorded it (there is no force-off override for a recorded
-	// bubble run — re-record instead).
+	// trace recorded it.
 	FlightTimeout, RetryBackoff int
 	Bubble                      bool
 	GridlockWindow              int
@@ -836,17 +836,16 @@ type LoadOptions struct {
 	// on cmd/loadgen) reproduces byte-identically.
 	Record *traffic.Trace `json:"-"`
 	// Replay, when non-nil, replays a recorded workload instead of running
-	// a live source: Dims, Rate, Window, the phase lengths and the fault
-	// schedule are taken from the trace and override the corresponding
-	// fields here; no randomness is consumed. The engine-side
-	// configuration (Lambda, LinkRate, NodeCapacity) is inherited from
-	// the trace wherever the caller leaves the field zero, so a plain
-	// replay is byte-identical to the origin run's LoadPoint; set a field
-	// (or Router, which is never recorded) to deliberately
-	// run the same offered workload under a different configuration.
-	// Because 0 is NodeCapacity's meaningful "unbounded" value, forcing
-	// unbounded buffers on the replay of a finite-capacity trace takes a
-	// negative NodeCapacity.
+	// a live source; no randomness is consumed. The trace owns the mesh,
+	// the workload, the phases and the fault schedule, so a replay refuses
+	// by name every field it would not read: Dims, Pattern, Process, Rate,
+	// Window, the phases, the fault overlay and RetryBackoff. The
+	// engine-side configuration (Lambda, LinkRate, NodeCapacity,
+	// FlightTimeout, GridlockWindow, Bubble) is inherited from the trace
+	// wherever the caller leaves it zero, so a plain replay is
+	// byte-identical to the origin run; set a field (or Router, never
+	// recorded) to replay under another configuration, or zero the trace's
+	// own field to switch a recorded value off.
 	Replay *traffic.Trace `json:"-"`
 	// Pool, when non-nil, serves the run from that reservoir of warm
 	// simulations and takes the simulation back afterwards (see
@@ -859,28 +858,37 @@ type LoadOptions struct {
 	Progress func(done, total int) `json:"-"`
 }
 
-// applyReplay resolves the trace-inheritance rules into opt: the trace is
-// authoritative for the workload side (dims, rate/window, phase lengths,
-// fault schedule), and the engine-side configuration is inherited for every
-// field the caller left zero, so a plain replay reproduces the origin run
-// byte-identically. opt.Replay must be non-nil.
+// replayForeign names the first field set that a replay would not read, or
+// returns "": the one list of the fields a replay refuses.
+func (opt *LoadOptions) replayForeign() string {
+	for _, f := range [...]struct {
+		name string
+		set  bool
+	}{
+		{"Dims", len(opt.Dims) > 0}, {"Pattern", opt.Pattern != ""}, {"Process", opt.Process != ""}, {"Rate", opt.Rate != 0},
+		{"Window", opt.Window != 0}, {"Warmup", opt.Warmup != 0}, {"Measure", opt.Measure != 0}, {"Drain", opt.Drain != 0},
+		{"Faults", opt.Faults != 0}, {"FaultInterval", opt.FaultInterval != 0}, {"FaultStart", opt.FaultStart != 0},
+		{"Clustered", opt.Clustered}, {"FaultRate", opt.FaultRate != 0}, {"FaultModel", opt.FaultModel != ""},
+		{"FaultShape", opt.FaultShape != 0}, {"FaultRepair", opt.FaultRepair != 0}, {"RetryBackoff", opt.RetryBackoff != 0},
+	} {
+		if f.set {
+			return f.name
+		}
+	}
+	return ""
+}
+
+// applyReplay fills the workload fields from the trace and inherits the
+// trace's engine-side configuration for every field the caller left zero,
+// so a plain replay reproduces the origin run byte-identically.
+// opt.Replay must be non-nil and replayForeign empty.
 func (opt *LoadOptions) applyReplay() {
 	tr := opt.Replay
 	opt.Dims = tr.Dims // read-only downstream, as the trace is
-	opt.Rate = tr.Rate
-	opt.Window = tr.Window
+	opt.Rate, opt.Window = tr.Rate, tr.Window
 	opt.Warmup, opt.Measure, opt.Drain = tr.Warmup, tr.Measure, tr.Drain
-	// The trace is the fault authority: a live overlay (either kind) on top
-	// of it would double-fault the replay.
-	opt.Faults = 0
-	opt.FaultRate = 0
 	opt.Lambda, opt.LinkRate = cmp.Or(opt.Lambda, tr.Lambda), cmp.Or(opt.LinkRate, tr.LinkRate)
-	switch {
-	case opt.NodeCapacity == 0:
-		opt.NodeCapacity = tr.NodeCapacity
-	case opt.NodeCapacity < 0:
-		opt.NodeCapacity = 0 // explicit unbounded override
-	}
+	opt.NodeCapacity = cmp.Or(opt.NodeCapacity, tr.NodeCapacity)
 	opt.FlightTimeout = cmp.Or(opt.FlightTimeout, tr.FlightTimeout)
 	opt.GridlockWindow = cmp.Or(opt.GridlockWindow, tr.GridlockWindow)
 	opt.Bubble = opt.Bubble || tr.Bubble
@@ -898,7 +906,7 @@ func (opt *LoadOptions) validateLoadShape() error {
 	}
 	opt.Lambda, opt.LinkRate = max(opt.Lambda, 1), max(opt.LinkRate, 1)
 	opt.FlightTimeout, opt.RetryBackoff = max(opt.FlightTimeout, 0), max(opt.RetryBackoff, 0)
-	opt.GridlockWindow = max(opt.GridlockWindow, 0)
+	opt.NodeCapacity, opt.GridlockWindow = max(opt.NodeCapacity, 0), max(opt.GridlockWindow, 0)
 	if opt.Bubble && opt.NodeCapacity == 1 {
 		return fmt.Errorf("ndmesh: bubble admission with capacity 1 can never admit a flight (NodeCapacity must be >= 2)")
 	}
@@ -950,8 +958,8 @@ func (opt *LoadOptions) faultProcess() fault.ProcessOptions {
 
 // Check is LoadRun's pre-run check, the one statement of its rules: LoadRun
 // runs it before anything else, so options it refuses — an unknown router,
-// pattern or process, a value out of range — fail before the run takes a
-// simulation. It returns the number of rows a load run makes, one, and
+// pattern or process, a value out of range, a field a replay does not
+// read — fail before the run takes a simulation. It returns the number of rows a load run makes, one, and
 // allocates nothing unless it fails.
 func (opt LoadOptions) Check() (rows int, err error) {
 	if err := opt.check(); err != nil {
@@ -976,8 +984,9 @@ func (opt *LoadOptions) check() error {
 		return err
 	}
 	if opt.Replay != nil {
-		// A replay's workload is the trace's, offers and faults inside its
-		// mesh; it has no pattern, window or process of its own.
+		if f := opt.replayForeign(); f != "" {
+			return fmt.Errorf("ndmesh: a replay does not take %s (the trace carries the workload, its fault schedule and its retried offers)", f)
+		}
 		opt.applyReplay()
 		if err := opt.Replay.Validate(opt.Dims); err != nil {
 			return err
