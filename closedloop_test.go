@@ -271,8 +271,12 @@ func TestEscapeClosedLoopStepAllocFree(t *testing.T) {
 }
 
 // TestTraceRecordReplayIdentical is the trace subsystem's acceptance
-// criterion: a recorded run — open-loop under faults, and closed-loop —
-// replays through the binary format to a byte-identical LoadPoint.
+// criterion: a recorded run — open-loop under faults, closed-loop, and
+// either under flight timeouts — replays through the binary format to a
+// byte-identical LoadPoint, its Retried count included. The one exception
+// is an open loop's RetryDropped: the retries still pending when injection
+// closed were never offered, so no trace carries them and a replay
+// reports 0.
 func TestTraceRecordReplayIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -288,6 +292,16 @@ func TestTraceRecordReplayIdentical(t *testing.T) {
 			Window: 4, Warmup: 16, Measure: 48, Drain: 48,
 			NodeCapacity: 4, Seed: 11,
 		}},
+		{"closed-loop-timeout", LoadOptions{
+			Dims: []int{6, 6}, Router: "limited", Pattern: "transpose",
+			Window: 4, Warmup: 16, Measure: 48, Drain: 48,
+			NodeCapacity: 2, FlightTimeout: 6, RetryBackoff: 2, Seed: 11,
+		}},
+		{"open-loop-timeout", LoadOptions{
+			Dims: []int{6, 6}, Router: "limited", Pattern: "transpose",
+			Rate: 0.4, Warmup: 16, Measure: 48, Drain: 48,
+			NodeCapacity: 2, FlightTimeout: 6, RetryBackoff: 2, Seed: 11,
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := tc.opt
@@ -295,6 +309,9 @@ func TestTraceRecordReplayIdentical(t *testing.T) {
 			live, err := LoadRun(opt)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if opt.FlightTimeout > 0 && live.Retried == 0 {
+				t.Fatal("the origin run retried nothing; the case lost its teeth")
 			}
 			// Round-trip the trace through its binary encoding, then replay
 			// with only the engine configuration carried over.
@@ -309,6 +326,10 @@ func TestTraceRecordReplayIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if replayed.RetryDropped != 0 {
+				t.Errorf("replay reports %d retries dropped; a trace carries none", replayed.RetryDropped)
+			}
+			live.RetryDropped = 0
 			if !reflect.DeepEqual(replayed, live) {
 				t.Errorf("replay diverged from live run:\n live   %+v\n replay %+v", live, replayed)
 			}

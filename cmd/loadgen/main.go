@@ -215,7 +215,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	// Trace replay: the trace is the workload. An engine flag given
 	// explicitly is written onto it, so 0 and false switch a recorded value
-	// off; one router or several, every replay is the library's comparison.
+	// off, but a positive -timeout goes through the options: the trace's own
+	// timeout tells the library whether its stream carries re-offers, so
+	// whether a replayed timeout counts as retried. One router or several,
+	// every replay is the library's comparison.
 	if f.traceReplay != "" {
 		data, err := os.ReadFile(f.traceReplay)
 		if err != nil {
@@ -225,6 +228,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
+		timeout := 0
 		fs.Visit(func(fl *flag.Flag) {
 			switch fl.Name {
 			case "lambda":
@@ -234,7 +238,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 			case "capacity":
 				tr.NodeCapacity = f.capacity
 			case "timeout":
-				tr.FlightTimeout = f.timeout
+				if timeout = max(f.timeout, 0); timeout == 0 {
+					tr.FlightTimeout = 0
+				}
 			case "gridlock-window":
 				tr.GridlockWindow = f.gridlockWin
 			case "bubble":
@@ -248,7 +254,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		opt := ndmesh.LoadOptions{
-			Seed: f.seed, RetryBackoff: f.retryBackoff,
+			Seed: f.seed, FlightTimeout: timeout, RetryBackoff: f.retryBackoff,
 			Faults: f.faults, Clustered: f.clustered, FaultStart: f.faultStart,
 			FaultRate: f.faultRate, FaultModel: f.faultModel, FaultShape: f.faultShape, FaultRepair: f.repair,
 			Replay: tr, Progress: f.progress,

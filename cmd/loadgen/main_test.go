@@ -148,6 +148,15 @@ func TestReplayEngineFlagsReplaceRecorded(t *testing.T) {
 	if timeouts := csvColumn(t, out, "timeout"); ran.FlightTimeout != 0 || timeouts[0] != "0" {
 		t.Errorf("-timeout 0 replayed with timeout %d, %s flights killed", ran.FlightTimeout, timeouts[0])
 	}
+	// A timeout switched on over a timeout-free recording kills flights that
+	// nothing re-offers: none counts as retried.
+	free := filepath.Join(dir, "free.ndwt")
+	loadgen(t, "-dims", "6x6", "-rates", "0.4", "-patterns", "transpose", "-capacity", "2", "-trace-record", free)
+	out, ran = replay(free, "-timeout", "6", "-csv")
+	if timeouts, retried := csvColumn(t, out, "timeout"), csvColumn(t, out, "retried"); ran.FlightTimeout != 6 || timeouts[0] == "0" || retried[0] != "0" {
+		t.Errorf("-timeout 6 over a timeout-free recording replayed with timeout %d, %s flights killed, %s retried; want 6, some, 0",
+			ran.FlightTimeout, timeouts[0], retried[0])
+	}
 	if _, ran = replay(plain, "-capacity", "0"); ran.NodeCapacity != 0 {
 		t.Errorf("-capacity 0 replayed at capacity %d, want unbounded", ran.NodeCapacity)
 	}

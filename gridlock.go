@@ -33,6 +33,7 @@ package ndmesh
 
 import (
 	"fmt"
+	"slices"
 
 	"ndmesh/internal/rng"
 )
@@ -257,6 +258,9 @@ func (opt *LoadSweepOptions[Row]) checkGridlock() (base LoadOptions, rows int, e
 	}
 	if opt.GridlockWindow < 1 {
 		return base, 0, fmt.Errorf("ndmesh: gridlock sweep needs GridlockWindow >= 1 (without detection, a gridlocked 'none' arm spins to its budget)")
+	}
+	if err := checkFaultCount("FaultCounts", opt.Dims, slices.Max(opt.FaultCounts)); err != nil {
+		return base, 0, err
 	}
 	base = opt.cell()
 	base.Router = opt.Routers[0]

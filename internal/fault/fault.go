@@ -97,71 +97,86 @@ type Options struct {
 // arrangement is redrawn. It returns an error only when the constraints
 // look genuinely unsatisfiable.
 func Generate(shape *grid.Shape, faults int, opt Options, r *rng.Source) (*Schedule, error) {
-	if opt.Interval < 1 {
-		opt.Interval = 1
-	}
-	const restarts = 64
-	var placed []grid.NodeID
-	var err error
-	for attempt := 0; attempt < restarts; attempt++ {
-		placed, err = place(shape, faults, opt, r)
-		if err == nil {
-			break
-		}
-	}
-	if err != nil {
+	var s Scratch
+	sched := &Schedule{}
+	if err := s.Generate(sched, shape, faults, opt, r); err != nil {
 		return nil, err
 	}
-	sched := &Schedule{}
-	for i, node := range placed {
-		step := opt.Start + i*opt.Interval
+	return sched, nil
+}
+
+// Scratch is the working storage of both generators, kept by a caller that
+// draws one schedule after another (a pooled load cell) so a warm draw
+// allocates nothing. The zero value is ready to use.
+type Scratch struct {
+	// placed holds the nodes a draw places against: the fixed count's
+	// arrangement so far, or the process's currently-faulty nodes, whose
+	// scheduled Recover steps repairAt holds (-1 without repair).
+	placed   []grid.NodeID
+	repairAt []int
+}
+
+// Generate is the package's Generate writing into sched: it overwrites
+// sched.Events, keeping its capacity, with the schedule Generate returns
+// for the same arguments. On an error sched is left as it was.
+func (s *Scratch) Generate(sched *Schedule, shape *grid.Shape, faults int, opt Options, r *rng.Source) error {
+	if faults > 0 && opt.UseAnchor && !acceptable(shape, opt.Anchor, nil, &opt) {
+		return fmt.Errorf("fault: anchor %v violates the placement constraints", shape.CoordOf(opt.Anchor))
+	}
+	const restarts, attemptsPer = 64, 1024
+	s.placed = s.placed[:0]
+	for restart := 0; len(s.placed) < faults; {
+		node := opt.Anchor
+		if len(s.placed) > 0 || !opt.UseAnchor {
+			node = draw(shape, s.placed, &opt, attemptsPer, r)
+		}
+		if node != grid.InvalidNode {
+			s.placed = append(s.placed, node)
+			continue
+		}
+		// A dead end: redraw the whole arrangement.
+		if restart++; restart == restarts {
+			return fmt.Errorf("fault: cannot place fault %d of %d under constraints", len(s.placed)+1, faults)
+		}
+		s.placed = s.placed[:0]
+	}
+	interval := max(opt.Interval, 1)
+	sched.Events = sched.Events[:0]
+	for i, node := range s.placed {
+		step := opt.Start + i*interval
 		sched.Events = append(sched.Events, Event{Step: step, Node: node, Kind: Fail})
 		if opt.RecoverAfter > 0 {
 			sched.Events = append(sched.Events, Event{Step: step + opt.RecoverAfter, Node: node, Kind: Recover})
 		}
 	}
 	sched.Sort()
-	return sched, nil
+	return nil
 }
 
-// place draws one complete arrangement or fails.
-func place(shape *grid.Shape, faults int, opt Options, r *rng.Source) ([]grid.NodeID, error) {
-	const attemptsPer = 1024
+// draw is the one rejection-sampling loop both generators place a fault
+// with: it tries up to attempts candidates — uniform over the mesh, or, when
+// clustering, a random neighbor of a random placed node — and returns the
+// first the placement rules accept against placed, or grid.InvalidNode.
+func draw(shape *grid.Shape, placed []grid.NodeID, opt *Options, attempts int, r *rng.Source) grid.NodeID {
 	n := shape.NumNodes()
-	var placed []grid.NodeID
-	for i := 0; i < faults; i++ {
-		node := grid.InvalidNode
-		if i == 0 && opt.UseAnchor {
-			if !acceptable(shape, opt.Anchor, placed, opt) {
-				return nil, fmt.Errorf("fault: anchor %v violates the placement constraints", shape.CoordOf(opt.Anchor))
-			}
-			placed = append(placed, opt.Anchor)
-			continue
-		}
-		for attempt := 0; attempt < attemptsPer; attempt++ {
-			cand := grid.NodeID(r.Intn(n))
-			if opt.Clustered && len(placed) > 0 {
-				// Grow from a random placed fault along a random direction.
-				seed := placed[r.Intn(len(placed))]
-				d := grid.Dir(r.Intn(shape.NumDirs()))
-				if nb := shape.Neighbor(seed, d); nb != grid.InvalidNode {
-					cand = nb
-				}
-			}
-			if acceptable(shape, cand, placed, opt) {
-				node = cand
-				break
+	for attempt := 0; attempt < attempts; attempt++ {
+		cand := grid.NodeID(r.Intn(n))
+		if opt.Clustered && len(placed) > 0 {
+			// Grow from a random placed fault along a random direction.
+			seed := placed[r.Intn(len(placed))]
+			d := grid.Dir(r.Intn(shape.NumDirs()))
+			if nb := shape.Neighbor(seed, d); nb != grid.InvalidNode {
+				cand = nb
 			}
 		}
-		if node == grid.InvalidNode {
-			return nil, fmt.Errorf("fault: cannot place fault %d of %d under constraints", i+1, faults)
+		if acceptable(shape, cand, placed, opt) {
+			return cand
 		}
-		placed = append(placed, node)
 	}
-	return placed, nil
+	return grid.InvalidNode
 }
 
-func acceptable(shape *grid.Shape, cand grid.NodeID, placed []grid.NodeID, opt Options) bool {
+func acceptable(shape *grid.Shape, cand grid.NodeID, placed []grid.NodeID, opt *Options) bool {
 	if shape.OnBorder(cand) {
 		return false
 	}

@@ -130,9 +130,9 @@ type ProcessOptions struct {
 // because the placement bookkeeping replays the same order the engine
 // will.
 func GenerateProcess(shape *grid.Shape, opt ProcessOptions, r *rng.Source) (*Schedule, error) {
-	var ps ProcessScratch
+	var s Scratch
 	sched := &Schedule{}
-	if err := ps.Generate(sched, shape, opt, r); err != nil {
+	if err := s.GenerateProcess(sched, shape, opt, r); err != nil {
 		return nil, err
 	}
 	return sched, nil
@@ -158,20 +158,11 @@ func (opt *ProcessOptions) Check() error {
 	return nil
 }
 
-// ProcessScratch is GenerateProcess's working storage, kept by a caller
-// that draws one schedule after another (a pooled load cell) so a warm
-// draw allocates nothing. The zero value is ready to use.
-type ProcessScratch struct {
-	// active holds the currently-faulty nodes; repairAt[i] is the step
-	// active[i]'s scheduled Recover lands (or -1 without repair).
-	active   []grid.NodeID
-	repairAt []int
-}
-
-// Generate is GenerateProcess writing into sched: it overwrites
-// sched.Events, keeping its capacity, with the schedule GenerateProcess
-// returns for the same arguments. On an error sched is left as it was.
-func (ps *ProcessScratch) Generate(sched *Schedule, shape *grid.Shape, opt ProcessOptions, r *rng.Source) error {
+// GenerateProcess is the package's GenerateProcess writing into sched: it
+// overwrites sched.Events, keeping its capacity, with the schedule
+// GenerateProcess returns for the same arguments. On an error sched is left
+// as it was.
+func (s *Scratch) GenerateProcess(sched *Schedule, shape *grid.Shape, opt ProcessOptions, r *rng.Source) error {
 	if err := opt.Check(); err != nil {
 		return err
 	}
@@ -184,9 +175,8 @@ func (ps *ProcessScratch) Generate(sched *Schedule, shape *grid.Shape, opt Proce
 		MinSpacing:    opt.MinSpacing,
 		Clustered:     opt.Clustered,
 	}
-	n := shape.NumNodes()
 	sched.Events = sched.Events[:0]
-	active, repairAt := ps.active[:0], ps.repairAt[:0]
+	active, repairAt := s.placed[:0], s.repairAt[:0]
 	for t := opt.Start - 1 + opt.Arrival.Sample(r); t <= opt.Horizon; t += opt.Arrival.Sample(r) {
 		// Apply the repairs due strictly before this arrival's step, so
 		// placement sees the mesh exactly as the engine will at step t
@@ -206,22 +196,7 @@ func (ps *ProcessScratch) Generate(sched *Schedule, shape *grid.Shape, opt Proce
 		if opt.MaxActive > 0 && len(active) >= opt.MaxActive {
 			continue
 		}
-		// Rejection-sample a placement against the live faulty set.
-		node := grid.InvalidNode
-		for attempt := 0; attempt < attemptsPer; attempt++ {
-			cand := grid.NodeID(r.Intn(n))
-			if opt.Clustered && len(active) > 0 {
-				seed := active[r.Intn(len(active))]
-				d := grid.Dir(r.Intn(shape.NumDirs()))
-				if nb := shape.Neighbor(seed, d); nb != grid.InvalidNode {
-					cand = nb
-				}
-			}
-			if acceptable(shape, cand, active, placeOpt) {
-				node = cand
-				break
-			}
-		}
+		node := draw(shape, active, &placeOpt, attemptsPer, r)
 		if node == grid.InvalidNode {
 			continue // saturated under the placement rules; skip this arrival
 		}
@@ -234,7 +209,7 @@ func (ps *ProcessScratch) Generate(sched *Schedule, shape *grid.Shape, opt Proce
 		active = append(active, node)
 		repairAt = append(repairAt, ra)
 	}
-	ps.active, ps.repairAt = active, repairAt
+	s.placed, s.repairAt = active, repairAt
 	sched.Sort()
 	return nil
 }

@@ -209,9 +209,10 @@ func TestGenerateProcessValidation(t *testing.T) {
 }
 
 // TestProcessScratchReuseMatchesFresh draws a run of schedules through one
-// ProcessScratch into one Schedule — arrival models, repair on and off,
-// clustering and a cap, so the scratch carries every kind of leftover — and
-// holds each to a fresh GenerateProcess of the same arguments; a warm
+// Scratch into one Schedule — arrival models, repair on and off, clustering
+// and a cap, each followed by a fixed-count draw, so the scratch carries
+// every kind of leftover from either generator into the other — and holds
+// each to a fresh GenerateProcess or Generate of the same arguments; a warm
 // repeat of the largest draw allocates nothing.
 func TestProcessScratchReuseMatchesFresh(t *testing.T) {
 	shape := processShape(t)
@@ -222,7 +223,15 @@ func TestProcessScratchReuseMatchesFresh(t *testing.T) {
 		{Arrival: Delay{Model: DelayBernoulli, Rate: 0.5}, Start: 1, Horizon: 100, MaxActive: 3},
 		{Arrival: Delay{Model: DelayBernoulli, Rate: 0.01}, Start: 1, Horizon: 2},
 	}
-	var ps ProcessScratch
+	fixed := []struct {
+		faults int
+		opt    Options
+	}{
+		{9, Options{Interval: 7, Start: 3, MinSpacing: 3, RecoverAfter: 5}},
+		{14, Options{Interval: 2, Clustered: true}},
+		{4, Options{Interval: 1, Start: 1, Exclude: []grid.NodeID{shape.Index(grid.Coord{6, 6})}, ExcludeRadius: 3}},
+	}
+	var ps Scratch
 	var sched Schedule
 	for round := 0; round < 2; round++ {
 		for i, opt := range opts {
@@ -231,18 +240,29 @@ func TestProcessScratchReuseMatchesFresh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := ps.Generate(&sched, shape, opt, rng.New(seed)); err != nil {
+			if err := ps.GenerateProcess(&sched, shape, opt, rng.New(seed)); err != nil {
 				t.Fatal(err)
 			}
 			if !slices.Equal(sched.Events, want.Events) {
 				t.Fatalf("round %d case %d: reused scratch drew %v, fresh %v", round, i, sched.Events, want.Events)
+			}
+			f := fixed[(round+i)%len(fixed)]
+			want, err = Generate(shape, f.faults, f.opt, rng.New(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ps.Generate(&sched, shape, f.faults, f.opt, rng.New(seed)); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(sched.Events, want.Events) {
+				t.Fatalf("round %d case %d: reused scratch drew the fixed count %v, fresh %v", round, i, sched.Events, want.Events)
 			}
 		}
 	}
 	r := rng.New(0)
 	warm := func() {
 		r.Reseed(0)
-		if err := ps.Generate(&sched, shape, opts[0], r); err != nil {
+		if err := ps.GenerateProcess(&sched, shape, opts[0], r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -252,7 +272,7 @@ func TestProcessScratchReuseMatchesFresh(t *testing.T) {
 	}
 	// An invalid draw reports the error and leaves the schedule as it was.
 	before := slices.Clone(sched.Events)
-	if err := ps.Generate(&sched, shape, ProcessOptions{Arrival: Delay{Model: "x", Rate: 0.1}, Horizon: 9}, r); err == nil {
+	if err := ps.GenerateProcess(&sched, shape, ProcessOptions{Arrival: Delay{Model: "x", Rate: 0.1}, Horizon: 9}, r); err == nil {
 		t.Fatal("an unknown arrival model drew a schedule")
 	}
 	if !slices.Equal(sched.Events, before) {

@@ -346,6 +346,8 @@ func TestE2ELibraryRulesRefused(t *testing.T) {
 		"unknown-pattern":       `{"kind":"open-loop","patterns":["nope"]}`,
 		"unknown-router-large":  `{"kind":"open-loop","dims":[256,256],"routers":["nope"]}`,
 		"unknown-router-after":  `{"kind":"open-loop","routers":["limited","nope"]}`,
+		"faults-over-interior":  `{"kind":"open-loop","dims":[4,4],"faults":20}`,
+		"faults-over-3x3":       `{"kind":"closed-loop","dims":[3,3],"faults":2}`,
 		"replay-unknown-router": string(replaySpec(t, `"routers":["nope"],`, recordedTrace(t))),
 		"replay-outside-mesh":   string(replaySpec(t, "", outside.Marshal())),
 		// Fields a replay does not read: each was once run, ignored, and
@@ -359,8 +361,12 @@ func TestE2ELibraryRulesRefused(t *testing.T) {
 		"replay-clustered":      string(replaySpec(t, `"clustered":true,`, recordedTrace(t))),
 	} {
 		t.Run(name, func(t *testing.T) {
-			if resp, body := submit(t, ts, "", body); resp.StatusCode != http.StatusBadRequest {
-				t.Fatalf("status %d (%s), want 400", resp.StatusCode, body)
+			resp, answer := submit(t, ts, "", body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status %d (%s), want 400", resp.StatusCode, answer)
+			}
+			if strings.HasPrefix(name, "faults-") && !strings.Contains(string(answer), "Faults") {
+				t.Errorf("the refusal %s does not name Faults", answer)
 			}
 		})
 	}

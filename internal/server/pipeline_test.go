@@ -236,16 +236,18 @@ func TestJobStateTransitions(t *testing.T) {
 		t.Cleanup(func() { cancel(); <-done })
 		waitForState(t, srv, StateRunning)
 	}
-	// Twenty fixed faults cannot be placed on a 4x4 mesh: the spec passes
-	// every check and fails in its one cell.
-	failing := `{"kind":"open-loop","dims":[4,4],"faults":20,"rates":[0.2],"seed":1}`
-	failSpec, err := ParseSpec([]byte(failing))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, runErr := ndmesh.SaturationSweepWorkers(sweepOptions[ndmesh.SaturationRow](failSpec), failSpec.Seed, 1)
-	if runErr == nil {
-		t.Fatal("the failing spec runs")
+	// No spec that passes the library's check fails reliably in its cell,
+	// so the failed-run case swaps the open-loop row's run for one that
+	// fails and restores it when the case ends.
+	runErr := errors.New("ndmesh: the cell failed")
+	failRun := func(t *testing.T) {
+		k, err := kindOf(KindOpenLoop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := k.run
+		k.run = func(*Spec, env) error { return runErr }
+		t.Cleanup(func() { k.run = run })
 	}
 
 	for _, tc := range []struct {
@@ -298,7 +300,8 @@ func TestJobStateTransitions(t *testing.T) {
 			return id
 		}, JobStatus{State: StateCanceled, Cache: "miss", Error: ndmesh.ErrCanceled.Error()}},
 		{"failed-run", func(t *testing.T, srv *Server, ts *httptest.Server) string {
-			resp, body := submit(t, ts, "", failing)
+			failRun(t)
+			resp, body := submit(t, ts, "", shortSpec(1))
 			if want := string(encodeNDJSON(map[string]string{"error": runErr.Error()})); resp.StatusCode != http.StatusOK || string(body) != want {
 				t.Fatalf("failed run answered %d %q, want 200 %q", resp.StatusCode, body, want)
 			}

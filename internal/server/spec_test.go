@@ -97,6 +97,8 @@ func TestParseSpecRejections(t *testing.T) {
 		"window-zero":              `{"kind":"closed-loop","windows":[0]}`,
 		"weibull-negative-shape":   `{"kind":"open-loop","fault_rate":0.01,"fault_model":"weibull","fault_shape":-1}`,
 		"fault-start-past-the-run": `{"kind":"open-loop","fault_rate":0.01,"fault_start":600}`,
+		"faults-over-interior":     `{"kind":"open-loop","dims":[4,4],"faults":20}`,
+		"faults-over-interior-3x3": `{"kind":"closed-loop","dims":[3,3],"faults":2}`,
 	} {
 		t.Run(name, func(t *testing.T) {
 			if _, err := ParseSpec([]byte(body)); err == nil {

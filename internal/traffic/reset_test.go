@@ -42,7 +42,9 @@ func drive(src Injector, steps int, settle func(i int, src, dst grid.NodeID)) []
 // constructor: a source driven into a dirty state (timeouts pending, streaks
 // and backoffs running, a bursty process mid-burst), then Reset with other
 // arguments, emits what a fresh source of those arguments emits, and a
-// Reset of a source of the same size allocates nothing.
+// Reset of a source of the same size allocates nothing. A trace player,
+// rewound onto another trace after playing past the end of one, offers what
+// a freshly set player offers.
 func TestSourceResetMatchesFresh(t *testing.T) {
 	shape := meshtest.MustShape(6, 5)
 	uniform, transpose := NewUniform(shape), NewTranspose(shape)
@@ -118,6 +120,25 @@ func TestSourceResetMatchesFresh(t *testing.T) {
 			t.Fatalf("reset closed loop emitted %v (outstanding %v), fresh %v (outstanding %v)", head(got), c.outstanding, head(want), fresh.outstanding)
 		}
 		if n := testing.AllocsPerRun(10, func() { c.Reset(shape, transpose, 2, r) }); n != 0 {
+			t.Fatalf("Reset allocates %v times", n)
+		}
+	})
+
+	t.Run("trace-player", func(t *testing.T) {
+		first, _ := recordOffers(t, shape, 20)
+		second, _ := recordOffers(t, meshtest.MustShape(4, 4), 12)
+		var p TracePlayer
+		p.Reset(first)
+		drive(&p, 25, noop) // past the end of the recording
+		p.Reset(second)
+		got := drive(&p, 15, noop)
+		var fresh TracePlayer
+		fresh.Reset(second)
+		want := drive(&fresh, 15, noop)
+		if !slices.Equal(got, want) || len(got) != second.Offers() {
+			t.Fatalf("reset player offered %v, fresh %v (%d recorded)", head(got), head(want), second.Offers())
+		}
+		if n := testing.AllocsPerRun(10, func() { p.Reset(first) }); n != 0 {
 			t.Fatalf("Reset allocates %v times", n)
 		}
 	})

@@ -75,11 +75,6 @@ func (t *Trace) Steps() int { return len(t.counts) }
 // Offers returns the total number of offered endpoint pairs recorded.
 func (t *Trace) Offers() int { return len(t.srcs) }
 
-// Schedule rebuilds the recorded fault schedule (empty if fault-free).
-func (t *Trace) Schedule() *fault.Schedule {
-	return &fault.Schedule{Events: append([]fault.Event(nil), t.Faults...)}
-}
-
 // Reset clears the recorded offer stream and fault schedule (keeping the
 // buffers' capacity) so the trace can hold a fresh recording.
 // NewTraceRecorder calls it: wrapping a source always begins a new
@@ -134,26 +129,23 @@ func (rec *TraceRecorder) Step(emit func(src, dst grid.NodeID) bool) {
 
 // TracePlayer implements Injector by replaying a recorded trace: step s
 // offers exactly the pairs recorded at step s, in recorded order, consuming
-// no randomness. Steps past the end of the recording offer nothing.
+// no randomness. Steps past the end of the recording offer nothing. A
+// player is set to a trace by Reset.
 type TracePlayer struct {
 	tr   *Trace
 	step int
 	pos  int
 }
 
-// NewTracePlayer builds a player positioned at the trace's first step.
-func NewTracePlayer(tr *Trace) *TracePlayer { return &TracePlayer{tr: tr} }
+// Reset positions the player at tr's first step.
+func (p *TracePlayer) Reset(tr *Trace) { *p = TracePlayer{tr: tr} }
 
 // Step implements Injector.
 func (p *TracePlayer) Step(emit func(src, dst grid.NodeID) bool) {
-	if p.step >= len(p.tr.counts) {
-		p.step++
-		return
-	}
-	n := int(p.tr.counts[p.step])
-	for i := 0; i < n; i++ {
-		emit(grid.NodeID(p.tr.srcs[p.pos]), grid.NodeID(p.tr.dsts[p.pos]))
-		p.pos++
+	if p.step < len(p.tr.counts) {
+		for end := p.pos + int(p.tr.counts[p.step]); p.pos < end; p.pos++ {
+			emit(grid.NodeID(p.tr.srcs[p.pos]), grid.NodeID(p.tr.dsts[p.pos]))
+		}
 	}
 	p.step++
 }

@@ -53,7 +53,8 @@ func TestTraceRecordsEveryOffer(t *testing.T) {
 		t.Fatalf("trace recorded %d offers, run saw %d", tr.Offers(), len(seen))
 	}
 	var replayed [][2]grid.NodeID
-	p := NewTracePlayer(tr)
+	var p TracePlayer
+	p.Reset(tr)
 	for s := 0; s < 12; s++ {
 		p.Step(func(src, dst grid.NodeID) bool {
 			replayed = append(replayed, [2]grid.NodeID{src, dst})
@@ -116,7 +117,8 @@ func TestTraceMarshalRoundTrip(t *testing.T) {
 func TestTracePlayerPastEnd(t *testing.T) {
 	shape := meshtest.MustShape(4, 4)
 	tr, _ := recordOffers(t, shape, 5)
-	p := NewTracePlayer(tr)
+	var p TracePlayer
+	p.Reset(tr)
 	for s := 0; s < 5; s++ {
 		p.Step(func(src, dst grid.NodeID) bool { return true })
 	}

@@ -2,6 +2,7 @@ package ndmesh
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -436,4 +437,80 @@ func TestCheckRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	rowsOf("reliability", len(rrows), rel.Check)
+}
+
+// overInterior runs one sweep entry point on its library defaults (a 4x4
+// mesh, phases cut short) with set giving it a fixed-count overlay of
+// faults, and returns its error, its Check's error, and whether it emitted
+// a row or touched its pool before returning.
+func overInterior[Row any](opt LoadSweepOptions[Row], set func(*LoadSweepOptions[Row], int),
+	sweep func(LoadSweepOptions[Row], uint64, int) ([]Row, error)) func(faults int) (err, cerr error, touched bool) {
+	return func(faults int) (error, error, bool) {
+		opt.Dims, opt.Warmup, opt.Measure, opt.Drain = []int{4, 4}, 4, 8, 8
+		set(&opt, faults)
+		pool := NewEnginePool(1)
+		emitted := 0
+		opt.Pool, opt.Emit = pool, func(int, Row) { emitted++ }
+		_, err := sweep(opt, 1, 1)
+		_, cerr := opt.Check()
+		st := pool.Stats()
+		return err, cerr, emitted != 0 || st.Built != 0 || st.Acquired != 0
+	}
+}
+
+// TestOverInteriorFaultCountRefused: no fault lies on the outermost
+// surface, so a fixed-count overlay of more faults than the mesh has
+// interior nodes cannot be placed. LoadRun, LoadOptions.Check and every
+// sweep that takes Faults refuse it naming the field, and the gridlock
+// sweep its largest FaultCounts entry, before any cell: no row emitted and
+// the pool untouched. A count the interior holds passes.
+func TestOverInteriorFaultCountRefused(t *testing.T) {
+	setFaults := func(o *LoadSweepOptions[SaturationRow], n int) { o.Faults = n }
+	loadRun := func(dims []int, window int) func(faults int) (error, error, bool) {
+		return func(faults int) (error, error, bool) {
+			pool := NewEnginePool(1)
+			o := LoadOptions{Dims: dims, Router: "limited", Pattern: "uniform", Rate: 0.1, Window: window,
+				Warmup: 4, Measure: 8, Drain: 8, Faults: faults, Pool: pool}
+			if window > 0 {
+				o.Rate = 0
+			}
+			_, err := LoadRun(o)
+			_, cerr := o.Check()
+			st := pool.Stats()
+			return err, cerr, st.Built != 0 || st.Acquired != 0
+		}
+	}
+	for _, c := range []struct {
+		name, field string
+		interior    int
+		run         func(faults int) (err, cerr error, touched bool)
+	}{
+		{"load-run", "Faults", 4, loadRun([]int{4, 4}, 0)},
+		{"load-run-closed-3x3", "Faults", 1, loadRun([]int{3, 3}, 2)},
+		{"saturation", "Faults", 4, overInterior(DefaultSaturation(), setFaults, SaturationSweepWorkers)},
+		{"congestion", "Faults", 4, overInterior(DefaultCongestionShift(),
+			func(o *CongestionShiftOptions, n int) { o.Faults = n },
+			func(o CongestionShiftOptions, seed uint64, workers int) ([]CongestionShiftRow, error) {
+				rows, _, err := CongestionShiftSweepWorkers(o, seed, workers)
+				return rows, err
+			})},
+		{"closed-loop", "Faults", 4, overInterior(DefaultClosedLoop(),
+			func(o *ClosedLoopOptions, n int) { o.Faults = n }, ClosedLoopSweepWorkers)},
+		{"gridlock", "FaultCounts", 4, overInterior(DefaultGridlock(),
+			func(o *GridlockOptions, n int) { o.FaultCounts = []int{0, n, 1} }, GridlockSweepWorkers)},
+	} {
+		err, cerr, touched := c.run(c.interior + 1)
+		want := fmt.Sprintf("%s %d exceeds the %d interior nodes", c.field, c.interior+1, c.interior)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error = %v, want one saying %q", c.name, err, want)
+		} else if cerr == nil || cerr.Error() != err.Error() {
+			t.Errorf("%s: Check = %v, the run's error %v", c.name, cerr, err)
+		}
+		if touched {
+			t.Errorf("%s: a row was emitted or the pool touched before the refusal", c.name)
+		}
+		if _, cerr, _ := c.run(c.interior); cerr != nil {
+			t.Errorf("%s: Check refused %d faults, which the interior holds: %v", c.name, c.interior, cerr)
+		}
+	}
 }

@@ -76,7 +76,7 @@ type Simulation struct {
 	engine *engine.Engine
 	sched  *fault.Schedule
 	// load is the load cells' workload (saturation.go): its collector, rng
-	// streams, sources, patterns and fault-process scratch. Each cell
+	// streams, sources, patterns and fault-placement scratch. Each cell
 	// rewinds it (newLoadRun) and Reset drops the cell's wiring, so the
 	// buffers keep their capacity across the cells of a pool.
 	load loadRun

@@ -10,7 +10,7 @@ package ndmesh
 // its own — as meshsim's -trials do, through RouteSweepWorkers. A pooled
 // simulation keeps, besides its engine and information plane, the load run
 // its cells rewind (Simulation.load: collector, rng streams, sources,
-// patterns, fault-process scratch) and its own route.Oracle, so a warm load
+// patterns, fault-placement scratch) and its own route.Oracle, so a warm load
 // cell allocates nothing. Its oracle's table outlives the cell, but its
 // fields are keyed on the mesh version, which Reset advances, so the table
 // is storage, not state. Only a simulation that has served an oracle cell

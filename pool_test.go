@@ -376,12 +376,14 @@ type cellAllocs struct {
 // the count committed in testdata/warm_load_cell_allocs.json. The cases are
 // an open-loop 8x8 cell at capacity 8, the same with flight timeouts (the
 // retry source), a closed-loop 6x6x6 bubble cell with retry, the
-// fault-storm cell (the workload's 16x16 λ=2 options at fault rate 0.2) and
-// an oracle cell. A pooled Simulation keeps everything a warm cell needs:
-// its engine, flights, headers and event log, and its load run's
-// collector, rng streams, sources, patterns and fault-process scratch, and
-// the oracle whose table the oracle cell refills (the mesh version moved by
-// the Reset drops its fields); a warm cell of each case allocates nothing.
+// fault-storm cell (the workload's 16x16 λ=2 options at fault rate 0.2), an
+// oracle cell, an 8x8 cell under a fixed-count fault overlay and a replay
+// of a trace that carries faults. A pooled Simulation keeps everything a
+// warm cell needs: its engine, flights, headers, fault schedule and event
+// log, and its load run's collector, rng streams, sources (the trace
+// player included), patterns and fault-placement scratch, and the oracle
+// whose table the oracle cell refills (the mesh version moved by the Reset
+// drops its fields); a warm cell of each case allocates nothing.
 // The cell's stream is built outside the measured closure (loadPoint
 // leaves it as it was), so each count is the cell's alone. Every warm run is
 // an identical rerun, and the count is the least of three: a garbage
@@ -412,6 +414,19 @@ func TestWarmLoadCellAllocs(t *testing.T) {
 	closedHotspot := cellAt(closed, "hotspot", 0, 8, "congested")
 	stormUniform := cellAt(storm, "uniform", 0.02, 0, "limited")
 	oracleUniform := cellAt(open, "uniform", 0.2, 0, "oracle")
+	overlay := open
+	overlay.Faults = 4
+	overlayUniform := cellAt(overlay, "uniform", 0.2, 0, "limited")
+	// The replayed trace is recorded once, outside the measured cells.
+	replay := LoadOptions{Router: "limited", Replay: &traffic.Trace{}}
+	recorded := overlayUniform
+	recorded.Record, recorded.Seed = replay.Replay, 5
+	if _, err := LoadRun(recorded); err != nil {
+		t.Fatal(err)
+	}
+	if err := replay.check(); err != nil {
+		t.Fatal(err)
+	}
 	r := rng.New(11).Split()
 	// Each cell must do what its case names, or its count shows nothing.
 	cases := []struct {
@@ -434,6 +449,12 @@ func TestWarmLoadCellAllocs(t *testing.T) {
 		{"oracle/8x8/uniform/capacity8", func(p *EnginePool) (traffic.LoadPoint, error) {
 			return loadPoint(p, &oracleUniform, r)
 		}, func(pt traffic.LoadPoint) bool { return pt.Delivered > 0 }},
+		{"overlay/8x8/limited/uniform/faults4", func(p *EnginePool) (traffic.LoadPoint, error) {
+			return loadPoint(p, &overlayUniform, r)
+		}, func(pt traffic.LoadPoint) bool { return pt.Failed == 4 && pt.Delivered > 0 }},
+		{"replay/8x8/limited/uniform/faults4", func(p *EnginePool) (traffic.LoadPoint, error) {
+			return loadPoint(p, &replay, r)
+		}, func(pt traffic.LoadPoint) bool { return pt.Failed == 4 && pt.Delivered > 0 }},
 	}
 	var got []cellAllocs
 	for _, c := range cases {

@@ -56,7 +56,8 @@ type LoadSweepOptions[Row any] struct {
 	// Capacities, FaultCounts and Mechanisms are the gridlock sweep's axes
 	// next to Windows, standing in for the scalars NodeCapacity, Faults and
 	// Bubble: per-node input-queue depths (>= 2, so bubble admission has a
-	// slot to keep free), fixed-count fault overlays (0 = fault-free) and
+	// slot to keep free), fixed-count fault overlays (0 = fault-free; none
+	// may exceed the mesh's interior nodes, as Faults may not) and
 	// escape-mechanism arms (GridlockMechanisms).
 	Capacities  []int    `json:",omitempty"`
 	FaultCounts []int    `json:",omitempty"`
@@ -93,7 +94,9 @@ type LoadSweepOptions[Row any] struct {
 	// FaultInterval is 0 the interval defaults to Total/(Faults+1), so the
 	// schedule spans warmup, measure AND drain. (Earlier versions hard-coded
 	// the first fault to step 2, which front-loaded every fault before the
-	// warmup ended — the measure phase never saw a fault arrive.)
+	// warmup ended — the measure phase never saw a fault arrive.) No fault
+	// lies on the outermost surface, so the check refuses a Faults above
+	// the mesh's interior node count, the product of (k-2) over its radices.
 	Faults, FaultInterval int
 	Clustered             bool
 	// FaultStart pins the step of the first fault (>= 1); 0 defaults to one
@@ -503,11 +506,13 @@ type loadRun struct {
 	gen            traffic.Generator
 	retry          traffic.RetrySource
 	loop           traffic.ClosedLoop
+	play           traffic.TracePlayer
 	pats           traffic.Patterns
 	// proc is the arrival process built for the name procName.
 	proc     traffic.Process
 	procName string
-	process  fault.ProcessScratch
+	// draw is the fault overlays' placement scratch.
+	draw fault.Scratch
 	// emit, harvest and next are the offer, finish and tick methods, bound
 	// once per simulation: a method value handed to Injector.Step,
 	// DetachDone or Engine.Run allocates each time it is evaluated.
@@ -534,9 +539,10 @@ type loadCell struct {
 	latObs interface{ ObserveLatency(steps int) }
 	rate   float64
 	// closed selects closed-loop drop accounting: a refused offer is
-	// deferred and retried, never counted as a drop. A replay mirrors the
-	// accounting of the run it recorded.
-	closed bool
+	// deferred and retried, never counted as a drop. retried counts each
+	// timeout retried, as the source (or the recorded stream) re-offers it.
+	// A replay mirrors the accounting of the run it recorded.
+	closed, retried bool
 	// cancel is the caller's Cancel hook and probeEvery the census flush
 	// cadence; err is the cancel or inject error that stopped the run.
 	cancel     func() bool
@@ -557,7 +563,8 @@ func newLoadRun(sim *Simulation, c *LoadOptions, r *rng.Source) (*loadRun, error
 		fab:        sim.mesh,
 		ph:         traffic.Phases{Warmup: c.Warmup, Measure: c.Measure, Drain: c.Drain},
 		rate:       c.Rate,
-		closed:     c.Window > 0 || (c.Replay != nil && c.Replay.ClosedLoop),
+		closed:     c.Window > 0,
+		retried:    c.FlightTimeout > 0,
 		cancel:     c.Cancel,
 		probeEvery: max(c.ProbeEvery, 1),
 	}
@@ -565,56 +572,27 @@ func newLoadRun(sim *Simulation, c *LoadOptions, r *rng.Source) (*loadRun, error
 		lr.emit, lr.harvest, lr.next = lr.offer, lr.finish, lr.tick
 	}
 	lr.stream = *r
+	// Every schedule lands in sim.sched, which a checkout hands over empty.
 	var err error
-	// recFaults is the fault schedule a recording must carry. It is only
-	// copied into c.Record after the recorder attaches, because attaching
-	// resets the trace (including any stale fault schedule).
-	var recFaults []fault.Event
 	switch {
 	case c.Replay != nil:
 		// The trace carries the origin run's fault schedule; a live fault
 		// overlay would double-fault the replay.
-		if len(c.Replay.Faults) > 0 {
-			setSchedule(sim, c.Replay.Schedule())
-		}
-		// Re-recording a replay must carry the schedule over, or the copy
-		// would replay fault-free and break the byte-identity contract.
-		recFaults = c.Replay.Faults
-	case c.FaultRate > 0 || c.Faults > 0:
-		// The overlay draws from a stream split off the cell's, so the
+		sim.sched.Events = append(sim.sched.Events, c.Replay.Faults...)
+		lr.closed, lr.retried = c.Replay.ClosedLoop, c.Replay.FlightTimeout > 0
+	case c.FaultRate > 0:
+		// Each overlay draws from a stream split off the cell's, so the
 		// traffic draws below are byte-identical across fault settings (and
 		// the schedule is identical across patterns/rates at a fixed seed).
 		// Fault-free cells skip the split, keeping their goldens unchanged.
 		lr.stream.SplitInto(&lr.faults)
-		total := c.Warmup + c.Measure + c.Drain
-		if c.FaultRate > 0 {
-			popt := c.faultProcess()
-			err = lr.process.Generate(sim.sched, shape, popt, &lr.faults)
-		} else {
-			// Fixed count: default the interval so the schedule spans the
-			// whole run (not, as the old hard-coded Start: 2 did, completing
-			// before the warmup ends), and start one interval in.
-			interval := c.FaultInterval
-			if interval < 1 {
-				interval = max(total/(c.Faults+1), 1)
-			}
-			start := c.FaultStart
-			if start < 1 {
-				start = interval
-			}
-			var sched *fault.Schedule
-			if sched, err = fault.Generate(shape, c.Faults, fault.Options{
-				Interval:  interval,
-				Start:     start,
-				Clustered: c.Clustered,
-			}, &lr.faults); err == nil {
-				setSchedule(sim, sched)
-			}
-		}
-		if err != nil {
-			return nil, err
-		}
-		recFaults = sim.sched.Events
+		err = lr.draw.GenerateProcess(sim.sched, shape, c.faultProcess(), &lr.faults)
+	case c.Faults > 0:
+		lr.stream.SplitInto(&lr.faults)
+		err = lr.draw.Generate(sim.sched, shape, c.Faults, c.faultOverlay(), &lr.faults)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if lr.rtr, err = sim.router(c.Router); err != nil {
 		return nil, err
@@ -629,7 +607,8 @@ func newLoadRun(sim *Simulation, c *LoadOptions, r *rng.Source) (*loadRun, error
 	case c.Replay != nil:
 		// No retry machinery on replay: the recorded stream already carries
 		// the origin run's retried offers.
-		lr.src = traffic.NewTracePlayer(c.Replay)
+		lr.play.Reset(c.Replay)
+		lr.src = &lr.play
 	case c.Window > 0:
 		// A closed loop has no nominal rate: Rate and Process go unread.
 		lr.rate = 0
@@ -666,8 +645,9 @@ func newLoadRun(sim *Simulation, c *LoadOptions, r *rng.Source) (*loadRun, error
 		c.Record.Lambda, c.Record.LinkRate, c.Record.NodeCapacity = c.Lambda, c.LinkRate, c.NodeCapacity
 		c.Record.FlightTimeout, c.Record.GridlockWindow, c.Record.Bubble = c.FlightTimeout, c.GridlockWindow, c.Bubble
 		lr.src = traffic.NewTraceRecorder(lr.src, c.Record) // resets the trace...
-		c.Record.Faults = append(c.Record.Faults, recFaults...)
-		// ... so the fault schedule is attached afterwards.
+		// ... so the fault schedule is attached afterwards; a re-recorded
+		// replay carries its trace's schedule over.
+		c.Record.Faults = append(c.Record.Faults, sim.sched.Events...)
 	}
 	// The probe's latency sink, if it has one, sees every measured delivery.
 	lr.latObs, _ = c.Probe.(interface{ ObserveLatency(steps int) })
@@ -730,7 +710,7 @@ func (lr *loadRun) finish(fl *engine.Flight) {
 	case fl.Msg.TimedOut:
 		oc = traffic.TimedOut
 	}
-	retry := oc == traffic.TimedOut && (lr.cl != nil || lr.rq != nil)
+	retry := oc == traffic.TimedOut && lr.retried
 	switch {
 	case lr.cl != nil && retry:
 		// A timeout kill re-arms the slot for a retry under backoff
@@ -740,7 +720,7 @@ func (lr *loadRun) finish(fl *engine.Flight) {
 		// Every other terminal outcome frees the source's window slot —
 		// delivered or not — or faults would wedge the loop shut.
 		lr.cl.Release(fl.Msg.Src)
-	case retry:
+	case lr.rq != nil && retry:
 		// The open loop re-offers the killed request (same src, same dst —
 		// there is no window slot to redraw from) after its backoff; the
 		// retried offer is emitted through src.Step, so a recording trace
@@ -809,8 +789,11 @@ type LoadOptions struct {
 	FlightTimeout, RetryBackoff int
 	Bubble                      bool
 	GridlockWindow              int
-	Faults, FaultInterval       int
-	Clustered                   bool
+	// Faults/FaultInterval/Clustered are the fixed-count fault overlay; see
+	// the SaturationOptions fields of the same names (Faults may not exceed
+	// the mesh's interior node count).
+	Faults, FaultInterval int
+	Clustered             bool
 	// FaultStart/FaultRate/FaultModel/FaultShape/FaultRepair configure the
 	// fault overlay; see the SaturationOptions fields of the same names.
 	FaultStart  int
@@ -913,6 +896,9 @@ func (opt *LoadOptions) validateLoadShape() error {
 	if opt.FaultStart < 0 {
 		return fmt.Errorf("ndmesh: FaultStart %d must be >= 0", opt.FaultStart)
 	}
+	if err := checkFaultCount("Faults", opt.Dims, opt.Faults); err != nil {
+		return err
+	}
 	if !finite(opt.FaultRate) || !finite(opt.FaultShape) || !finite(opt.FaultRepair) {
 		return fmt.Errorf("ndmesh: fault process parameters must be finite (rate %v, shape %v, repair %v)",
 			opt.FaultRate, opt.FaultShape, opt.FaultRepair)
@@ -939,6 +925,31 @@ func (opt *LoadOptions) validateLoadShape() error {
 		return popt.Check()
 	}
 	return nil
+}
+
+// checkFaultCount refuses, naming field, a fixed-count overlay of more
+// faults than the mesh of the given dims has interior nodes: no fault lies
+// on the outermost surface.
+func checkFaultCount(field string, dims []int, faults int) error {
+	interior := 1
+	for _, k := range dims {
+		interior *= max(k-2, 0)
+	}
+	if faults > interior {
+		return fmt.Errorf("ndmesh: %s %d exceeds the %d interior nodes of the mesh (no fault lies on its outermost surface)", field, faults, interior)
+	}
+	return nil
+}
+
+// faultOverlay is the fixed-count fault overlay a cell with Faults > 0
+// draws: the interval defaults to Total/(Faults+1), so the schedule spans
+// warmup, measure and drain, and the first fault lands one interval in.
+func (opt *LoadOptions) faultOverlay() fault.Options {
+	interval := opt.FaultInterval
+	if interval < 1 {
+		interval = max((opt.Warmup+opt.Measure+opt.Drain)/(opt.Faults+1), 1)
+	}
+	return fault.Options{Interval: interval, Start: cmp.Or(opt.FaultStart, interval), Clustered: opt.Clustered}
 }
 
 // faultProcess is the stochastic fault overlay a cell with FaultRate > 0
