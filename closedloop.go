@@ -130,7 +130,7 @@ func (opt *LoadSweepOptions[Row]) checkClosedLoop() (base LoadOptions, rows int,
 	if err := validateWindows(opt.Windows...); err != nil {
 		return base, 0, err
 	}
-	base = opt.cell()
+	base = opt.Cell()
 	err = base.validateLoadShape()
 	return base, rows, err
 }

@@ -25,26 +25,6 @@ func smallClosedLoop() ClosedLoopOptions {
 	return opt
 }
 
-// TestParallelClosedLoopSweepDeterministic extends the repository's
-// determinism contract to E21: byte-identical rows for every worker count
-// (run under -race in CI to certify the fan-out shares no mutable state).
-func TestParallelClosedLoopSweepDeterministic(t *testing.T) {
-	opt := smallClosedLoop()
-	serial, err := ClosedLoopSweepWorkers(opt, 42, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range parWorkerCounts {
-		got, err := ClosedLoopSweepWorkers(opt, 42, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, serial) {
-			t.Errorf("workers=%d:\n got %+v\nwant %+v", w, got, serial)
-		}
-	}
-}
-
 // TestGoldenClosedLoopSweep pins one E21 run byte-for-byte at a fixed
 // seed: the rng split discipline, the closed loop's draw/retry/release
 // accounting, the contention arbitration and the router's decisions all

@@ -44,6 +44,7 @@
 package main
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -85,16 +86,11 @@ type flags struct {
 	progress          func(done, total int)
 }
 
-// sweep runs one load sweep under the telemetry flags. It is the one place
-// the flags become sweep options: everything the open- and closed-loop
-// sweeps share is set here, axis sets the sweep's own axis (n entries long)
-// and run is its library entry point.
-func sweep[Row any](f *flags, what string, n int, axis func(*ndmesh.LoadSweepOptions[Row]),
-	run func(ndmesh.LoadSweepOptions[Row], uint64, int) ([]Row, error)) ([]Row, error) {
-	if err := requireSingleRun(f.probe, what, len(f.routers)*len(f.patterns)*n); err != nil {
-		return nil, err
-	}
-	opt := ndmesh.LoadSweepOptions[Row]{
+// options is the one place the flags become load sweep options: everything
+// the open- and closed-loop sweeps and a recording share. The caller sets
+// its sweep's own axis.
+func options[Row any](f *flags) ndmesh.LoadSweepOptions[Row] {
+	return ndmesh.LoadSweepOptions[Row]{
 		Dims: f.dims, Lambda: f.lambda,
 		Routers: f.routers, Patterns: f.patterns,
 		Warmup: f.warmup, Measure: f.measure, Drain: f.drain,
@@ -106,7 +102,25 @@ func sweep[Row any](f *flags, what string, n int, axis func(*ndmesh.LoadSweepOpt
 		FaultShape: f.faultShape, FaultRepair: f.repair,
 		Progress: f.progress,
 	}
-	axis(&opt)
+}
+
+// check runs the library's pre-run check on the grid opt describes, before
+// any recorder or debug server is built: its cell count is what a
+// recording and the telemetry flags need to be one.
+func check[Row any](f *flags, what string, opt ndmesh.LoadSweepOptions[Row]) error {
+	cells, err := opt.Check()
+	if err != nil {
+		return err
+	}
+	if f.traceRecord != "" && cells != 1 {
+		return fmt.Errorf("-trace-record records a single cell: the flags describe %d %s", cells, what)
+	}
+	return requireSingleRun(f.probe, what, cells)
+}
+
+// sweep runs the checked grid opt describes under the telemetry flags; run
+// is its library entry point.
+func sweep[Row any](f *flags, opt ndmesh.LoadSweepOptions[Row], run func(ndmesh.LoadSweepOptions[Row], uint64, int) ([]Row, error)) ([]Row, error) {
 	var rows []Row
 	err := probed(f.probe, f.dims, f.warmup+f.measure+f.drain, f.seed, func(p engine.Probe, every int) (cfg any, err error) {
 		opt.Probe, opt.ProbeEvery = p, every
@@ -175,18 +189,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return errors.New("-patterns needs at least one pattern")
 	}
 	f.progress = cliutil.Progress(f.progressFlag, "loadgen")
-	dims, routers, patterns, pf := f.dims, f.routers, f.patterns, f.probe
+	routers, patterns, pf := f.routers, f.patterns, f.probe
 
 	// faultDesc summarizes the fault overlay for table titles: the fixed
 	// count, or the stochastic process when -fault-rate is set.
 	faultDesc := fmt.Sprintf("F=%d", f.faults)
 	if f.faultRate > 0 {
-		faultDesc = fmt.Sprintf("frate=%g(%s) repair=%g", f.faultRate, func() string {
-			if f.faultModel != "" {
-				return f.faultModel
-			}
-			return "bernoulli"
-		}(), f.repair)
+		faultDesc = fmt.Sprintf("frate=%g(%s) repair=%g", f.faultRate, cmp.Or(f.faultModel, "bernoulli"), f.repair)
 	}
 
 	emitTable := func(tab *stats.Table) {
@@ -196,21 +205,24 @@ func run(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprint(stdout, tab.String())
 		}
 	}
-	newPointTable := func(title string) *stats.Table {
-		return stats.NewTable(title,
+	// emitPoints prints a recording's or a replay's table: one row per
+	// router arm, under the workload label.
+	emitPoints := func(title, workload string, rows ...ndmesh.ReplayCompareRow) {
+		tab := stats.NewTable(title,
 			"workload", "router", "offered", "accepted", "delivered", "dropped", "unreach", "lost",
 			"timeout", "retried", "unfin", "gridlock", "failed", "recovered",
 			"lat mean", "p50", "p95", "p99", "max")
-	}
-	addPointRow := func(tab *stats.Table, workload, router string, pt traffic.LoadPoint) {
-		gl := ""
-		if pt.Gridlocked {
-			gl = fmt.Sprintf("GRIDLOCK@%d", pt.GridlockStep)
+		for _, row := range rows {
+			pt, gl := row.Point, ""
+			if pt.Gridlocked {
+				gl = fmt.Sprintf("GRIDLOCK@%d", pt.GridlockStep)
+			}
+			tab.AddRow(workload, row.Router, fmt.Sprintf("%.3f", pt.OfferedRate), fmt.Sprintf("%.3f", pt.AcceptedRate),
+				pt.Delivered, pt.Dropped, pt.Unreachable, pt.Lost,
+				pt.TimedOut, pt.Retried, pt.Unfinished, gl, pt.Failed, pt.Recovered,
+				pt.Latency.Mean, pt.Latency.P50, pt.Latency.P95, pt.Latency.P99, pt.Latency.Max)
 		}
-		tab.AddRow(workload, router, fmt.Sprintf("%.3f", pt.OfferedRate), fmt.Sprintf("%.3f", pt.AcceptedRate),
-			pt.Delivered, pt.Dropped, pt.Unreachable, pt.Lost,
-			pt.TimedOut, pt.Retried, pt.Unfinished, gl, pt.Failed, pt.Recovered,
-			pt.Latency.Mean, pt.Latency.P50, pt.Latency.P95, pt.Latency.P99, pt.Latency.Max)
+		emitTable(tab)
 	}
 
 	// Trace replay: the trace is the workload. An engine flag given
@@ -247,9 +259,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 				tr.Bubble = f.bubble
 			}
 		})
-		if f.traceRecord != "" && len(routers) > 1 {
-			return errors.New("-trace-record with -trace-replay needs exactly one -routers entry")
-		}
 		if err := requireSingleRun(pf, "replay router arms", len(routers)); err != nil {
 			return err
 		}
@@ -289,12 +298,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if tr.ClosedLoop {
 			mode = fmt.Sprintf("closed-loop w=%d", tr.Window)
 		}
-		tab := newPointTable(fmt.Sprintf("%s: %s (%v, %s, %d offers over %d steps), link-rate=%d, capacity=%d",
-			what, f.traceReplay, tr.Dims, mode, tr.Offers(), tr.Steps(), tr.LinkRate, tr.NodeCapacity))
-		for _, row := range rows {
-			addPointRow(tab, "trace", row.Router, row.Point)
-		}
-		emitTable(tab)
+		emitPoints(fmt.Sprintf("%s: %s (%v, %s, %d offers over %d steps), link-rate=%d, capacity=%d",
+			what, f.traceReplay, tr.Dims, mode, tr.Offers(), tr.Steps(), tr.LinkRate, tr.NodeCapacity), "trace", rows...)
 		return nil
 	}
 
@@ -302,67 +307,42 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-
-	// Trace recording: one live cell, its offered workload captured.
-	if f.traceRecord != "" {
-		if len(routers) != 1 || len(patterns) != 1 {
-			return errors.New("-trace-record needs exactly one router and one pattern")
-		}
-		opt := ndmesh.LoadOptions{
-			Dims: dims, Lambda: f.lambda, Router: routers[0], Pattern: patterns[0],
-			Process: f.process,
-			Warmup:  f.warmup, Measure: f.measure, Drain: f.drain,
-			LinkRate: f.linkRate, NodeCapacity: f.capacity,
-			FlightTimeout: f.timeout, RetryBackoff: f.retryBackoff,
-			Bubble: f.bubble, GridlockWindow: f.gridlockWin,
-			Faults: f.faults, FaultInterval: f.interval, Clustered: f.clustered,
-			FaultStart: f.faultStart, FaultRate: f.faultRate, FaultModel: f.faultModel,
-			FaultShape: f.faultShape, FaultRepair: f.repair,
-			Seed:   f.seed,
-			Record: &traffic.Trace{},
-		}
-		var workload string
-		switch {
-		case len(windows) == 1:
-			opt.Window = windows[0]
-			workload = fmt.Sprintf("%s w=%d", patterns[0], windows[0])
-		case len(windows) > 1:
-			return errors.New("-trace-record needs exactly one -windows entry")
-		default:
-			rates, err := cliutil.ParseRates(f.ratesFlag)
-			if err != nil {
-				return err
-			}
-			if len(rates) != 1 {
-				return errors.New("-trace-record needs exactly one -rates entry")
-			}
-			opt.Rate = rates[0]
-			workload = fmt.Sprintf("%s @%.3f", patterns[0], rates[0])
-		}
+	// record runs -trace-record: c is the base cell of the checked one-cell
+	// grid the flags describe, its load axis set; it runs on the grid's
+	// router and pattern, its offered workload captured into the file.
+	record := func(c ndmesh.LoadOptions, workload string) error {
+		c.Router, c.Pattern, c.Seed, c.Record = routers[0], patterns[0], f.seed, &traffic.Trace{}
 		var pt traffic.LoadPoint
-		err = probed(pf, dims, f.warmup+f.measure+f.drain, f.seed, func(p engine.Probe, every int) (cfg any, err error) {
-			opt.Probe, opt.ProbeEvery = p, every
-			pt, err = ndmesh.LoadRun(opt)
-			return opt, err
+		err := probed(pf, f.dims, f.warmup+f.measure+f.drain, f.seed, func(p engine.Probe, every int) (cfg any, err error) {
+			c.Probe, c.ProbeEvery = p, every
+			pt, err = ndmesh.LoadRun(c)
+			return c, err
 		})
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(f.traceRecord, opt.Record.Marshal(), 0o644); err != nil {
+		if err := os.WriteFile(f.traceRecord, c.Record.Marshal(), 0o644); err != nil {
 			return err
 		}
-		title := fmt.Sprintf("trace record: %s (%s, %d offers over %d steps), link-rate=%d, capacity=%d, %s",
-			f.traceRecord, f.dimsFlag, opt.Record.Offers(), opt.Record.Steps(), f.linkRate, f.capacity, faultDesc)
-		tab := newPointTable(title)
-		addPointRow(tab, workload, routers[0], pt)
-		emitTable(tab)
+		emitPoints(fmt.Sprintf("trace record: %s (%s, %d offers over %d steps), link-rate=%d, capacity=%d, %s",
+			f.traceRecord, f.dimsFlag, c.Record.Offers(), c.Record.Steps(), f.linkRate, f.capacity, faultDesc),
+			workload, ndmesh.ReplayCompareRow{Router: c.Router, Point: pt})
 		return nil
 	}
 
 	// Closed-loop sweep (E21): windows replace rates as the load knob.
 	if len(windows) > 0 {
-		rows, err := sweep(&f, "closed-loop cells", len(windows),
-			func(o *ndmesh.ClosedLoopOptions) { o.Windows = windows }, ndmesh.ClosedLoopSweepWorkers)
+		opt := options[ndmesh.ClosedLoopRow](&f)
+		opt.Windows = windows
+		if err := check(&f, "closed-loop cells", opt); err != nil {
+			return err
+		}
+		if f.traceRecord != "" {
+			c := opt.Cell()
+			c.Window = windows[0]
+			return record(c, fmt.Sprintf("%s w=%d", patterns[0], windows[0]))
+		}
+		rows, err := sweep(&f, opt, ndmesh.ClosedLoopSweepWorkers)
 		if err != nil {
 			return err
 		}
@@ -384,8 +364,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	rows, err := sweep(&f, "open-loop cells", len(rates),
-		func(o *ndmesh.SaturationOptions) { o.Rates, o.Process = rates, f.process }, ndmesh.SaturationSweepWorkers)
+	opt := options[ndmesh.SaturationRow](&f)
+	opt.Rates, opt.Process = rates, f.process
+	if err := check(&f, "open-loop cells", opt); err != nil {
+		return err
+	}
+	if f.traceRecord != "" {
+		c := opt.Cell()
+		c.Rate = rates[0]
+		return record(c, fmt.Sprintf("%s @%.3f", patterns[0], rates[0]))
+	}
+	rows, err := sweep(&f, opt, ndmesh.SaturationSweepWorkers)
 	if err != nil {
 		return err
 	}

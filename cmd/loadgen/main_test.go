@@ -3,12 +3,16 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -435,4 +439,219 @@ func TestDebugEndpoints(t *testing.T) {
 		t.Errorf("census is not the probed run's rollup: %s", census)
 	}
 	get("/debug/pprof/")
+}
+
+// flagReach is one flag that reaches an option field: the field's name and
+// compact JSON in a sweep's manifest config and in a recording's, where
+// the recording's cell holds the grid's one value of a list.
+type flagReach struct {
+	flag, value             string
+	sweepField, sweepJSON   string
+	recordField, recordJSON string
+}
+
+// shared reaches the same field, with the same JSON, in both configs.
+func shared(flag, value, field, json string) flagReach {
+	return flagReach{flag, value, field, json, field, json}
+}
+
+// nonOptionFlags reach no field a manifest config records: outputs, the
+// fan-out width, the replay input, the seed (the manifest's own seed) and
+// -progress (a hook; TestEveryFlagReachesTheManifest reads its output).
+var nonOptionFlags = []string{"csv", "debug-addr", "heatmap", "hist", "timeseries",
+	"trace-record", "trace-replay", "workers", "seed", "progress"}
+
+// withStderr runs fn with os.Stderr sent to a file and returns what fn
+// wrote there (-progress prints to os.Stderr).
+func withStderr(t *testing.T, fn func()) string {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stderr
+	os.Stderr = f
+	defer func() { os.Stderr = saved }()
+	fn()
+	data, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// TestEveryFlagReachesTheManifest holds loadgen's one flags-to-options
+// literal to its flags, as TestSweepCellCarriesEverySharedField holds
+// LoadSweepOptions.Cell: every flag that reaches an option field is set to
+// a value no other flag has, and each manifest config field must carry its
+// flag's value, in a one-cell sweep and in a recording with -timeseries,
+// open- and closed-loop, under either fault overlay. A flag loadgen's usage
+// lists must be in the table or reach no option field.
+func TestEveryFlagReachesTheManifest(t *testing.T) {
+	common := []flagReach{
+		shared("-dims", "5x5", "Dims", "[5,5]"),
+		{"-routers", "congested", "Routers", `["congested"]`, "Router", `"congested"`},
+		{"-patterns", "transpose", "Patterns", `["transpose"]`, "Pattern", `"transpose"`},
+		shared("-lambda", "2", "Lambda", "2"),
+		shared("-link-rate", "3", "LinkRate", "3"),
+		shared("-capacity", "4", "NodeCapacity", "4"),
+		shared("-retry-backoff", "5", "RetryBackoff", "5"),
+		shared("-warmup", "6", "Warmup", "6"),
+		shared("-gridlock-window", "7", "GridlockWindow", "7"),
+		shared("-fault-start", "8", "FaultStart", "8"),
+		shared("-interval", "9", "FaultInterval", "9"),
+		shared("-drain", "10", "Drain", "10"),
+		shared("-timeout", "11", "FlightTimeout", "11"),
+		shared("-probe-every", "12", "ProbeEvery", "12"),
+		shared("-measure", "14", "Measure", "14"),
+		shared("-bubble", "true", "Bubble", "true"),
+		shared("-clustered", "true", "Clustered", "true"),
+	}
+	modes := map[string][]flagReach{
+		"open-loop": {
+			{"-rates", "0.15", "Rates", "[0.15]", "Rate", "0.15"},
+			shared("-process", "poisson", "Process", `"poisson"`),
+		},
+		"closed-loop": {{"-windows", "15", "Windows", "[15]", "Window", "15"}},
+	}
+	overlays := map[string][]flagReach{
+		"fixed": {shared("-faults", "1", "Faults", "1")},
+		"process": {
+			shared("-fault-rate", "0.05", "FaultRate", "0.05"),
+			shared("-fault-model", "weibull", "FaultModel", `"weibull"`),
+			shared("-fault-shape", "1.25", "FaultShape", "1.25"),
+			shared("-repair", "20", "FaultRepair", "20"),
+		},
+	}
+
+	var usage bytes.Buffer
+	if err := run([]string{"-h"}, io.Discard, &usage); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h: %v", err)
+	}
+	covered := map[string]bool{}
+	for _, name := range nonOptionFlags {
+		covered[name] = true
+	}
+	for _, set := range [][]flagReach{common, modes["open-loop"], modes["closed-loop"], overlays["fixed"], overlays["process"]} {
+		for _, r := range set {
+			covered[strings.TrimPrefix(r.flag, "-")] = true
+		}
+	}
+	for _, m := range regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(usage.String(), -1) {
+		if !covered[m[1]] {
+			t.Errorf("-%s is in loadgen's usage but not in this test's table", m[1])
+		}
+		delete(covered, m[1])
+	}
+	for name := range covered {
+		t.Errorf("the table names -%s, which loadgen's usage does not list", name)
+	}
+
+	for mode, load := range modes {
+		for overlay, faults := range overlays {
+			reaches := append(append(slices.Clone(common), load...), faults...)
+			args := []string{"-seed", "17", "-progress"}
+			for _, r := range reaches {
+				args = append(args, r.flag+"="+r.value)
+			}
+			for _, recording := range []bool{false, true} {
+				name := mode + "/" + overlay + "/sweep"
+				dir := t.TempDir()
+				ts := filepath.Join(dir, "ts.csv")
+				argv := append(slices.Clone(args), "-timeseries", ts)
+				if recording {
+					name = mode + "/" + overlay + "/record"
+					argv = append(argv, "-trace-record", filepath.Join(dir, "w.ndwt"))
+				}
+				progress := withStderr(t, func() { loadgen(t, argv...) })
+				if !strings.Contains(progress, "loadgen: 1/1 cells done") {
+					t.Errorf("%s: -progress printed %q, want its one cell", name, progress)
+				}
+				data, err := os.ReadFile(ts + ".manifest.json")
+				if err != nil {
+					t.Fatal(err)
+				}
+				var m struct {
+					Seed   uint64                     `json:"seed"`
+					Config map[string]json.RawMessage `json:"config"`
+				}
+				if err := json.Unmarshal(data, &m); err != nil {
+					t.Fatal(err)
+				}
+				if m.Seed != 17 {
+					t.Errorf("%s: manifest seed %d, want -seed 17", name, m.Seed)
+				}
+				want := map[string]string{}
+				for _, r := range reaches {
+					if recording {
+						want[r.recordField] = r.recordJSON
+					} else {
+						want[r.sweepField] = r.sweepJSON
+					}
+				}
+				if recording {
+					want["Seed"] = "17"
+				}
+				for field, w := range want {
+					var got bytes.Buffer
+					if err := json.Compact(&got, m.Config[field]); err != nil || got.String() != w {
+						t.Errorf("%s: config %s = %s, want %s", name, field, m.Config[field], w)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTraceRecordRefusesSeveralCells: a recording is the one cell of the
+// grid its flags describe. A grid of two rates, routers, patterns or
+// windows is refused with the library's cell count, and no trace file is
+// written.
+func TestTraceRecordRefusesSeveralCells(t *testing.T) {
+	for name, extra := range map[string][]string{
+		"rates":    {"-rates", "0.1,0.2"},
+		"routers":  {"-routers", "limited,congested"},
+		"patterns": {"-patterns", "uniform,transpose"},
+		"windows":  {"-windows", "2,4"},
+	} {
+		trace := filepath.Join(t.TempDir(), "w.ndwt")
+		args := append([]string{"-dims", "4x4", "-warmup", "4", "-measure", "8", "-drain", "8", "-trace-record", trace}, extra...)
+		err := run(args, io.Discard, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "describe 2 ") {
+			t.Errorf("%s: err = %v, want a refusal naming the 2 cells", name, err)
+		}
+		if _, serr := os.Stat(trace); !errors.Is(serr, os.ErrNotExist) {
+			t.Errorf("%s: a refused recording left a trace file (stat: %v)", name, serr)
+		}
+	}
+}
+
+// TestReRecordedComparisonRefused: re-recording a replay compared across
+// two routers is the library's refusal, naming Record (one trace cannot
+// record two arms).
+func TestReRecordedComparisonRefused(t *testing.T) {
+	dir := t.TempDir()
+	trace, rerec := filepath.Join(dir, "w.ndwt"), filepath.Join(dir, "rerec.ndwt")
+	loadgen(t, "-dims", "4x4", "-rates", "0.2", "-warmup", "4", "-measure", "8", "-drain", "8", "-trace-record", trace)
+	err := run([]string{"-trace-replay", trace, "-routers", "limited,congested", "-trace-record", rerec}, io.Discard, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "Record") {
+		t.Errorf("err = %v, want the library's refusal naming Record", err)
+	}
+}
+
+// TestCheckBeforeTelemetry: a sweep the library refuses starts no debug
+// server and builds no recorder; the error names the unknown router.
+func TestCheckBeforeTelemetry(t *testing.T) {
+	var logged bytes.Buffer
+	saved := log.Writer()
+	log.SetOutput(&logged)
+	defer log.SetOutput(saved)
+	err := run([]string{"-dims", "4x4", "-rates", "0.1", "-routers", "bogus", "-debug-addr", "127.0.0.1:0"}, io.Discard, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "bogus") {
+		t.Errorf("err = %v, want one naming the router", err)
+	}
+	if strings.Contains(logged.String(), "debug server listening") {
+		t.Errorf("a refused sweep started the debug server: %q", logged.String())
+	}
 }

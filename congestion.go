@@ -172,7 +172,7 @@ func (opt *LoadSweepOptions[Row]) checkCongestion() (base LoadOptions, rows int,
 	if err := validateRates(opt.Process, opt.Rates...); err != nil {
 		return base, 0, err
 	}
-	base = opt.cell()
+	base = opt.Cell()
 	err = base.validateLoadShape()
 	return base, len(opt.Patterns) * len(opt.Rates), err
 }

@@ -2,7 +2,6 @@ package ndmesh
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 )
 
@@ -16,30 +15,6 @@ func smallCongestionShift() CongestionShiftOptions {
 	opt.NodeCapacity = 6
 	opt.Warmup, opt.Measure, opt.Drain = 16, 64, 64
 	return opt
-}
-
-// TestParallelCongestionShiftDeterministic extends the repository's
-// determinism contract to E20: byte-identical rows and summaries for every
-// worker count (run under -race in CI to certify the fan-out shares no
-// mutable state).
-func TestParallelCongestionShiftDeterministic(t *testing.T) {
-	opt := smallCongestionShift()
-	serialRows, serialSums, err := CongestionShiftSweepWorkers(opt, 42, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range parWorkerCounts {
-		rows, sums, err := CongestionShiftSweepWorkers(opt, 42, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(rows, serialRows) {
-			t.Errorf("workers=%d rows:\n got %+v\nwant %+v", w, rows, serialRows)
-		}
-		if !reflect.DeepEqual(sums, serialSums) {
-			t.Errorf("workers=%d summaries:\n got %+v\nwant %+v", w, sums, serialSums)
-		}
-	}
 }
 
 // TestGoldenCongestionShiftSweep pins one E20 run byte-for-byte at a fixed

@@ -41,21 +41,53 @@ func TestProtocolSweepsDeterministicAcrossWorkers(t *testing.T) {
 		}},
 	}
 	for _, sw := range sweeps {
-		t.Run(sw.name, func(t *testing.T) {
-			serial, err := sw.run(1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, w := range parWorkerCounts {
-				got, err := sw.run(w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, serial) {
-					t.Errorf("workers=%d:\n got %+v\nwant %+v", w, got, serial)
-				}
-			}
-		})
+		t.Run(sw.name, func(t *testing.T) { sameAtEveryWorkerCount(t, sw.run) })
+	}
+}
+
+// TestLoadSweepsDeterministicAcrossWorkers extends the contract to the load
+// subsystem: each load sweep (E19-E23) on its small test options, and the
+// replay comparison, gives its serial rows at every worker count, with
+// timeouts, retries under jittered backoff, bubble admission and the
+// Monte-Carlo fold all firing. The congestion row compares the summaries as
+// well as the rows.
+func TestLoadSweepsDeterministicAcrossWorkers(t *testing.T) {
+	replay, routers := replayComparison(t)
+	sweeps := []struct {
+		name string
+		run  func(workers int) (any, error)
+	}{
+		{"saturation", func(w int) (any, error) { return SaturationSweepWorkers(smallSaturation(), 42, w) }},
+		{"congestion", func(w int) (any, error) {
+			rows, sums, err := CongestionShiftSweepWorkers(smallCongestionShift(), 42, w)
+			return [2]any{rows, sums}, err
+		}},
+		{"closed-loop", func(w int) (any, error) { return ClosedLoopSweepWorkers(smallClosedLoop(), 42, w) }},
+		{"gridlock", func(w int) (any, error) { return GridlockSweepWorkers(smallGridlock(), 42, w) }},
+		{"reliability", func(w int) (any, error) { return ReliabilitySweepWorkers(smallReliability(), 42, w) }},
+		{"replay-compare", func(w int) (any, error) { return ReplayCompareSweepWorkers(replay, routers, w) }},
+	}
+	for _, sw := range sweeps {
+		t.Run(sw.name, func(t *testing.T) { sameAtEveryWorkerCount(t, sw.run) })
+	}
+}
+
+// sameAtEveryWorkerCount holds run's result at each of parWorkerCounts to
+// its serial (workers=1) result.
+func sameAtEveryWorkerCount(t *testing.T, run func(workers int) (any, error)) {
+	t.Helper()
+	serial, err := run(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range parWorkerCounts {
+		got, err := run(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, serial) {
+			t.Errorf("workers=%d:\n got %+v\nwant %+v", w, got, serial)
+		}
 	}
 }
 

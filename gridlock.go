@@ -262,7 +262,7 @@ func (opt *LoadSweepOptions[Row]) checkGridlock() (base LoadOptions, rows int, e
 	if err := checkFaultCount("FaultCounts", opt.Dims, slices.Max(opt.FaultCounts)); err != nil {
 		return base, 0, err
 	}
-	base = opt.cell()
+	base = opt.Cell()
 	base.Router = opt.Routers[0]
 	err = base.validateLoadShape()
 	return base, cells * len(opt.Mechanisms), err

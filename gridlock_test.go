@@ -42,27 +42,6 @@ func gridlockBoundaryCell(mechanisms ...string) GridlockOptions {
 	return opt
 }
 
-// TestParallelGridlockSweepDeterministic extends the repository's
-// determinism contract to E22: byte-identical rows for every worker count,
-// including cells where timeouts, retries with jittered backoff and bubble
-// admission all fire (run under -race in CI).
-func TestParallelGridlockSweepDeterministic(t *testing.T) {
-	opt := smallGridlock()
-	serial, err := GridlockSweepWorkers(opt, 42, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range parWorkerCounts {
-		got, err := GridlockSweepWorkers(opt, 42, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, serial) {
-			t.Errorf("workers=%d:\n got %+v\nwant %+v", w, got, serial)
-		}
-	}
-}
-
 // TestGoldenGridlockSweep pins one E22 run byte-for-byte at a fixed seed:
 // the per-cell stream split, the value-copy arm discipline, the detector,
 // the timeout kills and the backoff jitter draws all feed these strings. If
@@ -198,11 +177,11 @@ func TestClosedLoopRetryConservation(t *testing.T) {
 	}
 }
 
-// TestReplayCompareSweep pins the replay-across-routers sweep: the arm for
-// the recording router reproduces a plain LoadRun replay byte-for-byte,
-// every arm sees the identical offered workload, and the rows are
-// byte-identical at every worker count.
-func TestReplayCompareSweep(t *testing.T) {
+// replayComparison is the small replay comparison TestReplayCompareSweep
+// and the load sweeps' determinism table run: a 6x6 transpose recording
+// replayed under three routers at seed 42.
+func replayComparison(t *testing.T) (LoadOptions, []string) {
+	t.Helper()
 	rec := &traffic.Trace{}
 	if _, err := LoadRun(LoadOptions{
 		Dims: []int{6, 6}, Router: "limited", Pattern: "transpose",
@@ -211,13 +190,20 @@ func TestReplayCompareSweep(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	opt := LoadOptions{Replay: rec, Seed: 42}
-	routers := []string{"limited", "congested", "blind"}
+	return LoadOptions{Replay: rec, Seed: 42}, []string{"limited", "congested", "blind"}
+}
+
+// TestReplayCompareSweep pins the replay-across-routers sweep: the arm for
+// the recording router reproduces a plain LoadRun replay byte-for-byte and
+// every arm sees the identical offered workload (its rows at every worker
+// count: TestLoadSweepsDeterministicAcrossWorkers).
+func TestReplayCompareSweep(t *testing.T) {
+	opt, routers := replayComparison(t)
 	serial, err := ReplayCompareSweepWorkers(opt, routers, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := LoadRun(LoadOptions{Router: "limited", Replay: rec})
+	single, err := LoadRun(LoadOptions{Router: "limited", Replay: opt.Replay})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,15 +217,6 @@ func TestReplayCompareSweep(t *testing.T) {
 		}
 		if row.Point.Delivered == 0 {
 			t.Errorf("%s delivered nothing under the replayed workload", row.Router)
-		}
-	}
-	for _, w := range parWorkerCounts {
-		got, err := ReplayCompareSweepWorkers(opt, routers, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, serial) {
-			t.Errorf("workers=%d:\n got %+v\nwant %+v", w, got, serial)
 		}
 	}
 }

@@ -243,23 +243,14 @@ func replayAxes(s *Spec) error {
 }
 
 // replayOptions is the replay kind's LoadRun options, shared by its check
-// and run: every Spec field with a LoadOptions field of the same name is
-// carried over, so LoadRun's check refuses what a replay would not read.
+// and run: the spec's sweep options taken through the library's one copy,
+// LoadSweepOptions.Cell, plus the router, the seed and the trace. Every Spec
+// field with a LoadOptions field of the same name reaches it, so LoadRun's
+// check refuses what a replay would not read.
 func replayOptions(s *Spec) ndmesh.LoadOptions {
-	return ndmesh.LoadOptions{
-		Dims: s.Dims, Lambda: s.Lambda, Router: s.Routers[0],
-		Process: s.Process, Rate: s.Rate,
-		Warmup: s.Warmup, Measure: s.Measure, Drain: s.Drain,
-		LinkRate: s.LinkRate, NodeCapacity: s.NodeCapacity,
-		FlightTimeout: s.FlightTimeout, RetryBackoff: s.RetryBackoff,
-		Bubble: s.Bubble, GridlockWindow: s.GridlockWindow,
-		Faults: s.Faults, FaultInterval: s.FaultInterval,
-		Clustered: s.Clustered, FaultStart: s.FaultStart,
-		FaultRate: s.FaultRate, FaultModel: s.FaultModel,
-		FaultShape: s.FaultShape, FaultRepair: s.FaultRepair,
-		Seed:   s.Seed,
-		Replay: s.trace,
-	}
+	opt := sweepOptions[ReplayRow](s).Cell()
+	opt.Router, opt.Seed, opt.Replay = s.Routers[0], s.Seed, s.trace
+	return opt
 }
 
 // checkReplay is the replay kind's check: LoadRun's own Check.

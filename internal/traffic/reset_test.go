@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"bytes"
 	"slices"
 	"testing"
 
@@ -44,7 +45,8 @@ func drive(src Injector, steps int, settle func(i int, src, dst grid.NodeID)) []
 // arguments, emits what a fresh source of those arguments emits, and a
 // Reset of a source of the same size allocates nothing. A trace player,
 // rewound onto another trace after playing past the end of one, offers what
-// a freshly set player offers.
+// a freshly set player offers, and a trace recorder, rewound onto another
+// source and the trace it filled, passes and records what a fresh one does.
 func TestSourceResetMatchesFresh(t *testing.T) {
 	shape := meshtest.MustShape(6, 5)
 	uniform, transpose := NewUniform(shape), NewTranspose(shape)
@@ -139,6 +141,29 @@ func TestSourceResetMatchesFresh(t *testing.T) {
 			t.Fatalf("reset player offered %v, fresh %v (%d recorded)", head(got), head(want), second.Offers())
 		}
 		if n := testing.AllocsPerRun(10, func() { p.Reset(first) }); n != 0 {
+			t.Fatalf("Reset allocates %v times", n)
+		}
+	})
+
+	t.Run("trace-recorder", func(t *testing.T) {
+		var tr Trace
+		var rec TraceRecorder
+		rec.Reset(NewGenerator(shape, uniform, NewBursty(3, 5), 0.2, rng.New(8)), &tr)
+		drive(&rec, 30, noop)
+		gen := NewGenerator(shape, transpose, &Bernoulli{}, 0.3, rng.New(9))
+		rec.Reset(gen, &tr)
+		got := drive(&rec, 40, noop)
+		var freshTr Trace
+		var fresh TraceRecorder
+		fresh.Reset(NewGenerator(shape, transpose, &Bernoulli{}, 0.3, rng.New(9)), &freshTr)
+		want := drive(&fresh, 40, noop)
+		if !slices.Equal(got, want) || !bytes.Equal(tr.Marshal(), freshTr.Marshal()) {
+			t.Fatalf("reset recorder emitted %v (%d offers recorded), fresh %v (%d recorded)", head(got), tr.Offers(), head(want), freshTr.Offers())
+		}
+		if tr.Offers() != len(got) || tr.Steps() != 40 {
+			t.Fatalf("the recording holds %d offers over %d steps, the run made %d over 40", tr.Offers(), tr.Steps(), len(got))
+		}
+		if n := testing.AllocsPerRun(10, func() { rec.Reset(gen, &tr) }); n != 0 {
 			t.Fatalf("Reset allocates %v times", n)
 		}
 	})

@@ -77,7 +77,7 @@ func (t *Trace) Offers() int { return len(t.srcs) }
 
 // Reset clears the recorded offer stream and fault schedule (keeping the
 // buffers' capacity) so the trace can hold a fresh recording.
-// NewTraceRecorder calls it: wrapping a source always begins a new
+// TraceRecorder.Reset calls it: wrapping a source always begins a new
 // recording — without this, reusing one Trace value across two runs would
 // silently concatenate their offer streams or leak a stale fault schedule
 // into a fault-free recording. The scalar metadata fields are the
@@ -104,27 +104,41 @@ func (t *Trace) appendOffer(src, dst grid.NodeID) {
 // through to the run while appending each of them (and each step boundary)
 // to the trace. Wrap the live source with it and the run is unchanged —
 // same rng consumption, same admission outcomes — but the trace afterwards
-// holds everything needed to replay it.
+// holds everything needed to replay it. A recorder is set to a source and a
+// trace by Reset.
 type TraceRecorder struct {
 	inner Injector
 	tr    *Trace
+	// emit is the current step's caller emit; pass is rec.offer, bound once
+	// (a method value or closure made each step allocates).
+	emit, pass func(src, dst grid.NodeID) bool
 }
 
-// NewTraceRecorder wraps src so its offers are recorded into tr, starting
-// a fresh recording (any previously recorded offers and faults in tr are
-// discarded; the caller owns the metadata fields).
-func NewTraceRecorder(src Injector, tr *Trace) *TraceRecorder {
-	tr.Reset()
-	return &TraceRecorder{inner: src, tr: tr}
+// Reset wraps inner so its offers are recorded into tr, starting a fresh
+// recording (any previously recorded offers and faults in tr are
+// discarded; the caller owns the metadata fields). Reset(nil, nil) lets go
+// of both.
+func (rec *TraceRecorder) Reset(inner Injector, tr *Trace) {
+	if tr != nil {
+		tr.Reset()
+	}
+	rec.inner, rec.tr, rec.emit = inner, tr, nil
+	if rec.pass == nil {
+		rec.pass = rec.offer
+	}
 }
 
 // Step implements Injector.
 func (rec *TraceRecorder) Step(emit func(src, dst grid.NodeID) bool) {
 	rec.tr.beginStep()
-	rec.inner.Step(func(src, dst grid.NodeID) bool {
-		rec.tr.appendOffer(src, dst)
-		return emit(src, dst)
-	})
+	rec.emit = emit
+	rec.inner.Step(rec.pass)
+}
+
+// offer records one offered pair and hands it to the caller's emit.
+func (rec *TraceRecorder) offer(src, dst grid.NodeID) bool {
+	rec.tr.appendOffer(src, dst)
+	return rec.emit(src, dst)
 }
 
 // TracePlayer implements Injector by replaying a recorded trace: step s
@@ -137,7 +151,7 @@ type TracePlayer struct {
 	pos  int
 }
 
-// Reset positions the player at tr's first step.
+// Reset positions the player at tr's first step (nil: lets go of a trace).
 func (p *TracePlayer) Reset(tr *Trace) { *p = TracePlayer{tr: tr} }
 
 // Step implements Injector.

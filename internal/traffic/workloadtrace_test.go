@@ -25,7 +25,8 @@ func recordOffers(t *testing.T, shape *grid.Shape, steps int) (*Trace, [][2]grid
 		Dims: shape.Radices(), Rate: 0.3,
 		Warmup: 2, Measure: steps - 2, Drain: 4,
 	}
-	rec := NewTraceRecorder(gen, tr)
+	var rec TraceRecorder
+	rec.Reset(gen, tr)
 	// The recorder reset the trace, so the fault schedule attaches after —
 	// the same order loadPoint uses.
 	tr.Faults = append(tr.Faults,
@@ -194,7 +195,8 @@ func FuzzUnmarshalTrace(f *testing.F) {
 	}
 	var tr Trace
 	gen := NewGenerator(shape, pat, &Bernoulli{}, 0.3, rng.New(3))
-	rec := NewTraceRecorder(gen, &tr)
+	var rec TraceRecorder
+	rec.Reset(gen, &tr)
 	tr.Dims, tr.Rate, tr.Warmup, tr.Measure, tr.Drain = []int{4, 4}, 0.3, 2, 4, 6
 	for s := 0; s < 6; s++ {
 		rec.Step(func(src, dst grid.NodeID) bool { return true })

@@ -168,7 +168,7 @@ func TestReplayCompareOneRouterIsLoadRun(t *testing.T) {
 }
 
 // TestSweepCellCarriesEverySharedField holds the one options-to-options
-// copy, LoadSweepOptions.cell, to the two structs: every field they share
+// copy, LoadSweepOptions.Cell, to the two structs: every field they share
 // by name and type, set to a value no other field has, must reach the base
 // cell under each of the five sweeps' row types, so a field added to both
 // later cannot be dropped on the way. Shards is the one exception: both
@@ -220,7 +220,7 @@ func sweepCellCarries[Row any](t *testing.T) {
 	if len(shared) < 26 {
 		t.Fatalf("only %d fields are shared by name and type (%v); the test lost its subject", len(shared), shared)
 	}
-	cell := opt.cell()
+	cell := opt.Cell()
 	cv := reflect.ValueOf(cell)
 	for _, name := range shared {
 		got, want := cv.FieldByName(name), ov.FieldByName(name)

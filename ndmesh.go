@@ -128,6 +128,8 @@ func (s *Simulation) Reset() {
 	s.sched.Events = s.sched.Events[:0]
 	s.load.loadCell = loadCell{}
 	s.load.retry.Trim()
+	s.load.play.Reset(nil)
+	s.load.rec.Reset(nil, nil)
 }
 
 // Dims returns the mesh dimensions.

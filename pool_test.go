@@ -377,11 +377,12 @@ type cellAllocs struct {
 // an open-loop 8x8 cell at capacity 8, the same with flight timeouts (the
 // retry source), a closed-loop 6x6x6 bubble cell with retry, the
 // fault-storm cell (the workload's 16x16 λ=2 options at fault rate 0.2), an
-// oracle cell, an 8x8 cell under a fixed-count fault overlay and a replay
-// of a trace that carries faults. A pooled Simulation keeps everything a
-// warm cell needs: its engine, flights, headers, fault schedule and event
-// log, and its load run's collector, rng streams, sources (the trace
-// player included), patterns and fault-placement scratch, and the oracle
+// oracle cell, an 8x8 cell under a fixed-count fault overlay, a replay of a
+// trace that carries faults and the overlay cell recording into one reused
+// trace. A pooled Simulation keeps everything a warm cell needs: its
+// engine, flights, headers, fault schedule and event log, and its load
+// run's collector, rng streams, sources (the trace player and recorder
+// included), patterns and fault-placement scratch, and the oracle
 // whose table the oracle cell refills (the mesh version moved by the Reset
 // drops its fields); a warm cell of each case allocates nothing.
 // The cell's stream is built outside the measured closure (loadPoint
@@ -427,6 +428,9 @@ func TestWarmLoadCellAllocs(t *testing.T) {
 	if err := replay.check(); err != nil {
 		t.Fatal(err)
 	}
+	// The recording cell records into one trace, reused run after run.
+	recording := overlayUniform
+	recording.Record = &traffic.Trace{}
 	r := rng.New(11).Split()
 	// Each cell must do what its case names, or its count shows nothing.
 	cases := []struct {
@@ -455,6 +459,11 @@ func TestWarmLoadCellAllocs(t *testing.T) {
 		{"replay/8x8/limited/uniform/faults4", func(p *EnginePool) (traffic.LoadPoint, error) {
 			return loadPoint(p, &replay, r)
 		}, func(pt traffic.LoadPoint) bool { return pt.Failed == 4 && pt.Delivered > 0 }},
+		{"record/8x8/limited/uniform/faults4", func(p *EnginePool) (traffic.LoadPoint, error) {
+			return loadPoint(p, &recording, r)
+		}, func(pt traffic.LoadPoint) bool {
+			return pt.Failed == 4 && pt.Delivered > 0 && recording.Record.Offers() > 0 && len(recording.Record.Faults) > 0
+		}},
 	}
 	var got []cellAllocs
 	for _, c := range cases {

@@ -157,7 +157,7 @@ func (opt *LoadSweepOptions[Row]) checkReliability() (base LoadOptions, rows int
 	if opt.Trials < 1 {
 		return base, 0, fmt.Errorf("ndmesh: reliability sweep needs Trials >= 1 (got %d)", opt.Trials)
 	}
-	base = opt.cell()
+	base = opt.Cell()
 	for _, fr := range opt.FaultRates {
 		if !finite(fr) || fr < 0 || fr > 1 {
 			return base, 0, fmt.Errorf("ndmesh: fault rate %v out of range [0, 1]", fr)

@@ -29,27 +29,6 @@ func smallReliability() ReliabilityOptions {
 	return opt
 }
 
-// TestParallelReliabilitySweepDeterministic extends the repository's
-// determinism contract to E23: byte-identical rows for every worker count
-// (run under -race in CI). The Monte-Carlo fold must not depend on which
-// worker finished which trial first.
-func TestParallelReliabilitySweepDeterministic(t *testing.T) {
-	opt := smallReliability()
-	serial, err := ReliabilitySweepWorkers(opt, 42, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range parWorkerCounts {
-		got, err := ReliabilitySweepWorkers(opt, 42, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, serial) {
-			t.Errorf("workers=%d:\n got %+v\nwant %+v", w, got, serial)
-		}
-	}
-}
-
 // TestGoldenReliabilitySweep pins one E23 run byte-for-byte at a fixed
 // seed: the per-trial stream split, the fault-process draws (arrival,
 // placement, repair), the open-loop retry jitter and the serial fold all

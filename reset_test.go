@@ -8,6 +8,7 @@ import (
 	"ndmesh/internal/grid"
 	"ndmesh/internal/rng"
 	"ndmesh/internal/route"
+	"ndmesh/internal/traffic"
 )
 
 // TestResetEquivalence is the contract the sweeps' trial-reuse rests on: a
@@ -151,5 +152,33 @@ func TestResetRestoresFreshState(t *testing.T) {
 	eng.FlushCensus()
 	if probe.censuses != 1 {
 		t.Errorf("the probe saw %d censuses after Reset, want none: a fresh simulation has no probe", probe.censuses-1)
+	}
+}
+
+// TestResetDropsTraces: a pooled simulation that recorded one trace and
+// then replayed it while recording another holds none of the caller's
+// traces once it is back in the pool.
+func TestResetDropsTraces(t *testing.T) {
+	pool := NewEnginePool(0)
+	c := cellAt(smallSaturation(), "uniform", 0.1, 0, "limited")
+	c.Pool, c.Record, c.Seed = pool, &traffic.Trace{}, 1
+	if _, err := LoadRun(c); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadRun(LoadOptions{Router: "limited", Replay: c.Record, Record: &traffic.Trace{}, Pool: pool}); err != nil {
+		t.Fatal(err)
+	}
+	var sims []*Simulation
+	for _, idle := range pool.idle {
+		sims = append(sims, idle...)
+	}
+	if len(sims) != 1 {
+		t.Fatalf("the pool keeps %d simulations, want the one both runs took", len(sims))
+	}
+	load := &sims[0].load
+	for name, src := range map[string]any{"trace player": &load.play, "trace recorder": &load.rec} {
+		if !reflect.ValueOf(src).Elem().FieldByName("tr").IsNil() {
+			t.Errorf("the pooled simulation's %s still holds a caller's trace", name)
+		}
 	}
 }

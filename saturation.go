@@ -297,7 +297,7 @@ func (opt *LoadSweepOptions[Row]) checkSaturation() (base LoadOptions, rows int,
 	if err := validateRates(opt.Process, opt.Rates...); err != nil {
 		return base, 0, err
 	}
-	base = opt.cell()
+	base = opt.Cell()
 	err = base.validateLoadShape()
 	return base, rows, err
 }
@@ -384,12 +384,11 @@ func (opt *LoadSweepOptions[Row]) isSet(field string) bool {
 	panic("ndmesh: sweepGrid names no field " + field)
 }
 
-// cell is the sweep's base load cell: every field the sweep shares with
-// LoadOptions by name and type, but the ignored Shards. It is the only
-// field-by-field copy between option structs; a job copies the base cell
-// and sets its own axes (Pattern, Router and the entry point's load axes)
-// on the copy.
-func (opt *LoadSweepOptions[Row]) cell() LoadOptions {
+// Cell is the sweep's base load cell: every field the sweep shares with
+// LoadOptions by name and type, but the ignored Shards. It is the module's
+// only field-by-field copy between option structs: a sweep job, meshd's
+// replay and loadgen's recording each set their own axes on a copy.
+func (opt LoadSweepOptions[Row]) Cell() LoadOptions {
 	return LoadOptions{
 		Dims: opt.Dims, Lambda: opt.Lambda, Process: opt.Process, Rate: opt.Rate,
 		Warmup: opt.Warmup, Measure: opt.Measure, Drain: opt.Drain,
@@ -507,6 +506,7 @@ type loadRun struct {
 	retry          traffic.RetrySource
 	loop           traffic.ClosedLoop
 	play           traffic.TracePlayer
+	rec            traffic.TraceRecorder
 	pats           traffic.Patterns
 	// proc is the arrival process built for the name procName.
 	proc     traffic.Process
@@ -634,7 +634,8 @@ func newLoadRun(sim *Simulation, c *LoadOptions, r *rng.Source) (*loadRun, error
 		}
 	}
 	if c.Record != nil {
-		c.Record.Dims = shape.Radices()
+		// The trace's own Dims, reused; never the caller's c.Dims.
+		c.Record.Dims = append(c.Record.Dims[:0], c.Dims...)
 		c.Record.Rate = lr.rate
 		c.Record.Window = c.Window
 		c.Record.ClosedLoop = lr.closed
@@ -644,7 +645,8 @@ func newLoadRun(sim *Simulation, c *LoadOptions, r *rng.Source) (*loadRun, error
 		// overrides deliberately.
 		c.Record.Lambda, c.Record.LinkRate, c.Record.NodeCapacity = c.Lambda, c.LinkRate, c.NodeCapacity
 		c.Record.FlightTimeout, c.Record.GridlockWindow, c.Record.Bubble = c.FlightTimeout, c.GridlockWindow, c.Bubble
-		lr.src = traffic.NewTraceRecorder(lr.src, c.Record) // resets the trace...
+		lr.rec.Reset(lr.src, c.Record) // resets the trace...
+		lr.src = &lr.rec
 		// ... so the fault schedule is attached afterwards; a re-recorded
 		// replay carries its trace's schedule over.
 		c.Record.Faults = append(c.Record.Faults, sim.sched.Events...)

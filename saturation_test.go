@@ -2,7 +2,6 @@ package ndmesh
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"ndmesh/internal/rng"
@@ -24,30 +23,9 @@ func smallSaturation() SaturationOptions {
 // cellAt is opt's base cell with a job's axes set, as a sweep job sets
 // them: pattern at an open-loop rate or a closed-loop window, via router.
 func cellAt[Row any](opt LoadSweepOptions[Row], pattern string, rate float64, window int, router string) LoadOptions {
-	c := opt.cell()
+	c := opt.Cell()
 	c.Pattern, c.Rate, c.Window, c.Router = pattern, rate, window, router
 	return c
-}
-
-// TestParallelSaturationSweepDeterministic extends the repository's
-// determinism contract to the load subsystem: byte-identical rows for
-// every worker count (run under -race in CI to certify the fan-out shares
-// no mutable state).
-func TestParallelSaturationSweepDeterministic(t *testing.T) {
-	opt := smallSaturation()
-	serial, err := SaturationSweepWorkers(opt, 42, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range parWorkerCounts {
-		got, err := SaturationSweepWorkers(opt, 42, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, serial) {
-			t.Errorf("workers=%d:\n got %+v\nwant %+v", w, got, serial)
-		}
-	}
 }
 
 // TestSaturationCurveMonotone is the acceptance criterion of the traffic
