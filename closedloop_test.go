@@ -449,7 +449,9 @@ func TestNegativeCapacityReplays(t *testing.T) {
 // and fault schedule, so each field a replay would not read is refused by
 // name — by LoadRun, by LoadOptions.Check and by ReplayCompareSweepWorkers
 // alike — before any simulation is taken, where it was once overridden or
-// ignored in silence. Every value set here is one a live run accepts.
+// ignored in silence. Every value set here is one a live run accepts. The
+// comparison's options name the grid axes Patterns and Windows where a
+// load run has Pattern and Window.
 func TestReplayRefusesFieldsItDoesNotRead(t *testing.T) {
 	rec := &traffic.Trace{}
 	if _, err := LoadRun(LoadOptions{
@@ -458,42 +460,51 @@ func TestReplayRefusesFieldsItDoesNotRead(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	for name, set := range map[string]func(*LoadOptions){
-		"Dims":          func(o *LoadOptions) { o.Dims = []int{9, 9} },
-		"Pattern":       func(o *LoadOptions) { o.Pattern = "hotspot" },
-		"Process":       func(o *LoadOptions) { o.Process = "poisson" },
-		"Rate":          func(o *LoadOptions) { o.Rate = 0.9 },
-		"Window":        func(o *LoadOptions) { o.Window = 2 },
-		"Warmup":        func(o *LoadOptions) { o.Warmup = 1 },
-		"Measure":       func(o *LoadOptions) { o.Measure = 1 },
-		"Drain":         func(o *LoadOptions) { o.Drain = 1 },
-		"Faults":        func(o *LoadOptions) { o.Faults = 5 },
-		"FaultInterval": func(o *LoadOptions) { o.FaultInterval = 2 },
-		"FaultStart":    func(o *LoadOptions) { o.FaultStart = 3 },
-		"Clustered":     func(o *LoadOptions) { o.Clustered = true },
-		"FaultRate":     func(o *LoadOptions) { o.FaultRate = 0.01 },
-		"FaultModel":    func(o *LoadOptions) { o.FaultModel = "weibull" },
-		"FaultShape":    func(o *LoadOptions) { o.FaultShape = 1.5 },
-		"FaultRepair":   func(o *LoadOptions) { o.FaultRepair = 40 },
-		"RetryBackoff":  func(o *LoadOptions) { o.RetryBackoff = 9 },
+	type both struct {
+		run *LoadOptions
+		cmp *ReplayCompareOptions
+	}
+	for name, set := range map[string]func(o both){
+		"Dims":          func(o both) { o.run.Dims, o.cmp.Dims = []int{9, 9}, []int{9, 9} },
+		"Pattern":       func(o both) { o.run.Pattern, o.cmp.Patterns = "hotspot", []string{"hotspot"} },
+		"Process":       func(o both) { o.run.Process, o.cmp.Process = "poisson", "poisson" },
+		"Rate":          func(o both) { o.run.Rate, o.cmp.Rate = 0.9, 0.9 },
+		"Window":        func(o both) { o.run.Window, o.cmp.Windows = 2, []int{2} },
+		"Warmup":        func(o both) { o.run.Warmup, o.cmp.Warmup = 1, 1 },
+		"Measure":       func(o both) { o.run.Measure, o.cmp.Measure = 1, 1 },
+		"Drain":         func(o both) { o.run.Drain, o.cmp.Drain = 1, 1 },
+		"Faults":        func(o both) { o.run.Faults, o.cmp.Faults = 5, 5 },
+		"FaultInterval": func(o both) { o.run.FaultInterval, o.cmp.FaultInterval = 2, 2 },
+		"FaultStart":    func(o both) { o.run.FaultStart, o.cmp.FaultStart = 3, 3 },
+		"Clustered":     func(o both) { o.run.Clustered, o.cmp.Clustered = true, true },
+		"FaultRate":     func(o both) { o.run.FaultRate, o.cmp.FaultRate = 0.01, 0.01 },
+		"FaultModel":    func(o both) { o.run.FaultModel, o.cmp.FaultModel = "weibull", "weibull" },
+		"FaultShape":    func(o both) { o.run.FaultShape, o.cmp.FaultShape = 1.5, 1.5 },
+		"FaultRepair":   func(o both) { o.run.FaultRepair, o.cmp.FaultRepair = 40, 40 },
+		"RetryBackoff":  func(o both) { o.run.RetryBackoff, o.cmp.RetryBackoff = 9, 9 },
 	} {
 		t.Run(name, func(t *testing.T) {
 			pool := NewEnginePool(1)
-			o := LoadOptions{Replay: rec, Pool: pool}
-			set(&o)
-			refused := func(entry string, err error) {
+			o := LoadOptions{Router: "limited", Replay: rec, Pool: pool}
+			c := ReplayCompareOptions{Routers: []string{"limited", "dor"}, Replay: rec, Pool: pool}
+			set(both{&o, &c})
+			refused := func(entry, want string, err error) {
 				t.Helper()
-				if err == nil || !strings.Contains(err.Error(), "does not take "+name+" (") {
-					t.Errorf("%s: error = %v, want one naming %s", entry, err, name)
+				if err == nil || !strings.Contains(err.Error(), "does not take "+want) {
+					t.Errorf("%s: error = %v, want one naming %s", entry, err, want)
 				}
 			}
-			_, err := ReplayCompareSweepWorkers(o, []string{"limited", "dor"}, 1)
-			refused("ReplayCompareSweepWorkers", err)
-			o.Router = "limited"
+			_, err := ReplayCompareSweepWorkers(c, 1, 1)
+			switch name {
+			case "Pattern", "Window":
+				refused("ReplayCompareSweepWorkers", name+"s", err)
+			default:
+				refused("ReplayCompareSweepWorkers", name+" (", err)
+			}
 			_, err = o.Check()
-			refused("Check", err)
+			refused("Check", name+" (", err)
 			_, err = LoadRun(o)
-			refused("LoadRun", err)
+			refused("LoadRun", name+" (", err)
 			if st := pool.Stats(); st != (PoolStats{}) {
 				t.Errorf("the refused replay touched the pool: %+v", st)
 			}

@@ -225,12 +225,29 @@ func run(args []string, stdout, stderr io.Writer) error {
 		emitTable(tab)
 	}
 
+	// record runs -trace-record on c, the one cell of the checked grid the
+	// flags describe with its axes set, under the grid's router and the
+	// seed. It returns the cell's row and the trace it wrote.
+	record := func(c ndmesh.LoadOptions) ([]ndmesh.ReplayCompareRow, *traffic.Trace, error) {
+		c.Router, c.Seed, c.Record = routers[0], f.seed, &traffic.Trace{}
+		var pt traffic.LoadPoint
+		err := probed(pf, f.dims, f.warmup+f.measure+f.drain, f.seed, func(p engine.Probe, every int) (cfg any, err error) {
+			c.Probe, c.ProbeEvery = p, every
+			pt, err = ndmesh.LoadRun(c)
+			return c, err
+		})
+		if err == nil {
+			err = os.WriteFile(f.traceRecord, c.Record.Marshal(), 0o644)
+		}
+		return []ndmesh.ReplayCompareRow{{Router: c.Router, Point: pt}}, c.Record, err
+	}
+
 	// Trace replay: the trace is the workload. An engine flag given
 	// explicitly is written onto it, so 0 and false switch a recorded value
 	// off, but a positive -timeout goes through the options: the trace's own
 	// timeout tells the library whether its stream carries re-offers, so
 	// whether a replayed timeout counts as retried. One router or several,
-	// every replay is the library's comparison.
+	// a replay is the library's comparison; re-recording one is LoadRun's.
 	if f.traceReplay != "" {
 		data, err := os.ReadFile(f.traceReplay)
 		if err != nil {
@@ -259,37 +276,31 @@ func run(args []string, stdout, stderr io.Writer) error {
 				tr.Bubble = f.bubble
 			}
 		})
-		if err := requireSingleRun(pf, "replay router arms", len(routers)); err != nil {
-			return err
-		}
-		opt := ndmesh.LoadOptions{
-			Seed: f.seed, FlightTimeout: timeout, RetryBackoff: f.retryBackoff,
+		// Not options(&f): the defaults of -dims, -patterns, -interval and
+		// the phase flags are values a replay refuses.
+		opt := ndmesh.ReplayCompareOptions{
+			Routers: routers, Replay: tr, FlightTimeout: timeout, RetryBackoff: f.retryBackoff,
 			Faults: f.faults, Clustered: f.clustered, FaultStart: f.faultStart,
 			FaultRate: f.faultRate, FaultModel: f.faultModel, FaultShape: f.faultShape, FaultRepair: f.repair,
-			Replay: tr, Progress: f.progress,
+			Progress: f.progress,
 		}
+		if err := check(&f, "replay router arms", opt); err != nil {
+			return err
+		}
+		// The trace stands in for the mesh and phase flags, in the
+		// telemetry's sizing too.
+		f.dims, f.warmup, f.measure, f.drain = tr.Dims, tr.Warmup, tr.Measure, tr.Drain
+		var rows []ndmesh.ReplayCompareRow
 		if f.traceRecord != "" {
 			// Re-record the replay: the offered stream and fault schedule
 			// carry over, so the written trace is a standalone equivalent
 			// of the input (useful for normalizing or re-homing traces).
-			opt.Record = &traffic.Trace{}
+			rows, _, err = record(opt.Cell())
+		} else {
+			rows, err = sweep(&f, opt, ndmesh.ReplayCompareSweepWorkers)
 		}
-		var rows []ndmesh.ReplayCompareRow
-		err = probed(pf, tr.Dims, tr.Warmup+tr.Measure+tr.Drain, f.seed, func(p engine.Probe, every int) (cfg any, err error) {
-			opt.Probe, opt.ProbeEvery = p, every
-			rows, err = ndmesh.ReplayCompareSweepWorkers(opt, routers, f.workers)
-			return struct {
-				Routers []string
-				ndmesh.LoadOptions
-			}{routers, opt}, err
-		})
 		if err != nil {
 			return err
-		}
-		if f.traceRecord != "" {
-			if err := os.WriteFile(f.traceRecord, opt.Record.Marshal(), 0o644); err != nil {
-				return err
-			}
 		}
 		what, mode := "trace replay", "open-loop"
 		if len(routers) > 1 {
@@ -307,26 +318,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// record runs -trace-record: c is the base cell of the checked one-cell
-	// grid the flags describe, its load axis set; it runs on the grid's
-	// router and pattern, its offered workload captured into the file.
-	record := func(c ndmesh.LoadOptions, workload string) error {
-		c.Router, c.Pattern, c.Seed, c.Record = routers[0], patterns[0], f.seed, &traffic.Trace{}
-		var pt traffic.LoadPoint
-		err := probed(pf, f.dims, f.warmup+f.measure+f.drain, f.seed, func(p engine.Probe, every int) (cfg any, err error) {
-			c.Probe, c.ProbeEvery = p, every
-			pt, err = ndmesh.LoadRun(c)
-			return c, err
-		})
+	// recordLive records the grid's one live cell c and prints its table.
+	recordLive := func(c ndmesh.LoadOptions, workload string) error {
+		c.Pattern = patterns[0]
+		rows, rec, err := record(c)
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(f.traceRecord, c.Record.Marshal(), 0o644); err != nil {
-			return err
-		}
 		emitPoints(fmt.Sprintf("trace record: %s (%s, %d offers over %d steps), link-rate=%d, capacity=%d, %s",
-			f.traceRecord, f.dimsFlag, c.Record.Offers(), c.Record.Steps(), f.linkRate, f.capacity, faultDesc),
-			workload, ndmesh.ReplayCompareRow{Router: c.Router, Point: pt})
+			f.traceRecord, f.dimsFlag, rec.Offers(), rec.Steps(), f.linkRate, f.capacity, faultDesc), workload, rows...)
 		return nil
 	}
 
@@ -340,7 +340,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if f.traceRecord != "" {
 			c := opt.Cell()
 			c.Window = windows[0]
-			return record(c, fmt.Sprintf("%s w=%d", patterns[0], windows[0]))
+			return recordLive(c, fmt.Sprintf("%s w=%d", patterns[0], windows[0]))
 		}
 		rows, err := sweep(&f, opt, ndmesh.ClosedLoopSweepWorkers)
 		if err != nil {
@@ -372,7 +372,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if f.traceRecord != "" {
 		c := opt.Cell()
 		c.Rate = rates[0]
-		return record(c, fmt.Sprintf("%s @%.3f", patterns[0], rates[0]))
+		return recordLive(c, fmt.Sprintf("%s @%.3f", patterns[0], rates[0]))
 	}
 	rows, err := sweep(&f, opt, ndmesh.SaturationSweepWorkers)
 	if err != nil {

@@ -628,30 +628,42 @@ func TestTraceRecordRefusesSeveralCells(t *testing.T) {
 }
 
 // TestReRecordedComparisonRefused: re-recording a replay compared across
-// two routers is the library's refusal, naming Record (one trace cannot
-// record two arms).
+// two routers is refused by the one-cell rule of a recording, with the
+// library's count of router arms, and no trace file is written.
 func TestReRecordedComparisonRefused(t *testing.T) {
 	dir := t.TempDir()
 	trace, rerec := filepath.Join(dir, "w.ndwt"), filepath.Join(dir, "rerec.ndwt")
 	loadgen(t, "-dims", "4x4", "-rates", "0.2", "-warmup", "4", "-measure", "8", "-drain", "8", "-trace-record", trace)
 	err := run([]string{"-trace-replay", trace, "-routers", "limited,congested", "-trace-record", rerec}, io.Discard, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "Record") {
-		t.Errorf("err = %v, want the library's refusal naming Record", err)
+	if err == nil || !strings.Contains(err.Error(), "describe 2 replay router arms") {
+		t.Errorf("err = %v, want the one-cell refusal naming the 2 router arms", err)
+	}
+	if _, serr := os.Stat(rerec); !errors.Is(serr, os.ErrNotExist) {
+		t.Errorf("a refused re-recording left a trace file (stat: %v)", serr)
 	}
 }
 
-// TestCheckBeforeTelemetry: a sweep the library refuses starts no debug
-// server and builds no recorder; the error names the unknown router.
+// TestCheckBeforeTelemetry: a sweep or a replay the library refuses starts
+// no debug server and builds no recorder; the error names the unknown
+// router.
 func TestCheckBeforeTelemetry(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "w.ndwt")
+	loadgen(t, "-dims", "4x4", "-rates", "0.2", "-warmup", "4", "-measure", "8", "-drain", "8", "-trace-record", trace)
 	var logged bytes.Buffer
 	saved := log.Writer()
 	log.SetOutput(&logged)
 	defer log.SetOutput(saved)
-	err := run([]string{"-dims", "4x4", "-rates", "0.1", "-routers", "bogus", "-debug-addr", "127.0.0.1:0"}, io.Discard, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "bogus") {
-		t.Errorf("err = %v, want one naming the router", err)
-	}
-	if strings.Contains(logged.String(), "debug server listening") {
-		t.Errorf("a refused sweep started the debug server: %q", logged.String())
+	for name, load := range map[string][]string{
+		"sweep":  {"-dims", "4x4", "-rates", "0.1"},
+		"replay": {"-trace-replay", trace},
+	} {
+		logged.Reset()
+		err := run(append(load, "-routers", "bogus", "-debug-addr", "127.0.0.1:0"), io.Discard, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "bogus") {
+			t.Errorf("%s: err = %v, want one naming the router", name, err)
+		}
+		if strings.Contains(logged.String(), "debug server listening") {
+			t.Errorf("a refused %s started the debug server: %q", name, logged.String())
+		}
 	}
 }

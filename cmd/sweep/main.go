@@ -83,7 +83,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		trials   = fs.Int("trials", 0, "trials per cell of degradation, lambda, oscillation, theorems and reliability (0 = experiment default); the other experiments ignore it")
 		csv      = fs.Bool("csv", false, "emit CSV instead of aligned tables")
 		workers  = fs.Int("workers", 0, "parallel trial workers (0 = all CPUs); results are identical for every value")
-		progress = fs.Bool("progress", false, "print per-cell completion of the load experiments (saturation/congestion/closedloop/gridlock) to stderr")
+		progress = fs.Bool("progress", false, "print per-cell completion of the load experiments (saturation/congestion/closedloop/gridlock/reliability) to stderr")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

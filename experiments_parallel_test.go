@@ -52,7 +52,7 @@ func TestProtocolSweepsDeterministicAcrossWorkers(t *testing.T) {
 // Monte-Carlo fold all firing. The congestion row compares the summaries as
 // well as the rows.
 func TestLoadSweepsDeterministicAcrossWorkers(t *testing.T) {
-	replay, routers := replayComparison(t)
+	replay := replayComparison(t)
 	sweeps := []struct {
 		name string
 		run  func(workers int) (any, error)
@@ -65,7 +65,7 @@ func TestLoadSweepsDeterministicAcrossWorkers(t *testing.T) {
 		{"closed-loop", func(w int) (any, error) { return ClosedLoopSweepWorkers(smallClosedLoop(), 42, w) }},
 		{"gridlock", func(w int) (any, error) { return GridlockSweepWorkers(smallGridlock(), 42, w) }},
 		{"reliability", func(w int) (any, error) { return ReliabilitySweepWorkers(smallReliability(), 42, w) }},
-		{"replay-compare", func(w int) (any, error) { return ReplayCompareSweepWorkers(replay, routers, w) }},
+		{"replay-compare", func(w int) (any, error) { return ReplayCompareSweepWorkers(replay, 42, w) }},
 	}
 	for _, sw := range sweeps {
 		t.Run(sw.name, func(t *testing.T) { sameAtEveryWorkerCount(t, sw.run) })

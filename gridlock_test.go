@@ -179,8 +179,8 @@ func TestClosedLoopRetryConservation(t *testing.T) {
 
 // replayComparison is the small replay comparison TestReplayCompareSweep
 // and the load sweeps' determinism table run: a 6x6 transpose recording
-// replayed under three routers at seed 42.
-func replayComparison(t *testing.T) (LoadOptions, []string) {
+// replayed under three routers.
+func replayComparison(t *testing.T) ReplayCompareOptions {
 	t.Helper()
 	rec := &traffic.Trace{}
 	if _, err := LoadRun(LoadOptions{
@@ -190,7 +190,7 @@ func replayComparison(t *testing.T) (LoadOptions, []string) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	return LoadOptions{Replay: rec, Seed: 42}, []string{"limited", "congested", "blind"}
+	return ReplayCompareOptions{Routers: []string{"limited", "congested", "blind"}, Replay: rec}
 }
 
 // TestReplayCompareSweep pins the replay-across-routers sweep: the arm for
@@ -198,8 +198,8 @@ func replayComparison(t *testing.T) (LoadOptions, []string) {
 // every arm sees the identical offered workload (its rows at every worker
 // count: TestLoadSweepsDeterministicAcrossWorkers).
 func TestReplayCompareSweep(t *testing.T) {
-	opt, routers := replayComparison(t)
-	serial, err := ReplayCompareSweepWorkers(opt, routers, 1)
+	opt := replayComparison(t)
+	serial, err := ReplayCompareSweepWorkers(opt, 42, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,9 +36,9 @@ func submit(t testing.TB, ts *httptest.Server, query, body string) (*http.Respon
 // streamAtEveryWidth is the worker matrix every sweep kind is streamed at:
 // base (a spec missing its closing brace) is submitted serial, at a fixed
 // parallel width and at whatever the host offers, and every width must
-// stream the batch bytes, computed ONCE by the caller. A fresh server per
-// width: the cache would otherwise serve later widths from the first run
-// and never touch an engine.
+// stream the batch bytes, computed ONCE by the caller, as a job of one cell
+// per row. A fresh server per width: the cache would otherwise serve later
+// widths from the first run and never touch an engine.
 func streamAtEveryWidth(t *testing.T, base string, want []byte) {
 	for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
@@ -54,6 +54,16 @@ func streamAtEveryWidth(t *testing.T, base string, want []byte) {
 			}
 			if !bytes.Equal(got, want) {
 				t.Fatalf("streamed body differs from batch rows\n got: %s\nwant: %s", got, want)
+			}
+			jr, err := http.Get(ts.URL + "/v1/jobs/" + resp.Header.Get("X-Meshd-Job"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var st JobStatus
+			err = json.NewDecoder(jr.Body).Decode(&st)
+			jr.Body.Close()
+			if rows := bytes.Count(want, []byte("\n")); err != nil || st.Cells != rows || st.Rows != rows {
+				t.Fatalf("job status %+v (%v), want %d cells and rows", st, err, rows)
 			}
 			if err := srv.Pool().VerifyClean(); err != nil {
 				t.Fatal(err)
@@ -154,7 +164,7 @@ func TestE2EReliability(t *testing.T) {
 }
 
 // TestE2EReplay records a trace, replays it through the daemon, and diffs
-// against the library's replayed LoadPoint.
+// against LoadRun's replayed point as the comparison's row.
 func TestE2EReplay(t *testing.T) {
 	trace := recordedTrace(t)
 	tr, err := traffic.UnmarshalTrace(trace)
@@ -165,7 +175,7 @@ func TestE2EReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := encodeNDJSON(ReplayRow{Router: "limited", Point: pt})
+	want := encodeNDJSON(ndmesh.ReplayCompareRow{Router: "limited", Point: pt})
 
 	srv := New(Config{})
 	ts := httptest.NewServer(srv.Handler())
@@ -184,6 +194,32 @@ func TestE2EReplay(t *testing.T) {
 	if err := srv.Pool().VerifyClean(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestE2EReplayRouters streams a replay over two routers at every width:
+// one row per router, the library comparison's rows byte for byte.
+func TestE2EReplayRouters(t *testing.T) {
+	trace, err := json.Marshal(recordedTrace(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := `{"kind":"replay","routers":["limited","dor"],"trace":` + string(trace) + `,"seed":42`
+	spec, err := ParseSpec([]byte(base + `}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := ndmesh.ReplayCompareSweepWorkers(sweepOptions[ndmesh.ReplayCompareRow](spec), spec.Seed, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 || rows[0].Router != "limited" || rows[1].Router != "dor" {
+		t.Fatalf("library rows %+v, want the limited arm, then the dor arm", rows)
+	}
+	var want bytes.Buffer
+	for _, r := range rows {
+		want.Write(encodeNDJSON(r))
+	}
+	streamAtEveryWidth(t, base, want.Bytes())
 }
 
 // TestE2ENaNTraceRefused: a replay trace whose rate is NaN gets a 400 and

@@ -42,7 +42,7 @@ type kind struct {
 var kinds = []kind{
 	{KindOpenLoop, true, openLoopAxes, checkSweep[ndmesh.SaturationRow], runSweep(ndmesh.SaturationSweepWorkers, cliutil.OpenLoopCells)},
 	{KindClosedLoop, false, closedLoopAxes, checkSweep[ndmesh.ClosedLoopRow], runSweep(ndmesh.ClosedLoopSweepWorkers, nil)},
-	{KindReplay, false, replayAxes, checkReplay, runReplay},
+	{KindReplay, false, replayAxes, checkSweep[ndmesh.ReplayCompareRow], runSweep(ndmesh.ReplayCompareSweepWorkers, nil)},
 	{KindReliability, false, reliabilityAxes, checkSweep[ndmesh.ReliabilityRow], runSweep(ndmesh.ReliabilitySweepWorkers, nil)},
 }
 
@@ -114,7 +114,7 @@ func defList[T any](v *[]T, d []T) {
 	}
 }
 
-// sweepDefaults validates the mesh shape and folds in what the three sweep
+// sweepDefaults validates the mesh shape and folds in what the three grid
 // kinds share, from the calling kind's library defaults d — except patterns,
 // served as uniform alone (the library's open- and closed-loop defaults add
 // transpose). Defaults are cache-key material: TestSpecDefaultsVsLibrary.
@@ -136,9 +136,10 @@ func sweepDefaults[Row any](s *Spec, d *ndmesh.LoadSweepOptions[Row]) error {
 	return nil
 }
 
-// sweepOptions is the one Spec -> options conversion of the three sweep
-// kinds' check and run: every Spec field with an options field of the same
-// name is carried over, and a probed spec gets a Probe (run's is the job's).
+// sweepOptions is the one Spec -> options conversion of every kind's check
+// and run: every Spec field with an options field of the same name is
+// carried over, the decoded trace of a replay spec is its Replay, and a
+// probed spec gets a Probe (run's is the job's).
 func sweepOptions[Row any](s *Spec) ndmesh.LoadSweepOptions[Row] {
 	opt := ndmesh.LoadSweepOptions[Row]{
 		Dims: s.Dims, Lambda: s.Lambda,
@@ -153,6 +154,7 @@ func sweepOptions[Row any](s *Spec) ndmesh.LoadSweepOptions[Row] {
 		Clustered: s.Clustered, FaultStart: s.FaultStart,
 		FaultRate: s.FaultRate, FaultModel: s.FaultModel,
 		FaultShape: s.FaultShape, FaultRepair: s.FaultRepair,
+		Replay: s.trace,
 	}
 	if s.Probe {
 		opt.Probe = new(probe.Snapshot)
@@ -211,9 +213,10 @@ func closedLoopAxes(s *Spec) error {
 
 // replayAxes: the trace is the workload — the mesh shape, the phases and
 // the fault schedule come from it, and the library refuses, by name, each
-// field a replay would not read. The grid axes have no LoadRun counterpart
-// and are refused here. The trace's run is bounded as every kind's is: its
-// mesh, phases and λ (the spec's, else the trace's).
+// field a replay would not read. The grid axes are refused here, in the
+// spec's own terms. The trace's run is bounded as every kind's is: its
+// mesh, phases and λ (the spec's, else the trace's). Each router is one
+// arm, one row.
 func replayAxes(s *Spec) error {
 	if len(s.Trace) == 0 {
 		return fmt.Errorf("replay spec needs a trace")
@@ -233,40 +236,9 @@ func replayAxes(s *Spec) error {
 		return fmt.Errorf("trace: %w", err)
 	}
 	defList(&s.Routers, limited)
-	if len(s.Routers) != 1 {
-		return fmt.Errorf("replay runs one router (got %d)", len(s.Routers))
-	}
 	if s.Probe {
 		return fmt.Errorf("probe is not supported on replay jobs")
 	}
-	return nil
-}
-
-// replayOptions is the replay kind's LoadRun options, shared by its check
-// and run: the spec's sweep options taken through the library's one copy,
-// LoadSweepOptions.Cell, plus the router, the seed and the trace. Every Spec
-// field with a LoadOptions field of the same name reaches it, so LoadRun's
-// check refuses what a replay would not read.
-func replayOptions(s *Spec) ndmesh.LoadOptions {
-	opt := sweepOptions[ReplayRow](s).Cell()
-	opt.Router, opt.Seed, opt.Replay = s.Routers[0], s.Seed, s.trace
-	return opt
-}
-
-// checkReplay is the replay kind's check: LoadRun's own Check.
-func checkReplay(s *Spec) (int, error) {
-	return replayOptions(s).Check()
-}
-
-// runReplay streams the replayed load point as the job's single row.
-func runReplay(s *Spec, e env) error {
-	opt := replayOptions(s)
-	opt.Pool, opt.Cancel = e.srv.pool, e.cancel
-	pt, err := ndmesh.LoadRun(opt)
-	if err != nil {
-		return err
-	}
-	e.emit(encodeNDJSON(ReplayRow{Router: s.Routers[0], Point: pt}))
 	return nil
 }
 

@@ -9,16 +9,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-
-	"ndmesh/internal/traffic"
 )
-
-// ReplayRow is the single NDJSON row a replay job streams: the router it
-// ran under and the replayed load point.
-type ReplayRow struct {
-	Router string            `json:"router"`
-	Point  traffic.LoadPoint `json:"point"`
-}
 
 // encodeNDJSON renders one row as a newline-terminated JSON line.
 // json.Marshal on the row structs cannot fail (no non-finite floats

@@ -31,7 +31,8 @@ const (
 
 // Spec is one job submission: a workload kind plus the option fields of
 // the corresponding sweep, under the library's defaults where omitted.
-// Field semantics match the ndmesh option structs of the same names.
+// Field semantics match the ndmesh.LoadSweepOptions fields of the same
+// names: every kind, a replay included, is a load sweep.
 type Spec struct {
 	// Kind selects the workload family: one of the Kind* names.
 	Kind string `json:"kind"`
@@ -44,6 +45,7 @@ type Spec struct {
 	Lambda int   `json:"lambda,omitempty"`
 
 	// Routers/Patterns span the sweep grid (defaults: limited / uniform).
+	// A replay takes Routers alone: one arm, one row, per router.
 	Routers  []string `json:"routers,omitempty"`
 	Patterns []string `json:"patterns,omitempty"`
 
@@ -89,8 +91,9 @@ type Spec struct {
 	// width produces byte-identical rows (see Key).
 	Workers int `json:"workers,omitempty"`
 
-	// Trace is the recorded NDWT workload a replay job reproduces
-	// (base64 in JSON, per encoding/json []byte convention). Replay only.
+	// Trace is the recorded NDWT workload a replay job reproduces (base64
+	// in JSON, per encoding/json []byte convention); decoded, it is the
+	// options' Replay. Replay only.
 	Trace []byte         `json:"trace,omitempty"`
 	trace *traffic.Trace // Trace decoded, set by normalize (replay only)
 

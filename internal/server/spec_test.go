@@ -139,7 +139,7 @@ func TestParseSpecReplay(t *testing.T) {
 	if !reflect.DeepEqual(s.Routers, []string{"limited"}) || s.rows != 1 {
 		t.Fatalf("replay spec normalized wrong: %+v", s)
 	}
-	// normalize decodes the trace once and keeps it for runReplay.
+	// normalize decodes the trace once and keeps it for the run.
 	if s.trace == nil || !bytes.Equal(s.trace.Marshal(), trace) {
 		t.Fatal("parsed replay spec does not carry the submitted trace")
 	}
@@ -149,9 +149,9 @@ func TestParseSpecReplay(t *testing.T) {
 	if _, err := ParseSpec(bad); err == nil {
 		t.Fatal("replay spec with its own phases accepted")
 	}
-	// What LoadRun would refuse, the replay kind refuses at parse time: the
-	// fields a replay does not read among them, each once accepted, ignored
-	// and keyed apart.
+	// What the comparison would refuse, the replay kind refuses at parse
+	// time: the fields a replay does not read among them, each once
+	// accepted, ignored and keyed apart.
 	for _, extra := range []string{`"routers":["nope"],`, `"bubble":true,"node_capacity":1,`, `"probe":true,`,
 		`"retry_backoff":4,`, `"fault_model":"nope",`, `"fault_model":"weibull",`, `"fault_shape":1.5,`,
 		`"fault_repair":40,`, `"fault_interval":10,`, `"fault_start":3,`, `"clustered":true,`} {
@@ -311,6 +311,8 @@ func FuzzSpecDecode(f *testing.F) {
 		// a field a replay does not read.
 		`{"kind":"replay","trace":"TkRXVAICAgI/4AAAAAAAAAAAAAEAAQEAAAAAAAEEBAABAQACAQMB"}`,
 		`{"kind":"replay","trace":"TkRXVAICAgI/4AAAAAAAAAAAAAEAAQEAAAAAAAEEBAABAQACAQMB","fault_model":"weibull"}`,
+		// The same recording compared across two routers: two rows.
+		`{"kind":"replay","routers":["limited","dor"],"trace":"TkRXVAICAgI/4AAAAAAAAAAAAAEAAQEAAAAAAAEEBAABAQACAQMB"}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -348,7 +350,7 @@ func FuzzSpecDecode(f *testing.F) {
 		case KindReliability:
 			rows, err = sweepOptions[ndmesh.ReliabilityRow](s).Check()
 		case KindReplay:
-			rows, err = replayOptions(s).Check()
+			rows, err = sweepOptions[ndmesh.ReplayCompareRow](s).Check()
 		}
 		if err != nil || rows != s.rows {
 			t.Fatalf("parsed spec fails the library's check: %d rows (parsed %d), %v\nspec: %s", rows, s.rows, err, out)
@@ -468,15 +470,19 @@ func TestSweepOptionsCarriesEverySpecField(t *testing.T) {
 	carries(t, KindReliability, s, shared, sweepOptions[ndmesh.ReliabilityRow](s))
 }
 
-// TestReplayOptionsCarriesEverySpecField holds the replay kind's Spec ->
-// LoadOptions conversion to the same rule, so LoadRun's check sees every
-// field a replay spec sets and refuses, by name, those a replay does not
-// read.
+// TestReplayOptionsCarriesEverySpecField holds the replay kind's options,
+// sweepOptions under the comparison's row type, to the same rule, and its
+// decoded Trace to Replay, so the comparison's check sees every field a
+// replay spec sets and refuses, by name, those a replay does not read.
 func TestReplayOptionsCarriesEverySpecField(t *testing.T) {
-	s, shared := fillShared(t, ndmesh.LoadOptions{})
-	if len(shared) < 22 {
-		t.Fatalf("only %d Spec fields match a LoadOptions field by name and type (%v); the test lost its subject", len(shared), shared)
+	s, shared := fillShared(t, ndmesh.ReplayCompareOptions{})
+	if len(shared) < 27 {
+		t.Fatalf("only %d Spec fields match an options field by name and type (%v); the test lost its subject", len(shared), shared)
 	}
-	s.Routers = []string{"limited"}
-	carries(t, KindReplay, s, shared, replayOptions(s))
+	s.trace = &traffic.Trace{Dims: []int{4, 4}}
+	opt := sweepOptions[ndmesh.ReplayCompareRow](s)
+	carries(t, KindReplay, s, shared, opt)
+	if opt.Replay != s.trace {
+		t.Errorf("the spec's decoded trace reached the options as %v", opt.Replay)
+	}
 }

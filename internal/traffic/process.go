@@ -12,8 +12,6 @@ import (
 // Processes may keep per-node state (the bursty on/off chain does); Reset
 // sizes that state for the mesh and rewinds it between runs.
 type Process interface {
-	// Name identifies the process in tables and CLI flags.
-	Name() string
 	// Reset prepares per-node state for a run over numNodes sources.
 	Reset(numNodes int)
 	// Arrivals returns the number of messages node offers this step.
@@ -70,9 +68,6 @@ func unknownProcess(name string) error {
 // rate — the standard injection process of NoC saturation studies.
 type Bernoulli struct{}
 
-// Name implements Process.
-func (*Bernoulli) Name() string { return "bernoulli" }
-
 // Reset implements Process.
 func (*Bernoulli) Reset(int) {}
 
@@ -90,9 +85,6 @@ func (*Bernoulli) Arrivals(_ int, rate float64, r *rng.Source) int {
 // Poisson offers Poisson(rate) messages per node per step, allowing
 // multi-arrival steps (rate may exceed 1).
 type Poisson struct{}
-
-// Name implements Process.
-func (*Poisson) Name() string { return "poisson" }
 
 // Reset implements Process.
 func (*Poisson) Reset(int) {}
@@ -146,9 +138,6 @@ func NewBursty(meanOn, meanOff int) *Bursty {
 	}
 	return &Bursty{MeanOn: meanOn, MeanOff: meanOff}
 }
-
-// Name implements Process.
-func (*Bursty) Name() string { return "bursty" }
 
 // MaxRate implements Process: during a burst the node injects at most one
 // message per step, so the long-run offered rate caps at the duty cycle.

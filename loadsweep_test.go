@@ -19,7 +19,7 @@ func TestOptionsMarshal(t *testing.T) {
 	for _, opt := range []any{
 		DefaultSaturation(), DefaultClosedLoop(), DefaultReliability(),
 		DefaultCongestionShift(), DefaultGridlock(), DefaultDegradation(),
-		LoadOptions{},
+		ReplayCompareOptions{}, LoadOptions{},
 	} {
 		if _, err := json.Marshal(opt); err != nil {
 			t.Errorf("%T: %v", opt, err)
@@ -30,7 +30,7 @@ func TestOptionsMarshal(t *testing.T) {
 // foreignValues holds, for every field some entry point rejects, a value
 // that sets it.
 var foreignValues = map[string]any{
-	"Rates": []float64{0.1}, "Windows": []int{2}, "FaultRates": []float64{0.01},
+	"Patterns": []string{"uniform"}, "Rates": []float64{0.1}, "Windows": []int{2}, "FaultRates": []float64{0.01},
 	"Capacities": []int{2}, "FaultCounts": []int{1}, "Mechanisms": []string{"none"},
 	"Trials": 2, "Rate": 0.1, "Process": "bernoulli",
 	"NodeCapacity": 4, "Bubble": true,
@@ -65,7 +65,8 @@ var gridlockAxes = []string{"Capacities", "FaultCounts", "Mechanisms"}
 
 // TestSweepAxisRules is the axis table of ARCHITECTURE.md ("An experiment"):
 // each entry point takes its own axes and names any field of another's that
-// is set; replay-compare names the LoadOptions fields its arms cannot share.
+// is set; replay-compare names every grid axis, and a probe limits it to
+// one router, before any arm runs.
 func TestSweepAxisRules(t *testing.T) {
 	t.Run("open-loop", func(t *testing.T) {
 		axisRules(t, DefaultSaturation(), SaturationSweepWorkers,
@@ -98,20 +99,21 @@ func TestSweepAxisRules(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		routers := []string{"limited", "dor"}
-		if _, err := ReplayCompareSweepWorkers(LoadOptions{Replay: rec}, routers, 1); err != nil {
+		opt := ReplayCompareOptions{Routers: []string{"limited", "dor"}, Replay: rec}
+		if _, err := ReplayCompareSweepWorkers(opt, 1, 1); err != nil {
 			t.Errorf("plain replay rejected: %v", err)
 		}
-		for name, mutate := range map[string]func(*LoadOptions){
-			"Router": func(o *LoadOptions) { o.Router = "limited" },
-			"Record": func(o *LoadOptions) { o.Record = &traffic.Trace{} },
-			"Probe":  func(o *LoadOptions) { o.Probe = &probe.Snapshot{} },
-		} {
+		for _, name := range append([]string{"Patterns", "Rates", "Windows", "FaultRates", "Trials", "Probe"}, gridlockAxes...) {
 			pool, calls := NewEnginePool(1), 0
-			o := LoadOptions{Replay: rec, Pool: pool, Progress: func(int, int) { calls++ }}
-			mutate(&o)
-			if _, err := ReplayCompareSweepWorkers(o, routers, 1); err == nil || !strings.Contains(err.Error(), name) {
-				t.Errorf("%s set: error = %v, want one naming the field", name, err)
+			o := opt
+			o.Pool, o.Progress = pool, func(int, int) { calls++ }
+			reflect.ValueOf(&o).Elem().FieldByName(name).Set(reflect.ValueOf(foreignValues[name]))
+			want := "does not take " + name
+			if name == "Probe" {
+				want = "must be a single cell (got 2)"
+			}
+			if _, err := ReplayCompareSweepWorkers(o, 1, 1); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s set: error = %v, want one saying %q", name, err, want)
 			}
 			if st := pool.Stats(); calls != 0 || st != (PoolStats{}) {
 				t.Errorf("%s set: an arm ran before the refusal (%d progress calls, pool %+v)", name, calls, st)
@@ -121,9 +123,9 @@ func TestSweepAxisRules(t *testing.T) {
 }
 
 // TestReplayCompareOneRouterIsLoadRun: a comparison of one router is a
-// single cell, so it takes a probe and a Record as a one-cell sweep does,
-// and it is LoadRun's replay: the same point, the same census and a
-// re-recording of the same bytes.
+// single cell, so it takes a probe as a one-cell sweep does, and it is
+// LoadRun's replay: the same point and the same census. Re-recording a
+// replay is LoadRun's alone, and it writes the bytes it replayed.
 func TestReplayCompareOneRouterIsLoadRun(t *testing.T) {
 	rec := &traffic.Trace{}
 	if _, err := LoadRun(LoadOptions{
@@ -132,45 +134,37 @@ func TestReplayCompareOneRouterIsLoadRun(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	type arm struct {
-		pt  traffic.LoadPoint
-		ts  *probe.TimeSeries
-		rec *traffic.Trace
-	}
-	var viaRun, viaCmp arm
-	for _, a := range []*arm{&viaRun, &viaCmp} {
-		a.ts, a.rec = probe.NewTimeSeries(256), &traffic.Trace{}
-	}
-	var err error
-	if viaRun.pt, err = LoadRun(LoadOptions{Router: "congested", Replay: rec, Probe: viaRun.ts, Record: viaRun.rec}); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := ReplayCompareSweepWorkers(LoadOptions{Replay: rec, Probe: viaCmp.ts, Record: viaCmp.rec}, []string{"congested"}, 2)
+	runTS, cmpTS, rerec := probe.NewTimeSeries(256), probe.NewTimeSeries(256), &traffic.Trace{}
+	pt, err := LoadRun(LoadOptions{Router: "congested", Replay: rec, Probe: runTS, Record: rerec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 || rows[0].Router != "congested" || !reflect.DeepEqual(rows[0].Point, viaRun.pt) {
-		t.Errorf("one-router comparison diverged from LoadRun:\n got %+v\nwant %+v", rows, viaRun.pt)
-	}
-	var runCSV, cmpCSV strings.Builder
-	if err := viaRun.ts.WriteCSV(&runCSV); err != nil {
+	rows, err := ReplayCompareSweepWorkers(ReplayCompareOptions{Routers: []string{"congested"}, Replay: rec, Probe: cmpTS}, 1, 2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := viaCmp.ts.WriteCSV(&cmpCSV); err != nil {
+	if len(rows) != 1 || rows[0].Router != "congested" || !reflect.DeepEqual(rows[0].Point, pt) {
+		t.Errorf("one-router comparison diverged from LoadRun:\n got %+v\nwant %+v", rows, pt)
+	}
+	var runCSV, cmpCSV strings.Builder
+	if err := runTS.WriteCSV(&runCSV); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmpTS.WriteCSV(&cmpCSV); err != nil {
 		t.Fatal(err)
 	}
 	if runCSV.String() != cmpCSV.String() || runCSV.Len() == 0 {
 		t.Error("one-router comparison's census differs from LoadRun's")
 	}
-	if !slices.Equal(viaRun.rec.Marshal(), viaCmp.rec.Marshal()) || len(viaCmp.rec.Faults) == 0 {
-		t.Error("one-router comparison recorded other bytes than LoadRun")
+	if !slices.Equal(rerec.Marshal(), rec.Marshal()) || len(rerec.Faults) == 0 {
+		t.Error("LoadRun re-recorded its replay as other bytes than the trace it replayed")
 	}
 }
 
 // TestSweepCellCarriesEverySharedField holds the one options-to-options
 // copy, LoadSweepOptions.Cell, to the two structs: every field they share
 // by name and type, set to a value no other field has, must reach the base
-// cell under each of the five sweeps' row types, so a field added to both
+// cell under each of the six sweeps' row types, so a field added to both
 // later cannot be dropped on the way. Shards is the one exception: both
 // structs keep it only for bench/batch.go, and nothing else may read it
 // (TestShardResidue).
@@ -180,6 +174,7 @@ func TestSweepCellCarriesEverySharedField(t *testing.T) {
 	t.Run("closed-loop", sweepCellCarries[ClosedLoopRow])
 	t.Run("gridlock", sweepCellCarries[GridlockRow])
 	t.Run("reliability", sweepCellCarries[ReliabilityRow])
+	t.Run("replay-compare", sweepCellCarries[ReplayCompareRow])
 }
 
 func sweepCellCarries[Row any](t *testing.T) {
@@ -206,6 +201,8 @@ func sweepCellCarries[Row any](t *testing.T) {
 			v.Set(reflect.ValueOf([]int{i + 1}))
 		case *EnginePool:
 			v.Set(reflect.ValueOf(NewEnginePool(i)))
+		case *traffic.Trace:
+			v.Set(reflect.ValueOf(&traffic.Trace{Window: i}))
 		case func() bool:
 			v.Set(reflect.ValueOf(func() bool { return false }))
 		case func(done, total int):
@@ -217,7 +214,7 @@ func sweepCellCarries[Row any](t *testing.T) {
 			v.Set(reflect.ValueOf(&stepCounter{}))
 		}
 	}
-	if len(shared) < 26 {
+	if len(shared) < 27 {
 		t.Fatalf("only %d fields are shared by name and type (%v); the test lost its subject", len(shared), shared)
 	}
 	cell := opt.Cell()
@@ -335,19 +332,24 @@ func TestUnknownNameFailsBeforeAnyCell(t *testing.T) {
 	}
 	for _, routers := range withUnknown([]string{"limited", "dor"}) {
 		pool := NewEnginePool(1)
-		_, err := ReplayCompareSweepWorkers(LoadOptions{Replay: rec, Pool: pool}, routers, 1)
+		o := ReplayCompareOptions{Routers: routers, Replay: rec, Pool: pool}
+		_, err := ReplayCompareSweepWorkers(o, 1, 1)
 		if err == nil || !strings.Contains(err.Error(), "nope") {
 			t.Errorf("replay comparison over %v: error = %v, want one naming the unknown router", routers, err)
 		} else if st := pool.Stats(); st.Built != 0 || st.Acquired != 0 {
 			t.Errorf("replay comparison over %v: pool %+v before the refusal", routers, st)
+		}
+		if _, cerr := o.Check(); cerr == nil || err != nil && cerr.Error() != err.Error() {
+			t.Errorf("replay comparison over %v: Check = %v, the sweep's error %v", routers, cerr, err)
 		}
 	}
 }
 
 // TestCheckAllocatesNothing holds the entry points' exported pre-run check
 // to no allocation on options it passes — every library default, a bursty
-// and a weibull spelling, a load run and a replay — so a server can check
-// each request up front for free.
+// and a weibull spelling, a load run, a replay and a replay comparison of
+// one router and of three — so a server can check each request up front
+// for free.
 func TestCheckAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts vary under the race detector")
@@ -375,6 +377,8 @@ func TestCheckAllocatesNothing(t *testing.T) {
 		"load-run":        LoadOptions{Dims: []int{8, 8}, Router: "oracle", Pattern: "hotspot", Process: "bursty", Rate: 0.1, Measure: 8}.Check,
 		"load-run-loop":   LoadOptions{Dims: []int{8, 8}, Router: "dor", Pattern: "uniform", Window: 2, Measure: 8}.Check,
 		"load-run-replay": LoadOptions{Router: "congested", Replay: rec}.Check,
+		"replay-compare":  ReplayCompareOptions{Routers: []string{"congested"}, Replay: rec}.Check,
+		"replay-compare3": ReplayCompareOptions{Routers: []string{"limited", "congested", "dor"}, Replay: rec}.Check,
 	} {
 		if _, err := check(); err != nil {
 			t.Errorf("%s: %v", name, err)
@@ -437,6 +441,53 @@ func TestCheckRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	rowsOf("reliability", len(rrows), rel.Check)
+	rec := &traffic.Trace{}
+	if _, err := LoadRun(LoadOptions{Dims: []int{4, 4}, Router: "limited", Pattern: "uniform", Rate: 0.1,
+		Warmup: 2, Measure: 4, Drain: 4, Record: rec}); err != nil {
+		t.Fatal(err)
+	}
+	for _, routers := range [][]string{{"dor"}, {"limited", "congested", "dor"}} {
+		rc := ReplayCompareOptions{Routers: routers, Replay: rec}
+		rcrows, err := ReplayCompareSweepWorkers(rc, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rowsOf(fmt.Sprintf("replay-compare over %d routers", len(routers)), len(rcrows), rc.Check)
+	}
+}
+
+// refusesReplay runs one grid sweep on its library defaults (a 4x4 mesh,
+// phases cut short) with a trace set: the sweep and its Check must refuse
+// it naming Replay, before any row is emitted or the pool is touched.
+func refusesReplay[Row any](opt LoadSweepOptions[Row], sweep func(LoadSweepOptions[Row], uint64, int) ([]Row, error)) func(*testing.T) {
+	return func(t *testing.T) {
+		opt.Dims, opt.Warmup, opt.Measure, opt.Drain = []int{4, 4}, 4, 8, 8
+		opt.Replay = &traffic.Trace{Dims: []int{4, 4}}
+		pool, emitted := NewEnginePool(1), 0
+		opt.Pool, opt.Emit = pool, func(int, Row) { emitted++ }
+		_, err := sweep(opt, 1, 1)
+		if err == nil || !strings.Contains(err.Error(), "does not take Replay") {
+			t.Errorf("error = %v, want one naming Replay", err)
+		} else if _, cerr := opt.Check(); cerr == nil || cerr.Error() != err.Error() {
+			t.Errorf("Check = %v, the sweep's error %v", cerr, err)
+		}
+		if st := pool.Stats(); emitted != 0 || st != (PoolStats{}) {
+			t.Errorf("%d rows emitted, pool %+v before the refusal", emitted, st)
+		}
+	}
+}
+
+// TestGridSweepsRefuseReplay: a trace is the replay comparison's workload
+// alone, so each of the five grid sweeps refuses a set Replay by name.
+func TestGridSweepsRefuseReplay(t *testing.T) {
+	t.Run("saturation", refusesReplay(DefaultSaturation(), SaturationSweepWorkers))
+	t.Run("congestion", refusesReplay(DefaultCongestionShift(), func(o CongestionShiftOptions, seed uint64, workers int) ([]CongestionShiftRow, error) {
+		rows, _, err := CongestionShiftSweepWorkers(o, seed, workers)
+		return rows, err
+	}))
+	t.Run("closed-loop", refusesReplay(DefaultClosedLoop(), ClosedLoopSweepWorkers))
+	t.Run("gridlock", refusesReplay(DefaultGridlock(), GridlockSweepWorkers))
+	t.Run("reliability", refusesReplay(DefaultReliability(), ReliabilitySweepWorkers))
 }
 
 // overInterior runs one sweep entry point on its library defaults (a 4x4

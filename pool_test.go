@@ -316,8 +316,9 @@ func TestSweepCancel(t *testing.T) {
 			return err
 		}},
 		{"replay-compare", func(cancel func() bool, workers int) error {
-			_, err := ReplayCompareSweepWorkers(LoadOptions{Replay: rec, Pool: pool, Cancel: cancel},
-				[]string{"limited", "congested", "dor"}, workers)
+			_, err := ReplayCompareSweepWorkers(ReplayCompareOptions{
+				Routers: []string{"limited", "congested", "dor"}, Replay: rec, Pool: pool, Cancel: cancel,
+			}, 42, workers)
 			return err
 		}},
 	} {

@@ -419,10 +419,10 @@ func TestNegativeEscapeParametersAreOff(t *testing.T) {
 			return ReliabilitySweepWorkers(opt, 3, 2)
 		},
 		"replay-compare": func(v int) (any, error) {
-			return ReplayCompareSweepWorkers(LoadOptions{
-				Replay: rec, Seed: 3,
+			return ReplayCompareSweepWorkers(ReplayCompareOptions{
+				Routers: []string{"limited", "dor"}, Replay: rec,
 				FlightTimeout: v, GridlockWindow: v,
-			}, []string{"limited", "dor"}, 2)
+			}, 3, 2)
 		},
 		"load-run": func(v int) (any, error) {
 			return LoadRun(LoadOptions{

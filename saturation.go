@@ -25,15 +25,16 @@ import (
 	"ndmesh/internal/traffic"
 )
 
-// LoadSweepOptions is the one configuration of the load sweeps E19-E23: a
-// grid of Patterns x (the entry point's load axes) x Routers, each cell a
-// load run of the Figure 7 step model under contention and the same Section
-// 5 parameters. The five entry points take it under the alias names
-// SaturationOptions, CongestionShiftOptions, ClosedLoopOptions,
-// GridlockOptions and ReliabilityOptions, which differ only in the row type
-// Emit streams; each requires its own axes and rejects, by name, the fields
-// that belong to another's (the aliases say which), in the pre-run check
-// Check exports. Every other field means the same thing to all five.
+// LoadSweepOptions is the one configuration of the load sweeps E19-E23 and
+// the replay comparison: a grid of Patterns x (the entry point's load axes)
+// x Routers, or a recorded trace x Routers, each cell a load run of the
+// Figure 7 step model under contention and the same Section 5 parameters.
+// The six entry points take it under the alias names SaturationOptions,
+// CongestionShiftOptions, ClosedLoopOptions, GridlockOptions,
+// ReliabilityOptions and ReplayCompareOptions, which differ only in the row
+// type Emit streams; each requires its own axes and rejects, by name, the
+// fields that belong to another's (the aliases say which), in the pre-run
+// check Check exports. Every other field means the same thing to all six.
 type LoadSweepOptions[Row any] struct {
 	// Dims is the mesh shape; Lambda the information rounds per step.
 	Dims   []int
@@ -62,6 +63,11 @@ type LoadSweepOptions[Row any] struct {
 	Capacities  []int    `json:",omitempty"`
 	FaultCounts []int    `json:",omitempty"`
 	Mechanisms  []string `json:",omitempty"`
+	// Replay is the replay comparison's workload: the recorded trace every
+	// router arm replays, which owns the mesh, the phases, the offered
+	// stream and the fault schedule (see LoadOptions.Replay). The five grid
+	// sweeps refuse it.
+	Replay *traffic.Trace `json:"-"`
 	// Process is the arrival process: bernoulli (default) | poisson |
 	// bursty. A closed loop has none.
 	Process string `json:",omitempty"`
@@ -258,10 +264,11 @@ func emitEach[R any](emit func(index int, row R)) func(out []R, j int) {
 
 // Check is the sweep's pre-run check, the one statement of its rules: the
 // entry point Row names (SaturationRow names SaturationSweepWorkers, and
-// CongestionShiftRow, ClosedLoopRow, GridlockRow and ReliabilityRow the
-// other four) runs it before anything else, so options it refuses — a
-// foreign field, an empty axis, an unknown router, pattern or process, a
-// value out of range — fail before any cell, any Emit and any simulation.
+// CongestionShiftRow, ClosedLoopRow, GridlockRow, ReliabilityRow and
+// ReplayCompareRow the other five) runs it before anything else, so options
+// it refuses — a foreign field, an empty axis, an unknown router, pattern
+// or process, a value out of range — fail before any cell, any Emit and any
+// simulation.
 // It returns the number of rows the sweep emits, and allocates nothing
 // unless it fails.
 func (opt LoadSweepOptions[Row]) Check() (rows int, err error) {
@@ -276,6 +283,8 @@ func (opt LoadSweepOptions[Row]) Check() (rows int, err error) {
 		_, rows, err = opt.checkGridlock()
 	case *ReliabilityRow:
 		_, rows, err = opt.checkReliability()
+	case *ReplayCompareRow:
+		_, rows, err = opt.checkReplayCompare()
 	default:
 		err = fmt.Errorf("ndmesh: no load sweep emits %T rows", *new(Row))
 	}
@@ -302,19 +311,21 @@ func (opt *LoadSweepOptions[Row]) checkSaturation() (base LoadOptions, rows int,
 	return base, rows, err
 }
 
-// sweepGrid applies the axis rules the five entry points share and returns
-// the grid's cell count. The entry point's own axes, n cells per (pattern,
-// router), must be set; the first field foreign to it that is set is an
-// error naming it; every router and pattern must be one the cells can
-// build, over a valid mesh; a probe limits the grid to one cell.
+// sweepGrid applies the axis rules the five grid sweeps share and returns
+// the grid's cell count. A trace is the replay comparison's alone; the
+// entry point's own axes, n cells per (pattern, router), must be set;
+// refuse holds the grid to its fields and a probe to one cell; every router
+// and pattern must be one the cells can build, over a valid mesh.
 func (opt *LoadSweepOptions[Row]) sweepGrid(entry, axis string, n int, foreign ...string) (cells int, err error) {
+	if opt.Replay != nil {
+		return 0, fmt.Errorf("ndmesh: a %s sweep does not take Replay; ReplayCompareSweepWorkers replays a trace", entry)
+	}
 	if len(opt.Routers) == 0 || len(opt.Patterns) == 0 || n == 0 {
 		return 0, fmt.Errorf("ndmesh: %s sweep needs at least one router, pattern and %s", entry, axis)
 	}
-	for _, f := range foreign {
-		if opt.isSet(f) {
-			return 0, fmt.Errorf("ndmesh: a %s sweep does not take %s", entry, f)
-		}
+	cells = len(opt.Patterns) * n * len(opt.Routers)
+	if err := opt.refuse(entry, cells, foreign...); err != nil {
+		return 0, err
 	}
 	for _, r := range opt.Routers {
 		if err := route.CheckName(r); err != nil {
@@ -330,11 +341,22 @@ func (opt *LoadSweepOptions[Row]) sweepGrid(entry, axis string, n int, foreign .
 			return 0, err
 		}
 	}
-	cells = len(opt.Patterns) * n * len(opt.Routers)
-	if opt.Probe != nil && cells > 1 {
-		return 0, fmt.Errorf("ndmesh: a probed sweep must be a single cell (got %d); probes are stateful accumulators and parallel cells would interleave their censuses", cells)
-	}
 	return cells, nil
+}
+
+// refuse is the rule every sweep of the given cell count applies to its
+// options: the first of the fields foreign to the entry point that is set
+// is an error naming it, and a probe limits the sweep to one cell.
+func (opt *LoadSweepOptions[Row]) refuse(entry string, cells int, foreign ...string) error {
+	for _, f := range foreign {
+		if opt.isSet(f) {
+			return fmt.Errorf("ndmesh: a %s sweep does not take %s", entry, f)
+		}
+	}
+	if opt.Probe != nil && cells > 1 {
+		return fmt.Errorf("ndmesh: a probed sweep must be a single cell (got %d); probes are stateful accumulators and parallel cells would interleave their censuses", cells)
+	}
+	return nil
 }
 
 // describe returns the mesh's row label and node count; the sweep's check
@@ -348,6 +370,8 @@ func (opt *LoadSweepOptions[Row]) describe() (label string, nodes int) {
 // empty, or a value that is not zero.
 func (opt *LoadSweepOptions[Row]) isSet(field string) bool {
 	switch field {
+	case "Patterns":
+		return len(opt.Patterns) > 0
 	case "Rates":
 		return len(opt.Rates) > 0
 	case "Windows":
@@ -386,8 +410,9 @@ func (opt *LoadSweepOptions[Row]) isSet(field string) bool {
 
 // Cell is the sweep's base load cell: every field the sweep shares with
 // LoadOptions by name and type, but the ignored Shards. It is the module's
-// only field-by-field copy between option structs: a sweep job, meshd's
-// replay and loadgen's recording each set their own axes on a copy.
+// only field-by-field copy between option structs: a sweep job, a replay
+// comparison's arm and loadgen's recording each set their own axes on a
+// copy.
 func (opt LoadSweepOptions[Row]) Cell() LoadOptions {
 	return LoadOptions{
 		Dims: opt.Dims, Lambda: opt.Lambda, Process: opt.Process, Rate: opt.Rate,
@@ -399,7 +424,7 @@ func (opt LoadSweepOptions[Row]) Cell() LoadOptions {
 		Clustered: opt.Clustered, FaultStart: opt.FaultStart,
 		FaultRate: opt.FaultRate, FaultModel: opt.FaultModel,
 		FaultShape: opt.FaultShape, FaultRepair: opt.FaultRepair,
-		Probe: opt.Probe, ProbeEvery: opt.ProbeEvery,
+		Replay: opt.Replay, Probe: opt.Probe, ProbeEvery: opt.ProbeEvery,
 		Pool: opt.Pool, Cancel: opt.Cancel, Progress: opt.Progress,
 	}
 }
@@ -836,8 +861,7 @@ type LoadOptions struct {
 	// simulations and takes the simulation back afterwards (see
 	// LoadSweepOptions.Pool); Cancel aborts the run with ErrCanceled
 	// when it returns true (polled every cancelCheckInterval steps);
-	// Progress is called with (done, total) after every completed run (one
-	// per router arm of a replay comparison).
+	// Progress is called with (done, total) after the run completes.
 	Pool     *EnginePool           `json:"-"`
 	Cancel   func() bool           `json:"-"`
 	Progress func(done, total int) `json:"-"`
